@@ -18,7 +18,7 @@ running an order of magnitude faster (see
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,9 +82,58 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         planned = np.nonzero(initial >= 0)[0]
         self.position_map.load_many(planned, initial[planned])
         plan.consume_first_occurrences(self.config.num_blocks)
-        self.tree = self._make_tree()
+        self.tree.clear()
         self.stash.clear()
         self._bulk_load()
+
+    # ------------------------------------------------------------------
+    # Batched entry points
+    # ------------------------------------------------------------------
+    def access_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
+        """Batched read (see :meth:`LookaheadClientMixin.access_many`).
+
+        Over a payload matrix the result is one ``(len(block_ids), dim)``
+        gather, taken after every bin has found its blocks in the stash.
+        """
+        store = self._payloads
+        if isinstance(store, dict):
+            return super().access_many(block_ids)
+        ids = self._coerce_id_list(block_ids)
+        self._serve_bins(ids)
+        return store[ids]
+
+    def write_many(
+        self, block_ids: Sequence[int], payloads: Sequence[object]
+    ) -> None:
+        """Batched write (see :meth:`LookaheadClientMixin.write_many`).
+
+        Over a payload matrix the rows are scattered in one assignment once
+        every bin has found its blocks in the stash; duplicate ids keep the
+        last payload.
+        """
+        store = self._payloads
+        if isinstance(store, dict):
+            super().write_many(block_ids, payloads)
+            return
+        ids = self._coerce_id_list(block_ids)
+        if len(ids) != len(payloads):
+            raise ConfigurationError("block_ids and payloads must have equal length")
+        self._serve_bins(ids)
+        # Fancy assignment leaves the winner among repeated indices
+        # unspecified, so repeats are reduced to their last position first.
+        last = dict(zip(ids, range(len(ids))))
+        if len(last) == len(ids):
+            store[ids] = payloads
+        else:
+            store[list(last)] = np.asarray(payloads)[list(last.values())]
+
+    def _serve_bins(self, ids: list[int]) -> None:
+        """Run ``ids`` as consecutive bins ending on superblock boundaries."""
+        offset = 0
+        while offset < len(ids):
+            chunk = ids[offset : offset + self._next_bin_length()]
+            self._access_superblock_ids(self._trace_cursor, chunk, collect=False)
+            offset += len(chunk)
 
     def access_superblock(
         self,
@@ -157,10 +206,11 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         payloads: list[Optional[object]] = []
         if collect or new_payloads is not None:
             store = self._payloads
+            payload_of = self._payload_of
             for block_id in block_ids:
                 if new_payloads is not None and block_id in new_payloads:
                     store[block_id] = new_payloads[block_id]
-                payloads.append(store.get(block_id))
+                payloads.append(payload_of(block_id))
 
         # Remap every distinct block to its next planned occurrence.  The
         # stash mirrors each resident block's leaf, so both the position map

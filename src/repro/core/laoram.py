@@ -175,7 +175,7 @@ class LookaheadClientMixin:
         boundaries are aligned to the global access index so they coincide
         with the boundaries the preprocessor used when planning the trace.
         """
-        ids = [int(b) for b in block_ids]
+        ids = self._coerce_id_list(block_ids)
         payloads: list[Optional[object]] = []
         offset = 0
         while offset < len(ids):
@@ -199,7 +199,7 @@ class LookaheadClientMixin:
         updated rows sharing a path cost a single fetch, mirroring the read
         side.  Duplicate ids within the batch keep the last payload.
         """
-        ids = [int(b) for b in block_ids]
+        ids = self._coerce_id_list(block_ids)
         if len(ids) != len(payloads):
             raise ConfigurationError("block_ids and payloads must have equal length")
         offset = 0

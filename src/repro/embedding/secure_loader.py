@@ -51,24 +51,24 @@ class SecureEmbeddingStore:
         self.dim = table.dim
         self.num_rows = table.num_rows
         self.row_nbytes = table.row_nbytes
-        payloads = {row: table.weights[row].copy() for row in range(table.num_rows)}
-        # Both PathORAM-family engines and the insecure baseline expose
-        # load_payloads as a trusted-setup bulk load.
-        memory.load_payloads(payloads)
+        # Trusted-setup bulk load of one private copy of the table: engines
+        # that keep a payload matrix adopt it, the others take row views.
+        memory.load_payloads(table.weights.copy())
 
     # ------------------------------------------------------------------
     def fetch_rows(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Obliviously fetch the embedding vectors for ``row_ids``."""
+        """Obliviously fetch the embedding vectors for ``row_ids``.
+
+        The result is a fresh array: it never aliases the stored rows.
+        """
         ids = self._validate(row_ids)
         if self.batch_size is not None:
-            payloads = self.memory.access_many(ids.tolist(), batch_size=self.batch_size)
+            payloads = self.memory.access_many(ids, batch_size=self.batch_size)
         else:
-            payloads = self.memory.access_many(ids.tolist())
-        rows = np.zeros((ids.size, self.dim), dtype=np.float32)
-        for index, payload in enumerate(payloads):
-            if payload is not None:
-                rows[index] = payload
-        return rows
+            payloads = self.memory.access_many(ids)
+        # One gather: engines over a payload matrix return it ready made,
+        # the others a list of rows to stack.
+        return np.asarray(payloads, dtype=np.float32)
 
     def update_rows(self, row_ids: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Obliviously write updated embedding vectors back.
@@ -77,25 +77,21 @@ class SecureEmbeddingStore:
         ``write_many``) receive the whole batch at once so that rows sharing
         a path are written back together; other engines take one write
         access per row.  Duplicate ids within a batch keep their last value,
-        mirroring a sequential write stream.
+        mirroring a sequential write stream.  The engine receives one
+        private copy of ``values``, so the caller may reuse its array.
         """
         ids = self._validate(row_ids)
-        values = np.asarray(values, dtype=np.float32)
+        values = np.array(values, dtype=np.float32)
         if values.shape != (ids.size, self.dim):
             raise ConfigurationError("values shape mismatch")
         write_many = getattr(self.memory, "write_many", None)
-        if callable(write_many):
-            if self.batch_size is not None:
-                write_many(
-                    ids.tolist(),
-                    [value.copy() for value in values],
-                    batch_size=self.batch_size,
-                )
-            else:
-                write_many(ids.tolist(), [value.copy() for value in values])
-            return
-        for row_id, value in zip(ids.tolist(), values):
-            self.memory.access(int(row_id), AccessOp.WRITE, new_payload=value.copy())
+        if not callable(write_many):
+            for row_id, value in zip(ids.tolist(), values):
+                self.memory.access(row_id, AccessOp.WRITE, new_payload=value)
+        elif self.batch_size is not None:
+            write_many(ids, values, batch_size=self.batch_size)
+        else:
+            write_many(ids, values)
 
     def materialize(self) -> EmbeddingTable:
         """Read every row back out (test helper verifying data integrity)."""

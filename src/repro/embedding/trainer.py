@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.laoram import LAORAMClient
+from repro.core.laoram import LookaheadClientMixin
 from repro.datasets.kaggle import SyntheticCriteoDataset
 from repro.datasets.xnli import SyntheticXNLIDataset
 from repro.embedding.dlrm import DLRMModel
@@ -80,10 +80,7 @@ class ObliviousEmbeddingTrainer:
         correct = 0
         for start in range(0, num_samples, batch_size):
             stop = min(start + batch_size, num_samples)
-            batch_ids = [
-                int(dataset.categorical[index, protected_index])
-                for index in range(start, stop)
-            ]
+            batch_ids = dataset.categorical[start:stop, protected_index]
             rows = self.store.fetch_rows(batch_ids)
             updated_rows = rows.copy()
             for offset, index in enumerate(range(start, stop)):
@@ -94,7 +91,7 @@ class ObliviousEmbeddingTrainer:
                 updated_rows[offset] = self.optimizer.update(
                     rows[offset][None, :],
                     grads.protected_row_grad[None, :],
-                    [batch_ids[offset]],
+                    batch_ids[offset : offset + 1],
                 )[0]
                 losses.append(grads.loss)
                 if (cache.probability >= 0.5) == bool(sample.label):
@@ -137,9 +134,9 @@ class ObliviousEmbeddingTrainer:
 
     # ------------------------------------------------------------------
     def _maybe_install_plan(self, trace: np.ndarray) -> None:
-        """Give a LAORAM client the epoch's access trace ahead of time."""
+        """Give a lookahead client the epoch's access trace ahead of time."""
         memory = self.store.memory
-        if isinstance(memory, LAORAMClient):
+        if isinstance(memory, LookaheadClientMixin):
             plan = memory.preprocess(trace, start_index=memory.trace_cursor)
             if memory.statistics.logical_accesses == 0:
                 memory.apply_initial_placement(plan)

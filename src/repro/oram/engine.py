@@ -536,8 +536,12 @@ class TreeORAMEngine(ObliviousMemory):
         """Trusted-setup placement of every block onto its initial path."""
         raise NotImplementedError
 
-    def load_payloads(self, payloads: dict[int, object]) -> None:
-        """Install payloads during trusted setup (no traffic charged)."""
+    def load_payloads(self, payloads) -> None:
+        """Install payloads during trusted setup (no traffic charged).
+
+        ``payloads`` is a ``{block_id: payload}`` mapping, or a ``(rows,
+        dim)`` array whose row ``i`` is block ``i``'s payload.
+        """
         raise NotImplementedError
 
     def _stash_lookup(self, block_id: int):
@@ -617,9 +621,14 @@ class ObjectStorageEngine(TreeORAMEngine):
             if not self.tree.try_place_on_path(block):
                 self.stash.add(block)
 
-    def load_payloads(self, payloads: dict[int, object]) -> None:
-        """Install payloads for blocks during trusted setup (no traffic charged)."""
-        remaining = dict(payloads)
+    def load_payloads(self, payloads) -> None:
+        """Install payloads for blocks during trusted setup (no traffic charged).
+
+        Rows of a payload matrix become per-block views of it.
+        """
+        remaining = dict(
+            enumerate(payloads) if isinstance(payloads, np.ndarray) else payloads
+        )
         for block in self.stash:
             if block.block_id in remaining:
                 block.payload = remaining.pop(block.block_id)
@@ -732,9 +741,11 @@ class ArrayStorageEngine(TreeORAMEngine):
     """Array storage backend: id slot arrays, row stash, client payload store.
 
     The handle for a stashed block is its integer id; payloads live in a
-    client-side dict (payload location never affects traffic, so keeping it
+    client-side store (payload location never affects traffic, so keeping it
     out of the simulated server removes all per-block object churn from the
-    hot path).
+    hot path).  The store is whatever :meth:`load_payloads` was given: a
+    ``{block_id: payload}`` dict, or one ``(num_blocks, dim)`` matrix whose
+    rows are the payloads.
     """
 
     #: The array backend prefetches leaf draws in blocks (see
@@ -743,7 +754,7 @@ class ArrayStorageEngine(TreeORAMEngine):
 
     def __init__(self, config: ORAMConfig, **kwargs):
         super().__init__(config, **kwargs)
-        self._payloads: dict[int, object] = {}
+        self._set_payload_store({})
         # Scratch buffers for the write-back planner (sized to the stash's
         # row count on demand) so the per-path xor/frexp pass allocates
         # nothing.
@@ -780,14 +791,44 @@ class ArrayStorageEngine(TreeORAMEngine):
         overflow = self.tree.bulk_place(initial_leaves)
         self.stash.append_rows(overflow, initial_leaves[overflow])
 
-    def load_payloads(self, payloads: dict[int, object]) -> None:
-        """Install payloads for blocks during trusted setup (no traffic charged)."""
+    def _set_payload_store(self, store) -> None:
+        self._payloads = store
+        #: ``block_id -> payload`` read on either representation.
+        self._payload_of = store.get if isinstance(store, dict) else store.__getitem__
+
+    def load_payloads(self, payloads) -> None:
+        """Install payloads for blocks during trusted setup (no traffic charged).
+
+        ``payloads`` is a ``{block_id: payload}`` mapping, or a ``(rows, dim)``
+        array whose row ``i`` is block ``i``'s payload.  An array replaces
+        the payload store as is — one contiguous matrix instead of one object
+        per block — so the caller hands over a private copy: reads return
+        rows of it and writes copy into it.  Blocks past ``rows`` start as
+        zero rows.
+        """
+        num_blocks = self.config.num_blocks
+        if isinstance(payloads, np.ndarray):
+            if payloads.ndim != 2 or len(payloads) > num_blocks:
+                raise BlockNotFoundError(
+                    f"payload matrix of shape {payloads.shape} does not map "
+                    f"onto {num_blocks} blocks"
+                )
+            if len(payloads) < num_blocks:
+                padded = np.zeros(
+                    (num_blocks, payloads.shape[1]), dtype=payloads.dtype
+                )
+                padded[: len(payloads)] = payloads
+                payloads = padded
+            self._set_payload_store(payloads)
+            return
         for block_id in payloads:
-            if not 0 <= block_id < self.config.num_blocks:
+            if not 0 <= block_id < num_blocks:
                 raise BlockNotFoundError(
                     f"payload block id {block_id} not present in the ORAM"
                 )
-        self._payloads.update(payloads)
+        store = self._payloads
+        for block_id, payload in payloads.items():
+            store[block_id] = payload
 
     # -- stash hooks ----------------------------------------------------
     def _stash_lookup(self, block_id: int) -> Optional[int]:
@@ -818,7 +859,7 @@ class ArrayStorageEngine(TreeORAMEngine):
     ) -> Optional[object]:
         if op is AccessOp.WRITE:
             self._payloads[handle] = new_payload
-        return self._payloads.get(handle)
+        return self._payload_of(handle)
 
     def _remap(self, handle: int) -> None:
         """Assign the block a fresh path (position map + stash leaf mirror).
@@ -942,7 +983,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         pm = self.position_map.leaves
         pm_item = pm.item
         payload_store = self._payloads
-        payload_get = payload_store.get
+        payload_get = self._payload_of
         slots = tree.slot_array
         caps = tree.bucket_capacities
         level_base = tree.level_base
@@ -1378,7 +1419,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                 np.asarray(self.stash.block_ids, dtype=np.int64),
             ]
         )
-        self.tree = self._make_tree()
+        self.tree.clear()
         self.stash.clear()
         if ordered.size == 0:
             return

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.exceptions import BlockNotFoundError
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.timing import TimingModel
@@ -50,9 +52,16 @@ class InsecureMemory(ObliviousMemory):
     def server_memory_bytes(self) -> int:
         return self.config.insecure_memory_bytes
 
-    def load_payloads(self, payloads: dict[int, object]) -> None:
-        """Install initial payloads (setup step, no traffic charged)."""
-        for block_id, payload in payloads.items():
+    def load_payloads(self, payloads) -> None:
+        """Install initial payloads (setup step, no traffic charged).
+
+        ``payloads`` is a ``{block_id: payload}`` mapping, or a ``(rows,
+        dim)`` array whose rows become per-block views of it.
+        """
+        items = (
+            enumerate(payloads) if isinstance(payloads, np.ndarray) else payloads.items()
+        )
+        for block_id, payload in items:
             self._check(block_id)
             self._payloads[block_id] = payload
 

@@ -272,7 +272,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         pm = self.position_map.leaves
         pm_item = pm.item
         payload_store = self._payloads
-        payload_get = payload_store.get
+        payload_get = self._payload_of
         slots = tree.slot_array
         occ = tree.bucket_occupancies
         caps = tree.bucket_capacities

@@ -581,6 +581,11 @@ class ArrayTreeStorage:
     # ------------------------------------------------------------------
     # Bulk operations / diagnostics
     # ------------------------------------------------------------------
+    def clear(self) -> None:
+        """Empty every bucket in place (trusted-setup relayouts refill it)."""
+        self._slots.fill(-1)
+        self._occ.fill(0)
+
     def bulk_place(self, position_leaves: np.ndarray) -> np.ndarray:
         """Greedily place blocks ``0..N-1`` as deep as possible, in id order.
 
@@ -607,37 +612,54 @@ class ArrayTreeStorage:
         :meth:`try_place_id` for every id in sequence order, but runs one
         vectorized pass per level: at each level the surviving blocks are
         grouped by bucket and the first ``free`` (by priority) of each
-        bucket claim its slots — placements at different levels never
+        bucket claim their slots — placements at different levels never
         interact, so processing levels deep-to-root with priority preserved
         reproduces the scalar loop exactly.
+
+        Grouping sorts one composite key per survivor, ``node << bits |
+        position`` with ``bits`` wide enough for every sequence position.
+        Keys are unique, so the default (unstable) sort orders them exactly
+        as a stable sort by node would order the ascending positions, and
+        each bucket is one run of equal ``key >> bits`` in the sorted keys.
         """
         block_ids = np.asarray(block_ids, dtype=np.int64)
         leaves = np.asarray(leaves, dtype=np.int64)
-        # ``remaining`` holds sequence positions (the priority order).
+        bits = int(block_ids.size).bit_length()
+        if self.depth + bits > 63:
+            raise ConfigurationError(
+                f"{block_ids.size} blocks on a depth-{self.depth} tree do not "
+                "fit a 63-bit (node, position) sort key"
+            )
+        # ``remaining`` holds sequence positions (the priority order) and
+        # ``nodes`` each one's bucket at the level being filled.
         remaining = np.arange(block_ids.size, dtype=np.int64)
+        nodes = leaves
         for level in range(self.depth, -1, -1):
             if remaining.size == 0:
                 break
             capacity = self.bucket_capacities[level]
-            level_ids = self._level_slots(level)
+            level_ids = self._level_slots(level).ravel()
             level_occ = self._level_occ(level)
-            nodes = leaves[remaining] >> (self.depth - level)
-            order = np.argsort(nodes, kind="stable")
-            sorted_pos = remaining[order]
-            sorted_nodes = nodes[order]
-            uniq, starts, counts = np.unique(
-                sorted_nodes, return_index=True, return_counts=True
-            )
-            rank = np.arange(sorted_pos.size, dtype=np.int64) - np.repeat(
-                starts, counts
-            )
+            keys = (nodes << bits) | remaining
+            keys.sort()
+            sorted_nodes = keys >> bits
+            sorted_pos = keys & ((1 << bits) - 1)
+            first = np.empty(keys.size, dtype=bool)
+            first[0] = True
+            np.not_equal(sorted_nodes[1:], sorted_nodes[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            counts = np.diff(starts, append=keys.size)
+            uniq = sorted_nodes[starts]
+            rank = np.arange(keys.size, dtype=np.int64) - np.repeat(starts, counts)
             slot = level_occ[sorted_nodes] + rank
             placed = slot < capacity
-            level_ids[sorted_nodes[placed], slot[placed]] = block_ids[
-                sorted_pos[placed]
-            ]
+            slot += sorted_nodes * capacity
+            level_ids[slot[placed]] = block_ids[sorted_pos[placed]]
             level_occ[uniq] = np.minimum(level_occ[uniq] + counts, capacity)
-            remaining = np.sort(sorted_pos[~placed])
+            lost = ~placed
+            remaining = sorted_pos[lost]
+            nodes = sorted_nodes[lost] >> 1
+        remaining.sort()
         return block_ids[remaining]
 
     def _level_slots(self, level: int) -> np.ndarray:

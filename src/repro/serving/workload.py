@@ -21,10 +21,8 @@ and hide it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import asyncio
-
+from dataclasses import dataclass
 
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError
@@ -98,18 +96,18 @@ async def run_zipf_workload(
     loop = asyncio.get_running_loop()
     started = loop.time()
     tasks: list[asyncio.Task] = []
-    if arrival == "bursty":
-        burst_rate = rate_rps / burst_size
-        for first in range(0, num_requests, burst_size):
-            for request in range(first, min(first + burst_size, num_requests)):
-                tasks.append(
-                    asyncio.create_task(service.submit(ids[request].tolist()))
-                )
-            await asyncio.sleep(float(gap_rng.exponential(1.0 / burst_rate)))
-    else:
-        for request in range(num_requests):
+    # One arrival group is a burst, or a single request in open mode.  Group
+    # ``g`` is due at ``started`` plus the gaps drawn before it: sleeping
+    # until that absolute time, not for a fresh gap after each submit, keeps
+    # the time ``submit`` and the loop's other tasks take out of the
+    # schedule, so the offered rate is the one asked for.
+    group = burst_size if arrival == "bursty" else 1
+    due = started
+    for first in range(0, num_requests, group):
+        await asyncio.sleep(max(0.0, due - loop.time()))
+        for request in range(first, min(first + group, num_requests)):
             tasks.append(asyncio.create_task(service.submit(ids[request].tolist())))
-            await asyncio.sleep(float(gap_rng.exponential(1.0 / rate_rps)))
+        due += float(gap_rng.exponential(group / rate_rps))
     await asyncio.gather(*tasks)
     duration = loop.time() - started
     return WorkloadReport(

@@ -1,5 +1,8 @@
 """Tests for the ORAM-backed embedding store."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from repro.core.config import LAORAMConfig
 from repro.core.laoram import LAORAMClient
 from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BlockNotFoundError, ConfigurationError
+from repro.experiments.configs import build_engine, build_oram_config
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
@@ -78,3 +82,102 @@ class TestSecureEmbeddingStore:
             store.fetch_rows([999])
         with pytest.raises(ConfigurationError):
             store.update_rows([0], np.ones((1, 3), dtype=np.float32))
+
+
+FAST_LABELS = ["PathORAM", "RingORAM", "Fat/S4"]
+
+
+def make_fast_store(label, num_rows=64, dim=8, num_blocks=None):
+    config = build_oram_config(num_blocks or num_rows, block_size_bytes=dim * 4, seed=21)
+    table = EmbeddingTable(num_rows, dim, seed=5)
+    return SecureEmbeddingStore(build_engine(label, config, fast=True), table), table
+
+
+@pytest.mark.parametrize("label", FAST_LABELS)
+class TestPayloadMatrixRoundTrip:
+    """The store over an array engine: one payload matrix, gather and scatter."""
+
+    def test_engine_holds_one_private_matrix(self, label):
+        store, table = make_fast_store(label)
+        payloads = store.memory._payloads
+        assert isinstance(payloads, np.ndarray) and payloads.shape == (64, 8)
+        assert not np.shares_memory(payloads, table.weights)
+        assert np.array_equal(store.materialize().weights, table.weights)
+
+    def test_duplicate_ids_in_one_update_keep_the_last_value(self, label):
+        store, _ = make_fast_store(label)
+        ids = [3, 9, 3, 20, 9, 3]
+        values = np.arange(6 * 8, dtype=np.float32).reshape(6, 8)
+        store.update_rows(ids, values)
+        assert np.array_equal(store.fetch_rows([3, 9, 20]), values[[5, 4, 3]])
+
+    def test_caller_may_reuse_values_after_update(self, label):
+        store, _ = make_fast_store(label)
+        values = np.full((2, 8), 2.5, dtype=np.float32)
+        store.update_rows([4, 5], values)
+        values[:] = -1.0
+        assert np.array_equal(store.fetch_rows([4, 5]), np.full((2, 8), 2.5))
+
+    def test_fetched_rows_do_not_alias_the_store(self, label):
+        store, table = make_fast_store(label)
+        fetched = store.fetch_rows([1, 2, 1])
+        fetched[:] = 99.0
+        assert np.array_equal(store.fetch_rows([1, 2]), table.weights[[1, 2]])
+
+    def test_table_smaller_than_the_oram(self, label):
+        store, table = make_fast_store(label, num_rows=40, num_blocks=64)
+        assert np.array_equal(store.materialize().weights, table.weights)
+        # Blocks past the table are still blocks: they read as zero rows.
+        assert not np.any(store.memory.access_many([63])[0])
+
+
+def test_payload_dict_still_loads_and_overlays_a_matrix():
+    """``load_payloads`` keeps its mapping form; what was loaded decides the store."""
+    config = build_oram_config(32, block_size_bytes=16, seed=2)
+    engine = build_engine("Fat/S4", config, fast=True)
+    engine.load_payloads({3: b"three"})
+    assert isinstance(engine._payloads, dict)
+    assert engine.access_many([3, 4]) == [b"three", None]
+    engine.load_payloads(np.zeros((32, 4), dtype=np.float32))
+    engine.load_payloads({5: np.ones(4, dtype=np.float32)})
+    assert np.array_equal(engine.access_many([5, 6]), [[1.0] * 4, [0.0] * 4])
+    with pytest.raises(BlockNotFoundError):
+        engine.load_payloads(np.zeros((33, 4), dtype=np.float32))
+
+
+def test_payload_is_served_only_from_the_stash():
+    """A block the engine cannot find is an error, matrix row or not."""
+    store, _ = make_fast_store("Fat/S4")
+    engine = store.memory
+    leaf = int(engine.position_map.peek(7))
+    if 7 in engine.stash:
+        engine.stash.pop(7)
+    else:
+        assert engine.tree.remove_on_path(leaf, 7)
+    with pytest.raises(BlockNotFoundError):
+        store.fetch_rows([7])
+
+
+@pytest.mark.parametrize("label", FAST_LABELS)
+def test_store_build_allocates_a_constant_number_of_objects(label):
+    """One matrix copy, not a Python object per row: O(1) live blocks, any table size."""
+
+    def live_blocks_after_build(num_rows):
+        config = build_oram_config(num_rows, block_size_bytes=32, seed=1)
+        engine = build_engine(label, config, fast=True)
+        table = EmbeddingTable(num_rows, 8, seed=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            store = SecureEmbeddingStore(engine, table)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert store.num_rows == num_rows
+        return sum(stat.count_diff for stat in after.compare_to(before, "filename")
+                   if stat.count_diff > 0)
+
+    small, large = live_blocks_after_build(1 << 8), live_blocks_after_build(1 << 12)
+    assert large <= small + 8
+    assert large < 64

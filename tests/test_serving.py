@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import selectors
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -13,6 +16,7 @@ from repro.serving import (
     run_zipf_workload,
     summarize_latencies,
 )
+from repro.utils.rng import make_rng
 
 NUM_BLOCKS = 1 << 10
 NUM_SHARDS = 3
@@ -144,6 +148,87 @@ def test_workload_is_deterministic_in_ids():
             return runner.merged_snapshot().logical_accesses
 
     assert asyncio.run(run_once()) == asyncio.run(run_once())
+
+
+class _VirtualClock:
+    """Loop time that only moves when something says how long it took."""
+
+    now = 0.0
+
+
+class _SkippingSelector(selectors.DefaultSelector):
+    """Advances the virtual clock by the time the loop wanted to block for."""
+
+    def __init__(self, clock):
+        super().__init__()
+        self._clock = clock
+
+    def select(self, timeout=None):
+        if timeout:
+            self._clock.now += timeout
+        return super().select(0)
+
+
+class _SlowSubmitService:
+    """Service stub whose ``submit`` costs ``cost_s`` of loop time per call."""
+
+    def __init__(self, clock, cost_s):
+        self.runner = SimpleNamespace(num_blocks=NUM_BLOCKS)
+        self._clock = clock
+        self._cost_s = cost_s
+        self.submitted_at = []
+
+    async def start(self):
+        pass
+
+    async def submit(self, ids):
+        self.submitted_at.append(self._clock.now)
+        self._clock.now += self._cost_s
+
+    def latency_summary(self):
+        return summarize_latencies([])
+
+
+@pytest.mark.parametrize("arrival, burst_size", [("open", 1), ("bursty", 4)])
+@pytest.mark.parametrize("cost_s", [0.0, 0.002])
+def test_schedule_is_the_sum_of_drawn_gaps_however_slow_submit_is(
+    arrival, burst_size, cost_s
+):
+    """Group ``g`` goes out at the sum of the gaps drawn before it — or, when
+    the submits of the group before it ran past that, the moment they end —
+    never later by the submit time of every earlier request (finding 6)."""
+    num_requests, rate_rps, seed = 24, 100.0, 11
+    groups = -(-num_requests // burst_size)
+    gaps = make_rng(seed + 1).exponential(burst_size / rate_rps, size=groups)
+    due = np.concatenate(([0.0], gaps[:-1].cumsum())).tolist()
+    expected = [0.0]
+    for offset in due[1:]:
+        expected.append(max(offset, expected[-1] + burst_size * cost_s))
+
+    clock = _VirtualClock()
+    service = _SlowSubmitService(clock, cost_s)
+    loop = asyncio.SelectorEventLoop(_SkippingSelector(clock))
+    loop.time = lambda: clock.now
+    try:
+        report = loop.run_until_complete(
+            run_zipf_workload(
+                service,
+                num_requests=num_requests,
+                request_size=2,
+                arrival=arrival,
+                burst_size=burst_size,
+                rate_rps=rate_rps,
+                seed=seed,
+            )
+        )
+    finally:
+        loop.close()
+    assert service.submitted_at[::burst_size] == pytest.approx(expected)
+    # Lateness does not accumulate: the last group is due, and goes out, at
+    # the sum of the gaps however much submit time went before it.
+    assert expected[-1] == pytest.approx(sum(gaps[:-1]))
+    last_burst = num_requests - (groups - 1) * burst_size
+    assert report.duration_s == pytest.approx(expected[-1] + last_burst * cost_s)
 
 
 def test_latency_summary_empty_and_basic():

@@ -1,10 +1,11 @@
 """Tests for the binary-tree server storage (normal and fat)."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.memory.block import Block
-from repro.oram.tree import TreeStorage
+from repro.oram.tree import ArrayTreeStorage, TreeStorage
 
 
 def make_tree(depth=3, bucket=2, block_size=64, metadata=0, capacities=None):
@@ -120,3 +121,98 @@ class TestBulkHelpers:
         tree.bucket(0, 0).add(Block(1, 0))
         tree.bucket(2, 3).add(Block(2, 3))
         assert {block.block_id for block in tree.iter_blocks()} == {1, 2}
+
+
+class TestArrayBulkPlacement:
+    """``bulk_place_ordered`` against the scalar ``try_place_id`` loop it replaces."""
+
+    @staticmethod
+    def _array_tree(depth, capacities):
+        return ArrayTreeStorage(
+            depth=depth, bucket_capacities=capacities, block_size_bytes=64
+        )
+
+    def _assert_matches_scalar_loop(self, depth, capacities, block_ids, leaves):
+        bulk = self._array_tree(depth, capacities)
+        scalar = self._array_tree(depth, capacities)
+        overflow = bulk.bulk_place_ordered(block_ids, leaves)
+        expected_overflow = [
+            block_id
+            for block_id, leaf in zip(block_ids.tolist(), leaves.tolist())
+            if not scalar.try_place_id(block_id, leaf)
+        ]
+        assert overflow.tolist() == expected_overflow
+        assert np.array_equal(bulk.slot_array, scalar.slot_array)
+        assert np.array_equal(bulk.bucket_occupancies, scalar.bucket_occupancies)
+        return overflow
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "depth, capacities",
+        [(4, [2] * 5), (5, [6, 5, 4, 3, 2, 2]), (3, [1] * 4)],
+        ids=["uniform", "fat", "single-slot"],
+    )
+    def test_non_ascending_priorities(self, depth, capacities, seed):
+        """Sequence position, not block id, decides who wins a contested slot."""
+        rng = np.random.default_rng(seed)
+        count = 3 * (1 << depth)
+        block_ids = rng.permutation(count)
+        leaves = rng.integers(0, 1 << depth, size=count)
+        self._assert_matches_scalar_loop(depth, capacities, block_ids, leaves)
+
+    def test_heavy_bucket_contention_overflows_in_sequence_order(self):
+        """Everything on two paths: most blocks lose and climb or overflow."""
+        rng = np.random.default_rng(5)
+        depth, capacities = 4, [3, 2, 2, 2, 2]
+        block_ids = rng.permutation(200)
+        leaves = rng.choice([3, 12], size=200)
+        overflow = self._assert_matches_scalar_loop(depth, capacities, block_ids, leaves)
+        assert overflow.size > 150
+
+    def test_second_call_respects_existing_occupancy(self):
+        rng = np.random.default_rng(9)
+        depth, capacities = 4, [2] * 5
+        bulk = self._array_tree(depth, capacities)
+        scalar = self._array_tree(depth, capacities)
+        for block_ids in (np.arange(40), np.arange(40, 90)):
+            leaves = rng.integers(0, 16, size=block_ids.size)
+            overflow = bulk.bulk_place_ordered(block_ids, leaves)
+            expected = [
+                b for b, leaf in zip(block_ids.tolist(), leaves.tolist())
+                if not scalar.try_place_id(b, leaf)
+            ]
+            assert overflow.tolist() == expected
+        assert np.array_equal(bulk.slot_array, scalar.slot_array)
+
+    def test_empty_input(self):
+        tree = self._array_tree(3, [2] * 4)
+        empty = np.empty(0, dtype=np.int64)
+        assert tree.bulk_place_ordered(empty, empty).size == 0
+        assert tree.real_block_count() == 0
+
+    def test_sort_key_fits_at_paper_scale_and_is_rejected_when_it_cannot(self):
+        """``node << bits | position`` must stay below 2^63 or the sort order wraps."""
+        # The largest tree the benchmarks build, a depth-23 tree of 2^24 rows.
+        depth, count = 23, 1 << 24
+        bits = count.bit_length()
+        assert (((1 << depth) - 1) << bits | (count - 1)) < 1 << 63
+        # A deep, narrow tree really sorts keys that large in the node part.
+        rng = np.random.default_rng(4)
+        block_ids = rng.permutation(300)
+        leaves = rng.integers(0, 1 << 16, size=300)
+        leaves[:50] = (1 << 16) - 1
+        self._assert_matches_scalar_loop(16, [1] * 17, block_ids, leaves)
+        # Past 63 bits the placement refuses instead of wrapping silently.
+        tree = self._array_tree(3, [2] * 4)
+        tree.depth = 61
+        with pytest.raises(ConfigurationError, match="sort key"):
+            tree.bulk_place_ordered(np.arange(4), np.zeros(4, dtype=np.int64))
+
+    def test_clear_empties_the_tree_in_place(self):
+        tree = self._array_tree(3, [2] * 4)
+        slots = tree.slot_array
+        tree.bulk_place(np.array([0, 7, 7, 7, 3]))
+        assert tree.real_block_count() == 5
+        tree.clear()
+        assert tree.real_block_count() == 0
+        assert tree.slot_array is slots and (slots == -1).all()
