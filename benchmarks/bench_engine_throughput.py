@@ -9,11 +9,9 @@ same Zipf trace through both engines and checks:
   twin is decision-for-decision the same protocol; and
 * the vectorized engine sustains the family's required speedup over the seed
   engine.  The gates reflect where vectorization actually pays: LAORAM's
-  batched superblock bins reach 3-12x (>= 5x gated at 2^20, PR 1's gate),
-  while the single-access protocols (pathoram/ringoram/proram) are bounded
-  by per-access numpy dispatch at ~1.2-2x, so their ratio gates are
-  non-regression bounds (see ROADMAP: batching write-back planning across
-  paths is the next order-of-magnitude lever).
+  superblock bins reach 3-12x (>= 5x gated at 2^20, PR 1's gate), while
+  the single-access protocols (pathoram/ringoram/proram) run their fused
+  drivers at ~2-4x (per-family floors in ``FAMILY_GATES``).
 
 Modes::
 
@@ -25,13 +23,6 @@ Modes::
                       default; the paper's tables hold 8M-16M rows) gated on
                       absolute accesses/second, since the per-object
                       baseline is too slow to compare at this size
-    --mode batched    the cross-path batched write-back planner (2^20 blocks
-                      by default): under PathORAM's batched access protocol
-                      the planner must beat the sequential per-path
-                      write-back by ``--min-batched-speedup``, and flipping
-                      it off (``batched_write_back=False``) must leave
-                      counters bit-identical — for PathORAM batches and
-                      LAORAM bins alike
     --mode recursion  dense vs recursive position map over the same trace
                       (2^20 blocks by default; ``--smoke`` drops to 2^18):
                       main-tree decisions must be bit-identical (core
@@ -77,7 +68,6 @@ import time
 
 import numpy as np
 
-from repro.core.laoram import LookaheadClientMixin
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.experiments.configs import build_engine
 from repro.experiments.sharded import ShardedRunner
@@ -99,31 +89,14 @@ FAMILY_GATES: dict[str, tuple[str, float]] = {
 }
 
 
-def run_engine(
-    label: str,
-    oram_config: ORAMConfig,
-    addresses,
-    fast: bool,
-    batched: bool = False,
-    batch_size: int = 64,
-    batched_write_back: bool | None = None,
-):
+def run_engine(label: str, oram_config: ORAMConfig, addresses, fast: bool):
     """Run one engine over the trace; returns (wall seconds, snapshot)."""
     # Collect the previous engine's object graph up front so one engine's
     # garbage does not inflate the next engine's GC pauses mid-measurement.
     gc.collect()
-    engine = build_engine(
-        label, oram_config, fast=fast, batched=batched, batch_size=batch_size
-    )
-    if batched_write_back is not None:
-        engine.batched_write_back = batched_write_back
+    engine = build_engine(label, oram_config, fast=fast)
     start = time.perf_counter()
-    if isinstance(engine, LookaheadClientMixin):
-        engine.run_trace(addresses)
-    elif engine.batch_size:
-        engine.access_many(addresses)
-    else:
-        engine.run_trace(addresses)
+    engine.run_trace(addresses)
     elapsed = time.perf_counter() - start
     assert engine.total_real_blocks() == oram_config.num_blocks, (
         "block conservation violated"
@@ -198,21 +171,19 @@ def bench_profile(family, label, oram_config, trace, args):
     """Per-phase wall-time breakdown of one family's per-access protocol.
 
     The fast engine runs the trace through its *per-access* loop with the
-    protocol hooks wrapped in timers — the fused driver inlines these
-    phases, so the breakdown shows where a non-fused access spends its
-    time.  The fused ``run_trace`` rate over the same trace is measured
-    unwrapped for contrast.  Never gates: the entry is diagnostic.
+    protocol hooks wrapped in timers — ``run_trace`` inlines these phases
+    (the fused drivers) or replaces them (LAORAM's lookahead bins), so the
+    breakdown shows where a single ``access`` spends its time.  The
+    ``run_trace`` rate over the same trace is measured unwrapped for
+    contrast.  Never gates: the entry is diagnostic.
     """
     gc.collect()
     engine = build_engine(label, oram_config, fast=True)
     addresses = trace.addresses
     phases = _instrument_phases(engine)
     start = time.perf_counter()
-    if isinstance(engine, LookaheadClientMixin):
-        engine.run_trace(addresses)
-    else:
-        for block_id in addresses.tolist():
-            engine.access(block_id)
+    for block_id in addresses.tolist():
+        engine.access(block_id)
     total = time.perf_counter() - start
     fused_s, _snapshot = run_engine(label, oram_config, addresses, fast=True)
     accounted = sum(phases.values())
@@ -234,123 +205,6 @@ def bench_profile(family, label, oram_config, trace, args):
         "other_s": total - accounted,
         "passed": True,
     }
-
-
-def bench_batched(family, label, oram_config, trace, args):
-    """One family's batched-mode measurements and gates.
-
-    PathORAM exercises the batched access protocol: batched vs sequential
-    (per-path) write-back under the same chunked protocol, gated on
-    ``--min-batched-speedup`` plus counter bit-identity, with the
-    per-access fast engine's rate reported for context.  LAORAM's
-    superblock bins already batch, so it is gated only on planner
-    bit-identity (batched vs per-path write-back) with the throughput
-    delta reported.  Other families have no batched protocol.
-
-    Every configuration is measured ``--trials`` times and rates are
-    best-of: the engines are deterministic, so any run-to-run spread is
-    allocator/GC/runner noise and the fastest run is the least polluted.
-    """
-    num_accesses = len(trace.addresses)
-
-    def best_rate(**kwargs):
-        seconds, snapshot = min(
-            (run_engine(label, oram_config, trace.addresses, **kwargs)
-             for _ in range(max(1, args.trials))),
-            key=lambda pair: pair[0],
-        )
-        return num_accesses / seconds, snapshot
-
-    if family == "pathoram":
-        per_rate, _ = best_rate(fast=True)
-        bat_rate, bat_snapshot = best_rate(
-            fast=True, batched=True, batch_size=args.batch_size
-        )
-        seq_rate, seq_snapshot = best_rate(
-            fast=True,
-            batched=True,
-            batch_size=args.batch_size,
-            batched_write_back=False,
-        )
-        speedup = bat_rate / seq_rate
-        print(
-            f"[{family:9s}] per-access: {per_rate:9.0f} acc/s | "
-            f"batched-WB(B={args.batch_size}): {bat_rate:9.0f} acc/s | "
-            f"per-path-WB: {seq_rate:9.0f} acc/s | {speedup:5.2f}x"
-        )
-        passed = True
-        if bat_snapshot != seq_snapshot:
-            print(
-                f"[{family:9s}] FAIL: batched write-back diverges from "
-                "sequential write-back"
-            )
-            print(f"  batched:    {bat_snapshot}")
-            print(f"  sequential: {seq_snapshot}")
-            passed = False
-        if speedup < args.min_batched_speedup:
-            print(
-                f"[{family:9s}] FAIL: batched write-back speedup "
-                f"{speedup:.2f}x below required {args.min_batched_speedup}x"
-            )
-            passed = False
-        return {
-            "family": family,
-            "mode": "batched",
-            "batch_size": args.batch_size,
-            "trials": args.trials,
-            "per_access_rate": per_rate,
-            "batched_wb_rate": bat_rate,
-            "sequential_wb_rate": seq_rate,
-            "write_back_speedup": speedup,
-            "min_batched_speedup": args.min_batched_speedup,
-            "write_back_bit_identical": bat_snapshot == seq_snapshot,
-            "snapshot": dataclasses.asdict(bat_snapshot),
-            "passed": passed,
-        }
-    if family == "laoram":
-        # With lookahead initial placement LAORAM's superblock bins read 0-1
-        # distinct paths, below the engine's BATCHED_WB_MIN_PATHS fallback
-        # threshold, so both arms execute the per-path route and the ratio
-        # is ~1.0 modulo runner noise; the gate is a non-regression floor
-        # (the planner must never be *engaged* where it loses).
-        bat_rate, bat_snapshot = best_rate(fast=True)
-        seq_rate, seq_snapshot = best_rate(fast=True, batched_write_back=False)
-        delta = bat_rate / seq_rate
-        print(
-            f"[{family:9s}] batched-WB: {bat_rate:9.0f} acc/s | "
-            f"per-path-WB: {seq_rate:9.0f} acc/s | {delta:5.2f}x "
-            f"(floor {args.min_laoram_wb_speedup}x)"
-        )
-        passed = True
-        if bat_snapshot != seq_snapshot:
-            print(
-                f"[{family:9s}] FAIL: batched write-back diverges from "
-                "sequential write-back"
-            )
-            print(f"  batched:    {bat_snapshot}")
-            print(f"  sequential: {seq_snapshot}")
-            passed = False
-        if delta < args.min_laoram_wb_speedup:
-            print(
-                f"[{family:9s}] FAIL: batched-WB throughput {delta:.2f}x of "
-                f"per-path below the {args.min_laoram_wb_speedup}x "
-                "non-regression floor"
-            )
-            passed = False
-        return {
-            "family": family,
-            "mode": "batched",
-            "trials": args.trials,
-            "batched_wb_rate": bat_rate,
-            "sequential_wb_rate": seq_rate,
-            "write_back_speedup": delta,
-            "min_laoram_wb_speedup": args.min_laoram_wb_speedup,
-            "write_back_bit_identical": bat_snapshot == seq_snapshot,
-            "snapshot": dataclasses.asdict(bat_snapshot),
-            "passed": passed,
-        }
-    print(f"[{family:9s}] skipped: no batched access protocol")
-    return None
 
 
 #: Snapshot fields that describe the *main tree* only — the recursion gate
@@ -688,11 +542,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("ratio", "absolute", "batched", "recursion", "parallel", "profile"),
+        choices=("ratio", "absolute", "recursion", "parallel", "profile"),
         default="ratio",
         help="ratio: reference-vs-fast speedup gate; absolute: fast engines "
-        "only, gated on accesses/second; batched: batched-access protocol "
-        "vs per-access, plus batched-vs-sequential write-back equivalence; "
+        "only, gated on accesses/second; "
         "recursion: dense vs recursive position map, gated on main-tree "
         "bit-identity with the lookahead amortization reported; "
         "parallel: wall-clock scaling of the process-parallel ShardedRunner "
@@ -724,29 +577,6 @@ def main(argv=None) -> int:
         type=float,
         default=2_000.0,
         help="required fast-engine accesses/second (absolute mode)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        help="accesses per chunk for the batched protocol (batched mode)",
-    )
-    parser.add_argument(
-        "--min-batched-speedup",
-        type=float,
-        default=1.1,
-        help="required batched-vs-per-path write-back throughput ratio "
-        "(batched mode; measured 1.2-1.3x at 2^20 on quiet machines, gated "
-        "with margin for shared runners like the other ratio gates)",
-    )
-    parser.add_argument(
-        "--min-laoram-wb-speedup",
-        type=float,
-        default=0.9,
-        help="non-regression floor for LAORAM batched-vs-per-path write-back "
-        "throughput (batched mode); the engine's BATCHED_WB_MIN_PATHS "
-        "fallback keeps the planner out of the sub-break-even bin sizes, so "
-        "the ratio is ~1.0 and the floor only allows for runner noise",
     )
     parser.add_argument(
         "--posmap-positions-per-block",
@@ -861,9 +691,6 @@ def main(argv=None) -> int:
     elif args.mode == "absolute":
         num_blocks = args.num_blocks or (1 << 20)
         num_accesses = args.num_accesses or 100_000
-    elif args.mode == "batched":
-        num_blocks = args.num_blocks or (1 << 20)
-        num_accesses = args.num_accesses or 30_000
     elif args.mode == "parallel":
         num_blocks = args.num_blocks or (1 << 16)
         num_accesses = args.num_accesses or (1 << 16)
@@ -895,13 +722,6 @@ def main(argv=None) -> int:
             entry = bench_recursion(family, label, oram_config, trace, args)
             results.append(entry)
             failed = failed or not entry["passed"]
-            continue
-
-        if args.mode == "batched" and not args.smoke:
-            entry = bench_batched(family, label, oram_config, trace, args)
-            if entry is not None:
-                results.append(entry)
-                failed = failed or not entry["passed"]
             continue
 
         if args.mode == "parallel" and not args.smoke:
@@ -989,7 +809,6 @@ def main(argv=None) -> int:
             "num_accesses": num_accesses,
             "depth": oram_config.depth,
             "zipf_exponent": args.exponent,
-            "batch_size": args.batch_size if args.mode == "batched" else None,
             "host_cpus": os.cpu_count() or 1,
             "provenance": _provenance(),
             "results": results,

@@ -8,7 +8,6 @@ and performance contracts at the source level:
   source manifests).
 * RNG001 — all randomness flows through :mod:`repro.utils.rng`.
 * ALLOC001 — the fused trace drivers stay allocation-free in steady state.
-* API001 — protocol mixins declare ``SUPPORTS_BATCHED_ACCESS``.
 * CNT001 — fused drivers flush deferred counters on all exit paths.
 
 Run with ``python -m repro.analysis [paths] --baseline

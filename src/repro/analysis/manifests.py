@@ -102,8 +102,6 @@ class AnalysisConfig:
     fused_drivers: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Path suffixes where direct RNG construction is allowed (RNG001).
     rng_allowed_modules: tuple[str, ...] = ()
-    #: Class-name patterns API001 checks for SUPPORTS_BATCHED_ACCESS.
-    mixin_class_patterns: tuple[str, ...] = ("*Mixin",)
     #: Declassification allowlist (see class docstring).
     declassifications: tuple[Declassification, ...] = ()
     #: Rule ids to run (None = all registered).
@@ -233,7 +231,6 @@ def default_config() -> AnalysisConfig:
         obl_hot_functions={
             "repro/oram/engine.py": (
                 "TreeORAMEngine.access",
-                "TreeORAMEngine._access_batch",
                 "TreeORAMEngine._maybe_background_evict",
                 "TreeORAMEngine.dummy_access",
                 "ArrayStorageEngine._run_trace_fused",

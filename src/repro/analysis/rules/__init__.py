@@ -8,8 +8,6 @@ Rule inventory (ids are stable; see ``docs/static_analysis.md``):
   (:mod:`.rng`).
 * ALLOC001 — allocation inside the fused zero-allocation hot paths
   (:mod:`.alloc`).
-* API001 — protocol mixins missing ``SUPPORTS_BATCHED_ACCESS``
-  (:mod:`.api`).
 * CNT001 — fused drivers without a finally-guarded ``add_bulk`` flush
   (:mod:`.counters`).
 * SUP001 — malformed or reason-less inline suppressions (emitted by the
@@ -18,10 +16,9 @@ Rule inventory (ids are stable; see ``docs/static_analysis.md``):
 
 from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     alloc,
-    api,
     counters,
     obliviousness,
     rng,
 )
 
-__all__ = ["alloc", "api", "counters", "obliviousness", "rng"]
+__all__ = ["alloc", "counters", "obliviousness", "rng"]

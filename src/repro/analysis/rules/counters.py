@@ -1,8 +1,8 @@
 """CNT001 — fused drivers must flush deferred counters on every exit path.
 
-The fused trace drivers run with :class:`TrafficCounter` in deferred mode:
-per-access tallies accumulate in locals and are written back once via
-``add_bulk``.  If the flush is not in a ``finally`` block, an exception
+The fused trace drivers defer their counter updates: per-access tallies
+accumulate in locals and are written back once via
+``TrafficCounter.add_bulk``.  If the flush is not in a ``finally`` block, an exception
 mid-trace (or an early return) loses the accumulated traffic and every
 downstream accounting assertion silently compares against a short count.
 

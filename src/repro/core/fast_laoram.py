@@ -1,7 +1,7 @@
 """Array-backed LAORAM client: the vectorized twin of :class:`LAORAMClient`.
 
 Combines :class:`~repro.core.laoram.LookaheadClientMixin` (plan management,
-trace windowing, batched entry points) with the vectorized
+trace windowing, trace-level entry points) with the vectorized
 :class:`~repro.oram.array_path_oram.ArrayPathORAM` storage engine.  The
 superblock hot path avoids every per-block Python object: bins are consumed
 as numpy slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`),
@@ -35,13 +35,16 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
     # ------------------------------------------------------------------
     # Plan execution
     # ------------------------------------------------------------------
-    def _execute_plan(self, plan: LookaheadPlan) -> None:
+    def _execute_plan(
+        self, plan: LookaheadPlan, addresses: np.ndarray
+    ) -> Sequence[Optional[object]]:
         """Execute every bin of ``plan`` from its arrays (no bin objects).
 
         Block ids are range-checked once per window instead of once per bin
-        (the preprocessor already rejected negative ids), and the whole
-        window's remap leaves are precomputed in one vectorized pass instead
-        of per-access plan lookups.
+        (the preprocessor already rejected negative ids), the whole window's
+        remap leaves are precomputed in one vectorized pass instead of
+        per-access plan lookups, and the payloads are one gather after the
+        last bin instead of a list per bin.
         """
         if plan.max_block_id >= self.config.num_blocks:
             self._check_block_id(plan.max_block_id)
@@ -52,17 +55,20 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                     start_index, block_ids.tolist(), check_ids=False,
                     collect=False,
                 )
-            return
-        remaps, final_consumed = precomputed
-        for bin_id, (start_index, block_ids, _) in enumerate(plan.iter_bin_arrays()):
-            self._access_superblock_ids(
-                start_index,
-                block_ids.tolist(),
-                check_ids=False,
-                remap_leaves=remaps[bin_id],
-                collect=False,
-            )
-        plan.apply_consumption(final_consumed)
+        else:
+            remaps, final_consumed = precomputed
+            for bin_id, (start_index, block_ids, _) in enumerate(
+                plan.iter_bin_arrays()
+            ):
+                self._access_superblock_ids(
+                    start_index,
+                    block_ids.tolist(),
+                    check_ids=False,
+                    remap_leaves=remaps[bin_id],
+                    collect=False,
+                )
+            plan.apply_consumption(final_consumed)
+        return self._gather_payloads(addresses.tolist())
 
     def apply_initial_placement(self, plan: LookaheadPlan) -> None:
         """Lay the table out so each block starts on its first planned path.
@@ -87,25 +93,22 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         self._bulk_load()
 
     # ------------------------------------------------------------------
-    # Batched entry points
+    # Serve-now entry points
     # ------------------------------------------------------------------
     def access_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
-        """Batched read (see :meth:`LookaheadClientMixin.access_many`).
+        """Bin-wise read (see :meth:`LookaheadClientMixin.access_many`).
 
-        Over a payload matrix the result is one ``(len(block_ids), dim)``
-        gather, taken after every bin has found its blocks in the stash.
+        The result is one gather taken after every bin has found its blocks
+        in the stash: ``(len(block_ids), dim)`` over a payload matrix.
         """
-        store = self._payloads
-        if isinstance(store, dict):
-            return super().access_many(block_ids)
         ids = self._coerce_id_list(block_ids)
         self._serve_bins(ids)
-        return store[ids]
+        return self._gather_payloads(ids)
 
     def write_many(
         self, block_ids: Sequence[int], payloads: Sequence[object]
     ) -> None:
-        """Batched write (see :meth:`LookaheadClientMixin.write_many`).
+        """Bin-wise write (see :meth:`LookaheadClientMixin.write_many`).
 
         Over a payload matrix the rows are scattered in one assignment once
         every bin has found its blocks in the stash; duplicate ids keep the
@@ -126,6 +129,17 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             store[ids] = payloads
         else:
             store[list(last)] = np.asarray(payloads)[list(last.values())]
+
+    def _gather_payloads(self, block_ids: list[int]) -> Sequence[Optional[object]]:
+        """Payloads of ``block_ids`` straight from the store (no traffic).
+
+        One ``(len(block_ids), dim)`` fancy-index copy over a payload matrix,
+        a list over a dict.
+        """
+        store = self._payloads
+        if isinstance(store, dict):
+            return list(map(store.get, block_ids))
+        return store[block_ids]
 
     def _serve_bins(self, ids: list[int]) -> None:
         """Run ``ids`` as consecutive bins ending on superblock boundaries."""
@@ -164,8 +178,8 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         already validated the whole window; ``remap_leaves`` supplies the
         bin's precomputed remap leaves (``-1`` = uniform fallback draw) in
         distinct-block first-occurrence order; ``collect=False`` skips
-        building the per-access payload list when the caller (``run_trace``)
-        discards it.
+        building the per-access payload list when the caller gathers the
+        payloads itself after its last bin.
         """
         self.counter.record_logical_access(len(block_ids))
         self.timing.charge_client_overhead(len(block_ids))

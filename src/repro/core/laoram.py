@@ -20,7 +20,7 @@ The fat-tree option lives entirely in :class:`~repro.oram.config.ORAMConfig`,
 so the same client runs both the "Normal" and "Fat" configurations of the
 evaluation.
 
-Plan management, trace windowing and the batched entry points live in
+Plan management, trace windowing and the trace-level entry points live in
 :class:`LookaheadClientMixin` so that the per-object client here and the
 array-backed :class:`~repro.core.fast_laoram.FastLAORAMClient` share one
 scheduling implementation and differ only in how a superblock is executed.
@@ -54,13 +54,6 @@ class LookaheadClientMixin:
     """
 
     laoram_config: LAORAMConfig
-
-    #: LAORAM's batching is the superblock bin itself (``access_many`` and
-    #: ``write_many`` below chunk on bin boundaries); the generic batched
-    #: access protocol does not apply.  Bins still flow through the engine's
-    #: batched read/write-back hooks (``_read_paths_into_stash`` /
-    #: ``_write_back_many``).
-    SUPPORTS_BATCHED_ACCESS = False
 
     #: Scalar leaf draws: the preprocessor and the bin-path draws pull from
     #: the same generator as ``_draw_leaf``, so prefetching leaf draws in
@@ -127,47 +120,59 @@ class LookaheadClientMixin:
     # ------------------------------------------------------------------
     def run_trace(
         self,
-        addresses: Sequence[int] | np.ndarray,
-        reinitialize_placement: bool = True,
-    ) -> None:
-        """Preprocess and execute a full access trace at superblock granularity.
+        block_ids: Sequence[int] | np.ndarray,
+        ops=None,
+        payloads: Optional[Sequence[object]] = None,
+    ) -> list[Optional[object]]:
+        """Preprocess and replay a read trace at superblock granularity.
 
         When ``lookahead_accesses`` is set the trace is preprocessed in
         windows of that many accesses, modelling a preprocessor with bounded
-        memory; otherwise the whole trace is planned at once.
+        memory; otherwise the whole trace is planned at once.  The pipeline
+        replays reads only: writes are served as they arrive, through
+        :meth:`write_many`.
 
-        ``reinitialize_placement`` applies the first window's plan to the
-        initial data layout: the embedding table is loaded into the ORAM tree
-        during trusted setup (before the adversary observes anything), so the
-        client is free to choose each block's initial path, and choosing the
-        path of the block's first planned superblock means even first-time
-        accesses are coalesced.  Every bin path is still drawn uniformly and
-        independently, so the observable access pattern is unchanged.  The
-        reinitialisation is only permitted before any adversary-visible
-        access has been issued.
+        On an engine that has served no access yet, the first window's plan
+        is also applied to the initial data layout: the embedding table is
+        loaded into the ORAM tree during trusted setup (before the adversary
+        observes anything), so the client is free to choose each block's
+        initial path, and choosing the path of the block's first planned
+        superblock means even first-time accesses are coalesced.  Every bin
+        path is still drawn uniformly and independently, so the observable
+        access pattern is unchanged.  Later windows and later calls only
+        plan.
         """
-        addr = np.asarray(addresses, dtype=np.int64)
-        window = self.laoram_config.lookahead_accesses or addr.size
-        offset = 0
-        first_window = True
-        while offset < addr.size:
+        if ops is not None or payloads is not None:
+            raise ConfigurationError(
+                "the lookahead pipeline replays read traces only; "
+                "serve writes through write_many"
+            )
+        addr = np.asarray(block_ids, dtype=np.int64)
+        window = self.laoram_config.lookahead_accesses or max(addr.size, 1)
+        served: list[Optional[object]] = []
+        for offset in range(0, addr.size, window):
             chunk = addr[offset : offset + window]
             plan = self.preprocess(chunk, start_index=offset)
-            if first_window and reinitialize_placement:
+            if not self.counter.logical_accesses:
                 self.apply_initial_placement(plan)
-            # The first window is over regardless of whether placement ran;
-            # leaving the flag set would mis-apply placement mid-trace.
-            first_window = False
-            self._execute_plan(plan)
-            offset += window
+            served.extend(self._execute_plan(plan, chunk))
+        return served
 
-    def _execute_plan(self, plan: LookaheadPlan) -> None:
-        """Execute every bin of ``plan``; backends may override for speed."""
-        for superblock in plan.bins:
-            self.access_superblock(superblock)
+    def _execute_plan(
+        self, plan: LookaheadPlan, addresses: np.ndarray
+    ) -> Sequence[Optional[object]]:
+        """Execute every bin of ``plan`` (planned over ``addresses``).
+
+        Returns the payloads in trace order; backends may override for speed.
+        """
+        return [
+            payload
+            for superblock in plan.bins
+            for payload in self.access_superblock(superblock)
+        ]
 
     def access_many(self, block_ids: Sequence[int]) -> list[Optional[object]]:
-        """Batched read access: ids are grouped into superblock-sized bins.
+        """Serve reads now: ids are grouped into superblock-sized bins.
 
         This is the entry point the embedding trainer uses: each consecutive
         group of ``superblock_size`` requested rows is served as one
@@ -193,7 +198,7 @@ class LookaheadClientMixin:
     def write_many(
         self, block_ids: Sequence[int], payloads: Sequence[object]
     ) -> None:
-        """Batched write access: like :meth:`access_many` but storing payloads.
+        """Serve writes now: like :meth:`access_many` but storing payloads.
 
         Gradient write-backs of a training minibatch go through here so that
         updated rows sharing a path cost a single fetch, mirroring the read
@@ -215,6 +220,13 @@ class LookaheadClientMixin:
             )
             self.access_superblock(superblock, new_payloads=updates)
             offset += len(chunk)
+
+    @staticmethod
+    def _coerce_id_list(block_ids: Sequence[int]) -> list[int]:
+        """Plain-int id list; bulk ``tolist`` for arrays, no per-element int()."""
+        if isinstance(block_ids, np.ndarray):
+            return block_ids.tolist()
+        return [int(block_id) for block_id in block_ids]
 
     def _next_bin_length(self) -> int:
         """Length of the next ad-hoc bin so it ends on a superblock boundary."""

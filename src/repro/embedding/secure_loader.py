@@ -15,39 +15,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.oram.base import AccessOp, ObliviousMemory
+from repro.oram.base import ObliviousMemory
 from repro.embedding.table import EmbeddingTable
 
 
 class SecureEmbeddingStore:
-    """Embedding table whose rows live inside an oblivious memory engine.
+    """Embedding table whose rows live inside an oblivious memory engine."""
 
-    ``batch_size`` sets the batched-access chunk for engines that support
-    the batched protocol (``SUPPORTS_BATCHED_ACCESS``): each ``fetch_rows``
-    / ``update_rows`` call then amortises path reads and write-backs across
-    up to ``batch_size`` rows.  Engines without the protocol (LAORAM bins,
-    RingORAM, PrORAM, the insecure baseline) ignore it.
-    """
-
-    def __init__(
-        self,
-        memory: ObliviousMemory,
-        table: EmbeddingTable,
-        batch_size: int | None = None,
-    ):
+    def __init__(self, memory: ObliviousMemory, table: EmbeddingTable):
         if memory.num_blocks < table.num_rows:
             raise ConfigurationError(
                 f"ORAM holds {memory.num_blocks} blocks but the table has "
                 f"{table.num_rows} rows"
             )
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         self.memory = memory
-        self.batch_size = (
-            batch_size
-            if getattr(memory, "SUPPORTS_BATCHED_ACCESS", False)
-            else None
-        )
         self.dim = table.dim
         self.num_rows = table.num_rows
         self.row_nbytes = table.row_nbytes
@@ -62,10 +43,7 @@ class SecureEmbeddingStore:
         The result is a fresh array: it never aliases the stored rows.
         """
         ids = self._validate(row_ids)
-        if self.batch_size is not None:
-            payloads = self.memory.access_many(ids, batch_size=self.batch_size)
-        else:
-            payloads = self.memory.access_many(ids)
+        payloads = self.memory.access_many(ids)
         # One gather: engines over a payload matrix return it ready made,
         # the others a list of rows to stack.
         return np.asarray(payloads, dtype=np.float32)
@@ -73,25 +51,17 @@ class SecureEmbeddingStore:
     def update_rows(self, row_ids: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Obliviously write updated embedding vectors back.
 
-        Engines that support batched writes (the LAORAM client's
-        ``write_many``) receive the whole batch at once so that rows sharing
-        a path are written back together; other engines take one write
-        access per row.  Duplicate ids within a batch keep their last value,
-        mirroring a sequential write stream.  The engine receives one
+        The engine receives the whole batch at once (LAORAM clients write
+        rows sharing a path back together; other engines take one write
+        access per row).  Duplicate ids within a batch keep their last
+        value, mirroring a sequential write stream.  The engine receives one
         private copy of ``values``, so the caller may reuse its array.
         """
         ids = self._validate(row_ids)
         values = np.array(values, dtype=np.float32)
         if values.shape != (ids.size, self.dim):
             raise ConfigurationError("values shape mismatch")
-        write_many = getattr(self.memory, "write_many", None)
-        if not callable(write_many):
-            for row_id, value in zip(ids.tolist(), values):
-                self.memory.access(row_id, AccessOp.WRITE, new_payload=value)
-        elif self.batch_size is not None:
-            write_many(ids, values, batch_size=self.batch_size)
-        else:
-            write_many(ids, values)
+        self.memory.write_many(ids, values)
 
     def materialize(self) -> EmbeddingTable:
         """Read every row back out (test helper verifying data integrity)."""

@@ -123,8 +123,6 @@ def build_engine(
     observer=None,
     seed: Optional[int] = None,
     fast: bool = False,
-    batched: bool = False,
-    batch_size: int = 64,
     recursive_posmap: Optional[bool] = None,
     posmap_positions_per_block: Optional[int] = None,
     posmap_cutoff_bytes: Optional[int] = None,
@@ -137,13 +135,6 @@ def build_engine(
     produces counters bit-identical to the per-object engine for a fixed
     seed, only faster.  Families without a twin (the insecure baseline)
     raise :class:`~repro.exceptions.UnsupportedEngineError`.
-
-    ``batched=True`` turns on the chunked batched-access protocol
-    (``access_many``/``write_many`` amortise path reads and write-backs
-    across ``batch_size`` accesses).  Only PathORAM supports it; LAORAM
-    accepts-and-ignores the flag because its superblock bins already batch
-    on bin boundaries, and the remaining families raise
-    :class:`~repro.exceptions.UnsupportedEngineError`.
 
     ``recursive_posmap=True`` (or the flag already set on ``oram_config``)
     stores the position map in recursion ORAMs instead of a trusted dense
@@ -171,21 +162,12 @@ def build_engine(
             f"(configuration '{label}'); fast engines cover "
             f"{sorted(FAST_ENGINE_FAMILIES)}"
         )
-    if batched and family not in ("pathoram", "laoram"):
-        raise UnsupportedEngineError(
-            f"family '{family}' (configuration '{label}') has no batched "
-            "access protocol; batching covers ['laoram', 'pathoram']"
-        )
     if family == "insecure":
         return InsecureMemory(config, counter=counter, observer=observer)
     if family == "pathoram":
         engine_cls = ArrayPathORAM if fast else PathORAM
         return engine_cls(
-            config,
-            counter=counter,
-            eviction=eviction,
-            observer=observer,
-            batch_size=batch_size if batched else None,
+            config, counter=counter, eviction=eviction, observer=observer
         )
     if family == "ringoram":
         engine_cls = ArrayRingORAM if fast else RingORAM

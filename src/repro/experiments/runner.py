@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.laoram import LookaheadClientMixin
 from repro.datasets.base import AccessTrace
 from repro.experiments.configs import build_engine
 from repro.experiments.metrics import ExperimentResult
@@ -22,20 +21,14 @@ def run_engine_on_trace(
 ) -> ExperimentResult:
     """Execute every access of ``trace`` on ``engine`` and summarise the run.
 
-    LAORAM clients (both the per-object and the array-backed engine) consume
-    the trace through their lookahead pipeline (preprocessing plus
-    superblock-granularity accesses); engines configured with a batch size
-    go through the chunked batched protocol; every other tree engine runs
-    the whole trace through its fused ``run_trace`` driver.
+    The trace is known in advance, so it is replayed with ``run_trace``:
+    LAORAM clients look ahead (preprocessing, trusted placement, superblock
+    bins), the array engines run their fused drivers, and everything else
+    takes one access per element.
     """
     if record_stash_history and hasattr(engine, "counter"):
         engine.counter.record_stash_history = True
-    if isinstance(engine, LookaheadClientMixin):
-        engine.run_trace(trace.addresses)
-    elif getattr(engine, "batch_size", None) or not hasattr(engine, "run_trace"):
-        engine.access_many(trace.addresses)
-    else:
-        engine.run_trace(trace.addresses)
+    engine.run_trace(trace.addresses)
     snapshot = engine.statistics
     history: tuple[int, ...] = ()
     if record_stash_history and hasattr(engine, "counter"):

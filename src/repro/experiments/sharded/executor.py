@@ -114,9 +114,6 @@ def _shard_worker(
     ``finally`` unlinks every shared segment the worker created, so even a
     crashing shard leaves nothing in ``/dev/shm``.
     """
-    # Imported lazily so the (possibly spawned) child resolves it itself.
-    from repro.core.laoram import LookaheadClientMixin
-
     _pin_worker_threads()
     pools: dict[int, SharedMemoryArrayPool] = {}
     engines: dict[int, object] = {}
@@ -144,21 +141,12 @@ def _shard_worker(
                 if op == "stop":
                     break
                 if op == "run":
-                    _, local_traces, reinitialize_placement = message
+                    _, local_traces = message
                     states = {}
                     for shard_id, local_trace in local_traces.items():
                         current_shard = shard_id
                         engine = engines[shard_id]
-                        if local_trace.size:
-                            if isinstance(engine, LookaheadClientMixin):
-                                engine.run_trace(
-                                    local_trace,
-                                    reinitialize_placement=reinitialize_placement,
-                                )
-                            elif engine.batch_size:
-                                engine.access_many(local_trace)
-                            else:
-                                engine.run_trace(local_trace)
+                        engine.run_trace(local_trace)
                         states[shard_id] = _shard_state(
                             engine, local_trace.size, pools[shard_id].registry()
                         )
@@ -170,12 +158,7 @@ def _shard_worker(
                     for shard_id, local_ids in routed.items():
                         current_shard = shard_id
                         engine = engines[shard_id]
-                        if isinstance(engine, LookaheadClientMixin) or (
-                            engine.batch_size
-                        ):
-                            engine.access_many(local_ids)
-                        else:
-                            engine.run_trace(local_ids)
+                        engine.access_many(local_ids)
                         count += len(local_ids)
                     current_shard = -1
                     responses.put(("served", request_id, count))
@@ -380,9 +363,7 @@ class ProcessShardExecutor:
     # Execution
     # ------------------------------------------------------------------
     def run_local_traces(
-        self,
-        local_traces: Sequence[np.ndarray],
-        reinitialize_placement: bool = True,
+        self, local_traces: Sequence[np.ndarray]
     ) -> dict[int, dict]:
         """Execute per-shard local traces on the workers; return shard states.
 
@@ -395,9 +376,7 @@ class ProcessShardExecutor:
         for worker_id in range(self.num_workers):
             traces = {s: np.asarray(local_traces[s], dtype=np.int64)
                       for s in self.shards_of(worker_id)}
-            self._requests[worker_id].put(
-                ("run", traces, reinitialize_placement)
-            )
+            self._requests[worker_id].put(("run", traces))
         for worker_id in range(self.num_workers):
             tag, states = self._recv(worker_id)
             assert tag == "result"

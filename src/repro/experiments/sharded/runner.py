@@ -40,7 +40,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.laoram import LookaheadClientMixin
 from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficSnapshot, merge_snapshots
 from repro.oram.pr_oram import SuperblockMode
@@ -174,24 +173,18 @@ class ShardedRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_trace(
-        self,
-        addresses: Sequence[int] | np.ndarray,
-        reinitialize_placement: bool = True,
-    ) -> TrafficSnapshot:
+    def run_trace(self, addresses: Sequence[int] | np.ndarray) -> TrafficSnapshot:
         """Execute the trace across every shard and return the merged snapshot.
 
         Shards share no state, so the run models ``num_shards`` hosts
-        working concurrently whichever backend executes it.  LAORAM shards
-        consume their slice through the lookahead pipeline
-        (``reinitialize_placement`` applies to the first window); every
-        other family performs one oblivious access per trace element.
+        working concurrently whichever backend executes it.  Every shard
+        replays its slice with its engine's ``run_trace`` (LAORAM shards
+        through the lookahead pipeline, the others one oblivious access per
+        trace element), so the runner can be handed one trace after another.
         """
         local_traces = self.split_trace(addresses)
         if self._executor is not None:
-            states = self._executor.run_local_traces(
-                local_traces, reinitialize_placement=reinitialize_placement
-            )
+            states = self._executor.run_local_traces(local_traces)
             self._results = [
                 ShardResult(
                     shard_id=shard_id,
@@ -207,15 +200,7 @@ class ShardedRunner:
         self._results = []
         for shard_id, local_trace in enumerate(local_traces):
             engine = self.engines[shard_id]
-            if local_trace.size:
-                if isinstance(engine, LookaheadClientMixin):
-                    engine.run_trace(
-                        local_trace, reinitialize_placement=reinitialize_placement
-                    )
-                elif engine.batch_size:
-                    engine.access_many(local_trace)
-                else:
-                    engine.run_trace(local_trace)
+            engine.run_trace(local_trace)
             self._results.append(
                 ShardResult(
                     shard_id=shard_id,

@@ -1,16 +1,14 @@
-"""Server-memory substrate: blocks, encryption, timing models and accounting."""
+"""Server-memory substrate: blocks, timing models and accounting."""
 
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.block import Block, DUMMY_BLOCK_ID
 from repro.memory.channel import InterconnectModel
 from repro.memory.dram import DRAMModel
-from repro.memory.encryption import BlockCipher
 from repro.memory.timing import TimingModel
 
 __all__ = [
     "Block",
     "DUMMY_BLOCK_ID",
-    "BlockCipher",
     "DRAMModel",
     "InterconnectModel",
     "TimingModel",

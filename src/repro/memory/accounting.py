@@ -99,13 +99,9 @@ def merge_snapshots(snapshots: "Iterable[TrafficSnapshot]") -> TrafficSnapshot:
 class TrafficCounter:
     """Mutable accumulator of ORAM traffic statistics.
 
-    With ``deferred=True`` the per-event ``record_*`` methods accumulate
-    into a plain-int pending buffer instead of the dataclass fields, and the
-    buffer is folded in by :meth:`flush` (called automatically by
-    :meth:`snapshot`).  Integer addition is exact under any grouping, so the
-    flushed totals are bit-identical to live recording; the toggle exists so
-    the reference engines can exercise — and the tests can assert — the same
-    aggregation discipline the fused array drivers use internally.
+    Events are recorded one by one (``record_*``) or folded in pre-aggregated
+    (:meth:`add_bulk`, the fused trace drivers).  Integer addition is exact
+    under any grouping, so both give bit-identical totals.
     """
 
     logical_accesses: int = 0
@@ -124,29 +120,13 @@ class TrafficCounter:
     posmap_bytes_written: int = 0
     stash_history: list[int] = field(default_factory=list)
     record_stash_history: bool = False
-    deferred: bool = False
-    # Pending [logical, path_reads, path_writes, dummy_reads, buckets_read,
-    # buckets_written, bytes_read, bytes_written, stash_peak(max),
-    # background_evictions]; only used when ``deferred`` is set.
-    _pending: list[int] = field(
-        default_factory=lambda: [0] * 10, init=False, repr=False, compare=False
-    )
 
     def record_logical_access(self, count: int = 1) -> None:
         """Register ``count`` logical (application-level) block accesses."""
-        if self.deferred:
-            self._pending[0] += count
-        else:
-            self.logical_accesses += count
+        self.logical_accesses += count
 
     def record_path_read(self, num_buckets: int, num_bytes: int, dummy: bool = False) -> None:
         """Register one path read of ``num_buckets`` buckets / ``num_bytes`` bytes."""
-        if self.deferred:
-            pending = self._pending
-            pending[3 if dummy else 1] += 1
-            pending[4] += num_buckets
-            pending[6] += num_bytes
-            return
         if dummy:
             self.dummy_reads += 1
         else:
@@ -156,12 +136,6 @@ class TrafficCounter:
 
     def record_path_write(self, num_buckets: int, num_bytes: int) -> None:
         """Register one path write-back."""
-        if self.deferred:
-            pending = self._pending
-            pending[2] += 1
-            pending[5] += num_buckets
-            pending[7] += num_bytes
-            return
         self.path_writes += 1
         self.buckets_written += num_buckets
         self.bytes_written += num_bytes
@@ -169,10 +143,8 @@ class TrafficCounter:
     def record_posmap_path_read(self, num_bytes: int) -> None:
         """Register one recursion-level path read of the position map.
 
-        Recursion traffic is its own category and is recorded live even
-        under ``deferred``: the recursive map only runs outside the fused
-        trace drivers (they require the dense map), so there is no pending
-        buffer for it to share.
+        Recursion traffic is its own category; the recursive map only runs
+        outside the fused trace drivers (they require the dense map).
         """
         self.posmap_path_reads += 1
         self.posmap_bytes_read += num_bytes
@@ -184,19 +156,12 @@ class TrafficCounter:
 
     def record_background_eviction(self) -> None:
         """Register one background-eviction episode (may contain many dummy reads)."""
-        if self.deferred:
-            self._pending[9] += 1
-        else:
-            self.background_evictions += 1
+        self.background_evictions += 1
 
     def observe_stash(self, occupancy: int) -> None:
         """Track stash occupancy, updating the running peak and optional history."""
-        if self.deferred:
-            if occupancy > self._pending[8]:
-                self._pending[8] = occupancy
-        elif occupancy > self.stash_peak:
+        if occupancy > self.stash_peak:
             self.stash_peak = occupancy
-        # History keeps the per-event order, so it is never deferred.
         if self.record_stash_history:
             self.stash_history.append(occupancy)
 
@@ -239,21 +204,8 @@ class TrafficCounter:
         self.posmap_bytes_read += posmap_bytes_read
         self.posmap_bytes_written += posmap_bytes_written
 
-    def flush(self) -> None:
-        """Fold any deferred pending counts into the dataclass fields."""
-        pending = self._pending
-        if not any(pending):
-            return
-        self.add_bulk(*pending[:8])
-        if pending[8] > self.stash_peak:
-            self.stash_peak = pending[8]
-        self.background_evictions += pending[9]
-        self._pending = [0] * 10
-
     def snapshot(self) -> TrafficSnapshot:
         """Return an immutable snapshot of the current counters."""
-        if self.deferred:
-            self.flush()
         return TrafficSnapshot(
             logical_accesses=self.logical_accesses,
             path_reads=self.path_reads,
@@ -288,4 +240,3 @@ class TrafficCounter:
         self.posmap_bytes_read = 0
         self.posmap_bytes_written = 0
         self.stash_history.clear()
-        self._pending = [0] * 10

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
+import numpy as np
+
+from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficSnapshot
 
 
@@ -42,9 +45,79 @@ class ObliviousMemory(ABC):
         """Convenience wrapper for a write access."""
         self.access(block_id, AccessOp.WRITE, new_payload=payload)
 
-    def access_many(self, block_ids: Sequence[int] | Iterable[int]) -> list[Optional[object]]:
-        """Access a sequence of blocks; subclasses may batch these."""
-        return [self.access(int(block_id)) for block_id in block_ids]
+    def run_trace(
+        self,
+        block_ids: Sequence[int],
+        ops=None,
+        payloads: Optional[Sequence[object]] = None,
+    ) -> Sequence[Optional[object]]:
+        """Replay an access sequence known in advance; returns its payloads.
+
+        The result is what calling :meth:`access` once per element returns,
+        and this default does exactly that.  ``ops`` may be omitted (all
+        reads), one :class:`AccessOp` applied to every access, or a
+        per-access sequence; ``payloads`` requires ``ops`` and supplies the
+        per-access write payloads.  Numpy integer arrays are accepted and
+        drained with one bulk ``tolist``.
+
+        Because the whole sequence is in hand, engines may look ahead: the
+        array backends override this with fused drivers that keep the
+        sequential semantics bit for bit, and the LAORAM clients with the
+        lookahead pipeline (preprocessing, trusted placement before the
+        first access, superblock bins — read traces only).  Callers replay
+        with ``engine.run_trace(ids)`` whichever engine they hold.
+        """
+        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
+        op_seq, payload_seq = self._normalize_trace_args(len(ids), ops, payloads)
+        access = self.access
+        if op_seq is None:
+            return [access(block_id) for block_id in ids]
+        return [
+            access(block_id, op, payload)
+            for block_id, op, payload in zip(ids, op_seq, payload_seq)
+        ]
+
+    @staticmethod
+    def _normalize_trace_args(n: int, ops, payloads):
+        """Expand/validate ``run_trace``'s op and payload arguments.
+
+        Returns ``(None, None)`` for the common all-reads case so drivers
+        can keep a branch-free fast path, else two length-``n`` sequences.
+        """
+        if ops is None:
+            if payloads is not None:
+                raise ConfigurationError("run_trace payloads require ops")
+            return None, None
+        if isinstance(ops, AccessOp):
+            op_seq: Sequence[AccessOp] = [ops] * n
+        else:
+            op_seq = list(ops)
+            if len(op_seq) != n:
+                raise ConfigurationError("ops must match block_ids in length")
+        if payloads is None:
+            payload_seq: Sequence[object] = [None] * n
+        else:
+            if len(payloads) != n:
+                raise ConfigurationError("payloads must match block_ids in length")
+            payload_seq = payloads
+        return op_seq, payload_seq
+
+    def access_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
+        """Serve reads of ``block_ids`` now, in order; returns their payloads.
+
+        Unlike :meth:`run_trace` nothing beyond this call is known, so no
+        engine plans or re-places anything here; LAORAM clients serve the
+        ids in superblock bins.
+        """
+        return self.run_trace(block_ids)
+
+    def write_many(self, block_ids: Sequence[int], payloads: Sequence[object]) -> None:
+        """Serve writes of ``payloads`` to ``block_ids`` now, in order.
+
+        Duplicate ids keep the last payload, as a sequential write stream
+        would; a length mismatch raises ``ConfigurationError``.
+        """
+        self.run_trace(block_ids, AccessOp.WRITE, payloads)
 
     @property
     @abstractmethod

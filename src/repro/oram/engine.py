@@ -29,11 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import (
-    BlockNotFoundError,
-    ConfigurationError,
-    StashOverflowError,
-)
+from repro.exceptions import BlockNotFoundError, StashOverflowError
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.block import Block
 from repro.memory.timing import TimingModel
@@ -61,20 +57,7 @@ class TreeORAMEngine(ObliviousMemory):
     (PrORAM superblocks, RingORAM online reads) override :meth:`access`
     while reusing the shared internals (`_read_path_into_stash`,
     `_write_back`, background eviction, counters).
-
-    Batching: ``batch_size`` opts a PathORAM-protocol engine into the
-    batched access protocol — :meth:`access_many` chunks requests into
-    batches served by :meth:`_access_batch` (one stash sweep, one grouped
-    multi-path read, one grouped write-back per batch).  Protocol variants
-    whose ``access`` does more than the PathORAM sequence set
-    ``SUPPORTS_BATCHED_ACCESS = False`` and always take the per-access
-    loop, whatever ``batch_size`` says.
     """
-
-    #: Whether the generic batched access protocol (:meth:`_access_batch`)
-    #: is valid for this engine.  Protocol mixins that override ``access``
-    #: (RingORAM online reads, PrORAM superblocks, LAORAM bins) disable it.
-    SUPPORTS_BATCHED_ACCESS = True
 
     #: Leaf draws per vectorized RNG refill in :meth:`_draw_leaf`.  0 keeps
     #: scalar draws; the array backend prefetches in blocks.  A sized
@@ -93,11 +76,8 @@ class TreeORAMEngine(ObliviousMemory):
         eviction: Optional[EvictionPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         observer=None,
-        batch_size: Optional[int] = None,
         allocator: Optional[ArrayAllocator] = None,
     ):
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1 when set")
         self.config = config
         self.timing = timing if timing is not None else TimingModel()
         self.counter = counter if counter is not None else TrafficCounter()
@@ -108,7 +88,6 @@ class TreeORAMEngine(ObliviousMemory):
             drain_target=config.eviction_target,
         )
         self.observer = observer
-        self.batch_size = batch_size
         # Array allocation hook: a shared-memory pool here puts the tree
         # slots, stash rows and position map into attachable segments so a
         # parent process can snapshot shard state without serialization.
@@ -215,181 +194,6 @@ class TreeORAMEngine(ObliviousMemory):
         self.counter.observe_stash(len(self.stash))
         return payload
 
-    def run_trace(
-        self,
-        block_ids: Sequence[int],
-        ops=None,
-        payloads: Optional[Sequence[object]] = None,
-    ) -> list[Optional[object]]:
-        """Execute a whole access sequence in one call.
-
-        Sequential semantics: identical results, counters, timing, RNG
-        stream and stash state to calling :meth:`access` once per element.
-        ``ops`` may be omitted (all reads), one :class:`AccessOp` applied to
-        every access, or a per-access sequence; ``payloads`` requires
-        ``ops`` and supplies the per-access write payloads.  Numpy integer
-        arrays are accepted and drained with one bulk ``tolist``.
-
-        Layers override this with fused drivers (the array backends) or a
-        planning pipeline (LAORAM's lookahead preprocessor); the sequential
-        contract is the same for all of them, so callers never need to know
-        which they hold.
-        """
-        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
-        op_seq, payload_seq = self._normalize_trace_args(len(ids), ops, payloads)
-        access = self.access
-        if op_seq is None:
-            return [access(block_id) for block_id in ids]
-        return [
-            access(block_id, op, payload)
-            for block_id, op, payload in zip(ids, op_seq, payload_seq)
-        ]
-
-    def _normalize_trace_args(self, n: int, ops, payloads):
-        """Expand/validate ``run_trace``'s op and payload arguments.
-
-        Returns ``(None, None)`` for the common all-reads case so drivers
-        can keep a branch-free fast path, else two length-``n`` sequences.
-        """
-        if ops is None:
-            if payloads is not None:
-                raise ConfigurationError("run_trace payloads require ops")
-            return None, None
-        if isinstance(ops, AccessOp):
-            op_seq: Sequence[AccessOp] = [ops] * n
-        else:
-            op_seq = list(ops)
-            if len(op_seq) != n:
-                raise ConfigurationError("ops must match block_ids in length")
-        if payloads is None:
-            payload_seq: Sequence[object] = [None] * n
-        else:
-            if len(payloads) != n:
-                raise ConfigurationError("payloads must match block_ids in length")
-            payload_seq = payloads
-        return op_seq, payload_seq
-
-    def access_many(
-        self, block_ids: Sequence[int], batch_size: Optional[int] = None
-    ) -> list[Optional[object]]:
-        """Access several blocks, batching when the engine is configured to.
-
-        Without an effective batch size (``batch_size`` argument, falling
-        back to the engine's ``batch_size``), or on engines whose protocol
-        does not admit the generic batch (``SUPPORTS_BATCHED_ACCESS`` is
-        false), this delegates to :meth:`run_trace` — the sequential
-        semantics, served by whatever driver the engine fuses it with.
-        With one, requests are chunked and each chunk is served by
-        :meth:`_access_batch`: one grouped multi-path read and one grouped
-        write-back per chunk instead of a path pair per access.
-        """
-        size = batch_size if batch_size is not None else self.batch_size
-        if size is None or size <= 1 or not self.SUPPORTS_BATCHED_ACCESS:
-            return self.run_trace(block_ids)
-        ids = self._coerce_id_list(block_ids)
-        payloads: list[Optional[object]] = []
-        for offset in range(0, len(ids), size):
-            payloads.extend(self._access_batch(ids[offset : offset + size]))
-        return payloads
-
-    def write_many(
-        self,
-        block_ids: Sequence[int],
-        payloads: Sequence[object],
-        batch_size: Optional[int] = None,
-    ) -> None:
-        """Write several blocks; batched exactly like :meth:`access_many`.
-
-        Duplicate ids within a batch keep the last payload, mirroring a
-        sequential write stream.
-        """
-        if len(block_ids) != len(payloads):
-            raise ConfigurationError("block_ids and payloads must have equal length")
-        size = batch_size if batch_size is not None else self.batch_size
-        if size is None or size <= 1 or not self.SUPPORTS_BATCHED_ACCESS:
-            self.run_trace(block_ids, ops=AccessOp.WRITE, payloads=payloads)
-            return
-        ids = self._coerce_id_list(block_ids)
-        for offset in range(0, len(ids), size):
-            chunk = ids[offset : offset + size]
-            updates = dict(zip(chunk, payloads[offset : offset + size]))
-            self._access_batch(chunk, new_payloads=updates)
-
-    @staticmethod
-    def _coerce_id_list(block_ids: Sequence[int]) -> list[int]:
-        """Plain-int id list; bulk ``tolist`` for arrays, no per-element int()."""
-        if isinstance(block_ids, np.ndarray):
-            return block_ids.tolist()
-        return [int(block_id) for block_id in block_ids]
-
-    def _access_batch(
-        self,
-        block_ids: list[int],
-        new_payloads: Optional[dict[int, object]] = None,
-    ) -> list[Optional[object]]:
-        """Serve one batch of accesses with grouped reads and write-backs.
-
-        The batched protocol mirrors LAORAM's superblock execution on a
-        plan-free engine: blocks already in the stash are served for free,
-        the rest are grouped by their current path (first-encounter order)
-        and every distinct path is fetched once, each distinct block is
-        remapped uniformly, and all fetched paths are written back together
-        through :meth:`_write_back_many`.  Every step runs through the
-        storage hooks, so the reference and array backends execute it
-        decision-for-decision identically.
-        """
-        # oblivious: allow[OBL001] batch emptiness equals the public batch size
-        if not block_ids:
-            return []
-        for block_id in block_ids:
-            self._check_block_id(block_id)
-        self.counter.record_logical_access(len(block_ids))
-        self.timing.charge_client_overhead(len(block_ids))
-
-        needed = list(dict.fromkeys(block_ids))
-        # oblivious: allow[OBL001] the batched protocol fetches only the miss
-        # set's distinct paths by design (LAORAM superblock-style grouped
-        # read); the per-batch path count is the protocol's observable
-        missing = [b for b in needed if self._stash_lookup(b) is None]
-        self._stash_hits += len(needed) - len(missing)
-        read_leaves: list[int] = []
-        # oblivious: allow[OBL001] grouped fetch over the deduped miss set;
-        # see the comprehension above
-        if missing:
-            distinct: dict[int, None] = {}
-            # oblivious: allow[OBL002] iterates the miss set to collect its
-            # distinct paths — the reveal sanctioned above
-            for block_id in missing:
-                distinct.setdefault(self.position_map.get(block_id), None)
-            read_leaves = list(distinct)
-            self._read_paths_into_stash(read_leaves, dummy=False)
-            # oblivious: allow[OBL002] post-fetch integrity sweep of the same
-            # miss set; failures abort the run loudly
-            for block_id in missing:
-                # oblivious: allow[OBL001] integrity check; aborts the run
-                if self._stash_lookup(block_id) is None:
-                    raise BlockNotFoundError(
-                        f"block {block_id} missing from both stash and its path"
-                    )
-
-        payloads: list[Optional[object]] = []
-        for block_id in block_ids:
-            handle = self._stash_lookup(block_id)
-            # oblivious: allow[OBL001] client-side payload routing; serving
-            # from the stash handle touches no server-visible state
-            if new_payloads is not None and block_id in new_payloads:
-                payloads.append(self._serve(handle, AccessOp.WRITE, new_payloads[block_id]))
-            else:
-                payloads.append(self._serve(handle, AccessOp.READ, None))
-
-        for block_id in needed:
-            self._remap(self._stash_lookup(block_id))
-
-        self._write_back_many(read_leaves)
-        self._maybe_background_evict()
-        self.counter.observe_stash(len(self.stash))
-        return payloads
-
     # ------------------------------------------------------------------
     # Shared internals (counter/timing charges live here, not in backends)
     # ------------------------------------------------------------------
@@ -449,7 +253,7 @@ class TreeORAMEngine(ObliviousMemory):
         self.timing.charge_path_transfer(num_buckets, num_bytes)
 
     def _write_back_many(self, leaves: Sequence[int]) -> None:
-        """Write back every path of one batch (superblock bin or access batch).
+        """Write back every path one superblock bin read.
 
         Default: one :meth:`_write_back` per leaf, in order — the reference
         semantics.  The array backend overrides this with the cross-path
@@ -462,7 +266,7 @@ class TreeORAMEngine(ObliviousMemory):
     def _maybe_background_evict(self) -> None:
         """Run the dummy-read eviction loop when the stash is too full.
 
-        Always single-path episodes, even under the batched access protocol:
+        Always single-path episodes, even after a multi-path superblock bin:
         a read-one-write-one dummy access drains the stash monotonically,
         whereas a grouped k-path episode floods the stash with every path's
         blocks before any write-back and — on deep trees, where random paths
@@ -911,7 +715,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         ops=None,
         payloads: Optional[Sequence[object]] = None,
     ) -> list[Optional[object]]:
-        """Fused sequential driver (see :meth:`TreeORAMEngine.run_trace`).
+        """Fused sequential driver (see :meth:`ObliviousMemory.run_trace`).
 
         Falls back to the generic per-access loop whenever this engine's
         decisions are not the plain PathORAM sequence the fused core
@@ -928,7 +732,7 @@ class ArrayStorageEngine(TreeORAMEngine):
             or type(self.eviction) is not EvictionPolicy
             or type(self.position_map) is not PositionMap
         ):
-            return TreeORAMEngine.run_trace(self, block_ids, ops, payloads)
+            return super().run_trace(block_ids, ops, payloads)
         return self._run_trace_fused(block_ids, ops, payloads)
 
     def _run_trace_fused(
@@ -1240,7 +1044,8 @@ class ArrayStorageEngine(TreeORAMEngine):
     #: ~4% at k=2, breaks even at k=3, and the planner wins from k=4 up
     #: (~11% at k=4, ~20% by k=6) — so k<4 falls back.  LAORAM bins with
     #: lookahead placement read 0-1 paths and never reach the planner;
-    #: PathORAM's 64-access batches read ~40+ paths and always do.
+    #: plan-free bins (``access_many`` with no plan installed) read close
+    #: to one path per distinct block, so bins of S8 and up do.
     BATCHED_WB_MIN_PATHS = 4
 
     def _write_back_many(self, leaves: Sequence[int]) -> None:

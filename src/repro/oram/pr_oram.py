@@ -42,7 +42,7 @@ from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
 from repro.oram.array_path_oram import ArrayPathORAM
-from repro.oram.base import AccessOp
+from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import TreeORAMEngine
 from repro.oram.eviction import EvictionPolicy
@@ -66,10 +66,6 @@ class SuperblockPolicyMixin:
     block movement goes through the backend-agnostic stash/tree hooks, so
     the per-object and array engines make identical decisions.
     """
-
-    #: PrORAM's access carries the superblock merge/hold policy; the
-    #: generic batched access protocol would bypass it.
-    SUPPORTS_BATCHED_ACCESS = False
 
     def __init__(
         self,
@@ -300,14 +296,14 @@ class ArrayPrORAM(SuperblockPolicyMixin, ArrayPathORAM):
             or type(self.eviction) is not EvictionPolicy
             or type(self.position_map) is not PositionMap
         ):
-            return TreeORAMEngine.run_trace(self, block_ids, ops, payloads)
+            return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
         if self.superblock_size == 1:
             # Degenerate superblocks: pure PathORAM, no policy hook needed.
             return self._run_trace_fused(block_ids, ops, payloads)
         if self.mode is SuperblockMode.STATIC:
             # Every group is permanently merged, so every access takes the
             # policy path; there is no fused fast path to run.
-            return TreeORAMEngine.run_trace(self, block_ids, ops, payloads)
+            return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
         return self._run_trace_fused(
             block_ids,
             ops,

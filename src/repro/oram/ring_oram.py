@@ -31,12 +31,11 @@ from repro.exceptions import (
 )
 from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
-from repro.oram.base import AccessOp
+from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import (
     ArrayStorageEngine,
     ObjectStorageEngine,
-    TreeORAMEngine,
     _fused_fetch,
 )
 from repro.oram.position_map import PositionMap
@@ -60,10 +59,6 @@ class RingProtocolMixin:
     and all counter/timing charges.  Storage backends only move blocks, so
     the per-object and array engines are decision-identical by construction.
     """
-
-    #: RingORAM's access is an online single-block read plus scheduled
-    #: evictions; the generic batched access protocol would bypass it.
-    SUPPORTS_BATCHED_ACCESS = False
 
     def __init__(
         self,
@@ -230,7 +225,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
             type(self).access is not RingProtocolMixin.access
             or type(self.position_map) is not PositionMap
         ):
-            return TreeORAMEngine.run_trace(self, block_ids, ops, payloads)
+            return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
         return self._run_trace_ring_fused(block_ids, ops, payloads)
 
     def _run_trace_ring_fused(

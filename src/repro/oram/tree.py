@@ -359,56 +359,6 @@ class ArrayTreeStorage:
         np.greater_equal(gathered, 0, out=mask)
         return gathered[mask]
 
-    def read_path_ids_lazy(self, leaf: int) -> np.ndarray:
-        """:meth:`read_path_ids` minus the occupancy bookkeeping.
-
-        Empties the path's slots and returns its real block ids, but leaves
-        ``bucket_occupancies`` stale.  For callers that never read occupancy
-        between path operations: record the touched leaves and settle the
-        books once with :meth:`rebuild_path_occupancies`.  The fused trace
-        drivers tried this and went back to eager maintenance — the
-        vectorized settle amortizes to ~4.5 us/access over a long trace,
-        triple the per-read scatter it saves — but the pair remains correct
-        and is the right shape for short bursts over few distinct paths.
-        """
-        slot_idx = self._fill_path_slots(leaf)
-        gathered = self._scratch_gather
-        self._slots.take(slot_idx, out=gathered)
-        self._slots[slot_idx] = -1
-        mask = self._scratch_mask
-        np.greater_equal(gathered, 0, out=mask)
-        return gathered[mask]
-
-    def rebuild_path_occupancies(self, leaves: Sequence[int]) -> None:
-        """Recompute occupancy for every bucket on the paths to ``leaves``.
-
-        Settles the books after :meth:`read_path_ids_lazy` calls.  Greedy
-        placement packs each bucket's real ids in front of its slot range,
-        so a bucket's occupancy is exactly its real-slot count — the values
-        written here are bit-identical to the per-path scatters they
-        replace, computed in one vectorized pass over the touched buckets
-        only (duplicate leaves collapse via ``np.unique``).
-        """
-        if not len(leaves):
-            return
-        arr = np.asarray(leaves, dtype=np.int64)
-        nodes = (arr[:, None] >> self._node_shift) + self._node_base
-        uniq = np.unique(nodes)
-        # level(node) = bit_length(node + 1) - 1, via frexp's exponent
-        # (exact far below 2^53, same trick as the batched planner).
-        exp = np.empty(uniq.shape, dtype=np.intc)
-        np.frexp(uniq + 1, np.empty(uniq.shape, dtype=np.float64), exp)
-        lvl = exp.astype(np.int64) - 1
-        caps = np.asarray(self.bucket_capacities, dtype=np.int64)[lvl]
-        bases = np.asarray(self._level_base, dtype=np.int64)[lvl]
-        start = bases + (uniq - ((np.int64(1) << lvl) - 1)) * caps
-        width = int(caps.max())
-        offsets = np.arange(width, dtype=np.int64)
-        valid = offsets[None, :] < caps[:, None]
-        grid = start[:, None] + offsets[None, :]
-        vals = self._slots[np.where(valid, grid, 0)]
-        self._occ[uniq] = ((vals >= 0) & valid).sum(axis=1)
-
     def read_paths_ids(self, leaves: np.ndarray) -> np.ndarray:
         """Remove and return every real block id on the paths to ``leaves``.
 

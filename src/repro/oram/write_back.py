@@ -206,9 +206,7 @@ def fused_greedy_write_back(
     ascending slot assignment are all decision-identical to the reference
     planner; the scalar occupancy write per visited level equals the
     planner's full-path scatter because unvisited levels hold zero either
-    way.  Chosen blocks are deleted from ``stash_map`` in place.  ``occ``
-    may be ``None`` for drivers that defer occupancy bookkeeping entirely
-    (they settle it per sync via ``rebuild_path_occupancies``).
+    way.  Chosen blocks are deleted from ``stash_map`` in place.
 
     ``groups`` is caller-owned scratch (``depth + 1`` empty lists, left
     empty again on return via clear-on-consume) so the steady-state loop
@@ -253,6 +251,5 @@ def fused_greedy_write_back(
             victim = pool.pop()
             slots[slot + offset] = victim
             del stash_map[victim]
-        if occ is not None:
-            occ[node_base[level] + node] = take
+        occ[node_base[level] + node] = take
         level -= 1

@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.laoram import LookaheadClientMixin
 from repro.exceptions import ConfigurationError
 from repro.experiments.sharded import ShardedRunner
 
@@ -217,19 +216,15 @@ class AsyncShardedService:
     def _serve_batch(self, unit: int, merged: dict[int, list[int]]) -> None:
         """Execute one coalesced batch on the backend (worker thread).
 
-        Sequential fallback: engines with a lookahead pipeline or a
-        configured batch protocol keep their batched entry point; plain
-        tree engines run the batch through the fused ``run_trace`` driver.
+        Requests are served as they arrive, so every engine takes them
+        through ``access_many``: LAORAM shards in superblock bins, the
+        others through their sequential (fused) driver.
         """
         if self.runner.is_parallel:
             self.runner.executor.access_on_worker(unit, merged)
         else:
             for shard_id, local_ids in merged.items():
-                engine = self.runner.engines[shard_id]
-                if isinstance(engine, LookaheadClientMixin) or engine.batch_size:
-                    engine.access_many(local_ids)
-                else:
-                    engine.run_trace(local_ids)
+                self.runner.engines[shard_id].access_many(local_ids)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -120,7 +120,6 @@ def test_fixture_corpus_matches_markers_exactly():
         ("obl_bad.py", "OBL002"),
         ("rng_bad.py", "RNG001"),
         ("alloc_bad.py", "ALLOC001"),
-        ("api_bad.py", "API001"),
         ("cnt_bad.py", "CNT001"),
         ("suppression.py", "SUP001"),
     ],
@@ -135,7 +134,7 @@ def test_bad_fixture_triggers_rule(name, rule):
 
 @pytest.mark.parametrize(
     "name",
-    ["obl_good.py", "rng_good.py", "alloc_good.py", "api_good.py", "cnt_good.py"],
+    ["obl_good.py", "rng_good.py", "alloc_good.py", "cnt_good.py"],
 )
 def test_good_fixture_is_clean(name):
     result = analyze_paths([str(FIXTURES / name)], fixture_config())
@@ -317,7 +316,7 @@ def test_cli_json_format(tmp_path, capsys):
 def test_cli_rule_selection(tmp_path):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import random\n", encoding="utf-8")
-    assert cli_main([str(dirty), "--rules", "API001"]) == 0
+    assert cli_main([str(dirty), "--rules", "CNT001"]) == 0
     assert cli_main([str(dirty), "--rules", "RNG001"]) == 1
 
 

@@ -158,6 +158,32 @@ class TestEngineEquivalence:
         )
         assert fast.stash.block_ids == reference.stash.block_ids
 
+    @pytest.mark.parametrize("lookahead_accesses", [None, 500])
+    def test_consecutive_run_traces_match(self, lookahead_accesses):
+        # A second run_trace used to die in apply_initial_placement ("only
+        # before any access"): only the caller could know to switch the
+        # placement off.  Both clients now replay trace after trace, and
+        # stay bit-identical while they do.
+        first = ZipfTraceGenerator(512, exponent=1.2, seed=5).generate(2_000)
+        second = ZipfTraceGenerator(512, exponent=1.1, seed=6).generate(1_500)
+        config = LAORAMConfig(
+            oram=ORAMConfig(num_blocks=512, block_size_bytes=64, seed=9),
+            superblock_size=4,
+            lookahead_accesses=lookahead_accesses,
+        )
+        engines = [LAORAMClient(config), FastLAORAMClient(config)]
+        for engine in engines:
+            engine.run_trace(first.addresses)
+            engine.run_trace(second.addresses)
+            assert engine.statistics.logical_accesses == 3_500
+            assert_engine_consistent(engine)
+        reference, fast = engines
+        assert fast.statistics == reference.statistics
+        assert np.array_equal(
+            fast.position_map.as_array(), reference.position_map.as_array()
+        )
+        assert fast.stash.block_ids == reference.stash.block_ids
+
     def test_payloads_round_trip_identically(self):
         config = make_laoram_config(num_blocks=128, superblock_size=4)
         rng = np.random.default_rng(3)
@@ -263,22 +289,39 @@ class TestPlacementRegressions:
 
     @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
     def test_placement_only_applies_to_first_window(self, engine_cls):
-        # Windowed traces plan window by window; placement may only run on
-        # the first window (it requires a counter at zero), and disabling
-        # reinitialisation must hold for every window.  The seed code left
-        # ``first_window`` latched True when reinitialisation was off.
+        # Windowed traces plan window by window; placement is trusted set-up
+        # and requires a counter at zero, so run_trace applies it on the
+        # first window of an untouched engine only — never on a later
+        # window, a later call, or once any access has been served.
         config = LAORAMConfig(
             oram=ORAMConfig(num_blocks=64, block_size_bytes=32, seed=31),
             superblock_size=2,
             lookahead_accesses=64,
         )
         trace = ZipfTraceGenerator(64, seed=4).generate(300)
+
+        def spy_on_placement(engine):
+            placed = []
+            apply = engine.apply_initial_placement
+            engine.apply_initial_placement = lambda plan: (
+                placed.append(plan), apply(plan)
+            )
+            return placed
+
         engine = engine_cls(config)
-        engine.run_trace(trace.addresses)  # placement on window 1 only
+        placed = spy_on_placement(engine)
+        engine.run_trace(trace.addresses)  # five windows
+        assert len(placed) == 1
+        engine.run_trace(trace.addresses)
+        assert len(placed) == 1
         assert_engine_consistent(engine)
-        engine_no_init = engine_cls(config)
-        engine_no_init.run_trace(trace.addresses, reinitialize_placement=False)
-        assert_engine_consistent(engine_no_init)
+
+        touched = engine_cls(config)
+        placed = spy_on_placement(touched)
+        touched.access(0)
+        touched.run_trace(trace.addresses)
+        assert placed == []
+        assert_engine_consistent(touched)
 
     @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
     def test_placement_rejected_after_accesses(self, engine_cls):

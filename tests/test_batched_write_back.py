@@ -19,6 +19,7 @@ whatever the access protocol happens to produce.
 import numpy as np
 import pytest
 
+from repro.experiments.configs import build_engine
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
 
@@ -165,12 +166,12 @@ class TestBatchedPlannerDifferential:
 
 
 class TestBatchedAccessInvariants:
-    """End-to-end: the batched access protocol preserves the invariants."""
+    """End-to-end: plan-free superblock bins preserve the invariants."""
 
     @pytest.mark.parametrize("batch_size", [1, 16, 64])
     def test_access_many_rounds(self, batch_size):
         config = ORAMConfig(num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=2)
-        engine = ArrayPathORAM(config, batch_size=batch_size)
+        engine = build_engine(f"Normal/S{batch_size}", config, fast=True)
         rng = np.random.default_rng(8)
         for _ in range(6):
             trace = rng.integers(0, NUM_BLOCKS, size=200).tolist()
@@ -179,7 +180,7 @@ class TestBatchedAccessInvariants:
 
     def test_write_many_payloads_survive_batching(self):
         config = ORAMConfig(num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=4)
-        engine = ArrayPathORAM(config, batch_size=32)
+        engine = build_engine("Normal/S32", config, fast=True)
         ids = list(range(100))
         engine.write_many(ids, [f"v{i}" for i in ids])
         # Duplicates in one chunk: last write wins, like a sequential stream.

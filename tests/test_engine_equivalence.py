@@ -19,7 +19,6 @@ here before it can skew a baseline comparison.
 import numpy as np
 import pytest
 
-from repro.core.laoram import LookaheadClientMixin
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import UnsupportedEngineError
 from repro.experiments.configs import FAST_ENGINE_FAMILIES, build_engine
@@ -58,25 +57,25 @@ def run_engine(
     trace: np.ndarray,
     fast: bool,
     fat_tree: bool = False,
-    batch_size: int | None = None,
+    plan_free: bool = False,
     batched_write_back: bool | None = None,
 ):
+    """Replay ``trace`` on a fresh engine; ``plan_free`` serves it instead.
+
+    ``access_many`` on a ``Normal/S<k>`` label with no plan installed is the
+    grouped-read protocol on a plan-free engine: bins of ``k`` accesses,
+    each distinct path fetched once, uniform remaps.
+    """
     config = ORAMConfig(
         num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=seed, fat_tree=fat_tree
     )
-    engine = build_engine(
-        label,
-        config,
-        fast=fast,
-        batched=batch_size is not None,
-        batch_size=batch_size or 64,
-    )
+    engine = build_engine(label, config, fast=fast)
     if batched_write_back is not None:
         engine.batched_write_back = batched_write_back
-    if isinstance(engine, LookaheadClientMixin):
-        engine.run_trace(trace)
-    else:
+    if plan_free:
         engine.access_many(trace)
+    else:
+        engine.run_trace(trace)
     return engine
 
 
@@ -202,17 +201,16 @@ class TestBatchedWriteBackDifferential:
 
 
 class TestBatchedAccessEquivalence:
-    """The chunked batched-access protocol is backend- and mode-consistent."""
+    """Plan-free grouped reads (``Normal/S<k>.access_many``) are backend-consistent."""
 
     @pytest.mark.parametrize("batch_size", [4, 16, 64])
     def test_batched_object_vs_array_bit_identical(self, batch_size):
-        # Both storage backends run the same batched control flow, so the
-        # object engine is the reference for the array engine's batched path.
+        # Both storage backends run the same bin control flow, so the
+        # object client is the reference for the array client's bins.
         trace = make_trace("zipf", 23)
-        reference = run_engine(
-            "PathORAM", 23, trace, fast=False, batch_size=batch_size
-        )
-        fast = run_engine("PathORAM", 23, trace, fast=True, batch_size=batch_size)
+        label = f"Normal/S{batch_size}"
+        reference = run_engine(label, 23, trace, fast=False, plan_free=True)
+        fast = run_engine(label, 23, trace, fast=True, plan_free=True)
         assert fast.statistics == reference.statistics
         assert np.array_equal(
             fast.position_map.as_array(), reference.position_map.as_array()
@@ -224,12 +222,9 @@ class TestBatchedAccessEquivalence:
     @pytest.mark.parametrize("batch_size", [4, 64])
     def test_batched_fat_tree_bit_identical(self, batch_size):
         trace = make_trace("uniform", 31)
-        reference = run_engine(
-            "PathORAM", 31, trace, fast=False, fat_tree=True, batch_size=batch_size
-        )
-        fast = run_engine(
-            "PathORAM", 31, trace, fast=True, fat_tree=True, batch_size=batch_size
-        )
+        label = f"Fat/S{batch_size}"
+        reference = run_engine(label, 31, trace, fast=False, plan_free=True)
+        fast = run_engine(label, 31, trace, fast=True, plan_free=True)
         assert fast.statistics == reference.statistics
         assert np.array_equal(
             fast.position_map.as_array(), reference.position_map.as_array()
@@ -237,7 +232,7 @@ class TestBatchedAccessEquivalence:
         assert list(fast.stash.block_ids) == list(reference.stash.block_ids)
 
     def test_batched_payloads_round_trip(self):
-        # write_many + access_many through the batched protocol must return
+        # write_many + access_many through plan-free bins must return
         # exactly what a per-access engine returns, duplicates included.
         rng = np.random.default_rng(13)
         writes = rng.integers(0, NUM_BLOCKS, size=80).tolist()
@@ -245,31 +240,16 @@ class TestBatchedAccessEquivalence:
             rng.integers(0, NUM_BLOCKS, size=200).tolist() + writes[:10] + writes[:10]
         )
         outputs = []
-        for fast, batch_size in ((False, None), (True, None), (True, 16)):
+        for label, fast in (
+            ("PathORAM", False), ("PathORAM", True), ("Normal/S16", True)
+        ):
             config = ORAMConfig(num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=5)
-            engine = build_engine(
-                "PathORAM",
-                config,
-                fast=fast,
-                batched=batch_size is not None,
-                batch_size=batch_size or 64,
-            )
+            engine = build_engine(label, config, fast=fast)
             engine.write_many(
                 writes, [f"payload-{i}" for i in range(len(writes))]
             )
             outputs.append(engine.access_many(reads))
         assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_batch_size_one_equals_sequential(self):
-        # batch_size=1 chunks degenerate to single accesses; the protocol
-        # must collapse to the classic per-access loop, snapshot-identically.
-        trace = make_trace("uniform", 7)
-        plain = run_engine("PathORAM", 7, trace, fast=True)
-        one = run_engine("PathORAM", 7, trace, fast=True, batch_size=1)
-        assert plain.statistics == one.statistics
-        assert np.array_equal(
-            plain.position_map.as_array(), one.position_map.as_array()
-        )
 
 
 class TestFastEngineCoverage:

@@ -1,14 +1,12 @@
 """Fused trace-driver guarantees: bit-identity and zero-allocation.
 
-Three contracts of the fused hot path (PR 8):
+Two contracts of the fused hot path (PR 8):
 
-* deferred counter aggregation (``TrafficCounter.deferred`` and the bulk
-  flush the fused drivers use) is bit-identical to per-event recording,
-  across all four protocol families;
 * ``run_trace`` is decision-for-decision identical to a per-call ``access``
-  loop — counters, timing, position map, stash contents and order, results —
-  including under aggressive background eviction, superblock merges, write
-  ops and numpy-array inputs;
+  loop — counters (the drivers' bulk flush against per-event recording),
+  timing, position map, stash contents and order, results — including
+  under aggressive background eviction, superblock merges, write ops and
+  numpy-array inputs;
 * the steady-state fused loop performs no per-access numpy allocations:
   ``tracemalloc`` growth over a long trace is bounded by the results list
   plus the block-buffered RNG refills.
@@ -21,9 +19,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
-from repro.memory.accounting import TrafficCounter
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
@@ -77,12 +72,6 @@ def _state(engine):
     )
 
 
-FAMILIES = [
-    ("pathoram", PathORAM, {}),
-    ("ringoram", RingORAM, {}),
-    ("proram", PrORAM, {"superblock_size": 2, "mode": SuperblockMode.DYNAMIC}),
-]
-
 ARRAY_FAMILIES = [
     ("pathoram", ArrayPathORAM, {}),
     ("ringoram", ArrayRingORAM, {}),
@@ -92,46 +81,6 @@ ARRAY_FAMILIES = [
         {"superblock_size": 2, "mode": SuperblockMode.DYNAMIC},
     ),
 ]
-
-
-class TestDeferredCounterEquivalence:
-    """Deferred aggregation == per-event recording, bit for bit."""
-
-    @pytest.mark.parametrize("name,cls,kwargs", FAMILIES)
-    def test_reference_families(self, name, cls, kwargs):
-        trace = _trace()
-        live = cls(_config(), counter=TrafficCounter(), **kwargs)
-        deferred = cls(_config(), counter=TrafficCounter(deferred=True), **kwargs)
-        for block_id in trace:
-            live.access(block_id)
-            deferred.access(block_id)
-        assert deferred.statistics == live.statistics
-        # Snapshot flushes; a second snapshot must not double-count.
-        assert deferred.statistics == live.statistics
-
-    def test_laoram(self):
-        addresses = np.asarray(_trace(), dtype=np.int64)
-
-        def build(counter):
-            return LAORAMClient(
-                LAORAMConfig(oram=_config(), superblock_size=4),
-                counter=counter,
-            )
-
-        live = build(TrafficCounter())
-        deferred = build(TrafficCounter(deferred=True))
-        live.run_trace(addresses)
-        deferred.run_trace(addresses)
-        assert deferred.statistics == live.statistics
-
-    def test_stash_history_stays_live_when_deferred(self):
-        counter = TrafficCounter(deferred=True)
-        counter.record_stash_history = True
-        engine = PathORAM(_config(), counter=counter)
-        trace = _trace(n=50)
-        for block_id in trace:
-            engine.access(block_id)
-        assert len(counter.stash_history) == len(trace)
 
 
 class TestRunTraceBitIdentity:

@@ -84,6 +84,35 @@ def test_worker_grouping_does_not_change_results(num_workers):
     assert grouped["results"] == reference["results"]
 
 
+@pytest.mark.parametrize("fast", [True, False])
+def test_runner_replays_trace_after_trace(fast):
+    # A second run_trace on a LAORAM runner used to raise "initial placement
+    # can only be applied before any access": placement is now the shard
+    # engine's own decision, so both backends take trace after trace and
+    # stay bit-identical.
+    outcomes = []
+    for kwargs in ({}, {"num_workers": 1}):
+        runner = ShardedRunner(
+            NUM_BLOCKS, NUM_SHARDS, family="laoram", seed=0,
+            use_fast_engine=fast, **kwargs,
+        )
+        try:
+            runner.run_trace(_trace(0))
+            merged = runner.run_trace(_trace(1))
+            assert merged.logical_accesses == 2 * NUM_ACCESSES
+            assert runner.total_real_blocks() == NUM_BLOCKS
+            outcomes.append(
+                (merged, runner.stash_occupancies(), runner.position_maps())
+            )
+        finally:
+            runner.close()
+    (seq_merged, seq_occ, seq_maps), (par_merged, par_occ, par_maps) = outcomes
+    assert par_merged == seq_merged
+    assert par_occ == seq_occ
+    for par_map, seq_map in zip(par_maps, seq_maps):
+        assert np.array_equal(par_map, seq_map)
+
+
 def test_parallel_runner_releases_all_shared_memory():
     runner = ShardedRunner(
         NUM_BLOCKS, NUM_SHARDS, family="laoram", seed=0, num_workers=2

@@ -3,9 +3,10 @@
 ``tests/test_security_uniformity.py`` checks the per-object engines on a
 256-block tree; this suite re-runs the same adversary at the embedding-table
 sizes the paper evaluates (2^17 – 2^20 blocks) where only the vectorized
-engines are fast enough, and adds the batched-access protocol to the matrix
-(ROADMAP item 5c): batching amortises path reads across a chunk, and the
-chunk boundary must not correlate the observable leaf stream.
+engines are fast enough, and adds plan-free grouped reads to the matrix
+(``Normal/S<k>.access_many`` with no plan installed): a bin amortises path
+reads across ``k`` accesses, and the bin boundary must not correlate the
+observable leaf stream.
 
 At these tree sizes there are far more leaves than observations, so the raw
 chi-square has no power; observed paths are coarsened onto 64 equal leaf
@@ -32,16 +33,15 @@ def coarsen(values: np.ndarray, domain: int, bins: int) -> np.ndarray:
     return (np.asarray(values, dtype=np.int64) * bins) // domain
 
 
-def observed_paths(label: str, num_blocks: int, trace, **build_kwargs):
+def observed_paths(label: str, num_blocks: int, trace, plan_free: bool = False):
+    """Leaf stream of ``trace`` replayed, or served plan-free in bins."""
     observer = MemoryBusObserver()
     config = build_oram_config(num_blocks=num_blocks, seed=7)
-    engine = build_engine(
-        label, config, fast=True, observer=observer, **build_kwargs
-    )
-    if hasattr(engine, "run_trace"):
-        engine.run_trace(trace)
-    else:
+    engine = build_engine(label, config, fast=True, observer=observer)
+    if plan_free:
         engine.access_many(trace)
+    else:
+        engine.run_trace(trace)
     # LAORAM's bins dedup shared paths, so the observation stream can be
     # several times shorter than the trace; it must still be large enough
     # for a powered 64-bin chi-square (>= ~8 expected per bin).
@@ -72,13 +72,13 @@ class TestFastEngineUniformity:
 
 
 class TestBatchedAccessUniformity:
-    """The batched protocol leaks nothing the per-access protocol doesn't."""
+    """Grouped reads leak nothing the per-access protocol doesn't."""
 
     @pytest.mark.parametrize("num_blocks", [1 << 17, 1 << 20])
     def test_batched_pathoram_paths_uniform(self, num_blocks):
         trace = make_trace(num_blocks)
         paths, num_leaves = observed_paths(
-            "PathORAM", num_blocks, trace, batched=True, batch_size=64
+            "Normal/S64", num_blocks, trace, plan_free=True
         )
         coarse = coarsen(paths, num_leaves, COARSE_BINS)
         result = chi_square_uniformity(coarse, COARSE_BINS)
@@ -99,7 +99,7 @@ class TestBatchedAccessUniformity:
         num_blocks = 1 << 17
         trace = make_trace(num_blocks)
         paths, num_leaves = observed_paths(
-            "PathORAM", num_blocks, trace, batched=True, batch_size=64
+            "Normal/S64", num_blocks, trace, plan_free=True
         )
         length = min(len(trace), paths.size)
         info = mutual_information(
@@ -109,13 +109,13 @@ class TestBatchedAccessUniformity:
         assert info < 0.25
 
     def test_batch_boundary_does_not_skew_leaf_stream(self):
-        # Same trace, different chunkings: each chunking's stream must be
-        # uniform on its own (the adversary knows the batch size).
+        # Same trace, different bin sizes: each one's stream must be
+        # uniform on its own (the adversary knows the superblock size).
         num_blocks = 1 << 17
         trace = make_trace(num_blocks, seed=13)
         for batch_size in (8, 64):
             paths, num_leaves = observed_paths(
-                "PathORAM", num_blocks, trace, batched=True, batch_size=batch_size
+                f"Normal/S{batch_size}", num_blocks, trace, plan_free=True
             )
             coarse = coarsen(paths, num_leaves, COARSE_BINS)
             result = chi_square_uniformity(coarse, COARSE_BINS)

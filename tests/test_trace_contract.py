@@ -1,0 +1,131 @@
+"""One trace contract for every engine.
+
+``ObliviousMemory`` declares three verbs — ``run_trace`` (replay a sequence
+known in advance; engines may look ahead), ``access_many`` and
+``write_many`` (serve now) — and every engine answers them with the same
+signature and the same data semantics, so callers never dispatch on the
+engine they hold.  This suite checks that over the whole matrix: every
+family, reference and array twin, dense and recursive position map, dict and
+``(rows, dim)`` matrix payload stores.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.exceptions import ConfigurationError
+from repro.experiments.configs import build_engine, build_oram_config
+from repro.oram.base import AccessOp, ObliviousMemory
+
+NUM_BLOCKS = 128
+DIM = 4
+VERBS = ("run_trace", "access_many", "write_many")
+TREE_LABELS = (
+    "PathORAM",
+    "RingORAM",
+    "PrORAM-static/S2",
+    "PrORAM-dynamic/S2",
+    "Normal/S4",
+    "Fat/S8",
+)
+LOOKAHEAD_LABELS = ("Normal/S4", "Fat/S8")
+
+#: (label, fast, recursive_posmap): the insecure baseline has neither a twin
+#: nor a position map.
+ENGINES = [("Insecure", False, False)] + [
+    (label, fast, recursive)
+    for label in TREE_LABELS
+    for fast in (False, True)
+    for recursive in (False, True)
+]
+
+
+def make_engine(label: str, fast: bool, recursive: bool):
+    # chi=4 with a 128-byte cutoff puts two recursion levels under 128 blocks.
+    config = build_oram_config(
+        num_blocks=NUM_BLOCKS,
+        block_size_bytes=4 * DIM,
+        seed=17,
+        recursive_posmap=recursive,
+        posmap_positions_per_block=4,
+        posmap_cutoff_bytes=128,
+    )
+    return build_engine(label, config, fast=fast)
+
+
+def parameters(func) -> list[tuple]:
+    return [
+        (p.name, p.kind, p.default)
+        for p in inspect.signature(func).parameters.values()
+    ]
+
+
+@pytest.mark.parametrize("label,fast,recursive", ENGINES)
+def test_verbs_have_the_base_signatures(label, fast, recursive):
+    engine = make_engine(label, fast, recursive)
+    for verb in VERBS:
+        assert parameters(getattr(type(engine), verb)) == parameters(
+            getattr(ObliviousMemory, verb)
+        ), f"{type(engine).__name__}.{verb}"
+
+
+@pytest.mark.parametrize("store", ["dict", "matrix"])
+@pytest.mark.parametrize("label,fast,recursive", ENGINES)
+def test_reads_return_the_last_write(label, fast, recursive, store):
+    engine = make_engine(label, fast, recursive)
+    rng = np.random.default_rng(5)
+    if store == "matrix":
+        initial = rng.normal(size=(NUM_BLOCKS, DIM)).astype(np.float32)
+        engine.load_payloads(initial.copy())
+        expected = initial.copy()
+        written = rng.normal(size=(37, DIM)).astype(np.float32)
+    else:
+        expected = [("initial", block_id) for block_id in range(NUM_BLOCKS)]
+        engine.load_payloads(dict(enumerate(expected)))
+        written = [("written", index) for index in range(37)]
+    # Neither length is a multiple of a superblock size, and both streams
+    # repeat ids: the duplicates below must keep their last payload.
+    write_ids = rng.integers(0, NUM_BLOCKS, size=37)
+    write_ids[[5, 20, 36]] = write_ids[0]
+    read_ids = np.concatenate(
+        [write_ids[:12], rng.integers(0, NUM_BLOCKS, size=41)]
+    )
+    for block_id, payload in zip(write_ids.tolist(), written):
+        expected[block_id] = payload
+
+    engine.write_many(write_ids, written)
+    replayed = engine.run_trace(read_ids)
+    served = engine.access_many(read_ids)
+
+    wanted = [expected[block_id] for block_id in read_ids.tolist()]
+    for got in (replayed, served):
+        assert len(got) == len(wanted)
+        if store == "matrix":
+            assert np.array_equal(np.asarray(got), np.asarray(wanted))
+        else:
+            assert list(got) == wanted
+    assert engine.statistics.logical_accesses == len(write_ids) + 2 * len(read_ids)
+    if label != "Insecure":
+        assert engine.total_real_blocks() == NUM_BLOCKS
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("label", LOOKAHEAD_LABELS)
+def test_lookahead_replay_is_read_only(label, fast):
+    # No caller replays writes through the lookahead pipeline; asking for it
+    # must name the verb that does serve them.
+    engine = make_engine(label, fast, False)
+    with pytest.raises(ConfigurationError, match="write_many"):
+        engine.run_trace([1, 2], AccessOp.WRITE, ["a", "b"])
+    with pytest.raises(ConfigurationError, match="write_many"):
+        engine.run_trace([1, 2], ops=[AccessOp.READ, AccessOp.READ])
+    assert engine.statistics.logical_accesses == 0
+
+
+@pytest.mark.parametrize("label,fast,recursive", ENGINES)
+def test_write_many_rejects_a_length_mismatch(label, fast, recursive):
+    engine = make_engine(label, fast, recursive)
+    with pytest.raises(ConfigurationError):
+        engine.write_many([1, 2, 3], ["a", "b"])
+    assert engine.statistics.logical_accesses == 0
