@@ -45,13 +45,10 @@ def train(label: str, dataset: SyntheticXNLIDataset) -> list[float]:
 
     print(f"\n=== {label} ===")
     print(f"{'epoch':>5}  {'loss':>8}  {'accuracy':>8}  {'paths/row':>9}  {'dummy':>6}")
-    accesses_per_epoch = NUM_SAMPLES * SEQUENCE_LENGTH * 2  # fetch + write-back
     paths_per_row = []
-    previous_reads = 0
     for epoch in range(1, EPOCHS + 1):
         report = trainer.train_xlmr_epoch(model, dataset)
-        paths_per_row.append((report.path_reads - previous_reads) / accesses_per_epoch)
-        previous_reads = report.path_reads
+        paths_per_row.append(report.path_reads / report.embedding_accesses)
         print(
             f"{epoch:>5}  {report.mean_loss:>8.4f}  {report.accuracy:>8.2%}  "
             f"{paths_per_row[-1]:>9.3f}  {report.dummy_reads:>6}"

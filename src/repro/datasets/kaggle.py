@@ -17,8 +17,6 @@ Two artefacts are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.datasets.base import AccessTrace
@@ -73,15 +71,6 @@ class SyntheticKaggleTrace:
         addresses = uniform
         addresses[hot_mask] = hot
         return AccessTrace("kaggle", self.num_blocks, addresses)
-
-
-@dataclass(frozen=True)
-class CriteoSample:
-    """One synthetic Criteo training sample."""
-
-    dense: np.ndarray
-    categorical: np.ndarray
-    label: int
 
 
 class SyntheticCriteoDataset:
@@ -140,22 +129,21 @@ class SyntheticCriteoDataset:
         """Index of the largest (ORAM-protected) table."""
         return int(np.argmax(self.table_sizes))
 
-    def sample(self, index: int) -> CriteoSample:
-        """Return one training sample."""
-        if not 0 <= index < self.num_samples:
-            raise IndexError(index)
-        return CriteoSample(
-            dense=self.dense[index],
-            categorical=self.categorical[index],
-            label=int(self.labels[index]),
-        )
+    def batches(self, batch_size: int, max_samples: int | None = None):
+        """Iterate over (dense, categorical, labels) minibatches.
 
-    def batches(self, batch_size: int):
-        """Iterate over (dense, categorical, labels) minibatches."""
+        Covers the first ``max_samples`` samples (default: all of them); the
+        last minibatch is short when ``batch_size`` does not divide them.
+        """
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        for start in range(0, self.num_samples, batch_size):
-            stop = start + batch_size
+        num_samples = self.num_samples if max_samples is None else min(
+            max_samples, self.num_samples
+        )
+        if num_samples < 1:
+            raise ConfigurationError("need at least one training sample")
+        for start in range(0, num_samples, batch_size):
+            stop = min(start + batch_size, num_samples)
             yield (
                 self.dense[start:stop],
                 self.categorical[start:stop],

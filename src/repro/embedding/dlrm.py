@@ -8,6 +8,14 @@ from the privacy standpoint (it is the one served through the ORAM); the
 model therefore separates "protected" lookups — supplied by the caller, who
 fetched them through a :class:`~repro.embedding.secure_loader.SecureEmbeddingStore`
 — from the small tables it keeps in plain client memory.
+
+The model is batch-first: every array carries the minibatch on its leading
+axis and one ``forward`` / ``backward`` pair is one SGD step.  The MLP
+weights, which every sample of the batch pushes, step on the *mean* of the
+per-sample gradients, so a step is never larger than a per-sample one;
+embedding rows, which only the samples that looked them up push, step on the
+*sum* of those samples' gradients, as per-sample SGD would move them.  A
+batch of one is plain per-sample SGD.
 """
 
 from __future__ import annotations
@@ -23,25 +31,22 @@ from repro.utils.rng import make_rng
 
 @dataclass
 class DLRMForwardCache:
-    """Intermediate activations needed by the backward pass."""
+    """Intermediate activations of one minibatch, needed by the backward pass."""
 
-    dense: np.ndarray
-    bottom_hidden: np.ndarray
-    bottom_out: np.ndarray
-    feature_vectors: np.ndarray
-    interactions: np.ndarray
-    top_input: np.ndarray
-    top_hidden: np.ndarray
-    logit: float
-    probability: float
+    dense: np.ndarray  # (B, num_dense)
+    bottom_hidden: np.ndarray  # (B, bottom_hidden)
+    feature_vectors: np.ndarray  # (B, F, d): bottom out, small rows, protected row
+    top_input: np.ndarray  # (B, d + F(F-1)/2)
+    top_hidden: np.ndarray  # (B, top_hidden)
+    probabilities: np.ndarray  # (B,)
 
 
 @dataclass
 class DLRMGradients:
-    """Gradients of one sample: model parameters plus protected-row gradient."""
+    """Per-sample losses and protected-row gradients of one minibatch."""
 
-    protected_row_grad: np.ndarray
-    loss: float
+    protected_row_grad: np.ndarray  # (B, d)
+    losses: np.ndarray  # (B,)
 
 
 class DLRMModel:
@@ -64,6 +69,7 @@ class DLRMModel:
         if learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
         rng = make_rng(seed)
+        self.num_dense_features = num_dense_features
         self.embedding_dim = embedding_dim
         self.learning_rate = learning_rate
         self.small_tables = [
@@ -83,119 +89,142 @@ class DLRMModel:
         self.w_top2 = (rng.normal(size=(top_hidden_dim, 1)) * 0.1).astype(np.float32)
         self.b_top2 = np.zeros(1, dtype=np.float32)
         self._num_features = num_features
+        # Feature pairs (i < j) in the order the interactions enter the top MLP.
+        self._pair_i, self._pair_j = np.triu_indices(num_features, k=1)
 
     # ------------------------------------------------------------------
     def forward(
         self,
         dense: np.ndarray,
         small_ids: np.ndarray,
-        protected_row: np.ndarray,
+        protected_rows: np.ndarray,
     ) -> DLRMForwardCache:
-        """Forward pass for one sample.
+        """Forward pass for a minibatch of ``B`` samples.
 
         Args:
-            dense: Dense feature vector.
-            small_ids: One categorical id per small (unprotected) table.
-            protected_row: Embedding vector of the protected table's id,
-                fetched obliviously by the caller.
+            dense: Dense features, shape ``(B, num_dense_features)``.
+            small_ids: One categorical id per small (unprotected) table and
+                sample, integer array of shape ``(B, num_small_tables)``.
+            protected_rows: Embedding vector of each sample's protected-table
+                id, shape ``(B, embedding_dim)``, fetched obliviously by the
+                caller.
         """
-        dense = np.asarray(dense, dtype=np.float32)
+        dense = self._as_matrix(dense, "dense", self.num_dense_features)
+        batch = dense.shape[0]
+        small_ids = self._as_small_ids(small_ids, batch)
+        protected_rows = self._as_matrix(protected_rows, "protected_rows", self.embedding_dim)
+        if protected_rows.shape[0] != batch:
+            raise ConfigurationError("dense and protected_rows disagree on the batch size")
+
         hidden = np.maximum(dense @ self.w_bottom1 + self.b_bottom1, 0.0)
-        bottom_out = hidden @ self.w_bottom2 + self.b_bottom2
+        features = np.empty((batch, self._num_features, self.embedding_dim), dtype=np.float32)
+        features[:, 0] = hidden @ self.w_bottom2 + self.b_bottom2
+        for column, table in enumerate(self.small_tables):
+            features[:, 1 + column] = table.lookup(small_ids[:, column])
+        features[:, -1] = protected_rows
 
-        vectors = [bottom_out]
-        for table, row_id in zip(self.small_tables, small_ids):
-            vectors.append(table.row(int(row_id)))
-        vectors.append(np.asarray(protected_row, dtype=np.float32))
-        feature_vectors = np.stack(vectors)  # (F, d)
-
-        gram = feature_vectors @ feature_vectors.T
-        iu = np.triu_indices(self._num_features, k=1)
-        interactions = gram[iu]
-
-        top_input = np.concatenate([bottom_out, interactions])
+        gram = features @ features.transpose(0, 2, 1)  # (B, F, F)
+        top_input = np.concatenate(
+            [features[:, 0], gram[:, self._pair_i, self._pair_j]], axis=1
+        )
         top_hidden = np.maximum(top_input @ self.w_top1 + self.b_top1, 0.0)
-        logit = float((top_hidden @ self.w_top2)[0] + self.b_top2[0])
-        probability = 1.0 / (1.0 + np.exp(-logit))
+        logits = (top_hidden @ self.w_top2[:, 0] + self.b_top2[0]).astype(np.float64)
         return DLRMForwardCache(
             dense=dense,
             bottom_hidden=hidden,
-            bottom_out=bottom_out,
-            feature_vectors=feature_vectors,
-            interactions=interactions,
+            feature_vectors=features,
             top_input=top_input,
             top_hidden=top_hidden,
-            logit=logit,
-            probability=probability,
+            probabilities=1.0 / (1.0 + np.exp(-logits)),
         )
 
     def backward(
         self,
         cache: DLRMForwardCache,
         small_ids: np.ndarray,
-        label: int,
+        labels: np.ndarray,
         update: bool = True,
     ) -> DLRMGradients:
-        """Backward pass (and optional in-place SGD step) for one sample.
+        """Backward pass (and optional in-place SGD step) for a minibatch.
 
-        Returns the loss and the gradient with respect to the protected
-        embedding row, which the caller writes back through the ORAM.
+        The MLP weights step on the batch mean of the per-sample gradients,
+        small-table rows on the sum over the samples that hit them.  Returns
+        each sample's loss and its (unscaled) gradient with respect to its
+        protected embedding row, which the caller writes back through the ORAM.
         """
-        label = float(label)
-        prob = cache.probability
+        prob = cache.probabilities
+        batch = prob.shape[0]
+        small_ids = self._as_small_ids(small_ids, batch)
+        labels = np.asarray(labels, dtype=np.float64)
+        if labels.shape != (batch,):
+            raise ConfigurationError(f"labels must have shape ({batch},)")
         eps = 1e-7
-        loss = -(label * np.log(prob + eps) + (1.0 - label) * np.log(1.0 - prob + eps))
-        dlogit = np.float32(prob - label)
+        losses = -(labels * np.log(prob + eps) + (1.0 - labels) * np.log(1.0 - prob + eps))
+        dlogit = (prob - labels).astype(np.float32)  # (B,)
 
         # Top MLP.
-        dw_top2 = np.outer(cache.top_hidden, dlogit).astype(np.float32)
-        db_top2 = np.array([dlogit], dtype=np.float32)
-        dtop_hidden = (self.w_top2[:, 0] * dlogit).astype(np.float32)
-        dtop_hidden_pre = dtop_hidden * (cache.top_hidden > 0)
-        dw_top1 = np.outer(cache.top_input, dtop_hidden_pre).astype(np.float32)
-        db_top1 = dtop_hidden_pre
-        dtop_input = (self.w_top1 @ dtop_hidden_pre).astype(np.float32)
+        dw_top2 = cache.top_hidden.T @ dlogit[:, None]
+        db_top2 = dlogit.sum(keepdims=True)
+        dtop_hidden_pre = (dlogit[:, None] * self.w_top2[:, 0]) * (cache.top_hidden > 0)
+        dw_top1 = cache.top_input.T @ dtop_hidden_pre
+        db_top1 = dtop_hidden_pre.sum(axis=0)
+        dtop_input = dtop_hidden_pre @ self.w_top1.T
 
+        # Interactions: d(v_i . v_j)/dv_i = v_j, so with G the symmetric
+        # matrix of interaction gradients dV = (G + G^T) V for every sample.
         d = self.embedding_dim
-        dbottom_out = dtop_input[:d].copy()
-        dinteractions = dtop_input[d:]
-
-        # Interactions: d(v_i . v_j)/dv_i = v_j.
-        dfeatures = np.zeros_like(cache.feature_vectors)
-        iu = np.triu_indices(self._num_features, k=1)
-        for grad, i, j in zip(dinteractions, iu[0], iu[1]):
-            dfeatures[i] += grad * cache.feature_vectors[j]
-            dfeatures[j] += grad * cache.feature_vectors[i]
-        dbottom_out += dfeatures[0]
-        dsmall = dfeatures[1:-1]
-        dprotected = dfeatures[-1].astype(np.float32)
-
-        # Bottom MLP.
-        dw_bottom2 = np.outer(cache.bottom_hidden, dbottom_out).astype(np.float32)
-        db_bottom2 = dbottom_out
-        dhidden = (self.w_bottom2 @ dbottom_out).astype(np.float32)
-        dhidden_pre = dhidden * (cache.bottom_hidden > 0)
-        dw_bottom1 = np.outer(cache.dense, dhidden_pre).astype(np.float32)
-        db_bottom1 = dhidden_pre
+        pair_grads = np.zeros((batch, self._num_features, self._num_features), dtype=np.float32)
+        pair_grads[:, self._pair_i, self._pair_j] = dtop_input[:, d:]
+        dfeatures = (pair_grads + pair_grads.transpose(0, 2, 1)) @ cache.feature_vectors
+        dbottom_out = dtop_input[:, :d] + dfeatures[:, 0]
+        dprotected = dfeatures[:, -1].copy()
 
         if update:
-            lr = self.learning_rate
-            self.w_top2 -= lr * dw_top2
-            self.b_top2 -= lr * db_top2
-            self.w_top1 -= lr * dw_top1
-            self.b_top1 -= lr * db_top1
-            self.w_bottom2 -= lr * dw_bottom2
-            self.b_bottom2 -= lr * db_bottom2
-            self.w_bottom1 -= lr * dw_bottom1
-            self.b_bottom1 -= lr * db_bottom1
-            for table, row_id, grad in zip(self.small_tables, small_ids, dsmall):
-                table.apply_gradients([int(row_id)], grad[None, :], lr)
+            # Bottom MLP.
+            dw_bottom2 = cache.bottom_hidden.T @ dbottom_out
+            dhidden_pre = (dbottom_out @ self.w_bottom2.T) * (cache.bottom_hidden > 0)
+            dw_bottom1 = cache.dense.T @ dhidden_pre
 
-        return DLRMGradients(protected_row_grad=dprotected, loss=float(loss))
+            lr = np.float32(self.learning_rate)
+            mean_lr = lr / np.float32(batch)
+            self.w_top2 -= mean_lr * dw_top2
+            self.b_top2 -= mean_lr * db_top2
+            self.w_top1 -= mean_lr * dw_top1
+            self.b_top1 -= mean_lr * db_top1
+            self.w_bottom2 -= mean_lr * dw_bottom2
+            self.b_bottom2 -= mean_lr * dbottom_out.sum(axis=0)
+            self.w_bottom1 -= mean_lr * dw_bottom1
+            self.b_bottom1 -= mean_lr * dhidden_pre.sum(axis=0)
+            # apply_gradients accumulates ids repeated within the batch.
+            for column, table in enumerate(self.small_tables):
+                table.apply_gradients(small_ids[:, column], dfeatures[:, 1 + column], lr)
+
+        return DLRMGradients(protected_row_grad=dprotected, losses=losses)
 
     # ------------------------------------------------------------------
     def predict_proba(
-        self, dense: np.ndarray, small_ids: np.ndarray, protected_row: np.ndarray
-    ) -> float:
-        """Click probability for one sample."""
-        return self.forward(dense, small_ids, protected_row).probability
+        self, dense: np.ndarray, small_ids: np.ndarray, protected_rows: np.ndarray
+    ) -> np.ndarray:
+        """Click probability of every sample of a minibatch."""
+        return self.forward(dense, small_ids, protected_rows).probabilities
+
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _as_matrix(values: np.ndarray, name: str, width: int) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float32)
+        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] != width:
+            raise ConfigurationError(
+                f"{name} must have shape (batch, {width}), got {values.shape}"
+            )
+        return values
+
+    def _as_small_ids(self, small_ids: np.ndarray, batch: int) -> np.ndarray:
+        small_ids = np.asarray(small_ids)
+        if small_ids.dtype.kind not in "iu":
+            raise ConfigurationError("small_ids must be an integer array")
+        if small_ids.shape != (batch, len(self.small_tables)):
+            raise ConfigurationError(
+                f"small_ids must have shape ({batch}, {len(self.small_tables)}), "
+                f"got {small_ids.shape}"
+            )
+        return small_ids

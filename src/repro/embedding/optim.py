@@ -4,6 +4,10 @@ Embedding training only touches the rows accessed in the current batch, so
 optimiser state and updates are sparse.  Both optimisers operate on gradient
 arrays aligned with an explicit list of row ids, exactly the quantities the
 oblivious trainer moves through the ORAM.
+
+One ``update`` call is one step per row: it reads every row as fetched, so
+the caller sums the gradients of a row that occurs several times in a
+request and passes it once (``ObliviousEmbeddingTrainer.apply_gradients``).
 """
 
 from __future__ import annotations

@@ -22,11 +22,16 @@ from repro.embedding.optim import SparseSGD
 from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.xlmr import XLMRClassifier
 from repro.exceptions import ConfigurationError
+from repro.memory.accounting import TrafficSnapshot
 
 
 @dataclass(frozen=True)
 class TrainingReport:
-    """Summary of one training epoch through the oblivious store."""
+    """Summary of one training epoch through the oblivious store.
+
+    The traffic fields count that epoch only, whatever the engine served
+    before it.
+    """
 
     mean_loss: float
     accuracy: float
@@ -54,50 +59,35 @@ class ObliviousEmbeddingTrainer:
         """One epoch of DLRM training with the largest table behind the ORAM.
 
         The protected rows of a whole minibatch are fetched in one request
-        (as the trainer GPU caches the batch's entries in its HBM), which is
-        exactly the access pattern that lets LAORAM serve a batch from a few
+        (as the trainer GPU caches the batch's entries in its HBM), trained
+        in one model step and written back in one request, which is exactly
+        the access pattern that lets LAORAM serve a batch from a few
         coalesced paths.
         """
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         protected_index = dataset.largest_table_index
-        num_samples = dataset.num_samples if max_samples is None else min(
-            max_samples, dataset.num_samples
-        )
-        if num_samples < 1:
-            raise ConfigurationError("need at least one training sample")
+        batches = list(dataset.batches(batch_size, max_samples))
+        epoch_start = self._traffic()
         # The preprocessor sees the access stream the loop below will really
         # generate: each minibatch fetches its protected rows and then writes
         # them back, so every batch's ids appear twice in a row.
-        trace_parts = []
-        for start in range(0, num_samples, batch_size):
-            stop = min(start + batch_size, num_samples)
-            batch_column = dataset.categorical[start:stop, protected_index]
-            trace_parts.extend([batch_column, batch_column])
-        self._maybe_install_plan(np.concatenate(trace_parts))
+        self._maybe_install_plan(np.concatenate([
+            categorical[:, protected_index]
+            for _, categorical, _ in batches
+            for _ in range(2)
+        ]))
 
         losses = []
         correct = 0
-        for start in range(0, num_samples, batch_size):
-            stop = min(start + batch_size, num_samples)
-            batch_ids = dataset.categorical[start:stop, protected_index]
+        for dense, categorical, labels in batches:
+            batch_ids = categorical[:, protected_index]
+            small_ids = np.delete(categorical, protected_index, axis=1)
             rows = self.store.fetch_rows(batch_ids)
-            updated_rows = rows.copy()
-            for offset, index in enumerate(range(start, stop)):
-                sample = dataset.sample(index)
-                small_ids = np.delete(sample.categorical, protected_index)
-                cache = model.forward(sample.dense, small_ids, rows[offset])
-                grads = model.backward(cache, small_ids, sample.label)
-                updated_rows[offset] = self.optimizer.update(
-                    rows[offset][None, :],
-                    grads.protected_row_grad[None, :],
-                    batch_ids[offset : offset + 1],
-                )[0]
-                losses.append(grads.loss)
-                if (cache.probability >= 0.5) == bool(sample.label):
-                    correct += 1
-            self.store.update_rows(batch_ids, updated_rows)
-        return self._report(losses, correct, num_samples)
+            cache = model.forward(dense, small_ids, rows)
+            grads = model.backward(cache, small_ids, labels)
+            self.apply_gradients(batch_ids, rows, grads.protected_row_grad)
+            losses.append(grads.losses)
+            correct += int(np.count_nonzero((cache.probabilities >= 0.5) == (labels != 0)))
+        return self._report(np.concatenate(losses), correct, epoch_start)
 
     def train_xlmr_epoch(
         self,
@@ -111,6 +101,7 @@ class ObliviousEmbeddingTrainer:
         )
         if num_samples < 1:
             raise ConfigurationError("need at least one training sample")
+        epoch_start = self._traffic()
         # Each sample fetches its token rows and writes them back, so the
         # preprocessor's trace repeats every sample's tokens twice.
         trace_parts = []
@@ -126,11 +117,33 @@ class ObliviousEmbeddingTrainer:
             token_ids = sample.tokens
             rows = self.store.fetch_rows(token_ids)
             result = model.train_step(rows, sample.label)
-            updated = self.optimizer.update(rows, result.token_grads, token_ids.tolist())
-            self.store.update_rows(token_ids, updated)
+            self.apply_gradients(token_ids, rows, result.token_grads)
             losses.append(result.loss)
             correct += int(result.correct)
-        return self._report(losses, correct, num_samples)
+        return self._report(losses, correct, epoch_start)
+
+    def apply_gradients(
+        self, row_ids: np.ndarray, rows: np.ndarray, gradients: np.ndarray
+    ) -> None:
+        """One optimizer step on the fetched ``rows``, written back obliviously.
+
+        A row fetched several times in one request (a hot Criteo id shared
+        by samples of a minibatch, a token repeated in a sentence) steps once
+        on the sum of its occurrences' gradients, and every occurrence is
+        written back with that value, so the write-back issues exactly the
+        ids the fetch did.
+        """
+        # Sort so equal ids are adjacent; each run of equal ids is one row.
+        order = np.argsort(row_ids, kind="stable")
+        sorted_ids = row_ids[order]
+        run_start = np.ones(sorted_ids.size, dtype=bool)
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=run_start[1:])
+        first = order[run_start]
+        summed = np.add.reduceat(gradients[order], np.flatnonzero(run_start), axis=0)
+        updated = self.optimizer.update(rows[first], summed, row_ids[first])
+        written = np.empty_like(updated, shape=rows.shape)
+        written[order] = updated[run_start.cumsum() - 1]
+        self.store.update_rows(row_ids, written)
 
     # ------------------------------------------------------------------
     def _maybe_install_plan(self, trace: np.ndarray) -> None:
@@ -141,13 +154,20 @@ class ObliviousEmbeddingTrainer:
             if memory.statistics.logical_accesses == 0:
                 memory.apply_initial_placement(plan)
 
-    def _report(self, losses: list[float], correct: int, num_samples: int) -> TrainingReport:
-        stats = self.store.memory.statistics
+    def _traffic(self) -> tuple[TrafficSnapshot, float]:
+        memory = self.store.memory
+        return memory.statistics, memory.simulated_time_s
+
+    def _report(
+        self, losses, correct: int, epoch_start: tuple[TrafficSnapshot, float]
+    ) -> TrainingReport:
+        before, time_before = epoch_start
+        after, time_after = self._traffic()
         return TrainingReport(
             mean_loss=float(np.mean(losses)),
-            accuracy=correct / num_samples,
-            embedding_accesses=stats.logical_accesses,
-            path_reads=stats.path_reads,
-            dummy_reads=stats.dummy_reads,
-            simulated_time_s=self.store.memory.simulated_time_s,
+            accuracy=correct / len(losses),
+            embedding_accesses=after.logical_accesses - before.logical_accesses,
+            path_reads=after.path_reads - before.path_reads,
+            dummy_reads=after.dummy_reads - before.dummy_reads,
+            simulated_time_s=time_after - time_before,
         )

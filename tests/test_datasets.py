@@ -169,6 +169,16 @@ class TestCriteoDataset:
         assert batches[0][0].shape[0] == 4
         assert batches[-1][0].shape[0] == 2
 
+    def test_batches_stop_at_max_samples(self):
+        dataset = SyntheticCriteoDataset(num_samples=10, largest_table_rows=100, seed=0)
+        batches = list(dataset.batches(4, max_samples=7))
+        assert [labels.shape[0] for _, _, labels in batches] == [4, 3]
+        assert np.array_equal(np.concatenate([c for _, c, _ in batches]), dataset.categorical[:7])
+        assert sum(d.shape[0] for d, _, _ in dataset.batches(4, max_samples=99)) == 10
+        for batch_size, max_samples in [(0, None), (4, 0)]:
+            with pytest.raises(ConfigurationError):
+                list(dataset.batches(batch_size, max_samples))
+
 
 class TestXNLI:
     def test_trace_is_zipfian(self):

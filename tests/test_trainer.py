@@ -8,11 +8,14 @@ from repro.core.laoram import LAORAMClient
 from repro.datasets.kaggle import SyntheticCriteoDataset
 from repro.datasets.xnli import SyntheticXNLIDataset
 from repro.embedding.dlrm import DLRMModel
+from repro.embedding.optim import SparseSGD
 from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
 from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.embedding.xlmr import XLMRClassifier
+from repro.exceptions import ConfigurationError
 from repro.oram.config import ORAMConfig
+from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 
 EMBED_DIM = 8
@@ -29,18 +32,69 @@ def make_store(use_laoram: bool):
     return SecureEmbeddingStore(engine, table)
 
 
+def make_dlrm(dataset):
+    return DLRMModel(
+        num_dense_features=13,
+        small_table_sizes=dataset.table_sizes[:-1],
+        embedding_dim=EMBED_DIM,
+        seed=0,
+    )
+
+
+def record_issued_ids(memory):
+    """Log the ids of every ``access_many`` / ``write_many`` call on ``memory``."""
+    issued = []
+    for verb in ("access_many", "write_many"):
+        def logged(ids, *args, _call=getattr(memory, verb), _verb=verb):
+            issued.append((_verb, np.array(ids)))
+            return _call(ids, *args)
+        setattr(memory, verb, logged)
+    return issued
+
+
+class TestApplyGradients:
+    def test_repeated_id_takes_the_sum_of_its_gradients(self):
+        """A row fetched twice in one request must not lose one of its gradients."""
+        store = make_store(use_laoram=False)
+        plain = EmbeddingTable(TABLE_ROWS, EMBED_DIM, seed=2)
+        trainer = ObliviousEmbeddingTrainer(store, SparseSGD(learning_rate=0.1))
+        ids = np.array([5, 9, 5])
+        gradients = np.arange(3 * EMBED_DIM, dtype=np.float32).reshape(3, EMBED_DIM) / 10
+        rows = store.fetch_rows(ids)
+        issued = record_issued_ids(store.memory)
+        trainer.apply_gradients(ids, rows, gradients)
+        assert [(verb, sent.tolist()) for verb, sent in issued] == [("write_many", [5, 9, 5])]
+
+        trained = store.fetch_rows(np.array([5, 9]))
+        assert np.allclose(trained[0], rows[0] - 0.1 * (gradients[0] + gradients[2]), atol=1e-7)
+        plain.apply_gradients(ids, gradients, 0.1)
+        assert np.allclose(trained, plain.weights[[5, 9]], rtol=0, atol=1e-7)
+
+    def test_repeated_token_in_a_sentence_keeps_every_gradient(self):
+        dataset = SyntheticXNLIDataset(
+            num_samples=1, vocabulary_size=TABLE_ROWS, sequence_length=4, seed=6
+        )
+        dataset.tokens[0] = [7, 3, 7, 7]
+        store = make_store(use_laoram=True)
+        before = store.fetch_rows(np.array([7, 3]))
+        model = XLMRClassifier(embedding_dim=EMBED_DIM, seed=0)
+        token_grad = model.train_step(
+            before[[0, 1, 0, 0]], int(dataset.labels[0]), update=False
+        ).token_grads[0]
+        trainer = ObliviousEmbeddingTrainer(store, SparseSGD(learning_rate=0.1))
+        trainer.train_xlmr_epoch(model, dataset)
+        after = store.fetch_rows(np.array([7, 3]))
+        assert np.allclose(after[0], before[0] - 0.1 * 3 * token_grad, rtol=0, atol=1e-7)
+        assert np.allclose(after[1], before[1] - 0.1 * token_grad, rtol=0, atol=1e-7)
+
+
 class TestDLRMTraining:
     @pytest.mark.parametrize("use_laoram", [False, True], ids=["pathoram", "laoram"])
     def test_epoch_produces_finite_metrics(self, use_laoram):
         dataset = SyntheticCriteoDataset(
             num_samples=40, largest_table_rows=TABLE_ROWS, seed=4
         )
-        model = DLRMModel(
-            num_dense_features=13,
-            small_table_sizes=dataset.table_sizes[:-1],
-            embedding_dim=EMBED_DIM,
-            seed=0,
-        )
+        model = make_dlrm(dataset)
         trainer = ObliviousEmbeddingTrainer(make_store(use_laoram))
         report = trainer.train_dlrm_epoch(model, dataset, max_samples=40)
         assert np.isfinite(report.mean_loss)
@@ -53,15 +107,118 @@ class TestDLRMTraining:
         )
         reports = {}
         for use_laoram in (False, True):
-            model = DLRMModel(
-                num_dense_features=13,
-                small_table_sizes=dataset.table_sizes[:-1],
-                embedding_dim=EMBED_DIM,
-                seed=0,
-            )
+            model = make_dlrm(dataset)
             trainer = ObliviousEmbeddingTrainer(make_store(use_laoram))
             reports[use_laoram] = trainer.train_dlrm_epoch(model, dataset, max_samples=60)
         assert reports[True].path_reads < reports[False].path_reads
+
+    @pytest.mark.parametrize(
+        "max_samples, batch_size", [(None, 8), (21, 8), (5, 1)],
+        ids=["ragged", "max_samples", "batch_of_one"],
+    )
+    def test_every_sample_trains_whatever_the_batching(self, max_samples, batch_size):
+        dataset = SyntheticCriteoDataset(
+            num_samples=37, largest_table_rows=TABLE_ROWS, seed=8
+        )
+        num_samples = 37 if max_samples is None else max_samples
+        store = make_store(use_laoram=True)
+        issued = record_issued_ids(store.memory)
+        trainer = ObliviousEmbeddingTrainer(store)
+        report = trainer.train_dlrm_epoch(
+            make_dlrm(dataset), dataset, max_samples=max_samples, batch_size=batch_size
+        )
+        assert report.embedding_accesses == 2 * num_samples
+        assert np.isfinite(report.mean_loss)
+        assert 0.0 <= report.accuracy <= 1.0
+        sizes = [sent.size for verb, sent in issued if verb == "access_many"]
+        full, ragged = divmod(num_samples, batch_size)
+        assert sizes == [batch_size] * full + [ragged] * bool(ragged)
+
+    def test_trace_given_to_preprocess_is_the_stream_issued_to_the_engine(self):
+        dataset = SyntheticCriteoDataset(
+            num_samples=37, largest_table_rows=TABLE_ROWS, seed=9
+        )
+        store = make_store(use_laoram=True)
+        planned = []
+        preprocess = store.memory.preprocess
+
+        def logged_preprocess(trace, **kwargs):
+            planned.append(np.array(trace))
+            return preprocess(trace, **kwargs)
+
+        store.memory.preprocess = logged_preprocess
+        issued = record_issued_ids(store.memory)
+        ObliviousEmbeddingTrainer(store).train_dlrm_epoch(
+            make_dlrm(dataset), dataset, batch_size=8
+        )
+        assert len(planned) == 1
+        assert [verb for verb, _ in issued] == ["access_many", "write_many"] * 5
+        assert np.array_equal(planned[0], np.concatenate([sent for _, sent in issued]))
+        column = dataset.categorical[:, dataset.largest_table_index]
+        reads = np.concatenate([sent for verb, sent in issued if verb == "access_many"])
+        assert np.array_equal(reads, column)
+
+    @pytest.mark.parametrize("seed", [0, 4, 10, 11])
+    def test_loss_stays_finite_and_falls_at_the_benchmark_sizes(self, seed):
+        """512 samples, batch 32, default rates: a step on the batch *sum* of the
+        MLP gradients reached NaN on seeds 4, 10 and 11 (seed 11 in epoch one)."""
+        rows, dim = 1 << 19, 32
+        dataset = SyntheticCriteoDataset(512, largest_table_rows=rows, seed=seed)
+        protected = dataset.largest_table_index
+        small = tuple(
+            size for index, size in enumerate(dataset.table_sizes) if index != protected
+        )
+        model = DLRMModel(13, small, embedding_dim=dim, seed=seed)
+        config = ORAMConfig(num_blocks=rows, block_size_bytes=4 * dim, seed=seed)
+        store = SecureEmbeddingStore(InsecureMemory(config), EmbeddingTable(rows, dim, seed=seed))
+        trainer = ObliviousEmbeddingTrainer(store)
+        losses = [
+            trainer.train_dlrm_epoch(model, dataset, batch_size=32).mean_loss
+            for _ in range(4)
+        ]
+        assert np.all(np.isfinite(losses))
+        assert losses[-1] < losses[0] < 0.75
+        assert np.all(np.isfinite(store.fetch_rows(dataset.categorical[:, protected])))
+
+    def test_invalid_batching_is_rejected(self):
+        dataset = SyntheticCriteoDataset(
+            num_samples=5, largest_table_rows=TABLE_ROWS, seed=10
+        )
+        trainer = ObliviousEmbeddingTrainer(make_store(use_laoram=False))
+        with pytest.raises(ConfigurationError):
+            trainer.train_dlrm_epoch(make_dlrm(dataset), dataset, batch_size=0)
+        with pytest.raises(ConfigurationError):
+            trainer.train_dlrm_epoch(make_dlrm(dataset), dataset, max_samples=0)
+
+
+class TestTrainingReport:
+    @pytest.mark.parametrize("use_laoram", [False, True], ids=["pathoram", "laoram"])
+    def test_second_epoch_reports_one_epochs_traffic(self, use_laoram):
+        dataset = SyntheticXNLIDataset(
+            num_samples=12, vocabulary_size=TABLE_ROWS, sequence_length=4, seed=6
+        )
+        store = make_store(use_laoram)
+        model = XLMRClassifier(embedding_dim=EMBED_DIM, seed=0)
+        trainer = ObliviousEmbeddingTrainer(store)
+        first = trainer.train_xlmr_epoch(model, dataset)
+        second = trainer.train_xlmr_epoch(model, dataset)
+        total = store.memory.statistics
+        assert first.embedding_accesses == second.embedding_accesses == 12 * 4 * 2
+        assert first.path_reads + second.path_reads == total.path_reads
+        assert first.dummy_reads + second.dummy_reads == total.dummy_reads
+        assert 0 < second.path_reads < total.path_reads
+        assert first.simulated_time_s + second.simulated_time_s == pytest.approx(
+            store.memory.simulated_time_s
+        )
+
+    def test_dlrm_epochs_report_their_own_traffic(self):
+        dataset = SyntheticCriteoDataset(
+            num_samples=20, largest_table_rows=TABLE_ROWS, seed=4
+        )
+        trainer = ObliviousEmbeddingTrainer(make_store(use_laoram=True))
+        model = make_dlrm(dataset)
+        reports = [trainer.train_dlrm_epoch(model, dataset, batch_size=8) for _ in range(2)]
+        assert [report.embedding_accesses for report in reports] == [40, 40]
 
 
 class TestXLMRTraining:

@@ -63,7 +63,7 @@ def _train(label, seed, fast, epoch):
     plans = []
     for _ in range(2):
         reports.append(epoch(trainer))
-        plans.append(engine.plan)
+        plans.append(getattr(engine, "plan", None))
     statistics = engine.statistics
     return reports, plans, statistics, store.materialize().weights
 
@@ -78,6 +78,18 @@ def test_fast_and_reference_training_agree(run, label, seed):
     assert fast_plans[0] is not fast_plans[1]
     assert fast_reports == ref_reports
     assert fast_stats == ref_stats
+    assert np.array_equal(fast_weights, ref_weights)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("run", [_xlmr_run, _dlrm_run], ids=["xlmr", "dlrm"])
+def test_oblivious_training_learns_exactly_what_insecure_training_does(run, seed):
+    """The engine moves rows, it never changes them: same losses, same trained rows."""
+    fast_reports, _, _, fast_weights = run("Fat/S8", seed, fast=True)
+    ref_reports, _, _, ref_weights = run("Insecure", seed, fast=False)
+    for fast, ref in zip(fast_reports, ref_reports):
+        assert (fast.mean_loss, fast.accuracy) == (ref.mean_loss, ref.accuracy)
+        assert fast.embedding_accesses == ref.embedding_accesses
     assert np.array_equal(fast_weights, ref_weights)
 
 
