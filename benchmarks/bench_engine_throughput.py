@@ -236,9 +236,9 @@ def bench_recursion(family, label, oram_config, trace, args):
     logical access — the lookahead amortization LAORAM banks on (one
     charged walk remaps a whole superblock, so S4 pays ~1/4 of
     PathORAM's per-access walk rate) — next to the honest client-memory
-    reduction the recursion buys.  Wall-clock slowdown (the recursive
-    map also forfeits the fused trace drivers) is gated only when
-    ``--max-recursion-slowdown`` is passed, as the CI smoke does.
+    reduction the recursion buys.  Wall-clock slowdown (both runs take
+    the same fused driver; the recursive one pays its walks) is gated
+    only when ``--max-recursion-slowdown`` is passed, as the CI smoke does.
     """
     num_accesses = len(trace.addresses)
 
@@ -596,9 +596,9 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         help="gate the recursive/dense wall-clock slowdown (recursion "
-        "mode); omit to record the cost ungated — the recursive map "
-        "forfeits the fused drivers, so CI smoke passes an explicit bound "
-        "instead of hard-coding one for every machine",
+        "mode); omit to record the cost ungated — the walks' cost depends "
+        "on the host, so CI smoke passes an explicit bound instead of "
+        "hard-coding one for every machine",
     )
     parser.add_argument(
         "--num-shards",

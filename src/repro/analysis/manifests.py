@@ -169,8 +169,8 @@ _PATH_REVEAL = (
     Declassifier("read_paths_ids", (0,)),
     Declassifier("read_path", (0,)),
     Declassifier("_fetch_path", (0,)),
-    # _fused_fetch(read_ids, pm, stash_map, leaf): the leaf is argument 3.
-    Declassifier("_fused_fetch", (3,)),
+    # fused_fetch(read_ids, tags, stash_map, leaf): the leaf is argument 3.
+    Declassifier("fused_fetch", (3,)),
     Declassifier("fetch", (3,)),
     Declassifier("_online_read", (0,)),
     Declassifier("remove_on_path", (0,)),
@@ -179,9 +179,18 @@ _PATH_REVEAL = (
 )
 
 _ENGINE_SOURCES = ModuleSources(
-    params=frozenset({"block_id", "block_ids", "stash_map", "pm", "groups"}),
-    attrs=frozenset({"position_map.leaves", "id_rows", "leaf_rows", "stash"}),
-    calls=frozenset({"position_map.get", "_stash_lookup", "_stash_detach"}),
+    params=frozenset({"block_id", "block_ids", "stash_map", "groups"}),
+    attrs=frozenset({"id_rows", "leaf_rows", "stash"}),
+    # leaf_access() hands out the tag view and the get/set accessors: all
+    # three are secret, and so is every leaf ``get`` returns.
+    calls=frozenset(
+        {
+            "position_map.get",
+            "position_map.leaf_access",
+            "_stash_lookup",
+            "_stash_detach",
+        }
+    ),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -189,7 +198,6 @@ _PRORAM_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids", "stash_map"}),
     attrs=frozenset(
         {
-            "position_map.leaves",
             "id_rows",
             "leaf_rows",
             "stash",
@@ -204,7 +212,7 @@ _PRORAM_SOURCES = ModuleSources(
 )
 
 _WRITE_BACK_SOURCES = ModuleSources(
-    params=frozenset({"stash", "stash_map"}),
+    params=frozenset({"stash", "stash_map", "tags"}),
     attrs=frozenset({"id_rows", "leaf_rows"}),
     calls=frozenset(),
     declassifiers=(),
@@ -241,7 +249,6 @@ def default_config() -> AnalysisConfig:
                 "ArrayStorageEngine._commit_write_back_scalar",
                 "ArrayStorageEngine._commit_write_back_vector",
                 "ArrayStorageEngine._select_and_commit",
-                "_fused_fetch",
             ),
             "repro/oram/ring_oram.py": (
                 "RingProtocolMixin.access",
@@ -259,6 +266,7 @@ def default_config() -> AnalysisConfig:
             "repro/oram/write_back.py": (
                 "plan_greedy_write_back",
                 "plan_batched_write_back",
+                "fused_fetch",
                 "fused_greedy_write_back",
             ),
             "repro/oram/recursive_posmap.py": (
@@ -275,7 +283,6 @@ def default_config() -> AnalysisConfig:
         alloc_hot_functions={
             "repro/oram/engine.py": (
                 AllocScope("ArrayStorageEngine._run_trace_fused", "loops"),
-                AllocScope("_fused_fetch", "body"),
             ),
             "repro/oram/ring_oram.py": (
                 AllocScope("ArrayRingORAM._run_trace_ring_fused", "loops"),
@@ -287,6 +294,7 @@ def default_config() -> AnalysisConfig:
                 ),
             ),
             "repro/oram/write_back.py": (
+                AllocScope("fused_fetch", "body"),
                 AllocScope("fused_greedy_write_back", "body"),
             ),
             "repro/oram/tree.py": (

@@ -6,8 +6,8 @@ A deliberately simple forward dataflow over one function body:
   (:class:`~repro.analysis.manifests.ModuleSources`): secret parameters,
   secret attribute suffixes (position-map leaf arrays, stash id/leaf rows)
   and secret-returning calls (position-map lookups).  Each source yields a
-  label (``param:block_id``, ``attr:position_map.leaves``, ...) and labels
-  propagate through assignments, arithmetic, subscripts, calls and
+  label (``param:block_id``, ``call:position_map.leaf_access``, ...) and
+  labels propagate through assignments, arithmetic, subscripts, calls and
   container poisoning.
 * **Label classes** encode the threat model: ``param:`` labels are
   *content-secret* — the values are secret but their count is public (a

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.oram.array_path_oram import ArrayPathORAM
-from repro.oram.position_map import PositionMap
 from repro.core.laoram import LookaheadClientMixin
 from repro.core.superblock import LookaheadPlan, SuperblockBin
 
@@ -189,13 +188,11 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             for block_id in needed:
                 self._check_block_id(block_id)
 
-        # Leaf reads/writes go straight to the position-map array when the
-        # map is the trusted dense one: every id was range-checked above and
-        # every new leaf comes from the plan or the engine RNG, both already
-        # bounded by num_leaves.  A recursive map has no free array view, so
-        # leaf lookups and remaps route through its charged get/set walks.
-        dense = type(self.position_map) is PositionMap
-        pm_leaves = self.position_map.leaves if dense else None
+        # Leaf lookups and remaps go through the map's own accessors (the
+        # dense array's C calls, or the recursive map's charged walks):
+        # every id was range-checked above and every new leaf comes from the
+        # plan (range-checked below) or the engine RNG.
+        _, get_leaf, set_leaf = self.position_map.leaf_access()
         stash = self.stash
         row_of = stash.row_of
         read_leaves: list[int] = []
@@ -203,12 +200,8 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         self._stash_hits += len(needed) - len(missing)
         if missing:
             leaves: dict[int, None] = {}
-            if dense:
-                for block_id in missing:
-                    leaves.setdefault(int(pm_leaves[block_id]), None)
-            else:
-                for block_id in missing:
-                    leaves.setdefault(self.position_map.get(block_id), None)
+            for block_id in missing:
+                leaves.setdefault(get_leaf(block_id), None)
             read_leaves = list(leaves)
             self._read_paths_into_stash(read_leaves, dummy=False)
             for block_id in missing:
@@ -229,9 +222,9 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         # Remap every distinct block to its next planned occurrence.  The
         # stash mirrors each resident block's leaf, so both the position map
         # and the block's stash row are updated together.  Plan-supplied
-        # leaves are range-checked (the direct array writes bypass
-        # PositionMap.set) so a plan built for a different tree fails here,
-        # exactly where the per-object client would.
+        # leaves are range-checked (the dense accessor is the bare array
+        # write) so a plan built for a different tree fails here, exactly
+        # where the per-object client would.
         end_index = start_index + len(block_ids) - 1
         stash_leaves = stash.leaf_rows
         num_leaves = self.config.num_leaves
@@ -242,10 +235,7 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                     raise ConfigurationError(
                         f"planned leaf {leaf} outside [0, {num_leaves})"
                     )
-                if dense:
-                    pm_leaves[block_id] = leaf
-                else:
-                    self.position_map.set(block_id, leaf)
+                set_leaf(block_id, leaf)
                 stash_leaves[row_of[block_id]] = leaf
         else:
             rng = self.rng
@@ -256,10 +246,7 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                     raise ConfigurationError(
                         f"planned leaf {leaf} outside [0, {num_leaves})"
                     )
-                if dense:
-                    pm_leaves[block_id] = leaf
-                else:
-                    self.position_map.set(block_id, leaf)
+                set_leaf(block_id, leaf)
                 stash_leaves[row_of[block_id]] = leaf
 
         self._write_back_many(read_leaves)

@@ -16,7 +16,7 @@ Protocol (one request queue and one response queue per worker):
 ========================  =====================================================
 parent -> worker           worker -> parent
 ========================  =====================================================
-``("run", traces, r)``     ``("result", {shard: state})`` after all its shards
+``("run", traces)``        ``("result", {shard: state})`` after all its shards
 ``("access", rid, ids)``   ``("served", rid, count)``
 ``("state",)``             ``("state", {shard: state})``
 ``("stop",)``              (worker exits; pools unlinked in its ``finally``)

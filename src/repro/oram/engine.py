@@ -42,6 +42,7 @@ from repro.oram.shm import ArrayAllocator
 from repro.oram.stash import ArrayStash, Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
+    fused_fetch,
     fused_greedy_write_back,
     plan_batched_write_back,
     plan_greedy_write_back,
@@ -519,28 +520,6 @@ class ObjectStorageEngine(TreeORAMEngine):
                 self.stash.add(block)
 
 
-def _fused_fetch(read_ids, pm, stash_map, leaf):
-    """Read one path into a dict stash mirror (fused trace drivers).
-
-    ``read_ids`` empties the path and returns its real block ids, compacted
-    by one vectorized mask so only the real blocks a path carries are
-    touched (not every slot).  Leaves come through one position-map
-    ``take`` and the dict absorbs the pairs via C-level ``update(zip(...))``
-    — marginally ahead of a per-id ``pm.item`` loop at PathORAM's ~9 real
-    ids per path and clearly ahead on RingORAM evict paths, which carry
-    several times that.  Compaction preserves root-to-leaf slot order, so
-    dict insertion order is exactly the row order ``append_rows`` would
-    have produced.
-    """
-    ids = read_ids(leaf)
-    stash_map.update(zip(ids.tolist(), pm.take(ids).tolist()))
-
-
-#: Shared by the fused drivers here and in ``ring_oram``; lives with the
-#: other write-back planners (see ``repro.oram.write_back``).
-_fused_write_back = fused_greedy_write_back
-
-
 class ArrayStorageEngine(TreeORAMEngine):
     """Array storage backend: id slot arrays, row stash, client payload store.
 
@@ -715,25 +694,27 @@ class ArrayStorageEngine(TreeORAMEngine):
         ops=None,
         payloads: Optional[Sequence[object]] = None,
     ) -> list[Optional[object]]:
-        """Fused sequential driver (see :meth:`ObliviousMemory.run_trace`).
-
-        Falls back to the generic per-access loop whenever this engine's
-        decisions are not the plain PathORAM sequence the fused core
-        replicates: an overridden ``access`` (protocol mixins ship their own
-        fused drivers), a plan-driven ``_choose_new_leaf`` (LAORAM), a
-        custom eviction policy class, or a non-dense position map (the
-        fused core writes the dense leaf array directly, which would
-        bypass recursion charging).
-        """
-        cls = type(self)
-        if (
-            cls.access is not TreeORAMEngine.access
-            or cls._choose_new_leaf is not TreeORAMEngine._choose_new_leaf
-            or type(self.eviction) is not EvictionPolicy
-            or type(self.position_map) is not PositionMap
-        ):
+        """Fused sequential driver (see :meth:`ObliviousMemory.run_trace`)."""
+        if not self._fused_eligible(TreeORAMEngine.access):
             return super().run_trace(block_ids, ops, payloads)
         return self._run_trace_fused(block_ids, ops, payloads)
+
+    def _fused_eligible(self, protocol_access) -> bool:
+        """Whether a fused driver replays exactly what this instance decides.
+
+        A fused driver replicates one protocol's ``access`` (passed in by
+        the ``run_trace`` override that owns the driver), uniform remap
+        draws and the stock eviction policy.  An overridden ``access``, a
+        plan-driven ``_choose_new_leaf`` (LAORAM) or a custom
+        :class:`EvictionPolicy` class decides something else and runs the
+        generic per-access loop (``ObliviousMemory.run_trace``) instead.
+        """
+        cls = type(self)
+        return (
+            cls.access is protocol_access
+            and cls._choose_new_leaf is TreeORAMEngine._choose_new_leaf
+            and type(self.eviction) is EvictionPolicy
+        )
 
     def _run_trace_fused(
         self,
@@ -762,8 +743,10 @@ class ArrayStorageEngine(TreeORAMEngine):
 
         Error paths diverge from the sequential loop in one documented way:
         the stash-capacity check runs after a path's blocks enter the
-        mirror, whereas ``ArrayStash.append_rows`` raises before appending.
-        State on that error path is synced back faithfully either way.
+        mirror, whereas ``ArrayStash.append_rows`` raises before appending
+        (and drops the path it just emptied).  The exit flush restores the
+        over-full mirror as is, so blocks, counters and clock stay
+        consistent and the engine can take another trace.
         """
         ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
         n = len(ids)
@@ -784,8 +767,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         capacity = stash.capacity
         depth = self._depth
 
-        pm = self.position_map.leaves
-        pm_item = pm.item
+        tags, get_leaf, set_leaf = self.position_map.leaf_access()
         payload_store = self._payloads
         payload_get = self._payload_of
         slots = tree.slot_array
@@ -801,8 +783,8 @@ class ArrayStorageEngine(TreeORAMEngine):
         # every single access.
         occ = tree.bucket_occupancies
         read_ids = tree.read_path_ids
-        fetch = _fused_fetch
-        write_back = _fused_write_back
+        fetch = fused_fetch
+        write_back = fused_greedy_write_back
 
         path_buckets, path_bytes = tree.path_cost(0)
         dt_path = timing.path_transfer_delta(path_buckets, path_bytes)
@@ -817,18 +799,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         trigger = eviction.trigger_threshold
         should_continue = eviction.should_continue
 
-        # Stash mirror: id -> leaf in row (== insertion) order, skipping
-        # holes.  All values are Python ints (bulk tolist), so xor/bit_length
-        # in the write-back stay in C-speed small-int land.
-        stash_map: dict[int, int] = {}
-        tail = stash.tail
-        row_leaves = stash.leaf_rows[:tail].tolist()
-        # oblivious: allow[OBL002] client-local mirror build over private
-        # stash rows; no server traffic is issued here
-        for row, resident in enumerate(stash.id_rows[:tail].tolist()):
-            # oblivious: allow[OBL001] hole-skip in the client-local mirror
-            if resident >= 0:
-                stash_map[resident] = row_leaves[row]
+        stash_map = stash.mirror()
 
         # Deferred accumulators (flushed by _sync_out, exact under any
         # grouping for the ints; the float repeats the per-charge += order
@@ -847,13 +818,7 @@ class ArrayStorageEngine(TreeORAMEngine):
             nonlocal episodes, hits
             self._leaf_buf = leaf_buf
             self._leaf_buf_pos = leaf_pos
-            stash.clear()
-            if stash_map:
-                count = len(stash_map)
-                stash.append_rows(
-                    np.fromiter(stash_map.keys(), np.int64, count),
-                    np.fromiter(stash_map.values(), np.int64, count),
-                )
+            stash.load_mirror(stash_map)
             counter.add_bulk(
                 logical,
                 path_reads,
@@ -881,11 +846,7 @@ class ArrayStorageEngine(TreeORAMEngine):
             stash_peak = counter.stash_peak
             elapsed = timing.elapsed_s
             stash_map.clear()
-            tail = stash.tail
-            row_leaves = stash.leaf_rows[:tail].tolist()
-            for row, resident in enumerate(stash.id_rows[:tail].tolist()):
-                if resident >= 0:
-                    stash_map[resident] = row_leaves[row]
+            stash_map.update(stash.mirror())
 
         try:
             for index in range(n):
@@ -920,8 +881,15 @@ class ArrayStorageEngine(TreeORAMEngine):
                     hits += 1
                     leaf = None
                 else:
-                    leaf = pm_item(block_id)
-                    fetch(read_ids, pm, stash_map, leaf)
+                    # The map charges its own lookups (a recursion walk) to
+                    # ``timing`` directly: hand it the deferred clock and
+                    # take it back, on the raise path too.
+                    timing.set_elapsed(elapsed)
+                    try:
+                        leaf = get_leaf(block_id)
+                    finally:
+                        elapsed = timing.elapsed_s
+                    fetch(read_ids, tags, stash_map, leaf)
                     path_reads += 1
                     buckets_read += path_buckets
                     bytes_read += path_bytes
@@ -952,7 +920,11 @@ class ArrayStorageEngine(TreeORAMEngine):
                     leaf_pos = 0
                 new_leaf = leaf_buf[leaf_pos]
                 leaf_pos += 1
-                pm[block_id] = new_leaf
+                timing.set_elapsed(elapsed)
+                try:
+                    set_leaf(block_id, new_leaf)
+                finally:
+                    elapsed = timing.elapsed_s
                 stash_map[block_id] = new_leaf
 
                 if leaf is not None:
@@ -988,7 +960,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                             leaf_pos = 0
                         dummy_leaf = leaf_buf[leaf_pos]
                         leaf_pos += 1
-                        fetch(read_ids, pm, stash_map, dummy_leaf)
+                        fetch(read_ids, tags, stash_map, dummy_leaf)
                         dummy_reads += 1
                         buckets_read += path_buckets
                         bytes_read += path_bytes
@@ -1029,23 +1001,16 @@ class ArrayStorageEngine(TreeORAMEngine):
             sync_out()
         return results
 
-    #: Whether :meth:`_write_back_many` uses the cross-path batched planner.
-    #: The plan it commits is bit-identical to the sequential per-path loop
-    #: (asserted by tests/test_batched_write_back.py and the equivalence
-    #: harness), so this stays on by default; the differential tests and the
-    #: benchmark's per-path mode flip it off per instance.
-    batched_write_back = True
-
     #: Path count below which :meth:`_write_back_many` takes the per-path
-    #: loop even with ``batched_write_back`` on.  The batched planner's
-    #: fixed setup (a (k, tail) xor/frexp/argsort pass plus the per-path
-    #: gather matrices) only amortizes across enough paths: measured on
-    #: LAORAM superblock bins at 2^18 (30k-access Zipf trace), per-path wins
-    #: ~4% at k=2, breaks even at k=3, and the planner wins from k=4 up
-    #: (~11% at k=4, ~20% by k=6) — so k<4 falls back.  LAORAM bins with
-    #: lookahead placement read 0-1 paths and never reach the planner;
-    #: plan-free bins (``access_many`` with no plan installed) read close
-    #: to one path per distinct block, so bins of S8 and up do.
+    #: loop.  The batched planner's fixed setup (a (k, tail)
+    #: xor/frexp/argsort pass plus the per-path gather matrices) only
+    #: amortizes across enough paths: on plan-free LAORAM bins at 2^18 the
+    #: multi-path pair (gather + planner) against the base class's per-path
+    #: hooks reads 1.10-1.28x at S8, a wash at S4 and 0.95x at S2, where
+    #: only the gather runs (docs/performance.md, "The multi-path
+    #: machinery").  Bins with lookahead placement read 0-1 paths and never
+    #: reach the planner; plan-free bins (``access_many`` with no plan
+    #: installed) read close to one path per distinct block, so S8 and up do.
     BATCHED_WB_MIN_PATHS = 4
 
     def _write_back_many(self, leaves: Sequence[int]) -> None:
@@ -1058,7 +1023,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         with one scatter into the tree.  Both routes commit bit-identical
         placements, so the threshold is purely a throughput choice.
         """
-        if len(leaves) < self.BATCHED_WB_MIN_PATHS or not self.batched_write_back:
+        if len(leaves) < self.BATCHED_WB_MIN_PATHS:
             for leaf in leaves:
                 self._write_back(leaf)
             return

@@ -31,6 +31,13 @@ def _as_int_array(values, label: str) -> np.ndarray:
     )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that refuses writes (tags handed to drivers)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class PositionMap:
     """Maps every real block to the leaf (path) it is currently assigned to.
 
@@ -56,6 +63,7 @@ class PositionMap:
             "posmap.leaves",
             rng.integers(0, num_leaves, size=num_blocks, dtype=np.int64),
         )
+        self._tags = _read_only(self._leaves)
 
     def __len__(self) -> int:
         return int(self._leaves.size)
@@ -149,20 +157,24 @@ class PositionMap:
         """
         self.set_many(block_ids, leaves)
 
-    @property
-    def leaves(self) -> np.ndarray:
-        """The live leaf array (no copy) for vectorised engines.
+    def leaf_access(self):
+        """The array drivers' leaf-access contract: ``(tags, get, set)``.
 
-        General callers must treat this as read-only and mutate through
-        :meth:`set` / :meth:`set_many` so range checks stay in force.  The
-        fused trace drivers are the one sanctioned exception: they write
-        leaves drawn directly from ``integers(0, num_leaves)`` — range-safe
-        by construction — straight into this array, because a checked
-        :meth:`set` per access is most of the cost the fused path exists to
-        remove.  The array identity is stable for the engine's lifetime, so
-        drivers may cache the reference (and its bound ``item`` accessor).
+        Every driver that runs a whole trace (the fused drivers, LAORAM's
+        bin) binds this triple once per call and takes all its leaves
+        through it, so what a position map *is* stays the map's business.
+        ``tags`` is a read-only view for the metadata channel — the array
+        :meth:`peek_many` indexes, for blocks that just came off a path.
+        ``get(block_id)`` and ``set(block_id, leaf)`` are the protocol's
+        lookup and remap, charged by whichever map answers: here the dense
+        array's own ``item`` / ``__setitem__`` (free, and no Python frame
+        per access); on ``RecursivePositionMap`` the recursion walk and its
+        write entitlement.  Unchecked on this map: callers pass ids they
+        range-checked and leaves drawn from ``integers(0, num_leaves)`` or
+        a range-checked plan.  All three are stable for the map's lifetime.
         """
-        return self._leaves
+        leaves = self._leaves
+        return self._tags, leaves.item, leaves.__setitem__
 
     def as_array(self) -> np.ndarray:
         """Copy of the full map (used by tests and diagnostics)."""

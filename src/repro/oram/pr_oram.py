@@ -44,10 +44,8 @@ from repro.memory.timing import TimingModel
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
-from repro.oram.engine import TreeORAMEngine
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
-from repro.oram.position_map import PositionMap
 
 
 class SuperblockMode(enum.Enum):
@@ -289,13 +287,7 @@ class ArrayPrORAM(SuperblockPolicyMixin, ArrayPathORAM):
         payloads=None,
     ):
         """Fused PrORAM trace driver (sequential semantics)."""
-        cls = type(self)
-        if (
-            cls.access is not SuperblockPolicyMixin.access
-            or cls._choose_new_leaf is not TreeORAMEngine._choose_new_leaf
-            or type(self.eviction) is not EvictionPolicy
-            or type(self.position_map) is not PositionMap
-        ):
+        if not self._fused_eligible(SuperblockPolicyMixin.access):
             return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
         if self.superblock_size == 1:
             # Degenerate superblocks: pure PathORAM, no policy hook needed.

@@ -57,10 +57,10 @@ from repro.exceptions import (
     IntegrityError,
 )
 from repro.memory.accounting import TrafficCounter
-from repro.oram.position_map import _as_int_array
+from repro.oram.position_map import _as_int_array, _read_only
 from repro.oram.shm import DEFAULT_ALLOCATOR, ArrayAllocator
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import fused_greedy_write_back
+from repro.oram.write_back import fused_fetch, fused_greedy_write_back
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
 
@@ -136,15 +136,13 @@ class RecursivePositionMap:
     """Drop-in :class:`PositionMap` replacement backed by recursion ORAMs.
 
     Presents the same interface (``get``/``set``/``get_many``/``set_many``,
-    the charge-free ``peek``/``load`` channel, ``as_array``,
-    ``client_memory_bytes``) but holds only the recursion top map and the
-    per-level stashes in client memory; everything else lives in the
-    recursion trees and is reached through charged oblivious accesses.
-
-    Not exposed: the dense map's live ``leaves`` array.  The fused trace
-    drivers write that array directly and would silently bypass recursion
-    charging, so engines gate their fused paths on the position-map type
-    and fall back to the generic per-access protocol under recursion.
+    the charge-free ``peek``/``load`` channel, ``leaf_access``,
+    ``as_array``, ``client_memory_bytes``) but holds only the recursion top
+    map and the per-level stashes in client memory; everything else lives
+    in the recursion trees and is reached through charged oblivious
+    accesses.  The array drivers take their leaves through
+    :meth:`leaf_access` on either map, so the fused paths run under
+    recursion with every walk charged.
     """
 
     def __init__(
@@ -203,6 +201,7 @@ class RecursivePositionMap:
         else:
             padded = initial
         self._entries = alloc.adopt("posmap.leaves", padded)
+        self._tags = _read_only(self._entries)
 
         rngs = spawn_rngs(seed, depth_count) if depth_count else []
         self._levels: list[_RecursionLevel] = []
@@ -320,12 +319,7 @@ class RecursivePositionMap:
             # same modeled behaviour as the main engine's access(); misses
             # and hits both refresh the block's label
             if not hit:
-                fetched = level.tree.read_path_ids(leaf)
-                labels = level.labels
-                # oblivious: allow[OBL002] client-local stash merge of the
-                # just-fetched path; labels ride the wire as block metadata
-                for fetched_id in fetched.tolist():
-                    stash[fetched_id] = int(labels[fetched_id])
+                fused_fetch(level.tree.read_path_ids, level.labels, stash, leaf)
                 counter.record_posmap_path_read(level.path_bytes)
                 if timing is not None:
                     timing.charge_path_transfer(
@@ -410,6 +404,16 @@ class RecursivePositionMap:
             else:
                 self._walk(block_id)
         self._entries[block_id] = leaf
+
+    def leaf_access(self):
+        """``(tags, get, set)`` — see :meth:`PositionMap.leaf_access`.
+
+        ``tags`` views the packed level-1 entries (the label every block
+        carries on the wire); ``get`` / ``set`` are the charged walk and
+        its write entitlement.  They charge ``timing`` directly, so a
+        driver that defers its clock in a local syncs it around each call.
+        """
+        return self._tags, self.get, self.set
 
     def get_many(self, block_ids) -> np.ndarray:
         """Vectorised :meth:`get` (one charged walk per id)."""

@@ -33,13 +33,8 @@ from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
-from repro.oram.engine import (
-    ArrayStorageEngine,
-    ObjectStorageEngine,
-    _fused_fetch,
-)
-from repro.oram.position_map import PositionMap
-from repro.oram.write_back import fused_greedy_write_back as _fused_write_back
+from repro.oram.engine import ArrayStorageEngine, ObjectStorageEngine
+from repro.oram.write_back import fused_fetch, fused_greedy_write_back
 
 
 def reverse_lexicographic_leaf(counter: int, depth: int) -> int:
@@ -221,10 +216,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         payloads=None,
     ):
         """Fused RingORAM trace driver (sequential semantics)."""
-        if (
-            type(self).access is not RingProtocolMixin.access
-            or type(self.position_map) is not PositionMap
-        ):
+        if not self._fused_eligible(RingProtocolMixin.access):
             return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
         return self._run_trace_ring_fused(block_ids, ops, payloads)
 
@@ -264,8 +256,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         rc_item = read_counts.item
         counts_scratch = np.empty(self._depth + 1, dtype=read_counts.dtype)
 
-        pm = self.position_map.leaves
-        pm_item = pm.item
+        tags, get_leaf, set_leaf = self.position_map.leaf_access()
         payload_store = self._payloads
         payload_get = self._payload_of
         slots = tree.slot_array
@@ -277,8 +268,8 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         read_ids = tree.read_path_ids
         path_nodes = tree.path_nodes
         remove_on_path = tree.remove_on_path
-        fetch = _fused_fetch
-        write_back = _fused_write_back
+        fetch = fused_fetch
+        write_back = fused_greedy_write_back
 
         # Per-charge deltas, memoised per geometry exactly as the live
         # protocol's charge_path_transfer calls would be.
@@ -304,15 +295,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         access_count = self._access_count
         evict_counter = self._evict_counter
 
-        stash_map = {}
-        tail = stash.tail
-        row_leaves = stash.leaf_rows[:tail].tolist()
-        # oblivious: allow[OBL002] client-local mirror build over private
-        # stash rows; no server traffic is issued here
-        for row, resident in enumerate(stash.id_rows[:tail].tolist()):
-            # oblivious: allow[OBL001] hole-skip in the client-local mirror
-            if resident >= 0:
-                stash_map[resident] = row_leaves[row]
+        stash_map = stash.mirror()
 
         logical = path_reads = path_writes = dummy_reads = 0
         buckets_read = buckets_written = bytes_read = bytes_written = 0
@@ -338,7 +321,14 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                 # real/dummy indistinguishability)
                 if stashed:
                     del stash_map[block_id]
-                leaf = pm_item(block_id)
+                # The map charges its own lookups (a recursion walk) to
+                # ``timing`` directly: hand it the deferred clock and take
+                # it back, on the raise path too.
+                timing.set_elapsed(elapsed)
+                try:
+                    leaf = get_leaf(block_id)
+                finally:
+                    elapsed = timing.elapsed_s
 
                 # Online read: one block per bucket on the path.
                 # oblivious: allow[OBL001] selects which block is removed; the
@@ -382,7 +372,11 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                     leaf_pos = 0
                 new_leaf = leaf_buf[leaf_pos]
                 leaf_pos += 1
-                pm[block_id] = new_leaf
+                timing.set_elapsed(elapsed)
+                try:
+                    set_leaf(block_id, new_leaf)
+                finally:
+                    elapsed = timing.elapsed_s
                 stash_map[block_id] = new_leaf
                 # oblivious: allow[OBL001] stash-capacity check: overflow is
                 # the protocol's stated failure event and aborts the run
@@ -398,7 +392,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                     nodes_list = nodes.tolist()
                     evict_leaf = reverse_lexicographic_leaf(evict_counter, depth)
                     evict_counter += 1
-                    fetch(read_ids, pm, stash_map, evict_leaf)
+                    fetch(read_ids, tags, stash_map, evict_leaf)
                     dummy_reads += 1
                     buckets_read += path_buckets
                     bytes_read += path_bytes
@@ -474,15 +468,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
             self._leaf_buf_pos = leaf_pos
             self._access_count = access_count
             self._evict_counter = evict_counter
-            stash.clear()
-            # oblivious: allow[OBL001] client-local stash mirror write-back on
-            # exit; no server traffic
-            if stash_map:
-                count = len(stash_map)
-                stash.append_rows(
-                    np.fromiter(stash_map.keys(), np.int64, count),
-                    np.fromiter(stash_map.values(), np.int64, count),
-                )
+            stash.load_mirror(stash_map)
             counter.add_bulk(
                 logical,
                 path_reads,

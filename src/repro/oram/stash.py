@@ -260,6 +260,10 @@ class ArrayStash:
             raise StashOverflowError(
                 f"stash exceeded its capacity of {self._capacity} blocks"
             )
+        self._append(block_ids, leaves)
+
+    def _append(self, block_ids: np.ndarray, leaves: np.ndarray) -> None:
+        count = int(block_ids.size)
         self._ensure_room(count)
         tail = self._tail
         end = tail + count
@@ -268,6 +272,34 @@ class ArrayStash:
         self._row_of[block_ids] = self._rows[tail:end]
         self._tail = end
         self._live += count
+
+    # -- dict mirror (fused trace drivers) -------------------------------
+    def mirror(self) -> dict[int, int]:
+        """``{id: leaf}`` of the live rows, in row (== insertion) order.
+
+        The fused drivers run a trace on this dict instead of the rows;
+        insertion order replays every write-back tie-break.  Values are
+        Python ints (bulk ``tolist``), so xor/bit_length stay small-int.
+        """
+        ids = self._ids[: self._tail]
+        live = ids >= 0
+        return dict(
+            zip(ids[live].tolist(), self._leaves[: self._tail][live].tolist())
+        )
+
+    def load_mirror(self, stash_map: dict[int, int]) -> None:
+        """Replace the contents with a mirror's entries, in its order.
+
+        Not capacity-checked: the driver that owns the mirror raises
+        :class:`StashOverflowError` itself, and its exit flush must put
+        back every block it holds, over-full or not.
+        """
+        self.clear()
+        count = len(stash_map)
+        self._append(
+            np.fromiter(stash_map.keys(), np.int64, count),
+            np.fromiter(stash_map.values(), np.int64, count),
+        )
 
     def set_leaf(self, block_id: int, leaf: int) -> None:
         """Update the assigned leaf of a stashed block (remap)."""

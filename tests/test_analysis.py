@@ -237,7 +237,7 @@ scratch_rng = np.random.default_rng()
 
 _PLANT_HOT_ALLOCATION = '''
 
-def _fused_fetch(read_ids, pm, stash_map, leaf):
+def fused_fetch(read_ids, tags, stash_map, leaf):
     rows = [key for key in stash_map]
     return rows
 '''
@@ -253,13 +253,15 @@ class ArrayStorageEngine:
 '''
 
 
-def _scan_scratch_engine(tmp_path: Path, planted: str) -> list[Finding]:
+def _scan_scratch_engine(
+    tmp_path: Path, planted: str, module: str = "engine.py"
+) -> list[Finding]:
     scratch = tmp_path / "repro" / "oram"
     scratch.mkdir(parents=True)
-    source = (REPO_ROOT / "src" / "repro" / "oram" / "engine.py").read_text(
+    source = (REPO_ROOT / "src" / "repro" / "oram" / module).read_text(
         encoding="utf-8"
     )
-    copy = scratch / "engine.py"
+    copy = scratch / module
     copy.write_text(source + planted, encoding="utf-8")
     return analyze_paths([str(copy)], default_config()).findings
 
@@ -269,16 +271,17 @@ def test_unmodified_scratch_copy_is_clean(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "planted, rule",
+    "planted, rule, module",
     [
-        (_PLANT_SECRET_BRANCH, "OBL001"),
-        (_PLANT_UNSEEDED_RNG, "RNG001"),
-        (_PLANT_HOT_ALLOCATION, "ALLOC001"),
-        (_PLANT_UNGUARDED_FLUSH, "CNT001"),
+        (_PLANT_SECRET_BRANCH, "OBL001", "engine.py"),
+        (_PLANT_UNSEEDED_RNG, "RNG001", "engine.py"),
+        # The fused path fetch lives beside its write-back half.
+        (_PLANT_HOT_ALLOCATION, "ALLOC001", "write_back.py"),
+        (_PLANT_UNGUARDED_FLUSH, "CNT001", "engine.py"),
     ],
 )
-def test_planted_bug_is_caught(tmp_path, planted, rule):
-    findings = _scan_scratch_engine(tmp_path, planted)
+def test_planted_bug_is_caught(tmp_path, planted, rule, module):
+    findings = _scan_scratch_engine(tmp_path, planted, module)
     assert findings, f"planted {rule} bug went undetected"
     assert {f.rule for f in findings} == {rule}
 

@@ -253,7 +253,7 @@ class TestPlacementRegressions:
         if isinstance(engine, FastLAORAMClient):
             for leaf in leaves:
                 ids = engine.tree.read_path_ids(leaf)
-                engine.stash.append_rows(ids, engine.position_map.leaves[ids])
+                engine.stash.append_rows(ids, engine.position_map.peek_many(ids))
         else:
             for leaf in leaves:
                 for block in engine.tree.read_path(leaf):

@@ -13,8 +13,13 @@ same engine running the sequential per-path loop, that every round leaves
 
 The driver calls the engine's storage hooks (``_read_paths_into_stash`` /
 ``_write_back_many``) directly so batches are adversarial rather than
-whatever the access protocol happens to produce.
+whatever the access protocol happens to produce.  The sequential side is
+the same engine class with the base class's per-path hooks bound onto the
+instance (:func:`bind_sequential_hooks`), so the multi-path gather is under
+the same differential as the planner.
 """
+
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ import pytest
 from repro.experiments.configs import build_engine
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
+from repro.oram.engine import ArrayStorageEngine, TreeORAMEngine
 
 NUM_BLOCKS = 512
 NUM_ROUNDS = 30
@@ -32,15 +38,32 @@ def make_engine(seed: int, fat_tree: bool, batched: bool) -> ArrayPathORAM:
         num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=seed, fat_tree=fat_tree
     )
     engine = ArrayPathORAM(config)
-    engine.batched_write_back = batched
+    if not batched:
+        bind_sequential_hooks(engine)
     return engine
+
+
+def bind_sequential_hooks(engine: ArrayStorageEngine) -> None:
+    """Make ``engine`` the differential's reference side.
+
+    Binds the base class's one-path-at-a-time loops over this instance's
+    multi-path gather (``read_paths_ids``) and cross-path planner
+    (``plan_batched_write_back``): same storage hooks underneath, no
+    batching above them.
+    """
+    engine._read_paths_into_stash = types.MethodType(
+        TreeORAMEngine._read_paths_into_stash, engine
+    )
+    engine._write_back_many = types.MethodType(
+        TreeORAMEngine._write_back_many, engine
+    )
 
 
 def assert_invariants(engine: ArrayPathORAM) -> None:
     """Structural soundness of tree + stash after any batch."""
     tree = engine.tree
     stash = engine.stash
-    pm_leaves = engine.position_map.leaves
+    pm_leaves = engine.position_map.as_array()
     depth = tree.depth
     seen: list[np.ndarray] = []
     for level in range(depth + 1):
@@ -72,18 +95,27 @@ def assert_invariants(engine: ArrayPathORAM) -> None:
     assert np.array_equal(all_ids, np.arange(NUM_BLOCKS))
 
 
+def live_rows(engine: ArrayPathORAM) -> tuple[np.ndarray, np.ndarray]:
+    """The stash's (ids, leaves) in insertion order, holes dropped."""
+    tail = engine.stash.tail
+    ids = engine.stash.id_rows[:tail]
+    live = ids >= 0
+    return ids[live], engine.stash.leaf_rows[:tail][live]
+
+
 def assert_engines_identical(batched: ArrayPathORAM, sequential: ArrayPathORAM):
     assert np.array_equal(batched.tree._slots, sequential.tree._slots)
     assert np.array_equal(batched.tree._occ, sequential.tree._occ)
-    assert batched.stash.tail == sequential.stash.tail
-    tail = batched.stash.tail
-    assert np.array_equal(
-        batched.stash.id_rows[:tail], sequential.stash.id_rows[:tail]
-    )
-    assert np.array_equal(
-        batched.stash.leaf_rows[:tail], sequential.stash.leaf_rows[:tail]
-    )
-    assert np.array_equal(batched.stash.row_of, sequential.stash.row_of)
+    # Row *positions* may differ (one multi-path append compacts at other
+    # moments than k single-path appends); what every planner reads is the
+    # order of the live rows.
+    for got, want in zip(live_rows(batched), live_rows(sequential)):
+        assert np.array_equal(got, want)
+    for engine in (batched, sequential):
+        ids, _ = live_rows(engine)
+        rows = engine.stash.row_of[ids]
+        assert np.array_equal(engine.stash.id_rows[rows], ids)
+        assert np.count_nonzero(engine.stash.row_of >= 0) == ids.size
 
 
 def drive_round(engine: ArrayPathORAM, rng: np.random.Generator) -> None:

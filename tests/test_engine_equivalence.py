@@ -27,6 +27,7 @@ from repro.oram.engine import ArrayStorageEngine
 from repro.oram.pr_oram import ArrayPrORAM
 from repro.oram.ring_oram import ArrayRingORAM
 from repro.oram.config import ORAMConfig
+from test_batched_write_back import bind_sequential_hooks
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 1_200
@@ -58,7 +59,7 @@ def run_engine(
     fast: bool,
     fat_tree: bool = False,
     plan_free: bool = False,
-    batched_write_back: bool | None = None,
+    sequential_hooks: bool = False,
 ):
     """Replay ``trace`` on a fresh engine; ``plan_free`` serves it instead.
 
@@ -70,8 +71,8 @@ def run_engine(
         num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=seed, fat_tree=fat_tree
     )
     engine = build_engine(label, config, fast=fast)
-    if batched_write_back is not None:
-        engine.batched_write_back = batched_write_back
+    if sequential_hooks:
+        bind_sequential_hooks(engine)
     if plan_free:
         engine.access_many(trace)
     else:
@@ -160,10 +161,11 @@ class TestBatchedWriteBackDifferential:
     """Batched cross-path write-back == sequential per-path write-back.
 
     The array backend plans multi-path write-backs in one vectorized pass
-    (``plan_batched_write_back``) and commits with one scatter; flipping
-    ``batched_write_back`` off makes the same engine fall back to the
-    per-path loop.  Both modes must be bit-identical — same counters, same
-    position map, same stash rows — on every family, workload and seed.
+    (``plan_batched_write_back``) and commits with one scatter; binding the
+    base class's sequential hooks onto the instance makes the same engine
+    read and write one path at a time.  Both must be bit-identical — same
+    counters, same position map, same stash rows — on every family,
+    workload and seed.
     """
 
     @pytest.mark.parametrize("seed", [11, 29])
@@ -173,7 +175,7 @@ class TestBatchedWriteBackDifferential:
         trace = make_trace(workload, seed)
         batched = run_engine(label, seed, trace, fast=True)
         sequential = run_engine(
-            label, seed, trace, fast=True, batched_write_back=False
+            label, seed, trace, fast=True, sequential_hooks=True
         )
         assert batched.statistics == sequential.statistics
         assert np.array_equal(
@@ -191,7 +193,7 @@ class TestBatchedWriteBackDifferential:
         batched = run_engine("Normal/S4", seed, trace, fast=True, fat_tree=True)
         sequential = run_engine(
             "Normal/S4", seed, trace, fast=True, fat_tree=True,
-            batched_write_back=False,
+            sequential_hooks=True,
         )
         assert batched.statistics == sequential.statistics
         assert np.array_equal(

@@ -18,20 +18,29 @@ Four concerns, mirroring the contract in
   chi-square adversary as ``tests/test_security_uniformity_fast.py``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.datasets.zipf import ZipfTraceGenerator
-from repro.exceptions import BlockNotFoundError, ConfigurationError
+from repro.exceptions import (
+    BlockNotFoundError,
+    ConfigurationError,
+    IntegrityError,
+    StashOverflowError,
+)
 from repro.experiments.configs import build_engine, build_oram_config
 from repro.experiments.recursion import (
     run_recursion_amortization,
     render_recursion_table,
 )
 from repro.memory.accounting import TrafficCounter, merge_snapshots
+from repro.oram.base import ObliviousMemory
 from repro.oram.position_map import PositionMap
 from repro.oram.recursive_posmap import RecursivePositionMap
 from repro.utils.stats import chi_square_uniformity
+from test_trace_contract import engine_state
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 600
@@ -324,3 +333,151 @@ class TestAmortizationExperiment:
         )
         table = render_recursion_table(rows)
         assert "walks/access" in table and "laoram" in table
+
+
+class TestFailurePathsUnderRecursion:
+    """A raise mid-trace leaves a recursive fast engine consistent.
+
+    The fused drivers defer counters and the clock in locals while the
+    recursion walks charge the engine's ``counter`` / ``timing`` directly,
+    so every exit — the driver's own raises and a raise from inside a walk
+    — must flush both without losing or repeating a charge.
+    """
+
+    FUSED_LABELS = ("PathORAM", "RingORAM", "PrORAM-dynamic/S2")
+
+    @staticmethod
+    def build(label: str, stash_capacity=None):
+        # chi=4 with a 512-byte cutoff: one recursion level of 64 blocks.
+        config = build_oram_config(
+            num_blocks=NUM_BLOCKS,
+            block_size_bytes=32,
+            seed=3,
+            recursive_posmap=True,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=512,
+        )
+        config = dataclasses.replace(config, stash_capacity=stash_capacity)
+        return build_engine(label, config, fast=True)
+
+    @staticmethod
+    def trace() -> np.ndarray:
+        return ZipfTraceGenerator(NUM_BLOCKS, exponent=1.2, seed=3).generate(
+            NUM_ACCESSES
+        ).addresses
+
+    @staticmethod
+    def assert_consistent(engine) -> None:
+        """Every block once, each where the position map says it may be."""
+        leaves = engine.position_map.as_array()
+        depth = engine.config.depth
+        seen: list[int] = []
+        for level, node, ids in engine.tree.iter_node_ids():
+            assert np.all(leaves[ids] >> (depth - level) == node)
+            seen.extend(ids.tolist())
+        for block_id in engine.stash.block_ids:
+            assert engine.stash.leaf_of(block_id) == leaves[block_id]
+            seen.append(block_id)
+        assert sorted(seen) == list(range(NUM_BLOCKS))
+
+    @pytest.mark.parametrize("label", FUSED_LABELS)
+    def test_out_of_range_id_mid_trace(self, label):
+        trace = self.trace()
+        broken = trace.copy()
+        broken[200] = NUM_BLOCKS
+        fast, oracle = self.build(label), self.build(label)
+        with pytest.raises(BlockNotFoundError):
+            fast.run_trace(broken)
+        with pytest.raises(BlockNotFoundError):
+            ObliviousMemory.run_trace(oracle, broken)
+        assert fast.statistics.logical_accesses == 200
+        assert engine_state(fast) == engine_state(oracle)
+        self.assert_consistent(fast)
+        # The engine takes the next trace as if nothing had happened.
+        assert fast.run_trace(trace) == ObliviousMemory.run_trace(oracle, trace)
+        assert engine_state(fast) == engine_state(oracle)
+
+    @pytest.mark.parametrize("label", FUSED_LABELS)
+    def test_raise_from_inside_a_walk_keeps_its_charges(self, label):
+        # Point the top map's entry for one recursion block at the other
+        # half of its tree: the walk reads (and charges) that path, misses
+        # the block and raises from inside the driver's charged call.
+        fast, oracle = self.build(label), self.build(label)
+        for engine in (fast, oracle):
+            posmap = engine.position_map
+            level = posmap._levels[0]
+            below_root = level.tree.slot_array[level.tree.bucket_capacities[0] :]
+            victim = int(below_root[below_root >= 0][0])
+            posmap._top[victim] ^= level.num_leaves >> 1
+        chi = fast.position_map.positions_per_block
+        prefix = [b for b in self.trace().tolist() if b // chi != victim][:40]
+        trace = prefix + [victim * chi]
+        with pytest.raises(IntegrityError):
+            fast.run_trace(trace)
+        with pytest.raises(IntegrityError):
+            ObliviousMemory.run_trace(oracle, trace)
+        assert fast.statistics.logical_accesses == len(trace)
+        # Field for field, the clock as a float: the failed walk's path read
+        # is charged once on both sides.
+        assert engine_state(fast) == engine_state(oracle)
+        self.assert_consistent(fast)
+
+    @pytest.mark.parametrize("label", ["PathORAM", "RingORAM"])
+    def test_stash_overflow_mid_trace(self, label):
+        capacity = 10
+        trace = self.trace()
+        engine = self.build(label, stash_capacity=capacity)
+        with pytest.raises(StashOverflowError):
+            engine.run_trace(trace)
+        failed = engine.statistics
+        done = failed.logical_accesses
+        assert 1 < done < len(trace)
+        # The over-full mirror went back as it was: nothing lost.
+        assert len(engine.stash) > capacity
+        self.assert_consistent(engine)
+        # Counters and clock sit between an unbounded twin's values just
+        # before and just after the failing access.
+        before, after = self.build(label), self.build(label)
+        before.run_trace(trace[: done - 1])
+        after.run_trace(trace[:done])
+        for name in (
+            "path_reads", "path_writes", "dummy_reads", "bytes_read",
+            "bytes_written", "posmap_path_reads", "posmap_path_writes",
+            "posmap_bytes_read", "posmap_bytes_written",
+        ):
+            low = getattr(before.statistics, name)
+            high = getattr(after.statistics, name)
+            assert low <= getattr(failed, name) <= high, name
+        assert before.simulated_time_s < engine.simulated_time_s
+        assert engine.simulated_time_s <= after.simulated_time_s
+
+    def test_pathoram_clock_matches_its_counters_and_resumes(self):
+        # One tree geometry per layer, so the clock is a closed form of the
+        # counters: a walk charge lost to a stale deferred clock, or one
+        # counted twice, breaks the equality.
+        engine = self.build("PathORAM", stash_capacity=10)
+        with pytest.raises(StashOverflowError):
+            engine.run_trace(self.trace())
+
+        def expected_clock() -> float:
+            snap = engine.statistics
+            timing = engine.timing
+            level = engine.position_map._levels[0]
+            main = timing.path_transfer_delta(*engine.tree.path_cost(0))
+            walk = timing.path_transfer_delta(level.path_buckets, level.path_bytes)
+            return (
+                snap.logical_accesses * timing.client_overhead_us * 1e-6
+                + (snap.path_reads + snap.dummy_reads + snap.path_writes) * main
+                + (snap.posmap_path_reads + snap.posmap_path_writes) * walk
+            )
+
+        assert engine.simulated_time_s == pytest.approx(expected_clock(), rel=1e-9)
+        # Stash hits fetch nothing, so the over-full engine serves them —
+        # each remap a standalone charged walk.
+        resident = list(engine.stash.block_ids)
+        walks = engine.statistics.posmap_path_reads
+        engine.run_trace(resident)
+        assert engine.stash_hits >= len(resident)
+        assert engine.statistics.posmap_path_reads > walks
+        assert engine.simulated_time_s == pytest.approx(expected_clock(), rel=1e-9)
+        self.assert_consistent(engine)

@@ -17,6 +17,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import build_engine, build_oram_config
 from repro.oram.base import AccessOp, ObliviousMemory
+from repro.oram.engine import ArrayStorageEngine
 
 NUM_BLOCKS = 128
 DIM = 4
@@ -129,3 +130,101 @@ def test_write_many_rejects_a_length_mismatch(label, fast, recursive):
     with pytest.raises(ConfigurationError):
         engine.write_many([1, 2, 3], ["a", "b"])
     assert engine.statistics.logical_accesses == 0
+
+
+# ----------------------------------------------------------------------
+# One leaf-access contract: the fast drivers equal their oracle under
+# either position map
+# ----------------------------------------------------------------------
+#: The fused driver each fast family's ``run_trace`` takes (``None``: every
+#: access of static PrORAM is a policy access, so there is nothing to fuse).
+FUSED_DRIVERS = {
+    "PathORAM": "_run_trace_fused",
+    "RingORAM": "_run_trace_ring_fused",
+    "PrORAM-static/S2": None,
+    "PrORAM-dynamic/S2": "_run_trace_fused",
+}
+
+
+def mixed_trace() -> np.ndarray:
+    """Skewed ids (stash hits), a sequential run (PrORAM merges), a uniform tail."""
+    rng = np.random.default_rng(23)
+    return np.concatenate(
+        [
+            rng.zipf(1.3, size=300) % NUM_BLOCKS,
+            np.arange(30, 90),
+            rng.integers(0, NUM_BLOCKS, size=150),
+        ]
+    )
+
+
+def engine_state(engine) -> dict:
+    """Everything a same-seed twin must reproduce, field for field."""
+    state = {
+        "statistics": engine.statistics,
+        "simulated_time_s": engine.simulated_time_s,
+        "position_map": engine.position_map.as_array().tolist(),
+        "stash": list(engine.stash.block_ids),
+        "client_memory_bytes": engine.client_memory_bytes(),
+    }
+    if isinstance(engine, ArrayStorageEngine):
+        state["slots"] = engine.tree.slot_array.tolist()
+    return state
+
+
+@pytest.mark.parametrize("writes", [False, True])
+@pytest.mark.parametrize("recursive", [False, True])
+@pytest.mark.parametrize("label", FUSED_DRIVERS)
+def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkeypatch):
+    trace = mixed_trace()
+    ops = payloads = None
+    if writes:
+        ops = [AccessOp.WRITE if i % 3 == 0 else AccessOp.READ for i in range(len(trace))]
+        payloads = [("written", i) for i in range(len(trace))]
+    fast = make_engine(label, True, recursive)
+    oracle = make_engine(label, True, recursive)
+    for engine in (fast, oracle):
+        engine.load_payloads({b: ("initial", b) for b in range(NUM_BLOCKS)})
+
+    calls = []
+    driver = FUSED_DRIVERS[label]
+    if driver is not None:
+        fused = getattr(type(fast), driver)
+
+        def spy(self, *args, **kwargs):
+            calls.append(type(self.position_map).__name__)
+            return fused(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(fast), driver, spy)
+
+    got = fast.run_trace(trace, ops, payloads)
+    want = ObliviousMemory.run_trace(oracle, trace, ops, payloads)
+
+    # The fused driver ran, whichever map the engine holds: no fallback.
+    assert calls == ([] if driver is None else [type(fast.position_map).__name__])
+    assert list(got) == list(want)
+    # simulated_time_s compares as a float: the drivers' deferred clock and
+    # the walks' direct charges interleave in the generic loop's order.
+    assert engine_state(fast) == engine_state(oracle)
+    assert (fast.statistics.posmap_path_reads > 0) == recursive
+
+
+@pytest.mark.parametrize("recursive", [False, True])
+@pytest.mark.parametrize("label", LOOKAHEAD_LABELS)
+def test_fast_lookahead_bins_match_the_object_client(label, recursive):
+    # Planned bins (run_trace), then plan-free bins (write_many/access_many).
+    trace = mixed_trace()
+    rows = [("written", i) for i in range(64)]
+    results, states = [], []
+    for fast in (False, True):
+        engine = make_engine(label, fast, recursive)
+        engine.load_payloads({b: ("initial", b) for b in range(NUM_BLOCKS)})
+        replayed = engine.run_trace(trace)
+        engine.write_many(trace[:64], rows)
+        served = engine.access_many(trace[:200])
+        results.append((list(replayed), list(served)))
+        states.append(engine_state(engine))
+    assert results[0] == results[1]
+    reference, fast_state = states
+    assert {key: fast_state[key] for key in reference} == reference
+    assert (reference["statistics"].posmap_path_reads > 0) == recursive
