@@ -162,6 +162,13 @@ class AnalysisConfig:
 #: leaf argument is public by protocol (the adversary just watched the
 #: path transfer).  Positions index the *positional* argument carrying the
 #: leaf at each call shape used in the engine core.
+#:
+#: Trusted-setup moves are deliberately *not* listed, and appear in no hot
+#: list: ``bulk_place`` / ``bulk_place_ordered`` / ``remove_many`` /
+#: ``clear`` on the tree and the ``_relocate`` / ``_relayout_tree`` /
+#: ``_bulk_load`` hooks run only while ``counter.logical_accesses == 0``,
+#: where nothing is observed — so they reveal nothing, and a leaf handed to
+#: one of them from a hot function stays tainted.
 _PATH_REVEAL = (
     Declassifier("_read_path_into_stash", (0,)),
     Declassifier("_read_paths_into_stash", (0,)),

@@ -5,9 +5,9 @@ trace windowing, trace-level entry points) with the vectorized
 :class:`~repro.oram.array_path_oram.ArrayPathORAM` storage engine.  The
 superblock hot path avoids every per-block Python object: bins are consumed
 as numpy slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`),
-initial placement is one vectorized position-map scatter plus a per-level
-bulk placement, and write-backs reuse the array engine's vectorized greedy
-planner.
+initial placement relocates only the planned blocks (one level-by-level
+removal from their old buckets, one per-level bulk placement on their new
+paths), and write-backs reuse the array engine's vectorized greedy planner.
 
 The engine is decision-for-decision identical to the per-object client — it
 draws from the RNG in the same order and picks the same write-back victims —
@@ -69,27 +69,23 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             plan.apply_consumption(final_consumed)
         return self._gather_payloads(addresses.tolist())
 
-    def apply_initial_placement(self, plan: LookaheadPlan) -> None:
-        """Lay the table out so each block starts on its first planned path.
+    def _relocate(
+        self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
+    ) -> None:
+        """Vectorized relocation, slot-identical to the per-object client's.
 
-        Trusted-setup operation (not charged to traffic): the position map is
-        re-scattered to each block's first planned bin leaf in one vectorized
-        assignment, the consumed first occurrences are marked so the first
-        in-trace reassignment cannot repeat the placement leaf, and the tree
-        is rebuilt with the per-level bulk placement (canonical block-id
-        order — the same layout the per-object client produces).
+        Stashed blocks leave their rows as holes, the rest leave their old
+        buckets in one level-by-level pass, and the per-level bulk placement
+        (which honours the buckets' current occupants and equals the scalar
+        place-as-deep-as-possible loop) puts them on their new paths.
         """
-        if self.counter.logical_accesses:
-            raise ConfigurationError(
-                "initial placement can only be applied before any access"
-            )
-        initial = plan.initial_leaves(self.config.num_blocks)
-        planned = np.nonzero(initial >= 0)[0]
-        self.position_map.load_many(planned, initial[planned])
-        plan.consume_first_occurrences(self.config.num_blocks)
-        self.tree.clear()
-        self.stash.clear()
-        self._bulk_load()
+        stash = self.stash
+        rows = stash.row_of[block_ids]
+        stashed = rows >= 0
+        stash.remove_rows(rows[stashed], block_ids[stashed])
+        self.tree.remove_many(block_ids[~stashed], old_leaves[~stashed])
+        overflow = self.tree.bulk_place_ordered(block_ids, new_leaves)
+        stash.append_rows(overflow, self.position_map.peek_many(overflow))
 
     # ------------------------------------------------------------------
     # Serve-now entry points

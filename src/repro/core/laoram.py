@@ -49,8 +49,8 @@ class LookaheadClientMixin:
     The mixin owns the constructor, the preprocessor, the installed plan,
     the trace cursor and every trace-level entry point (``run_trace``,
     ``access_many``, ``write_many``).  Concrete engines provide the storage
-    backend plus :meth:`access_superblock` and
-    :meth:`apply_initial_placement`.
+    backend plus :meth:`access_superblock` and the :meth:`_relocate`
+    primitive of :meth:`apply_initial_placement`.
     """
 
     laoram_config: LAORAMConfig
@@ -274,8 +274,40 @@ class LookaheadClientMixin:
         """Configuration label in the paper's notation (e.g. ``"Fat/S4"``)."""
         return self.laoram_config.describe()
 
-    # Backend-specific operations -------------------------------------
+    # ------------------------------------------------------------------
+    # Trusted placement
+    # ------------------------------------------------------------------
     def apply_initial_placement(self, plan: LookaheadPlan) -> None:
+        """Move each planned block onto the path of its first planned bin.
+
+        This is a trusted-setup operation (the same trust assumption PathORAM
+        makes for its initial bulk load): it may only run before the first
+        adversary-visible access, and it is not charged to the traffic
+        counters.  Only the planned blocks move, so it costs what the plan
+        names, not the table.  One rule for both backends, which keeps their
+        layouts slot-identical: every planned block is detached from the
+        stash or from its bucket on its old path (the other occupants keep
+        their order), then the blocks are placed in ascending id order, each
+        as deep as possible on its new path given what is already there, and
+        what does not fit enters the stash in that order.  The first planned
+        occurrence of every placed block is marked consumed so the first
+        in-trace reassignment cannot be handed the same leaf again (which an
+        adversary could link).
+        """
+        if self.counter.logical_accesses:
+            raise ConfigurationError(
+                "initial placement can only be applied before any access"
+            )
+        block_ids, leaves = plan.take_first_occurrences(self.config.num_blocks)
+        old_leaves = self.position_map.peek_many(block_ids)
+        self.position_map.load_many(block_ids, leaves)
+        self._relocate(block_ids, old_leaves, leaves)
+
+    # Backend-specific operations -------------------------------------
+    def _relocate(
+        self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
+    ) -> None:
+        """Detach ``block_ids`` (ascending) and place them on ``new_leaves``."""
         raise NotImplementedError
 
     def access_superblock(
@@ -289,40 +321,24 @@ class LookaheadClientMixin:
 class LAORAMClient(LookaheadClientMixin, PathORAM):
     """Look-ahead ORAM client (the paper's contribution), per-object backend."""
 
-    def apply_initial_placement(self, plan: LookaheadPlan) -> None:
-        """Lay the table out so each block starts on its first planned path.
-
-        This is a trusted-setup operation (the same trust assumption PathORAM
-        makes for its initial bulk load): it may only run before the first
-        adversary-visible access, and it is not charged to the traffic
-        counters.  The first planned occurrence of every placed block is
-        marked consumed so the first in-trace reassignment cannot be handed
-        the same leaf again (which an adversary could link).
-        """
-        if self.counter.logical_accesses:
-            raise ConfigurationError(
-                "initial placement can only be applied before any access"
-            )
-        # Reassign initial paths: first planned occurrence when available.
-        initial = plan.initial_leaves(self.config.num_blocks)
-        for block_id in np.nonzero(initial >= 0)[0].tolist():
-            self.position_map.load(block_id, int(initial[block_id]))
-        plan.consume_first_occurrences(self.config.num_blocks)
-        # Rebuild the tree layout under the new position map, preserving any
-        # payloads installed by load_payloads().  The stash id list is
-        # snapshotted before popping so removal cannot perturb the iteration,
-        # and blocks are re-placed in canonical block-id order (the same
-        # order the initial bulk load uses).
-        blocks = {block.block_id: block for block in self.tree.iter_blocks()}
-        for block_id in list(self.stash.block_ids):
-            block = self.stash.pop(block_id)
-            if block is not None:
-                blocks[block.block_id] = block
-        self.tree = self._make_tree()
-        self.stash.clear()
-        for block_id in sorted(blocks):
-            block = blocks[block_id]
-            block.leaf = self.position_map.peek(block.block_id)
+    def _relocate(
+        self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
+    ) -> None:
+        """Scalar relocation: the reference the array client is checked against."""
+        blocks = []
+        for block_id, old_leaf, new_leaf in zip(
+            block_ids.tolist(), old_leaves.tolist(), new_leaves.tolist()
+        ):
+            block = self._stash_detach(block_id)
+            if block is None:
+                block = self._remove_from_path(old_leaf, block_id)
+            if block is None:
+                raise BlockNotFoundError(
+                    f"block {block_id} missing from both stash and its path"
+                )
+            block.leaf = new_leaf
+            blocks.append(block)
+        for block in blocks:
             if not self.tree.try_place_on_path(block):
                 self.stash.add(block)
 

@@ -284,35 +284,23 @@ class LookaheadPlan:
         self._consumed_up_to[block_id] = occ_list[pos]
         return leaf_list[pos]
 
-    def initial_leaves(self, num_blocks: int) -> np.ndarray:
-        """First-occurrence leaf per block id, ``-1`` for blocks not planned.
+    def take_first_occurrences(self, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+        """Planned ids below ``num_blocks`` (ascending) and their first leaves.
 
-        Used by trusted-setup initial placement: block ``b`` should start on
-        the path of the superblock bin containing its first planned access.
-        Only ids below ``num_blocks`` are reported.
+        Trusted-setup placement starts block ``b`` on the path of the bin
+        holding its first planned access, and marks that occurrence consumed
+        (``consume_next_leaf(b, -1)`` per block): otherwise the first
+        in-trace reassignment could be handed the *same* leaf again, a
+        linkable repeated-leaf observation.
         """
-        out = np.full(num_blocks, -1, dtype=np.int64)
-        if self._uniq.size:
-            mask = (self._uniq >= 0) & (self._uniq < num_blocks)
-            out[self._uniq[mask]] = self._sorted_leaf[self._starts[mask]]
-        return out
-
-    def consume_first_occurrences(self, num_blocks: int) -> None:
-        """Mark occurrence 0 of every planned block (id < ``num_blocks``) consumed.
-
-        Initial placement uses each block's first planned path; without
-        consuming that occurrence the first in-trace reassignment could be
-        handed the *same* leaf again, producing a linkable repeated-leaf
-        observation.  Equivalent to ``consume_next_leaf(b, -1)`` per block.
-        """
-        if not self._uniq.size:
-            return
         mask = (self._uniq >= 0) & (self._uniq < num_blocks)
-        ids = self._uniq[mask].tolist()
-        first_occ = self._sorted_occ[self._starts[mask]].tolist()
-        for block_id, occ in zip(ids, first_occ):
-            if self._consumed_up_to.get(block_id, -1) < occ:
-                self._consumed_up_to[block_id] = occ
+        ids = self._uniq[mask]
+        starts = self._starts[mask]
+        consumed = self._consumed_up_to
+        for block_id, occ in zip(ids.tolist(), self._sorted_occ[starts].tolist()):
+            if consumed.get(block_id, -1) < occ:
+                consumed[block_id] = occ
+        return ids, self._sorted_leaf[starts]
 
     def plan_bin_remaps(
         self,

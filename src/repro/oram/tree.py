@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.block import Block
 from repro.oram.bucket import Bucket
 from repro.oram.shm import DEFAULT_ALLOCATOR, ArrayAllocator
@@ -435,6 +435,45 @@ class ArrayTreeStorage:
         slots[last] = -1
         self._occ[bucket] = occ - 1
         return True
+
+    def remove_many(self, block_ids: np.ndarray, leaves: np.ndarray) -> None:
+        """Remove each of ``block_ids`` from its bucket on the path to ``leaves[i]``.
+
+        Trusted-setup counterpart of a :meth:`remove_on_path` loop: a removed
+        block's bucket keeps its other occupants in insertion order.  One
+        pass per level over the blocks not located yet (leaf first, where a
+        bulk-loaded tree keeps most of them), so no temporary exceeds
+        ``len(block_ids) x bucket capacity``.  A block found nowhere on its
+        path raises :class:`BlockNotFoundError` before anything is removed.
+        """
+        block_ids = np.asarray(block_ids, dtype=np.int64)
+        leaves = np.asarray(leaves, dtype=np.int64)
+        pending = np.arange(block_ids.size, dtype=np.int64)
+        hits = []
+        for level in range(self.depth, -1, -1):
+            if pending.size == 0:
+                break
+            nodes = leaves[pending] >> (self.depth - level)
+            match = self._level_slots(level)[nodes] == block_ids[pending, None]
+            found = match.any(axis=1)
+            hits.append((level, nodes[found], match[found].argmax(axis=1)))
+            pending = pending[~found]
+        if pending.size:
+            raise BlockNotFoundError(
+                f"{pending.size} blocks (first: {int(block_ids[pending[0]])}) "
+                "are not on the path they were looked for on"
+            )
+        for level, nodes, columns in hits:
+            # Blank the victims, then shift each touched bucket's survivors
+            # down over the gaps (stable: insertion order is kept).
+            level_ids = self._level_slots(level)
+            level_ids[nodes, columns] = -1
+            touched = np.unique(nodes)
+            buckets = level_ids[touched]
+            empty = buckets < 0
+            order = np.argsort(empty, axis=1, kind="stable")
+            level_ids[touched] = np.take_along_axis(buckets, order, axis=1)
+            self._level_occ(level)[touched] = (~empty).sum(axis=1)
 
     def try_place_id(self, block_id: int, leaf: int) -> bool:
         """Place ``block_id`` as deep as possible on its path; False if full.

@@ -230,6 +230,19 @@ class TreeORAMEngine:
         return block_id
 '''
 
+#: ``remove_on_path`` is RingORAM's online read and reveals its leaf; the
+#: trusted-setup ``remove_many`` is observed by nobody and reveals nothing.
+_PLANT_SETUP_MOVE_AS_REVEAL = '''
+
+class TreeORAMEngine:
+    def access(self, block_id):
+        leaf = self.position_map.get(block_id)
+        self.tree.remove_many(block_id, leaf)
+        if leaf > 3:
+            return None
+        return block_id
+'''
+
 _PLANT_UNSEEDED_RNG = """
 
 scratch_rng = np.random.default_rng()
@@ -274,6 +287,7 @@ def test_unmodified_scratch_copy_is_clean(tmp_path):
     "planted, rule, module",
     [
         (_PLANT_SECRET_BRANCH, "OBL001", "engine.py"),
+        (_PLANT_SETUP_MOVE_AS_REVEAL, "OBL001", "engine.py"),
         (_PLANT_UNSEEDED_RNG, "RNG001", "engine.py"),
         # The fused path fetch lives beside its write-back half.
         (_PLANT_HOT_ALLOCATION, "ALLOC001", "write_back.py"),
@@ -284,6 +298,14 @@ def test_planted_bug_is_caught(tmp_path, planted, rule, module):
     findings = _scan_scratch_engine(tmp_path, planted, module)
     assert findings, f"planted {rule} bug went undetected"
     assert {f.rule for f in findings} == {rule}
+
+
+def test_online_read_declassifies_where_the_setup_move_does_not(tmp_path):
+    online = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
+        "remove_many(block_id, leaf)", "remove_on_path(leaf, block_id)"
+    )
+    assert online != _PLANT_SETUP_MOVE_AS_REVEAL
+    assert _scan_scratch_engine(tmp_path, online) == []
 
 
 # ----------------------------------------------------------------------

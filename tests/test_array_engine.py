@@ -14,11 +14,18 @@ from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.core.superblock import LookaheadPlan, SuperblockBin
 from repro.datasets.zipf import ZipfTraceGenerator
-from repro.exceptions import ConfigurationError, StashOverflowError
+from repro.exceptions import (
+    BlockNotFoundError,
+    ConfigurationError,
+    StashOverflowError,
+)
+from repro.experiments.configs import build_engine, build_oram_config
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
 from repro.oram.stash import ArrayStash
-from repro.oram.tree import ArrayTreeStorage
+
+from test_laoram import assert_plan_conformance
+from test_trace_contract import assert_twins_agree, engine_state
 
 
 def make_laoram_config(num_blocks=256, superblock_size=4, seed=13, **oram_kwargs):
@@ -28,34 +35,6 @@ def make_laoram_config(num_blocks=256, superblock_size=4, seed=13, **oram_kwargs
         ),
         superblock_size=superblock_size,
     )
-
-
-def assert_engine_consistent(engine):
-    """Block conservation plus position-map / tree-leaf / stash coherence."""
-    num_blocks = engine.config.num_blocks
-    depth = engine.config.depth
-    pm = engine.position_map
-    assert engine.total_real_blocks() == num_blocks
-    seen: list[int] = []
-    if isinstance(engine.tree, ArrayTreeStorage):
-        for level, node, ids in engine.tree.iter_node_ids():
-            for block_id in ids.tolist():
-                seen.append(block_id)
-                # Path-prefix invariant: a stored block's assigned path must
-                # pass through the bucket holding it.
-                assert pm.get(block_id) >> (depth - level) == node
-        for block_id in engine.stash.block_ids:
-            seen.append(block_id)
-            # The stash's leaf mirror must agree with the position map.
-            assert engine.stash.leaf_of(block_id) == pm.get(block_id)
-    else:
-        for block in engine.tree.iter_blocks():
-            seen.append(block.block_id)
-            assert block.leaf == pm.get(block.block_id)
-        for block in engine.stash:
-            seen.append(block.block_id)
-            assert block.leaf == pm.get(block.block_id)
-    assert sorted(seen) == list(range(num_blocks))
 
 
 class TestArrayStash:
@@ -176,7 +155,7 @@ class TestEngineEquivalence:
             engine.run_trace(first.addresses)
             engine.run_trace(second.addresses)
             assert engine.statistics.logical_accesses == 3_500
-            assert_engine_consistent(engine)
+            assert_plan_conformance(engine)
         reference, fast = engines
         assert fast.statistics == reference.statistics
         assert np.array_equal(
@@ -209,7 +188,7 @@ class TestRandomizedInvariants:
         rng = np.random.default_rng(17)
         trace = rng.integers(0, num_blocks, size=2_048)
         engine.run_trace(trace)
-        assert_engine_consistent(engine)
+        assert_plan_conformance(engine)
         for _ in range(10):
             op = rng.integers(0, 3)
             if op == 0:
@@ -222,7 +201,7 @@ class TestRandomizedInvariants:
                 )
             else:
                 engine.access(int(rng.integers(0, num_blocks)))
-            assert_engine_consistent(engine)
+            assert_plan_conformance(engine)
         assert engine.statistics.logical_accesses > 2_048
 
     @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
@@ -235,7 +214,7 @@ class TestRandomizedInvariants:
         trace = ZipfTraceGenerator(128, seed=8).generate(1_500)
         engine = engine_cls(config)
         engine.run_trace(trace.addresses)
-        assert_engine_consistent(engine)
+        assert_plan_conformance(engine)
 
 
 class TestPlacementRegressions:
@@ -262,7 +241,7 @@ class TestPlacementRegressions:
         trace = np.arange(256, dtype=np.int64)
         plan = engine.preprocess(trace)
         engine.apply_initial_placement(plan)
-        assert_engine_consistent(engine)
+        assert_plan_conformance(engine)
 
     @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
     def test_placement_consumes_first_occurrence(self, engine_cls):
@@ -285,7 +264,7 @@ class TestPlacementRegressions:
         assert engine.position_map.get(9) == 6
         engine.access(9)  # trace cursor 0 < occurrence index 2
         assert engine.position_map.get(9) == 1
-        assert_engine_consistent(engine)
+        assert_plan_conformance(engine)
 
     @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
     def test_placement_only_applies_to_first_window(self, engine_cls):
@@ -314,14 +293,14 @@ class TestPlacementRegressions:
         assert len(placed) == 1
         engine.run_trace(trace.addresses)
         assert len(placed) == 1
-        assert_engine_consistent(engine)
+        assert_plan_conformance(engine)
 
         touched = engine_cls(config)
         placed = spy_on_placement(touched)
         touched.access(0)
         touched.run_trace(trace.addresses)
         assert placed == []
-        assert_engine_consistent(touched)
+        assert_plan_conformance(touched)
 
     @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
     def test_placement_rejected_after_accesses(self, engine_cls):
@@ -331,6 +310,74 @@ class TestPlacementRegressions:
         engine.access(0)
         with pytest.raises(ConfigurationError):
             engine.apply_initial_placement(plan)
+
+
+    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    def test_placement_reports_a_missing_block(self, engine_cls):
+        config = make_laoram_config(num_blocks=64, superblock_size=2)
+        engine = engine_cls(config)
+        plan = engine.preprocess(np.arange(8, dtype=np.int64))
+        lost = next(b for b in range(8) if b not in engine.stash)
+        assert engine._remove_from_path(engine.position_map.peek(lost), lost) is not None
+        with pytest.raises(BlockNotFoundError):
+            engine.apply_initial_placement(plan)
+
+    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    def test_placement_overflowing_a_bounded_stash_is_reported(self, engine_cls):
+        # Forty blocks planned onto one path of a 64-block tree: the path
+        # holds far fewer, and the stash is capped at four.
+        config = make_laoram_config(num_blocks=64, superblock_size=2, stash_capacity=4)
+        engine = engine_cls(config)
+        plan = LookaheadPlan(
+            [SuperblockBin(0, 0, block_ids=tuple(range(40)), leaf=3)],
+            num_leaves=engine.config.num_leaves,
+        )
+        with pytest.raises(StashOverflowError):
+            engine.apply_initial_placement(plan)
+
+
+class TestPlacementIsSlotIdentical:
+    """Both clients relocate by one rule, so the whole layout agrees.
+
+    The statistics of the trace that follows would agree under many
+    layouts; here the tree (every bucket, in insertion order), the stash
+    order and the position map are compared after each placement and after
+    the trace, under both maps.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    @pytest.mark.parametrize("label", ["Fat/S4", "Fat/S8", "Normal/S8"])
+    def test_layout_after_placement_repeat_and_trace(self, label, recursive, seed):
+        config = build_oram_config(
+            num_blocks=512, seed=seed, recursive_posmap=recursive,
+            posmap_positions_per_block=4, posmap_cutoff_bytes=128,
+        )
+        trace = ZipfTraceGenerator(512, exponent=1.2, seed=seed + 1).generate(1_500)
+        stages = []
+        for fast in (False, True):
+            engine = build_engine(label, config, fast=fast)
+            # A populated stash (trusted set-up, nothing charged): planned
+            # blocks leave it, the others must keep their order.
+            for block_id in range(8):
+                engine._fetch_path(engine.position_map.peek(block_id))
+            built = engine_state(engine)
+            states = []
+            engine.apply_initial_placement(engine.preprocess(trace.addresses))
+            states.append(engine_state(engine))
+            assert states[0]["tree"] != built["tree"]
+            assert states[0]["stash"] and states[0]["stash"] != built["stash"]
+            # A fresh plan before any access, as a set-up probe followed by
+            # run_trace applies it (run_trace places a third time itself).
+            engine.apply_initial_placement(engine.preprocess(trace.addresses[:600]))
+            states.append(engine_state(engine))
+            engine.run_trace(trace.addresses)
+            states.append(engine_state(engine))
+            assert_plan_conformance(engine)
+            stages.append(states)
+        for reference, fast_state in zip(*stages):
+            assert_twins_agree(reference, fast_state)
+        assert stages[0][2]["statistics"].logical_accesses == 1_500
 
 
 class TestPlanLeafValidation:

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
+from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
-from repro.core.superblock import SuperblockBin
+from repro.core.superblock import LookaheadPlan, SuperblockBin
 from repro.datasets.permutation import PermutationTraceGenerator
+from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError
 from repro.oram.config import ORAMConfig
+from repro.oram.engine import ArrayStorageEngine
 from repro.oram.path_oram import PathORAM
+
+from test_trace_contract import assert_twins_agree, tree_layout
 
 
 @pytest.fixture
@@ -18,6 +23,44 @@ def config():
         oram=ORAMConfig(num_blocks=256, block_size_bytes=64, seed=13),
         superblock_size=4,
     )
+
+
+def assert_plan_conformance(engine, plan=None):
+    """What trusted placement owes the trace that follows, on either backend.
+
+    Every planned block is mapped to the leaf of its first planned bin and
+    sits on that path or in the stash; every block, planned or not, is stored
+    exactly once, in a bucket its position-map leaf passes through (or in
+    the stash), carrying that leaf as its tag; no bucket and no bounded
+    stash holds more than its capacity.  Without a plan it is the engine
+    invariant alone, which holds at any point between accesses.
+    """
+    num_blocks, depth = engine.config.num_blocks, engine.config.depth
+    leaves = engine.position_map.as_array()
+    first_leaf = {}
+    for superblock in plan.bins if plan is not None else ():
+        for block_id in superblock.block_ids:
+            first_leaf.setdefault(block_id, superblock.leaf)
+    for block_id, leaf in first_leaf.items():
+        if block_id < num_blocks:
+            assert leaves[block_id] == leaf
+    in_tree = []
+    for bucket, block_ids in tree_layout(engine).items():
+        level = (bucket + 1).bit_length() - 1
+        node = bucket + 1 - (1 << level)
+        assert len(block_ids) <= engine.tree.capacity_at_level(level)
+        for block_id in block_ids:
+            assert leaves[block_id] >> (depth - level) == node
+        in_tree += block_ids
+    stashed = engine.stash.block_ids
+    assert sorted(in_tree + stashed) == list(range(num_blocks))
+    assert engine.stash.capacity is None or len(stashed) <= engine.stash.capacity
+    if isinstance(engine, ArrayStorageEngine):
+        tags = {block_id: engine.stash.leaf_of(block_id) for block_id in stashed}
+    else:
+        blocks = list(engine.tree.iter_blocks()) + list(engine.stash)
+        tags = {block.block_id: block.leaf for block in blocks}
+    assert all(leaves[block_id] == leaf for block_id, leaf in tags.items())
 
 
 class TestConstruction:
@@ -145,6 +188,116 @@ class TestInitialPlacement:
         client.run_trace(trace.addresses)
         stats = client.statistics
         assert stats.path_reads <= len(trace) // config.superblock_size + 8
+
+
+CLIENTS = [LAORAMClient, FastLAORAMClient]
+
+
+def placement_config(superblock_size=4, recursive=False, **oram_kwargs):
+    # chi=4 with a 128-byte cutoff puts recursion levels under 256 blocks.
+    oram = ORAMConfig(
+        num_blocks=256, block_size_bytes=64, seed=13, recursive_posmap=recursive,
+        posmap_positions_per_block=4, posmap_cutoff_bytes=128, **oram_kwargs,
+    )
+    return LAORAMConfig(oram=oram, superblock_size=superblock_size)
+
+
+def one_bin_plan(engine, block_ids, leaf):
+    return LookaheadPlan(
+        [SuperblockBin(0, 0, block_ids=tuple(block_ids), leaf=leaf)],
+        num_leaves=engine.config.num_leaves,
+    )
+
+
+class TestPlanConformance:
+    """Trusted placement moves the planned blocks only, and moves them right."""
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    @pytest.mark.parametrize("fat_tree", [False, True], ids=["normal", "fat"])
+    @pytest.mark.parametrize("client", CLIENTS)
+    def test_holds_after_placement_repeated_placement_and_trace(
+        self, client, fat_tree, recursive
+    ):
+        engine = client(placement_config(8, recursive, fat_tree=fat_tree))
+        trace = ZipfTraceGenerator(256, exponent=1.1, seed=2).generate(700).addresses
+        untouched = np.setdiff1d(np.arange(256), trace)
+        before = engine.position_map.as_array()
+        plan = engine.preprocess(trace)
+        engine.apply_initial_placement(plan)
+        assert_plan_conformance(engine, plan)
+        # Blocks the plan does not name keep their leaves.
+        assert untouched.size
+        after = engine.position_map.as_array()
+        assert np.array_equal(after[untouched], before[untouched])
+        # A fresh plan before any access (a set-up probe, then run_trace).
+        plan = engine.preprocess(trace[:300])
+        engine.apply_initial_placement(plan)
+        assert_plan_conformance(engine, plan)
+        engine.run_trace(trace)
+        assert_plan_conformance(engine)
+        assert engine.statistics.logical_accesses == trace.size
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_planned_block_already_in_the_stash(self, recursive):
+        engines = [client(placement_config(4, recursive)) for client in CLIENTS]
+        for engine in engines:
+            leaf = engine.position_map.peek(40)
+            engine._fetch_path(leaf)  # trusted set-up: nothing is charged
+            stashed = engine.stash.block_ids
+            assert 40 in stashed and len(stashed) > 2
+            bystanders = [b for b in stashed if b not in (40, stashed[-1])]
+            # 40 and the last stashed block move, together with two blocks
+            # that are still in the tree; the other stash entries stay put.
+            moved = sorted([40, stashed[-1], 200, 201])
+            assert not {200, 201} & set(stashed)
+            plan = one_bin_plan(engine, moved, leaf=(leaf + 5) % engine.config.num_leaves)
+            engine.apply_initial_placement(plan)
+            assert_plan_conformance(engine, plan)
+            assert engine.stash.block_ids[: len(bystanders)] == bystanders
+            assert 40 not in engine.stash
+        assert_twins_agree(*engines)
+
+    def test_block_whose_new_leaf_is_its_old_one(self):
+        engines = [client(placement_config(2)) for client in CLIENTS]
+        for engine in engines:
+            leaf = engine.position_map.peek(17)
+            layout = tree_layout(engine)
+            (bucket,) = [index for index, ids in layout.items() if 17 in ids]
+            plan = one_bin_plan(engine, [17], leaf)
+            engine.apply_initial_placement(plan)
+            assert_plan_conformance(engine, plan)
+            # Detached and placed again on the same path: it re-enters as
+            # the last occupant of the deepest bucket with room, which is
+            # its own bucket or one below it — never one nearer the root.
+            (landed,) = [
+                index for index, ids in tree_layout(engine).items() if 17 in ids
+            ]
+            assert landed >= bucket and tree_layout(engine)[landed][-1] == 17
+        assert_twins_agree(*engines)
+
+    def test_bin_of_eight_overflows_a_four_slot_leaf_bucket(self):
+        engines = [client(placement_config(8)) for client in CLIENTS]
+        for engine in engines:
+            depth = engine.config.depth
+            assert engine.tree.capacity_at_level(depth) == 4
+            members = list(range(100, 108))
+            plan = one_bin_plan(engine, members, leaf=9)
+            engine.apply_initial_placement(plan)
+            assert_plan_conformance(engine, plan)
+            layout = tree_layout(engine)
+            leaf_bucket = (1 << depth) - 1 + 9
+            assert len(layout[leaf_bucket]) == 4
+            path = [(1 << level) - 1 + (9 >> (depth - level)) for level in range(depth + 1)]
+            # What the leaf bucket could not take climbed the path (or, if
+            # the whole path is full, went to the stash), in ascending id
+            # order: lower ids claimed the deeper slots.
+            homes = {
+                b: index for index in path for b in layout.get(index, []) if b in members
+            }
+            assert set(members) == set(homes) | set(engine.stash.block_ids) & set(members)
+            placed = [b for b in members if b in homes]
+            assert [homes[b] for b in placed] == sorted(homes.values(), reverse=True)
+        assert_twins_agree(*engines)
 
 
 class TestPlanFallback:

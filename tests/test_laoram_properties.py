@@ -4,9 +4,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import LAORAMConfig
+from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.core.preprocessor import Preprocessor
 from repro.oram.config import ORAMConfig
+
+from test_laoram import assert_plan_conformance, assert_twins_agree
 
 _SETTINGS = settings(
     max_examples=20,
@@ -32,17 +35,35 @@ def traces(draw):
     return num_blocks, superblock, fat, addresses
 
 
-def build_client(num_blocks, superblock, fat, seed=0):
+def build_client(num_blocks, superblock, fat, seed=0, client=LAORAMClient):
     config = LAORAMConfig(
         oram=ORAMConfig(
             num_blocks=num_blocks, block_size_bytes=16, fat_tree=fat, seed=seed
         ),
         superblock_size=superblock,
     )
-    return LAORAMClient(config)
+    return client(config)
 
 
 class TestLAORAMProperties:
+    @_SETTINGS
+    @given(traces(), st.integers(min_value=0, max_value=3))
+    def test_placement_conforms_to_the_plan_on_both_clients(self, case, seed):
+        num_blocks, superblock, fat, addresses = case
+        trace = np.asarray(addresses)
+        twins = [
+            build_client(num_blocks, superblock, fat, seed, client)
+            for client in (LAORAMClient, FastLAORAMClient)
+        ]
+        for engine in twins:
+            # Twice before any access: the second plan finds the blocks
+            # where the first one left them, overflow in the stash included.
+            for window in (trace, trace[: len(trace) // 2 + 1]):
+                plan = engine.preprocess(window)
+                engine.apply_initial_placement(plan)
+                assert_plan_conformance(engine, plan)
+        assert_twins_agree(*twins)
+
     @_SETTINGS
     @given(traces())
     def test_block_conservation(self, case):

@@ -120,16 +120,20 @@ class TestFromArrays:
                 np.arange(10), np.asarray([1]), superblock_size=4, num_leaves=8
             )
 
-    def test_initial_leaves_and_consume_first_occurrences(self):
+    def test_take_first_occurrences(self):
         plan = make_plan()
-        init = plan.initial_leaves(16)
-        assert init[5] == 3  # first occurrence in bin 0
-        assert init[2] == 6  # first occurrence in bin 1
-        assert init[0] == -1  # never planned
-        plan.consume_first_occurrences(16)
+        ids, leaves = plan.take_first_occurrences(10)
+        # Planned ids below the bound, ascending (11 is planned but >= 10;
+        # 0 never is), each with the leaf of the bin it first appears in.
+        assert ids.tolist() == [2, 5, 7, 9]
+        assert leaves.tolist() == [6, 3, 3, 3]
         # Block 5's occurrence 0 (index 0, leaf 3) is spent: the next
         # reassignment moves on to index 2 (still bin 0) then bin 1.
         assert plan.consume_next_leaf(5, after_index=-1) == 3  # index 2
         assert plan.consume_next_leaf(5, after_index=-1) == 6  # index 5
         # Block 9's occurrences are 3, 8, 9; occurrence 3 was consumed.
         assert plan.consume_next_leaf(9, after_index=-1) == 1
+        # Block 11 was out of bounds, so its first occurrence is still there.
+        assert plan.consume_next_leaf(11, after_index=-1) == 6
+        empty_ids, empty_leaves = LookaheadPlan([], num_leaves=16).take_first_occurrences(10)
+        assert empty_ids.size == 0 and empty_leaves.size == 0

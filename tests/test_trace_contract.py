@@ -158,6 +158,22 @@ def mixed_trace() -> np.ndarray:
     )
 
 
+def tree_layout(engine) -> dict[int, list[int]]:
+    """Breadth-first bucket index -> ids in insertion order, on either backend."""
+    tree = engine.tree
+    if isinstance(engine, ArrayStorageEngine):
+        return {
+            (1 << level) - 1 + node: ids.tolist()
+            for level, node, ids in tree.iter_node_ids()
+        }
+    buckets = ((index, tree.bucket_by_index(index)) for index in range(tree.num_buckets))
+    return {
+        index: [block.block_id for block in bucket]
+        for index, bucket in buckets
+        if len(bucket)
+    }
+
+
 def engine_state(engine) -> dict:
     """Everything a same-seed twin must reproduce, field for field."""
     state = {
@@ -165,11 +181,21 @@ def engine_state(engine) -> dict:
         "simulated_time_s": engine.simulated_time_s,
         "position_map": engine.position_map.as_array().tolist(),
         "stash": list(engine.stash.block_ids),
+        "tree": tree_layout(engine),
         "client_memory_bytes": engine.client_memory_bytes(),
     }
     if isinstance(engine, ArrayStorageEngine):
         state["slots"] = engine.tree.slot_array.tolist()
     return state
+
+
+def assert_twins_agree(reference, fast) -> None:
+    """A reference engine's whole state (or ``engine_state``) equals its fast twin's."""
+    want, got = (
+        state if isinstance(state, dict) else engine_state(state)
+        for state in (reference, fast)
+    )
+    assert {key: got[key] for key in want} == want
 
 
 @pytest.mark.parametrize("writes", [False, True])
@@ -225,6 +251,5 @@ def test_fast_lookahead_bins_match_the_object_client(label, recursive):
         results.append((list(replayed), list(served)))
         states.append(engine_state(engine))
     assert results[0] == results[1]
-    reference, fast_state = states
-    assert {key: fast_state[key] for key in reference} == reference
-    assert (reference["statistics"].posmap_path_reads > 0) == recursive
+    assert_twins_agree(*states)
+    assert (states[0]["statistics"].posmap_path_reads > 0) == recursive

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.block import Block
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 
@@ -216,3 +216,131 @@ class TestArrayBulkPlacement:
         tree.clear()
         assert tree.real_block_count() == 0
         assert tree.slot_array is slots and (slots == -1).all()
+
+
+class TestArrayBulkRemoval:
+    """``remove_many`` against the ``remove_on_path`` loop it stands for."""
+
+    @staticmethod
+    def _filled_pair(depth, capacities, seed, per_leaf=3):
+        """Two identical trees holding blocks ``0..n-1`` and the blocks' leaves."""
+        rng = np.random.default_rng(seed)
+        leaves = rng.integers(0, 1 << depth, size=per_leaf * (1 << depth))
+        trees = []
+        for _ in range(2):
+            tree = ArrayTreeStorage(
+                depth=depth, bucket_capacities=capacities, block_size_bytes=64
+            )
+            overflow = tree.bulk_place(leaves)
+            trees.append(tree)
+        stored = np.setdiff1d(np.arange(leaves.size), overflow)
+        return trees[0], trees[1], leaves, stored
+
+    @staticmethod
+    def _assert_dense_prefixes(tree):
+        """Occupied slots are each bucket's first ``occ`` slots, ``occ`` in sync."""
+        slots, occ = tree.slot_array, tree.bucket_occupancies
+        for level, capacity in enumerate(tree.bucket_capacities):
+            start = tree.level_base[level]
+            level_slots = slots[start : start + (1 << level) * capacity].reshape(
+                1 << level, capacity
+            )
+            level_occ = occ[(1 << level) - 1 : (1 << (level + 1)) - 1]
+            assert np.array_equal(
+                level_slots >= 0, np.arange(capacity) < level_occ[:, None]
+            )
+
+    def _assert_matches_scalar_loop(self, bulk, scalar, victims, leaves):
+        before = bulk.real_block_count()
+        bulk.remove_many(victims, leaves[victims])
+        for block_id in victims.tolist():
+            assert scalar.remove_on_path(int(leaves[block_id]), block_id)
+        assert np.array_equal(bulk.slot_array, scalar.slot_array)
+        assert np.array_equal(bulk.bucket_occupancies, scalar.bucket_occupancies)
+        assert bulk.real_block_count() == before - victims.size
+        self._assert_dense_prefixes(bulk)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "depth, capacities",
+        [(4, [2] * 5), (5, [6, 5, 4, 3, 2, 2]), (3, [1] * 4)],
+        ids=["uniform", "fat", "single-slot"],
+    )
+    def test_random_victims(self, depth, capacities, seed):
+        bulk, scalar, leaves, stored = self._filled_pair(depth, capacities, seed)
+        rng = np.random.default_rng(seed + 10)
+        victims = np.sort(rng.choice(stored, size=stored.size // 3, replace=False))
+        self._assert_matches_scalar_loop(bulk, scalar, victims, leaves)
+
+    def test_one_path_loses_victims_in_every_bucket_root_included(self):
+        """Several victims per bucket, at every level of one path, gaps closed."""
+        depth, capacities = 3, [4, 3, 3, 3]
+        trees = [
+            ArrayTreeStorage(depth=depth, bucket_capacities=capacities, block_size_bytes=64)
+            for _ in range(2)
+        ]
+        leaves = np.full(13, 5, dtype=np.int64)
+        for tree in trees:
+            # Thirteen blocks fill the path to leaf 5 exactly: 0-2 in the
+            # leaf bucket, 3-5 and 6-8 above it, 9-12 at the root.
+            assert tree.bulk_place(leaves).size == 0
+        bulk, scalar = trees
+        # First and last of the leaf bucket, the middle one of level 2, the
+        # whole of level 1, and two non-adjacent slots of the root.
+        victims = np.array([0, 2, 4, 6, 7, 8, 9, 11])
+        self._assert_matches_scalar_loop(bulk, scalar, victims, leaves)
+        assert [ids.tolist() for _, _, ids in bulk.iter_node_ids()] == [
+            [10, 12], [3, 5], [1],
+        ]
+
+    def test_empty_input(self):
+        bulk, scalar, leaves, _ = self._filled_pair(3, [2] * 4, seed=3)
+        self._assert_matches_scalar_loop(
+            bulk, scalar, np.empty(0, dtype=np.int64), leaves
+        )
+
+    def test_missing_block_raises_and_removes_nothing(self):
+        bulk, untouched, leaves, stored = self._filled_pair(4, [2] * 5, seed=4)
+        victims = stored[:6].copy()
+        wrong_leaves = leaves[victims].copy()
+        # One victim is looked for on a path through the root's other child;
+        # it sits below level 1, so no bucket of that path holds it.
+        deep = [
+            b for b in stored.tolist()
+            if b not in bulk.slot_array[: bulk.level_base[2]].tolist()
+        ]
+        victims[3] = deep[-1]
+        wrong_leaves[3] = leaves[victims[3]] ^ (1 << 3)
+        with pytest.raises(BlockNotFoundError):
+            bulk.remove_many(victims, wrong_leaves)
+        assert np.array_equal(bulk.slot_array, untouched.slot_array)
+        assert np.array_equal(bulk.bucket_occupancies, untouched.bucket_occupancies)
+        self._assert_dense_prefixes(bulk)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relocation_touches_only_the_old_and_new_paths(self, seed):
+        """Cost follows the moved blocks: every other slot is byte-identical."""
+        depth, capacities = 6, [5, 4, 3, 3, 2, 2, 2]
+        tree, _, leaves, stored = self._filled_pair(depth, capacities, seed, per_leaf=2)
+        rng = np.random.default_rng(seed + 20)
+        moved = np.sort(rng.choice(stored, size=12, replace=False))
+        new_leaves = rng.integers(0, 1 << depth, size=moved.size)
+        before = tree.slot_array.copy()
+        occ_before = tree.bucket_occupancies.copy()
+        tree.remove_many(moved, leaves[moved])
+        tree.bulk_place_ordered(moved, new_leaves)
+        touched_leaves = np.concatenate([leaves[moved], new_leaves])
+        on_a_path = np.zeros(before.size, dtype=bool)
+        bucket_on_a_path = np.zeros(occ_before.size, dtype=bool)
+        for leaf in touched_leaves.tolist():
+            for level, capacity in enumerate(capacities):
+                node = leaf >> (depth - level)
+                start = tree.level_base[level] + node * capacity
+                on_a_path[start : start + capacity] = True
+                bucket_on_a_path[(1 << level) - 1 + node] = True
+        assert not on_a_path.all()
+        assert np.array_equal(tree.slot_array[~on_a_path], before[~on_a_path])
+        assert np.array_equal(
+            tree.bucket_occupancies[~bucket_on_a_path], occ_before[~bucket_on_a_path]
+        )
+        self._assert_dense_prefixes(tree)
