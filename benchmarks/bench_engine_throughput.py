@@ -110,12 +110,9 @@ def run_engine(label: str, oram_config: ORAMConfig, addresses, fast: bool):
 #: ``_write_back`` -> ``_commit_write_back``).
 PROFILE_PHASES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("posmap_lookup", ("position_map.get",)),
-    (
-        "path_read",
-        ("_read_path_into_stash", "_online_read", "_read_paths_into_stash"),
-    ),
+    ("path_read", ("_read_path_into_stash", "_online_read")),
     ("serve_remap", ("_serve", "_update_leaf")),
-    ("write_back", ("_write_back", "_commit_write_back", "_write_back_many")),
+    ("write_back", ("_write_back", "_commit_write_back")),
     (
         "counters",
         (

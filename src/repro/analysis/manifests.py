@@ -171,9 +171,7 @@ class AnalysisConfig:
 #: one of them from a hot function stays tainted.
 _PATH_REVEAL = (
     Declassifier("_read_path_into_stash", (0,)),
-    Declassifier("_read_paths_into_stash", (0,)),
     Declassifier("read_path_ids", (0,)),
-    Declassifier("read_paths_ids", (0,)),
     Declassifier("read_path", (0,)),
     Declassifier("_fetch_path", (0,)),
     # fused_fetch(read_ids, tags, stash_map, leaf): the leaf is argument 3.
@@ -198,6 +196,16 @@ _ENGINE_SOURCES = ModuleSources(
             "_stash_detach",
         }
     ),
+    declassifiers=_PATH_REVEAL,
+)
+
+# The bin kernel takes its ids bin by bin (``bins`` yields ``block_ids``
+# lists) and mirrors the stash itself; the leaves ``leaf_access`` answers
+# with are secret until a fetch reveals them.
+_LAORAM_SOURCES = ModuleSources(
+    params=frozenset({"bins", "block_ids", "stash_map"}),
+    attrs=frozenset({"id_rows", "leaf_rows", "stash"}),
+    calls=frozenset({"position_map.leaf_access"}),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -237,6 +245,7 @@ def default_config() -> AnalysisConfig:
     """The manifest for this repository (see docs/static_analysis.md)."""
     return AnalysisConfig(
         sources={
+            "repro/core/fast_laoram.py": _LAORAM_SOURCES,
             "repro/oram/engine.py": _ENGINE_SOURCES,
             "repro/oram/ring_oram.py": _ENGINE_SOURCES,
             "repro/oram/pr_oram.py": _PRORAM_SOURCES,
@@ -244,14 +253,13 @@ def default_config() -> AnalysisConfig:
             "repro/oram/recursive_posmap.py": _RECURSIVE_POSMAP_SOURCES,
         },
         obl_hot_functions={
+            "repro/core/fast_laoram.py": ("FastLAORAMClient._run_bins",),
             "repro/oram/engine.py": (
                 "TreeORAMEngine.access",
                 "TreeORAMEngine._maybe_background_evict",
                 "TreeORAMEngine.dummy_access",
                 "ArrayStorageEngine._run_trace_fused",
                 "ArrayStorageEngine._fetch_path",
-                "ArrayStorageEngine._read_paths_into_stash",
-                "ArrayStorageEngine._write_back_many",
                 "ArrayStorageEngine._commit_write_back",
                 "ArrayStorageEngine._commit_write_back_scalar",
                 "ArrayStorageEngine._commit_write_back_vector",
@@ -272,9 +280,9 @@ def default_config() -> AnalysisConfig:
             ),
             "repro/oram/write_back.py": (
                 "plan_greedy_write_back",
-                "plan_batched_write_back",
                 "fused_fetch",
                 "fused_greedy_write_back",
+                "fused_shared_write_back",
             ),
             "repro/oram/recursive_posmap.py": (
                 "RecursivePositionMap._walk",
@@ -303,6 +311,7 @@ def default_config() -> AnalysisConfig:
             "repro/oram/write_back.py": (
                 AllocScope("fused_fetch", "body"),
                 AllocScope("fused_greedy_write_back", "body"),
+                AllocScope("fused_shared_write_back", "body"),
             ),
             "repro/oram/tree.py": (
                 AllocScope("ArrayTreeStorage._fill_path_slots", "body"),
@@ -311,6 +320,7 @@ def default_config() -> AnalysisConfig:
             ),
         },
         fused_drivers={
+            "repro/core/fast_laoram.py": ("FastLAORAMClient._run_bins",),
             "repro/oram/engine.py": ("ArrayStorageEngine._run_trace_fused",),
             "repro/oram/ring_oram.py": ("ArrayRingORAM._run_trace_ring_fused",),
         },
@@ -349,17 +359,17 @@ def default_config() -> AnalysisConfig:
             ),
             Declassification(
                 "repro/oram/write_back.py",
-                "plan_batched_write_back",
-                ("OBL001", "OBL002"),
-                "client-side planning (see plan_greedy_write_back); commits "
-                "a placement bit-identical to the sequential per-path loop",
-            ),
-            Declassification(
-                "repro/oram/write_back.py",
                 "fused_greedy_write_back",
                 ("OBL001", "OBL002"),
                 "client-side planning (see plan_greedy_write_back); slot "
                 "indices written derive from the already-revealed path leaf",
+            ),
+            Declassification(
+                "repro/oram/write_back.py",
+                "fused_shared_write_back",
+                ("OBL001", "OBL002"),
+                "client-side planning (see plan_greedy_write_back); slots "
+                "and occupancies touched lie on the already-revealed path",
             ),
             Declassification(
                 "repro/oram/engine.py",

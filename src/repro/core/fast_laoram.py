@@ -2,30 +2,45 @@
 
 Combines :class:`~repro.core.laoram.LookaheadClientMixin` (plan management,
 trace windowing, trace-level entry points) with the vectorized
-:class:`~repro.oram.array_path_oram.ArrayPathORAM` storage engine.  The
-superblock hot path avoids every per-block Python object: bins are consumed
-as numpy slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`),
+:class:`~repro.oram.array_path_oram.ArrayPathORAM` storage engine.  Every
+bin, whichever entry point it came through, runs on one fused kernel
+(:meth:`FastLAORAMClient._run_bins`, the LAORAM twin of
+``ArrayStorageEngine._run_trace_fused``): the stash is mirrored into a dict
+once per call, a bin is dict membership, one ``fused_fetch`` per distinct
+path, an in-place remap and a dict-mirror write-back per path read, and
+counters and the clock are flushed once on exit.  Bins are consumed as numpy
+slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`) and
 initial placement relocates only the planned blocks (one level-by-level
 removal from their old buckets, one per-level bulk placement on their new
-paths), and write-backs reuse the array engine's vectorized greedy planner.
+paths).
 
 The engine is decision-for-decision identical to the per-object client — it
 draws from the RNG in the same order and picks the same write-back victims —
 so a fixed seed yields bit-identical traffic counters on both backends while
-running an order of magnitude faster (see
-``benchmarks/bench_engine_throughput.py``).
+running an order of magnitude faster (see ``docs/performance.md``, "LAORAM
+bin kernel").
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import BlockNotFoundError, ConfigurationError
+from repro.exceptions import (
+    BlockNotFoundError,
+    ConfigurationError,
+    StashOverflowError,
+)
 from repro.oram.array_path_oram import ArrayPathORAM
+from repro.oram.write_back import fused_fetch, fused_shared_write_back
 from repro.core.laoram import LookaheadClientMixin
 from repro.core.superblock import LookaheadPlan, SuperblockBin
+
+#: One bin as the kernel takes it: trace index of its first access, its ids
+#: in access order, and its precomputed remap leaves (``None``: ask the plan).
+Bin = tuple[int, list[int], Optional[list[int]]]
 
 
 class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
@@ -39,34 +54,24 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
     ) -> Sequence[Optional[object]]:
         """Execute every bin of ``plan`` from its arrays (no bin objects).
 
-        Block ids are range-checked once per window instead of once per bin
-        (the preprocessor already rejected negative ids), the whole window's
-        remap leaves are precomputed in one vectorized pass instead of
-        per-access plan lookups, and the payloads are one gather after the
-        last bin instead of a list per bin.
+        An out-of-range id is rejected before the window starts (the
+        preprocessor already rejected negative ids), so a bad trace leaves
+        the engine and the plan untouched.  The whole window's remap leaves
+        are precomputed in one vectorized pass instead of per-access plan
+        lookups (the consumption state they stand for is installed once the
+        last bin is through), and the payloads are one gather after the last
+        bin instead of a list per bin.
         """
         if plan.max_block_id >= self.config.num_blocks:
             self._check_block_id(plan.max_block_id)
-        precomputed = plan.plan_bin_remaps()
-        if precomputed is None:
-            for start_index, block_ids, _ in plan.iter_bin_arrays():
-                self._access_superblock_ids(
-                    start_index, block_ids.tolist(), check_ids=False,
-                    collect=False,
-                )
-        else:
-            remaps, final_consumed = precomputed
-            for bin_id, (start_index, block_ids, _) in enumerate(
-                plan.iter_bin_arrays()
-            ):
-                self._access_superblock_ids(
-                    start_index,
-                    block_ids.tolist(),
-                    check_ids=False,
-                    remap_leaves=remaps[bin_id],
-                    collect=False,
-                )
-            plan.apply_consumption(final_consumed)
+        remaps, final_consumed = plan.plan_bin_remaps() or (repeat(None), [])
+        self._run_bins(
+            (start_index, block_ids.tolist(), bin_remaps)
+            for (start_index, block_ids, _), bin_remaps in zip(
+                plan.iter_bin_arrays(), remaps
+            )
+        )
+        plan.apply_consumption(final_consumed)
         return self._gather_payloads(addresses.tolist())
 
     def _relocate(
@@ -97,7 +102,7 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         in the stash: ``(len(block_ids), dim)`` over a payload matrix.
         """
         ids = self._coerce_id_list(block_ids)
-        self._serve_bins(ids)
+        self._run_bins(self._aligned_bins(ids))
         return self._gather_payloads(ids)
 
     def write_many(
@@ -105,18 +110,17 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
     ) -> None:
         """Bin-wise write (see :meth:`LookaheadClientMixin.write_many`).
 
-        Over a payload matrix the rows are scattered in one assignment once
-        every bin has found its blocks in the stash; duplicate ids keep the
-        last payload.
+        The payloads are stored once every bin has found its blocks in the
+        stash; repeated ids keep the last payload.
         """
-        store = self._payloads
-        if isinstance(store, dict):
-            super().write_many(block_ids, payloads)
-            return
         ids = self._coerce_id_list(block_ids)
         if len(ids) != len(payloads):
             raise ConfigurationError("block_ids and payloads must have equal length")
-        self._serve_bins(ids)
+        self._run_bins(self._aligned_bins(ids))
+        store = self._payloads
+        if isinstance(store, dict):
+            store.update(zip(ids, payloads))
+            return
         # Fancy assignment leaves the winner among repeated indices
         # unspecified, so repeats are reduced to their last position first.
         last = dict(zip(ids, range(len(ids))))
@@ -136,13 +140,16 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             return list(map(store.get, block_ids))
         return store[block_ids]
 
-    def _serve_bins(self, ids: list[int]) -> None:
-        """Run ``ids`` as consecutive bins ending on superblock boundaries."""
+    def _aligned_bins(self, ids: list[int]) -> Iterator[Bin]:
+        """Cut ``ids`` into consecutive bins ending on superblock boundaries."""
+        size = self.laoram_config.superblock_size
+        cursor = self._trace_cursor
         offset = 0
         while offset < len(ids):
-            chunk = ids[offset : offset + self._next_bin_length()]
-            self._access_superblock_ids(self._trace_cursor, chunk, collect=False)
+            chunk = ids[offset : offset + size - cursor % size]
+            yield cursor, chunk, None
             offset += len(chunk)
+            cursor += len(chunk)
 
     def access_superblock(
         self,
@@ -150,104 +157,235 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         new_payloads: Optional[dict[int, object]] = None,
     ) -> list[Optional[object]]:
         """Serve every access of one superblock bin (object-level API)."""
-        return self._access_superblock_ids(
-            superblock.start_index, list(superblock.block_ids), new_payloads
-        )
-
-    def _access_superblock_ids(
-        self,
-        start_index: int,
-        block_ids: list[int],
-        new_payloads: Optional[dict[int, object]] = None,
-        check_ids: bool = True,
-        remap_leaves: Optional[list[int]] = None,
-        collect: bool = True,
-    ) -> list[Optional[object]]:
-        """Serve one bin given its start index and id list.
-
-        Mirrors ``LAORAMClient.access_superblock`` decision for decision:
-        stash hits are free, missing blocks are grouped by current path in
-        first-encounter order and each distinct path is fetched once, then
-        every distinct block is remapped to its next planned occurrence.
-        ``check_ids=False`` skips the per-id range check when the caller has
-        already validated the whole window; ``remap_leaves`` supplies the
-        bin's precomputed remap leaves (``-1`` = uniform fallback draw) in
-        distinct-block first-occurrence order; ``collect=False`` skips
-        building the per-access payload list when the caller gathers the
-        payloads itself after its last bin.
-        """
-        self.counter.record_logical_access(len(block_ids))
-        self.timing.charge_client_overhead(len(block_ids))
-
-        needed = list(dict.fromkeys(block_ids))
-        if check_ids:
-            for block_id in needed:
-                self._check_block_id(block_id)
-
-        # Leaf lookups and remaps go through the map's own accessors (the
-        # dense array's C calls, or the recursive map's charged walks):
-        # every id was range-checked above and every new leaf comes from the
-        # plan (range-checked below) or the engine RNG.
-        _, get_leaf, set_leaf = self.position_map.leaf_access()
-        stash = self.stash
-        row_of = stash.row_of
-        read_leaves: list[int] = []
-        missing = [b for b in needed if row_of[b] < 0]
-        self._stash_hits += len(needed) - len(missing)
-        if missing:
-            leaves: dict[int, None] = {}
-            for block_id in missing:
-                leaves.setdefault(get_leaf(block_id), None)
-            read_leaves = list(leaves)
-            self._read_paths_into_stash(read_leaves, dummy=False)
-            for block_id in missing:
-                if row_of[block_id] < 0:
-                    raise BlockNotFoundError(
-                        f"block {block_id} missing from both stash and its path"
-                    )
-
-        payloads: list[Optional[object]] = []
-        if collect or new_payloads is not None:
+        ids = list(superblock.block_ids)
+        self._run_bins([(superblock.start_index, ids, None)])
+        if new_payloads:
             store = self._payloads
-            payload_of = self._payload_of
-            for block_id in block_ids:
-                if new_payloads is not None and block_id in new_payloads:
-                    store[block_id] = new_payloads[block_id]
-                payloads.append(payload_of(block_id))
+            for block_id in new_payloads.keys() & set(ids):
+                store[block_id] = new_payloads[block_id]
+        return list(self._gather_payloads(ids))
 
-        # Remap every distinct block to its next planned occurrence.  The
-        # stash mirrors each resident block's leaf, so both the position map
-        # and the block's stash row are updated together.  Plan-supplied
-        # leaves are range-checked (the dense accessor is the bare array
-        # write) so a plan built for a different tree fails here, exactly
-        # where the per-object client would.
-        end_index = start_index + len(block_ids) - 1
-        stash_leaves = stash.leaf_rows
-        num_leaves = self.config.num_leaves
-        if remap_leaves is None:
-            for block_id in needed:
-                leaf = self._planned_leaf(block_id, after_index=end_index)
-                if not 0 <= leaf < num_leaves:
-                    raise ConfigurationError(
-                        f"planned leaf {leaf} outside [0, {num_leaves})"
+    # ------------------------------------------------------------------
+    # The bin kernel
+    # ------------------------------------------------------------------
+    def _run_bins(self, bins: Iterable[Bin]) -> None:
+        """Serve ``bins`` in order: the one place a superblock bin runs.
+
+        Mirrors ``LAORAMClient.access_superblock`` decision for decision on
+        a dict mirror of the stash (id -> leaf, in the row stash's insertion
+        order, so every write-back tie-break is the same): stash hits are
+        free, the missing blocks are grouped by current path in
+        first-encounter order and each distinct path is fetched once, every
+        distinct block is remapped in place — to the bin's precomputed leaf,
+        else to what the plan hands out, else (``-1`` or no plan) to a
+        scalar draw, so the generator stream stays in the reference client's
+        order — and each path read is written back, path by path and
+        occupancy-aware over the buckets they share.  Background eviction
+        runs inline.
+
+        Counters and the clock accumulate in locals, the float in the
+        reference's ``+=`` order; the clock is handed to the position map
+        around its lookups and remaps, which a recursive map charges
+        directly.  One ``finally`` stores the cursor, reloads the stash from
+        the mirror and flushes the counters, so a raise mid-window leaves
+        the engine consistent and able to serve the next call: the capacity
+        check runs after a path's blocks entered the mirror and the flush is
+        not capacity-checked, so an overflow loses nothing.  A raise also
+        drops the plan — a window's precomputed remaps have handed out
+        leaves the plan still counts as unconsumed, and serving them again
+        would put a block back on a path it was just read from — so later
+        remaps draw uniformly.
+        """
+        num_blocks = self.config.num_blocks
+        num_leaves = self._num_leaves
+        depth = self._depth
+        tree = self.tree
+        stash = self.stash
+        counter = self.counter
+        timing = self.timing
+        observer = self.observer
+        capacity = stash.capacity
+        should_trigger = self.eviction.should_trigger
+        should_continue = self.eviction.should_continue
+        planned_leaf = self._planned_leaf
+        rng_integers = self.rng.integers
+
+        tags, get_leaf, set_leaf = self.position_map.leaf_access()
+        slots = tree.slot_array
+        caps = tree.bucket_capacities
+        level_base = tree.level_base
+        node_base = [(1 << level) - 1 for level in range(depth + 1)]
+        groups: list[list[int]] = [[] for _ in range(depth + 1)]
+        occ = tree.bucket_occupancies
+        read_ids = tree.read_path_ids
+        fetch = fused_fetch
+        write_back = fused_shared_write_back
+
+        path_buckets, path_bytes = tree.path_cost(0)
+        dt_path = timing.path_transfer_delta(path_buckets, path_bytes)
+        overhead_us = timing.client_overhead_us
+
+        stash_map = stash.mirror()
+
+        # Deferred accumulators, flushed in the finally below; bucket and
+        # byte totals follow from the path counts (one geometry per tree).
+        logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
+        stash_peak = counter.stash_peak
+        elapsed = timing.elapsed_s
+        history = counter.stash_history if counter.record_stash_history else None
+        cursor = self._trace_cursor
+
+        try:
+            for start_index, block_ids, bin_remaps in bins:
+                count = len(block_ids)
+                logical += count
+                elapsed += count * overhead_us * 1e-6
+                needed = list(dict.fromkeys(block_ids))
+                missing = []
+                for block_id in needed:
+                    # oblivious: allow[OBL001] bounds check against the public
+                    # num_blocks; invalid ids abort the run loudly
+                    if block_id < 0 or block_id >= num_blocks:
+                        raise BlockNotFoundError(
+                            f"block {block_id} outside [0, {num_blocks})"
+                        )
+                    # oblivious: allow[OBL001] fused replay of the bin's
+                    # stash-hit fast path — hits counted and charged the same
+                    if block_id not in stash_map:
+                        missing.append(block_id)
+                hits += len(needed) - len(missing)
+
+                read_leaves = ()
+                # oblivious: allow[OBL001] a bin whose blocks are all stashed
+                # fetches nothing: the modeled stash-hit behaviour
+                if missing:
+                    # The map charges its own lookups (a recursion walk) to
+                    # ``timing`` directly: hand it the deferred clock and
+                    # take it back, on the raise path too.
+                    timing.set_elapsed(elapsed)
+                    try:
+                        read_leaves = list(dict.fromkeys(map(get_leaf, missing)))
+                    finally:
+                        elapsed = timing.elapsed_s
+                    # oblivious: allow[OBL002] a bin fetches each distinct path
+                    # its missing blocks sit on: the protocol's observable,
+                    # every one a uniform independent draw (paper, Sec. VI)
+                    for leaf in read_leaves:
+                        fetch(read_ids, tags, stash_map, leaf)
+                        path_reads += 1
+                        elapsed += dt_path
+                        if observer is not None:
+                            observer.observe_path(leaf, dummy=False)
+                        # oblivious: allow[OBL001] stash-capacity check:
+                        # overflow is PathORAM's stated failure event and
+                        # aborts the run
+                        if capacity is not None and len(stash_map) > capacity:
+                            raise StashOverflowError(
+                                f"stash exceeded its capacity of {capacity} blocks"
+                            )
+                    for block_id in missing:
+                        # oblivious: allow[OBL001] integrity check; aborts the run
+                        if block_id not in stash_map:
+                            raise BlockNotFoundError(
+                                f"block {block_id} missing from both stash "
+                                "and its path"
+                            )
+
+                # Remap every distinct block to its next planned occurrence,
+                # in the position map and in the mirror together.  Plan
+                # leaves are range-checked (the dense accessor is the bare
+                # array write) so a plan built for a different tree fails
+                # here, exactly where the per-object client would.
+                end_index = start_index + count - 1
+                timing.set_elapsed(elapsed)
+                try:
+                    for position, block_id in enumerate(needed):
+                        # oblivious: allow[OBL001] where the new leaf comes
+                        # from is client-side: no traffic either way
+                        if bin_remaps is None:
+                            leaf = planned_leaf(block_id, end_index)
+                        else:
+                            leaf = bin_remaps[position]
+                            # oblivious: allow[OBL001] no future occurrence
+                            # planned: the uniform fallback draw, client-side
+                            if leaf < 0:
+                                leaf = int(rng_integers(0, num_leaves))
+                        if not 0 <= leaf < num_leaves:
+                            raise ConfigurationError(
+                                f"planned leaf {leaf} outside [0, {num_leaves})"
+                            )
+                        set_leaf(block_id, leaf)
+                        stash_map[block_id] = leaf
+                finally:
+                    elapsed = timing.elapsed_s
+
+                # Path by path: a later path finds the buckets it shares
+                # with an earlier one refilled.
+                # oblivious: allow[OBL002] one write-back per path fetched
+                # above: the same revealed count
+                for leaf in read_leaves:
+                    write_back(
+                        stash_map, groups, caps, level_base, node_base,
+                        slots, occ, depth, leaf,
                     )
-                set_leaf(block_id, leaf)
-                stash_leaves[row_of[block_id]] = leaf
-        else:
-            rng = self.rng
-            for block_id, leaf in zip(needed, remap_leaves):
-                if leaf < 0:
-                    leaf = int(rng.integers(0, num_leaves))
-                elif leaf >= num_leaves:
-                    raise ConfigurationError(
-                        f"planned leaf {leaf} outside [0, {num_leaves})"
-                    )
-                set_leaf(block_id, leaf)
-                stash_leaves[row_of[block_id]] = leaf
+                    path_writes += 1
+                    elapsed += dt_path
 
-        self._write_back_many(read_leaves)
+                cursor = end_index + 1
+                occupancy = len(stash_map)
+                # oblivious: allow[OBL001] fused replay of the documented
+                # occupancy-triggered background eviction policy
+                if should_trigger(occupancy):
+                    episodes += 1
+                    dummies = 0
+                    # oblivious: allow[OBL002] episode length tracks occupancy
+                    # by design — same documented policy as the trigger
+                    while should_continue(occupancy, dummies):
+                        leaf = int(rng_integers(0, num_leaves))
+                        fetch(read_ids, tags, stash_map, leaf)
+                        dummy_reads += 1
+                        elapsed += dt_path
+                        if observer is not None:
+                            observer.observe_path(leaf, dummy=True)
+                        # oblivious: allow[OBL001] stash-capacity check:
+                        # overflow aborts the run loudly
+                        if capacity is not None and len(stash_map) > capacity:
+                            raise StashOverflowError(
+                                f"stash exceeded its capacity of {capacity} blocks"
+                            )
+                        write_back(
+                            stash_map, groups, caps, level_base, node_base,
+                            slots, occ, depth, leaf,
+                        )
+                        path_writes += 1
+                        elapsed += dt_path
+                        dummies += 1
+                        occupancy = len(stash_map)
 
-        self._trace_cursor = end_index + 1
-        self._maybe_background_evict()
-        self.counter.observe_stash(len(stash))
-        return payloads
+                # oblivious: allow[OBL001] client-side metrics (stash peak
+                # tracking); no server traffic
+                if occupancy > stash_peak:
+                    stash_peak = occupancy
+                if history is not None:
+                    history.append(occupancy)
+        except BaseException:
+            self._plan = None
+            raise
+        finally:
+            self._trace_cursor = cursor
+            stash.load_mirror(stash_map)
+            reads = path_reads + dummy_reads
+            counter.add_bulk(
+                logical,
+                path_reads,
+                path_writes,
+                dummy_reads,
+                reads * path_buckets,
+                path_writes * path_buckets,
+                reads * path_bytes,
+                path_writes * path_bytes,
+                stash_peak,
+                episodes,
+            )
+            timing.set_elapsed(elapsed)
+            self._stash_hits += hits

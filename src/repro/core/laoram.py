@@ -373,7 +373,8 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
             for block_id in missing:
                 leaves.setdefault(self.position_map.get(block_id), []).append(block_id)
             read_leaves = list(leaves)
-            self._read_paths_into_stash(read_leaves, dummy=False)
+            for leaf in read_leaves:
+                self._read_path_into_stash(leaf, dummy=False)
 
         payloads: list[Optional[object]] = []
         for block_id in block_ids:
@@ -394,7 +395,10 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
             block.leaf = new_leaf
             self.position_map.set(block_id, new_leaf)
 
-        self._write_back_many(read_leaves)
+        # Path by path: a later write-back finds the buckets it shares with
+        # an earlier one already refilled.
+        for leaf in read_leaves:
+            self._write_back(leaf)
 
         self._trace_cursor = superblock.end_index + 1
         self._maybe_background_evict()

@@ -44,7 +44,6 @@ from repro.oram.tree import ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
     fused_fetch,
     fused_greedy_write_back,
-    plan_batched_write_back,
     plan_greedy_write_back,
 )
 from repro.utils.rng import make_rng
@@ -233,36 +232,12 @@ class TreeORAMEngine(ObliviousMemory):
         if self.observer is not None:
             self.observer.observe_path(leaf, dummy=dummy)
 
-    def _read_paths_into_stash(
-        self, leaves: Sequence[int], dummy: bool = False
-    ) -> None:
-        """Fetch several full paths into the stash.
-
-        Default: one :meth:`_read_path_into_stash` per leaf, in order.  The
-        array backend overrides this with a single deduplicated multi-path
-        gather that yields the same stash contents in the same order (and
-        identical per-path charges/observations).
-        """
-        for leaf in leaves:
-            self._read_path_into_stash(leaf, dummy=dummy)
-
     def _write_back(self, leaf: int) -> None:
         """Greedily write stash blocks back onto the path to ``leaf``."""
         self._commit_write_back(leaf)
         num_buckets, num_bytes = self.tree.path_cost(leaf)
         self.counter.record_path_write(num_buckets, num_bytes)
         self.timing.charge_path_transfer(num_buckets, num_bytes)
-
-    def _write_back_many(self, leaves: Sequence[int]) -> None:
-        """Write back every path one superblock bin read.
-
-        Default: one :meth:`_write_back` per leaf, in order — the reference
-        semantics.  The array backend overrides this with the cross-path
-        batched planner, which commits a bit-identical placement in one
-        scatter.
-        """
-        for leaf in leaves:
-            self._write_back(leaf)
 
     def _maybe_background_evict(self) -> None:
         """Run the dummy-read eviction loop when the stash is too full.
@@ -661,32 +636,6 @@ class ArrayStorageEngine(TreeORAMEngine):
             # peek_many: fetched blocks carry their leaf tags on the wire.
             self.stash.append_rows(ids, self.position_map.peek_many(ids))
 
-    def _read_paths_into_stash(
-        self, leaves: Sequence[int], dummy: bool = False
-    ) -> None:
-        """Fetch several paths with one deduplicated multi-path gather.
-
-        :meth:`ArrayTreeStorage.read_paths_ids` returns exactly the ids a
-        sequential per-leaf loop would (shared buckets counted at their
-        first path only), in the same order, so one ``append_rows`` leaves
-        the stash bit-identical to the default implementation.  Per-path
-        charges and observer events are preserved one per leaf.
-        """
-        if len(leaves) < 2:
-            for leaf in leaves:
-                self._read_path_into_stash(leaf, dummy=dummy)
-            return
-        ids = self.tree.read_paths_ids(np.asarray(leaves, dtype=np.int64))
-        if ids.size:
-            self.stash.append_rows(ids, self.position_map.peek_many(ids))
-        observer = self.observer
-        for leaf in leaves:
-            num_buckets, num_bytes = self.tree.path_cost(leaf)
-            self.counter.record_path_read(num_buckets, num_bytes, dummy=dummy)
-            self.timing.charge_path_transfer(num_buckets, num_bytes)
-            if observer is not None:
-                observer.observe_path(leaf, dummy=dummy)
-
     # -- fused trace driver ---------------------------------------------
     def run_trace(
         self,
@@ -1001,49 +950,6 @@ class ArrayStorageEngine(TreeORAMEngine):
             sync_out()
         return results
 
-    #: Path count below which :meth:`_write_back_many` takes the per-path
-    #: loop.  The batched planner's fixed setup (a (k, tail)
-    #: xor/frexp/argsort pass plus the per-path gather matrices) only
-    #: amortizes across enough paths: on plan-free LAORAM bins at 2^18 the
-    #: multi-path pair (gather + planner) against the base class's per-path
-    #: hooks reads 1.10-1.28x at S8, a wash at S4 and 0.95x at S2, where
-    #: only the gather runs (docs/performance.md, "The multi-path
-    #: machinery").  Bins with lookahead placement read 0-1 paths and never
-    #: reach the planner; plan-free bins (``access_many`` with no plan
-    #: installed) read close to one path per distinct block, so S8 and up do.
-    BATCHED_WB_MIN_PATHS = 4
-
-    def _write_back_many(self, leaves: Sequence[int]) -> None:
-        """Write back a batch of paths via the cross-path batched planner.
-
-        Small batches (below :data:`BATCHED_WB_MIN_PATHS` — including the
-        single-leaf case, the overwhelmingly common one for the
-        single-access protocols) keep the tuned per-path planner; larger
-        batches plan the union of paths in one vectorized pass and commit
-        with one scatter into the tree.  Both routes commit bit-identical
-        placements, so the threshold is purely a throughput choice.
-        """
-        if len(leaves) < self.BATCHED_WB_MIN_PATHS:
-            for leaf in leaves:
-                self._write_back(leaf)
-            return
-        # oblivious: allow[OBL001] client-side planner gate; the batch's paths
-        # are written back and charged in full below regardless
-        if len(self.stash):
-            rows, slots, buckets, occupancies = plan_batched_write_back(
-                self.tree, self.stash, leaves
-            )
-            # oblivious: allow[OBL001] client-side plan commit; same full-path
-            # write-back cost either way
-            if rows:
-                chosen_ids = self.stash.id_rows[rows]
-                self.tree.commit_batch_write(slots, chosen_ids, buckets, occupancies)
-                self.stash.remove_rows(rows, chosen_ids)
-        for leaf in leaves:
-            num_buckets, num_bytes = self.tree.path_cost(leaf)
-            self.counter.record_path_write(num_buckets, num_bytes)
-            self.timing.charge_path_transfer(num_buckets, num_bytes)
-
     #: Row count below which the write-back planner runs its scalar path:
     #: one bulk ``tolist`` plus pure-Python grouping beats ~10 numpy
     #: dispatches on the tiny stashes the single-path protocols keep.
@@ -1057,8 +963,10 @@ class ArrayStorageEngine(TreeORAMEngine):
         tie-breaking order.  Two implementations produce the identical
         choice: a scalar pass for small stashes (PathORAM/RingORAM/PrORAM
         keep a handful of live rows, where numpy dispatch overhead dominates)
-        and a vectorized xor/frexp pass for large ones (LAORAM superblock
-        bins under eviction pressure).
+        and a vectorized xor/frexp pass for large ones.  This is the
+        write-back of the per-access hooks (the generic loop,
+        ``dummy_access``, PrORAM's policy accesses); the fused drivers and
+        LAORAM's bin kernel place from their dict mirrors instead.
         """
         stash = self.stash
         if not len(stash):

@@ -359,28 +359,6 @@ class ArrayTreeStorage:
         np.greater_equal(gathered, 0, out=mask)
         return gathered[mask]
 
-    def read_paths_ids(self, leaves: np.ndarray) -> np.ndarray:
-        """Remove and return every real block id on the paths to ``leaves``.
-
-        One gather/scatter over the union of the paths' slots.  Buckets
-        shared by several paths (the common tree prefix, or duplicate
-        leaves) are read exactly once, at their first occurrence in leaf
-        order — the same ids, in the same order, a sequential loop of
-        :meth:`read_path_ids` over ``leaves`` would produce, because later
-        reads of a shared bucket see it already emptied.
-        """
-        leaves = np.asarray(leaves, dtype=np.int64)
-        slot_idx = (leaves[:, None] >> self._tmpl_shift) * self._tmpl_cap
-        slot_idx += self._tmpl_const
-        flat = slot_idx.ravel()
-        uniq, first = np.unique(flat, return_index=True)
-        ids = np.full(flat.size, -1, dtype=np.int64)
-        ids[first] = self._slots[uniq]
-        self._slots[uniq] = -1
-        nodes = (self._node_base + (leaves[:, None] >> self._node_shift)).ravel()
-        self._occ[nodes] = 0
-        return ids[ids >= 0]
-
     @property
     def level_base(self) -> tuple[int, ...]:
         """Flat-slot start offset of each level's region."""
@@ -529,23 +507,6 @@ class ArrayTreeStorage:
         ``slot_indices``/``values`` are the flat slot positions and block ids
         chosen by the caller (who guarantees they respect bucket capacity);
         ``occupancies`` is the path's updated per-bucket occupancy.
-        """
-        self._slots[slot_indices] = values
-        self._occ[buckets] = occupancies
-
-    def commit_batch_write(
-        self,
-        slot_indices: Sequence[int],
-        values: np.ndarray,
-        buckets: Sequence[int],
-        occupancies: Sequence[int],
-    ) -> None:
-        """Scatter a write-back planned over the union of several paths.
-
-        Same contract as :meth:`commit_path_write` but ``buckets`` /
-        ``occupancies`` cover only the buckets the batched planner actually
-        touched (they may span many paths), so one batch commits in two
-        scatters regardless of how many paths it wrote.
         """
         self._slots[slot_indices] = values
         self._occ[buckets] = occupancies

@@ -13,31 +13,21 @@ Three planners live here:
 * :func:`plan_greedy_write_back` — the per-object, single-path reference
   (the array engine replicates it slot-by-slot in
   ``ArrayStorageEngine._commit_write_back``);
-* :func:`plan_batched_write_back` — the cross-path batch planner for the
-  array backend: it groups the whole stash against *all* of a batch's paths
-  in one vectorized xor/frexp/argsort pass, then replays the sequential
-  per-path greedy selection over the shared bucket state, so committing its
-  plan is bit-identical to writing the paths back one at a time;
 * :func:`fused_greedy_write_back` — the allocation-free specialization the
   fused trace drivers run: same greedy rule over a plain dict stash mirror,
   valid only immediately after the target path has been emptied by a read
-  (:func:`fused_fetch`, the read half of the same pair).
+  (:func:`fused_fetch`, the read half of the same pair);
+* :func:`fused_shared_write_back` — the same over a path that may already
+  have occupants: what LAORAM's bin kernel runs, since the later paths of a
+  bin that read several share refilled buckets with the earlier ones.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from repro.memory.block import Block
 from repro.oram.stash import Stash
 from repro.oram.tree import TreeStorage
 from repro.utils.bits import common_level
-
-if TYPE_CHECKING:
-    from repro.oram.stash import ArrayStash
-    from repro.oram.tree import ArrayTreeStorage
 
 
 def plan_greedy_write_back(
@@ -71,126 +61,6 @@ def plan_greedy_write_back(
         if chosen:
             placement[level] = chosen
     return placement
-
-
-def plan_batched_write_back(
-    tree: "ArrayTreeStorage", stash: "ArrayStash", leaves: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Plan the write-back of several paths over the union of their buckets.
-
-    Returns ``(rows, slot_indices, buckets, occupancies)``: the stash rows
-    selected for eviction, the flat tree slot each goes to, and the new
-    occupancy of every bucket the plan touched.  The caller commits with
-    :meth:`ArrayTreeStorage.commit_batch_write` and removes ``rows`` from
-    the stash — one scatter each, regardless of how many paths the batch
-    spans.
-
-    The plan is bit-identical to writing the paths back sequentially (the
-    per-path ``_commit_write_back`` loop) because each decision is replayed
-    in the same order:
-
-    * eligibility/grouping: one vectorized xor pass computes every (path,
-      row) common level at once; a stable per-path argsort keeps ascending
-      row order within a level, matching the sequential planner's
-      tie-breaking.  Hole rows carry the stash's sentinel leaf whose xor bit
-      length is ``depth + 2``, so they sort behind every real row and are
-      never pooled.
-    * shared bucket state: occupancies updated by an earlier path in the
-      batch are carried forward to later paths (``occ`` cache), exactly as
-      a sequential loop would observe them through the tree.
-    * rows taken by an earlier path are lazily skipped when a later path
-      pops them (``taken``), mirroring how a sequential planner would simply
-      no longer see those rows in the stash; removal never reorders the
-      remaining rows, so the surviving pool order is identical.
-    """
-    depth = tree.depth
-    tail = stash.tail
-    leaves_arr = np.asarray(leaves, dtype=np.int64)
-    k = int(leaves_arr.size)
-    # (k, tail) matrix of xor bit lengths: frexp's exponent IS the bit
-    # length for non-negative ints (and 0 for 0), exact far below 2^53.
-    xor = np.bitwise_xor(stash.leaf_rows[None, :tail], leaves_arr[:, None])
-    bitlen = np.empty(xor.shape, dtype=np.intc)
-    np.frexp(xor, np.empty(xor.shape, dtype=np.float64), bitlen)
-    order = np.argsort(bitlen, axis=1, kind="stable")
-    # Per-(path, bit length) group sizes via one offset bincount; bit
-    # lengths stay below ``width`` (holes peak at depth + 2).
-    width = depth + 3
-    counts = np.bincount(
-        (bitlen + np.arange(k, dtype=np.int64)[:, None] * width).ravel(),
-        minlength=k * width,
-    ).reshape(k, width)[:, : depth + 1]
-
-    # Per-(path, level) bucket ids, starting occupancies, bucket capacities
-    # and flat slot bases, all gathered in a handful of small vectorized
-    # passes (k x (depth+1) each, deep-to-root column order) so the greedy
-    # loop below touches no numpy scalars on its hot path.
-    caps_arr = np.asarray(tree.bucket_capacities, dtype=np.int64)
-    levels_desc = np.arange(depth, -1, -1, dtype=np.int64)
-    node_matrix = leaves_arr[:, None] >> (depth - levels_desc)[None, :]
-    bucket_matrix = ((np.int64(1) << levels_desc) - 1)[None, :] + node_matrix
-    base_matrix = (
-        np.asarray(tree.level_base, dtype=np.int64)[levels_desc][None, :]
-        + node_matrix * caps_arr[levels_desc][None, :]
-    )
-    occ_matrix = tree.bucket_occupancies[bucket_matrix]
-    caps_desc = caps_arr[levels_desc].tolist()
-    bucket_rows = bucket_matrix.tolist()
-    occ_rows = occ_matrix.tolist()
-    base_rows = base_matrix.tolist()
-    counts_rows = counts.tolist()
-
-    occ: dict[int, int] = {}
-    occ_get = occ.get
-    taken = bytearray(tail)
-    rows: list[int] = []
-    slots: list[int] = []
-    for i in range(k):
-        sorted_rows = order[i]
-        cnt = counts_rows[i]
-        path_buckets = bucket_rows[i]
-        path_occ = occ_rows[i]
-        path_bases = base_rows[i]
-        # The pool is kept as a stack of half-open ranges into this path's
-        # sorted row order instead of materialized row lists: in steady
-        # state most pooled rows are never popped (their buckets are full),
-        # so only the rows actually popped pay for a scalar array read.
-        # Popping from the end of the last-appended range replays the
-        # reference planner's order exactly (current level's group first,
-        # each group in reverse within-group order).
-        pool_ranges: list[list[int]] = []
-        cursor = 0
-        for j in range(depth + 1):
-            group_len = cnt[j]
-            if group_len:
-                end = cursor + group_len
-                pool_ranges.append([cursor, end])
-                cursor = end
-            if not pool_ranges:
-                continue
-            cap = caps_desc[j]
-            bucket = path_buckets[j]
-            occupancy = occ_get(bucket)
-            if occupancy is None:
-                occupancy = path_occ[j]
-            if occupancy >= cap:
-                continue
-            base = path_bases[j]
-            while occupancy < cap and pool_ranges:
-                top = pool_ranges[-1]
-                if top[0] == top[1]:
-                    pool_ranges.pop()
-                    continue
-                top[1] -= 1
-                row = int(sorted_rows[top[1]])
-                if taken[row]:
-                    continue
-                taken[row] = 1
-                rows.append(row)
-                slots.append(base + occupancy)
-                occupancy += 1
-            occ[bucket] = occupancy
-    return rows, slots, list(occ.keys()), list(occ.values())
 
 
 def fused_fetch(read_ids, tags, stash_map, leaf):
@@ -271,4 +141,70 @@ def fused_greedy_write_back(
             slots[slot + offset] = victim
             del stash_map[victim]
         occ[node_base[level] + node] = take
+        level -= 1
+
+
+def fused_shared_write_back(
+    stash_map, groups, caps, level_base, node_base, slots, occ, depth, leaf
+):
+    """Greedy write-back from a dict stash mirror onto a path with occupants.
+
+    The occupancy-aware generalisation of :func:`fused_greedy_write_back`,
+    for the case it excludes: a LAORAM bin that read several paths writes
+    them back one after another, so a later path finds the buckets it
+    shares with an earlier one already refilled.  Same grouping, same LIFO
+    pool, same caller-owned ``groups`` scratch; the only difference is that
+    each visited level reads its bucket's occupancy from ``occ``, takes no
+    more than the free slots, appends behind the occupants, and carries
+    the pool up past a full bucket.  Decision-identical to
+    :func:`plan_greedy_write_back` over the same tree and stash order, and
+    to :func:`fused_greedy_write_back` on a freshly emptied path.
+
+    Kept apart from it on a measurement: with the occupancy read folded
+    into the one function, the PathORAM-driver workloads lost 2.7 %
+    (``serve_zipf``, 0 of 10 pairs won) and 4.0 % (``replay_recursive``, 2
+    of 10) — one ``occ.item`` and three integer operations per visited
+    level, at one to three write-backs an access — while the LAORAM kernel
+    running this version on every path, fresh ones included, gave up
+    nothing measurable (``docs/performance.md``, "One write-back or two").
+    """
+    present = []
+    for resident, resident_leaf in stash_map.items():
+        bits = (resident_leaf ^ leaf).bit_length()
+        group = groups[bits]
+        if not group:
+            present.append(bits)
+        group.append(resident)
+    if not present:
+        return
+    present.sort()
+    pool = []
+    gi = 0
+    ng = len(present)
+    level = depth - present[0]
+    while level >= 0:
+        if gi < ng and present[gi] == depth - level:
+            group = groups[present[gi]]
+            pool.extend(group)
+            group.clear()
+            gi += 1
+        count = len(pool)
+        if not count:
+            if gi == ng:
+                break
+            level = depth - present[gi]
+            continue
+        cap = caps[level]
+        node = leaf >> (depth - level)
+        bucket = node_base[level] + node
+        occupancy = occ.item(bucket)
+        free = cap - occupancy
+        if free > 0:
+            take = free if free < count else count
+            slot = level_base[level] + node * cap + occupancy
+            for offset in range(take):
+                victim = pool.pop()
+                slots[slot + offset] = victim
+                del stash_map[victim]
+            occ[bucket] = occupancy + take
         level -= 1

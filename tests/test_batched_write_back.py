@@ -1,66 +1,80 @@
-"""Adversarial invariants for the cross-path batched write-back planner.
+"""Adversarial differential for bins that read several paths.
 
-``plan_batched_write_back`` plans the eviction for every path a batch
-touched in one vectorized pass and commits with one scatter.  These tests
-hammer it with randomized batches — overlapping paths, duplicate leaves,
-batch sizes from 1 to 64, uniform and fat trees — and check, against the
-same engine running the sequential per-path loop, that every round leaves
+A LAORAM bin fetches every distinct path its missing blocks sit on and then
+writes those paths back one after another, so a later write-back finds the
+buckets it shares with an earlier one already refilled.  On the fast client
+that is the bin kernel's write-back
+(``fused_shared_write_back`` on the dict mirror of the stash); the reference
+is ``LAORAMClient.access_superblock``, one occupancy-aware
+``plan_greedy_write_back`` per path over ``Block`` objects.  These tests
+hammer the pair with bins the access protocols seldom produce — batch sizes
+from 1 to 64, duplicate leaves in one bin, paths that share only the root,
+paths that share everything but the leaf bucket, shared buckets already
+full — and check after every bin that
 
-* the tree's slot array, occupancy vector and stash rows bit-identical,
-* no block lost or duplicated (conservation over tree + stash),
-* every bucket within capacity with occupied slots as a dense prefix, and
-* every evicted block on a bucket its assigned path passes through.
+* counters, clock, position map, stash order and tree layout are identical
+  on both clients,
+* no block is lost or duplicated (conservation over tree + stash),
+* every bucket is within capacity with occupied slots as a dense prefix, and
+* every stored block sits on a bucket its assigned path passes through.
 
-The driver calls the engine's storage hooks (``_read_paths_into_stash`` /
-``_write_back_many``) directly so batches are adversarial rather than
-whatever the access protocol happens to produce.  The sequential side is
-the same engine class with the base class's per-path hooks bound onto the
-instance (:func:`bind_sequential_hooks`), so the multi-path gather is under
-the same differential as the planner.
+Bins go through the object-level ``access_superblock`` (any length, any id
+multiset); adversarial layouts come from trusted placement, which puts
+chosen blocks on chosen paths on both backends alike.
 """
-
-import types
 
 import numpy as np
 import pytest
 
+from repro.core.config import LAORAMConfig
+from repro.core.fast_laoram import FastLAORAMClient
+from repro.core.laoram import LAORAMClient
+from repro.core.superblock import LookaheadPlan, SuperblockBin
 from repro.experiments.configs import build_engine
-from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
-from repro.oram.engine import ArrayStorageEngine, TreeORAMEngine
+
+from test_trace_contract import assert_twins_agree
 
 NUM_BLOCKS = 512
 NUM_ROUNDS = 30
 
 
-def make_engine(seed: int, fat_tree: bool, batched: bool) -> ArrayPathORAM:
-    config = ORAMConfig(
-        num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=seed, fat_tree=fat_tree
+def make_twins(seed: int, fat_tree: bool = False):
+    """The reference client and the fast one, same seed, no plan."""
+    config = LAORAMConfig(
+        oram=ORAMConfig(
+            num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=seed, fat_tree=fat_tree
+        ),
+        superblock_size=8,
     )
-    engine = ArrayPathORAM(config)
-    if not batched:
-        bind_sequential_hooks(engine)
-    return engine
+    return LAORAMClient(config), FastLAORAMClient(config)
 
 
-def bind_sequential_hooks(engine: ArrayStorageEngine) -> None:
-    """Make ``engine`` the differential's reference side.
-
-    Binds the base class's one-path-at-a-time loops over this instance's
-    multi-path gather (``read_paths_ids``) and cross-path planner
-    (``plan_batched_write_back``): same storage hooks underneath, no
-    batching above them.
-    """
-    engine._read_paths_into_stash = types.MethodType(
-        TreeORAMEngine._read_paths_into_stash, engine
-    )
-    engine._write_back_many = types.MethodType(
-        TreeORAMEngine._write_back_many, engine
+def serve_bin(engine, block_ids) -> None:
+    engine.access_superblock(
+        SuperblockBin(
+            bin_id=-1,
+            start_index=engine.trace_cursor,
+            block_ids=tuple(int(b) for b in block_ids),
+            leaf=0,
+        )
     )
 
 
-def assert_invariants(engine: ArrayPathORAM) -> None:
-    """Structural soundness of tree + stash after any batch."""
+def place(engines, groups: dict[int, list[int]]) -> None:
+    """Trusted placement of ``{leaf: block ids}`` on every engine."""
+    for engine in engines:
+        bins, start = [], 0
+        for bin_id, (leaf, block_ids) in enumerate(groups.items()):
+            bins.append(SuperblockBin(bin_id, start, tuple(block_ids), leaf))
+            start += len(block_ids)
+        engine.apply_initial_placement(
+            LookaheadPlan(bins, num_leaves=engine.config.num_leaves)
+        )
+
+
+def assert_invariants(engine: FastLAORAMClient) -> None:
+    """Structural soundness of tree + stash after any bin."""
     tree = engine.tree
     stash = engine.stash
     pm_leaves = engine.position_map.as_array()
@@ -85,116 +99,94 @@ def assert_invariants(engine: ArrayPathORAM) -> None:
     tail = stash.tail
     stash_ids = stash.id_rows[:tail]
     real = stash_ids >= 0
-    # The stash's leaf mirror agrees with the position map.
+    # The stash's leaf mirror agrees with the position map, and its id -> row
+    # index with its rows.
     assert np.array_equal(
         stash.leaf_rows[:tail][real], pm_leaves[stash_ids[real]]
     )
+    assert np.array_equal(stash.row_of[stash_ids[real]], np.flatnonzero(real))
+    assert np.count_nonzero(stash.row_of >= 0) == np.count_nonzero(real)
     seen.append(stash_ids[real])
     # Conservation: every block exactly once across tree + stash.
     all_ids = np.sort(np.concatenate(seen))
     assert np.array_equal(all_ids, np.arange(NUM_BLOCKS))
 
 
-def live_rows(engine: ArrayPathORAM) -> tuple[np.ndarray, np.ndarray]:
-    """The stash's (ids, leaves) in insertion order, holes dropped."""
-    tail = engine.stash.tail
-    ids = engine.stash.id_rows[:tail]
-    live = ids >= 0
-    return ids[live], engine.stash.leaf_rows[:tail][live]
-
-
-def assert_engines_identical(batched: ArrayPathORAM, sequential: ArrayPathORAM):
-    assert np.array_equal(batched.tree._slots, sequential.tree._slots)
-    assert np.array_equal(batched.tree._occ, sequential.tree._occ)
-    # Row *positions* may differ (one multi-path append compacts at other
-    # moments than k single-path appends); what every planner reads is the
-    # order of the live rows.
-    for got, want in zip(live_rows(batched), live_rows(sequential)):
-        assert np.array_equal(got, want)
-    for engine in (batched, sequential):
-        ids, _ = live_rows(engine)
-        rows = engine.stash.row_of[ids]
-        assert np.array_equal(engine.stash.id_rows[rows], ids)
-        assert np.count_nonzero(engine.stash.row_of >= 0) == ids.size
-
-
-def drive_round(engine: ArrayPathORAM, rng: np.random.Generator) -> None:
-    """One adversarial batch: fetch, churn leaves, write back."""
+def drive_round(engine, rng: np.random.Generator) -> None:
+    """One adversarial bin: churn the stash's leaves, then serve."""
     num_leaves = engine.config.num_leaves
-    batch = rng.integers(1, 65)
-    draws = rng.integers(0, num_leaves, size=batch).tolist()
-    # First-encounter dedup, like the access protocols; duplicates in the
-    # raw draw exercise the planner's tolerance for repeated leaves too.
-    leaves = list(dict.fromkeys(draws))
-    engine._read_paths_into_stash(leaves, dummy=False)
     # Churn: remap a random slice of the stash-resident blocks so write-back
     # eligibility differs from where the blocks were fetched.
-    resident = [b for b in engine.stash.block_ids]
-    if resident:
-        take = int(rng.integers(0, len(resident) + 1))
-        new_leaves = rng.integers(0, num_leaves, size=take)
-        for block_id, leaf in zip(resident[:take], new_leaves.tolist()):
-            engine._update_leaf(int(block_id), int(leaf))
-    engine._write_back_many(leaves)
+    resident = list(engine.stash.block_ids)
+    take = int(rng.integers(0, len(resident) + 1))
+    new_leaves = rng.integers(0, num_leaves, size=take)
+    for block_id, leaf in zip(resident[:take], new_leaves.tolist()):
+        engine._update_leaf(int(block_id), int(leaf))
+    # Up to 64 ids, repeats included: close to one path per distinct id.
+    batch = int(rng.integers(1, 65))
+    serve_bin(engine, rng.integers(0, NUM_BLOCKS, size=batch))
 
 
-class TestBatchedPlannerDifferential:
-    """Batched plan == sequential per-path loop, bit for bit, every round."""
+class TestMultiPathBinDifferential:
+    """Kernel == per-object client, field for field, after every bin."""
 
     @pytest.mark.parametrize("fat_tree", [False, True])
     @pytest.mark.parametrize("seed", [1, 7, 23])
-    def test_random_batches_stay_identical(self, seed, fat_tree):
-        batched = make_engine(seed, fat_tree, batched=True)
-        sequential = make_engine(seed, fat_tree, batched=False)
-        assert_engines_identical(batched, sequential)
+    def test_random_bins_stay_identical(self, seed, fat_tree):
+        reference, fast = make_twins(seed, fat_tree)
+        assert_twins_agree(reference, fast)
         for round_index in range(NUM_ROUNDS):
             # Same driver stream for both engines.
-            drive_round(batched, np.random.default_rng((seed, round_index)))
-            drive_round(sequential, np.random.default_rng((seed, round_index)))
-            assert_engines_identical(batched, sequential)
-            assert_invariants(batched)
+            drive_round(reference, np.random.default_rng((seed, round_index)))
+            drive_round(fast, np.random.default_rng((seed, round_index)))
+            assert_twins_agree(reference, fast)
+            assert_invariants(fast)
+        assert fast.statistics.path_reads > 4 * NUM_ROUNDS
 
-    def test_duplicate_leaves_in_one_batch(self):
-        engine = make_engine(3, False, batched=True)
-        twin = make_engine(3, False, batched=False)
-        num_leaves = engine.config.num_leaves
-        leaf_a, leaf_b = 0, num_leaves - 1
-        for target in (engine, twin):
-            target._read_paths_into_stash([leaf_a, leaf_b], dummy=False)
-            target._write_back_many([leaf_a, leaf_b, leaf_a, leaf_b])
-        assert_engines_identical(engine, twin)
-        assert_invariants(engine)
+    def test_duplicate_leaves_and_paths_sharing_only_the_root(self):
+        reference, fast = make_twins(3)
+        last = fast.config.num_leaves - 1
+        left, right = list(range(100, 106)), list(range(200, 206))
+        place((reference, fast), {0: left, last: right})
+        # Six blocks per leaf, interleaved: each path is fetched once, and
+        # the two meet in the root bucket alone.
+        bin_ids = [b for pair in zip(left, right) for b in pair]
+        for engine in (reference, fast):
+            serve_bin(engine, bin_ids)
+            assert engine.statistics.path_reads == 2
+        assert_twins_agree(reference, fast)
+        assert_invariants(fast)
 
-    def test_single_leaf_batch_uses_sequential_path(self):
-        # A 1-element batch must behave exactly like a plain write-back.
-        engine = make_engine(5, False, batched=True)
-        twin = make_engine(5, False, batched=False)
-        for target in (engine, twin):
-            target._read_paths_into_stash([4], dummy=False)
-            target._write_back_many([4])
-        assert_engines_identical(engine, twin)
-        assert_invariants(engine)
+    def test_single_path_bin_takes_the_fresh_path_write_back(self):
+        reference, fast = make_twins(5)
+        place((reference, fast), {4: [10, 11, 12]})
+        for engine in (reference, fast):
+            serve_bin(engine, [10, 11, 12, 10])
+            assert engine.statistics.path_reads == 1
+        assert_twins_agree(reference, fast)
+        assert_invariants(fast)
 
-    def test_empty_stash_write_back(self):
-        # Planning over an empty stash must commit nothing and not crash.
-        engine = make_engine(9, False, batched=True)
-        engine.stash.clear()
-        before_slots = engine.tree._slots.copy()
-        occupied = np.sort(before_slots[before_slots >= 0])
-        engine._write_back_many([0, 1, 2, 3])
-        assert np.array_equal(
-            np.sort(engine.tree._slots[engine.tree._slots >= 0]), occupied
-        )
-
-    def test_overlapping_paths_share_buckets_once(self):
-        # Adjacent leaves share all buckets above their split level; the
-        # planner must fill the shared buckets once, not once per path.
-        engine = make_engine(11, False, batched=True)
-        num_leaves = engine.config.num_leaves
-        leaves = [0, 1, 2, 3, num_leaves - 1]
-        engine._read_paths_into_stash(leaves, dummy=False)
-        engine._write_back_many(leaves)
-        assert_invariants(engine)
+    def test_neighbouring_paths_find_their_shared_buckets_full(self):
+        # Four neighbouring leaves share every bucket above the last two
+        # levels, and the twenty blocks placed on each of them outnumber the
+        # slots of any one path: the first path written back fills the
+        # shared buckets to capacity and the other three must carry their
+        # pools past them.
+        reference, fast = make_twins(11)
+        depth = fast.config.depth
+        groups = {leaf: list(range(64 + 20 * leaf, 84 + 20 * leaf)) for leaf in range(4)}
+        place((reference, fast), groups)
+        for engine in (reference, fast):
+            serve_bin(engine, [groups[leaf][0] for leaf in range(4)])
+            assert engine.statistics.path_reads == 4
+        assert_twins_agree(reference, fast)
+        assert_invariants(fast)
+        shared = [
+            int(fast.tree._level_occ(level)[0]) for level in range(depth - 1)
+        ]
+        assert shared == [
+            fast.tree.capacity_at_level(level) for level in range(depth - 1)
+        ]
 
 
 class TestBatchedAccessInvariants:

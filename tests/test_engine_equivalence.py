@@ -27,7 +27,6 @@ from repro.oram.engine import ArrayStorageEngine
 from repro.oram.pr_oram import ArrayPrORAM
 from repro.oram.ring_oram import ArrayRingORAM
 from repro.oram.config import ORAMConfig
-from test_batched_write_back import bind_sequential_hooks
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 1_200
@@ -59,7 +58,6 @@ def run_engine(
     fast: bool,
     fat_tree: bool = False,
     plan_free: bool = False,
-    sequential_hooks: bool = False,
 ):
     """Replay ``trace`` on a fresh engine; ``plan_free`` serves it instead.
 
@@ -71,8 +69,6 @@ def run_engine(
         num_blocks=NUM_BLOCKS, block_size_bytes=32, seed=seed, fat_tree=fat_tree
     )
     engine = build_engine(label, config, fast=fast)
-    if sequential_hooks:
-        bind_sequential_hooks(engine)
     if plan_free:
         engine.access_many(trace)
     else:
@@ -155,51 +151,6 @@ class TestCrossFamilyEquivalence:
                 engine.write(block_id, f"payload-{offset}")
             outputs.append(engine.access_many(reads))
         assert outputs[0] == outputs[1]
-
-
-class TestBatchedWriteBackDifferential:
-    """Batched cross-path write-back == sequential per-path write-back.
-
-    The array backend plans multi-path write-backs in one vectorized pass
-    (``plan_batched_write_back``) and commits with one scatter; binding the
-    base class's sequential hooks onto the instance makes the same engine
-    read and write one path at a time.  Both must be bit-identical — same
-    counters, same position map, same stash rows — on every family,
-    workload and seed.
-    """
-
-    @pytest.mark.parametrize("seed", [11, 29])
-    @pytest.mark.parametrize("workload", ["uniform", "zipf"])
-    @pytest.mark.parametrize("label", FAMILY_LABELS)
-    def test_batched_write_back_bit_identical(self, label, workload, seed):
-        trace = make_trace(workload, seed)
-        batched = run_engine(label, seed, trace, fast=True)
-        sequential = run_engine(
-            label, seed, trace, fast=True, sequential_hooks=True
-        )
-        assert batched.statistics == sequential.statistics
-        assert np.array_equal(
-            batched.position_map.as_array(), sequential.position_map.as_array()
-        )
-        assert list(batched.stash.block_ids) == list(sequential.stash.block_ids)
-        assert_engine_consistent(batched)
-        assert_engine_consistent(sequential)
-
-    @pytest.mark.parametrize("seed", [11, 29])
-    def test_batched_write_back_fat_tree(self, seed):
-        # Fat-tree LAORAM: variable per-level capacities stress the planner's
-        # occupancy carry-forward across shared buckets.
-        trace = make_trace("zipf", seed)
-        batched = run_engine("Normal/S4", seed, trace, fast=True, fat_tree=True)
-        sequential = run_engine(
-            "Normal/S4", seed, trace, fast=True, fat_tree=True,
-            sequential_hooks=True,
-        )
-        assert batched.statistics == sequential.statistics
-        assert np.array_equal(
-            batched.position_map.as_array(), sequential.position_map.as_array()
-        )
-        assert list(batched.stash.block_ids) == list(sequential.stash.block_ids)
 
 
 class TestBatchedAccessEquivalence:

@@ -1,5 +1,7 @@
 """Behavioural tests for the LAORAM client."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,11 @@ from repro.core.laoram import LAORAMClient
 from repro.core.superblock import LookaheadPlan, SuperblockBin
 from repro.datasets.permutation import PermutationTraceGenerator
 from repro.datasets.zipf import ZipfTraceGenerator
-from repro.exceptions import ConfigurationError
+from repro.exceptions import (
+    BlockNotFoundError,
+    ConfigurationError,
+    StashOverflowError,
+)
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine
 from repro.oram.path_oram import PathORAM
@@ -318,3 +324,131 @@ class TestPlanFallback:
         before = client.trace_cursor
         client.read(1)
         assert client.trace_cursor == before + 1
+
+
+class TestKernelFailurePaths:
+    """A raise mid-bin leaves the fast client consistent and serving."""
+
+    @staticmethod
+    def conserved(engine) -> None:
+        """Every block once, each where the position map says it may be."""
+        num_blocks, depth = engine.config.num_blocks, engine.config.depth
+        leaves = engine.position_map.as_array()
+        seen = []
+        for level, node, ids in engine.tree.iter_node_ids():
+            assert np.all(leaves[ids] >> (depth - level) == node)
+            seen += ids.tolist()
+        for block_id in engine.stash.block_ids:
+            assert engine.stash.leaf_of(block_id) == leaves[block_id]
+            seen.append(block_id)
+        assert sorted(seen) == list(range(num_blocks))
+        assert engine.total_real_blocks() == num_blocks
+
+    @staticmethod
+    def closed_form_clock(engine) -> float:
+        """The clock as its counters spell it (one geometry per layer)."""
+        snap, timing = engine.statistics, engine.timing
+        clock = snap.logical_accesses * timing.client_overhead_us * 1e-6
+        clock += (
+            snap.path_reads + snap.dummy_reads + snap.path_writes
+        ) * timing.path_transfer_delta(*engine.tree.path_cost(0))
+        if snap.posmap_path_reads:
+            (level,) = engine.position_map._levels
+            clock += (
+                snap.posmap_path_reads + snap.posmap_path_writes
+            ) * timing.path_transfer_delta(level.path_buckets, level.path_bytes)
+        return clock
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_overflow_mid_bin_loses_no_block(self, recursive):
+        # Plan-free S8 bins read up to eight paths before writing any back:
+        # the third bin outgrows a 30-block stash on its fifth path.
+        config = placement_config(8, recursive, stash_capacity=30)
+        if recursive:
+            # One recursion level, so the clock has a closed form.
+            config = LAORAMConfig(
+                oram=config.oram.with_overrides(posmap_cutoff_bytes=512),
+                superblock_size=8,
+            )
+        engine = FastLAORAMClient(config)
+        trace = np.random.default_rng(4).integers(0, 256, size=400)
+        with pytest.raises(StashOverflowError):
+            engine.access_many(trace)
+        failed = engine.statistics
+        # Two bins went through; the third was charged, read five paths and
+        # wrote none back.
+        assert engine.trace_cursor == 16
+        assert failed.logical_accesses == 24
+        assert failed.path_reads == failed.path_writes + 5
+        assert engine.plan is None
+        # The over-full mirror went back as it was: nothing lost.
+        assert len(engine.stash) > 30
+        self.conserved(engine)
+        assert engine.simulated_time_s == pytest.approx(
+            self.closed_form_clock(engine), rel=1e-9
+        )
+        # Counters sit between an unbounded twin's just before and just
+        # after the failing bin.
+        unbounded = dataclasses.replace(
+            config, oram=config.oram.with_overrides(stash_capacity=None)
+        )
+        before, after = FastLAORAMClient(unbounded), FastLAORAMClient(unbounded)
+        before.access_many(trace[:16])
+        after.access_many(trace[:24])
+        for name in ("path_reads", "bytes_read", "posmap_path_reads"):
+            low = getattr(before.statistics, name)
+            high = getattr(after.statistics, name)
+            assert low <= getattr(failed, name) <= high, name
+        assert failed.path_writes == before.statistics.path_writes
+        # Stash hits fetch nothing, so the over-full engine serves them.
+        resident = engine.stash.block_ids[:8]
+        hits = engine.stash_hits
+        engine.access_many(resident)
+        assert engine.stash_hits == hits + 8
+        assert engine.trace_cursor == 24
+        self.conserved(engine)
+        assert engine.simulated_time_s == pytest.approx(
+            self.closed_form_clock(engine), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_a_window_that_raises_leaves_no_lagging_plan(self, recursive):
+        # Every block of the window comes back several times, so the bins
+        # before the raise hand out leaves of occurrences the plan — whose
+        # consumption state is only installed after the last bin — still
+        # counts as unconsumed.  Planned blocks wait in the stash for the
+        # bin they are mapped to: 28 rows overflow in the 35th bin.
+        oram = ORAMConfig(
+            num_blocks=1 << 12, block_size_bytes=64, seed=13,
+            recursive_posmap=recursive, posmap_cutoff_bytes=4096,
+            stash_capacity=28,
+        )
+        engine = FastLAORAMClient(LAORAMConfig(oram=oram, superblock_size=4))
+        hot = np.random.default_rng(6).permutation(1 << 12)[:60]
+        with pytest.raises(StashOverflowError):
+            engine.run_trace(np.tile(hot, 5))
+        assert engine.trace_cursor == 136
+        assert engine.statistics.logical_accesses == 136 + 4
+        assert engine.plan is None
+        self.conserved(engine)
+        # No leaf handed out before the raise is handed out again: each
+        # served block moves off the path it was mapped to.  The waiting
+        # blocks are stash hits, which the over-full engine still serves.
+        waiting = [b for b in engine.stash.block_ids if b in set(hot.tolist())]
+        assert len(waiting) == 28
+        handed = {b: engine.position_map.peek(b) for b in waiting}
+        engine.access_many(waiting)
+        repeated = [b for b, leaf in handed.items() if engine.position_map.peek(b) == leaf]
+        assert repeated == []
+        assert engine.trace_cursor == 136 + 28
+        self.conserved(engine)
+
+    def test_an_out_of_range_id_is_rejected_before_the_window_starts(self):
+        engine = FastLAORAMClient(placement_config(4, False))
+        trace = np.arange(200) % 256
+        trace[130] = 256
+        with pytest.raises(BlockNotFoundError):
+            engine.run_trace(trace)
+        assert engine.statistics.logical_accesses == 0
+        assert engine.trace_cursor == 0
+        assert engine.plan is not None

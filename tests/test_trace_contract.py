@@ -9,13 +9,16 @@ family, reference and array twin, dense and recursive position map, dict and
 ``(rows, dim)`` matrix payload stores.
 """
 
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
+from repro.core.superblock import SuperblockBin
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import build_engine, build_oram_config
+from repro.memory.accounting import TrafficCounter
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.engine import ArrayStorageEngine
 
@@ -235,21 +238,130 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
     assert (fast.statistics.posmap_path_reads > 0) == recursive
 
 
+#: Every superblock size the paper evaluates, on both tree shapes.
+BIN_LABELS = ("Normal/S2", "Normal/S4", "Normal/S8", "Fat/S4", "Fat/S8")
+
+
+@pytest.mark.parametrize("window", [None, 101])
 @pytest.mark.parametrize("recursive", [False, True])
-@pytest.mark.parametrize("label", LOOKAHEAD_LABELS)
-def test_fast_lookahead_bins_match_the_object_client(label, recursive):
-    # Planned bins (run_trace), then plan-free bins (write_many/access_many).
-    trace = mixed_trace()
+@pytest.mark.parametrize("label", BIN_LABELS)
+def test_fast_lookahead_bins_match_the_object_client(label, recursive, window):
+    # 509 accesses end every superblock size on a partial bin, and a
+    # 101-access lookahead window puts another one at each window seam.
+    trace = mixed_trace()[:509]
     rows = [("written", i) for i in range(64)]
     results, states = [], []
     for fast in (False, True):
-        engine = make_engine(label, fast, recursive)
+        config = build_oram_config(
+            num_blocks=NUM_BLOCKS,
+            block_size_bytes=4 * DIM,
+            seed=17,
+            recursive_posmap=recursive,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=128,
+        )
+        counter = TrafficCounter(record_stash_history=True)
+        engine = build_engine(label, config, fast=fast, counter=counter)
+        engine.laoram_config = dataclasses.replace(
+            engine.laoram_config, lookahead_accesses=window
+        )
         engine.load_payloads({b: ("initial", b) for b in range(NUM_BLOCKS)})
+        # Planned bins (windows with precomputed remaps), plan-free bins
+        # under the stale plan, bins served now under a plan made for them
+        # (the trainer's pattern), and empty calls.
         replayed = engine.run_trace(trace)
         engine.write_many(trace[:64], rows)
         served = engine.access_many(trace[:200])
-        results.append((list(replayed), list(served)))
-        states.append(engine_state(engine))
+        engine.preprocess(trace[100:300], start_index=engine.trace_cursor)
+        planned = engine.access_many(trace[100:300])
+        assert list(engine.run_trace([])) == list(engine.access_many([])) == []
+        engine.write_many([], [])
+        results.append((list(replayed), list(served), list(planned)))
+        state = engine_state(engine)
+        state.update(
+            trace_cursor=engine.trace_cursor,
+            stash_hits=engine.stash_hits,
+            stash_history=list(counter.stash_history),
+        )
+        states.append(state)
     assert results[0] == results[1]
     assert_twins_agree(*states)
+    assert states[0]["trace_cursor"] == 509 + 64 + 200 + 200
+    assert len(states[0]["stash_history"]) > 0
     assert (states[0]["statistics"].posmap_path_reads > 0) == recursive
+
+
+# ----------------------------------------------------------------------
+# One way to run a bin
+# ----------------------------------------------------------------------
+#: Everything a bin could run on besides the kernel: the per-access
+#: protocol, the engine's path hooks and the row-stash write-back planner.
+BYPASSES = (
+    "access",
+    "dummy_access",
+    "_read_path_into_stash",
+    "_fetch_path",
+    "_write_back",
+    "_commit_write_back",
+    "_maybe_background_evict",
+)
+
+
+@pytest.mark.parametrize("store", ["dict", "matrix"])
+@pytest.mark.parametrize("recursive", [False, True])
+def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
+    recursive, store, monkeypatch
+):
+    engine = make_engine("Fat/S4", True, recursive)
+    cls = type(engine)
+    calls = []
+    kernel = cls._run_bins
+
+    def spy(self, bins):
+        bins = list(bins)
+        calls.append(sum(len(block_ids) for _, block_ids, _ in bins))
+        return kernel(self, bins)
+
+    def bypassed(name):
+        def fail(self, *args, **kwargs):
+            raise AssertionError(f"a bin ran {name} instead of the kernel")
+
+        return fail
+
+    monkeypatch.setattr(cls, "_run_bins", spy)
+    for name in BYPASSES:
+        monkeypatch.setattr(cls, name, bypassed(name))
+
+    rng = np.random.default_rng(3)
+    if store == "matrix":
+        engine.load_payloads(np.zeros((NUM_BLOCKS, DIM), dtype=np.float32))
+        payload = lambda value: np.full(DIM, value, dtype=np.float32)  # noqa: E731
+    else:
+        engine.load_payloads({b: 0.0 for b in range(NUM_BLOCKS)})
+        payload = float
+    same = lambda got, value: np.array_equal(got, payload(value))  # noqa: E731
+    # A tiny eviction trigger, so background eviction runs inside the
+    # kernel too.
+    engine.eviction = dataclasses.replace(
+        engine.eviction, enabled=True, trigger_threshold=2, drain_target=1
+    )
+
+    trace = rng.integers(0, NUM_BLOCKS, size=90)
+    engine.run_trace(trace)
+    assert calls == [90]
+    ids = [5, 9, 5, 77, 9, 5]
+    engine.write_many(ids, [payload(i) for i in range(6)])
+    assert calls == [90, 6]
+    served = engine.access_many([9, 5, 77, 3])
+    assert calls == [90, 6, 4]
+    # Repeated ids kept their last payload.
+    assert [same(got, want) for got, want in zip(served, (4, 5, 3, 0))] == [True] * 4
+    superblock = SuperblockBin(
+        bin_id=-1, start_index=engine.trace_cursor, block_ids=(3, 9, 3), leaf=0
+    )
+    got = engine.access_superblock(superblock, new_payloads={3: payload(8)})
+    assert calls == [90, 6, 4, 3]
+    assert [same(row, want) for row, want in zip(got, (8, 4, 8))] == [True] * 3
+    assert engine.statistics.logical_accesses == 103
+    assert engine.statistics.background_evictions > 0
+    assert engine.total_real_blocks() == NUM_BLOCKS
