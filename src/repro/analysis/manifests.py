@@ -6,7 +6,7 @@ states it explicitly, per engine module:
 
 * :class:`ModuleSources` — the taint *sources* of one module: parameter
   names that carry secrets (request block ids), attribute suffixes whose
-  values are secret (position-map leaf arrays, stash id/leaf rows), calls
+  values are secret (position-map leaf arrays, the stash's dict), calls
   whose results are secret (position-map lookups, stash lookups), and the
   *declassifier* calls after which a leaf argument is public (the protocol
   has just read that path, so the adversary saw it).
@@ -185,7 +185,7 @@ _PATH_REVEAL = (
 
 _ENGINE_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids", "stash_map", "groups"}),
-    attrs=frozenset({"id_rows", "leaf_rows", "stash"}),
+    attrs=frozenset({"entries", "stash"}),
     # leaf_access() hands out the tag view and the get/set accessors: all
     # three are secret, and so is every leaf ``get`` returns.
     calls=frozenset(
@@ -200,11 +200,11 @@ _ENGINE_SOURCES = ModuleSources(
 )
 
 # The bin kernel takes its ids bin by bin (``bins`` yields ``block_ids``
-# lists) and mirrors the stash itself; the leaves ``leaf_access`` answers
+# lists) and binds the stash's dict itself; the leaves ``leaf_access`` answers
 # with are secret until a fetch reveals them.
 _LAORAM_SOURCES = ModuleSources(
     params=frozenset({"bins", "block_ids", "stash_map"}),
-    attrs=frozenset({"id_rows", "leaf_rows", "stash"}),
+    attrs=frozenset({"entries", "stash"}),
     calls=frozenset({"position_map.leaf_access"}),
     declassifiers=_PATH_REVEAL,
 )
@@ -213,8 +213,7 @@ _PRORAM_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids", "stash_map"}),
     attrs=frozenset(
         {
-            "id_rows",
-            "leaf_rows",
+            "entries",
             "stash",
             "_locality_counters",
             "_merged_groups",
@@ -228,7 +227,7 @@ _PRORAM_SOURCES = ModuleSources(
 
 _WRITE_BACK_SOURCES = ModuleSources(
     params=frozenset({"stash", "stash_map", "tags"}),
-    attrs=frozenset({"id_rows", "leaf_rows"}),
+    attrs=frozenset({"entries"}),
     calls=frozenset(),
     declassifiers=(),
 )
@@ -261,9 +260,6 @@ def default_config() -> AnalysisConfig:
                 "ArrayStorageEngine._run_trace_fused",
                 "ArrayStorageEngine._fetch_path",
                 "ArrayStorageEngine._commit_write_back",
-                "ArrayStorageEngine._commit_write_back_scalar",
-                "ArrayStorageEngine._commit_write_back_vector",
-                "ArrayStorageEngine._select_and_commit",
             ),
             "repro/oram/ring_oram.py": (
                 "RingProtocolMixin.access",
@@ -370,21 +366,6 @@ def default_config() -> AnalysisConfig:
                 ("OBL001", "OBL002"),
                 "client-side planning (see plan_greedy_write_back); slots "
                 "and occupancies touched lie on the already-revealed path",
-            ),
-            Declassification(
-                "repro/oram/engine.py",
-                "ArrayStorageEngine._commit_write_back*",
-                ("OBL001", "OBL002"),
-                "client-side write-back planning over stash rows (see "
-                "plan_greedy_write_back); observable path write is charged "
-                "in full either way",
-            ),
-            Declassification(
-                "repro/oram/engine.py",
-                "ArrayStorageEngine._select_and_commit",
-                ("OBL001", "OBL002"),
-                "client-side greedy selection; committed slot indices derive "
-                "from the already-revealed path leaf",
             ),
         ),
     )

@@ -5,10 +5,10 @@ trace windowing, trace-level entry points) with the vectorized
 :class:`~repro.oram.array_path_oram.ArrayPathORAM` storage engine.  Every
 bin, whichever entry point it came through, runs on one fused kernel
 (:meth:`FastLAORAMClient._run_bins`, the LAORAM twin of
-``ArrayStorageEngine._run_trace_fused``): the stash is mirrored into a dict
-once per call, a bin is dict membership, one ``fused_fetch`` per distinct
-path, an in-place remap and a dict-mirror write-back per path read, and
-counters and the clock are flushed once on exit.  Bins are consumed as numpy
+``ArrayStorageEngine._run_trace_fused``): it binds the stash's dict once per
+call, a bin is dict membership, one ``fused_fetch`` per distinct path, an
+in-place remap and one write-back kernel call per path read, and counters
+and the clock are flushed once on exit.  Bins are consumed as numpy
 slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`) and
 initial placement relocates only the planned blocks (one level-by-level
 removal from their old buckets, one per-level bulk placement on their new
@@ -79,18 +79,22 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
     ) -> None:
         """Vectorized relocation, slot-identical to the per-object client's.
 
-        Stashed blocks leave their rows as holes, the rest leave their old
-        buckets in one level-by-level pass, and the per-level bulk placement
-        (which honours the buckets' current occupants and equals the scalar
+        Which planned blocks are stashed is one ``isin`` against the
+        stash's residents (tens to hundreds, against up to every block
+        planned); those leave the stash, the rest leave their old buckets in
+        one level-by-level pass, and the per-level bulk placement (which
+        honours the buckets' current occupants and equals the scalar
         place-as-deep-as-possible loop) puts them on their new paths.
         """
         stash = self.stash
-        rows = stash.row_of[block_ids]
-        stashed = rows >= 0
-        stash.remove_rows(rows[stashed], block_ids[stashed])
+        stashed = np.isin(
+            block_ids, np.fromiter(stash.entries, np.int64, len(stash))
+        )
+        for block_id in block_ids[stashed].tolist():
+            stash.pop(block_id)
         self.tree.remove_many(block_ids[~stashed], old_leaves[~stashed])
         overflow = self.tree.bulk_place_ordered(block_ids, new_leaves)
-        stash.append_rows(overflow, self.position_map.peek_many(overflow))
+        stash.extend(overflow, self.position_map.peek_many(overflow))
 
     # ------------------------------------------------------------------
     # Serve-now entry points
@@ -172,8 +176,8 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         """Serve ``bins`` in order: the one place a superblock bin runs.
 
         Mirrors ``LAORAMClient.access_superblock`` decision for decision on
-        a dict mirror of the stash (id -> leaf, in the row stash's insertion
-        order, so every write-back tie-break is the same): stash hits are
+        the stash's dict (id -> leaf, insertion ordered as the reference
+        stash is, so every write-back tie-break is the same): stash hits are
         free, the missing blocks are grouped by current path in
         first-encounter order and each distinct path is fetched once, every
         distinct block is remapped in place — to the bin's precomputed leaf,
@@ -186,11 +190,10 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         Counters and the clock accumulate in locals, the float in the
         reference's ``+=`` order; the clock is handed to the position map
         around its lookups and remaps, which a recursive map charges
-        directly.  One ``finally`` stores the cursor, reloads the stash from
-        the mirror and flushes the counters, so a raise mid-window leaves
-        the engine consistent and able to serve the next call: the capacity
-        check runs after a path's blocks entered the mirror and the flush is
-        not capacity-checked, so an overflow loses nothing.  A raise also
+        directly.  One ``finally`` stores the cursor and flushes the
+        counters, so a raise mid-window leaves the engine consistent and
+        able to serve the next call: the capacity check runs after a path's
+        blocks entered the stash, so an overflow loses nothing.  A raise also
         drops the plan — a window's precomputed remaps have handed out
         leaves the plan still counts as unconsumed, and serving them again
         would put a block back on a path it was just read from — so later
@@ -214,8 +217,8 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         slots = tree.slot_array
         caps = tree.bucket_capacities
         level_base = tree.level_base
-        node_base = [(1 << level) - 1 for level in range(depth + 1)]
-        groups: list[list[int]] = [[] for _ in range(depth + 1)]
+        node_base = self._node_base
+        groups = self._level_groups
         occ = tree.bucket_occupancies
         read_ids = tree.read_path_ids
         fetch = fused_fetch
@@ -225,7 +228,7 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         dt_path = timing.path_transfer_delta(path_buckets, path_bytes)
         overhead_us = timing.client_overhead_us
 
-        stash_map = stash.mirror()
+        stash_map = stash.entries
 
         # Deferred accumulators, flushed in the finally below; bucket and
         # byte totals follow from the path counts (one geometry per tree).
@@ -292,7 +295,7 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                             )
 
                 # Remap every distinct block to its next planned occurrence,
-                # in the position map and in the mirror together.  Plan
+                # in the position map and in the stash together.  Plan
                 # leaves are range-checked (the dense accessor is the bare
                 # array write) so a plan built for a different tree fails
                 # here, exactly where the per-object client would.
@@ -373,7 +376,6 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             raise
         finally:
             self._trace_cursor = cursor
-            stash.load_mirror(stash_map)
             reads = path_reads + dummy_reads
             counter.add_bulk(
                 logical,

@@ -8,7 +8,7 @@ results).  Each worker builds its shards' engines from picklable
 :class:`~repro.experiments.sharded.planner.ShardEngineSpec` recipes and
 backs their numpy state with one
 :class:`~repro.oram.shm.SharedMemoryArrayPool` per shard, so the parent can
-snapshot position maps / stash rows / tree occupancy by attaching to the
+snapshot position maps / tree slots / tree occupancy by attaching to the
 segments (a memcpy, not a pickle).
 
 Protocol (one request queue and one response queue per worker):
@@ -424,7 +424,7 @@ class ProcessShardExecutor:
         """Copy a live shard's shared arrays out of its segments.
 
         Zero-pickle snapshot path: attaches to the worker's segments and
-        memcpys (``posmap.leaves``, ``stash.ids``, ... — whatever the
+        memcpys (``posmap.leaves``, ``tree.slots``, ... — whatever the
         shard's engine allocated through its pool).  The worker must still
         be alive; a closed executor's segments are gone.
         """

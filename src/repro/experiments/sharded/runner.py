@@ -18,7 +18,8 @@ Execution comes in two backends behind one facade:
 * **process-parallel** (``num_workers=N``): shards are owned by ``N``
   worker processes (shard ``s`` -> worker ``s % N``), each engine's numpy
   state lives in :mod:`multiprocessing.shared_memory` segments, and the
-  parent snapshots position maps / stash rows zero-copy from the segments.
+  parent snapshots position maps zero-copy from the segments (stash
+  occupancy travels in the workers' ``state`` message).
   Because shards share no state and each is executed sequentially by
   exactly one worker, the two backends are **bit-identical** for a fixed
   seed — same merged snapshot, same per-shard stash occupancies, same

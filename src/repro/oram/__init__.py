@@ -3,8 +3,8 @@
 Every tree-based scheme ships in two decision-identical flavours built on
 the shared :mod:`repro.oram.engine` core: a per-object reference (dict
 stash, Block objects) and a vectorized array twin
-(:class:`ArrayTreeStorage` slot arrays plus an :class:`ArrayStash` of
-id/leaf rows) that produces bit-identical traffic counters for a fixed
+(:class:`ArrayTreeStorage` slot arrays plus an :class:`ArrayStash`, one
+``{id: leaf}`` dict) that produces bit-identical traffic counters for a fixed
 seed — :class:`PathORAM`/:class:`ArrayPathORAM`,
 :class:`RingORAM`/:class:`ArrayRingORAM`,
 :class:`PrORAM`/:class:`ArrayPrORAM`.

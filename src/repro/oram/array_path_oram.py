@@ -4,17 +4,16 @@ This engine executes the exact same protocol as the per-object
 :class:`~repro.oram.path_oram.PathORAM` — the control flow is literally the
 same code, :class:`~repro.oram.engine.TreeORAMEngine` — but binds it to the
 :class:`~repro.oram.engine.ArrayStorageEngine` backend, which stores server
-and client state as numpy arrays:
+state as numpy arrays and the small client stash as one dict:
 
 * the tree is an :class:`~repro.oram.tree.ArrayTreeStorage` (one ``int64``
   slot matrix + occupancy vector per level);
-* the stash is an :class:`~repro.oram.stash.ArrayStash` (parallel id/leaf
-  row arrays in insertion order with a dense id->row index, so the greedy
-  write-back planner scans contiguous memory instead of rebuilding arrays
-  from a dict on every path);
+* the stash is an :class:`~repro.oram.stash.ArrayStash`: one insertion-ordered
+  ``{id: leaf}`` dict, the format the trace drivers and the write-back
+  kernels of :mod:`repro.oram.write_back` run on;
 * the position map is the dense :class:`~repro.oram.position_map.PositionMap`
-  array, the source of truth for every block's leaf; the stash mirrors the
-  leaves of resident blocks so write-back planning needs no gather;
+  array, the source of truth for every block's leaf; the stash holds the
+  leaves of resident blocks so the write-back needs no gather;
 * payloads live in a client-side id->payload store (payload location never
   affects traffic, so keeping it out of the simulated server removes all
   per-block object churn from the hot path).

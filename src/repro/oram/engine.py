@@ -9,17 +9,18 @@ over one of two storage representations:
   objects in per-bucket lists and a dict stash (the reference engines);
 * :class:`ArrayStorageEngine` keeps block ids in
   :class:`~repro.oram.tree.ArrayTreeStorage` slot arrays and an
-  :class:`~repro.oram.stash.ArrayStash` of id/leaf rows, with payloads in a
-  client-side store (the vectorized engines).
+  :class:`~repro.oram.stash.ArrayStash` (one ``{id: leaf}`` dict), with
+  payloads in a client-side store (the vectorized engines).
 
 :class:`TreeORAMEngine` owns the control flow and all counter/timing
 charges; backends implement a small set of storage hooks (``_fetch_path``,
 ``_commit_write_back``, stash attach/detach/lookup).  Because the hooks are
 decision-free — every choice (which leaf, which eviction victim) is made in
-shared code or replicated exactly by the vectorized planner — a reference
-engine and its array twin draw from the RNG in the same order and produce
-bit-identical :class:`~repro.memory.accounting.TrafficSnapshot` counters for
-a fixed seed.  That equivalence is enforced per family by
+shared code or replicated exactly by the write-back kernels of
+:mod:`repro.oram.write_back`, which the array backend's hooks and its trace
+drivers both call on the one stash dict — a reference engine and its array
+twin draw from the RNG in the same order and produce bit-identical
+:class:`~repro.memory.accounting.TrafficSnapshot` counters for a fixed seed.  That equivalence is enforced per family by
 ``tests/test_engine_equivalence.py`` and the CI throughput gate.
 """
 
@@ -44,6 +45,7 @@ from repro.oram.tree import ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
     fused_fetch,
     fused_greedy_write_back,
+    fused_shared_write_back,
     plan_greedy_write_back,
 )
 from repro.utils.rng import make_rng
@@ -89,8 +91,8 @@ class TreeORAMEngine(ObliviousMemory):
         )
         self.observer = observer
         # Array allocation hook: a shared-memory pool here puts the tree
-        # slots, stash rows and position map into attachable segments so a
-        # parent process can snapshot shard state without serialization.
+        # slots and position map into attachable segments so a parent
+        # process can snapshot shard state without serialization.
         self.allocator = allocator
         self.tree = self._make_tree()
         self.stash = self._make_stash()
@@ -281,9 +283,10 @@ class TreeORAMEngine(ObliviousMemory):
         """Blocks present across tree and stash (must equal ``num_blocks``)."""
         return self.tree.real_block_count() + len(self.stash)
 
-    #: Client-side bookkeeping per stashed block: the (id, leaf) pair the
-    #: stash tracks alongside the payload (two int64 rows in ``ArrayStash``,
-    #: the equivalent attributes on a per-object ``Block``).
+    #: Client-side bookkeeping per stashed block, as the paper's client
+    #: would hold it: the (id, leaf) pair the stash tracks alongside the
+    #: payload, 8 bytes each (a modelled size, not that of the Python dict
+    #: entry or ``Block`` attributes standing in for it).
     STASH_ENTRY_OVERHEAD_BYTES = 16
 
     def client_memory_bytes(self) -> int:
@@ -496,7 +499,7 @@ class ObjectStorageEngine(TreeORAMEngine):
 
 
 class ArrayStorageEngine(TreeORAMEngine):
-    """Array storage backend: id slot arrays, row stash, client payload store.
+    """Array storage backend: id slot arrays, dict stash, client payload store.
 
     The handle for a stashed block is its integer id; payloads live in a
     client-side store (payload location never affects traffic, so keeping it
@@ -513,12 +516,11 @@ class ArrayStorageEngine(TreeORAMEngine):
     def __init__(self, config: ORAMConfig, **kwargs):
         super().__init__(config, **kwargs)
         self._set_payload_store({})
-        # Scratch buffers for the write-back planner (sized to the stash's
-        # row count on demand) so the per-path xor/frexp pass allocates
-        # nothing.
-        self._wb_xor = np.empty(256, dtype=np.int64)
-        self._wb_mant = np.empty(256, dtype=np.float64)
-        self._wb_bitlen = np.empty(256, dtype=np.intc)
+        # What the write-back kernels take besides the tree's arrays: the
+        # first bucket index of each level, and the per-level grouping
+        # scratch they leave empty on return.
+        self._node_base = [(1 << level) - 1 for level in range(self._depth + 1)]
+        self._level_groups: list[list[int]] = [[] for _ in range(self._depth + 1)]
         self._bulk_load()
 
     # -- construction ---------------------------------------------------
@@ -532,12 +534,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         )
 
     def _make_stash(self) -> ArrayStash:
-        return ArrayStash(
-            num_blocks=self.config.num_blocks,
-            num_leaves=self.config.num_leaves,
-            capacity=self.config.stash_capacity,
-            allocator=self.allocator,
-        )
+        return ArrayStash(capacity=self.config.stash_capacity)
 
     def _bulk_load(self) -> None:
         """Place every block into the tree according to its initial path.
@@ -547,7 +544,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         """
         initial_leaves = self.position_map.as_array()
         overflow = self.tree.bulk_place(initial_leaves)
-        self.stash.append_rows(overflow, initial_leaves[overflow])
+        self.stash.extend(overflow, initial_leaves[overflow])
 
     def _set_payload_store(self, store) -> None:
         self._payloads = store
@@ -620,21 +617,26 @@ class ArrayStorageEngine(TreeORAMEngine):
         return self._payload_of(handle)
 
     def _remap(self, handle: int) -> None:
-        """Assign the block a fresh path (position map + stash leaf mirror).
+        """Assign the block a fresh path (position map + stash entry).
 
         Remap always happens while the block sits in the stash, so both the
-        authoritative position-map entry and the stash's leaf row are
-        updated together.
+        authoritative position-map entry and the stash's leaf are updated
+        together.
         """
         leaf = self._choose_new_leaf(handle)
         self.position_map.set(handle, leaf)
         self.stash.set_leaf(handle, leaf)
 
     def _fetch_path(self, leaf: int) -> None:
-        ids = self.tree.read_path_ids(leaf)
-        if ids.size:
-            # peek_many: fetched blocks carry their leaf tags on the wire.
-            self.stash.append_rows(ids, self.position_map.peek_many(ids))
+        """The drivers' path read, then the capacity check they make after it.
+
+        The path's blocks are in the stash before an overflow raises, so
+        the engine still holds every block and can take another access.
+        """
+        stash = self.stash
+        tags = self.position_map.leaf_access()[0]
+        fused_fetch(self.tree.read_path_ids, tags, stash.entries, leaf)
+        stash.check_capacity()
 
     # -- fused trace driver ---------------------------------------------
     def run_trace(
@@ -675,27 +677,26 @@ class ArrayStorageEngine(TreeORAMEngine):
     ) -> list[Optional[object]]:
         """One-loop execution of a whole trace with zero steady-state allocation.
 
-        The driver mirrors the stash into a plain dict (id -> leaf; dict
-        insertion order is exactly the row stash's insertion order, so every
-        write-back decision is identical), runs the PathORAM access sequence
-        with all attribute lookups hoisted to locals, accumulates counters
-        and simulated time in plain Python scalars, and syncs everything
-        back to the engine's structures on exit.  Steady-state work per
-        access is a handful of in-place numpy calls on preallocated scratch
-        plus pure-Python dict/list operations — no numpy allocation at all.
+        The driver binds the stash's dict (id -> leaf, insertion ordered,
+        so every write-back tie-break is the per-access hooks'), runs the
+        PathORAM access sequence with all attribute lookups hoisted to
+        locals, accumulates counters and simulated time in plain Python
+        scalars, and flushes them to the engine on exit.  Steady-state work
+        per access is a handful of in-place numpy calls on preallocated
+        scratch plus pure-Python dict/list operations — no numpy allocation
+        at all.
 
         ``before_access(block_id)`` is a per-access protocol hook (PrORAM
         locality tracking): returning truthy routes the access through
-        ``fallback(block_id, op, payload)`` with the engine's real
-        structures fully synced before and re-mirrored after, so arbitrary
-        protocol code can interleave with the fused loop.
+        ``fallback(block_id, op, payload)`` with counters, clock and leaf
+        buffer flushed before and re-read after — the stash needs neither,
+        the fallback works on the same dict — so arbitrary protocol code
+        can interleave with the fused loop.
 
-        Error paths diverge from the sequential loop in one documented way:
-        the stash-capacity check runs after a path's blocks enter the
-        mirror, whereas ``ArrayStash.append_rows`` raises before appending
-        (and drops the path it just emptied).  The exit flush restores the
-        over-full mirror as is, so blocks, counters and clock stay
-        consistent and the engine can take another trace.
+        A raise mid-trace (the stash-capacity check runs after a path's
+        blocks entered the stash, as ``_fetch_path``'s does) leaves blocks,
+        counters and clock consistent, and the engine can take another
+        trace.
         """
         ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
         n = len(ids)
@@ -722,8 +723,8 @@ class ArrayStorageEngine(TreeORAMEngine):
         slots = tree.slot_array
         caps = tree.bucket_capacities
         level_base = tree.level_base
-        node_base = [(1 << level) - 1 for level in range(depth + 1)]
-        groups: list[list[int]] = [[] for _ in range(depth + 1)]
+        node_base = self._node_base
+        groups = self._level_groups
         # Occupancy is maintained eagerly: the path read zeroes its buckets'
         # occupancies in one scatter and the write-back writes each visited
         # level's count — ~1.5 us/access total.  Deferring it (lazy reads +
@@ -748,9 +749,9 @@ class ArrayStorageEngine(TreeORAMEngine):
         trigger = eviction.trigger_threshold
         should_continue = eviction.should_continue
 
-        stash_map = stash.mirror()
+        stash_map = stash.entries
 
-        # Deferred accumulators (flushed by _sync_out, exact under any
+        # Deferred accumulators (flushed by sync_out, exact under any
         # grouping for the ints; the float repeats the per-charge += order
         # so even simulated time is bit-identical).
         logical = path_reads = path_writes = dummy_reads = 0
@@ -761,13 +762,12 @@ class ArrayStorageEngine(TreeORAMEngine):
         history = counter.stash_history if counter.record_stash_history else None
 
         def sync_out():
-            """Flush every accumulator and mirror back into engine state."""
+            """Flush every accumulator back into engine state."""
             nonlocal logical, path_reads, path_writes, dummy_reads
             nonlocal buckets_read, buckets_written, bytes_read, bytes_written
             nonlocal episodes, hits
             self._leaf_buf = leaf_buf
             self._leaf_buf_pos = leaf_pos
-            stash.load_mirror(stash_map)
             counter.add_bulk(
                 logical,
                 path_reads,
@@ -788,14 +788,12 @@ class ArrayStorageEngine(TreeORAMEngine):
             hits = 0
 
         def sync_in():
-            """Re-mirror engine state after a fallback access ran on it."""
+            """Re-read engine state after a fallback access ran on it."""
             nonlocal leaf_buf, leaf_pos, stash_peak, elapsed
             leaf_buf = self._leaf_buf
             leaf_pos = self._leaf_buf_pos
             stash_peak = counter.stash_peak
             elapsed = timing.elapsed_s
-            stash_map.clear()
-            stash_map.update(stash.mirror())
 
         try:
             for index in range(n):
@@ -950,129 +948,27 @@ class ArrayStorageEngine(TreeORAMEngine):
             sync_out()
         return results
 
-    #: Row count below which the write-back planner runs its scalar path:
-    #: one bulk ``tolist`` plus pure-Python grouping beats ~10 numpy
-    #: dispatches on the tiny stashes the single-path protocols keep.
-    SCALAR_WB_ROWS = 96
-
     def _commit_write_back(self, leaf: int) -> None:
-        """Greedy write-back onto the path to ``leaf``.
+        """Greedy write-back onto the path to ``leaf``: the drivers' kernel.
 
-        The selection replicates ``plan_greedy_write_back`` exactly — same
-        eligibility (path-prefix rule), same occupancy awareness and same
-        tie-breaking order.  Two implementations produce the identical
-        choice: a scalar pass for small stashes (PathORAM/RingORAM/PrORAM
-        keep a handful of live rows, where numpy dispatch overhead dominates)
-        and a vectorized xor/frexp pass for large ones.  This is the
-        write-back of the per-access hooks (the generic loop,
-        ``dummy_access``, PrORAM's policy accesses); the fused drivers and
-        LAORAM's bin kernel place from their dict mirrors instead.
-        """
-        stash = self.stash
-        if not len(stash):
-            return
-        if stash.tail <= self.SCALAR_WB_ROWS:
-            self._commit_write_back_scalar(leaf)
-        else:
-            self._commit_write_back_vector(leaf)
-
-    def _commit_write_back_scalar(self, leaf: int) -> None:
-        """Pure-Python grouping over one bulk ``tolist`` of the stash rows.
-
-        bit_length(leaf xor path) groups rows by deepest common level
-        (xor == 0 -> bit length 0 -> common level == depth); appending in
-        row order keeps ascending insertion order within a level, the
-        stable-sort tie-breaking of the vectorized pass.  Holes carry the
-        sentinel leaf whose xor bit length exceeds ``depth``, so they are
-        skipped.
-        """
-        stash = self.stash
-        depth = self._depth
-        groups: list[list[int]] = [[] for _ in range(depth + 1)]
-        for row, row_leaf in enumerate(stash.leaf_rows[: stash.tail].tolist()):
-            bitlen = (row_leaf ^ leaf).bit_length()
-            if bitlen <= depth:
-                groups[bitlen].append(row)
-        self._select_and_commit(leaf, groups)
-
-    def _commit_write_back_vector(self, leaf: int) -> None:
-        """Vectorized grouping: one xor/frexp pass over the stash's rows.
-
-        frexp's exponent IS the bit length for non-negative ints (and 0 for
-        0), exact far below 2^53; a stable argsort keeps ascending insertion
-        (row) order within a level, and holes (bit length depth + 2) sort
-        after every real row, so slicing the ordering at the live count
-        drops exactly the holes.
-        """
-        stash = self.stash
-        live = len(stash)
-        depth = self._depth
-        tail = stash.tail
-        n = self._wb_xor.size
-        if n < tail:
-            while n < tail:
-                n *= 2
-            self._wb_xor = np.empty(n, dtype=np.int64)
-            self._wb_mant = np.empty(n, dtype=np.float64)
-            self._wb_bitlen = np.empty(n, dtype=np.intc)
-        xor = self._wb_xor[:tail]
-        bitlen = self._wb_bitlen[:tail]
-        np.bitwise_xor(stash.leaf_rows[:tail], leaf, out=xor)
-        np.frexp(xor, self._wb_mant[:tail], bitlen)
-        grouped = np.argsort(bitlen, kind="stable")[:live].tolist()
-        counts = np.bincount(bitlen, minlength=depth + 1).tolist()
-        groups: list[list[int]] = []
-        cursor = 0
-        for count in counts[: depth + 1]:
-            groups.append(grouped[cursor : cursor + count])
-            cursor += count
-        self._select_and_commit(leaf, groups)
-
-    def _select_and_commit(self, leaf: int, groups: list[list[int]]) -> None:
-        """Greedy LIFO selection shared by the scalar and vector planners.
-
-        ``groups[b]`` holds the stash rows whose leaf-xor bit length is
-        ``b`` (i.e. whose deepest common level with ``leaf`` is
-        ``depth - b``), each in ascending insertion order.  The selection is
-        the identical decision procedure either way, so the two grouping
-        passes cannot drift apart.
+        The occupancy-aware one, as the reference hook's
+        ``plan_greedy_write_back`` is: the hook does not promise a path
+        that was just emptied, and on one that was (``access``,
+        ``dummy_access``, RingORAM's evict-path) it decides exactly what
+        ``fused_greedy_write_back`` decides.
         """
         tree = self.tree
-        stash = self.stash
-        depth = self._depth
-        buckets, occupancies = tree.path_state(leaf)
-        caps = tree.bucket_capacities
-        level_base = tree.level_base
-        pool: list[int] = []
-        chosen_rows: list[int] = []
-        chosen_slots: list[int] = []
-        for level in range(depth, -1, -1):
-            group = groups[depth - level]
-            if group:
-                pool.extend(group)
-            if not pool:
-                continue
-            occupancy = occupancies[level]
-            free = caps[level] - occupancy
-            if free <= 0:
-                continue
-            take = free if free < len(pool) else len(pool)
-            # Popping one by one from the pool's tail == reversed slice.
-            chosen_rows.extend(pool[: -take - 1 : -1])
-            del pool[-take:]
-            slot = (
-                level_base[level]
-                + (leaf >> (depth - level)) * caps[level]
-                + occupancy
-            )
-            chosen_slots.extend(range(slot, slot + take))
-            occupancies[level] = occupancy + take
-        if chosen_rows:
-            # Capacity is respected by construction (take <= free), so
-            # the whole path commits in two scatters.
-            chosen_ids = stash.id_rows[chosen_rows]
-            tree.commit_path_write(buckets, occupancies, chosen_slots, chosen_ids)
-            stash.remove_rows(chosen_rows, chosen_ids)
+        fused_shared_write_back(
+            self.stash.entries,
+            self._level_groups,
+            tree.bucket_capacities,
+            tree.level_base,
+            self._node_base,
+            tree.slot_array,
+            tree.bucket_occupancies,
+            self._depth,
+            leaf,
+        )
 
     def _remove_from_path(self, leaf: int, block_id: int) -> Optional[int]:
         if self.tree.remove_on_path(leaf, block_id):
@@ -1104,4 +1000,4 @@ class ArrayStorageEngine(TreeORAMEngine):
         pm_leaves = self.position_map.as_array()
         overflow = self.tree.bulk_place_ordered(ordered, pm_leaves[ordered])
         if overflow.size:
-            self.stash.append_rows(overflow, pm_leaves[overflow])
+            self.stash.extend(overflow, pm_leaves[overflow])

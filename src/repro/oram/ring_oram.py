@@ -198,14 +198,14 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
 
     Online reads gather the whole path's slots in one vectorized compare
     (:meth:`~repro.oram.tree.ArrayTreeStorage.remove_on_path`), evictions
-    reuse the array engine's vectorized greedy write-back planner, and
-    per-bucket read counts live in one numpy vector — while drawing from the
+    reuse the array engine's write-back kernel, and per-bucket read counts
+    live in one numpy vector — while drawing from the
     RNG in exactly the per-object order, so a fixed seed gives bit-identical
     traffic counters.
 
     :meth:`run_trace` fuses the whole protocol — online reads, scheduled
     reverse-lexicographic evictions, bucket reshuffles — into one loop over
-    a dict stash mirror with deferred counter/timing aggregation, the same
+    the stash's dict with deferred counter/timing aggregation, the same
     discipline as :meth:`ArrayStorageEngine._run_trace_fused`.
     """
 
@@ -226,10 +226,10 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         ops=None,
         payloads=None,
     ):
-        """One-loop RingORAM execution over the dict stash mirror.
+        """One-loop RingORAM execution over the stash's dict.
 
         Decision-identical to the per-access protocol: detach moves the
-        target out of the mirror, a scheduled evict-path empties the path
+        target out of the stash, a scheduled evict-path empties the path
         before its write-back (so the shared zero-occupancy write-back
         helper applies), and reshuffle checks run against the same bucket
         read counts in the same order.  All counter/timing charges accumulate
@@ -263,8 +263,8 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         occ = tree.bucket_occupancies
         caps = tree.bucket_capacities
         level_base = tree.level_base
-        node_base = [(1 << level) - 1 for level in range(depth + 1)]
-        groups = [[] for _ in range(depth + 1)]
+        node_base = self._node_base
+        groups = self._level_groups
         read_ids = tree.read_path_ids
         path_nodes = tree.path_nodes
         remove_on_path = tree.remove_on_path
@@ -295,7 +295,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         access_count = self._access_count
         evict_counter = self._evict_counter
 
-        stash_map = stash.mirror()
+        stash_map = stash.entries
 
         logical = path_reads = path_writes = dummy_reads = 0
         buckets_read = buckets_written = bytes_read = bytes_written = 0
@@ -468,7 +468,6 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
             self._leaf_buf_pos = leaf_pos
             self._access_count = access_count
             self._evict_counter = evict_counter
-            stash.load_mirror(stash_map)
             counter.add_bulk(
                 logical,
                 path_reads,

@@ -1,12 +1,13 @@
 """Shared-memory array allocation for process-parallel shard execution.
 
 The vectorized engines keep all hot state in a handful of flat numpy arrays
-(tree slots/occupancies, stash id/leaf rows, the position map).  When a
-shard engine runs inside a worker process, those arrays can be placed in
+(tree slots/occupancies, the position map).  When a shard engine runs
+inside a worker process, those arrays can be placed in
 :mod:`multiprocessing.shared_memory` segments instead of private heap pages,
-so the parent process can *snapshot* shard state — position maps, stash
-rows, tree occupancy — by attaching to the segments and reading them
-directly, without pickling megabytes through a pipe.
+so the parent process can *snapshot* shard state — position maps, tree
+occupancy — by attaching to the segments and reading them directly, without
+pickling megabytes through a pipe.  (The stash is a small dict in the
+worker; its occupancy reaches the parent in the ``state`` message.)
 
 Two allocators implement one small protocol:
 
@@ -14,18 +15,17 @@ Two allocators implement one small protocol:
   arrays, zero overhead, used everywhere outside the worker pool;
 * :class:`SharedMemoryArrayPool` — one named ``SharedMemory`` segment per
   logical array.  The pool records a picklable :func:`registry` mapping
-  logical names (``"tree.slots"``, ``"stash.ids"``, ``"posmap.leaves"``,
-  ...) to ``(segment_name, shape, dtype)`` descriptors that the parent
-  uses to attach.
+  logical names (``"tree.slots"``, ``"tree.occ"``, ``"posmap.leaves"``) to
+  ``(segment_name, shape, dtype)`` descriptors that the parent uses to
+  attach.
 
 Ownership and cleanup: the *worker* that created a pool owns its segments
 and must call :meth:`SharedMemoryArrayPool.close` (unlinking them) before
 exit — the executor's worker loop does this in a ``finally`` so even a
 crashing shard leaves nothing behind.  The parent holds a belt-and-braces
 sweep (:func:`unlink_registry`) for workers that died too hard to clean up.
-Growth (the stash doubling its row arrays) allocates a fresh segment and
-immediately unlinks the outgrown one; the old mapping stays valid for any
-still-live view and disappears with the process.
+Every array is allocated once, at engine construction, and lives as long as
+its pool.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ class ArrayAllocator:
         """
         return array
 
-    def release(self, array: np.ndarray) -> None:
-        """Drop an array this allocator handed out (growth/relayout)."""
-
     def registry(self) -> Registry:
         """Descriptors of the live shared arrays (empty when not shared)."""
         return {}
@@ -87,10 +84,7 @@ class SharedMemoryArrayPool(ArrayAllocator):
 
     ``prefix`` namespaces the segment names (the executor uses one prefix
     per run and one suffix per shard, so a crashed run can be swept by
-    prefix).  Re-allocating a logical name (stash growth, tree relayout)
-    creates the new segment first, then unlinks the outgrown one — existing
-    mappings stay readable until the process exits, but the name is gone,
-    so nothing can leak past the worker's lifetime.
+    prefix).  A logical name is allocated once per pool.
     """
 
     shared = True
@@ -100,8 +94,8 @@ class SharedMemoryArrayPool(ArrayAllocator):
         self._seq = 0
         # logical name -> (SharedMemory, ndarray); insertion ordered.
         self._live: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-        # Segments unlinked but not yet closeable because a numpy view still
-        # exports their buffer; drained on close().
+        # Segments unlinked by close() but not yet closeable because a numpy
+        # view still exports their buffer; retried on the next close().
         self._zombies: list[shared_memory.SharedMemory] = []
 
     @property
@@ -111,16 +105,15 @@ class SharedMemoryArrayPool(ArrayAllocator):
 
     # -- allocation ----------------------------------------------------
     def _allocate(self, name: str, size: int, dtype) -> np.ndarray:
+        if name in self._live:
+            raise ValueError(f"array {name!r} is already allocated in this pool")
         nbytes = max(1, int(size) * np.dtype(dtype).itemsize)
         self._seq += 1
         segment = shared_memory.SharedMemory(
             name=f"{self._prefix}.{self._seq}", create=True, size=nbytes
         )
         array = np.ndarray(int(size), dtype=dtype, buffer=segment.buf)
-        previous = self._live.pop(name, None)
         self._live[name] = (segment, array)
-        if previous is not None:
-            self._discard(previous[0])
         return array
 
     def full(self, name: str, size: int, fill_value: int, dtype) -> np.ndarray:
@@ -135,27 +128,6 @@ class SharedMemoryArrayPool(ArrayAllocator):
         shared = self._allocate(name, array.size, array.dtype)
         shared[...] = array
         return shared
-
-    def release(self, array: np.ndarray) -> None:
-        for name, (segment, live_array) in list(self._live.items()):
-            if live_array is array:
-                del self._live[name]
-                self._discard(segment)
-                return
-
-    def _discard(self, segment: shared_memory.SharedMemory) -> None:
-        """Unlink a segment now; close it when its buffer is releasable."""
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-        try:
-            segment.close()
-        except BufferError:
-            # A numpy view still exports the buffer (the caller copies out
-            # of the old array after allocating the new one); the mapping
-            # dies with the process, the name is already gone.
-            self._zombies.append(segment)
 
     # -- export / cleanup ----------------------------------------------
     def registry(self) -> Registry:

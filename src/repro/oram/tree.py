@@ -255,7 +255,6 @@ class ArrayTreeStorage:
         self._scratch_gather = np.empty(self._path_slots, dtype=np.int64)
         self._scratch_mask = np.empty(self._path_slots, dtype=bool)
         self._scratch_nodes = np.empty(depth + 1, dtype=np.int64)
-        self._scratch_occ = np.empty(depth + 1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Geometry helpers (same accounting as TreeStorage)
@@ -368,8 +367,8 @@ class ArrayTreeStorage:
     def bucket_occupancies(self) -> np.ndarray:
         """Per-bucket occupancy counters, breadth-first (no copy).
 
-        Read-only view for write-back planners; mutations must go through
-        the commit methods so slots and counters stay in sync.
+        The write-back kernels read and update it together with
+        :attr:`slot_array`, keeping slots and counters in sync.
         """
         return self._occ
 
@@ -471,62 +470,14 @@ class ArrayTreeStorage:
                 return True
         return False
 
-    def path_state(self, leaf: int) -> tuple[np.ndarray, list[int]]:
-        """Bucket indices and current occupancies of the path to ``leaf``.
-
-        Returns ``(buckets, occupancies)`` ordered root to leaf; callers that
-        plan a whole-path write-back mutate the occupancy list and commit it
-        with :meth:`commit_path_write`.  ``buckets`` is the node scratch
-        (valid until the next path call); the occupancy list is gathered
-        through the occupancy scratch so nothing but the list is allocated.
-        """
-        buckets = self.path_nodes(leaf)
-        occ = self._scratch_occ
-        np.take(self._occ, buckets, out=occ)
-        return buckets, occ.tolist()
-
     @property
     def slot_array(self) -> np.ndarray:
-        """The flat slot array (no copy), for the fused trace driver.
+        """The flat slot array (no copy), for the write-back kernels.
 
-        Writes must preserve the commit invariants (occupied slots are the
-        dense prefix of each bucket, ``occ`` in sync); everything else goes
-        through the commit methods.
+        Writes must keep the occupied slots the dense prefix of each bucket
+        and :attr:`bucket_occupancies` in sync.
         """
         return self._slots
-
-    def commit_path_write(
-        self,
-        buckets: np.ndarray,
-        occupancies: Sequence[int],
-        slot_indices: Sequence[int],
-        values: np.ndarray,
-    ) -> None:
-        """Scatter a planned write-back in two vectorized assignments.
-
-        ``slot_indices``/``values`` are the flat slot positions and block ids
-        chosen by the caller (who guarantees they respect bucket capacity);
-        ``occupancies`` is the path's updated per-bucket occupancy.
-        """
-        self._slots[slot_indices] = values
-        self._occ[buckets] = occupancies
-
-    def write_level(self, level: int, node: int, block_ids: Sequence[int]) -> None:
-        """Append ``block_ids`` to the bucket ``node`` at ``level``."""
-        count = len(block_ids)
-        if count == 0:
-            return
-        capacity = self.bucket_capacities[level]
-        bucket = ((1 << level) - 1) + node
-        occ = int(self._occ[bucket])
-        if occ + count > capacity:
-            raise ConfigurationError(
-                f"placement overflows bucket at level {level}: "
-                f"{occ} + {count} > {capacity}"
-            )
-        start = self._level_base[level] + node * capacity + occ
-        self._slots[start : start + count] = block_ids
-        self._occ[bucket] = occ + count
 
     # ------------------------------------------------------------------
     # Bulk operations / diagnostics

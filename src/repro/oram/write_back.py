@@ -10,16 +10,17 @@ already refilled.
 
 Three planners live here:
 
-* :func:`plan_greedy_write_back` — the per-object, single-path reference
-  (the array engine replicates it slot-by-slot in
-  ``ArrayStorageEngine._commit_write_back``);
+* :func:`plan_greedy_write_back` — the per-object, single-path reference;
 * :func:`fused_greedy_write_back` — the allocation-free specialization the
-  fused trace drivers run: same greedy rule over a plain dict stash mirror,
-  valid only immediately after the target path has been emptied by a read
-  (:func:`fused_fetch`, the read half of the same pair);
+  fused trace drivers run: same greedy rule over the array stash's
+  ``{id: leaf}`` dict, valid only immediately after the target path has
+  been emptied by a read (:func:`fused_fetch`, the read half of the same
+  pair);
 * :func:`fused_shared_write_back` — the same over a path that may already
   have occupants: what LAORAM's bin kernel runs, since the later paths of a
-  bin that read several share refilled buckets with the earlier ones.
+  bin that read several share refilled buckets with the earlier ones, and
+  what the array engine's per-access hook
+  (``ArrayStorageEngine._commit_write_back``) is.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def plan_greedy_write_back(
 
 
 def fused_fetch(read_ids, tags, stash_map, leaf):
-    """Read one path into a dict stash mirror (fused drivers, recursion walks).
+    """Read one path into a dict stash (array engines, recursion walks).
 
     ``read_ids`` empties the path and returns its real block ids, compacted
     by one vectorized mask so only the real blocks a path carries are
@@ -74,8 +75,8 @@ def fused_fetch(read_ids, tags, stash_map, leaf):
     ``update(zip(...))`` — marginally ahead of a per-id ``item`` loop at
     PathORAM's ~9 real ids per path and clearly ahead on RingORAM evict
     paths, which carry several times that.  Compaction preserves
-    root-to-leaf slot order, so dict insertion order is exactly the row
-    order ``append_rows`` would have produced.
+    root-to-leaf slot order, so dict insertion order is exactly the order
+    the reference engine adds a path's blocks in.
     """
     ids = read_ids(leaf)
     stash_map.update(zip(ids.tolist(), tags.take(ids).tolist()))
@@ -84,13 +85,13 @@ def fused_fetch(read_ids, tags, stash_map, leaf):
 def fused_greedy_write_back(
     stash_map, groups, caps, level_base, node_base, slots, occ, depth, leaf
 ):
-    """Greedy write-back from a dict stash mirror onto a freshly read path.
+    """Greedy write-back from a dict stash onto a freshly read path.
 
     The fused trace drivers' specialization of :func:`plan_greedy_write_back`
     for the one case they are always in: the path to ``leaf`` was just
     emptied by a full read, so every bucket on it has occupancy zero and the
     plan/commit split collapses into direct scalar slot writes.  Dict
-    iteration order is insertion order — the same order the row stash
+    iteration order is insertion order — the same order the reference stash
     enumerates — so grouping by xor bit length, LIFO pool selection and
     ascending slot assignment are all decision-identical to the reference
     planner; the scalar occupancy write per visited level equals the
@@ -147,7 +148,7 @@ def fused_greedy_write_back(
 def fused_shared_write_back(
     stash_map, groups, caps, level_base, node_base, slots, occ, depth, leaf
 ):
-    """Greedy write-back from a dict stash mirror onto a path with occupants.
+    """Greedy write-back from a dict stash onto a path with occupants.
 
     The occupancy-aware generalisation of :func:`fused_greedy_write_back`,
     for the case it excludes: a LAORAM bin that read several paths writes

@@ -38,77 +38,80 @@ def make_laoram_config(num_blocks=256, superblock_size=4, seed=13, **oram_kwargs
 
 
 class TestArrayStash:
-    def make(self, **kwargs):
-        kwargs.setdefault("num_blocks", 64)
-        kwargs.setdefault("num_leaves", 16)
-        return ArrayStash(**kwargs)
-
-    def test_insertion_order_and_membership(self):
-        stash = self.make()
-        stash.append_rows(
+    def filled(self, **kwargs):
+        stash = ArrayStash(**kwargs)
+        stash.extend(
             np.asarray([5, 9, 2], dtype=np.int64),
             np.asarray([1, 3, 7], dtype=np.int64),
         )
+        return stash
+
+    def test_insertion_order_and_membership(self):
+        stash = self.filled()
         assert len(stash) == 3
-        assert stash.block_ids == [5, 9, 2]
+        assert stash.block_ids == list(stash) == [5, 9, 2]
+        assert stash.entries == {5: 1, 9: 3, 2: 7}
         assert 9 in stash and 4 not in stash
         assert stash.leaf_of(9) == 3
         with pytest.raises(KeyError):
             stash.leaf_of(4)
+        with pytest.raises(KeyError):
+            stash.set_leaf(4, 0)
+
+    def test_a_negative_id_is_simply_absent(self):
+        # The dense id -> row index used to wrap: ``row_of[-1]`` answered
+        # for the last block.
+        stash = ArrayStash()
+        stash.add(63, 5)
+        assert -1 not in stash
+        assert not stash.pop(-1)
+        with pytest.raises(KeyError):
+            stash.leaf_of(-1)
 
     def test_remove_and_readd_moves_to_end(self):
-        stash = self.make()
-        stash.append_rows(
-            np.asarray([5, 9, 2], dtype=np.int64),
-            np.asarray([1, 3, 7], dtype=np.int64),
-        )
+        stash = self.filled()
         assert stash.pop(9)
         assert not stash.pop(9)
         stash.add(9, 4)
         assert stash.block_ids == [5, 2, 9]
         assert stash.leaf_of(9) == 4
+        stash.set_leaf(5, 6)
+        assert stash.block_ids == [5, 2, 9]
+        assert stash.leaf_of(5) == 6
 
-    def test_compaction_preserves_order(self):
-        stash = self.make(num_blocks=4096, num_leaves=64, initial_rows=8)
-        rng = np.random.default_rng(0)
-        expected: list[int] = []
-        next_id = 0
-        for _ in range(200):
-            count = int(rng.integers(1, 5))
-            ids = np.arange(next_id, next_id + count, dtype=np.int64)
-            next_id += count
-            stash.append_rows(ids, ids % 64)
-            expected.extend(ids.tolist())
-            while expected and rng.random() < 0.6:
-                victim = expected.pop(int(rng.integers(0, len(expected))))
-                assert stash.pop(victim)
-        assert stash.block_ids == expected
-        assert list(stash.live_ids()) == expected
-        for block_id in expected:
-            assert stash.leaf_of(block_id) == block_id % 64
+    def test_entries_are_python_ints(self):
+        # The write-back kernels xor leaves and take ``bit_length``.
+        stash = self.filled()
+        stash.add(np.int64(11), np.int64(4))
+        stash.set_leaf(5, np.int64(6))
+        for block_id, leaf in stash.entries.items():
+            assert type(block_id) is int and type(leaf) is int
 
-    def test_capacity_overflow(self):
-        stash = self.make(capacity=2)
+    def test_capacity_overflow_keeps_what_it_was_given(self):
+        stash = ArrayStash(capacity=2)
         stash.add(1, 0)
         stash.add(2, 1)
         with pytest.raises(StashOverflowError):
             stash.add(3, 2)
         with pytest.raises(StashOverflowError):
-            stash.append_rows(
+            stash.extend(
                 np.asarray([4], dtype=np.int64), np.asarray([0], dtype=np.int64)
             )
+        # Nothing handed to an over-full stash is dropped.
+        assert stash.block_ids == [1, 2, 3, 4]
+        with pytest.raises(ValueError):
+            ArrayStash(capacity=0)
 
-    def test_clear(self):
-        stash = self.make()
-        stash.append_rows(
-            np.asarray([5, 9], dtype=np.int64), np.asarray([1, 3], dtype=np.int64)
-        )
+    def test_clear_keeps_the_dict_the_drivers_bound(self):
+        stash = self.filled()
+        entries = stash.entries
         stash.clear()
         assert len(stash) == 0
         assert stash.block_ids == []
         assert 5 not in stash
         stash.add(5, 2)
         assert stash.block_ids == [5]
+        assert stash.entries is entries
 
 
 class TestEngineEquivalence:
@@ -232,7 +235,7 @@ class TestPlacementRegressions:
         if isinstance(engine, FastLAORAMClient):
             for leaf in leaves:
                 ids = engine.tree.read_path_ids(leaf)
-                engine.stash.append_rows(ids, engine.position_map.peek_many(ids))
+                engine.stash.extend(ids, engine.position_map.peek_many(ids))
         else:
             for leaf in leaves:
                 for block in engine.tree.read_path(leaf):

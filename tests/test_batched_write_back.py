@@ -4,7 +4,7 @@ A LAORAM bin fetches every distinct path its missing blocks sit on and then
 writes those paths back one after another, so a later write-back finds the
 buckets it shares with an earlier one already refilled.  On the fast client
 that is the bin kernel's write-back
-(``fused_shared_write_back`` on the dict mirror of the stash); the reference
+(``fused_shared_write_back`` on the stash's dict); the reference
 is ``LAORAMClient.access_superblock``, one occupancy-aware
 ``plan_greedy_write_back`` per path over ``Block`` objects.  These tests
 hammer the pair with bins the access protocols seldom produce — batch sizes
@@ -96,17 +96,10 @@ def assert_invariants(engine: FastLAORAMClient) -> None:
         ids = slots[nodes, slot_cols]
         assert np.array_equal(pm_leaves[ids] >> (depth - level), nodes)
         seen.append(ids)
-    tail = stash.tail
-    stash_ids = stash.id_rows[:tail]
-    real = stash_ids >= 0
-    # The stash's leaf mirror agrees with the position map, and its id -> row
-    # index with its rows.
-    assert np.array_equal(
-        stash.leaf_rows[:tail][real], pm_leaves[stash_ids[real]]
-    )
-    assert np.array_equal(stash.row_of[stash_ids[real]], np.flatnonzero(real))
-    assert np.count_nonzero(stash.row_of >= 0) == np.count_nonzero(real)
-    seen.append(stash_ids[real])
+    stash_ids = np.asarray(stash.block_ids, dtype=np.int64)
+    # The stash's leaves agree with the position map.
+    assert [stash.leaf_of(b) for b in stash.block_ids] == pm_leaves[stash_ids].tolist()
+    seen.append(stash_ids)
     # Conservation: every block exactly once across tree + stash.
     all_ids = np.sort(np.concatenate(seen))
     assert np.array_equal(all_ids, np.arange(NUM_BLOCKS))

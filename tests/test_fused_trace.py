@@ -26,6 +26,7 @@ from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
 from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
 from repro.oram.ring_oram import ArrayRingORAM, RingORAM
+from repro.oram.stash import ArrayStash
 
 
 NUM_BLOCKS = 700
@@ -53,17 +54,10 @@ def _merge_trace(n_groups: int = 500, seed: int = 12) -> list[int]:
 def _state(engine):
     """Everything that must match between two engine instances."""
     stash = engine.stash
-    if hasattr(stash, "id_rows"):
-        tail = stash.tail
-        stash_rows = [
-            (int(b), int(leaf))
-            for b, leaf in zip(stash.id_rows[:tail], stash.leaf_rows[:tail])
-            if b >= 0
-        ]
+    if isinstance(stash, ArrayStash):
+        stash_rows = [(b, stash.leaf_of(b)) for b in stash.block_ids]
     else:
-        stash_rows = [
-            (block.block_id, block.leaf) for block in stash
-        ]
+        stash_rows = [(block.block_id, block.leaf) for block in stash]
     return (
         engine.statistics,
         engine.timing.elapsed_s,

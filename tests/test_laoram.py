@@ -16,6 +16,8 @@ from repro.exceptions import (
     ConfigurationError,
     StashOverflowError,
 )
+from repro.oram.array_path_oram import ArrayPathORAM
+from repro.oram.base import ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine
 from repro.oram.path_oram import PathORAM
@@ -406,6 +408,44 @@ class TestKernelFailurePaths:
         engine.access_many(resident)
         assert engine.stash_hits == hits + 8
         assert engine.trace_cursor == 24
+        self.conserved(engine)
+        assert engine.simulated_time_s == pytest.approx(
+            self.closed_form_clock(engine), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("drive", ["access", "generic loop"])
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    @pytest.mark.parametrize("client", [ArrayPathORAM, FastLAORAMClient])
+    def test_overflow_on_the_per_access_path_loses_no_block(
+        self, client, recursive, drive
+    ):
+        # The array backend's own hooks, no fused driver and no kernel: the
+        # path a fetch emptied is in the stash before the overflow raises.
+        config = placement_config(4, recursive, stash_capacity=12)
+        oram = config.oram.with_overrides(posmap_cutoff_bytes=512)
+        config = dataclasses.replace(config, oram=oram)
+        engine = client(config if client is FastLAORAMClient else oram)
+        trace = np.random.default_rng(4).integers(0, 256, size=400).tolist()
+
+        def run(block_ids):
+            if drive == "access":
+                for block_id in block_ids:
+                    engine.access(block_id)
+            else:
+                ObliviousMemory.run_trace(engine, block_ids)
+
+        with pytest.raises(StashOverflowError):
+            run(trace)
+        assert 1 < engine.statistics.logical_accesses < len(trace)
+        assert len(engine.stash) > 12
+        self.conserved(engine)
+        assert engine.simulated_time_s == pytest.approx(
+            self.closed_form_clock(engine), rel=1e-9
+        )
+        # Stash hits fetch nothing, so the over-full engine serves them.
+        hits = engine.stash_hits
+        run(engine.stash.block_ids[:8])
+        assert engine.stash_hits == hits + 8
         self.conserved(engine)
         assert engine.simulated_time_s == pytest.approx(
             self.closed_form_clock(engine), rel=1e-9

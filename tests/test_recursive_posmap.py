@@ -422,24 +422,34 @@ class TestFailurePathsUnderRecursion:
         assert engine_state(fast) == engine_state(oracle)
         self.assert_consistent(fast)
 
+    #: The fused driver, and the generic per-access loop over the array
+    #: backend's own hooks (``_fetch_path`` / ``_commit_write_back``).
+    DRIVERS = {
+        "fused": lambda engine, trace: engine.run_trace(trace),
+        "generic loop": lambda engine, trace: ObliviousMemory.run_trace(engine, trace),
+    }
+
+    @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize("label", ["PathORAM", "RingORAM"])
-    def test_stash_overflow_mid_trace(self, label):
+    def test_stash_overflow_mid_trace(self, label, driver):
+        run = self.DRIVERS[driver]
         capacity = 10
         trace = self.trace()
         engine = self.build(label, stash_capacity=capacity)
         with pytest.raises(StashOverflowError):
-            engine.run_trace(trace)
+            run(engine, trace)
         failed = engine.statistics
         done = failed.logical_accesses
         assert 1 < done < len(trace)
-        # The over-full mirror went back as it was: nothing lost.
+        # The over-full stash keeps what was fetched into it: nothing lost.
         assert len(engine.stash) > capacity
+        assert engine.total_real_blocks() == NUM_BLOCKS
         self.assert_consistent(engine)
         # Counters and clock sit between an unbounded twin's values just
         # before and just after the failing access.
         before, after = self.build(label), self.build(label)
-        before.run_trace(trace[: done - 1])
-        after.run_trace(trace[:done])
+        run(before, trace[: done - 1])
+        run(after, trace[:done])
         for name in (
             "path_reads", "path_writes", "dummy_reads", "bytes_read",
             "bytes_written", "posmap_path_reads", "posmap_path_writes",
@@ -450,6 +460,13 @@ class TestFailurePathsUnderRecursion:
             assert low <= getattr(failed, name) <= high, name
         assert before.simulated_time_s < engine.simulated_time_s
         assert engine.simulated_time_s <= after.simulated_time_s
+        if label == "PathORAM":
+            # Stash hits fetch nothing, so the over-full engine takes them
+            # (a RingORAM access re-inserts its block: still over-full).
+            resident = list(engine.stash.block_ids)
+            run(engine, resident)
+            assert engine.statistics.logical_accesses == done + len(resident)
+            self.assert_consistent(engine)
 
     def test_pathoram_clock_matches_its_counters_and_resumes(self):
         # One tree geometry per layer, so the clock is a closed form of the

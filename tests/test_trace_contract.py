@@ -238,6 +238,61 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
     assert (fast.statistics.posmap_path_reads > 0) == recursive
 
 
+#: Bucket sizes that leave well over a hundred residents in a 1024-block
+#: engine's stash, family by family: the array backend's per-access hooks
+#: (``_fetch_path`` / ``_commit_write_back``) on large and small stashes alike.
+LARGE_STASH_BUCKETS = {
+    "Fat/S8": 2,
+    "RingORAM": 1,
+    "PrORAM-static/S2": 1,
+    "PrORAM-dynamic/S2": 1,
+}
+
+
+@pytest.mark.parametrize("recursive", [False, True])
+@pytest.mark.parametrize("label", LARGE_STASH_BUCKETS)
+def test_per_access_hooks_match_the_object_engine_on_a_large_stash(label, recursive):
+    # One access() / dummy_access() at a time: no fused driver, no bin
+    # kernel.  LAORAM runs under an installed plan, whose remaps park
+    # blocks in the stash until their bin comes up.
+    rng = np.random.default_rng(23)
+    trace = np.concatenate(
+        [
+            rng.zipf(1.3, size=400) % 1024,
+            np.arange(30, 230),
+            rng.integers(0, 1024, size=1400),
+        ]
+    )
+    states, peaks = [], []
+    for fast in (False, True):
+        config = build_oram_config(
+            num_blocks=1024,
+            block_size_bytes=4 * DIM,
+            bucket_size=LARGE_STASH_BUCKETS[label],
+            seed=17,
+            recursive_posmap=recursive,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=512,
+        ).with_overrides(eviction_threshold=180, eviction_target=150)
+        counter = TrafficCounter(record_stash_history=True)
+        engine = build_engine(label, config, fast=fast, counter=counter)
+        if label in LOOKAHEAD_LABELS:
+            engine.apply_initial_placement(engine.preprocess(trace))
+            assert engine.plan is not None
+        for index, block_id in enumerate(trace.tolist()):
+            engine.access(block_id)
+            if index % 40 == 0:
+                engine.dummy_access()
+        state = engine_state(engine)
+        state.update(
+            stash_hits=engine.stash_hits, stash_history=list(counter.stash_history)
+        )
+        states.append(state)
+        peaks.append(counter.snapshot().stash_peak)
+    assert_twins_agree(*states)
+    assert peaks[0] == peaks[1] > 120
+
+
 #: Every superblock size the paper evaluates, on both tree shapes.
 BIN_LABELS = ("Normal/S2", "Normal/S4", "Normal/S8", "Fat/S4", "Fat/S8")
 
