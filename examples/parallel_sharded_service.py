@@ -3,11 +3,11 @@
 
 This script demonstrates the online deployment shape of the reproduction:
 
-1. build a :class:`ShardedRunner` whose shards execute in worker processes,
-   each engine's numpy state living in shared-memory segments;
+1. build a :class:`ShardedRunner` whose shards execute in worker processes;
 2. verify the process backend is **bit-identical** to the in-process
    sequential backend on the same Zipf trace (same merged traffic snapshot,
-   same per-shard position maps read straight out of shared memory);
+   same per-shard position maps, asked of the workers) — and exit non-zero
+   if it is not;
 3. stand up the :class:`AsyncShardedService` front-end and drive it with a
    bursty Zipf request workload — concurrent ``submit()`` calls coalesce
    into batched oblivious accesses per worker;
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import sys
 import time
 
 import numpy as np
@@ -36,7 +37,7 @@ NUM_SHARDS = 4
 NUM_ACCESSES = 20_000
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--num-workers", type=int, default=2)
     parser.add_argument("--requests", type=int, default=300)
@@ -70,7 +71,8 @@ def main() -> None:
     print(f"replay: {NUM_ACCESSES} Zipf accesses over {NUM_SHARDS} shards")
     print(f"  sequential backend:          {seq_wall:6.2f}s")
     print(f"  {args.num_workers} worker processes:          {par_wall:6.2f}s")
-    print(f"  merged snapshots identical:  {par_snapshot == seq_snapshot}")
+    snapshots_match = par_snapshot == seq_snapshot
+    print(f"  merged snapshots identical:  {snapshots_match}")
     print(f"  position maps identical:     {maps_match}")
 
     # 3-4. Online serving with request coalescing.
@@ -92,6 +94,8 @@ def main() -> None:
                     rate_rps=1000.0,
                     seed=11,
                 )
+            runner.executor.refresh_states()
+            served = runner.merged_snapshot().logical_accesses
         latency = report.latency
         print(f"serving: {args.requests} bursty requests x 16 ids")
         print(f"  throughput:        {report.throughput_rps:7.0f} req/s")
@@ -100,9 +104,11 @@ def main() -> None:
             f"/ {latency.p99_ms:.2f} ms"
         )
         print(f"  mean batch size:   {latency.mean_batch_size:.1f} ids")
+        print(f"  oblivious accesses served: {served}")
 
     asyncio.run(serve())
+    return 0 if snapshots_match and maps_match else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

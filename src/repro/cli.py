@@ -170,8 +170,7 @@ def run_serve(args: argparse.Namespace) -> str:
                     zipf_exponent=args.zipf_exponent,
                     seed=args.seed + 7,
                 )
-            if runner.is_parallel:
-                runner.executor.refresh_states()
+            runner.executor.refresh_states()
             return run_report, runner.merged_snapshot()
 
     run_report, snapshot = asyncio.run(_run())

@@ -68,7 +68,6 @@ class LookaheadClientMixin:
         eviction: Optional[EvictionPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         observer=None,
-        allocator=None,
     ):
         if not isinstance(config, LAORAMConfig):
             raise ConfigurationError(
@@ -81,7 +80,6 @@ class LookaheadClientMixin:
             eviction=eviction,
             rng=rng,
             observer=observer,
-            allocator=allocator,
         )
         self._init_lookahead(config)
 

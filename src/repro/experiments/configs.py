@@ -26,10 +26,18 @@ from repro.oram.path_oram import PathORAM
 from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
 from repro.oram.ring_oram import ArrayRingORAM, RingORAM
 
+#: The one family table: family -> (per-object reference engine, array
+#: twin).  ``build_engine`` and the shard engine specs
+#: (:mod:`repro.experiments.sharded.planner`) both pick their class here.
+ENGINE_CLASSES: dict[str, tuple[type, type]] = {
+    "pathoram": (PathORAM, ArrayPathORAM),
+    "laoram": (LAORAMClient, FastLAORAMClient),
+    "ringoram": (RingORAM, ArrayRingORAM),
+    "proram": (PrORAM, ArrayPrORAM),
+}
+
 #: Families with a vectorized (``fast=True``) twin.
-FAST_ENGINE_FAMILIES: frozenset[str] = frozenset(
-    {"pathoram", "laoram", "ringoram", "proram"}
-)
+FAST_ENGINE_FAMILIES: frozenset[str] = frozenset(ENGINE_CLASSES)
 
 #: Configuration labels used in the paper's figures, in plotting order.
 PAPER_CONFIG_LABELS: tuple[str, ...] = (
@@ -164,16 +172,14 @@ def build_engine(
         )
     if family == "insecure":
         return InsecureMemory(config, counter=counter, observer=observer)
+    engine_cls = ENGINE_CLASSES[family][1 if fast else 0]
     if family == "pathoram":
-        engine_cls = ArrayPathORAM if fast else PathORAM
         return engine_cls(
             config, counter=counter, eviction=eviction, observer=observer
         )
     if family == "ringoram":
-        engine_cls = ArrayRingORAM if fast else RingORAM
         return engine_cls(config, counter=counter, observer=observer)
     if family == "proram":
-        engine_cls = ArrayPrORAM if fast else PrORAM
         return engine_cls(
             config,
             superblock_size=parsed["superblock_size"],
@@ -182,13 +188,10 @@ def build_engine(
             eviction=eviction,
             observer=observer,
         )
-    if family == "laoram":
-        laoram_config = LAORAMConfig(
-            oram=config.with_overrides(fat_tree=parsed["fat_tree"]),
-            superblock_size=parsed["superblock_size"],
-        )
-        engine_cls = FastLAORAMClient if fast else LAORAMClient
-        return engine_cls(
-            laoram_config, counter=counter, eviction=eviction, observer=observer
-        )
-    raise ConfigurationError(f"unhandled configuration family '{family}'")
+    laoram_config = LAORAMConfig(
+        oram=config.with_overrides(fat_tree=parsed["fat_tree"]),
+        superblock_size=parsed["superblock_size"],
+    )
+    return engine_cls(
+        laoram_config, counter=counter, eviction=eviction, observer=observer
+    )

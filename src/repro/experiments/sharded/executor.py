@@ -1,36 +1,40 @@
-"""Process-parallel shard execution over shared-memory engine state.
+"""Shard execution: one host object, called in-process or behind a queue.
 
-One executor drives ``num_workers`` worker processes; shard ``s`` is owned
-by worker ``s % num_workers``, so any worker count from 1 to ``num_shards``
-runs the *same* per-shard computation (shards are independent and each is
-executed sequentially by exactly one process — grouping cannot change
-results).  Each worker builds its shards' engines from picklable
-:class:`~repro.experiments.sharded.planner.ShardEngineSpec` recipes and
-backs their numpy state with one
-:class:`~repro.oram.shm.SharedMemoryArrayPool` per shard, so the parent can
-snapshot position maps / tree slots / tree occupancy by attaching to the
-segments (a memcpy, not a pickle).
+A :class:`ShardHost` holds the engines of the shards one execution unit
+owns and answers four commands about them.  :class:`ShardExecutor` calls
+one host per shard directly in this process; :class:`ProcessShardExecutor`
+puts the same object behind a request/response queue pair in each of
+``num_workers`` worker processes, shard ``s`` owned by worker
+``s % num_workers``.  Shards are independent and each is executed
+sequentially by exactly one host, so grouping cannot change results: any
+worker count from 1 to ``num_shards``, and the in-process backend, run the
+*same* per-shard computation on engines built from the same picklable
+:class:`~repro.experiments.sharded.planner.ShardEngineSpec` recipes.
 
-Protocol (one request queue and one response queue per worker):
+Everything the parent learns about a shard is the reply to a command
+(pickled over the worker's response queue; engines allocate ordinary
+private numpy arrays):
 
-========================  =====================================================
-parent -> worker           worker -> parent
-========================  =====================================================
-``("run", traces)``        ``("result", {shard: state})`` after all its shards
-``("access", rid, ids)``   ``("served", rid, count)``
-``("state",)``             ``("state", {shard: state})``
-``("stop",)``              (worker exits; pools unlinked in its ``finally``)
-any command failing        ``("error", shard, type, message, traceback)``
-========================  =====================================================
+=====================  ======================================================
+parent -> worker        worker -> parent
+=====================  ======================================================
+(process start)         ``("ready", {shard: state})`` once engines are built
+``("run", traces)``     ``("run", {shard: state})`` after all its shards
+``("access", routed)``  ``("access", served id count)``
+``("state",)``          ``("state", {shard: state})``
+``("posmap",)``         ``("posmap", {shard: position-map array})``
+``("stop",)``           (worker exits)
+any command failing     ``("error", shard, type, message, traceback)``
+=====================  ======================================================
 
-Cleanup is layered: the worker unlinks its own segments in a ``finally``
-(covers exceptions), the parent force-unlinks every registered segment after
-a hard kill (covers ``SIGKILL``), and :meth:`ProcessShardExecutor.close` is
-idempotent so ``with`` blocks and error paths can both call it.
+A worker that reports an error or dies without reporting one surfaces in
+the parent as :class:`~repro.exceptions.ShardExecutionError` and tears the
+executor down; :meth:`ProcessShardExecutor.close` is idempotent so ``with``
+blocks and error paths can both call it.
 
 Workers pin numpy/BLAS to one thread each (``OMP_NUM_THREADS=1`` and
 friends) before touching numpy, so library-internal threading does not fight
-the process pool for cores; set ``REPRO_WORKER_THREADS`` to override.
+the process pool for cores.
 """
 
 from __future__ import annotations
@@ -38,21 +42,14 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue
-import secrets
 import time
 import traceback
-from typing import NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShardExecutionError
 from repro.experiments.sharded.planner import ShardEngineSpec, ShardPlanner
-from repro.oram.shm import (
-    Registry,
-    SharedMemoryArrayPool,
-    read_registry,
-    unlink_registry,
-)
 
 #: Environment knobs that cap numpy/BLAS internal thread pools.
 _THREAD_ENV_VARS = (
@@ -63,142 +60,252 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-#: Override for the per-worker thread cap (default: 1 thread per worker).
-WORKER_THREADS_ENV = "REPRO_WORKER_THREADS"
-
-#: Override for the multiprocessing start method (default: fork when available).
-START_METHOD_ENV = "REPRO_MP_START_METHOD"
-
 
 def _pin_worker_threads() -> None:
-    """Cap numpy/BLAS thread pools inside a worker process.
+    """Cap numpy/BLAS thread pools at one thread inside a worker process.
 
     Each worker is meant to own one core; letting BLAS spawn its own pool
     per process oversubscribes the machine and serializes on contention.
-    ``REPRO_WORKER_THREADS`` overrides the cap for hosts with cores to
-    spare.  Env pinning is best-effort under the ``fork`` start method
-    (an already-initialized parent BLAS keeps its pool) but the engines'
+    Env pinning is best-effort under the ``fork`` start method (an
+    already-initialized parent BLAS keeps its pool) but the engines'
     kernels are memory-bound gathers where one thread is the right answer
     anyway.
     """
-    threads = os.environ.get(WORKER_THREADS_ENV, "1")
     for var in _THREAD_ENV_VARS:
-        os.environ[var] = threads
+        os.environ[var] = "1"
 
 
-def _shard_state(engine, num_accesses: int, registry: Registry) -> dict:
-    """Picklable summary of one shard engine's current state."""
-    return {
-        "num_blocks": engine.num_blocks,
-        "num_accesses": int(num_accesses),
-        "snapshot": engine.statistics,
-        "simulated_time_s": engine.simulated_time_s,
-        "stash_occupancy": engine.stash_occupancy,
-        "server_memory_bytes": engine.server_memory_bytes,
-        "total_real_blocks": engine.total_real_blocks(),
-        "registry": registry,
-    }
+class ShardHost:
+    """The engines of the shards one execution unit owns.
+
+    The methods other than :meth:`build` are the commands of the protocol
+    above, named as the protocol names them; their return values are the
+    replies.  ``current_shard`` is the shard being worked on (-1 between
+    shards), which is what a worker reports when a command fails.
+    """
+
+    def __init__(self) -> None:
+        self.engines: dict[int, object] = {}
+        self.current_shard = -1
+
+    def _each(self, shard_ids: Iterable[int]) -> Iterator[int]:
+        for shard_id in shard_ids:
+            self.current_shard = shard_id
+            yield shard_id
+        self.current_shard = -1
+
+    def build(self, specs: dict[int, ShardEngineSpec]) -> None:
+        """Construct the engines ``specs`` describes."""
+        for shard_id in self._each(specs):
+            self.engines[shard_id] = specs[shard_id].build()
+
+    def run(self, local_traces: dict[int, np.ndarray]) -> dict[int, dict]:
+        """Replay each shard's local trace in turn; returns their states."""
+        for shard_id in self._each(local_traces):
+            self.engines[shard_id].run_trace(local_traces[shard_id])
+        return self.state()
+
+    def access(self, routed: dict[int, list[int]]) -> int:
+        """Serve one coalesced batch (shard -> local ids); returns its size."""
+        for shard_id in self._each(routed):
+            self.engines[shard_id].access_many(routed[shard_id])
+        return sum(len(local_ids) for local_ids in routed.values())
+
+    def state(self) -> dict[int, dict]:
+        """Picklable summary of every owned shard engine's current state."""
+        return {
+            shard_id: {
+                "num_blocks": engine.num_blocks,
+                "snapshot": engine.statistics,
+                "simulated_time_s": engine.simulated_time_s,
+                "stash_occupancy": engine.stash_occupancy,
+                "server_memory_bytes": engine.server_memory_bytes,
+                "total_real_blocks": engine.total_real_blocks(),
+            }
+            for shard_id, engine in self.engines.items()
+        }
+
+    def posmap(self) -> dict[int, np.ndarray]:
+        """Copy of every owned shard's position map."""
+        return {
+            shard_id: engine.position_map.as_array()
+            for shard_id, engine in self.engines.items()
+        }
 
 
 def _shard_worker(
-    worker_id: int,
     shard_specs: dict[int, ShardEngineSpec],
-    prefix: str,
     requests: "mp.Queue",
     responses: "mp.Queue",
 ) -> None:
-    """Worker main loop: build owned shard engines, serve commands until stop.
+    """Worker main loop: a :class:`ShardHost` behind its queue pair.
 
-    Runs in a child process.  Any exception while handling a command is
-    reported as an ``("error", ...)`` message and terminates the worker; the
-    ``finally`` unlinks every shared segment the worker created, so even a
-    crashing shard leaves nothing in ``/dev/shm``.
+    Runs in a child process.  Any exception while building the engines or
+    handling a command is reported as an ``("error", ...)`` message and
+    terminates the worker.
     """
     _pin_worker_threads()
-    pools: dict[int, SharedMemoryArrayPool] = {}
-    engines: dict[int, object] = {}
-    current_shard = -1
+    host = ShardHost()
     try:
-        try:
-            for shard_id, spec in shard_specs.items():
-                current_shard = shard_id
-                pool = SharedMemoryArrayPool(f"{prefix}s{shard_id}")
-                pools[shard_id] = pool
-                engines[shard_id] = spec.build(allocator=pool)
-            current_shard = -1
-            responses.put(
-                (
-                    "ready",
-                    {
-                        shard_id: _shard_state(engine, 0, pools[shard_id].registry())
-                        for shard_id, engine in engines.items()
-                    },
-                )
+        host.build(shard_specs)
+        responses.put(("ready", host.state()))
+        while True:
+            op, *args = requests.get()
+            if op == "stop":
+                break
+            responses.put((op, getattr(host, op)(*args)))
+    except Exception as exc:  # reported to the parent, then the worker dies
+        responses.put(
+            (
+                "error",
+                host.current_shard,
+                type(exc).__name__,
+                str(exc),
+                traceback.format_exc(),
             )
-            while True:
-                message = requests.get()
-                op = message[0]
-                if op == "stop":
-                    break
-                if op == "run":
-                    _, local_traces = message
-                    states = {}
-                    for shard_id, local_trace in local_traces.items():
-                        current_shard = shard_id
-                        engine = engines[shard_id]
-                        engine.run_trace(local_trace)
-                        states[shard_id] = _shard_state(
-                            engine, local_trace.size, pools[shard_id].registry()
-                        )
-                    current_shard = -1
-                    responses.put(("result", states))
-                elif op == "access":
-                    _, request_id, routed = message
-                    count = 0
-                    for shard_id, local_ids in routed.items():
-                        current_shard = shard_id
-                        engine = engines[shard_id]
-                        engine.access_many(local_ids)
-                        count += len(local_ids)
-                    current_shard = -1
-                    responses.put(("served", request_id, count))
-                elif op == "state":
-                    responses.put(
-                        (
-                            "state",
-                            {
-                                shard_id: _shard_state(
-                                    engine, 0, pools[shard_id].registry()
-                                )
-                                for shard_id, engine in engines.items()
-                            },
-                        )
-                    )
-                else:
-                    raise ConfigurationError(f"unknown worker command {op!r}")
-        except Exception as exc:  # reported to the parent, then the worker dies
-            responses.put(
-                (
-                    "error",
-                    current_shard,
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                )
-            )
-    finally:
-        for pool in pools.values():
-            pool.close(unlink=True)
+        )
 
 
-class ProcessShardExecutor:
-    """Drive shard engines in worker processes and merge their results.
+class ShardExecutor:
+    """Run shard engines on :class:`ShardHost` objects and collect replies.
 
-    The executor is the mechanical half of parallel sharding: it spawns the
-    workers, ships them their engine specs, routes commands, and converts
-    worker-side failures into :class:`~repro.exceptions.ShardExecutionError`
-    in the parent.  Policy (shard geometry, trace routing, result
+    This class is the in-process backend — ``num_workers`` hosts living in
+    this process, commands being plain method calls, an engine's exception
+    propagating as itself — and the base of the worker-process backend,
+    which replaces only where the hosts live (:meth:`start`,
+    :meth:`close`), how a command reaches them (:meth:`_ask`) and how fresh
+    :attr:`states` is.  Policy (shard geometry, trace routing, result
     aggregation) stays in the planner and runner.
+    """
+
+    def __init__(self, planner: ShardPlanner, num_workers: int):
+        if num_workers < 1:
+            raise ConfigurationError("num_workers must be >= 1")
+        if num_workers > planner.num_shards:
+            raise ConfigurationError(
+                f"num_workers ({num_workers}) cannot exceed "
+                f"num_shards ({planner.num_shards}): workers own whole shards"
+            )
+        self.planner = planner
+        self.num_workers = num_workers
+        #: The in-process hosts, by unit (empty when they live in workers).
+        self.hosts: list[ShardHost] = []
+        self._states: dict[int, dict] = {}
+
+    # ------------------------------------------------------------------
+    # Topology
+    # ------------------------------------------------------------------
+    def worker_of(self, shard_id: int) -> int:
+        """Execution unit (host) owning ``shard_id``."""
+        return shard_id % self.num_workers
+
+    def shards_of(self, worker_id: int) -> list[int]:
+        """Shards owned by ``worker_id``, in execution order."""
+        return list(range(worker_id, self.planner.num_shards, self.num_workers))
+
+    def _specs_of(self, worker_id: int) -> dict[int, ShardEngineSpec]:
+        return {s: self.planner.engine_spec(s) for s in self.shards_of(worker_id)}
+
+    # ------------------------------------------------------------------
+    # Lifecycle and messaging (what the worker-process backend replaces)
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Build every shard engine (idempotent)."""
+        if self.hosts:
+            return
+        for worker_id in range(self.num_workers):
+            host = ShardHost()
+            host.build(self._specs_of(worker_id))
+            self.hosts.append(host)
+
+    def close(self) -> None:
+        """Release what :meth:`start` acquired (nothing, in-process)."""
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _ask(self, op: str, args_by_unit: dict[int, tuple]) -> dict[int, object]:
+        """Send command ``op`` to each listed unit; returns replies by unit."""
+        self.start()
+        return {
+            unit: getattr(self.hosts[unit], op)(*args)
+            for unit, args in args_by_unit.items()
+        }
+
+    @property
+    def states(self) -> dict[int, dict]:
+        """Per-shard state dicts, keyed by shard id (read live, in-process)."""
+        return self.refresh_states()
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
+    def _ask_every(self, op: str, args_of=lambda unit: ()) -> dict[int, object]:
+        """Send ``op`` to every unit; merge their per-shard replies."""
+        by_shard: dict[int, object] = {}
+        for reply in self._ask(
+            op, {unit: args_of(unit) for unit in range(self.num_workers)}
+        ).values():
+            by_shard.update(reply)
+        return by_shard
+
+    def run_local_traces(
+        self, local_traces: Sequence[np.ndarray]
+    ) -> dict[int, dict]:
+        """Execute per-shard local traces on the hosts; return shard states.
+
+        One ``run`` command per unit carries all of that unit's shard
+        slices; worker processes execute concurrently, shards within a unit
+        sequentially.  Returns the per-shard state dicts (snapshot,
+        simulated time, stash occupancy, ...) keyed by shard id.
+        """
+        self._states = self._ask_every(
+            "run",
+            lambda unit: (
+                {
+                    s: np.asarray(local_traces[s], dtype=np.int64)
+                    for s in self.shards_of(unit)
+                },
+            ),
+        )
+        return dict(self._states)
+
+    def access_on_worker(self, worker_id: int, routed: dict[int, list[int]]) -> int:
+        """Serve one coalesced batch on ``worker_id``; blocks for completion.
+
+        ``routed`` maps shard id -> local ids; every shard must belong to
+        ``worker_id``.  Returns the number of ids served.  Used by the
+        serving front-end, which dedicates one dispatcher per unit so
+        request/response pairs never interleave.
+        """
+        for shard_id in routed:
+            if self.worker_of(shard_id) != worker_id:
+                raise ConfigurationError(
+                    f"shard {shard_id} is not owned by worker {worker_id}"
+                )
+        return self._ask("access", {worker_id: (routed,)})[worker_id]
+
+    def refresh_states(self) -> dict[int, dict]:
+        """Re-poll every unit for current shard states (post-serving)."""
+        self._states = self._ask_every("state")
+        return dict(self._states)
+
+    def position_maps(self) -> list[np.ndarray]:
+        """Copy of every shard's current position map, in shard order."""
+        maps = self._ask_every("posmap")
+        return [maps[s] for s in range(self.planner.num_shards)]
+
+
+class ProcessShardExecutor(ShardExecutor):
+    """The worker-process backend: each host behind a queue pair.
+
+    Spawns the workers, ships them their engine specs, routes commands, and
+    converts worker-side failures into
+    :class:`~repro.exceptions.ShardExecutionError` in the parent.
 
     ``num_workers`` may be any value in ``[1, num_shards]``; scaling runs
     hold the shard count fixed and vary only the worker count, so speedups
@@ -210,40 +317,15 @@ class ProcessShardExecutor:
         planner: ShardPlanner,
         num_workers: int,
         start_method: Optional[str] = None,
-        prefix: Optional[str] = None,
     ):
-        if num_workers < 1:
-            raise ConfigurationError("num_workers must be >= 1")
-        if num_workers > planner.num_shards:
-            raise ConfigurationError(
-                f"num_workers ({num_workers}) cannot exceed "
-                f"num_shards ({planner.num_shards}): workers own whole shards"
-            )
-        self.planner = planner
-        self.num_workers = num_workers
-        method = start_method or os.environ.get(START_METHOD_ENV)
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        self._ctx = mp.get_context(method)
-        # Short prefix: POSIX shm names are length-limited on some platforms.
-        self.prefix = prefix or f"rsh{os.getpid() % 0xFFFF:04x}{secrets.token_hex(2)}"
+        super().__init__(planner, num_workers)
+        if start_method is None and "fork" in mp.get_all_start_methods():
+            start_method = "fork"
+        self._ctx = mp.get_context(start_method)
         self._procs: list = []
         self._requests: list = []
         self._responses: list = []
-        self._states: dict[int, dict] = {}
-        self._started = False
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
-    def worker_of(self, shard_id: int) -> int:
-        """Worker process owning ``shard_id``."""
-        return shard_id % self.num_workers
-
-    def shards_of(self, worker_id: int) -> list[int]:
-        """Shards owned by ``worker_id``, in execution order."""
-        return list(range(worker_id, self.planner.num_shards, self.num_workers))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -252,15 +334,14 @@ class ProcessShardExecutor:
         """Spawn the workers and wait for every shard engine to be built."""
         if self._closed:
             raise ShardExecutionError(-1, message="executor is closed")
-        if self._started:
+        if self._procs:
             return
         for worker_id in range(self.num_workers):
-            specs = {s: self.planner.engine_spec(s) for s in self.shards_of(worker_id)}
             req: "mp.Queue" = self._ctx.Queue()
             resp: "mp.Queue" = self._ctx.Queue()
             proc = self._ctx.Process(
                 target=_shard_worker,
-                args=(worker_id, specs, self.prefix, req, resp),
+                args=(self._specs_of(worker_id), req, resp),
                 daemon=True,
                 name=f"repro-shard-w{worker_id}",
             )
@@ -268,14 +349,11 @@ class ProcessShardExecutor:
             self._procs.append(proc)
             self._requests.append(req)
             self._responses.append(resp)
-        self._started = True
         for worker_id in range(self.num_workers):
-            tag, states = self._recv(worker_id)
-            assert tag == "ready"
-            self._states.update(states)
+            self._states.update(self._recv(worker_id, "ready"))
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop the workers and reclaim every shared segment (idempotent)."""
+        """Stop the workers (idempotent); later commands are refused."""
         if self._closed:
             return
         self._closed = True
@@ -294,21 +372,9 @@ class ProcessShardExecutor:
         for q in self._requests + self._responses:
             q.cancel_join_thread()
             q.close()
-        # Belt-and-braces: workers unlink their own segments on the way out,
-        # so this normally removes nothing; after a hard kill it reclaims
-        # whatever the worker left behind.
-        for state in self._states.values():
-            unlink_registry(state["registry"])
         self._procs = []
         self._requests = []
         self._responses = []
-
-    def __enter__(self) -> "ProcessShardExecutor":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self):  # best-effort; explicit close() is the supported path
         try:
@@ -324,8 +390,8 @@ class ProcessShardExecutor:
         self.close(timeout=1.0)
         raise error
 
-    def _recv(self, worker_id: int, poll_s: float = 0.1):
-        """Next message from ``worker_id``; converts death/errors to raises.
+    def _recv(self, worker_id: int, op: str, poll_s: float = 0.1):
+        """``worker_id``'s reply to ``op``; converts death/errors to raises.
 
         Blocks until a message arrives, polling worker liveness so a worker
         that died without reporting (``SIGKILL``, interpreter abort) raises
@@ -337,104 +403,36 @@ class ProcessShardExecutor:
             try:
                 message = response_queue.get(timeout=poll_s)
             except queue.Empty:
-                if not proc.is_alive():
-                    try:  # a final message may have raced with the death
-                        message = response_queue.get_nowait()
-                    except queue.Empty:
-                        self._fail(
-                            ShardExecutionError(
-                                min(self.shards_of(worker_id), default=-1),
-                                message=(
-                                    f"worker {worker_id} died without reporting "
-                                    f"(exit code {proc.exitcode})"
-                                ),
-                            )
-                        )
-                else:
+                if proc.is_alive():
                     continue
+                try:  # a final message may have raced with the death
+                    message = response_queue.get_nowait()
+                except queue.Empty:
+                    self._fail(
+                        ShardExecutionError(
+                            min(self.shards_of(worker_id), default=-1),
+                            message=(
+                                f"worker {worker_id} died without reporting "
+                                f"(exit code {proc.exitcode})"
+                            ),
+                        )
+                    )
             if message[0] == "error":
                 _tag, shard_id, type_name, detail, worker_tb = message
                 self._fail(
                     ShardExecutionError(shard_id, type_name, detail, worker_tb)
                 )
-            return message
+            tag, reply = message
+            assert tag == op
+            return reply
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run_local_traces(
-        self, local_traces: Sequence[np.ndarray]
-    ) -> dict[int, dict]:
-        """Execute per-shard local traces on the workers; return shard states.
-
-        One ``run`` command per worker carries all of that worker's shard
-        slices; workers execute concurrently, shards within a worker
-        sequentially.  Returns the per-shard state dicts (snapshot,
-        simulated time, stash occupancy, registry, ...) keyed by shard id.
-        """
+    def _ask(self, op: str, args_by_unit: dict[int, tuple]) -> dict[int, object]:
         self.start()
-        for worker_id in range(self.num_workers):
-            traces = {s: np.asarray(local_traces[s], dtype=np.int64)
-                      for s in self.shards_of(worker_id)}
-            self._requests[worker_id].put(("run", traces))
-        for worker_id in range(self.num_workers):
-            tag, states = self._recv(worker_id)
-            assert tag == "result"
-            self._states.update(states)
-        return dict(self._states)
+        for unit, args in args_by_unit.items():
+            self._requests[unit].put((op, *args))
+        return {unit: self._recv(unit, op) for unit in args_by_unit}
 
-    def access_on_worker(self, worker_id: int, routed: dict[int, list[int]]) -> int:
-        """Serve one coalesced batch on ``worker_id``; blocks for completion.
-
-        ``routed`` maps shard id -> local ids; every shard must belong to
-        ``worker_id``.  Used by the serving front-end, which dedicates one
-        dispatcher per worker so request/response pairs never interleave.
-        """
-        for shard_id in routed:
-            if self.worker_of(shard_id) != worker_id:
-                raise ConfigurationError(
-                    f"shard {shard_id} is not owned by worker {worker_id}"
-                )
-        self.start()
-        self._requests[worker_id].put(("access", 0, routed))
-        tag, _request_id, count = self._recv(worker_id)
-        assert tag == "served"
-        return count
-
-    def refresh_states(self) -> dict[int, dict]:
-        """Re-poll every worker for current shard states (post-serving)."""
-        self.start()
-        for worker_id in range(self.num_workers):
-            self._requests[worker_id].put(("state",))
-        for worker_id in range(self.num_workers):
-            tag, states = self._recv(worker_id)
-            assert tag == "state"
-            self._states.update(states)
-        return dict(self._states)
-
-    # ------------------------------------------------------------------
-    # State access
-    # ------------------------------------------------------------------
     @property
     def states(self) -> dict[int, dict]:
-        """Last known per-shard state dicts, keyed by shard id."""
+        """Per-shard state dicts as of the workers' last ``run``/``state`` reply."""
         return dict(self._states)
-
-    def read_shard_arrays(self, shard_id: int) -> dict[str, np.ndarray]:
-        """Copy a live shard's shared arrays out of its segments.
-
-        Zero-pickle snapshot path: attaches to the worker's segments and
-        memcpys (``posmap.leaves``, ``tree.slots``, ... — whatever the
-        shard's engine allocated through its pool).  The worker must still
-        be alive; a closed executor's segments are gone.
-        """
-        if self._closed:
-            raise ShardExecutionError(shard_id, message="executor is closed")
-        state = self._states.get(shard_id)
-        if state is None:
-            raise ShardExecutionError(shard_id, message="shard state unknown")
-        return read_registry(state["registry"])
-
-    def position_map(self, shard_id: int) -> np.ndarray:
-        """Copy of one shard's live position map (from shared memory)."""
-        return self.read_shard_arrays(shard_id)["posmap.leaves"]

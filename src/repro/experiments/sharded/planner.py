@@ -6,10 +6,9 @@ the round-robin block-id partition (block ``b`` lives in shard
 into per-shard local traces, and describes each shard's engine as a
 :class:`ShardEngineSpec` — a frozen, picklable recipe that can be shipped to
 a worker process and built there.  Keeping construction *data* separate from
-construction *code* is what lets the sequential runner and the
-process-parallel executor share one source of truth: both build their
-engines from the same specs, so a fixed seed gives bit-identical engines in
-either mode.
+construction *code* is what lets the in-process and worker-process
+backends share one source of truth: both build their engines from the same
+specs, so a fixed seed gives bit-identical engines in either mode.
 """
 
 from __future__ import annotations
@@ -20,23 +19,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
-from repro.core.laoram import LAORAMClient
 from repro.exceptions import ConfigurationError
-from repro.oram.array_path_oram import ArrayPathORAM
+from repro.experiments.configs import ENGINE_CLASSES
 from repro.oram.config import ORAMConfig
-from repro.oram.path_oram import PathORAM
-from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
-from repro.oram.ring_oram import ArrayRingORAM, RingORAM
-from repro.oram.shm import ArrayAllocator
+from repro.oram.pr_oram import SuperblockMode
 
-#: Families the runner can shard, mapped to (reference, fast) engine classes.
-SHARDABLE_FAMILIES: dict[str, tuple[type, type]] = {
-    "laoram": (LAORAMClient, FastLAORAMClient),
-    "pathoram": (PathORAM, ArrayPathORAM),
-    "ringoram": (RingORAM, ArrayRingORAM),
-    "proram": (PrORAM, ArrayPrORAM),
-}
+#: Families the runner can shard, mapped to (reference, fast) engine classes:
+#: every family of the one table in :mod:`repro.experiments.configs`.
+SHARDABLE_FAMILIES = ENGINE_CLASSES
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,8 @@ class ShardEngineSpec:
     Everything needed to construct the engine in *any* process: the family,
     the shard-local namespace size, the per-shard seed, and the family
     knobs.  :meth:`build` is the only place in the package that constructs
-    shard engines, so sequential and parallel execution cannot drift apart.
+    shard engines, so in-process and worker-process execution cannot drift
+    apart.
     """
 
     family: str
@@ -59,13 +50,8 @@ class ShardEngineSpec:
     use_fast_engine: bool
     proram_mode: SuperblockMode
 
-    def build(self, allocator: Optional[ArrayAllocator] = None):
-        """Construct the engine this spec describes.
-
-        ``allocator`` threads through to the storage layer so a worker can
-        back the engine's arrays with shared-memory segments; ``None`` gives
-        ordinary private arrays.
-        """
+    def build(self):
+        """Construct the engine this spec describes."""
         engine_cls = SHARDABLE_FAMILIES[self.family][1 if self.use_fast_engine else 0]
         oram_config = ORAMConfig(
             num_blocks=self.num_blocks,
@@ -79,17 +65,15 @@ class ShardEngineSpec:
                     oram=oram_config,
                     superblock_size=self.superblock_size,
                     lookahead_accesses=self.lookahead_accesses,
-                ),
-                allocator=allocator,
+                )
             )
         if self.family == "proram":
             return engine_cls(
                 oram_config,
                 superblock_size=self.superblock_size,
                 mode=self.proram_mode,
-                allocator=allocator,
             )
-        return engine_cls(oram_config, allocator=allocator)
+        return engine_cls(oram_config)
 
 
 class ShardPlanner:
@@ -194,7 +178,3 @@ class ShardPlanner:
             use_fast_engine=self.use_fast_engine,
             proram_mode=self.proram_mode,
         )
-
-    def engine_specs(self) -> list[ShardEngineSpec]:
-        """Recipes for every shard, in shard order."""
-        return [self.engine_spec(s) for s in range(self.num_shards)]

@@ -12,23 +12,23 @@ parallel-deployment critical path) alongside the serial sum.
 
 Execution comes in two backends behind one facade:
 
-* **sequential** (``num_workers=None``, the default): every shard engine
-  lives in this process and runs in turn — the pure-Python harness used by
+* **in-process** (``num_workers=None``, the default): one
+  :class:`~repro.experiments.sharded.executor.ShardHost` per shard lives in
+  this process and runs in turn — the pure-Python harness used by
   experiments and tests;
-* **process-parallel** (``num_workers=N``): shards are owned by ``N``
-  worker processes (shard ``s`` -> worker ``s % N``), each engine's numpy
-  state lives in :mod:`multiprocessing.shared_memory` segments, and the
-  parent snapshots position maps zero-copy from the segments (stash
-  occupancy travels in the workers' ``state`` message).
+* **process-parallel** (``num_workers=N``): the same host objects live in
+  ``N`` worker processes (shard ``s`` -> worker ``s % N``) behind a queue
+  pair each, and everything the parent reads — snapshot, clock, stash
+  occupancy, position map — comes back as the pickled reply to a command.
   Because shards share no state and each is executed sequentially by
-  exactly one worker, the two backends are **bit-identical** for a fixed
+  exactly one host, the two backends are **bit-identical** for a fixed
   seed — same merged snapshot, same per-shard stash occupancies, same
   position maps — which the test suite asserts family by family.
 
 The package splits along that line: :mod:`.planner` owns geometry and
-picklable engine recipes, :mod:`.executor` owns worker processes and
-shared-memory snapshots, and this module's :class:`ShardedRunner` is the
-facade that routes a trace through either backend and aggregates results.
+picklable engine recipes, :mod:`.executor` owns the host object and the two
+ways of reaching it, and this module's :class:`ShardedRunner` is the facade
+that routes a trace through its executor and aggregates results.
 Wall-clock speedup from ``num_workers > 1`` tracks physical cores — see
 ``docs/parallel_sharding.md`` for measured scaling and for when wall-clock
 diverges from the modeled ``simulated_time_s``.
@@ -41,10 +41,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficSnapshot, merge_snapshots
 from repro.oram.pr_oram import SuperblockMode
-from repro.experiments.sharded.executor import ProcessShardExecutor
+from repro.experiments.sharded.executor import ProcessShardExecutor, ShardExecutor
 from repro.experiments.sharded.planner import ShardPlanner
 
 
@@ -72,8 +71,10 @@ class ShardedRunner:
     are exposed on :attr:`engines`); ``num_workers=N`` spawns ``N`` worker
     processes that own the engines, with results bit-identical to the
     sequential backend.  Parallel runners hold OS resources (processes,
-    shared-memory segments) — use as a context manager or call
-    :meth:`close`.
+    queues) — use as a context manager or call :meth:`close`.  The
+    aggregates are as of the last :meth:`run_trace` or
+    ``runner.executor.refresh_states()`` (call it after serving through the
+    executor; the in-process backend also reads its engines live).
     """
 
     def __init__(
@@ -109,19 +110,19 @@ class ShardedRunner:
         self.use_fast_engine = use_fast_engine
         self.num_workers = num_workers
         self._results: list[ShardResult] = []
-        self._executor: Optional[ProcessShardExecutor] = None
-        self.engines: list = []
         if num_workers is None:
-            self.engines = [
-                self._planner.engine_spec(s).build() for s in range(num_shards)
-            ]
+            self._executor = ShardExecutor(self._planner, num_workers=num_shards)
         else:
-            if num_workers < 1:
-                raise ConfigurationError("num_workers must be >= 1")
             self._executor = ProcessShardExecutor(
                 self._planner, num_workers=num_workers, start_method=start_method
             )
-            self._executor.start()
+        self._executor.start()
+        #: The shard engines, in shard order (in-process backend only, where
+        #: host ``s`` holds exactly shard ``s``).
+        self.engines: list = [
+            host.engines[shard_id]
+            for shard_id, host in enumerate(self._executor.hosts)
+        ]
 
     # ------------------------------------------------------------------
     # Backend plumbing
@@ -132,19 +133,13 @@ class ShardedRunner:
         return self._planner
 
     @property
-    def executor(self) -> Optional[ProcessShardExecutor]:
-        """The process executor (``None`` in sequential mode)."""
+    def executor(self) -> ShardExecutor:
+        """The executor holding the shard hosts (either backend)."""
         return self._executor
 
-    @property
-    def is_parallel(self) -> bool:
-        """Whether shards run in worker processes."""
-        return self._executor is not None
-
     def close(self) -> None:
-        """Release worker processes and shared memory (no-op when sequential)."""
-        if self._executor is not None:
-            self._executor.close()
+        """Release worker processes (no-op in-process)."""
+        self._executor.close()
 
     def __enter__(self) -> "ShardedRunner":
         return self
@@ -184,35 +179,19 @@ class ShardedRunner:
         trace element), so the runner can be handed one trace after another.
         """
         local_traces = self.split_trace(addresses)
-        if self._executor is not None:
-            states = self._executor.run_local_traces(local_traces)
-            self._results = [
-                ShardResult(
-                    shard_id=shard_id,
-                    num_blocks=states[shard_id]["num_blocks"],
-                    num_accesses=int(local_traces[shard_id].size),
-                    snapshot=states[shard_id]["snapshot"],
-                    simulated_time_s=states[shard_id]["simulated_time_s"],
-                    stash_occupancy=states[shard_id]["stash_occupancy"],
-                )
-                for shard_id in range(self.num_shards)
-            ]
-            return self.merged_snapshot()
-        self._results = []
-        for shard_id, local_trace in enumerate(local_traces):
-            engine = self.engines[shard_id]
-            engine.run_trace(local_trace)
-            self._results.append(
-                ShardResult(
-                    shard_id=shard_id,
-                    num_blocks=engine.num_blocks,
-                    num_accesses=int(local_trace.size),
-                    snapshot=engine.statistics,
-                    simulated_time_s=engine.simulated_time_s,
-                    stash_occupancy=engine.stash_occupancy,
-                )
+        states = self._executor.run_local_traces(local_traces)
+        self._results = [
+            ShardResult(
+                shard_id=shard_id,
+                num_blocks=states[shard_id]["num_blocks"],
+                num_accesses=int(local_traces[shard_id].size),
+                snapshot=states[shard_id]["snapshot"],
+                simulated_time_s=states[shard_id]["simulated_time_s"],
+                stash_occupancy=states[shard_id]["stash_occupancy"],
             )
-        return self.merged_snapshot()
+            for shard_id in range(self.num_shards)
+        ]
+        return merge_snapshots(result.snapshot for result in self._results)
 
     # ------------------------------------------------------------------
     # Aggregation / diagnostics
@@ -223,60 +202,41 @@ class ShardedRunner:
         return list(self._results)
 
     def _shard_states(self) -> list[dict]:
-        """Current per-shard state dicts from the parallel executor."""
-        assert self._executor is not None
+        """The executor's per-shard state dicts, in shard order."""
         states = self._executor.states
         return [states[s] for s in range(self.num_shards)]
 
     def merged_snapshot(self) -> TrafficSnapshot:
         """Additive counters summed across shards (peak stash is the max)."""
-        if self._executor is not None:
-            return merge_snapshots(s["snapshot"] for s in self._shard_states())
-        return merge_snapshots(engine.statistics for engine in self.engines)
+        return merge_snapshots(s["snapshot"] for s in self._shard_states())
 
     @property
     def simulated_time_parallel_s(self) -> float:
         """Modeled wall-clock when every shard runs on its own host."""
-        if self._executor is not None:
-            return max(s["simulated_time_s"] for s in self._shard_states())
-        return max(engine.simulated_time_s for engine in self.engines)
+        return max(s["simulated_time_s"] for s in self._shard_states())
 
     @property
     def simulated_time_serial_s(self) -> float:
         """Modeled wall-clock when one host serves every shard in turn."""
-        if self._executor is not None:
-            return sum(s["simulated_time_s"] for s in self._shard_states())
-        return sum(engine.simulated_time_s for engine in self.engines)
+        return sum(s["simulated_time_s"] for s in self._shard_states())
 
     @property
     def server_memory_bytes(self) -> int:
         """Total tree footprint across shards."""
-        if self._executor is not None:
-            return sum(s["server_memory_bytes"] for s in self._shard_states())
-        return sum(engine.server_memory_bytes for engine in self.engines)
+        return sum(s["server_memory_bytes"] for s in self._shard_states())
 
     def total_real_blocks(self) -> int:
         """Blocks held across every shard's tree and stash (invariant check)."""
-        if self._executor is not None:
-            return sum(s["total_real_blocks"] for s in self._shard_states())
-        return sum(engine.total_real_blocks() for engine in self.engines)
+        return sum(s["total_real_blocks"] for s in self._shard_states())
 
     def stash_occupancies(self) -> list[int]:
         """Current stash occupancy of every shard, in shard order."""
-        if self._executor is not None:
-            return [s["stash_occupancy"] for s in self._shard_states()]
-        return [engine.stash_occupancy for engine in self.engines]
+        return [s["stash_occupancy"] for s in self._shard_states()]
 
     def position_maps(self) -> list[np.ndarray]:
         """Copy of every shard's position map, in shard order.
 
-        Sequential mode copies from the in-process engines; parallel mode
-        memcpys the live arrays straight out of the workers' shared-memory
-        segments (workers must still be running — call before
-        :meth:`close`).
+        Asked of the hosts on every call (worker processes must still be
+        running — call before :meth:`close`).
         """
-        if self._executor is not None:
-            return [
-                self._executor.position_map(s) for s in range(self.num_shards)
-            ]
-        return [engine.position_map.as_array() for engine in self.engines]
+        return self._executor.position_maps()

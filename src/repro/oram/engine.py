@@ -39,7 +39,6 @@ from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
 from repro.oram.recursive_posmap import RecursivePositionMap
-from repro.oram.shm import ArrayAllocator
 from repro.oram.stash import ArrayStash, Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
@@ -78,7 +77,6 @@ class TreeORAMEngine(ObliviousMemory):
         eviction: Optional[EvictionPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         observer=None,
-        allocator: Optional[ArrayAllocator] = None,
     ):
         self.config = config
         self.timing = timing if timing is not None else TimingModel()
@@ -90,10 +88,6 @@ class TreeORAMEngine(ObliviousMemory):
             drain_target=config.eviction_target,
         )
         self.observer = observer
-        # Array allocation hook: a shared-memory pool here puts the tree
-        # slots and position map into attachable segments so a parent
-        # process can snapshot shard state without serialization.
-        self.allocator = allocator
         self.tree = self._make_tree()
         self.stash = self._make_stash()
         if config.recursive_posmap:
@@ -104,7 +98,6 @@ class TreeORAMEngine(ObliviousMemory):
                 num_blocks=config.num_blocks,
                 num_leaves=config.num_leaves,
                 rng=self.rng,
-                allocator=allocator,
                 positions_per_block=config.posmap_positions_per_block,
                 cutoff_bytes=config.posmap_cutoff_bytes,
                 metadata_bytes_per_block=config.metadata_bytes_per_block,
@@ -117,7 +110,6 @@ class TreeORAMEngine(ObliviousMemory):
                 num_blocks=config.num_blocks,
                 num_leaves=config.num_leaves,
                 rng=self.rng,
-                allocator=allocator,
             )
         self._stash_hits = 0
         # Buffered leaf draws (see _draw_leaf); an exhausted position on an
@@ -530,7 +522,6 @@ class ArrayStorageEngine(TreeORAMEngine):
             bucket_capacities=self.config.bucket_capacities(),
             block_size_bytes=self.config.block_size_bytes,
             metadata_bytes_per_block=self.config.metadata_bytes_per_block,
-            allocator=self.allocator,
         )
 
     def _make_stash(self) -> ArrayStash:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
-from repro.oram.shm import DEFAULT_ALLOCATOR, ArrayAllocator
 
 
 def _as_int_array(values, label: str) -> np.ndarray:
@@ -51,18 +48,13 @@ class PositionMap:
         num_blocks: int,
         num_leaves: int,
         rng: np.random.Generator,
-        allocator: Optional[ArrayAllocator] = None,
     ):
         if num_blocks < 1:
             raise ConfigurationError("num_blocks must be >= 1")
         if num_leaves < 2:
             raise ConfigurationError("num_leaves must be >= 2")
         self._num_leaves = num_leaves
-        alloc = allocator if allocator is not None else DEFAULT_ALLOCATOR
-        self._leaves = alloc.adopt(
-            "posmap.leaves",
-            rng.integers(0, num_leaves, size=num_blocks, dtype=np.int64),
-        )
+        self._leaves = rng.integers(0, num_leaves, size=num_blocks, dtype=np.int64)
         self._tags = _read_only(self._leaves)
 
     def __len__(self) -> int:

@@ -77,7 +77,6 @@ class SuperblockPolicyMixin:
         eviction: Optional[EvictionPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         observer=None,
-        allocator=None,
     ):
         if superblock_size < 1:
             raise ConfigurationError("superblock_size must be >= 1")
@@ -92,7 +91,6 @@ class SuperblockPolicyMixin:
             eviction=eviction,
             rng=rng,
             observer=observer,
-            allocator=allocator,
         )
         self.superblock_size = superblock_size
         self.mode = mode

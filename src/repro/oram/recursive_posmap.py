@@ -20,11 +20,7 @@ Each recursion level is a real PathORAM instance in miniature: an
 :class:`~repro.oram.tree.ArrayTreeStorage` with uniform bucket capacity,
 a dict stash, and the classic read-remap-greedy-write-back access (no
 background eviction — the greedy write-back after every miss keeps the
-per-level stash at the usual O(log m) residue).  Per-level arrays are
-always process-private: the shared-memory pool's logical names
-("tree.slots", ...) belong to the main tree, and only the packed
-level-1 entry array — the exact dense map content — is adopted under
-"posmap.leaves" so parent-side snapshotting keeps working.
+per-level stash at the usual O(log m) residue).
 
 Traffic.  Every recursion path read/write is charged to the owning
 engine's :class:`~repro.memory.accounting.TrafficCounter` under the
@@ -58,7 +54,6 @@ from repro.exceptions import (
 )
 from repro.memory.accounting import TrafficCounter
 from repro.oram.position_map import _as_int_array, _read_only
-from repro.oram.shm import DEFAULT_ALLOCATOR, ArrayAllocator
 from repro.oram.tree import ArrayTreeStorage
 from repro.oram.write_back import fused_fetch, fused_greedy_write_back
 from repro.utils.bits import required_depth
@@ -101,7 +96,6 @@ class _RecursionLevel:
             bucket_capacities=tuple(bucket_size for _ in range(depth + 1)),
             block_size_bytes=label_bytes,
             metadata_bytes_per_block=metadata_bytes_per_block,
-            allocator=None,
         )
         self.num_blocks = num_blocks
         self.num_leaves = self.tree.num_leaves
@@ -150,7 +144,6 @@ class RecursivePositionMap:
         num_blocks: int,
         num_leaves: int,
         rng: np.random.Generator,
-        allocator: Optional[ArrayAllocator] = None,
         positions_per_block: int = 64,
         cutoff_bytes: int = 1 << 16,
         bucket_size: int = 4,
@@ -191,16 +184,12 @@ class RecursivePositionMap:
         initial = rng.integers(0, num_leaves, size=num_blocks, dtype=np.int64)
 
         # Packed level-1 entries (the logical labels).  Padded to a whole
-        # number of χ-blocks; the pad cells are never addressed.  Adopted
-        # under the dense map's logical name so shared-memory snapshotting
-        # of shard position maps keeps working.
-        alloc = allocator if allocator is not None else DEFAULT_ALLOCATOR
+        # number of χ-blocks; the pad cells are never addressed.
         if depth_count:
-            padded = np.zeros(sizes[0] * positions_per_block, dtype=np.int64)
-            padded[:num_blocks] = initial
+            self._entries = np.zeros(sizes[0] * positions_per_block, dtype=np.int64)
+            self._entries[:num_blocks] = initial
         else:
-            padded = initial
-        self._entries = alloc.adopt("posmap.leaves", padded)
+            self._entries = initial
         self._tags = _read_only(self._entries)
 
         rngs = spawn_rngs(seed, depth_count) if depth_count else []

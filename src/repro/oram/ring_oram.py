@@ -64,7 +64,6 @@ class RingProtocolMixin:
         counter: Optional[TrafficCounter] = None,
         rng: Optional[np.random.Generator] = None,
         observer=None,
-        allocator=None,
     ):
         if dummies_per_bucket < 1:
             raise ConfigurationError("dummies_per_bucket must be >= 1")
@@ -78,7 +77,6 @@ class RingProtocolMixin:
             counter=counter,
             rng=rng,
             observer=observer,
-            allocator=allocator,
         )
         # Number of single-block reads a bucket has served since its last
         # reshuffle; once it reaches ``dummies_per_bucket`` the bucket must be

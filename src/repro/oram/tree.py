@@ -14,14 +14,13 @@ initial bulk placement are numpy operations instead of per-block Python.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.block import Block
 from repro.oram.bucket import Bucket
-from repro.oram.shm import DEFAULT_ALLOCATOR, ArrayAllocator
 from repro.utils.bits import node_index, num_nodes, path_node_indices
 
 
@@ -191,7 +190,6 @@ class ArrayTreeStorage:
         bucket_capacities: Sequence[int],
         block_size_bytes: int,
         metadata_bytes_per_block: int = 16,
-        allocator: Optional[ArrayAllocator] = None,
     ):
         if depth < 1:
             raise ConfigurationError("depth must be >= 1")
@@ -205,17 +203,14 @@ class ArrayTreeStorage:
         self.bucket_capacities = tuple(int(c) for c in bucket_capacities)
         self.block_size_bytes = block_size_bytes
         self.metadata_bytes_per_block = metadata_bytes_per_block
-        self._allocator = allocator if allocator is not None else DEFAULT_ALLOCATOR
         caps = self.bucket_capacities
         # Slot-region start of each level within the flat slot array.
         bases = [0]
         for level, capacity in enumerate(caps):
             bases.append(bases[-1] + (1 << level) * capacity)
         self._level_base = tuple(bases[:-1])
-        self._slots = self._allocator.full("tree.slots", bases[-1], -1, np.int64)
-        self._occ = self._allocator.zeros(
-            "tree.occ", (1 << (depth + 1)) - 1, np.int64
-        )
+        self._slots = np.full(bases[-1], -1, dtype=np.int64)
+        self._occ = np.zeros((1 << (depth + 1)) - 1, dtype=np.int64)
         self._path_slots = sum(caps)
         # Per-slot templates of one path: the slot indices of the path to
         # ``leaf`` are  tmpl_base + (leaf >> tmpl_shift) * tmpl_cap + tmpl_off.

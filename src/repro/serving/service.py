@@ -8,13 +8,13 @@ tasks, routes each request's ids to their shards, and **coalesces** whatever
 is waiting for the same backend into one batched command so the engines run
 their vectorized multi-access path instead of one round-trip per request.
 
-Dispatch is one dedicated dispatcher task per backend unit — per worker
-process when the runner is process-parallel, per shard engine when it is
-sequential — so each engine only ever executes one batch at a time (engines
-are not thread-safe) while distinct units serve concurrently.  A dispatcher
-drains its queue each cycle: everything that queued while the previous batch
-was executing forms the next batch, a natural feedback loop that grows
-batches exactly when the system is saturated.
+Dispatch is one dedicated dispatcher task per backend unit — one of the
+runner's executor's hosts: a worker process, or a shard engine of the
+in-process backend — so each engine only ever executes one batch at a time
+(engines are not thread-safe) while distinct units serve concurrently.  A
+dispatcher drains its queue each cycle: everything that queued while the
+previous batch was executing forms the next batch, a natural feedback loop
+that grows batches exactly when the system is saturated.
 
 Latency is recorded per request (submit to completion, including queueing)
 and summarized as p50/p95/p99 — the numbers a service operator actually
@@ -101,10 +101,6 @@ class AsyncShardedService:
             raise ConfigurationError("max_batch_ids must be >= 1")
         self.runner = runner
         self.max_batch_ids = max_batch_ids
-        if runner.is_parallel:
-            self._num_units = runner.executor.num_workers
-        else:
-            self._num_units = runner.num_shards
         self._queues: list[asyncio.Queue] = []
         self._dispatchers: list[asyncio.Task] = []
         self._started = False
@@ -119,10 +115,10 @@ class AsyncShardedService:
         """Start one dispatcher task per backend unit."""
         if self._started:
             return
-        self._queues = [asyncio.Queue() for _ in range(self._num_units)]
+        units = range(self.runner.executor.num_workers)
+        self._queues = [asyncio.Queue() for _ in units]
         self._dispatchers = [
-            asyncio.create_task(self._dispatch_loop(unit))
-            for unit in range(self._num_units)
+            asyncio.create_task(self._dispatch_loop(unit)) for unit in units
         ]
         self._started = True
 
@@ -147,11 +143,6 @@ class AsyncShardedService:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _unit_of(self, shard_id: int) -> int:
-        if self.runner.is_parallel:
-            return self.runner.executor.worker_of(shard_id)
-        return shard_id
-
     async def submit(self, block_ids: Sequence[int]) -> float:
         """Obliviously access ``block_ids``; returns the request latency (s).
 
@@ -168,7 +159,8 @@ class AsyncShardedService:
         routed = self.runner.planner.split_ids(block_ids)
         by_unit: dict[int, dict[int, list[int]]] = {}
         for shard_id, local_ids in routed.items():
-            by_unit.setdefault(self._unit_of(shard_id), {})[shard_id] = local_ids
+            unit = self.runner.executor.worker_of(shard_id)
+            by_unit.setdefault(unit, {})[shard_id] = local_ids
         futures = []
         loop = asyncio.get_running_loop()
         for unit, unit_routed in by_unit.items():
@@ -197,9 +189,19 @@ class AsyncShardedService:
                 for shard_id, local_ids in unit_routed.items():
                     merged.setdefault(shard_id, []).extend(local_ids)
             try:
-                await asyncio.to_thread(self._serve_batch, unit, merged)
+                # Requests are served as they arrive, so every engine takes
+                # them through ``access_many``: LAORAM shards in superblock
+                # bins, the others through their sequential (fused) driver.
+                await asyncio.to_thread(
+                    self.runner.executor.access_on_worker, unit, merged
+                )
             except Exception as exc:
+                # This unit serves nothing more: fail what queued behind
+                # the batch too, so no submit waits forever and close()'s
+                # join returns; later submits raise the stored failure.
                 self._failure = exc
+                while not q.empty():
+                    entries.append(q.get_nowait())
                 for _routed, future in entries:
                     if not future.done():
                         future.set_exception(exc)
@@ -212,19 +214,6 @@ class AsyncShardedService:
                     future.set_result(None)
             for _ in entries:
                 q.task_done()
-
-    def _serve_batch(self, unit: int, merged: dict[int, list[int]]) -> None:
-        """Execute one coalesced batch on the backend (worker thread).
-
-        Requests are served as they arrive, so every engine takes them
-        through ``access_many``: LAORAM shards in superblock bins, the
-        others through their sequential (fused) driver.
-        """
-        if self.runner.is_parallel:
-            self.runner.executor.access_on_worker(unit, merged)
-        else:
-            for shard_id, local_ids in merged.items():
-                self.runner.engines[shard_id].access_many(local_ids)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -1,13 +1,13 @@
-"""Process-parallel ShardedRunner: bit-identity, crash safety, shm hygiene.
+"""Process-parallel ShardedRunner: bit-identity, crash safety, no shm use.
 
 The parallel backend's contract is exact: for a fixed seed it must produce
 *the same* merged traffic snapshot, per-shard stash occupancies and
 position maps as the sequential in-process backend, for every shardable
 family, both engine variants and any worker count.  The crash tests pin
 down the failure contract: a worker raising mid-trace surfaces as a typed
-:class:`~repro.exceptions.ShardExecutionError` in the parent and leaves no
-shared-memory segment behind (checked against the live registries and
-``/dev/shm``), even when the worker is killed outright.
+:class:`~repro.exceptions.ShardExecutionError` in the parent and the torn-down
+executor refuses further commands; shard state travels in command replies,
+so ``/dev/shm`` holds nothing of ours at any point, a killed worker included.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from repro.exceptions import ConfigurationError, ShardExecutionError
 from repro.experiments.sharded import ProcessShardExecutor, ShardedRunner, ShardPlanner
 from repro.experiments.sharded.executor import _pin_worker_threads
-from repro.oram.shm import leaked_segments
 
 NUM_BLOCKS = 1 << 10
 NUM_SHARDS = 3
@@ -113,16 +112,30 @@ def test_runner_replays_trace_after_trace(fast):
         assert np.array_equal(par_map, seq_map)
 
 
-def test_parallel_runner_releases_all_shared_memory():
+def _shm_entries() -> set[str]:
+    # "sem.*" are the POSIX semaphores of multiprocessing's own queues, which
+    # stay linked while in use under the spawn/forkserver start methods.
+    return {e for e in os.listdir("/dev/shm") if not e.startswith("sem.")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm here")
+def test_nothing_enters_dev_shm_from_start_to_kill_to_close():
+    before = _shm_entries()
     runner = ShardedRunner(
         NUM_BLOCKS, NUM_SHARDS, family="laoram", seed=0, num_workers=2
     )
-    prefix = runner.executor.prefix
-    runner.run_trace(_trace(0))
-    registries = [s["registry"] for s in runner.executor.states.values()]
-    assert all(registries), "workers should report shared-array registries"
-    runner.close()
-    assert leaked_segments(prefix, registries) == []
+    try:
+        assert _shm_entries() == before
+        runner.run_trace(_trace(0))
+        assert all("registry" not in s for s in runner.executor.states.values())
+        assert _shm_entries() == before
+        os.kill(runner.executor._procs[0].pid, signal.SIGKILL)
+        with pytest.raises(ShardExecutionError):
+            runner.run_trace(_trace(1))
+        assert _shm_entries() == before
+    finally:
+        runner.close()
+    assert _shm_entries() == before
 
 
 def test_more_workers_than_shards_rejected():
@@ -132,12 +145,10 @@ def test_more_workers_than_shards_rejected():
         )
 
 
-def test_worker_exception_propagates_typed_and_leaves_no_segments():
+def test_worker_exception_propagates_typed_and_tears_down():
     planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="pathoram", seed=0)
     executor = ProcessShardExecutor(planner, num_workers=2)
     executor.start()
-    prefix = executor.prefix
-    registries = [s["registry"] for s in executor.states.values()]
 
     bad_traces = [np.arange(10, dtype=np.int64) for _ in range(NUM_SHARDS)]
     bad_traces[1] = np.array([10**9], dtype=np.int64)  # out of shard range
@@ -148,46 +159,58 @@ def test_worker_exception_propagates_typed_and_leaves_no_segments():
     assert error.shard_id == 1
     assert error.original_type == "BlockNotFoundError"
     assert "Traceback" in error.worker_traceback
-    # The failure tore the executor down: workers stopped, segments unlinked.
-    assert leaked_segments(prefix, registries) == []
+    # The failure tore the executor down: workers stopped, commands refused.
+    assert executor._procs == []
     with pytest.raises(ShardExecutionError):
         executor.run_local_traces([np.arange(4)] * NUM_SHARDS)
 
 
-def test_hard_killed_worker_is_detected_and_swept():
+def test_hard_killed_worker_is_detected_and_torn_down():
     planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="laoram", seed=0)
     executor = ProcessShardExecutor(planner, num_workers=2)
     executor.start()
-    prefix = executor.prefix
-    registries = [s["registry"] for s in executor.states.values()]
+    survivor = executor._procs[1]
 
     os.kill(executor._procs[0].pid, signal.SIGKILL)
     with pytest.raises(ShardExecutionError) as excinfo:
         executor.run_local_traces(planner.split_trace(_trace(0)))
     assert "died without reporting" in str(excinfo.value)
-    # A SIGKILLed worker cannot run its cleanup; the parent sweep must.
-    assert leaked_segments(prefix, registries) == []
+    # The surviving worker is stopped with the dead one, and the executor
+    # refuses further commands.
+    assert not survivor.is_alive()
+    with pytest.raises(ShardExecutionError):
+        executor.refresh_states()
 
 
 def test_executor_context_manager_and_idempotent_close():
     planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="laoram", seed=0)
     with ProcessShardExecutor(planner, num_workers=1) as executor:
-        prefix = executor.prefix
         states = executor.run_local_traces(planner.split_trace(_trace(0)))
         assert sorted(states) == list(range(NUM_SHARDS))
+        procs = list(executor._procs)
     executor.close()  # second close is a no-op
-    assert leaked_segments(prefix) == []
+    assert procs and not any(proc.is_alive() for proc in procs)
 
 
-def test_parallel_snapshot_reads_live_worker_state():
+def test_position_maps_after_a_second_trace_equal_the_in_process_backends():
     with ShardedRunner(
+        NUM_BLOCKS, NUM_SHARDS, family="laoram", seed=0
+    ) as in_process, ShardedRunner(
         NUM_BLOCKS, NUM_SHARDS, family="laoram", seed=0, num_workers=2
-    ) as runner:
-        runner.run_trace(_trace(0))
-        arrays = runner.executor.read_shard_arrays(0)
-        assert "posmap.leaves" in arrays
-        assert arrays["posmap.leaves"].size == runner.shard_num_blocks(0)
-        assert np.array_equal(arrays["posmap.leaves"], runner.position_maps()[0])
+    ) as parallel:
+        for runner in (in_process, parallel):
+            runner.run_trace(_trace(0))
+        first = parallel.position_maps()
+        for runner in (in_process, parallel):
+            runner.run_trace(_trace(1))
+        second = parallel.position_maps()
+        # Asked of the live workers each time, not a copy from the first run.
+        assert any(not np.array_equal(a, b) for a, b in zip(first, second))
+        for shard_id, (par_map, seq_map) in enumerate(
+            zip(second, in_process.position_maps())
+        ):
+            assert par_map.size == parallel.shard_num_blocks(shard_id)
+            assert np.array_equal(par_map, seq_map)
 
 
 def test_worker_thread_pinning_env(monkeypatch):
@@ -197,10 +220,6 @@ def test_worker_thread_pinning_env(monkeypatch):
     # state (including absence) is restored after the test.
     for var in _THREAD_ENV_VARS:
         monkeypatch.setenv(var, "unpinned")
-    monkeypatch.delenv("REPRO_WORKER_THREADS", raising=False)
     _pin_worker_threads()
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    monkeypatch.setenv("REPRO_WORKER_THREADS", "3")
-    _pin_worker_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "3"

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import asyncio
+import os
 import selectors
+import signal
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ShardExecutionError
 from repro.experiments.sharded import ShardedRunner
 from repro.serving import (
     AsyncShardedService,
@@ -35,8 +37,7 @@ def test_submit_serves_every_id(num_workers):
                 latencies = await asyncio.gather(
                     *(service.submit([i, i + 7, i + 21]) for i in range(20))
                 )
-            if runner.is_parallel:
-                runner.executor.refresh_states()
+            runner.executor.refresh_states()
             merged = runner.merged_snapshot()
         assert len(latencies) == 20
         assert all(lat >= 0.0 for lat in latencies)
@@ -105,6 +106,40 @@ def test_backend_failure_propagates_to_submitters():
                     await service.submit([4])
 
     asyncio.run(main())
+
+
+@pytest.mark.parametrize("num_workers", [None, 1])
+def test_backend_failure_fails_queued_requests_and_lets_close_return(num_workers):
+    """A failed batch must not strand what queued behind it on that unit:
+    every in-flight submit raises, close() returns, later submits raise."""
+
+    async def main():
+        kwargs = {} if num_workers is None else {"num_workers": num_workers}
+        with ShardedRunner(64, 1, family="pathoram", **kwargs) as runner:
+            if num_workers is None:
+                def explode(ids):
+                    raise RuntimeError("backend down")
+
+                runner.engines[0].access_many = explode
+                expected = RuntimeError
+            else:
+                worker = runner.executor._procs[0]
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join(timeout=5.0)
+                expected = ShardExecutionError
+            service = AsyncShardedService(runner, max_batch_ids=1)
+            await service.start()
+            # max_batch_ids=1: the first batch takes one request and fails
+            # while the other two are still queued for the same unit.
+            outcomes = await asyncio.gather(
+                *(service.submit([i]) for i in range(3)), return_exceptions=True
+            )
+            assert [type(outcome) for outcome in outcomes] == [expected] * 3
+            await service.close()
+            with pytest.raises(expected):
+                await service.submit([4])
+
+    asyncio.run(asyncio.wait_for(main(), timeout=20.0))
 
 
 @pytest.mark.parametrize("arrival", ["bursty", "open"])
