@@ -13,7 +13,7 @@ states it explicitly, per engine module:
 * hot-function manifests — which functions the OBL rules analyze
   (``obl_hot_functions``), which the zero-allocation rule covers and at
   what granularity (``alloc_hot_functions``), and which fused drivers owe
-  a deferred-counter flush (``fused_drivers``).
+  a deferred-counter flush (``fused_drivers``, ``flush_helpers``).
 * :class:`Declassification` — the allowlist for places the protocol
   legitimately reveals secret-derived information (PrORAM's history-based
   merging, client-side write-back planning).  Every entry carries a
@@ -100,6 +100,10 @@ class AnalysisConfig:
     )
     #: module suffix -> fused-driver qualnames for CNT001.
     fused_drivers: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: Method names that fold deferred counts into counters *and* clock; a
+    #: call to one is a whole flush for CNT001, and its definition is held
+    #: to doing both.
+    flush_helpers: frozenset[str] = frozenset()
     #: Path suffixes where direct RNG construction is allowed (RNG001).
     rng_allowed_modules: tuple[str, ...] = ()
     #: Declassification allowlist (see class docstring).
@@ -232,7 +236,7 @@ _WRITE_BACK_SOURCES = ModuleSources(
     declassifiers=(),
 )
 
-_RECURSIVE_POSMAP_SOURCES = ModuleSources(
+_POSITION_MAP_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids"}),
     attrs=frozenset({"stash", "labels", "_top", "_entries", "_pending"}),
     calls=frozenset({"_walk", "position_map.get"}),
@@ -249,7 +253,7 @@ def default_config() -> AnalysisConfig:
             "repro/oram/ring_oram.py": _ENGINE_SOURCES,
             "repro/oram/pr_oram.py": _PRORAM_SOURCES,
             "repro/oram/write_back.py": _WRITE_BACK_SOURCES,
-            "repro/oram/recursive_posmap.py": _RECURSIVE_POSMAP_SOURCES,
+            "repro/oram/position_map.py": _POSITION_MAP_SOURCES,
         },
         obl_hot_functions={
             "repro/core/fast_laoram.py": ("FastLAORAMClient._run_bins",),
@@ -280,12 +284,10 @@ def default_config() -> AnalysisConfig:
                 "fused_greedy_write_back",
                 "fused_shared_write_back",
             ),
-            "repro/oram/recursive_posmap.py": (
-                "RecursivePositionMap._walk",
-                "RecursivePositionMap.get",
-                "RecursivePositionMap.set",
-                "RecursivePositionMap.get_many",
-                "RecursivePositionMap.set_many",
+            "repro/oram/position_map.py": (
+                "PositionMap._walk",
+                "PositionMap.get",
+                "PositionMap.set",
             ),
         },
         observable_containers=frozenset(
@@ -320,6 +322,7 @@ def default_config() -> AnalysisConfig:
             "repro/oram/engine.py": ("ArrayStorageEngine._run_trace_fused",),
             "repro/oram/ring_oram.py": ("ArrayRingORAM._run_trace_ring_fused",),
         },
+        flush_helpers=frozenset({"_flush_counts"}),
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(
             Declassification(

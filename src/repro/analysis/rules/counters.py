@@ -1,16 +1,21 @@
-"""CNT001 — fused drivers must flush deferred counters on every exit path.
+"""CNT001 — fused drivers must flush deferred counts on every exit path.
 
-The fused trace drivers defer their counter updates: per-access tallies
-accumulate in locals and are written back once via
-``TrafficCounter.add_bulk``.  If the flush is not in a ``finally`` block, an exception
+The fused trace drivers defer their accounting: per-access tallies
+accumulate in locals and are written back once, the counters via
+``TrafficCounter.add_bulk`` and the clock via ``TimingModel.charge_*`` with
+the same counts.  If the flush is not in a ``finally`` block, an exception
 mid-trace (or an early return) loses the accumulated traffic and every
-downstream accounting assertion silently compares against a short count.
+downstream accounting assertion silently compares against a short count;
+if the ``finally`` flushes the counters but not the clock, simulated time
+falls behind the traffic it is the closed form of.
 
 The rule checks each manifest ``fused_drivers`` function for a ``try``
-statement whose ``finally`` either calls ``.add_bulk(...)`` directly or
-calls a function defined locally inside the driver whose body does (the
-engine's ``sync_out`` closure pattern).  Drivers with no flush at all are
-also flagged.
+statement whose ``finally`` flushes: it calls a manifest ``flush_helpers``
+method (the engine's shared ``_flush_counts``, which does both halves), or
+``.add_bulk(...)`` together with a ``.charge_*(...)``, directly or in a
+function defined locally inside the driver (the engine's ``sync_out``
+closure pattern).  Drivers with no flush at all are also flagged, and so
+is a flush helper that does not do both halves itself.
 """
 
 from __future__ import annotations
@@ -27,85 +32,90 @@ from repro.analysis.core import (
     register_rule,
 )
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def _calls_add_bulk(nodes) -> bool:
+
+def _flush_halves(nodes, helpers, local: dict) -> tuple[bool, bool]:
+    """Whether ``nodes`` flush the counters, and the clock along with them."""
+    counters = clock = False
     for node in nodes:
         for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "add_bulk"
-            ):
-                return True
-    return False
-
-
-def _local_flushers(fn: ast.AST) -> set[str]:
-    """Names of functions defined inside ``fn`` whose bodies call add_bulk."""
-    flushers: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn:
-            if _calls_add_bulk(node.body):
-                flushers.add(node.name)
-    return flushers
-
-
-def _finalbody_flushes(finalbody, flushers: set[str]) -> bool:
-    if _calls_add_bulk(finalbody):
-        return True
-    for node in finalbody:
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id in flushers
-            ):
-                return True
-    return False
+            if not isinstance(sub, ast.Call):
+                continue
+            func = sub.func
+            if isinstance(func, ast.Attribute):
+                if func.attr in helpers:
+                    counters = clock = True
+                elif func.attr == "add_bulk":
+                    counters = True
+                elif func.attr.startswith("charge_"):
+                    clock = True
+            elif isinstance(func, ast.Name) and func.id in local:
+                counters |= local[func.id][0]
+                clock |= local[func.id][1]
+    return counters, clock
 
 
 @register_rule
 class DeferredCounterFlushRule(Rule):
     rule_id = "CNT001"
-    title = "fused driver without a finally-guarded counter flush"
+    title = "fused driver without a finally-guarded counter and clock flush"
 
     def check(self, module: SourceModule, config) -> Iterator[Finding]:
         driver_patterns = config.fused_drivers_for(module.path)
-        if not driver_patterns:
-            return
-        qualnames = build_qualnames(module.tree)
-        for node, qual in qualnames.items():
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        helpers = config.flush_helpers
+        for node, qual in build_qualnames(module.tree).items():
+            if not isinstance(node, _FUNCTIONS):
                 continue
-            if not any(fnmatchcase(qual, p) for p in driver_patterns):
-                continue
-            flushers = _local_flushers(node)
-            has_any_flush = _calls_add_bulk(node.body)
-            tries = [
-                sub for sub in ast.walk(node) if isinstance(sub, ast.Try)
-            ]
-            guarded = any(
-                sub.finalbody and _finalbody_flushes(sub.finalbody, flushers)
-                for sub in tries
-            )
-            if guarded:
-                continue
-            if not has_any_flush and not flushers:
-                message = (
-                    f"fused driver {qual} opens a deferred counter block but "
-                    "never flushes via add_bulk; accumulated traffic is lost"
+            message = None
+            if node.name in helpers:
+                if _flush_halves(node.body, (), {}) != (True, True):
+                    message = (
+                        f"flush helper {qual} must fold the deferred counts "
+                        "into both the counters (add_bulk) and the clock "
+                        "(charge_*)"
+                    )
+            elif any(fnmatchcase(qual, p) for p in driver_patterns):
+                message = self._driver_message(node, qual, helpers)
+            if message is not None:
+                yield Finding(
+                    rule=self.rule_id,
+                    path=module.path,
+                    line=node.lineno,
+                    col=node.col_offset,
+                    message=message,
+                    qualname=qual,
                 )
-            else:
-                message = (
-                    f"fused driver {qual} flushes deferred counters outside "
-                    "a finally block; an exception mid-trace loses the "
-                    "accumulated traffic"
-                )
-            yield Finding(
-                rule=self.rule_id,
-                path=module.path,
-                line=node.lineno,
-                col=node.col_offset,
-                message=message,
-                qualname=qual,
+
+    @staticmethod
+    def _driver_message(fn, qual: str, helpers):
+        """What is wrong with driver ``fn``'s flush, or ``None``."""
+        local = {
+            sub.name: _flush_halves(sub.body, helpers, {})
+            for sub in ast.walk(fn)
+            if isinstance(sub, _FUNCTIONS) and sub is not fn
+        }
+        guarded = [
+            _flush_halves(sub.finalbody, helpers, local)
+            for sub in ast.walk(fn)
+            if isinstance(sub, ast.Try) and sub.finalbody
+        ]
+        flushing = [clock for counters, clock in guarded if counters]
+        if flushing and all(flushing):
+            return None
+        if flushing:
+            return (
+                f"fused driver {qual} flushes deferred counters in a finally "
+                "block that does not charge the clock with them; simulated "
+                "time falls behind the counted traffic"
             )
+        if _flush_halves(fn.body, helpers, local)[0]:
+            return (
+                f"fused driver {qual} flushes deferred counters outside "
+                "a finally block; an exception mid-trace loses the "
+                "accumulated traffic"
+            )
+        return (
+            f"fused driver {qual} opens a deferred counter block but "
+            "never flushes via add_bulk; accumulated traffic is lost"
+        )

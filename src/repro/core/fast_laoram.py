@@ -7,8 +7,8 @@ bin, whichever entry point it came through, runs on one fused kernel
 (:meth:`FastLAORAMClient._run_bins`, the LAORAM twin of
 ``ArrayStorageEngine._run_trace_fused``): it binds the stash's dict once per
 call, a bin is dict membership, one ``fused_fetch`` per distinct path, an
-in-place remap and one write-back kernel call per path read, and counters
-and the clock are flushed once on exit.  Bins are consumed as numpy
+in-place remap and one write-back kernel call per path read, and the access
+and path counts are flushed once on exit.  Bins are consumed as numpy
 slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`) and
 initial placement relocates only the planned blocks (one level-by-level
 removal from their old buckets, one per-level bulk placement on their new
@@ -187,17 +187,14 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         occupancy-aware over the buckets they share.  Background eviction
         runs inline.
 
-        Counters and the clock accumulate in locals, the float in the
-        reference's ``+=`` order; the clock is handed to the position map
-        around its lookups and remaps, which a recursive map charges
-        directly.  One ``finally`` stores the cursor and flushes the
-        counters, so a raise mid-window leaves the engine consistent and
-        able to serve the next call: the capacity check runs after a path's
-        blocks entered the stash, so an overflow loses nothing.  A raise also
-        drops the plan — a window's precomputed remaps have handed out
-        leaves the plan still counts as unconsumed, and serving them again
-        would put a block back on a path it was just read from — so later
-        remaps draw uniformly.
+        Access and path counts accumulate in locals.  One ``finally``
+        stores the cursor and flushes them (``_flush_counts``), so a raise
+        mid-window leaves the engine consistent and able to serve the next
+        call: the capacity check runs after a path's blocks entered the
+        stash, so an overflow loses nothing.  A raise also drops the plan —
+        a window's precomputed remaps have handed out leaves the plan still
+        counts as unconsumed, and serving them again would put a block back
+        on a path it was just read from — so later remaps draw uniformly.
         """
         num_blocks = self.config.num_blocks
         num_leaves = self._num_leaves
@@ -205,7 +202,6 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         tree = self.tree
         stash = self.stash
         counter = self.counter
-        timing = self.timing
         observer = self.observer
         capacity = stash.capacity
         should_trigger = self.eviction.should_trigger
@@ -224,17 +220,11 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         fetch = fused_fetch
         write_back = fused_shared_write_back
 
-        path_buckets, path_bytes = tree.path_cost(0)
-        dt_path = timing.path_transfer_delta(path_buckets, path_bytes)
-        overhead_us = timing.client_overhead_us
-
         stash_map = stash.entries
 
-        # Deferred accumulators, flushed in the finally below; bucket and
-        # byte totals follow from the path counts (one geometry per tree).
+        # Deferred counts, flushed in the finally below.
         logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
         stash_peak = counter.stash_peak
-        elapsed = timing.elapsed_s
         history = counter.stash_history if counter.record_stash_history else None
         cursor = self._trace_cursor
 
@@ -242,7 +232,6 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             for start_index, block_ids, bin_remaps in bins:
                 count = len(block_ids)
                 logical += count
-                elapsed += count * overhead_us * 1e-6
                 needed = list(dict.fromkeys(block_ids))
                 missing = []
                 for block_id in needed:
@@ -262,21 +251,13 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                 # oblivious: allow[OBL001] a bin whose blocks are all stashed
                 # fetches nothing: the modeled stash-hit behaviour
                 if missing:
-                    # The map charges its own lookups (a recursion walk) to
-                    # ``timing`` directly: hand it the deferred clock and
-                    # take it back, on the raise path too.
-                    timing.set_elapsed(elapsed)
-                    try:
-                        read_leaves = list(dict.fromkeys(map(get_leaf, missing)))
-                    finally:
-                        elapsed = timing.elapsed_s
+                    read_leaves = list(dict.fromkeys(map(get_leaf, missing)))
                     # oblivious: allow[OBL002] a bin fetches each distinct path
                     # its missing blocks sit on: the protocol's observable,
                     # every one a uniform independent draw (paper, Sec. VI)
                     for leaf in read_leaves:
                         fetch(read_ids, tags, stash_map, leaf)
                         path_reads += 1
-                        elapsed += dt_path
                         if observer is not None:
                             observer.observe_path(leaf, dummy=False)
                         # oblivious: allow[OBL001] stash-capacity check:
@@ -300,27 +281,23 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                 # array write) so a plan built for a different tree fails
                 # here, exactly where the per-object client would.
                 end_index = start_index + count - 1
-                timing.set_elapsed(elapsed)
-                try:
-                    for position, block_id in enumerate(needed):
-                        # oblivious: allow[OBL001] where the new leaf comes
-                        # from is client-side: no traffic either way
-                        if bin_remaps is None:
-                            leaf = planned_leaf(block_id, end_index)
-                        else:
-                            leaf = bin_remaps[position]
-                            # oblivious: allow[OBL001] no future occurrence
-                            # planned: the uniform fallback draw, client-side
-                            if leaf < 0:
-                                leaf = int(rng_integers(0, num_leaves))
-                        if not 0 <= leaf < num_leaves:
-                            raise ConfigurationError(
-                                f"planned leaf {leaf} outside [0, {num_leaves})"
-                            )
-                        set_leaf(block_id, leaf)
-                        stash_map[block_id] = leaf
-                finally:
-                    elapsed = timing.elapsed_s
+                for position, block_id in enumerate(needed):
+                    # oblivious: allow[OBL001] where the new leaf comes
+                    # from is client-side: no traffic either way
+                    if bin_remaps is None:
+                        leaf = planned_leaf(block_id, end_index)
+                    else:
+                        leaf = bin_remaps[position]
+                        # oblivious: allow[OBL001] no future occurrence
+                        # planned: the uniform fallback draw, client-side
+                        if leaf < 0:
+                            leaf = int(rng_integers(0, num_leaves))
+                    if not 0 <= leaf < num_leaves:
+                        raise ConfigurationError(
+                            f"planned leaf {leaf} outside [0, {num_leaves})"
+                        )
+                    set_leaf(block_id, leaf)
+                    stash_map[block_id] = leaf
 
                 # Path by path: a later path finds the buckets it shares
                 # with an earlier one refilled.
@@ -332,7 +309,6 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                         slots, occ, depth, leaf,
                     )
                     path_writes += 1
-                    elapsed += dt_path
 
                 cursor = end_index + 1
                 occupancy = len(stash_map)
@@ -347,7 +323,6 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                         leaf = int(rng_integers(0, num_leaves))
                         fetch(read_ids, tags, stash_map, leaf)
                         dummy_reads += 1
-                        elapsed += dt_path
                         if observer is not None:
                             observer.observe_path(leaf, dummy=True)
                         # oblivious: allow[OBL001] stash-capacity check:
@@ -361,7 +336,6 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                             slots, occ, depth, leaf,
                         )
                         path_writes += 1
-                        elapsed += dt_path
                         dummies += 1
                         occupancy = len(stash_map)
 
@@ -376,18 +350,7 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             raise
         finally:
             self._trace_cursor = cursor
-            reads = path_reads + dummy_reads
-            counter.add_bulk(
-                logical,
-                path_reads,
-                path_writes,
-                dummy_reads,
-                reads * path_buckets,
-                path_writes * path_buckets,
-                reads * path_bytes,
-                path_writes * path_bytes,
-                stash_peak,
-                episodes,
+            self._flush_counts(
+                logical, path_reads, path_writes, dummy_reads,
+                stash_peak, episodes, hits,
             )
-            timing.set_elapsed(elapsed)
-            self._stash_hits += hits

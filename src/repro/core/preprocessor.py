@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, TraceError
-from repro.core.superblock import LookaheadPlan
+from repro.core.superblock import LookaheadPlan, num_bins
 from repro.utils.rng import make_rng
 
 
@@ -63,13 +63,14 @@ class Preprocessor:
 
         ``start_index`` is the trace position of ``addresses[0]``; it lets a
         caller preprocess the trace in windows while keeping globally
-        consistent occurrence indices.
+        consistent occurrence indices and bin boundaries (a window starting
+        off a superblock boundary opens with a short bin).
         """
         addr = self._validate(addresses)
         leaves = self.rng.integers(
             0,
             self.num_leaves,
-            size=self._num_bins(addr.size),
+            size=num_bins(addr.size, self.superblock_size, start_index),
             dtype=np.int64,
         )
         # Vectorized construction: the plan groups occurrences by block id
@@ -90,7 +91,7 @@ class Preprocessor:
         duplicates = addr.size - unique
         return ScanStatistics(
             num_accesses=int(addr.size),
-            num_bins=self._num_bins(addr.size),
+            num_bins=num_bins(addr.size, self.superblock_size),
             num_unique_blocks=unique,
             duplicate_fraction=duplicates / addr.size if addr.size else 0.0,
         )
@@ -109,9 +110,6 @@ class Preprocessor:
         return num_accesses * per_access_ns * 1e-9
 
     # ------------------------------------------------------------------
-    def _num_bins(self, num_accesses: int) -> int:
-        return -(-num_accesses // self.superblock_size) if num_accesses else 0
-
     @staticmethod
     def _validate(addresses: Sequence[int] | np.ndarray) -> np.ndarray:
         addr = np.asarray(addresses, dtype=np.int64)

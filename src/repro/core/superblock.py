@@ -26,6 +26,17 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 
+def num_bins(num_accesses: int, superblock_size: int, start_index: int = 0) -> int:
+    """Bins a window of ``num_accesses`` starting at ``start_index`` is cut into.
+
+    Bins end on global multiples of ``superblock_size``, so the count is
+    that of the boundaries the window spans, not ``ceil(n / S)``.
+    """
+    if not num_accesses:
+        return 0
+    return -(-(start_index % superblock_size + num_accesses) // superblock_size)
+
+
 @dataclass(frozen=True)
 class SuperblockBin:
     """One group of consecutive future accesses sharing a path.
@@ -104,11 +115,15 @@ class LookaheadPlan:
     ) -> "LookaheadPlan":
         """Build a plan directly from a window's address and bin-leaf arrays.
 
-        ``addresses`` is the access stream of the window; ``bin_leaves`` holds
-        one uniformly random leaf per bin of ``superblock_size`` consecutive
-        accesses.  This is the vectorized construction path the preprocessor
-        uses: no :class:`SuperblockBin` objects are created until a caller
-        asks for :attr:`bins`.
+        ``addresses`` is the access stream of the window and ``start_index``
+        the trace position of its first access; ``bin_leaves`` holds one
+        uniformly random leaf per bin.  Bins end on global multiples of
+        ``superblock_size`` — where the clients cut the bins they execute,
+        whatever the window — so a window that starts off a boundary opens
+        with a short bin (:func:`num_bins` counts them).  This is the
+        vectorized construction path the preprocessor uses: no
+        :class:`SuperblockBin` objects are created until a caller asks for
+        :attr:`bins`.
         """
         if num_leaves < 2:
             raise ValueError("num_leaves must be >= 2")
@@ -117,7 +132,7 @@ class LookaheadPlan:
         addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         bin_leaves = np.ascontiguousarray(bin_leaves, dtype=np.int64)
         n = addresses.size
-        expected_bins = -(-n // superblock_size) if n else 0
+        expected_bins = num_bins(n, superblock_size, start_index)
         if bin_leaves.size != expected_bins:
             raise ValueError(
                 f"need {expected_bins} bin leaves for {n} accesses, "
@@ -125,7 +140,7 @@ class LookaheadPlan:
             )
         plan = cls.__new__(cls)
         occ = start_index + np.arange(n, dtype=np.int64)
-        leaf = bin_leaves[np.arange(n, dtype=np.int64) // superblock_size]
+        leaf = bin_leaves[occ // superblock_size - start_index // superblock_size]
         plan._init_arrays(addresses, occ, leaf, num_leaves)
         plan._bins = None
         plan._addresses = addresses
@@ -183,18 +198,16 @@ class LookaheadPlan:
     def bins(self) -> tuple[SuperblockBin, ...]:
         """Every superblock bin in trace order (materialised on demand)."""
         if self._bins is None:
-            addresses = self._addresses
-            size = self._superblock_size
-            assert addresses is not None and self._bin_leaves is not None
-            leaves = self._bin_leaves.tolist()
             self._bins = tuple(
                 SuperblockBin(
                     bin_id=bin_id,
-                    start_index=self._start_index + offset,
-                    block_ids=tuple(addresses[offset : offset + size].tolist()),
-                    leaf=leaves[bin_id],
+                    start_index=start_index,
+                    block_ids=tuple(block_ids.tolist()),
+                    leaf=leaf,
                 )
-                for bin_id, offset in enumerate(range(0, addresses.size, size))
+                for bin_id, (start_index, block_ids, leaf) in enumerate(
+                    self.iter_bin_arrays()
+                )
             )
         return self._bins
 
@@ -206,11 +219,17 @@ class LookaheadPlan:
         """
         if self._addresses is not None:
             size = self._superblock_size
-            for bin_id, offset in enumerate(range(0, self._addresses.size, size)):
+            addresses = self._addresses
+            leaves = self._bin_leaves.tolist()
+            # Window offsets of the global boundaries: the first is at or
+            # before the window's start, so the first bin may be short.
+            cuts = range(-(self._start_index % size), addresses.size, size)
+            for leaf, cut in zip(leaves, cuts):
+                offset = max(cut, 0)
                 yield (
                     self._start_index + offset,
-                    self._addresses[offset : offset + size],
-                    int(self._bin_leaves[bin_id]),
+                    addresses[offset : cut + size],
+                    leaf,
                 )
         else:
             for sb in self.bins:
@@ -236,9 +255,8 @@ class LookaheadPlan:
         return int(self._uniq[-1]) if self._uniq.size else -1
 
     def __len__(self) -> int:
-        if self._addresses is not None and self._bins is None:
-            size = self._superblock_size
-            return -(-int(self._addresses.size) // size) if self._addresses.size else 0
+        if self._bin_leaves is not None:
+            return int(self._bin_leaves.size)
         return len(self.bins)
 
     def __iter__(self) -> Iterable[SuperblockBin]:
@@ -330,7 +348,7 @@ class LookaheadPlan:
             return [], []
         sid = self._sorted_ids
         socc = self._sorted_occ
-        bin_idx = (socc - self._start_index) // size
+        bin_idx = socc // size - self._start_index // size
         # First occurrence of each (block, bin) pair, in (block, occ) order.
         block_boundary = np.empty(n, dtype=bool)
         block_boundary[0] = True
@@ -351,9 +369,7 @@ class LookaheadPlan:
         # occurrence groups them by bin in first-occurrence order.
         order = np.argsort(fb_occ, kind="stable")
         sorted_values = values[order].tolist()
-        counts = np.bincount(
-            fb_bin[order], minlength=-(-n // size)
-        ).tolist()
+        counts = np.bincount(fb_bin[order], minlength=len(self)).tolist()
         remaps: list[list[int]] = []
         position = 0
         for count in counts:

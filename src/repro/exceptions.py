@@ -37,10 +37,6 @@ class IntegrityError(ReproError):
     """Stored data failed an integrity check (decryption or consistency)."""
 
 
-class PlanExhaustedError(ReproError):
-    """A lookahead plan was asked about accesses beyond its window."""
-
-
 class TraceError(ReproError):
     """An access trace is malformed (wrong dtype, out-of-range index, ...)."""
 

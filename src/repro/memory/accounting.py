@@ -143,8 +143,8 @@ class TrafficCounter:
     def record_posmap_path_read(self, num_bytes: int) -> None:
         """Register one recursion-level path read of the position map.
 
-        Recursion traffic is its own category; the recursive map only runs
-        outside the fused trace drivers (they require the dense map).
+        Recursion traffic is its own category, recorded by the walk itself
+        on every entry point: the drivers only count main-tree paths.
         """
         self.posmap_path_reads += 1
         self.posmap_bytes_read += num_bytes
@@ -177,10 +177,6 @@ class TrafficCounter:
         bytes_written: int = 0,
         stash_peak: int = 0,
         background_evictions: int = 0,
-        posmap_path_reads: int = 0,
-        posmap_path_writes: int = 0,
-        posmap_bytes_read: int = 0,
-        posmap_bytes_written: int = 0,
     ) -> None:
         """Fold a batch of pre-aggregated counts in (fused trace drivers).
 
@@ -199,10 +195,6 @@ class TrafficCounter:
         if stash_peak > self.stash_peak:
             self.stash_peak = stash_peak
         self.background_evictions += background_evictions
-        self.posmap_path_reads += posmap_path_reads
-        self.posmap_path_writes += posmap_path_writes
-        self.posmap_bytes_read += posmap_bytes_read
-        self.posmap_bytes_written += posmap_bytes_written
 
     def snapshot(self) -> TrafficSnapshot:
         """Return an immutable snapshot of the current counters."""

@@ -10,11 +10,16 @@ the testbed with an analytic model: every path read/write is charged
 Because these terms are linear in the counted events, relative speedups are
 determined by the same quantities the paper's speedups depend on (paths
 fetched, bytes moved, dummy evictions), which is what the reproduction aims
-to preserve.
+to preserve.  For the same reason the model keeps integers only: how many
+transfers of each ``(buckets, bytes)`` class and how many accesses were
+charged.  The clock is their closed form, so it does not depend on the
+order or the grouping of the charges — an engine charging once per event
+and one charging once per trace read the same float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.memory.channel import InterconnectModel
@@ -23,7 +28,7 @@ from repro.memory.dram import DRAMModel
 
 @dataclass
 class TimingModel:
-    """Accumulates simulated time for ORAM server and link activity.
+    """Counts ORAM server and link activity and prices it as simulated time.
 
     Attributes:
         dram: Server memory timing parameters.
@@ -35,63 +40,43 @@ class TimingModel:
     dram: DRAMModel = field(default_factory=DRAMModel)
     interconnect: InterconnectModel = field(default_factory=InterconnectModel)
     client_overhead_us: float = 2.0
-    _elapsed_s: float = field(default=0.0, init=False, repr=False)
-    _transfer_cache: dict = field(default_factory=dict, init=False, repr=False)
+    #: ``(num_buckets, num_bytes) -> transfers charged`` — one class per tree
+    #: geometry (main tree, each recursion level, RingORAM's online reads
+    #: and per-level reshuffles).
+    _transfers: dict = field(default_factory=dict, init=False, repr=False)
+    _accesses: int = field(default=0, init=False, repr=False)
 
-    def charge_path_transfer(self, num_buckets: int, num_bytes: int) -> float:
-        """Charge one path read or write and return the time added (seconds).
-
-        Path geometry is fixed per tree, so the per-path delta is memoised;
-        millions of identical charges cost one dict lookup each.
-        """
-        delta = self.path_transfer_delta(num_buckets, num_bytes)
-        self._elapsed_s += delta
-        return delta
+    def charge_path_transfer(
+        self, num_buckets: int, num_bytes: int, count: int = 1
+    ) -> None:
+        """Charge ``count`` path reads or writes of one transfer class."""
+        transfers = self._transfers
+        shape = (num_buckets, num_bytes)
+        transfers[shape] = transfers.get(shape, 0) + count
 
     def path_transfer_delta(self, num_buckets: int, num_bytes: int) -> float:
-        """The memoised per-path charge, without charging it.
+        """Seconds one transfer of this class costs, without charging it."""
+        return self.dram.access_time_s(
+            num_buckets, num_bytes
+        ) + self.interconnect.transfer_time_s(1, num_bytes)
 
-        Fused trace drivers accumulate elapsed time in a local float (one
-        ``+=`` per charge, in the exact order the per-access loop would have
-        issued them, so the float total is bit-identical) and install the
-        result with :meth:`set_elapsed` when the trace completes.
-        """
-        delta = self._transfer_cache.get((num_buckets, num_bytes))
-        if delta is None:
-            delta = self.dram.access_time_s(num_buckets, num_bytes)
-            delta += self.interconnect.transfer_time_s(1, num_bytes)
-            self._transfer_cache[(num_buckets, num_bytes)] = delta
-        return delta
-
-    def charge_client_overhead(self, num_accesses: int = 1) -> float:
+    def charge_client_overhead(self, num_accesses: int = 1) -> None:
         """Charge fixed per-access client bookkeeping time."""
-        delta = num_accesses * self.client_overhead_us * 1e-6
-        self._elapsed_s += delta
-        return delta
-
-    def charge_seconds(self, seconds: float) -> float:
-        """Charge an arbitrary amount of simulated time (e.g. compute)."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        self._elapsed_s += seconds
-        return seconds
+        self._accesses += num_accesses
 
     @property
     def elapsed_s(self) -> float:
-        """Total simulated time accumulated so far, in seconds."""
-        return self._elapsed_s
+        """Total simulated time charged so far, in seconds.
 
-    def set_elapsed(self, seconds: float) -> None:
-        """Install an externally accumulated elapsed total.
-
-        Used by the fused trace drivers for deferred timing aggregation:
-        the driver seeds a local float from :attr:`elapsed_s`, accumulates
-        per-charge deltas in the identical order the per-access loop would
-        have, and writes the final value back here — one attribute write per
-        trace instead of one per charge, with a bit-identical float result.
+        An exactly rounded sum (``math.fsum``) of one product per transfer
+        class plus the overhead term, so equal counts give equal floats.
         """
-        self._elapsed_s = seconds
+        terms = [self._accesses * self.client_overhead_us * 1e-6]
+        for shape, count in self._transfers.items():
+            terms.append(count * self.path_transfer_delta(*shape))
+        return math.fsum(terms)
 
     def reset(self) -> None:
-        """Zero the accumulated time (used between experiment phases)."""
-        self._elapsed_s = 0.0
+        """Zero the charged counts (used between experiment phases)."""
+        self._transfers.clear()
+        self._accesses = 0

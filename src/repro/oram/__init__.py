@@ -19,7 +19,6 @@ from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import PositionMap
 from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
-from repro.oram.recursive_posmap import RecursivePositionMap
 from repro.oram.ring_oram import ArrayRingORAM, RingORAM
 from repro.oram.stash import ArrayStash, Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
@@ -37,7 +36,6 @@ __all__ = [
     "PathORAM",
     "ArrayPathORAM",
     "PositionMap",
-    "RecursivePositionMap",
     "PrORAM",
     "ArrayPrORAM",
     "SuperblockMode",

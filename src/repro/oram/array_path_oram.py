@@ -11,8 +11,8 @@ state as numpy arrays and the small client stash as one dict:
 * the stash is an :class:`~repro.oram.stash.ArrayStash`: one insertion-ordered
   ``{id: leaf}`` dict, the format the trace drivers and the write-back
   kernels of :mod:`repro.oram.write_back` run on;
-* the position map is the dense :class:`~repro.oram.position_map.PositionMap`
-  array, the source of truth for every block's leaf; the stash holds the
+* the position map is :class:`~repro.oram.position_map.PositionMap`, the
+  source of truth for every block's leaf; the stash holds the
   leaves of resident blocks so the write-back needs no gather;
 * payloads live in a client-side id->payload store (payload location never
   affects traffic, so keeping it out of the simulated server removes all

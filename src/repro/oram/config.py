@@ -91,9 +91,9 @@ class ORAMConfig:
             transferred alongside the payload.
         seed: Seed for path randomisation.
         recursive_posmap: Store the position map in recursion ORAMs
-            (:class:`~repro.oram.recursive_posmap.RecursivePositionMap`)
-            instead of a trusted dense array; recursion traffic is charged
-            under the ``posmap_*`` counters.
+            (see :class:`~repro.oram.position_map.PositionMap`) instead of
+            a trusted dense array; recursion traffic is charged under the
+            ``posmap_*`` counters.
         posmap_positions_per_block: Leaf labels packed per recursion block
             (χ in the PathORAM recursion construction).
         posmap_cutoff_bytes: Client-memory budget the recursion shrinks the

@@ -20,8 +20,9 @@ shared code or replicated exactly by the write-back kernels of
 :mod:`repro.oram.write_back`, which the array backend's hooks and its trace
 drivers both call on the one stash dict — a reference engine and its array
 twin draw from the RNG in the same order and produce bit-identical
-:class:`~repro.memory.accounting.TrafficSnapshot` counters for a fixed seed.  That equivalence is enforced per family by
-``tests/test_engine_equivalence.py`` and the CI throughput gate.
+:class:`~repro.memory.accounting.TrafficSnapshot` counters for a fixed seed.
+That equivalence is enforced per family by
+``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
-from repro.oram.recursive_posmap import RecursivePositionMap
 from repro.oram.stash import ArrayStash, Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
@@ -90,27 +90,20 @@ class TreeORAMEngine(ObliviousMemory):
         self.observer = observer
         self.tree = self._make_tree()
         self.stash = self._make_stash()
-        if config.recursive_posmap:
-            # Both constructors make the identical initial-label draw from
-            # the engine RNG, so dense and recursive engines consume the
-            # stream identically and stay decision-identical.
-            self.position_map = RecursivePositionMap(
-                num_blocks=config.num_blocks,
-                num_leaves=config.num_leaves,
-                rng=self.rng,
-                positions_per_block=config.posmap_positions_per_block,
-                cutoff_bytes=config.posmap_cutoff_bytes,
-                metadata_bytes_per_block=config.metadata_bytes_per_block,
-                counter=self.counter,
-                timing=self.timing,
-                seed=config.seed,
-            )
-        else:
-            self.position_map = PositionMap(
-                num_blocks=config.num_blocks,
-                num_leaves=config.num_leaves,
-                rng=self.rng,
-            )
+        self.position_map = PositionMap(
+            num_blocks=config.num_blocks,
+            num_leaves=config.num_leaves,
+            rng=self.rng,
+            positions_per_block=config.posmap_positions_per_block,
+            # Not recursive: no budget, so the client holds the whole map.
+            cutoff_bytes=(
+                config.posmap_cutoff_bytes if config.recursive_posmap else None
+            ),
+            metadata_bytes_per_block=config.metadata_bytes_per_block,
+            counter=self.counter,
+            timing=self.timing,
+            seed=config.seed,
+        )
         self._stash_hits = 0
         # Buffered leaf draws (see _draw_leaf); an exhausted position on an
         # empty buffer forces the first refill.
@@ -671,16 +664,16 @@ class ArrayStorageEngine(TreeORAMEngine):
         The driver binds the stash's dict (id -> leaf, insertion ordered,
         so every write-back tie-break is the per-access hooks'), runs the
         PathORAM access sequence with all attribute lookups hoisted to
-        locals, accumulates counters and simulated time in plain Python
-        scalars, and flushes them to the engine on exit.  Steady-state work
+        locals, counts accesses and paths in plain Python ints, and flushes
+        them to the engine on exit (:meth:`_flush_counts`).  Steady-state work
         per access is a handful of in-place numpy calls on preallocated
         scratch plus pure-Python dict/list operations — no numpy allocation
         at all.
 
         ``before_access(block_id)`` is a per-access protocol hook (PrORAM
         locality tracking): returning truthy routes the access through
-        ``fallback(block_id, op, payload)`` with counters, clock and leaf
-        buffer flushed before and re-read after — the stash needs neither,
+        ``fallback(block_id, op, payload)`` with counts and leaf buffer
+        flushed before and re-read after — the stash needs neither,
         the fallback works on the same dict — so arbitrary protocol code
         can interleave with the fused loop.
 
@@ -702,7 +695,6 @@ class ArrayStorageEngine(TreeORAMEngine):
         tree = self.tree
         stash = self.stash
         counter = self.counter
-        timing = self.timing
         eviction = self.eviction
         observer = self.observer
         capacity = stash.capacity
@@ -727,10 +719,6 @@ class ArrayStorageEngine(TreeORAMEngine):
         fetch = fused_fetch
         write_back = fused_greedy_write_back
 
-        path_buckets, path_bytes = tree.path_cost(0)
-        dt_path = timing.path_transfer_delta(path_buckets, path_bytes)
-        dt_client = timing.client_overhead_us * 1e-6
-
         rng_integers = self.rng.integers
         draw_block = self.LEAF_DRAW_BLOCK or 512
         leaf_buf = self._leaf_buf
@@ -742,49 +730,28 @@ class ArrayStorageEngine(TreeORAMEngine):
 
         stash_map = stash.entries
 
-        # Deferred accumulators (flushed by sync_out, exact under any
-        # grouping for the ints; the float repeats the per-charge += order
-        # so even simulated time is bit-identical).
-        logical = path_reads = path_writes = dummy_reads = 0
-        buckets_read = buckets_written = bytes_read = bytes_written = 0
-        episodes = hits = 0
+        # Deferred counts, flushed by sync_out.
+        logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
         stash_peak = counter.stash_peak
-        elapsed = timing.elapsed_s
         history = counter.stash_history if counter.record_stash_history else None
 
         def sync_out():
-            """Flush every accumulator back into engine state."""
-            nonlocal logical, path_reads, path_writes, dummy_reads
-            nonlocal buckets_read, buckets_written, bytes_read, bytes_written
-            nonlocal episodes, hits
+            """Flush every count back into engine state."""
+            nonlocal logical, path_reads, path_writes, dummy_reads, episodes, hits
             self._leaf_buf = leaf_buf
             self._leaf_buf_pos = leaf_pos
-            counter.add_bulk(
-                logical,
-                path_reads,
-                path_writes,
-                dummy_reads,
-                buckets_read,
-                buckets_written,
-                bytes_read,
-                bytes_written,
-                stash_peak,
-                episodes,
+            self._flush_counts(
+                logical, path_reads, path_writes, dummy_reads,
+                stash_peak, episodes, hits,
             )
-            logical = path_reads = path_writes = dummy_reads = 0
-            buckets_read = buckets_written = bytes_read = bytes_written = 0
-            episodes = 0
-            timing.set_elapsed(elapsed)
-            self._stash_hits += hits
-            hits = 0
+            logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
 
         def sync_in():
             """Re-read engine state after a fallback access ran on it."""
-            nonlocal leaf_buf, leaf_pos, stash_peak, elapsed
+            nonlocal leaf_buf, leaf_pos, stash_peak
             leaf_buf = self._leaf_buf
             leaf_pos = self._leaf_buf_pos
             stash_peak = counter.stash_peak
-            elapsed = timing.elapsed_s
 
         try:
             for index in range(n):
@@ -811,7 +778,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                         sync_in()
                     continue
                 logical += 1
-                elapsed += dt_client
 
                 # oblivious: allow[OBL001] fused replay of access()'s stash-hit
                 # fast path — hits counted and charged the same way
@@ -819,19 +785,9 @@ class ArrayStorageEngine(TreeORAMEngine):
                     hits += 1
                     leaf = None
                 else:
-                    # The map charges its own lookups (a recursion walk) to
-                    # ``timing`` directly: hand it the deferred clock and
-                    # take it back, on the raise path too.
-                    timing.set_elapsed(elapsed)
-                    try:
-                        leaf = get_leaf(block_id)
-                    finally:
-                        elapsed = timing.elapsed_s
+                    leaf = get_leaf(block_id)
                     fetch(read_ids, tags, stash_map, leaf)
                     path_reads += 1
-                    buckets_read += path_buckets
-                    bytes_read += path_bytes
-                    elapsed += dt_path
                     if observer is not None:
                         observer.observe_path(leaf, dummy=False)
                     # oblivious: allow[OBL001] integrity check; aborts the run
@@ -858,11 +814,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                     leaf_pos = 0
                 new_leaf = leaf_buf[leaf_pos]
                 leaf_pos += 1
-                timing.set_elapsed(elapsed)
-                try:
-                    set_leaf(block_id, new_leaf)
-                finally:
-                    elapsed = timing.elapsed_s
+                set_leaf(block_id, new_leaf)
                 stash_map[block_id] = new_leaf
 
                 if leaf is not None:
@@ -878,9 +830,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                         leaf,
                     )
                     path_writes += 1
-                    buckets_written += path_buckets
-                    bytes_written += path_bytes
-                    elapsed += dt_path
 
                 occupancy = len(stash_map)
                 # oblivious: allow[OBL001] fused replay of the documented
@@ -900,9 +849,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                         leaf_pos += 1
                         fetch(read_ids, tags, stash_map, dummy_leaf)
                         dummy_reads += 1
-                        buckets_read += path_buckets
-                        bytes_read += path_bytes
-                        elapsed += dt_path
                         if observer is not None:
                             observer.observe_path(dummy_leaf, dummy=True)
                         # oblivious: allow[OBL001] stash-capacity check:
@@ -923,9 +869,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                             dummy_leaf,
                         )
                         path_writes += 1
-                        buckets_written += path_buckets
-                        bytes_written += path_bytes
-                        elapsed += dt_path
                         dummies += 1
                         occupancy = len(stash_map)
 
@@ -938,6 +881,42 @@ class ArrayStorageEngine(TreeORAMEngine):
         finally:
             sync_out()
         return results
+
+    def _flush_counts(
+        self,
+        logical: int,
+        path_reads: int,
+        path_writes: int,
+        dummy_reads: int,
+        stash_peak: int,
+        episodes: int = 0,
+        hits: int = 0,
+    ) -> None:
+        """Fold a driver's deferred counts into counters, clock and hits.
+
+        The drivers count accesses and whole-path transfers only; one tree
+        has one path geometry, so buckets, bytes and seconds are those
+        counts multiplied out — here, once, for every driver.
+        """
+        path_buckets, path_bytes = self.tree.path_cost(0)
+        reads = path_reads + dummy_reads
+        self.counter.add_bulk(
+            logical,
+            path_reads,
+            path_writes,
+            dummy_reads,
+            reads * path_buckets,
+            path_writes * path_buckets,
+            reads * path_bytes,
+            path_writes * path_bytes,
+            stash_peak,
+            episodes,
+        )
+        timing = self.timing
+        timing.charge_client_overhead(logical)
+        if reads + path_writes:
+            timing.charge_path_transfer(path_buckets, path_bytes, reads + path_writes)
+        self._stash_hits += hits
 
     def _commit_write_back(self, leaf: int) -> None:
         """Greedy write-back onto the path to ``leaf``: the drivers' kernel.

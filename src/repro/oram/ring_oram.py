@@ -160,17 +160,19 @@ class RingProtocolMixin:
             self._bucket_read_counts[indices] >= self.dummies_per_bucket
         ]
         for index in exhausted.tolist():
-            level = (index + 1).bit_length() - 1
-            capacity = self.tree.capacity_at_level(level)
-            slot_bytes = (
-                capacity + self.dummies_per_bucket
-            ) * self.tree.stored_block_bytes
+            slot_bytes = self._reshuffle_bytes((index + 1).bit_length() - 1)
             # A reshuffle reads and rewrites the whole bucket; contents stay
             # in place, only dummies are refreshed.
             self.counter.record_path_read(1, slot_bytes, dummy=True)
             self.counter.record_path_write(1, slot_bytes)
             self.timing.charge_path_transfer(1, 2 * slot_bytes)
             self._bucket_read_counts[index] = 0
+
+    def _reshuffle_bytes(self, level: int) -> int:
+        """Bytes of one bucket at ``level``, real and dummy slots together."""
+        return (
+            self.tree.capacity_at_level(level) + self.dummies_per_bucket
+        ) * self.tree.stored_block_bytes
 
     def _evict_path(self) -> None:
         """Full read-and-rewrite of one path in reverse-lexicographic order."""
@@ -203,8 +205,8 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
 
     :meth:`run_trace` fuses the whole protocol — online reads, scheduled
     reverse-lexicographic evictions, bucket reshuffles — into one loop over
-    the stash's dict with deferred counter/timing aggregation, the same
-    discipline as :meth:`ArrayStorageEngine._run_trace_fused`.
+    the stash's dict with deferred counts, the same discipline as
+    :meth:`ArrayStorageEngine._run_trace_fused`.
     """
 
     def run_trace(
@@ -230,8 +232,9 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         target out of the stash, a scheduled evict-path empties the path
         before its write-back (so the shared zero-occupancy write-back
         helper applies), and reshuffle checks run against the same bucket
-        read counts in the same order.  All counter/timing charges accumulate
-        in locals and flush on exit.
+        read counts in the same order.  The loop counts events per
+        transfer class — online reads, evict-paths, reshuffles per level —
+        and the exit multiplies them out into counters and clock.
         """
         ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
         n = len(ids)
@@ -244,7 +247,6 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         tree = self.tree
         stash = self.stash
         counter = self.counter
-        timing = self.timing
         observer = self.observer
         capacity = stash.capacity
         depth = self._depth
@@ -269,23 +271,6 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         fetch = fused_fetch
         write_back = fused_greedy_write_back
 
-        # Per-charge deltas, memoised per geometry exactly as the live
-        # protocol's charge_path_transfer calls would be.
-        path_buckets, path_bytes = tree.path_cost(0)
-        dt_path = timing.path_transfer_delta(path_buckets, path_bytes)
-        dt_client = timing.client_overhead_us * 1e-6
-        online_buckets = depth + 1
-        online_bytes = online_buckets * tree.stored_block_bytes
-        dt_online = timing.path_transfer_delta(online_buckets, online_bytes)
-        reshuffle_bytes = [
-            (caps[level] + dummies_per_bucket) * tree.stored_block_bytes
-            for level in range(depth + 1)
-        ]
-        dt_reshuffle = [
-            timing.path_transfer_delta(1, 2 * slot_bytes)
-            for slot_bytes in reshuffle_bytes
-        ]
-
         rng_integers = self.rng.integers
         draw_block = self.LEAF_DRAW_BLOCK or 512
         leaf_buf = self._leaf_buf
@@ -295,10 +280,12 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
 
         stash_map = stash.entries
 
-        logical = path_reads = path_writes = dummy_reads = 0
-        buckets_read = buckets_written = bytes_read = bytes_written = 0
+        # Deferred counts: online reads by kind, evict-path halves, and
+        # reshuffles per tree level (bucket size, so the transfer class, is
+        # per level).
+        logical = real_online = dummy_online = evict_reads = evict_writes = 0
+        reshuffles = [0] * (depth + 1)
         stash_peak = counter.stash_peak
-        elapsed = timing.elapsed_s
         history = counter.stash_history if counter.record_stash_history else None
 
         try:
@@ -311,7 +298,6 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                         f"block {block_id} outside [0, {num_blocks})"
                     )
                 logical += 1
-                elapsed += dt_client
 
                 stashed = block_id in stash_map
                 # oblivious: allow[OBL001] client-side stash detach; the online
@@ -319,14 +305,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                 # real/dummy indistinguishability)
                 if stashed:
                     del stash_map[block_id]
-                # The map charges its own lookups (a recursion walk) to
-                # ``timing`` directly: hand it the deferred clock and take
-                # it back, on the raise path too.
-                timing.set_elapsed(elapsed)
-                try:
-                    leaf = get_leaf(block_id)
-                finally:
-                    elapsed = timing.elapsed_s
+                leaf = get_leaf(block_id)
 
                 # Online read: one block per bucket on the path.
                 # oblivious: allow[OBL001] selects which block is removed; the
@@ -344,12 +323,9 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                 # oblivious: allow[OBL001] dummy/real tally split for the
                 # accounting mirror; buckets and bytes charged identically
                 if stashed:
-                    dummy_reads += 1
+                    dummy_online += 1
                 else:
-                    path_reads += 1
-                buckets_read += online_buckets
-                bytes_read += online_bytes
-                elapsed += dt_online
+                    real_online += 1
                 if observer is not None:
                     observer.observe_path(leaf, dummy=stashed)
                 # oblivious: allow[OBL001] integrity check; aborts the run
@@ -370,11 +346,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                     leaf_pos = 0
                 new_leaf = leaf_buf[leaf_pos]
                 leaf_pos += 1
-                timing.set_elapsed(elapsed)
-                try:
-                    set_leaf(block_id, new_leaf)
-                finally:
-                    elapsed = timing.elapsed_s
+                set_leaf(block_id, new_leaf)
                 stash_map[block_id] = new_leaf
                 # oblivious: allow[OBL001] stash-capacity check: overflow is
                 # the protocol's stated failure event and aborts the run
@@ -391,10 +363,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                     evict_leaf = reverse_lexicographic_leaf(evict_counter, depth)
                     evict_counter += 1
                     fetch(read_ids, tags, stash_map, evict_leaf)
-                    dummy_reads += 1
-                    buckets_read += path_buckets
-                    bytes_read += path_bytes
-                    elapsed += dt_path
+                    evict_reads += 1
                     # oblivious: allow[OBL001] stash-capacity check: overflow
                     # aborts the run loudly
                     if capacity is not None and len(stash_map) > capacity:
@@ -412,10 +381,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                         depth,
                         evict_leaf,
                     )
-                    path_writes += 1
-                    buckets_written += path_buckets
-                    bytes_written += path_bytes
-                    elapsed += dt_path
+                    evict_writes += 1
                     read_counts[path_nodes(evict_leaf)] = 0
 
                 # Reshuffle any bucket on the accessed path whose dummies
@@ -439,14 +405,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
                 if counts_list is not None:
                     for level, count in enumerate(counts_list):
                         if count >= dummies_per_bucket:
-                            dummy_reads += 1
-                            path_writes += 1
-                            buckets_read += 1
-                            buckets_written += 1
-                            slot_bytes = reshuffle_bytes[level]
-                            bytes_read += slot_bytes
-                            bytes_written += slot_bytes
-                            elapsed += dt_reshuffle[level]
+                            reshuffles[level] += 1
                             node = (
                                 nodes.item(level)
                                 if nodes_list is None
@@ -466,17 +425,31 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
             self._leaf_buf_pos = leaf_pos
             self._access_count = access_count
             self._evict_counter = evict_counter
+            # Evict-paths move whole paths: the shared flush.
+            self._flush_counts(logical, 0, evict_writes, evict_reads, stash_peak)
+            # What only RingORAM has: one block per bucket online, and a
+            # reshuffled bucket read and rewritten in one transfer.
+            online = real_online + dummy_online
+            online_buckets = depth + 1
+            online_bytes = online_buckets * tree.stored_block_bytes
+            shuffled = sum(reshuffles)
+            shuffled_bytes = 0
+            timing = self.timing
+            if online:
+                timing.charge_path_transfer(online_buckets, online_bytes, online)
+            for level, count in enumerate(reshuffles):
+                if count:
+                    slot_bytes = self._reshuffle_bytes(level)
+                    shuffled_bytes += count * slot_bytes
+                    timing.charge_path_transfer(1, 2 * slot_bytes, count)
             counter.add_bulk(
-                logical,
-                path_reads,
-                path_writes,
-                dummy_reads,
-                buckets_read,
-                buckets_written,
-                bytes_read,
-                bytes_written,
-                stash_peak,
                 0,
+                real_online,
+                shuffled,
+                dummy_online + shuffled,
+                online * online_buckets + shuffled,
+                shuffled,
+                online * online_bytes + shuffled_bytes,
+                shuffled_bytes,
             )
-            timing.set_elapsed(elapsed)
         return results

@@ -1,4 +1,4 @@
-"""Known-bad fused drivers: deferred counters escape the finally block."""
+"""Known-bad fused drivers: deferred counts escape the finally block."""
 
 
 class NoFlushDriver:
@@ -26,4 +26,18 @@ class WrongClauseDriver:
                 logical += 1
         except ValueError:
             counter.add_bulk(logical)
+        return logical
+
+
+class CountersOnlyFlushDriver:
+    # The clock is part of the flush: charged after the finally, a raise
+    # mid-trace leaves simulated time behind the counted traffic.
+    def _run_trace_fused(self, ids, counter, timing):  # EXPECT: CNT001
+        logical = 0
+        try:
+            for _block_id in ids:
+                logical += 1
+        finally:
+            counter.add_bulk(logical)
+        timing.charge_client_overhead(logical)
         return logical

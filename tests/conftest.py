@@ -46,3 +46,41 @@ def permutation_trace():
 def rng() -> np.random.Generator:
     """Seeded generator for test-local randomness."""
     return np.random.default_rng(1234)
+
+
+def closed_form_clock(engine) -> float:
+    """Simulated seconds as ``TrafficSnapshot`` and tree geometry spell them.
+
+    Independent of the timing model's own ledger: that groups charges by
+    transfer class, this groups by snapshot field (the model is linear in
+    requests, bucket activations and bytes), so the two round differently
+    and agree to ~1e-15, not bit for bit.  A charge that is lost, repeated
+    or priced at another class's geometry shows at 1e-12.
+    """
+    snap, timing = engine.statistics, engine.timing
+    requests = snap.path_reads + snap.dummy_reads + snap.path_writes
+    activations = snap.buckets_read + snap.buckets_written
+    # RingORAM's reshuffle is counted as a read and a write of one bucket
+    # but is one request activating one row.  Every other write moves a
+    # whole path of depth + 1 buckets, so the written-bucket total says how
+    # many of each there were (none outside RingORAM).
+    full_writes = (snap.buckets_written - snap.path_writes) // engine.config.depth
+    reshuffles = snap.path_writes - full_writes
+    requests -= reshuffles
+    activations -= reshuffles
+    moved = snap.total_bytes + snap.posmap_total_bytes
+    requests += snap.posmap_path_reads + snap.posmap_path_writes
+    if snap.posmap_total_bytes:
+        # Recursion trees differ in depth but share one bucket shape.
+        tree = engine.position_map._levels[0].tree
+        bucket_bytes = tree.bucket_capacities[0] * tree.stored_block_bytes
+        assert snap.posmap_total_bytes % bucket_bytes == 0
+        activations += snap.posmap_total_bytes // bucket_bytes
+    dram, link = timing.dram, timing.interconnect
+    return (
+        snap.logical_accesses * timing.client_overhead_us * 1e-6
+        + requests * link.request_latency_us * 1e-6
+        + activations * dram.row_access_latency_ns * 1e-9
+        + moved / dram.bandwidth_bytes_per_s
+        + moved / link.bandwidth_bytes_per_s
+    )

@@ -109,9 +109,9 @@ class TestPositionMap:
         pmap.set(3, 5)
         assert pmap.get(3) == 5
 
-    def test_get_many_vectorised(self):
+    def test_peek_many_vectorised(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
-        many = pmap.get_many([0, 1, 2])
+        many = pmap.peek_many([0, 1, 2])
         assert many.shape == (3,)
 
     def test_out_of_range_block_rejected(self):
@@ -119,7 +119,7 @@ class TestPositionMap:
         with pytest.raises(BlockNotFoundError):
             pmap.get(10)
         with pytest.raises(BlockNotFoundError):
-            pmap.get_many([0, 99])
+            pmap.peek_many([0, 99])
 
     def test_out_of_range_leaf_rejected(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
@@ -138,9 +138,9 @@ class TestPositionMap:
     def test_non_integer_ids_rejected(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            pmap.get_many(np.array([0.0, 1.0]))
+            pmap.peek_many(np.array([0.0, 1.0]))
         with pytest.raises(ConfigurationError):
-            pmap.set_many(np.array([0.5, 1.5]), [2, 3])
+            pmap.load_many(np.array([0.5, 1.5]), [2, 3])
 
     def test_non_integer_leaves_rejected(self):
         # Float leaves used to be silently truncated into the int64 array;
@@ -149,21 +149,21 @@ class TestPositionMap:
         pmap = PositionMap(10, 8, np.random.default_rng(0))
         before = pmap.as_array()
         with pytest.raises(ConfigurationError):
-            pmap.set_many([0, 1], np.array([2.7, 3.2]))
+            pmap.load_many([0, 1], np.array([2.7, 3.2]))
         assert np.array_equal(pmap.as_array(), before)  # nothing was written
 
-    def test_set_many_out_of_range_matches_scalar_exceptions(self):
+    def test_load_many_out_of_range_matches_scalar_exceptions(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
         with pytest.raises(BlockNotFoundError):
-            pmap.set_many([0, 99], [1, 2])
+            pmap.load_many([0, 99], [1, 2])
         with pytest.raises(ConfigurationError):
-            pmap.set_many([0, 1], [1, 8])
+            pmap.load_many([0, 1], [1, 8])
 
     def test_empty_batches_allowed(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
         before = pmap.as_array()
-        pmap.set_many([], [])
-        assert pmap.get_many([]).size == 0
+        pmap.load_many([], [])
+        assert pmap.peek_many([]).size == 0
         assert np.array_equal(pmap.as_array(), before)
 
     def test_peek_and_load_channel(self):

@@ -22,6 +22,7 @@ from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine
 from repro.oram.path_oram import PathORAM
 
+from conftest import closed_form_clock
 from test_trace_contract import assert_twins_agree, tree_layout
 
 
@@ -308,6 +309,51 @@ class TestPlanConformance:
         assert_twins_agree(*engines)
 
 
+class TestPlanAlignment:
+    """Planned bins end where executed bins do: on global superblock boundaries."""
+
+    @staticmethod
+    def paths_per_row(client, served_before: int) -> float:
+        # Fat/S8 over 2^14 blocks; the trace is what a trainer issues: each
+        # minibatch of 32 rows is fetched, then written back.
+        oram = ORAMConfig(num_blocks=1 << 14, fat_tree=True, seed=3)
+        engine = client(LAORAMConfig(oram=oram, superblock_size=8))
+        ids = ZipfTraceGenerator(1 << 14, exponent=1.1, seed=5).generate(1 << 14)
+        trace = np.concatenate(
+            [np.tile(ids.addresses[at : at + 32], 2) for at in range(0, 1 << 14, 32)]
+        )
+        engine.access_many(np.arange(served_before))
+        before = engine.statistics.path_reads
+        engine.preprocess(trace, start_index=engine.trace_cursor)
+        engine.access_many(trace)
+        return (engine.statistics.path_reads - before) / len(trace)
+
+    @pytest.mark.parametrize("client", CLIENTS)
+    def test_a_plan_starting_off_a_boundary_coalesces_like_an_aligned_one(self, client):
+        # Cut at start_index + k*S, every executed bin straddled two planned
+        # ones for the whole window: 0.34 paths per row against 0.22.
+        aligned = self.paths_per_row(client, served_before=8)
+        shifted = self.paths_per_row(client, served_before=4)
+        assert shifted <= 0.24
+        assert shifted <= 1.02 * aligned
+
+    @pytest.mark.parametrize("client", CLIENTS)
+    def test_window_bins_follow_the_global_boundaries(self, client, config):
+        engine = client(config)
+        engine.access_many([1, 2, 3, 4, 5, 6])
+        plan = engine.preprocess(np.arange(20, 31), start_index=engine.trace_cursor)
+        # S=4 from index 6: a short first bin up to 8, then 8..12, 12..16, 16..17.
+        assert [(b.start_index, len(b)) for b in plan.bins] == [
+            (6, 2), (8, 4), (12, 4), (16, 1),
+        ]
+        assert len(plan) == 4
+        assert [ids.tolist() for _, ids, _ in plan.iter_bin_arrays()] == [
+            list(b.block_ids) for b in plan.bins
+        ]
+        remaps, _ = plan.plan_bin_remaps()
+        assert [len(r) for r in remaps] == [2, 4, 4, 1]
+
+
 class TestPlanFallback:
     def test_single_access_without_plan_behaves_like_pathoram(self, config):
         client = LAORAMClient(config)
@@ -346,32 +392,11 @@ class TestKernelFailurePaths:
         assert sorted(seen) == list(range(num_blocks))
         assert engine.total_real_blocks() == num_blocks
 
-    @staticmethod
-    def closed_form_clock(engine) -> float:
-        """The clock as its counters spell it (one geometry per layer)."""
-        snap, timing = engine.statistics, engine.timing
-        clock = snap.logical_accesses * timing.client_overhead_us * 1e-6
-        clock += (
-            snap.path_reads + snap.dummy_reads + snap.path_writes
-        ) * timing.path_transfer_delta(*engine.tree.path_cost(0))
-        if snap.posmap_path_reads:
-            (level,) = engine.position_map._levels
-            clock += (
-                snap.posmap_path_reads + snap.posmap_path_writes
-            ) * timing.path_transfer_delta(level.path_buckets, level.path_bytes)
-        return clock
-
     @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
     def test_overflow_mid_bin_loses_no_block(self, recursive):
         # Plan-free S8 bins read up to eight paths before writing any back:
         # the third bin outgrows a 30-block stash on its fifth path.
         config = placement_config(8, recursive, stash_capacity=30)
-        if recursive:
-            # One recursion level, so the clock has a closed form.
-            config = LAORAMConfig(
-                oram=config.oram.with_overrides(posmap_cutoff_bytes=512),
-                superblock_size=8,
-            )
         engine = FastLAORAMClient(config)
         trace = np.random.default_rng(4).integers(0, 256, size=400)
         with pytest.raises(StashOverflowError):
@@ -387,7 +412,7 @@ class TestKernelFailurePaths:
         assert len(engine.stash) > 30
         self.conserved(engine)
         assert engine.simulated_time_s == pytest.approx(
-            self.closed_form_clock(engine), rel=1e-9
+            closed_form_clock(engine), rel=1e-12
         )
         # Counters sit between an unbounded twin's just before and just
         # after the failing bin.
@@ -410,7 +435,7 @@ class TestKernelFailurePaths:
         assert engine.trace_cursor == 24
         self.conserved(engine)
         assert engine.simulated_time_s == pytest.approx(
-            self.closed_form_clock(engine), rel=1e-9
+            closed_form_clock(engine), rel=1e-12
         )
 
     @pytest.mark.parametrize("drive", ["access", "generic loop"])
@@ -440,7 +465,7 @@ class TestKernelFailurePaths:
         assert len(engine.stash) > 12
         self.conserved(engine)
         assert engine.simulated_time_s == pytest.approx(
-            self.closed_form_clock(engine), rel=1e-9
+            closed_form_clock(engine), rel=1e-12
         )
         # Stash hits fetch nothing, so the over-full engine serves them.
         hits = engine.stash_hits
@@ -448,7 +473,7 @@ class TestKernelFailurePaths:
         assert engine.stash_hits == hits + 8
         self.conserved(engine)
         assert engine.simulated_time_s == pytest.approx(
-            self.closed_form_clock(engine), rel=1e-9
+            closed_form_clock(engine), rel=1e-12
         )
 
     @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])

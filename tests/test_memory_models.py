@@ -45,24 +45,28 @@ class TestInterconnectModel:
 class TestTimingModel:
     def test_elapsed_accumulates(self):
         timing = TimingModel()
-        first = timing.charge_path_transfer(10, 4096)
-        second = timing.charge_path_transfer(10, 4096)
-        assert timing.elapsed_s == pytest.approx(first + second)
+        timing.charge_path_transfer(10, 4096)
+        timing.charge_path_transfer(10, 4096)
+        assert timing.elapsed_s == pytest.approx(
+            2 * timing.path_transfer_delta(10, 4096)
+        )
+
+    def test_elapsed_is_free_of_charge_order_and_grouping(self):
+        # 0.1-style deltas: a running float sum differs between these two.
+        one_by_one, grouped = TimingModel(), TimingModel()
+        for _ in range(1000):
+            one_by_one.charge_client_overhead()
+            one_by_one.charge_path_transfer(13, 7777)
+            one_by_one.charge_path_transfer(1, 96)
+        grouped.charge_path_transfer(1, 96, count=1000)
+        grouped.charge_path_transfer(13, 7777, count=1000)
+        grouped.charge_client_overhead(1000)
+        assert one_by_one.elapsed_s == grouped.elapsed_s > 0.0
 
     def test_client_overhead(self):
         timing = TimingModel(client_overhead_us=5.0)
         timing.charge_client_overhead(4)
         assert timing.elapsed_s == pytest.approx(20e-6)
-
-    def test_charge_arbitrary_seconds(self):
-        timing = TimingModel()
-        timing.charge_seconds(0.5)
-        assert timing.elapsed_s == pytest.approx(0.5)
-
-    def test_negative_charge_rejected(self):
-        timing = TimingModel()
-        with pytest.raises(ValueError):
-            timing.charge_seconds(-1.0)
 
     def test_reset(self):
         timing = TimingModel()
@@ -72,6 +76,6 @@ class TestTimingModel:
 
     def test_bigger_paths_cost_more(self):
         timing = TimingModel()
-        small = timing.charge_path_transfer(10, 1024)
-        large = timing.charge_path_transfer(10, 1024 * 1024)
+        small = timing.path_transfer_delta(10, 1024)
+        large = timing.path_transfer_delta(10, 1024 * 1024)
         assert large > small

@@ -38,8 +38,8 @@ from repro.experiments.recursion import (
 from repro.memory.accounting import TrafficCounter, merge_snapshots
 from repro.oram.base import ObliviousMemory
 from repro.oram.position_map import PositionMap
-from repro.oram.recursive_posmap import RecursivePositionMap
 from repro.utils.stats import chi_square_uniformity
+from conftest import closed_form_clock
 from test_trace_contract import engine_state
 
 NUM_BLOCKS = 256
@@ -100,7 +100,7 @@ def make_map(
     counter=None,
     record_streams=False,
 ):
-    return RecursivePositionMap(
+    return PositionMap(
         num_blocks,
         num_leaves,
         rng=np.random.default_rng(seed),
@@ -183,19 +183,6 @@ class TestChargingModel:
         assert pmap.peek(3) == 9
         assert pmap.peek_many([4, 5]).tolist() == [6, 7]
 
-    def test_get_many_set_many_round_trip(self):
-        counter = TrafficCounter()
-        pmap = make_map(counter=counter)
-        ids = np.arange(40, 80, dtype=np.int64)
-        old = pmap.get_many(ids)
-        assert old.shape == ids.shape
-        new = np.arange(40, dtype=np.int64) % pmap.num_leaves
-        walks_after_get = counter.posmap_path_reads
-        pmap.set_many(ids, new)
-        # Every set consumed the entitlement of its get: no extra walks.
-        assert counter.posmap_path_reads == walks_after_get
-        assert np.array_equal(pmap.peek_many(ids), new)
-
     def test_degenerate_map_below_cutoff_is_dense(self):
         counter = TrafficCounter()
         pmap = make_map(num_blocks=64, num_leaves=32, cutoff=1 << 16,
@@ -204,18 +191,18 @@ class TestChargingModel:
         pmap.set(1, pmap.get(1))
         assert counter.snapshot().posmap_total_bytes == 0
 
-    def test_validation_matches_dense_exception_types(self):
+    def test_validation_exception_types(self):
         pmap = make_map(num_blocks=64, num_leaves=32, cutoff=64)
         with pytest.raises(BlockNotFoundError):
             pmap.get(64)
         with pytest.raises(BlockNotFoundError):
-            pmap.get_many([0, 64])
+            pmap.peek_many([0, 64])
         with pytest.raises(ConfigurationError):
             pmap.set(0, 32)
         with pytest.raises(ConfigurationError):
-            pmap.set_many([0, 1], [0.5, 1.5])
+            pmap.load_many([0, 1], [0.5, 1.5])
         with pytest.raises(ConfigurationError):
-            pmap.get_many(np.array([0.0, 1.0]))
+            pmap.peek_many(np.array([0.0, 1.0]))
         with pytest.raises(BlockNotFoundError):
             pmap.load(-1, 0)
         with pytest.raises(ConfigurationError):
@@ -338,10 +325,10 @@ class TestAmortizationExperiment:
 class TestFailurePathsUnderRecursion:
     """A raise mid-trace leaves a recursive fast engine consistent.
 
-    The fused drivers defer counters and the clock in locals while the
-    recursion walks charge the engine's ``counter`` / ``timing`` directly,
-    so every exit — the driver's own raises and a raise from inside a walk
-    — must flush both without losing or repeating a charge.
+    The fused drivers defer their counts in locals while the recursion
+    walks charge the engine's ``counter`` / ``timing`` directly, so every
+    exit — the driver's own raises and a raise from inside a walk — must
+    flush without losing or repeating a charge.
     """
 
     FUSED_LABELS = ("PathORAM", "RingORAM", "PrORAM-dynamic/S2")
@@ -469,26 +456,12 @@ class TestFailurePathsUnderRecursion:
             self.assert_consistent(engine)
 
     def test_pathoram_clock_matches_its_counters_and_resumes(self):
-        # One tree geometry per layer, so the clock is a closed form of the
-        # counters: a walk charge lost to a stale deferred clock, or one
-        # counted twice, breaks the equality.
         engine = self.build("PathORAM", stash_capacity=10)
         with pytest.raises(StashOverflowError):
             engine.run_trace(self.trace())
-
-        def expected_clock() -> float:
-            snap = engine.statistics
-            timing = engine.timing
-            level = engine.position_map._levels[0]
-            main = timing.path_transfer_delta(*engine.tree.path_cost(0))
-            walk = timing.path_transfer_delta(level.path_buckets, level.path_bytes)
-            return (
-                snap.logical_accesses * timing.client_overhead_us * 1e-6
-                + (snap.path_reads + snap.dummy_reads + snap.path_writes) * main
-                + (snap.posmap_path_reads + snap.posmap_path_writes) * walk
-            )
-
-        assert engine.simulated_time_s == pytest.approx(expected_clock(), rel=1e-9)
+        assert engine.simulated_time_s == pytest.approx(
+            closed_form_clock(engine), rel=1e-12
+        )
         # Stash hits fetch nothing, so the over-full engine serves them —
         # each remap a standalone charged walk.
         resident = list(engine.stash.block_ids)
@@ -496,5 +469,7 @@ class TestFailurePathsUnderRecursion:
         engine.run_trace(resident)
         assert engine.stash_hits >= len(resident)
         assert engine.statistics.posmap_path_reads > walks
-        assert engine.simulated_time_s == pytest.approx(expected_clock(), rel=1e-9)
+        assert engine.simulated_time_s == pytest.approx(
+            closed_form_clock(engine), rel=1e-12
+        )
         self.assert_consistent(engine)

@@ -16,11 +16,17 @@ import numpy as np
 import pytest
 
 from repro.core.superblock import SuperblockBin
-from repro.exceptions import ConfigurationError
+from repro.exceptions import (
+    ConfigurationError,
+    IntegrityError,
+    StashOverflowError,
+)
 from repro.experiments.configs import build_engine, build_oram_config
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.engine import ArrayStorageEngine
+
+from conftest import closed_form_clock
 
 NUM_BLOCKS = 128
 DIM = 4
@@ -232,8 +238,8 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
     # The fused driver ran, whichever map the engine holds: no fallback.
     assert calls == ([] if driver is None else [type(fast.position_map).__name__])
     assert list(got) == list(want)
-    # simulated_time_s compares as a float: the drivers' deferred clock and
-    # the walks' direct charges interleave in the generic loop's order.
+    # simulated_time_s compares with ==: the clock is the closed form of
+    # integer charge counts, whatever order and grouping they arrived in.
     assert engine_state(fast) == engine_state(oracle)
     assert (fast.statistics.posmap_path_reads > 0) == recursive
 
@@ -420,3 +426,97 @@ def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
     assert engine.statistics.logical_accesses == 103
     assert engine.statistics.background_evictions > 0
     assert engine.total_real_blocks() == NUM_BLOCKS
+
+
+# ----------------------------------------------------------------------
+# One clock: the closed form of the counters, on every engine
+# ----------------------------------------------------------------------
+#: One label per family; RingORAM on a fat tree, so its reshuffles fall
+#: into one transfer class per bucket size.
+CLOCK_LABELS = ("PathORAM", "RingORAM", "PrORAM-dynamic/S2", "Fat/S8")
+
+
+@pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+@pytest.mark.parametrize("label", CLOCK_LABELS)
+def test_the_clock_is_the_closed_form_of_the_counters(label, recursive):
+    """Through every entry point and both failure paths, on both twins.
+
+    ``closed_form_clock`` prices the snapshot's totals; the engine prices
+    its charges class by class.  They meet at 1e-12 only if every event was
+    charged once, at its own geometry — main-tree paths, each recursion
+    level's paths, RingORAM's online reads, evict-paths and per-level
+    reshuffles — by the reference engine one event at a time and by the
+    array engine once per driver call, and twins meet with ``==``.
+    """
+    trace = mixed_trace()
+    rows = [("written", i) for i in range(len(trace))]
+    lookahead = label in LOOKAHEAD_LABELS
+
+    def checked(engine) -> dict:
+        assert engine.simulated_time_s == pytest.approx(
+            closed_form_clock(engine), rel=1e-12
+        )
+        return engine_state(engine)
+
+    def serve(engine) -> None:
+        for block_id in trace[:60].tolist():
+            engine.access(block_id)
+        engine.dummy_access()
+        if lookahead:
+            engine.run_trace(trace[60:260])
+        else:
+            ops = [AccessOp.WRITE if i % 3 == 0 else AccessOp.READ for i in range(200)]
+            engine.run_trace(trace[60:260], ops, rows[:200])
+        engine.write_many(trace[260:330], rows[:70])
+        engine.access_many(trace[330:420])
+
+    twins = []
+    for fast in (False, True):
+        config = build_oram_config(
+            num_blocks=NUM_BLOCKS,
+            block_size_bytes=4 * DIM,
+            fat_tree=True,
+            seed=17,
+            recursive_posmap=recursive,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=128,
+        )
+        twins.append(build_engine(label, config, fast=fast))
+    for engine in twins:
+        serve(engine)
+    assert_twins_agree(*map(checked, twins))
+    assert twins[0].statistics.dummy_reads > 0
+    assert (twins[0].statistics.posmap_path_reads > 0) == recursive
+
+    if recursive:
+        # A raise from inside a walk: the top map sends the walk for one
+        # last-level block down the other half of its tree, where it reads
+        # (and charges) a path, misses the block and raises inside the
+        # driver's get_leaf.
+        for engine in twins:
+            posmap = engine.position_map
+            level = posmap._levels[-1]
+            below_root = level.tree.slot_array[level.tree.bucket_capacities[0] :]
+            victim = int(below_root[below_root >= 0][0])
+            posmap._top[victim] ^= level.num_leaves >> 1
+            span = posmap.positions_per_block ** posmap.num_levels
+            target = next(
+                b for b in range(victim * span, (victim + 1) * span)
+                if b not in engine.stash
+            )
+            with pytest.raises(IntegrityError):
+                engine.access_many([target])
+            # The walk failed before it moved anything but the top entry.
+            posmap._top[victim] = level.labels[victim]
+        assert_twins_agree(*map(checked, twins))
+
+    # A stash overflow mid-trace.  The backends check at different points
+    # (the reference stash refuses the insertion, the array stash takes the
+    # path and then raises), so twins part here; each keeps its own books.
+    for engine in twins:
+        engine.stash._capacity = len(engine.stash) + 4
+        served = engine.statistics.logical_accesses
+        with pytest.raises(StashOverflowError):
+            engine.access_many(trace[420:])
+        assert served < engine.statistics.logical_accesses
+        checked(engine)

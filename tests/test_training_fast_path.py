@@ -37,8 +37,10 @@ def _xlmr_run(label, seed, fast, sequence_length=12):
     )
 
 
-def _dlrm_run(label, seed, fast):
-    dataset = SyntheticCriteoDataset(48, largest_table_rows=ROWS, seed=seed)
+def _dlrm_run(
+    label, seed, fast, samples=48, rows=ROWS, max_samples=None, batch_size=8
+):
+    dataset = SyntheticCriteoDataset(samples, largest_table_rows=rows, seed=seed)
     protected = dataset.largest_table_index
     small = tuple(
         size for index, size in enumerate(dataset.table_sizes) if index != protected
@@ -48,16 +50,19 @@ def _dlrm_run(label, seed, fast):
         label,
         seed,
         fast,
-        lambda trainer: trainer.train_dlrm_epoch(model, dataset, batch_size=8),
+        lambda trainer: trainer.train_dlrm_epoch(
+            model, dataset, max_samples=max_samples, batch_size=batch_size
+        ),
+        rows=rows,
     )
 
 
-def _train(label, seed, fast, epoch):
+def _train(label, seed, fast, epoch, rows=ROWS):
     """Two consecutive epochs; returns reports, counters, plan and weights."""
     engine = build_engine(
-        label, build_oram_config(ROWS, block_size_bytes=4 * DIM, seed=seed), fast=fast
+        label, build_oram_config(rows, block_size_bytes=4 * DIM, seed=seed), fast=fast
     )
-    store = SecureEmbeddingStore(engine, EmbeddingTable(ROWS, DIM, seed=seed))
+    store = SecureEmbeddingStore(engine, EmbeddingTable(rows, DIM, seed=seed))
     trainer = ObliviousEmbeddingTrainer(store)
     reports = []
     plans = []
@@ -100,3 +105,25 @@ def test_plan_coalesces_a_superblock_into_about_one_path(label):
     superblock_size = int(label.rpartition("/S")[2])
     first = reports[0]
     assert first.path_reads <= 1.25 * first.embedding_accesses / superblock_size
+
+
+def test_a_second_epoch_starting_off_a_superblock_boundary_stays_coalesced():
+    """2 x 510 accesses leave epoch 2 starting four rows into a superblock.
+
+    Its plan must be cut where its bins are executed — on the global
+    boundaries — or every executed bin straddles two planned ones for the
+    whole epoch (1.3x an aligned second epoch's path reads; 1.07x now, the
+    rest being the half bins at the two ends of each 32-row request).
+    """
+    def second_epoch(max_samples, fast=True):
+        reports, _, statistics, _ = _dlrm_run(
+            "Fat/S8", 0, fast, samples=512, rows=4096,
+            max_samples=max_samples, batch_size=32,
+        )
+        assert reports[0].embedding_accesses == 2 * max_samples
+        return reports[1].path_reads / reports[1].embedding_accesses, statistics
+
+    aligned, _ = second_epoch(512)
+    shifted, fast_statistics = second_epoch(510)
+    assert shifted <= 1.15 * aligned
+    assert second_epoch(510, fast=False) == (shifted, fast_statistics)
