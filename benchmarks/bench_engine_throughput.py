@@ -289,6 +289,12 @@ def bench_recursion(family, label, oram_config, trace, args):
         f"posmap bytes/access {posmap_bytes_per_access:.0f} | "
         f"client mem {dense_cmb:,}B -> {rec_cmb:,}B"
     )
+    print(
+        f"[{family:9s}] label {geometry[0]['label_bytes']}B | "
+        f"block {geometry[0]['block_bytes']}B | path bytes/level "
+        f"{[level['path_bytes'] for level in geometry]} | "
+        f"top map {posmap.top_map_bytes:,}B"
+    )
 
     passed = True
     leaves_identical = bool(np.array_equal(dense_leaves, rec_leaves))
@@ -340,6 +346,7 @@ def bench_recursion(family, label, oram_config, trace, args):
         "cutoff_bytes": args.posmap_cutoff_bytes,
         "num_levels": posmap.num_levels,
         "geometry": geometry,
+        "top_map_bytes": posmap.top_map_bytes,
         "dense_rate": dense_rate,
         "recursive_rate": rec_rate,
         "slowdown": slowdown,

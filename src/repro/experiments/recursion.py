@@ -56,6 +56,9 @@ class RecursionAmortizationRow:
     num_accesses: int
     num_levels: int
     positions_per_block: int
+    label_bytes: int
+    block_bytes: int
+    top_map_bytes: int
     posmap_walks: int
     posmap_bytes: int
     main_tree_bytes: int
@@ -147,8 +150,11 @@ def run_recursion_amortization(
                 trace.addresses,
             )
             snapshot = recursive.statistics
+            posmap = recursive.position_map
+            # Every level packs the same block: chi labels plus metadata.
+            level = posmap.geometry()[0]
             identical = bool(
-                np.array_equal(dense_leaves, recursive.position_map.as_array())
+                np.array_equal(dense_leaves, posmap.as_array())
             ) and all(
                 getattr(dense_snapshot, name) == getattr(snapshot, name)
                 for name in _CORE_FIELDS
@@ -159,8 +165,11 @@ def run_recursion_amortization(
                     label=label,
                     num_blocks=num_blocks,
                     num_accesses=num_accesses,
-                    num_levels=recursive.position_map.num_levels,
+                    num_levels=posmap.num_levels,
                     positions_per_block=positions_per_block,
+                    label_bytes=level["label_bytes"],
+                    block_bytes=level["block_bytes"],
+                    top_map_bytes=posmap.top_map_bytes,
                     posmap_walks=snapshot.posmap_path_reads,
                     posmap_bytes=snapshot.posmap_total_bytes,
                     main_tree_bytes=snapshot.bytes_read
@@ -185,6 +194,9 @@ def render_recursion_table(
             row.family,
             str(row.num_blocks),
             str(row.num_levels),
+            str(row.label_bytes),
+            str(row.block_bytes),
+            str(row.top_map_bytes),
             f"{row.walks_per_access:.3f}",
             f"{100 * row.posmap_traffic_fraction:.1f}%",
             f"{row.client_memory_reduction:.0f}x",
@@ -197,6 +209,9 @@ def render_recursion_table(
             "family",
             "blocks",
             "levels",
+            "label B",
+            "block B",
+            "top map B",
             "walks/access",
             "posmap/main traffic",
             "client-mem reduction",

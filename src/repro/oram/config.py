@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
+from repro.oram.position_map import LABEL_BYTES, LABEL_DTYPE
 from repro.utils.bits import num_leaves, num_nodes, required_depth
 
 
@@ -137,8 +138,11 @@ class ORAMConfig:
             raise ConfigurationError("metadata_bytes_per_block must be >= 0")
         if self.posmap_positions_per_block < 2:
             raise ConfigurationError("posmap_positions_per_block must be >= 2")
-        if self.posmap_cutoff_bytes < 8:
-            raise ConfigurationError("posmap_cutoff_bytes must be >= 8")
+        if self.posmap_cutoff_bytes < LABEL_BYTES:
+            raise ConfigurationError(
+                f"posmap_cutoff_bytes must be >= {LABEL_BYTES}, the bytes of "
+                f"one leaf label ({LABEL_DTYPE.name})"
+            )
 
     # ------------------------------------------------------------------
     # Derived geometry

@@ -6,8 +6,18 @@ whose own position map recurses the same way, and the recursion ends at an
 array small enough to keep in trusted client memory.  :class:`PositionMap`
 is that definition.  With no ``cutoff_bytes`` budget the base case is
 reached at once: no recursion level, and the map is the dense array of one
-8-byte label per block the client holds (hundreds of MB at the paper's DLRM
+label per block the client holds (GPU HBM in the paper: 32–64 MB at its DLRM
 scale of 8M–16M rows — the gap the recursion closes).
+
+Label width.  A label names one of ``num_leaves`` ≤ 2^31 paths, so it is
+stored — and charged — as :data:`LABEL_DTYPE`, four bytes, the width
+PathORAM's recursion packs labels at.  Every byte figure follows from its
+``itemsize`` (:data:`LABEL_BYTES`): a recursion block is ``χ · LABEL_BYTES``
+of payload, a level is added while ``entries · LABEL_BYTES`` exceeds the
+budget, and the client footprint is the ``nbytes`` of what the client holds.
+Arrays that leave the class (:meth:`PositionMap.peek_many`,
+:meth:`PositionMap.as_array`) are ``int64``, so no caller's arithmetic
+narrows.
 
 Geometry.  With ``n`` logical blocks, recursion level ``k`` (1-based)
 holds ``m_k = ceil(m_{k-1} / χ)`` blocks (``m_0 = n``); level-``k`` block
@@ -40,7 +50,8 @@ RNG call whatever the level count, so an engine consumes its stream
 identically dense or recursive and makes bit-identical decisions.
 All recursion-internal label draws come from independent generators
 spawned off the seed (:func:`repro.utils.rng.spawn_rngs`), never from the
-engine stream.
+engine stream; each level takes them :data:`DRAW_BLOCK` at a time, as the
+array engines take the main tree's.
 """
 
 from __future__ import annotations
@@ -59,6 +70,21 @@ from repro.oram.tree import ArrayTreeStorage
 from repro.oram.write_back import fused_fetch, fused_greedy_write_back
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
+
+#: How a leaf label is stored, packed into recursion blocks and charged.
+LABEL_DTYPE = np.dtype(np.int32)
+#: Bytes of one stored label; every byte figure of the map derives from it.
+LABEL_BYTES = LABEL_DTYPE.itemsize
+#: Largest tree whose labels fit :data:`LABEL_DTYPE`.
+MAX_NUM_LEAVES = int(np.iinfo(LABEL_DTYPE).max) + 1
+#: Fresh recursion labels drawn per vectorized RNG call, per level.
+DRAW_BLOCK = 512
+
+
+def _label_draws(rng: np.random.Generator, num_leaves: int):
+    """Endless uniform labels from ``rng``, :data:`DRAW_BLOCK` to a call."""
+    while True:
+        yield from rng.integers(0, num_leaves, size=DRAW_BLOCK).tolist()
 
 
 def _as_int_array(values, label: str) -> np.ndarray:
@@ -96,18 +122,12 @@ class _RecursionLevel:
         "tree",
         "stash",
         "labels",
-        "rng",
+        "draw",
         "num_leaves",
         "num_blocks",
         "path_buckets",
         "path_bytes",
         "depth",
-        "slots",
-        "occ",
-        "caps",
-        "level_base",
-        "node_base",
-        "groups",
         "read_stream",
     )
 
@@ -115,44 +135,35 @@ class _RecursionLevel:
         self,
         num_blocks: int,
         bucket_size: int,
-        label_bytes: int,
+        positions_per_block: int,
         metadata_bytes_per_block: int,
         rng: np.random.Generator,
+        record_stream: bool,
     ):
         depth = required_depth(num_blocks)
         self.tree = ArrayTreeStorage(
             depth=depth,
             bucket_capacities=tuple(bucket_size for _ in range(depth + 1)),
-            block_size_bytes=label_bytes,
+            block_size_bytes=positions_per_block * LABEL_BYTES,
             metadata_bytes_per_block=metadata_bytes_per_block,
         )
         self.num_blocks = num_blocks
         self.num_leaves = self.tree.num_leaves
         self.depth = depth
-        self.rng = rng
         self.path_buckets, self.path_bytes = self.tree.path_cost(0)
         # Server-side metadata mirror: a block's (id, leaf) tag travels with
         # it on the wire, so labels of path-fetched blocks are readable
         # without an oblivious lookup.  Not client memory.
-        self.labels = rng.integers(
-            0, self.num_leaves, size=num_blocks, dtype=np.int64
-        )
-        overflow = self.tree.bulk_place(self.labels)
+        labels = rng.integers(0, self.num_leaves, size=num_blocks, dtype=np.int64)
+        overflow = self.tree.bulk_place(labels)
+        self.labels = labels.astype(LABEL_DTYPE)
         self.stash = {
-            int(block): int(self.labels[block]) for block in overflow.tolist()
+            int(block): int(labels[block]) for block in overflow.tolist()
         }
-        # Bound fused write-back operands (same shape the trace drivers use).
-        self.slots = self.tree.slot_array
-        self.occ = self.tree.bucket_occupancies
-        self.caps = self.tree.bucket_capacities
-        self.level_base = self.tree.level_base
-        self.node_base = [(1 << level) - 1 for level in range(depth + 1)]
-        self.groups = [[] for _ in range(depth + 1)]
-        self.read_stream: Optional[list[int]] = None
-
-    def client_memory_bytes(self, positions_per_block: int) -> int:
-        """Stash residue: χ packed labels plus the id/leaf bookkeeping."""
-        return len(self.stash) * (positions_per_block * 8 + 16)
+        #: The next fresh label of one of this level's blocks.
+        self.draw = _label_draws(rng, self.num_leaves).__next__
+        #: Leaves of the paths read, when the map records its streams.
+        self.read_stream: Optional[list[int]] = [] if record_stream else None
 
 
 class PositionMap:
@@ -187,75 +198,84 @@ class PositionMap:
             raise ConfigurationError("num_blocks must be >= 1")
         if num_leaves < 2:
             raise ConfigurationError("num_leaves must be >= 2")
-        if positions_per_block < 2:
-            raise ConfigurationError("positions_per_block must be >= 2")
-        if cutoff_bytes is not None and cutoff_bytes < 8:
-            raise ConfigurationError("cutoff_bytes must be >= 8")
+        if num_leaves > MAX_NUM_LEAVES:
+            raise ConfigurationError(
+                f"num_leaves {num_leaves} exceeds {MAX_NUM_LEAVES}: a leaf "
+                f"label is stored in {LABEL_BYTES} bytes ({LABEL_DTYPE.name})"
+            )
         if bucket_size < 1:
             raise ConfigurationError("bucket_size must be >= 1")
+        sizes = self.level_sizes(num_blocks, positions_per_block, cutoff_bytes)
         self._num_blocks = num_blocks
         self._num_leaves = num_leaves
         self._chi = positions_per_block
         self.counter = counter if counter is not None else TrafficCounter()
         self.timing = timing
 
-        # Level sizes: recurse while the dense map of the previous level
-        # would not fit under the cutoff.
-        sizes: list[int] = []
-        entries = num_blocks
-        while cutoff_bytes is not None and entries * 8 > cutoff_bytes and entries > 1:
-            entries = -(-entries // positions_per_block)
-            sizes.append(entries)
-        depth_count = len(sizes)
-
         # One draw whatever the level count, so an engine consumes its RNG
-        # stream identically dense or recursive.
+        # stream identically dense or recursive; drawn at the generator's
+        # native width and narrowed, so the stream is the one an 8-byte
+        # map drew.
         initial = rng.integers(0, num_leaves, size=num_blocks, dtype=np.int64)
 
-        # Packed level-1 entries (the logical labels).  Padded to a whole
-        # number of χ-blocks; the pad cells are never addressed.
-        if depth_count:
-            self._entries = np.zeros(sizes[0] * positions_per_block, dtype=np.int64)
-            self._entries[:num_blocks] = initial
-        else:
-            self._entries = initial
-        self._tags = _read_only(self._entries)
-
-        rngs = spawn_rngs(seed, depth_count) if depth_count else []
-        self._levels: list[_RecursionLevel] = []
-        # values[k] packs the labels of the level below: for level k the
-        # entry of child index i (an index at level k-1) is values[k][i].
-        # Level 1's values are the logical entries themselves.
-        self._values: list[np.ndarray] = [self._entries]
-        label_bytes = positions_per_block * 8
-        for index, size in enumerate(sizes):
-            level = _RecursionLevel(
+        self._levels = [
+            _RecursionLevel(
                 num_blocks=size,
                 bucket_size=bucket_size,
-                label_bytes=label_bytes,
+                positions_per_block=positions_per_block,
                 metadata_bytes_per_block=metadata_bytes_per_block,
-                rng=rngs[index],
+                rng=level_rng,
+                record_stream=record_streams,
             )
-            if record_streams:
-                level.read_stream = []
-            self._levels.append(level)
-            if index + 1 < depth_count:
-                values = np.zeros(
-                    sizes[index + 1] * positions_per_block, dtype=np.int64
-                )
-                values[:size] = level.labels
-                self._values.append(values)
+            for size, level_rng in zip(sizes, spawn_rngs(seed, len(sizes)))
+        ]
+        # values[k] packs the labels of the level below, χ to a block and
+        # padded to whole blocks (the pad cells are never addressed): the
+        # logical labels for k = 0 — level 1's payload, or the whole dense
+        # map — then each level's block labels, its parent's payload.
+        values: list[np.ndarray] = []
+        for labels, parent_size in zip(
+            [initial] + [level.labels for level in self._levels], sizes
+        ):
+            packed = np.zeros(parent_size * positions_per_block, dtype=LABEL_DTYPE)
+            packed[: labels.size] = labels
+            values.append(packed)
+        self._values = values or [initial.astype(LABEL_DTYPE)]
+        self._entries = self._values[0]
+        self._tags = _read_only(self._entries)
         # Dense top map: labels of the last level's blocks (client memory).
-        if depth_count:
-            self._top = self._levels[-1].labels.copy()
-        else:
-            self._top = self._entries
-        self._chi_pows = [positions_per_block**k for k in range(depth_count + 1)]
+        self._top = self._levels[-1].labels.copy() if sizes else self._entries
+        self._steps = self._bind_steps()
         # Outstanding write entitlements: ids whose last charged walk has
         # not had its folded-in label update consumed yet.  A simulation
         # artifact of splitting the walk into get-then-set; the real client
         # state it stands for is the open transaction's path buffer.
         self._pending: set[int] = set()
+
+    @staticmethod
+    def level_sizes(
+        num_blocks: int, positions_per_block: int, cutoff_bytes: Optional[int]
+    ) -> list[int]:
+        """Blocks of each recursion level, level 1 first (``[]`` = dense).
+
+        A level is added while the dense map of the one below — one
+        :data:`LABEL_BYTES` label per entry — exceeds ``cutoff_bytes``.
+        """
+        if positions_per_block < 2:
+            raise ConfigurationError("positions_per_block must be >= 2")
+        if cutoff_bytes is None:
+            return []
+        if cutoff_bytes < LABEL_BYTES:
+            raise ConfigurationError(
+                f"cutoff_bytes must be >= {LABEL_BYTES}, the bytes of one "
+                f"leaf label ({LABEL_DTYPE.name})"
+            )
+        sizes: list[int] = []
+        entries = num_blocks
+        while entries * LABEL_BYTES > cutoff_bytes and entries > 1:
+            entries = -(-entries // positions_per_block)
+            sizes.append(entries)
+        return sizes
 
     # ------------------------------------------------------------------
     # Introspection
@@ -278,6 +298,11 @@ class PositionMap:
         """Labels packed per recursion block (χ)."""
         return self._chi
 
+    @property
+    def top_map_bytes(self) -> int:
+        """Bytes of the dense map the client holds (the whole map if dense)."""
+        return int(self._top.nbytes)
+
     def geometry(self) -> list[dict[str, int]]:
         """Per-level shape summary (docs, experiments, diagnostics)."""
         return [
@@ -285,6 +310,8 @@ class PositionMap:
                 "level": index + 1,
                 "blocks": level.num_blocks,
                 "tree_depth": level.depth,
+                "label_bytes": LABEL_BYTES,
+                "block_bytes": level.tree.stored_block_bytes,
                 "path_bytes": level.path_bytes,
                 "stash_blocks": len(level.stash),
             }
@@ -292,12 +319,16 @@ class PositionMap:
         ]
 
     def client_memory_bytes(self) -> int:
-        """Honest client footprint: top map, level stashes, open walks."""
-        total = int(self._top.nbytes)
-        for level in self._levels:
-            total += level.client_memory_bytes(self._chi)
-        total += 8 * len(self._pending)
-        return total
+        """Honest client footprint: top map, level stashes, open walks.
+
+        A stash resident is its χ packed labels plus id / leaf bookkeeping.
+        """
+        residents = sum(len(level.stash) for level in self._levels)
+        return (
+            self.top_map_bytes
+            + residents * (self._chi * LABEL_BYTES + 16)
+            + 8 * len(self._pending)
+        )
 
     def server_memory_bytes(self) -> int:
         """Server footprint of every recursion tree."""
@@ -306,6 +337,45 @@ class PositionMap:
     # ------------------------------------------------------------------
     # The recursion walk
     # ------------------------------------------------------------------
+    def _bind_steps(self) -> list[tuple]:
+        """What :meth:`_walk` touches at each level, top level first.
+
+        Bound once per map, in the order the walk unpacks: the level number
+        and its span of logical ids; the packed labels, id span and draw of
+        the level below (level 1's child is the logical map, which the
+        engine draws for); the level's stash, tag array and read stream;
+        the operands of :func:`fused_fetch` / :func:`fused_greedy_write_back`
+        (the shape the trace drivers bind); the path cost both directions
+        charge.
+        """
+        levels = self._levels
+        steps = []
+        for k in range(len(levels), 0, -1):
+            level = levels[k - 1]
+            tree = level.tree
+            depth = level.depth
+            steps.append((
+                k,
+                self._chi**k,
+                self._values[k - 1],
+                self._chi ** (k - 1),
+                levels[k - 2].draw if k > 1 else None,
+                level.stash,
+                level.labels,
+                level.read_stream,
+                tree.read_path_ids,
+                [[] for _ in range(depth + 1)],
+                tree.bucket_capacities,
+                tree.level_base,
+                [(1 << node_level) - 1 for node_level in range(depth + 1)],
+                tree.slot_array,
+                tree.bucket_occupancies,
+                depth,
+                level.path_buckets,
+                level.path_bytes,
+            ))
+        return steps
+
     def _walk(self, block_id: int) -> int:
         """One charged top-down recursion access; returns the old entry.
 
@@ -316,35 +386,37 @@ class PositionMap:
         — ``block_id``'s main-tree leaf — is returned *without* refreshing
         it: the engine owns that draw and installs it via :meth:`set`.
         """
+        steps = self._steps
         counter = self.counter
+        record_read = counter.record_posmap_path_read
+        record_write = counter.record_posmap_path_write
         timing = self.timing
-        chi_pows = self._chi_pows
-        values = self._values
-        levels = self._levels
+        charge = None if timing is None else timing.charge_path_transfer
 
-        top_index = block_id // chi_pows[len(levels)]
-        leaf = int(self._top[top_index])
-        top_level = levels[-1]
-        fresh = int(top_level.rng.integers(0, top_level.num_leaves))
-        self._top[top_index] = fresh
+        top = self._top
+        top_index = block_id // steps[0][1]
+        leaf = top.item(top_index)
+        fresh = self._levels[-1].draw()
+        top[top_index] = fresh
 
-        for k in range(len(levels), 0, -1):
-            level = levels[k - 1]
-            stash = level.stash
-            block = block_id // chi_pows[k]
+        for (
+            k, span, child_values, child_span, child_draw,
+            stash, labels, read_stream, read_path_ids,
+            groups, caps, level_base, node_base, slots, occ, depth,
+            path_buckets, path_bytes,
+        ) in steps:
+            block = block_id // span
             hit = block in stash
             # oblivious: allow[OBL001] client-side stash-hit fast path, the
             # same modeled behaviour as the main engine's access(); misses
             # and hits both refresh the block's label
             if not hit:
-                fused_fetch(level.tree.read_path_ids, level.labels, stash, leaf)
-                counter.record_posmap_path_read(level.path_bytes)
-                if timing is not None:
-                    timing.charge_path_transfer(
-                        level.path_buckets, level.path_bytes
-                    )
-                if level.read_stream is not None:
-                    level.read_stream.append(leaf)
+                fused_fetch(read_path_ids, labels, stash, leaf)
+                record_read(path_bytes)
+                if charge is not None:
+                    charge(path_buckets, path_bytes)
+                if read_stream is not None:
+                    read_stream.append(leaf)
                 # oblivious: allow[OBL001] integrity check; aborts loudly
                 if block not in stash:
                     raise IntegrityError(
@@ -352,42 +424,26 @@ class PositionMap:
                         f"both stash and path {leaf}"
                     )
             stash[block] = fresh
-            level.labels[block] = fresh
+            labels[block] = fresh
 
-            child = block_id // chi_pows[k - 1]
-            # oblivious: allow[OBL001] level-1 terminates the walk: the
-            # engine draws and installs the logical label itself
-            if k > 1:
-                child_level = levels[k - 2]
-                next_leaf = int(values[k - 1][child])
-                next_fresh = int(
-                    child_level.rng.integers(0, child_level.num_leaves)
-                )
-                values[k - 1][child] = next_fresh
-            else:
-                next_leaf = int(values[0][child])
-                next_fresh = -1
+            child = block_id // child_span
+            next_leaf = child_values.item(child)
+            # Level 1 ends the walk: the engine draws and installs the
+            # logical label itself.
+            if child_draw is not None:
+                fresh = child_draw()
+                child_values[child] = fresh
             # oblivious: allow[OBL001] write-back only follows a real path
             # read (stash hits moved no data), mirroring the main engine
             if not hit:
                 fused_greedy_write_back(
-                    stash,
-                    level.groups,
-                    level.caps,
-                    level.level_base,
-                    level.node_base,
-                    level.slots,
-                    level.occ,
-                    level.depth,
-                    leaf,
+                    stash, groups, caps, level_base, node_base, slots, occ,
+                    depth, leaf,
                 )
-                counter.record_posmap_path_write(level.path_bytes)
-                if timing is not None:
-                    timing.charge_path_transfer(
-                        level.path_buckets, level.path_bytes
-                    )
+                record_write(path_bytes)
+                if charge is not None:
+                    charge(path_buckets, path_bytes)
             leaf = next_leaf
-            fresh = next_fresh
         return leaf
 
     # ------------------------------------------------------------------
@@ -465,7 +521,7 @@ class PositionMap:
         ids = _as_int_array(block_ids, "block_ids")
         if ids.size and (ids.min() < 0 or ids.max() >= self._num_blocks):
             raise BlockNotFoundError("block id outside position map range")
-        return self._entries[ids]
+        return self._entries[ids].astype(np.int64)
 
     def load(self, block_id: int, leaf: int) -> None:
         """Trusted-setup assignment (never charged)."""
@@ -503,7 +559,7 @@ class PositionMap:
 
     def as_array(self) -> np.ndarray:
         """Copy of the full logical map (tests, diagnostics, snapshots)."""
-        return self._entries[: self._num_blocks].copy()
+        return self._entries[: self._num_blocks].astype(np.int64)
 
     def _check(self, block_id: int) -> None:
         if not 0 <= block_id < self._num_blocks:

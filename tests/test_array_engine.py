@@ -354,7 +354,7 @@ class TestPlacementIsSlotIdentical:
     def test_layout_after_placement_repeat_and_trace(self, label, recursive, seed):
         config = build_oram_config(
             num_blocks=512, seed=seed, recursive_posmap=recursive,
-            posmap_positions_per_block=4, posmap_cutoff_bytes=128,
+            posmap_positions_per_block=4, posmap_cutoff_bytes=64,
         )
         trace = ZipfTraceGenerator(512, exponent=1.2, seed=seed + 1).generate(1_500)
         stages = []

@@ -6,7 +6,8 @@ import pytest
 from repro.exceptions import BlockNotFoundError, ConfigurationError, StashOverflowError
 from repro.memory.block import Block
 from repro.oram.bucket import Bucket
-from repro.oram.position_map import PositionMap
+from repro.oram.config import ORAMConfig
+from repro.oram.position_map import LABEL_BYTES, LABEL_DTYPE, PositionMap
 from repro.oram.stash import Stash
 
 
@@ -132,8 +133,50 @@ class TestPositionMap:
         assert counts.min() > 1000
 
     def test_client_memory_reported(self):
+        # One stored label per block, at the label width.
         pmap = PositionMap(1000, 16, np.random.default_rng(0))
-        assert pmap.client_memory_bytes() == 8000
+        assert pmap.client_memory_bytes() == 1000 * LABEL_BYTES == 4000
+        assert pmap.top_map_bytes == 4000
+
+    def test_labels_that_do_not_fit_the_dtype_are_rejected(self):
+        # Narrowing would wrap silently: refused before anything is drawn.
+        with pytest.raises(ConfigurationError, match="4 bytes"):
+            PositionMap(4, (1 << 31) + 1, np.random.default_rng(0))
+
+    def test_budget_below_one_label_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="int32"):
+            PositionMap(10, 8, rng, cutoff_bytes=LABEL_BYTES - 1)
+        with pytest.raises(ConfigurationError, match="int32"):
+            ORAMConfig(num_blocks=10, posmap_cutoff_bytes=LABEL_BYTES - 1)
+        # One label is a legal budget: recurse down to a one-entry top map.
+        assert ORAMConfig(num_blocks=10, posmap_cutoff_bytes=LABEL_BYTES)
+        pmap = PositionMap(10, 8, rng, cutoff_bytes=LABEL_BYTES)
+        assert pmap.top_map_bytes == LABEL_BYTES
+
+    @pytest.mark.parametrize("cutoff", [None, 64], ids=["dense", "recursive"])
+    def test_widest_label_survives_the_narrow_storage(self, cutoff):
+        # Depth 30: the largest label is 2**30 - 1.  Stored at the label
+        # width, handed out as int64 so no caller's arithmetic narrows.
+        num_leaves = 1 << 30
+        pmap = PositionMap(
+            5000, num_leaves, np.random.default_rng(0), cutoff_bytes=cutoff
+        )
+        assert pmap.num_levels == (0 if cutoff is None else 2)
+        assert pmap._entries.dtype == pmap._top.dtype == LABEL_DTYPE
+        assert all(values.dtype == LABEL_DTYPE for values in pmap._values)
+        assert all(level.labels.dtype == LABEL_DTYPE for level in pmap._levels)
+        pmap.set(7, num_leaves - 1)
+        assert pmap.get(7) == pmap.peek(7) == num_leaves - 1
+        pmap.load_many([8, 4999], [num_leaves - 1, num_leaves - 2])
+        peeked = pmap.peek_many([7, 8, 4999])
+        assert peeked.dtype == np.int64
+        assert peeked.tolist() == [num_leaves - 1, num_leaves - 1, num_leaves - 2]
+        whole = pmap.as_array()
+        assert whole.dtype == np.int64 and whole.shape == (5000,)
+        assert whole[4999] == num_leaves - 2 and whole.max() == num_leaves - 1
+        # int64 out: a caller's shift cannot wrap.
+        assert int((peeked << 8)[0]) == (num_leaves - 1) << 8
 
     def test_non_integer_ids_rejected(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))

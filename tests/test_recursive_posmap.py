@@ -37,10 +37,10 @@ from repro.experiments.recursion import (
 )
 from repro.memory.accounting import TrafficCounter, merge_snapshots
 from repro.oram.base import ObliviousMemory
-from repro.oram.position_map import PositionMap
+from repro.oram.position_map import DRAW_BLOCK, LABEL_BYTES, PositionMap
 from repro.utils.stats import chi_square_uniformity
 from conftest import closed_form_clock
-from test_trace_contract import engine_state
+from test_trace_contract import assert_twins_agree, engine_state
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 600
@@ -68,8 +68,10 @@ CORE_FIELDS = (
 )
 
 
-def run_engine(label: str, seed: int, fast: bool, recursive: bool):
-    # chi=4 over 256 blocks with a 256-byte cutoff builds two recursion
+def run_engine(
+    label: str, seed: int, fast: bool, recursive: bool, num_accesses=NUM_ACCESSES
+):
+    # chi=4 over 256 blocks with a 128-byte cutoff builds two recursion
     # levels (64 -> 16 blocks), exercising the full multi-level walk.
     config = build_oram_config(
         num_blocks=NUM_BLOCKS,
@@ -77,11 +79,11 @@ def run_engine(label: str, seed: int, fast: bool, recursive: bool):
         seed=seed,
         recursive_posmap=recursive,
         posmap_positions_per_block=4,
-        posmap_cutoff_bytes=256,
+        posmap_cutoff_bytes=128,
     )
     engine = build_engine(label, config, fast=fast)
     trace = ZipfTraceGenerator(NUM_BLOCKS, exponent=1.2, seed=seed).generate(
-        NUM_ACCESSES
+        num_accesses
     ).addresses
     if hasattr(engine, "run_trace"):
         engine.run_trace(trace)
@@ -95,7 +97,7 @@ def make_map(
     num_blocks=4096,
     num_leaves=2048,
     chi=16,
-    cutoff=1024,
+    cutoff=512,
     seed=5,
     counter=None,
     record_streams=False,
@@ -223,7 +225,7 @@ class TestHonestAccounting:
         chi = pmap.positions_per_block
         expected = pmap._top.nbytes
         for level in pmap._levels:
-            expected += len(level.stash) * (chi * 8 + 16)
+            expected += len(level.stash) * (chi * LABEL_BYTES + 16)
         assert pmap.client_memory_bytes() == expected
         pmap.get(0)
         # The open walk's entitlement is client state too.
@@ -236,6 +238,35 @@ class TestHonestAccounting:
         assert geometry[0]["blocks"] == -(-4096 // 16)
         assert all(entry["path_bytes"] > 0 for entry in geometry)
         assert pmap.server_memory_bytes() > 0
+        # Bytes at the label width: a block is chi labels plus its metadata,
+        # a path is (depth + 1) buckets of four of them.
+        for entry in geometry:
+            assert entry["label_bytes"] == LABEL_BYTES
+            assert entry["block_bytes"] == 16 * LABEL_BYTES + 16
+            assert entry["path_bytes"] == (
+                (entry["tree_depth"] + 1) * 4 * entry["block_bytes"]
+            )
+        assert pmap.top_map_bytes == geometry[-1]["blocks"] * LABEL_BYTES
+
+    @pytest.mark.parametrize(
+        "num_blocks,expected",
+        [
+            (1 << 14, []),  # 64 KiB of labels: the dense map fits
+            (1 << 20, [16384]),
+            (1 << 23, [131072, 2048]),
+            (1 << 24, [262144, 4096]),
+        ],
+    )
+    def test_level_sizes_at_the_default_budget(self, num_blocks, expected):
+        # A pure function of the three numbers: no tree is allocated.
+        assert PositionMap.level_sizes(num_blocks, 64, 1 << 16) == expected
+        assert PositionMap.level_sizes(num_blocks, 64, None) == []
+
+    def test_constructor_builds_the_sizes_it_reports(self):
+        pmap = make_map()
+        assert [entry["blocks"] for entry in pmap.geometry()] == (
+            PositionMap.level_sizes(4096, 16, 512)
+        ) == [256, 16]
 
 
 class TestPosmapCounters:
@@ -278,11 +309,16 @@ class TestRecursionTreeUniformity:
     COARSE_BINS = 64
     ALPHA = 0.001
 
+    #: Enough walks that every level refills its block of fresh labels
+    #: several times: the streams must stay uniform across those seams.
+    WALKS = 3000
+
     def test_per_level_streams_uniform(self):
+        assert self.WALKS > 5 * DRAW_BLOCK
         pmap = make_map(seed=9, record_streams=True)
         addresses = ZipfTraceGenerator(
             len(pmap), exponent=1.2, seed=2
-        ).generate(3000).addresses
+        ).generate(self.WALKS).addresses
         rng = np.random.default_rng(4)
         for block_id in addresses.tolist():
             pmap.get(block_id)
@@ -294,6 +330,28 @@ class TestRecursionTreeUniformity:
             coarse = (stream * bins) // level.num_leaves
             result = chi_square_uniformity(coarse, bins)
             assert not result.rejects_uniformity(alpha=self.ALPHA)
+
+
+class TestDrawBlockSeam:
+    """Levels take fresh labels a block at a time; a refill changes nothing."""
+
+    @pytest.mark.parametrize("label", ["PathORAM", "Normal/S4", "RingORAM"])
+    def test_twins_stay_state_equal_across_a_refill(self, label):
+        # One class serves both backends and owns its generators, so the
+        # reference and array engines walk label for label, refills included.
+        reference, fast = (
+            run_engine(label, 5, fast, recursive=True, num_accesses=1100)
+            for fast in (False, True)
+        )
+        # More path reads than levels x DRAW_BLOCK: every level refilled.
+        levels = reference.position_map.num_levels
+        assert reference.statistics.posmap_path_reads > levels * DRAW_BLOCK
+        assert_twins_agree(reference, fast)
+        for ref_level, fast_level in zip(
+            reference.position_map._levels, fast.position_map._levels
+        ):
+            assert np.array_equal(ref_level.labels, fast_level.labels)
+            assert ref_level.stash == fast_level.stash
 
 
 class TestAmortizationExperiment:

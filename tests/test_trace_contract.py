@@ -52,14 +52,14 @@ ENGINES = [("Insecure", False, False)] + [
 
 
 def make_engine(label: str, fast: bool, recursive: bool):
-    # chi=4 with a 128-byte cutoff puts two recursion levels under 128 blocks.
+    # chi=4 with a 64-byte cutoff puts two recursion levels under 128 blocks.
     config = build_oram_config(
         num_blocks=NUM_BLOCKS,
         block_size_bytes=4 * DIM,
         seed=17,
         recursive_posmap=recursive,
         posmap_positions_per_block=4,
-        posmap_cutoff_bytes=128,
+        posmap_cutoff_bytes=64,
     )
     return build_engine(label, config, fast=fast)
 
@@ -319,7 +319,7 @@ def test_fast_lookahead_bins_match_the_object_client(label, recursive, window):
             seed=17,
             recursive_posmap=recursive,
             posmap_positions_per_block=4,
-            posmap_cutoff_bytes=128,
+            posmap_cutoff_bytes=64,
         )
         counter = TrafficCounter(record_stash_history=True)
         engine = build_engine(label, config, fast=fast, counter=counter)
@@ -479,7 +479,7 @@ def test_the_clock_is_the_closed_form_of_the_counters(label, recursive):
             seed=17,
             recursive_posmap=recursive,
             posmap_positions_per_block=4,
-            posmap_cutoff_bytes=128,
+            posmap_cutoff_bytes=64,
         )
         twins.append(build_engine(label, config, fast=fast))
     for engine in twins:
