@@ -1,1 +1,2 @@
-"""Benchmark harness regenerating every table and figure of the LAORAM paper."""
+"""The repository's one benchmark: the end-to-end suite in ``benchmarks/suite``
+(training, trace replay and serving; metric names in ``BENCHMARK.json``)."""

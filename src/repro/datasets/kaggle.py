@@ -120,11 +120,6 @@ class SyntheticCriteoDataset:
 
     # ------------------------------------------------------------------
     @property
-    def num_tables(self) -> int:
-        """Number of categorical features / embedding tables."""
-        return len(self.table_sizes)
-
-    @property
     def largest_table_index(self) -> int:
         """Index of the largest (ORAM-protected) table."""
         return int(np.argmax(self.table_sizes))

@@ -43,11 +43,6 @@ class Figure7Result:
     speedups: dict[str, float]
 
     @property
-    def best_configuration(self) -> str:
-        """Label of the fastest configuration."""
-        return max(self.speedups, key=self.speedups.get)
-
-    @property
     def best_speedup(self) -> float:
         """Largest speedup over PathORAM."""
         return max(self.speedups.values())

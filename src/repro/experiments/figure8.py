@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
 from repro.datasets.permutation import PermutationTraceGenerator
+from repro.experiments.runner import run_configuration
 from repro.experiments.scale import ExperimentScale, SMALL
-from repro.memory.accounting import TrafficCounter
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 
@@ -34,11 +32,6 @@ class Figure8Result:
     num_accesses: int
     histories: dict[str, tuple[int, ...]]
     final_occupancy: dict[str, int]
-
-    def growth_ratio(self, normal_label: str = "Normal-4", fat_label: str = "Fat-4") -> float:
-        """How much larger the normal tree's final stash is than the fat tree's."""
-        fat = max(1, self.final_occupancy[fat_label])
-        return self.final_occupancy[normal_label] / fat
 
 
 def run_figure8(
@@ -63,15 +56,15 @@ def run_figure8(
             background_eviction=False,
             seed=seed + offset,
         )
-        counter = TrafficCounter(record_stash_history=True)
-        client = LAORAMClient(
-            LAORAMConfig(oram=oram_config, superblock_size=superblock),
-            counter=counter,
+        result = run_configuration(
+            f"{'Normal' if fat_root is None else 'Fat'}/S{superblock}",
+            trace,
+            oram_config,
             eviction=EvictionPolicy.disabled(),
+            record_stash_history=True,
         )
-        client.run_trace(trace.addresses)
-        histories[label] = tuple(counter.stash_history)
-        finals[label] = counter.stash_history[-1] if counter.stash_history else 0
+        histories[label] = result.stash_history
+        finals[label] = result.stash_history[-1] if result.stash_history else 0
     return Figure8Result(
         num_accesses=len(trace), histories=histories, final_occupancy=finals
     )

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
 from repro.datasets.permutation import PermutationTraceGenerator
+from repro.experiments.runner import run_configuration
 from repro.experiments.scale import ExperimentScale, SMALL
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
@@ -84,24 +83,20 @@ def run_memory_neutral(
         seed=seed + 1,
     )
 
-    normal_client = LAORAMClient(
-        LAORAMConfig(oram=normal_config, superblock_size=superblock_size),
-        eviction=eviction,
+    normal = run_configuration(
+        f"Normal/S{superblock_size}", trace, normal_config, eviction=eviction
     )
-    normal_client.run_trace(trace.addresses)
-    fat_client = LAORAMClient(
-        LAORAMConfig(oram=fat_config, superblock_size=superblock_size),
-        eviction=eviction,
+    fat = run_configuration(
+        f"Fat/S{superblock_size}", trace, fat_config, eviction=eviction
     )
-    fat_client.run_trace(trace.addresses)
 
     return MemoryNeutralResult(
         normal_bucket_size=normal_bucket_size,
         fat_leaf_bucket_size=fat_leaf_bucket_size,
         fat_root_bucket_size=fat_root_bucket_size,
-        normal_memory_bytes=normal_client.server_memory_bytes,
-        fat_memory_bytes=fat_client.server_memory_bytes,
-        normal_dummy_reads=normal_client.statistics.dummy_reads,
-        fat_dummy_reads=fat_client.statistics.dummy_reads,
+        normal_memory_bytes=normal.server_memory_bytes,
+        fat_memory_bytes=fat.server_memory_bytes,
+        normal_dummy_reads=normal.snapshot.dummy_reads,
+        fat_dummy_reads=fat.snapshot.dummy_reads,
         num_accesses=len(trace),
     )

@@ -18,10 +18,11 @@ recursion enabled, and reports:
 
 Main-tree bit-identity between the dense and recursive runs is asserted
 on every row — the recursion must change *where the map lives*, never
-what the engine does.  The committed sweep (2^20-2^23 blocks) lives in
-``BENCH_engine_throughput.json`` via ``benchmarks/bench_engine_throughput.py
---mode recursion``; this module is the importable harness the tests and
-docs drive at reduced scale.
+what the engine does.  Tests drive it at reduced scale; the ``python -c``
+line in ``docs/recursive_position_map.md`` reproduces a row of the 2^20-2^23
+sweep at the production geometry (64 KiB cutoff, 64-byte blocks).  There is
+no ``python -m`` entry point: the package ``__init__`` re-exports this
+module, which ``runpy`` warns about.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def run_recursion_amortization(
     """Measure the amortization table for every (family, size) pair.
 
     The default cutoff is deliberately small so reduced-scale runs still
-    build at least one recursion level; the committed full-scale sweep
-    uses the production 64 KiB cutoff.
+    build at least one recursion level; the full-scale sweep uses the
+    production 64 KiB cutoff.
     """
     unknown = [
         family for family in families if family not in RECURSION_FAMILY_LABELS
@@ -224,6 +225,3 @@ def render_recursion_table(
     )
     return header + "\n" + table
 
-
-if __name__ == "__main__":
-    print(render_recursion_table(run_recursion_amortization()))

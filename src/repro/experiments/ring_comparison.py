@@ -39,14 +39,8 @@ def run_ring_comparison(
     dataset: str = "kaggle",
     laoram_label: str = "Fat/S4",
     seed: int = 0,
-    fast: bool = False,
 ) -> RingComparisonResult:
-    """Compare PathORAM, RingORAM and a LAORAM configuration on one workload.
-
-    ``fast=True`` runs every engine on its vectorized array twin — counters
-    are bit-identical to the reference engines for a fixed seed, so larger
-    scales become tractable without changing the comparison.
-    """
+    """Compare PathORAM, RingORAM and a LAORAM configuration on one workload."""
     trace = make_trace(dataset, scale.num_blocks, scale.num_accesses, seed=seed)
     oram_config = build_oram_config(
         num_blocks=scale.num_blocks,
@@ -54,9 +48,7 @@ def run_ring_comparison(
         seed=seed,
     )
     results = {
-        label: run_configuration(
-            label, trace, oram_config, seed=seed + offset, fast=fast
-        )
+        label: run_configuration(label, trace, oram_config, seed=seed + offset)
         for offset, label in enumerate(("PathORAM", "RingORAM", laoram_label))
     }
     return RingComparisonResult(dataset=trace.name, results=results)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.datasets.base import AccessTrace
-from repro.experiments.configs import build_engine
+from repro.experiments.configs import FAST_ENGINE_FAMILIES, build_engine, parse_label
 from repro.experiments.metrics import ExperimentResult
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import ObliviousMemory
@@ -26,13 +26,11 @@ def run_engine_on_trace(
     bins), the array engines run their fused drivers, and everything else
     takes one access per element.
     """
-    if record_stash_history and hasattr(engine, "counter"):
+    if record_stash_history:
         engine.counter.record_stash_history = True
     engine.run_trace(trace.addresses)
     snapshot = engine.statistics
-    history: tuple[int, ...] = ()
-    if record_stash_history and hasattr(engine, "counter"):
-        history = tuple(engine.counter.stash_history)
+    history = tuple(engine.counter.stash_history) if record_stash_history else ()
     return ExperimentResult(
         label=label,
         dataset=trace.name,
@@ -52,9 +50,13 @@ def run_configuration(
     seed: Optional[int] = None,
     record_stash_history: bool = False,
     observer=None,
-    fast: bool = False,
 ) -> ExperimentResult:
-    """Build the engine named ``label`` and run it over ``trace``."""
+    """Build the engine named ``label`` and run it over ``trace``.
+
+    Every family with an array twin runs on it — the engines the benchmark
+    suite measures, bit-identical to the reference engines for a fixed
+    seed; the insecure baseline has no twin.
+    """
     engine = build_engine(
         label,
         oram_config,
@@ -62,7 +64,7 @@ def run_configuration(
         counter=TrafficCounter(),
         observer=observer,
         seed=seed,
-        fast=fast,
+        fast=parse_label(label)["family"] in FAST_ENGINE_FAMILIES,
     )
     return run_engine_on_trace(
         engine, trace, label, record_stash_history=record_stash_history

@@ -1,11 +1,11 @@
 """Experiment scale presets.
 
-The figure and table harness sweeps many configurations through the
-per-object reference engines by default (``run_configuration(fast=False)``),
-far too slow for the paper's embedding tables (8M-16M entries, up to 24 GB
-of tree) within a benchmark's time budget, so it exposes scale presets.  (The
-array engines do replay 2^20-2^23 blocks; see the recursion sweep in
-``docs/recursive_position_map.md``.)  The relative behaviour the paper reports —
+The figure and table harness runs every configuration on its array engine
+(``run_configuration``; bit-identical to the reference engines for a fixed
+seed), which replays 2^20-2^23 blocks (see the recursion sweep in
+``docs/recursive_position_map.md``).  The presets stop well short of the
+paper's embedding tables (8M-16M entries, up to 24 GB of tree) so that a
+whole figure sweep takes seconds: the relative behaviour the paper reports —
 who wins, where the superblock-size sweet spot sits, how much the fat tree
 helps — is governed by bucket occupancy and superblock size rather than by
 the absolute tree height, so reduced scales preserve the shape of the
@@ -55,13 +55,13 @@ class ExperimentScale:
 #: Fast preset used by the test suite.
 TINY = ExperimentScale(name="tiny", num_blocks=1 << 10, num_accesses=2_048)
 
-#: Default preset for pytest-benchmark runs.
+#: Default preset of every figure and table runner and of the CLI.
 SMALL = ExperimentScale(name="small", num_blocks=1 << 12, num_accesses=8_192)
 
 #: Larger preset for more faithful (slower) runs.
 MEDIUM = ExperimentScale(name="medium", num_blocks=1 << 14, num_accesses=24_576)
 
-#: The largest preset that is still practical on the reference engines.
+#: The largest preset (not a ceiling: the array engines replay far larger tables).
 LARGE = ExperimentScale(name="large", num_blocks=1 << 16, num_accesses=65_536)
 
 _PRESETS = {scale.name: scale for scale in (TINY, SMALL, MEDIUM, LARGE)}

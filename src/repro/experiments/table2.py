@@ -41,14 +41,6 @@ class Table2Result:
         except KeyError:
             raise ConfigurationError(f"no cell for ({config}, {dataset})") from None
 
-    def fat_vs_normal_reduction(self, superblock: int, dataset: str) -> float:
-        """Factor by which the fat tree reduces dummy reads for one dataset."""
-        normal = self.value(f"Normal/S{superblock}", dataset)
-        fat = self.value(f"Fat/S{superblock}", dataset)
-        if normal == 0.0:
-            return 1.0
-        return normal / max(fat, 1e-9)
-
 
 def run_table2(
     scale: ExperimentScale = SMALL,

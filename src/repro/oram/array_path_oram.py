@@ -20,8 +20,8 @@ state as numpy arrays and the small client stash as one dict:
 
 Because both engines follow the same decision procedure, a fixed seed
 produces bit-identical :class:`~repro.memory.accounting.TrafficSnapshot`
-counters on either backend — the equivalence the throughput benchmark and
-``tests/test_engine_equivalence.py`` assert.
+counters on either backend — the equivalence
+``tests/test_engine_equivalence.py`` asserts.
 """
 
 from __future__ import annotations

@@ -47,18 +47,6 @@ class LatencyStats:
     max_ms: float
     mean_batch_size: float
 
-    def as_dict(self) -> dict:
-        """Plain-dict form for JSON emission."""
-        return {
-            "count": self.count,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "mean_ms": self.mean_ms,
-            "max_ms": self.max_ms,
-            "mean_batch_size": self.mean_batch_size,
-        }
-
 
 def summarize_latencies(
     latencies_s: Sequence[float], batch_sizes: Sequence[int] = ()
@@ -221,8 +209,3 @@ class AsyncShardedService:
     def latency_summary(self) -> LatencyStats:
         """p50/p95/p99 of every completed request so far."""
         return summarize_latencies(self._latencies_s, self._batch_sizes)
-
-    @property
-    def requests_served(self) -> int:
-        """Number of completed ``submit`` calls."""
-        return len(self._latencies_s)

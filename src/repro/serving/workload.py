@@ -42,18 +42,6 @@ class WorkloadReport:
     throughput_ids_per_s: float
     latency: LatencyStats
 
-    def as_dict(self) -> dict:
-        """Plain-dict form for JSON emission."""
-        return {
-            "arrival": self.arrival,
-            "num_requests": self.num_requests,
-            "request_size": self.request_size,
-            "duration_s": self.duration_s,
-            "throughput_rps": self.throughput_rps,
-            "throughput_ids_per_s": self.throughput_ids_per_s,
-            "latency": self.latency.as_dict(),
-        }
-
 
 async def run_zipf_workload(
     service: AsyncShardedService,

@@ -19,7 +19,11 @@ from repro.exceptions import (
     ConfigurationError,
     StashOverflowError,
 )
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import (
+    PAPER_CONFIG_LABELS,
+    build_engine,
+    build_oram_config,
+)
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
 from repro.oram.stash import ArrayStash
@@ -419,14 +423,24 @@ class TestHarnessIntegration:
         with pytest.raises(ConfigurationError):
             build_engine("Insecure", oram, fast=True)
 
-    def test_run_configuration_fast_matches_reference(self):
+    @pytest.mark.parametrize("label", PAPER_CONFIG_LABELS)
+    def test_experiment_result_equal_on_both_backends(self, label):
+        """What lets the figure runners use the array engines: the whole
+        record (snapshot, simulated time, stash history), not the counters."""
         from repro.datasets.base import AccessTrace
-        from repro.experiments.runner import run_configuration
+        from repro.experiments.runner import run_engine_on_trace
 
-        oram = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=1)
+        oram = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=5)
         rng = np.random.default_rng(12)
         addresses = rng.integers(0, 128, size=1_000).astype(np.int64)
         trace = AccessTrace("unit", 128, addresses)
-        reference = run_configuration("Fat/S4", trace, oram, seed=5)
-        fast = run_configuration("Fat/S4", trace, oram, seed=5, fast=True)
-        assert fast.snapshot == reference.snapshot
+        reference, fast = (
+            run_engine_on_trace(
+                build_engine(label, oram, fast=fast),
+                trace,
+                label,
+                record_stash_history=True,
+            )
+            for fast in (False, True)
+        )
+        assert fast == reference

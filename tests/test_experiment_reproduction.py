@@ -1,23 +1,35 @@
 """Reproduction checks: every table/figure module produces the paper's shape.
 
-These run at the tiny scale so the whole file stays fast; the benchmark
-harness repeats them at larger scales.
+Most cases run at a tiny scale; a shape that only appears once the stash
+fills (dummy reads, fat over normal at S8) runs at the two ``_BENCH`` scales.
+Everything runs on the array engines, so the whole file takes seconds.
 """
 
+import numpy as np
 import pytest
 
+from repro.attacks.observer import MemoryBusObserver
+from repro.core.config import LAORAMConfig
+from repro.core.fast_laoram import FastLAORAMClient
+from repro.datasets.registry import make_trace
+from repro.experiments.configs import build_oram_config
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure7 import SUBFIGURES, run_figure7
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9, theoretical_traffic_bound
 from repro.experiments.memory_neutral import run_memory_neutral
 from repro.experiments.ring_comparison import run_ring_comparison
+from repro.experiments.runner import run_configuration
 from repro.experiments.scale import ExperimentScale, TINY
 from repro.experiments.table1 import TABLE1_WORKLOADS, run_table1
 from repro.experiments.table2 import run_table2
+from repro.oram.eviction import EvictionPolicy
+from repro.utils.stats import chi_square_uniformity
 from repro.utils.units import GiB
 
 _FAST = ExperimentScale(name="test", num_blocks=512, num_accesses=2048)
+_BENCH = ExperimentScale(name="bench", num_blocks=1 << 12, num_accesses=8_192)
+_BENCH_SMALL = ExperimentScale(name="bench-small", num_blocks=1 << 11, num_accesses=4_096)
 
 
 class TestFigure2:
@@ -48,6 +60,19 @@ class TestFigure7:
         kaggle = run_figure7("7e", _FAST, seed=4)
         assert permutation.speedups["Normal/S8"] <= kaggle.speedups["Normal/S8"] * 1.2
 
+    @pytest.mark.parametrize("subfigure", sorted(SUBFIGURES))
+    def test_shape_once_the_stash_fills(self, subfigure):
+        ml_workload = subfigure in ("7e", "7f")
+        result = run_figure7(subfigure, _BENCH if ml_workload else _BENCH_SMALL, seed=1)
+        speedups = result.speedups
+        assert speedups["PathORAM"] == pytest.approx(1.0)
+        assert result.best_speedup > (2.5 if ml_workload else 1.2)
+        if ml_workload:
+            assert speedups["Fat/S8"] > speedups["Fat/S2"]
+        if subfigure in ("7a", "7b"):
+            # Worst-case permutation: the fat tree rescues the large superblocks.
+            assert speedups["Fat/S8"] >= speedups["Normal/S8"] * 0.9
+
     def test_unknown_subfigure_rejected(self):
         from repro.exceptions import ConfigurationError
 
@@ -60,6 +85,11 @@ class TestFigure8:
         result = run_figure8(_FAST, seed=5)
         assert result.final_occupancy["Normal-4"] > result.final_occupancy["Fat-4"]
         assert result.final_occupancy["Normal-8"] > result.final_occupancy["Fat-8"]
+
+    def test_normal_tree_stash_keeps_growing(self):
+        """Visible only once the tree is under pressure (2^12 blocks)."""
+        history = run_figure8(_BENCH, seed=2).histories["Normal-4"]
+        assert history[-1] >= history[len(history) // 4]
 
     def test_histories_are_recorded_per_access(self):
         result = run_figure8(ExperimentScale(name="t", num_blocks=256, num_accesses=512))
@@ -77,6 +107,9 @@ class TestFigure9:
         result = run_figure9(_FAST, seed=6)
         for label in result.reductions:
             assert result.within_bound(label, tolerance=1.10)
+        assert result.reductions["Normal/S4"] > result.reductions["Normal/S2"]
+        # The fat tree's paths carry ~50% more bytes.
+        assert result.reductions["Fat/S2"] < result.reductions["Normal/S2"]
 
     def test_theoretical_bounds(self):
         assert theoretical_traffic_bound("Normal/S4") == pytest.approx(4.0)
@@ -108,6 +141,14 @@ class TestTable1:
         for row in run_table1():
             assert row.pathoram_overhead >= 6.0
 
+    def test_16m_row_and_fat_overhead_on_every_row(self):
+        rows = run_table1()
+        by_name = {row.workload: row for row in rows}
+        assert by_name["16M"].pathoram_bytes == pytest.approx(16 * GiB, rel=1e-6)
+        for row in rows:
+            assert row.laoram_bytes == row.pathoram_bytes
+            assert 1.2 < row.fat_overhead_vs_normal < 1.3
+
 
 class TestTable2:
     def test_fat_tree_reduces_dummy_reads_on_permutation(self):
@@ -120,6 +161,20 @@ class TestTable2:
         result = run_table2(_FAST, seed=7)
         for config in ("Normal/S8", "Fat/S8"):
             assert result.value(config, "xnli") <= result.value(config, "permutation")
+
+    def test_fat_never_needs_more_dummy_reads_than_normal(self):
+        """At 2^11 blocks, where the normal tree does issue dummy reads."""
+        result = run_table2(_BENCH_SMALL, seed=4)
+        assert result.value("Normal/S8", "permutation") > 0.0
+        for superblock in (4, 8):
+            for dataset in ("permutation", "gaussian", "kaggle", "xnli"):
+                assert result.value(f"Fat/S{superblock}", dataset) <= result.value(
+                    f"Normal/S{superblock}", dataset
+                )
+        # Larger superblocks put more pressure on the stash.
+        assert result.value("Normal/S8", "permutation") >= result.value(
+            "Normal/S4", "permutation"
+        )
 
     def test_all_cells_are_present(self):
         result = run_table2(_FAST, seed=7)
@@ -146,4 +201,111 @@ class TestRingComparison:
 
     def test_laoram_is_fastest_of_the_three(self):
         result = run_ring_comparison(_FAST, seed=9)
-        assert result.speedup_over_pathoram("Fat/S4") > 1.0
+        assert result.speedup_over_pathoram("Fat/S4") > 1.5
+
+
+class TestAblations:
+    """Design-choice sweeps beyond the paper's grid, at 2^11 blocks / 4,096 accesses."""
+
+    scale = _BENCH_SMALL
+
+    def oram_config(self, seed):
+        return build_oram_config(
+            num_blocks=self.scale.num_blocks,
+            block_size_bytes=self.scale.block_size_bytes,
+            seed=seed,
+        )
+
+    def trace(self, dataset, seed):
+        return make_trace(dataset, self.scale.num_blocks, self.scale.num_accesses, seed=seed)
+
+    def test_eviction_threshold_trades_dummy_reads_for_stash(self):
+        """Section VIII-E fixes 500/50; this is the trade-off those numbers buy."""
+        trace = self.trace("permutation", 8)
+        snapshots = [
+            run_configuration(
+                "Normal/S8",
+                trace,
+                self.oram_config(8),
+                eviction=EvictionPolicy(
+                    trigger_threshold=threshold, drain_target=max(5, threshold // 10)
+                ),
+            ).snapshot
+            for threshold in (50, 150, 400)
+        ]
+        assert snapshots[0].dummy_reads_per_access >= snapshots[-1].dummy_reads_per_access
+        assert snapshots[0].stash_peak <= snapshots[-1].stash_peak + 1
+
+    def test_fat_tree_growth_schedules(self):
+        """Section V: extra slots near the root buy stash headroom at bounded cost."""
+        trace = self.trace("permutation", 11)
+        base = self.oram_config(11)
+        uniform, linear, increment = (
+            run_configuration(label, trace, config, eviction=EvictionPolicy.disabled())
+            for label, config in (
+                ("Normal/S8", base),
+                ("Fat/S8", base.with_overrides(fat_tree_growth="linear")),
+                ("Fat/S8", base.with_overrides(fat_tree_growth="increment")),
+            )
+        )
+        for fat in (linear, increment):
+            assert fat.snapshot.stash_peak <= uniform.snapshot.stash_peak
+            assert (
+                uniform.server_memory_bytes
+                < fat.server_memory_bytes
+                < uniform.server_memory_bytes * 1.6
+            )
+
+    def test_more_lookahead_never_hurts(self):
+        """Section IV-B: the window must hold a block's next occurrence."""
+        trace = self.trace("xnli", 9)
+        baseline = run_configuration("PathORAM", trace, self.oram_config(9))
+        speedups = {}
+        for window in (64, 512, None):  # None = the whole trace
+            # build_engine has no window argument: the one hand-built client.
+            client = FastLAORAMClient(
+                LAORAMConfig(
+                    oram=self.oram_config(10), superblock_size=4, lookahead_accesses=window
+                )
+            )
+            client.run_trace(trace.addresses)
+            speedups[window] = baseline.simulated_time_s / client.simulated_time_s
+        assert speedups[None] >= speedups[512] * 0.95
+        assert speedups[512] >= speedups[64] * 0.95
+        assert speedups[None] > 1.5
+
+    @pytest.mark.parametrize("tree", ["Normal", "Fat"])
+    def test_superblock_size_sweep(self, tree):
+        """S2-S16: speedup grows with diminishing returns, every leaf stream uniform."""
+        trace = self.trace("kaggle", 7)
+        oram_config = self.oram_config(7)
+        fold = 5  # 2048 leaves -> 64 cells, so 256 observed paths still fill them
+        results = {}
+        for size in (1, 2, 4, 8, 16):
+            observer = MemoryBusObserver()
+            label = "PathORAM" if size == 1 else f"{tree}/S{size}"
+            results[size] = run_configuration(
+                label, trace, oram_config, seed=7 + size, observer=observer
+            )
+            uniformity = chi_square_uniformity(
+                np.asarray(observer.observed_paths) >> fold, oram_config.num_leaves >> fold
+            )
+            assert not uniformity.rejects_uniformity(alpha=0.001), label
+        speedups = {size: result.speedup_over(results[1]) for size, result in results.items()}
+        assert speedups[4] > speedups[2] > 1.0
+        assert speedups[16] / speedups[8] < speedups[4] / speedups[2]
+
+    def test_proram_degrades_to_pathoram_on_kaggle(self):
+        """Section II-D: history finds no locality in Fig. 2's stream; lookahead does."""
+        trace = self.trace("kaggle", 13)
+        labels = ("PathORAM", "PrORAM-dynamic/S4", "PrORAM-static/S4", "Fat/S4")
+        results = {
+            label: run_configuration(label, trace, self.oram_config(13), seed=13 + offset)
+            for offset, label in enumerate(labels)
+        }
+        speedups = {
+            label: result.speedup_over(results["PathORAM"]) for label, result in results.items()
+        }
+        assert speedups["PrORAM-dynamic/S4"] == pytest.approx(1.0, abs=0.15)
+        assert speedups["PrORAM-static/S4"] < 1.5
+        assert speedups["Fat/S4"] > 2.0
