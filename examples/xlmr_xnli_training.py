@@ -72,11 +72,15 @@ def main() -> None:
     laoram = train("Fat/S8", dataset)
     print(
         f"\nEach epoch performs {NUM_SAMPLES * SEQUENCE_LENGTH * 2} token-embedding"
-        "\naccesses (fetch plus gradient write-back).  With the epoch's plan"
+        "\naccesses in minibatches of 16 sentences: one fetch, one model step"
+        "\nand one gradient write-back per batch.  With the epoch's plan"
         f"\ninstalled LAORAM's first epoch reads {laoram[0]:.3f} paths per row"
         f"\nagainst PathORAM's {pathoram[0]:.3f} (1/8 is the floor for superblocks"
         "\nof 8); later epochs start where the previous plan ran out, so their"
-        "\nfirst touches of a row are not yet coalesced."
+        "\nfirst touches of a row are not yet coalesced.  The classifier head"
+        "\nsteps once a batch on the batch-mean gradient, so the loss falls"
+        "\nmore slowly per epoch than per-sentence steps would take it"
+        "\n(docs/performance.md, \"The training step\")."
     )
 
 

@@ -203,9 +203,10 @@ _ENGINE_SOURCES = ModuleSources(
     declassifiers=_PATH_REVEAL,
 )
 
-# The bin kernel takes its ids bin by bin (``bins`` yields ``block_ids``
-# lists) and binds the stash's dict itself; the leaves ``leaf_access`` answers
-# with are secret until a fetch reveals them.
+# The bin generator cuts a request's ``block_ids`` and compares them with
+# the installed plan's; the bin kernel takes its ids bin by bin (``bins``
+# yields ``block_ids`` lists) and binds the stash's dict itself; the leaves
+# ``leaf_access`` answers with are secret until a fetch reveals them.
 _LAORAM_SOURCES = ModuleSources(
     params=frozenset({"bins", "block_ids", "stash_map"}),
     attrs=frozenset({"entries", "stash"}),
@@ -256,7 +257,10 @@ def default_config() -> AnalysisConfig:
             "repro/oram/position_map.py": _POSITION_MAP_SOURCES,
         },
         obl_hot_functions={
-            "repro/core/fast_laoram.py": ("FastLAORAMClient._run_bins",),
+            "repro/core/fast_laoram.py": (
+                "FastLAORAMClient._aligned_bins",
+                "FastLAORAMClient._run_bins",
+            ),
             "repro/oram/engine.py": (
                 "TreeORAMEngine.access",
                 "TreeORAMEngine._maybe_background_evict",

@@ -8,9 +8,12 @@ bin, whichever entry point it came through, runs on one fused kernel
 ``ArrayStorageEngine._run_trace_fused``): it binds the stash's dict once per
 call, a bin is dict membership, one ``fused_fetch`` per distinct path, an
 in-place remap and one write-back kernel call per path read, and the access
-and path counts are flushed once on exit.  Bins are consumed as numpy
-slices straight from the plan (:meth:`LookaheadPlan.iter_bin_arrays`) and
-initial placement relocates only the planned blocks (one level-by-level
+and path counts are flushed once on exit.  Every request becomes bins one
+way too (:meth:`FastLAORAMClient._aligned_bins`): while its ids are exactly
+the installed plan's next addresses — a replayed window always, a trainer
+that announced the stream it issues — each bin takes its remap leaves by
+position from the table the plan computes once, instead of a plan lookup per
+id.  Initial placement relocates only the planned blocks (one level-by-level
 removal from their old buckets, one per-level bulk placement on their new
 paths).
 
@@ -23,7 +26,6 @@ bin kernel").
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,26 +54,20 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
     def _execute_plan(
         self, plan: LookaheadPlan, addresses: np.ndarray
     ) -> Sequence[Optional[object]]:
-        """Execute every bin of ``plan`` from its arrays (no bin objects).
+        """Execute the window ``plan`` was just built over, bin by bin.
 
         An out-of-range id is rejected before the window starts (the
         preprocessor already rejected negative ids), so a bad trace leaves
-        the engine and the plan untouched.  The whole window's remap leaves
-        are precomputed in one vectorized pass instead of per-access plan
-        lookups (the consumption state they stand for is installed once the
-        last bin is through), and the payloads are one gather after the last
-        bin instead of a list per bin.
+        the engine and the plan untouched.  The window is then served like
+        any other request that matches the installed plan
+        (:meth:`_aligned_bins`: every bin takes its remap leaves by
+        position), and the payloads are one gather after the last bin
+        instead of a list per bin.
         """
         if plan.max_block_id >= self.config.num_blocks:
             self._check_block_id(plan.max_block_id)
-        remaps, final_consumed = plan.plan_bin_remaps() or (repeat(None), [])
-        self._run_bins(
-            (start_index, block_ids.tolist(), bin_remaps)
-            for (start_index, block_ids, _), bin_remaps in zip(
-                plan.iter_bin_arrays(), remaps
-            )
-        )
-        plan.apply_consumption(final_consumed)
+        self._trace_cursor = plan.start_index
+        self._run_bins(self._aligned_bins(addresses))
         return self._gather_payloads(addresses.tolist())
 
     def _relocate(
@@ -144,16 +140,50 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             return list(map(store.get, block_ids))
         return store[block_ids]
 
-    def _aligned_bins(self, ids: list[int]) -> Iterator[Bin]:
-        """Cut ``ids`` into consecutive bins ending on superblock boundaries."""
+    def _aligned_bins(self, block_ids: list[int] | np.ndarray) -> Iterator[Bin]:
+        """Cut ``block_ids`` into consecutive bins ending on superblock boundaries.
+
+        The one way a request becomes bins.  A replayed window arrives as
+        its int64 array and is converted bin by bin: a list of the whole
+        window held through the run left ``replay_laoram``'s peak RSS up to
+        8 MiB higher.  While the request is exactly
+        the installed plan's next addresses (one array equality per call,
+        :meth:`LookaheadPlan.position_bin`), every chunk that is a whole
+        plan bin carries the plan's precomputed remap leaves; any other bin
+        carries ``None`` and the kernel looks each id up in the plan, which
+        drops that plan to lookups for good.  How many bins went which way
+        is added to the two counters once per call, after the last bin.
+        """
         size = self.laoram_config.superblock_size
         cursor = self._trace_cursor
+        plan = self._plan
+        plan_stop = plan_bin = -1
+        if plan is not None:
+            plan_stop = plan.stop_index
+            plan_bin = plan.position_bin(cursor, block_ids)
+        bins = by_position = 0
         offset = 0
-        while offset < len(ids):
-            chunk = ids[offset : offset + size - cursor % size]
-            yield cursor, chunk, None
+        is_list = isinstance(block_ids, list)
+        while offset < len(block_ids):
+            chunk = block_ids[offset : offset + size - cursor % size]
+            if not is_list:
+                chunk = chunk.tolist()
             offset += len(chunk)
-            cursor += len(chunk)
+            end = cursor + len(chunk)
+            remaps = None
+            # oblivious: allow[OBL001] client-side: where the new leaf comes
+            # from; same traffic either way
+            if plan_bin >= 0 and (end % size == 0 or end == plan_stop):
+                remaps = plan.take_bin_remaps(plan_bin)
+                plan_bin += 1
+                by_position += 1
+            bins += 1
+            yield cursor, chunk, remaps
+            cursor = end
+        # Reached once the kernel has served the last bin: a call that
+        # raised (and dropped the plan) counts nothing.
+        self._bins_by_position += by_position
+        self._bins_by_lookup += bins - by_position
 
     def access_superblock(
         self,
@@ -192,9 +222,9 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         mid-window leaves the engine consistent and able to serve the next
         call: the capacity check runs after a path's blocks entered the
         stash, so an overflow loses nothing.  A raise also drops the plan —
-        a window's precomputed remaps have handed out leaves the plan still
-        counts as unconsumed, and serving them again would put a block back
-        on a path it was just read from — so later remaps draw uniformly.
+        the plan counts the whole of the bin's precomputed remaps as handed
+        out when only some were, and its lookups would no longer be the
+        reference client's — so later remaps draw uniformly.
         """
         num_blocks = self.config.num_blocks
         num_leaves = self._num_leaves

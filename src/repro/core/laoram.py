@@ -94,6 +94,8 @@ class LookaheadClientMixin:
         )
         self._plan: Optional[LookaheadPlan] = None
         self._trace_cursor = 0
+        self._bins_by_position = 0
+        self._bins_by_lookup = 0
 
     # ------------------------------------------------------------------
     # Plan management
@@ -106,6 +108,28 @@ class LookaheadClientMixin:
     def set_plan(self, plan: LookaheadPlan) -> None:
         """Install a preprocessor-produced plan for subsequent accesses."""
         self._plan = plan
+        self._bins_by_position = self._bins_by_lookup = 0
+
+    @property
+    def bins_by_position(self) -> int:
+        """Bins since the plan was installed that took its precomputed remaps.
+
+        The array client serves a bin by position while the ids it is asked
+        for are exactly the plan's next addresses.  A caller whose announced
+        trace has drifted from the ids it issues reads 0 here and its bins
+        under :attr:`bins_by_lookup`: remaps then cost a plan lookup per id
+        and a superblock's blocks no longer meet on one path.
+        """
+        return self._bins_by_position
+
+    @property
+    def bins_by_lookup(self) -> int:
+        """Bins since the plan was installed remapped id by id.
+
+        Counts the bins of ``run_trace`` / ``access_many`` / ``write_many``;
+        the per-object client looks every id up.
+        """
+        return self._bins_by_lookup
 
     def preprocess(self, addresses: Sequence[int] | np.ndarray, start_index: int = 0) -> LookaheadPlan:
         """Run the preprocessor over ``addresses`` and install the plan."""
@@ -163,6 +187,7 @@ class LookaheadClientMixin:
 
         Returns the payloads in trace order; backends may override for speed.
         """
+        self._bins_by_lookup += len(plan)
         return [
             payload
             for superblock in plan.bins
@@ -190,6 +215,7 @@ class LookaheadClientMixin:
                 leaf=0,
             )
             payloads.extend(self.access_superblock(superblock))
+            self._bins_by_lookup += 1
             offset += len(chunk)
         return payloads
 
@@ -217,6 +243,7 @@ class LookaheadClientMixin:
                 leaf=0,
             )
             self.access_superblock(superblock, new_payloads=updates)
+            self._bins_by_lookup += 1
             offset += len(chunk)
 
     @staticmethod

@@ -13,8 +13,9 @@ The plan is stored as flat numpy arrays (occurrence indices and bin leaves
 grouped by block id via one stable argsort) so that million-access windows
 can be planned without per-access Python work.  :class:`SuperblockBin`
 objects are materialised lazily and only for callers that want the
-object-level view; the vectorized execution engine iterates the underlying
-arrays directly through :meth:`LookaheadPlan.iter_bin_arrays`.
+object-level view; the vectorized execution engine cuts its requests itself
+and takes each bin's remap leaves by position
+(:meth:`LookaheadPlan.position_bin`, :meth:`LookaheadPlan.take_bin_remaps`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ def num_bins(num_accesses: int, superblock_size: int, start_index: int = 0) -> i
     if not num_accesses:
         return 0
     return -(-(start_index % superblock_size + num_accesses) // superblock_size)
+
+
+def _split(values: list, counts: list[int]) -> list[list]:
+    """Cut ``values`` into consecutive runs of ``counts`` elements."""
+    runs = []
+    position = 0
+    for count in counts:
+        runs.append(values[position : position + count])
+        position += count
+    return runs
 
 
 @dataclass(frozen=True)
@@ -168,15 +179,24 @@ class LookaheadPlan:
         self._ends = np.append(self._starts[1:], self._sorted_ids.size)
         # Python-side mirrors for the per-access lookup path (next_leaf /
         # consume_next_leaf / occurrences): dict + bisect runs ~10x faster
-        # than per-call searchsorted on tiny array views.  Built lazily so
-        # the vectorized engine, which executes whole windows through
-        # plan_bin_remaps(), never pays the O(n) list/dict construction.
+        # than per-call searchsorted on tiny array views.  Built lazily: a
+        # plan whose every bin is served by position (take_bin_remaps())
+        # never pays the O(n) list/dict construction.
         self._occ_list: Optional[list[int]] = None
         self._leaf_list: Optional[list[int]] = None
         self._ranges: Optional[dict[int, tuple[int, int]]] = None
-        # Highest occurrence index already handed out by consume_next_leaf;
+        # Highest occurrence index already handed out as a reassignment;
         # ensures every planned path is used as a reassignment at most once.
+        # Read it through consumed_up_to: the bins served by position are
+        # folded in only when somebody looks.
         self._consumed_up_to: dict[int, int] = {}
+        # By-position state (from_arrays plans): the per-bin table of
+        # plan_bin_remaps(), built on first use, and the bin whose turn it
+        # is to take the table (-1 once a lookup has consumed anything: the
+        # table's "next bin's leaf" is only right while every earlier
+        # consumption was by position).
+        self._bin_table: Optional[tuple[list[list[int]], list[list[tuple[int, int]]]]] = None
+        self._position_bin = 0
 
     def _lookup_tables(
         self,
@@ -214,8 +234,7 @@ class LookaheadPlan:
     def iter_bin_arrays(self) -> Iterator[tuple[int, np.ndarray, int]]:
         """Yield ``(start_index, block_ids, leaf)`` per bin without objects.
 
-        This is the hot-path iteration the array-backed engine uses: block
-        ids stay numpy slices of the window's address array.
+        Block ids stay numpy slices of the window's address array.
         """
         if self._addresses is not None:
             size = self._superblock_size
@@ -248,6 +267,16 @@ class LookaheadPlan:
     def num_accesses(self) -> int:
         """Total number of accesses covered by the plan."""
         return self._num_accesses
+
+    @property
+    def start_index(self) -> int:
+        """Trace index of the window's first access."""
+        return self._start_index
+
+    @property
+    def stop_index(self) -> int:
+        """Trace index one past the window's last access."""
+        return self._start_index + self._num_accesses
 
     @property
     def max_block_id(self) -> int:
@@ -290,16 +319,18 @@ class LookaheadPlan:
         accesses.  Consuming occurrences makes every reassignment an
         independent uniform draw, exactly as in PathORAM.
         """
+        consumed = self.consumed_up_to
+        self._position_bin = -1
         occ_list, leaf_list, ranges = self._lookup_tables()
         bounds = ranges.get(block_id)
         if bounds is None:
             return None
         start, end = bounds
-        floor = max(after_index, self._consumed_up_to.get(block_id, -1))
+        floor = max(after_index, consumed.get(block_id, -1))
         pos = bisect_right(occ_list, floor, start, end)
         if pos >= end:
             return None
-        self._consumed_up_to[block_id] = occ_list[pos]
+        consumed[block_id] = occ_list[pos]
         return leaf_list[pos]
 
     def take_first_occurrences(self, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,26 +353,31 @@ class LookaheadPlan:
 
     def plan_bin_remaps(
         self,
-    ) -> Optional[tuple[list[list[int]], list[tuple[int, int]]]]:
-        """Precompute every bin's remap leaves for a pure window execution.
+    ) -> Optional[tuple[list[list[int]], list[list[tuple[int, int]]]]]:
+        """Every bin's remap leaves and what they consume, computed once.
 
-        When ``run_trace`` executes this window bin by bin, the sequence of
+        When the window is executed bin by bin, the sequence of
         ``consume_next_leaf`` calls is fully determined by the trace: each
         bin asks once per distinct block with ``after_index`` = the bin's end,
         so the answer is always the leaf of the block's *next* bin (or a
         uniform fallback when there is none).  That makes the whole window
         precomputable in a handful of array passes.
 
-        Returns ``(remaps, final_consumed)``: ``remaps[j]`` lists, for bin
-        ``j``'s distinct blocks in first-occurrence order, the next bin's
-        leaf or ``-1`` (fallback draw); ``final_consumed`` is the
-        ``(block_id, occurrence_index)`` state the equivalent call sequence
-        leaves behind, to be applied via :meth:`apply_consumption`.  Only
+        Returns ``(remaps, consumed)``, one entry per bin: ``remaps[j]``
+        lists, for bin ``j``'s distinct blocks in first-occurrence order, the
+        next bin's leaf or ``-1`` (fallback draw); ``consumed[j]`` the
+        ``(block_id, occurrence_index)`` pairs those answers hand out — what
+        the equivalent ``consume_next_leaf`` calls would record.  Only
         available for plans built through :meth:`from_arrays`; returns
-        ``None`` otherwise.
+        ``None`` otherwise.  :meth:`take_bin_remaps` serves the table.
         """
         if self._addresses is None:
             return None
+        if self._bin_table is None:
+            self._bin_table = self._build_bin_table()
+        return self._bin_table
+
+    def _build_bin_table(self) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
         n = self._num_accesses
         size = self._superblock_size
         if n == 0:
@@ -361,41 +397,80 @@ class LookaheadPlan:
         fb_bin = bin_idx[first]
         fb_occ = socc[first]
         entries = first.size
+        # An entry whose successor is the same block's next bin is remapped
+        # to that bin's leaf and consumes that bin's first occurrence.
         values = np.full(entries, -1, dtype=np.int64)
+        taken = np.full(entries, -1, dtype=np.int64)
         if entries > 1:
             has_next = np.nonzero(fb_block[1:] == fb_block[:-1])[0]
             values[has_next] = self._bin_leaves[fb_bin[has_next + 1]]
+            taken[has_next] = fb_occ[has_next + 1]
         # Bins are contiguous occurrence ranges, so sorting the entries by
         # occurrence groups them by bin in first-occurrence order.
         order = np.argsort(fb_occ, kind="stable")
-        sorted_values = values[order].tolist()
-        counts = np.bincount(fb_bin[order], minlength=len(self)).tolist()
-        remaps: list[list[int]] = []
-        position = 0
-        for count in counts:
-            remaps.append(sorted_values[position : position + count])
-            position += count
-        # Final consumption state: a block appearing in >= 2 bins ends with
-        # its last bin's first occurrence consumed (the last successful
-        # consume); single-bin blocks leave no new state behind.
-        last_of_block = np.empty(entries, dtype=bool)
-        last_of_block[-1] = True
-        np.not_equal(fb_block[1:], fb_block[:-1], out=last_of_block[:-1])
-        first_of_block = np.empty(entries, dtype=bool)
-        first_of_block[0] = True
-        first_of_block[1:] = last_of_block[:-1]
-        multi_last = last_of_block & ~first_of_block
-        final_consumed = list(
-            zip(fb_block[multi_last].tolist(), fb_occ[multi_last].tolist())
+        bins = fb_bin[order]
+        remaps = _split(
+            values[order].tolist(), np.bincount(bins, minlength=len(self)).tolist()
         )
-        return remaps, final_consumed
+        consuming = order[taken[order] >= 0]
+        consumed = _split(
+            list(zip(fb_block[consuming].tolist(), taken[consuming].tolist())),
+            np.bincount(fb_bin[consuming], minlength=len(self)).tolist(),
+        )
+        return remaps, consumed
 
-    def apply_consumption(self, final_consumed: list[tuple[int, int]]) -> None:
-        """Install the consumption state computed by :meth:`plan_bin_remaps`."""
-        consumed = self._consumed_up_to
-        for block_id, occ in final_consumed:
-            if consumed.get(block_id, -1) < occ:
-                consumed[block_id] = occ
+    def position_bin(self, start_index: int, block_ids: list[int] | np.ndarray) -> int:
+        """The bin a call for ``block_ids`` at ``start_index`` opens by position.
+
+        That is the index of the plan bin starting at ``start_index`` when
+        it is the next one in line (every earlier bin took its remaps from
+        the table and nothing was consumed by lookup) and ``block_ids`` are
+        exactly the planned addresses from there on; ``-1`` otherwise.
+        """
+        offset = start_index - self._start_index
+        size = self._superblock_size
+        if (
+            self._position_bin < 0
+            or self._addresses is None
+            or offset < 0
+            # Bins open at the window's start and on the global boundaries.
+            or (offset and start_index % size)
+            or start_index // size - self._start_index // size != self._position_bin
+        ):
+            return -1
+        if not np.array_equal(
+            self._addresses[offset : offset + len(block_ids)], block_ids
+        ):
+            return -1
+        self.plan_bin_remaps()
+        return self._position_bin
+
+    def take_bin_remaps(self, bin_index: int) -> list[int]:
+        """Bin ``bin_index``'s remap leaves, by position.
+
+        Valid for the bin :meth:`position_bin` named and the whole bins that
+        follow it in the same call, in order.  What the bin consumes reaches
+        :attr:`consumed_up_to` when that is next read: replacing a few
+        entries of a large dict after every bin scatters freed ints over the
+        heap, which cost the kernel running between the bins 10 % at 2^20
+        blocks (``docs/performance.md``, "The training step").
+        """
+        self._position_bin = bin_index + 1
+        return self._bin_table[0][bin_index]
+
+    @property
+    def consumed_up_to(self) -> dict[int, int]:
+        """Block id -> highest planned occurrence handed out so far.
+
+        Exact at every bin boundary: the bins served by position since the
+        plan was built are folded in first, in order (idempotent, and
+        nothing else writes while bins go by position).
+        """
+        if self._position_bin > 0:
+            update = self._consumed_up_to.update
+            for pairs in self._bin_table[1][: self._position_bin]:
+                update(pairs)
+        return self._consumed_up_to
 
     def occurrences(self, block_id: int) -> list[int]:
         """Trace indices at which ``block_id`` is accessed within the window."""

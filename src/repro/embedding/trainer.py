@@ -94,33 +94,49 @@ class ObliviousEmbeddingTrainer:
         model: XLMRClassifier,
         dataset: SyntheticXNLIDataset,
         max_samples: int | None = None,
+        batch_size: int = 16,
     ) -> TrainingReport:
-        """One epoch of XLM-R-style training with token embeddings behind the ORAM."""
+        """One epoch of XLM-R-style training with token embeddings behind the ORAM.
+
+        As on DLRM, a minibatch is one store round trip: the token rows of
+        ``batch_size`` sentences are fetched in one request, trained in one
+        model step and written back in one request.
+        """
+        if batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         num_samples = dataset.num_samples if max_samples is None else min(
             max_samples, dataset.num_samples
         )
         if num_samples < 1:
             raise ConfigurationError("need at least one training sample")
+        batches = [
+            range(start, min(start + batch_size, num_samples))
+            for start in range(0, num_samples, batch_size)
+        ]
         epoch_start = self._traffic()
-        # Each sample fetches its token rows and writes them back, so the
-        # preprocessor's trace repeats every sample's tokens twice.
-        trace_parts = []
-        for index in range(num_samples):
-            tokens = dataset.tokens[index]
-            trace_parts.extend([tokens, tokens])
-        self._maybe_install_plan(np.concatenate(trace_parts))
+        # Each minibatch fetches its sentences' token rows and then writes
+        # them back, so every batch's ids appear twice in a row.
+        self._maybe_install_plan(np.concatenate([
+            dataset.tokens[batch.start : batch.stop].reshape(-1)
+            for batch in batches
+            for _ in range(2)
+        ]))
 
         losses = []
         correct = 0
-        for index in range(num_samples):
-            sample = dataset.sample(index)
-            token_ids = sample.tokens
+        for batch in batches:
+            samples = [dataset.sample(index) for index in batch]
+            tokens = np.stack([sample.tokens for sample in samples])
+            token_ids = tokens.reshape(-1)
             rows = self.store.fetch_rows(token_ids)
-            result = model.train_step(rows, sample.label)
-            self.apply_gradients(token_ids, rows, result.token_grads)
-            losses.append(result.loss)
-            correct += int(result.correct)
-        return self._report(losses, correct, epoch_start)
+            result = model.train_step(
+                rows.reshape(*tokens.shape, -1),
+                np.array([sample.label for sample in samples]),
+            )
+            self.apply_gradients(token_ids, rows, result.token_grads.reshape(rows.shape))
+            losses.append(result.losses)
+            correct += int(np.count_nonzero(result.correct))
+        return self._report(np.concatenate(losses), correct, epoch_start)
 
     def apply_gradients(
         self, row_ids: np.ndarray, rows: np.ndarray, gradients: np.ndarray
@@ -128,8 +144,9 @@ class ObliviousEmbeddingTrainer:
         """One optimizer step on the fetched ``rows``, written back obliviously.
 
         A row fetched several times in one request (a hot Criteo id shared
-        by samples of a minibatch, a token repeated in a sentence) steps once
-        on the sum of its occurrences' gradients, and every occurrence is
+        by samples of a minibatch, a token repeated in a sentence or shared
+        by sentences of a minibatch) steps once on the sum of its
+        occurrences' gradients, and every occurrence is
         written back with that value, so the write-back issues exactly the
         ids the fetch did.
         """

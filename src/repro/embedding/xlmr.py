@@ -6,7 +6,9 @@ For the reproduction the interesting component is the embedding table itself
 irrelevant to the memory access pattern, so this model uses mean pooling over
 token embeddings followed by a softmax classifier.  Token embeddings are
 supplied by the caller (fetched through the ORAM) and their gradients are
-returned for oblivious write-back, exactly like the DLRM model.
+returned for oblivious write-back, exactly like the DLRM model, and like it
+the model is batch-first: every array carries the minibatch of sentences on
+its leading axis and one ``train_step`` is one SGD step.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from repro.utils.rng import make_rng
 
 @dataclass
 class XLMRGradients:
-    """Per-sample loss and gradient with respect to each token embedding."""
+    """Per-sentence losses and token-row gradients of one minibatch."""
 
-    token_grads: np.ndarray
-    loss: float
-    correct: bool
+    token_grads: np.ndarray  # (B, T, d)
+    losses: np.ndarray  # (B,)
+    correct: np.ndarray  # (B,) bool
 
 
 class XLMRClassifier:
@@ -53,41 +55,65 @@ class XLMRClassifier:
 
     # ------------------------------------------------------------------
     def forward(self, token_embeddings: np.ndarray) -> np.ndarray:
-        """Class probabilities for one token sequence (``(seq, dim)`` input)."""
-        token_embeddings = np.asarray(token_embeddings, dtype=np.float32)
-        if token_embeddings.ndim != 2 or token_embeddings.shape[1] != self.embedding_dim:
-            raise ConfigurationError("token_embeddings must have shape (seq, dim)")
-        pooled = token_embeddings.mean(axis=0)
-        logits = pooled @ self.weights + self.bias
-        logits -= logits.max()
-        exp = np.exp(logits)
-        return exp / exp.sum()
+        """Class probabilities ``(B, classes)`` of ``B`` token sequences ``(B, T, d)``."""
+        return self._softmax(self._as_batch(token_embeddings).mean(axis=1))
 
     def train_step(
-        self, token_embeddings: np.ndarray, label: int, update: bool = True
+        self, token_embeddings: np.ndarray, labels: np.ndarray, update: bool = True
     ) -> XLMRGradients:
-        """One SGD step; returns the gradient for each token embedding row."""
-        token_embeddings = np.asarray(token_embeddings, dtype=np.float32)
-        probabilities = self.forward(token_embeddings)
-        if not 0 <= label < self.num_classes:
-            raise ConfigurationError("label outside class range")
-        loss = float(-np.log(probabilities[label] + 1e-7))
-        correct = bool(int(np.argmax(probabilities)) == label)
+        """One SGD step on a minibatch of ``B`` sentences of ``T`` tokens.
 
-        dlogits = probabilities.copy()
-        dlogits[label] -= 1.0
-        pooled = token_embeddings.mean(axis=0)
-        dw = np.outer(pooled, dlogits).astype(np.float32)
-        db = dlogits.astype(np.float32)
-        dpooled = (self.weights @ dlogits).astype(np.float32)
-        seq_len = token_embeddings.shape[0]
-        token_grads = np.tile(dpooled / seq_len, (seq_len, 1)).astype(np.float32)
+        The head steps on the batch mean of the per-sentence gradients (as
+        :class:`~repro.embedding.dlrm.DLRMModel`'s MLPs do); the returned
+        token-row gradients stay per sentence and unscaled, ``dpooled_b / T``
+        for every token of sentence ``b``, so a row shared by sentences
+        steps on the sum of their pushes when the caller accumulates them.
+        A batch of one is plain per-sentence SGD.
+        """
+        token_embeddings = self._as_batch(token_embeddings)
+        batch, seq_len = token_embeddings.shape[:2]
+        labels = np.asarray(labels)
+        if labels.shape != (batch,) or labels.dtype.kind not in "iu":
+            raise ConfigurationError(f"labels must be an integer array of shape ({batch},)")
+        if labels.min() < 0 or labels.max() >= self.num_classes:
+            raise ConfigurationError("label outside class range")
+        pooled = token_embeddings.mean(axis=1)
+        probabilities = self._softmax(pooled)
+        sentences = np.arange(batch)
+        losses = -np.log(probabilities[sentences, labels].astype(np.float64) + 1e-7)
+        correct = probabilities.argmax(axis=1) == labels
+
+        dlogits = probabilities
+        dlogits[sentences, labels] -= 1.0
+        dpooled = dlogits @ self.weights.T
+        token_grads = np.repeat((dpooled / seq_len)[:, None, :], seq_len, axis=1)
 
         if update:
-            self.weights -= self.learning_rate * dw
-            self.bias -= self.learning_rate * db
-        return XLMRGradients(token_grads=token_grads, loss=loss, correct=correct)
+            mean_lr = np.float32(self.learning_rate / batch)
+            self.weights -= mean_lr * (pooled.T @ dlogits)
+            self.bias -= mean_lr * dlogits.sum(axis=0)
+        return XLMRGradients(token_grads=token_grads, losses=losses, correct=correct)
 
-    def predict(self, token_embeddings: np.ndarray) -> int:
-        """Most likely class for one token sequence."""
-        return int(np.argmax(self.forward(token_embeddings)))
+    def predict(self, token_embeddings: np.ndarray) -> np.ndarray:
+        """Most likely class of each of ``B`` token sequences."""
+        return self.forward(token_embeddings).argmax(axis=1)
+
+    # ------------------------------------------------------------------
+    def _as_batch(self, token_embeddings: np.ndarray) -> np.ndarray:
+        token_embeddings = np.asarray(token_embeddings, dtype=np.float32)
+        if (
+            token_embeddings.ndim != 3
+            or 0 in token_embeddings.shape
+            or token_embeddings.shape[2] != self.embedding_dim
+        ):
+            raise ConfigurationError(
+                f"token_embeddings must have shape (batch, seq, {self.embedding_dim}), "
+                f"got {token_embeddings.shape}"
+            )
+        return token_embeddings
+
+    def _softmax(self, pooled: np.ndarray) -> np.ndarray:
+        logits = pooled @ self.weights + self.bias
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        return exp / exp.sum(axis=1, keepdims=True)

@@ -199,41 +199,82 @@ class TestXLMRClassifier:
     def test_forward_is_a_distribution(self):
         model = XLMRClassifier(embedding_dim=16, num_classes=3, seed=0)
         rng = make_rng(0)
-        probabilities = model.forward(rng.normal(size=(6, 16)))
-        assert probabilities.shape == (3,)
-        assert probabilities.sum() == pytest.approx(1.0)
+        probabilities = model.forward(rng.normal(size=(5, 6, 16)))
+        assert probabilities.shape == (5, 3)
+        assert probabilities.sum(axis=1) == pytest.approx(np.ones(5))
 
     def test_train_step_returns_token_gradients(self):
         model = XLMRClassifier(embedding_dim=16, seed=0)
         rng = make_rng(1)
-        tokens = rng.normal(size=(6, 16)).astype(np.float32)
-        result = model.train_step(tokens, label=2, update=False)
-        assert result.token_grads.shape == (6, 16)
-        assert np.isfinite(result.loss)
+        tokens = rng.normal(size=(5, 6, 16)).astype(np.float32)
+        result = model.train_step(tokens, np.array([2, 0, 1, 2, 2]), update=False)
+        assert result.token_grads.shape == (5, 6, 16)
+        assert result.token_grads.dtype == np.float32
+        assert result.losses.shape == result.correct.shape == (5,)
+        assert np.all(np.isfinite(result.losses))
+        # Every token of a sentence is pushed by that sentence's pooled gradient.
+        assert np.array_equal(result.token_grads[:, 0], result.token_grads[:, 5])
+
+    def test_update_false_leaves_the_head_alone(self):
+        model = XLMRClassifier(embedding_dim=8, seed=0)
+        tokens = make_rng(4).normal(size=(3, 5, 8)).astype(np.float32)
+        labels = np.array([0, 2, 1])
+        weights, bias = model.weights.copy(), model.bias.copy()
+        dry = model.train_step(tokens, labels, update=False)
+        assert np.array_equal(model.weights, weights) and np.array_equal(model.bias, bias)
+        stepped = model.train_step(tokens, labels)
+        assert not np.array_equal(model.weights, weights)
+        assert np.array_equal(dry.token_grads, stepped.token_grads)
+        assert np.array_equal(dry.losses, stepped.losses)
+
+    def test_a_batch_is_its_sentences_side_by_side(self):
+        """Losses and token gradients are per sentence; the head steps on their mean."""
+        tokens = make_rng(5).normal(size=(4, 6, 8)).astype(np.float32)
+        labels = np.array([1, 0, 2, 1])
+        batched = XLMRClassifier(embedding_dim=8, learning_rate=0.3, seed=0)
+        result = batched.train_step(tokens, labels)
+        head_steps = []
+        for index in range(4):
+            single = XLMRClassifier(embedding_dim=8, learning_rate=0.3, seed=0)
+            initial = single.weights.copy()
+            alone = single.train_step(tokens[index : index + 1], labels[index : index + 1])
+            assert np.allclose(alone.token_grads[0], result.token_grads[index], atol=1e-7)
+            assert alone.losses[0] == pytest.approx(result.losses[index], rel=1e-6)
+            assert alone.correct[0] == result.correct[index]
+            head_steps.append(single.weights - initial)
+        fresh = XLMRClassifier(embedding_dim=8, learning_rate=0.3, seed=0)
+        assert np.allclose(
+            batched.weights - fresh.weights, np.mean(head_steps, axis=0), atol=1e-6
+        )
 
     def test_training_reduces_loss(self):
         model = XLMRClassifier(embedding_dim=8, learning_rate=0.5, seed=0)
         rng = make_rng(2)
-        tokens = rng.normal(size=(5, 8)).astype(np.float32)
+        embeddings = rng.normal(size=(3, 5, 8)).astype(np.float32)
+        labels = np.array([1, 0, 2])
         losses = []
-        embeddings = tokens.copy()
         for _ in range(25):
-            result = model.train_step(embeddings, label=1)
+            result = model.train_step(embeddings, labels)
             embeddings = embeddings - 0.5 * result.token_grads
-            losses.append(result.loss)
+            losses.append(result.losses.mean())
         assert losses[-1] < losses[0]
 
     def test_predict_matches_argmax(self):
         model = XLMRClassifier(embedding_dim=8, seed=0)
         rng = make_rng(3)
-        tokens = rng.normal(size=(4, 8))
-        assert model.predict(tokens) == int(np.argmax(model.forward(tokens)))
+        tokens = rng.normal(size=(7, 4, 8))
+        assert model.predict(tokens).tolist() == model.forward(tokens).argmax(axis=1).tolist()
 
     def test_invalid_inputs_rejected(self):
         model = XLMRClassifier(embedding_dim=8, seed=0)
-        with pytest.raises(ConfigurationError):
-            model.forward(np.zeros((4, 5)))
-        with pytest.raises(ConfigurationError):
-            model.train_step(np.zeros((4, 8)), label=7)
+        for shape in [(4, 5), (4, 8), (2, 4, 5), (0, 4, 8), (2, 0, 8)]:
+            with pytest.raises(ConfigurationError):
+                model.forward(np.zeros(shape))
+            with pytest.raises(ConfigurationError):
+                model.train_step(np.zeros(shape), np.zeros(shape[0], dtype=np.int64))
+        rows = np.zeros((3, 4, 8))
+        for labels in ([0, 1, 7], [0, -1, 1], [0, 1], [[0, 1, 2]], [0.0, 1.0, 2.0]):
+            with pytest.raises(ConfigurationError):
+                model.train_step(rows, np.array(labels))
         with pytest.raises(ConfigurationError):
             XLMRClassifier(embedding_dim=0)

@@ -13,13 +13,23 @@ chi-square has no power; observed paths are coarsened onto 64 equal leaf
 ranges (powers of two divide evenly) and uniformity is tested there.
 Independence is checked as mutual information between 8-bin coarsened
 addresses and paths, the same statistic ``analyze_path_obliviousness`` uses.
+
+The last class puts the same adversary on the trainer's path: minibatches
+served now (``access_many`` / ``write_many``) under an installed plan whose
+remap leaves are taken by position, two epochs in a row, plus the
+linkability checks the plan's consumption state exists for.
 """
 
 import numpy as np
 import pytest
 
 from repro.attacks.observer import MemoryBusObserver
+from repro.datasets.xnli import SyntheticXNLIDataset
 from repro.datasets.zipf import ZipfTraceGenerator
+from repro.embedding.secure_loader import SecureEmbeddingStore
+from repro.embedding.table import EmbeddingTable
+from repro.embedding.trainer import ObliviousEmbeddingTrainer
+from repro.embedding.xlmr import XLMRClassifier
 from repro.experiments.configs import build_engine, build_oram_config
 from repro.utils.stats import chi_square_uniformity, mutual_information
 
@@ -120,3 +130,125 @@ class TestBatchedAccessUniformity:
             coarse = coarsen(paths, num_leaves, COARSE_BINS)
             result = chi_square_uniformity(coarse, COARSE_BINS)
             assert not result.rejects_uniformity(alpha=ALPHA)
+
+
+class TestServeNowUnderAPlan:
+    """Two epochs of minibatch training: the leaf stream of by-position remaps."""
+
+    NUM_BLOCKS = 1 << 17
+    DIM = 4
+
+    @pytest.fixture(scope="class", params=["Fat/S8", "Normal/S4"])
+    def training_run(self, request):
+        observer = MemoryBusObserver()
+        config = build_oram_config(
+            num_blocks=self.NUM_BLOCKS, block_size_bytes=4 * self.DIM, seed=7
+        )
+        engine = build_engine(request.param, config, fast=True, observer=observer)
+        store = SecureEmbeddingStore(
+            engine, EmbeddingTable(self.NUM_BLOCKS, self.DIM, seed=7)
+        )
+        dataset = SyntheticXNLIDataset(
+            96, vocabulary_size=self.NUM_BLOCKS, sequence_length=32, exponent=1.2, seed=3
+        )
+
+        # Every planned occurrence a remap hands out, whichever way: trusted
+        # placement, a bin served by position, a per-id lookup.
+        handed = []
+        preprocess = engine.preprocess
+
+        def recording_preprocess(trace, **kwargs):
+            plan = preprocess(trace, **kwargs)
+            epoch = []
+            handed.append(epoch)
+            first, by_position, lookup = (
+                plan.take_first_occurrences, plan.take_bin_remaps, plan.consume_next_leaf
+            )
+
+            def take_first_occurrences(num_blocks):
+                result = first(num_blocks)
+                epoch.extend(plan.consumed_up_to.items())
+                return result
+
+            def take_bin_remaps(bin_index):
+                epoch.extend(plan.plan_bin_remaps()[1][bin_index])
+                return by_position(bin_index)
+
+            def consume_next_leaf(block_id, after_index):
+                leaf = lookup(block_id, after_index)
+                if leaf is not None:
+                    epoch.append((block_id, plan.consumed_up_to[block_id]))
+                return leaf
+
+            plan.take_first_occurrences = take_first_occurrences
+            plan.take_bin_remaps = take_bin_remaps
+            plan.consume_next_leaf = consume_next_leaf
+            return plan
+
+        engine.preprocess = recording_preprocess
+
+        # The leaf every requested block is remapped to, after each request.
+        issued, remapped = [], []
+        for verb in ("access_many", "write_many"):
+            def logged(ids, *args, _call=getattr(engine, verb)):
+                result = _call(ids, *args)
+                issued.append(np.array(ids))
+                remapped.append(engine.position_map.peek_many(ids))
+                return result
+            setattr(engine, verb, logged)
+
+        trainer = ObliviousEmbeddingTrainer(store)
+        model = XLMRClassifier(self.DIM, seed=7)
+        bins = []
+        for _ in range(2):
+            trainer.train_xlmr_epoch(model, dataset)
+            bins.append((engine.bins_by_position, engine.bins_by_lookup))
+        return {
+            "paths": np.asarray(observer.observed_paths, dtype=np.int64),
+            "num_leaves": config.num_leaves,
+            "size": engine.superblock_size,
+            "issued": issued,
+            "remapped": remapped,
+            "handed": handed,
+            "bins": bins,
+        }
+
+    def test_every_bin_took_its_remaps_by_position(self, training_run):
+        accesses = 2 * 96 * 32
+        assert training_run["bins"] == [(accesses // training_run["size"], 0)] * 2
+        assert len(training_run["paths"]) >= 500
+
+    def test_paths_uniform(self, training_run):
+        coarse = coarsen(training_run["paths"], training_run["num_leaves"], COARSE_BINS)
+        result = chi_square_uniformity(coarse, COARSE_BINS)
+        assert not result.rejects_uniformity(alpha=ALPHA)
+
+    def test_paths_independent_of_addresses(self, training_run):
+        trace = np.concatenate(training_run["issued"])
+        paths = training_run["paths"]
+        length = min(len(trace), paths.size)
+        info = mutual_information(
+            coarsen(trace[:length], self.NUM_BLOCKS, 8).tolist(),
+            coarsen(paths[:length], training_run["num_leaves"], 8).tolist(),
+        )
+        assert info < 0.25
+
+    def test_no_planned_occurrence_is_handed_out_twice(self, training_run):
+        # Handing a block the path of the same future occurrence twice
+        # would show the adversary one leaf at two of its accesses.
+        assert len(training_run["handed"]) == 2
+        for epoch in training_run["handed"]:
+            assert len(epoch) > 1000
+            assert len(set(epoch)) == len(epoch)
+
+    def test_a_fetch_and_its_write_back_remap_to_different_leaves(self, training_run):
+        # Two uniform draws over the leaves coincide once in num_leaves;
+        # the same occurrence handed to both would coincide every time.
+        issued, remapped = training_run["issued"], training_run["remapped"]
+        pairs = same = 0
+        for fetch in range(0, len(issued), 2):
+            assert np.array_equal(issued[fetch], issued[fetch + 1])
+            pairs += issued[fetch].size
+            same += int(np.count_nonzero(remapped[fetch] == remapped[fetch + 1]))
+        assert pairs == 2 * 96 * 32
+        assert same <= 5 * pairs / training_run["num_leaves"] + 2

@@ -352,6 +352,119 @@ def test_fast_lookahead_bins_match_the_object_client(label, recursive, window):
     assert (states[0]["statistics"].posmap_path_reads > 0) == recursive
 
 
+#: How a caller leaves the installed plan: an id that is not the planned
+#: one, a request ending inside a superblock, a single access.
+DEVIATIONS = ("swapped_id", "mid_bin", "single_access")
+
+
+def block_consumed_ahead(trace: np.ndarray) -> int:
+    """A block whose unplanned access in [96, 144) the plan's table cannot absorb.
+
+    Accessed before index 96 (so its next planned occurrence is already
+    handed out), absent from [96, 144) (so the extra access is a remap of
+    its own, which takes the occurrence after that) and planned in two
+    further superblocks: a client still reading the table at the first of
+    them hands the block the second one's leaf a second time, where the
+    lookup moves on to a third or to a uniform draw.
+    """
+    for block_id in np.unique(trace[:96]).tolist():
+        later = np.flatnonzero(trace[144:380] == block_id) // 8
+        if block_id not in trace[96:144] and np.unique(later).size >= 2:
+            return block_id
+    raise AssertionError("no such block in the trace")
+
+
+@pytest.mark.parametrize("deviation", DEVIATIONS)
+@pytest.mark.parametrize("placement", [False, True])
+@pytest.mark.parametrize("recursive", [False, True])
+@pytest.mark.parametrize("label", LOOKAHEAD_LABELS)
+def test_remaps_by_position_match_the_object_client_across_a_deviation(
+    label, recursive, placement, deviation
+):
+    """Conforming calls, one deviating call, conforming calls again.
+
+    The array client hands a conforming bin the plan's precomputed remaps
+    and drops to per-id lookups at the deviation, for good; the object
+    client looks every id up.  They must agree on everything, the plan's
+    consumption state included, after every call.
+    """
+    trace = mixed_trace()[:400]
+    extra = block_consumed_ahead(trace)
+    rows = [("written", i) for i in range(len(trace))]
+    start = 0 if placement else 13
+
+    def cut(verb, lo, hi):
+        return verb, trace[max(lo, start) : hi]
+
+    calls = [cut("access_many", 0, 48), cut("write_many", 48, 96)]
+    if deviation == "swapped_id":
+        ids = trace[96:144].copy()
+        ids[5] = extra
+        calls.append(("access_many", ids))
+    elif deviation == "mid_bin":
+        calls += [cut("access_many", 96, 115), cut("write_many", 115, 144)]
+    else:
+        calls += [("access", extra), cut("access_many", 97, 144)]
+    deviated = len(calls)
+    calls += [
+        cut("access_many", 144, 200),
+        cut("write_many", 200, 256),
+        cut("access_many", 256, 380),
+    ]
+
+    twins = []
+    for fast in (False, True):
+        config = build_oram_config(
+            num_blocks=NUM_BLOCKS,
+            block_size_bytes=4 * DIM,
+            seed=17,
+            recursive_posmap=recursive,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=64,
+        )
+        engine = build_engine(label, config, fast=fast)
+        engine.load_payloads({b: ("initial", b) for b in range(NUM_BLOCKS)})
+        if not placement:
+            # Plan-free bins first: the plan then opens off a boundary,
+            # with a short bin.
+            engine.access_many(trace[:start])
+        plan = engine.preprocess(trace[start:], start_index=engine.trace_cursor)
+        if placement:
+            engine.apply_initial_placement(plan)
+        twins.append(engine)
+
+    def state(engine) -> dict:
+        return dict(
+            engine_state(engine),
+            trace_cursor=engine.trace_cursor,
+            stash_hits=engine.stash_hits,
+            consumed=dict(engine.plan.consumed_up_to),
+        )
+
+    reference, fast = twins
+    by_position = []
+    for verb, ids in calls:
+        results = []
+        for engine in twins:
+            if verb == "access":
+                results.append([engine.access(ids)])
+            elif verb == "write_many":
+                results.append(engine.write_many(ids, rows[: len(ids)]))
+            else:
+                results.append(list(engine.access_many(ids)))
+        assert results[0] == results[1]
+        assert_twins_agree(state(reference), state(fast))
+        by_position.append(fast.bins_by_position)
+    # Whole bins before the deviation took the table; none did after it.
+    assert by_position[0] > 0
+    assert by_position[deviated - 1 :] == [by_position[deviated - 1]] * (
+        len(calls) - deviated + 1
+    )
+    assert reference.bins_by_position == 0
+    assert fast.bins_by_lookup > 0
+    assert (reference.statistics.posmap_path_reads > 0) == recursive
+
+
 # ----------------------------------------------------------------------
 # One way to run a bin
 # ----------------------------------------------------------------------

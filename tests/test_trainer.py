@@ -71,21 +71,28 @@ class TestApplyGradients:
         assert np.allclose(trained, plain.weights[[5, 9]], rtol=0, atol=1e-7)
 
     def test_repeated_token_in_a_sentence_keeps_every_gradient(self):
+        """Token 7 three times in sentence 0 and twice in sentence 1 of one batch:
+        its row steps once, on the sum of all five pushes."""
         dataset = SyntheticXNLIDataset(
-            num_samples=1, vocabulary_size=TABLE_ROWS, sequence_length=4, seed=6
+            num_samples=2, vocabulary_size=TABLE_ROWS, sequence_length=4, seed=6
         )
-        dataset.tokens[0] = [7, 3, 7, 7]
+        dataset.tokens[:] = [[7, 3, 7, 7], [9, 7, 11, 7]]
         store = make_store(use_laoram=True)
-        before = store.fetch_rows(np.array([7, 3]))
+        ids = np.array([7, 3, 9, 11])
+        before = store.fetch_rows(ids)
         model = XLMRClassifier(embedding_dim=EMBED_DIM, seed=0)
-        token_grad = model.train_step(
-            before[[0, 1, 0, 0]], int(dataset.labels[0]), update=False
-        ).token_grads[0]
+        grads = model.train_step(
+            before[[[0, 1, 0, 0], [2, 0, 3, 0]]], dataset.labels, update=False
+        ).token_grads[:, 0]
         trainer = ObliviousEmbeddingTrainer(store, SparseSGD(learning_rate=0.1))
+        issued = record_issued_ids(store.memory)
         trainer.train_xlmr_epoch(model, dataset)
-        after = store.fetch_rows(np.array([7, 3]))
-        assert np.allclose(after[0], before[0] - 0.1 * 3 * token_grad, rtol=0, atol=1e-7)
-        assert np.allclose(after[1], before[1] - 0.1 * token_grad, rtol=0, atol=1e-7)
+        assert [(verb, sent.tolist()) for verb, sent in issued] == [
+            (verb, [7, 3, 7, 7, 9, 7, 11, 7]) for verb in ("access_many", "write_many")
+        ]
+        after = store.fetch_rows(ids)
+        pushes = np.array([3 * grads[0] + 2 * grads[1], grads[0], grads[1], grads[1]])
+        assert np.allclose(after, before - 0.1 * pushes, rtol=0, atol=1e-7)
 
 
 class TestDLRMTraining:
@@ -241,3 +248,52 @@ class TestXLMRTraining:
         first = trainer.train_xlmr_epoch(model, dataset)
         second = trainer.train_xlmr_epoch(model, dataset)
         assert second.mean_loss <= first.mean_loss * 1.05
+
+    @pytest.mark.parametrize(
+        "max_samples, batch_size", [(None, 8), (21, 8), (5, 1)],
+        ids=["ragged", "max_samples", "batch_of_one"],
+    )
+    def test_every_sentence_trains_whatever_the_batching(self, max_samples, batch_size):
+        dataset = SyntheticXNLIDataset(
+            num_samples=37, vocabulary_size=TABLE_ROWS, sequence_length=4, seed=8
+        )
+        num_samples = 37 if max_samples is None else max_samples
+        store = make_store(use_laoram=True)
+        planned = []
+        preprocess = store.memory.preprocess
+
+        def logged_preprocess(trace, **kwargs):
+            planned.append(np.array(trace))
+            return preprocess(trace, **kwargs)
+
+        store.memory.preprocess = logged_preprocess
+        issued = record_issued_ids(store.memory)
+        report = ObliviousEmbeddingTrainer(store).train_xlmr_epoch(
+            XLMRClassifier(embedding_dim=EMBED_DIM, seed=0), dataset,
+            max_samples=max_samples, batch_size=batch_size,
+        )
+        assert report.embedding_accesses == 2 * 4 * num_samples
+        assert np.isfinite(report.mean_loss)
+        assert 0.0 <= report.accuracy <= 1.0
+        # One fetch and one write-back per minibatch, and the preprocessor
+        # was told exactly that stream.
+        full, ragged = divmod(num_samples, batch_size)
+        batches = full + bool(ragged)
+        assert [verb for verb, _ in issued] == ["access_many", "write_many"] * batches
+        sizes = [sent.size for verb, sent in issued if verb == "access_many"]
+        assert sizes == [4 * batch_size] * full + [4 * ragged] * bool(ragged)
+        assert len(planned) == 1
+        assert np.array_equal(planned[0], np.concatenate([sent for _, sent in issued]))
+        reads = np.concatenate([sent for verb, sent in issued if verb == "access_many"])
+        assert np.array_equal(reads, dataset.tokens[:num_samples].reshape(-1))
+
+    def test_invalid_batching_is_rejected(self):
+        dataset = SyntheticXNLIDataset(
+            num_samples=5, vocabulary_size=TABLE_ROWS, sequence_length=4, seed=10
+        )
+        model = XLMRClassifier(embedding_dim=EMBED_DIM, seed=0)
+        trainer = ObliviousEmbeddingTrainer(make_store(use_laoram=False))
+        with pytest.raises(ConfigurationError):
+            trainer.train_xlmr_epoch(model, dataset, batch_size=0)
+        with pytest.raises(ConfigurationError):
+            trainer.train_xlmr_epoch(model, dataset, max_samples=0)

@@ -19,21 +19,31 @@ from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.embedding.xlmr import XLMRClassifier
 from repro.experiments.configs import build_engine, build_oram_config
 
+from test_trace_contract import engine_state
+
 ROWS = 512
 DIM = 8
 LABELS = ["Fat/S4", "Fat/S8", "Normal/S8"]
 SEEDS = [0, 7]
 
 
-def _xlmr_run(label, seed, fast, sequence_length=12):
-    # 12 tokens: fetches and write-backs straddle the 8-row bin boundaries.
+def _xlmr_run(
+    label, seed, fast, sequence_length=12, samples=10, max_samples=None, batch_size=3
+):
+    # 3 x 12 tokens: fetches and write-backs straddle the 8-row bin
+    # boundaries, and the tenth sentence is a ragged one-sentence batch.
     dataset = SyntheticXNLIDataset(
-        10, vocabulary_size=ROWS, sequence_length=sequence_length, exponent=1.2,
+        samples, vocabulary_size=ROWS, sequence_length=sequence_length, exponent=1.2,
         seed=seed,
     )
     model = XLMRClassifier(DIM, seed=seed)
-    return _train(
-        label, seed, fast, lambda trainer: trainer.train_xlmr_epoch(model, dataset)
+    return Run(
+        label,
+        seed,
+        fast,
+        lambda trainer: trainer.train_xlmr_epoch(
+            model, dataset, max_samples=max_samples, batch_size=batch_size
+        ),
     )
 
 
@@ -46,7 +56,7 @@ def _dlrm_run(
         size for index, size in enumerate(dataset.table_sizes) if index != protected
     )
     model = DLRMModel(NUM_DENSE_FEATURES, small, embedding_dim=DIM, seed=seed)
-    return _train(
+    return Run(
         label,
         seed,
         fast,
@@ -57,53 +67,58 @@ def _dlrm_run(
     )
 
 
-def _train(label, seed, fast, epoch, rows=ROWS):
-    """Two consecutive epochs; returns reports, counters, plan and weights."""
-    engine = build_engine(
-        label, build_oram_config(rows, block_size_bytes=4 * DIM, seed=seed), fast=fast
-    )
-    store = SecureEmbeddingStore(engine, EmbeddingTable(rows, DIM, seed=seed))
-    trainer = ObliviousEmbeddingTrainer(store)
-    reports = []
-    plans = []
-    for _ in range(2):
-        reports.append(epoch(trainer))
-        plans.append(getattr(engine, "plan", None))
-    statistics = engine.statistics
-    return reports, plans, statistics, store.materialize().weights
+class Run:
+    """What two consecutive epochs left behind."""
+
+    def __init__(self, label, seed, fast, epoch, rows=ROWS):
+        engine = build_engine(
+            label, build_oram_config(rows, block_size_bytes=4 * DIM, seed=seed), fast=fast
+        )
+        store = SecureEmbeddingStore(engine, EmbeddingTable(rows, DIM, seed=seed))
+        trainer = ObliviousEmbeddingTrainer(store)
+        self.reports, self.plans, self.bins = [], [], []
+        for _ in range(2):
+            self.reports.append(epoch(trainer))
+            self.plans.append(getattr(engine, "plan", None))
+            self.bins.append(
+                (getattr(engine, "bins_by_position", 0), getattr(engine, "bins_by_lookup", 0))
+            )
+        self.statistics = engine.statistics
+        # Statistics, clock, position map, stash order, tree slots (the
+        # insecure baseline has none of them).
+        self.state = engine_state(engine) if hasattr(engine, "position_map") else None
+        self.weights = store.materialize().weights
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("label", LABELS)
 @pytest.mark.parametrize("run", [_xlmr_run, _dlrm_run], ids=["xlmr", "dlrm"])
 def test_fast_and_reference_training_agree(run, label, seed):
-    fast_reports, fast_plans, fast_stats, fast_weights = run(label, seed, fast=True)
-    ref_reports, ref_plans, ref_stats, ref_weights = run(label, seed, fast=False)
-    assert all(plan is not None for plan in fast_plans + ref_plans)
-    assert fast_plans[0] is not fast_plans[1]
-    assert fast_reports == ref_reports
-    assert fast_stats == ref_stats
-    assert np.array_equal(fast_weights, ref_weights)
+    fast, reference = run(label, seed, fast=True), run(label, seed, fast=False)
+    assert all(plan is not None for plan in fast.plans + reference.plans)
+    assert fast.plans[0] is not fast.plans[1]
+    assert fast.reports == reference.reports
+    assert {key: fast.state[key] for key in reference.state} == reference.state
+    assert np.array_equal(fast.weights, reference.weights)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("run", [_xlmr_run, _dlrm_run], ids=["xlmr", "dlrm"])
 def test_oblivious_training_learns_exactly_what_insecure_training_does(run, seed):
     """The engine moves rows, it never changes them: same losses, same trained rows."""
-    fast_reports, _, _, fast_weights = run("Fat/S8", seed, fast=True)
-    ref_reports, _, _, ref_weights = run("Insecure", seed, fast=False)
-    for fast, ref in zip(fast_reports, ref_reports):
+    oblivious, insecure = run("Fat/S8", seed, fast=True), run("Insecure", seed, fast=False)
+    for fast, ref in zip(oblivious.reports, insecure.reports):
         assert (fast.mean_loss, fast.accuracy) == (ref.mean_loss, ref.accuracy)
         assert fast.embedding_accesses == ref.embedding_accesses
-    assert np.array_equal(fast_weights, ref_weights)
+    assert np.array_equal(oblivious.weights, insecure.weights)
 
 
 @pytest.mark.parametrize("label", LABELS)
 def test_plan_coalesces_a_superblock_into_about_one_path(label):
     """With the plan installed an epoch reads ~1 path per bin, not ~1 per row."""
-    reports, _, _, _ = _xlmr_run(label, seed=3, fast=True, sequence_length=16)
+    run = _xlmr_run(label, seed=3, fast=True, sequence_length=16)
     superblock_size = int(label.rpartition("/S")[2])
-    first = reports[0]
+    first = run.reports[0]
     assert first.path_reads <= 1.25 * first.embedding_accesses / superblock_size
 
 
@@ -116,14 +131,61 @@ def test_a_second_epoch_starting_off_a_superblock_boundary_stays_coalesced():
     rest being the half bins at the two ends of each 32-row request).
     """
     def second_epoch(max_samples, fast=True):
-        reports, _, statistics, _ = _dlrm_run(
+        run = _dlrm_run(
             "Fat/S8", 0, fast, samples=512, rows=4096,
             max_samples=max_samples, batch_size=32,
         )
+        reports = run.reports
         assert reports[0].embedding_accesses == 2 * max_samples
-        return reports[1].path_reads / reports[1].embedding_accesses, statistics
+        return reports[1].path_reads / reports[1].embedding_accesses, run.statistics
 
     aligned, _ = second_epoch(512)
     shifted, fast_statistics = second_epoch(510)
     assert shifted <= 1.15 * aligned
     assert second_epoch(510, fast=False) == (shifted, fast_statistics)
+
+
+# ----------------------------------------------------------------------
+# No silent fallback: a trainer's bins take the plan's remaps by position
+# ----------------------------------------------------------------------
+#: (run, keyword arguments): minibatches that end on the 8-row superblock
+#: boundaries — whole batches, a ragged last batch, ``max_samples`` cutting
+#: a batch short — over two consecutive epochs.
+ALIGNED_EPOCHS = [
+    (_xlmr_run, dict(sequence_length=16, samples=10, batch_size=4)),
+    (_xlmr_run, dict(sequence_length=16, samples=10, batch_size=4, max_samples=7)),
+    (_xlmr_run, dict(sequence_length=4, samples=22, batch_size=8)),
+    (_dlrm_run, dict(samples=48, batch_size=16)),
+    (_dlrm_run, dict(samples=40, batch_size=16)),
+    (_dlrm_run, dict(samples=48, batch_size=16, max_samples=24)),
+]
+
+
+@pytest.mark.parametrize("label", ["Fat/S8", "Normal/S4"])
+@pytest.mark.parametrize(
+    "run, kwargs", ALIGNED_EPOCHS, ids=[
+        "xlmr-ragged", "xlmr-max_samples", "xlmr-short-sentences",
+        "dlrm-whole", "dlrm-ragged", "dlrm-max_samples",
+    ],
+)
+def test_a_trainer_epoch_is_served_by_position(run, kwargs, label):
+    """The trainer announces exactly the ids it then issues, so every bin of
+    both epochs takes the plan's precomputed remaps: a trace that drifted
+    from the issued ids would still train, bit-equal to the reference, and
+    only lose its coalescing (the bug PR 13 found by accident)."""
+    result = run(label, 0, fast=True, **kwargs)
+    accesses = [report.embedding_accesses for report in result.reports]
+    assert all(count % 8 == 0 for count in accesses)
+    size = int(label.rpartition("/S")[2])
+    assert result.bins == [(count // size, 0) for count in accesses]
+    reference = run(label, 0, fast=False, **kwargs)
+    assert reference.bins == [(0, count // size) for count in accesses]
+    assert reference.state == {key: result.state[key] for key in reference.state}
+
+
+def test_requests_ending_inside_a_superblock_show_up_as_lookups():
+    """36-row requests end mid-bin: the first tail is looked up, which drops
+    the plan to lookups for the rest of the epoch — visibly."""
+    result = _xlmr_run("Fat/S8", 0, fast=True)
+    for by_position, by_lookup in result.bins:
+        assert by_position <= 4 and by_lookup >= 30
