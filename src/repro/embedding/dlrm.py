@@ -7,7 +7,10 @@ click-through probability.  Only the *largest* embedding table is interesting
 from the privacy standpoint (it is the one served through the ORAM); the
 model therefore separates "protected" lookups — supplied by the caller, who
 fetched them through a :class:`~repro.embedding.secure_loader.SecureEmbeddingStore`
-— from the small tables it keeps in plain client memory.
+— from the small tables it keeps in plain client memory.  Those are stacked
+into one offset-indexed matrix, as table-batched embeddings do in production
+DLRM stacks, so a minibatch's small-table rows are one gather and their
+update one scatter, whatever the number of tables.
 
 The model is batch-first: every array carries the minibatch on its leading
 axis and one ``forward`` / ``backward`` pair is one SGD step.  The MLP
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.embedding.table import EmbeddingTable
 from repro.utils.rng import make_rng
 
 
@@ -68,13 +70,25 @@ class DLRMModel:
             raise ConfigurationError("embedding_dim must be >= 1")
         if learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
+        if any(size < 1 for size in small_table_sizes):
+            raise ConfigurationError("every small table needs >= 1 row")
         rng = make_rng(seed)
         self.num_dense_features = num_dense_features
         self.embedding_dim = embedding_dim
         self.learning_rate = learning_rate
-        self.small_tables = [
-            EmbeddingTable(size, embedding_dim, rng=rng) for size in small_table_sizes
-        ]
+        # All small tables in one matrix: column t's row r is row
+        # small_offsets[t] + r.  Filled table by table with the draws one
+        # EmbeddingTable (scale 0.01) per table made, in the same order, so
+        # the MLP weights drawn next are the same too.
+        self.small_sizes = np.array(small_table_sizes, dtype=np.int64)
+        self.small_offsets = np.cumsum(self.small_sizes) - self.small_sizes
+        self.small_weights = np.empty(
+            (int(self.small_sizes.sum()), embedding_dim), dtype=np.float32
+        )
+        for offset, size in zip(self.small_offsets, self.small_sizes):
+            self.small_weights[offset : offset + size] = (
+                rng.normal(size=(size, embedding_dim)) * 0.01
+            )
         scale_bottom = 1.0 / np.sqrt(num_dense_features)
         scale_top = 1.0 / np.sqrt(embedding_dim)
         self.w_bottom1 = (rng.normal(size=(num_dense_features, bottom_hidden_dim)) * scale_bottom).astype(np.float32)
@@ -111,7 +125,7 @@ class DLRMModel:
         """
         dense = self._as_matrix(dense, "dense", self.num_dense_features)
         batch = dense.shape[0]
-        small_ids = self._as_small_ids(small_ids, batch)
+        small_rows = self._small_rows(small_ids, batch)
         protected_rows = self._as_matrix(protected_rows, "protected_rows", self.embedding_dim)
         if protected_rows.shape[0] != batch:
             raise ConfigurationError("dense and protected_rows disagree on the batch size")
@@ -119,11 +133,12 @@ class DLRMModel:
         hidden = np.maximum(dense @ self.w_bottom1 + self.b_bottom1, 0.0)
         features = np.empty((batch, self._num_features, self.embedding_dim), dtype=np.float32)
         features[:, 0] = hidden @ self.w_bottom2 + self.b_bottom2
-        for column, table in enumerate(self.small_tables):
-            features[:, 1 + column] = table.lookup(small_ids[:, column])
+        features[:, 1:-1] = self.small_weights[small_rows]
         features[:, -1] = protected_rows
 
-        gram = features @ features.transpose(0, 2, 1)  # (B, F, F)
+        # (B, F, F); matmul is faster on a contiguous right operand than on
+        # the transposed view, and gives the same result.
+        gram = features @ np.ascontiguousarray(features.transpose(0, 2, 1))
         top_input = np.concatenate(
             [features[:, 0], gram[:, self._pair_i, self._pair_j]], axis=1
         )
@@ -154,7 +169,7 @@ class DLRMModel:
         """
         prob = cache.probabilities
         batch = prob.shape[0]
-        small_ids = self._as_small_ids(small_ids, batch)
+        small_rows = self._small_rows(small_ids, batch)
         labels = np.asarray(labels, dtype=np.float64)
         if labels.shape != (batch,):
             raise ConfigurationError(f"labels must have shape ({batch},)")
@@ -195,9 +210,13 @@ class DLRMModel:
             self.b_bottom2 -= mean_lr * dbottom_out.sum(axis=0)
             self.w_bottom1 -= mean_lr * dw_bottom1
             self.b_bottom1 -= mean_lr * dhidden_pre.sum(axis=0)
-            # apply_gradients accumulates ids repeated within the batch.
-            for column, table in enumerate(self.small_tables):
-                table.apply_gradients(small_ids[:, column], dfeatures[:, 1 + column], lr)
+            # One scatter over the flat matrix (1-D ufunc.at is several times
+            # faster than 2-D): an id repeated within the batch takes every
+            # sample's gradient, in sample order as per-table updates would.
+            elements = (small_rows[:, :, None] * d + np.arange(d)).ravel()
+            np.subtract.at(
+                self.small_weights.reshape(-1), elements, (lr * dfeatures[:, 1:-1]).ravel()
+            )
 
         return DLRMGradients(protected_row_grad=dprotected, losses=losses)
 
@@ -218,13 +237,18 @@ class DLRMModel:
             )
         return values
 
-    def _as_small_ids(self, small_ids: np.ndarray, batch: int) -> np.ndarray:
+    def _small_rows(self, small_ids: np.ndarray, batch: int) -> np.ndarray:
+        """Rows of ``small_weights`` that a ``(B, T)`` batch of small ids names."""
         small_ids = np.asarray(small_ids)
         if small_ids.dtype.kind not in "iu":
             raise ConfigurationError("small_ids must be an integer array")
-        if small_ids.shape != (batch, len(self.small_tables)):
+        if small_ids.shape != (batch, self.small_sizes.size):
             raise ConfigurationError(
-                f"small_ids must have shape ({batch}, {len(self.small_tables)}), "
+                f"small_ids must have shape ({batch}, {self.small_sizes.size}), "
                 f"got {small_ids.shape}"
             )
-        return small_ids
+        # uint64 ids past int64's range wrap negative and are caught here too.
+        ids = small_ids.astype(np.int64, copy=False)
+        if ids.size and (ids.min() < 0 or (ids >= self.small_sizes).any()):
+            raise ConfigurationError("small id outside its table")
+        return ids + self.small_offsets

@@ -43,10 +43,6 @@ class EmbeddingTable:
         ids = self._validate_ids(row_ids)
         return self.weights[ids].copy()
 
-    def row(self, row_id: int) -> np.ndarray:
-        """Return a copy of one embedding row."""
-        return self.lookup([row_id])[0]
-
     def set_rows(self, row_ids: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Overwrite the given rows with ``values`` (shape ``(n, dim)``)."""
         ids = self._validate_ids(row_ids)
@@ -56,19 +52,6 @@ class EmbeddingTable:
                 f"values shape {values.shape} does not match ({ids.size}, {self.dim})"
             )
         self.weights[ids] = values
-
-    def apply_gradients(
-        self,
-        row_ids: Sequence[int] | np.ndarray,
-        gradients: np.ndarray,
-        learning_rate: float,
-    ) -> None:
-        """SGD-style in-place update ``w[id] -= lr * grad`` with duplicate handling."""
-        ids = self._validate_ids(row_ids)
-        gradients = np.asarray(gradients, dtype=np.float32)
-        if gradients.shape != (ids.size, self.dim):
-            raise ConfigurationError("gradients shape mismatch")
-        np.subtract.at(self.weights, ids, learning_rate * gradients)
 
     # ------------------------------------------------------------------
     @property

@@ -26,14 +26,6 @@ class TestEmbeddingTable:
         table.set_rows([3, 7], values)
         assert np.allclose(table.lookup([3, 7]), 1.0)
 
-    def test_apply_gradients_handles_duplicates(self):
-        table = EmbeddingTable(4, 2, seed=0)
-        before = table.row(1)
-        grads = np.ones((2, 2), dtype=np.float32)
-        table.apply_gradients([1, 1], grads, learning_rate=0.5)
-        # Duplicate ids accumulate: two updates of 0.5 each.
-        assert np.allclose(table.row(1), before - 1.0)
-
     def test_row_nbytes(self):
         table = EmbeddingTable(4, 32, seed=0)
         assert table.row_nbytes == 128
