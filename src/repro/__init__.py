@@ -32,7 +32,7 @@ Quickstart::
 from repro.core.config import LAORAMConfig
 from repro.core.laoram import LAORAMClient
 from repro.core.preprocessor import Preprocessor
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import FatTreePolicy, ORAMConfig
 from repro.oram.eviction import EvictionPolicy
@@ -59,5 +59,4 @@ __all__ = [
     "LAORAMClient",
     "Preprocessor",
     "LookaheadPlan",
-    "SuperblockBin",
 ]

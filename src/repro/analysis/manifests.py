@@ -203,10 +203,11 @@ _ENGINE_SOURCES = ModuleSources(
     declassifiers=_PATH_REVEAL,
 )
 
-# The bin generator cuts a request's ``block_ids`` and compares them with
-# the installed plan's; the bin kernel takes its ids bin by bin (``bins``
-# yields ``block_ids`` lists) and binds the stash's dict itself; the leaves
-# ``leaf_access`` answers with are secret until a fetch reveals them.
+# The bin generator (``core/laoram.py``, shared by both clients) cuts a
+# request's ``block_ids`` and compares them with the installed plan's; the
+# bin kernel takes its ids bin by bin (``bins`` yields ``block_ids`` lists)
+# and binds the stash's dict itself; the leaves ``leaf_access`` answers with
+# are secret until a fetch reveals them.
 _LAORAM_SOURCES = ModuleSources(
     params=frozenset({"bins", "block_ids", "stash_map"}),
     attrs=frozenset({"entries", "stash"}),
@@ -249,6 +250,7 @@ def default_config() -> AnalysisConfig:
     """The manifest for this repository (see docs/static_analysis.md)."""
     return AnalysisConfig(
         sources={
+            "repro/core/laoram.py": _LAORAM_SOURCES,
             "repro/core/fast_laoram.py": _LAORAM_SOURCES,
             "repro/oram/engine.py": _ENGINE_SOURCES,
             "repro/oram/ring_oram.py": _ENGINE_SOURCES,
@@ -257,10 +259,8 @@ def default_config() -> AnalysisConfig:
             "repro/oram/position_map.py": _POSITION_MAP_SOURCES,
         },
         obl_hot_functions={
-            "repro/core/fast_laoram.py": (
-                "FastLAORAMClient._aligned_bins",
-                "FastLAORAMClient._run_bins",
-            ),
+            "repro/core/laoram.py": ("LookaheadClientMixin._aligned_bins",),
+            "repro/core/fast_laoram.py": ("FastLAORAMClient._run_bins",),
             "repro/oram/engine.py": (
                 "TreeORAMEngine.access",
                 "TreeORAMEngine._maybe_background_evict",

@@ -10,7 +10,7 @@ from repro.core.config import LAORAMConfig
 from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient, LookaheadClientMixin
 from repro.core.preprocessor import Preprocessor
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan
 from repro.core.pipeline import PipelineEstimate, TrainingPipeline
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "LookaheadClientMixin",
     "Preprocessor",
     "LookaheadPlan",
-    "SuperblockBin",
     "PipelineEstimate",
     "TrainingPipeline",
 ]

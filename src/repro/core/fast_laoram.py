@@ -8,12 +8,13 @@ bin, whichever entry point it came through, runs on one fused kernel
 ``ArrayStorageEngine._run_trace_fused``): it binds the stash's dict once per
 call, a bin is dict membership, one ``fused_fetch`` per distinct path, an
 in-place remap and one write-back kernel call per path read, and the access
-and path counts are flushed once on exit.  Every request becomes bins one
-way too (:meth:`FastLAORAMClient._aligned_bins`): while its ids are exactly
-the installed plan's next addresses — a replayed window always, a trainer
-that announced the stream it issues — each bin takes its remap leaves by
-position from the table the plan computes once, instead of a plan lookup per
-id.  Initial placement relocates only the planned blocks (one level-by-level
+and path counts are flushed once on exit.  Every request becomes bins the
+way it does on the reference client (the mixin's ``_aligned_bins``); here,
+while its ids are exactly the installed plan's next addresses — a replayed
+window always, a trainer that announced the stream it issues — each bin
+takes its remap leaves by position from the table the plan computes once
+(:meth:`FastLAORAMClient._plan_position`), instead of a plan lookup per id.
+Initial placement relocates only the planned blocks (one level-by-level
 removal from their old buckets, one per-level bulk placement on their new
 paths).
 
@@ -26,7 +27,7 @@ bin kernel").
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,38 +38,54 @@ from repro.exceptions import (
 )
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.write_back import fused_fetch, fused_shared_write_back
-from repro.core.laoram import LookaheadClientMixin
-from repro.core.superblock import LookaheadPlan, SuperblockBin
-
-#: One bin as the kernel takes it: trace index of its first access, its ids
-#: in access order, and its precomputed remap leaves (``None``: ask the plan).
-Bin = tuple[int, list[int], Optional[list[int]]]
+from repro.core.laoram import Bin, LookaheadClientMixin
+from repro.core.superblock import LookaheadPlan
 
 
 class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
     """Look-ahead ORAM client over the array-backed execution engine."""
 
     # ------------------------------------------------------------------
-    # Plan execution
+    # Serving a request
     # ------------------------------------------------------------------
-    def _execute_plan(
-        self, plan: LookaheadPlan, addresses: np.ndarray
-    ) -> Sequence[Optional[object]]:
-        """Execute the window ``plan`` was just built over, bin by bin.
+    def _plan_position(
+        self, plan: LookaheadPlan, start_index: int, block_ids: list[int] | np.ndarray
+    ) -> int:
+        """By position while the request is the plan's next addresses.
 
-        An out-of-range id is rejected before the window starts (the
-        preprocessor already rejected negative ids), so a bad trace leaves
-        the engine and the plan untouched.  The window is then served like
-        any other request that matches the installed plan
-        (:meth:`_aligned_bins`: every bin takes its remap leaves by
-        position), and the payloads are one gather after the last bin
-        instead of a list per bin.
+        :meth:`LookaheadPlan.position_bin`: one array equality per call.
         """
-        if plan.max_block_id >= self.config.num_blocks:
-            self._check_block_id(plan.max_block_id)
-        self._trace_cursor = plan.start_index
-        self._run_bins(self._aligned_bins(addresses))
-        return self._gather_payloads(addresses.tolist())
+        return plan.position_bin(start_index, block_ids)
+
+    def _serve_request(
+        self,
+        block_ids: list[int] | np.ndarray,
+        payloads: Optional[Sequence[object]] = None,
+    ) -> Sequence[Optional[object]]:
+        """Run the request's bins on the kernel, then touch the store once.
+
+        A read is one gather taken after every bin has found its blocks in
+        the stash: ``(len(block_ids), dim)`` over a payload matrix, a list
+        over a dict.  A write stores the payloads then.
+        """
+        self._run_bins(self._aligned_bins(block_ids))
+        ids = block_ids if isinstance(block_ids, list) else block_ids.tolist()
+        store = self._payloads
+        if payloads is None:
+            if isinstance(store, dict):
+                return list(map(store.get, ids))
+            return store[ids]
+        if isinstance(store, dict):
+            store.update(zip(ids, payloads))
+            return None
+        # Fancy assignment leaves the winner among repeated indices
+        # unspecified, so repeats are reduced to their last position first.
+        last = dict(zip(ids, range(len(ids))))
+        if len(last) == len(ids):
+            store[ids] = payloads
+        else:
+            store[list(last)] = np.asarray(payloads)[list(last.values())]
+        return None
 
     def _relocate(
         self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
@@ -91,113 +108,6 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         self.tree.remove_many(block_ids[~stashed], old_leaves[~stashed])
         overflow = self.tree.bulk_place_ordered(block_ids, new_leaves)
         stash.extend(overflow, self.position_map.peek_many(overflow))
-
-    # ------------------------------------------------------------------
-    # Serve-now entry points
-    # ------------------------------------------------------------------
-    def access_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
-        """Bin-wise read (see :meth:`LookaheadClientMixin.access_many`).
-
-        The result is one gather taken after every bin has found its blocks
-        in the stash: ``(len(block_ids), dim)`` over a payload matrix.
-        """
-        ids = self._coerce_id_list(block_ids)
-        self._run_bins(self._aligned_bins(ids))
-        return self._gather_payloads(ids)
-
-    def write_many(
-        self, block_ids: Sequence[int], payloads: Sequence[object]
-    ) -> None:
-        """Bin-wise write (see :meth:`LookaheadClientMixin.write_many`).
-
-        The payloads are stored once every bin has found its blocks in the
-        stash; repeated ids keep the last payload.
-        """
-        ids = self._coerce_id_list(block_ids)
-        if len(ids) != len(payloads):
-            raise ConfigurationError("block_ids and payloads must have equal length")
-        self._run_bins(self._aligned_bins(ids))
-        store = self._payloads
-        if isinstance(store, dict):
-            store.update(zip(ids, payloads))
-            return
-        # Fancy assignment leaves the winner among repeated indices
-        # unspecified, so repeats are reduced to their last position first.
-        last = dict(zip(ids, range(len(ids))))
-        if len(last) == len(ids):
-            store[ids] = payloads
-        else:
-            store[list(last)] = np.asarray(payloads)[list(last.values())]
-
-    def _gather_payloads(self, block_ids: list[int]) -> Sequence[Optional[object]]:
-        """Payloads of ``block_ids`` straight from the store (no traffic).
-
-        One ``(len(block_ids), dim)`` fancy-index copy over a payload matrix,
-        a list over a dict.
-        """
-        store = self._payloads
-        if isinstance(store, dict):
-            return list(map(store.get, block_ids))
-        return store[block_ids]
-
-    def _aligned_bins(self, block_ids: list[int] | np.ndarray) -> Iterator[Bin]:
-        """Cut ``block_ids`` into consecutive bins ending on superblock boundaries.
-
-        The one way a request becomes bins.  A replayed window arrives as
-        its int64 array and is converted bin by bin: a list of the whole
-        window held through the run left ``replay_laoram``'s peak RSS up to
-        8 MiB higher.  While the request is exactly
-        the installed plan's next addresses (one array equality per call,
-        :meth:`LookaheadPlan.position_bin`), every chunk that is a whole
-        plan bin carries the plan's precomputed remap leaves; any other bin
-        carries ``None`` and the kernel looks each id up in the plan, which
-        drops that plan to lookups for good.  How many bins went which way
-        is added to the two counters once per call, after the last bin.
-        """
-        size = self.laoram_config.superblock_size
-        cursor = self._trace_cursor
-        plan = self._plan
-        plan_stop = plan_bin = -1
-        if plan is not None:
-            plan_stop = plan.stop_index
-            plan_bin = plan.position_bin(cursor, block_ids)
-        bins = by_position = 0
-        offset = 0
-        is_list = isinstance(block_ids, list)
-        while offset < len(block_ids):
-            chunk = block_ids[offset : offset + size - cursor % size]
-            if not is_list:
-                chunk = chunk.tolist()
-            offset += len(chunk)
-            end = cursor + len(chunk)
-            remaps = None
-            # oblivious: allow[OBL001] client-side: where the new leaf comes
-            # from; same traffic either way
-            if plan_bin >= 0 and (end % size == 0 or end == plan_stop):
-                remaps = plan.take_bin_remaps(plan_bin)
-                plan_bin += 1
-                by_position += 1
-            bins += 1
-            yield cursor, chunk, remaps
-            cursor = end
-        # Reached once the kernel has served the last bin: a call that
-        # raised (and dropped the plan) counts nothing.
-        self._bins_by_position += by_position
-        self._bins_by_lookup += bins - by_position
-
-    def access_superblock(
-        self,
-        superblock: SuperblockBin,
-        new_payloads: Optional[dict[int, object]] = None,
-    ) -> list[Optional[object]]:
-        """Serve every access of one superblock bin (object-level API)."""
-        ids = list(superblock.block_ids)
-        self._run_bins([(superblock.start_index, ids, None)])
-        if new_payloads:
-            store = self._payloads
-            for block_id in new_payloads.keys() & set(ids):
-                store[block_id] = new_payloads[block_id]
-        return list(self._gather_payloads(ids))
 
     # ------------------------------------------------------------------
     # The bin kernel

@@ -20,15 +20,20 @@ The fat-tree option lives entirely in :class:`~repro.oram.config.ORAMConfig`,
 so the same client runs both the "Normal" and "Fat" configurations of the
 evaluation.
 
-Plan management, trace windowing and the trace-level entry points live in
-:class:`LookaheadClientMixin` so that the per-object client here and the
+Plan management, trace windowing, the trace-level entry points and the one
+way a request becomes bins (:meth:`LookaheadClientMixin._aligned_bins`) live
+in :class:`LookaheadClientMixin`, so the per-object client here and the
 array-backed :class:`~repro.core.fast_laoram.FastLAORAMClient` share one
-scheduling implementation and differ only in how a superblock is executed.
+scheduling implementation.  They differ in how they serve the bins
+(``_serve_request``: here :meth:`LAORAMClient.access_superblock` per bin, the
+reference) and in where a bin's remap leaves come from (``_plan_position``):
+the reference looks every id up in the plan, the array client takes a
+conforming bin's leaves by position.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +45,12 @@ from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
 from repro.core.config import LAORAMConfig
 from repro.core.preprocessor import Preprocessor
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan
+
+#: One bin as a request is cut into them: trace index of its first access,
+#: its ids in access order, and its precomputed remap leaves (``None``: ask
+#: the plan).
+Bin = tuple[int, list[int], Optional[list[int]]]
 
 
 class LookaheadClientMixin:
@@ -48,9 +58,10 @@ class LookaheadClientMixin:
 
     The mixin owns the constructor, the preprocessor, the installed plan,
     the trace cursor and every trace-level entry point (``run_trace``,
-    ``access_many``, ``write_many``).  Concrete engines provide the storage
-    backend plus :meth:`access_superblock` and the :meth:`_relocate`
-    primitive of :meth:`apply_initial_placement`.
+    ``access_many``, ``write_many``) and cuts every request into bins
+    (:meth:`_aligned_bins`).  Concrete engines provide the storage backend
+    plus :meth:`_serve_request` and the :meth:`_relocate` primitive of
+    :meth:`apply_initial_placement`.
     """
 
     laoram_config: LAORAMConfig
@@ -177,24 +188,23 @@ class LookaheadClientMixin:
             plan = self.preprocess(chunk, start_index=offset)
             if not self.counter.logical_accesses:
                 self.apply_initial_placement(plan)
-            served.extend(self._execute_plan(plan, chunk))
+            served.extend(self._execute_plan(plan))
         return served
 
-    def _execute_plan(
-        self, plan: LookaheadPlan, addresses: np.ndarray
-    ) -> Sequence[Optional[object]]:
-        """Execute every bin of ``plan`` (planned over ``addresses``).
+    def _execute_plan(self, plan: LookaheadPlan) -> Sequence[Optional[object]]:
+        """Serve the window ``plan`` was just built over, bin by bin.
 
-        Returns the payloads in trace order; backends may override for speed.
+        An out-of-range id is rejected before the window starts (the
+        preprocessor already rejected negative ids), so a bad trace leaves
+        the engine and the plan untouched.  The window is then served like
+        any other request, from the plan's first access.
         """
-        self._bins_by_lookup += len(plan)
-        return [
-            payload
-            for superblock in plan.bins
-            for payload in self.access_superblock(superblock)
-        ]
+        if plan.max_block_id >= self.config.num_blocks:
+            self._check_block_id(plan.max_block_id)
+        self._trace_cursor = plan.start_index
+        return self._serve_request(plan.addresses)
 
-    def access_many(self, block_ids: Sequence[int]) -> list[Optional[object]]:
+    def access_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
         """Serve reads now: ids are grouped into superblock-sized bins.
 
         This is the entry point the embedding trainer uses: each consecutive
@@ -203,21 +213,7 @@ class LookaheadClientMixin:
         boundaries are aligned to the global access index so they coincide
         with the boundaries the preprocessor used when planning the trace.
         """
-        ids = self._coerce_id_list(block_ids)
-        payloads: list[Optional[object]] = []
-        offset = 0
-        while offset < len(ids):
-            chunk = tuple(ids[offset : offset + self._next_bin_length()])
-            superblock = SuperblockBin(
-                bin_id=-1,
-                start_index=self._trace_cursor,
-                block_ids=chunk,
-                leaf=0,
-            )
-            payloads.extend(self.access_superblock(superblock))
-            self._bins_by_lookup += 1
-            offset += len(chunk)
-        return payloads
+        return self._serve_request(self._coerce_id_list(block_ids))
 
     def write_many(
         self, block_ids: Sequence[int], payloads: Sequence[object]
@@ -231,20 +227,7 @@ class LookaheadClientMixin:
         ids = self._coerce_id_list(block_ids)
         if len(ids) != len(payloads):
             raise ConfigurationError("block_ids and payloads must have equal length")
-        offset = 0
-        while offset < len(ids):
-            take = self._next_bin_length()
-            chunk = ids[offset : offset + take]
-            updates = dict(zip(chunk, payloads[offset : offset + take]))
-            superblock = SuperblockBin(
-                bin_id=-1,
-                start_index=self._trace_cursor,
-                block_ids=tuple(chunk),
-                leaf=0,
-            )
-            self.access_superblock(superblock, new_payloads=updates)
-            self._bins_by_lookup += 1
-            offset += len(chunk)
+        self._serve_request(ids, payloads)
 
     @staticmethod
     def _coerce_id_list(block_ids: Sequence[int]) -> list[int]:
@@ -253,10 +236,64 @@ class LookaheadClientMixin:
             return block_ids.tolist()
         return [int(block_id) for block_id in block_ids]
 
-    def _next_bin_length(self) -> int:
-        """Length of the next ad-hoc bin so it ends on a superblock boundary."""
+    def _aligned_bins(self, block_ids: list[int] | np.ndarray) -> Iterator[Bin]:
+        """Cut ``block_ids`` into consecutive bins ending on superblock boundaries.
+
+        The one way a request becomes bins, on both clients.  A replayed
+        window arrives as its int64 array and is converted bin by bin: a
+        list of the whole window held through the run left
+        ``replay_laoram``'s peak RSS up to 8 MiB higher.  While the client
+        takes the request by position (:meth:`_plan_position`), every chunk
+        that is a whole plan bin carries the plan's precomputed remap
+        leaves; any other bin carries ``None`` and its ids are looked up in
+        the plan one by one, which drops that plan to lookups for good.  How
+        many bins went which way is added to the two counters once per
+        call, after the last bin.
+        """
         size = self.laoram_config.superblock_size
-        return size - (self._trace_cursor % size)
+        cursor = self._trace_cursor
+        plan = self._plan
+        plan_stop = plan_bin = -1
+        if plan is not None:
+            plan_stop = plan.stop_index
+            plan_bin = self._plan_position(plan, cursor, block_ids)
+        bins = by_position = 0
+        offset = 0
+        is_list = isinstance(block_ids, list)
+        while offset < len(block_ids):
+            chunk = block_ids[offset : offset + size - cursor % size]
+            if not is_list:
+                chunk = chunk.tolist()
+            offset += len(chunk)
+            end = cursor + len(chunk)
+            remaps = None
+            # oblivious: allow[OBL001] client-side: where the new leaf comes
+            # from; same traffic either way
+            if plan_bin >= 0 and (end % size == 0 or end == plan_stop):
+                remaps = plan.take_bin_remaps(plan_bin)
+                plan_bin += 1
+                by_position += 1
+            bins += 1
+            yield cursor, chunk, remaps
+            cursor = end
+        # Reached once the last bin has been served: a call that raised
+        # (and dropped the plan) counts nothing.
+        self._bins_by_position += by_position
+        self._bins_by_lookup += bins - by_position
+
+    def _plan_position(
+        self, plan: LookaheadPlan, start_index: int, block_ids: list[int] | np.ndarray
+    ) -> int:
+        """The plan bin a request at ``start_index`` opens by position, or ``-1``.
+
+        ``-1`` here: every bin looks its ids up in the plan.  The per-object
+        client keeps that, because it is the oracle the array client's
+        by-position remaps are checked against, and because its bins always
+        look up: taking the table as well would hand each block the
+        occurrence after the one the table already handed out.  The array
+        client overrides this with :meth:`LookaheadPlan.position_bin`.
+        """
+        return -1
 
     @property
     def trace_cursor(self) -> int:
@@ -299,6 +336,16 @@ class LookaheadClientMixin:
         """Configuration label in the paper's notation (e.g. ``"Fat/S4"``)."""
         return self.laoram_config.describe()
 
+    def client_memory_bytes(self) -> int:
+        """Position map and stash, plus the installed plan's metadata.
+
+        The trainer side holds what the preprocessor shipped for the window
+        (Section IV-B): one (block id, future path) record per planned
+        access, :meth:`LookaheadPlan.metadata_bytes`.
+        """
+        plan_bytes = self._plan.metadata_bytes() if self._plan is not None else 0
+        return super().client_memory_bytes() + plan_bytes
+
     # ------------------------------------------------------------------
     # Trusted placement
     # ------------------------------------------------------------------
@@ -335,11 +382,17 @@ class LookaheadClientMixin:
         """Detach ``block_ids`` (ascending) and place them on ``new_leaves``."""
         raise NotImplementedError
 
-    def access_superblock(
+    def _serve_request(
         self,
-        superblock: SuperblockBin,
-        new_payloads: Optional[dict[int, object]] = None,
-    ) -> list[Optional[object]]:
+        block_ids: list[int] | np.ndarray,
+        payloads: Optional[Sequence[object]] = None,
+    ) -> Sequence[Optional[object]]:
+        """Serve ``block_ids`` from the cursor, bin by :meth:`_aligned_bins` bin.
+
+        Returns the payloads read, in request order.  ``payloads`` (one per
+        id) makes the request a write; repeated ids keep the last payload.
+        A raise drops the plan, on both clients alike.
+        """
         raise NotImplementedError
 
 
@@ -367,12 +420,32 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
             if not self.tree.try_place_on_path(block):
                 self.stash.add(block)
 
+    def _serve_request(
+        self,
+        block_ids: list[int] | np.ndarray,
+        payloads: Optional[Sequence[object]] = None,
+    ) -> list[Optional[object]]:
+        """One :meth:`access_superblock` per bin; payloads are kept per bin."""
+        first = self._trace_cursor
+        served: list[Optional[object]] = []
+        try:
+            for start_index, ids, _ in self._aligned_bins(block_ids):
+                updates = None
+                if payloads is not None:
+                    offset = start_index - first
+                    updates = dict(zip(ids, payloads[offset : offset + len(ids)]))
+                served.extend(self.access_superblock(ids, updates))
+        except BaseException:
+            self._plan = None
+            raise
+        return served
+
     def access_superblock(
         self,
-        superblock: SuperblockBin,
+        block_ids: list[int],
         new_payloads: Optional[dict[int, object]] = None,
     ) -> list[Optional[object]]:
-        """Serve every access of one superblock bin.
+        """Serve every access of one superblock bin, the next at the cursor.
 
         Returns the payloads in the bin's access order.  Path reads are
         deduplicated: blocks already in the stash cost nothing, and blocks
@@ -380,11 +453,11 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
         corresponding accesses into writes (the payload is replaced before
         the block is written back).
         """
-        block_ids = superblock.block_ids
         self.counter.record_logical_access(len(block_ids))
         self.timing.charge_client_overhead(len(block_ids))
+        end_index = self._trace_cursor + len(block_ids) - 1
 
-        needed = list(superblock.unique_block_ids)
+        needed = list(dict.fromkeys(block_ids))
         for block_id in needed:
             self._check_block_id(block_id)
 
@@ -416,7 +489,7 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
         # planned occurrence (uniform random when the plan runs out).
         for block_id in needed:
             block = self.stash.get(block_id)
-            new_leaf = self._planned_leaf(block_id, after_index=superblock.end_index)
+            new_leaf = self._planned_leaf(block_id, after_index=end_index)
             block.leaf = new_leaf
             self.position_map.set(block_id, new_leaf)
 
@@ -425,7 +498,7 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
         for leaf in read_leaves:
             self._write_back(leaf)
 
-        self._trace_cursor = superblock.end_index + 1
+        self._trace_cursor = end_index + 1
         self._maybe_background_evict()
         self.counter.observe_stash(len(self.stash))
         return payloads

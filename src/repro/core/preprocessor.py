@@ -15,7 +15,6 @@ not part of the threat surface — see Section VI-C of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,16 +22,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError, TraceError
 from repro.core.superblock import LookaheadPlan, num_bins
 from repro.utils.rng import make_rng
-
-
-@dataclass(frozen=True)
-class ScanStatistics:
-    """Summary of one preprocessing pass (useful for pipeline modelling)."""
-
-    num_accesses: int
-    num_bins: int
-    num_unique_blocks: int
-    duplicate_fraction: float
 
 
 class Preprocessor:
@@ -73,41 +62,13 @@ class Preprocessor:
             size=num_bins(addr.size, self.superblock_size, start_index),
             dtype=np.int64,
         )
-        # Vectorized construction: the plan groups occurrences by block id
-        # with array operations; SuperblockBin objects are only materialised
-        # if a caller asks for plan.bins.
-        return LookaheadPlan.from_arrays(
+        return LookaheadPlan(
             addr,
             leaves,
             superblock_size=self.superblock_size,
             num_leaves=self.num_leaves,
             start_index=start_index,
         )
-
-    def scan_statistics(self, addresses: Sequence[int] | np.ndarray) -> ScanStatistics:
-        """Cheap summary of the window (unique blocks, duplicate rate, bins)."""
-        addr = self._validate(addresses)
-        unique = int(np.unique(addr).size)
-        duplicates = addr.size - unique
-        return ScanStatistics(
-            num_accesses=int(addr.size),
-            num_bins=num_bins(addr.size, self.superblock_size),
-            num_unique_blocks=unique,
-            duplicate_fraction=duplicates / addr.size if addr.size else 0.0,
-        )
-
-    def preprocessing_cost_s(
-        self, num_accesses: int, per_access_ns: float = 50.0
-    ) -> float:
-        """Estimated preprocessing time for ``num_accesses`` accesses.
-
-        The paper reports preprocessing is orders of magnitude faster than
-        GPU training and stays off the critical path; this helper feeds the
-        pipeline model that verifies that claim quantitatively.
-        """
-        if num_accesses < 0:
-            raise ValueError("num_accesses must be non-negative")
-        return num_accesses * per_access_ns * 1e-9
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -1,28 +1,27 @@
-"""Superblock bins and the lookahead plan produced by the preprocessor.
+"""The lookahead plan: one window of the trace, cut into superblock bins.
 
 A *superblock bin* is a group of ``S`` consecutive future embedding-table
-accesses that the preprocessor assigns to one uniformly random path.  The
-*lookahead plan* is the metadata the preprocessor ships to the trainer GPU:
-for every block it records, in trace order, which bin (and therefore which
-path) each future occurrence belongs to.  When the client writes a block back
-it asks the plan for the block's next occurrence and uses that bin's path as
-the block's new position, so that by the time the bin is processed all of its
-blocks sit on a single path.
+accesses that the preprocessor assigns to one uniformly random path
+(LAORAM, Sec. IV).  A :class:`LookaheadPlan` is one window of the trace in
+that form: the window's addresses, the trace index of its first access and
+one leaf per bin.  Bins end on global multiples of ``S``, so a window that
+starts off a boundary opens with a short bin (:func:`num_bins`).
 
-The plan is stored as flat numpy arrays (occurrence indices and bin leaves
-grouped by block id via one stable argsort) so that million-access windows
-can be planned without per-access Python work.  :class:`SuperblockBin`
-objects are materialised lazily and only for callers that want the
-object-level view; the vectorized execution engine cuts its requests itself
-and takes each bin's remap leaves by position
-(:meth:`LookaheadPlan.position_bin`, :meth:`LookaheadPlan.take_bin_remaps`).
+When the client writes a block back it gives the block the leaf of the bin
+holding its next planned occurrence, so by the time a bin is served all of
+its blocks sit on one path.  The plan answers that two ways: per block
+(:meth:`LookaheadPlan.consume_next_leaf`, a bisect over the window grouped
+by block id) and, for a request that is exactly the plan's next addresses,
+per bin by position (:meth:`LookaheadPlan.position_bin`,
+:meth:`LookaheadPlan.take_bin_remaps`) from a table computed once per
+window.  Both are built with array passes over the window; no per-access
+Python objects are created.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,140 +47,60 @@ def _split(values: list, counts: list[int]) -> list[list]:
     return runs
 
 
-@dataclass(frozen=True)
-class SuperblockBin:
-    """One group of consecutive future accesses sharing a path.
+class LookaheadPlan:
+    """Future-path metadata for one window of the access trace.
 
     Attributes:
-        bin_id: Sequential id of the bin within the plan.
-        start_index: Trace index of the first access in the bin.
-        block_ids: The accessed block ids, in trace order (duplicates kept).
-        leaf: The uniformly random path assigned to the bin.
+        addresses: The window's block ids in trace order (int64).
+        bin_leaves: One uniformly random leaf per bin, in trace order.
+        superblock_size: ``S``; bins end on its global multiples.
+        num_leaves: Number of paths the leaves are drawn from.
+        start_index: Trace index of the window's first access.
+
+    For per-block lookups the plan also keeps three parallel arrays sorted
+    by ``(block id, occurrence index)``: the block id, the global trace
+    index and the bin leaf of every planned access.
     """
 
-    bin_id: int
-    start_index: int
-    block_ids: tuple[int, ...]
-    leaf: int
-
-    @property
-    def end_index(self) -> int:
-        """Trace index of the last access in the bin."""
-        return self.start_index + len(self.block_ids) - 1
-
-    @property
-    def unique_block_ids(self) -> tuple[int, ...]:
-        """Distinct block ids in the bin, preserving first-occurrence order."""
-        seen: dict[int, None] = {}
-        for block_id in self.block_ids:
-            seen.setdefault(block_id, None)
-        return tuple(seen.keys())
-
-    def __len__(self) -> int:
-        return len(self.block_ids)
-
-
-class LookaheadPlan:
-    """Future-path metadata for a window of the access trace.
-
-    Internally the plan keeps three parallel arrays sorted by ``(block id,
-    occurrence index)``: the block id, the global trace index and the bin
-    leaf of every planned access.  Per-block occurrence lookups are two
-    ``searchsorted`` calls; no per-access Python objects are created.
-    """
-
-    def __init__(self, bins: Sequence[SuperblockBin], num_leaves: int):
-        if num_leaves < 2:
-            raise ValueError("num_leaves must be >= 2")
-        bins = tuple(bins)
-        if bins:
-            ids = np.concatenate(
-                [np.asarray(sb.block_ids, dtype=np.int64) for sb in bins]
-            )
-            occ = np.concatenate(
-                [sb.start_index + np.arange(len(sb), dtype=np.int64) for sb in bins]
-            )
-            leaf = np.repeat(
-                np.asarray([sb.leaf for sb in bins], dtype=np.int64),
-                np.asarray([len(sb) for sb in bins], dtype=np.int64),
-            )
-        else:
-            ids = occ = leaf = np.empty(0, dtype=np.int64)
-        self._init_arrays(ids, occ, leaf, num_leaves)
-        self._bins: Optional[tuple[SuperblockBin, ...]] = bins
-        # Raw window arrays (only set by from_arrays; used for lazy bins).
-        self._addresses: Optional[np.ndarray] = None
-        self._bin_leaves: Optional[np.ndarray] = None
-        self._superblock_size = 0
-        self._start_index = 0
-
-    @classmethod
-    def from_arrays(
-        cls,
+    def __init__(
+        self,
         addresses: np.ndarray,
         bin_leaves: np.ndarray,
         superblock_size: int,
         num_leaves: int,
         start_index: int = 0,
-    ) -> "LookaheadPlan":
-        """Build a plan directly from a window's address and bin-leaf arrays.
-
-        ``addresses`` is the access stream of the window and ``start_index``
-        the trace position of its first access; ``bin_leaves`` holds one
-        uniformly random leaf per bin.  Bins end on global multiples of
-        ``superblock_size`` — where the clients cut the bins they execute,
-        whatever the window — so a window that starts off a boundary opens
-        with a short bin (:func:`num_bins` counts them).  This is the
-        vectorized construction path the preprocessor uses: no
-        :class:`SuperblockBin` objects are created until a caller asks for
-        :attr:`bins`.
-        """
+    ):
         if num_leaves < 2:
             raise ValueError("num_leaves must be >= 2")
         if superblock_size < 1:
             raise ValueError("superblock_size must be >= 1")
-        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        bin_leaves = np.ascontiguousarray(bin_leaves, dtype=np.int64)
-        n = addresses.size
+        self.addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        self.bin_leaves = np.ascontiguousarray(bin_leaves, dtype=np.int64)
+        self.superblock_size = superblock_size
+        self.num_leaves = num_leaves
+        self.start_index = start_index
+        n = self.addresses.size
         expected_bins = num_bins(n, superblock_size, start_index)
-        if bin_leaves.size != expected_bins:
+        if self.bin_leaves.size != expected_bins:
             raise ValueError(
                 f"need {expected_bins} bin leaves for {n} accesses, "
-                f"got {bin_leaves.size}"
+                f"got {self.bin_leaves.size}"
             )
-        plan = cls.__new__(cls)
         occ = start_index + np.arange(n, dtype=np.int64)
-        leaf = bin_leaves[occ // superblock_size - start_index // superblock_size]
-        plan._init_arrays(addresses, occ, leaf, num_leaves)
-        plan._bins = None
-        plan._addresses = addresses
-        plan._bin_leaves = bin_leaves
-        plan._superblock_size = superblock_size
-        plan._start_index = start_index
-        return plan
-
-    def _init_arrays(
-        self,
-        ids: np.ndarray,
-        occ: np.ndarray,
-        leaf: np.ndarray,
-        num_leaves: int,
-    ) -> None:
-        self._num_leaves = num_leaves
-        self._num_accesses = int(ids.size)
+        leaf = self.bin_leaves[occ // superblock_size - start_index // superblock_size]
         # Group occurrences by block id with one stable sort; within a block
         # the occurrence indices stay in increasing trace order.
-        order = np.argsort(ids, kind="stable")
-        self._sorted_ids = ids[order]
+        order = np.argsort(self.addresses, kind="stable")
+        self._sorted_ids = self.addresses[order]
         self._sorted_occ = occ[order]
         self._sorted_leaf = leaf[order]
         self._uniq, self._starts = np.unique(self._sorted_ids, return_index=True)
-        self._ends = np.append(self._starts[1:], self._sorted_ids.size)
-        # Python-side mirrors for the per-access lookup path (next_leaf /
-        # consume_next_leaf / occurrences): dict + bisect runs ~10x faster
-        # than per-call searchsorted on tiny array views.  Built lazily: a
-        # plan whose every bin is served by position (take_bin_remaps())
-        # never pays the O(n) list/dict construction.
+        self._ends = np.append(self._starts[1:], n)
+        # Python-side mirrors for the per-access lookup path
+        # (consume_next_leaf): dict + bisect runs ~10x faster than per-call
+        # searchsorted on tiny array views.  Built lazily: a plan whose every
+        # bin is served by position (take_bin_remaps()) never pays the O(n)
+        # list/dict construction.
         self._occ_list: Optional[list[int]] = None
         self._leaf_list: Optional[list[int]] = None
         self._ranges: Optional[dict[int, tuple[int, int]]] = None
@@ -190,11 +109,10 @@ class LookaheadPlan:
         # Read it through consumed_up_to: the bins served by position are
         # folded in only when somebody looks.
         self._consumed_up_to: dict[int, int] = {}
-        # By-position state (from_arrays plans): the per-bin table of
-        # plan_bin_remaps(), built on first use, and the bin whose turn it
-        # is to take the table (-1 once a lookup has consumed anything: the
-        # table's "next bin's leaf" is only right while every earlier
-        # consumption was by position).
+        # By-position state: the per-bin table of plan_bin_remaps(), built on
+        # first use, and the bin whose turn it is to take the table (-1 once
+        # a lookup has consumed anything: the table's "next bin's leaf" is
+        # only right while every earlier consumption was by position).
         self._bin_table: Optional[tuple[list[list[int]], list[list[tuple[int, int]]]]] = None
         self._position_bin = 0
 
@@ -215,68 +133,14 @@ class LookaheadPlan:
 
     # ------------------------------------------------------------------
     @property
-    def bins(self) -> tuple[SuperblockBin, ...]:
-        """Every superblock bin in trace order (materialised on demand)."""
-        if self._bins is None:
-            self._bins = tuple(
-                SuperblockBin(
-                    bin_id=bin_id,
-                    start_index=start_index,
-                    block_ids=tuple(block_ids.tolist()),
-                    leaf=leaf,
-                )
-                for bin_id, (start_index, block_ids, leaf) in enumerate(
-                    self.iter_bin_arrays()
-                )
-            )
-        return self._bins
-
-    def iter_bin_arrays(self) -> Iterator[tuple[int, np.ndarray, int]]:
-        """Yield ``(start_index, block_ids, leaf)`` per bin without objects.
-
-        Block ids stay numpy slices of the window's address array.
-        """
-        if self._addresses is not None:
-            size = self._superblock_size
-            addresses = self._addresses
-            leaves = self._bin_leaves.tolist()
-            # Window offsets of the global boundaries: the first is at or
-            # before the window's start, so the first bin may be short.
-            cuts = range(-(self._start_index % size), addresses.size, size)
-            for leaf, cut in zip(leaves, cuts):
-                offset = max(cut, 0)
-                yield (
-                    self._start_index + offset,
-                    addresses[offset : cut + size],
-                    leaf,
-                )
-        else:
-            for sb in self.bins:
-                yield (
-                    sb.start_index,
-                    np.asarray(sb.block_ids, dtype=np.int64),
-                    sb.leaf,
-                )
-
-    @property
-    def num_leaves(self) -> int:
-        """Number of paths the plan draws from."""
-        return self._num_leaves
-
-    @property
     def num_accesses(self) -> int:
         """Total number of accesses covered by the plan."""
-        return self._num_accesses
-
-    @property
-    def start_index(self) -> int:
-        """Trace index of the window's first access."""
-        return self._start_index
+        return int(self.addresses.size)
 
     @property
     def stop_index(self) -> int:
         """Trace index one past the window's last access."""
-        return self._start_index + self._num_accesses
+        return self.start_index + self.num_accesses
 
     @property
     def max_block_id(self) -> int:
@@ -284,33 +148,17 @@ class LookaheadPlan:
         return int(self._uniq[-1]) if self._uniq.size else -1
 
     def __len__(self) -> int:
-        if self._bin_leaves is not None:
-            return int(self._bin_leaves.size)
-        return len(self.bins)
-
-    def __iter__(self) -> Iterable[SuperblockBin]:
-        return iter(self.bins)
+        return int(self.bin_leaves.size)
 
     # ------------------------------------------------------------------
-    def next_leaf(self, block_id: int, after_index: int) -> Optional[int]:
-        """Path of the bin holding ``block_id``'s next occurrence after ``after_index``.
-
-        Returns ``None`` when the block does not appear again within the
-        planned window, in which case the client falls back to a uniformly
-        random path (the plan then carries no information about the block).
-        """
-        occ_list, leaf_list, ranges = self._lookup_tables()
-        bounds = ranges.get(block_id)
-        if bounds is None:
-            return None
-        start, end = bounds
-        pos = bisect_right(occ_list, after_index, start, end)
-        if pos >= end:
-            return None
-        return leaf_list[pos]
-
     def consume_next_leaf(self, block_id: int, after_index: int) -> Optional[int]:
-        """Like :meth:`next_leaf`, but each planned occurrence is used once.
+        """Path of the bin holding ``block_id``'s next unconsumed occurrence.
+
+        The occurrence searched for is the first after ``after_index`` that
+        no earlier call handed out.  Returns ``None`` when the block does not
+        appear again within the planned window, in which case the client
+        falls back to a uniformly random path (the plan then carries no
+        information about the block).
 
         Consecutive reassignments of the same block (for example a fetch
         immediately followed by a gradient write-back) must receive paths of
@@ -351,9 +199,7 @@ class LookaheadPlan:
                 consumed[block_id] = occ
         return ids, self._sorted_leaf[starts]
 
-    def plan_bin_remaps(
-        self,
-    ) -> Optional[tuple[list[list[int]], list[list[tuple[int, int]]]]]:
+    def plan_bin_remaps(self) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
         """Every bin's remap leaves and what they consume, computed once.
 
         When the window is executed bin by bin, the sequence of
@@ -367,24 +213,21 @@ class LookaheadPlan:
         lists, for bin ``j``'s distinct blocks in first-occurrence order, the
         next bin's leaf or ``-1`` (fallback draw); ``consumed[j]`` the
         ``(block_id, occurrence_index)`` pairs those answers hand out — what
-        the equivalent ``consume_next_leaf`` calls would record.  Only
-        available for plans built through :meth:`from_arrays`; returns
-        ``None`` otherwise.  :meth:`take_bin_remaps` serves the table.
+        the equivalent ``consume_next_leaf`` calls would record.
+        :meth:`take_bin_remaps` serves the table.
         """
-        if self._addresses is None:
-            return None
         if self._bin_table is None:
             self._bin_table = self._build_bin_table()
         return self._bin_table
 
     def _build_bin_table(self) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
-        n = self._num_accesses
-        size = self._superblock_size
+        n = self.num_accesses
+        size = self.superblock_size
         if n == 0:
             return [], []
         sid = self._sorted_ids
         socc = self._sorted_occ
-        bin_idx = socc // size - self._start_index // size
+        bin_idx = socc // size - self.start_index // size
         # First occurrence of each (block, bin) pair, in (block, occ) order.
         block_boundary = np.empty(n, dtype=bool)
         block_boundary[0] = True
@@ -403,7 +246,7 @@ class LookaheadPlan:
         taken = np.full(entries, -1, dtype=np.int64)
         if entries > 1:
             has_next = np.nonzero(fb_block[1:] == fb_block[:-1])[0]
-            values[has_next] = self._bin_leaves[fb_bin[has_next + 1]]
+            values[has_next] = self.bin_leaves[fb_bin[has_next + 1]]
             taken[has_next] = fb_occ[has_next + 1]
         # Bins are contiguous occurrence ranges, so sorting the entries by
         # occurrence groups them by bin in first-occurrence order.
@@ -427,19 +270,18 @@ class LookaheadPlan:
         the table and nothing was consumed by lookup) and ``block_ids`` are
         exactly the planned addresses from there on; ``-1`` otherwise.
         """
-        offset = start_index - self._start_index
-        size = self._superblock_size
+        offset = start_index - self.start_index
+        size = self.superblock_size
         if (
             self._position_bin < 0
-            or self._addresses is None
             or offset < 0
             # Bins open at the window's start and on the global boundaries.
             or (offset and start_index % size)
-            or start_index // size - self._start_index // size != self._position_bin
+            or start_index // size - self.start_index // size != self._position_bin
         ):
             return -1
         if not np.array_equal(
-            self._addresses[offset : offset + len(block_ids)], block_ids
+            self.addresses[offset : offset + len(block_ids)], block_ids
         ):
             return -1
         self.plan_bin_remaps()
@@ -472,15 +314,6 @@ class LookaheadPlan:
                 update(pairs)
         return self._consumed_up_to
 
-    def occurrences(self, block_id: int) -> list[int]:
-        """Trace indices at which ``block_id`` is accessed within the window."""
-        occ_list, _, ranges = self._lookup_tables()
-        bounds = ranges.get(block_id)
-        if bounds is None:
-            return []
-        start, end = bounds
-        return occ_list[start:end]
-
     def metadata_bytes(self) -> int:
         """Size of the (block id, future path) metadata the preprocessor ships.
 
@@ -489,9 +322,8 @@ class LookaheadPlan:
         both rounded up to whole bytes — a 2^25-leaf tree needs 4 path bytes,
         a 16-leaf test tree just one.
         """
-        if self._num_accesses == 0:
+        if not self.num_accesses:
             return 0
-        max_id = int(self._uniq[-1]) if self._uniq.size else 0
-        id_bytes = max(1, (max(max_id, 0).bit_length() + 7) // 8)
-        leaf_bytes = max(1, ((self._num_leaves - 1).bit_length() + 7) // 8)
-        return self._num_accesses * (id_bytes + leaf_bytes)
+        id_bytes = max(1, (max(self.max_block_id, 0).bit_length() + 7) // 8)
+        leaf_bytes = max(1, ((self.num_leaves - 1).bit_length() + 7) // 8)
+        return self.num_accesses * (id_bytes + leaf_bytes)

@@ -63,18 +63,6 @@ class TrafficSnapshot:
         """Position-map recursion bytes moved in both directions."""
         return self.posmap_bytes_read + self.posmap_bytes_written
 
-    @property
-    def posmap_paths_per_access(self) -> float:
-        """Average recursion-level path reads per logical access.
-
-        The lookahead-amortization metric: LAORAM touches the recursive
-        position map once per *distinct* block of a superblock bin, so
-        this ratio drops below PathORAM's levels-per-access constant.
-        """
-        if self.logical_accesses == 0:
-            return 0.0
-        return self.posmap_path_reads / self.logical_accesses
-
 
 def merge_snapshots(snapshots: "Iterable[TrafficSnapshot]") -> TrafficSnapshot:
     """Combine per-shard snapshots into one aggregate view.

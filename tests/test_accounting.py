@@ -105,7 +105,8 @@ class TestEngineClientMemory:
     — the server-side wire format's MAC field, never held in client
     memory.  The honest formula is the dense position-map array (or the
     recursion footprint) plus ``block_size_bytes + 16`` per stashed block
-    (payload plus the id/leaf bookkeeping rows).
+    (payload plus the id/leaf bookkeeping rows), plus, on a lookahead
+    client, the installed plan's (id, path) record per planned access.
     """
 
     def _engine(self, metadata_bytes, fast=True):
@@ -126,9 +127,13 @@ class TestEngineClientMemory:
     def test_formula_excludes_server_metadata(self):
         engine = self._engine(metadata_bytes=16)
         assert len(engine.stash) > 0
-        expected = engine.position_map.client_memory_bytes() + len(
-            engine.stash
-        ) * (32 + engine.STASH_ENTRY_OVERHEAD_BYTES)
+        # 2000 planned accesses: ids below 4096 take 2 bytes, leaves 2.
+        assert engine.plan.metadata_bytes() == 2000 * (2 + 2)
+        expected = (
+            engine.position_map.client_memory_bytes()
+            + len(engine.stash) * (32 + engine.STASH_ENTRY_OVERHEAD_BYTES)
+            + engine.plan.metadata_bytes()
+        )
         assert engine.client_memory_bytes() == expected
 
     def test_metadata_size_does_not_change_client_memory(self):
@@ -138,6 +143,16 @@ class TestEngineClientMemory:
         fat = self._engine(metadata_bytes=64)
         assert len(lean.stash) == len(fat.stash)
         assert lean.client_memory_bytes() == fat.client_memory_bytes()
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_the_installed_plan_is_client_memory(self, fast):
+        config = build_oram_config(num_blocks=4096, block_size_bytes=32, seed=3)
+        engine = build_engine("Normal/S4", config, fast=fast)
+        bare = engine.client_memory_bytes()
+        plan = engine.preprocess(np.arange(1000))
+        # Ids below 1000 and 2048 leaves: two bytes each, per planned access.
+        assert plan.metadata_bytes() == 1000 * (2 + 2)
+        assert engine.client_memory_bytes() == bare + plan.metadata_bytes()
 
     def test_recursive_map_included(self):
         config = build_oram_config(

@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import LAORAMConfig
 from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import (
     BlockNotFoundError,
@@ -259,12 +259,7 @@ class TestPlacementRegressions:
         config = make_laoram_config(num_blocks=64, superblock_size=2, seed=5)
         engine = engine_cls(config)
         plan = LookaheadPlan(
-            [
-                SuperblockBin(0, 0, block_ids=(1, 2), leaf=3),
-                SuperblockBin(1, 2, block_ids=(9, 3), leaf=6),
-                SuperblockBin(2, 4, block_ids=(9, 4), leaf=1),
-            ],
-            num_leaves=engine.config.num_leaves,
+            [1, 2, 9, 3, 9, 4], [3, 6, 1], 2, num_leaves=engine.config.num_leaves
         )
         engine.set_plan(plan)
         engine.apply_initial_placement(plan)
@@ -336,8 +331,7 @@ class TestPlacementRegressions:
         config = make_laoram_config(num_blocks=64, superblock_size=2, stash_capacity=4)
         engine = engine_cls(config)
         plan = LookaheadPlan(
-            [SuperblockBin(0, 0, block_ids=tuple(range(40)), leaf=3)],
-            num_leaves=engine.config.num_leaves,
+            np.arange(40), [3], 40, num_leaves=engine.config.num_leaves
         )
         with pytest.raises(StashOverflowError):
             engine.apply_initial_placement(plan)
@@ -397,11 +391,7 @@ class TestPlanLeafValidation:
         engine = engine_cls(config)
         bad_leaf = engine.config.num_leaves + 5
         plan = LookaheadPlan(
-            [
-                SuperblockBin(0, 0, block_ids=(1, 2), leaf=3),
-                SuperblockBin(1, 2, block_ids=(1, 4), leaf=bad_leaf),
-            ],
-            num_leaves=2 * engine.config.num_leaves,
+            [1, 2, 1, 4], [3, bad_leaf], 2, num_leaves=2 * engine.config.num_leaves
         )
         engine.set_plan(plan)
         with pytest.raises(ConfigurationError):

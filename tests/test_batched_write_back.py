@@ -18,9 +18,10 @@ full — and check after every bin that
 * every bucket is within capacity with occupied slots as a dense prefix, and
 * every stored block sits on a bucket its assigned path passes through.
 
-Bins go through the object-level ``access_superblock`` (any length, any id
-multiset); adversarial layouts come from trusted placement, which puts
-chosen blocks on chosen paths on both backends alike.
+Each bin (any length, any id multiset) goes straight to the kernel on the
+fast client and through ``access_superblock`` on the reference; adversarial
+layouts come from trusted placement, which puts chosen blocks on chosen paths
+on both backends alike.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ import pytest
 from repro.core.config import LAORAMConfig
 from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan
 from repro.experiments.configs import build_engine
 from repro.oram.config import ORAMConfig
 
@@ -51,25 +52,25 @@ def make_twins(seed: int, fat_tree: bool = False):
 
 
 def serve_bin(engine, block_ids) -> None:
-    engine.access_superblock(
-        SuperblockBin(
-            bin_id=-1,
-            start_index=engine.trace_cursor,
-            block_ids=tuple(int(b) for b in block_ids),
-            leaf=0,
-        )
-    )
+    """One bin of ``block_ids`` at the trace cursor."""
+    ids = [int(b) for b in block_ids]
+    if isinstance(engine, FastLAORAMClient):
+        engine._run_bins([(engine.trace_cursor, ids, None)])
+    else:
+        engine.access_superblock(ids)
 
 
 def place(engines, groups: dict[int, list[int]]) -> None:
-    """Trusted placement of ``{leaf: block ids}`` on every engine."""
+    """Trusted placement of ``{leaf: block ids}`` on every engine.
+
+    An ``S = 1`` plan gives every planned access its own leaf, so it puts
+    any grouping of ids onto any leaves.
+    """
+    ids = [block_id for block_ids in groups.values() for block_id in block_ids]
+    leaves = [leaf for leaf, block_ids in groups.items() for _ in block_ids]
     for engine in engines:
-        bins, start = [], 0
-        for bin_id, (leaf, block_ids) in enumerate(groups.items()):
-            bins.append(SuperblockBin(bin_id, start, tuple(block_ids), leaf))
-            start += len(block_ids)
         engine.apply_initial_placement(
-            LookaheadPlan(bins, num_leaves=engine.config.num_leaves)
+            LookaheadPlan(ids, leaves, 1, num_leaves=engine.config.num_leaves)
         )
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import LAORAMConfig
 from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan
 from repro.datasets.permutation import PermutationTraceGenerator
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import (
@@ -21,9 +21,10 @@ from repro.oram.base import ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine
 from repro.oram.path_oram import PathORAM
+from repro.experiments.configs import build_engine, build_oram_config
 
 from conftest import closed_form_clock
-from test_trace_contract import assert_twins_agree, tree_layout
+from test_trace_contract import assert_twins_agree, engine_state, tree_layout
 
 
 @pytest.fixture
@@ -47,9 +48,13 @@ def assert_plan_conformance(engine, plan=None):
     num_blocks, depth = engine.config.num_blocks, engine.config.depth
     leaves = engine.position_map.as_array()
     first_leaf = {}
-    for superblock in plan.bins if plan is not None else ():
-        for block_id in superblock.block_ids:
-            first_leaf.setdefault(block_id, superblock.leaf)
+    if plan is not None:
+        start, size = plan.start_index, plan.superblock_size
+        bins = (start + np.arange(plan.num_accesses)) // size - start // size
+        for block_id, leaf in zip(
+            plan.addresses.tolist(), plan.bin_leaves[bins].tolist()
+        ):
+            first_leaf.setdefault(block_id, leaf)
     for block_id, leaf in first_leaf.items():
         if block_id < num_blocks:
             assert leaves[block_id] == leaf
@@ -129,14 +134,12 @@ class TestSuperblockAccess:
     def test_access_superblock_returns_payloads_in_order(self, config):
         client = LAORAMClient(config)
         client.load_payloads({i: bytes([i]) for i in range(256)})
-        superblock = SuperblockBin(0, 0, block_ids=(3, 10, 3, 200), leaf=0)
-        payloads = client.access_superblock(superblock)
+        payloads = client.access_superblock([3, 10, 3, 200])
         assert payloads == [bytes([3]), bytes([10]), bytes([3]), bytes([200])]
 
     def test_duplicate_blocks_in_bin_cost_one_fetch(self, config):
         client = LAORAMClient(config)
-        superblock = SuperblockBin(0, 0, block_ids=(7, 7, 7, 7), leaf=0)
-        client.access_superblock(superblock)
+        client.access_superblock([7, 7, 7, 7])
         assert client.statistics.path_reads <= 1
 
     def test_access_many_groups_into_bins(self, config):
@@ -172,8 +175,8 @@ class TestInitialPlacement:
         client = LAORAMClient(config)
         plan = client.preprocess([4, 9, 4, 30])
         client.apply_initial_placement(plan)
-        assert client.position_map.get(4) == plan.bins[0].leaf
-        assert client.position_map.get(30) == plan.bins[0].leaf
+        assert client.position_map.get(4) == plan.bin_leaves[0]
+        assert client.position_map.get(30) == plan.bin_leaves[0]
 
     def test_placement_preserves_block_count_and_payloads(self, config):
         client = LAORAMClient(config)
@@ -213,8 +216,7 @@ def placement_config(superblock_size=4, recursive=False, **oram_kwargs):
 
 def one_bin_plan(engine, block_ids, leaf):
     return LookaheadPlan(
-        [SuperblockBin(0, 0, block_ids=tuple(block_ids), leaf=leaf)],
-        num_leaves=engine.config.num_leaves,
+        block_ids, [leaf], len(block_ids), num_leaves=engine.config.num_leaves
     )
 
 
@@ -341,17 +343,67 @@ class TestPlanAlignment:
     def test_window_bins_follow_the_global_boundaries(self, client, config):
         engine = client(config)
         engine.access_many([1, 2, 3, 4, 5, 6])
-        plan = engine.preprocess(np.arange(20, 31), start_index=engine.trace_cursor)
-        # S=4 from index 6: a short first bin up to 8, then 8..12, 12..16, 16..17.
-        assert [(b.start_index, len(b)) for b in plan.bins] == [
-            (6, 2), (8, 4), (12, 4), (16, 1),
-        ]
+        window = np.arange(20, 31)
+        plan = engine.preprocess(window, start_index=engine.trace_cursor)
         assert len(plan) == 4
-        assert [ids.tolist() for _, ids, _ in plan.iter_bin_arrays()] == [
-            list(b.block_ids) for b in plan.bins
-        ]
         remaps, _ = plan.plan_bin_remaps()
         assert [len(r) for r in remaps] == [2, 4, 4, 1]
+        # S=4 from index 6: a short first bin up to 8, then 8..12, 12..16,
+        # and a ragged last bin 16..17 — the plan's bins, which only the
+        # array client takes by position.
+        bins = list(engine._aligned_bins(window))
+        assert [(start, ids) for start, ids, _ in bins] == [
+            (6, [20, 21]), (8, [22, 23, 24, 25]), (12, [26, 27, 28, 29]), (16, [30]),
+        ]
+        by_position = client is FastLAORAMClient
+        assert [r for _, _, r in bins] == (remaps if by_position else [None] * 4)
+        assert engine.bins_by_position == 4 * by_position
+
+    @pytest.mark.parametrize("client", CLIENTS)
+    def test_a_bin_ends_where_the_next_one_starts(self, client, config):
+        engine = client(config)
+        engine.access_many([1, 2, 3])
+        request = [9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 12, 13]
+        bins = list(engine._aligned_bins(request))
+        # The bins tile the request from the cursor: each opens where the
+        # one before it closed, and together they hold every id in order.
+        assert bins[0][0] == 3
+        for (start, ids, _), (next_start, _, _) in zip(bins, bins[1:]):
+            assert start + len(ids) == next_start
+        last_start, last_ids, _ = bins[-1]
+        assert last_start + len(last_ids) == 3 + len(request)
+        assert [b for _, ids, _ in bins for b in ids] == request
+        engine.access_many(request)
+        assert engine.trace_cursor == 3 + len(request)
+
+    @pytest.mark.parametrize("client", CLIENTS)
+    def test_a_bin_counts_accesses_not_unique_blocks(self, client, config):
+        engine = client(config)
+        engine.access_many([5, 5, 5, 5, 9, 9, 9])
+        bins = list(engine._aligned_bins([9, 9, 9]))
+        assert [(start, ids) for start, ids, _ in bins] == [(7, [9]), (8, [9, 9])]
+        # Seven accesses and the cursor moves seven, whatever the repeats.
+        assert engine.statistics.logical_accesses == 7
+        assert engine.trace_cursor == 7
+
+    @pytest.mark.parametrize("client", CLIENTS)
+    def test_remaps_follow_the_bins_distinct_ids_in_first_occurrence_order(
+        self, client, config
+    ):
+        # S=4: (5, 7, 5, 9) on leaf 3, (2, 5, 11, 7) on leaf 6, (9, 9) on leaf 1.
+        engine = client(config)
+        plan = LookaheadPlan(
+            [5, 7, 5, 9, 2, 5, 11, 7, 9, 9], [3, 6, 1], superblock_size=4,
+            num_leaves=config.oram.num_leaves,
+        )
+        engine.set_plan(plan)
+        engine.access_many([5, 7, 5, 9])
+        # Bin 0's distinct blocks 5, 7, 9 take the leaves of the bins that
+        # hold their next occurrences: 6, 6 and 1.  The array client takes
+        # them from the table by position, the reference looks each id up.
+        assert [engine.position_map.get(b) for b in (5, 7, 9)] == [6, 6, 1]
+        assert plan.plan_bin_remaps()[0][0] == [6, 6, 1]
+        assert engine.bins_by_position == (client is FastLAORAMClient)
 
 
 class TestPlanFallback:
@@ -517,3 +569,46 @@ class TestKernelFailurePaths:
         assert engine.statistics.logical_accesses == 0
         assert engine.trace_cursor == 0
         assert engine.plan is not None
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_a_raise_mid_request_drops_the_plan_on_both_clients(self, recursive):
+        # Five bins are served, the sixth is charged and raises at its
+        # out-of-range id; neither client keeps a plan it has half used.
+        trace = np.arange(40)
+        bad = trace.copy()
+        bad[21] = 256
+        states = []
+        for client in CLIENTS:
+            engine = client(placement_config(4, recursive))
+            engine.preprocess(trace)
+            with pytest.raises(BlockNotFoundError):
+                engine.access_many(bad)
+            assert engine.plan is None
+            assert engine.statistics.logical_accesses == 24
+            states.append(dict(engine_state(engine), trace_cursor=engine.trace_cursor))
+        assert states[0]["trace_cursor"] == 20
+        assert_twins_agree(*states)
+
+    def test_a_bad_window_leaves_both_clients_untouched(self):
+        # The window is checked before its first bin on either client: the
+        # reference used to serve two bins of it first, then raise.
+        bad = np.arange(12)
+        bad[9] = 999
+        states = []
+        for fast in (False, True):
+            config = build_oram_config(num_blocks=256, seed=13)
+            engine = build_engine("Fat/S4", config, fast=fast)
+            engine.run_trace(np.arange(16))
+            served = engine.plan
+            before = dict(engine_state(engine), trace_cursor=engine.trace_cursor)
+            with pytest.raises(BlockNotFoundError):
+                engine.run_trace(bad)
+            after = dict(engine_state(engine), trace_cursor=engine.trace_cursor)
+            grown = after.pop("client_memory_bytes") - before.pop("client_memory_bytes")
+            assert after == before
+            # The bad window's plan is installed: the client memory it holds
+            # is the only change.
+            assert grown == engine.plan.metadata_bytes() - served.metadata_bytes()
+            assert (after["statistics"].logical_accesses, after["trace_cursor"]) == (16, 16)
+            states.append(after)
+        assert_twins_agree(*states)

@@ -109,7 +109,7 @@ class TestLAORAMProperties:
         """Security property: superblock paths are uniform over the leaves."""
         pre = Preprocessor(superblock_size=superblock, num_leaves=64, seed=seed)
         plan = pre.build_plan(np.arange(512))
-        leaves = np.array([sb.leaf for sb in plan])
+        leaves = plan.bin_leaves
         assert leaves.min() >= 0
         assert leaves.max() < 64
         # Coarse uniformity: both halves of the leaf range get used.

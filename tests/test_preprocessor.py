@@ -14,33 +14,41 @@ class TestBuildPlan:
         addresses = np.arange(10)
         plan = pre.build_plan(addresses)
         assert len(plan) == 3
-        assert plan.bins[0].block_ids == (0, 1, 2, 3)
-        assert plan.bins[2].block_ids == (8, 9)
+        assert plan.addresses.tolist() == addresses.tolist()
         assert plan.num_accesses == 10
+        # Bins (0..3), (4..7), (8, 9): one remap per distinct id.
+        remaps, _ = plan.plan_bin_remaps()
+        assert [len(r) for r in remaps] == [4, 4, 2]
 
     def test_start_index_offsets_occurrences(self):
         pre = Preprocessor(superblock_size=2, num_leaves=8, seed=0)
         plan = pre.build_plan([4, 5, 4], start_index=100)
-        assert plan.occurrences(4) == [100, 102]
+        assert (plan.start_index, plan.stop_index) == (100, 103)
+        # Block 4 at indices 100 (bin 0) and 102 (bin 1).
+        first, second = plan.bin_leaves.tolist()
+        assert first != second
+        assert plan.consume_next_leaf(4, after_index=99) == first
+        assert plan.consume_next_leaf(4, after_index=100) == second
+        assert plan.consume_next_leaf(4, after_index=-1) is None
 
     def test_leaves_are_within_range(self):
         pre = Preprocessor(superblock_size=4, num_leaves=32, seed=1)
         plan = pre.build_plan(np.arange(400))
-        for sb in plan:
-            assert 0 <= sb.leaf < 32
+        assert len(plan) == 100
+        assert ((plan.bin_leaves >= 0) & (plan.bin_leaves < 32)).all()
 
     def test_bin_paths_are_uniform(self):
         """Superblock path generation must be uniform over the leaves (Sec. VI)."""
         pre = Preprocessor(superblock_size=1, num_leaves=16, seed=2)
         plan = pre.build_plan(np.zeros(8000, dtype=np.int64))
-        leaves = [sb.leaf for sb in plan]
+        leaves = plan.bin_leaves.tolist()
         assert not chi_square_uniformity(leaves, 16).rejects_uniformity()
 
     def test_plan_is_deterministic_for_a_seed(self):
         addresses = np.arange(64)
         a = Preprocessor(4, 16, seed=7).build_plan(addresses)
         b = Preprocessor(4, 16, seed=7).build_plan(addresses)
-        assert [sb.leaf for sb in a] == [sb.leaf for sb in b]
+        assert np.array_equal(a.bin_leaves, b.bin_leaves)
 
     def test_invalid_inputs_rejected(self):
         pre = Preprocessor(superblock_size=2, num_leaves=8)
@@ -57,23 +65,3 @@ class TestBuildPlan:
         with pytest.raises(ConfigurationError):
             Preprocessor(superblock_size=2, num_leaves=1)
 
-
-class TestScanStatistics:
-    def test_duplicate_fraction(self):
-        pre = Preprocessor(superblock_size=4, num_leaves=8)
-        stats = pre.scan_statistics([1, 1, 2, 3])
-        assert stats.num_accesses == 4
-        assert stats.num_unique_blocks == 3
-        assert stats.duplicate_fraction == pytest.approx(0.25)
-        assert stats.num_bins == 1
-
-    def test_preprocessing_cost_is_linear(self):
-        pre = Preprocessor(superblock_size=4, num_leaves=8)
-        assert pre.preprocessing_cost_s(2000) == pytest.approx(
-            2 * pre.preprocessing_cost_s(1000)
-        )
-
-    def test_negative_cost_rejected(self):
-        pre = Preprocessor(superblock_size=4, num_leaves=8)
-        with pytest.raises(ValueError):
-            pre.preprocessing_cost_s(-1)

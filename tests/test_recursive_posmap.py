@@ -284,7 +284,7 @@ class TestPosmapCounters:
         assert snapshot.posmap_bytes_read == 200
         assert snapshot.posmap_bytes_written == 80
         assert snapshot.posmap_total_bytes == 280
-        assert snapshot.posmap_paths_per_access == pytest.approx(0.5)
+        assert snapshot.posmap_path_reads / snapshot.logical_accesses == pytest.approx(0.5)
 
     def test_reset_clears_posmap_fields(self):
         counter = TrafficCounter()

@@ -1,52 +1,33 @@
-"""Tests for superblock bins and the lookahead plan."""
+"""Tests for the lookahead plan: one window of the trace, cut into bins."""
 
 import numpy as np
 import pytest
 
-from repro.core.superblock import LookaheadPlan, SuperblockBin
+from repro.core.superblock import LookaheadPlan, num_bins
 
 
-def make_plan():
-    bins = [
-        SuperblockBin(bin_id=0, start_index=0, block_ids=(5, 7, 5, 9), leaf=3),
-        SuperblockBin(bin_id=1, start_index=4, block_ids=(2, 5, 11, 7), leaf=6),
-        SuperblockBin(bin_id=2, start_index=8, block_ids=(9, 9), leaf=1),
-    ]
-    return LookaheadPlan(bins, num_leaves=16)
-
-
-class TestSuperblockBin:
-    def test_end_index(self):
-        sb = SuperblockBin(0, start_index=4, block_ids=(1, 2, 3), leaf=0)
-        assert sb.end_index == 6
-
-    def test_unique_block_ids_preserve_order(self):
-        sb = SuperblockBin(0, 0, block_ids=(5, 7, 5, 9), leaf=0)
-        assert sb.unique_block_ids == (5, 7, 9)
-
-    def test_len_counts_accesses_not_unique_blocks(self):
-        sb = SuperblockBin(0, 0, block_ids=(5, 5, 5), leaf=0)
-        assert len(sb) == 3
+def make_plan(**kwargs):
+    # S=4: bins (5, 7, 5, 9) on leaf 3, (2, 5, 11, 7) on leaf 6, (9, 9) on leaf 1.
+    addresses = [5, 7, 5, 9, 2, 5, 11, 7, 9, 9]
+    return LookaheadPlan(addresses, [3, 6, 1], superblock_size=4, num_leaves=16, **kwargs)
 
 
 class TestLookaheadPlan:
-    def test_num_accesses(self):
-        assert make_plan().num_accesses == 10
-
-    def test_iteration_and_len(self):
+    def test_num_accesses_and_bins(self):
         plan = make_plan()
+        assert plan.num_accesses == 10
         assert len(plan) == 3
-        assert [sb.bin_id for sb in plan] == [0, 1, 2]
+        assert (plan.start_index, plan.stop_index) == (0, 10)
+        assert plan.max_block_id == 11
 
-    def test_next_leaf_finds_following_occurrence(self):
-        plan = make_plan()
+    def test_consume_next_leaf_finds_the_occurrence_after_the_index(self):
         # Block 5 occurs at indices 0, 2 (bin 0) and 5 (bin 1).
-        assert plan.next_leaf(5, after_index=-1) == 3
-        assert plan.next_leaf(5, after_index=2) == 6
-        assert plan.next_leaf(5, after_index=5) is None
+        assert make_plan().consume_next_leaf(5, after_index=-1) == 3
+        assert make_plan().consume_next_leaf(5, after_index=2) == 6
+        assert make_plan().consume_next_leaf(5, after_index=5) is None
 
-    def test_next_leaf_for_unknown_block(self):
-        assert make_plan().next_leaf(999, after_index=-1) is None
+    def test_consume_next_leaf_for_unknown_block(self):
+        assert make_plan().consume_next_leaf(999, after_index=-1) is None
 
     def test_consume_next_leaf_uses_each_occurrence_once(self):
         plan = make_plan()
@@ -57,68 +38,50 @@ class TestLookaheadPlan:
         assert plan.consume_next_leaf(5, after_index=-1) == 3  # index 2, same bin
         assert plan.consume_next_leaf(5, after_index=-1) == 6  # index 5, bin 1
         assert plan.consume_next_leaf(5, after_index=-1) is None
+        assert plan.consumed_up_to == {5: 5}
 
     def test_consume_does_not_affect_pure_lookup(self):
+        # The bin table is a function of the window alone: building it
+        # consumes nothing, and a lookup before it does not change it.
+        fresh = make_plan()
+        table = fresh.plan_bin_remaps()
+        assert fresh.consumed_up_to == {}
+        assert fresh.consume_next_leaf(5, after_index=-1) == 3
         plan = make_plan()
         plan.consume_next_leaf(5, after_index=-1)
-        assert plan.next_leaf(5, after_index=-1) == 3
-
-    def test_occurrences(self):
-        plan = make_plan()
-        assert plan.occurrences(9) == [3, 8, 9]
-        assert plan.occurrences(123) == []
+        assert plan.plan_bin_remaps() == table
+        assert plan.consumed_up_to == {5: 0}
 
     def test_metadata_bytes_derives_from_widths(self):
         # Ids fit one byte (max id 11) and so do the 16 leaves: 2 bytes/access.
         assert make_plan().metadata_bytes() == 2 * 10
         # A wide tree needs wider path fields: 2^20 leaves -> 3 leaf bytes.
-        wide = LookaheadPlan(
-            [SuperblockBin(0, 0, block_ids=(70_000, 2), leaf=9)],
-            num_leaves=1 << 20,
-        )
+        wide = LookaheadPlan([70_000, 2], [9], superblock_size=2, num_leaves=1 << 20)
         assert wide.metadata_bytes() == 2 * (3 + 3)
+        assert LookaheadPlan([], [], superblock_size=4, num_leaves=16).metadata_bytes() == 0
 
-    def test_invalid_num_leaves_rejected(self):
+    def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
-            LookaheadPlan([], num_leaves=1)
-
-
-class TestFromArrays:
-    def test_matches_classic_construction(self):
-        addresses = np.asarray([5, 7, 5, 9, 2, 5, 11, 7, 9, 9], dtype=np.int64)
-        leaves = np.asarray([3, 6, 1], dtype=np.int64)
-        plan = LookaheadPlan.from_arrays(
-            addresses, leaves, superblock_size=4, num_leaves=16
-        )
-        classic = make_plan()
-        assert plan.bins == classic.bins
-        assert plan.num_accesses == classic.num_accesses
-        for block_id in (2, 5, 7, 9, 11, 123):
-            assert plan.occurrences(block_id) == classic.occurrences(block_id)
-            for after in (-1, 0, 3, 9):
-                assert plan.next_leaf(block_id, after) == classic.next_leaf(
-                    block_id, after
-                )
-
-    def test_iter_bin_arrays_matches_bins(self):
-        addresses = np.arange(10, dtype=np.int64)
-        leaves = np.asarray([4, 2, 7], dtype=np.int64)
-        plan = LookaheadPlan.from_arrays(
-            addresses, leaves, superblock_size=4, num_leaves=8, start_index=50
-        )
-        seen = [
-            (start, tuple(ids.tolist()), leaf)
-            for start, ids, leaf in plan.iter_bin_arrays()
-        ]
-        assert seen == [
-            (sb.start_index, sb.block_ids, sb.leaf) for sb in plan.bins
-        ]
+            LookaheadPlan([], [], superblock_size=4, num_leaves=1)
+        with pytest.raises(ValueError):
+            LookaheadPlan([], [], superblock_size=0, num_leaves=16)
 
     def test_bin_leaf_count_must_match(self):
         with pytest.raises(ValueError):
-            LookaheadPlan.from_arrays(
-                np.arange(10), np.asarray([1]), superblock_size=4, num_leaves=8
-            )
+            LookaheadPlan(np.arange(10), [1], superblock_size=4, num_leaves=8)
+
+    def test_a_window_off_a_boundary_opens_with_a_short_bin(self):
+        # From index 50 at S=4: 50..51, 52..55, 56..59.
+        assert num_bins(10, 4, start_index=50) == 3
+        plan = LookaheadPlan(
+            np.arange(10), [4, 2, 7], superblock_size=4, num_leaves=8, start_index=50
+        )
+        # Block 1 (index 51) closes the short bin on leaf 4; block 2 (index
+        # 52) opens the next one, on leaf 2.
+        assert plan.consume_next_leaf(1, after_index=-1) == 4
+        assert plan.consume_next_leaf(2, after_index=-1) == 2
+        remaps, _ = plan.plan_bin_remaps()
+        assert [len(r) for r in remaps] == [2, 4, 4]
 
     def test_take_first_occurrences(self):
         plan = make_plan()
@@ -135,5 +98,28 @@ class TestFromArrays:
         assert plan.consume_next_leaf(9, after_index=-1) == 1
         # Block 11 was out of bounds, so its first occurrence is still there.
         assert plan.consume_next_leaf(11, after_index=-1) == 6
-        empty_ids, empty_leaves = LookaheadPlan([], num_leaves=16).take_first_occurrences(10)
+        empty = LookaheadPlan([], [], superblock_size=4, num_leaves=16)
+        empty_ids, empty_leaves = empty.take_first_occurrences(10)
         assert empty_ids.size == 0 and empty_leaves.size == 0
+
+    def test_bin_table_is_what_per_bin_lookups_hand_out(self):
+        # Each bin asks once per distinct block, after the bin's last index.
+        table, lookup = make_plan(), make_plan()
+        remaps, consumed = table.plan_bin_remaps()
+        for index, (start, end) in enumerate([(0, 4), (4, 8), (8, 10)]):
+            distinct = list(dict.fromkeys(lookup.addresses[start:end].tolist()))
+            expected = [lookup.consume_next_leaf(b, end - 1) for b in distinct]
+            assert remaps[index] == [-1 if leaf is None else leaf for leaf in expected]
+            assert table.position_bin(start, table.addresses[start:]) == index
+            assert table.take_bin_remaps(index) == remaps[index]
+        assert remaps == [[6, 6, 1], [-1, -1, -1, -1], [-1]]
+        assert consumed == [[(5, 5), (7, 7), (9, 8)], [], []]
+        assert table.consumed_up_to == lookup.consumed_up_to
+
+    def test_position_bin_refuses_other_ids_and_any_lookup(self):
+        plan = make_plan()
+        assert plan.position_bin(4, plan.addresses[4:]) == -1  # not next in line
+        assert plan.position_bin(0, [5, 7, 5, 8]) == -1  # not the planned ids
+        assert plan.position_bin(0, plan.addresses[:4]) == 0
+        plan.consume_next_leaf(5, after_index=3)
+        assert plan.position_bin(0, plan.addresses) == -1
