@@ -294,8 +294,14 @@ def default_config() -> AnalysisConfig:
                 "PositionMap.set",
             ),
         },
+        # The tree's arrays under every name they are bound by: the numpy
+        # arrays and the memoryviews the scalar kernels index them through.
         observable_containers=frozenset(
-            {"slots", "slot_array", "occ", "bucket_occupancies", "_slots", "_occ"}
+            {
+                "slots", "slot_array", "slot_view", "_slots", "_slot_view",
+                "occ", "bucket_occupancies", "occupancy_view", "_occ",
+                "_occ_view",
+            }
         ),
         alloc_hot_functions={
             "repro/oram/engine.py": (

@@ -150,12 +150,12 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         rng_integers = self.rng.integers
 
         tags, get_leaf, set_leaf = self.position_map.leaf_access()
-        slots = tree.slot_array
+        slots = tree.slot_view
         caps = tree.bucket_capacities
         level_base = tree.level_base
         node_base = self._node_base
         groups = self._level_groups
-        occ = tree.bucket_occupancies
+        occ = tree.occupancy_view
         read_ids = tree.read_path_ids
         fetch = fused_fetch
         write_back = fused_shared_write_back

@@ -9,6 +9,9 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import make_rng
 
+#: Normal draws per chunk of a table's initial fill.
+FILL_CHUNK_VALUES = 1 << 20
+
 
 class EmbeddingTable:
     """A dense ``num_rows x dim`` embedding matrix with sparse row access.
@@ -35,7 +38,15 @@ class EmbeddingTable:
         generator = rng if rng is not None else make_rng(seed)
         self.num_rows = num_rows
         self.dim = dim
-        self.weights = (generator.normal(size=(num_rows, dim)) * scale).astype(np.float32)
+        # Filled in row chunks: sequential draws continue one stream, so
+        # this is ``(normal(size=(num_rows, dim)) * scale).astype(float32)``
+        # bit for bit, with a chunk's float64 temporary instead of the
+        # whole table's.
+        self.weights = np.empty((num_rows, dim), dtype=np.float32)
+        step = max(1, FILL_CHUNK_VALUES // dim)
+        for start in range(0, num_rows, step):
+            rows = min(step, num_rows - start)
+            self.weights[start : start + rows] = generator.normal(size=(rows, dim)) * scale
 
     # ------------------------------------------------------------------
     def lookup(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -31,7 +31,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import BlockNotFoundError, StashOverflowError
+from repro.exceptions import (
+    BlockNotFoundError,
+    ConfigurationError,
+    StashOverflowError,
+)
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.block import Block
 from repro.memory.timing import TimingModel
@@ -40,7 +44,7 @@ from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
 from repro.oram.stash import ArrayStash, Stash
-from repro.oram.tree import ArrayTreeStorage, TreeStorage
+from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
     fused_fetch,
     fused_greedy_write_back,
@@ -499,6 +503,11 @@ class ArrayStorageEngine(TreeORAMEngine):
     LEAF_DRAW_BLOCK = 512
 
     def __init__(self, config: ORAMConfig, **kwargs):
+        if config.num_blocks > MAX_NUM_BLOCKS:
+            raise ConfigurationError(
+                f"num_blocks {config.num_blocks} exceeds {MAX_NUM_BLOCKS}: a "
+                "tree slot stores a block id in four bytes"
+            )
         super().__init__(config, **kwargs)
         self._set_payload_store({})
         # What the write-back kernels take besides the tree's arrays: the
@@ -523,12 +532,13 @@ class ArrayStorageEngine(TreeORAMEngine):
     def _bulk_load(self) -> None:
         """Place every block into the tree according to its initial path.
 
-        One vectorized pass per level; overflow goes to the stash in
-        ascending id order, exactly as the per-object bulk load does.
+        Chunked vectorized passes over the map's own four-byte labels (no
+        widened copy); overflow goes to the stash in ascending id order,
+        exactly as the per-object bulk load does.
         """
-        initial_leaves = self.position_map.as_array()
-        overflow = self.tree.bulk_place(initial_leaves)
-        self.stash.extend(overflow, initial_leaves[overflow])
+        labels = self.position_map.leaf_access()[0][: self.config.num_blocks]
+        overflow = self.tree.bulk_place(labels)
+        self.stash.extend(overflow, labels[overflow])
 
     def _set_payload_store(self, store) -> None:
         self._payloads = store
@@ -703,7 +713,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         tags, get_leaf, set_leaf = self.position_map.leaf_access()
         payload_store = self._payloads
         payload_get = self._payload_of
-        slots = tree.slot_array
+        slots = tree.slot_view
         caps = tree.bucket_capacities
         level_base = tree.level_base
         node_base = self._node_base
@@ -714,7 +724,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         # one vectorized rebuild per sync) measured ~4.5 us/access amortized
         # at 30k-access traces, so eager wins despite touching occupancy on
         # every single access.
-        occ = tree.bucket_occupancies
+        occ = tree.occupancy_view
         read_ids = tree.read_path_ids
         fetch = fused_fetch
         write_back = fused_greedy_write_back
@@ -934,8 +944,8 @@ class ArrayStorageEngine(TreeORAMEngine):
             tree.bucket_capacities,
             tree.level_base,
             self._node_base,
-            tree.slot_array,
-            tree.bucket_occupancies,
+            tree.slot_view,
+            tree.occupancy_view,
             self._depth,
             leaf,
         )
@@ -967,7 +977,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         self.stash.clear()
         if ordered.size == 0:
             return
-        pm_leaves = self.position_map.as_array()
-        overflow = self.tree.bulk_place_ordered(ordered, pm_leaves[ordered])
+        labels = self.position_map.leaf_access()[0]
+        overflow = self.tree.bulk_place_ordered(ordered, labels[ordered])
         if overflow.size:
-            self.stash.extend(overflow, pm_leaves[overflow])
+            self.stash.extend(overflow, labels[overflow])

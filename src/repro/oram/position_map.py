@@ -243,6 +243,14 @@ class PositionMap:
         self._values = values or [initial.astype(LABEL_DTYPE)]
         self._entries = self._values[0]
         self._tags = _read_only(self._entries)
+        # The dense accessors go through a memoryview of the entries: its
+        # items are Python ints, with no numpy scalar per lookup or remap.
+        entry_view = memoryview(self._entries)
+        self._leaf_access = (
+            (self._tags, self.get, self.set)
+            if sizes
+            else (self._tags, entry_view.__getitem__, entry_view.__setitem__)
+        )
         # Dense top map: labels of the last level's blocks (client memory).
         self._top = self._levels[-1].labels.copy() if sizes else self._entries
         self._steps = self._bind_steps()
@@ -368,8 +376,8 @@ class PositionMap:
                 tree.bucket_capacities,
                 tree.level_base,
                 [(1 << node_level) - 1 for node_level in range(depth + 1)],
-                tree.slot_array,
-                tree.bucket_occupancies,
+                tree.slot_view,
+                tree.occupancy_view,
                 depth,
                 level.path_buckets,
                 level.path_bytes,
@@ -490,16 +498,15 @@ class PositionMap:
         array :meth:`peek_many` indexes, for blocks that just came off a
         path.  ``get(block_id)`` and ``set(block_id, leaf)`` are the
         protocol's lookup and remap: the charged walk and its write
-        entitlement, or, with no recursion level, the array's own ``item``
-        / ``__setitem__`` (free, and no Python frame per access).  Those
-        two are unchecked: callers pass ids they range-checked and leaves
-        drawn from ``integers(0, num_leaves)`` or a range-checked plan.
-        All three are stable for the map's lifetime.
+        entitlement, or, with no recursion level, the ``__getitem__`` /
+        ``__setitem__`` of a memoryview of the entries (free, Python ints
+        in and out, and no Python frame per access).  Those two are
+        unchecked: callers pass ids they range-checked and leaves drawn
+        from ``integers(0, num_leaves)`` or a range-checked plan.  All
+        three are stable for the map's lifetime, and trusted setup reads
+        its labels off ``tags`` without a widened copy.
         """
-        if self._levels:
-            return self._tags, self.get, self.set
-        entries = self._entries
-        return self._tags, entries.item, entries.__setitem__
+        return self._leaf_access
 
     # ------------------------------------------------------------------
     # Charge-free channel (metadata reads, trusted setup)

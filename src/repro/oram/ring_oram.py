@@ -36,6 +36,12 @@ from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine, ObjectStorageEngine
 from repro.oram.write_back import fused_fetch, fused_greedy_write_back
 
+#: How a bucket's reads since its last reshuffle are counted; a count never
+#: exceeds ``dummies_per_bucket``, which this bounds.
+READ_COUNT_DTYPE = np.dtype(np.uint8)
+#: Largest dummy budget per bucket a read count holds.
+MAX_DUMMIES_PER_BUCKET = int(np.iinfo(READ_COUNT_DTYPE).max)
+
 
 def reverse_lexicographic_leaf(counter: int, depth: int) -> int:
     """Leaf visited at eviction number ``counter`` in reverse-lexicographic order."""
@@ -67,6 +73,12 @@ class RingProtocolMixin:
     ):
         if dummies_per_bucket < 1:
             raise ConfigurationError("dummies_per_bucket must be >= 1")
+        if dummies_per_bucket > MAX_DUMMIES_PER_BUCKET:
+            raise ConfigurationError(
+                f"dummies_per_bucket {dummies_per_bucket} exceeds "
+                f"{MAX_DUMMIES_PER_BUCKET}: a bucket's reads are counted in "
+                f"{READ_COUNT_DTYPE.name}"
+            )
         if evict_rate < 1:
             raise ConfigurationError("evict_rate must be >= 1")
         self.dummies_per_bucket = dummies_per_bucket
@@ -81,7 +93,9 @@ class RingProtocolMixin:
         # Number of single-block reads a bucket has served since its last
         # reshuffle; once it reaches ``dummies_per_bucket`` the bucket must be
         # reshuffled (read and rewritten in full).
-        self._bucket_read_counts = np.zeros(self.tree.num_buckets, dtype=np.int64)
+        self._bucket_read_counts = np.zeros(
+            self.tree.num_buckets, dtype=READ_COUNT_DTYPE
+        )
         self._access_count = 0
         self._evict_counter = 0
 
@@ -259,8 +273,8 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         tags, get_leaf, set_leaf = self.position_map.leaf_access()
         payload_store = self._payloads
         payload_get = self._payload_of
-        slots = tree.slot_array
-        occ = tree.bucket_occupancies
+        slots = tree.slot_view
+        occ = tree.occupancy_view
         caps = tree.bucket_capacities
         level_base = tree.level_base
         node_base = self._node_base

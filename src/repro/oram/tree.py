@@ -7,9 +7,18 @@ dummy slots) because the server must transfer indistinguishable buckets.
 
 Two backends share the same geometry: :class:`TreeStorage` keeps per-bucket
 lists of :class:`~repro.memory.block.Block` objects (the reference engine),
-and :class:`ArrayTreeStorage` keeps one ``(nodes, capacity)`` ``int64`` slot
-array plus an occupancy vector per level, so path reads, write-backs and the
-initial bulk placement are numpy operations instead of per-block Python.
+and :class:`ArrayTreeStorage` keeps one flat :data:`SLOT_DTYPE` slot array
+plus one :data:`OCC_DTYPE` occupancy counter per bucket, so path reads,
+write-backs and the initial bulk placement are numpy operations instead of
+per-block Python.
+
+Width.  The array tree is the largest host structure of every array engine,
+so it is stored at the width its values need: a slot holds a block id or
+``-1`` in four bytes, an occupancy counts at most :data:`MAX_BUCKET_CAPACITY`
+blocks in one byte.  The scalar kernels read and write the buffers through
+memoryviews (:attr:`ArrayTreeStorage.slot_view`,
+:attr:`ArrayTreeStorage.occupancy_view`), which hand out Python ints, so no
+caller's arithmetic wraps; vector work widens its own operands.
 """
 
 from __future__ import annotations
@@ -22,6 +31,38 @@ from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.block import Block
 from repro.oram.bucket import Bucket
 from repro.utils.bits import node_index, num_nodes, path_node_indices
+
+#: How a slot stores a block id; ``-1`` marks an empty (dummy) slot.
+SLOT_DTYPE = np.dtype(np.int32)
+#: Largest block count an array tree stores ids of.
+MAX_NUM_BLOCKS = int(np.iinfo(SLOT_DTYPE).max)
+#: How a bucket's occupancy is counted.
+OCC_DTYPE = np.dtype(np.uint8)
+#: Largest bucket capacity an occupancy counter holds.
+MAX_BUCKET_CAPACITY = int(np.iinfo(OCC_DTYPE).max)
+#: Sequence positions one bulk-placement pass sorts: bounds its temporaries
+#: (a few ``int64`` arrays this long) whatever the number of blocks placed.
+PLACE_CHUNK = 1 << 16
+
+
+def _split_shift_tables(shifts: np.ndarray, split: int, depth: int):
+    """``leaf >> shifts`` as ``hi_table[leaf >> split] + lo_table[leaf & mask]``.
+
+    With ``leaf = hi * 2^split + lo`` and ``lo < 2^split``, a shift
+    ``s <= split`` gives ``hi * 2^(split - s) + (lo >> s)`` and a larger one
+    gives ``hi >> (s - split)`` (``lo`` contributes nothing), so one table
+    row per half reproduces every shifted value exactly.
+    """
+    hi = np.arange(1 << (depth - split), dtype=np.int64)[:, None]
+    lo = np.arange(1 << split, dtype=np.int64)[:, None]
+    near = shifts <= split
+    hi_table = np.where(
+        near,
+        hi << np.where(near, split - shifts, 0),
+        hi >> np.where(near, 0, shifts - split),
+    )
+    lo_table = np.where(near, lo >> np.where(near, shifts, 0), 0)
+    return hi_table, lo_table
 
 
 class TreeStorage:
@@ -174,14 +215,16 @@ class TreeStorage:
 class ArrayTreeStorage:
     """Array-backed complete binary tree of buckets.
 
-    All slots live in one flat ``int64`` array (``-1`` marks a dummy slot)
-    laid out level by level, node by node, plus one occupancy counter per
-    node; slots ``0..occ-1`` of a node hold real blocks in insertion order,
-    matching the list order of the per-object :class:`TreeStorage` buckets.
-    Precomputed per-slot templates turn a whole path read into four numpy
-    operations instead of a per-level Python walk.  Only ids are stored: a
-    block's leaf is authoritative in the position map, and the vectorized
-    engine keeps payloads in a client-side store.
+    All slots live in one flat :data:`SLOT_DTYPE` array (``-1`` marks a
+    dummy slot) laid out level by level, node by node, plus one
+    :data:`OCC_DTYPE` occupancy counter per node; slots ``0..occ-1`` of a
+    node hold real blocks in insertion order, matching the list order of the
+    per-object :class:`TreeStorage` buckets.  Precomputed split-leaf tables
+    give a path's slot indices and bucket indices in one ``np.add`` each, so
+    a whole path read is five numpy operations instead of a per-level
+    Python walk.  Only ids are stored: a block's leaf is authoritative in
+    the position map, and the vectorized engine keeps payloads in a
+    client-side store.
     """
 
     def __init__(
@@ -201,6 +244,12 @@ class ArrayTreeStorage:
             raise ConfigurationError("block_size_bytes must be >= 1")
         self.depth = depth
         self.bucket_capacities = tuple(int(c) for c in bucket_capacities)
+        if max(self.bucket_capacities) > MAX_BUCKET_CAPACITY:
+            raise ConfigurationError(
+                f"bucket capacity {max(self.bucket_capacities)} exceeds "
+                f"{MAX_BUCKET_CAPACITY}: an occupancy is counted in "
+                f"{OCC_DTYPE.name}"
+            )
         self.block_size_bytes = block_size_bytes
         self.metadata_bytes_per_block = metadata_bytes_per_block
         caps = self.bucket_capacities
@@ -209,33 +258,41 @@ class ArrayTreeStorage:
         for level, capacity in enumerate(caps):
             bases.append(bases[-1] + (1 << level) * capacity)
         self._level_base = tuple(bases[:-1])
-        self._slots = np.full(bases[-1], -1, dtype=np.int64)
-        self._occ = np.zeros((1 << (depth + 1)) - 1, dtype=np.int64)
+        self._slots = np.full(bases[-1], -1, dtype=SLOT_DTYPE)
+        self._occ = np.zeros((1 << (depth + 1)) - 1, dtype=OCC_DTYPE)
+        # The scalar kernels' handles on the same buffers: memoryview items
+        # are Python ints and cost no numpy scalar per read or write.
+        self._slot_view = memoryview(self._slots)
+        self._occ_view = memoryview(self._occ)
         self._path_slots = sum(caps)
-        # Per-slot templates of one path: the slot indices of the path to
-        # ``leaf`` are  tmpl_base + (leaf >> tmpl_shift) * tmpl_cap + tmpl_off.
-        shift, base, cap_arr, off = [], [], [], []
-        for level, capacity in enumerate(caps):
-            shift.extend([depth - level] * capacity)
-            base.extend([self._level_base[level]] * capacity)
-            cap_arr.extend([capacity] * capacity)
-            off.extend(range(capacity))
-        self._tmpl_shift = np.asarray(shift, dtype=np.int64)
-        self._tmpl_cap = np.asarray(cap_arr, dtype=np.int64)
-        self._tmpl_level = np.asarray(
-            [level for level, capacity in enumerate(caps) for _ in range(capacity)],
+        # Template level of each of a path's slots (root first), as Python
+        # ints for the scalar hot path (remove_on_path).
+        self._tmpl_level_list = [
+            level for level, capacity in enumerate(caps) for _ in range(capacity)
+        ]
+        # Split-leaf tables (see _split_shift_tables): with hi, lo =
+        # leaf >> split, leaf & lo_mask, the path's flat slot indices are
+        # slot_hi[hi] + slot_lo[lo] and its bucket indices, root first,
+        # node_hi[hi] + node_lo[lo].  A slot at level l, offset o is
+        # base_l + (leaf >> (depth - l)) * cap_l + o; the per-slot constants
+        # ride the hi table.
+        split = (depth + 1) // 2
+        self._split = split
+        self._lo_mask = (1 << split) - 1
+        slot_level = np.asarray(self._tmpl_level_list, dtype=np.int64)
+        slot_cap = np.asarray(caps, dtype=np.int64)[slot_level]
+        slot_const = np.asarray(
+            [self._level_base[level] + offset
+             for level, capacity in enumerate(caps) for offset in range(capacity)],
             dtype=np.int64,
         )
-        # Python-int copy for scalar hot paths (remove_on_path).
-        self._tmpl_level_list = self._tmpl_level.tolist()
-        # base and offset are both per-slot constants: fold them into one.
-        self._tmpl_const = np.asarray(base, dtype=np.int64) + np.asarray(
-            off, dtype=np.int64
-        )
-        # Per-node templates: global bucket index of the path's node at each
-        # level is  node_base + (leaf >> node_shift).
-        self._node_shift = np.arange(depth, -1, -1, dtype=np.int64)
-        self._node_base = (1 << np.arange(depth + 1, dtype=np.int64)) - 1
+        hi_table, lo_table = _split_shift_tables(depth - slot_level, split, depth)
+        self._slot_hi = hi_table * slot_cap + slot_const
+        self._slot_lo = lo_table * slot_cap
+        node_level = np.arange(depth + 1, dtype=np.int64)
+        hi_table, lo_table = _split_shift_tables(depth - node_level, split, depth)
+        self._node_hi = hi_table + ((1 << node_level) - 1)
+        self._node_lo = lo_table
         # Every path has the same geometry, so its transfer cost is fixed.
         self._path_cost = (
             depth + 1,
@@ -247,7 +304,7 @@ class ArrayTreeStorage:
         # at entry, so a returned scratch view is valid only until the next
         # path call on this tree.
         self._scratch_slot_idx = np.empty(self._path_slots, dtype=np.int64)
-        self._scratch_gather = np.empty(self._path_slots, dtype=np.int64)
+        self._scratch_gather = np.empty(self._path_slots, dtype=SLOT_DTYPE)
         self._scratch_mask = np.empty(self._path_slots, dtype=bool)
         self._scratch_nodes = np.empty(depth + 1, dtype=np.int64)
 
@@ -293,34 +350,34 @@ class ArrayTreeStorage:
     # ------------------------------------------------------------------
     # Path operations
     # ------------------------------------------------------------------
-    def free_slots(self, level: int, node: int) -> int:
-        """Free capacity of the bucket ``node`` at ``level``."""
-        return self.bucket_capacities[level] - int(
-            self._occ[((1 << level) - 1) + node]
-        )
-
     def _fill_path_slots(self, leaf: int) -> np.ndarray:
         """Fill and return the scratch array of the path's flat slot indices.
 
-        Incremental bit-shift fill into the preallocated template-shaped
-        scratch (``(leaf >> tmpl_shift) * tmpl_cap + tmpl_const``) — three
-        in-place ufunc calls, no allocation.
+        One in-place ``np.add`` of a row of each split-leaf table
+        (``slot_hi[leaf >> split] + slot_lo[leaf & lo_mask]``) into the
+        preallocated scratch, no allocation.
         """
         slot_idx = self._scratch_slot_idx
-        np.right_shift(leaf, self._tmpl_shift, out=slot_idx)
-        np.multiply(slot_idx, self._tmpl_cap, out=slot_idx)
-        np.add(slot_idx, self._tmpl_const, out=slot_idx)
+        np.add(
+            self._slot_hi[leaf >> self._split],
+            self._slot_lo[leaf & self._lo_mask],
+            out=slot_idx,
+        )
         return slot_idx
 
     def path_nodes(self, leaf: int) -> np.ndarray:
         """Bucket indices of the path to ``leaf`` (root first), in scratch.
 
         Same values as :meth:`path_bucket_indices` but written into the
-        reusable node scratch: valid only until the next path call.
+        reusable node scratch by one in-place ``np.add`` of the split-leaf
+        node tables: valid only until the next path call.
         """
         nodes = self._scratch_nodes
-        np.right_shift(leaf, self._node_shift, out=nodes)
-        np.add(nodes, self._node_base, out=nodes)
+        np.add(
+            self._node_hi[leaf >> self._split],
+            self._node_lo[leaf & self._lo_mask],
+            out=nodes,
+        )
         return nodes
 
     def read_path_raw(self, leaf: int) -> np.ndarray:
@@ -331,7 +388,8 @@ class ArrayTreeStorage:
         insertion order preserved — with ``-1`` marking empty slots.  The
         fused trace driver consumes this directly (it filters the ``-1``
         entries while building its stash map), so a steady-state path read
-        is five in-place numpy operations and zero allocations.
+        is five in-place numpy operations — the slot and node index adds,
+        the gather, and the two blanking scatters — and zero allocations.
         """
         slot_idx = self._fill_path_slots(leaf)
         gathered = self._scratch_gather
@@ -362,14 +420,26 @@ class ArrayTreeStorage:
     def bucket_occupancies(self) -> np.ndarray:
         """Per-bucket occupancy counters, breadth-first (no copy).
 
-        The write-back kernels read and update it together with
-        :attr:`slot_array`, keeping slots and counters in sync.
+        Updated together with :attr:`slot_array`, keeping slots and
+        counters in sync; the scalar kernels go through
+        :attr:`occupancy_view`.
         """
         return self._occ
 
+    @property
+    def occupancy_view(self) -> memoryview:
+        """:attr:`bucket_occupancies` as a memoryview, for the scalar kernels.
+
+        Items read as Python ints (never a wrapping ``uint8`` scalar), and a
+        write outside ``0..255`` raises instead of wrapping.
+        """
+        return self._occ_view
+
     def path_bucket_indices(self, leaf: int) -> np.ndarray:
         """Breadth-first bucket indices of the path to ``leaf``, root first."""
-        return self._node_base + (leaf >> self._node_shift)
+        return (
+            self._node_hi[leaf >> self._split] + self._node_lo[leaf & self._lo_mask]
+        )
 
     def remove_on_path(self, leaf: int, block_id: int) -> bool:
         """Remove ``block_id`` from the first bucket holding it on the path.
@@ -467,12 +537,20 @@ class ArrayTreeStorage:
 
     @property
     def slot_array(self) -> np.ndarray:
-        """The flat slot array (no copy), for the write-back kernels.
+        """The flat slot array (no copy).
 
         Writes must keep the occupied slots the dense prefix of each bucket
         and :attr:`bucket_occupancies` in sync.
         """
         return self._slots
+
+    @property
+    def slot_view(self) -> memoryview:
+        """:attr:`slot_array` as a memoryview, for the write-back kernels.
+
+        Same buffer, same rules; items read and write as Python ints.
+        """
+        return self._slot_view
 
     # ------------------------------------------------------------------
     # Bulk operations / diagnostics
@@ -492,9 +570,9 @@ class ArrayTreeStorage:
         order (see :meth:`bulk_place_ordered`, which this delegates to with
         ascending-id priority).
         """
-        leaves = np.asarray(position_leaves, dtype=np.int64)
+        leaves = np.asarray(position_leaves)
         return self.bulk_place_ordered(
-            np.arange(leaves.size, dtype=np.int64), leaves
+            np.arange(leaves.size, dtype=SLOT_DTYPE), leaves
         )
 
     def bulk_place_ordered(
@@ -504,32 +582,52 @@ class ArrayTreeStorage:
 
         ``leaves[i]`` is ``block_ids[i]``'s assigned path; earlier sequence
         positions win contested slots.  Returns the ids that found no free
-        slot on their path, in sequence order.  Equivalent to calling
-        :meth:`try_place_id` for every id in sequence order, but runs one
-        vectorized pass per level: at each level the surviving blocks are
-        grouped by bucket and the first ``free`` (by priority) of each
-        bucket claim their slots — placements at different levels never
-        interact, so processing levels deep-to-root with priority preserved
-        reproduces the scalar loop exactly.
-
-        Grouping sorts one composite key per survivor, ``node << bits |
-        position`` with ``bits`` wide enough for every sequence position.
-        Keys are unique, so the default (unstable) sort orders them exactly
-        as a stable sort by node would order the ascending positions, and
-        each bucket is one run of equal ``key >> bits`` in the sorted keys.
+        slot on their path, in sequence order (``int64``).  Equivalent to
+        calling :meth:`try_place_id` for every id in sequence order.  That
+        loop is sequential, so it is run as consecutive chunks of
+        :data:`PLACE_CHUNK` sequence positions, each placed by
+        :meth:`_place_chunk` over the tree the chunks before it left: the
+        temporaries are chunk-sized however many blocks are placed.
         """
-        block_ids = np.asarray(block_ids, dtype=np.int64)
-        leaves = np.asarray(leaves, dtype=np.int64)
-        bits = int(block_ids.size).bit_length()
+        block_ids = np.asarray(block_ids)
+        leaves = np.asarray(leaves)
+        bits = min(block_ids.size, PLACE_CHUNK).bit_length()
         if self.depth + bits > 63:
             raise ConfigurationError(
                 f"{block_ids.size} blocks on a depth-{self.depth} tree do not "
                 "fit a 63-bit (node, position) sort key"
             )
+        overflow = [np.empty(0, dtype=np.int64)]
+        for start in range(0, block_ids.size, PLACE_CHUNK):
+            stop = start + PLACE_CHUNK
+            overflow.append(
+                self._place_chunk(block_ids[start:stop], leaves[start:stop], bits)
+            )
+        return np.concatenate(overflow)
+
+    def _place_chunk(
+        self, block_ids: np.ndarray, leaves: np.ndarray, bits: int
+    ) -> np.ndarray:
+        """One chunk of :meth:`bulk_place_ordered`: one vectorized pass per level.
+
+        At each level the surviving blocks are grouped by bucket and the
+        first ``free`` (by priority) of each bucket claim their slots —
+        placements at different levels never interact, so processing levels
+        deep-to-root with priority preserved reproduces the scalar loop
+        exactly.
+
+        Grouping sorts one composite key per survivor, ``node << bits |
+        position`` with ``bits`` wide enough for every sequence position of
+        the chunk.  Keys are unique, so the default (unstable) sort orders
+        them exactly as a stable sort by node would order the ascending
+        positions, and each bucket is one run of equal ``key >> bits`` in
+        the sorted keys.
+        """
+        block_ids = block_ids.astype(np.int64)
         # ``remaining`` holds sequence positions (the priority order) and
         # ``nodes`` each one's bucket at the level being filled.
         remaining = np.arange(block_ids.size, dtype=np.int64)
-        nodes = leaves
+        nodes = leaves.astype(np.int64)
         for level in range(self.depth, -1, -1):
             if remaining.size == 0:
                 break
@@ -546,12 +644,16 @@ class ArrayTreeStorage:
             starts = np.flatnonzero(first)
             counts = np.diff(starts, append=keys.size)
             uniq = sorted_nodes[starts]
-            rank = np.arange(keys.size, dtype=np.int64) - np.repeat(starts, counts)
-            slot = level_occ[sorted_nodes] + rank
+            held = level_occ[uniq]
+            # A block's slot: behind its bucket's occupants, at its rank
+            # within the bucket's run of the sorted keys.
+            slot = np.arange(keys.size, dtype=np.int64) + np.repeat(
+                held - starts, counts
+            )
             placed = slot < capacity
             slot += sorted_nodes * capacity
             level_ids[slot[placed]] = block_ids[sorted_pos[placed]]
-            level_occ[uniq] = np.minimum(level_occ[uniq] + counts, capacity)
+            level_occ[uniq] = np.minimum(held + counts, capacity)
             lost = ~placed
             remaining = sorted_pos[lost]
             nodes = sorted_nodes[lost] >> 1

@@ -98,6 +98,10 @@ def fused_greedy_write_back(
     planner's full-path scatter because unvisited levels hold zero either
     way.  Chosen blocks are deleted from ``stash_map`` in place.
 
+    ``slots`` and ``occ`` are the tree's memoryviews
+    (:attr:`~repro.oram.tree.ArrayTreeStorage.slot_view`,
+    :attr:`~repro.oram.tree.ArrayTreeStorage.occupancy_view`): every item
+    read or written is a Python int.
     ``groups`` is caller-owned scratch (``depth + 1`` empty lists, left
     empty again on return via clear-on-consume) so the steady-state loop
     allocates nothing beyond one small pool list.  Every stash entry is
@@ -164,7 +168,7 @@ def fused_shared_write_back(
     Kept apart from it on a measurement: with the occupancy read folded
     into the one function, the PathORAM-driver workloads lost 2.7 %
     (``serve_zipf``, 0 of 10 pairs won) and 4.0 % (``replay_recursive``, 2
-    of 10) — one ``occ.item`` and three integer operations per visited
+    of 10) — one occupancy read and three integer operations per visited
     level, at one to three write-backs an access — while the LAORAM kernel
     running this version on every path, fresh ones included, gave up
     nothing measurable (``docs/performance.md``, "One write-back or two").
@@ -198,7 +202,7 @@ def fused_shared_write_back(
         cap = caps[level]
         node = leaf >> (depth - level)
         bucket = node_base[level] + node
-        occupancy = occ.item(bucket)
+        occupancy = occ[bucket]
         free = cap - occupancy
         if free > 0:
             take = free if free < count else count

@@ -6,6 +6,8 @@ equivalence with the per-object engines, and regression tests for the
 plan-consumption and stash-iteration bugs fixed alongside it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,10 @@ from repro.experiments.configs import (
 )
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
+from repro.oram.pr_oram import ArrayPrORAM
+from repro.oram.ring_oram import ArrayRingORAM
 from repro.oram.stash import ArrayStash
+from repro.oram.tree import MAX_NUM_BLOCKS
 
 from test_laoram import assert_plan_conformance
 from test_trace_contract import assert_twins_agree, engine_state
@@ -434,3 +439,51 @@ class TestHarnessIntegration:
             for fast in (False, True)
         )
         assert fast == reference
+
+
+class TestTreeAtItsWidth:
+    """The array tree stores ids in four bytes and builds in bounded chunks."""
+
+    @pytest.mark.parametrize(
+        "engine_cls", [ArrayPathORAM, ArrayRingORAM, ArrayPrORAM, FastLAORAMClient]
+    )
+    def test_block_ids_past_the_slot_width_are_refused(self, engine_cls):
+        """Refused before anything is allocated for the 2^31 blocks."""
+        oram = ORAMConfig(num_blocks=MAX_NUM_BLOCKS + 1, block_size_bytes=64)
+        config = (
+            LAORAMConfig(oram=oram, superblock_size=4)
+            if engine_cls is FastLAORAMClient
+            else oram
+        )
+        with pytest.raises(ConfigurationError, match="num_blocks"):
+            engine_cls(config)
+
+    #: What a build may hold beyond its persistent arrays: one placement
+    #: chunk's temporaries (a dozen 2^16-entry arrays, ~6 MiB), the split
+    #: leaf tables and the 4-byte id range the bulk load places.
+    BUILD_SLACK_BYTES = 12 << 20
+
+    def test_build_peaks_at_its_persistent_arrays_plus_a_fixed_slack(self):
+        """A 2^18-block Fat/S4 build never holds a tree-sized temporary.
+
+        Before placement was chunked, its sort keys and their sorted copies
+        were as large as the tree (peak 26 MiB over the arrays here).
+        """
+        config = build_oram_config(1 << 18, seed=11)
+        tracemalloc.start()
+        try:
+            engine = build_engine("Fat/S4", config, fast=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tree = engine.tree
+        persistent = (
+            tree.slot_array.nbytes
+            + tree.bucket_occupancies.nbytes
+            + engine.position_map.top_map_bytes
+        )
+        assert engine.total_real_blocks() == 1 << 18
+        assert peak <= persistent + self.BUILD_SLACK_BYTES, (
+            f"build peaked {(peak - persistent) / 2**20:.1f} MiB over its "
+            f"{persistent / 2**20:.1f} MiB of persistent arrays"
+        )

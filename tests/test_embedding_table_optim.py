@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.embedding import table as table_module
 from repro.embedding.optim import SparseAdagrad, SparseSGD
 from repro.embedding.table import EmbeddingTable
 from repro.exceptions import ConfigurationError
@@ -42,6 +43,30 @@ class TestEmbeddingTable:
             EmbeddingTable(0, 4)
         with pytest.raises(ConfigurationError):
             EmbeddingTable(4, 0)
+
+    @pytest.mark.parametrize(
+        "rows, dim, chunk_values",
+        [
+            # Real chunk size: three chunks, the last one 409 rows.
+            (300_001, 7, table_module.FILL_CHUNK_VALUES),
+            (100_000, 7, table_module.FILL_CHUNK_VALUES),
+            # Small chunks: one row each, a seam after every row, and a
+            # chunk narrower than one row.
+            (5, 3, 4),
+            (17, 2, 6),
+            (9, 5, 1),
+        ],
+    )
+    def test_chunked_fill_is_the_one_shot_draw_bit_for_bit(
+        self, rows, dim, chunk_values, monkeypatch
+    ):
+        monkeypatch.setattr(table_module, "FILL_CHUNK_VALUES", chunk_values)
+        table = EmbeddingTable(rows, dim, scale=0.01, seed=7)
+        one_shot = (
+            np.random.default_rng(7).normal(size=(rows, dim)) * 0.01
+        ).astype(np.float32)
+        assert table.weights.dtype == np.float32
+        assert table.weights.tobytes() == one_shot.tobytes()
 
 
 class TestSparseSGD:

@@ -5,7 +5,12 @@ import pytest
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.oram.config import ORAMConfig
-from repro.oram.ring_oram import ArrayRingORAM, RingORAM, reverse_lexicographic_leaf
+from repro.oram.ring_oram import (
+    MAX_DUMMIES_PER_BUCKET,
+    ArrayRingORAM,
+    RingORAM,
+    reverse_lexicographic_leaf,
+)
 
 ENGINE_CLASSES = [RingORAM, ArrayRingORAM]
 
@@ -42,6 +47,13 @@ class TestRingORAM:
             engine_cls(config, dummies_per_bucket=0)
         with pytest.raises(ConfigurationError):
             engine_cls(config, evict_rate=0)
+
+    def test_dummy_budget_is_bounded_by_the_read_count_width(self, config, engine_cls):
+        """Read counts are one byte: a budget they cannot count to is refused."""
+        oram = engine_cls(config, dummies_per_bucket=MAX_DUMMIES_PER_BUCKET)
+        assert oram._bucket_read_counts.dtype == np.uint8
+        with pytest.raises(ConfigurationError, match="dummies_per_bucket"):
+            engine_cls(config, dummies_per_bucket=MAX_DUMMIES_PER_BUCKET + 1)
 
     def test_payload_round_trip(self, config, engine_cls):
         oram = engine_cls(config)
@@ -114,7 +126,9 @@ class TestRingInvariants:
         # as many buckets and bytes as a real one: one block per bucket along
         # the path.  Evictions and reshuffles are pushed out of the window so
         # the deltas isolate the online reads.
-        oram = engine_cls(config, dummies_per_bucket=10_000, evict_rate=10_000)
+        oram = engine_cls(
+            config, dummies_per_bucket=MAX_DUMMIES_PER_BUCKET, evict_rate=10_000
+        )
         path_buckets = oram.tree.depth + 1
         path_bytes = path_buckets * oram.tree.stored_block_bytes
 

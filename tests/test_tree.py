@@ -5,7 +5,12 @@ import pytest
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.block import Block
-from repro.oram.tree import ArrayTreeStorage, TreeStorage
+from repro.oram.tree import (
+    MAX_BUCKET_CAPACITY,
+    PLACE_CHUNK,
+    ArrayTreeStorage,
+    TreeStorage,
+)
 
 
 def make_tree(depth=3, bucket=2, block_size=64, metadata=0, capacities=None):
@@ -190,23 +195,75 @@ class TestArrayBulkPlacement:
         assert tree.bulk_place_ordered(empty, empty).size == 0
         assert tree.real_block_count() == 0
 
+    def test_placement_chunk_seam_is_invisible(self):
+        """Chunks of PLACE_CHUNK positions replay the one sequential loop.
+
+        Non-ascending priorities; the first chunk piles onto eight paths and
+        overflows; three paths are contested from both sides of the seam;
+        the second chunk spreads over the tree and ends on a full path.
+        """
+        rng = np.random.default_rng(13)
+        depth, capacities = 10, [4, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
+        count = PLACE_CHUNK + 3000
+        block_ids = rng.permutation(count)
+        leaves = rng.integers(0, 8, size=count)
+        leaves[PLACE_CHUNK - 40 : PLACE_CHUNK + 40] = rng.choice([300, 301, 700], size=80)
+        leaves[PLACE_CHUNK + 40 :] = rng.integers(0, 1 << depth, size=count - PLACE_CHUNK - 40)
+        leaves[-10:] = 5
+        overflow = self._assert_matches_scalar_loop(depth, capacities, block_ids, leaves)
+        position = {block_id: i for i, block_id in enumerate(block_ids.tolist())}
+        lost_at = [position[block_id] for block_id in overflow.tolist()]
+        assert lost_at == sorted(lost_at)
+        assert lost_at[0] < PLACE_CHUNK <= lost_at[-1]
+        # The contested paths took blocks from both sides of the seam.
+        bulk = self._array_tree(depth, capacities)
+        bulk.bulk_place_ordered(block_ids, leaves)
+        stored = set(bulk.all_block_ids().tolist())
+        contested = block_ids[PLACE_CHUNK - 40 : PLACE_CHUNK + 40].tolist()
+        assert any(b in stored for b in contested[:40])
+        assert any(b in stored for b in contested[40:])
+        assert not all(b in stored for b in contested)
+
     def test_sort_key_fits_at_paper_scale_and_is_rejected_when_it_cannot(self):
         """``node << bits | position`` must stay below 2^63 or the sort order wraps."""
-        # The largest tree the benchmarks build, a depth-23 tree of 2^24 rows.
-        depth, count = 23, 1 << 24
-        bits = count.bit_length()
-        assert (((1 << depth) - 1) << bits | (count - 1)) < 1 << 63
+        # The position part spans one chunk, whatever the number of blocks:
+        # the largest tree the benchmarks build (depth 23, 2^24 rows) needs
+        # 23 + 17 bits, and the key fits up to a depth-46 tree.
+        bits = PLACE_CHUNK.bit_length()
+        assert ((1 << 23) - 1) << bits | (PLACE_CHUNK - 1) < 1 << 40
+        assert 46 + bits == 63
         # A deep, narrow tree really sorts keys that large in the node part.
         rng = np.random.default_rng(4)
         block_ids = rng.permutation(300)
         leaves = rng.integers(0, 1 << 16, size=300)
         leaves[:50] = (1 << 16) - 1
         self._assert_matches_scalar_loop(16, [1] * 17, block_ids, leaves)
-        # Past 63 bits the placement refuses instead of wrapping silently.
+        # Past 63 bits the placement refuses instead of wrapping silently:
+        # a few positions on a very deep tree, a full chunk on a depth-47 one.
         tree = self._array_tree(3, [2] * 4)
         tree.depth = 61
         with pytest.raises(ConfigurationError, match="sort key"):
             tree.bulk_place_ordered(np.arange(4), np.zeros(4, dtype=np.int64))
+        tree.depth = 47
+        with pytest.raises(ConfigurationError, match="sort key"):
+            tree.bulk_place_ordered(
+                np.arange(PLACE_CHUNK + 1), np.zeros(PLACE_CHUNK + 1, dtype=np.int64)
+            )
+
+    def test_bucket_capacity_is_bounded_by_the_occupancy_width(self):
+        """One-byte occupancies count a full 255-slot bucket without wrapping."""
+        tree = self._array_tree(1, [MAX_BUCKET_CAPACITY] * 2)
+        assert tree.slot_array.dtype == np.int32
+        assert tree.bucket_occupancies.dtype == np.uint8
+        placed = [tree.try_place_id(b, 0) for b in range(2 * MAX_BUCKET_CAPACITY + 1)]
+        assert placed == [True] * (2 * MAX_BUCKET_CAPACITY) + [False]
+        occupancy = tree.occupancy_view[0]
+        assert type(occupancy) is int and occupancy == MAX_BUCKET_CAPACITY
+        assert tree.real_block_count() == 2 * MAX_BUCKET_CAPACITY
+        assert tree.remove_on_path(0, 0)
+        assert tree.occupancy_view[1] == MAX_BUCKET_CAPACITY - 1
+        with pytest.raises(ConfigurationError, match="bucket capacity"):
+            self._array_tree(2, [MAX_BUCKET_CAPACITY + 1, 4, 4])
 
     def test_clear_empties_the_tree_in_place(self):
         tree = self._array_tree(3, [2] * 4)
