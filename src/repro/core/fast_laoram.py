@@ -121,20 +121,27 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         free, the missing blocks are grouped by current path in
         first-encounter order and each distinct path is fetched once, every
         distinct block is remapped in place — to the bin's precomputed leaf,
-        else to what the plan hands out, else (``-1`` or no plan) to a
-        scalar draw, so the generator stream stays in the reference client's
-        order — and each path read is written back, path by path and
-        occupancy-aware over the buckets they share.  Background eviction
-        runs inline.
+        else to what the plan hands out, else (``-1`` or no plan) to the
+        next leaf of the engine's one stream — and each path read is written
+        back, path by path and occupancy-aware over the buckets they share.
+        Background eviction runs inline.
+
+        The stream's prefetched block is bound as locals, as in
+        ``_run_trace_fused``: the fallback remaps and the dummy reads take
+        their leaves from it, in the order the reference client's scalar
+        draws come, and it is refilled with one ``integers`` call of
+        ``LEAF_DRAW_BLOCK`` leaves.  Nothing here calls ``_draw_leaf`` or
+        ``_planned_leaf``, which would hand out leaves the locals still hold.
 
         Access and path counts accumulate in locals.  One ``finally``
-        stores the cursor and flushes them (``_flush_counts``), so a raise
-        mid-window leaves the engine consistent and able to serve the next
-        call: the capacity check runs after a path's blocks entered the
-        stash, so an overflow loses nothing.  A raise also drops the plan —
-        the plan counts the whole of the bin's precomputed remaps as handed
-        out when only some were, and its lookups would no longer be the
-        reference client's — so later remaps draw uniformly.
+        stores the cursor and the leaf buffer and flushes the counts
+        (``_flush_counts``), so a raise mid-window leaves the engine
+        consistent and able to serve the next call: the capacity check runs
+        after a path's blocks entered the stash, so an overflow loses
+        nothing.  A raise also drops the plan — the plan counts the whole of
+        the bin's precomputed remaps as handed out when only some were, and
+        its lookups would no longer be the reference client's — so later
+        remaps draw uniformly.
         """
         num_blocks = self.config.num_blocks
         num_leaves = self._num_leaves
@@ -146,8 +153,12 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         capacity = stash.capacity
         should_trigger = self.eviction.should_trigger
         should_continue = self.eviction.should_continue
-        planned_leaf = self._planned_leaf
+        plan = self._plan
+        consume_next_leaf = None if plan is None else plan.consume_next_leaf
         rng_integers = self.rng.integers
+        draw_block = self.LEAF_DRAW_BLOCK
+        leaf_buf = self._leaf_buf
+        leaf_pos = self._leaf_buf_pos
 
         tags, get_leaf, set_leaf = self.position_map.leaf_access()
         slots = tree.slot_view
@@ -224,14 +235,25 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                 for position, block_id in enumerate(needed):
                     # oblivious: allow[OBL001] where the new leaf comes
                     # from is client-side: no traffic either way
-                    if bin_remaps is None:
-                        leaf = planned_leaf(block_id, end_index)
-                    else:
+                    if bin_remaps is not None:
                         leaf = bin_remaps[position]
                         # oblivious: allow[OBL001] no future occurrence
                         # planned: the uniform fallback draw, client-side
                         if leaf < 0:
-                            leaf = int(rng_integers(0, num_leaves))
+                            leaf = None
+                    elif consume_next_leaf is not None:
+                        leaf = consume_next_leaf(block_id, end_index)
+                    else:
+                        leaf = None
+                    # No planned occurrence, or no plan: the stream's next leaf.
+                    if leaf is None:
+                        if leaf_pos == len(leaf_buf):
+                            leaf_buf = rng_integers(
+                                0, num_leaves, size=draw_block
+                            ).tolist()
+                            leaf_pos = 0
+                        leaf = leaf_buf[leaf_pos]
+                        leaf_pos += 1
                     if not 0 <= leaf < num_leaves:
                         raise ConfigurationError(
                             f"planned leaf {leaf} outside [0, {num_leaves})"
@@ -260,7 +282,13 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
                     # oblivious: allow[OBL002] episode length tracks occupancy
                     # by design — same documented policy as the trigger
                     while should_continue(occupancy, dummies):
-                        leaf = int(rng_integers(0, num_leaves))
+                        if leaf_pos == len(leaf_buf):
+                            leaf_buf = rng_integers(
+                                0, num_leaves, size=draw_block
+                            ).tolist()
+                            leaf_pos = 0
+                        leaf = leaf_buf[leaf_pos]
+                        leaf_pos += 1
                         fetch(read_ids, tags, stash_map, leaf)
                         dummy_reads += 1
                         if observer is not None:
@@ -290,6 +318,8 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
             raise
         finally:
             self._trace_cursor = cursor
+            self._leaf_buf = leaf_buf
+            self._leaf_buf_pos = leaf_pos
             self._flush_counts(
                 logical, path_reads, path_writes, dummy_reads,
                 stash_peak, episodes, hits,

@@ -66,11 +66,6 @@ class LookaheadClientMixin:
 
     laoram_config: LAORAMConfig
 
-    #: Scalar leaf draws: the preprocessor and the bin-path draws pull from
-    #: the same generator as ``_draw_leaf``, so prefetching leaf draws in
-    #: blocks would reorder the stream relative to the reference client.
-    LEAF_DRAW_BLOCK = 0
-
     def __init__(
         self,
         config: LAORAMConfig,
@@ -98,10 +93,13 @@ class LookaheadClientMixin:
         if not isinstance(config, LAORAMConfig):
             raise ConfigurationError("LAORAM clients require an LAORAMConfig")
         self.laoram_config = config
+        # The bin paths come from the engine's one leaf stream: the array
+        # backend's prefetched draws are handed out first, so both backends
+        # draw the same leaves in the same order.
         self.preprocessor = Preprocessor(
             superblock_size=config.superblock_size,
             num_leaves=config.oram.num_leaves,
-            rng=self.rng,
+            draw_leaves=self._draw_leaves,
         )
         self._plan: Optional[LookaheadPlan] = None
         self._trace_cursor = 0
@@ -185,6 +183,13 @@ class LookaheadClientMixin:
         served: list[Optional[object]] = []
         for offset in range(0, addr.size, window):
             chunk = addr[offset : offset + window]
+            # An out-of-range id rejects the window before it is planned,
+            # installed or placed (the preprocessor rejects negative ids
+            # first thing), so a bad window leaves engine and plan as they
+            # were.
+            top = int(chunk.max())
+            if top >= self.config.num_blocks:
+                self._check_block_id(top)
             plan = self.preprocess(chunk, start_index=offset)
             if not self.counter.logical_accesses:
                 self.apply_initial_placement(plan)
@@ -194,13 +199,10 @@ class LookaheadClientMixin:
     def _execute_plan(self, plan: LookaheadPlan) -> Sequence[Optional[object]]:
         """Serve the window ``plan`` was just built over, bin by bin.
 
-        An out-of-range id is rejected before the window starts (the
-        preprocessor already rejected negative ids), so a bad trace leaves
-        the engine and the plan untouched.  The window is then served like
-        any other request, from the plan's first access.
+        ``run_trace`` has range-checked the window before planning it.  The
+        window is served like any other request, from the plan's first
+        access.
         """
-        if plan.max_block_id >= self.config.num_blocks:
-            self._check_block_id(plan.max_block_id)
         self._trace_cursor = plan.start_index
         return self._serve_request(plan.addresses)
 
@@ -322,7 +324,7 @@ class LookaheadClientMixin:
             leaf = self._plan.consume_next_leaf(block_id, after_index)
             if leaf is not None:
                 return leaf
-        return int(self.rng.integers(0, self.config.num_leaves))
+        return self._draw_leaf()
 
     # ------------------------------------------------------------------
     # Diagnostics

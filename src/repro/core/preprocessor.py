@@ -15,7 +15,7 @@ not part of the threat surface — see Section VI-C of the paper.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,13 +25,21 @@ from repro.utils.rng import make_rng
 
 
 class Preprocessor:
-    """Builds lookahead plans from future access streams."""
+    """Builds lookahead plans from future access streams.
+
+    ``draw_leaves(count)`` returns the next ``count`` uniform leaves in
+    ``[0, num_leaves)`` as an int64 array.  A LAORAM client passes its
+    engine's :meth:`~repro.oram.engine.TreeORAMEngine._draw_leaves`, so
+    the bin paths come from the one stream its remaps and dummy reads draw
+    from; without it the preprocessor draws from its own generator, seeded
+    with ``seed``.
+    """
 
     def __init__(
         self,
         superblock_size: int,
         num_leaves: int,
-        rng: Optional[np.random.Generator] = None,
+        draw_leaves: Optional[Callable[[int], np.ndarray]] = None,
         seed: int = 0,
     ):
         if superblock_size < 1:
@@ -40,7 +48,13 @@ class Preprocessor:
             raise ConfigurationError("num_leaves must be >= 2")
         self.superblock_size = superblock_size
         self.num_leaves = num_leaves
-        self.rng = rng if rng is not None else make_rng(seed)
+        if draw_leaves is None:
+            rng = make_rng(seed)
+
+            def draw_leaves(count: int) -> np.ndarray:
+                return rng.integers(0, num_leaves, size=count, dtype=np.int64)
+
+        self._draw_leaves = draw_leaves
 
     # ------------------------------------------------------------------
     def build_plan(
@@ -56,12 +70,7 @@ class Preprocessor:
         off a superblock boundary opens with a short bin).
         """
         addr = self._validate(addresses)
-        leaves = self.rng.integers(
-            0,
-            self.num_leaves,
-            size=num_bins(addr.size, self.superblock_size, start_index),
-            dtype=np.int64,
-        )
+        leaves = self._draw_leaves(num_bins(addr.size, self.superblock_size, start_index))
         return LookaheadPlan(
             addr,
             leaves,

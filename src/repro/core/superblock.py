@@ -13,15 +13,18 @@ its blocks sit on one path.  The plan answers that two ways: per block
 (:meth:`LookaheadPlan.consume_next_leaf`, a bisect over the window grouped
 by block id) and, for a request that is exactly the plan's next addresses,
 per bin by position (:meth:`LookaheadPlan.position_bin`,
-:meth:`LookaheadPlan.take_bin_remaps`) from a table computed once per
-window.  Both are built with array passes over the window; no per-access
-Python objects are created.
+:meth:`LookaheadPlan.take_bin_remaps`) from a :class:`BinTable` computed
+once per window.  The plan is held at its width: the table is flat arrays
+with bin offsets, and the consumption state
+(:attr:`LookaheadPlan.consumed_up_to`) becomes a dict only when it is read,
+so a window served wholly by position holds no per-access Python object.
+The per-block lookup builds its lists and dict on its first call.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,14 +40,27 @@ def num_bins(num_accesses: int, superblock_size: int, start_index: int = 0) -> i
     return -(-(start_index % superblock_size + num_accesses) // superblock_size)
 
 
-def _split(values: list, counts: list[int]) -> list[list]:
-    """Cut ``values`` into consecutive runs of ``counts`` elements."""
-    runs = []
-    position = 0
-    for count in counts:
-        runs.append(values[position : position + count])
-        position += count
-    return runs
+def _bin_offsets(bin_of: np.ndarray, count: int) -> np.ndarray:
+    """Offsets of ``count`` bins into an array whose entries are in bin order."""
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(bin_of, minlength=count), out=offsets[1:])
+    return offsets
+
+
+class BinTable(NamedTuple):
+    """Every bin's remap leaves and what they consume, flat in bin order.
+
+    Bin ``j``'s remap leaves are ``leaves[leaf_offsets[j]:leaf_offsets[j + 1]]``
+    (int64, ``-1`` for a uniform fallback draw); the ``(block id,
+    occurrence index)`` pairs it consumes are the same slice of
+    ``consumed_ids`` and ``consumed_occ`` under ``consumed_offsets``.
+    """
+
+    leaves: np.ndarray
+    leaf_offsets: np.ndarray
+    consumed_ids: np.ndarray
+    consumed_occ: np.ndarray
+    consumed_offsets: np.ndarray
 
 
 class LookaheadPlan:
@@ -59,7 +75,10 @@ class LookaheadPlan:
 
     For per-block lookups the plan also keeps three parallel arrays sorted
     by ``(block id, occurrence index)``: the block id, the global trace
-    index and the bin leaf of every planned access.
+    index and the bin leaf of every planned access.  Everything else it
+    holds per planned access is an array as well (the :class:`BinTable`, the
+    first occurrences trusted placement took) until a per-block lookup or a
+    reader of :attr:`consumed_up_to` asks for Python containers.
     """
 
     def __init__(
@@ -106,14 +125,16 @@ class LookaheadPlan:
         self._ranges: Optional[dict[int, tuple[int, int]]] = None
         # Highest occurrence index already handed out as a reassignment;
         # ensures every planned path is used as a reassignment at most once.
-        # Read it through consumed_up_to: the bins served by position are
-        # folded in only when somebody looks.
+        # Read it through consumed_up_to: what trusted placement took (the
+        # two arrays of take_first_occurrences) and the bins served by
+        # position are folded in only when somebody looks.
         self._consumed_up_to: dict[int, int] = {}
-        # By-position state: the per-bin table of plan_bin_remaps(), built on
-        # first use, and the bin whose turn it is to take the table (-1 once
-        # a lookup has consumed anything: the table's "next bin's leaf" is
+        self._first_taken: Optional[tuple[np.ndarray, np.ndarray]] = None
+        # By-position state: the table of plan_bin_remaps(), built on first
+        # use, and the bin whose turn it is to take the table (-1 once a
+        # lookup has consumed anything: the table's "next bin's leaf" is
         # only right while every earlier consumption was by position).
-        self._bin_table: Optional[tuple[list[list[int]], list[list[tuple[int, int]]]]] = None
+        self._bin_table: Optional[BinTable] = None
         self._position_bin = 0
 
     def _lookup_tables(
@@ -188,18 +209,19 @@ class LookaheadPlan:
         holding its first planned access, and marks that occurrence consumed
         (``consume_next_leaf(b, -1)`` per block): otherwise the first
         in-trace reassignment could be handed the *same* leaf again, a
-        linkable repeated-leaf observation.
+        linkable repeated-leaf observation.  The ids and their first
+        occurrences are kept as they are and reach :attr:`consumed_up_to`
+        when that is read.
         """
         mask = (self._uniq >= 0) & (self._uniq < num_blocks)
         ids = self._uniq[mask]
         starts = self._starts[mask]
-        consumed = self._consumed_up_to
-        for block_id, occ in zip(ids.tolist(), self._sorted_occ[starts].tolist()):
-            if consumed.get(block_id, -1) < occ:
-                consumed[block_id] = occ
+        # Calls differ only in the bound, so the widest covers the others.
+        if self._first_taken is None or ids.size > self._first_taken[0].size:
+            self._first_taken = ids, self._sorted_occ[starts]
         return ids, self._sorted_leaf[starts]
 
-    def plan_bin_remaps(self) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
+    def plan_bin_remaps(self) -> BinTable:
         """Every bin's remap leaves and what they consume, computed once.
 
         When the window is executed bin by bin, the sequence of
@@ -209,22 +231,23 @@ class LookaheadPlan:
         uniform fallback when there is none).  That makes the whole window
         precomputable in a handful of array passes.
 
-        Returns ``(remaps, consumed)``, one entry per bin: ``remaps[j]``
-        lists, for bin ``j``'s distinct blocks in first-occurrence order, the
-        next bin's leaf or ``-1`` (fallback draw); ``consumed[j]`` the
-        ``(block_id, occurrence_index)`` pairs those answers hand out — what
-        the equivalent ``consume_next_leaf`` calls would record.
-        :meth:`take_bin_remaps` serves the table.
+        Bin ``j``'s slice of the :class:`BinTable` lists, for its distinct
+        blocks in first-occurrence order, the next bin's leaf or ``-1``
+        (fallback draw), and the ``(block id, occurrence index)`` pairs those
+        answers hand out — what the equivalent ``consume_next_leaf`` calls
+        would record.  :meth:`take_bin_remaps` serves the table.
         """
         if self._bin_table is None:
             self._bin_table = self._build_bin_table()
         return self._bin_table
 
-    def _build_bin_table(self) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
+    def _build_bin_table(self) -> BinTable:
         n = self.num_accesses
         size = self.superblock_size
         if n == 0:
-            return [], []
+            empty = np.zeros(0, dtype=np.int64)
+            no_bins = _bin_offsets(empty, 0)
+            return BinTable(empty, no_bins, empty, empty, no_bins)
         sid = self._sorted_ids
         socc = self._sorted_occ
         bin_idx = socc // size - self.start_index // size
@@ -251,16 +274,14 @@ class LookaheadPlan:
         # Bins are contiguous occurrence ranges, so sorting the entries by
         # occurrence groups them by bin in first-occurrence order.
         order = np.argsort(fb_occ, kind="stable")
-        bins = fb_bin[order]
-        remaps = _split(
-            values[order].tolist(), np.bincount(bins, minlength=len(self)).tolist()
-        )
         consuming = order[taken[order] >= 0]
-        consumed = _split(
-            list(zip(fb_block[consuming].tolist(), taken[consuming].tolist())),
-            np.bincount(fb_bin[consuming], minlength=len(self)).tolist(),
+        return BinTable(
+            leaves=values[order],
+            leaf_offsets=_bin_offsets(fb_bin, len(self)),
+            consumed_ids=fb_block[consuming],
+            consumed_occ=taken[consuming],
+            consumed_offsets=_bin_offsets(fb_bin[consuming], len(self)),
         )
-        return remaps, consumed
 
     def position_bin(self, start_index: int, block_ids: list[int] | np.ndarray) -> int:
         """The bin a call for ``block_ids`` at ``start_index`` opens by position.
@@ -288,7 +309,7 @@ class LookaheadPlan:
         return self._position_bin
 
     def take_bin_remaps(self, bin_index: int) -> list[int]:
-        """Bin ``bin_index``'s remap leaves, by position.
+        """Bin ``bin_index``'s remap leaves, by position, as a list.
 
         Valid for the bin :meth:`position_bin` named and the whole bins that
         follow it in the same call, in order.  What the bin consumes reaches
@@ -298,21 +319,34 @@ class LookaheadPlan:
         blocks (``docs/performance.md``, "The training step").
         """
         self._position_bin = bin_index + 1
-        return self._bin_table[0][bin_index]
+        table = self._bin_table
+        offsets = table.leaf_offsets
+        return table.leaves[offsets[bin_index] : offsets[bin_index + 1]].tolist()
 
     @property
     def consumed_up_to(self) -> dict[int, int]:
         """Block id -> highest planned occurrence handed out so far.
 
-        Exact at every bin boundary: the bins served by position since the
-        plan was built are folded in first, in order (idempotent, and
-        nothing else writes while bins go by position).
+        Exact at every bin boundary, and built only when read: what trusted
+        placement took, then the pairs of the bins served by position, in
+        bin order, are folded into the dict first (idempotent, and nothing
+        else writes while bins go by position).  Once a lookup has consumed
+        anything the dict is the live state.
         """
+        consumed = self._consumed_up_to
+        if self._first_taken is not None:
+            ids, occurrences = self._first_taken
+            self._first_taken = None
+            for block_id, occ in zip(ids.tolist(), occurrences.tolist()):
+                if consumed.get(block_id, -1) < occ:
+                    consumed[block_id] = occ
         if self._position_bin > 0:
-            update = self._consumed_up_to.update
-            for pairs in self._bin_table[1][: self._position_bin]:
-                update(pairs)
-        return self._consumed_up_to
+            table = self._bin_table
+            served = table.consumed_offsets[self._position_bin]
+            consumed.update(
+                zip(table.consumed_ids[:served].tolist(), table.consumed_occ[:served].tolist())
+            )
+        return consumed
 
     def metadata_bytes(self) -> int:
         """Size of the (block id, future path) metadata the preprocessor ships.

@@ -68,9 +68,9 @@ class TreeORAMEngine(ObliviousMemory):
     #: scalar draws; the array backend prefetches in blocks.  A sized
     #: ``integers(0, n, size=k)`` call consumes the generator stream exactly
     #: like ``k`` scalar calls, so both settings yield the same leaf
-    #: sequence for a seed — but engines whose protocol interleaves its own
-    #: direct generator use after setup (LAORAM's lookahead planner) must
-    #: pin this to 0 so those draws stay in stream order.
+    #: sequence for a seed.  Protocol code that wants several leaves at once
+    #: (LAORAM's lookahead planner) takes them through :meth:`_draw_leaves`,
+    #: which hands out the prefetched ones first, so they stay in stream order.
     LEAF_DRAW_BLOCK = 0
 
     def __init__(
@@ -209,6 +209,24 @@ class TreeORAMEngine(ObliviousMemory):
             pos = 0
         self._leaf_buf_pos = pos + 1
         return buf[pos]
+
+    def _draw_leaves(self, count: int) -> np.ndarray:
+        """The next ``count`` uniform leaves of the stream :meth:`_draw_leaf` reads.
+
+        The prefetched draws not yet handed out come first, then one
+        ``integers`` call for the rest: on any :data:`LEAF_DRAW_BLOCK` the
+        values and the generator's final state are those of ``count``
+        scalar draws.
+        """
+        pos = self._leaf_buf_pos
+        buffered = self._leaf_buf[pos : pos + count]
+        self._leaf_buf_pos = pos + len(buffered)
+        rest = self.rng.integers(
+            0, self._num_leaves, size=count - len(buffered), dtype=np.int64
+        )
+        if not buffered:
+            return rest
+        return np.concatenate([np.asarray(buffered, dtype=np.int64), rest])
 
     def _choose_new_leaf(self, block_id: int) -> int:
         """Uniformly random new path; LAORAM overrides this with its plan."""

@@ -48,6 +48,19 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+def bin_lists(plan) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
+    """A plan's bin table per bin: remap leaves, and the pairs each consumes."""
+    table = plan.plan_bin_remaps()
+    leaf_cuts = table.leaf_offsets.tolist()
+    pair_cuts = table.consumed_offsets.tolist()
+    leaves = table.leaves.tolist()
+    pairs = list(zip(table.consumed_ids.tolist(), table.consumed_occ.tolist()))
+    return (
+        [leaves[lo:hi] for lo, hi in zip(leaf_cuts, leaf_cuts[1:])],
+        [pairs[lo:hi] for lo, hi in zip(pair_cuts, pair_cuts[1:])],
+    )
+
+
 def closed_form_clock(engine) -> float:
     """Simulated seconds as ``TrafficSnapshot`` and tree geometry spell them.
 

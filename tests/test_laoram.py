@@ -23,7 +23,7 @@ from repro.oram.engine import ArrayStorageEngine
 from repro.oram.path_oram import PathORAM
 from repro.experiments.configs import build_engine, build_oram_config
 
-from conftest import closed_form_clock
+from conftest import bin_lists, closed_form_clock
 from test_trace_contract import assert_twins_agree, engine_state, tree_layout
 
 
@@ -346,7 +346,7 @@ class TestPlanAlignment:
         window = np.arange(20, 31)
         plan = engine.preprocess(window, start_index=engine.trace_cursor)
         assert len(plan) == 4
-        remaps, _ = plan.plan_bin_remaps()
+        remaps, _ = bin_lists(plan)
         assert [len(r) for r in remaps] == [2, 4, 4, 1]
         # S=4 from index 6: a short first bin up to 8, then 8..12, 12..16,
         # and a ragged last bin 16..17 — the plan's bins, which only the
@@ -402,7 +402,7 @@ class TestPlanAlignment:
         # hold their next occurrences: 6, 6 and 1.  The array client takes
         # them from the table by position, the reference looks each id up.
         assert [engine.position_map.get(b) for b in (5, 7, 9)] == [6, 6, 1]
-        assert plan.plan_bin_remaps()[0][0] == [6, 6, 1]
+        assert bin_lists(plan)[0][0] == [6, 6, 1]
         assert engine.bins_by_position == (client is FastLAORAMClient)
 
 
@@ -424,6 +424,79 @@ class TestPlanFallback:
         before = client.trace_cursor
         client.read(1)
         assert client.trace_cursor == before + 1
+
+
+class CountingGenerator:
+    """A generator proxy that counts scalar and sized ``integers`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.scalar = self.sized = 0
+
+    def integers(self, *args, size=None, **kwargs):
+        if size is None:
+            self.scalar += 1
+        else:
+            self.sized += 1
+        return self._rng.integers(*args, size=size, **kwargs)
+
+
+class TestOneLeafStream:
+    """The preprocessor, remap fallbacks and dummy reads share one stream."""
+
+    #: Uniform ids over 1024 blocks: most blocks do not come back within a
+    #: 101-access window (a ``-1`` remap, so a fallback draw), and two-slot
+    #: buckets under a 24-block trigger keep background eviction busy.
+    TRACE = np.random.default_rng(8).integers(0, 1024, size=2000)
+
+    @staticmethod
+    def engine(fast: bool):
+        config = build_oram_config(num_blocks=1024, bucket_size=2, seed=19).with_overrides(
+            eviction_threshold=24, eviction_target=16
+        )
+        engine = build_engine("Normal/S4", config, fast=fast)
+        engine.laoram_config = dataclasses.replace(
+            engine.laoram_config, lookahead_accesses=101
+        )
+        return engine
+
+    def test_windows_draw_the_reference_clients_bin_leaves(self):
+        states, windows = [], []
+        for fast in (False, True):
+            engine = self.engine(fast)
+            leaves, seams = [], []
+
+            def recording(addresses, start_index=0, _preprocess=engine.preprocess):
+                seams.append((engine._leaf_buf_pos, len(engine._leaf_buf)))
+                plan = _preprocess(addresses, start_index=start_index)
+                leaves.append(plan.bin_leaves.tolist())
+                return plan
+
+            engine.preprocess = recording
+            engine.run_trace(self.TRACE)
+            states.append(dict(engine_state(engine), trace_cursor=engine.trace_cursor))
+            windows.append(leaves)
+        assert len(windows[1]) == 20
+        assert windows[1] == windows[0]
+        assert_twins_agree(*states)
+        assert states[0]["statistics"].dummy_reads > 0
+        # Every window after the first is planned from a block the bins
+        # before it left partly used.
+        assert all(0 < used < size == 512 for used, size in seams[1:])
+
+    def test_the_kernel_makes_no_scalar_draw(self):
+        engine = self.engine(True)
+        generator = engine.rng = CountingGenerator(engine.rng)
+        # Windows by position, bins looked up under a plan they left, and
+        # plan-free bins.
+        engine.run_trace(self.TRACE)
+        engine.access_many(self.TRACE[::-1])
+        assert engine.bins_by_lookup > 0
+        engine.set_plan(None)
+        engine.access_many(self.TRACE[:500])
+        assert engine.statistics.dummy_reads > 0
+        assert generator.scalar == 0
+        assert generator.sized > 0
 
 
 class TestKernelFailurePaths:
@@ -560,16 +633,6 @@ class TestKernelFailurePaths:
         assert engine.trace_cursor == 136 + 28
         self.conserved(engine)
 
-    def test_an_out_of_range_id_is_rejected_before_the_window_starts(self):
-        engine = FastLAORAMClient(placement_config(4, False))
-        trace = np.arange(200) % 256
-        trace[130] = 256
-        with pytest.raises(BlockNotFoundError):
-            engine.run_trace(trace)
-        assert engine.statistics.logical_accesses == 0
-        assert engine.trace_cursor == 0
-        assert engine.plan is not None
-
     @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
     def test_a_raise_mid_request_drops_the_plan_on_both_clients(self, recursive):
         # Five bins are served, the sixth is charged and raises at its
@@ -589,26 +652,51 @@ class TestKernelFailurePaths:
         assert states[0]["trace_cursor"] == 20
         assert_twins_agree(*states)
 
-    def test_a_bad_window_leaves_both_clients_untouched(self):
-        # The window is checked before its first bin on either client: the
-        # reference used to serve two bins of it first, then raise.
-        bad = np.arange(12)
-        bad[9] = 999
+    @pytest.mark.parametrize("when", ["first window", "second call", "second window"])
+    def test_a_rejected_window_leaves_no_trace(self, when):
+        # The window is range-checked before it is planned, installed or
+        # placed, on either client.  Trusted placement used to move seven
+        # blocks of a fresh engine's rejected window and leave its plan
+        # installed; a bad window after a served one left its plan
+        # installed in place of the served one's.
+        good = np.arange(20, 28)
+        bad = np.array([5, 6, 7, 8, 9, 10, 11, 4096])
+        window = bad.size if when == "second window" else None
+
+        def fat_s4(fast):
+            engine = build_engine("Fat/S4", build_oram_config(num_blocks=256, seed=13), fast=fast)
+            engine.laoram_config = dataclasses.replace(
+                engine.laoram_config, lookahead_accesses=window
+            )
+            return engine
+
+        def state(engine) -> dict:
+            plan = engine.plan
+            return dict(
+                engine_state(engine),
+                trace_cursor=engine.trace_cursor,
+                plan=None if plan is None else (
+                    plan.start_index,
+                    plan.addresses.tolist(),
+                    plan.bin_leaves.tolist(),
+                    dict(plan.consumed_up_to),
+                ),
+                stream=(engine.rng.bit_generator.state, engine._leaf_buf_pos),
+            )
+
         states = []
         for fast in (False, True):
-            config = build_oram_config(num_blocks=256, seed=13)
-            engine = build_engine("Fat/S4", config, fast=fast)
-            engine.run_trace(np.arange(16))
-            served = engine.plan
-            before = dict(engine_state(engine), trace_cursor=engine.trace_cursor)
+            engine, twin = fat_s4(fast), fat_s4(fast)
+            if when != "first window":
+                twin.run_trace(good)
+            if when == "second call":
+                engine.run_trace(good)
             with pytest.raises(BlockNotFoundError):
-                engine.run_trace(bad)
-            after = dict(engine_state(engine), trace_cursor=engine.trace_cursor)
-            grown = after.pop("client_memory_bytes") - before.pop("client_memory_bytes")
-            assert after == before
-            # The bad window's plan is installed: the client memory it holds
-            # is the only change.
-            assert grown == engine.plan.metadata_bytes() - served.metadata_bytes()
-            assert (after["statistics"].logical_accesses, after["trace_cursor"]) == (16, 16)
+                engine.run_trace(np.concatenate([good, bad]) if window else bad)
+            after = state(engine)
+            assert after == state(twin)
+            assert (after["plan"] is None) == (when == "first window")
+            assert after["trace_cursor"] == (0 if when == "first window" else 8)
+            after.pop("stream")
             states.append(after)
         assert_twins_agree(*states)

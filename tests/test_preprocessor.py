@@ -7,6 +7,8 @@ from repro.core.preprocessor import Preprocessor
 from repro.exceptions import ConfigurationError, TraceError
 from repro.utils.stats import chi_square_uniformity
 
+from conftest import bin_lists
+
 
 class TestBuildPlan:
     def test_bins_cover_the_whole_stream_in_order(self):
@@ -17,7 +19,7 @@ class TestBuildPlan:
         assert plan.addresses.tolist() == addresses.tolist()
         assert plan.num_accesses == 10
         # Bins (0..3), (4..7), (8, 9): one remap per distinct id.
-        remaps, _ = plan.plan_bin_remaps()
+        remaps, _ = bin_lists(plan)
         assert [len(r) for r in remaps] == [4, 4, 2]
 
     def test_start_index_offsets_occurrences(self):

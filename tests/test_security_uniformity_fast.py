@@ -171,7 +171,11 @@ class TestServeNowUnderAPlan:
                 return result
 
             def take_bin_remaps(bin_index):
-                epoch.extend(plan.plan_bin_remaps()[1][bin_index])
+                table = plan.plan_bin_remaps()
+                lo, hi = table.consumed_offsets[bin_index : bin_index + 2]
+                epoch.extend(
+                    zip(table.consumed_ids[lo:hi].tolist(), table.consumed_occ[lo:hi].tolist())
+                )
                 return by_position(bin_index)
 
             def consume_next_leaf(block_id, after_index):

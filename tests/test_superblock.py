@@ -1,9 +1,15 @@
 """Tests for the lookahead plan: one window of the trace, cut into bins."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan, num_bins
+from repro.datasets.kaggle import SyntheticKaggleTrace
+
+from conftest import bin_lists
 
 
 def make_plan(**kwargs):
@@ -44,12 +50,12 @@ class TestLookaheadPlan:
         # The bin table is a function of the window alone: building it
         # consumes nothing, and a lookup before it does not change it.
         fresh = make_plan()
-        table = fresh.plan_bin_remaps()
+        table = bin_lists(fresh)
         assert fresh.consumed_up_to == {}
         assert fresh.consume_next_leaf(5, after_index=-1) == 3
         plan = make_plan()
         plan.consume_next_leaf(5, after_index=-1)
-        assert plan.plan_bin_remaps() == table
+        assert bin_lists(plan) == table
         assert plan.consumed_up_to == {5: 0}
 
     def test_metadata_bytes_derives_from_widths(self):
@@ -80,7 +86,7 @@ class TestLookaheadPlan:
         # 52) opens the next one, on leaf 2.
         assert plan.consume_next_leaf(1, after_index=-1) == 4
         assert plan.consume_next_leaf(2, after_index=-1) == 2
-        remaps, _ = plan.plan_bin_remaps()
+        remaps, _ = bin_lists(plan)
         assert [len(r) for r in remaps] == [2, 4, 4]
 
     def test_take_first_occurrences(self):
@@ -105,7 +111,7 @@ class TestLookaheadPlan:
     def test_bin_table_is_what_per_bin_lookups_hand_out(self):
         # Each bin asks once per distinct block, after the bin's last index.
         table, lookup = make_plan(), make_plan()
-        remaps, consumed = table.plan_bin_remaps()
+        remaps, consumed = bin_lists(table)
         for index, (start, end) in enumerate([(0, 4), (4, 8), (8, 10)]):
             distinct = list(dict.fromkeys(lookup.addresses[start:end].tolist()))
             expected = [lookup.consume_next_leaf(b, end - 1) for b in distinct]
@@ -123,3 +129,30 @@ class TestLookaheadPlan:
         assert plan.position_bin(0, plan.addresses[:4]) == 0
         plan.consume_next_leaf(5, after_index=3)
         assert plan.position_bin(0, plan.addresses) == -1
+
+
+class TestPlanAtItsWidth:
+    #: What a window the client has placed and served by position may keep
+    #: per planned access: its arrays (addresses, the grouped lookup arrays,
+    #: the bin table, the first occurrences) read ~75 B.  A dict of the
+    #: consumed occurrences and per-bin Python lists read 200 B.
+    RETAINED_BYTES_PER_ACCESS = 100
+
+    def test_a_served_window_holds_its_plan_as_arrays(self):
+        num_accesses, num_blocks = 1 << 16, 1 << 20
+        trace = SyntheticKaggleTrace(num_blocks, seed=0).generate(num_accesses).addresses
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            plan = Preprocessor(4, num_leaves=1 << 18, seed=0).build_plan(trace)
+            plan.take_first_occurrences(num_blocks)
+            assert plan.position_bin(0, plan.addresses) == 0
+            for index in range(len(plan)):
+                plan.take_bin_remaps(index)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        per_access = retained / num_accesses
+        assert per_access <= self.RETAINED_BYTES_PER_ACCESS, (
+            f"the served plan retains {per_access:.0f} B per planned access"
+        )
