@@ -26,7 +26,8 @@ Quickstart::
     client = LAORAMClient(config)
     trace = SyntheticKaggleTrace(num_blocks=4096).generate(10_000)
     client.run_trace(trace.addresses)
-    print(client.statistics.paths_per_access)
+    stats = client.statistics
+    print(stats.path_reads / stats.logical_accesses)
 """
 
 from repro.core.config import LAORAMConfig

@@ -76,7 +76,7 @@ class DirectRngRule(Rule):
                         yield finding(
                             node,
                             "stdlib 'random' import; use repro.utils.rng "
-                            "(make_rng / SeedSequenceFactory) instead",
+                            "(make_rng / spawn_rngs) instead",
                         )
             elif isinstance(node, ast.ImportFrom):
                 mod = node.module or ""
@@ -84,7 +84,7 @@ class DirectRngRule(Rule):
                     yield finding(
                         node,
                         "stdlib 'random' import; use repro.utils.rng "
-                        "(make_rng / SeedSequenceFactory) instead",
+                        "(make_rng / spawn_rngs) instead",
                     )
                 elif mod in ("numpy.random",) or mod.startswith("numpy.random."):
                     yield finding(
@@ -109,7 +109,7 @@ class DirectRngRule(Rule):
                     yield finding(
                         node,
                         f"direct call to {dotted}; all randomness must flow "
-                        "through repro.utils.rng (make_rng / "
-                        "SeedSequenceFactory) or the bit-identity equivalence "
-                        "harness silently loses meaning",
+                        "through repro.utils.rng (make_rng / spawn_rngs) or "
+                        "the bit-identity equivalence harness silently loses "
+                        "meaning",
                     )

@@ -11,7 +11,6 @@ from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient, LookaheadClientMixin
 from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan
-from repro.core.pipeline import PipelineEstimate, TrainingPipeline
 
 __all__ = [
     "LAORAMConfig",
@@ -20,6 +19,4 @@ __all__ = [
     "LookaheadClientMixin",
     "Preprocessor",
     "LookaheadPlan",
-    "PipelineEstimate",
-    "TrainingPipeline",
 ]

@@ -37,11 +37,6 @@ class LAORAMConfig:
                 "lookahead_accesses must be >= superblock_size when set"
             )
 
-    @property
-    def is_degenerate_pathoram(self) -> bool:
-        """True when the configuration behaves exactly like PathORAM."""
-        return self.superblock_size == 1
-
     def describe(self) -> str:
         """Short configuration label in the paper's notation, e.g. ``"Fat/S4"``."""
         tree = "Fat" if self.oram.fat_tree else "Normal"

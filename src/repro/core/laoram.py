@@ -418,9 +418,9 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
                 )
             block.leaf = new_leaf
             blocks.append(block)
-        for block in blocks:
-            if not self.tree.try_place_on_path(block):
-                self.stash.add(block)
+        self.stash.extend(
+            [block for block in blocks if not self.tree.try_place_on_path(block)]
+        )
 
     def _serve_request(
         self,

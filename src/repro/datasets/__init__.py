@@ -2,7 +2,6 @@
 
 from repro.datasets.base import AccessTrace, TraceStatistics
 from repro.datasets.gaussian import GaussianTraceGenerator
-from repro.datasets.io import load_trace, save_trace
 from repro.datasets.kaggle import SyntheticCriteoDataset, SyntheticKaggleTrace
 from repro.datasets.permutation import PermutationTraceGenerator
 from repro.datasets.registry import available_traces, make_trace
@@ -21,6 +20,4 @@ __all__ = [
     "SyntheticXNLIDataset",
     "available_traces",
     "make_trace",
-    "save_trace",
-    "load_trace",
 ]

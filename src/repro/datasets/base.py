@@ -60,20 +60,6 @@ class AccessTrace:
             return int(sliced)
         return AccessTrace(self.name, self.num_blocks, sliced)
 
-    def head(self, count: int) -> "AccessTrace":
-        """First ``count`` accesses as a new trace."""
-        if count < 1:
-            raise TraceError("count must be >= 1")
-        return AccessTrace(self.name, self.num_blocks, self.addresses[:count])
-
-    def concat(self, other: "AccessTrace") -> "AccessTrace":
-        """Concatenate two traces over the same table."""
-        if other.num_blocks != self.num_blocks:
-            raise TraceError("cannot concatenate traces with different tables")
-        return AccessTrace(
-            self.name, self.num_blocks, np.concatenate([self.addresses, other.addresses])
-        )
-
     def repeat(self, epochs: int) -> "AccessTrace":
         """The trace repeated ``epochs`` times (training over multiple epochs)."""
         if epochs < 1:

@@ -144,8 +144,3 @@ class SyntheticCriteoDataset:
                 self.categorical[start:stop],
                 self.labels[start:stop],
             )
-
-    def largest_table_trace(self) -> AccessTrace:
-        """Access stream to the largest table (the one the ORAM protects)."""
-        column = self.categorical[:, self.largest_table_index]
-        return AccessTrace("kaggle-dlrm", self.table_sizes[self.largest_table_index], column)

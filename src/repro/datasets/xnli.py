@@ -120,7 +120,3 @@ class SyntheticXNLIDataset:
         for start in range(0, self.num_samples, batch_size):
             stop = start + batch_size
             yield self.tokens[start:stop], self.labels[start:stop]
-
-    def token_trace(self) -> AccessTrace:
-        """Flattened token-access stream (embedding-table accesses in order)."""
-        return AccessTrace("xnli-tokens", self.vocabulary_size, self.tokens.reshape(-1))

@@ -1,7 +1,7 @@
-"""Embedding-table training substrate: tables, optimisers, DLRM and XLM-R models."""
+"""Embedding-table training substrate: tables, optimiser, DLRM and XLM-R models."""
 
 from repro.embedding.dlrm import DLRMModel
-from repro.embedding.optim import SparseAdagrad, SparseSGD
+from repro.embedding.optim import SparseSGD
 from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
 from repro.embedding.trainer import ObliviousEmbeddingTrainer, TrainingReport
@@ -10,7 +10,6 @@ from repro.embedding.xlmr import XLMRClassifier
 __all__ = [
     "EmbeddingTable",
     "SparseSGD",
-    "SparseAdagrad",
     "SecureEmbeddingStore",
     "DLRMModel",
     "XLMRClassifier",

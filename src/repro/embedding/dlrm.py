@@ -221,13 +221,6 @@ class DLRMModel:
         return DLRMGradients(protected_row_grad=dprotected, losses=losses)
 
     # ------------------------------------------------------------------
-    def predict_proba(
-        self, dense: np.ndarray, small_ids: np.ndarray, protected_rows: np.ndarray
-    ) -> np.ndarray:
-        """Click probability of every sample of a minibatch."""
-        return self.forward(dense, small_ids, protected_rows).probabilities
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _as_matrix(values: np.ndarray, name: str, width: int) -> np.ndarray:
         values = np.asarray(values, dtype=np.float32)

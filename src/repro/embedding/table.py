@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -14,7 +14,7 @@ FILL_CHUNK_VALUES = 1 << 20
 
 
 class EmbeddingTable:
-    """A dense ``num_rows x dim`` embedding matrix with sparse row access.
+    """A dense ``num_rows x dim`` embedding matrix, :attr:`weights`.
 
     This is the plaintext view of the data; when served through an ORAM the
     rows become block payloads and the table itself lives on the untrusted
@@ -49,22 +49,6 @@ class EmbeddingTable:
             self.weights[start : start + rows] = generator.normal(size=(rows, dim)) * scale
 
     # ------------------------------------------------------------------
-    def lookup(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Return the embedding vectors for ``row_ids`` (copy, shape ``(n, dim)``)."""
-        ids = self._validate_ids(row_ids)
-        return self.weights[ids].copy()
-
-    def set_rows(self, row_ids: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
-        """Overwrite the given rows with ``values`` (shape ``(n, dim)``)."""
-        ids = self._validate_ids(row_ids)
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (ids.size, self.dim):
-            raise ConfigurationError(
-                f"values shape {values.shape} does not match ({ids.size}, {self.dim})"
-            )
-        self.weights[ids] = values
-
-    # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
         """Size of the table in bytes."""
@@ -74,11 +58,3 @@ class EmbeddingTable:
     def row_nbytes(self) -> int:
         """Size of one row in bytes (the ORAM block payload size)."""
         return int(self.weights[0].nbytes)
-
-    def _validate_ids(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        ids = np.asarray(row_ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ConfigurationError("row_ids must be one-dimensional")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_rows):
-            raise ConfigurationError("row id outside table")
-        return ids

@@ -157,7 +157,7 @@ class ObliviousEmbeddingTrainer:
         np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=run_start[1:])
         first = order[run_start]
         summed = np.add.reduceat(gradients[order], np.flatnonzero(run_start), axis=0)
-        updated = self.optimizer.update(rows[first], summed, row_ids[first])
+        updated = self.optimizer.update(rows[first], summed)
         written = np.empty_like(updated, shape=rows.shape)
         written[order] = updated[run_start.cumsum() - 1]
         self.store.update_rows(row_ids, written)

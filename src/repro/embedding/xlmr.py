@@ -94,10 +94,6 @@ class XLMRClassifier:
             self.bias -= mean_lr * dlogits.sum(axis=0)
         return XLMRGradients(token_grads=token_grads, losses=losses, correct=correct)
 
-    def predict(self, token_embeddings: np.ndarray) -> np.ndarray:
-        """Most likely class of each of ``B`` token sequences."""
-        return self.forward(token_embeddings).argmax(axis=1)
-
     # ------------------------------------------------------------------
     def _as_batch(self, token_embeddings: np.ndarray) -> np.ndarray:
         token_embeddings = np.asarray(token_embeddings, dtype=np.float32)

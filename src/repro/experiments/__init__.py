@@ -3,11 +3,9 @@
 from repro.experiments.configs import (
     PAPER_CONFIG_LABELS,
     build_engine,
-    build_laoram_config,
     build_oram_config,
 )
 from repro.experiments.metrics import ExperimentResult
-from repro.experiments.plotting import ascii_bar_chart, ascii_line_chart
 from repro.experiments.recursion import (
     RecursionAmortizationRow,
     render_recursion_table,
@@ -21,7 +19,6 @@ __all__ = [
     "PAPER_CONFIG_LABELS",
     "build_engine",
     "build_oram_config",
-    "build_laoram_config",
     "ExperimentResult",
     "ExperimentScale",
     "RecursionAmortizationRow",
@@ -29,8 +26,6 @@ __all__ = [
     "render_recursion_table",
     "run_configuration",
     "compare_configurations",
-    "ascii_bar_chart",
-    "ascii_line_chart",
     "ShardedRunner",
     "ShardResult",
 ]

@@ -86,16 +86,6 @@ def build_oram_config(
     )
 
 
-def build_laoram_config(
-    oram: ORAMConfig, superblock_size: int, fat_tree: bool
-) -> LAORAMConfig:
-    """LAORAM configuration on top of a given tree geometry."""
-    return LAORAMConfig(
-        oram=oram.with_overrides(fat_tree=fat_tree),
-        superblock_size=superblock_size,
-    )
-
-
 def parse_label(label: str) -> dict:
     """Decompose a configuration label into its engine family and parameters."""
     if label == "PathORAM":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.experiments.figure7 import Figure7Result
 from repro.experiments.figure8 import Figure8Result
@@ -97,14 +97,3 @@ def render_memory_neutral(result: MemoryNeutralResult) -> str:
         f"  dummy read reduction:   {result.dummy_read_reduction_fraction:.1%}",
     ]
     return "\n".join(lines)
-
-
-def render_speedup_summary(speedups: Mapping[str, Mapping[str, float]]) -> str:
-    """Cross-dataset speedup matrix (datasets as columns)."""
-    datasets = list(speedups.keys())
-    configs = list(next(iter(speedups.values())).keys())
-    rows = [
-        [config] + [f"{speedups[dataset][config]:.2f}x" for dataset in datasets]
-        for config in configs
-    ]
-    return format_table(["configuration"] + datasets, rows)

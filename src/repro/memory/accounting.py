@@ -35,11 +35,6 @@ class TrafficSnapshot:
     posmap_bytes_written: int = 0
 
     @property
-    def total_paths_touched(self) -> int:
-        """Real plus dummy path reads (each dummy read also writes the path back)."""
-        return self.path_reads + self.dummy_reads
-
-    @property
     def total_bytes(self) -> int:
         """Bytes moved in both directions."""
         return self.bytes_read + self.bytes_written
@@ -50,13 +45,6 @@ class TrafficSnapshot:
         if self.logical_accesses == 0:
             return 0.0
         return self.dummy_reads / self.logical_accesses
-
-    @property
-    def paths_per_access(self) -> float:
-        """Average real+dummy paths read per logical access."""
-        if self.logical_accesses == 0:
-            return 0.0
-        return self.total_paths_touched / self.logical_accesses
 
     @property
     def posmap_total_bytes(self) -> int:

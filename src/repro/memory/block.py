@@ -15,11 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-#: Identifier used for dummy blocks that pad buckets on the (simulated) server.
-DUMMY_BLOCK_ID = -1
-
 
 @dataclass
 class Block:
@@ -36,40 +31,7 @@ class Block:
     payload: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.block_id < 0 and self.block_id != DUMMY_BLOCK_ID:
+        if self.block_id < 0:
             raise ValueError(f"invalid block id {self.block_id}")
         if self.leaf < 0:
             raise ValueError(f"invalid leaf {self.leaf}")
-
-    @property
-    def is_dummy(self) -> bool:
-        """Whether this is a padding block with no real data."""
-        return self.block_id == DUMMY_BLOCK_ID
-
-    def copy(self) -> "Block":
-        """Return a shallow copy (payload is shared, metadata is copied)."""
-        payload = self.payload
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        return Block(block_id=self.block_id, leaf=self.leaf, payload=payload)
-
-
-def make_dummy(leaf: int = 0) -> Block:
-    """Create a dummy block used only to pad bucket occupancy accounting."""
-    return Block(block_id=DUMMY_BLOCK_ID, leaf=leaf, payload=None)
-
-
-def payload_nbytes(payload: object, default_block_size: int) -> int:
-    """Size in bytes a payload occupies on the server.
-
-    Metadata-only blocks are still transferred at the configured block size;
-    numpy payloads report their true size, everything else falls back to
-    ``len`` when available.
-    """
-    if payload is None:
-        return default_block_size
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    return default_block_size

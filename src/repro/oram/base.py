@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficSnapshot
 
 
@@ -36,6 +36,28 @@ class ObliviousMemory(ABC):
         new_payload: Optional[object] = None,
     ) -> Optional[object]:
         """Perform one logical access and return the block's payload."""
+
+    def _check_payloads(self, payloads) -> None:
+        """Reject a ``load_payloads`` argument before any of it is installed.
+
+        A payload matrix must be 2-D with at most :attr:`num_blocks` rows,
+        and every key of a ``{block_id: payload}`` mapping a block id in
+        ``[0, num_blocks)``; anything else raises ``BlockNotFoundError`` with
+        every block still holding what it held.
+        """
+        num_blocks = self.num_blocks
+        if isinstance(payloads, np.ndarray):
+            if payloads.ndim != 2 or len(payloads) > num_blocks:
+                raise BlockNotFoundError(
+                    f"payload matrix of shape {payloads.shape} does not map "
+                    f"onto {num_blocks} blocks"
+                )
+            return
+        for block_id in payloads:
+            if not 0 <= block_id < num_blocks:
+                raise BlockNotFoundError(
+                    f"payload block id {block_id} not present in the ORAM"
+                )
 
     def read(self, block_id: int) -> Optional[object]:
         """Convenience wrapper for a read access."""

@@ -233,13 +233,17 @@ class TreeORAMEngine(ObliviousMemory):
         return self._draw_leaf()
 
     def _read_path_into_stash(self, leaf: int, dummy: bool) -> None:
-        """Fetch a full path from the server into the stash."""
+        """Fetch a full path from the server into the stash.
+
+        The read is charged before the stash takes the path, so a fetch
+        that overflows the stash is counted, as the fused drivers count it.
+        """
         num_buckets, num_bytes = self.tree.path_cost(leaf)
-        self._fetch_path(leaf)
         self.counter.record_path_read(num_buckets, num_bytes, dummy=dummy)
         self.timing.charge_path_transfer(num_buckets, num_bytes)
         if self.observer is not None:
             self.observer.observe_path(leaf, dummy=dummy)
+        self._fetch_path(leaf)
 
     def _write_back(self, leaf: int) -> None:
         """Greedily write stash blocks back onto the path to ``leaf``."""
@@ -416,6 +420,7 @@ class ObjectStorageEngine(TreeORAMEngine):
 
         Rows of a payload matrix become per-block views of it.
         """
+        self._check_payloads(payloads)
         remaining = dict(
             enumerate(payloads) if isinstance(payloads, np.ndarray) else payloads
         )
@@ -467,8 +472,8 @@ class ObjectStorageEngine(TreeORAMEngine):
         self.position_map.set(handle.block_id, new_leaf)
 
     def _fetch_path(self, leaf: int) -> None:
-        for block in self.tree.read_path(leaf):
-            self.stash.add(block)
+        """The whole path lands in the stash before an overflow raises."""
+        self.stash.extend(self.tree.read_path(leaf))
 
     def _commit_write_back(self, leaf: int) -> None:
         placement = self._plan_write_back(leaf)
@@ -497,12 +502,14 @@ class ObjectStorageEngine(TreeORAMEngine):
         ]
         self.tree = self._make_tree()
         self.stash.clear()
+        overflow = []
         for block in blocks:
             if block is None:
                 continue
             block.leaf = self.position_map.peek(block.block_id)
             if not self.tree.try_place_on_path(block):
-                self.stash.add(block)
+                overflow.append(block)
+        self.stash.extend(overflow)
 
 
 class ArrayStorageEngine(TreeORAMEngine):
@@ -573,13 +580,9 @@ class ArrayStorageEngine(TreeORAMEngine):
         rows of it and writes copy into it.  Blocks past ``rows`` start as
         zero rows.
         """
+        self._check_payloads(payloads)
         num_blocks = self.config.num_blocks
         if isinstance(payloads, np.ndarray):
-            if payloads.ndim != 2 or len(payloads) > num_blocks:
-                raise BlockNotFoundError(
-                    f"payload matrix of shape {payloads.shape} does not map "
-                    f"onto {num_blocks} blocks"
-                )
             if len(payloads) < num_blocks:
                 padded = np.zeros(
                     (num_blocks, payloads.shape[1]), dtype=payloads.dtype
@@ -588,11 +591,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                 payloads = padded
             self._set_payload_store(payloads)
             return
-        for block_id in payloads:
-            if not 0 <= block_id < num_blocks:
-                raise BlockNotFoundError(
-                    f"payload block id {block_id} not present in the ORAM"
-                )
         store = self._payloads
         for block_id, payload in payloads.items():
             store[block_id] = payload

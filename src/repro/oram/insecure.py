@@ -58,12 +58,10 @@ class InsecureMemory(ObliviousMemory):
         ``payloads`` is a ``{block_id: payload}`` mapping, or a ``(rows,
         dim)`` array whose rows become per-block views of it.
         """
-        items = (
-            enumerate(payloads) if isinstance(payloads, np.ndarray) else payloads.items()
+        self._check_payloads(payloads)
+        self._payloads.update(
+            enumerate(payloads) if isinstance(payloads, np.ndarray) else payloads
         )
-        for block_id, payload in items:
-            self._check(block_id)
-            self._payloads[block_id] = payload
 
     def access(
         self,

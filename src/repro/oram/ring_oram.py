@@ -193,9 +193,10 @@ class RingProtocolMixin:
         leaf = reverse_lexicographic_leaf(self._evict_counter, self.tree.depth)
         self._evict_counter += 1
         num_buckets, num_bytes = self.tree.path_cost(leaf)
-        self._fetch_path(leaf)
+        # Charged before the stash takes the path, as the fused driver does.
         self.counter.record_path_read(num_buckets, num_bytes, dummy=True)
         self.timing.charge_path_transfer(num_buckets, num_bytes)
+        self._fetch_path(leaf)
 
         self._commit_write_back(leaf)
         self.counter.record_path_write(num_buckets, num_bytes)

@@ -8,11 +8,17 @@ which keeps payloads in an engine-level store).  Removal plus re-insertion
 moves an id to the end and iteration follows insertion order — the ordering
 the greedy write-back uses for tie-breaking, so the two engines pick
 identical eviction victims.
+
+Both follow one overflow rule: an insertion lands first, and only then is
+:class:`~repro.exceptions.StashOverflowError` raised if the stash holds
+more than its capacity.  A path fetch inserts the whole path before that
+check, so the path it just emptied is never dropped: an engine that
+overflowed still holds every block and takes the next access.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -26,7 +32,8 @@ class Stash:
     The stash lives in the trainer GPU's HBM in the paper's setting, so its
     accesses are invisible to the adversary.  An optional hard capacity lets
     experiments detect configurations whose stash would overflow a realistic
-    client memory budget.
+    client memory budget: an insertion that overflows it lands, then raises
+    :class:`StashOverflowError` (the module's one overflow rule).
     """
 
     def __init__(self, capacity: Optional[int] = None):
@@ -55,16 +62,18 @@ class Stash:
         return list(self._entries.keys())
 
     def add(self, block: Block) -> None:
-        """Insert a block; replaces any existing entry with the same id."""
-        if (
-            self._capacity is not None
-            and block.block_id not in self._entries
-            and len(self._entries) >= self._capacity
-        ):
+        """Insert a block (replacing any entry with its id), then check capacity."""
+        self.extend((block,))
+
+    def extend(self, blocks: Iterable[Block]) -> None:
+        """Insert blocks in order, then raise if the stash is over capacity."""
+        entries = self._entries
+        for block in blocks:
+            entries[block.block_id] = block
+        if self._capacity is not None and len(entries) > self._capacity:
             raise StashOverflowError(
                 f"stash exceeded its capacity of {self._capacity} blocks"
             )
-        self._entries[block.block_id] = block
 
     def get(self, block_id: int) -> Optional[Block]:
         """Return the stashed block with ``block_id`` without removing it."""
@@ -89,9 +98,8 @@ class ArrayStash:
     kernels run on the dict itself (:attr:`entries`); the methods below are
     the same operations for everything that moves one block at a time.
 
-    An overflowing insertion lands before :class:`StashOverflowError` is
-    raised, as in the drivers' inline checks: the path a fetch just emptied
-    is never dropped, so an engine that overflowed still holds every block.
+    Overflow follows the module's one rule, as do the drivers' inline
+    checks: an insertion lands before :class:`StashOverflowError` is raised.
     """
 
     def __init__(self, capacity: Optional[int] = None):

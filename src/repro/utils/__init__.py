@@ -2,20 +2,17 @@
 
 from repro.utils.bits import (
     common_level,
-    is_power_of_two,
     node_index,
-    nodes_at_level,
     num_leaves,
     num_nodes,
     path_node_indices,
     required_depth,
 )
-from repro.utils.rng import SeedSequenceFactory, make_rng, spawn_rngs
+from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     chi_square_uniformity,
     empirical_entropy,
     mutual_information,
-    normalized_histogram,
 )
 from repro.utils.units import (
     GiB,
@@ -27,20 +24,16 @@ from repro.utils.units import (
 
 __all__ = [
     "common_level",
-    "is_power_of_two",
     "node_index",
-    "nodes_at_level",
     "num_leaves",
     "num_nodes",
     "path_node_indices",
     "required_depth",
-    "SeedSequenceFactory",
     "make_rng",
     "spawn_rngs",
     "chi_square_uniformity",
     "empirical_entropy",
     "mutual_information",
-    "normalized_histogram",
     "GiB",
     "KiB",
     "MiB",

@@ -17,11 +17,6 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError
 
 
-def is_power_of_two(value: int) -> bool:
-    """Return ``True`` if ``value`` is a positive power of two."""
-    return value > 0 and (value & (value - 1)) == 0
-
-
 def required_depth(num_blocks: int) -> int:
     """Return the tree depth (leaf level) used for ``num_blocks`` blocks.
 
@@ -46,13 +41,6 @@ def num_nodes(depth: int) -> int:
     """Total number of nodes (buckets) of a tree with leaf level ``depth``."""
     _check_depth(depth)
     return (1 << (depth + 1)) - 1
-
-
-def nodes_at_level(level: int) -> int:
-    """Number of nodes at ``level`` (root is level 0)."""
-    if level < 0:
-        raise ConfigurationError("level must be non-negative, got %r" % (level,))
-    return 1 << level
 
 
 def node_index(level: int, leaf: int, depth: int) -> int:

@@ -8,8 +8,6 @@ constructed so that experiments are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 
@@ -28,45 +26,3 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
         raise ValueError("count must be non-negative")
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-class SeedSequenceFactory:
-    """Hands out independent child generators derived from a root seed.
-
-    The factory remembers how many children it has produced so components
-    created later in a run still receive distinct streams.
-    """
-
-    def __init__(self, seed: int):
-        self._root = np.random.SeedSequence(seed)
-        self._spawned = 0
-
-    def generator(self) -> np.random.Generator:
-        """Return the next independent generator."""
-        child = self._root.spawn(1)[0]
-        self._spawned += 1
-        return np.random.default_rng(child)
-
-    def generators(self, count: int) -> list[np.random.Generator]:
-        """Return ``count`` independent generators."""
-        children = self._root.spawn(count)
-        self._spawned += count
-        return [np.random.default_rng(child) for child in children]
-
-    @property
-    def spawned(self) -> int:
-        """Number of generators handed out so far."""
-        return self._spawned
-
-
-def choose_uniform_leaf(rng: np.random.Generator, num_leaves: int) -> int:
-    """Pick a leaf label uniformly from ``[0, num_leaves)``."""
-    return int(rng.integers(0, num_leaves))
-
-
-def permutation_stream(
-    rng: np.random.Generator, size: int, epochs: int
-) -> Iterable[np.ndarray]:
-    """Yield ``epochs`` fresh permutations of ``range(size)``."""
-    for _ in range(epochs):
-        yield rng.permutation(size)

@@ -36,9 +36,9 @@ def chi_square_uniformity(
     """Chi-square test that ``observations`` are uniform over ``num_categories``.
 
     Categories are the integers ``0 .. num_categories - 1``.  The p-value is
-    computed with the regularised upper incomplete gamma function (via
-    :func:`math.erfc`-free survival approximation implemented below), so the
-    function has no SciPy dependency in the core library.
+    :func:`chi_square_survival`'s Wilson-Hilferty normal approximation,
+    evaluated through :func:`math.erfc`, so the function has no SciPy
+    dependency in the core library.
     """
     obs = np.asarray(observations, dtype=np.int64)
     if obs.size == 0:
@@ -73,15 +73,6 @@ def chi_square_survival(statistic: float, dof: int) -> float:
         2.0 / (9.0 * dof)
     )
     return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def normalized_histogram(values: Sequence[int] | np.ndarray, num_bins: int) -> np.ndarray:
-    """Empirical probability mass function of integer ``values`` over ``num_bins``."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size == 0:
-        return np.zeros(num_bins, dtype=np.float64)
-    counts = np.bincount(arr, minlength=num_bins).astype(np.float64)
-    return counts / counts.sum()
 
 
 def empirical_entropy(values: Sequence[int] | np.ndarray) -> float:

@@ -38,8 +38,3 @@ def format_duration(seconds: float) -> str:
     if seconds >= 1e-3:
         return f"{seconds * 1e3:.2f} ms"
     return f"{seconds * 1e6:.2f} us"
-
-
-def format_ratio(value: float) -> str:
-    """Render a speedup/reduction factor, e.g. ``"5.02x"``."""
-    return f"{value:.2f}x"

@@ -24,7 +24,6 @@ class TestTrafficCounter:
         snap = counter.snapshot()
         assert snap.dummy_reads == 1
         assert snap.path_reads == 1
-        assert snap.total_paths_touched == 2
 
     def test_path_write(self):
         counter = TrafficCounter()
@@ -46,17 +45,9 @@ class TestTrafficCounter:
             counter.record_path_read(10, 100, dummy=True)
         assert counter.snapshot().dummy_reads_per_access == pytest.approx(0.5)
 
-    def test_paths_per_access(self):
-        counter = TrafficCounter()
-        counter.record_logical_access(4)
-        counter.record_path_read(10, 100)
-        counter.record_path_read(10, 100, dummy=True)
-        assert counter.snapshot().paths_per_access == pytest.approx(0.5)
-
     def test_zero_access_ratios_are_zero(self):
         snap = TrafficCounter().snapshot()
         assert snap.dummy_reads_per_access == 0.0
-        assert snap.paths_per_access == 0.0
 
     def test_stash_peak_tracking(self):
         counter = TrafficCounter()

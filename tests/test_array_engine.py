@@ -329,17 +329,21 @@ class TestPlacementRegressions:
         with pytest.raises(BlockNotFoundError):
             engine.apply_initial_placement(plan)
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
-    def test_placement_overflowing_a_bounded_stash_is_reported(self, engine_cls):
+    def test_placement_overflowing_a_bounded_stash_is_reported(self):
         # Forty blocks planned onto one path of a 64-block tree: the path
-        # holds far fewer, and the stash is capped at four.
+        # holds far fewer, and the stash is capped at four.  Every block
+        # that found no slot is stashed before the raise, on both clients.
         config = make_laoram_config(num_blocks=64, superblock_size=2, stash_capacity=4)
-        engine = engine_cls(config)
-        plan = LookaheadPlan(
-            np.arange(40), [3], 40, num_leaves=engine.config.num_leaves
-        )
-        with pytest.raises(StashOverflowError):
-            engine.apply_initial_placement(plan)
+        twins = [LAORAMClient(config), FastLAORAMClient(config)]
+        for engine in twins:
+            plan = LookaheadPlan(
+                np.arange(40), [3], 40, num_leaves=engine.config.num_leaves
+            )
+            with pytest.raises(StashOverflowError):
+                engine.apply_initial_placement(plan)
+            assert len(engine.stash) > 4
+            assert engine.total_real_blocks() == 64
+        assert_twins_agree(*twins)
 
 
 class TestPlacementIsSlotIdentical:

@@ -6,24 +6,12 @@ from hypothesis import given, strategies as st
 from repro.exceptions import ConfigurationError
 from repro.utils.bits import (
     common_level,
-    is_power_of_two,
     node_index,
-    nodes_at_level,
     num_leaves,
     num_nodes,
     path_node_indices,
     required_depth,
 )
-
-
-class TestIsPowerOfTwo:
-    def test_powers_are_recognised(self):
-        for exponent in range(12):
-            assert is_power_of_two(1 << exponent)
-
-    def test_non_powers_are_rejected(self):
-        for value in (0, -1, 3, 6, 12, 1000):
-            assert not is_power_of_two(value)
 
 
 class TestRequiredDepth:
@@ -49,10 +37,6 @@ class TestGeometry:
 
     def test_num_nodes(self):
         assert num_nodes(4) == 31
-
-    def test_nodes_at_level(self):
-        assert nodes_at_level(0) == 1
-        assert nodes_at_level(3) == 8
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ConfigurationError):

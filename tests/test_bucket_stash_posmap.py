@@ -8,7 +8,7 @@ from repro.memory.block import Block
 from repro.oram.bucket import Bucket
 from repro.oram.config import ORAMConfig
 from repro.oram.position_map import LABEL_BYTES, LABEL_DTYPE, PositionMap
-from repro.oram.stash import Stash
+from repro.oram.stash import ArrayStash, Stash
 
 
 class TestBucket:
@@ -78,6 +78,36 @@ class TestStash:
         stash.add(Block(1, 0))
         with pytest.raises(StashOverflowError):
             stash.add(Block(2, 0))
+        # The block lands before the raise, as on the array stash.
+        assert stash.block_ids == [0, 1, 2]
+
+    def test_extend_lands_every_block_before_raising(self):
+        # A whole path goes in before the one capacity check, in path
+        # order, exactly as on the array stash.
+        stash, twin = Stash(capacity=2), ArrayStash(capacity=2)
+        stash.add(Block(7, 1))
+        twin.add(7, 1)
+        with pytest.raises(StashOverflowError):
+            stash.extend(Block(block_id, 3) for block_id in (4, 0, 9))
+        with pytest.raises(StashOverflowError):
+            twin.extend(np.array([4, 0, 9]), np.array([3, 3, 3]))
+        assert stash.block_ids == twin.block_ids == [7, 4, 0, 9]
+        assert [block.leaf for block in stash] == [twin.leaf_of(i) for i in twin] == [1, 3, 3, 3]
+
+    def test_an_over_full_stash_keeps_taking_blocks(self):
+        stash = Stash(capacity=1)
+        with pytest.raises(StashOverflowError):
+            stash.extend([Block(0, 0), Block(1, 0)])
+        # Still over: the next insertion lands and raises again.
+        with pytest.raises(StashOverflowError):
+            stash.add(Block(2, 0))
+        assert stash.block_ids == [0, 1, 2]
+        # Back under the bound, an insertion is an ordinary one.
+        stash.pop(0)
+        stash.pop(1)
+        stash.add(Block(2, 4))
+        assert stash.block_ids == [2]
+        assert stash.get(2).leaf == 4
 
     def test_replacing_existing_block_does_not_overflow(self):
         stash = Stash(capacity=1)

@@ -27,22 +27,14 @@ class TestAccessTrace:
         with pytest.raises(TraceError):
             AccessTrace("bad", 4, np.array([], dtype=np.int64))
 
-    def test_head_and_indexing(self):
+    def test_indexing(self):
         trace = AccessTrace("t", 10, np.arange(10))
-        assert len(trace.head(3)) == 3
         assert trace[4] == 4
         assert isinstance(trace[2:5], AccessTrace)
 
-    def test_repeat_and_concat(self):
+    def test_repeat(self):
         trace = AccessTrace("t", 10, np.array([1, 2, 3]))
         assert len(trace.repeat(3)) == 9
-        assert len(trace.concat(trace)) == 6
-
-    def test_concat_rejects_mismatched_tables(self):
-        a = AccessTrace("a", 10, np.array([1]))
-        b = AccessTrace("b", 20, np.array([1]))
-        with pytest.raises(TraceError):
-            a.concat(b)
 
     def test_statistics(self):
         trace = AccessTrace("t", 100, np.array([1, 1, 1, 50, 60]))
@@ -156,12 +148,6 @@ class TestCriteoDataset:
         dataset = SyntheticCriteoDataset(num_samples=500, largest_table_rows=1000, seed=0)
         assert set(np.unique(dataset.labels)) == {0, 1}
 
-    def test_largest_table_trace(self):
-        dataset = SyntheticCriteoDataset(num_samples=100, largest_table_rows=750, seed=0)
-        trace = dataset.largest_table_trace()
-        assert trace.num_blocks == 750
-        assert len(trace) == 100
-
     def test_batches(self):
         dataset = SyntheticCriteoDataset(num_samples=10, largest_table_rows=100, seed=0)
         batches = list(dataset.batches(4))
@@ -190,10 +176,6 @@ class TestXNLI:
         dataset = SyntheticXNLIDataset(num_samples=50, vocabulary_size=512, sequence_length=8)
         assert dataset.tokens.shape == (50, 8)
         assert set(np.unique(dataset.labels)).issubset({0, 1, 2})
-
-    def test_token_trace_flattens_sequences(self):
-        dataset = SyntheticXNLIDataset(num_samples=10, vocabulary_size=128, sequence_length=4)
-        assert len(dataset.token_trace()) == 40
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -18,7 +18,6 @@ from repro.experiments.figure7 import SUBFIGURES, run_figure7
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import run_figure9, theoretical_traffic_bound
 from repro.experiments.memory_neutral import run_memory_neutral
-from repro.experiments.ring_comparison import run_ring_comparison
 from repro.experiments.runner import run_configuration
 from repro.experiments.scale import ExperimentScale, TINY
 from repro.experiments.table1 import TABLE1_WORKLOADS, run_table1
@@ -192,16 +191,6 @@ class TestMemoryNeutral:
     def test_fat_tree_does_not_need_more_dummy_reads(self):
         result = run_memory_neutral(_FAST, seed=8)
         assert result.fat_dummy_reads <= result.normal_dummy_reads
-
-
-class TestRingComparison:
-    def test_ring_oram_moves_fewer_bytes_than_pathoram(self):
-        result = run_ring_comparison(_FAST, seed=9)
-        assert result.bytes_per_access("RingORAM") < result.bytes_per_access("PathORAM")
-
-    def test_laoram_is_fastest_of_the_three(self):
-        result = run_ring_comparison(_FAST, seed=9)
-        assert result.speedup_over_pathoram("Fat/S4") > 1.5
 
 
 class TestAblations:

@@ -1,54 +1,21 @@
-"""Tests for the Block dataclass and payload helpers."""
+"""Tests for the Block dataclass."""
 
-import numpy as np
 import pytest
 
-from repro.memory.block import DUMMY_BLOCK_ID, Block, make_dummy, payload_nbytes
+from repro.memory.block import Block
 
 
 class TestBlock:
     def test_valid_block(self):
         block = Block(block_id=5, leaf=3)
-        assert not block.is_dummy
         assert block.payload is None
 
-    def test_dummy_block(self):
-        dummy = make_dummy(leaf=2)
-        assert dummy.is_dummy
-        assert dummy.block_id == DUMMY_BLOCK_ID
-
     def test_invalid_block_id_rejected(self):
+        with pytest.raises(ValueError):
+            Block(block_id=-1, leaf=0)
         with pytest.raises(ValueError):
             Block(block_id=-5, leaf=0)
 
     def test_invalid_leaf_rejected(self):
         with pytest.raises(ValueError):
             Block(block_id=0, leaf=-1)
-
-    def test_copy_copies_numpy_payload(self):
-        payload = np.arange(4, dtype=np.float32)
-        block = Block(block_id=1, leaf=0, payload=payload)
-        clone = block.copy()
-        clone.payload[0] = 99.0
-        assert block.payload[0] == 0.0
-
-    def test_copy_preserves_metadata(self):
-        block = Block(block_id=7, leaf=9, payload=b"abc")
-        clone = block.copy()
-        assert clone.block_id == 7
-        assert clone.leaf == 9
-
-
-class TestPayloadNbytes:
-    def test_none_payload_uses_default(self):
-        assert payload_nbytes(None, 128) == 128
-
-    def test_numpy_payload_reports_true_size(self):
-        payload = np.zeros(16, dtype=np.float32)
-        assert payload_nbytes(payload, 128) == 64
-
-    def test_bytes_payload_uses_len(self):
-        assert payload_nbytes(b"12345", 128) == 5
-
-    def test_other_objects_fall_back_to_default(self):
-        assert payload_nbytes({"a": 1}, 64) == 64

@@ -49,13 +49,6 @@ class TestFormatting:
         text = report.render_memory_neutral(run_memory_neutral(_FAST))
         assert "memory saving" in text
 
-    def test_render_speedup_summary(self):
-        text = report.render_speedup_summary(
-            {"kaggle": {"PathORAM": 1.0, "Fat/S4": 3.0}}
-        )
-        assert "kaggle" in text
-        assert "3.00x" in text
-
 
 class TestCLI:
     def test_parser_requires_a_command(self):

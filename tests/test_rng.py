@@ -2,13 +2,7 @@
 
 import numpy as np
 
-from repro.utils.rng import (
-    SeedSequenceFactory,
-    choose_uniform_leaf,
-    make_rng,
-    permutation_stream,
-    spawn_rngs,
-)
+from repro.utils.rng import make_rng, spawn_rngs
 
 
 class TestMakeRng:
@@ -38,29 +32,3 @@ class TestSpawnRngs:
         second = [g.integers(0, 100, 5).tolist() for g in spawn_rngs(9, 3)]
         assert first == second
 
-
-class TestSeedSequenceFactory:
-    def test_counts_spawned_generators(self):
-        factory = SeedSequenceFactory(3)
-        factory.generator()
-        factory.generators(4)
-        assert factory.spawned == 5
-
-    def test_generators_are_distinct(self):
-        factory = SeedSequenceFactory(3)
-        a, b = factory.generators(2)
-        assert not np.array_equal(a.integers(0, 1 << 30, 20), b.integers(0, 1 << 30, 20))
-
-
-class TestHelpers:
-    def test_choose_uniform_leaf_in_range(self):
-        rng = make_rng(0)
-        for _ in range(100):
-            assert 0 <= choose_uniform_leaf(rng, 16) < 16
-
-    def test_permutation_stream_yields_full_permutations(self):
-        rng = make_rng(0)
-        epochs = list(permutation_stream(rng, size=10, epochs=3))
-        assert len(epochs) == 3
-        for epoch in epochs:
-            assert sorted(epoch.tolist()) == list(range(10))

@@ -12,6 +12,7 @@ from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.experiments.configs import build_engine, build_oram_config
+from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
@@ -40,7 +41,7 @@ class TestSecureEmbeddingStore:
         store, table = make_store(factory)
         ids = np.array([0, 5, 9, 33])
         fetched = store.fetch_rows(ids)
-        assert np.allclose(fetched, table.lookup(ids))
+        assert np.allclose(fetched, table.weights[ids])
 
     def test_update_then_fetch_round_trip(self):
         store, _ = make_store(PathORAM)
@@ -143,6 +144,55 @@ def test_payload_dict_still_loads_and_overlays_a_matrix():
     assert np.array_equal(engine.access_many([5, 6]), [[1.0] * 4, [0.0] * 4])
     with pytest.raises(BlockNotFoundError):
         engine.load_payloads(np.zeros((33, 4), dtype=np.float32))
+
+
+#: ``load_payloads`` arguments a 256-block engine must refuse whole.
+REJECTED_LOADS = {
+    "id far past the end": {0: "a", 5: "b", 4096: "c"},
+    "id one past the end": {255: "a", 256: "b"},
+    "negative id": {0: "a", -1: "b"},
+    "more rows than blocks": np.ones((300, 2), dtype=np.float32),
+    "1-D matrix": np.ones(256, dtype=np.float32),
+    "3-D matrix": np.ones((2, 256, 2), dtype=np.float32),
+}
+
+load_engines = pytest.mark.parametrize(
+    "factory", [InsecureMemory, PathORAM, ArrayPathORAM], ids=["insecure", "object", "array"]
+)
+
+
+@load_engines
+@pytest.mark.parametrize("kind", list(REJECTED_LOADS))
+def test_a_rejected_load_installs_nothing(factory, kind):
+    """One check runs before any install: a bad id or shape anywhere leaves every block as it was."""
+    engine = factory(ORAMConfig(num_blocks=256, block_size_bytes=16, seed=3))
+    with pytest.raises(BlockNotFoundError):
+        engine.load_payloads(REJECTED_LOADS[kind])
+    assert engine.access_many(list(range(256))) == [None] * 256
+
+
+@load_engines
+@pytest.mark.parametrize("loaded", ["mapping", "matrix"])
+def test_a_rejected_load_keeps_what_was_loaded(factory, loaded):
+    """After an accepted load, no refused one overwrites a block, even one it names validly."""
+    engine = factory(ORAMConfig(num_blocks=256, block_size_bytes=16, seed=3))
+    matrix = np.arange(512, dtype=np.float32).reshape(256, 2)
+    if loaded == "matrix":
+        engine.load_payloads(matrix.copy())
+        expected = matrix
+    else:
+        engine.load_payloads({block_id: matrix[block_id].copy() for block_id in (0, 5, 255)})
+        expected = np.zeros_like(matrix)
+        expected[[0, 5, 255]] = matrix[[0, 5, 255]]
+    for payloads in REJECTED_LOADS.values():
+        with pytest.raises(BlockNotFoundError):
+            engine.load_payloads(payloads)
+    rows = engine.access_many(list(range(256)))
+    if loaded == "mapping":
+        # Blocks the accepted load did not name still hold no payload.
+        assert [i for i, row in enumerate(rows) if row is not None] == [0, 5, 255]
+        rows = [np.zeros(2, dtype=np.float32) if row is None else row for row in rows]
+    assert np.array_equal(np.asarray(rows), expected)
 
 
 def test_payload_is_served_only_from_the_stash():

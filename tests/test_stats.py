@@ -10,7 +10,6 @@ from repro.utils.stats import (
     empirical_entropy,
     gini_coefficient,
     mutual_information,
-    normalized_histogram,
 )
 
 
@@ -51,15 +50,7 @@ class TestChiSquare:
             chi_square_survival(1.0, 0)
 
 
-class TestHistogramsAndEntropy:
-    def test_normalized_histogram_sums_to_one(self):
-        pmf = normalized_histogram([0, 1, 1, 2, 2, 2], 4)
-        assert pmf.sum() == pytest.approx(1.0)
-        assert pmf[2] == pytest.approx(0.5)
-
-    def test_normalized_histogram_empty_is_zero(self):
-        assert normalized_histogram([], 4).tolist() == [0.0] * 4
-
+class TestEntropy:
     def test_entropy_of_constant_is_zero(self):
         assert empirical_entropy([5] * 100) == pytest.approx(0.0)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.units import GiB, KiB, MiB, format_bytes, format_duration, format_ratio
+from repro.utils.units import GiB, KiB, MiB, format_bytes, format_duration
 
 
 class TestFormatBytes:
@@ -37,8 +37,3 @@ class TestFormatDuration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_duration(-0.1)
-
-
-class TestFormatRatio:
-    def test_ratio_formatting(self):
-        assert format_ratio(5.021) == "5.02x"
