@@ -316,6 +316,11 @@ def default_config() -> AnalysisConfig:
                     "body",
                 ),
             ),
+            # The payload get/set the drivers bind once per call.
+            "repro/oram/row_store.py": (
+                AllocScope("OverlayRowStore.get", "body"),
+                AllocScope("OverlayRowStore.__setitem__", "body"),
+            ),
             "repro/oram/write_back.py": (
                 AllocScope("fused_fetch", "body"),
                 AllocScope("fused_greedy_write_back", "body"),

@@ -65,26 +65,21 @@ class FastLAORAMClient(LookaheadClientMixin, ArrayPathORAM):
         """Run the request's bins on the kernel, then touch the store once.
 
         A read is one gather taken after every bin has found its blocks in
-        the stash: ``(len(block_ids), dim)`` over a payload matrix, a list
-        over a dict.  A write stores the payloads then.
+        the stash: a fresh ``(len(block_ids), dim)`` matrix over a loaded
+        payload matrix (:meth:`OverlayRowStore.gather`), a list over a dict.
+        A write stores the payloads then, in one scatter.
         """
         self._run_bins(self._aligned_bins(block_ids))
-        ids = block_ids if isinstance(block_ids, list) else block_ids.tolist()
         store = self._payloads
-        if payloads is None:
-            if isinstance(store, dict):
-                return list(map(store.get, ids))
-            return store[ids]
         if isinstance(store, dict):
+            ids = block_ids if isinstance(block_ids, list) else block_ids.tolist()
+            if payloads is None:
+                return list(map(store.get, ids))
             store.update(zip(ids, payloads))
             return None
-        # Fancy assignment leaves the winner among repeated indices
-        # unspecified, so repeats are reduced to their last position first.
-        last = dict(zip(ids, range(len(ids))))
-        if len(last) == len(ids):
-            store[ids] = payloads
-        else:
-            store[list(last)] = np.asarray(payloads)[list(last.values())]
+        if payloads is None:
+            return store.gather(block_ids)
+        store.scatter(block_ids, payloads)
         return None
 
     def _relocate(

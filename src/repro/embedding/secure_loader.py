@@ -16,11 +16,20 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.oram.base import ObliviousMemory
+from repro.oram.row_store import read_only
 from repro.embedding.table import EmbeddingTable
 
 
 class SecureEmbeddingStore:
-    """Embedding table whose rows live inside an oblivious memory engine."""
+    """Embedding table whose rows live inside an oblivious memory engine.
+
+    The table is lent, not copied: ``table.weights`` is the engine's
+    read-only initial payload matrix for the store's lifetime.  Updated rows
+    live inside the engine (the overlay of the engines' row store, or fresh
+    per-block payloads on the reference engines), so the table keeps its
+    initial values and the caller must not write into it while the store
+    is in use.
+    """
 
     def __init__(self, memory: ObliviousMemory, table: EmbeddingTable):
         if memory.num_blocks < table.num_rows:
@@ -32,9 +41,9 @@ class SecureEmbeddingStore:
         self.dim = table.dim
         self.num_rows = table.num_rows
         self.row_nbytes = table.row_nbytes
-        # Trusted-setup bulk load of one private copy of the table: engines
-        # that keep a payload matrix adopt it, the others take row views.
-        memory.load_payloads(table.weights.copy())
+        # Trusted-setup bulk load of the table itself, read-only: writes go
+        # to the engine's copy-on-write rows, never into ``table.weights``.
+        memory.load_payloads(table.weights)
 
     # ------------------------------------------------------------------
     def fetch_rows(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -55,10 +64,11 @@ class SecureEmbeddingStore:
         rows sharing a path back together; other engines take one write
         access per row).  Duplicate ids within a batch keep their last
         value, mirroring a sequential write stream.  The engine receives one
-        private copy of ``values``, so the caller may reuse its array.
+        private, read-only copy of ``values``, so the caller may reuse its
+        array and no row the engine serves later can be written in place.
         """
         ids = self._validate(row_ids)
-        values = np.array(values, dtype=np.float32)
+        values = read_only(np.array(values, dtype=np.float32))
         if values.shape != (ids.size, self.dim):
             raise ConfigurationError("values shape mismatch")
         self.memory.write_many(ids, values)

@@ -27,6 +27,7 @@ That equivalence is enforced per family by
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
+from repro.oram.row_store import load_rows, read_only
 from repro.oram.stash import ArrayStash, Stash
 from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage, TreeStorage
 from repro.oram.write_back import (
@@ -334,7 +336,9 @@ class TreeORAMEngine(ObliviousMemory):
         """Install payloads during trusted setup (no traffic charged).
 
         ``payloads`` is a ``{block_id: payload}`` mapping, or a ``(rows,
-        dim)`` array whose row ``i`` is block ``i``'s payload.
+        dim)`` array whose row ``i`` is block ``i``'s payload.  An array is
+        lent read-only for the engine's lifetime: no engine copies it or
+        writes into it.
         """
         raise NotImplementedError
 
@@ -418,12 +422,26 @@ class ObjectStorageEngine(TreeORAMEngine):
     def load_payloads(self, payloads) -> None:
         """Install payloads for blocks during trusted setup (no traffic charged).
 
-        Rows of a payload matrix become per-block views of it.
+        A payload matrix is lent, not copied: each block takes a read-only
+        view of its row, and a block past the matrix the one shared
+        read-only zero row.  A write replaces a block's payload and never
+        writes into the row it held, so the caller's matrix stays unchanged.
         """
         self._check_payloads(payloads)
-        remaining = dict(
-            enumerate(payloads) if isinstance(payloads, np.ndarray) else payloads
-        )
+        if isinstance(payloads, np.ndarray):
+            rows = read_only(payloads)
+            zero = read_only(np.zeros(rows.shape[1], dtype=rows.dtype))
+            loaded = 0
+            for block in chain(self.stash, self.tree.iter_blocks()):
+                block_id = block.block_id
+                block.payload = rows[block_id] if block_id < len(rows) else zero
+                loaded += 1
+            if loaded != self.config.num_blocks:
+                raise BlockNotFoundError(
+                    f"{self.config.num_blocks - loaded} blocks not present in the ORAM"
+                )
+            return
+        remaining = dict(payloads)
         for block in self.stash:
             if block.block_id in remaining:
                 block.payload = remaining.pop(block.block_id)
@@ -518,9 +536,10 @@ class ArrayStorageEngine(TreeORAMEngine):
     The handle for a stashed block is its integer id; payloads live in a
     client-side store (payload location never affects traffic, so keeping it
     out of the simulated server removes all per-block object churn from the
-    hot path).  The store is whatever :meth:`load_payloads` was given: a
-    ``{block_id: payload}`` dict, or one ``(num_blocks, dim)`` matrix whose
-    rows are the payloads.
+    hot path).  The store is a ``{block_id: payload}`` dict, or, once
+    :meth:`load_payloads` was given a matrix, an
+    :class:`~repro.oram.row_store.OverlayRowStore` over it: both answer
+    ``get`` and item assignment, which the drivers bind once per call.
     """
 
     #: The array backend prefetches leaf draws in blocks (see
@@ -534,7 +553,8 @@ class ArrayStorageEngine(TreeORAMEngine):
                 "tree slot stores a block id in four bytes"
             )
         super().__init__(config, **kwargs)
-        self._set_payload_store({})
+        #: ``block_id -> payload``: a dict, or the row store of a loaded matrix.
+        self._payloads = {}
         # What the write-back kernels take besides the tree's arrays: the
         # first bucket index of each level, and the per-level grouping
         # scratch they leave empty on return.
@@ -565,35 +585,19 @@ class ArrayStorageEngine(TreeORAMEngine):
         overflow = self.tree.bulk_place(labels)
         self.stash.extend(overflow, labels[overflow])
 
-    def _set_payload_store(self, store) -> None:
-        self._payloads = store
-        #: ``block_id -> payload`` read on either representation.
-        self._payload_of = store.get if isinstance(store, dict) else store.__getitem__
-
     def load_payloads(self, payloads) -> None:
         """Install payloads for blocks during trusted setup (no traffic charged).
 
         ``payloads`` is a ``{block_id: payload}`` mapping, or a ``(rows, dim)``
-        array whose row ``i`` is block ``i``'s payload.  An array replaces
-        the payload store as is — one contiguous matrix instead of one object
-        per block — so the caller hands over a private copy: reads return
-        rows of it and writes copy into it.  Blocks past ``rows`` start as
-        zero rows.
+        array whose row ``i`` is block ``i``'s payload.  An array is lent,
+        not copied: it becomes the read-only base of an
+        :class:`~repro.oram.row_store.OverlayRowStore`, writes land in the
+        store's overlay, and the caller keeps the array unchanged for the
+        engine's lifetime.  Reads return read-only rows; blocks past ``rows``
+        read as zero rows.
         """
         self._check_payloads(payloads)
-        num_blocks = self.config.num_blocks
-        if isinstance(payloads, np.ndarray):
-            if len(payloads) < num_blocks:
-                padded = np.zeros(
-                    (num_blocks, payloads.shape[1]), dtype=payloads.dtype
-                )
-                padded[: len(payloads)] = payloads
-                payloads = padded
-            self._set_payload_store(payloads)
-            return
-        store = self._payloads
-        for block_id, payload in payloads.items():
-            store[block_id] = payload
+        self._payloads = load_rows(self._payloads, payloads, self.config.num_blocks)
 
     # -- stash hooks ----------------------------------------------------
     def _stash_lookup(self, block_id: int) -> Optional[int]:
@@ -624,7 +628,7 @@ class ArrayStorageEngine(TreeORAMEngine):
     ) -> Optional[object]:
         if op is AccessOp.WRITE:
             self._payloads[handle] = new_payload
-        return self._payload_of(handle)
+        return self._payloads.get(handle)
 
     def _remap(self, handle: int) -> None:
         """Assign the block a fresh path (position map + stash entry).
@@ -727,8 +731,8 @@ class ArrayStorageEngine(TreeORAMEngine):
         depth = self._depth
 
         tags, get_leaf, set_leaf = self.position_map.leaf_access()
-        payload_store = self._payloads
-        payload_get = self._payload_of
+        payload_get = self._payloads.get
+        payload_set = self._payloads.__setitem__
         slots = tree.slot_view
         caps = tree.bucket_capacities
         level_base = tree.level_base
@@ -831,7 +835,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                 # Serve from the client payload store, then remap.
                 if op_seq is not None and op_seq[index] is WRITE:
                     payload = payload_seq[index]
-                    payload_store[block_id] = payload
+                    payload_set(block_id, payload)
                     results[index] = payload
                 else:
                     results[index] = payload_get(block_id)

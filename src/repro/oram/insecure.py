@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.exceptions import BlockNotFoundError
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.timing import TimingModel
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
+from repro.oram.row_store import load_rows
 
 
 class InsecureMemory(ObliviousMemory):
@@ -34,7 +33,8 @@ class InsecureMemory(ObliviousMemory):
         self.timing = timing if timing is not None else TimingModel()
         self.counter = counter if counter is not None else TrafficCounter()
         self.observer = observer
-        self._payloads: dict[int, object] = {}
+        #: ``block_id -> payload``: a dict, or the row store of a loaded matrix.
+        self._payloads = {}
 
     @property
     def num_blocks(self) -> int:
@@ -56,12 +56,13 @@ class InsecureMemory(ObliviousMemory):
         """Install initial payloads (setup step, no traffic charged).
 
         ``payloads`` is a ``{block_id: payload}`` mapping, or a ``(rows,
-        dim)`` array whose rows become per-block views of it.
+        dim)`` array.  An array is lent, not copied, exactly as on the array
+        engines: it is the read-only base of an
+        :class:`~repro.oram.row_store.OverlayRowStore`, writes land in its
+        overlay, and blocks past ``rows`` read as zero rows.
         """
         self._check_payloads(payloads)
-        self._payloads.update(
-            enumerate(payloads) if isinstance(payloads, np.ndarray) else payloads
-        )
+        self._payloads = load_rows(self._payloads, payloads, self.config.num_blocks)
 
     def access(
         self,

@@ -272,8 +272,8 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
         counts_scratch = np.empty(self._depth + 1, dtype=read_counts.dtype)
 
         tags, get_leaf, set_leaf = self.position_map.leaf_access()
-        payload_store = self._payloads
-        payload_get = self._payload_of
+        payload_get = self._payloads.get
+        payload_set = self._payloads.__setitem__
         slots = tree.slot_view
         occ = tree.occupancy_view
         caps = tree.bucket_capacities
@@ -351,7 +351,7 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
 
                 if op_seq is not None and op_seq[index] is WRITE:
                     payload = payload_seq[index]
-                    payload_store[block_id] = payload
+                    payload_set(block_id, payload)
                     results[index] = payload
                 else:
                     results[index] = payload_get(block_id)

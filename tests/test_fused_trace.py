@@ -204,3 +204,32 @@ class TestZeroAllocationSteadyState:
         # Peak admits the sync-out flush (stash re-materialization, counter
         # bulk add) but no per-access temporaries.
         assert peak - before <= results_bytes + 256 * 1024
+
+    def test_matrix_loaded_fused_loop(self):
+        """The row store's scalar set and get keep the loop allocation-free."""
+        engine = ArrayPathORAM(_config())
+        engine.load_payloads(np.zeros((NUM_BLOCKS, 8), dtype=np.float32))
+        rows = [np.full(8, block_id, dtype=np.float32) for block_id in range(NUM_BLOCKS)]
+        # Every block holds its overlay row before the measured traces.
+        engine.write_many(list(range(NUM_BLOCKS)), rows)
+        engine.run_trace(_trace(n=600, seed=3))
+
+        steady = _trace(n=2000, seed=4)
+        payloads = [rows[block_id] for block_id in steady]
+        results_bytes = len(steady) * 16
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        written = engine.run_trace(steady, AccessOp.WRITE, payloads)
+        after_writes, write_peak = tracemalloc.get_traced_memory()
+        read = engine.run_trace(steady)
+        assert [row[0] for row in read] == steady
+        # What a read returns is a view per access; nothing else stays.
+        del read
+        after, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert written == payloads
+
+        # The writes' growth is the results list and the op list.
+        assert after_writes - before <= 2 * results_bytes + 64 * 1024
+        assert write_peak - before <= 2 * results_bytes + 256 * 1024
+        assert after - after_writes <= 64 * 1024

@@ -8,8 +8,11 @@ import pytest
 
 from repro.core.config import LAORAMConfig
 from repro.core.laoram import LAORAMClient
+from repro.datasets.kaggle import NUM_DENSE_FEATURES, SyntheticCriteoDataset
+from repro.embedding.dlrm import DLRMModel
 from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
+from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.experiments.configs import build_engine, build_oram_config
 from repro.oram.array_path_oram import ArrayPathORAM
@@ -98,13 +101,6 @@ def make_fast_store(label, num_rows=64, dim=8, num_blocks=None):
 class TestPayloadMatrixRoundTrip:
     """The store over an array engine: one payload matrix, gather and scatter."""
 
-    def test_engine_holds_one_private_matrix(self, label):
-        store, table = make_fast_store(label)
-        payloads = store.memory._payloads
-        assert isinstance(payloads, np.ndarray) and payloads.shape == (64, 8)
-        assert not np.shares_memory(payloads, table.weights)
-        assert np.array_equal(store.materialize().weights, table.weights)
-
     def test_duplicate_ids_in_one_update_keep_the_last_value(self, label):
         store, _ = make_fast_store(label)
         ids = [3, 9, 3, 20, 9, 3]
@@ -130,6 +126,77 @@ class TestPayloadMatrixRoundTrip:
         assert np.array_equal(store.materialize().weights, table.weights)
         # Blocks past the table are still blocks: they read as zero rows.
         assert not np.any(store.memory.access_many([63])[0])
+
+
+#: Every kind of engine a store is built on: (label, fast).
+LENDING_ENGINES = [
+    ("Insecure", False),
+    ("PathORAM", False),
+    ("PathORAM", True),
+    ("RingORAM", True),
+    ("Fat/S4", False),
+    ("Fat/S4", True),
+]
+
+
+def test_the_callers_table_is_never_written():
+    """The table is lent read-only: training, duplicate writes and in-place
+    writes into served rows all leave it bit-equal, on every engine."""
+    rows, dim = 256, 8
+    trained = []
+    for label, fast in LENDING_ENGINES:
+        dataset = SyntheticCriteoDataset(48, largest_table_rows=rows, seed=3)
+        small = tuple(
+            size for index, size in enumerate(dataset.table_sizes)
+            if index != dataset.largest_table_index
+        )
+        model = DLRMModel(NUM_DENSE_FEATURES, small, embedding_dim=dim, seed=3)
+        table = EmbeddingTable(rows, dim, seed=5)
+        initial = table.weights.copy()
+        engine = build_engine(
+            label, build_oram_config(rows, block_size_bytes=4 * dim, seed=21), fast=fast
+        )
+        store = SecureEmbeddingStore(engine, table)
+        trainer = ObliviousEmbeddingTrainer(store)
+        for _ in range(2):
+            trainer.train_dlrm_epoch(model, dataset, batch_size=8)
+        ids = np.random.default_rng(4).integers(0, 12, size=96)
+        store.update_rows(ids, np.arange(96 * dim, dtype=np.float32).reshape(96, dim))
+        assert table.weights.tobytes() == initial.tobytes(), (label, fast)
+
+        before = store.materialize().weights
+        for row in (engine.access(int(ids[0])), *engine.access_many([3, 200, 3])):
+            if row.flags.writeable:
+                # The fast LAORAM client serves a fresh gather: a private copy.
+                row[:] = -5.0
+            else:
+                with pytest.raises(ValueError):
+                    row[:] = -5.0
+        assert table.weights.tobytes() == initial.tobytes(), (label, fast)
+        trained.append(store.materialize().weights)
+        assert np.array_equal(trained[-1], before), (label, fast)
+    for weights in trained[1:]:
+        assert np.array_equal(weights, trained[0])
+
+
+@pytest.mark.parametrize("label", FAST_LABELS)
+def test_store_build_retains_the_index_not_a_copy(label):
+    """A 4 MiB table costs the store its 256 KiB id -> overlay-row index."""
+    rows, dim = 1 << 16, 16
+    config = build_oram_config(rows, block_size_bytes=4 * dim, seed=1)
+    engine = build_engine(label, config, fast=True)
+    table = EmbeddingTable(rows, dim, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        store = SecureEmbeddingStore(engine, table)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(store.fetch_rows([0, rows - 1]), table.weights[[0, rows - 1]])
+    index_bytes = rows * np.dtype(np.int32).itemsize
+    assert retained <= index_bytes + 32 * 1024, f"store build retained {retained} B"
 
 
 def test_payload_dict_still_loads_and_overlays_a_matrix():
@@ -159,6 +226,19 @@ REJECTED_LOADS = {
 load_engines = pytest.mark.parametrize(
     "factory", [InsecureMemory, PathORAM, ArrayPathORAM], ids=["insecure", "object", "array"]
 )
+
+
+@load_engines
+def test_a_block_past_the_table_reads_a_zero_row(factory):
+    """One answer on every backend: a 40-row matrix in a 64-block engine."""
+    engine = factory(ORAMConfig(num_blocks=64, block_size_bytes=32, seed=21))
+    table = EmbeddingTable(40, 8, seed=5)
+    store = SecureEmbeddingStore(engine, table)
+    assert np.array_equal(store.fetch_rows(np.arange(40)), table.weights)
+    for row in (engine.access(63), *engine.access_many([40, 63])):
+        assert row.shape == (8,) and not np.any(row)
+    engine.write(63, np.ones(8, dtype=np.float32))
+    assert np.array_equal(engine.access_many([62, 63]), [[0.0] * 8, [1.0] * 8])
 
 
 @load_engines
@@ -210,7 +290,7 @@ def test_payload_is_served_only_from_the_stash():
 
 @pytest.mark.parametrize("label", FAST_LABELS)
 def test_store_build_allocates_a_constant_number_of_objects(label):
-    """One matrix copy, not a Python object per row: O(1) live blocks, any table size."""
+    """No Python object per row: O(1) live blocks, any table size."""
 
     def live_blocks_after_build(num_rows):
         config = build_oram_config(num_rows, block_size_bytes=32, seed=1)
