@@ -7,8 +7,9 @@ and performance contracts at the source level:
   indices in engine hot paths (intraprocedural taint walk from per-module
   source manifests).
 * RNG001 — all randomness flows through :mod:`repro.utils.rng`.
-* ALLOC001 — the fused trace drivers stay allocation-free in steady state.
-* CNT001 — fused drivers flush deferred counters on all exit paths.
+* ALLOC001 — the trace kernel's loop allocates only where an allow says so.
+* CNT001 — the trace kernel flushes deferred counters on all exit paths.
+* MAN001 — every manifest entry names a function of its module.
 
 Run with ``python -m repro.analysis [paths] --baseline
 .analysis-baseline.json``; see ``docs/static_analysis.md``.

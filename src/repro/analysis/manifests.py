@@ -187,8 +187,10 @@ _PATH_REVEAL = (
     Declassifier("_write_back", (0,)),
 )
 
+# The bin kernel takes its ids bin by bin (``bins`` yields ``block_ids``
+# lists) and binds the stash's dict itself.
 _ENGINE_SOURCES = ModuleSources(
-    params=frozenset({"block_id", "block_ids", "stash_map", "groups"}),
+    params=frozenset({"bins", "block_id", "block_ids", "stash_map", "groups"}),
     attrs=frozenset({"entries", "stash"}),
     # leaf_access() hands out the tag view and the get/set accessors: all
     # three are secret, and so is every leaf ``get`` returns.
@@ -204,12 +206,9 @@ _ENGINE_SOURCES = ModuleSources(
 )
 
 # The bin generator (``core/laoram.py``, shared by both clients) cuts a
-# request's ``block_ids`` and compares them with the installed plan's; the
-# bin kernel takes its ids bin by bin (``bins`` yields ``block_ids`` lists)
-# and binds the stash's dict itself; the leaves ``leaf_access`` answers with
-# are secret until a fetch reveals them.
+# request's ``block_ids`` and compares them with the installed plan's.
 _LAORAM_SOURCES = ModuleSources(
-    params=frozenset({"bins", "block_ids", "stash_map"}),
+    params=frozenset({"block_ids"}),
     attrs=frozenset({"entries", "stash"}),
     calls=frozenset({"position_map.leaf_access"}),
     declassifiers=_PATH_REVEAL,
@@ -251,7 +250,6 @@ def default_config() -> AnalysisConfig:
     return AnalysisConfig(
         sources={
             "repro/core/laoram.py": _LAORAM_SOURCES,
-            "repro/core/fast_laoram.py": _LAORAM_SOURCES,
             "repro/oram/engine.py": _ENGINE_SOURCES,
             "repro/oram/ring_oram.py": _ENGINE_SOURCES,
             "repro/oram/pr_oram.py": _PRORAM_SOURCES,
@@ -260,12 +258,11 @@ def default_config() -> AnalysisConfig:
         },
         obl_hot_functions={
             "repro/core/laoram.py": ("LookaheadClientMixin._aligned_bins",),
-            "repro/core/fast_laoram.py": ("FastLAORAMClient._run_bins",),
             "repro/oram/engine.py": (
                 "TreeORAMEngine.access",
                 "TreeORAMEngine._maybe_background_evict",
                 "TreeORAMEngine.dummy_access",
-                "ArrayStorageEngine._run_trace_fused",
+                "ArrayStorageEngine._run_bins",
                 "ArrayStorageEngine._fetch_path",
                 "ArrayStorageEngine._commit_write_back",
             ),
@@ -274,13 +271,10 @@ def default_config() -> AnalysisConfig:
                 "RingProtocolMixin._online_read",
                 "RingProtocolMixin._reshuffle_exhausted_buckets",
                 "RingProtocolMixin._evict_path",
-                "ArrayRingORAM._run_trace_ring_fused",
             ),
             "repro/oram/pr_oram.py": (
                 "SuperblockPolicyMixin.access",
-                "SuperblockPolicyMixin._policy_access",
                 "SuperblockPolicyMixin._update_locality",
-                "ArrayPrORAM._make_trace_before_access.<locals>.before_access",
             ),
             "repro/oram/write_back.py": (
                 "plan_greedy_write_back",
@@ -305,18 +299,9 @@ def default_config() -> AnalysisConfig:
         ),
         alloc_hot_functions={
             "repro/oram/engine.py": (
-                AllocScope("ArrayStorageEngine._run_trace_fused", "loops"),
+                AllocScope("ArrayStorageEngine._run_bins", "loops"),
             ),
-            "repro/oram/ring_oram.py": (
-                AllocScope("ArrayRingORAM._run_trace_ring_fused", "loops"),
-            ),
-            "repro/oram/pr_oram.py": (
-                AllocScope(
-                    "ArrayPrORAM._make_trace_before_access.<locals>.before_access",
-                    "body",
-                ),
-            ),
-            # The payload get/set the drivers bind once per call.
+            # The payload get/set a PathORAM trace calls once per access.
             "repro/oram/row_store.py": (
                 AllocScope("OverlayRowStore.get", "body"),
                 AllocScope("OverlayRowStore.__setitem__", "body"),
@@ -333,9 +318,7 @@ def default_config() -> AnalysisConfig:
             ),
         },
         fused_drivers={
-            "repro/core/fast_laoram.py": ("FastLAORAMClient._run_bins",),
-            "repro/oram/engine.py": ("ArrayStorageEngine._run_trace_fused",),
-            "repro/oram/ring_oram.py": ("ArrayRingORAM._run_trace_ring_fused",),
+            "repro/oram/engine.py": ("ArrayStorageEngine._run_bins",),
         },
         flush_helpers=frozenset({"_flush_counts"}),
         rng_allowed_modules=("repro/utils/rng.py",),
@@ -350,14 +333,7 @@ def default_config() -> AnalysisConfig:
             ),
             Declassification(
                 "repro/oram/pr_oram.py",
-                "ArrayPrORAM._make_trace_before_access.<locals>.before_access",
-                ("OBL001", "OBL002"),
-                "fused replay of _update_locality: same history-based reveal, "
-                "declassified for the same reason",
-            ),
-            Declassification(
-                "repro/oram/pr_oram.py",
-                "SuperblockPolicyMixin._policy_access",
+                "SuperblockPolicyMixin.access",
                 ("OBL001", "OBL002"),
                 "merged-group routing and partner holds are the PrORAM "
                 "policy; path draws stay uniform so the revealed path stream "

@@ -10,6 +10,8 @@ Rule inventory (ids are stable; see ``docs/static_analysis.md``):
   (:mod:`.alloc`).
 * CNT001 — fused drivers without a finally-guarded ``add_bulk`` flush
   (:mod:`.counters`).
+* MAN001 — a manifest entry that names no function in its module
+  (:mod:`.manifest`).
 * SUP001 — malformed or reason-less inline suppressions (emitted by the
   driver in :mod:`repro.analysis.core`, not a rule class).
 """
@@ -17,8 +19,9 @@ Rule inventory (ids are stable; see ``docs/static_analysis.md``):
 from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     alloc,
     counters,
+    manifest,
     obliviousness,
     rng,
 )
 
-__all__ = ["alloc", "counters", "obliviousness", "rng"]
+__all__ = ["alloc", "counters", "manifest", "obliviousness", "rng"]

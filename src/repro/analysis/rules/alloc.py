@@ -11,7 +11,7 @@ Two granularities, per manifest entry:
 
 * ``"body"`` — per-access leaf helpers (``_fill_path_slots``,
   ``fused_greedy_write_back``): the whole body is steady state.
-* ``"loops"`` — trace drivers (``_run_trace_fused``): setup before the
+* ``"loops"`` — the trace kernel (``_run_bins``): setup before the
   access loop may allocate freely; code lexically inside a loop may not.
 
 Flagged constructs: comprehensions and generator expressions, numpy

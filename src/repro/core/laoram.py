@@ -41,16 +41,12 @@ from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
 from repro.oram.base import AccessOp
+from repro.oram.engine import Bin
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
 from repro.core.config import LAORAMConfig
 from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan
-
-#: One bin as a request is cut into them: trace index of its first access,
-#: its ids in access order, and its precomputed remap leaves (``None``: ask
-#: the plan).
-Bin = tuple[int, list[int], Optional[list[int]]]
 
 
 class LookaheadClientMixin:
@@ -455,13 +451,13 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
         corresponding accesses into writes (the payload is replaced before
         the block is written back).
         """
-        self.counter.record_logical_access(len(block_ids))
-        self.timing.charge_client_overhead(len(block_ids))
-        end_index = self._trace_cursor + len(block_ids) - 1
-
         needed = list(dict.fromkeys(block_ids))
         for block_id in needed:
             self._check_block_id(block_id)
+        # Counted once every id passed the check: a rejected id is no access.
+        self.counter.record_logical_access(len(block_ids))
+        self.timing.charge_client_overhead(len(block_ids))
+        end_index = self._trace_cursor + len(block_ids) - 1
 
         # Group the blocks that are not cached in the stash by their current
         # path, then fetch each distinct path exactly once.

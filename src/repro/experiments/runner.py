@@ -23,8 +23,8 @@ def run_engine_on_trace(
 
     The trace is known in advance, so it is replayed with ``run_trace``:
     LAORAM clients look ahead (preprocessing, trusted placement, superblock
-    bins), the array engines run their fused drivers, and everything else
-    takes one access per element.
+    bins), array PathORAM runs its bin kernel, and everything else takes
+    one access per element.
     """
     if record_stash_history:
         engine.counter.record_stash_history = True

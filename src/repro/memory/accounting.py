@@ -76,7 +76,7 @@ class TrafficCounter:
     """Mutable accumulator of ORAM traffic statistics.
 
     Events are recorded one by one (``record_*``) or folded in pre-aggregated
-    (:meth:`add_bulk`, the fused trace drivers).  Integer addition is exact
+    (:meth:`add_bulk`, the array engines' trace kernel).  Integer addition is exact
     under any grouping, so both give bit-identical totals.
     """
 
@@ -120,7 +120,7 @@ class TrafficCounter:
         """Register one recursion-level path read of the position map.
 
         Recursion traffic is its own category, recorded by the walk itself
-        on every entry point: the drivers only count main-tree paths.
+        on every entry point: the kernel only counts main-tree paths.
         """
         self.posmap_path_reads += 1
         self.posmap_bytes_read += num_bytes
@@ -154,9 +154,9 @@ class TrafficCounter:
         stash_peak: int = 0,
         background_evictions: int = 0,
     ) -> None:
-        """Fold a batch of pre-aggregated counts in (fused trace drivers).
+        """Fold a batch of pre-aggregated counts in (the trace kernel).
 
-        Additive counters sum; ``stash_peak`` max-merges.  The driver
+        Additive counters sum; ``stash_peak`` max-merges.  The kernel
         accumulated these in plain Python ints, so the result is
         bit-identical to having recorded every event live.
         """

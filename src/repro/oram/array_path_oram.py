@@ -9,7 +9,7 @@ state as numpy arrays and the small client stash as one dict:
 * the tree is an :class:`~repro.oram.tree.ArrayTreeStorage` (one ``int64``
   slot matrix + occupancy vector per level);
 * the stash is an :class:`~repro.oram.stash.ArrayStash`: one insertion-ordered
-  ``{id: leaf}`` dict, the format the trace drivers and the write-back
+  ``{id: leaf}`` dict, the format the trace kernel and the write-back
   kernels of :mod:`repro.oram.write_back` run on;
 * the position map is :class:`~repro.oram.position_map.PositionMap`, the
   source of truth for every block's leaf; the stash holds the

@@ -83,8 +83,8 @@ class ObliviousMemory(ABC):
         drained with one bulk ``tolist``.
 
         Because the whole sequence is in hand, engines may look ahead: the
-        array backends override this with fused drivers that keep the
-        sequential semantics bit for bit, and the LAORAM clients with the
+        array PathORAM runs it on the bin kernel, keeping the sequential
+        semantics bit for bit, and the LAORAM clients with the
         lookahead pipeline (preprocessing, trusted placement before the
         first access, superblock bins — read traces only).  Callers replay
         with ``engine.run_trace(ids)`` whichever engine they hold.

@@ -18,17 +18,24 @@ charges; backends implement a small set of storage hooks (``_fetch_path``,
 decision-free — every choice (which leaf, which eviction victim) is made in
 shared code or replicated exactly by the write-back kernels of
 :mod:`repro.oram.write_back`, which the array backend's hooks and its trace
-drivers both call on the one stash dict — a reference engine and its array
+kernel both call on the one stash dict — a reference engine and its array
 twin draw from the RNG in the same order and produce bit-identical
 :class:`~repro.memory.accounting.TrafficSnapshot` counters for a fixed seed.
 That equivalence is enforced per family by
 ``tests/test_engine_equivalence.py``.
+
+A trace runs one of two ways.  The generic loop
+(:meth:`ObliviousMemory.run_trace`, one ``access`` per id) is the oracle,
+and what RingORAM, PrORAM and the reference engines run.  The array
+backend's one kernel, :meth:`ArrayStorageEngine._run_bins`, serves LAORAM's
+superblock bins and, as one-id bins with no plan, every PathORAM trace:
+PathORAM is the superblock of size one.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +61,11 @@ from repro.oram.write_back import (
     plan_greedy_write_back,
 )
 from repro.utils.rng import make_rng
+
+#: One bin as a request is cut into them: trace index of its first access,
+#: its ids in access order, and its precomputed remap leaves (``None``: ask
+#: the plan, or the stream when there is none).
+Bin = tuple[int, list[int], Optional[list[int]]]
 
 
 class TreeORAMEngine(ObliviousMemory):
@@ -238,7 +250,7 @@ class TreeORAMEngine(ObliviousMemory):
         """Fetch a full path from the server into the stash.
 
         The read is charged before the stash takes the path, so a fetch
-        that overflows the stash is counted, as the fused drivers count it.
+        that overflows the stash is counted, as the kernel counts it.
         """
         num_buckets, num_bytes = self.tree.path_cost(leaf)
         self.counter.record_path_read(num_buckets, num_bytes, dummy=dummy)
@@ -539,7 +551,9 @@ class ArrayStorageEngine(TreeORAMEngine):
     hot path).  The store is a ``{block_id: payload}`` dict, or, once
     :meth:`load_payloads` was given a matrix, an
     :class:`~repro.oram.row_store.OverlayRowStore` over it: both answer
-    ``get`` and item assignment, which the drivers bind once per call.
+    ``get`` and item assignment.  The trace kernel (:meth:`_run_bins`)
+    never touches it; its callers serve the payloads of what it got
+    through.
     """
 
     #: The array backend prefetches leaf draws in blocks (see
@@ -642,7 +656,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         self.stash.set_leaf(handle, leaf)
 
     def _fetch_path(self, leaf: int) -> None:
-        """The drivers' path read, then the capacity check they make after it.
+        """The kernel's path read, then the capacity check it makes after it.
 
         The path's blocks are in the stash before an overflow raises, so
         the engine still holds every block and can take another access.
@@ -652,219 +666,253 @@ class ArrayStorageEngine(TreeORAMEngine):
         fused_fetch(self.tree.read_path_ids, tags, stash.entries, leaf)
         stash.check_capacity()
 
-    # -- fused trace driver ---------------------------------------------
+    # -- the trace kernel -----------------------------------------------
+    #: The lookahead plan the kernel asks for remaps, and the trace index one
+    #: past the last bin it served.  LAORAM clients keep both per instance;
+    #: PathORAM has no plan and starts its cursor at 0 on every trace.
+    _plan = None
+    _trace_cursor = 0
+
     def run_trace(
         self,
         block_ids: Sequence[int],
         ops=None,
         payloads: Optional[Sequence[object]] = None,
     ) -> list[Optional[object]]:
-        """Fused sequential driver (see :meth:`ObliviousMemory.run_trace`)."""
-        if not self._fused_eligible(TreeORAMEngine.access):
+        """PathORAM on the bin kernel (see :meth:`ObliviousMemory.run_trace`).
+
+        PathORAM is the superblock of size one: each access is a one-id
+        bin with no plan, so its remap is the stream's next leaf.  The
+        kernel moves blocks and counts; the payloads of the accesses it got
+        through are served after it, in order, so a read sees every write
+        before it.  That runs in a ``finally``: a raise keeps the writes of
+        the accesses served before it, as the generic loop does.
+        """
+        if not self._fused_eligible():
             return super().run_trace(block_ids, ops, payloads)
-        return self._run_trace_fused(block_ids, ops, payloads)
+        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
+        op_seq, payload_seq = self._normalize_trace_args(len(ids), ops, payloads)
+        self._trace_cursor = 0
+        try:
+            self._run_bins(
+                (index, [block_id], None) for index, block_id in enumerate(ids)
+            )
+        finally:
+            served = islice(ids, self._trace_cursor)
+            store = self._payloads
+            if op_seq is None:
+                results = list(map(store.get, served))
+            else:
+                results = []
+                for block_id, op, payload in zip(served, op_seq, payload_seq):
+                    if op is AccessOp.WRITE:
+                        store[block_id] = payload
+                    else:
+                        payload = store.get(block_id)
+                    results.append(payload)
+        return results
 
-    def _fused_eligible(self, protocol_access) -> bool:
-        """Whether a fused driver replays exactly what this instance decides.
+    def _fused_eligible(self) -> bool:
+        """Whether the kernel replays exactly what this instance decides.
 
-        A fused driver replicates one protocol's ``access`` (passed in by
-        the ``run_trace`` override that owns the driver), uniform remap
-        draws and the stock eviction policy.  An overridden ``access``, a
-        plan-driven ``_choose_new_leaf`` (LAORAM) or a custom
-        :class:`EvictionPolicy` class decides something else and runs the
-        generic per-access loop (``ObliviousMemory.run_trace``) instead.
+        The kernel replicates :meth:`TreeORAMEngine.access` on one-id bins,
+        uniform remap draws and the stock eviction policy.  An overridden
+        ``access`` (RingORAM, PrORAM), a plan-driven ``_choose_new_leaf``
+        or a custom :class:`EvictionPolicy` class decides something else and
+        runs the generic per-access loop (``ObliviousMemory.run_trace``)
+        instead.
         """
         cls = type(self)
         return (
-            cls.access is protocol_access
+            cls.access is TreeORAMEngine.access
             and cls._choose_new_leaf is TreeORAMEngine._choose_new_leaf
             and type(self.eviction) is EvictionPolicy
         )
 
-    def _run_trace_fused(
-        self,
-        block_ids: Sequence[int],
-        ops=None,
-        payloads: Optional[Sequence[object]] = None,
-        before_access=None,
-        fallback=None,
-    ) -> list[Optional[object]]:
-        """One-loop execution of a whole trace with zero steady-state allocation.
+    def _run_bins(self, bins: Iterable[Bin]) -> None:
+        """Serve ``bins`` in order: the one place a bin, or a PathORAM trace, runs.
 
-        The driver binds the stash's dict (id -> leaf, insertion ordered,
-        so every write-back tie-break is the per-access hooks'), runs the
-        PathORAM access sequence with all attribute lookups hoisted to
-        locals, counts accesses and paths in plain Python ints, and flushes
-        them to the engine on exit (:meth:`_flush_counts`).  Steady-state work
-        per access is a handful of in-place numpy calls on preallocated
-        scratch plus pure-Python dict/list operations — no numpy allocation
-        at all.
+        Mirrors ``LAORAMClient.access_superblock`` decision for decision on
+        the stash's dict (id -> leaf, insertion ordered as the reference
+        stash is, so every write-back tie-break is the same): stash hits are
+        free, the missing blocks are grouped by current path in
+        first-encounter order and each distinct path is fetched once, every
+        distinct block is remapped in place — to the bin's precomputed leaf,
+        else to what the plan hands out, else (``-1`` or no plan) to the
+        next leaf of the engine's one stream — and each path read is written
+        back, path by path.  A path its own fetch just emptied — a bin's
+        first, every dummy read's — takes ``fused_greedy_write_back``; a
+        later path of the bin finds the buckets it shares with an earlier
+        one refilled and takes the occupancy-aware
+        ``fused_shared_write_back``.  Background eviction runs inline.  A
+        one-id bin (every PathORAM access) is its own distinct-id list and
+        reads the one leaf of its block, with no deduplication pass.
 
-        ``before_access(block_id)`` is a per-access protocol hook (PrORAM
-        locality tracking): returning truthy routes the access through
-        ``fallback(block_id, op, payload)`` with counts and leaf buffer
-        flushed before and re-read after — the stash needs neither,
-        the fallback works on the same dict — so arbitrary protocol code
-        can interleave with the fused loop.
+        The stream's prefetched block is bound as locals: the fallback
+        remaps and the dummy reads take their leaves from it, in the order
+        the reference engines' scalar draws come, and it is refilled with
+        one ``integers`` call of ``LEAF_DRAW_BLOCK`` leaves.  Nothing here
+        calls ``_draw_leaf`` or ``_planned_leaf``, which would hand out
+        leaves the locals still hold.
 
-        A raise mid-trace (the stash-capacity check runs after a path's
-        blocks entered the stash, as ``_fetch_path``'s does) leaves blocks,
-        counters and clock consistent, and the engine can take another
-        trace.
+        Access and path counts accumulate in locals; a bin is counted once
+        its ids passed the range check, so a rejected id is no access.  One
+        ``finally`` stores the cursor and the leaf buffer and flushes the
+        counts (``_flush_counts``), so a raise mid-window leaves the engine
+        consistent and able to serve the next call: the capacity check runs
+        after a path's blocks entered the stash, so an overflow loses
+        nothing.  A raise also drops the plan — the plan counts the whole of
+        the bin's precomputed remaps as handed out when only some were, and
+        its lookups would no longer be the reference client's — so later
+        remaps draw uniformly.
         """
-        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
-        n = len(ids)
-        op_seq, payload_seq = self._normalize_trace_args(n, ops, payloads)
-        if fallback is None:
-            fallback = self.access
-        results: list[Optional[object]] = [None] * n
-
-        WRITE = AccessOp.WRITE
         num_blocks = self.config.num_blocks
         num_leaves = self._num_leaves
+        depth = self._depth
         tree = self.tree
         stash = self.stash
         counter = self.counter
-        eviction = self.eviction
         observer = self.observer
         capacity = stash.capacity
-        depth = self._depth
+        should_trigger = self.eviction.should_trigger
+        should_continue = self.eviction.should_continue
+        plan = self._plan
+        consume_next_leaf = None if plan is None else plan.consume_next_leaf
+        rng_integers = self.rng.integers
+        draw_block = self.LEAF_DRAW_BLOCK
+        leaf_buf = self._leaf_buf
+        leaf_pos = self._leaf_buf_pos
 
         tags, get_leaf, set_leaf = self.position_map.leaf_access()
-        payload_get = self._payloads.get
-        payload_set = self._payloads.__setitem__
         slots = tree.slot_view
         caps = tree.bucket_capacities
         level_base = tree.level_base
         node_base = self._node_base
         groups = self._level_groups
-        # Occupancy is maintained eagerly: the path read zeroes its buckets'
-        # occupancies in one scatter and the write-back writes each visited
-        # level's count — ~1.5 us/access total.  Deferring it (lazy reads +
-        # one vectorized rebuild per sync) measured ~4.5 us/access amortized
-        # at 30k-access traces, so eager wins despite touching occupancy on
-        # every single access.
         occ = tree.occupancy_view
         read_ids = tree.read_path_ids
         fetch = fused_fetch
-        write_back = fused_greedy_write_back
-
-        rng_integers = self.rng.integers
-        draw_block = self.LEAF_DRAW_BLOCK or 512
-        leaf_buf = self._leaf_buf
-        leaf_pos = self._leaf_buf_pos
-
-        evict_enabled = eviction.enabled
-        trigger = eviction.trigger_threshold
-        should_continue = eviction.should_continue
+        write_fresh = fused_greedy_write_back
+        write_shared = fused_shared_write_back
 
         stash_map = stash.entries
 
-        # Deferred counts, flushed by sync_out.
+        # Deferred counts, flushed in the finally below.
         logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
         stash_peak = counter.stash_peak
         history = counter.stash_history if counter.record_stash_history else None
-
-        def sync_out():
-            """Flush every count back into engine state."""
-            nonlocal logical, path_reads, path_writes, dummy_reads, episodes, hits
-            self._leaf_buf = leaf_buf
-            self._leaf_buf_pos = leaf_pos
-            self._flush_counts(
-                logical, path_reads, path_writes, dummy_reads,
-                stash_peak, episodes, hits,
-            )
-            logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
-
-        def sync_in():
-            """Re-read engine state after a fallback access ran on it."""
-            nonlocal leaf_buf, leaf_pos, stash_peak
-            leaf_buf = self._leaf_buf
-            leaf_pos = self._leaf_buf_pos
-            stash_peak = counter.stash_peak
+        cursor = self._trace_cursor
 
         try:
-            for index in range(n):
-                block_id = ids[index]
-                # oblivious: allow[OBL001] bounds check against the public
-                # num_blocks; invalid ids abort the run loudly
-                if block_id < 0 or block_id >= num_blocks:
-                    raise BlockNotFoundError(
-                        f"block {block_id} outside [0, {num_blocks})"
-                    )
-                # oblivious: allow[OBL001] protocol hook: PrORAM's merge
-                # trigger (declassified in pr_oram.py) routes through the
-                # reference access, whose traffic is charged identically
-                if before_access is not None and before_access(block_id):
-                    sync_out()
-                    try:
-                        if op_seq is None:
-                            results[index] = fallback(block_id, AccessOp.READ, None)
-                        else:
-                            results[index] = fallback(
-                                block_id, op_seq[index], payload_seq[index]
-                            )
-                    finally:
-                        sync_in()
-                    continue
-                logical += 1
-
-                # oblivious: allow[OBL001] fused replay of access()'s stash-hit
-                # fast path — hits counted and charged the same way
-                if block_id in stash_map:
-                    hits += 1
-                    leaf = None
-                else:
-                    leaf = get_leaf(block_id)
-                    fetch(read_ids, tags, stash_map, leaf)
-                    path_reads += 1
-                    if observer is not None:
-                        observer.observe_path(leaf, dummy=False)
-                    # oblivious: allow[OBL001] integrity check; aborts the run
-                    if block_id not in stash_map:
+            for start_index, block_ids, bin_remaps in bins:
+                count = len(block_ids)
+                # oblivious: allow[ALLOC001] one distinct-id list per bin of
+                # several ids; a one-id bin is its own
+                needed = block_ids if count == 1 else list(dict.fromkeys(block_ids))
+                missing = []
+                for block_id in needed:
+                    # oblivious: allow[OBL001] bounds check against the public
+                    # num_blocks; invalid ids abort the run loudly
+                    if block_id < 0 or block_id >= num_blocks:
                         raise BlockNotFoundError(
-                            f"block {block_id} missing from both stash and its path"
+                            f"block {block_id} outside [0, {num_blocks})"
                         )
-                    # oblivious: allow[OBL001] stash-capacity check: overflow
-                    # is PathORAM's stated failure event and aborts the run
-                    if capacity is not None and len(stash_map) > capacity:
-                        raise StashOverflowError(
-                            f"stash exceeded its capacity of {capacity} blocks"
+                    # oblivious: allow[OBL001] fused replay of the bin's
+                    # stash-hit fast path — hits counted and charged the same
+                    if block_id not in stash_map:
+                        missing.append(block_id)
+                logical += count
+                hits += len(needed) - len(missing)
+
+                read_leaves = ()
+                # oblivious: allow[OBL001] a bin whose blocks are all stashed
+                # fetches nothing: the modeled stash-hit behaviour
+                if missing:
+                    if len(missing) == 1:
+                        # oblivious: allow[ALLOC001] the one-leaf list of a
+                        # bin that reads one path
+                        read_leaves = [get_leaf(missing[0])]
+                    else:
+                        # oblivious: allow[ALLOC001] the distinct paths of a
+                        # bin that reads several
+                        read_leaves = list(dict.fromkeys(map(get_leaf, missing)))
+                    # oblivious: allow[OBL002] a bin fetches each distinct path
+                    # its missing blocks sit on: the protocol's observable,
+                    # every one a uniform independent draw (paper, Sec. VI)
+                    for leaf in read_leaves:
+                        fetch(read_ids, tags, stash_map, leaf)
+                        path_reads += 1
+                        if observer is not None:
+                            observer.observe_path(leaf, dummy=False)
+                        # oblivious: allow[OBL001] stash-capacity check:
+                        # overflow is PathORAM's stated failure event and
+                        # aborts the run
+                        if capacity is not None and len(stash_map) > capacity:
+                            raise StashOverflowError(
+                                f"stash exceeded its capacity of {capacity} blocks"
+                            )
+                    for block_id in missing:
+                        # oblivious: allow[OBL001] integrity check; aborts the run
+                        if block_id not in stash_map:
+                            raise BlockNotFoundError(
+                                f"block {block_id} missing from both stash "
+                                "and its path"
+                            )
+
+                # Remap every distinct block to its next planned occurrence,
+                # in the position map and in the stash together.  Plan
+                # leaves are range-checked (the dense accessor is the bare
+                # array write) so a plan built for a different tree fails
+                # here, exactly where the per-object client would.
+                end_index = start_index + count - 1
+                for position, block_id in enumerate(needed):
+                    # oblivious: allow[OBL001] where the new leaf comes
+                    # from is client-side: no traffic either way
+                    if bin_remaps is not None:
+                        leaf = bin_remaps[position]
+                        # oblivious: allow[OBL001] no future occurrence
+                        # planned: the uniform fallback draw, client-side
+                        if leaf < 0:
+                            leaf = None
+                    elif consume_next_leaf is not None:
+                        leaf = consume_next_leaf(block_id, end_index)
+                    else:
+                        leaf = None
+                    # No planned occurrence, or no plan: the stream's next leaf.
+                    if leaf is None:
+                        if leaf_pos == len(leaf_buf):
+                            leaf_buf = rng_integers(
+                                0, num_leaves, size=draw_block
+                            ).tolist()
+                            leaf_pos = 0
+                        leaf = leaf_buf[leaf_pos]
+                        leaf_pos += 1
+                    elif not 0 <= leaf < num_leaves:
+                        raise ConfigurationError(
+                            f"planned leaf {leaf} outside [0, {num_leaves})"
                         )
+                    set_leaf(block_id, leaf)
+                    stash_map[block_id] = leaf
 
-                # Serve from the client payload store, then remap.
-                if op_seq is not None and op_seq[index] is WRITE:
-                    payload = payload_seq[index]
-                    payload_set(block_id, payload)
-                    results[index] = payload
-                else:
-                    results[index] = payload_get(block_id)
-                if leaf_pos == len(leaf_buf):
-                    leaf_buf = rng_integers(0, num_leaves, size=draw_block).tolist()
-                    leaf_pos = 0
-                new_leaf = leaf_buf[leaf_pos]
-                leaf_pos += 1
-                set_leaf(block_id, new_leaf)
-                stash_map[block_id] = new_leaf
-
-                if leaf is not None:
+                # Path by path: the first was emptied by its fetch (the
+                # bin's later fetches only empty more buckets); a later one
+                # finds the buckets it shares with an earlier one refilled.
+                write_back = write_fresh
+                # oblivious: allow[OBL002] one write-back per path fetched
+                # above: the same revealed count
+                for leaf in read_leaves:
                     write_back(
-                        stash_map,
-                        groups,
-                        caps,
-                        level_base,
-                        node_base,
-                        slots,
-                        occ,
-                        depth,
-                        leaf,
+                        stash_map, groups, caps, level_base, node_base,
+                        slots, occ, depth, leaf,
                     )
+                    write_back = write_shared
                     path_writes += 1
 
+                cursor = end_index + 1
                 occupancy = len(stash_map)
                 # oblivious: allow[OBL001] fused replay of the documented
                 # occupancy-triggered background eviction policy
-                if evict_enabled and occupancy > trigger:
+                if should_trigger(occupancy):
                     episodes += 1
                     dummies = 0
                     # oblivious: allow[OBL002] episode length tracks occupancy
@@ -875,28 +923,21 @@ class ArrayStorageEngine(TreeORAMEngine):
                                 0, num_leaves, size=draw_block
                             ).tolist()
                             leaf_pos = 0
-                        dummy_leaf = leaf_buf[leaf_pos]
+                        leaf = leaf_buf[leaf_pos]
                         leaf_pos += 1
-                        fetch(read_ids, tags, stash_map, dummy_leaf)
+                        fetch(read_ids, tags, stash_map, leaf)
                         dummy_reads += 1
                         if observer is not None:
-                            observer.observe_path(dummy_leaf, dummy=True)
+                            observer.observe_path(leaf, dummy=True)
                         # oblivious: allow[OBL001] stash-capacity check:
                         # overflow aborts the run loudly
                         if capacity is not None and len(stash_map) > capacity:
                             raise StashOverflowError(
                                 f"stash exceeded its capacity of {capacity} blocks"
                             )
-                        write_back(
-                            stash_map,
-                            groups,
-                            caps,
-                            level_base,
-                            node_base,
-                            slots,
-                            occ,
-                            depth,
-                            dummy_leaf,
+                        write_fresh(
+                            stash_map, groups, caps, level_base, node_base,
+                            slots, occ, depth, leaf,
                         )
                         path_writes += 1
                         dummies += 1
@@ -908,9 +949,17 @@ class ArrayStorageEngine(TreeORAMEngine):
                     stash_peak = occupancy
                 if history is not None:
                     history.append(occupancy)
+        except BaseException:
+            self._plan = None
+            raise
         finally:
-            sync_out()
-        return results
+            self._trace_cursor = cursor
+            self._leaf_buf = leaf_buf
+            self._leaf_buf_pos = leaf_pos
+            self._flush_counts(
+                logical, path_reads, path_writes, dummy_reads,
+                stash_peak, episodes, hits,
+            )
 
     def _flush_counts(
         self,
@@ -919,14 +968,14 @@ class ArrayStorageEngine(TreeORAMEngine):
         path_writes: int,
         dummy_reads: int,
         stash_peak: int,
-        episodes: int = 0,
-        hits: int = 0,
+        episodes: int,
+        hits: int,
     ) -> None:
-        """Fold a driver's deferred counts into counters, clock and hits.
+        """Fold the kernel's deferred counts into counters, clock and hits.
 
-        The drivers count accesses and whole-path transfers only; one tree
+        The kernel counts accesses and whole-path transfers only; one tree
         has one path geometry, so buckets, bytes and seconds are those
-        counts multiplied out — here, once, for every driver.
+        counts multiplied out — here, once per kernel call.
         """
         path_buckets, path_bytes = self.tree.path_cost(0)
         reads = path_reads + dummy_reads
@@ -949,7 +998,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         self._stash_hits += hits
 
     def _commit_write_back(self, leaf: int) -> None:
-        """Greedy write-back onto the path to ``leaf``: the drivers' kernel.
+        """Greedy write-back onto the path to ``leaf``: the kernel's later-path one.
 
         The occupancy-aware one, as the reference hook's
         ``plan_greedy_write_back`` is: the hook does not promise a path

@@ -488,10 +488,10 @@ class PositionMap:
         self._entries[block_id] = leaf
 
     def leaf_access(self):
-        """The array drivers' leaf-access contract: ``(tags, get, set)``.
+        """The trace kernel's leaf-access contract: ``(tags, get, set)``.
 
-        Every driver that runs a whole trace (the fused drivers, LAORAM's
-        bin) binds this triple once per call and takes all its leaves
+        The array engines' trace kernel (``ArrayStorageEngine._run_bins``,
+        PathORAM's traces and LAORAM's bins) binds this triple once per call and takes all its leaves
         through it, so where the map lives stays the map's business.
         ``tags`` is a read-only view of the level-1 entries for the
         metadata channel — the label every block carries on the wire, the

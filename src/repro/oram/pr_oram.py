@@ -42,7 +42,7 @@ from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
 from repro.oram.array_path_oram import ArrayPathORAM
-from repro.oram.base import AccessOp, ObliviousMemory
+from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
@@ -189,20 +189,6 @@ class SuperblockPolicyMixin:
         """Access ``block_id``, co-locating its superblock partners when merged."""
         self._check_block_id(block_id)
         self._update_locality(block_id)
-        return self._policy_access(block_id, op, new_payload)
-
-    def _policy_access(
-        self,
-        block_id: int,
-        op: AccessOp = AccessOp.READ,
-        new_payload: Optional[object] = None,
-    ) -> Optional[object]:
-        """The access body after locality tracking (fused drivers enter here).
-
-        The fused trace driver replays :meth:`_update_locality` in its
-        per-access hook and routes merged accesses to this method, so the
-        update must not run twice — hence the split.
-        """
         group = self.group_of(block_id)
         if not self.is_merged(group) or self.superblock_size == 1:
             return super().access(block_id, op, new_payload)
@@ -269,91 +255,7 @@ class ArrayPrORAM(SuperblockPolicyMixin, ArrayPathORAM):
     Path reads, write-back planning and the static-mode relayout all run on
     the array storage engine while the policy draws from the RNG in exactly
     the per-object order, so a fixed seed gives bit-identical traffic
-    counters to :class:`PrORAM`.
-
-    :meth:`run_trace` runs the shared fused driver with a per-access policy
-    hook: unmerged accesses (the overwhelming majority on the near-random
-    traces this comparison targets) stay on the fused PathORAM sequence,
-    and merged superblock accesses drop back to the full policy method with
-    engine state synced around the call.
+    counters to :class:`PrORAM`.  A trace runs the generic per-access loop:
+    the policy's ``access`` is its own, so the array engine's bin kernel
+    does not apply.
     """
-
-    def run_trace(
-        self,
-        block_ids,
-        ops=None,
-        payloads=None,
-    ):
-        """Fused PrORAM trace driver (sequential semantics)."""
-        if not self._fused_eligible(SuperblockPolicyMixin.access):
-            return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
-        if self.superblock_size == 1:
-            # Degenerate superblocks: pure PathORAM, no policy hook needed.
-            return self._run_trace_fused(block_ids, ops, payloads)
-        if self.mode is SuperblockMode.STATIC:
-            # Every group is permanently merged, so every access takes the
-            # policy path; there is no fused fast path to run.
-            return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
-        return self._run_trace_fused(
-            block_ids,
-            ops,
-            payloads,
-            before_access=self._make_trace_before_access(),
-            fallback=self._policy_access,
-        )
-
-    def _make_trace_before_access(self):
-        """Build the fused driver's per-access hook with bound locals.
-
-        Decision-identical to ``_update_locality`` followed by a merged-set
-        membership test, but with every piece of locality state (window
-        multisets, counters, merged set) captured as a local once per trace
-        instead of re-resolved through ``self`` on every access.  The hook's
-        return value equals post-update merged membership of the accessed
-        group: the counter-vs-threshold comparison that just decided the
-        add/discard.
-        """
-        sb = self.superblock_size
-        group_counts = self._recent_group_counts
-        block_counts = self._recent_block_counts
-        gc_get = group_counts.get
-        bc_get = block_counts.get
-        locality = self._locality_counters
-        recent = self._recent_blocks
-        window = recent.maxlen
-        recent_append = recent.append
-        threshold = self.merge_threshold
-        ceiling = 2 * threshold
-        merged_add = self._merged_groups.add
-        merged_discard = self._merged_groups.discard
-
-        def before_access(block_id: int) -> bool:
-            group = block_id // sb
-            if gc_get(group, 0) > bc_get(block_id, 0):
-                bumped = locality[group] + 1
-                locality[group] = ceiling if bumped > ceiling else bumped
-            elif locality[group] > 0:
-                locality[group] -= 1
-            if len(recent) == window:
-                evicted = recent[0]
-                evicted_group = evicted // sb
-                count = group_counts[evicted_group] - 1
-                if count:
-                    group_counts[evicted_group] = count
-                else:
-                    del group_counts[evicted_group]
-                count = block_counts[evicted] - 1
-                if count:
-                    block_counts[evicted] = count
-                else:
-                    del block_counts[evicted]
-            recent_append(block_id)
-            group_counts[group] = gc_get(group, 0) + 1
-            block_counts[block_id] = bc_get(block_id, 0) + 1
-            if locality[group] >= threshold:
-                merged_add(group)
-                return True
-            merged_discard(group)
-            return False
-
-        return before_access

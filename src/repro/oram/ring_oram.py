@@ -24,17 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import (
-    BlockNotFoundError,
-    ConfigurationError,
-    StashOverflowError,
-)
+from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.memory.timing import TimingModel
-from repro.oram.base import AccessOp, ObliviousMemory
+from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine, ObjectStorageEngine
-from repro.oram.write_back import fused_fetch, fused_greedy_write_back
 
 #: How a bucket's reads since its last reshuffle are counted; a count never
 #: exceeds ``dummies_per_bucket``, which this bounds.
@@ -193,7 +188,7 @@ class RingProtocolMixin:
         leaf = reverse_lexicographic_leaf(self._evict_counter, self.tree.depth)
         self._evict_counter += 1
         num_buckets, num_bytes = self.tree.path_cost(leaf)
-        # Charged before the stash takes the path, as the fused driver does.
+        # Charged before the stash takes the path, as every path read is.
         self.counter.record_path_read(num_buckets, num_bytes, dummy=True)
         self.timing.charge_path_transfer(num_buckets, num_bytes)
         self._fetch_path(leaf)
@@ -216,255 +211,6 @@ class ArrayRingORAM(RingProtocolMixin, ArrayStorageEngine):
     reuse the array engine's write-back kernel, and per-bucket read counts
     live in one numpy vector — while drawing from the
     RNG in exactly the per-object order, so a fixed seed gives bit-identical
-    traffic counters.
-
-    :meth:`run_trace` fuses the whole protocol — online reads, scheduled
-    reverse-lexicographic evictions, bucket reshuffles — into one loop over
-    the stash's dict with deferred counts, the same discipline as
-    :meth:`ArrayStorageEngine._run_trace_fused`.
+    traffic counters.  A trace runs the generic per-access loop: RingORAM's
+    ``access`` is its own, so the array engine's bin kernel does not apply.
     """
-
-    def run_trace(
-        self,
-        block_ids,
-        ops=None,
-        payloads=None,
-    ):
-        """Fused RingORAM trace driver (sequential semantics)."""
-        if not self._fused_eligible(RingProtocolMixin.access):
-            return ObliviousMemory.run_trace(self, block_ids, ops, payloads)
-        return self._run_trace_ring_fused(block_ids, ops, payloads)
-
-    def _run_trace_ring_fused(
-        self,
-        block_ids,
-        ops=None,
-        payloads=None,
-    ):
-        """One-loop RingORAM execution over the stash's dict.
-
-        Decision-identical to the per-access protocol: detach moves the
-        target out of the stash, a scheduled evict-path empties the path
-        before its write-back (so the shared zero-occupancy write-back
-        helper applies), and reshuffle checks run against the same bucket
-        read counts in the same order.  The loop counts events per
-        transfer class — online reads, evict-paths, reshuffles per level —
-        and the exit multiplies them out into counters and clock.
-        """
-        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
-        n = len(ids)
-        op_seq, payload_seq = self._normalize_trace_args(n, ops, payloads)
-        results = [None] * n
-
-        WRITE = AccessOp.WRITE
-        num_blocks = self.config.num_blocks
-        num_leaves = self._num_leaves
-        tree = self.tree
-        stash = self.stash
-        counter = self.counter
-        observer = self.observer
-        capacity = stash.capacity
-        depth = self._depth
-        evict_rate = self.evict_rate
-        dummies_per_bucket = self.dummies_per_bucket
-        read_counts = self._bucket_read_counts
-        rc_item = read_counts.item
-        counts_scratch = np.empty(self._depth + 1, dtype=read_counts.dtype)
-
-        tags, get_leaf, set_leaf = self.position_map.leaf_access()
-        payload_get = self._payloads.get
-        payload_set = self._payloads.__setitem__
-        slots = tree.slot_view
-        occ = tree.occupancy_view
-        caps = tree.bucket_capacities
-        level_base = tree.level_base
-        node_base = self._node_base
-        groups = self._level_groups
-        read_ids = tree.read_path_ids
-        path_nodes = tree.path_nodes
-        remove_on_path = tree.remove_on_path
-        fetch = fused_fetch
-        write_back = fused_greedy_write_back
-
-        rng_integers = self.rng.integers
-        draw_block = self.LEAF_DRAW_BLOCK or 512
-        leaf_buf = self._leaf_buf
-        leaf_pos = self._leaf_buf_pos
-        access_count = self._access_count
-        evict_counter = self._evict_counter
-
-        stash_map = stash.entries
-
-        # Deferred counts: online reads by kind, evict-path halves, and
-        # reshuffles per tree level (bucket size, so the transfer class, is
-        # per level).
-        logical = real_online = dummy_online = evict_reads = evict_writes = 0
-        reshuffles = [0] * (depth + 1)
-        stash_peak = counter.stash_peak
-        history = counter.stash_history if counter.record_stash_history else None
-
-        try:
-            for index in range(n):
-                block_id = ids[index]
-                # oblivious: allow[OBL001] bounds check against the public
-                # num_blocks; invalid ids abort the run loudly
-                if block_id < 0 or block_id >= num_blocks:
-                    raise BlockNotFoundError(
-                        f"block {block_id} outside [0, {num_blocks})"
-                    )
-                logical += 1
-
-                stashed = block_id in stash_map
-                # oblivious: allow[OBL001] client-side stash detach; the online
-                # read below is byte-identical on both arms (RingORAM's
-                # real/dummy indistinguishability)
-                if stashed:
-                    del stash_map[block_id]
-                leaf = get_leaf(block_id)
-
-                # Online read: one block per bucket on the path.
-                # oblivious: allow[OBL001] selects which block is removed; the
-                # read shape is identical either way (see above)
-                found = True if stashed else remove_on_path(leaf, block_id)
-                nodes = path_nodes(leaf)
-                # One gather/add/scatter through the counts scratch both
-                # bumps the path's read counts and yields the post-bump
-                # values the reshuffle check needs — half the fancy-index
-                # passes of a ``+= 1`` followed by a separate ``take``.
-                read_counts.take(nodes, out=counts_scratch)
-                counts_scratch += 1
-                read_counts[nodes] = counts_scratch
-                nodes_list = None
-                # oblivious: allow[OBL001] dummy/real tally split for the
-                # accounting mirror; buckets and bytes charged identically
-                if stashed:
-                    dummy_online += 1
-                else:
-                    real_online += 1
-                if observer is not None:
-                    observer.observe_path(leaf, dummy=stashed)
-                # oblivious: allow[OBL001] integrity check; aborts the run
-                if not found:
-                    raise BlockNotFoundError(
-                        f"block {block_id} missing from its path"
-                    )
-
-                if op_seq is not None and op_seq[index] is WRITE:
-                    payload = payload_seq[index]
-                    payload_set(block_id, payload)
-                    results[index] = payload
-                else:
-                    results[index] = payload_get(block_id)
-
-                if leaf_pos == len(leaf_buf):
-                    leaf_buf = rng_integers(0, num_leaves, size=draw_block).tolist()
-                    leaf_pos = 0
-                new_leaf = leaf_buf[leaf_pos]
-                leaf_pos += 1
-                set_leaf(block_id, new_leaf)
-                stash_map[block_id] = new_leaf
-                # oblivious: allow[OBL001] stash-capacity check: overflow is
-                # the protocol's stated failure event and aborts the run
-                if capacity is not None and len(stash_map) > capacity:
-                    raise StashOverflowError(
-                        f"stash exceeded its capacity of {capacity} blocks"
-                    )
-
-                access_count += 1
-                if access_count % evict_rate == 0:
-                    # The evict fetch reuses the tree's path scratches, so
-                    # materialise the accessed path's node ids first.
-                    nodes_list = nodes.tolist()
-                    evict_leaf = reverse_lexicographic_leaf(evict_counter, depth)
-                    evict_counter += 1
-                    fetch(read_ids, tags, stash_map, evict_leaf)
-                    evict_reads += 1
-                    # oblivious: allow[OBL001] stash-capacity check: overflow
-                    # aborts the run loudly
-                    if capacity is not None and len(stash_map) > capacity:
-                        raise StashOverflowError(
-                            f"stash exceeded its capacity of {capacity} blocks"
-                        )
-                    write_back(
-                        stash_map,
-                        groups,
-                        caps,
-                        level_base,
-                        node_base,
-                        slots,
-                        occ,
-                        depth,
-                        evict_leaf,
-                    )
-                    evict_writes += 1
-                    read_counts[path_nodes(evict_leaf)] = 0
-
-                # Reshuffle any bucket on the accessed path whose dummies
-                # ran out (post-eviction counts, as in the live protocol).
-                # On non-evict accesses the post-bump counts scratch is
-                # still current, and one vectorized max gates the level
-                # scan — most accesses leave every bucket below threshold,
-                # so they skip the scan (and its tolist) entirely.  An
-                # eviction may have zeroed nodes the two paths share (the
-                # root always), so evict accesses recompute per node from
-                # the list materialised before the scratch was reused.
-                if nodes_list is not None:
-                    # oblivious: allow[ALLOC001] runs only on eviction accesses
-                    # (1 in evict_rate); this amortized depth+1 list is inside
-                    # the tracemalloc budget measured by tests/test_fused_trace
-                    counts_list = [rc_item(node) for node in nodes_list]
-                elif counts_scratch.max() >= dummies_per_bucket:
-                    counts_list = counts_scratch.tolist()
-                else:
-                    counts_list = None
-                if counts_list is not None:
-                    for level, count in enumerate(counts_list):
-                        if count >= dummies_per_bucket:
-                            reshuffles[level] += 1
-                            node = (
-                                nodes.item(level)
-                                if nodes_list is None
-                                else nodes_list[level]
-                            )
-                            read_counts[node] = 0
-
-                occupancy = len(stash_map)
-                # oblivious: allow[OBL001] client-side metrics (stash peak
-                # tracking); no server traffic
-                if occupancy > stash_peak:
-                    stash_peak = occupancy
-                if history is not None:
-                    history.append(occupancy)
-        finally:
-            self._leaf_buf = leaf_buf
-            self._leaf_buf_pos = leaf_pos
-            self._access_count = access_count
-            self._evict_counter = evict_counter
-            # Evict-paths move whole paths: the shared flush.
-            self._flush_counts(logical, 0, evict_writes, evict_reads, stash_peak)
-            # What only RingORAM has: one block per bucket online, and a
-            # reshuffled bucket read and rewritten in one transfer.
-            online = real_online + dummy_online
-            online_buckets = depth + 1
-            online_bytes = online_buckets * tree.stored_block_bytes
-            shuffled = sum(reshuffles)
-            shuffled_bytes = 0
-            timing = self.timing
-            if online:
-                timing.charge_path_transfer(online_buckets, online_bytes, online)
-            for level, count in enumerate(reshuffles):
-                if count:
-                    slot_bytes = self._reshuffle_bytes(level)
-                    shuffled_bytes += count * slot_bytes
-                    timing.charge_path_transfer(1, 2 * slot_bytes, count)
-            counter.add_bulk(
-                0,
-                real_online,
-                shuffled,
-                dummy_online + shuffled,
-                online * online_buckets + shuffled,
-                shuffled,
-                online * online_bytes + shuffled_bytes,
-                shuffled_bytes,
-            )
-        return results

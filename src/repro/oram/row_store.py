@@ -27,9 +27,9 @@ def read_only(array: np.ndarray) -> np.ndarray:
 class OverlayRowStore:
     """``block_id -> row`` over a lent base matrix and a copy-on-write overlay.
 
-    The scalar path (:meth:`get`, item assignment) is what the per-access
-    drivers bind once per call, as they bind ``dict.get`` on a mapping
-    store; it reads the index through a memoryview.  The request path
+    The scalar path (:meth:`get`, item assignment) is what a PathORAM trace
+    calls once per access, as it calls ``dict.get`` on a mapping store; it
+    reads the index through a memoryview.  The request path
     (:meth:`gather`, :meth:`scatter`) is one base gather plus one patch of
     the written rows, numpy work in the request's length.
     """

@@ -94,11 +94,11 @@ class ArrayStash:
     The vectorized engine stores payloads in a client-side store, so the
     stash holds exactly what the write-back needs: per resident block its
     id and assigned leaf, as Python ints (xor / ``bit_length`` stay
-    small-int) in insertion order.  The trace drivers and the write-back
+    small-int) in insertion order.  The trace kernel and the write-back
     kernels run on the dict itself (:attr:`entries`); the methods below are
     the same operations for everything that moves one block at a time.
 
-    Overflow follows the module's one rule, as do the drivers' inline
+    Overflow follows the module's one rule, as do the kernel's inline
     checks: an insertion lands before :class:`StashOverflowError` is raised.
     """
 
@@ -124,9 +124,9 @@ class ArrayStash:
 
     @property
     def entries(self) -> dict[int, int]:
-        """The live ``{block_id: leaf}`` dict (no copy), for the drivers.
+        """The live ``{block_id: leaf}`` dict (no copy), for the kernel.
 
-        The same object for the stash's lifetime.  A driver that inserts
+        The same object for the stash's lifetime.  Code that inserts
         into it directly makes its own capacity check.
         """
         return self._entries

@@ -386,7 +386,7 @@ class ArrayTreeStorage:
         Returns the gather scratch (valid until the next path call): every
         slot of the path in template order — root to leaf, each bucket's
         insertion order preserved — with ``-1`` marking empty slots.  The
-        fused trace driver consumes this directly (it filters the ``-1``
+        trace kernel consumes this directly (it filters the ``-1``
         entries while building its stash map), so a steady-state path read
         is five in-place numpy operations — the slot and node index adds,
         the gather, and the two blanking scatters — and zero allocations.

@@ -12,13 +12,14 @@ Three planners live here:
 
 * :func:`plan_greedy_write_back` — the per-object, single-path reference;
 * :func:`fused_greedy_write_back` — the allocation-free specialization the
-  fused trace drivers run: same greedy rule over the array stash's
+  trace kernel (``ArrayStorageEngine._run_bins``) runs on a bin's first
+  path and on every dummy read: same greedy rule over the array stash's
   ``{id: leaf}`` dict, valid only immediately after the target path has
   been emptied by a read (:func:`fused_fetch`, the read half of the same
   pair);
 * :func:`fused_shared_write_back` — the same over a path that may already
-  have occupants: what LAORAM's bin kernel runs, since the later paths of a
-  bin that read several share refilled buckets with the earlier ones, and
+  have occupants: what the kernel runs on the later paths of a bin that
+  read several, which share refilled buckets with the earlier ones, and
   what the array engine's per-access hook
   (``ArrayStorageEngine._commit_write_back``) is.
 """
@@ -87,10 +88,12 @@ def fused_greedy_write_back(
 ):
     """Greedy write-back from a dict stash onto a freshly read path.
 
-    The fused trace drivers' specialization of :func:`plan_greedy_write_back`
-    for the one case they are always in: the path to ``leaf`` was just
-    emptied by a full read, so every bucket on it has occupancy zero and the
-    plan/commit split collapses into direct scalar slot writes.  Dict
+    The trace kernel's specialization of :func:`plan_greedy_write_back` for
+    a bin's first path (every PathORAM access's only one) and a dummy read:
+    the path to ``leaf`` was just emptied by a full read — a bin's later
+    fetches only empty more buckets — so every bucket on it has occupancy
+    zero and the plan/commit split collapses into direct scalar slot
+    writes.  Dict
     iteration order is insertion order — the same order the reference stash
     enumerates — so grouping by xor bit length, LIFO pool selection and
     ascending slot assignment are all decision-identical to the reference
@@ -155,9 +158,9 @@ def fused_shared_write_back(
     """Greedy write-back from a dict stash onto a path with occupants.
 
     The occupancy-aware generalisation of :func:`fused_greedy_write_back`,
-    for the case it excludes: a LAORAM bin that read several paths writes
-    them back one after another, so a later path finds the buckets it
-    shares with an earlier one already refilled.  Same grouping, same LIFO
+    for the case it excludes: a bin that read several paths writes them
+    back one after another, so a later path finds the buckets it shares
+    with an earlier one already refilled.  Same grouping, same LIFO
     pool, same caller-owned ``groups`` scratch; the only difference is that
     each visited level reads its bucket's occupancy from ``occ``, takes no
     more than the free slots, appends behind the occupants, and carries
@@ -166,12 +169,11 @@ def fused_shared_write_back(
     to :func:`fused_greedy_write_back` on a freshly emptied path.
 
     Kept apart from it on a measurement: with the occupancy read folded
-    into the one function, the PathORAM-driver workloads lost 2.7 %
+    into the one function, the PathORAM workloads lost 2.7 %
     (``serve_zipf``, 0 of 10 pairs won) and 4.0 % (``replay_recursive``, 2
     of 10) — one occupancy read and three integer operations per visited
-    level, at one to three write-backs an access — while the LAORAM kernel
-    running this version on every path, fresh ones included, gave up
-    nothing measurable (``docs/performance.md``, "One write-back or two").
+    level, at one to three write-backs an access (``docs/performance.md``,
+    "One write-back or two").
     """
     present = []
     for resident, resident_leaf in stash_map.items():

@@ -259,9 +259,9 @@ def fused_fetch(read_ids, tags, stash_map, leaf):
 _PLANT_UNGUARDED_FLUSH = '''
 
 class ArrayStorageEngine:
-    def _run_trace_fused(self, ids, counter):
+    def _run_bins(self, bins, counter):
         logical = 0
-        for _block_id in ids:
+        for _bin in bins:
             logical += 1
         counter.add_bulk(logical)
 '''
@@ -269,10 +269,10 @@ class ArrayStorageEngine:
 _PLANT_COUNTERS_ONLY_FLUSH = '''
 
 class ArrayStorageEngine:
-    def _run_trace_fused(self, ids, counter):
+    def _run_bins(self, bins, counter):
         logical = 0
         try:
-            for _block_id in ids:
+            for _bin in bins:
                 logical += 1
         finally:
             counter.add_bulk(logical)
@@ -312,6 +312,40 @@ def test_planted_bug_is_caught(tmp_path, planted, rule, module):
     findings = _scan_scratch_engine(tmp_path, planted, module)
     assert findings, f"planted {rule} bug went undetected"
     assert {f.rule for f in findings} == {rule}
+
+
+@pytest.mark.parametrize(
+    "module, old, new, tables",
+    [
+        # The kernel renamed (or moved to another module): the three lists
+        # that arm OBL, ALLOC001 and CNT001 on it name nothing.
+        (
+            "engine.py",
+            "def _run_bins(",
+            "def _run_moved_bins(",
+            {"obl_hot_functions", "alloc_hot_functions", "fused_drivers"},
+        ),
+        # A declassified write-back kernel renamed: its allowlist entry and
+        # both hot lists go stale.
+        (
+            "write_back.py",
+            "def fused_shared_write_back(",
+            "def shared_write_back(",
+            {"obl_hot_functions", "alloc_hot_functions", "declassifications"},
+        ),
+    ],
+)
+def test_stale_manifest_entry_is_caught(tmp_path, module, old, new, tables):
+    scratch = tmp_path / "repro" / "oram"
+    scratch.mkdir(parents=True)
+    source = (REPO_ROOT / "src" / "repro" / "oram" / module).read_text(
+        encoding="utf-8"
+    )
+    assert source.count(old) == 1
+    (scratch / module).write_text(source.replace(old, new), encoding="utf-8")
+    findings = analyze_paths([str(scratch / module)], default_config()).findings
+    assert {f.rule for f in findings} == {"MAN001"}
+    assert {f.message.split()[0] for f in findings} == tables
 
 
 def test_online_read_declassifies_where_the_setup_move_does_not(tmp_path):

@@ -670,8 +670,9 @@ class TestKernelFailurePaths:
 
     @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
     def test_a_raise_mid_request_drops_the_plan_on_both_clients(self, recursive):
-        # Five bins are served, the sixth is charged and raises at its
-        # out-of-range id; neither client keeps a plan it has half used.
+        # Five bins are served, the sixth raises at its out-of-range id
+        # before it is counted (a rejected id is no access); neither client
+        # keeps a plan it has half used.
         trace = np.arange(40)
         bad = trace.copy()
         bad[21] = 256
@@ -682,10 +683,41 @@ class TestKernelFailurePaths:
             with pytest.raises(BlockNotFoundError):
                 engine.access_many(bad)
             assert engine.plan is None
-            assert engine.statistics.logical_accesses == 24
+            assert engine.statistics.logical_accesses == 20
             states.append(dict(engine_state(engine), trace_cursor=engine.trace_cursor))
         assert states[0]["trace_cursor"] == 20
         assert_twins_agree(*states)
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    @pytest.mark.parametrize(
+        "client", [PathORAM, ArrayPathORAM, LAORAMClient, FastLAORAMClient]
+    )
+    def test_a_write_many_that_raises_keeps_the_served_writes(self, client, recursive):
+        # 400 writes over 256 blocks outgrow a 12-block stash.  What was
+        # served before the raise holds its last write — on the lookahead
+        # clients the bins before the failing one, on PathORAM the accesses
+        # before it — and nothing after it landed.
+        config = placement_config(4, recursive, stash_capacity=12)
+        lookahead = client in (LAORAMClient, FastLAORAMClient)
+        engine = client(config if lookahead else config.oram)
+        engine.load_payloads({b: ("initial", b) for b in range(256)})
+        ids = np.random.default_rng(4).integers(0, 256, size=400).tolist()
+        rows = [("written", index) for index in range(len(ids))]
+        with pytest.raises(StashOverflowError):
+            engine.write_many(ids, rows)
+        served = (
+            engine.trace_cursor
+            if lookahead
+            else engine.statistics.logical_accesses - 1
+        )
+        expected = {b: ("initial", b) for b in range(256)}
+        expected.update(zip(ids[:served], rows[:served]))
+        stashed = engine.stash.block_ids
+        assert len(stashed) > 12
+        # Stash hits fetch nothing, so the over-full engine serves them.
+        got = engine.access_many(stashed)
+        assert list(got) == [expected[b] for b in stashed]
+        assert set(stashed) & set(ids[:served])
 
     @pytest.mark.parametrize("when", ["first window", "second call", "second window"])
     def test_a_rejected_window_leaves_no_trace(self, when):

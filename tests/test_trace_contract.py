@@ -144,13 +144,14 @@ def test_write_many_rejects_a_length_mismatch(label, fast, recursive):
 # One leaf-access contract: the fast drivers equal their oracle under
 # either position map
 # ----------------------------------------------------------------------
-#: The fused driver each fast family's ``run_trace`` takes (``None``: every
-#: access of static PrORAM is a policy access, so there is nothing to fuse).
-FUSED_DRIVERS = {
-    "PathORAM": "_run_trace_fused",
-    "RingORAM": "_run_trace_ring_fused",
-    "PrORAM-static/S2": None,
-    "PrORAM-dynamic/S2": "_run_trace_fused",
+#: Whether each fast family's ``run_trace`` takes the bin kernel: PathORAM
+#: as one-id bins; RingORAM and PrORAM have an ``access`` of their own and
+#: run the generic loop.
+KERNEL_FAMILIES = {
+    "PathORAM": True,
+    "RingORAM": False,
+    "PrORAM-static/S2": False,
+    "PrORAM-dynamic/S2": False,
 }
 
 
@@ -208,7 +209,7 @@ def assert_twins_agree(reference, fast) -> None:
 
 @pytest.mark.parametrize("writes", [False, True])
 @pytest.mark.parametrize("recursive", [False, True])
-@pytest.mark.parametrize("label", FUSED_DRIVERS)
+@pytest.mark.parametrize("label", KERNEL_FAMILIES)
 def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkeypatch):
     trace = mixed_trace()
     ops = payloads = None
@@ -221,21 +222,21 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
         engine.load_payloads({b: ("initial", b) for b in range(NUM_BLOCKS)})
 
     calls = []
-    driver = FUSED_DRIVERS[label]
-    if driver is not None:
-        fused = getattr(type(fast), driver)
+    kernel = type(fast)._run_bins
 
-        def spy(self, *args, **kwargs):
-            calls.append(type(self.position_map).__name__)
-            return fused(self, *args, **kwargs)
+    def spy(self, bins):
+        calls.append(type(self.position_map).__name__)
+        return kernel(self, bins)
 
-        monkeypatch.setattr(type(fast), driver, spy)
+    monkeypatch.setattr(type(fast), "_run_bins", spy)
 
     got = fast.run_trace(trace, ops, payloads)
     want = ObliviousMemory.run_trace(oracle, trace, ops, payloads)
 
-    # The fused driver ran, whichever map the engine holds: no fallback.
-    assert calls == ([] if driver is None else [type(fast.position_map).__name__])
+    # PathORAM ran the kernel once, whichever map the engine holds: no
+    # fallback.  The others never reached it.
+    on_kernel = KERNEL_FAMILIES[label]
+    assert calls == ([type(fast.position_map).__name__] if on_kernel else [])
     assert list(got) == list(want)
     # simulated_time_s compares with ==: the clock is the closed form of
     # integer charge counts, whatever order and grouping they arrived in.
