@@ -13,7 +13,7 @@ states it explicitly, per engine module:
 * hot-function manifests — which functions the OBL rules analyze
   (``obl_hot_functions``), which the zero-allocation rule covers and at
   what granularity (``alloc_hot_functions``), and which fused drivers owe
-  a deferred-counter flush (``fused_drivers``, ``flush_helpers``).
+  a deferred-counter flush (``fused_drivers``).
 * :class:`Declassification` — the allowlist for places the protocol
   legitimately reveals secret-derived information (PrORAM's history-based
   merging, client-side write-back planning).  Every entry carries a
@@ -100,10 +100,6 @@ class AnalysisConfig:
     )
     #: module suffix -> fused-driver qualnames for CNT001.
     fused_drivers: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Method names that fold deferred counts into counters *and* clock; a
-    #: call to one is a whole flush for CNT001, and its definition is held
-    #: to doing both.
-    flush_helpers: frozenset[str] = frozenset()
     #: Path suffixes where direct RNG construction is allowed (RNG001).
     rng_allowed_modules: tuple[str, ...] = ()
     #: Declassification allowlist (see class docstring).
@@ -320,7 +316,6 @@ def default_config() -> AnalysisConfig:
         fused_drivers={
             "repro/oram/engine.py": ("ArrayStorageEngine._run_bins",),
         },
-        flush_helpers=frozenset({"_flush_counts"}),
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(
             Declassification(

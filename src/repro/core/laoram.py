@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
-from repro.memory.timing import TimingModel
 from repro.oram.base import AccessOp
 from repro.oram.engine import Bin
 from repro.oram.eviction import EvictionPolicy
@@ -65,7 +64,6 @@ class LookaheadClientMixin:
     def __init__(
         self,
         config: LAORAMConfig,
-        timing: Optional[TimingModel] = None,
         counter: Optional[TrafficCounter] = None,
         eviction: Optional[EvictionPolicy] = None,
         rng: Optional[np.random.Generator] = None,
@@ -77,7 +75,6 @@ class LookaheadClientMixin:
             )
         super().__init__(
             config.oram,
-            timing=timing,
             counter=counter,
             eviction=eviction,
             rng=rng,
@@ -456,14 +453,13 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
             self._check_block_id(block_id)
         # Counted once every id passed the check: a rejected id is no access.
         self.counter.record_logical_access(len(block_ids))
-        self.timing.charge_client_overhead(len(block_ids))
         end_index = self._trace_cursor + len(block_ids) - 1
 
         # Group the blocks that are not cached in the stash by their current
         # path, then fetch each distinct path exactly once.
         read_leaves: list[int] = []
         missing = [b for b in needed if b not in self.stash]
-        self._stash_hits += len(needed) - len(missing)
+        self.counter.record_stash_hit(len(needed) - len(missing))
         if missing:
             leaves = {}
             for block_id in missing:

@@ -3,7 +3,11 @@
 Every ORAM implementation in this package reports its activity through a
 :class:`TrafficCounter`.  The counters are what the paper's evaluation is
 built on: path reads/writes, dummy (background-eviction) reads, bytes moved,
-and stash occupancy over time (Fig. 8).
+and stash occupancy over time (Fig. 8).  They are the only record of an
+engine's traffic: simulated time is their price
+(:meth:`~repro.memory.timing.TimingModel.elapsed_s`), so they count every
+event that price needs — buckets touched on every tree, RingORAM's
+reshuffles — and nothing keeps a second tally beside them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,14 @@ class TrafficSnapshot:
     posmap_path_writes: int = 0
     posmap_bytes_read: int = 0
     posmap_bytes_written: int = 0
+    posmap_buckets_read: int = 0
+    posmap_buckets_written: int = 0
+    # RingORAM's one-bucket reshuffles, also counted as a dummy read and a
+    # path write of one bucket each: the price takes one request and one row
+    # activation off per reshuffle.
+    reshuffles: int = 0
+    # Accesses (distinct ids of a bin) served from the stash without a read.
+    stash_hits: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -94,6 +106,10 @@ class TrafficCounter:
     posmap_path_writes: int = 0
     posmap_bytes_read: int = 0
     posmap_bytes_written: int = 0
+    posmap_buckets_read: int = 0
+    posmap_buckets_written: int = 0
+    reshuffles: int = 0
+    stash_hits: int = 0
     stash_history: list[int] = field(default_factory=list)
     record_stash_history: bool = False
 
@@ -116,18 +132,34 @@ class TrafficCounter:
         self.buckets_written += num_buckets
         self.bytes_written += num_bytes
 
-    def record_posmap_path_read(self, num_bytes: int) -> None:
+    def record_reshuffle(self, num_bytes: int) -> None:
+        """Register one RingORAM bucket reshuffle of ``num_bytes`` bytes.
+
+        The bucket is read and rewritten in full: one dummy read and one
+        write of one bucket, which the price counts as one request.
+        """
+        self.record_path_read(1, num_bytes, dummy=True)
+        self.record_path_write(1, num_bytes)
+        self.reshuffles += 1
+
+    def record_stash_hit(self, count: int = 1) -> None:
+        """Register ``count`` accesses served from the stash without a read."""
+        self.stash_hits += count
+
+    def record_posmap_path_read(self, num_buckets: int, num_bytes: int) -> None:
         """Register one recursion-level path read of the position map.
 
         Recursion traffic is its own category, recorded by the walk itself
         on every entry point: the kernel only counts main-tree paths.
         """
         self.posmap_path_reads += 1
+        self.posmap_buckets_read += num_buckets
         self.posmap_bytes_read += num_bytes
 
-    def record_posmap_path_write(self, num_bytes: int) -> None:
+    def record_posmap_path_write(self, num_buckets: int, num_bytes: int) -> None:
         """Register one recursion-level path write-back of the position map."""
         self.posmap_path_writes += 1
+        self.posmap_buckets_written += num_buckets
         self.posmap_bytes_written += num_bytes
 
     def record_background_eviction(self) -> None:
@@ -153,6 +185,7 @@ class TrafficCounter:
         bytes_written: int = 0,
         stash_peak: int = 0,
         background_evictions: int = 0,
+        stash_hits: int = 0,
     ) -> None:
         """Fold a batch of pre-aggregated counts in (the trace kernel).
 
@@ -171,40 +204,16 @@ class TrafficCounter:
         if stash_peak > self.stash_peak:
             self.stash_peak = stash_peak
         self.background_evictions += background_evictions
+        self.stash_hits += stash_hits
 
     def snapshot(self) -> TrafficSnapshot:
         """Return an immutable snapshot of the current counters."""
         return TrafficSnapshot(
-            logical_accesses=self.logical_accesses,
-            path_reads=self.path_reads,
-            path_writes=self.path_writes,
-            dummy_reads=self.dummy_reads,
-            buckets_read=self.buckets_read,
-            buckets_written=self.buckets_written,
-            bytes_read=self.bytes_read,
-            bytes_written=self.bytes_written,
-            stash_peak=self.stash_peak,
-            background_evictions=self.background_evictions,
-            posmap_path_reads=self.posmap_path_reads,
-            posmap_path_writes=self.posmap_path_writes,
-            posmap_bytes_read=self.posmap_bytes_read,
-            posmap_bytes_written=self.posmap_bytes_written,
+            **{spec.name: getattr(self, spec.name) for spec in fields(TrafficSnapshot)}
         )
 
     def reset(self) -> None:
         """Zero every counter (history included)."""
-        self.logical_accesses = 0
-        self.path_reads = 0
-        self.path_writes = 0
-        self.dummy_reads = 0
-        self.buckets_read = 0
-        self.buckets_written = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.stash_peak = 0
-        self.background_evictions = 0
-        self.posmap_path_reads = 0
-        self.posmap_path_writes = 0
-        self.posmap_bytes_read = 0
-        self.posmap_bytes_written = 0
+        for spec in fields(TrafficSnapshot):
+            setattr(self, spec.name, 0)
         self.stash_history.clear()

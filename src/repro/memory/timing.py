@@ -1,20 +1,23 @@
-"""Combined timing model translating ORAM traffic into simulated time.
+"""Combined timing model: the price of counted ORAM traffic, as simulated time.
 
 The paper measures wall-clock access latency on real hardware.  We replace
-the testbed with an analytic model: every path read/write is charged
+the testbed with an analytic model that prices what the
+:class:`~repro.memory.accounting.TrafficCounter` already counts:
 
-* one interconnect request (latency + transfer of the path's bytes), and
-* per-bucket DRAM activations plus the same bytes at DRAM bandwidth, and
-* a fixed client-side metadata overhead (position map lookup, stash insert).
+* one interconnect request (latency + transfer of its bytes) per path read
+  or write — main tree and recursion levels alike, a RingORAM reshuffle
+  counting once;
+* one DRAM row activation per bucket touched, plus the same bytes at DRAM
+  bandwidth;
+* a fixed client-side metadata overhead per logical access (position map
+  lookup, stash insert).
 
 Because these terms are linear in the counted events, relative speedups are
 determined by the same quantities the paper's speedups depend on (paths
 fetched, bytes moved, dummy evictions), which is what the reproduction aims
-to preserve.  For the same reason the model keeps integers only: how many
-transfers of each ``(buckets, bytes)`` class and how many accesses were
-charged.  The clock is their closed form, so it does not depend on the
-order or the grouping of the charges — an engine charging once per event
-and one charging once per trace read the same float.
+to preserve.  The model holds prices only, no state: the clock is a pure
+function of the counters, so it cannot fall out of step with them, and
+equal counts give equal floats whatever order the events came in.
 """
 
 from __future__ import annotations
@@ -26,57 +29,59 @@ from repro.memory.channel import InterconnectModel
 from repro.memory.dram import DRAMModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingModel:
-    """Counts ORAM server and link activity and prices it as simulated time.
+    """Prices ORAM server and link activity as simulated time.
 
     Attributes:
         dram: Server memory timing parameters.
         interconnect: Client-server link timing parameters.
-        client_overhead_us: Fixed client-side bookkeeping cost charged per
-            logical ORAM access (position map lookup, stash management).
+        client_overhead_us: Fixed client-side bookkeeping cost per logical
+            ORAM access (position map lookup, stash management).
     """
 
     dram: DRAMModel = field(default_factory=DRAMModel)
     interconnect: InterconnectModel = field(default_factory=InterconnectModel)
     client_overhead_us: float = 2.0
-    #: ``(num_buckets, num_bytes) -> transfers charged`` — one class per tree
-    #: geometry (main tree, each recursion level, RingORAM's online reads
-    #: and per-level reshuffles).
-    _transfers: dict = field(default_factory=dict, init=False, repr=False)
-    _accesses: int = field(default=0, init=False, repr=False)
 
-    def charge_path_transfer(
-        self, num_buckets: int, num_bytes: int, count: int = 1
-    ) -> None:
-        """Charge ``count`` path reads or writes of one transfer class."""
-        transfers = self._transfers
-        shape = (num_buckets, num_bytes)
-        transfers[shape] = transfers.get(shape, 0) + count
+    def elapsed_s(self, counts) -> float:
+        """Simulated seconds of the traffic in ``counts``.
 
-    def path_transfer_delta(self, num_buckets: int, num_bytes: int) -> float:
-        """Seconds one transfer of this class costs, without charging it."""
-        return self.dram.access_time_s(
-            num_buckets, num_bytes
-        ) + self.interconnect.transfer_time_s(1, num_bytes)
-
-    def charge_client_overhead(self, num_accesses: int = 1) -> None:
-        """Charge fixed per-access client bookkeeping time."""
-        self._accesses += num_accesses
-
-    @property
-    def elapsed_s(self) -> float:
-        """Total simulated time charged so far, in seconds.
-
-        An exactly rounded sum (``math.fsum``) of one product per transfer
-        class plus the overhead term, so equal counts give equal floats.
+        ``counts`` is a :class:`~repro.memory.accounting.TrafficSnapshot` or
+        a live :class:`~repro.memory.accounting.TrafficCounter`.  A reshuffle
+        is counted as a one-bucket read and write but is one request
+        activating one row, so each is taken off both totals once.
         """
-        terms = [self._accesses * self.client_overhead_us * 1e-6]
-        for shape, count in self._transfers.items():
-            terms.append(count * self.path_transfer_delta(*shape))
-        return math.fsum(terms)
+        reshuffles = counts.reshuffles
+        requests = (
+            counts.path_reads
+            + counts.dummy_reads
+            + counts.path_writes
+            + counts.posmap_path_reads
+            + counts.posmap_path_writes
+            - reshuffles
+        )
+        activations = (
+            counts.buckets_read
+            + counts.buckets_written
+            + counts.posmap_buckets_read
+            + counts.posmap_buckets_written
+            - reshuffles
+        )
+        moved = (
+            counts.bytes_read
+            + counts.bytes_written
+            + counts.posmap_bytes_read
+            + counts.posmap_bytes_written
+        )
+        return math.fsum(
+            (
+                counts.logical_accesses * self.client_overhead_us * 1e-6,
+                self.dram.access_time_s(activations, moved),
+                self.interconnect.transfer_time_s(requests, moved),
+            )
+        )
 
-    def reset(self) -> None:
-        """Zero the charged counts (used between experiment phases)."""
-        self._transfers.clear()
-        self._accesses = 0
+
+#: The prices every engine's ``simulated_time_s`` reads its counters at.
+PAPER_TIMING = TimingModel()

@@ -12,8 +12,8 @@ over one of two storage representations:
   :class:`~repro.oram.stash.ArrayStash` (one ``{id: leaf}`` dict), with
   payloads in a client-side store (the vectorized engines).
 
-:class:`TreeORAMEngine` owns the control flow and all counter/timing
-charges; backends implement a small set of storage hooks (``_fetch_path``,
+:class:`TreeORAMEngine` owns the control flow and every traffic count;
+backends implement a small set of storage hooks (``_fetch_path``,
 ``_commit_write_back``, stash attach/detach/lookup).  Because the hooks are
 decision-free — every choice (which leaf, which eviction victim) is made in
 shared code or replicated exactly by the write-back kernels of
@@ -22,7 +22,9 @@ kernel both call on the one stash dict — a reference engine and its array
 twin draw from the RNG in the same order and produce bit-identical
 :class:`~repro.memory.accounting.TrafficSnapshot` counters for a fixed seed.
 That equivalence is enforced per family by
-``tests/test_engine_equivalence.py``.
+``tests/test_engine_equivalence.py``.  The counters are the engine's one
+ledger: ``simulated_time_s`` is their price
+(:data:`~repro.memory.timing.PAPER_TIMING`), never a tally of its own.
 
 A trace runs one of two ways.  The generic loop
 (:meth:`ObliviousMemory.run_trace`, one ``access`` per id) is the oracle,
@@ -46,7 +48,7 @@ from repro.exceptions import (
 )
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.block import Block
-from repro.memory.timing import TimingModel
+from repro.memory.timing import PAPER_TIMING
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
@@ -90,14 +92,12 @@ class TreeORAMEngine(ObliviousMemory):
     def __init__(
         self,
         config: ORAMConfig,
-        timing: Optional[TimingModel] = None,
         counter: Optional[TrafficCounter] = None,
         eviction: Optional[EvictionPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         observer=None,
     ):
         self.config = config
-        self.timing = timing if timing is not None else TimingModel()
         self.counter = counter if counter is not None else TrafficCounter()
         self.rng = rng if rng is not None else make_rng(config.seed)
         self.eviction = eviction if eviction is not None else EvictionPolicy(
@@ -119,10 +119,8 @@ class TreeORAMEngine(ObliviousMemory):
             ),
             metadata_bytes_per_block=config.metadata_bytes_per_block,
             counter=self.counter,
-            timing=self.timing,
             seed=config.seed,
         )
-        self._stash_hits = 0
         # Buffered leaf draws (see _draw_leaf); an exhausted position on an
         # empty buffer forces the first refill.
         self._leaf_buf: list[int] = []
@@ -146,7 +144,7 @@ class TreeORAMEngine(ObliviousMemory):
 
     @property
     def simulated_time_s(self) -> float:
-        return self.timing.elapsed_s
+        return PAPER_TIMING.elapsed_s(self.counter)
 
     @property
     def server_memory_bytes(self) -> int:
@@ -157,11 +155,6 @@ class TreeORAMEngine(ObliviousMemory):
         """Current number of blocks held in the client stash."""
         return len(self.stash)
 
-    @property
-    def stash_hits(self) -> int:
-        """Accesses served directly from the stash without a path read."""
-        return self._stash_hits
-
     def access(
         self,
         block_id: int,
@@ -171,11 +164,10 @@ class TreeORAMEngine(ObliviousMemory):
         """Perform one oblivious access to ``block_id`` (PathORAM sequence)."""
         self._check_block_id(block_id)
         self.counter.record_logical_access()
-        self.timing.charge_client_overhead()
 
         handle = self._stash_lookup(block_id)
         # oblivious: allow[OBL001] stash-hit fast path is the engine's modeled
-        # behaviour: hits are counted and charged, and callers needing uniform
+        # behaviour: hits are counted, and callers needing uniform
         # traffic issue dummy_access explicitly (see docs/static_analysis.md)
         if handle is None:
             leaf = self.position_map.get(block_id)
@@ -191,7 +183,7 @@ class TreeORAMEngine(ObliviousMemory):
             self._remap(handle)
             self._write_back(leaf)
         else:
-            self._stash_hits += 1
+            self.counter.record_stash_hit()
             payload = self._serve(handle, op, new_payload)
             self._remap(handle)
 
@@ -200,7 +192,7 @@ class TreeORAMEngine(ObliviousMemory):
         return payload
 
     # ------------------------------------------------------------------
-    # Shared internals (counter/timing charges live here, not in backends)
+    # Shared internals (traffic is counted here, not in backends)
     # ------------------------------------------------------------------
     def _draw_leaf(self) -> int:
         """Draw one uniform leaf from the engine's RNG.
@@ -249,12 +241,11 @@ class TreeORAMEngine(ObliviousMemory):
     def _read_path_into_stash(self, leaf: int, dummy: bool) -> None:
         """Fetch a full path from the server into the stash.
 
-        The read is charged before the stash takes the path, so a fetch
+        The read is counted before the stash takes the path, so a fetch
         that overflows the stash is counted, as the kernel counts it.
         """
         num_buckets, num_bytes = self.tree.path_cost(leaf)
         self.counter.record_path_read(num_buckets, num_bytes, dummy=dummy)
-        self.timing.charge_path_transfer(num_buckets, num_bytes)
         if self.observer is not None:
             self.observer.observe_path(leaf, dummy=dummy)
         self._fetch_path(leaf)
@@ -264,7 +255,6 @@ class TreeORAMEngine(ObliviousMemory):
         self._commit_write_back(leaf)
         num_buckets, num_bytes = self.tree.path_cost(leaf)
         self.counter.record_path_write(num_buckets, num_bytes)
-        self.timing.charge_path_transfer(num_buckets, num_bytes)
 
     def _maybe_background_evict(self) -> None:
         """Run the dummy-read eviction loop when the stash is too full.
@@ -278,7 +268,7 @@ class TreeORAMEngine(ObliviousMemory):
         """
         # oblivious: allow[OBL001] occupancy-triggered background eviction is
         # the engine's documented policy; episodes are deliberately observable
-        # (counted, charged, and studied by the multi-tenant experiments)
+        # (counted, priced, and studied by the multi-tenant experiments)
         if not self.eviction.should_trigger(len(self.stash)):
             return
         self.counter.record_background_eviction()
@@ -757,8 +747,10 @@ class ArrayStorageEngine(TreeORAMEngine):
 
         Access and path counts accumulate in locals; a bin is counted once
         its ids passed the range check, so a rejected id is no access.  One
-        ``finally`` stores the cursor and the leaf buffer and flushes the
-        counts (``_flush_counts``), so a raise mid-window leaves the engine
+        ``finally`` stores the cursor and the leaf buffer and folds the
+        counts into the counter with one ``add_bulk`` — one tree has one
+        path geometry, so buckets and bytes are the path counts multiplied
+        out — so a raise mid-window leaves the engine
         consistent and able to serve the next call: the capacity check runs
         after a path's blocks entered the stash, so an overflow loses
         nothing.  A raise also drops the plan — the plan counts the whole of
@@ -818,7 +810,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                             f"block {block_id} outside [0, {num_blocks})"
                         )
                     # oblivious: allow[OBL001] fused replay of the bin's
-                    # stash-hit fast path — hits counted and charged the same
+                    # stash-hit fast path — hits counted the same
                     if block_id not in stash_map:
                         missing.append(block_id)
                 logical += count
@@ -956,46 +948,21 @@ class ArrayStorageEngine(TreeORAMEngine):
             self._trace_cursor = cursor
             self._leaf_buf = leaf_buf
             self._leaf_buf_pos = leaf_pos
-            self._flush_counts(
-                logical, path_reads, path_writes, dummy_reads,
-                stash_peak, episodes, hits,
+            path_buckets, path_bytes = tree.path_cost(0)
+            reads = path_reads + dummy_reads
+            counter.add_bulk(
+                logical,
+                path_reads,
+                path_writes,
+                dummy_reads,
+                reads * path_buckets,
+                path_writes * path_buckets,
+                reads * path_bytes,
+                path_writes * path_bytes,
+                stash_peak,
+                episodes,
+                hits,
             )
-
-    def _flush_counts(
-        self,
-        logical: int,
-        path_reads: int,
-        path_writes: int,
-        dummy_reads: int,
-        stash_peak: int,
-        episodes: int,
-        hits: int,
-    ) -> None:
-        """Fold the kernel's deferred counts into counters, clock and hits.
-
-        The kernel counts accesses and whole-path transfers only; one tree
-        has one path geometry, so buckets, bytes and seconds are those
-        counts multiplied out — here, once per kernel call.
-        """
-        path_buckets, path_bytes = self.tree.path_cost(0)
-        reads = path_reads + dummy_reads
-        self.counter.add_bulk(
-            logical,
-            path_reads,
-            path_writes,
-            dummy_reads,
-            reads * path_buckets,
-            path_writes * path_buckets,
-            reads * path_bytes,
-            path_writes * path_bytes,
-            stash_peak,
-            episodes,
-        )
-        timing = self.timing
-        timing.charge_client_overhead(logical)
-        if reads + path_writes:
-            timing.charge_path_transfer(path_buckets, path_bytes, reads + path_writes)
-        self._stash_hits += hits
 
     def _commit_write_back(self, leaf: int) -> None:
         """Greedy write-back onto the path to ``leaf``: the kernel's later-path one.

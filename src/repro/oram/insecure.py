@@ -9,14 +9,19 @@ Serves accesses directly from a flat table.  Used for two purposes:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.exceptions import BlockNotFoundError
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
-from repro.memory.timing import TimingModel
+from repro.memory.timing import PAPER_TIMING
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.row_store import load_rows
+
+#: The paper's prices without the client overhead: a flat table keeps no
+#: position map or stash to look up.
+_INSECURE_TIMING = replace(PAPER_TIMING, client_overhead_us=0.0)
 
 
 class InsecureMemory(ObliviousMemory):
@@ -25,12 +30,10 @@ class InsecureMemory(ObliviousMemory):
     def __init__(
         self,
         config: ORAMConfig,
-        timing: Optional[TimingModel] = None,
         counter: Optional[TrafficCounter] = None,
         observer=None,
     ):
         self.config = config
-        self.timing = timing if timing is not None else TimingModel()
         self.counter = counter if counter is not None else TrafficCounter()
         self.observer = observer
         #: ``block_id -> payload``: a dict, or the row store of a loaded matrix.
@@ -46,7 +49,7 @@ class InsecureMemory(ObliviousMemory):
 
     @property
     def simulated_time_s(self) -> float:
-        return self.timing.elapsed_s
+        return _INSECURE_TIMING.elapsed_s(self.counter)
 
     @property
     def server_memory_bytes(self) -> int:
@@ -75,13 +78,11 @@ class InsecureMemory(ObliviousMemory):
         self.counter.record_logical_access()
         num_bytes = self.config.block_size_bytes
         self.counter.record_path_read(1, num_bytes)
-        self.timing.charge_path_transfer(1, num_bytes)
         if self.observer is not None:
             self.observer.observe_address(block_id)
         if op is AccessOp.WRITE:
             self._payloads[block_id] = new_payload
             self.counter.record_path_write(1, num_bytes)
-            self.timing.charge_path_transfer(1, num_bytes)
         return self._payloads.get(block_id)
 
     def _check(self, block_id: int) -> None:

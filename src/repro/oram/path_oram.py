@@ -19,10 +19,11 @@ per-object :class:`~repro.oram.engine.ObjectStorageEngine` backend — Block
 objects in list buckets and a dict stash.  Its vectorized twin is
 :class:`~repro.oram.array_path_oram.ArrayPathORAM`.
 
-Traffic and simulated time are recorded through
-:class:`~repro.memory.accounting.TrafficCounter` and
-:class:`~repro.memory.timing.TimingModel`, which the evaluation harness turns
-into the paper's speedup / dummy-read / traffic metrics.
+Traffic is recorded in one
+:class:`~repro.memory.accounting.TrafficCounter`; simulated time is its
+price under :class:`~repro.memory.timing.TimingModel`.  The evaluation
+harness turns the two into the paper's speedup / dummy-read / traffic
+metrics.
 """
 
 from __future__ import annotations

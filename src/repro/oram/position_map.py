@@ -35,8 +35,9 @@ per-level stash at the usual O(log m) residue).
 
 Traffic.  Every recursion path read/write is charged to the owning
 engine's :class:`~repro.memory.accounting.TrafficCounter` under the
-dedicated ``posmap_*`` category (and to the timing model), keeping the
-main-tree counters directly comparable between dense and recursive runs.
+dedicated ``posmap_*`` category — paths, buckets and bytes, all the
+engine's clock prices — keeping the main-tree counters directly comparable
+between dense and recursive runs.
 A ``get`` performs one full top-down walk; the matching ``set`` of the
 same block id rides the walk for free (the standard recursion folds the
 label update into the access that read it), which the map models as a
@@ -190,7 +191,6 @@ class PositionMap:
         bucket_size: int = 4,
         metadata_bytes_per_block: int = 16,
         counter: Optional[TrafficCounter] = None,
-        timing=None,
         seed: int = 0,
         record_streams: bool = False,
     ):
@@ -210,7 +210,6 @@ class PositionMap:
         self._num_leaves = num_leaves
         self._chi = positions_per_block
         self.counter = counter if counter is not None else TrafficCounter()
-        self.timing = timing
 
         # One draw whatever the level count, so an engine consumes its RNG
         # stream identically dense or recursive; drawn at the generator's
@@ -398,8 +397,6 @@ class PositionMap:
         counter = self.counter
         record_read = counter.record_posmap_path_read
         record_write = counter.record_posmap_path_write
-        timing = self.timing
-        charge = None if timing is None else timing.charge_path_transfer
 
         top = self._top
         top_index = block_id // steps[0][1]
@@ -420,9 +417,7 @@ class PositionMap:
             # and hits both refresh the block's label
             if not hit:
                 fused_fetch(read_path_ids, labels, stash, leaf)
-                record_read(path_bytes)
-                if charge is not None:
-                    charge(path_buckets, path_bytes)
+                record_read(path_buckets, path_bytes)
                 if read_stream is not None:
                     read_stream.append(leaf)
                 # oblivious: allow[OBL001] integrity check; aborts loudly
@@ -448,9 +443,7 @@ class PositionMap:
                     stash, groups, caps, level_base, node_base, slots, occ,
                     depth, leaf,
                 )
-                record_write(path_bytes)
-                if charge is not None:
-                    charge(path_buckets, path_bytes)
+                record_write(path_buckets, path_bytes)
             leaf = next_leaf
         return leaf
 

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
-from repro.memory.timing import TimingModel
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
@@ -72,7 +71,6 @@ class SuperblockPolicyMixin:
         mode: SuperblockMode = SuperblockMode.DYNAMIC,
         merge_threshold: int = 2,
         history_window: int = 64,
-        timing: Optional[TimingModel] = None,
         counter: Optional[TrafficCounter] = None,
         eviction: Optional[EvictionPolicy] = None,
         rng: Optional[np.random.Generator] = None,
@@ -86,7 +84,6 @@ class SuperblockPolicyMixin:
             raise ConfigurationError("history_window must be >= 1")
         super().__init__(
             config,
-            timing=timing,
             counter=counter,
             eviction=eviction,
             rng=rng,
@@ -194,7 +191,6 @@ class SuperblockPolicyMixin:
             return super().access(block_id, op, new_payload)
 
         self.counter.record_logical_access()
-        self.timing.charge_client_overhead()
 
         handle = self._stash_lookup(block_id)
         read_leaf: Optional[int] = None
@@ -207,7 +203,7 @@ class SuperblockPolicyMixin:
                     f"block {block_id} missing from both stash and its path"
                 )
         else:
-            self._stash_hits += 1
+            self.counter.record_stash_hit()
         payload = self._serve(handle, op, new_payload)
 
         # All group members currently resident in the stash are remapped to a

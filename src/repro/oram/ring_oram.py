@@ -9,7 +9,10 @@ accesses following the reverse-lexicographic leaf order.
 This is a faithful-but-simplified model: XOR-compression of the online read
 and the exact metadata layout of the original paper are abstracted away, but
 the quantities the comparison cares about — blocks moved per access, eviction
-frequency, stash behaviour — follow the protocol.
+frequency, stash behaviour — follow the protocol.  A reshuffle is counted
+as what it moves, a one-bucket dummy read and write, and as a reshuffle
+(``TrafficCounter.record_reshuffle``), so the clock priced from the
+counters takes it as one request.
 
 The protocol lives in :class:`RingProtocolMixin`, written against the
 storage hooks of :class:`~repro.oram.engine.TreeORAMEngine`, so the same
@@ -26,7 +29,6 @@ import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
-from repro.memory.timing import TimingModel
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine, ObjectStorageEngine
@@ -52,7 +54,7 @@ class RingProtocolMixin:
 
     The mixin owns every protocol decision — online single-block reads,
     the per-bucket dummy budget, scheduled reverse-lexicographic evictions —
-    and all counter/timing charges.  Storage backends only move blocks, so
+    and every traffic count.  Storage backends only move blocks, so
     the per-object and array engines are decision-identical by construction.
     """
 
@@ -61,7 +63,6 @@ class RingProtocolMixin:
         config: ORAMConfig,
         dummies_per_bucket: int = 4,
         evict_rate: int = 4,
-        timing: Optional[TimingModel] = None,
         counter: Optional[TrafficCounter] = None,
         rng: Optional[np.random.Generator] = None,
         observer=None,
@@ -80,7 +81,6 @@ class RingProtocolMixin:
         self.evict_rate = evict_rate
         super().__init__(
             config,
-            timing=timing,
             counter=counter,
             rng=rng,
             observer=observer,
@@ -111,7 +111,6 @@ class RingProtocolMixin:
         """Perform one RingORAM access (online read + scheduled evictions)."""
         self._check_block_id(block_id)
         self.counter.record_logical_access()
-        self.timing.charge_client_overhead()
 
         handle = self._stash_detach(block_id)
         leaf = self.position_map.get(block_id)
@@ -154,7 +153,6 @@ class RingProtocolMixin:
         num_buckets = self.tree.depth + 1
         num_bytes = num_buckets * self.tree.stored_block_bytes
         self.counter.record_path_read(num_buckets, num_bytes, dummy=block_id is None)
-        self.timing.charge_path_transfer(num_buckets, num_bytes)
         if self.observer is not None:
             self.observer.observe_path(leaf, dummy=block_id is None)
         # oblivious: allow[OBL001] integrity check; aborts the run loudly
@@ -169,12 +167,11 @@ class RingProtocolMixin:
             self._bucket_read_counts[indices] >= self.dummies_per_bucket
         ]
         for index in exhausted.tolist():
-            slot_bytes = self._reshuffle_bytes((index + 1).bit_length() - 1)
             # A reshuffle reads and rewrites the whole bucket; contents stay
             # in place, only dummies are refreshed.
-            self.counter.record_path_read(1, slot_bytes, dummy=True)
-            self.counter.record_path_write(1, slot_bytes)
-            self.timing.charge_path_transfer(1, 2 * slot_bytes)
+            self.counter.record_reshuffle(
+                self._reshuffle_bytes((index + 1).bit_length() - 1)
+            )
             self._bucket_read_counts[index] = 0
 
     def _reshuffle_bytes(self, level: int) -> int:
@@ -188,14 +185,12 @@ class RingProtocolMixin:
         leaf = reverse_lexicographic_leaf(self._evict_counter, self.tree.depth)
         self._evict_counter += 1
         num_buckets, num_bytes = self.tree.path_cost(leaf)
-        # Charged before the stash takes the path, as every path read is.
+        # Counted before the stash takes the path, as every path read is.
         self.counter.record_path_read(num_buckets, num_bytes, dummy=True)
-        self.timing.charge_path_transfer(num_buckets, num_bytes)
         self._fetch_path(leaf)
 
         self._commit_write_back(leaf)
         self.counter.record_path_write(num_buckets, num_bytes)
-        self.timing.charge_path_transfer(num_buckets, num_bytes)
         self._bucket_read_counts[self.tree.path_bucket_indices(leaf)] = 0
 
 

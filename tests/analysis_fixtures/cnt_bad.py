@@ -28,16 +28,3 @@ class WrongClauseDriver:
             counter.add_bulk(logical)
         return logical
 
-
-class CountersOnlyFlushDriver:
-    # The clock is part of the flush: charged after the finally, a raise
-    # mid-trace leaves simulated time behind the counted traffic.
-    def _run_trace_fused(self, ids, counter, timing):  # EXPECT: CNT001
-        logical = 0
-        try:
-            for _block_id in ids:
-                logical += 1
-        finally:
-            counter.add_bulk(logical)
-        timing.charge_client_overhead(logical)
-        return logical

@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import LAORAMConfig
 from repro.core.laoram import LAORAMClient
 from repro.datasets.permutation import PermutationTraceGenerator
+from repro.memory.timing import PAPER_TIMING
 from repro.oram.config import ORAMConfig
 from repro.oram.path_oram import PathORAM
 
@@ -64,13 +65,14 @@ def bin_lists(plan) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
 def closed_form_clock(engine) -> float:
     """Simulated seconds as ``TrafficSnapshot`` and tree geometry spell them.
 
-    Independent of the timing model's own ledger: that groups charges by
-    transfer class, this groups by snapshot field (the model is linear in
-    requests, bucket activations and bytes), so the two round differently
-    and agree to ~1e-15, not bit for bit.  A charge that is lost, repeated
-    or priced at another class's geometry shows at 1e-12.
+    Independent of the counters the price reads besides the traffic totals:
+    recursion activations come from bytes and RingORAM's reshuffles from
+    bucket arithmetic, not from ``posmap_buckets_*`` and ``reshuffles``, and
+    the terms are summed in another order, so the two agree to ~1e-15, not
+    bit for bit.  An event that is lost, repeated or counted at another
+    geometry shows at 1e-12.
     """
-    snap, timing = engine.statistics, engine.timing
+    snap, timing = engine.statistics, PAPER_TIMING
     requests = snap.path_reads + snap.dummy_reads + snap.path_writes
     activations = snap.buckets_read + snap.buckets_written
     # RingORAM's reshuffle is counted as a read and a write of one bucket

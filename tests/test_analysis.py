@@ -80,7 +80,6 @@ def fixture_config() -> AnalysisConfig:
             "analysis_fixtures/cnt_bad.py": ("*._run_trace_fused",),
             "analysis_fixtures/cnt_good.py": ("*._run_trace_fused",),
         },
-        flush_helpers=frozenset({"_flush_counts"}),
         rng_allowed_modules=("repro/utils/rng.py",),
     )
 
@@ -266,16 +265,14 @@ class ArrayStorageEngine:
         counter.add_bulk(logical)
 '''
 
-_PLANT_COUNTERS_ONLY_FLUSH = '''
+_PLANT_NO_FLUSH = '''
 
 class ArrayStorageEngine:
     def _run_bins(self, bins, counter):
         logical = 0
-        try:
-            for _bin in bins:
-                logical += 1
-        finally:
-            counter.add_bulk(logical)
+        for _bin in bins:
+            logical += 1
+        return logical
 '''
 
 
@@ -305,7 +302,7 @@ def test_unmodified_scratch_copy_is_clean(tmp_path):
         # The fused path fetch lives beside its write-back half.
         (_PLANT_HOT_ALLOCATION, "ALLOC001", "write_back.py"),
         (_PLANT_UNGUARDED_FLUSH, "CNT001", "engine.py"),
-        (_PLANT_COUNTERS_ONLY_FLUSH, "CNT001", "engine.py"),
+        (_PLANT_NO_FLUSH, "CNT001", "engine.py"),
     ],
 )
 def test_planted_bug_is_caught(tmp_path, planted, rule, module):

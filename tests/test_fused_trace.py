@@ -60,7 +60,7 @@ def _state(engine):
         stash_rows = [(block.block_id, block.leaf) for block in stash]
     return (
         engine.statistics,
-        engine.timing.elapsed_s,
+        engine.simulated_time_s,
         engine.position_map.as_array().tolist(),
         stash_rows,
     )

@@ -54,3 +54,12 @@ class TestInsecureMemory:
         before = memory.simulated_time_s
         memory.read(0)
         assert memory.simulated_time_s > before
+
+    def test_clock_charges_no_client_overhead(self):
+        # A flat table has no position map or stash to look up: 100 reads
+        # are 100 one-bucket requests and nothing else.  With the engines'
+        # 2 us per access on top the clock would read 200 us more.
+        memory = InsecureMemory(ORAMConfig(num_blocks=64))
+        for block_id in range(100):
+            memory.read(block_id % 64)
+        assert memory.simulated_time_s == pytest.approx(0.0008061946418612611, rel=1e-12)

@@ -558,9 +558,9 @@ class TestKernelFailurePaths:
         assert failed.path_writes == before.statistics.path_writes
         # Stash hits fetch nothing, so the over-full engine serves them.
         resident = engine.stash.block_ids[:8]
-        hits = engine.stash_hits
+        hits = engine.statistics.stash_hits
         engine.access_many(resident)
-        assert engine.stash_hits == hits + 8
+        assert engine.statistics.stash_hits == hits + 8
         assert engine.trace_cursor == 24
         self.conserved(engine)
         assert engine.simulated_time_s == pytest.approx(
@@ -611,9 +611,9 @@ class TestKernelFailurePaths:
             assert len(engine.stash) > 12
             states = [checked()]
             # Stash hits fetch nothing, so the over-full engine serves them.
-            hits = engine.stash_hits
+            hits = engine.statistics.stash_hits
             run(engine.stash.block_ids[:8])
-            assert engine.stash_hits == hits + 8
+            assert engine.statistics.stash_hits == hits + 8
             return states + [checked()]
 
         states = overflow(client)

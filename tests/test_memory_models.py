@@ -1,11 +1,20 @@
 """Tests for the DRAM, interconnect and combined timing models."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError
+from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.sharded import ShardedRunner
+from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.channel import InterconnectModel
 from repro.memory.dram import DRAMModel
-from repro.memory.timing import TimingModel
+from repro.memory.timing import PAPER_TIMING, TimingModel
+from repro.oram.config import ORAMConfig
+from repro.oram.insecure import InsecureMemory
 
 
 class TestDRAMModel:
@@ -43,39 +52,143 @@ class TestInterconnectModel:
 
 
 class TestTimingModel:
-    def test_elapsed_accumulates(self):
-        timing = TimingModel()
-        timing.charge_path_transfer(10, 4096)
-        timing.charge_path_transfer(10, 4096)
-        assert timing.elapsed_s == pytest.approx(
-            2 * timing.path_transfer_delta(10, 4096)
+    """The model is a set of prices; simulated time is the price of counts."""
+
+    def test_prices_a_hand_built_snapshot(self):
+        timing = TimingModel(
+            dram=DRAMModel(row_access_latency_ns=50.0, bandwidth_gib_per_s=1.0),
+            interconnect=InterconnectModel(
+                request_latency_us=10.0, bandwidth_gib_per_s=2.0
+            ),
+            client_overhead_us=5.0,
+        )
+        snapshot = TrafficSnapshot(
+            logical_accesses=3,
+            path_reads=2,
+            path_writes=3,
+            dummy_reads=1,
+            buckets_read=30,
+            buckets_written=30,
+            bytes_read=3000,
+            bytes_written=3000,
+            stash_peak=7,
+            background_evictions=1,
+            posmap_path_reads=1,
+            posmap_path_writes=1,
+            posmap_bytes_read=200,
+            posmap_bytes_written=200,
+            posmap_buckets_read=4,
+            posmap_buckets_written=4,
+        )
+        requests, activations, moved = 2 + 1 + 3 + 1 + 1, 30 + 30 + 4 + 4, 6400
+        by_hand = (
+            3 * 5e-6
+            + requests * 10e-6
+            + activations * 50e-9
+            + moved / (1 << 30)
+            + moved / (2 << 30)
+        )
+        assert timing.elapsed_s(snapshot) == pytest.approx(by_hand, rel=1e-15)
+
+    def test_live_counter_and_its_snapshot_price_alike(self):
+        counter = TrafficCounter()
+        counter.record_logical_access(2)
+        counter.record_path_read(13, 7777)
+        counter.record_posmap_path_write(3, 96)
+        counter.record_reshuffle(96)
+        assert PAPER_TIMING.elapsed_s(counter) == PAPER_TIMING.elapsed_s(
+            counter.snapshot()
+        ) > 0.0
+
+    def test_a_reshuffle_costs_one_request_and_one_activation(self):
+        counter = TrafficCounter()
+        counter.record_reshuffle(96)
+        assert (counter.dummy_reads, counter.path_writes) == (1, 1)
+        assert (counter.buckets_read, counter.buckets_written) == (1, 1)
+        timing = PAPER_TIMING
+        assert timing.elapsed_s(counter) == pytest.approx(
+            timing.dram.access_time_s(1, 2 * 96)
+            + timing.interconnect.transfer_time_s(1, 2 * 96),
+            rel=1e-15,
         )
 
-    def test_elapsed_is_free_of_charge_order_and_grouping(self):
-        # 0.1-style deltas: a running float sum differs between these two.
-        one_by_one, grouped = TimingModel(), TimingModel()
-        for _ in range(1000):
-            one_by_one.charge_client_overhead()
-            one_by_one.charge_path_transfer(13, 7777)
-            one_by_one.charge_path_transfer(1, 96)
-        grouped.charge_path_transfer(1, 96, count=1000)
-        grouped.charge_path_transfer(13, 7777, count=1000)
-        grouped.charge_client_overhead(1000)
-        assert one_by_one.elapsed_s == grouped.elapsed_s > 0.0
+    def test_recursion_buckets_are_priced(self):
+        # A recursion path costs what a main-tree path of its shape costs.
+        main, posmap = TrafficCounter(), TrafficCounter()
+        main.record_path_read(5, 640)
+        main.record_path_write(5, 640)
+        posmap.record_posmap_path_read(5, 640)
+        posmap.record_posmap_path_write(5, 640)
+        flat = TrafficCounter()
+        flat.record_posmap_path_read(0, 640)
+        flat.record_posmap_path_write(0, 640)
+        assert PAPER_TIMING.elapsed_s(posmap) == PAPER_TIMING.elapsed_s(main)
+        assert PAPER_TIMING.elapsed_s(posmap) > PAPER_TIMING.elapsed_s(flat)
 
     def test_client_overhead(self):
+        counter = TrafficCounter()
+        counter.record_logical_access(4)
         timing = TimingModel(client_overhead_us=5.0)
-        timing.charge_client_overhead(4)
-        assert timing.elapsed_s == pytest.approx(20e-6)
-
-    def test_reset(self):
-        timing = TimingModel()
-        timing.charge_path_transfer(5, 1024)
-        timing.reset()
-        assert timing.elapsed_s == 0.0
+        assert timing.elapsed_s(counter) == pytest.approx(20e-6)
 
     def test_bigger_paths_cost_more(self):
-        timing = TimingModel()
-        small = timing.path_transfer_delta(10, 1024)
-        large = timing.path_transfer_delta(10, 1024 * 1024)
-        assert large > small
+        small, large = TrafficCounter(), TrafficCounter()
+        small.record_path_read(10, 1024)
+        large.record_path_read(10, 1024 * 1024)
+        assert PAPER_TIMING.elapsed_s(large) > PAPER_TIMING.elapsed_s(small)
+
+    def test_holds_prices_only(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PAPER_TIMING.client_overhead_us = 0.0
+        assert [spec.name for spec in dataclasses.fields(TimingModel)] == [
+            "dram", "interconnect", "client_overhead_us",
+        ]
+
+    def test_sharded_serial_clock_is_the_price_of_the_merged_snapshot(self):
+        trace = ZipfTraceGenerator(1024, exponent=1.1, seed=5).generate(600)
+        runner = ShardedRunner(
+            num_blocks=1024, num_shards=4, family="ringoram", seed=2
+        )
+        runner.run_trace(trace.addresses)
+        assert runner.merged_snapshot().reshuffles > 0
+        assert runner.simulated_time_serial_s == pytest.approx(
+            PAPER_TIMING.elapsed_s(runner.merged_snapshot()), rel=1e-12
+        )
+
+
+RESET_LABELS = ("PathORAM", "Fat/S4", "RingORAM", "PrORAM-dynamic/S2")
+
+
+class TestClockFollowsTheCounters:
+    """There is no second ledger: resetting the counters resets the clock."""
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    @pytest.mark.parametrize("fast", [False, True], ids=["reference", "array"])
+    @pytest.mark.parametrize("label", RESET_LABELS)
+    def test_counter_reset_zeroes_the_clock(self, label, fast, recursive):
+        config = build_oram_config(
+            num_blocks=256,
+            seed=4,
+            recursive_posmap=recursive,
+            posmap_positions_per_block=4,
+            posmap_cutoff_bytes=64,
+        )
+        engine = build_engine(label, config, fast=fast)
+        trace = np.random.default_rng(8).integers(0, 256, size=200)
+        engine.run_trace(trace)
+        assert engine.simulated_time_s > 0.0
+        engine.counter.reset()
+        assert engine.statistics.logical_accesses == 0
+        assert engine.simulated_time_s == 0.0
+        engine.run_trace(trace[:10])
+        assert engine.simulated_time_s == pytest.approx(
+            PAPER_TIMING.elapsed_s(engine.statistics), rel=0
+        )
+
+    def test_insecure_counter_reset_zeroes_the_clock(self):
+        memory = InsecureMemory(ORAMConfig(num_blocks=64))
+        for block_id in range(64):
+            memory.read(block_id)
+        assert memory.simulated_time_s > 0.0
+        memory.counter.reset()
+        assert memory.simulated_time_s == 0.0

@@ -159,9 +159,9 @@ class TestWriteOp:
     def test_stash_hit_counter(self, small_config):
         oram = PathORAM(small_config)
         oram.read(1)
-        hits_before = oram.stash_hits
+        hits_before = oram.statistics.stash_hits
         # The block may or may not be in the stash; force a hit by reading a
         # block known to be stashed if any exist.
         if oram.stash.block_ids:
             oram.read(oram.stash.block_ids[0])
-            assert oram.stash_hits == hits_before + 1
+            assert oram.statistics.stash_hits == hits_before + 1

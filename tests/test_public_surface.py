@@ -76,10 +76,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.oram.bucket.Bucket.find": (
         "tests/test_tree.py finds a placed block in its bucket through it"
     ),
-    "repro.oram.engine.TreeORAMEngine.stash_hits": (
-        "tests/test_trace_contract.py compares it between twins; "
-        "tests/test_laoram.py counts served hits"
-    ),
     "repro.oram.pr_oram.SuperblockPolicyMixin.merged_group_count": (
         "tests/test_pr_oram.py and tests/test_fused_trace.py compare merges through it"
     ),

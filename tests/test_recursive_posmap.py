@@ -274,33 +274,37 @@ class TestPosmapCounters:
 
     def test_record_and_snapshot(self):
         counter = TrafficCounter()
-        counter.record_posmap_path_read(100)
-        counter.record_posmap_path_read(100)
-        counter.record_posmap_path_write(80)
+        counter.record_posmap_path_read(5, 100)
+        counter.record_posmap_path_read(5, 100)
+        counter.record_posmap_path_write(4, 80)
         counter.record_logical_access(4)
         snapshot = counter.snapshot()
         assert snapshot.posmap_path_reads == 2
         assert snapshot.posmap_path_writes == 1
         assert snapshot.posmap_bytes_read == 200
         assert snapshot.posmap_bytes_written == 80
+        assert snapshot.posmap_buckets_read == 10
+        assert snapshot.posmap_buckets_written == 4
         assert snapshot.posmap_total_bytes == 280
         assert snapshot.posmap_path_reads / snapshot.logical_accesses == pytest.approx(0.5)
 
     def test_reset_clears_posmap_fields(self):
         counter = TrafficCounter()
-        counter.record_posmap_path_read(100)
+        counter.record_posmap_path_read(5, 100)
         counter.reset()
         assert counter.snapshot().posmap_total_bytes == 0
+        assert counter.snapshot().posmap_buckets_read == 0
 
     def test_merge_sums_posmap_fields(self):
         first = TrafficCounter()
-        first.record_posmap_path_read(10)
+        first.record_posmap_path_read(2, 10)
         second = TrafficCounter()
-        second.record_posmap_path_write(20)
+        second.record_posmap_path_write(3, 20)
         merged = merge_snapshots([first.snapshot(), second.snapshot()])
         assert merged.posmap_path_reads == 1
         assert merged.posmap_path_writes == 1
         assert merged.posmap_total_bytes == 30
+        assert merged.posmap_buckets_read + merged.posmap_buckets_written == 5
 
 
 class TestRecursionTreeUniformity:
@@ -384,9 +388,9 @@ class TestFailurePathsUnderRecursion:
     """A raise mid-trace leaves a recursive fast engine consistent.
 
     The bin kernel defers its counts in locals while the recursion walks
-    charge the engine's ``counter`` / ``timing`` directly, so every exit —
-    the kernel's own raises and a raise from inside a walk — must flush
-    without losing or repeating a charge.  (RingORAM and PrORAM run the
+    count into the engine's ``counter`` directly, so every exit — the
+    kernel's own raises and a raise from inside a walk — must flush without
+    losing or repeating a count.  (RingORAM and PrORAM run the
     generic loop, the oracle these tests compare with.)
     """
 
@@ -533,7 +537,7 @@ class TestFailurePathsUnderRecursion:
         resident = list(engine.stash.block_ids)
         walks = engine.statistics.posmap_path_reads
         engine.run_trace(resident)
-        assert engine.stash_hits >= len(resident)
+        assert engine.statistics.stash_hits >= len(resident)
         assert engine.statistics.posmap_path_reads > walks
         assert engine.simulated_time_s == pytest.approx(
             closed_form_clock(engine), rel=1e-12

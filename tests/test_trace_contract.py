@@ -290,9 +290,7 @@ def test_per_access_hooks_match_the_object_engine_on_a_large_stash(label, recurs
             if index % 40 == 0:
                 engine.dummy_access()
         state = engine_state(engine)
-        state.update(
-            stash_hits=engine.stash_hits, stash_history=list(counter.stash_history)
-        )
+        state.update(stash_history=list(counter.stash_history))
         states.append(state)
         peaks.append(counter.snapshot().stash_peak)
     assert_twins_agree(*states)
@@ -341,7 +339,6 @@ def test_fast_lookahead_bins_match_the_object_client(label, recursive, window):
         state = engine_state(engine)
         state.update(
             trace_cursor=engine.trace_cursor,
-            stash_hits=engine.stash_hits,
             stash_history=list(counter.stash_history),
         )
         states.append(state)
@@ -437,7 +434,6 @@ def test_remaps_by_position_match_the_object_client_across_a_deviation(
         return dict(
             engine_state(engine),
             trace_cursor=engine.trace_cursor,
-            stash_hits=engine.stash_hits,
             consumed=dict(engine.plan.consumed_up_to),
         )
 
@@ -548,12 +544,13 @@ CLOCK_LABELS = ("PathORAM", "RingORAM", "PrORAM-dynamic/S2", "Fat/S8")
 def test_the_clock_is_the_closed_form_of_the_counters(label, recursive):
     """Through every entry point and both failure paths, on both twins.
 
-    ``closed_form_clock`` prices the snapshot's totals; the engine prices
-    its charges class by class.  They meet at 1e-12 only if every event was
-    charged once, at its own geometry — main-tree paths, each recursion
-    level's paths, RingORAM's online reads, evict-paths and per-level
-    reshuffles — by the reference engine one event at a time and by the
-    array engine once per driver call, and twins meet with ``==``.
+    The engine prices its counters, recursion buckets and reshuffles
+    included; ``closed_form_clock`` derives those two from bytes and bucket
+    arithmetic instead.  They meet at 1e-12 only if every event was counted
+    once, at its own geometry — main-tree paths, each recursion level's
+    paths, RingORAM's online reads, evict-paths and per-level reshuffles —
+    by the reference engine one event at a time and by the array engine
+    once per driver call, and twins meet with ``==``.
     """
     trace = mixed_trace()
     rows = [("written", i) for i in range(len(trace))]
