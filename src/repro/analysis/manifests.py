@@ -188,11 +188,11 @@ _PATH_REVEAL = (
 _ENGINE_SOURCES = ModuleSources(
     params=frozenset({"bins", "block_id", "block_ids", "stash_map", "groups"}),
     attrs=frozenset({"entries", "stash"}),
-    # leaf_access() hands out the tag view and the get/set accessors: all
-    # three are secret, and so is every leaf ``get`` returns.
+    # leaf_access() hands out the tag view and the update accessor: both
+    # are secret, and so is every old leaf ``update`` returns.
     calls=frozenset(
         {
-            "position_map.get",
+            "position_map.update",
             "position_map.leaf_access",
             "_stash_lookup",
             "_stash_detach",
@@ -222,7 +222,7 @@ _PRORAM_SOURCES = ModuleSources(
             "_recent_block_counts",
         }
     ),
-    calls=frozenset({"position_map.get", "_stash_lookup", "_stash_detach"}),
+    calls=frozenset({"position_map.update", "_stash_lookup", "_stash_detach"}),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -235,8 +235,8 @@ _WRITE_BACK_SOURCES = ModuleSources(
 
 _POSITION_MAP_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids"}),
-    attrs=frozenset({"stash", "labels", "_top", "_entries", "_pending"}),
-    calls=frozenset({"_walk", "position_map.get"}),
+    attrs=frozenset({"stash", "labels", "_top", "_entries"}),
+    calls=frozenset({"_walk", "position_map.update"}),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -280,8 +280,7 @@ def default_config() -> AnalysisConfig:
             ),
             "repro/oram/position_map.py": (
                 "PositionMap._walk",
-                "PositionMap.get",
-                "PositionMap.set",
+                "PositionMap.update",
             ),
         },
         # The tree's arrays under every name they are bound by: the numpy

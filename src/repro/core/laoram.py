@@ -313,9 +313,18 @@ class LookaheadClientMixin:
         return self._planned_leaf(block_id, after_index=self._trace_cursor)
 
     def _planned_leaf(self, block_id: int, after_index: int) -> int:
+        """The plan's next leaf for ``block_id``, else the stream's next.
+
+        A plan leaf is range-checked as it is decided, before any update: a
+        plan built for another tree fails here on both clients.
+        """
         if self._plan is not None:
             leaf = self._plan.consume_next_leaf(block_id, after_index)
             if leaf is not None:
+                if not 0 <= leaf < self._num_leaves:
+                    raise ConfigurationError(
+                        f"planned leaf {leaf} outside [0, {self._num_leaves})"
+                    )
                 return leaf
         return self._draw_leaf()
 
@@ -455,37 +464,41 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
         self.counter.record_logical_access(len(block_ids))
         end_index = self._trace_cursor + len(block_ids) - 1
 
-        # Group the blocks that are not cached in the stash by their current
-        # path, then fetch each distinct path exactly once.
-        read_leaves: list[int] = []
+        # Decide every distinct block's next leaf first: the path of its
+        # *next* planned occurrence (uniform random when the plan runs out).
+        remaps = {b: self._planned_leaf(b, after_index=end_index) for b in needed}
         missing = [b for b in needed if b not in self.stash]
-        self.counter.record_stash_hit(len(needed) - len(missing))
-        if missing:
-            leaves = {}
-            for block_id in missing:
-                leaves.setdefault(self.position_map.get(block_id), []).append(block_id)
-            read_leaves = list(leaves)
-            for leaf in read_leaves:
-                self._read_path_into_stash(leaf, dummy=False)
+        hits = [b for b in needed if b in self.stash]
+        self.counter.record_stash_hit(len(hits))
 
-        payloads: list[Optional[object]] = []
-        for block_id in block_ids:
+        # Path ORAM's order per missing block: the update returns the path it
+        # sits on, read unless an earlier block of the bin read it already
+        # (which brought the block in under its old label).  Each distinct
+        # path is fetched exactly once; a raise leaves every block either
+        # updated and stashed or untouched.
+        read_leaves: list[int] = []
+        for block_id in missing:
+            leaf = self.position_map.update(block_id, remaps[block_id])
+            if leaf not in read_leaves:
+                read_leaves.append(leaf)
+                self._read_path_into_stash(leaf, dummy=False)
             block = self.stash.get(block_id)
             if block is None:
                 raise BlockNotFoundError(
                     f"block {block_id} missing from both stash and its path"
                 )
+            block.leaf = remaps[block_id]
+
+        payloads: list[Optional[object]] = []
+        for block_id in block_ids:
+            block = self.stash.get(block_id)
             if new_payloads is not None and block_id in new_payloads:
                 block.payload = new_payloads[block_id]
             payloads.append(block.payload)
 
-        # Remap every distinct block of the bin to the path of its *next*
-        # planned occurrence (uniform random when the plan runs out).
-        for block_id in needed:
-            block = self.stash.get(block_id)
-            new_leaf = self._planned_leaf(block_id, after_index=end_index)
-            block.leaf = new_leaf
-            self.position_map.set(block_id, new_leaf)
+        # The stash hits' updates follow the fetch, in the bin's order.
+        for block_id in hits:
+            self._update_leaf(block_id, remaps[block_id])
 
         # Path by path: a later write-back finds the buckets it shares with
         # an earlier one already refilled.

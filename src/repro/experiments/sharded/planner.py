@@ -14,7 +14,7 @@ specs, so a fixed seed gives bit-identical engines in either mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class ShardEngineSpec:
     superblock_size: int
     block_size_bytes: int
     fat_tree: bool
-    lookahead_accesses: Optional[int]
     seed: int
     use_fast_engine: bool
     proram_mode: SuperblockMode
@@ -61,11 +60,7 @@ class ShardEngineSpec:
         )
         if self.family == "laoram":
             return engine_cls(
-                LAORAMConfig(
-                    oram=oram_config,
-                    superblock_size=self.superblock_size,
-                    lookahead_accesses=self.lookahead_accesses,
-                )
+                LAORAMConfig(oram=oram_config, superblock_size=self.superblock_size)
             )
         if self.family == "proram":
             return engine_cls(
@@ -92,7 +87,6 @@ class ShardPlanner:
         superblock_size: int = 4,
         block_size_bytes: int = 128,
         fat_tree: bool = False,
-        lookahead_accesses: Optional[int] = None,
         seed: int = 0,
         use_fast_engine: bool = True,
         proram_mode: SuperblockMode = SuperblockMode.DYNAMIC,
@@ -115,7 +109,6 @@ class ShardPlanner:
         self.superblock_size = superblock_size
         self.block_size_bytes = block_size_bytes
         self.fat_tree = fat_tree
-        self.lookahead_accesses = lookahead_accesses
         self.seed = seed
         self.use_fast_engine = use_fast_engine
         self.proram_mode = proram_mode
@@ -147,9 +140,10 @@ class ShardPlanner:
     def split_ids(self, block_ids: Sequence[int]) -> dict[int, list[int]]:
         """Group global ids by shard as local ids, preserving arrival order.
 
-        Serving-path counterpart of :meth:`split_trace`: returns only the
-        shards that actually appear, as plain lists (cheap for the small
-        batches the asyncio front-end coalesces).
+        Serving-path counterpart of :meth:`split_trace`: each id goes to
+        :meth:`shard_of` as its :meth:`local_id`.  Returns only the shards
+        that actually appear, as plain lists (cheap for the small batches
+        the asyncio front-end coalesces).
         """
         routed: dict[int, list[int]] = {}
         for block_id in block_ids:
@@ -173,7 +167,6 @@ class ShardPlanner:
             superblock_size=self.superblock_size,
             block_size_bytes=self.block_size_bytes,
             fat_tree=self.fat_tree,
-            lookahead_accesses=self.lookahead_accesses,
             seed=self.seed + shard_id,
             use_fast_engine=self.use_fast_engine,
             proram_mode=self.proram_mode,

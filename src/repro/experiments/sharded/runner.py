@@ -85,7 +85,6 @@ class ShardedRunner:
         superblock_size: int = 4,
         block_size_bytes: int = 128,
         fat_tree: bool = False,
-        lookahead_accesses: Optional[int] = None,
         seed: int = 0,
         use_fast_engine: bool = True,
         proram_mode: SuperblockMode = SuperblockMode.DYNAMIC,
@@ -99,7 +98,6 @@ class ShardedRunner:
             superblock_size=superblock_size,
             block_size_bytes=block_size_bytes,
             fat_tree=fat_tree,
-            lookahead_accesses=lookahead_accesses,
             seed=seed,
             use_fast_engine=use_fast_engine,
             proram_mode=proram_mode,
@@ -150,18 +148,6 @@ class ShardedRunner:
     # ------------------------------------------------------------------
     # Shard geometry (delegated to the planner)
     # ------------------------------------------------------------------
-    def shard_of(self, block_id: int) -> int:
-        """Shard owning ``block_id``."""
-        return self._planner.shard_of(block_id)
-
-    def local_id(self, block_id: int) -> int:
-        """``block_id``'s identifier inside its shard's namespace."""
-        return self._planner.local_id(block_id)
-
-    def shard_num_blocks(self, shard_id: int) -> int:
-        """Number of global block ids routed to ``shard_id``."""
-        return self._planner.shard_num_blocks(shard_id)
-
     def split_trace(self, addresses: Sequence[int] | np.ndarray) -> list[np.ndarray]:
         """Route a global trace into per-shard local-id traces, order kept."""
         return self._planner.split_trace(addresses)

@@ -170,7 +170,12 @@ class TreeORAMEngine(ObliviousMemory):
         # behaviour: hits are counted, and callers needing uniform
         # traffic issue dummy_access explicitly (see docs/static_analysis.md)
         if handle is None:
-            leaf = self.position_map.get(block_id)
+            # Path ORAM's order: the new leaf is decided and installed by
+            # the map access that reads the old one, before the path read;
+            # the fetched block comes off the path under the new label.
+            leaf = self.position_map.update(
+                block_id, self._choose_new_leaf(block_id)
+            )
             self._read_path_into_stash(leaf, dummy=False)
             handle = self._stash_lookup(block_id)
             # oblivious: allow[OBL001] integrity check; a missing block aborts
@@ -180,12 +185,11 @@ class TreeORAMEngine(ObliviousMemory):
                     f"block {block_id} missing from both stash and its path"
                 )
             payload = self._serve(handle, op, new_payload)
-            self._remap(handle)
             self._write_back(leaf)
         else:
             self.counter.record_stash_hit()
             payload = self._serve(handle, op, new_payload)
-            self._remap(handle)
+            self._update_leaf(block_id, self._choose_new_leaf(block_id))
 
         self._maybe_background_evict()
         self.counter.observe_stash(len(self.stash))
@@ -312,7 +316,7 @@ class TreeORAMEngine(ObliviousMemory):
         ``metadata_bytes_per_block`` component (MACs) exists only on the
         server wire format and is never held by the client.  The position
         map term covers the dense array or, under ``recursive_posmap``,
-        the recursion top map, per-level stash residue and open walks.
+        the recursion top map and per-level stash residue.
         """
         stash_bytes = len(self.stash) * (
             self.config.block_size_bytes + self.STASH_ENTRY_OVERHEAD_BYTES
@@ -361,19 +365,20 @@ class TreeORAMEngine(ObliviousMemory):
         raise NotImplementedError
 
     def _update_leaf(self, block_id: int, leaf: int) -> None:
-        """Reassign a *stashed* block's leaf in the position map and stash."""
+        """Remap a *stashed* block: one position-map update, then its stash label."""
         raise NotImplementedError
 
     def _serve(self, handle, op: AccessOp, new_payload: Optional[object]):
         """Apply the read/write to a stashed block and return its payload."""
         raise NotImplementedError
 
-    def _remap(self, handle) -> None:
-        """Assign a stashed block a fresh leaf via :meth:`_choose_new_leaf`."""
-        raise NotImplementedError
-
     def _fetch_path(self, leaf: int) -> None:
-        """Move every real block on the path to ``leaf`` into the stash."""
+        """Move every real block on the path to ``leaf`` into the stash.
+
+        A fetched block takes the position map's label (the tag it carries
+        on the wire), so a block whose update preceded the read arrives
+        under its new leaf, and a raise leaves stash and map agreeing.
+        """
         raise NotImplementedError
 
     def _commit_write_back(self, leaf: int) -> None:
@@ -473,9 +478,8 @@ class ObjectStorageEngine(TreeORAMEngine):
         self.stash.add(handle)
 
     def _update_leaf(self, block_id: int, leaf: int) -> None:
-        block = self.stash.get(block_id)
-        block.leaf = leaf
-        self.position_map.set(block_id, leaf)
+        self.position_map.update(block_id, leaf)
+        self.stash.get(block_id).leaf = leaf
 
     # -- access hooks ---------------------------------------------------
     def _serve(
@@ -485,15 +489,14 @@ class ObjectStorageEngine(TreeORAMEngine):
             handle.payload = new_payload
         return handle.payload
 
-    def _remap(self, handle: Block) -> None:
-        """Assign the block a fresh path and update the position map."""
-        new_leaf = self._choose_new_leaf(handle.block_id)
-        handle.leaf = new_leaf
-        self.position_map.set(handle.block_id, new_leaf)
-
     def _fetch_path(self, leaf: int) -> None:
-        """The whole path lands in the stash before an overflow raises."""
-        self.stash.extend(self.tree.read_path(leaf))
+        """The whole path lands in the stash, under the map's labels, before
+        an overflow raises."""
+        blocks = self.tree.read_path(leaf)
+        tags = self.position_map.leaf_access()[0]
+        for block in blocks:
+            block.leaf = tags.item(block.block_id)
+        self.stash.extend(blocks)
 
     def _commit_write_back(self, leaf: int) -> None:
         placement = self._plan_write_back(leaf)
@@ -623,7 +626,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         self.stash.add(handle, leaf)
 
     def _update_leaf(self, block_id: int, leaf: int) -> None:
-        self.position_map.set(block_id, leaf)
+        self.position_map.update(block_id, leaf)
         self.stash.set_leaf(block_id, leaf)
 
     # -- access hooks ---------------------------------------------------
@@ -633,17 +636,6 @@ class ArrayStorageEngine(TreeORAMEngine):
         if op is AccessOp.WRITE:
             self._payloads[handle] = new_payload
         return self._payloads.get(handle)
-
-    def _remap(self, handle: int) -> None:
-        """Assign the block a fresh path (position map + stash entry).
-
-        Remap always happens while the block sits in the stash, so both the
-        authoritative position-map entry and the stash's leaf are updated
-        together.
-        """
-        leaf = self._choose_new_leaf(handle)
-        self.position_map.set(handle, leaf)
-        self.stash.set_leaf(handle, leaf)
 
     def _fetch_path(self, leaf: int) -> None:
         """The kernel's path read, then the capacity check it makes after it.
@@ -724,19 +716,21 @@ class ArrayStorageEngine(TreeORAMEngine):
 
         Mirrors ``LAORAMClient.access_superblock`` decision for decision on
         the stash's dict (id -> leaf, insertion ordered as the reference
-        stash is, so every write-back tie-break is the same): stash hits are
-        free, the missing blocks are grouped by current path in
-        first-encounter order and each distinct path is fetched once, every
-        distinct block is remapped in place — to the bin's precomputed leaf,
-        else to what the plan hands out, else (``-1`` or no plan) to the
-        next leaf of the engine's one stream — and each path read is written
-        back, path by path.  A path its own fetch just emptied — a bin's
-        first, every dummy read's — takes ``fused_greedy_write_back``; a
-        later path of the bin finds the buckets it shares with an earlier
-        one refilled and takes the occupancy-aware
-        ``fused_shared_write_back``.  Background eviction runs inline.  A
-        one-id bin (every PathORAM access) is its own distinct-id list and
-        reads the one leaf of its block, with no deduplication pass.
+        stash is, so every write-back tie-break is the same).  Every
+        distinct block's new leaf is decided first, in the bin's order — the
+        bin's precomputed leaf, else what the plan hands out, else (``-1``
+        or no plan) the next leaf of the engine's one stream.  Then, in Path
+        ORAM's order, each missing block's ``update`` installs it and
+        returns the path the block sits on, fetched unless the bin read it
+        already, so each distinct path is read once in first-encounter
+        order; the stash hits' updates follow, free of traffic but for
+        their walks.  Each path read is written back, path by path.  A path
+        its own fetch just emptied — a bin's first, every dummy read's —
+        takes ``fused_greedy_write_back``; a later path of the bin finds the
+        buckets it shares with an earlier one refilled and takes the
+        occupancy-aware ``fused_shared_write_back``.  Background eviction
+        runs inline.  A one-id bin (every PathORAM access) is its own
+        distinct-id list, with no deduplication pass.
 
         The stream's prefetched block is bound as locals: the fallback
         remaps and the dummy reads take their leaves from it, in the order
@@ -752,8 +746,9 @@ class ArrayStorageEngine(TreeORAMEngine):
         path geometry, so buckets and bytes are the path counts multiplied
         out — so a raise mid-window leaves the engine
         consistent and able to serve the next call: the capacity check runs
-        after a path's blocks entered the stash, so an overflow loses
-        nothing.  A raise also drops the plan — the plan counts the whole of
+        after a path's blocks entered the stash, under the map's labels, and
+        a block not yet updated still sits where the map says, so an
+        overflow loses nothing.  A raise also drops the plan — the plan counts the whole of
         the bin's precomputed remaps as handed out when only some were, and
         its lookups would no longer be the reference client's — so later
         remaps draw uniformly.
@@ -775,7 +770,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         leaf_buf = self._leaf_buf
         leaf_pos = self._leaf_buf_pos
 
-        tags, get_leaf, set_leaf = self.position_map.leaf_access()
+        tags, update = self.position_map.leaf_access()
         slots = tree.slot_view
         caps = tree.bucket_capacities
         level_base = tree.level_base
@@ -801,7 +796,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                 # oblivious: allow[ALLOC001] one distinct-id list per bin of
                 # several ids; a one-id bin is its own
                 needed = block_ids if count == 1 else list(dict.fromkeys(block_ids))
-                missing = []
                 for block_id in needed:
                     # oblivious: allow[OBL001] bounds check against the public
                     # num_blocks; invalid ids abort the run loudly
@@ -809,54 +803,17 @@ class ArrayStorageEngine(TreeORAMEngine):
                         raise BlockNotFoundError(
                             f"block {block_id} outside [0, {num_blocks})"
                         )
-                    # oblivious: allow[OBL001] fused replay of the bin's
-                    # stash-hit fast path — hits counted the same
-                    if block_id not in stash_map:
-                        missing.append(block_id)
                 logical += count
-                hits += len(needed) - len(missing)
 
-                read_leaves = ()
-                # oblivious: allow[OBL001] a bin whose blocks are all stashed
-                # fetches nothing: the modeled stash-hit behaviour
-                if missing:
-                    if len(missing) == 1:
-                        # oblivious: allow[ALLOC001] the one-leaf list of a
-                        # bin that reads one path
-                        read_leaves = [get_leaf(missing[0])]
-                    else:
-                        # oblivious: allow[ALLOC001] the distinct paths of a
-                        # bin that reads several
-                        read_leaves = list(dict.fromkeys(map(get_leaf, missing)))
-                    # oblivious: allow[OBL002] a bin fetches each distinct path
-                    # its missing blocks sit on: the protocol's observable,
-                    # every one a uniform independent draw (paper, Sec. VI)
-                    for leaf in read_leaves:
-                        fetch(read_ids, tags, stash_map, leaf)
-                        path_reads += 1
-                        if observer is not None:
-                            observer.observe_path(leaf, dummy=False)
-                        # oblivious: allow[OBL001] stash-capacity check:
-                        # overflow is PathORAM's stated failure event and
-                        # aborts the run
-                        if capacity is not None and len(stash_map) > capacity:
-                            raise StashOverflowError(
-                                f"stash exceeded its capacity of {capacity} blocks"
-                            )
-                    for block_id in missing:
-                        # oblivious: allow[OBL001] integrity check; aborts the run
-                        if block_id not in stash_map:
-                            raise BlockNotFoundError(
-                                f"block {block_id} missing from both stash "
-                                "and its path"
-                            )
-
-                # Remap every distinct block to its next planned occurrence,
-                # in the position map and in the stash together.  Plan
-                # leaves are range-checked (the dense accessor is the bare
-                # array write) so a plan built for a different tree fails
-                # here, exactly where the per-object client would.
+                # Decide every distinct block's next leaf, in the bin's order:
+                # its next planned occurrence, else the stream's next leaf.
+                # Plan leaves are range-checked (the dense update is the
+                # bare array write) so a plan built for a different tree
+                # fails here, before any update, as the per-object client does.
                 end_index = start_index + count - 1
+                remaps = []
+                missing = []
+                stashed = []
                 for position, block_id in enumerate(needed):
                     # oblivious: allow[OBL001] where the new leaf comes
                     # from is client-side: no traffic either way
@@ -883,8 +840,58 @@ class ArrayStorageEngine(TreeORAMEngine):
                         raise ConfigurationError(
                             f"planned leaf {leaf} outside [0, {num_leaves})"
                         )
-                    set_leaf(block_id, leaf)
-                    stash_map[block_id] = leaf
+                    remaps.append(leaf)
+                    # oblivious: allow[OBL001] fused replay of the bin's
+                    # stash-hit fast path — hits counted the same
+                    if block_id in stash_map:
+                        stashed.append(position)
+                    else:
+                        missing.append(position)
+                hits += len(stashed)
+
+                # Path ORAM's order per missing block: its update returns the
+                # path it sits on, fetched unless an earlier block of the bin
+                # read it already (which brought the block in under its old
+                # label).  A fetched block takes its tag, the new label; a
+                # raise leaves every block updated and stashed, or untouched.
+                # The bin's lists hold positions, not (id, leaf) pairs: a
+                # tuple per id fragmented the heap (+1.6 MiB peak RSS on the
+                # suite's replay_laoram).
+                read_leaves = []
+                for position in missing:
+                    block_id = needed[position]
+                    new_leaf = remaps[position]
+                    leaf = update(block_id, new_leaf)
+                    # oblivious: allow[OBL001] a bin fetches each distinct path
+                    # its missing blocks sit on: the protocol's observable,
+                    # every one a uniform independent draw (paper, Sec. VI)
+                    if leaf not in read_leaves:
+                        read_leaves.append(leaf)
+                        fetch(read_ids, tags, stash_map, leaf)
+                        path_reads += 1
+                        if observer is not None:
+                            observer.observe_path(leaf, dummy=False)
+                        # oblivious: allow[OBL001] stash-capacity check:
+                        # overflow is PathORAM's stated failure event and
+                        # aborts the run
+                        if capacity is not None and len(stash_map) > capacity:
+                            raise StashOverflowError(
+                                f"stash exceeded its capacity of {capacity} blocks"
+                            )
+                    # oblivious: allow[OBL001] integrity check; aborts the run
+                    if block_id not in stash_map:
+                        raise BlockNotFoundError(
+                            f"block {block_id} missing from both stash "
+                            "and its path"
+                        )
+                    stash_map[block_id] = new_leaf
+                # The stash hits' updates follow the fetch, as their walks do
+                # on the per-object client.
+                for position in stashed:
+                    block_id = needed[position]
+                    new_leaf = remaps[position]
+                    update(block_id, new_leaf)
+                    stash_map[block_id] = new_leaf
 
                 # Path by path: the first was emptied by its fetch (the
                 # bin's later fetches only empty more buckets); a later one

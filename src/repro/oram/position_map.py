@@ -38,13 +38,13 @@ engine's :class:`~repro.memory.accounting.TrafficCounter` under the
 dedicated ``posmap_*`` category — paths, buckets and bytes, all the
 engine's clock prices — keeping the main-tree counters directly comparable
 between dense and recursive runs.
-A ``get`` performs one full top-down walk; the matching ``set`` of the
-same block id rides the walk for free (the standard recursion folds the
-label update into the access that read it), which the map models as a
-*write entitlement*: ``get(b)`` records ``b``, and the next ``set(b, ...)``
-consumes the entitlement without a second walk.  A ``set`` without an
-entitlement (e.g. remapping a stash-hit block) is its own charged walk.
-With no level there is nothing to walk and nothing is charged.
+The protocol touches the map through one call, :meth:`PositionMap.update`:
+one walk per update, in Path ORAM's order — the client decides a block's
+new leaf, and the one access to the map returns the old leaf and installs
+the new one before the block's path is read (Stefanov et al., CCS'13,
+Fig. 1).  Every remap is one update, a stash-hit block's as much as a
+fetched one's, so every remap is charged exactly one walk.  With no level
+there is nothing to walk and nothing is charged.
 
 Determinism.  The constructor draws the initial logical labels with one
 RNG call whatever the level count, so an engine consumes its stream
@@ -109,6 +109,23 @@ def _as_int_array(values, label: str) -> np.ndarray:
     )
 
 
+def _swap(entries: np.ndarray):
+    """The dense map's update: swap one entry, return the old label.
+
+    Through a memoryview of the entries, so labels go in and out as Python
+    ints, with no numpy scalar per remap.
+    """
+    view = memoryview(entries)
+    get, put = view.__getitem__, view.__setitem__
+
+    def swap(block_id: int, leaf: int) -> int:
+        old = get(block_id)
+        put(block_id, leaf)
+        return old
+
+    return swap
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A view of ``array`` that refuses writes (tags handed to drivers)."""
     view = array.view()
@@ -170,14 +187,14 @@ class _RecursionLevel:
 class PositionMap:
     """Maps every real block to the leaf (path) it is currently assigned to.
 
-    The protocol's lookup and remap are ``get`` / ``set``; ``peek`` /
-    ``load`` (and their ``_many`` forms) are the charge-free metadata and
-    trusted-setup channel; the array drivers bind :meth:`leaf_access` once
-    per trace.  ``cutoff_bytes`` is the client-memory budget of the map:
+    The protocol's lookup-and-remap is :meth:`update`; ``peek`` / ``load``
+    (and their ``_many`` forms) are the charge-free metadata and
+    trusted-setup channel; the trace kernel binds :meth:`leaf_access` once
+    per call.  ``cutoff_bytes`` is the client-memory budget of the map:
     ``None`` keeps the whole array client-side (GPU HBM in the paper), where
     lookups are invisible to the adversary and free; a budget the array
     exceeds moves it into recursion ORAMs, leaving only the top map and the
-    per-level stashes in client memory, and every ``get`` / ``set`` is a
+    per-level stashes in client memory, and every :meth:`update` is a
     charged oblivious walk.
     """
 
@@ -242,22 +259,12 @@ class PositionMap:
         self._values = values or [initial.astype(LABEL_DTYPE)]
         self._entries = self._values[0]
         self._tags = _read_only(self._entries)
-        # The dense accessors go through a memoryview of the entries: its
-        # items are Python ints, with no numpy scalar per lookup or remap.
-        entry_view = memoryview(self._entries)
         self._leaf_access = (
-            (self._tags, self.get, self.set)
-            if sizes
-            else (self._tags, entry_view.__getitem__, entry_view.__setitem__)
+            self._tags, self.update if sizes else _swap(self._entries)
         )
         # Dense top map: labels of the last level's blocks (client memory).
         self._top = self._levels[-1].labels.copy() if sizes else self._entries
         self._steps = self._bind_steps()
-        # Outstanding write entitlements: ids whose last charged walk has
-        # not had its folded-in label update consumed yet.  A simulation
-        # artifact of splitting the walk into get-then-set; the real client
-        # state it stands for is the open transaction's path buffer.
-        self._pending: set[int] = set()
 
     @staticmethod
     def level_sizes(
@@ -326,16 +333,13 @@ class PositionMap:
         ]
 
     def client_memory_bytes(self) -> int:
-        """Honest client footprint: top map, level stashes, open walks.
+        """Honest client footprint: the top map and the level stashes.
 
         A stash resident is its χ packed labels plus id / leaf bookkeeping.
+        An update keeps no client state between calls.
         """
         residents = sum(len(level.stash) for level in self._levels)
-        return (
-            self.top_map_bytes
-            + residents * (self._chi * LABEL_BYTES + 16)
-            + 8 * len(self._pending)
-        )
+        return self.top_map_bytes + residents * (self._chi * LABEL_BYTES + 16)
 
     def server_memory_bytes(self) -> int:
         """Server footprint of every recursion tree."""
@@ -391,7 +395,7 @@ class PositionMap:
         its parent already installed, has the child's label read and
         refreshed, and is greedily written back.  The level-1 child entry
         — ``block_id``'s main-tree leaf — is returned *without* refreshing
-        it: the engine owns that draw and installs it via :meth:`set`.
+        it: the engine owns that draw, and :meth:`update` installs it.
         """
         steps = self._steps
         counter = self.counter
@@ -450,54 +454,42 @@ class PositionMap:
     # ------------------------------------------------------------------
     # Charged interface
     # ------------------------------------------------------------------
-    def get(self, block_id: int) -> int:
-        """Current leaf of ``block_id`` (one charged walk under recursion)."""
-        self._check(block_id)
-        if not self._levels:
-            return int(self._entries[block_id])
-        value = self._walk(block_id)
-        self._pending.add(block_id)
-        return value
+    def update(self, block_id: int, leaf: int) -> int:
+        """Reassign ``block_id`` to ``leaf``; returns the leaf it replaces.
 
-    def set(self, block_id: int, leaf: int) -> None:
-        """Reassign ``block_id`` to ``leaf``.
-
-        Free when it consumes the write entitlement of a preceding
-        :meth:`get` of the same id (the update rides that walk); otherwise
-        the update is its own charged walk.
+        Path ORAM's position-map access: the caller decided the new leaf
+        before it reads the block's path, and this one access reads the old
+        label and installs the new one.  Under recursion that is one charged
+        walk per update, a stash-hit block's remap as much as a fetched
+        block's; on the dense map a swap of the entry, free.
         """
         self._check(block_id)
         if not 0 <= leaf < self._num_leaves:
             raise ConfigurationError(
                 f"leaf {leaf} outside [0, {self._num_leaves})"
             )
-        if self._levels:
-            # oblivious: allow[OBL001] entitlement bookkeeping is client
-            # state; the walk below is charged iff no entitlement exists
-            if block_id in self._pending:
-                self._pending.discard(block_id)
-            else:
-                self._walk(block_id)
+        old = self._walk(block_id) if self._levels else self._entries.item(block_id)
         self._entries[block_id] = leaf
+        return old
 
     def leaf_access(self):
-        """The trace kernel's leaf-access contract: ``(tags, get, set)``.
+        """The trace kernel's leaf-access contract: ``(tags, update)``.
 
         The array engines' trace kernel (``ArrayStorageEngine._run_bins``,
-        PathORAM's traces and LAORAM's bins) binds this triple once per call and takes all its leaves
-        through it, so where the map lives stays the map's business.
-        ``tags`` is a read-only view of the level-1 entries for the
-        metadata channel — the label every block carries on the wire, the
-        array :meth:`peek_many` indexes, for blocks that just came off a
-        path.  ``get(block_id)`` and ``set(block_id, leaf)`` are the
-        protocol's lookup and remap: the charged walk and its write
-        entitlement, or, with no recursion level, the ``__getitem__`` /
-        ``__setitem__`` of a memoryview of the entries (free, Python ints
-        in and out, and no Python frame per access).  Those two are
-        unchecked: callers pass ids they range-checked and leaves drawn
-        from ``integers(0, num_leaves)`` or a range-checked plan.  All
-        three are stable for the map's lifetime, and trusted setup reads
-        its labels off ``tags`` without a widened copy.
+        PathORAM's traces and LAORAM's bins) binds this pair once per call
+        and takes all its leaves through it, so where the map lives stays
+        the map's business.  ``tags`` is a read-only view of the level-1
+        entries for the metadata channel — the label every block carries on
+        the wire, the array :meth:`peek_many` indexes, for blocks that just
+        came off a path.  ``update(block_id, leaf) -> old_leaf`` is the
+        protocol's one access per remap: :meth:`update` itself under
+        recursion (one walk per update, in Path ORAM's order), or, with no
+        recursion level, an unchecked swap through a memoryview of the
+        entries (free, Python ints in and out).  Dense callers pass ids
+        they range-checked and leaves drawn from ``integers(0,
+        num_leaves)`` or a range-checked plan.  Both are stable for the
+        map's lifetime, and trusted setup reads its labels off ``tags``
+        without a widened copy.
         """
         return self._leaf_access
 
@@ -530,7 +522,6 @@ class PositionMap:
             raise ConfigurationError(
                 f"leaf {leaf} outside [0, {self._num_leaves})"
             )
-        self._pending.discard(block_id)
         self._entries[block_id] = leaf
 
     def load_many(self, block_ids, leaves) -> None:
@@ -554,7 +545,6 @@ class PositionMap:
             raise BlockNotFoundError("block id outside position map range")
         if new_leaves.min() < 0 or new_leaves.max() >= self._num_leaves:
             raise ConfigurationError("leaf outside position map leaf range")
-        self._pending.difference_update(ids.reshape(-1).tolist())
         self._entries[ids] = new_leaves
 
     def as_array(self) -> np.ndarray:

@@ -192,10 +192,16 @@ class SuperblockPolicyMixin:
 
         self.counter.record_logical_access()
 
+        # All group members resident in the stash once the block is in hand
+        # are remapped to a single fresh path so they travel together from
+        # now on.  A missing block's update comes first, in Path ORAM's
+        # order, and its fetch brings it in under the shared leaf.
+        shared_leaf = self._draw_leaf()
+        members = self.group_members(group)
         handle = self._stash_lookup(block_id)
         read_leaf: Optional[int] = None
         if handle is None:
-            read_leaf = self.position_map.get(block_id)
+            read_leaf = self.position_map.update(block_id, shared_leaf)
             self._read_path_into_stash(read_leaf, dummy=False)
             handle = self._stash_lookup(block_id)
             if handle is None:
@@ -205,13 +211,9 @@ class SuperblockPolicyMixin:
         else:
             self.counter.record_stash_hit()
         payload = self._serve(handle, op, new_payload)
-
-        # All group members currently resident in the stash are remapped to a
-        # single fresh path so they travel together from now on.
-        shared_leaf = self._draw_leaf()
-        members = self.group_members(group)
         for member in members:
-            if member in self.stash:
+            # A fetched block was remapped by its update above.
+            if member in self.stash and (member != block_id or read_leaf is None):
                 self._update_leaf(member, shared_leaf)
 
         if read_leaf is not None:

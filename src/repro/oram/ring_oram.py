@@ -112,8 +112,11 @@ class RingProtocolMixin:
         self._check_block_id(block_id)
         self.counter.record_logical_access()
 
+        # Path ORAM's order: the new leaf is decided and installed by the
+        # map access that reads the old one, before the online read.
+        new_leaf = self._draw_leaf()
+        leaf = self.position_map.update(block_id, new_leaf)
         handle = self._stash_detach(block_id)
-        leaf = self.position_map.get(block_id)
         # oblivious: allow[OBL001] both arms issue byte-identical online reads
         # — the branch only selects which block is removed; this is RingORAM's
         # real/dummy read indistinguishability
@@ -123,9 +126,6 @@ class RingProtocolMixin:
             self._online_read(leaf, None)
 
         payload = self._serve(handle, op, new_payload)
-
-        new_leaf = self._draw_leaf()
-        self.position_map.set(block_id, new_leaf)
         self._stash_insert(handle, new_leaf)
 
         self._access_count += 1

@@ -39,7 +39,7 @@ class Engine:
         return total
 
     def secret_index(self, block_id, slots):
-        leaf = self.position_map.get(block_id)
+        leaf = self.position_map.update(block_id, self._draw_leaf())
         return slots[leaf]  # EXPECT: OBL002
 
     def secret_recursion_level_skip(self, block_id, levels):

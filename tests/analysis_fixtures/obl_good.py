@@ -25,7 +25,7 @@ class Engine:
     def declassified_index(self, block_id, slots):
         # The path read reveals the leaf, so indexing with it afterwards is
         # public (declassifier in the fixture manifest).
-        leaf = self.position_map.get(block_id)
+        leaf = self.position_map.update(block_id, self._draw_leaf())
         self.read_path(leaf)
         return slots[leaf]
 

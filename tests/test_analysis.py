@@ -53,7 +53,7 @@ def fixture_config() -> AnalysisConfig:
     sources = ModuleSources(
         params=frozenset({"block_id", "block_ids"}),
         attrs=frozenset({"position_map.leaves", "stash"}),
-        calls=frozenset({"position_map.get"}),
+        calls=frozenset({"position_map.update"}),
         declassifiers=(Declassifier("read_path", (0,)),),
     )
     return AnalysisConfig(
@@ -236,7 +236,7 @@ _PLANT_SETUP_MOVE_AS_REVEAL = '''
 
 class TreeORAMEngine:
     def access(self, block_id):
-        leaf = self.position_map.get(block_id)
+        leaf = self.position_map.update(block_id, self._draw_leaf())
         self.tree.remove_many(block_id, leaf)
         if leaf > 3:
             return None

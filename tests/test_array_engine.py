@@ -240,7 +240,7 @@ class TestPlacementRegressions:
         # would skip or corrupt blocks here.
         config = make_laoram_config(num_blocks=256, superblock_size=2, seed=3)
         engine = engine_cls(config)
-        leaves = {engine.position_map.get(b) for b in range(16)}
+        leaves = {engine.position_map.peek(b) for b in range(16)}
         if isinstance(engine, FastLAORAMClient):
             for leaf in leaves:
                 ids = engine.tree.read_path_ids(leaf)
@@ -268,9 +268,9 @@ class TestPlacementRegressions:
         )
         engine.set_plan(plan)
         engine.apply_initial_placement(plan)
-        assert engine.position_map.get(9) == 6
+        assert engine.position_map.peek(9) == 6
         engine.access(9)  # trace cursor 0 < occurrence index 2
-        assert engine.position_map.get(9) == 1
+        assert engine.position_map.peek(9) == 1
         assert_plan_conformance(engine)
 
     @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])

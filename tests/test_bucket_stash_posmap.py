@@ -135,10 +135,15 @@ class TestPositionMap:
         assert leaves.min() >= 0
         assert leaves.max() < 16
 
-    def test_set_and_get(self):
+    def test_update_swaps_the_label(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
-        pmap.set(3, 5)
-        assert pmap.get(3) == 5
+        old = pmap.peek(3)
+        assert pmap.update(3, 5) == old
+        assert pmap.peek(3) == 5
+        # The kernel's dense update is the same swap.
+        update = pmap.leaf_access()[1]
+        assert update(3, 6) == 5
+        assert pmap.peek(3) == 6
 
     def test_peek_many_vectorised(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
@@ -148,14 +153,14 @@ class TestPositionMap:
     def test_out_of_range_block_rejected(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
         with pytest.raises(BlockNotFoundError):
-            pmap.get(10)
+            pmap.update(10, 0)
         with pytest.raises(BlockNotFoundError):
             pmap.peek_many([0, 99])
 
     def test_out_of_range_leaf_rejected(self):
         pmap = PositionMap(10, 8, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            pmap.set(0, 8)
+            pmap.update(0, 8)
 
     def test_initial_distribution_is_roughly_uniform(self):
         pmap = PositionMap(20000, 16, np.random.default_rng(0))
@@ -196,8 +201,8 @@ class TestPositionMap:
         assert pmap._entries.dtype == pmap._top.dtype == LABEL_DTYPE
         assert all(values.dtype == LABEL_DTYPE for values in pmap._values)
         assert all(level.labels.dtype == LABEL_DTYPE for level in pmap._levels)
-        pmap.set(7, num_leaves - 1)
-        assert pmap.get(7) == pmap.peek(7) == num_leaves - 1
+        pmap.update(7, num_leaves - 1)
+        assert pmap.update(7, num_leaves - 1) == pmap.peek(7) == num_leaves - 1
         pmap.load_many([8, 4999], [num_leaves - 1, num_leaves - 2])
         peeked = pmap.peek_many([7, 8, 4999])
         assert peeked.dtype == np.int64

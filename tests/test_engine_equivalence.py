@@ -89,18 +89,18 @@ def assert_engine_consistent(engine) -> None:
                 seen.append(block_id)
                 # Path-prefix invariant: a stored block's assigned path must
                 # pass through the bucket holding it.
-                assert pm.get(block_id) >> (depth - level) == node
+                assert pm.peek(block_id) >> (depth - level) == node
         for block_id in engine.stash.block_ids:
             seen.append(block_id)
             # The stash's leaf mirror must agree with the position map.
-            assert engine.stash.leaf_of(block_id) == pm.get(block_id)
+            assert engine.stash.leaf_of(block_id) == pm.peek(block_id)
     else:
         for block in engine.tree.iter_blocks():
             seen.append(block.block_id)
-            assert block.leaf == pm.get(block.block_id)
+            assert block.leaf == pm.peek(block.block_id)
         for block in engine.stash:
             seen.append(block.block_id)
-            assert block.leaf == pm.get(block.block_id)
+            assert block.leaf == pm.peek(block.block_id)
     assert sorted(seen) == list(range(num_blocks))
 
 

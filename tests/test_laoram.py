@@ -173,8 +173,8 @@ class TestInitialPlacement:
         client = LAORAMClient(config)
         plan = client.preprocess([4, 9, 4, 30])
         client.apply_initial_placement(plan)
-        assert client.position_map.get(4) == plan.bin_leaves[0]
-        assert client.position_map.get(30) == plan.bin_leaves[0]
+        assert client.position_map.peek(4) == plan.bin_leaves[0]
+        assert client.position_map.peek(30) == plan.bin_leaves[0]
 
     def test_placement_preserves_block_count_and_payloads(self, config):
         client = LAORAMClient(config)
@@ -399,7 +399,7 @@ class TestPlanAlignment:
         # Bin 0's distinct blocks 5, 7, 9 take the leaves of the bins that
         # hold their next occurrences: 6, 6 and 1.  The array client takes
         # them from the table by position, the reference looks each id up.
-        assert [engine.position_map.get(b) for b in (5, 7, 9)] == [6, 6, 1]
+        assert [engine.position_map.peek(b) for b in (5, 7, 9)] == [6, 6, 1]
         assert bin_lists(plan)[0][0] == [6, 6, 1]
         assert engine.bins_by_position == (client is FastLAORAMClient)
 
@@ -415,7 +415,7 @@ class TestPlanFallback:
         client = LAORAMClient(config)
         client.preprocess([1, 2, 3, 4])
         client.read(200)  # not in the plan
-        assert 0 <= client.position_map.get(200) < config.oram.num_leaves
+        assert 0 <= client.position_map.peek(200) < config.oram.num_leaves
 
     def test_trace_cursor_advances(self, config):
         client = LAORAMClient(config)
@@ -686,6 +686,30 @@ class TestKernelFailurePaths:
             assert engine.statistics.logical_accesses == 20
             states.append(dict(engine_state(engine), trace_cursor=engine.trace_cursor))
         assert states[0]["trace_cursor"] == 20
+        assert_twins_agree(*states)
+
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_a_plan_for_another_tree_fails_before_any_update(self, recursive):
+        # Every remap of the first bin is a leaf past this tree's last one.
+        # It is refused as it is decided, before the bin updates or reads
+        # anything, on both clients.
+        states = []
+        for client in CLIENTS:
+            engine = client(placement_config(4, recursive))
+            num_leaves = engine.config.num_leaves
+            engine.set_plan(
+                LookaheadPlan(
+                    [1, 2, 3, 4, 1, 2, 3, 4], [0, num_leaves], 4,
+                    num_leaves=2 * num_leaves,
+                )
+            )
+            labels = engine.position_map.as_array()
+            with pytest.raises(ConfigurationError, match="planned leaf"):
+                engine.access_many([1, 2, 3, 4])
+            assert np.array_equal(engine.position_map.as_array(), labels)
+            assert engine.statistics.path_reads == 0
+            assert engine.statistics.posmap_path_reads == 0
+            states.append(engine_state(engine))
         assert_twins_agree(*states)
 
     @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])

@@ -87,7 +87,7 @@ class TestLAORAMProperties:
         client = build_client(num_blocks, superblock, fat, seed=2)
         client.run_trace(np.asarray(addresses))
         for block in client.tree.iter_blocks():
-            assert block.leaf == client.position_map.get(block.block_id)
+            assert block.leaf == client.position_map.peek(block.block_id)
 
     @_SETTINGS
     @given(traces())

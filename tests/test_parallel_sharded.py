@@ -209,7 +209,7 @@ def test_position_maps_after_a_second_trace_equal_the_in_process_backends():
         for shard_id, (par_map, seq_map) in enumerate(
             zip(second, in_process.position_maps())
         ):
-            assert par_map.size == parallel.shard_num_blocks(shard_id)
+            assert par_map.size == parallel.planner.shard_num_blocks(shard_id)
             assert np.array_equal(par_map, seq_map)
 
 

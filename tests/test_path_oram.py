@@ -72,7 +72,7 @@ class TestInvariants:
         stash_ids = set(oram.stash.block_ids)
         for block in oram.tree.iter_blocks():
             assert block.block_id not in stash_ids
-            mapped_leaf = oram.position_map.get(block.block_id)
+            mapped_leaf = oram.position_map.peek(block.block_id)
             assert block.leaf == mapped_leaf
             # The block must actually sit on the path to its mapped leaf.
             found = any(
@@ -83,14 +83,14 @@ class TestInvariants:
 
     def test_remap_changes_leaf_distribution(self, small_config):
         oram = PathORAM(small_config)
-        before = oram.position_map.get(7)
+        before = oram.position_map.peek(7)
         changed = False
         for _ in range(12):
             oram.read(7)
-            if oram.position_map.get(7) != before:
+            if oram.position_map.peek(7) != before:
                 changed = True
                 break
-            before = oram.position_map.get(7)
+            before = oram.position_map.peek(7)
         assert changed, "remapping never changed the block's path in 12 accesses"
 
 

@@ -46,7 +46,7 @@ class TestPathORAMProperties:
         oram = PathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=2))
         oram.access_many(accesses)
         for block in oram.tree.iter_blocks():
-            assert block.leaf == oram.position_map.get(block.block_id)
+            assert block.leaf == oram.position_map.peek(block.block_id)
             on_path = any(
                 candidate.block_id == block.block_id
                 for candidate in oram.tree.peek_path(block.leaf)

@@ -114,7 +114,7 @@ class TestCorrectness:
         oram.read(6)
         stash_ids = set(oram.stash.block_ids)
         if 6 in stash_ids and 7 in stash_ids:
-            assert oram.position_map.get(6) == oram.position_map.get(7)
+            assert oram.position_map.peek(6) == oram.position_map.peek(7)
 
     def test_static_superblocks_reduce_path_reads_on_local_stream(self, config):
         baseline = PrORAM(config, superblock_size=1, mode=SuperblockMode.STATIC)

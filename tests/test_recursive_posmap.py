@@ -7,9 +7,9 @@ Four concerns, mirroring the contract in
   swapping the dense map for the recursion must leave every main-tree
   decision untouched: identical final leaf assignments and identical
   core traffic counters, with only the ``posmap_*`` category differing.
-* **Charging model** — one charged walk per position-map update: a
-  ``get`` walks, the matching ``set`` rides that walk for free, a
-  standalone ``set`` walks on its own, and the ``peek``/``load``
+* **Charging model** — one charged walk per position-map update: every
+  ``update`` walks, a stash-hit block's remap as much as a fetched
+  block's (also after a stash overflow), and the ``peek``/``load``
   trusted channel never charges.
 * **Honest accounting** — ``client_memory_bytes`` counts the recursion
   top map and per-level stash residue, not the dense array.
@@ -23,6 +23,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.config import LAORAMConfig
+from repro.core.fast_laoram import FastLAORAMClient
+from repro.core.laoram import LAORAMClient
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import (
     BlockNotFoundError,
@@ -36,7 +39,11 @@ from repro.experiments.recursion import (
     render_recursion_table,
 )
 from repro.memory.accounting import TrafficCounter, merge_snapshots
+from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.base import ObliviousMemory
+from repro.oram.config import ORAMConfig
+from repro.oram.engine import ArrayStorageEngine
+from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import DRAW_BLOCK, LABEL_BYTES, PositionMap
 from repro.utils.stats import chi_square_uniformity
 from conftest import closed_form_clock
@@ -151,22 +158,30 @@ class TestDenseRecursiveBitIdentity:
 class TestChargingModel:
     """Exactly one charged walk per position-map update."""
 
-    def test_get_entitles_the_matching_set(self):
+    def test_an_update_returns_the_old_label_and_installs_the_new(self):
         counter = TrafficCounter()
         pmap = make_map(counter=counter)
-        leaf = pmap.get(17)
-        assert 0 <= leaf < pmap.num_leaves
-        walks_after_get = counter.posmap_path_reads
-        pmap.set(17, 5)
-        assert counter.posmap_path_reads == walks_after_get
+        old = pmap.peek(17)
+        assert pmap.update(17, 5) == old
         assert pmap.peek(17) == 5
+        assert counter.posmap_path_reads > 0
+        # The next update of the same id is a walk of its own: a path read
+        # at every level whose block is not a stash resident.
+        chi = pmap.positions_per_block
+        misses = sum(
+            17 // chi**k not in level.stash
+            for k, level in enumerate(pmap._levels, start=1)
+        )
+        reads = counter.posmap_path_reads
+        assert pmap.update(17, 6) == 5
+        assert counter.posmap_path_reads == reads + misses
 
-    def test_standalone_sets_are_charged(self):
+    def test_every_update_is_charged(self):
         counter = TrafficCounter()
         pmap = make_map(counter=counter)
         rng = np.random.default_rng(0)
         for block_id in rng.choice(len(pmap), size=200, replace=False).tolist():
-            pmap.set(int(block_id), 3)
+            pmap.update(int(block_id), 3)
         assert counter.posmap_path_reads > 0
         assert counter.posmap_path_writes > 0
         assert counter.posmap_bytes_read > 0
@@ -190,17 +205,17 @@ class TestChargingModel:
         pmap = make_map(num_blocks=64, num_leaves=32, cutoff=1 << 16,
                         counter=counter)
         assert pmap.num_levels == 0
-        pmap.set(1, pmap.get(1))
+        pmap.update(1, pmap.peek(1))
         assert counter.snapshot().posmap_total_bytes == 0
 
     def test_validation_exception_types(self):
         pmap = make_map(num_blocks=64, num_leaves=32, cutoff=64)
         with pytest.raises(BlockNotFoundError):
-            pmap.get(64)
+            pmap.update(64, 0)
         with pytest.raises(BlockNotFoundError):
             pmap.peek_many([0, 64])
         with pytest.raises(ConfigurationError):
-            pmap.set(0, 32)
+            pmap.update(0, 32)
         with pytest.raises(ConfigurationError):
             pmap.load_many([0, 1], [0.5, 1.5])
         with pytest.raises(ConfigurationError):
@@ -209,6 +224,81 @@ class TestChargingModel:
             pmap.load(-1, 0)
         with pytest.raises(ConfigurationError):
             pmap.load_many([0], [99])
+
+
+class TestOneWalkPerRemapAfterAnOverflow:
+    """A stash overflow leaves no remap uncharged, on either backend.
+
+    2^10 blocks over one recursion level (a 64-byte top map) and a
+    one-block stash: the first path read that brings in a second block
+    raises.  The blocks it stashed were updated, or never touched, so each
+    one's next stash-hit remap is one update — one walk, one recursion path
+    read here — and their labels are the map's.
+    """
+
+    CONFIG = ORAMConfig(
+        num_blocks=1 << 10,
+        block_size_bytes=64,
+        seed=5,
+        recursive_posmap=True,
+        posmap_cutoff_bytes=64,
+        stash_capacity=1,
+    )
+
+    @staticmethod
+    def assert_stash_agrees(engine) -> None:
+        posmap = engine.position_map
+        for block_id in engine.stash.block_ids:
+            label = (
+                engine.stash.leaf_of(block_id)
+                if isinstance(engine, ArrayStorageEngine)
+                else engine.stash.get(block_id).leaf
+            )
+            assert label == posmap.peek(block_id)
+
+    @pytest.mark.parametrize(
+        "client, serve",
+        [
+            pytest.param("PathORAM", "access", id="PathORAM-access"),
+            # The array twin's run_trace is the bin kernel.
+            pytest.param("PathORAM", "run_trace", id="PathORAM-run_trace"),
+            pytest.param("LAORAM", "access_many", id="LAORAM-bin"),
+        ],
+    )
+    def test_the_next_stash_hit_remap_costs_one_walk(self, client, serve):
+        assert PositionMap.level_sizes(1 << 10, 64, 64) == [16]
+        if client == "PathORAM":
+            twins = (PathORAM(self.CONFIG), ArrayPathORAM(self.CONFIG))
+            failing = [652]
+        else:
+            config = LAORAMConfig(oram=self.CONFIG, superblock_size=4)
+            twins = (LAORAMClient(config), FastLAORAMClient(config))
+            failing = list(range(600, 608))
+
+        def run(engine, block_ids):
+            if serve == "access":
+                for block_id in block_ids:
+                    engine.access(block_id)
+            else:
+                getattr(engine, serve)(block_ids)
+
+        for engine in twins:
+            with pytest.raises(StashOverflowError):
+                run(engine, failing)
+            self.assert_stash_agrees(engine)
+        assert_twins_agree(*twins)
+
+        stashed = [b for b in failing if b in twins[0].stash.block_ids]
+        assert stashed == ([652] if client == "PathORAM" else [600, 601])
+        for block_id in stashed:
+            for engine in twins:
+                before = engine.statistics
+                run(engine, [block_id])
+                after = engine.statistics
+                assert after.stash_hits == before.stash_hits + 1
+                assert after.posmap_path_reads == before.posmap_path_reads + 1
+                self.assert_stash_agrees(engine)
+            assert_twins_agree(*twins)
 
 
 class TestHonestAccounting:
@@ -223,13 +313,16 @@ class TestHonestAccounting:
     def test_footprint_components(self):
         pmap = make_map()
         chi = pmap.positions_per_block
-        expected = pmap._top.nbytes
-        for level in pmap._levels:
-            expected += len(level.stash) * (chi * LABEL_BYTES + 16)
-        assert pmap.client_memory_bytes() == expected
-        pmap.get(0)
-        # The open walk's entitlement is client state too.
-        assert pmap.client_memory_bytes() >= expected
+
+        def expected() -> int:
+            residents = sum(len(level.stash) for level in pmap._levels)
+            return pmap._top.nbytes + residents * (chi * LABEL_BYTES + 16)
+
+        assert pmap.client_memory_bytes() == expected()
+        # An update leaves no open walk behind: the top map and the level
+        # stashes are all the client holds between calls.
+        pmap.update(0, 1)
+        assert pmap.client_memory_bytes() == expected()
 
     def test_geometry_reports_every_level(self):
         pmap = make_map()
@@ -325,8 +418,7 @@ class TestRecursionTreeUniformity:
         ).generate(self.WALKS).addresses
         rng = np.random.default_rng(4)
         for block_id in addresses.tolist():
-            pmap.get(block_id)
-            pmap.set(block_id, int(rng.integers(0, pmap.num_leaves)))
+            pmap.update(block_id, int(rng.integers(0, pmap.num_leaves)))
         for level in pmap._levels:
             stream = np.asarray(level.read_stream, dtype=np.int64)
             assert stream.size >= 500

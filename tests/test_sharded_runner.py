@@ -38,12 +38,12 @@ class TestMergeSnapshots:
 
 class TestShardedRunner:
     def test_routing_covers_namespace(self):
-        runner = ShardedRunner(num_blocks=103, num_shards=4)
-        assert sum(runner.shard_num_blocks(s) for s in range(4)) == 103
+        planner = ShardedRunner(num_blocks=103, num_shards=4).planner
+        assert sum(planner.shard_num_blocks(s) for s in range(4)) == 103
         for block_id in (0, 1, 50, 102):
-            shard = runner.shard_of(block_id)
+            shard = planner.shard_of(block_id)
             assert 0 <= shard < 4
-            assert runner.local_id(block_id) < runner.shard_num_blocks(shard)
+            assert planner.local_id(block_id) < planner.shard_num_blocks(shard)
 
     def test_split_trace_preserves_order_and_counts(self):
         runner = ShardedRunner(num_blocks=64, num_shards=3)
