@@ -4,7 +4,7 @@ This package reproduces the system described in *"LAORAM: A Look Ahead ORAM
 Architecture for Training Large Embedding Tables"* (ISCA 2023) as a pure
 Python simulator:
 
-* :mod:`repro.oram` — PathORAM, PrORAM, RingORAM and an insecure baseline;
+* :mod:`repro.oram` — PathORAM and an insecure baseline;
 * :mod:`repro.core` — the LAORAM preprocessor, lookahead plan and client,
   plus the fat-tree storage policy;
 * :mod:`repro.datasets` — Permutation, Gaussian, synthetic Kaggle and XNLI
@@ -39,8 +39,6 @@ from repro.oram.config import FatTreePolicy, ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
-from repro.oram.pr_oram import PrORAM, SuperblockMode
-from repro.oram.ring_oram import RingORAM
 
 __version__ = "1.0.0"
 
@@ -52,9 +50,6 @@ __all__ = [
     "FatTreePolicy",
     "EvictionPolicy",
     "PathORAM",
-    "PrORAM",
-    "SuperblockMode",
-    "RingORAM",
     "InsecureMemory",
     "LAORAMConfig",
     "LAORAMClient",

@@ -15,9 +15,9 @@ states it explicitly, per engine module:
   what granularity (``alloc_hot_functions``), and which fused drivers owe
   a deferred-counter flush (``fused_drivers``).
 * :class:`Declassification` — the allowlist for places the protocol
-  legitimately reveals secret-derived information (PrORAM's history-based
-  merging, client-side write-back planning).  Every entry carries a
-  mandatory reason, mirrored in ``docs/static_analysis.md``.
+  legitimately reveals secret-derived information (client-side write-back
+  planning).  Every entry carries a mandatory reason, mirrored in
+  ``docs/static_analysis.md``.
 
 Modules are matched by posix path *suffix* (``oram/engine.py``), so scratch
 copies under a temp dir are analyzed with the real manifest — that is what
@@ -164,11 +164,11 @@ class AnalysisConfig:
 #: leaf at each call shape used in the engine core.
 #:
 #: Trusted-setup moves are deliberately *not* listed, and appear in no hot
-#: list: ``bulk_place`` / ``bulk_place_ordered`` / ``remove_many`` /
-#: ``clear`` on the tree and the ``_relocate`` / ``_relayout_tree`` /
-#: ``_bulk_load`` hooks run only while ``counter.logical_accesses == 0``,
-#: where nothing is observed — so they reveal nothing, and a leaf handed to
-#: one of them from a hot function stays tainted.
+#: list: ``bulk_place`` / ``bulk_place_ordered`` / ``remove_many`` on the
+#: tree and the ``_relocate`` / ``_bulk_load`` hooks run only while
+#: ``counter.logical_accesses == 0``, where nothing is observed — so they
+#: reveal nothing, and a leaf handed to one of them from a hot function
+#: stays tainted.
 _PATH_REVEAL = (
     Declassifier("_read_path_into_stash", (0,)),
     Declassifier("read_path_ids", (0,)),
@@ -177,8 +177,6 @@ _PATH_REVEAL = (
     # fused_fetch(read_ids, tags, stash_map, leaf): the leaf is argument 3.
     Declassifier("fused_fetch", (3,)),
     Declassifier("fetch", (3,)),
-    Declassifier("_online_read", (0,)),
-    Declassifier("remove_on_path", (0,)),
     Declassifier("observe_path", (0,)),
     Declassifier("_write_back", (0,)),
 )
@@ -195,7 +193,6 @@ _ENGINE_SOURCES = ModuleSources(
             "position_map.update",
             "position_map.leaf_access",
             "_stash_lookup",
-            "_stash_detach",
         }
     ),
     declassifiers=_PATH_REVEAL,
@@ -207,22 +204,6 @@ _LAORAM_SOURCES = ModuleSources(
     params=frozenset({"block_ids"}),
     attrs=frozenset({"entries", "stash"}),
     calls=frozenset({"position_map.leaf_access"}),
-    declassifiers=_PATH_REVEAL,
-)
-
-_PRORAM_SOURCES = ModuleSources(
-    params=frozenset({"block_id", "block_ids", "stash_map"}),
-    attrs=frozenset(
-        {
-            "entries",
-            "stash",
-            "_locality_counters",
-            "_merged_groups",
-            "_recent_group_counts",
-            "_recent_block_counts",
-        }
-    ),
-    calls=frozenset({"position_map.update", "_stash_lookup", "_stash_detach"}),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -247,8 +228,6 @@ def default_config() -> AnalysisConfig:
         sources={
             "repro/core/laoram.py": _LAORAM_SOURCES,
             "repro/oram/engine.py": _ENGINE_SOURCES,
-            "repro/oram/ring_oram.py": _ENGINE_SOURCES,
-            "repro/oram/pr_oram.py": _PRORAM_SOURCES,
             "repro/oram/write_back.py": _WRITE_BACK_SOURCES,
             "repro/oram/position_map.py": _POSITION_MAP_SOURCES,
         },
@@ -261,16 +240,6 @@ def default_config() -> AnalysisConfig:
                 "ArrayStorageEngine._run_bins",
                 "ArrayStorageEngine._fetch_path",
                 "ArrayStorageEngine._commit_write_back",
-            ),
-            "repro/oram/ring_oram.py": (
-                "RingProtocolMixin.access",
-                "RingProtocolMixin._online_read",
-                "RingProtocolMixin._reshuffle_exhausted_buckets",
-                "RingProtocolMixin._evict_path",
-            ),
-            "repro/oram/pr_oram.py": (
-                "SuperblockPolicyMixin.access",
-                "SuperblockPolicyMixin._update_locality",
             ),
             "repro/oram/write_back.py": (
                 "plan_greedy_write_back",
@@ -317,22 +286,6 @@ def default_config() -> AnalysisConfig:
         },
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(
-            Declassification(
-                "repro/oram/pr_oram.py",
-                "SuperblockPolicyMixin._update_locality",
-                ("OBL001", "OBL002"),
-                "dynamic superblock locality tracking is PrORAM's documented "
-                "history-based mechanism; its observable effect (merged "
-                "fetches) is the protocol itself (Yu et al., ISCA'15)",
-            ),
-            Declassification(
-                "repro/oram/pr_oram.py",
-                "SuperblockPolicyMixin.access",
-                ("OBL001", "OBL002"),
-                "merged-group routing and partner holds are the PrORAM "
-                "policy; path draws stay uniform so the revealed path stream "
-                "is PathORAM's",
-            ),
             Declassification(
                 "repro/oram/write_back.py",
                 "plan_greedy_write_back",

@@ -402,8 +402,8 @@ def walk_function(
 
     Returns one :class:`FunctionTaint` per function scope encountered,
     outermost first.  Nested functions inherit a copy of the enclosing
-    environment at their definition point (the fused drivers' ``sync_out``
-    closures and PrORAM's ``before_access`` hook capture tainted state).
+    environment at their definition point (a closure over the kernel's
+    locals captures tainted state).
     """
     results: list[FunctionTaint] = []
     walker = _Walker(sources, observable, qualname, results)

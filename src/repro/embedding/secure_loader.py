@@ -4,7 +4,7 @@ The :class:`SecureEmbeddingStore` owns the protected embedding table: rows are
 loaded into the ORAM as block payloads at setup, fetched through oblivious
 accesses during training, and written back after gradient updates.  The same
 store works over any :class:`~repro.oram.base.ObliviousMemory` implementation
-(insecure baseline, PathORAM, PrORAM, RingORAM, LAORAM), which is what lets
+(insecure baseline, PathORAM, LAORAM), which is what lets
 the examples compare engines end to end.
 """
 

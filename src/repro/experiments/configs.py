@@ -4,8 +4,7 @@ The evaluation compares seven configurations per workload (Fig. 7):
 ``PathORAM`` (the baseline, equivalent to superblock size 1), ``Normal/S{2,4,8}``
 (LAORAM on a uniform-bucket tree) and ``Fat/S{2,4,8}`` (LAORAM on the
 fat tree).  This module turns those labels into engine instances, and also
-provides the additional engines used in the related-work comparisons
-(PrORAM static/dynamic, RingORAM, the insecure baseline).
+provides the insecure baseline.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
-from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
-from repro.oram.ring_oram import ArrayRingORAM, RingORAM
 
 #: The one family table: family -> (per-object reference engine, array
 #: twin).  ``build_engine`` and the shard engine specs
@@ -32,8 +29,6 @@ from repro.oram.ring_oram import ArrayRingORAM, RingORAM
 ENGINE_CLASSES: dict[str, tuple[type, type]] = {
     "pathoram": (PathORAM, ArrayPathORAM),
     "laoram": (LAORAMClient, FastLAORAMClient),
-    "ringoram": (RingORAM, ArrayRingORAM),
-    "proram": (PrORAM, ArrayPrORAM),
 }
 
 #: Families with a vectorized (``fast=True``) twin.
@@ -51,14 +46,7 @@ PAPER_CONFIG_LABELS: tuple[str, ...] = (
 )
 
 #: Additional engines available to the harness beyond the paper's main sweep.
-EXTRA_CONFIG_LABELS: tuple[str, ...] = (
-    "Insecure",
-    "RingORAM",
-    "PrORAM-static/S2",
-    "PrORAM-dynamic/S2",
-    "PrORAM-static/S4",
-    "PrORAM-dynamic/S4",
-)
+EXTRA_CONFIG_LABELS: tuple[str, ...] = ("Insecure",)
 
 
 def build_oram_config(
@@ -92,23 +80,16 @@ def parse_label(label: str) -> dict:
         return {"family": "pathoram"}
     if label == "Insecure":
         return {"family": "insecure"}
-    if label == "RingORAM":
-        return {"family": "ringoram"}
     if label.startswith(("Normal/S", "Fat/S")):
         tree, _, size = label.partition("/S")
+        if not size.isdecimal():
+            raise ConfigurationError(
+                f"superblock size '{size}' in label '{label}' is not a number"
+            )
         return {
             "family": "laoram",
             "fat_tree": tree == "Fat",
             "superblock_size": int(size),
-        }
-    if label.startswith("PrORAM-"):
-        variant, _, size = label[len("PrORAM-") :].partition("/S")
-        if variant not in ("static", "dynamic"):
-            raise ConfigurationError(f"unknown PrORAM variant in '{label}'")
-        return {
-            "family": "proram",
-            "mode": SuperblockMode(variant),
-            "superblock_size": int(size) if size else 2,
         }
     raise ConfigurationError(f"unknown configuration label '{label}'")
 
@@ -128,8 +109,7 @@ def build_engine(
     """Instantiate the engine named by ``label`` on the given tree geometry.
 
     ``fast=True`` selects the array-backed vectorized engine: PathORAM ->
-    :class:`ArrayPathORAM`, LAORAM -> :class:`FastLAORAMClient`, RingORAM ->
-    :class:`ArrayRingORAM`, PrORAM -> :class:`ArrayPrORAM`.  Every twin
+    :class:`ArrayPathORAM`, LAORAM -> :class:`FastLAORAMClient`.  Every twin
     produces counters bit-identical to the per-object engine for a fixed
     seed, only faster.  Families without a twin (the insecure baseline)
     raise :class:`~repro.exceptions.UnsupportedEngineError`.
@@ -166,17 +146,6 @@ def build_engine(
     if family == "pathoram":
         return engine_cls(
             config, counter=counter, eviction=eviction, observer=observer
-        )
-    if family == "ringoram":
-        return engine_cls(config, counter=counter, observer=observer)
-    if family == "proram":
-        return engine_cls(
-            config,
-            superblock_size=parsed["superblock_size"],
-            mode=parsed["mode"],
-            counter=counter,
-            eviction=eviction,
-            observer=observer,
         )
     laoram_config = LAORAMConfig(
         oram=config.with_overrides(fat_tree=parsed["fat_tree"]),

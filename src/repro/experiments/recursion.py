@@ -2,13 +2,13 @@
 
 A recursive position map charges one recursion walk per position-map
 update, so the interesting number is *walks per logical access* across
-engine families: PathORAM and RingORAM remap exactly one block per
-access (1.0 walks/access, minus stash-hit effects), while LAORAM remaps
-a whole superblock per charged walk — repeated accesses to a bin's
-blocks ride the same update, which is exactly the lookahead batching
-the paper banks on.  This experiment replays the same Zipf trace
-through each family twice, once with the dense map and once with the
-recursion enabled, and reports:
+engine families: PathORAM remaps exactly one block per access (1.0
+walks/access, minus stash-hit effects), while LAORAM remaps a whole
+superblock per charged walk — repeated accesses to a bin's blocks ride
+the same update, which is exactly the lookahead batching the paper banks
+on.  This experiment replays the same Zipf trace through each family
+twice, once with the dense map and once with the recursion enabled, and
+reports:
 
 * the amortization (``posmap_*`` walks per logical access),
 * the recursion's byte overhead relative to main-tree traffic, and
@@ -41,7 +41,6 @@ from repro.oram.config import ORAMConfig
 RECURSION_FAMILY_LABELS: dict[str, str] = {
     "laoram": "Normal/S4",
     "pathoram": "PathORAM",
-    "ringoram": "RingORAM",
 }
 
 RECURSION_FAMILIES: tuple[str, ...] = tuple(RECURSION_FAMILY_LABELS)

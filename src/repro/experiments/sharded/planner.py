@@ -22,7 +22,6 @@ from repro.core.config import LAORAMConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ENGINE_CLASSES
 from repro.oram.config import ORAMConfig
-from repro.oram.pr_oram import SuperblockMode
 
 #: Families the runner can shard, mapped to (reference, fast) engine classes:
 #: every family of the one table in :mod:`repro.experiments.configs`.
@@ -47,7 +46,6 @@ class ShardEngineSpec:
     fat_tree: bool
     seed: int
     use_fast_engine: bool
-    proram_mode: SuperblockMode
 
     def build(self):
         """Construct the engine this spec describes."""
@@ -61,12 +59,6 @@ class ShardEngineSpec:
         if self.family == "laoram":
             return engine_cls(
                 LAORAMConfig(oram=oram_config, superblock_size=self.superblock_size)
-            )
-        if self.family == "proram":
-            return engine_cls(
-                oram_config,
-                superblock_size=self.superblock_size,
-                mode=self.proram_mode,
             )
         return engine_cls(oram_config)
 
@@ -89,7 +81,6 @@ class ShardPlanner:
         fat_tree: bool = False,
         seed: int = 0,
         use_fast_engine: bool = True,
-        proram_mode: SuperblockMode = SuperblockMode.DYNAMIC,
     ):
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
@@ -111,7 +102,6 @@ class ShardPlanner:
         self.fat_tree = fat_tree
         self.seed = seed
         self.use_fast_engine = use_fast_engine
-        self.proram_mode = proram_mode
 
     # ------------------------------------------------------------------
     # Shard geometry
@@ -169,5 +159,4 @@ class ShardPlanner:
             fat_tree=self.fat_tree,
             seed=self.seed + shard_id,
             use_fast_engine=self.use_fast_engine,
-            proram_mode=self.proram_mode,
         )

@@ -42,7 +42,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.memory.accounting import TrafficSnapshot, merge_snapshots
-from repro.oram.pr_oram import SuperblockMode
 from repro.experiments.sharded.executor import ProcessShardExecutor, ShardExecutor
 from repro.experiments.sharded.planner import ShardPlanner
 
@@ -87,7 +86,6 @@ class ShardedRunner:
         fat_tree: bool = False,
         seed: int = 0,
         use_fast_engine: bool = True,
-        proram_mode: SuperblockMode = SuperblockMode.DYNAMIC,
         num_workers: Optional[int] = None,
         start_method: Optional[str] = None,
     ):
@@ -100,7 +98,6 @@ class ShardedRunner:
             fat_tree=fat_tree,
             seed=seed,
             use_fast_engine=use_fast_engine,
-            proram_mode=proram_mode,
         )
         self.num_blocks = num_blocks
         self.num_shards = num_shards

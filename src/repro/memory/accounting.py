@@ -6,8 +6,8 @@ built on: path reads/writes, dummy (background-eviction) reads, bytes moved,
 and stash occupancy over time (Fig. 8).  They are the only record of an
 engine's traffic: simulated time is their price
 (:meth:`~repro.memory.timing.TimingModel.elapsed_s`), so they count every
-event that price needs — buckets touched on every tree, RingORAM's
-reshuffles — and nothing keeps a second tally beside them.
+event that price needs — buckets touched on every tree, main and
+recursive — and nothing keeps a second tally beside them.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class TrafficSnapshot:
     posmap_bytes_written: int = 0
     posmap_buckets_read: int = 0
     posmap_buckets_written: int = 0
-    # RingORAM's one-bucket reshuffles, also counted as a dummy read and a
-    # path write of one bucket each: the price takes one request and one row
-    # activation off per reshuffle.
-    reshuffles: int = 0
     # Accesses (distinct ids of a bin) served from the stash without a read.
     stash_hits: int = 0
 
@@ -108,7 +104,6 @@ class TrafficCounter:
     posmap_bytes_written: int = 0
     posmap_buckets_read: int = 0
     posmap_buckets_written: int = 0
-    reshuffles: int = 0
     stash_hits: int = 0
     stash_history: list[int] = field(default_factory=list)
     record_stash_history: bool = False
@@ -131,16 +126,6 @@ class TrafficCounter:
         self.path_writes += 1
         self.buckets_written += num_buckets
         self.bytes_written += num_bytes
-
-    def record_reshuffle(self, num_bytes: int) -> None:
-        """Register one RingORAM bucket reshuffle of ``num_bytes`` bytes.
-
-        The bucket is read and rewritten in full: one dummy read and one
-        write of one bucket, which the price counts as one request.
-        """
-        self.record_path_read(1, num_bytes, dummy=True)
-        self.record_path_write(1, num_bytes)
-        self.reshuffles += 1
 
     def record_stash_hit(self, count: int = 1) -> None:
         """Register ``count`` accesses served from the stash without a read."""

@@ -5,8 +5,7 @@ the testbed with an analytic model that prices what the
 :class:`~repro.memory.accounting.TrafficCounter` already counts:
 
 * one interconnect request (latency + transfer of its bytes) per path read
-  or write — main tree and recursion levels alike, a RingORAM reshuffle
-  counting once;
+  or write — main tree and recursion levels alike;
 * one DRAM row activation per bucket touched, plus the same bytes at DRAM
   bandwidth;
 * a fixed client-side metadata overhead per logical access (position map
@@ -48,25 +47,20 @@ class TimingModel:
         """Simulated seconds of the traffic in ``counts``.
 
         ``counts`` is a :class:`~repro.memory.accounting.TrafficSnapshot` or
-        a live :class:`~repro.memory.accounting.TrafficCounter`.  A reshuffle
-        is counted as a one-bucket read and write but is one request
-        activating one row, so each is taken off both totals once.
+        a live :class:`~repro.memory.accounting.TrafficCounter`.
         """
-        reshuffles = counts.reshuffles
         requests = (
             counts.path_reads
             + counts.dummy_reads
             + counts.path_writes
             + counts.posmap_path_reads
             + counts.posmap_path_writes
-            - reshuffles
         )
         activations = (
             counts.buckets_read
             + counts.buckets_written
             + counts.posmap_buckets_read
             + counts.posmap_buckets_written
-            - reshuffles
         )
         moved = (
             counts.bytes_read

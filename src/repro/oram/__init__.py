@@ -1,13 +1,12 @@
-"""ORAM substrates: PathORAM, PrORAM, RingORAM and the insecure baseline.
+"""ORAM substrates: PathORAM and the insecure baseline.
 
 Every tree-based scheme ships in two decision-identical flavours built on
 the shared :mod:`repro.oram.engine` core: a per-object reference (dict
 stash, Block objects) and a vectorized array twin
 (:class:`ArrayTreeStorage` slot arrays plus an :class:`ArrayStash`, one
 ``{id: leaf}`` dict) that produces bit-identical traffic counters for a fixed
-seed — :class:`PathORAM`/:class:`ArrayPathORAM`,
-:class:`RingORAM`/:class:`ArrayRingORAM`,
-:class:`PrORAM`/:class:`ArrayPrORAM`.
+seed — :class:`PathORAM`/:class:`ArrayPathORAM` here, and LAORAM's two
+clients in :mod:`repro.core`.
 """
 
 from repro.oram.array_path_oram import ArrayPathORAM
@@ -18,8 +17,6 @@ from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import PositionMap
-from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
-from repro.oram.ring_oram import ArrayRingORAM, RingORAM
 from repro.oram.stash import ArrayStash, Stash
 from repro.oram.tree import ArrayTreeStorage, TreeStorage
 
@@ -36,11 +33,6 @@ __all__ = [
     "PathORAM",
     "ArrayPathORAM",
     "PositionMap",
-    "PrORAM",
-    "ArrayPrORAM",
-    "SuperblockMode",
-    "RingORAM",
-    "ArrayRingORAM",
     "Stash",
     "ArrayStash",
     "TreeStorage",

@@ -22,10 +22,9 @@ class AccessOp(enum.Enum):
 class ObliviousMemory(ABC):
     """Common interface of the memory engines in this package.
 
-    Implementations include the insecure baseline, PathORAM, PrORAM,
-    RingORAM and the LAORAM client.  The interface is block oriented: the
-    application addresses logical blocks (embedding rows) and receives the
-    stored payload back.
+    Implementations include the insecure baseline, PathORAM and the LAORAM
+    client.  The interface is block oriented: the application addresses
+    logical blocks (embedding rows) and receives the stored payload back.
     """
 
     @abstractmethod

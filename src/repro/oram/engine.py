@@ -1,9 +1,9 @@
 """Shared tree-ORAM engine core: one control flow, two storage backends.
 
-Every tree-based scheme in this package (PathORAM, PrORAM, RingORAM, LAORAM)
-runs the same skeleton — position-map lookup, path read into the stash,
-greedy occupancy-aware write-back, threshold-triggered background eviction —
-over one of two storage representations:
+Every tree-based scheme in this package (PathORAM, LAORAM) runs the same
+skeleton — position-map lookup, path read into the stash, greedy
+occupancy-aware write-back, threshold-triggered background eviction — over
+one of two storage representations:
 
 * :class:`ObjectStorageEngine` keeps :class:`~repro.memory.block.Block`
   objects in per-bucket lists and a dict stash (the reference engines);
@@ -14,7 +14,7 @@ over one of two storage representations:
 
 :class:`TreeORAMEngine` owns the control flow and every traffic count;
 backends implement a small set of storage hooks (``_fetch_path``,
-``_commit_write_back``, stash attach/detach/lookup).  Because the hooks are
+``_commit_write_back``, stash lookup and relabel).  Because the hooks are
 decision-free — every choice (which leaf, which eviction victim) is made in
 shared code or replicated exactly by the write-back kernels of
 :mod:`repro.oram.write_back`, which the array backend's hooks and its trace
@@ -28,10 +28,10 @@ ledger: ``simulated_time_s`` is their price
 
 A trace runs one of two ways.  The generic loop
 (:meth:`ObliviousMemory.run_trace`, one ``access`` per id) is the oracle,
-and what RingORAM, PrORAM and the reference engines run.  The array
-backend's one kernel, :meth:`ArrayStorageEngine._run_bins`, serves LAORAM's
-superblock bins and, as one-id bins with no plan, every PathORAM trace:
-PathORAM is the superblock of size one.
+and what the reference engines run.  The array backend's one kernel,
+:meth:`ArrayStorageEngine._run_bins`, serves LAORAM's superblock bins and,
+as one-id bins with no plan, every PathORAM trace: PathORAM is the
+superblock of size one.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ class TreeORAMEngine(ObliviousMemory):
     """Tree-ORAM access/eviction control flow over abstract storage hooks.
 
     Subclasses provide the storage representation (tree, stash, payloads)
-    through the hooks in the "storage hooks" section; protocol variants
-    (PrORAM superblocks, RingORAM online reads) override :meth:`access`
-    while reusing the shared internals (`_read_path_into_stash`,
-    `_write_back`, background eviction, counters).
+    through the hooks in the "storage hooks" section; the LAORAM clients
+    add superblock bins on top of the shared internals
+    (`_read_path_into_stash`, `_write_back`, background eviction, counters).
     """
 
     #: Leaf draws per vectorized RNG refill in :meth:`_draw_leaf`.  0 keeps
@@ -352,18 +351,6 @@ class TreeORAMEngine(ObliviousMemory):
         """Handle of a stashed block (Block or id), or ``None`` if absent."""
         raise NotImplementedError
 
-    def _stash_detach(self, block_id: int):
-        """Remove a block from the stash, returning its handle (or ``None``)."""
-        raise NotImplementedError
-
-    def _stash_reattach(self, handle) -> None:
-        """Re-insert a previously detached handle, keeping its current leaf."""
-        raise NotImplementedError
-
-    def _stash_insert(self, handle, leaf: int) -> None:
-        """Insert a detached handle with a (possibly new) assigned leaf."""
-        raise NotImplementedError
-
     def _update_leaf(self, block_id: int, leaf: int) -> None:
         """Remap a *stashed* block: one position-map update, then its stash label."""
         raise NotImplementedError
@@ -383,14 +370,6 @@ class TreeORAMEngine(ObliviousMemory):
 
     def _commit_write_back(self, leaf: int) -> None:
         """Plan and commit the greedy write-back onto the path to ``leaf``."""
-        raise NotImplementedError
-
-    def _remove_from_path(self, leaf: int, block_id: int):
-        """Remove ``block_id`` from a bucket on the path (RingORAM online read)."""
-        raise NotImplementedError
-
-    def _relayout_tree(self) -> None:
-        """Rebuild the tree layout under the current position map (setup only)."""
         raise NotImplementedError
 
 
@@ -468,14 +447,8 @@ class ObjectStorageEngine(TreeORAMEngine):
         return self.stash.get(block_id)
 
     def _stash_detach(self, block_id: int) -> Optional[Block]:
+        """Remove a block from the stash, returning it (or ``None``)."""
         return self.stash.pop(block_id)
-
-    def _stash_reattach(self, handle: Block) -> None:
-        self.stash.add(handle)
-
-    def _stash_insert(self, handle: Block, leaf: int) -> None:
-        handle.leaf = leaf
-        self.stash.add(handle)
 
     def _update_leaf(self, block_id: int, leaf: int) -> None:
         self.position_map.update(block_id, leaf)
@@ -507,32 +480,12 @@ class ObjectStorageEngine(TreeORAMEngine):
         return plan_greedy_write_back(self.tree, self.stash, leaf)
 
     def _remove_from_path(self, leaf: int, block_id: int) -> Optional[Block]:
+        """Remove ``block_id`` from the first bucket holding it on the path."""
         for index in self.tree.path_bucket_indices(leaf):
             block = self.tree.bucket_by_index(index).remove(block_id)
             if block is not None:
                 return block
         return None
-
-    def _relayout_tree(self) -> None:
-        """Re-place every block under the current position map (trusted setup).
-
-        Blocks are taken in tree-iteration order (bucket index, then slot)
-        followed by stash insertion order, exactly the order the array
-        backend replays, so both backends produce the same layout.
-        """
-        blocks = list(self.tree.iter_blocks()) + [
-            self.stash.pop(block_id) for block_id in self.stash.block_ids
-        ]
-        self.tree = self._make_tree()
-        self.stash.clear()
-        overflow = []
-        for block in blocks:
-            if block is None:
-                continue
-            block.leaf = self.position_map.peek(block.block_id)
-            if not self.tree.try_place_on_path(block):
-                overflow.append(block)
-        self.stash.extend(overflow)
 
 
 class ArrayStorageEngine(TreeORAMEngine):
@@ -612,19 +565,6 @@ class ArrayStorageEngine(TreeORAMEngine):
             return block_id
         return None
 
-    def _stash_detach(self, block_id: int) -> Optional[int]:
-        if self.stash.pop(block_id):
-            return block_id
-        return None
-
-    def _stash_reattach(self, handle: int) -> None:
-        # peek: the block is in hand (just detached), so its leaf tag is
-        # client-readable without an oblivious position-map access.
-        self.stash.add(handle, self.position_map.peek(handle))
-
-    def _stash_insert(self, handle: int, leaf: int) -> None:
-        self.stash.add(handle, leaf)
-
     def _update_leaf(self, block_id: int, leaf: int) -> None:
         self.position_map.update(block_id, leaf)
         self.stash.set_leaf(block_id, leaf)
@@ -670,8 +610,6 @@ class ArrayStorageEngine(TreeORAMEngine):
         before it.  That runs in a ``finally``: a raise keeps the writes of
         the accesses served before it, as the generic loop does.
         """
-        if not self._fused_eligible():
-            return super().run_trace(block_ids, ops, payloads)
         ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
         op_seq, payload_seq = self._normalize_trace_args(len(ids), ops, payloads)
         self._trace_cursor = 0
@@ -693,23 +631,6 @@ class ArrayStorageEngine(TreeORAMEngine):
                         payload = store.get(block_id)
                     results.append(payload)
         return results
-
-    def _fused_eligible(self) -> bool:
-        """Whether the kernel replays exactly what this instance decides.
-
-        The kernel replicates :meth:`TreeORAMEngine.access` on one-id bins,
-        uniform remap draws and the stock eviction policy.  An overridden
-        ``access`` (RingORAM, PrORAM), a plan-driven ``_choose_new_leaf``
-        or a custom :class:`EvictionPolicy` class decides something else and
-        runs the generic per-access loop (``ObliviousMemory.run_trace``)
-        instead.
-        """
-        cls = type(self)
-        return (
-            cls.access is TreeORAMEngine.access
-            and cls._choose_new_leaf is TreeORAMEngine._choose_new_leaf
-            and type(self.eviction) is EvictionPolicy
-        )
 
     def _run_bins(self, bins: Iterable[Bin]) -> None:
         """Serve ``bins`` in order: the one place a bin, or a PathORAM trace, runs.
@@ -977,8 +898,8 @@ class ArrayStorageEngine(TreeORAMEngine):
         The occupancy-aware one, as the reference hook's
         ``plan_greedy_write_back`` is: the hook does not promise a path
         that was just emptied, and on one that was (``access``,
-        ``dummy_access``, RingORAM's evict-path) it decides exactly what
-        ``fused_greedy_write_back`` decides.
+        ``dummy_access``) it decides exactly what ``fused_greedy_write_back``
+        decides.
         """
         tree = self.tree
         fused_shared_write_back(
@@ -992,35 +913,3 @@ class ArrayStorageEngine(TreeORAMEngine):
             self._depth,
             leaf,
         )
-
-    def _remove_from_path(self, leaf: int, block_id: int) -> Optional[int]:
-        if self.tree.remove_on_path(leaf, block_id):
-            return block_id
-        return None
-
-    def _relayout_tree(self) -> None:
-        """Re-place every block under the current position map (trusted setup).
-
-        Replays the per-object relayout exactly — blocks are taken in
-        tree-iteration order (bucket index, then slot) followed by stash
-        insertion order, and each is placed as deep as possible on its
-        (updated) path — but runs it as one priority-ordered bulk placement
-        (:meth:`ArrayTreeStorage.bulk_place_ordered`) instead of a scalar
-        ``try_place_id`` per block, so PrORAM's static superblock relayout
-        at setup is a handful of vectorized passes.  Overflow enters the
-        stash in the same priority order the scalar loop would have used.
-        """
-        ordered = np.concatenate(
-            [
-                self.tree.all_block_ids(),
-                np.asarray(self.stash.block_ids, dtype=np.int64),
-            ]
-        )
-        self.tree.clear()
-        self.stash.clear()
-        if ordered.size == 0:
-            return
-        labels = self.position_map.leaf_access()[0]
-        overflow = self.tree.bulk_place_ordered(ordered, labels[ordered])
-        if overflow.size:
-            self.stash.extend(overflow, labels[overflow])

@@ -1,4 +1,4 @@
-"""Background-eviction policy used by PathORAM, PrORAM and LAORAM clients.
+"""Background-eviction policy used by PathORAM and LAORAM clients.
 
 Background eviction issues *dummy reads* -- path reads of uniformly random
 leaves that remap nothing -- purely to create write-back opportunities and

@@ -14,9 +14,9 @@ the paper:
    reads of random paths until it drains to the target.
 
 The whole sequence lives in :class:`~repro.oram.engine.TreeORAMEngine`
-(shared with PrORAM, RingORAM and LAORAM); this class binds it to the
-per-object :class:`~repro.oram.engine.ObjectStorageEngine` backend — Block
-objects in list buckets and a dict stash.  Its vectorized twin is
+(shared with LAORAM); this class binds it to the per-object
+:class:`~repro.oram.engine.ObjectStorageEngine` backend — Block objects in
+list buckets and a dict stash.  Its vectorized twin is
 :class:`~repro.oram.array_path_oram.ArrayPathORAM`.
 
 Traffic is recorded in one

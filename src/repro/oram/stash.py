@@ -83,10 +83,6 @@ class Stash:
         """Remove and return the stashed block with ``block_id``."""
         return self._entries.pop(block_id, None)
 
-    def clear(self) -> None:
-        """Remove every entry (used only by tests)."""
-        self._entries.clear()
-
 
 class ArrayStash:
     """Stash of the array engines: one ``{block_id: leaf}`` dict.
@@ -167,7 +163,3 @@ class ArrayStash:
     def pop(self, block_id: int) -> bool:
         """Remove ``block_id``; returns whether it was present."""
         return self._entries.pop(block_id, None) is not None
-
-    def clear(self) -> None:
-        """Remove every entry."""
-        self._entries.clear()

@@ -23,7 +23,7 @@ caller's arithmetic wraps; vector work widens its own operands.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,10 +104,6 @@ class TreeStorage:
     def num_buckets(self) -> int:
         """Total number of buckets."""
         return len(self._buckets)
-
-    def capacity_at_level(self, level: int) -> int:
-        """Bucket capacity at ``level`` (root is level 0)."""
-        return self.bucket_capacities[level]
 
     def bucket(self, level: int, leaf: int) -> Bucket:
         """The bucket at ``level`` on the path to ``leaf``."""
@@ -265,11 +261,6 @@ class ArrayTreeStorage:
         self._slot_view = memoryview(self._slots)
         self._occ_view = memoryview(self._occ)
         self._path_slots = sum(caps)
-        # Template level of each of a path's slots (root first), as Python
-        # ints for the scalar hot path (remove_on_path).
-        self._tmpl_level_list = [
-            level for level, capacity in enumerate(caps) for _ in range(capacity)
-        ]
         # Split-leaf tables (see _split_shift_tables): with hi, lo =
         # leaf >> split, leaf & lo_mask, the path's flat slot indices are
         # slot_hi[hi] + slot_lo[lo] and its bucket indices, root first,
@@ -279,7 +270,11 @@ class ArrayTreeStorage:
         split = (depth + 1) // 2
         self._split = split
         self._lo_mask = (1 << split) - 1
-        slot_level = np.asarray(self._tmpl_level_list, dtype=np.int64)
+        # Template level of each of a path's slots (root first).
+        slot_level = np.asarray(
+            [level for level, capacity in enumerate(caps) for _ in range(capacity)],
+            dtype=np.int64,
+        )
         slot_cap = np.asarray(caps, dtype=np.int64)[slot_level]
         slot_const = np.asarray(
             [self._level_base[level] + offset
@@ -320,10 +315,6 @@ class ArrayTreeStorage:
     def num_buckets(self) -> int:
         """Total number of buckets."""
         return (1 << (self.depth + 1)) - 1
-
-    def capacity_at_level(self, level: int) -> int:
-        """Bucket capacity at ``level`` (root is level 0)."""
-        return self.bucket_capacities[level]
 
     @property
     def stored_block_bytes(self) -> int:
@@ -441,52 +432,16 @@ class ArrayTreeStorage:
             self._node_hi[leaf >> self._split] + self._node_lo[leaf & self._lo_mask]
         )
 
-    def remove_on_path(self, leaf: int, block_id: int) -> bool:
-        """Remove ``block_id`` from the first bucket holding it on the path.
-
-        Matches :meth:`Bucket.remove` semantics: the bucket is scanned root
-        to leaf, and removal shifts the later slots of the bucket down one
-        position so insertion order is preserved.  Returns whether the block
-        was found.  This is RingORAM's online read, so only one block is
-        touched (the caller charges one slot per bucket, not full buckets).
-        """
-        slot_idx = self._fill_path_slots(leaf)
-        gathered = self._scratch_gather
-        self._slots.take(slot_idx, out=gathered)
-        # list.index over the (small) gathered path beats a numpy
-        # mask/any/argmax cascade here: one C-level scan, no ufunc
-        # dispatch, and the temporary list is freed immediately.
-        try:
-            tmpl_pos = gathered.tolist().index(block_id)
-        except ValueError:
-            return False
-        level = self._tmpl_level_list[tmpl_pos]
-        capacity = self.bucket_capacities[level]
-        node = leaf >> (self.depth - level)
-        bucket = ((1 << level) - 1) + node
-        occ = self._occ.item(bucket)
-        start = self._level_base[level] + node * capacity
-        pos = slot_idx.item(tmpl_pos)
-        # Shift the bucket's later occupants down one slot; the block is
-        # usually at or near the bucket's last occupied slot, so a scalar
-        # loop (0-3 moves) beats the ufunc dispatch of a slice copy.
-        slots = self._slots
-        last = start + occ - 1
-        for i in range(pos, last):
-            slots[i] = slots[i + 1]
-        slots[last] = -1
-        self._occ[bucket] = occ - 1
-        return True
-
     def remove_many(self, block_ids: np.ndarray, leaves: np.ndarray) -> None:
         """Remove each of ``block_ids`` from its bucket on the path to ``leaves[i]``.
 
-        Trusted-setup counterpart of a :meth:`remove_on_path` loop: a removed
-        block's bucket keeps its other occupants in insertion order.  One
-        pass per level over the blocks not located yet (leaf first, where a
-        bulk-loaded tree keeps most of them), so no temporary exceeds
-        ``len(block_ids) x bucket capacity``.  A block found nowhere on its
-        path raises :class:`BlockNotFoundError` before anything is removed.
+        Trusted-setup removal, as :meth:`Bucket.remove` does it one block at a
+        time: a removed block's bucket keeps its other occupants in insertion
+        order.  One pass per level over the blocks not located yet (leaf
+        first, where a bulk-loaded tree keeps most of them), so no temporary
+        exceeds ``len(block_ids) x bucket capacity``.  A block found nowhere
+        on its path raises :class:`BlockNotFoundError` before anything is
+        removed.
         """
         block_ids = np.asarray(block_ids, dtype=np.int64)
         leaves = np.asarray(leaves, dtype=np.int64)
@@ -555,11 +510,6 @@ class ArrayTreeStorage:
     # ------------------------------------------------------------------
     # Bulk operations / diagnostics
     # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Empty every bucket in place (trusted-setup relayouts refill it)."""
-        self._slots.fill(-1)
-        self._occ.fill(0)
-
     def bulk_place(self, position_leaves: np.ndarray) -> np.ndarray:
         """Greedily place blocks ``0..N-1`` as deep as possible, in id order.
 
@@ -683,24 +633,3 @@ class ArrayTreeStorage:
             / ((1 << level) * self.bucket_capacities[level])
             for level in range(self.depth + 1)
         ]
-
-    def iter_node_ids(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(level, node, block_ids)`` for every non-empty bucket."""
-        for level in range(self.depth + 1):
-            level_ids = self._level_slots(level)
-            level_occ = self._level_occ(level)
-            for node in np.nonzero(level_occ)[0].tolist():
-                yield level, node, level_ids[node, : int(level_occ[node])]
-
-    def all_block_ids(self) -> np.ndarray:
-        """Every real block id, in tree-iteration order (level, node, slot).
-
-        Occupied slots are always the prefix of each bucket, so masking the
-        flat per-level slot arrays yields exactly the order
-        :meth:`iter_node_ids` walks, without the per-bucket Python loop.
-        """
-        chunks = []
-        for level in range(self.depth + 1):
-            flat = self._level_slots(level).ravel()
-            chunks.append(flat[flat >= 0])
-        return np.concatenate(chunks)

@@ -1,4 +1,4 @@
-"""Greedy write-back planning shared by PathORAM, RingORAM and LAORAM.
+"""Greedy write-back planning shared by PathORAM and LAORAM.
 
 The classic PathORAM eviction rule: after a path has been read, every stash
 block whose assigned path intersects the accessed path may be written back,
@@ -74,8 +74,8 @@ def fused_fetch(read_ids, tags, stash_map, leaf):
     one ``take`` on the owner's tag array (the position map's, or a
     recursion level's labels), and the dict absorbs the pairs via C-level
     ``update(zip(...))`` — marginally ahead of a per-id ``item`` loop at
-    PathORAM's ~9 real ids per path and clearly ahead on RingORAM evict
-    paths, which carry several times that.  Compaction preserves
+    PathORAM's ~9 real ids per path, and further ahead on fuller paths.
+    Compaction preserves
     root-to-leaf slot order, so dict insertion order is exactly the order
     the reference engine adds a path's blocks in.
     """

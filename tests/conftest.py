@@ -62,27 +62,34 @@ def bin_lists(plan) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
     )
 
 
+def node_ids(tree):
+    """Yield ``(level, node, block_ids)`` for every non-empty bucket of an array tree.
+
+    Breadth-first, each bucket's ids in insertion order (its occupied slots
+    are the bucket's first ``occupancy`` slots).
+    """
+    slots, occupancy = tree.slot_array, tree.bucket_occupancies
+    for level, capacity in enumerate(tree.bucket_capacities):
+        start = tree.level_base[level]
+        for node in range(1 << level):
+            held = int(occupancy[(1 << level) - 1 + node])
+            if held:
+                first = start + node * capacity
+                yield level, node, slots[first : first + held]
+
+
 def closed_form_clock(engine) -> float:
     """Simulated seconds as ``TrafficSnapshot`` and tree geometry spell them.
 
     Independent of the counters the price reads besides the traffic totals:
-    recursion activations come from bytes and RingORAM's reshuffles from
-    bucket arithmetic, not from ``posmap_buckets_*`` and ``reshuffles``, and
-    the terms are summed in another order, so the two agree to ~1e-15, not
-    bit for bit.  An event that is lost, repeated or counted at another
+    recursion activations come from bytes, not from ``posmap_buckets_*``,
+    and the terms are summed in another order, so the two agree to ~1e-15,
+    not bit for bit.  An event that is lost, repeated or counted at another
     geometry shows at 1e-12.
     """
     snap, timing = engine.statistics, PAPER_TIMING
     requests = snap.path_reads + snap.dummy_reads + snap.path_writes
     activations = snap.buckets_read + snap.buckets_written
-    # RingORAM's reshuffle is counted as a read and a write of one bucket
-    # but is one request activating one row.  Every other write moves a
-    # whole path of depth + 1 buckets, so the written-bucket total says how
-    # many of each there were (none outside RingORAM).
-    full_writes = (snap.buckets_written - snap.path_writes) // engine.config.depth
-    reshuffles = snap.path_writes - full_writes
-    requests -= reshuffles
-    activations -= reshuffles
     moved = snap.total_bytes + snap.posmap_total_bytes
     requests += snap.posmap_path_reads + snap.posmap_path_writes
     if snap.posmap_total_bytes:

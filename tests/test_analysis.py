@@ -230,8 +230,8 @@ class TreeORAMEngine:
         return block_id
 '''
 
-#: ``remove_on_path`` is RingORAM's online read and reveals its leaf; the
-#: trusted-setup ``remove_many`` is observed by nobody and reveals nothing.
+#: ``read_path_ids`` is a path read and reveals its leaf; the trusted-setup
+#: ``remove_many`` is observed by nobody and reveals nothing.
 _PLANT_SETUP_MOVE_AS_REVEAL = '''
 
 class TreeORAMEngine:
@@ -345,12 +345,12 @@ def test_stale_manifest_entry_is_caught(tmp_path, module, old, new, tables):
     assert {f.message.split()[0] for f in findings} == tables
 
 
-def test_online_read_declassifies_where_the_setup_move_does_not(tmp_path):
-    online = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
-        "remove_many(block_id, leaf)", "remove_on_path(leaf, block_id)"
+def test_path_read_declassifies_where_the_setup_move_does_not(tmp_path):
+    read = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
+        "remove_many(block_id, leaf)", "read_path_ids(leaf)"
     )
-    assert online != _PLANT_SETUP_MOVE_AS_REVEAL
-    assert _scan_scratch_engine(tmp_path, online) == []
+    assert read != _PLANT_SETUP_MOVE_AS_REVEAL
+    assert _scan_scratch_engine(tmp_path, read) == []
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ def assert_invariants(engine: FastLAORAMClient) -> None:
     depth = tree.depth
     seen: list[np.ndarray] = []
     for level in range(depth + 1):
-        capacity = tree.capacity_at_level(level)
+        capacity = tree.bucket_capacities[level]
         slots = tree._level_slots(level)
         occ = tree._level_occ(level)
         # Within capacity, and occupied slots form a dense real-id prefix.
@@ -179,7 +179,7 @@ class TestMultiPathBinDifferential:
             int(fast.tree._level_occ(level)[0]) for level in range(depth - 1)
         ]
         assert shared == [
-            fast.tree.capacity_at_level(level) for level in range(depth - 1)
+            fast.tree.bucket_capacities[level] for level in range(depth - 1)
         ]
 
 

@@ -1,8 +1,7 @@
 """Cross-family equivalence harness: reference engines vs their array twins.
 
 One parametrized suite asserts, for every engine family with a vectorized
-twin (pathoram, laoram, ringoram, proram static+dynamic), on uniform and
-Zipf traces and across seeds, that a fixed seed produces:
+twin (pathoram, laoram), on uniform and Zipf traces and across seeds, that a fixed seed produces:
 
 * bit-identical :class:`~repro.memory.accounting.TrafficSnapshot` counters,
 * identical position maps and stash contents (same ids, same order), and
@@ -19,27 +18,23 @@ here before it can skew a baseline comparison.
 import numpy as np
 import pytest
 
+from repro.core.fast_laoram import FastLAORAMClient
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import UnsupportedEngineError
 from repro.experiments.configs import FAST_ENGINE_FAMILIES, build_engine
 from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.engine import ArrayStorageEngine
-from repro.oram.pr_oram import ArrayPrORAM
-from repro.oram.ring_oram import ArrayRingORAM
 from repro.oram.config import ORAMConfig
+
+from conftest import node_ids
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 1_200
 
 #: Every family with a fast twin, via the configuration label the harness
-#: uses to build it (PrORAM is exercised in both superblock modes).
-FAMILY_LABELS = (
-    "PathORAM",
-    "Normal/S4",
-    "RingORAM",
-    "PrORAM-dynamic/S2",
-    "PrORAM-static/S2",
-)
+#: uses to build it; LAORAM at each superblock size the paper evaluates on
+#: the uniform tree, and on the fat tree.
+FAMILY_LABELS = ("PathORAM", "Normal/S2", "Normal/S4", "Normal/S8", "Fat/S4")
 
 
 def make_trace(workload: str, seed: int) -> np.ndarray:
@@ -84,7 +79,7 @@ def assert_engine_consistent(engine) -> None:
     assert engine.total_real_blocks() == num_blocks
     seen: list[int] = []
     if isinstance(engine, ArrayStorageEngine):
-        for level, node, ids in engine.tree.iter_node_ids():
+        for level, node, ids in node_ids(engine.tree):
             for block_id in ids.tolist():
                 seen.append(block_id)
                 # Path-prefix invariant: a stored block's assigned path must
@@ -126,8 +121,8 @@ class TestCrossFamilyEquivalence:
     @pytest.mark.parametrize("label", FAMILY_LABELS)
     def test_fat_tree_snapshots_bit_identical(self, label):
         # The fat tree's per-level capacities exercise the variable-capacity
-        # slot arithmetic (templates, remove_on_path, try_place_id) that the
-        # uniform-tree cases cannot.
+        # slot arithmetic (split-leaf templates, bulk placement, the
+        # write-back kernels) that the uniform-tree cases cannot.
         trace = make_trace("zipf", 17)
         reference = run_engine(label, 17, trace, fast=False, fat_tree=True)
         fast = run_engine(label, 17, trace, fast=True, fat_tree=True)
@@ -210,16 +205,11 @@ class TestFastEngineCoverage:
 
     def test_every_family_has_a_fast_twin(self):
         config = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=1)
-        expected = {
-            "PathORAM": ArrayPathORAM,
-            "RingORAM": ArrayRingORAM,
-            "PrORAM-dynamic/S2": ArrayPrORAM,
-            "PrORAM-static/S4": ArrayPrORAM,
-        }
+        expected = {"PathORAM": ArrayPathORAM, "Fat/S4": FastLAORAMClient}
         for label, engine_cls in expected.items():
             engine = build_engine(label, config, fast=True)
             assert type(engine) is engine_cls
-        assert FAST_ENGINE_FAMILIES == {"pathoram", "laoram", "ringoram", "proram"}
+        assert FAST_ENGINE_FAMILIES == {"pathoram", "laoram"}
 
     def test_missing_twin_raises_typed_exception(self):
         config = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=1)

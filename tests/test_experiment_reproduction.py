@@ -283,18 +283,3 @@ class TestAblations:
         speedups = {size: result.speedup_over(results[1]) for size, result in results.items()}
         assert speedups[4] > speedups[2] > 1.0
         assert speedups[16] / speedups[8] < speedups[4] / speedups[2]
-
-    def test_proram_degrades_to_pathoram_on_kaggle(self):
-        """Section II-D: history finds no locality in Fig. 2's stream; lookahead does."""
-        trace = self.trace("kaggle", 13)
-        labels = ("PathORAM", "PrORAM-dynamic/S4", "PrORAM-static/S4", "Fat/S4")
-        results = {
-            label: run_configuration(label, trace, self.oram_config(13), seed=13 + offset)
-            for offset, label in enumerate(labels)
-        }
-        speedups = {
-            label: result.speedup_over(results["PathORAM"]) for label, result in results.items()
-        }
-        assert speedups["PrORAM-dynamic/S4"] == pytest.approx(1.0, abs=0.15)
-        assert speedups["PrORAM-static/S4"] < 1.5
-        assert speedups["Fat/S4"] > 2.0

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (configs, runner, scales, metrics)."""
 
+import re
+
 import pytest
 
 from repro.core.laoram import LAORAMClient
@@ -18,8 +20,6 @@ from repro.experiments.scale import TINY, get_scale
 from repro.memory.accounting import TrafficSnapshot
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
-from repro.oram.pr_oram import PrORAM
-from repro.oram.ring_oram import RingORAM
 
 
 class TestScale:
@@ -42,19 +42,19 @@ class TestLabels:
         assert parsed == {"family": "laoram", "fat_tree": True, "superblock_size": 8}
 
     def test_parse_extra_labels(self):
-        assert parse_label("RingORAM")["family"] == "ringoram"
-        assert parse_label("PrORAM-dynamic/S4")["superblock_size"] == 4
+        assert parse_label("Insecure") == {"family": "insecure"}
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_label("FancyORAM")
+    @pytest.mark.parametrize(
+        "label", ["FancyORAM", "RingORAM", "Fat/Sx", "Fat/S", "Normal/S4x"]
+    )
+    def test_unknown_label_rejected(self, label):
+        with pytest.raises(ConfigurationError, match=re.escape(f"'{label}'")):
+            parse_label(label)
 
     def test_build_engine_types(self):
         config = build_oram_config(num_blocks=64, block_size_bytes=32)
         assert isinstance(build_engine("PathORAM", config), PathORAM)
         assert isinstance(build_engine("Insecure", config), InsecureMemory)
-        assert isinstance(build_engine("RingORAM", config), RingORAM)
-        assert isinstance(build_engine("PrORAM-static/S2", config), PrORAM)
         engine = build_engine("Fat/S4", config)
         assert isinstance(engine, LAORAMClient)
         assert engine.describe() == "Fat/S4"

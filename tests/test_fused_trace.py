@@ -5,8 +5,7 @@ Two contracts of the fused hot path (PR 8):
 * ``run_trace`` is decision-for-decision identical to a per-call ``access``
   loop — counters (the drivers' bulk flush against per-event recording),
   timing, position map, stash contents and order, results — including
-  under aggressive background eviction, superblock merges, write ops and
-  numpy-array inputs;
+  under aggressive background eviction, write ops and numpy-array inputs;
 * the steady-state fused loop performs no per-access numpy allocations:
   ``tracemalloc`` growth over a long trace is bounded by the results list
   plus the block-buffered RNG refills.
@@ -24,8 +23,6 @@ from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
-from repro.oram.pr_oram import ArrayPrORAM, PrORAM, SuperblockMode
-from repro.oram.ring_oram import ArrayRingORAM, RingORAM
 from repro.oram.stash import ArrayStash
 
 
@@ -39,16 +36,6 @@ def _config(seed: int = 7) -> ORAMConfig:
 def _trace(n: int = 1500, seed: int = 11) -> list[int]:
     rng = np.random.default_rng(seed)
     return rng.integers(0, NUM_BLOCKS, size=n).tolist()
-
-
-def _merge_trace(n_groups: int = 500, seed: int = 12) -> list[int]:
-    """Ping-pong group pattern that drives PrORAM's dynamic merge logic."""
-    rng = np.random.default_rng(seed)
-    trace: list[int] = []
-    for _ in range(n_groups):
-        group = int(rng.integers(0, NUM_BLOCKS // 2))
-        trace += [2 * group, min(2 * group + 1, NUM_BLOCKS - 1), 2 * group]
-    return trace
 
 
 def _state(engine):
@@ -66,39 +53,22 @@ def _state(engine):
     )
 
 
-ARRAY_FAMILIES = [
-    ("pathoram", ArrayPathORAM, {}),
-    ("ringoram", ArrayRingORAM, {}),
-    (
-        "proram",
-        ArrayPrORAM,
-        {"superblock_size": 2, "mode": SuperblockMode.DYNAMIC},
-    ),
-]
-
-
 class TestRunTraceBitIdentity:
     """run_trace == per-call access loop on both backends."""
 
-    @pytest.mark.parametrize("name,cls,kwargs", ARRAY_FAMILIES[:1])
-    def test_fused_matches_per_call_loop(self, name, cls, kwargs):
-        # RingORAM and PrORAM run_trace *is* the per-call loop.
+    def test_fused_matches_per_call_loop(self):
         trace = _trace()
-        fused = cls(_config(), **kwargs)
-        loop = cls(_config(), **kwargs)
+        fused = ArrayPathORAM(_config())
+        loop = ArrayPathORAM(_config())
         fused_results = fused.run_trace(trace)
         loop_results = [loop.access(block_id) for block_id in trace]
         assert fused_results == loop_results
         assert _state(fused) == _state(loop)
 
-    @pytest.mark.parametrize("name,cls,kwargs", ARRAY_FAMILIES)
-    def test_fused_matches_reference_engine(self, name, cls, kwargs):
-        ref_cls = dict(
-            pathoram=PathORAM, ringoram=RingORAM, proram=PrORAM
-        )[name]
+    def test_fused_matches_reference_engine(self):
         trace = _trace()
-        fused = cls(_config(), **kwargs)
-        reference = ref_cls(_config(), **kwargs)
+        fused = ArrayPathORAM(_config())
+        reference = PathORAM(_config())
         fused_results = fused.run_trace(trace)
         ref_results = [reference.access(block_id) for block_id in trace]
         assert fused_results == ref_results
@@ -112,16 +82,6 @@ class TestRunTraceBitIdentity:
         assert fused.run_trace(trace) == [loop.access(b) for b in trace]
         assert _state(fused) == _state(loop)
         assert fused.statistics.background_evictions > 0
-
-    def test_proram_merge_heavy_trace(self):
-        trace = _merge_trace()
-        kwargs = {"superblock_size": 2, "mode": SuperblockMode.DYNAMIC}
-        fast = ArrayPrORAM(_config(), **kwargs)
-        reference = PrORAM(_config(), **kwargs)
-        assert fast.run_trace(trace) == reference.run_trace(trace)
-        assert _state(fast) == _state(reference)
-        assert fast.merged_group_count == reference.merged_group_count
-        assert fast.merged_group_count > 0
 
     def test_write_ops_round_trip(self):
         trace = _trace(n=400)

@@ -62,7 +62,7 @@ def assert_plan_conformance(engine, plan=None):
     for bucket, block_ids in tree_layout(engine).items():
         level = (bucket + 1).bit_length() - 1
         node = bucket + 1 - (1 << level)
-        assert len(block_ids) <= engine.tree.capacity_at_level(level)
+        assert len(block_ids) <= engine.tree.bucket_capacities[level]
         for block_id in block_ids:
             assert leaves[block_id] >> (depth - level) == node
         in_tree += block_ids
@@ -288,7 +288,7 @@ class TestPlanConformance:
         engines = [client(placement_config(8)) for client in CLIENTS]
         for engine in engines:
             depth = engine.config.depth
-            assert engine.tree.capacity_at_level(depth) == 4
+            assert engine.tree.bucket_capacities[depth] == 4
             members = list(range(100, 108))
             plan = one_bin_plan(engine, members, leaf=9)
             engine.apply_initial_placement(plan)

@@ -94,23 +94,11 @@ class TestTimingModel:
         counter = TrafficCounter()
         counter.record_logical_access(2)
         counter.record_path_read(13, 7777)
+        counter.record_path_write(13, 7777)
         counter.record_posmap_path_write(3, 96)
-        counter.record_reshuffle(96)
         assert PAPER_TIMING.elapsed_s(counter) == PAPER_TIMING.elapsed_s(
             counter.snapshot()
         ) > 0.0
-
-    def test_a_reshuffle_costs_one_request_and_one_activation(self):
-        counter = TrafficCounter()
-        counter.record_reshuffle(96)
-        assert (counter.dummy_reads, counter.path_writes) == (1, 1)
-        assert (counter.buckets_read, counter.buckets_written) == (1, 1)
-        timing = PAPER_TIMING
-        assert timing.elapsed_s(counter) == pytest.approx(
-            timing.dram.access_time_s(1, 2 * 96)
-            + timing.interconnect.transfer_time_s(1, 2 * 96),
-            rel=1e-15,
-        )
 
     def test_recursion_buckets_are_priced(self):
         # A recursion path costs what a main-tree path of its shape costs.
@@ -147,16 +135,15 @@ class TestTimingModel:
     def test_sharded_serial_clock_is_the_price_of_the_merged_snapshot(self):
         trace = ZipfTraceGenerator(1024, exponent=1.1, seed=5).generate(600)
         runner = ShardedRunner(
-            num_blocks=1024, num_shards=4, family="ringoram", seed=2
+            num_blocks=1024, num_shards=4, family="pathoram", seed=2
         )
         runner.run_trace(trace.addresses)
-        assert runner.merged_snapshot().reshuffles > 0
         assert runner.simulated_time_serial_s == pytest.approx(
             PAPER_TIMING.elapsed_s(runner.merged_snapshot()), rel=1e-12
         )
 
 
-RESET_LABELS = ("PathORAM", "Fat/S4", "RingORAM", "PrORAM-dynamic/S2")
+RESET_LABELS = ("PathORAM", "Normal/S4", "Fat/S4", "Fat/S8")
 
 
 class TestClockFollowsTheCounters:

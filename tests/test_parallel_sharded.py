@@ -32,12 +32,13 @@ def _trace(seed: int) -> np.ndarray:
     return rng.integers(0, NUM_BLOCKS, size=NUM_ACCESSES)
 
 
-def _run(family: str, fast: bool, seed: int, num_workers):
+def _run(family: str, fast: bool, seed: int, num_workers, fat_tree: bool = False):
     kwargs = {} if num_workers is None else {"num_workers": num_workers}
     runner = ShardedRunner(
         NUM_BLOCKS,
         NUM_SHARDS,
         family=family,
+        fat_tree=fat_tree,
         seed=seed,
         use_fast_engine=fast,
         **kwargs,
@@ -56,12 +57,17 @@ def _run(family: str, fast: bool, seed: int, num_workers):
         runner.close()
 
 
-@pytest.mark.parametrize("family", ["laoram", "pathoram", "ringoram", "proram"])
+@pytest.mark.parametrize(
+    "family,fat_tree",
+    [("laoram", False), ("pathoram", False), ("laoram", True), ("pathoram", True)],
+    ids=["laoram", "pathoram", "laoram-fat", "pathoram-fat"],
+)
 @pytest.mark.parametrize("fast", [True, False])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_parallel_backend_is_bit_identical(family, fast, seed):
-    sequential = _run(family, fast, seed, None)
-    parallel = _run(family, fast, seed, 2)
+def test_parallel_backend_is_bit_identical(family, fat_tree, fast, seed):
+    # The fat tree's geometry travels to the workers in the shard spec.
+    sequential = _run(family, fast, seed, None, fat_tree=fat_tree)
+    parallel = _run(family, fast, seed, 2, fat_tree=fat_tree)
 
     assert parallel["merged"] == sequential["merged"]
     assert parallel["occupancies"] == sequential["occupancies"]

@@ -22,7 +22,7 @@ class TestConstruction:
     def test_fat_tree_construction(self):
         config = ORAMConfig(num_blocks=128, bucket_size=4, fat_tree=True)
         oram = PathORAM(config)
-        assert oram.tree.capacity_at_level(0) == 8
+        assert oram.tree.bucket_capacities[0] == 8
         assert oram.total_real_blocks() == 128
 
 

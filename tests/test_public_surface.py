@@ -70,14 +70,11 @@ ALLOWLIST: dict[str, str] = {
         "tests/test_experiment_reproduction.py checks Table I's PathORAM overhead"
     ),
     "repro.oram.base.ObliviousMemory.read": (
-        "tests/test_path_oram.py, tests/test_ring_oram.py and tests/test_pr_oram.py "
-        "read payloads back through it"
+        "tests/test_path_oram.py and tests/test_memory_models.py read payloads "
+        "back through it"
     ),
     "repro.oram.bucket.Bucket.find": (
         "tests/test_tree.py finds a placed block in its bucket through it"
-    ),
-    "repro.oram.pr_oram.SuperblockPolicyMixin.merged_group_count": (
-        "tests/test_pr_oram.py and tests/test_fused_trace.py compare merges through it"
     ),
     "repro.oram.stash.ArrayStash.leaf_of": (
         "tests/test_engine_equivalence.py and tests/test_laoram.py check stash "

@@ -46,19 +46,13 @@ from repro.oram.engine import ArrayStorageEngine
 from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import DRAW_BLOCK, LABEL_BYTES, PositionMap
 from repro.utils.stats import chi_square_uniformity
-from conftest import closed_form_clock
+from conftest import closed_form_clock, node_ids
 from test_trace_contract import assert_twins_agree, engine_state
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 600
 
-FAMILY_LABELS = (
-    "PathORAM",
-    "Normal/S4",
-    "RingORAM",
-    "PrORAM-dynamic/S2",
-    "PrORAM-static/S2",
-)
+FAMILY_LABELS = ("PathORAM", "Normal/S2", "Normal/S4", "Fat/S8")
 
 #: Main-tree snapshot fields that must not change under recursion.
 CORE_FIELDS = (
@@ -143,9 +137,7 @@ class TestDenseRecursiveBitIdentity:
         assert rec_snap.posmap_path_reads > 0
         assert rec_snap.posmap_bytes_read > 0
 
-    @pytest.mark.parametrize(
-        "label", ["PathORAM", "Normal/S4", "RingORAM", "PrORAM-dynamic/S2"]
-    )
+    @pytest.mark.parametrize("label", FAMILY_LABELS)
     def test_object_and_array_twins_agree_under_recursion(self, label):
         reference = run_engine(label, 3, fast=False, recursive=True)
         fast = run_engine(label, 3, fast=True, recursive=True)
@@ -431,7 +423,7 @@ class TestRecursionTreeUniformity:
 class TestDrawBlockSeam:
     """Levels take fresh labels a block at a time; a refill changes nothing."""
 
-    @pytest.mark.parametrize("label", ["PathORAM", "Normal/S4", "RingORAM"])
+    @pytest.mark.parametrize("label", ["PathORAM", "Normal/S4", "Fat/S8"])
     def test_twins_stay_state_equal_across_a_refill(self, label):
         # One class serves both backends and owns its generators, so the
         # reference and array engines walk label for label, refills included.
@@ -458,16 +450,13 @@ class TestAmortizationExperiment:
             num_blocks_list=(1 << 12,), num_accesses=1500,
             cutoff_bytes=1 << 10,
         )
-        assert {row.family for row in rows} == {
-            "laoram", "pathoram", "ringoram"
-        }
+        assert {row.family for row in rows} == {"laoram", "pathoram"}
         by_family = {row.family: row for row in rows}
         assert all(row.bit_identical for row in rows)
         assert all(row.num_levels >= 1 for row in rows)
-        # PathORAM/RingORAM pay one walk per access; LAORAM's superblock
-        # bins amortize repeated accesses onto one walk.
+        # PathORAM pays one walk per access; LAORAM's superblock bins
+        # amortize repeated accesses onto one walk.
         assert by_family["pathoram"].walks_per_access == pytest.approx(1.0)
-        assert by_family["ringoram"].walks_per_access == pytest.approx(1.0)
         assert (
             by_family["laoram"].walks_per_access
             < by_family["pathoram"].walks_per_access
@@ -482,8 +471,7 @@ class TestFailurePathsUnderRecursion:
     The bin kernel defers its counts in locals while the recursion walks
     count into the engine's ``counter`` directly, so every exit — the
     kernel's own raises and a raise from inside a walk — must flush without
-    losing or repeating a count.  (RingORAM and PrORAM run the
-    generic loop, the oracle these tests compare with.)
+    losing or repeating a count.
     """
 
     KERNEL_LABELS = ("PathORAM",)
@@ -514,7 +502,7 @@ class TestFailurePathsUnderRecursion:
         leaves = engine.position_map.as_array()
         depth = engine.config.depth
         seen: list[int] = []
-        for level, node, ids in engine.tree.iter_node_ids():
+        for level, node, ids in node_ids(engine.tree):
             assert np.all(leaves[ids] >> (depth - level) == node)
             seen.extend(ids.tolist())
         for block_id in engine.stash.block_ids:
@@ -576,8 +564,6 @@ class TestFailurePathsUnderRecursion:
         [
             pytest.param("PathORAM", "fused", id="PathORAM-fused"),
             pytest.param("PathORAM", "generic loop", id="PathORAM-generic loop"),
-            # RingORAM's run_trace is the generic loop.
-            pytest.param("RingORAM", "generic loop", id="RingORAM-generic loop"),
         ],
     )
     def test_stash_overflow_mid_trace(self, label, driver):
@@ -609,13 +595,11 @@ class TestFailurePathsUnderRecursion:
             assert low <= getattr(failed, name) <= high, name
         assert before.simulated_time_s < engine.simulated_time_s
         assert engine.simulated_time_s <= after.simulated_time_s
-        if label == "PathORAM":
-            # Stash hits fetch nothing, so the over-full engine takes them
-            # (a RingORAM access re-inserts its block: still over-full).
-            resident = list(engine.stash.block_ids)
-            run(engine, resident)
-            assert engine.statistics.logical_accesses == done + len(resident)
-            self.assert_consistent(engine)
+        # Stash hits fetch nothing, so the over-full engine takes them.
+        resident = list(engine.stash.block_ids)
+        run(engine, resident)
+        assert engine.statistics.logical_accesses == done + len(resident)
+        self.assert_consistent(engine)
 
     def test_pathoram_clock_matches_its_counters_and_resumes(self):
         engine = self.build("PathORAM", stash_capacity=10)

@@ -74,3 +74,22 @@ class TestCLI:
         args.command = "bogus"
         with pytest.raises(ValueError):
             run_command(args)
+
+    def test_sharded_and_serve_take_the_two_families_only(self, capsys):
+        for family in ("pathoram", "laoram"):
+            assert main([
+                "sharded", "--family", family,
+                "--num-blocks", "4096", "--num-accesses", "2000",
+            ]) == 0
+            assert f"({family}, sequential in-process)" in capsys.readouterr().out
+            assert main([
+                "serve", "--family", family,
+                "--num-blocks", "4096", "--requests", "50",
+            ]) == 0
+            assert f"({family}, 4 shards, " in capsys.readouterr().out
+        for family in ("ringoram", "proram"):
+            for command, size in (("sharded", "--num-accesses"), ("serve", "--requests")):
+                with pytest.raises(SystemExit) as exited:
+                    main([command, "--family", family, "--num-blocks", "4096", size, "50"])
+                assert exited.value.code == 2
+                assert "invalid choice" in capsys.readouterr().err

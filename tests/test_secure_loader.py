@@ -19,7 +19,6 @@ from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
-from repro.oram.ring_oram import RingORAM
 
 
 def make_store(engine_factory, num_rows=64, dim=8):
@@ -35,10 +34,14 @@ class TestSecureEmbeddingStore:
         [
             PathORAM,
             InsecureMemory,
-            RingORAM,
             lambda cfg: LAORAMClient(LAORAMConfig(oram=cfg, superblock_size=4)),
+            lambda cfg: LAORAMClient(
+                LAORAMConfig(
+                    oram=cfg.with_overrides(fat_tree=True), superblock_size=8
+                )
+            ),
         ],
-        ids=["pathoram", "insecure", "ringoram", "laoram"],
+        ids=["pathoram", "insecure", "laoram", "laoram-fat"],
     )
     def test_fetch_matches_plaintext_table(self, factory):
         store, table = make_store(factory)
@@ -88,7 +91,7 @@ class TestSecureEmbeddingStore:
             store.update_rows([0], np.ones((1, 3), dtype=np.float32))
 
 
-FAST_LABELS = ["PathORAM", "RingORAM", "Fat/S4"]
+FAST_LABELS = ["PathORAM", "Normal/S4", "Fat/S4"]
 
 
 def make_fast_store(label, num_rows=64, dim=8, num_blocks=None):
@@ -133,7 +136,6 @@ LENDING_ENGINES = [
     ("Insecure", False),
     ("PathORAM", False),
     ("PathORAM", True),
-    ("RingORAM", True),
     ("Fat/S4", False),
     ("Fat/S4", True),
 ]
@@ -283,7 +285,7 @@ def test_payload_is_served_only_from_the_stash():
     if 7 in engine.stash:
         engine.stash.pop(7)
     else:
-        assert engine.tree.remove_on_path(leaf, 7)
+        engine.tree.remove_many(np.array([7]), np.array([leaf]))
     with pytest.raises(BlockNotFoundError):
         store.fetch_rows([7])
 

@@ -81,9 +81,8 @@ class TestShardedRunner:
             engine.server_memory_bytes for engine in runner.engines
         )
 
-    @pytest.mark.parametrize("family", ["pathoram", "ringoram", "proram"])
     @pytest.mark.parametrize("use_fast_engine", [False, True])
-    def test_non_laoram_families_run_sharded(self, family, use_fast_engine):
+    def test_pathoram_runs_sharded(self, use_fast_engine):
         from repro.experiments.sharded import SHARDABLE_FAMILIES
 
         num_blocks = 128
@@ -91,22 +90,32 @@ class TestShardedRunner:
         runner = ShardedRunner(
             num_blocks=num_blocks,
             num_shards=3,
-            family=family,
+            family="pathoram",
             block_size_bytes=32,
             use_fast_engine=use_fast_engine,
         )
-        engine_cls = SHARDABLE_FAMILIES[family][1 if use_fast_engine else 0]
+        engine_cls = SHARDABLE_FAMILIES["pathoram"][1 if use_fast_engine else 0]
         assert all(type(e) is engine_cls for e in runner.engines)
         merged = runner.run_trace(trace.addresses)
         assert merged.logical_accesses == 600
         assert runner.total_real_blocks() == num_blocks
         assert sum(r.num_accesses for r in runner.results) == 600
 
-    @pytest.mark.parametrize("family", ["pathoram", "ringoram", "proram", "laoram"])
-    def test_sharded_fast_matches_reference_per_family(self, family):
+    @pytest.mark.parametrize(
+        "family,options",
+        [
+            ("pathoram", {}),
+            ("laoram", {}),
+            ("pathoram", {"fat_tree": True}),
+            ("laoram", {"fat_tree": True}),
+            ("laoram", {"superblock_size": 8}),
+        ],
+        ids=["pathoram", "laoram", "pathoram-fat", "laoram-fat", "laoram-S8"],
+    )
+    def test_sharded_fast_matches_reference_per_family(self, family, options):
         # Shard engines inherit seed + shard_id in both flavours, so the
         # merged counters of the fast and reference runners must be
-        # bit-identical for every family.
+        # bit-identical for every family, tree shape and superblock size.
         num_blocks = 128
         trace = ZipfTraceGenerator(num_blocks, seed=11).generate(700)
         merged = [
@@ -116,6 +125,7 @@ class TestShardedRunner:
                 family=family,
                 block_size_bytes=32,
                 use_fast_engine=fast,
+                **options,
             ).run_trace(trace.addresses)
             for fast in (False, True)
         ]

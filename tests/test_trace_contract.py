@@ -25,17 +25,18 @@ from repro.memory.accounting import TrafficCounter
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.engine import ArrayStorageEngine
 
-from conftest import closed_form_clock
+from conftest import closed_form_clock, node_ids
 
 NUM_BLOCKS = 128
 DIM = 4
 VERBS = ("run_trace", "access_many", "write_many")
 TREE_LABELS = (
     "PathORAM",
-    "RingORAM",
-    "PrORAM-static/S2",
-    "PrORAM-dynamic/S2",
+    "Normal/S2",
     "Normal/S4",
+    "Normal/S8",
+    "Fat/S2",
+    "Fat/S4",
     "Fat/S8",
 )
 LOOKAHEAD_LABELS = ("Normal/S4", "Fat/S8")
@@ -144,19 +145,8 @@ def test_write_many_rejects_a_length_mismatch(label, fast, recursive):
 # One leaf-access contract: the fast drivers equal their oracle under
 # either position map
 # ----------------------------------------------------------------------
-#: Whether each fast family's ``run_trace`` takes the bin kernel: PathORAM
-#: as one-id bins; RingORAM and PrORAM have an ``access`` of their own and
-#: run the generic loop.
-KERNEL_FAMILIES = {
-    "PathORAM": True,
-    "RingORAM": False,
-    "PrORAM-static/S2": False,
-    "PrORAM-dynamic/S2": False,
-}
-
-
 def mixed_trace() -> np.ndarray:
-    """Skewed ids (stash hits), a sequential run (PrORAM merges), a uniform tail."""
+    """Skewed ids (stash hits), a sequential run, a uniform tail."""
     rng = np.random.default_rng(23)
     return np.concatenate(
         [
@@ -173,7 +163,7 @@ def tree_layout(engine) -> dict[int, list[int]]:
     if isinstance(engine, ArrayStorageEngine):
         return {
             (1 << level) - 1 + node: ids.tolist()
-            for level, node, ids in tree.iter_node_ids()
+            for level, node, ids in node_ids(tree)
         }
     buckets = ((index, tree.bucket_by_index(index)) for index in range(tree.num_buckets))
     return {
@@ -209,7 +199,7 @@ def assert_twins_agree(reference, fast) -> None:
 
 @pytest.mark.parametrize("writes", [False, True])
 @pytest.mark.parametrize("recursive", [False, True])
-@pytest.mark.parametrize("label", KERNEL_FAMILIES)
+@pytest.mark.parametrize("label", ["PathORAM"])
 def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkeypatch):
     trace = mixed_trace()
     ops = payloads = None
@@ -234,9 +224,8 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
     want = ObliviousMemory.run_trace(oracle, trace, ops, payloads)
 
     # PathORAM ran the kernel once, whichever map the engine holds: no
-    # fallback.  The others never reached it.
-    on_kernel = KERNEL_FAMILIES[label]
-    assert calls == ([type(fast.position_map).__name__] if on_kernel else [])
+    # fallback.
+    assert calls == [type(fast.position_map).__name__]
     assert list(got) == list(want)
     # simulated_time_s compares with ==: the clock is the closed form of
     # integer charge counts, whatever order and grouping they arrived in.
@@ -245,14 +234,9 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
 
 
 #: Bucket sizes that leave well over a hundred residents in a 1024-block
-#: engine's stash, family by family: the array backend's per-access hooks
-#: (``_fetch_path`` / ``_commit_write_back``) on large and small stashes alike.
-LARGE_STASH_BUCKETS = {
-    "Fat/S8": 2,
-    "RingORAM": 1,
-    "PrORAM-static/S2": 1,
-    "PrORAM-dynamic/S2": 1,
-}
+#: engine's stash: the array backend's per-access hooks (``_fetch_path`` /
+#: ``_commit_write_back``) on large and small stashes alike.
+LARGE_STASH_BUCKETS = {"PathORAM": 1, "Normal/S4": 1, "Fat/S8": 2}
 
 
 @pytest.mark.parametrize("recursive", [False, True])
@@ -534,9 +518,8 @@ def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
 # ----------------------------------------------------------------------
 # One clock: the closed form of the counters, on every engine
 # ----------------------------------------------------------------------
-#: One label per family; RingORAM on a fat tree, so its reshuffles fall
-#: into one transfer class per bucket size.
-CLOCK_LABELS = ("PathORAM", "RingORAM", "PrORAM-dynamic/S2", "Fat/S8")
+#: One label per family and tree shape.
+CLOCK_LABELS = ("PathORAM", "Normal/S4", "Fat/S8")
 
 
 @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
@@ -544,13 +527,12 @@ CLOCK_LABELS = ("PathORAM", "RingORAM", "PrORAM-dynamic/S2", "Fat/S8")
 def test_the_clock_is_the_closed_form_of_the_counters(label, recursive):
     """Through every entry point and both failure paths, on both twins.
 
-    The engine prices its counters, recursion buckets and reshuffles
-    included; ``closed_form_clock`` derives those two from bytes and bucket
-    arithmetic instead.  They meet at 1e-12 only if every event was counted
-    once, at its own geometry — main-tree paths, each recursion level's
-    paths, RingORAM's online reads, evict-paths and per-level reshuffles —
-    by the reference engine one event at a time and by the array engine
-    once per driver call, and twins meet with ``==``.
+    The engine prices its counters, recursion buckets included;
+    ``closed_form_clock`` derives those from bytes instead.  They meet at
+    1e-12 only if every event was counted once, at its own geometry —
+    main-tree paths and each recursion level's paths — by the reference
+    engine one event at a time and by the array engine once per driver
+    call, and twins meet with ``==``.
     """
     trace = mixed_trace()
     rows = [("written", i) for i in range(len(trace))]

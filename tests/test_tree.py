@@ -12,6 +12,8 @@ from repro.oram.tree import (
     TreeStorage,
 )
 
+from conftest import node_ids
+
 
 def make_tree(depth=3, bucket=2, block_size=64, metadata=0, capacities=None):
     caps = capacities if capacities is not None else [bucket] * (depth + 1)
@@ -35,8 +37,8 @@ class TestGeometry:
 
     def test_fat_tree_capacities_per_level(self):
         tree = make_tree(depth=3, capacities=[8, 6, 5, 4])
-        assert tree.capacity_at_level(0) == 8
-        assert tree.capacity_at_level(3) == 4
+        assert tree.bucket_capacities[0] == 8
+        assert tree.bucket_capacities[3] == 4
         assert tree.bucket(0, 0).capacity == 8
         assert tree.bucket(3, 5).capacity == 4
 
@@ -218,7 +220,7 @@ class TestArrayBulkPlacement:
         # The contested paths took blocks from both sides of the seam.
         bulk = self._array_tree(depth, capacities)
         bulk.bulk_place_ordered(block_ids, leaves)
-        stored = set(bulk.all_block_ids().tolist())
+        stored = set(bulk.slot_array[bulk.slot_array >= 0].tolist())
         contested = block_ids[PLACE_CHUNK - 40 : PLACE_CHUNK + 40].tolist()
         assert any(b in stored for b in contested[:40])
         assert any(b in stored for b in contested[40:])
@@ -260,23 +262,34 @@ class TestArrayBulkPlacement:
         occupancy = tree.occupancy_view[0]
         assert type(occupancy) is int and occupancy == MAX_BUCKET_CAPACITY
         assert tree.real_block_count() == 2 * MAX_BUCKET_CAPACITY
-        assert tree.remove_on_path(0, 0)
+        tree.remove_many(np.array([0]), np.array([0]))
         assert tree.occupancy_view[1] == MAX_BUCKET_CAPACITY - 1
         with pytest.raises(ConfigurationError, match="bucket capacity"):
             self._array_tree(2, [MAX_BUCKET_CAPACITY + 1, 4, 4])
 
-    def test_clear_empties_the_tree_in_place(self):
-        tree = self._array_tree(3, [2] * 4)
-        slots = tree.slot_array
-        tree.bulk_place(np.array([0, 7, 7, 7, 3]))
-        assert tree.real_block_count() == 5
-        tree.clear()
-        assert tree.real_block_count() == 0
-        assert tree.slot_array is slots and (slots == -1).all()
+
+def _remove_on_path(tree, leaf, block_id):
+    """One block off the first bucket holding it on the path, as ``Bucket.remove``.
+
+    The scalar oracle for ``remove_many``: the bucket's later occupants
+    shift down one slot, so insertion order is kept.
+    """
+    slots, occ = tree.slot_array, tree.bucket_occupancies
+    for level, capacity in enumerate(tree.bucket_capacities):
+        node = leaf >> (tree.depth - level)
+        bucket = (1 << level) - 1 + node
+        start = tree.level_base[level] + node * capacity
+        held = slots[start : start + int(occ[bucket])].tolist()
+        if block_id in held:
+            held.remove(block_id)
+            slots[start : start + capacity] = held + [-1] * (capacity - len(held))
+            occ[bucket] = len(held)
+            return True
+    return False
 
 
 class TestArrayBulkRemoval:
-    """``remove_many`` against the ``remove_on_path`` loop it stands for."""
+    """``remove_many`` against the scalar removal loop it stands for."""
 
     @staticmethod
     def _filled_pair(depth, capacities, seed, per_leaf=3):
@@ -311,7 +324,7 @@ class TestArrayBulkRemoval:
         before = bulk.real_block_count()
         bulk.remove_many(victims, leaves[victims])
         for block_id in victims.tolist():
-            assert scalar.remove_on_path(int(leaves[block_id]), block_id)
+            assert _remove_on_path(scalar, int(leaves[block_id]), block_id)
         assert np.array_equal(bulk.slot_array, scalar.slot_array)
         assert np.array_equal(bulk.bucket_occupancies, scalar.bucket_occupancies)
         assert bulk.real_block_count() == before - victims.size
@@ -346,7 +359,7 @@ class TestArrayBulkRemoval:
         # whole of level 1, and two non-adjacent slots of the root.
         victims = np.array([0, 2, 4, 6, 7, 8, 9, 11])
         self._assert_matches_scalar_loop(bulk, scalar, victims, leaves)
-        assert [ids.tolist() for _, _, ids in bulk.iter_node_ids()] == [
+        assert [ids.tolist() for _, _, ids in node_ids(bulk)] == [
             [10, 12], [3, 5], [1],
         ]
 
