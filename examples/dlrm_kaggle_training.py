@@ -6,7 +6,7 @@ trains on click-through data whose categorical features index an embedding
 table; the table lives in untrusted CPU memory, so the row addresses must be
 hidden.  This example trains a small DLRM on a synthetic Criteo-style
 dataset twice — once with the largest table behind PathORAM and once behind
-LAORAM, both on the fast array-backed engines — and reports both the
+LAORAM — and reports both the
 learning metrics (identical data in, identical learning out) and the
 memory-access cost in path reads per embedding row (where LAORAM wins).
 
@@ -39,7 +39,7 @@ def train_once(label: str) -> float:
     oram_config = ORAMConfig(
         num_blocks=PROTECTED_ROWS, block_size_bytes=EMBEDDING_DIM * 4, seed=11
     )
-    engine = build_engine(label, oram_config, fast=True)
+    engine = build_engine(label, oram_config)
 
     table = EmbeddingTable(PROTECTED_ROWS, EMBEDDING_DIM, seed=3)
     store = SecureEmbeddingStore(engine, table)

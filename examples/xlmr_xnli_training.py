@@ -6,7 +6,7 @@ trained on the XNLI corpus.  Token ids follow a Zipfian distribution, which
 is the friendliest case for LAORAM (few dummy reads, large speedups).  This
 example trains a mean-pooled token-embedding classifier on a synthetic XNLI
 dataset with the embedding table behind LAORAM and, for comparison, behind
-PathORAM (both on the fast array-backed engines), and reports learning
+PathORAM, and reports learning
 metrics and path reads per embedding row for every epoch.
 
 Run with ``python examples/xlmr_xnli_training.py``.
@@ -36,7 +36,6 @@ def train(label: str, dataset: SyntheticXNLIDataset) -> list[float]:
     engine = build_engine(
         label,
         ORAMConfig(num_blocks=VOCABULARY, block_size_bytes=EMBEDDING_DIM * 4, seed=9),
-        fast=True,
     )
     table = EmbeddingTable(VOCABULARY, EMBEDDING_DIM, seed=1)
     store = SecureEmbeddingStore(engine, table)

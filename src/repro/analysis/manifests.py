@@ -170,15 +170,11 @@ class AnalysisConfig:
 #: reveal nothing, and a leaf handed to one of them from a hot function
 #: stays tainted.
 _PATH_REVEAL = (
-    Declassifier("_read_path_into_stash", (0,)),
     Declassifier("read_path_ids", (0,)),
-    Declassifier("read_path", (0,)),
-    Declassifier("_fetch_path", (0,)),
     # fused_fetch(read_ids, tags, stash_map, leaf): the leaf is argument 3.
     Declassifier("fused_fetch", (3,)),
     Declassifier("fetch", (3,)),
     Declassifier("observe_path", (0,)),
-    Declassifier("_write_back", (0,)),
 )
 
 # The bin kernel takes its ids bin by bin (``bins`` yields ``block_ids``
@@ -188,13 +184,7 @@ _ENGINE_SOURCES = ModuleSources(
     attrs=frozenset({"entries", "stash"}),
     # leaf_access() hands out the tag view and the update accessor: both
     # are secret, and so is every old leaf ``update`` returns.
-    calls=frozenset(
-        {
-            "position_map.update",
-            "position_map.leaf_access",
-            "_stash_lookup",
-        }
-    ),
+    calls=frozenset({"position_map.update", "position_map.leaf_access"}),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -234,15 +224,11 @@ def default_config() -> AnalysisConfig:
         obl_hot_functions={
             "repro/core/laoram.py": ("LookaheadClientMixin._aligned_bins",),
             "repro/oram/engine.py": (
-                "TreeORAMEngine.access",
-                "TreeORAMEngine._maybe_background_evict",
-                "TreeORAMEngine.dummy_access",
+                "ArrayStorageEngine.access",
+                "ArrayStorageEngine.dummy_access",
                 "ArrayStorageEngine._run_bins",
-                "ArrayStorageEngine._fetch_path",
-                "ArrayStorageEngine._commit_write_back",
             ),
             "repro/oram/write_back.py": (
-                "plan_greedy_write_back",
                 "fused_fetch",
                 "fused_greedy_write_back",
                 "fused_shared_write_back",
@@ -288,25 +274,19 @@ def default_config() -> AnalysisConfig:
         declassifications=(
             Declassification(
                 "repro/oram/write_back.py",
-                "plan_greedy_write_back",
-                ("OBL001", "OBL002"),
-                "write-back planning is client-side; the committed path is "
-                "charged at full-path cost regardless of which blocks are "
-                "selected, so selection branches are unobservable",
-            ),
-            Declassification(
-                "repro/oram/write_back.py",
                 "fused_greedy_write_back",
                 ("OBL001", "OBL002"),
-                "client-side planning (see plan_greedy_write_back); slot "
-                "indices written derive from the already-revealed path leaf",
+                "write-back planning is client-side and the written path is "
+                "charged at full-path cost whichever blocks are selected; "
+                "slot indices written derive from the already-revealed leaf",
             ),
             Declassification(
                 "repro/oram/write_back.py",
                 "fused_shared_write_back",
                 ("OBL001", "OBL002"),
-                "client-side planning (see plan_greedy_write_back); slots "
-                "and occupancies touched lie on the already-revealed path",
+                "write-back planning is client-side and the written path is "
+                "charged at full-path cost whichever blocks are selected; "
+                "slots and occupancies touched lie on the already-revealed path",
             ),
         ),
     )

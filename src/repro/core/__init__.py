@@ -1,13 +1,11 @@
-"""LAORAM core: look-ahead superblock formation, preprocessor and clients.
+"""LAORAM core: look-ahead superblock formation, preprocessor and client.
 
-Two interchangeable clients execute the protocol: the per-object reference
-:class:`LAORAMClient` and the array-backed :class:`FastLAORAMClient`, which
-makes identical protocol decisions (and therefore identical traffic
-counters for a fixed seed) over vectorized storage.
+:class:`LAORAMClient` runs the protocol on the PathORAM engine's one
+kernel; :class:`LookaheadClientMixin` holds its plan management and the
+one way a request becomes superblock bins.
 """
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient, LookaheadClientMixin
 from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan
@@ -15,7 +13,6 @@ from repro.core.superblock import LookaheadPlan
 __all__ = [
     "LAORAMConfig",
     "LAORAMClient",
-    "FastLAORAMClient",
     "LookaheadClientMixin",
     "Preprocessor",
     "LookaheadPlan",

@@ -22,13 +22,27 @@ evaluation.
 
 Plan management, trace windowing, the trace-level entry points and the one
 way a request becomes bins (:meth:`LookaheadClientMixin._aligned_bins`) live
-in :class:`LookaheadClientMixin`, so the per-object client here and the
-array-backed :class:`~repro.core.fast_laoram.FastLAORAMClient` share one
-scheduling implementation.  They differ in how they serve the bins
-(``_serve_request``: here :meth:`LAORAMClient.access_superblock` per bin, the
-reference) and in where a bin's remap leaves come from (``_plan_position``):
-the reference looks every id up in the plan, the array client takes a
-conforming bin's leaves by position.
+in :class:`LookaheadClientMixin`.  :class:`LAORAMClient` puts them on the
+PathORAM engine: every bin, whichever entry point it came through, runs on
+the engine's one trace kernel,
+:meth:`~repro.oram.engine.ArrayStorageEngine._run_bins` — it binds the
+stash's dict once per call, a bin is dict membership, one ``fused_fetch``
+per distinct path, an in-place remap and one write-back kernel call per
+path read, and the access and path counts are flushed once on exit.  While
+a request's ids are exactly the installed plan's next addresses — a
+replayed window always, a trainer that announced the stream it issues —
+each bin takes its remap leaves by position from the table the plan
+computes once (:meth:`LookaheadClientMixin._plan_position`), instead of a
+plan lookup per id.  Initial placement relocates only the planned blocks
+(one level-by-level removal from their old buckets, one per-level bulk
+placement on their new paths).
+
+The per-object reference client the tests hold this one to
+(``tests/oracle/laoram.py``) shares the mixin and serves each bin with a
+per-object ``access_superblock``, looking every remap up in the plan; for a
+fixed seed both draw from the RNG in the same order, pick the same
+write-back victims and count bit-identical traffic (``docs/performance.md``,
+"LAORAM bin kernel").
 """
 
 from __future__ import annotations
@@ -37,9 +51,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import BlockNotFoundError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
-from repro.oram.base import AccessOp
 from repro.oram.engine import Bin
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
@@ -49,7 +62,7 @@ from repro.core.superblock import LookaheadPlan
 
 
 class LookaheadClientMixin:
-    """Plan-driven scheduling shared by every LAORAM engine backend.
+    """Plan-driven scheduling shared by the LAORAM client and its reference.
 
     The mixin owns the constructor, the preprocessor, the installed plan,
     the trace cursor and every trace-level entry point (``run_trace``,
@@ -116,11 +129,11 @@ class LookaheadClientMixin:
     def bins_by_position(self) -> int:
         """Bins since the plan was installed that took its precomputed remaps.
 
-        The array client serves a bin by position while the ids it is asked
-        for are exactly the plan's next addresses.  A caller whose announced
-        trace has drifted from the ids it issues reads 0 here and its bins
-        under :attr:`bins_by_lookup`: remaps then cost a plan lookup per id
-        and a superblock's blocks no longer meet on one path.
+        :class:`LAORAMClient` serves a bin by position while the ids it is
+        asked for are exactly the plan's next addresses.  A caller whose
+        announced trace has drifted from the ids it issues reads 0 here and
+        its bins under :attr:`bins_by_lookup`: remaps then cost a plan
+        lookup per id and a superblock's blocks no longer meet on one path.
         """
         return self._bins_by_position
 
@@ -129,7 +142,7 @@ class LookaheadClientMixin:
         """Bins since the plan was installed remapped id by id.
 
         Counts the bins of ``run_trace`` / ``access_many`` / ``write_many``;
-        the per-object client looks every id up.
+        a single :meth:`access` counts in neither.
         """
         return self._bins_by_lookup
 
@@ -281,52 +294,16 @@ class LookaheadClientMixin:
     ) -> int:
         """The plan bin a request at ``start_index`` opens by position, or ``-1``.
 
-        ``-1`` here: every bin looks its ids up in the plan.  The per-object
-        client keeps that, because it is the oracle the array client's
-        by-position remaps are checked against, and because its bins always
-        look up: taking the table as well would hand each block the
-        occurrence after the one the table already handed out.  The array
-        client overrides this with :meth:`LookaheadPlan.position_bin`.
+        By position while the request is the plan's next addresses
+        (:meth:`LookaheadPlan.position_bin`: one array equality per call);
+        ``-1`` makes every bin look its ids up in the plan.
         """
-        return -1
+        return plan.position_bin(start_index, block_ids)
 
     @property
     def trace_cursor(self) -> int:
         """Number of planned accesses consumed so far (plan lookup position)."""
         return self._trace_cursor
-
-    # ------------------------------------------------------------------
-    # Single-access compatibility path
-    # ------------------------------------------------------------------
-    def access(
-        self,
-        block_id: int,
-        op: AccessOp = AccessOp.READ,
-        new_payload: Optional[object] = None,
-    ) -> Optional[object]:
-        """Single-block access (PathORAM semantics, plan-driven remapping)."""
-        payload = super().access(block_id, op, new_payload)
-        self._trace_cursor += 1
-        return payload
-
-    def _choose_new_leaf(self, block_id: int) -> int:
-        return self._planned_leaf(block_id, after_index=self._trace_cursor)
-
-    def _planned_leaf(self, block_id: int, after_index: int) -> int:
-        """The plan's next leaf for ``block_id``, else the stream's next.
-
-        A plan leaf is range-checked as it is decided, before any update: a
-        plan built for another tree fails here on both clients.
-        """
-        if self._plan is not None:
-            leaf = self._plan.consume_next_leaf(block_id, after_index)
-            if leaf is not None:
-                if not 0 <= leaf < self._num_leaves:
-                    raise ConfigurationError(
-                        f"planned leaf {leaf} outside [0, {self._num_leaves})"
-                    )
-                return leaf
-        return self._draw_leaf()
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -360,15 +337,15 @@ class LookaheadClientMixin:
         makes for its initial bulk load): it may only run before the first
         adversary-visible access, and it is not charged to the traffic
         counters.  Only the planned blocks move, so it costs what the plan
-        names, not the table.  One rule for both backends, which keeps their
-        layouts slot-identical: every planned block is detached from the
-        stash or from its bucket on its old path (the other occupants keep
-        their order), then the blocks are placed in ascending id order, each
-        as deep as possible on its new path given what is already there, and
-        what does not fit enters the stash in that order.  The first planned
-        occurrence of every placed block is marked consumed so the first
-        in-trace reassignment cannot be handed the same leaf again (which an
-        adversary could link).
+        names, not the table.  One rule, which keeps the layouts of the
+        client and its reference slot-identical: every planned block is
+        detached from the stash or from its bucket on its old path (the
+        other occupants keep their order), then the blocks are placed in
+        ascending id order, each as deep as possible on its new path given
+        what is already there, and what does not fit enters the stash in
+        that order.  The first planned occurrence of every placed block is
+        marked consumed so the first in-trace reassignment cannot be handed
+        the same leaf again (which an adversary could link).
         """
         if self.counter.logical_accesses:
             raise ConfigurationError(
@@ -395,117 +372,69 @@ class LookaheadClientMixin:
 
         Returns the payloads read, in request order.  ``payloads`` (one per
         id) makes the request a write; repeated ids keep the last payload.
-        A raise drops the plan, on both clients alike.
+        A raise drops the plan.
         """
         raise NotImplementedError
 
 
 class LAORAMClient(LookaheadClientMixin, PathORAM):
-    """Look-ahead ORAM client (the paper's contribution), per-object backend."""
+    """Look-ahead ORAM client (the paper's contribution)."""
 
-    def _relocate(
-        self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
-    ) -> None:
-        """Scalar relocation: the reference the array client is checked against."""
-        blocks = []
-        for block_id, old_leaf, new_leaf in zip(
-            block_ids.tolist(), old_leaves.tolist(), new_leaves.tolist()
-        ):
-            block = self._stash_detach(block_id)
-            if block is None:
-                block = self._remove_from_path(old_leaf, block_id)
-            if block is None:
-                raise BlockNotFoundError(
-                    f"block {block_id} missing from both stash and its path"
-                )
-            block.leaf = new_leaf
-            blocks.append(block)
-        self.stash.extend(
-            [block for block in blocks if not self.tree.try_place_on_path(block)]
-        )
-
+    # ------------------------------------------------------------------
+    # Serving a request
+    # ------------------------------------------------------------------
     def _serve_request(
         self,
         block_ids: list[int] | np.ndarray,
         payloads: Optional[Sequence[object]] = None,
-    ) -> list[Optional[object]]:
-        """One :meth:`access_superblock` per bin; payloads are kept per bin."""
-        first = self._trace_cursor
-        served: list[Optional[object]] = []
-        try:
-            for start_index, ids, _ in self._aligned_bins(block_ids):
-                updates = None
-                if payloads is not None:
-                    offset = start_index - first
-                    updates = dict(zip(ids, payloads[offset : offset + len(ids)]))
-                served.extend(self.access_superblock(ids, updates))
-        except BaseException:
-            self._plan = None
-            raise
-        return served
+    ) -> Sequence[Optional[object]]:
+        """Run the request's bins on the kernel, then touch the store once.
 
-    def access_superblock(
-        self,
-        block_ids: list[int],
-        new_payloads: Optional[dict[int, object]] = None,
-    ) -> list[Optional[object]]:
-        """Serve every access of one superblock bin, the next at the cursor.
-
-        Returns the payloads in the bin's access order.  Path reads are
-        deduplicated: blocks already in the stash cost nothing, and blocks
-        sharing a path are fetched together.  ``new_payloads`` turns the
-        corresponding accesses into writes (the payload is replaced before
-        the block is written back).
+        A read is one gather taken after every bin has found its blocks in
+        the stash: a fresh ``(len(block_ids), dim)`` matrix over a loaded
+        payload matrix (:meth:`OverlayRowStore.gather`), a list over a dict.
+        A write stores the payloads of the bins the kernel got through, in
+        one scatter, in a ``finally``: a raise keeps the writes of the bins
+        served before it.
         """
-        needed = list(dict.fromkeys(block_ids))
-        for block_id in needed:
-            self._check_block_id(block_id)
-        # Counted once every id passed the check: a rejected id is no access.
-        self.counter.record_logical_access(len(block_ids))
-        end_index = self._trace_cursor + len(block_ids) - 1
+        first = self._trace_cursor
+        try:
+            self._run_bins(self._aligned_bins(block_ids))
+        finally:
+            served = self._trace_cursor - first
+            if payloads is not None and served:
+                ids, rows = block_ids[:served], payloads[:served]
+                store = self._payloads
+                if isinstance(store, dict):
+                    store.update(zip(ids, rows))
+                else:
+                    store.scatter(ids, rows)
+        if payloads is not None:
+            return None
+        store = self._payloads
+        if isinstance(store, dict):
+            ids = block_ids if isinstance(block_ids, list) else block_ids.tolist()
+            return list(map(store.get, ids))
+        return store.gather(block_ids)
 
-        # Decide every distinct block's next leaf first: the path of its
-        # *next* planned occurrence (uniform random when the plan runs out).
-        remaps = {b: self._planned_leaf(b, after_index=end_index) for b in needed}
-        missing = [b for b in needed if b not in self.stash]
-        hits = [b for b in needed if b in self.stash]
-        self.counter.record_stash_hit(len(hits))
+    def _relocate(
+        self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
+    ) -> None:
+        """Vectorized relocation, slot-identical to the reference client's.
 
-        # Path ORAM's order per missing block: the update returns the path it
-        # sits on, read unless an earlier block of the bin read it already
-        # (which brought the block in under its old label).  Each distinct
-        # path is fetched exactly once; a raise leaves every block either
-        # updated and stashed or untouched.
-        read_leaves: list[int] = []
-        for block_id in missing:
-            leaf = self.position_map.update(block_id, remaps[block_id])
-            if leaf not in read_leaves:
-                read_leaves.append(leaf)
-                self._read_path_into_stash(leaf, dummy=False)
-            block = self.stash.get(block_id)
-            if block is None:
-                raise BlockNotFoundError(
-                    f"block {block_id} missing from both stash and its path"
-                )
-            block.leaf = remaps[block_id]
-
-        payloads: list[Optional[object]] = []
-        for block_id in block_ids:
-            block = self.stash.get(block_id)
-            if new_payloads is not None and block_id in new_payloads:
-                block.payload = new_payloads[block_id]
-            payloads.append(block.payload)
-
-        # The stash hits' updates follow the fetch, in the bin's order.
-        for block_id in hits:
-            self._update_leaf(block_id, remaps[block_id])
-
-        # Path by path: a later write-back finds the buckets it shares with
-        # an earlier one already refilled.
-        for leaf in read_leaves:
-            self._write_back(leaf)
-
-        self._trace_cursor = end_index + 1
-        self._maybe_background_evict()
-        self.counter.observe_stash(len(self.stash))
-        return payloads
+        Which planned blocks are stashed is one ``isin`` against the
+        stash's residents (tens to hundreds, against up to every block
+        planned); those leave the stash, the rest leave their old buckets in
+        one level-by-level pass, and the per-level bulk placement (which
+        honours the buckets' current occupants and equals the scalar
+        place-as-deep-as-possible loop) puts them on their new paths.
+        """
+        stash = self.stash
+        stashed = np.isin(
+            block_ids, np.fromiter(stash.entries, np.int64, len(stash))
+        )
+        for block_id in block_ids[stashed].tolist():
+            stash.pop(block_id)
+        self.tree.remove_many(block_ids[~stashed], old_leaves[~stashed])
+        overflow = self.tree.bulk_place_ordered(block_ids, new_leaves)
+        stash.extend(overflow, self.position_map.peek_many(overflow))

@@ -28,6 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 
 def num_bins(num_accesses: int, superblock_size: int, start_index: int = 0) -> int:
     """Bins a window of ``num_accesses`` starting at ``start_index`` is cut into.
@@ -90,9 +92,9 @@ class LookaheadPlan:
         start_index: int = 0,
     ):
         if num_leaves < 2:
-            raise ValueError("num_leaves must be >= 2")
+            raise ConfigurationError("num_leaves must be >= 2")
         if superblock_size < 1:
-            raise ValueError("superblock_size must be >= 1")
+            raise ConfigurationError("superblock_size must be >= 1")
         self.addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         self.bin_leaves = np.ascontiguousarray(bin_leaves, dtype=np.int64)
         self.superblock_size = superblock_size
@@ -101,7 +103,7 @@ class LookaheadPlan:
         n = self.addresses.size
         expected_bins = num_bins(n, superblock_size, start_index)
         if self.bin_leaves.size != expected_bins:
-            raise ValueError(
+            raise ConfigurationError(
                 f"need {expected_bins} bin leaves for {n} accesses, "
                 f"got {self.bin_leaves.size}"
             )

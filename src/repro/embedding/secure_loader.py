@@ -25,10 +25,9 @@ class SecureEmbeddingStore:
 
     The table is lent, not copied: ``table.weights`` is the engine's
     read-only initial payload matrix for the store's lifetime.  Updated rows
-    live inside the engine (the overlay of the engines' row store, or fresh
-    per-block payloads on the reference engines), so the table keeps its
-    initial values and the caller must not write into it while the store
-    is in use.
+    live inside the engine (the overlay of the engine's row store), so the
+    table keeps its initial values and the caller must not write into it
+    while the store is in use.
     """
 
     def __init__(self, memory: ObliviousMemory, table: EmbeddingTable):

@@ -15,16 +15,6 @@ class ConfigurationError(ReproError):
     """An invalid configuration value was supplied."""
 
 
-class UnsupportedEngineError(ConfigurationError):
-    """A requested engine variant does not exist for the given family.
-
-    Raised by :func:`repro.experiments.configs.build_engine` when
-    ``fast=True`` is requested for a family without a vectorized twin.
-    Derives from :class:`ConfigurationError` so existing callers that catch
-    configuration problems keep working.
-    """
-
-
 class StashOverflowError(ReproError):
     """The client stash exceeded its hard capacity limit."""
 

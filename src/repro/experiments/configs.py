@@ -12,27 +12,22 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
-from repro.exceptions import ConfigurationError, UnsupportedEngineError
+from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
-from repro.oram.array_path_oram import ArrayPathORAM
 from repro.oram.base import ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 
-#: The one family table: family -> (per-object reference engine, array
-#: twin).  ``build_engine`` and the shard engine specs
-#: (:mod:`repro.experiments.sharded.planner`) both pick their class here.
-ENGINE_CLASSES: dict[str, tuple[type, type]] = {
-    "pathoram": (PathORAM, ArrayPathORAM),
-    "laoram": (LAORAMClient, FastLAORAMClient),
+#: The one family table: family -> engine class.  ``build_engine`` and the
+#: shard engine specs (:mod:`repro.experiments.sharded.planner`) both pick
+#: their class here.
+ENGINE_CLASSES: dict[str, type] = {
+    "pathoram": PathORAM,
+    "laoram": LAORAMClient,
 }
-
-#: Families with a vectorized (``fast=True``) twin.
-FAST_ENGINE_FAMILIES: frozenset[str] = frozenset(ENGINE_CLASSES)
 
 #: Configuration labels used in the paper's figures, in plotting order.
 PAPER_CONFIG_LABELS: tuple[str, ...] = (
@@ -108,11 +103,9 @@ def build_engine(
 ) -> ObliviousMemory:
     """Instantiate the engine named by ``label`` on the given tree geometry.
 
-    ``fast=True`` selects the array-backed vectorized engine: PathORAM ->
-    :class:`ArrayPathORAM`, LAORAM -> :class:`FastLAORAMClient`.  Every twin
-    produces counters bit-identical to the per-object engine for a fixed
-    seed, only faster.  Families without a twin (the insecure baseline)
-    raise :class:`~repro.exceptions.UnsupportedEngineError`.
+    ``fast`` is ignored: each family has one engine.  It is still accepted
+    because the benchmark suite passes it, and goes with the suite's next
+    revision.
 
     ``recursive_posmap=True`` (or the flag already set on ``oram_config``)
     stores the position map in recursion ORAMs instead of a trusted dense
@@ -134,15 +127,9 @@ def build_engine(
     if posmap_overrides:
         config = config.with_overrides(**posmap_overrides)
     family = parsed["family"]
-    if fast and family not in FAST_ENGINE_FAMILIES:
-        raise UnsupportedEngineError(
-            f"no vectorized (fast=True) engine exists for family '{family}' "
-            f"(configuration '{label}'); fast engines cover "
-            f"{sorted(FAST_ENGINE_FAMILIES)}"
-        )
     if family == "insecure":
         return InsecureMemory(config, counter=counter, observer=observer)
-    engine_cls = ENGINE_CLASSES[family][1 if fast else 0]
+    engine_cls = ENGINE_CLASSES[family]
     if family == "pathoram":
         return engine_cls(
             config, counter=counter, eviction=eviction, observer=observer

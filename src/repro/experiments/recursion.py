@@ -100,7 +100,7 @@ _CORE_FIELDS = (
 
 
 def _run(label, config, addresses):
-    engine = build_engine(label, config, fast=True)
+    engine = build_engine(label, config)
     engine.run_trace(addresses)
     return engine
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.datasets.base import AccessTrace
-from repro.experiments.configs import FAST_ENGINE_FAMILIES, build_engine, parse_label
+from repro.experiments.configs import build_engine
 from repro.experiments.metrics import ExperimentResult
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import ObliviousMemory
@@ -51,12 +51,7 @@ def run_configuration(
     record_stash_history: bool = False,
     observer=None,
 ) -> ExperimentResult:
-    """Build the engine named ``label`` and run it over ``trace``.
-
-    Every family with an array twin runs on it — the engines the benchmark
-    suite measures, bit-identical to the reference engines for a fixed
-    seed; the insecure baseline has no twin.
-    """
+    """Build the engine named ``label`` and run it over ``trace``."""
     engine = build_engine(
         label,
         oram_config,
@@ -64,7 +59,6 @@ def run_configuration(
         counter=TrafficCounter(),
         observer=observer,
         seed=seed,
-        fast=parse_label(label)["family"] in FAST_ENGINE_FAMILIES,
     )
     return run_engine_on_trace(
         engine, trace, label, record_stash_history=record_stash_history

@@ -1,8 +1,7 @@
 """Experiment scale presets.
 
-The figure and table harness runs every configuration on its array engine
-(``run_configuration``; bit-identical to the reference engines for a fixed
-seed), which replays 2^20-2^23 blocks (see the recursion sweep in
+The figure and table harness runs every configuration on its engine
+(``run_configuration``), which replays 2^20-2^23 blocks (see the recursion sweep in
 ``docs/recursive_position_map.md``).  The presets stop well short of the
 paper's embedding tables (8M-16M entries, up to 24 GB of tree) so that a
 whole figure sweep takes seconds: the relative behaviour the paper reports —

@@ -423,7 +423,16 @@ class ProcessShardExecutor(ShardExecutor):
                     ShardExecutionError(shard_id, type_name, detail, worker_tb)
                 )
             tag, reply = message
-            assert tag == op
+            if tag != op:
+                self._fail(
+                    ShardExecutionError(
+                        min(self.shards_of(worker_id), default=-1),
+                        message=(
+                            f"worker {worker_id} answered '{tag}' to '{op}': "
+                            "replies out of step with requests"
+                        ),
+                    )
+                )
             return reply
 
     def _ask(self, op: str, args_by_unit: dict[int, tuple]) -> dict[int, object]:

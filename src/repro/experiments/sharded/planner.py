@@ -23,8 +23,8 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ENGINE_CLASSES
 from repro.oram.config import ORAMConfig
 
-#: Families the runner can shard, mapped to (reference, fast) engine classes:
-#: every family of the one table in :mod:`repro.experiments.configs`.
+#: Families the runner can shard, mapped to their engine classes: every
+#: family of the one table in :mod:`repro.experiments.configs`.
 SHARDABLE_FAMILIES = ENGINE_CLASSES
 
 
@@ -45,11 +45,10 @@ class ShardEngineSpec:
     block_size_bytes: int
     fat_tree: bool
     seed: int
-    use_fast_engine: bool
 
     def build(self):
         """Construct the engine this spec describes."""
-        engine_cls = SHARDABLE_FAMILIES[self.family][1 if self.use_fast_engine else 0]
+        engine_cls = SHARDABLE_FAMILIES[self.family]
         oram_config = ORAMConfig(
             num_blocks=self.num_blocks,
             block_size_bytes=self.block_size_bytes,
@@ -80,7 +79,6 @@ class ShardPlanner:
         block_size_bytes: int = 128,
         fat_tree: bool = False,
         seed: int = 0,
-        use_fast_engine: bool = True,
     ):
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
@@ -101,7 +99,6 @@ class ShardPlanner:
         self.block_size_bytes = block_size_bytes
         self.fat_tree = fat_tree
         self.seed = seed
-        self.use_fast_engine = use_fast_engine
 
     # ------------------------------------------------------------------
     # Shard geometry
@@ -158,5 +155,4 @@ class ShardPlanner:
             block_size_bytes=self.block_size_bytes,
             fat_tree=self.fat_tree,
             seed=self.seed + shard_id,
-            use_fast_engine=self.use_fast_engine,
         )

@@ -85,7 +85,6 @@ class ShardedRunner:
         block_size_bytes: int = 128,
         fat_tree: bool = False,
         seed: int = 0,
-        use_fast_engine: bool = True,
         num_workers: Optional[int] = None,
         start_method: Optional[str] = None,
     ):
@@ -97,12 +96,10 @@ class ShardedRunner:
             block_size_bytes=block_size_bytes,
             fat_tree=fat_tree,
             seed=seed,
-            use_fast_engine=use_fast_engine,
         )
         self.num_blocks = num_blocks
         self.num_shards = num_shards
         self.family = family
-        self.use_fast_engine = use_fast_engine
         self.num_workers = num_workers
         self._results: list[ShardResult] = []
         if num_workers is None:

@@ -81,9 +81,9 @@ class ObliviousMemory(ABC):
         per-access write payloads.  Numpy integer arrays are accepted and
         drained with one bulk ``tolist``.
 
-        Because the whole sequence is in hand, engines may look ahead: the
-        array PathORAM runs it on the bin kernel, keeping the sequential
-        semantics bit for bit, and the LAORAM clients with the
+        Because the whole sequence is in hand, engines may look ahead:
+        PathORAM runs it on the bin kernel in one call, keeping the
+        sequential semantics bit for bit, and the LAORAM client with the
         lookahead pipeline (preprocessing, trusted placement before the
         first access, superblock bins — read traces only).  Callers replay
         with ``engine.run_trace(ids)`` whichever engine they hold.

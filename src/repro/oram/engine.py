@@ -1,42 +1,32 @@
-"""Shared tree-ORAM engine core: one control flow, two storage backends.
+"""The tree-ORAM engine: one storage backend, one kernel.
 
 Every tree-based scheme in this package (PathORAM, LAORAM) runs the same
 skeleton — position-map lookup, path read into the stash, greedy
-occupancy-aware write-back, threshold-triggered background eviction — over
-one of two storage representations:
+occupancy-aware write-back, threshold-triggered background eviction — on
+one kernel, :meth:`ArrayStorageEngine._run_bins`, over
+:class:`~repro.oram.tree.ArrayTreeStorage` slot arrays and an
+:class:`~repro.oram.stash.ArrayStash` (one ``{id: leaf}`` dict), with
+payloads in a client-side store.  The kernel serves bins: LAORAM's
+superblock bins; every PathORAM access, of a trace or a single
+:meth:`~ArrayStorageEngine.access`, as a one-id bin (PathORAM is the
+superblock of size one); and :meth:`~ArrayStorageEngine.dummy_access` as
+an empty bin, one dummy read.
 
-* :class:`ObjectStorageEngine` keeps :class:`~repro.memory.block.Block`
-  objects in per-bucket lists and a dict stash (the reference engines);
-* :class:`ArrayStorageEngine` keeps block ids in
-  :class:`~repro.oram.tree.ArrayTreeStorage` slot arrays and an
-  :class:`~repro.oram.stash.ArrayStash` (one ``{id: leaf}`` dict), with
-  payloads in a client-side store (the vectorized engines).
-
-:class:`TreeORAMEngine` owns the control flow and every traffic count;
-backends implement a small set of storage hooks (``_fetch_path``,
-``_commit_write_back``, stash lookup and relabel).  Because the hooks are
-decision-free — every choice (which leaf, which eviction victim) is made in
-shared code or replicated exactly by the write-back kernels of
-:mod:`repro.oram.write_back`, which the array backend's hooks and its trace
-kernel both call on the one stash dict — a reference engine and its array
-twin draw from the RNG in the same order and produce bit-identical
-:class:`~repro.memory.accounting.TrafficSnapshot` counters for a fixed seed.
-That equivalence is enforced per family by
-``tests/test_engine_equivalence.py``.  The counters are the engine's one
+:class:`TreeORAMEngine` holds what every tree engine shares: the
+configuration, the traffic counter, the position map and the one leaf
+stream.  The per-object reference engine the tests hold the kernel to
+(``tests/oracle/engine.py``) builds on it too and runs Path ORAM's
+sequence one access at a time.  For a fixed seed both draw from the RNG
+in the same order, pick the same write-back victims and produce
+bit-identical :class:`~repro.memory.accounting.TrafficSnapshot` counters
+(``tests/test_engine_equivalence.py``).  The counters are the engine's one
 ledger: ``simulated_time_s`` is their price
 (:data:`~repro.memory.timing.PAPER_TIMING`), never a tally of its own.
-
-A trace runs one of two ways.  The generic loop
-(:meth:`ObliviousMemory.run_trace`, one ``access`` per id) is the oracle,
-and what the reference engines run.  The array backend's one kernel,
-:meth:`ArrayStorageEngine._run_bins`, serves LAORAM's superblock bins and,
-as one-id bins with no plan, every PathORAM trace: PathORAM is the
-superblock of size one.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,46 +37,34 @@ from repro.exceptions import (
     StashOverflowError,
 )
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
-from repro.memory.block import Block
 from repro.memory.timing import PAPER_TIMING
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
-from repro.oram.row_store import load_rows, read_only
-from repro.oram.stash import ArrayStash, Stash
-from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage, TreeStorage
+from repro.oram.row_store import load_rows
+from repro.oram.stash import ArrayStash
+from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage
 from repro.oram.write_back import (
     fused_fetch,
     fused_greedy_write_back,
     fused_shared_write_back,
-    plan_greedy_write_back,
 )
 from repro.utils.rng import make_rng
 
 #: One bin as a request is cut into them: trace index of its first access,
 #: its ids in access order, and its precomputed remap leaves (``None``: ask
-#: the plan, or the stream when there is none).
+#: the plan, or the stream when there is none).  A bin with no ids is one
+#: dummy read.
 Bin = tuple[int, list[int], Optional[list[int]]]
 
 
 class TreeORAMEngine(ObliviousMemory):
-    """Tree-ORAM access/eviction control flow over abstract storage hooks.
+    """What every tree engine shares: config, counter, position map, leaf stream.
 
-    Subclasses provide the storage representation (tree, stash, payloads)
-    through the hooks in the "storage hooks" section; the LAORAM clients
-    add superblock bins on top of the shared internals
-    (`_read_path_into_stash`, `_write_back`, background eviction, counters).
+    A backend provides the storage (``_make_tree``, ``_make_stash``,
+    ``_bulk_load``, :meth:`load_payloads`) and the accesses.
     """
-
-    #: Leaf draws per vectorized RNG refill in :meth:`_draw_leaf`.  0 keeps
-    #: scalar draws; the array backend prefetches in blocks.  A sized
-    #: ``integers(0, n, size=k)`` call consumes the generator stream exactly
-    #: like ``k`` scalar calls, so both settings yield the same leaf
-    #: sequence for a seed.  Protocol code that wants several leaves at once
-    #: (LAORAM's lookahead planner) takes them through :meth:`_draw_leaves`,
-    #: which hands out the prefetched ones first, so they stay in stream order.
-    LEAF_DRAW_BLOCK = 0
 
     def __init__(
         self,
@@ -120,8 +98,7 @@ class TreeORAMEngine(ObliviousMemory):
             counter=self.counter,
             seed=config.seed,
         )
-        # Buffered leaf draws (see _draw_leaf); an exhausted position on an
-        # empty buffer forces the first refill.
+        # Leaf draws prefetched but not handed out yet (see _draw_leaves).
         self._leaf_buf: list[int] = []
         self._leaf_buf_pos = 0
         # Hot-path caches: ``ORAMConfig.depth``/``num_leaves`` are derived
@@ -154,78 +131,19 @@ class TreeORAMEngine(ObliviousMemory):
         """Current number of blocks held in the client stash."""
         return len(self.stash)
 
-    def access(
-        self,
-        block_id: int,
-        op: AccessOp = AccessOp.READ,
-        new_payload: Optional[object] = None,
-    ) -> Optional[object]:
-        """Perform one oblivious access to ``block_id`` (PathORAM sequence)."""
-        self._check_block_id(block_id)
-        self.counter.record_logical_access()
-
-        handle = self._stash_lookup(block_id)
-        # oblivious: allow[OBL001] stash-hit fast path is the engine's modeled
-        # behaviour: hits are counted, and callers needing uniform
-        # traffic issue dummy_access explicitly (see docs/static_analysis.md)
-        if handle is None:
-            # Path ORAM's order: the new leaf is decided and installed by
-            # the map access that reads the old one, before the path read;
-            # the fetched block comes off the path under the new label.
-            leaf = self.position_map.update(
-                block_id, self._choose_new_leaf(block_id)
-            )
-            self._read_path_into_stash(leaf, dummy=False)
-            handle = self._stash_lookup(block_id)
-            # oblivious: allow[OBL001] integrity check; a missing block aborts
-            # the whole simulation loudly rather than leaking via traffic
-            if handle is None:
-                raise BlockNotFoundError(
-                    f"block {block_id} missing from both stash and its path"
-                )
-            payload = self._serve(handle, op, new_payload)
-            self._write_back(leaf)
-        else:
-            self.counter.record_stash_hit()
-            payload = self._serve(handle, op, new_payload)
-            self._update_leaf(block_id, self._choose_new_leaf(block_id))
-
-        self._maybe_background_evict()
-        self.counter.observe_stash(len(self.stash))
-        return payload
-
     # ------------------------------------------------------------------
-    # Shared internals (traffic is counted here, not in backends)
+    # Shared internals
     # ------------------------------------------------------------------
-    def _draw_leaf(self) -> int:
-        """Draw one uniform leaf from the engine's RNG.
-
-        With :data:`LEAF_DRAW_BLOCK` set, draws are prefetched in blocks via
-        one vectorized ``integers`` call and handed out one at a time —
-        hundreds of scalar generator calls collapse into one dispatch plus a
-        list index.  The stream consumption is identical either way (see the
-        class attribute), so blocked and scalar engines make the same
-        decisions for a seed.
-        """
-        block = self.LEAF_DRAW_BLOCK
-        if not block:
-            return int(self.rng.integers(0, self._num_leaves))
-        pos = self._leaf_buf_pos
-        buf = self._leaf_buf
-        if pos == len(buf):
-            buf = self.rng.integers(0, self._num_leaves, size=block).tolist()
-            self._leaf_buf = buf
-            pos = 0
-        self._leaf_buf_pos = pos + 1
-        return buf[pos]
-
     def _draw_leaves(self, count: int) -> np.ndarray:
-        """The next ``count`` uniform leaves of the stream :meth:`_draw_leaf` reads.
+        """The next ``count`` uniform leaves of the engine's one stream.
 
-        The prefetched draws not yet handed out come first, then one
-        ``integers`` call for the rest: on any :data:`LEAF_DRAW_BLOCK` the
-        values and the generator's final state are those of ``count``
-        scalar draws.
+        Leaves the engine prefetched and has not handed out yet come first,
+        then one ``integers`` call for the rest.  A sized ``integers(0, n,
+        size=k)`` call consumes the generator stream exactly like ``k``
+        scalar calls, so the values and the generator's final state are
+        those of ``count`` scalar draws, however the draws were blocked.
+        Protocol code that wants several leaves at once (LAORAM's lookahead
+        planner) takes them here, so they stay in stream order.
         """
         pos = self._leaf_buf_pos
         buffered = self._leaf_buf[pos : pos + count]
@@ -236,57 +154,6 @@ class TreeORAMEngine(ObliviousMemory):
         if not buffered:
             return rest
         return np.concatenate([np.asarray(buffered, dtype=np.int64), rest])
-
-    def _choose_new_leaf(self, block_id: int) -> int:
-        """Uniformly random new path; LAORAM overrides this with its plan."""
-        return self._draw_leaf()
-
-    def _read_path_into_stash(self, leaf: int, dummy: bool) -> None:
-        """Fetch a full path from the server into the stash.
-
-        The read is counted before the stash takes the path, so a fetch
-        that overflows the stash is counted, as the kernel counts it.
-        """
-        num_buckets, num_bytes = self.tree.path_cost(leaf)
-        self.counter.record_path_read(num_buckets, num_bytes, dummy=dummy)
-        if self.observer is not None:
-            self.observer.observe_path(leaf, dummy=dummy)
-        self._fetch_path(leaf)
-
-    def _write_back(self, leaf: int) -> None:
-        """Greedily write stash blocks back onto the path to ``leaf``."""
-        self._commit_write_back(leaf)
-        num_buckets, num_bytes = self.tree.path_cost(leaf)
-        self.counter.record_path_write(num_buckets, num_bytes)
-
-    def _maybe_background_evict(self) -> None:
-        """Run the dummy-read eviction loop when the stash is too full.
-
-        Always single-path episodes, even after a multi-path superblock bin:
-        a read-one-write-one dummy access drains the stash monotonically,
-        whereas a grouped k-path episode floods the stash with every path's
-        blocks before any write-back and — on deep trees, where random paths
-        only share buckets near the root — leaves most of that flood behind,
-        so the drain target recedes and every episode runs to the dummy cap.
-        """
-        # oblivious: allow[OBL001] occupancy-triggered background eviction is
-        # the engine's documented policy; episodes are deliberately observable
-        # (counted, priced, and studied by the multi-tenant experiments)
-        if not self.eviction.should_trigger(len(self.stash)):
-            return
-        self.counter.record_background_eviction()
-        dummy_reads = 0
-        # oblivious: allow[OBL002] eviction episode length tracks occupancy by
-        # design — same documented policy as the trigger above
-        while self.eviction.should_continue(len(self.stash), dummy_reads):
-            self.dummy_access()
-            dummy_reads += 1
-
-    def dummy_access(self) -> None:
-        """Read and write back one random path without touching any block."""
-        leaf = self._draw_leaf()
-        self._read_path_into_stash(leaf, dummy=True)
-        self._write_back(leaf)
 
     def _check_block_id(self, block_id: int) -> None:
         if not 0 <= block_id < self.config.num_blocks:
@@ -304,7 +171,7 @@ class TreeORAMEngine(ObliviousMemory):
     #: Client-side bookkeeping per stashed block, as the paper's client
     #: would hold it: the (id, leaf) pair the stash tracks alongside the
     #: payload, 8 bytes each (a modelled size, not that of the Python dict
-    #: entry or ``Block`` attributes standing in for it).
+    #: entry standing in for it).
     STASH_ENTRY_OVERHEAD_BYTES = 16
 
     def client_memory_bytes(self) -> int:
@@ -323,7 +190,7 @@ class TreeORAMEngine(ObliviousMemory):
         return self.position_map.client_memory_bytes() + stash_bytes
 
     # ------------------------------------------------------------------
-    # Storage hooks (implemented by the backends below)
+    # Storage hooks (implemented by the backend)
     # ------------------------------------------------------------------
     def _make_tree(self):
         """Build the server-side tree storage for ``self.config``."""
@@ -347,163 +214,24 @@ class TreeORAMEngine(ObliviousMemory):
         """
         raise NotImplementedError
 
-    def _stash_lookup(self, block_id: int):
-        """Handle of a stashed block (Block or id), or ``None`` if absent."""
-        raise NotImplementedError
-
-    def _update_leaf(self, block_id: int, leaf: int) -> None:
-        """Remap a *stashed* block: one position-map update, then its stash label."""
-        raise NotImplementedError
-
-    def _serve(self, handle, op: AccessOp, new_payload: Optional[object]):
-        """Apply the read/write to a stashed block and return its payload."""
-        raise NotImplementedError
-
-    def _fetch_path(self, leaf: int) -> None:
-        """Move every real block on the path to ``leaf`` into the stash.
-
-        A fetched block takes the position map's label (the tag it carries
-        on the wire), so a block whose update preceded the read arrives
-        under its new leaf, and a raise leaves stash and map agreeing.
-        """
-        raise NotImplementedError
-
-    def _commit_write_back(self, leaf: int) -> None:
-        """Plan and commit the greedy write-back onto the path to ``leaf``."""
-        raise NotImplementedError
-
-
-class ObjectStorageEngine(TreeORAMEngine):
-    """Per-object storage backend: Block objects, list buckets, dict stash."""
-
-    def __init__(self, config: ORAMConfig, **kwargs):
-        super().__init__(config, **kwargs)
-        self._bulk_load()
-
-    # -- construction ---------------------------------------------------
-    def _make_tree(self) -> TreeStorage:
-        return TreeStorage(
-            depth=self.config.depth,
-            bucket_capacities=self.config.bucket_capacities(),
-            block_size_bytes=self.config.block_size_bytes,
-            metadata_bytes_per_block=self.config.metadata_bytes_per_block,
-        )
-
-    def _make_stash(self) -> Stash:
-        return Stash(capacity=self.config.stash_capacity)
-
-    def _bulk_load(self) -> None:
-        """Place every block on its initial path; overflow goes to the stash.
-
-        Initial placement is a trusted setup step performed before the
-        adversary starts observing, so it is not charged to the traffic
-        counters.
-        """
-        for block_id in range(self.config.num_blocks):
-            leaf = self.position_map.peek(block_id)
-            block = Block(block_id=block_id, leaf=leaf, payload=None)
-            if not self.tree.try_place_on_path(block):
-                self.stash.add(block)
-
-    def load_payloads(self, payloads) -> None:
-        """Install payloads for blocks during trusted setup (no traffic charged).
-
-        A payload matrix is lent, not copied: each block takes a read-only
-        view of its row, and a block past the matrix the one shared
-        read-only zero row.  A write replaces a block's payload and never
-        writes into the row it held, so the caller's matrix stays unchanged.
-        """
-        self._check_payloads(payloads)
-        if isinstance(payloads, np.ndarray):
-            rows = read_only(payloads)
-            zero = read_only(np.zeros(rows.shape[1], dtype=rows.dtype))
-            loaded = 0
-            for block in chain(self.stash, self.tree.iter_blocks()):
-                block_id = block.block_id
-                block.payload = rows[block_id] if block_id < len(rows) else zero
-                loaded += 1
-            if loaded != self.config.num_blocks:
-                raise BlockNotFoundError(
-                    f"{self.config.num_blocks - loaded} blocks not present in the ORAM"
-                )
-            return
-        remaining = dict(payloads)
-        for block in self.stash:
-            if block.block_id in remaining:
-                block.payload = remaining.pop(block.block_id)
-        if remaining:
-            for block in self.tree.iter_blocks():
-                if block.block_id in remaining:
-                    block.payload = remaining.pop(block.block_id)
-                    if not remaining:
-                        break
-        if remaining:
-            raise BlockNotFoundError(
-                f"{len(remaining)} payload block ids not present in the ORAM"
-            )
-
-    # -- stash hooks ----------------------------------------------------
-    def _stash_lookup(self, block_id: int) -> Optional[Block]:
-        return self.stash.get(block_id)
-
-    def _stash_detach(self, block_id: int) -> Optional[Block]:
-        """Remove a block from the stash, returning it (or ``None``)."""
-        return self.stash.pop(block_id)
-
-    def _update_leaf(self, block_id: int, leaf: int) -> None:
-        self.position_map.update(block_id, leaf)
-        self.stash.get(block_id).leaf = leaf
-
-    # -- access hooks ---------------------------------------------------
-    def _serve(
-        self, handle: Block, op: AccessOp, new_payload: Optional[object]
-    ) -> Optional[object]:
-        if op is AccessOp.WRITE:
-            handle.payload = new_payload
-        return handle.payload
-
-    def _fetch_path(self, leaf: int) -> None:
-        """The whole path lands in the stash, under the map's labels, before
-        an overflow raises."""
-        blocks = self.tree.read_path(leaf)
-        tags = self.position_map.leaf_access()[0]
-        for block in blocks:
-            block.leaf = tags.item(block.block_id)
-        self.stash.extend(blocks)
-
-    def _commit_write_back(self, leaf: int) -> None:
-        placement = self._plan_write_back(leaf)
-        self.tree.write_path(leaf, placement)
-
-    def _plan_write_back(self, leaf: int) -> dict[int, list[Block]]:
-        """Choose which stash blocks go to which level of the accessed path."""
-        return plan_greedy_write_back(self.tree, self.stash, leaf)
-
-    def _remove_from_path(self, leaf: int, block_id: int) -> Optional[Block]:
-        """Remove ``block_id`` from the first bucket holding it on the path."""
-        for index in self.tree.path_bucket_indices(leaf):
-            block = self.tree.bucket_by_index(index).remove(block_id)
-            if block is not None:
-                return block
-        return None
-
 
 class ArrayStorageEngine(TreeORAMEngine):
     """Array storage backend: id slot arrays, dict stash, client payload store.
 
-    The handle for a stashed block is its integer id; payloads live in a
-    client-side store (payload location never affects traffic, so keeping it
-    out of the simulated server removes all per-block object churn from the
-    hot path).  The store is a ``{block_id: payload}`` dict, or, once
+    The tree and the stash hold block ids; payloads live in a client-side
+    store (payload location never affects traffic, so keeping it out of the
+    simulated server removes all per-block object churn from the hot path).
+    The store is a ``{block_id: payload}`` dict, or, once
     :meth:`load_payloads` was given a matrix, an
     :class:`~repro.oram.row_store.OverlayRowStore` over it: both answer
-    ``get`` and item assignment.  The trace kernel (:meth:`_run_bins`)
-    never touches it; its callers serve the payloads of what it got
-    through.
+    ``get`` and item assignment.  Every access runs on the trace kernel
+    (:meth:`_run_bins`), which never touches the store; its callers serve
+    the payloads of what it got through.
     """
 
-    #: The array backend prefetches leaf draws in blocks (see
-    #: :meth:`TreeORAMEngine._draw_leaf`); stream-identical to scalar draws.
+    #: Leaf draws per refill of the kernel's prefetched block: one
+    #: ``integers`` call hands out this many leaves of the stream, in the
+    #: order scalar draws would come (see :meth:`TreeORAMEngine._draw_leaves`).
     LEAF_DRAW_BLOCK = 512
 
     def __init__(self, config: ORAMConfig, **kwargs):
@@ -559,41 +287,41 @@ class ArrayStorageEngine(TreeORAMEngine):
         self._check_payloads(payloads)
         self._payloads = load_rows(self._payloads, payloads, self.config.num_blocks)
 
-    # -- stash hooks ----------------------------------------------------
-    def _stash_lookup(self, block_id: int) -> Optional[int]:
-        if block_id in self.stash:
-            return block_id
-        return None
-
-    def _update_leaf(self, block_id: int, leaf: int) -> None:
-        self.position_map.update(block_id, leaf)
-        self.stash.set_leaf(block_id, leaf)
-
-    # -- access hooks ---------------------------------------------------
-    def _serve(
-        self, handle: int, op: AccessOp, new_payload: Optional[object]
-    ) -> Optional[object]:
-        if op is AccessOp.WRITE:
-            self._payloads[handle] = new_payload
-        return self._payloads.get(handle)
-
-    def _fetch_path(self, leaf: int) -> None:
-        """The kernel's path read, then the capacity check it makes after it.
-
-        The path's blocks are in the stash before an overflow raises, so
-        the engine still holds every block and can take another access.
-        """
-        stash = self.stash
-        tags = self.position_map.leaf_access()[0]
-        fused_fetch(self.tree.read_path_ids, tags, stash.entries, leaf)
-        stash.check_capacity()
-
     # -- the trace kernel -----------------------------------------------
     #: The lookahead plan the kernel asks for remaps, and the trace index one
     #: past the last bin it served.  LAORAM clients keep both per instance;
     #: PathORAM has no plan and starts its cursor at 0 on every trace.
     _plan = None
     _trace_cursor = 0
+
+    def access(
+        self,
+        block_id: int,
+        op: AccessOp = AccessOp.READ,
+        new_payload: Optional[object] = None,
+    ) -> Optional[object]:
+        """One access: a one-id bin at the cursor, then its payload.
+
+        The kernel decides what Path ORAM's per-access sequence decides —
+        the remap (the plan's next occurrence after the cursor, else the
+        stream's next leaf), the path read or stash hit, the write-back and
+        any background eviction — and advances the cursor by one.  A write
+        stores ``new_payload`` once the kernel got the block through, in a
+        ``finally``, so an overflow in the eviction that follows keeps it.
+        An out-of-range id raises before the kernel runs.
+        """
+        self._check_block_id(block_id)
+        first = self._trace_cursor
+        try:
+            self._run_bins(((first, [block_id], None),))
+        finally:
+            if op is AccessOp.WRITE and self._trace_cursor > first:
+                self._payloads[block_id] = new_payload
+        return self._payloads.get(block_id)
+
+    def dummy_access(self) -> None:
+        """Read and write back one path of the stream's next leaf: an empty bin."""
+        self._run_bins(((self._trace_cursor, [], None),))
 
     def run_trace(
         self,
@@ -633,11 +361,13 @@ class ArrayStorageEngine(TreeORAMEngine):
         return results
 
     def _run_bins(self, bins: Iterable[Bin]) -> None:
-        """Serve ``bins`` in order: the one place a bin, or a PathORAM trace, runs.
+        """Serve ``bins`` in order: the one place an access of any kind runs.
 
-        Mirrors ``LAORAMClient.access_superblock`` decision for decision on
-        the stash's dict (id -> leaf, insertion ordered as the reference
-        stash is, so every write-back tie-break is the same).  Every
+        Mirrors the per-object reference client's ``access_superblock``
+        (``tests/oracle/laoram.py``) decision for decision on the stash's
+        dict (id -> leaf, insertion ordered as the reference stash is, so
+        every write-back tie-break is the same), and on a one-id bin the
+        reference engine's per-access ``access``.  Every
         distinct block's new leaf is decided first, in the bin's order — the
         bin's precomputed leaf, else what the plan hands out, else (``-1``
         or no plan) the next leaf of the engine's one stream.  Then, in Path
@@ -650,15 +380,19 @@ class ArrayStorageEngine(TreeORAMEngine):
         takes ``fused_greedy_write_back``; a later path of the bin finds the
         buckets it shares with an earlier one refilled and takes the
         occupancy-aware ``fused_shared_write_back``.  Background eviction
-        runs inline.  A one-id bin (every PathORAM access) is its own
-        distinct-id list, with no deduplication pass.
+        runs inline.  A one-id bin (every PathORAM access, every single
+        ``access``) is its own distinct-id list, with no deduplication pass.
+        An empty bin (``dummy_access``) decides, reads and counts nothing
+        on its way to the eviction loop and runs that loop's body once: a
+        path of the stream's next leaf read and written back, with no
+        episode counted and no stash observation.
 
         The stream's prefetched block is bound as locals: the fallback
         remaps and the dummy reads take their leaves from it, in the order
         the reference engines' scalar draws come, and it is refilled with
         one ``integers`` call of ``LEAF_DRAW_BLOCK`` leaves.  Nothing here
-        calls ``_draw_leaf`` or ``_planned_leaf``, which would hand out
-        leaves the locals still hold.
+        calls ``_draw_leaves``, which would hand out leaves the locals
+        still hold.
 
         Access and path counts accumulate in locals; a bin is counted once
         its ids passed the range check, so a rejected id is no access.  One
@@ -830,14 +564,18 @@ class ArrayStorageEngine(TreeORAMEngine):
 
                 cursor = end_index + 1
                 occupancy = len(stash_map)
+                # An empty bin has passed through the above untouched: it is
+                # one turn of the eviction loop, counting no episode and
+                # observing no stash, as the reference's dummy_access.
                 # oblivious: allow[OBL001] fused replay of the documented
                 # occupancy-triggered background eviction policy
-                if should_trigger(occupancy):
-                    episodes += 1
+                if not count or should_trigger(occupancy):
+                    if count:
+                        episodes += 1
                     dummies = 0
                     # oblivious: allow[OBL002] episode length tracks occupancy
                     # by design — same documented policy as the trigger
-                    while should_continue(occupancy, dummies):
+                    while should_continue(occupancy, dummies) if count else not dummies:
                         if leaf_pos == len(leaf_buf):
                             leaf_buf = rng_integers(
                                 0, num_leaves, size=draw_block
@@ -862,6 +600,8 @@ class ArrayStorageEngine(TreeORAMEngine):
                         path_writes += 1
                         dummies += 1
                         occupancy = len(stash_map)
+                    if not count:
+                        continue
 
                 # oblivious: allow[OBL001] client-side metrics (stash peak
                 # tracking); no server traffic
@@ -891,25 +631,3 @@ class ArrayStorageEngine(TreeORAMEngine):
                 episodes,
                 hits,
             )
-
-    def _commit_write_back(self, leaf: int) -> None:
-        """Greedy write-back onto the path to ``leaf``: the kernel's later-path one.
-
-        The occupancy-aware one, as the reference hook's
-        ``plan_greedy_write_back`` is: the hook does not promise a path
-        that was just emptied, and on one that was (``access``,
-        ``dummy_access``) it decides exactly what ``fused_greedy_write_back``
-        decides.
-        """
-        tree = self.tree
-        fused_shared_write_back(
-            self.stash.entries,
-            self._level_groups,
-            tree.bucket_capacities,
-            tree.level_base,
-            self._node_base,
-            tree.slot_view,
-            tree.occupancy_view,
-            self._depth,
-            leaf,
-        )

@@ -13,11 +13,12 @@ the paper:
 6. when the stash exceeds the background-eviction threshold, issue dummy
    reads of random paths until it drains to the target.
 
-The whole sequence lives in :class:`~repro.oram.engine.TreeORAMEngine`
-(shared with LAORAM); this class binds it to the per-object
-:class:`~repro.oram.engine.ObjectStorageEngine` backend — Block objects in
-list buckets and a dict stash.  Its vectorized twin is
-:class:`~repro.oram.array_path_oram.ArrayPathORAM`.
+The whole sequence runs on the engine's one kernel,
+:meth:`~repro.oram.engine.ArrayStorageEngine._run_bins`, shared with
+LAORAM: a PathORAM access is a one-id bin, a superblock of size one.  The
+server tree is an :class:`~repro.oram.tree.ArrayTreeStorage`, the stash an
+:class:`~repro.oram.stash.ArrayStash` (one ``{id: leaf}`` dict), and
+payloads live in a client-side store.
 
 Traffic is recorded in one
 :class:`~repro.memory.accounting.TrafficCounter`; simulated time is its
@@ -28,11 +29,11 @@ metrics.
 
 from __future__ import annotations
 
-from repro.oram.engine import ObjectStorageEngine
+from repro.oram.engine import ArrayStorageEngine
 
 
-class PathORAM(ObjectStorageEngine):
-    """Reference PathORAM client + simulated server storage.
+class PathORAM(ArrayStorageEngine):
+    """PathORAM client + simulated server storage.
 
     The access/eviction control flow and the storage backend both come from
     :mod:`repro.oram.engine`; PathORAM adds nothing on top — it *is* the

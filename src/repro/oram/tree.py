@@ -5,12 +5,11 @@ organisation of the paper, where bucket capacity grows from the leaves to
 the root.  Byte accounting always charges full bucket capacity (real plus
 dummy slots) because the server must transfer indistinguishable buckets.
 
-Two backends share the same geometry: :class:`TreeStorage` keeps per-bucket
-lists of :class:`~repro.memory.block.Block` objects (the reference engine),
-and :class:`ArrayTreeStorage` keeps one flat :data:`SLOT_DTYPE` slot array
+:class:`ArrayTreeStorage` keeps one flat :data:`SLOT_DTYPE` slot array
 plus one :data:`OCC_DTYPE` occupancy counter per bucket, so path reads,
 write-backs and the initial bulk placement are numpy operations instead of
-per-block Python.
+per-block Python.  The per-object reference tree the tests hold it to
+(``tests/oracle/tree.py``) has the same geometry, with list buckets.
 
 Width.  The array tree is the largest host structure of every array engine,
 so it is stored at the width its values need: a slot holds a block id or
@@ -23,14 +22,11 @@ caller's arithmetic wraps; vector work widens its own operands.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
-from repro.memory.block import Block
-from repro.oram.bucket import Bucket
-from repro.utils.bits import node_index, num_nodes, path_node_indices
 
 #: How a slot stores a block id; ``-1`` marks an empty (dummy) slot.
 SLOT_DTYPE = np.dtype(np.int32)
@@ -65,149 +61,6 @@ def _split_shift_tables(shifts: np.ndarray, split: int, depth: int):
     return hi_table, lo_table
 
 
-class TreeStorage:
-    """Complete binary tree of buckets stored on the (untrusted) server."""
-
-    def __init__(
-        self,
-        depth: int,
-        bucket_capacities: Sequence[int],
-        block_size_bytes: int,
-        metadata_bytes_per_block: int = 16,
-    ):
-        if depth < 1:
-            raise ConfigurationError("depth must be >= 1")
-        if len(bucket_capacities) != depth + 1:
-            raise ConfigurationError(
-                f"need {depth + 1} per-level capacities, got {len(bucket_capacities)}"
-            )
-        if block_size_bytes < 1:
-            raise ConfigurationError("block_size_bytes must be >= 1")
-        self.depth = depth
-        self.bucket_capacities = tuple(int(c) for c in bucket_capacities)
-        self.block_size_bytes = block_size_bytes
-        self.metadata_bytes_per_block = metadata_bytes_per_block
-        self._buckets: list[Bucket] = []
-        for index in range(num_nodes(depth)):
-            level = (index + 1).bit_length() - 1
-            self._buckets.append(Bucket(self.bucket_capacities[level]))
-
-    # ------------------------------------------------------------------
-    # Geometry helpers
-    # ------------------------------------------------------------------
-    @property
-    def num_leaves(self) -> int:
-        """Number of leaves (paths)."""
-        return 1 << self.depth
-
-    @property
-    def num_buckets(self) -> int:
-        """Total number of buckets."""
-        return len(self._buckets)
-
-    def bucket(self, level: int, leaf: int) -> Bucket:
-        """The bucket at ``level`` on the path to ``leaf``."""
-        return self._buckets[node_index(level, leaf, self.depth)]
-
-    def bucket_by_index(self, index: int) -> Bucket:
-        """The bucket with breadth-first ``index``."""
-        return self._buckets[index]
-
-    def path_bucket_indices(self, leaf: int) -> list[int]:
-        """Breadth-first bucket indices of the path to ``leaf``, root first."""
-        return path_node_indices(leaf, self.depth)
-
-    @property
-    def stored_block_bytes(self) -> int:
-        """Bytes one slot occupies on the wire (payload + metadata)."""
-        return self.block_size_bytes + self.metadata_bytes_per_block
-
-    def path_cost(self, leaf: int) -> tuple[int, int]:
-        """Return ``(num_buckets, num_bytes)`` for transferring one full path."""
-        slots = sum(self.bucket_capacities)
-        return self.depth + 1, slots * self.stored_block_bytes
-
-    @property
-    def total_slots(self) -> int:
-        """Total number of slots (real + dummy) in the tree."""
-        return sum(
-            capacity * (1 << level)
-            for level, capacity in enumerate(self.bucket_capacities)
-        )
-
-    @property
-    def server_memory_bytes(self) -> int:
-        """Total server footprint of the tree."""
-        return self.total_slots * self.stored_block_bytes
-
-    # ------------------------------------------------------------------
-    # Path operations
-    # ------------------------------------------------------------------
-    def read_path(self, leaf: int) -> list[Block]:
-        """Remove and return every real block on the path to ``leaf``."""
-        blocks: list[Block] = []
-        for index in path_node_indices(leaf, self.depth):
-            blocks.extend(self._buckets[index].pop_all())
-        return blocks
-
-    def peek_path(self, leaf: int) -> list[Block]:
-        """Return (without removing) every real block on the path to ``leaf``."""
-        blocks: list[Block] = []
-        for index in path_node_indices(leaf, self.depth):
-            blocks.extend(self._buckets[index].blocks)
-        return blocks
-
-    def write_path(self, leaf: int, placement: dict[int, list[Block]]) -> None:
-        """Write ``placement`` (level -> blocks) onto the path to ``leaf``.
-
-        Buckets on the path are assumed to have been emptied by a prior
-        :meth:`read_path`; writing more blocks than a bucket's capacity is an
-        error, as it would correspond to losing data on a real server.
-        """
-        for level, blocks in placement.items():
-            bucket = self.bucket(level, leaf)
-            if len(bucket) + len(blocks) > bucket.capacity:
-                raise ConfigurationError(
-                    f"placement overflows bucket at level {level}: "
-                    f"{len(bucket)} + {len(blocks)} > {bucket.capacity}"
-                )
-            bucket.extend(blocks)
-
-    # ------------------------------------------------------------------
-    # Bulk operations / diagnostics
-    # ------------------------------------------------------------------
-    def try_place_on_path(self, block: Block) -> bool:
-        """Place ``block`` as deep as possible on its own path; False if full."""
-        for level in range(self.depth, -1, -1):
-            bucket = self.bucket(level, block.leaf)
-            if bucket.has_space():
-                bucket.add(block)
-                return True
-        return False
-
-    def real_block_count(self) -> int:
-        """Number of real blocks currently stored in the tree."""
-        return sum(len(bucket) for bucket in self._buckets)
-
-    def occupancy_by_level(self) -> list[float]:
-        """Average bucket utilisation per level (diagnostic for fat-tree studies)."""
-        totals = [0] * (self.depth + 1)
-        counts = [0] * (self.depth + 1)
-        for index, bucket in enumerate(self._buckets):
-            level = (index + 1).bit_length() - 1
-            totals[level] += len(bucket)
-            counts[level] += 1
-        return [
-            totals[level] / (counts[level] * self.bucket_capacities[level])
-            for level in range(self.depth + 1)
-        ]
-
-    def iter_blocks(self) -> Iterable[Block]:
-        """Iterate over every real block in the tree."""
-        for bucket in self._buckets:
-            yield from bucket
-
-
 class ArrayTreeStorage:
     """Array-backed complete binary tree of buckets.
 
@@ -215,7 +68,7 @@ class ArrayTreeStorage:
     dummy slot) laid out level by level, node by node, plus one
     :data:`OCC_DTYPE` occupancy counter per node; slots ``0..occ-1`` of a
     node hold real blocks in insertion order, matching the list order of the
-    per-object :class:`TreeStorage` buckets.  Precomputed split-leaf tables
+    per-object reference tree's buckets.  Precomputed split-leaf tables
     give a path's slot indices and bucket indices in one ``np.add`` each, so
     a whole path read is five numpy operations instead of a per-level
     Python walk.  Only ids are stored: a block's leaf is authoritative in
@@ -304,7 +157,7 @@ class ArrayTreeStorage:
         self._scratch_nodes = np.empty(depth + 1, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Geometry helpers (same accounting as TreeStorage)
+    # Geometry helpers
     # ------------------------------------------------------------------
     @property
     def num_leaves(self) -> int:
@@ -393,7 +246,7 @@ class ArrayTreeStorage:
         """Remove and return every real block id on the path to ``leaf``.
 
         Ids come back in root-to-leaf order with each bucket's insertion
-        order preserved, matching :meth:`TreeStorage.read_path`.  The
+        order preserved, as the per-object reference tree reads a path.  The
         intermediate slot-index/gather work runs in the preallocated
         scratch; only the compacted result array is allocated.
         """
@@ -435,11 +288,10 @@ class ArrayTreeStorage:
     def remove_many(self, block_ids: np.ndarray, leaves: np.ndarray) -> None:
         """Remove each of ``block_ids`` from its bucket on the path to ``leaves[i]``.
 
-        Trusted-setup removal, as :meth:`Bucket.remove` does it one block at a
-        time: a removed block's bucket keeps its other occupants in insertion
-        order.  One pass per level over the blocks not located yet (leaf
-        first, where a bulk-loaded tree keeps most of them), so no temporary
-        exceeds ``len(block_ids) x bucket capacity``.  A block found nowhere
+        Trusted-setup removal: a removed block's bucket keeps its other
+        occupants in insertion order.  One pass per level over the blocks
+        not located yet (leaf first, where a bulk-loaded tree keeps most of
+        them), so no temporary exceeds ``len(block_ids) x bucket capacity``.  A block found nowhere
         on its path raises :class:`BlockNotFoundError` before anything is
         removed.
         """
@@ -475,9 +327,8 @@ class ArrayTreeStorage:
     def try_place_id(self, block_id: int, leaf: int) -> bool:
         """Place ``block_id`` as deep as possible on its path; False if full.
 
-        Scalar counterpart of :meth:`bulk_place` matching
-        :meth:`TreeStorage.try_place_on_path` (used by trusted-setup
-        relayouts that must replay a specific placement order).
+        Scalar counterpart of :meth:`bulk_place`, and the reference tree's
+        place-as-deep-as-possible rule on slot arrays.
         """
         for level in range(self.depth, -1, -1):
             capacity = self.bucket_capacities[level]
@@ -516,8 +367,8 @@ class ArrayTreeStorage:
         ``position_leaves[b]`` is block ``b``'s assigned path.  Returns the
         ids that found no free slot on their path (they belong in the
         stash), in ascending order.  Equivalent to calling
-        :meth:`TreeStorage.try_place_on_path` for every id in ascending
-        order (see :meth:`bulk_place_ordered`, which this delegates to with
+        :meth:`try_place_id` for every id in ascending order (see
+        :meth:`bulk_place_ordered`, which this delegates to with
         ascending-id priority).
         """
         leaves = np.asarray(position_leaves)
@@ -625,11 +476,3 @@ class ArrayTreeStorage:
     def real_block_count(self) -> int:
         """Number of real blocks currently stored in the tree."""
         return int(self._occ.sum())
-
-    def occupancy_by_level(self) -> list[float]:
-        """Average bucket utilisation per level (diagnostic for fat-tree studies)."""
-        return [
-            float(self._level_occ(level).sum())
-            / ((1 << level) * self.bucket_capacities[level])
-            for level in range(self.depth + 1)
-        ]

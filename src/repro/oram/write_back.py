@@ -1,69 +1,27 @@
-"""Greedy write-back planning shared by PathORAM and LAORAM.
+"""The greedy write-back kernels of the array engine.
 
 The classic PathORAM eviction rule: after a path has been read, every stash
 block whose assigned path intersects the accessed path may be written back,
 and blocks are pushed as deep as possible.  Unlike the textbook description,
-this planner is *occupancy aware*: it only uses the free slots a bucket
+the rule here is *occupancy aware*: it only uses the free slots a bucket
 actually has.  That matters for LAORAM, which can read several paths before
 writing them back, so later write-backs see buckets that earlier write-backs
 already refilled.
 
-Three planners live here:
+The trace kernel (``ArrayStorageEngine._run_bins``) is the only caller,
+over the array stash's ``{id: leaf}`` dict:
 
-* :func:`plan_greedy_write_back` — the per-object, single-path reference;
-* :func:`fused_greedy_write_back` — the allocation-free specialization the
-  trace kernel (``ArrayStorageEngine._run_bins``) runs on a bin's first
-  path and on every dummy read: same greedy rule over the array stash's
-  ``{id: leaf}`` dict, valid only immediately after the target path has
-  been emptied by a read (:func:`fused_fetch`, the read half of the same
-  pair);
+* :func:`fused_fetch` — the path read;
+* :func:`fused_greedy_write_back` — the allocation-free write-back it runs
+  on a bin's first path and on every dummy read, valid only immediately
+  after the target path has been emptied by a read;
 * :func:`fused_shared_write_back` — the same over a path that may already
-  have occupants: what the kernel runs on the later paths of a bin that
-  read several, which share refilled buckets with the earlier ones, and
-  what the array engine's per-access hook
-  (``ArrayStorageEngine._commit_write_back``) is.
+  have occupants: the later paths of a bin that read several, which share
+  refilled buckets with the earlier ones.
+
+Both write-backs are decision-identical to the per-object reference
+planner the tests hold them to (``tests/oracle/write_back.py``).
 """
-
-from __future__ import annotations
-
-from repro.memory.block import Block
-from repro.oram.stash import Stash
-from repro.oram.tree import TreeStorage
-from repro.utils.bits import common_level
-
-
-def plan_greedy_write_back(
-    tree: TreeStorage, stash: Stash, leaf: int
-) -> dict[int, list[Block]]:
-    """Choose stash blocks to write onto the path to ``leaf``.
-
-    Returns a mapping ``level -> blocks``; chosen blocks are removed from the
-    stash.  A block may be placed at ``level`` only if its assigned path and
-    the accessed path share that level (the path-prefix invariant), and only
-    if the target bucket still has a free slot.
-    """
-    depth = tree.depth
-    by_level: list[list[int]] = [[] for _ in range(depth + 1)]
-    for block in stash:
-        level = common_level(block.leaf, leaf, depth)
-        by_level[level].append(block.block_id)
-
-    placement: dict[int, list[Block]] = {}
-    pool: list[int] = []
-    for level in range(depth, -1, -1):
-        pool.extend(by_level[level])
-        free = tree.bucket(level, leaf).free_slots
-        if free <= 0:
-            continue
-        chosen: list[Block] = []
-        while pool and len(chosen) < free:
-            block = stash.pop(pool.pop())
-            if block is not None:
-                chosen.append(block)
-        if chosen:
-            placement[level] = chosen
-    return placement
-
 
 def fused_fetch(read_ids, tags, stash_map, leaf):
     """Read one path into a dict stash (array engines, recursion walks).
@@ -88,7 +46,7 @@ def fused_greedy_write_back(
 ):
     """Greedy write-back from a dict stash onto a freshly read path.
 
-    The trace kernel's specialization of :func:`plan_greedy_write_back` for
+    The trace kernel's specialization of the reference greedy planner for
     a bin's first path (every PathORAM access's only one) and a dummy read:
     the path to ``leaf`` was just emptied by a full read — a bin's later
     fetches only empty more buckets — so every bucket on it has occupancy
@@ -164,9 +122,9 @@ def fused_shared_write_back(
     pool, same caller-owned ``groups`` scratch; the only difference is that
     each visited level reads its bucket's occupancy from ``occ``, takes no
     more than the free slots, appends behind the occupants, and carries
-    the pool up past a full bucket.  Decision-identical to
-    :func:`plan_greedy_write_back` over the same tree and stash order, and
-    to :func:`fused_greedy_write_back` on a freshly emptied path.
+    the pool up past a full bucket.  Decision-identical to the reference
+    planner over the same tree and stash order, and to
+    :func:`fused_greedy_write_back` on a freshly emptied path.
 
     Kept apart from it on a measurement: with the occupancy read folded
     into the one function, the PathORAM workloads lost 2.7 %

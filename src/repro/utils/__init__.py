@@ -1,13 +1,6 @@
 """Shared utilities: tree index math, RNG helpers, statistics and units."""
 
-from repro.utils.bits import (
-    common_level,
-    node_index,
-    num_leaves,
-    num_nodes,
-    path_node_indices,
-    required_depth,
-)
+from repro.utils.bits import num_leaves, num_nodes, required_depth
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.stats import (
     chi_square_uniformity,
@@ -23,11 +16,8 @@ from repro.utils.units import (
 )
 
 __all__ = [
-    "common_level",
-    "node_index",
     "num_leaves",
     "num_nodes",
-    "path_node_indices",
     "required_depth",
     "make_rng",
     "spawn_rngs",

@@ -1,4 +1,4 @@
-"""Index arithmetic for complete binary trees used by Path-ORAM style storage.
+"""Geometry of the complete binary trees used by Path-ORAM style storage.
 
 The ORAM tree has levels ``0 .. depth`` where level 0 is the root and level
 ``depth`` holds the leaves.  There are ``2**depth`` leaves, labelled
@@ -7,9 +7,6 @@ label.  Nodes are stored in a flat array in breadth-first order, so the node
 at ``level`` on the path to ``leaf`` has index::
 
     (2**level - 1) + (leaf >> (depth - level))
-
-These helpers are deliberately free functions (no class state) because they
-are called in the inner loop of every ORAM access.
 """
 
 from __future__ import annotations
@@ -41,37 +38,6 @@ def num_nodes(depth: int) -> int:
     """Total number of nodes (buckets) of a tree with leaf level ``depth``."""
     _check_depth(depth)
     return (1 << (depth + 1)) - 1
-
-
-def node_index(level: int, leaf: int, depth: int) -> int:
-    """Breadth-first index of the node at ``level`` on the path to ``leaf``."""
-    _check_depth(depth)
-    if not 0 <= level <= depth:
-        raise ConfigurationError(f"level {level} outside [0, {depth}]")
-    if not 0 <= leaf < (1 << depth):
-        raise ConfigurationError(f"leaf {leaf} outside [0, {1 << depth})")
-    return ((1 << level) - 1) + (leaf >> (depth - level))
-
-
-def path_node_indices(leaf: int, depth: int) -> list[int]:
-    """Breadth-first indices of every node from the root down to ``leaf``."""
-    return [node_index(level, leaf, depth) for level in range(depth + 1)]
-
-
-def common_level(leaf_a: int, leaf_b: int, depth: int) -> int:
-    """Deepest level shared by the paths to ``leaf_a`` and ``leaf_b``.
-
-    Two identical leaves share the whole path (returns ``depth``); two leaves
-    that diverge immediately below the root share only level 0.
-    """
-    _check_depth(depth)
-    for leaf in (leaf_a, leaf_b):
-        if not 0 <= leaf < (1 << depth):
-            raise ConfigurationError(f"leaf {leaf} outside [0, {1 << depth})")
-    xor = leaf_a ^ leaf_b
-    if xor == 0:
-        return depth
-    return depth - xor.bit_length()
 
 
 def _check_depth(depth: int) -> None:

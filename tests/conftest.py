@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
 from repro.datasets.permutation import PermutationTraceGenerator
 from repro.memory.timing import PAPER_TIMING
 from repro.oram.config import ORAMConfig
-from repro.oram.path_oram import PathORAM
+
+from oracle import ObjectLAORAMClient, ObjectPathORAM
 
 
 @pytest.fixture
@@ -26,15 +26,15 @@ def tiny_config() -> ORAMConfig:
 
 
 @pytest.fixture
-def small_path_oram(small_config) -> PathORAM:
+def small_path_oram(small_config) -> ObjectPathORAM:
     """PathORAM over the small tree."""
-    return PathORAM(small_config)
+    return ObjectPathORAM(small_config)
 
 
 @pytest.fixture
-def small_laoram(small_config) -> LAORAMClient:
+def small_laoram(small_config) -> ObjectLAORAMClient:
     """LAORAM client (superblock 4, normal tree) over the small tree."""
-    return LAORAMClient(LAORAMConfig(oram=small_config, superblock_size=4))
+    return ObjectLAORAMClient(LAORAMConfig(oram=small_config, superblock_size=4))
 
 
 @pytest.fixture

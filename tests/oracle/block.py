@@ -1,4 +1,4 @@
-"""Data blocks stored in the ORAM tree.
+"""Data blocks stored in the per-object reference tree.
 
 A block is the unit of ORAM storage.  In the embedding-table use case one
 block holds one embedding row (the paper uses 128-byte rows for DLRM and

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.memory.block import Block
+from oracle.block import Block
 
 
 class Bucket:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import build_oram_config
 from repro.memory.accounting import TrafficCounter
+
+from oracle import build_engine
 
 
 class TestTrafficCounter:

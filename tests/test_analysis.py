@@ -223,7 +223,7 @@ def test_self_scan_matches_committed_baseline():
 # ----------------------------------------------------------------------
 _PLANT_SECRET_BRANCH = '''
 
-class TreeORAMEngine:
+class ArrayStorageEngine:
     def access(self, block_id):
         if block_id > 128:
             return None
@@ -234,7 +234,7 @@ class TreeORAMEngine:
 #: ``remove_many`` is observed by nobody and reveals nothing.
 _PLANT_SETUP_MOVE_AS_REVEAL = '''
 
-class TreeORAMEngine:
+class ArrayStorageEngine:
     def access(self, block_id):
         leaf = self.position_map.update(block_id, self._draw_leaf())
         self.tree.remove_many(block_id, leaf)

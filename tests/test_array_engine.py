@@ -1,9 +1,10 @@
 """Tests for the array-backed engines: invariants, equivalence, regressions.
 
-Covers the vectorized ``ArrayPathORAM`` / ``FastLAORAMClient`` stack (row
-stash, slot-array tree, plan-array execution), its decision-for-decision
-equivalence with the per-object engines, and regression tests for the
-plan-consumption and stash-iteration bugs fixed alongside it.
+Covers the vectorized ``PathORAM`` / ``LAORAMClient`` stack (dict stash,
+slot-array tree, plan-array execution), its decision-for-decision
+equivalence with the per-object reference engines (``tests/oracle/``),
+and regression tests for the plan-consumption and stash-iteration bugs
+fixed alongside it.
 """
 
 import tracemalloc
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.core.superblock import LookaheadPlan
 from repro.datasets.zipf import ZipfTraceGenerator
@@ -21,18 +21,16 @@ from repro.exceptions import (
     ConfigurationError,
     StashOverflowError,
 )
-from repro.experiments.configs import (
-    PAPER_CONFIG_LABELS,
-    build_engine,
-    build_oram_config,
-)
-from repro.oram.array_path_oram import ArrayPathORAM
+from repro.experiments.configs import PAPER_CONFIG_LABELS, build_oram_config
+from repro.oram.path_oram import PathORAM
 from repro.oram.config import ORAMConfig
 from repro.oram.stash import ArrayStash
 from repro.oram.tree import MAX_NUM_BLOCKS
 
 from test_laoram import assert_plan_conformance
 from test_trace_contract import assert_twins_agree, engine_state
+
+from oracle import ObjectLAORAMClient, build_engine, fetch_path
 
 
 def make_laoram_config(num_blocks=256, superblock_size=4, seed=13, **oram_kwargs):
@@ -62,8 +60,6 @@ class TestArrayStash:
         assert stash.leaf_of(9) == 3
         with pytest.raises(KeyError):
             stash.leaf_of(4)
-        with pytest.raises(KeyError):
-            stash.set_leaf(4, 0)
 
     def test_a_negative_id_is_simply_absent(self):
         # The dense id -> row index used to wrap: ``row_of[-1]`` answered
@@ -82,15 +78,11 @@ class TestArrayStash:
         stash.add(9, 4)
         assert stash.block_ids == [5, 2, 9]
         assert stash.leaf_of(9) == 4
-        stash.set_leaf(5, 6)
-        assert stash.block_ids == [5, 2, 9]
-        assert stash.leaf_of(5) == 6
 
     def test_entries_are_python_ints(self):
         # The write-back kernels xor leaves and take ``bit_length``.
         stash = self.filled()
         stash.add(np.int64(11), np.int64(4))
-        stash.set_leaf(5, np.int64(6))
         for block_id, leaf in stash.entries.items():
             assert type(block_id) is int and type(leaf) is int
 
@@ -106,7 +98,7 @@ class TestArrayStash:
             )
         # Nothing handed to an over-full stash is dropped.
         assert stash.block_ids == [1, 2, 3, 4]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ArrayStash(capacity=0)
 
 
@@ -126,9 +118,9 @@ class TestEngineEquivalence:
         config = make_laoram_config(
             num_blocks=512, superblock_size=superblock_size, fat_tree=fat_tree
         )
-        reference = LAORAMClient(config)
+        reference = ObjectLAORAMClient(config)
         reference.run_trace(trace.addresses)
-        fast = FastLAORAMClient(config)
+        fast = LAORAMClient(config)
         fast.run_trace(trace.addresses)
         assert fast.statistics == reference.statistics
         assert np.array_equal(
@@ -149,7 +141,7 @@ class TestEngineEquivalence:
             superblock_size=4,
             lookahead_accesses=lookahead_accesses,
         )
-        engines = [LAORAMClient(config), FastLAORAMClient(config)]
+        engines = [ObjectLAORAMClient(config), LAORAMClient(config)]
         for engine in engines:
             engine.run_trace(first.addresses)
             engine.run_trace(second.addresses)
@@ -169,7 +161,7 @@ class TestEngineEquivalence:
         writes = rng.integers(0, 128, size=64).tolist()
         values = [f"payload-{i}" for i in range(len(writes))]
         outputs = []
-        for cls in (LAORAMClient, FastLAORAMClient):
+        for cls in (ObjectLAORAMClient, LAORAMClient):
             engine = cls(config)
             engine.write_many(writes, values)
             outputs.append(engine.access_many(reads))
@@ -179,7 +171,7 @@ class TestEngineEquivalence:
 class TestRandomizedInvariants:
     """Mixed workloads keep both engines conserving every block."""
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_mixed_workload_invariants(self, engine_cls):
         num_blocks = 256
         config = make_laoram_config(num_blocks=num_blocks, superblock_size=4)
@@ -203,7 +195,7 @@ class TestRandomizedInvariants:
             assert_plan_conformance(engine)
         assert engine.statistics.logical_accesses > 2_048
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_windowed_trace_invariants(self, engine_cls):
         config = LAORAMConfig(
             oram=ORAMConfig(num_blocks=128, block_size_bytes=32, seed=29),
@@ -219,7 +211,7 @@ class TestRandomizedInvariants:
 class TestPlacementRegressions:
     """Regression coverage for the two initial-placement bugfixes."""
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_placement_with_populated_stash_conserves_blocks(self, engine_cls):
         # Placement must cope with a populated stash (the state bulk-load
         # overflow leaves behind): move a few whole paths into the stash,
@@ -228,7 +220,7 @@ class TestPlacementRegressions:
         config = make_laoram_config(num_blocks=256, superblock_size=2, seed=3)
         engine = engine_cls(config)
         leaves = {engine.position_map.peek(b) for b in range(16)}
-        if isinstance(engine, FastLAORAMClient):
+        if isinstance(engine, LAORAMClient):
             for leaf in leaves:
                 ids = engine.tree.read_path_ids(leaf)
                 engine.stash.extend(ids, engine.position_map.peek_many(ids))
@@ -242,7 +234,7 @@ class TestPlacementRegressions:
         engine.apply_initial_placement(plan)
         assert_plan_conformance(engine)
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_placement_consumes_first_occurrence(self, engine_cls):
         # Block 9 is planned in bins 1 (leaf 6) and 2 (leaf 1).  Placement
         # uses occurrence 0's leaf (6); the first subsequent reassignment
@@ -260,7 +252,7 @@ class TestPlacementRegressions:
         assert engine.position_map.peek(9) == 1
         assert_plan_conformance(engine)
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_placement_only_applies_to_first_window(self, engine_cls):
         # Windowed traces plan window by window; placement is trusted set-up
         # and requires a counter at zero, so run_trace applies it on the
@@ -296,7 +288,7 @@ class TestPlacementRegressions:
         assert placed == []
         assert_plan_conformance(touched)
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_placement_rejected_after_accesses(self, engine_cls):
         config = make_laoram_config(num_blocks=64, superblock_size=2)
         engine = engine_cls(config)
@@ -306,14 +298,14 @@ class TestPlacementRegressions:
             engine.apply_initial_placement(plan)
 
 
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_placement_reports_a_missing_block(self, engine_cls):
         config = make_laoram_config(num_blocks=64, superblock_size=2)
         engine = engine_cls(config)
         plan = engine.preprocess(np.arange(8, dtype=np.int64))
         lost = next(b for b in range(8) if b not in engine.stash)
         leaf = engine.position_map.peek(lost)
-        if engine_cls is FastLAORAMClient:
+        if engine_cls is LAORAMClient:
             engine.tree.remove_many(np.array([lost]), np.array([leaf]))
         else:
             assert engine._remove_from_path(leaf, lost) is not None
@@ -325,7 +317,7 @@ class TestPlacementRegressions:
         # holds far fewer, and the stash is capped at four.  Every block
         # that found no slot is stashed before the raise, on both clients.
         config = make_laoram_config(num_blocks=64, superblock_size=2, stash_capacity=4)
-        twins = [LAORAMClient(config), FastLAORAMClient(config)]
+        twins = [ObjectLAORAMClient(config), LAORAMClient(config)]
         for engine in twins:
             plan = LookaheadPlan(
                 np.arange(40), [3], 40, num_leaves=engine.config.num_leaves
@@ -361,7 +353,7 @@ class TestPlacementIsSlotIdentical:
             # A populated stash (trusted set-up, nothing charged): planned
             # blocks leave it, the others must keep their order.
             for block_id in range(8):
-                engine._fetch_path(engine.position_map.peek(block_id))
+                fetch_path(engine, engine.position_map.peek(block_id))
             built = engine_state(engine)
             states = []
             engine.apply_initial_placement(engine.preprocess(trace.addresses))
@@ -382,7 +374,7 @@ class TestPlacementIsSlotIdentical:
 
 
 class TestPlanLeafValidation:
-    @pytest.mark.parametrize("engine_cls", [LAORAMClient, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [ObjectLAORAMClient, LAORAMClient])
     def test_out_of_range_plan_leaf_rejected(self, engine_cls):
         # A plan built for a wider tree must fail at the first remap on both
         # engines; the fast engine's direct position-map writes used to slip
@@ -400,18 +392,12 @@ class TestPlanLeafValidation:
 
 class TestHarnessIntegration:
     def test_build_engine_fast_selects_vectorized_twins(self):
-        from repro.experiments.configs import build_engine
-
         oram = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=1)
-        assert isinstance(build_engine("PathORAM", oram, fast=True), ArrayPathORAM)
+        assert isinstance(build_engine("PathORAM", oram, fast=True), PathORAM)
         assert isinstance(
-            build_engine("Normal/S4", oram, fast=True), FastLAORAMClient
+            build_engine("Normal/S4", oram, fast=True), LAORAMClient
         )
-        assert isinstance(build_engine("Normal/S4", oram), LAORAMClient)
-        # Families without a twin raise the typed exception (still a
-        # ConfigurationError subclass for older callers).
-        with pytest.raises(ConfigurationError):
-            build_engine("Insecure", oram, fast=True)
+        assert isinstance(build_engine("Normal/S4", oram), ObjectLAORAMClient)
 
     @pytest.mark.parametrize("label", PAPER_CONFIG_LABELS)
     def test_experiment_result_equal_on_both_backends(self, label):
@@ -439,13 +425,13 @@ class TestHarnessIntegration:
 class TestTreeAtItsWidth:
     """The array tree stores ids in four bytes and builds in bounded chunks."""
 
-    @pytest.mark.parametrize("engine_cls", [ArrayPathORAM, FastLAORAMClient])
+    @pytest.mark.parametrize("engine_cls", [PathORAM, LAORAMClient])
     def test_block_ids_past_the_slot_width_are_refused(self, engine_cls):
         """Refused before anything is allocated for the 2^31 blocks."""
         oram = ORAMConfig(num_blocks=MAX_NUM_BLOCKS + 1, block_size_bytes=64)
         config = (
             LAORAMConfig(oram=oram, superblock_size=4)
-            if engine_cls is FastLAORAMClient
+            if engine_cls is LAORAMClient
             else oram
         )
         with pytest.raises(ConfigurationError, match="num_blocks"):

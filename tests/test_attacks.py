@@ -11,8 +11,9 @@ from repro.attacks.observer import CuriousOSObserver, MemoryBusObserver
 from repro.exceptions import ConfigurationError
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
-from repro.oram.path_oram import PathORAM
 from repro.utils.rng import make_rng
+
+from oracle import ObjectPathORAM
 
 
 class TestObservers:
@@ -71,7 +72,7 @@ class TestLeakageAnalysis:
     def test_oram_path_stream_reveals_little(self):
         config = ORAMConfig(num_blocks=256, block_size_bytes=64, seed=8)
         observer = MemoryBusObserver()
-        oram = PathORAM(config, observer=observer)
+        oram = ObjectPathORAM(config, observer=observer)
         rng = make_rng(1)
         addresses = rng.integers(0, 256, size=600).tolist()
         for address in addresses:

@@ -28,13 +28,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.core.superblock import LookaheadPlan
-from repro.experiments.configs import build_engine
 from repro.oram.config import ORAMConfig
 
 from test_trace_contract import assert_twins_agree
+
+from oracle import ObjectLAORAMClient, build_engine, update_leaf
 
 NUM_BLOCKS = 512
 NUM_ROUNDS = 30
@@ -48,13 +48,13 @@ def make_twins(seed: int, fat_tree: bool = False):
         ),
         superblock_size=8,
     )
-    return LAORAMClient(config), FastLAORAMClient(config)
+    return ObjectLAORAMClient(config), LAORAMClient(config)
 
 
 def serve_bin(engine, block_ids) -> None:
     """One bin of ``block_ids`` at the trace cursor."""
     ids = [int(b) for b in block_ids]
-    if isinstance(engine, FastLAORAMClient):
+    if isinstance(engine, LAORAMClient):
         engine._run_bins([(engine.trace_cursor, ids, None)])
     else:
         engine.access_superblock(ids)
@@ -74,7 +74,7 @@ def place(engines, groups: dict[int, list[int]]) -> None:
         )
 
 
-def assert_invariants(engine: FastLAORAMClient) -> None:
+def assert_invariants(engine: LAORAMClient) -> None:
     """Structural soundness of tree + stash after any bin."""
     tree = engine.tree
     stash = engine.stash
@@ -115,7 +115,7 @@ def drive_round(engine, rng: np.random.Generator) -> None:
     take = int(rng.integers(0, len(resident) + 1))
     new_leaves = rng.integers(0, num_leaves, size=take)
     for block_id, leaf in zip(resident[:take], new_leaves.tolist()):
-        engine._update_leaf(int(block_id), int(leaf))
+        update_leaf(engine, int(block_id), int(leaf))
     # Up to 64 ids, repeats included: close to one path per distinct id.
     batch = int(rng.integers(1, 65))
     serve_bin(engine, rng.integers(0, NUM_BLOCKS, size=batch))

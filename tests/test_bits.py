@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.utils.bits import (
-    common_level,
-    node_index,
-    num_leaves,
-    num_nodes,
-    path_node_indices,
-    required_depth,
-)
+from repro.utils.bits import num_leaves, num_nodes, required_depth
+
+from oracle.bits import common_level, node_index, path_node_indices
 
 
 class TestRequiredDepth:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError, StashOverflowError
-from repro.memory.block import Block
-from repro.oram.bucket import Bucket
 from repro.oram.config import ORAMConfig
 from repro.oram.position_map import LABEL_BYTES, LABEL_DTYPE, PositionMap
-from repro.oram.stash import ArrayStash, Stash
+from repro.oram.stash import ArrayStash
+
+from oracle import Block, Bucket, Stash
 
 
 class TestBucket:

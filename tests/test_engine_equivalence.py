@@ -1,7 +1,8 @@
-"""Cross-family equivalence harness: reference engines vs their array twins.
+"""Cross-family equivalence harness: the shipped engines vs their references.
 
-One parametrized suite asserts, for every engine family with a vectorized
-twin (pathoram, laoram), on uniform and Zipf traces and across seeds, that a fixed seed produces:
+One parametrized suite asserts, for every engine family (pathoram, laoram)
+against its per-object reference in ``tests/oracle/``, on uniform and Zipf
+traces and across seeds, that a fixed seed produces:
 
 * bit-identical :class:`~repro.memory.accounting.TrafficSnapshot` counters,
 * identical position maps and stash contents (same ids, same order), and
@@ -10,22 +11,23 @@ twin (pathoram, laoram), on uniform and Zipf traces and across seeds, that a fix
 
 This replaces the ad-hoc PathORAM-only equivalence checks that used to live
 in ``tests/test_array_engine.py``: the guarantee "decision-identical for a
-fixed seed" is now enforced uniformly wherever ``build_engine(fast=True)``
-offers a twin, so a divergence introduced in any family's hot path fails
-here before it can skew a baseline comparison.
+fixed seed" is enforced uniformly for every family (``fast=True`` builds the
+shipped engine, ``fast=False`` the reference), so a divergence introduced in
+any family's hot path fails here before it can skew a baseline comparison.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.fast_laoram import FastLAORAMClient
+from repro.core.laoram import LAORAMClient
 from repro.datasets.zipf import ZipfTraceGenerator
-from repro.exceptions import UnsupportedEngineError
-from repro.experiments.configs import FAST_ENGINE_FAMILIES, build_engine
-from repro.oram.array_path_oram import ArrayPathORAM
+from repro.experiments import configs
+from repro.oram.path_oram import PathORAM
 from repro.oram.engine import ArrayStorageEngine
 from repro.oram.config import ORAMConfig
+from repro.oram.insecure import InsecureMemory
 
+from oracle import build_engine
 from conftest import node_ids
 
 NUM_BLOCKS = 256
@@ -201,21 +203,20 @@ class TestBatchedAccessEquivalence:
 
 
 class TestFastEngineCoverage:
-    """build_engine(fast=True) covers every tree family, and only those."""
+    """Each tree family ships one engine, its reference is its twin, and the
+    library ignores ``fast``."""
 
     def test_every_family_has_a_fast_twin(self):
         config = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=1)
-        expected = {"PathORAM": ArrayPathORAM, "Fat/S4": FastLAORAMClient}
+        expected = {"PathORAM": PathORAM, "Fat/S4": LAORAMClient}
+        assert configs.ENGINE_CLASSES == {"pathoram": PathORAM, "laoram": LAORAMClient}
         for label, engine_cls in expected.items():
-            engine = build_engine(label, config, fast=True)
-            assert type(engine) is engine_cls
-        assert FAST_ENGINE_FAMILIES == {"pathoram", "laoram"}
+            for fast in (False, True):
+                engine = configs.build_engine(label, config, fast=fast)
+                assert type(engine) is engine_cls
 
-    def test_missing_twin_raises_typed_exception(self):
+    def test_fast_is_ignored_for_the_insecure_baseline(self):
         config = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=1)
-        with pytest.raises(UnsupportedEngineError) as excinfo:
-            build_engine("Insecure", config, fast=True)
-        message = str(excinfo.value)
-        assert "no vectorized (fast=True) engine" in message
-        assert "insecure" in message
-        assert "Insecure" in message
+        for fast in (False, True):
+            engine = configs.build_engine("Insecure", config, fast=fast)
+            assert type(engine) is InsecureMemory

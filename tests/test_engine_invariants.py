@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BlockNotFoundError
-from repro.experiments.configs import build_engine
 from repro.oram.config import ORAMConfig
 
 from test_engine_equivalence import assert_engine_consistent
+
+from oracle import build_engine
 
 NUM_BLOCKS = 128
 

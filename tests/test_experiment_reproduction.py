@@ -10,7 +10,7 @@ import pytest
 
 from repro.attacks.observer import MemoryBusObserver
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
+from repro.core.laoram import LAORAMClient
 from repro.datasets.registry import make_trace
 from repro.experiments.configs import build_oram_config
 from repro.experiments.figure2 import run_figure2
@@ -252,7 +252,7 @@ class TestAblations:
         speedups = {}
         for window in (64, 512, None):  # None = the whole trace
             # build_engine has no window argument: the one hand-built client.
-            client = FastLAORAMClient(
+            client = LAORAMClient(
                 LAORAMConfig(
                     oram=self.oram_config(10), superblock_size=4, lookahead_accesses=window
                 )

@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from repro.core.laoram import LAORAMClient
 from repro.datasets.registry import make_trace
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import (
@@ -18,6 +17,7 @@ from repro.experiments.metrics import ExperimentResult
 from repro.experiments.runner import compare_configurations, run_configuration
 from repro.experiments.scale import TINY, get_scale
 from repro.memory.accounting import TrafficSnapshot
+from repro.core.laoram import LAORAMClient
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 

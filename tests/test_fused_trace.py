@@ -18,12 +18,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.oram.array_path_oram import ArrayPathORAM
+from repro.oram.path_oram import PathORAM
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
-from repro.oram.path_oram import PathORAM
 from repro.oram.stash import ArrayStash
+
+from oracle import ObjectPathORAM
 
 
 NUM_BLOCKS = 700
@@ -54,21 +55,21 @@ def _state(engine):
 
 
 class TestRunTraceBitIdentity:
-    """run_trace == per-call access loop on both backends."""
+    """run_trace == the per-call access loop, shipped and reference."""
 
     def test_fused_matches_per_call_loop(self):
         trace = _trace()
-        fused = ArrayPathORAM(_config())
-        loop = ArrayPathORAM(_config())
+        fused = PathORAM(_config())
         fused_results = fused.run_trace(trace)
-        loop_results = [loop.access(block_id) for block_id in trace]
-        assert fused_results == loop_results
-        assert _state(fused) == _state(loop)
+        for loop in (PathORAM(_config()), ObjectPathORAM(_config())):
+            loop_results = [loop.access(block_id) for block_id in trace]
+            assert fused_results == loop_results
+            assert _state(fused) == _state(loop)
 
     def test_fused_matches_reference_engine(self):
         trace = _trace()
-        fused = ArrayPathORAM(_config())
-        reference = PathORAM(_config())
+        fused = PathORAM(_config())
+        reference = ObjectPathORAM(_config())
         fused_results = fused.run_trace(trace)
         ref_results = [reference.access(block_id) for block_id in trace]
         assert fused_results == ref_results
@@ -77,25 +78,27 @@ class TestRunTraceBitIdentity:
     def test_aggressive_background_eviction(self):
         eviction = EvictionPolicy(trigger_threshold=2, drain_target=1)
         trace = _trace()
-        fused = ArrayPathORAM(_config(), eviction=eviction)
-        loop = ArrayPathORAM(_config(), eviction=eviction)
-        assert fused.run_trace(trace) == [loop.access(b) for b in trace]
-        assert _state(fused) == _state(loop)
+        fused = PathORAM(_config(), eviction=eviction)
+        fused_results = fused.run_trace(trace)
+        for cls in (PathORAM, ObjectPathORAM):
+            loop = cls(_config(), eviction=eviction)
+            assert fused_results == [loop.access(b) for b in trace]
+            assert _state(fused) == _state(loop)
         assert fused.statistics.background_evictions > 0
 
     def test_write_ops_round_trip(self):
         trace = _trace(n=400)
         payloads = [f"payload-{i}" for i in range(len(trace))]
-        fused = ArrayPathORAM(_config())
-        loop = ArrayPathORAM(_config())
+        fused = PathORAM(_config())
         fused_results = fused.run_trace(
             trace, ops=AccessOp.WRITE, payloads=payloads
         )
-        loop_results = [
-            loop.access(b, AccessOp.WRITE, p) for b, p in zip(trace, payloads)
-        ]
-        assert fused_results == loop_results
-        assert _state(fused) == _state(loop)
+        for loop in (PathORAM(_config()), ObjectPathORAM(_config())):
+            loop_results = [
+                loop.access(b, AccessOp.WRITE, p) for b, p in zip(trace, payloads)
+            ]
+            assert fused_results == loop_results
+            assert _state(fused) == _state(loop)
         # Written payloads are served back by subsequent reads.
         last = {b: p for b, p in zip(trace, payloads)}
         reads = fused.run_trace(list(last))
@@ -103,13 +106,14 @@ class TestRunTraceBitIdentity:
 
     def test_ndarray_input(self):
         trace = np.asarray(_trace(n=300), dtype=np.int64)
-        fused = ArrayPathORAM(_config())
-        loop = ArrayPathORAM(_config())
-        assert fused.run_trace(trace) == [loop.access(int(b)) for b in trace]
-        assert _state(fused) == _state(loop)
+        fused = PathORAM(_config())
+        fused_results = fused.run_trace(trace)
+        for loop in (PathORAM(_config()), ObjectPathORAM(_config())):
+            assert fused_results == [loop.access(int(b)) for b in trace]
+            assert _state(fused) == _state(loop)
 
     def test_empty_trace(self):
-        engine = ArrayPathORAM(_config())
+        engine = PathORAM(_config())
         before = _state(engine)
         assert engine.run_trace([]) == []
         assert _state(engine) == before
@@ -117,20 +121,20 @@ class TestRunTraceBitIdentity:
     def test_out_of_range_id_raises_and_flushes(self):
         from repro.exceptions import BlockNotFoundError
 
-        engine = ArrayPathORAM(_config())
-        mirror = ArrayPathORAM(_config())
+        engine = PathORAM(_config())
         trace = _trace(n=50)
         with pytest.raises(BlockNotFoundError):
             engine.run_trace(trace + [NUM_BLOCKS + 5])
         # The prefix before the bad id must have been executed and flushed.
-        for block_id in trace:
-            mirror.access(block_id)
-        assert _state(engine) == _state(mirror)
+        for mirror in (PathORAM(_config()), ObjectPathORAM(_config())):
+            for block_id in trace:
+                mirror.access(block_id)
+            assert _state(engine) == _state(mirror)
 
     def test_access_many_sequential_routes_through_run_trace(self):
         trace = _trace(n=300)
-        via_many = ArrayPathORAM(_config())
-        via_trace = ArrayPathORAM(_config())
+        via_many = PathORAM(_config())
+        via_trace = PathORAM(_config())
         assert via_many.access_many(trace) == via_trace.run_trace(trace)
         assert _state(via_many) == _state(via_trace)
 
@@ -139,7 +143,7 @@ class TestZeroAllocationSteadyState:
     """tracemalloc regression: the fused loop's growth is bounded."""
 
     def test_array_path_oram_fused_loop(self):
-        engine = ArrayPathORAM(_config())
+        engine = PathORAM(_config())
         warmup = _trace(n=600, seed=3)
         engine.run_trace(warmup)
 
@@ -168,7 +172,7 @@ class TestZeroAllocationSteadyState:
 
     def test_matrix_loaded_fused_loop(self):
         """The row store's scalar set and get keep the loop allocation-free."""
-        engine = ArrayPathORAM(_config())
+        engine = PathORAM(_config())
         engine.load_payloads(np.zeros((NUM_BLOCKS, 8), dtype=np.float32))
         rows = [np.full(8, block_id, dtype=np.float32) for block_id in range(NUM_BLOCKS)]
         # Every block holds its overlay row before the measured traces.

@@ -5,7 +5,6 @@ import numpy as np
 from repro.attacks.analysis import analyze_address_leakage, analyze_path_obliviousness
 from repro.attacks.observer import CuriousOSObserver, MemoryBusObserver
 from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
 from repro.datasets.kaggle import SyntheticCriteoDataset
 from repro.embedding.dlrm import DLRMModel
 from repro.embedding.secure_loader import SecureEmbeddingStore
@@ -13,7 +12,8 @@ from repro.embedding.table import EmbeddingTable
 from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
-from repro.oram.path_oram import PathORAM
+
+from oracle import ObjectLAORAMClient, ObjectPathORAM
 
 
 class TestEndToEndPrivacyStory:
@@ -59,7 +59,7 @@ class TestEndToEndPrivacyStory:
 
         # LAORAM-protected training: only uniform-looking paths are visible.
         laoram_observer = MemoryBusObserver()
-        laoram = LAORAMClient(
+        laoram = ObjectLAORAMClient(
             LAORAMConfig(
                 oram=ORAMConfig(
                     num_blocks=self.ROWS, block_size_bytes=self.DIM * 4, fat_tree=True, seed=5
@@ -88,11 +88,11 @@ class TestPathORAMVsLAORAMConsistency:
         rng = np.random.default_rng(0)
         addresses = rng.integers(0, 128, size=256)
 
-        path_oram = PathORAM(config)
+        path_oram = ObjectPathORAM(config)
         path_oram.load_payloads(dict(payloads))
         expected = path_oram.access_many(addresses.tolist())
 
-        laoram = LAORAMClient(
+        laoram = ObjectLAORAMClient(
             LAORAMConfig(oram=config.with_overrides(seed=4), superblock_size=4)
         )
         laoram.load_payloads(dict(payloads))
@@ -109,13 +109,13 @@ class TestPathORAMVsLAORAMConsistency:
         config = ORAMConfig(num_blocks=512, block_size_bytes=64, seed=6)
         trace = SyntheticKaggleTrace(num_blocks=512, hot_band_size=32, seed=7).generate(2048)
 
-        baseline = PathORAM(config)
+        baseline = ObjectPathORAM(config)
         baseline.access_many(trace.addresses)
         base_time = baseline.simulated_time_s / len(trace)
 
         speedups = {}
         for superblock in (2, 4, 8):
-            client = LAORAMClient(
+            client = ObjectLAORAMClient(
                 LAORAMConfig(
                     oram=config.with_overrides(fat_tree=True, seed=8 + superblock),
                     superblock_size=superblock,

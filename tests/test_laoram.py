@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.core.superblock import LookaheadPlan
 from repro.datasets.permutation import PermutationTraceGenerator
@@ -16,13 +15,13 @@ from repro.exceptions import (
     ConfigurationError,
     StashOverflowError,
 )
-from repro.oram.array_path_oram import ArrayPathORAM
+from repro.oram.path_oram import PathORAM
 from repro.oram.base import ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine
-from repro.oram.path_oram import PathORAM
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import build_oram_config
 
+from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine, fetch_path
 from conftest import bin_lists, closed_form_clock
 from test_trace_contract import assert_twins_agree, engine_state, tree_layout
 
@@ -80,33 +79,33 @@ def assert_plan_conformance(engine, plan=None):
 class TestConstruction:
     def test_requires_laoram_config(self):
         with pytest.raises(ConfigurationError):
-            LAORAMClient(ORAMConfig(num_blocks=64))
+            ObjectLAORAMClient(ORAMConfig(num_blocks=64))
 
     def test_describe_matches_paper_notation(self, config):
-        assert LAORAMClient(config).describe() == "Normal/S4"
+        assert ObjectLAORAMClient(config).describe() == "Normal/S4"
         fat = LAORAMConfig(oram=config.oram.with_overrides(fat_tree=True), superblock_size=8)
-        assert LAORAMClient(fat).describe() == "Fat/S8"
+        assert ObjectLAORAMClient(fat).describe() == "Fat/S8"
 
     def test_superblock_size_property(self, config):
-        assert LAORAMClient(config).superblock_size == 4
+        assert ObjectLAORAMClient(config).superblock_size == 4
 
 
 class TestRunTrace:
     def test_all_accesses_are_served(self, config, permutation_trace):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.run_trace(permutation_trace.addresses)
         assert client.statistics.logical_accesses == len(permutation_trace)
 
     def test_block_conservation(self, config, permutation_trace):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.run_trace(permutation_trace.addresses)
         assert client.total_real_blocks() == 256
 
     def test_fewer_path_reads_than_pathoram(self, config, permutation_trace):
         """The headline effect: superblocks cut path reads by roughly S."""
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.run_trace(permutation_trace.addresses)
-        baseline = PathORAM(config.oram.with_overrides(seed=99))
+        baseline = ObjectPathORAM(config.oram.with_overrides(seed=99))
         baseline.access_many(permutation_trace.addresses)
         ours, theirs = client.statistics, baseline.statistics
         assert ours.path_reads + ours.dummy_reads < theirs.path_reads + theirs.dummy_reads
@@ -117,12 +116,12 @@ class TestRunTrace:
             superblock_size=4,
             lookahead_accesses=64,
         )
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.run_trace(permutation_trace.addresses)
         assert client.statistics.logical_accesses == len(permutation_trace)
 
     def test_payloads_survive_run_trace(self, config, permutation_trace):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.load_payloads({i: f"row{i}".encode() for i in range(256)})
         client.run_trace(permutation_trace.addresses)
         assert client.read(17) == b"row17"
@@ -130,18 +129,18 @@ class TestRunTrace:
 
 class TestSuperblockAccess:
     def test_access_superblock_returns_payloads_in_order(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.load_payloads({i: bytes([i]) for i in range(256)})
         payloads = client.access_superblock([3, 10, 3, 200])
         assert payloads == [bytes([3]), bytes([10]), bytes([3]), bytes([200])]
 
     def test_duplicate_blocks_in_bin_cost_one_fetch(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.access_superblock([7, 7, 7, 7])
         assert client.statistics.path_reads <= 1
 
     def test_access_many_groups_into_bins(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.access_many(list(range(16)))
         stats = client.statistics
         assert stats.logical_accesses == 16
@@ -149,35 +148,35 @@ class TestSuperblockAccess:
         assert stats.path_reads <= 16
 
     def test_write_many_round_trip(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         ids = [3, 9, 30, 77, 100]
         client.write_many(ids, [f"payload-{i}".encode() for i in ids])
         for block_id in ids:
             assert client.read(block_id) == f"payload-{block_id}".encode()
 
     def test_write_many_counts_accesses_and_batches(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.write_many(list(range(16)), [b"x"] * 16)
         stats = client.statistics
         assert stats.logical_accesses == 16
         assert stats.path_reads <= 16
 
     def test_write_many_length_mismatch_rejected(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         with pytest.raises(ConfigurationError):
             client.write_many([1, 2], [b"only-one"])
 
 
 class TestInitialPlacement:
     def test_placement_uses_first_occurrence_path(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         plan = client.preprocess([4, 9, 4, 30])
         client.apply_initial_placement(plan)
         assert client.position_map.peek(4) == plan.bin_leaves[0]
         assert client.position_map.peek(30) == plan.bin_leaves[0]
 
     def test_placement_preserves_block_count_and_payloads(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.load_payloads({5: b"five"})
         plan = client.preprocess(np.arange(256))
         client.apply_initial_placement(plan)
@@ -185,7 +184,7 @@ class TestInitialPlacement:
         assert client.read(5) == b"five"
 
     def test_placement_after_accesses_is_rejected(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.read(0)
         plan = client.preprocess([1, 2, 3, 4])
         with pytest.raises(ConfigurationError):
@@ -193,14 +192,14 @@ class TestInitialPlacement:
 
     def test_first_epoch_is_coalesced_after_placement(self, config):
         """With plan-driven initial placement a bin costs ~1 read from access one."""
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         trace = PermutationTraceGenerator(256, seed=1).generate(256)
         client.run_trace(trace.addresses)
         stats = client.statistics
         assert stats.path_reads <= len(trace) // config.superblock_size + 8
 
 
-CLIENTS = [LAORAMClient, FastLAORAMClient]
+CLIENTS = [ObjectLAORAMClient, LAORAMClient]
 
 
 def placement_config(superblock_size=4, recursive=False, **oram_kwargs):
@@ -251,7 +250,7 @@ class TestPlanConformance:
         engines = [client(placement_config(4, recursive)) for client in CLIENTS]
         for engine in engines:
             leaf = engine.position_map.peek(40)
-            engine._fetch_path(leaf)  # trusted set-up: nothing is charged
+            fetch_path(engine, leaf)  # trusted set-up: nothing is charged
             stashed = engine.stash.block_ids
             assert 40 in stashed and len(stashed) > 2
             bystanders = [b for b in stashed if b not in (40, stashed[-1])]
@@ -353,7 +352,7 @@ class TestPlanAlignment:
         assert [(start, ids) for start, ids, _ in bins] == [
             (6, [20, 21]), (8, [22, 23, 24, 25]), (12, [26, 27, 28, 29]), (16, [30]),
         ]
-        by_position = client is FastLAORAMClient
+        by_position = client is LAORAMClient
         assert [r for _, _, r in bins] == (remaps if by_position else [None] * 4)
         assert engine.bins_by_position == 4 * by_position
 
@@ -401,24 +400,24 @@ class TestPlanAlignment:
         # them from the table by position, the reference looks each id up.
         assert [engine.position_map.peek(b) for b in (5, 7, 9)] == [6, 6, 1]
         assert bin_lists(plan)[0][0] == [6, 6, 1]
-        assert engine.bins_by_position == (client is FastLAORAMClient)
+        assert engine.bins_by_position == (client is LAORAMClient)
 
 
 class TestPlanFallback:
     def test_single_access_without_plan_behaves_like_pathoram(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.read(3)
         assert client.statistics.logical_accesses == 1
         assert client.statistics.path_reads <= 1
 
     def test_blocks_outside_plan_get_random_paths(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         client.preprocess([1, 2, 3, 4])
         client.read(200)  # not in the plan
         assert 0 <= client.position_map.peek(200) < config.oram.num_leaves
 
     def test_trace_cursor_advances(self, config):
-        client = LAORAMClient(config)
+        client = ObjectLAORAMClient(config)
         before = client.trace_cursor
         client.read(1)
         assert client.trace_cursor == before + 1
@@ -526,7 +525,7 @@ class TestKernelFailurePaths:
         # Plan-free S8 bins read up to eight paths before writing any back:
         # the third bin outgrows a 30-block stash on its fifth path.
         config = placement_config(8, recursive, stash_capacity=30)
-        engine = FastLAORAMClient(config)
+        engine = LAORAMClient(config)
         trace = np.random.default_rng(4).integers(0, 256, size=400)
         with pytest.raises(StashOverflowError):
             engine.access_many(trace)
@@ -548,7 +547,7 @@ class TestKernelFailurePaths:
         unbounded = dataclasses.replace(
             config, oram=config.oram.with_overrides(stash_capacity=None)
         )
-        before, after = FastLAORAMClient(unbounded), FastLAORAMClient(unbounded)
+        before, after = LAORAMClient(unbounded), LAORAMClient(unbounded)
         before.access_many(trace[:16])
         after.access_many(trace[:24])
         for name in ("path_reads", "bytes_read", "posmap_path_reads"):
@@ -567,65 +566,124 @@ class TestKernelFailurePaths:
             closed_form_clock(engine), rel=1e-12
         )
 
-    @pytest.mark.parametrize("drive", ["access", "generic loop"])
-    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
-    @pytest.mark.parametrize(
-        "client", [PathORAM, ArrayPathORAM, LAORAMClient, FastLAORAMClient]
-    )
-    def test_overflow_on_the_per_access_path_loses_no_block(
-        self, client, recursive, drive
-    ):
-        # Each backend's own hooks, no fused driver and no kernel: the path
-        # a fetch emptied is in the stash before the overflow raises, and a
-        # reference engine ends field for field where its array twin does.
+    def per_access_overflow(self, client, recursive, drive, planned=False) -> list:
+        """Overflow a 12-block stash one access at a time, then serve hits.
+
+        Returns the engine's state after the raise and after the hits; a
+        lookahead client's includes its cursor and whether it kept a plan.
+        """
         config = placement_config(4, recursive, stash_capacity=12)
         oram = config.oram.with_overrides(posmap_cutoff_bytes=512)
         config = dataclasses.replace(config, oram=oram)
         trace = np.random.default_rng(4).integers(0, 256, size=400).tolist()
+        lookahead = client in (ObjectLAORAMClient, LAORAMClient)
+        engine = client(config if lookahead else oram)
+        if planned:
+            engine.preprocess(trace)
 
-        def overflow(client) -> list[tuple]:
-            lookahead = client in (LAORAMClient, FastLAORAMClient)
-            engine = client(config if lookahead else oram)
+        def run(block_ids):
+            if drive == "access":
+                for block_id in block_ids:
+                    engine.access(block_id)
+            else:
+                ObliviousMemory.run_trace(engine, block_ids)
 
-            def run(block_ids):
+        def checked() -> tuple:
+            self.conserved(engine)
+            assert engine.simulated_time_s == pytest.approx(
+                closed_form_clock(engine), rel=1e-12
+            )
+            state = (
+                engine.statistics,
+                engine.stash.block_ids,
+                engine.position_map.as_array().tolist(),
+            )
+            if lookahead:
+                state += (engine.trace_cursor, engine.plan is None)
+            return state
+
+        with pytest.raises(StashOverflowError):
+            run(trace)
+        assert 1 < engine.statistics.logical_accesses < len(trace)
+        assert len(engine.stash) > 12
+        states = [checked()]
+        # Stash hits fetch nothing, so the over-full engine serves them.
+        hits = engine.statistics.stash_hits
+        run(engine.stash.block_ids[:8])
+        assert engine.statistics.stash_hits == hits + 8
+        return states + [checked()]
+
+    @pytest.mark.parametrize("drive", ["access", "generic loop"])
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    @pytest.mark.parametrize(
+        "client", [ObjectPathORAM, PathORAM, ObjectLAORAMClient, LAORAMClient]
+    )
+    def test_overflow_on_the_per_access_path_loses_no_block(
+        self, client, recursive, drive
+    ):
+        # One access at a time (the reference's hooks, the array engine's
+        # one-id bins): the path a fetch emptied is in the stash before the
+        # overflow raises, and a reference engine ends field for field where
+        # its array twin does.
+        states = self.per_access_overflow(client, recursive, drive)
+        twin = {ObjectPathORAM: PathORAM, ObjectLAORAMClient: LAORAMClient}.get(client)
+        if twin is not None:
+            assert self.per_access_overflow(twin, recursive, drive) == states
+
+    @pytest.mark.parametrize("drive", ["access", "generic loop"])
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_overflow_on_the_per_access_path_under_a_plan(self, recursive, drive):
+        # The same with the trace's plan installed: single accesses take
+        # plan leaves until the overflow, which drops the plan on both
+        # clients, and the twins agree on the cursor as well.
+        states = self.per_access_overflow(
+            ObjectLAORAMClient, recursive, drive, planned=True
+        )
+        assert states[0][-1]
+        assert states == self.per_access_overflow(
+            LAORAMClient, recursive, drive, planned=True
+        )
+
+    @pytest.mark.parametrize("drive", ["access", "generic loop"])
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    def test_overflow_in_the_eviction_after_a_planned_access(self, recursive, drive):
+        # Bucket size 1 and eviction above four residents: the overflow
+        # comes from a dummy read after an access was served.  Both clients
+        # count the access, move the cursor past it and drop the plan.
+        config = placement_config(
+            4, recursive, stash_capacity=12, bucket_size=1,
+            eviction_threshold=4, eviction_target=0,
+        )
+        oram = config.oram.with_overrides(posmap_cutoff_bytes=512)
+        config = dataclasses.replace(config, oram=oram)
+        trace = np.random.default_rng(4).integers(0, 256, size=400).tolist()
+        states = []
+        for client in (ObjectLAORAMClient, LAORAMClient):
+            engine = client(config)
+            engine.preprocess(trace)
+            with pytest.raises(StashOverflowError):
                 if drive == "access":
-                    for block_id in block_ids:
+                    for block_id in trace:
                         engine.access(block_id)
                 else:
-                    ObliviousMemory.run_trace(engine, block_ids)
-
-            def checked() -> tuple:
-                self.conserved(engine)
-                assert engine.simulated_time_s == pytest.approx(
-                    closed_form_clock(engine), rel=1e-12
-                )
-                return (
-                    engine.statistics,
-                    engine.stash.block_ids,
-                    engine.position_map.as_array().tolist(),
-                )
-
-            with pytest.raises(StashOverflowError):
-                run(trace)
-            assert 1 < engine.statistics.logical_accesses < len(trace)
-            assert len(engine.stash) > 12
-            states = [checked()]
-            # Stash hits fetch nothing, so the over-full engine serves them.
-            hits = engine.statistics.stash_hits
-            run(engine.stash.block_ids[:8])
-            assert engine.statistics.stash_hits == hits + 8
-            return states + [checked()]
-
-        states = overflow(client)
-        twin = {PathORAM: ArrayPathORAM, LAORAMClient: FastLAORAMClient}.get(client)
-        if twin is not None:
-            assert overflow(twin) == states
+                    ObliviousMemory.run_trace(engine, trace)
+            assert engine.statistics.dummy_reads > 0
+            assert engine.trace_cursor == engine.statistics.logical_accesses
+            assert engine.plan is None
+            self.conserved(engine)
+            states.append((
+                engine.statistics,
+                engine.stash.block_ids,
+                engine.position_map.as_array().tolist(),
+                engine.trace_cursor,
+            ))
+        assert states[0] == states[1]
 
     def test_an_overflow_mid_path_keeps_the_rest_of_the_path(self):
         # A one-block stash overflows on the second block of the first path
         # read; the blocks behind it on that path land too, on both backends.
         states = []
-        for client in (PathORAM, ArrayPathORAM):
+        for client in (ObjectPathORAM, PathORAM):
             engine = client(
                 ORAMConfig(num_blocks=256, block_size_bytes=64, seed=13, stash_capacity=1)
             )
@@ -648,7 +706,7 @@ class TestKernelFailurePaths:
             recursive_posmap=recursive, posmap_cutoff_bytes=4096,
             stash_capacity=28,
         )
-        engine = FastLAORAMClient(LAORAMConfig(oram=oram, superblock_size=4))
+        engine = LAORAMClient(LAORAMConfig(oram=oram, superblock_size=4))
         hot = np.random.default_rng(6).permutation(1 << 12)[:60]
         with pytest.raises(StashOverflowError):
             engine.run_trace(np.tile(hot, 5))
@@ -714,7 +772,7 @@ class TestKernelFailurePaths:
 
     @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
     @pytest.mark.parametrize(
-        "client", [PathORAM, ArrayPathORAM, LAORAMClient, FastLAORAMClient]
+        "client", [ObjectPathORAM, PathORAM, ObjectLAORAMClient, LAORAMClient]
     )
     def test_a_write_many_that_raises_keeps_the_served_writes(self, client, recursive):
         # 400 writes over 256 blocks outgrow a 12-block stash.  What was
@@ -722,7 +780,7 @@ class TestKernelFailurePaths:
         # clients the bins before the failing one, on PathORAM the accesses
         # before it — and nothing after it landed.
         config = placement_config(4, recursive, stash_capacity=12)
-        lookahead = client in (LAORAMClient, FastLAORAMClient)
+        lookahead = client in (ObjectLAORAMClient, LAORAMClient)
         engine = client(config if lookahead else config.oram)
         engine.load_payloads({b: ("initial", b) for b in range(256)})
         ids = np.random.default_rng(4).integers(0, 256, size=400).tolist()

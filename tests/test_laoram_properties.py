@@ -4,12 +4,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.core.preprocessor import Preprocessor
 from repro.oram.config import ORAMConfig
 
 from test_laoram import assert_plan_conformance, assert_twins_agree
+
+from oracle import ObjectLAORAMClient
 
 _SETTINGS = settings(
     max_examples=20,
@@ -35,7 +36,7 @@ def traces(draw):
     return num_blocks, superblock, fat, addresses
 
 
-def build_client(num_blocks, superblock, fat, seed=0, client=LAORAMClient):
+def build_client(num_blocks, superblock, fat, seed=0, client=ObjectLAORAMClient):
     config = LAORAMConfig(
         oram=ORAMConfig(
             num_blocks=num_blocks, block_size_bytes=16, fat_tree=fat, seed=seed
@@ -53,7 +54,7 @@ class TestLAORAMProperties:
         trace = np.asarray(addresses)
         twins = [
             build_client(num_blocks, superblock, fat, seed, client)
-            for client in (LAORAMClient, FastLAORAMClient)
+            for client in (ObjectLAORAMClient, LAORAMClient)
         ]
         for engine in twins:
             # Twice before any access: the second plan finds the blocks

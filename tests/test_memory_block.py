@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.memory.block import Block
+from oracle import Block
+
 
 
 class TestBlock:

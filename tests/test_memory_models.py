@@ -7,7 +7,7 @@ import pytest
 
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import build_oram_config
 from repro.experiments.sharded import ShardedRunner
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.channel import InterconnectModel
@@ -15,6 +15,8 @@ from repro.memory.dram import DRAMModel
 from repro.memory.timing import PAPER_TIMING, TimingModel
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
+
+from oracle import build_engine
 
 
 class TestDRAMModel:

@@ -18,9 +18,12 @@ import signal
 import numpy as np
 import pytest
 
+from repro import LAORAMClient, PathORAM
 from repro.exceptions import ConfigurationError, ShardExecutionError
-from repro.experiments.sharded import ProcessShardExecutor, ShardedRunner, ShardPlanner
-from repro.experiments.sharded.executor import _pin_worker_threads
+from repro.experiments.sharded import ProcessShardExecutor, ShardPlanner
+from repro.experiments.sharded.executor import ShardHost, _pin_worker_threads
+
+from oracle import REFERENCE_CLASSES, ShardedRunner
 
 NUM_BLOCKS = 1 << 10
 NUM_SHARDS = 3
@@ -30,6 +33,30 @@ NUM_ACCESSES = 600
 def _trace(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed + 100)
     return rng.integers(0, NUM_BLOCKS, size=NUM_ACCESSES)
+
+
+@pytest.fixture(autouse=True)
+def hosts_name_their_engines(monkeypatch):
+    """Every shard host, a forked worker's included, answers ``engine_classes``."""
+    monkeypatch.setattr(
+        ShardHost,
+        "engine_classes",
+        lambda host: {
+            shard_id: type(engine).__name__
+            for shard_id, engine in host.engines.items()
+        },
+        raising=False,
+    )
+
+
+def _engine_class_names(runner) -> set[str]:
+    """The class names of the shard engines the runner's hosts built."""
+    return set(runner.executor._ask_every("engine_classes").values())
+
+
+def _family_class_name(family: str, fast: bool) -> str:
+    shipped = {"laoram": LAORAMClient, "pathoram": PathORAM}
+    return (shipped if fast else REFERENCE_CLASSES)[family].__name__
 
 
 def _run(family: str, fast: bool, seed: int, num_workers, fat_tree: bool = False):
@@ -52,6 +79,7 @@ def _run(family: str, fast: bool, seed: int, num_workers, fat_tree: bool = False
             "position_maps": runner.position_maps(),
             "total_real_blocks": runner.total_real_blocks(),
             "simulated_parallel": runner.simulated_time_parallel_s,
+            "engine_classes": _engine_class_names(runner),
         }
     finally:
         runner.close()
@@ -68,6 +96,10 @@ def test_parallel_backend_is_bit_identical(family, fat_tree, fast, seed):
     # The fat tree's geometry travels to the workers in the shard spec.
     sequential = _run(family, fast, seed, None, fat_tree=fat_tree)
     parallel = _run(family, fast, seed, 2, fat_tree=fat_tree)
+
+    # Both backends built the variant asked for: the workers too.
+    want = {_family_class_name(family, fast)}
+    assert sequential["engine_classes"] == parallel["engine_classes"] == want
 
     assert parallel["merged"] == sequential["merged"]
     assert parallel["occupancies"] == sequential["occupancies"]
@@ -102,6 +134,7 @@ def test_runner_replays_trace_after_trace(fast):
             use_fast_engine=fast, **kwargs,
         )
         try:
+            assert _engine_class_names(runner) == {_family_class_name("laoram", fast)}
             runner.run_trace(_trace(0))
             merged = runner.run_trace(_trace(1))
             assert merged.logical_accesses == 2 * NUM_ACCESSES
@@ -184,6 +217,23 @@ def test_hard_killed_worker_is_detected_and_torn_down():
     # The surviving worker is stopped with the dead one, and the executor
     # refuses further commands.
     assert not survivor.is_alive()
+    with pytest.raises(ShardExecutionError):
+        executor.refresh_states()
+
+
+def test_an_out_of_step_reply_raises_typed_and_tears_down():
+    # A reply planted ahead of the worker's own answer to "state": it
+    # answers another command, and must not be taken for this one (an
+    # ``assert`` that ``python -O`` strips used to be the only check).
+    planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="pathoram", seed=0)
+    executor = ProcessShardExecutor(planner, num_workers=2)
+    executor.start()
+    executor._responses[0].put(("posmap", {0: np.zeros(1, dtype=np.int64)}))
+    with pytest.raises(ShardExecutionError) as excinfo:
+        executor.refresh_states()
+    message = str(excinfo.value)
+    assert "'posmap'" in message and "'state'" in message
+    assert executor._procs == []
     with pytest.raises(ShardExecutionError):
         executor.refresh_states()
 

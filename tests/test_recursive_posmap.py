@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import (
@@ -33,21 +32,21 @@ from repro.exceptions import (
     IntegrityError,
     StashOverflowError,
 )
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import build_oram_config
 from repro.experiments.recursion import (
     run_recursion_amortization,
     render_recursion_table,
 )
 from repro.memory.accounting import TrafficCounter, merge_snapshots
-from repro.oram.array_path_oram import ArrayPathORAM
+from repro.oram.path_oram import PathORAM
 from repro.oram.base import ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine
-from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import DRAW_BLOCK, LABEL_BYTES, PositionMap
 from repro.utils.stats import chi_square_uniformity
+from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine
 from conftest import closed_form_clock, node_ids
-from test_trace_contract import assert_twins_agree, engine_state
+from test_trace_contract import assert_twins_agree
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 600
@@ -260,11 +259,11 @@ class TestOneWalkPerRemapAfterAnOverflow:
     def test_the_next_stash_hit_remap_costs_one_walk(self, client, serve):
         assert PositionMap.level_sizes(1 << 10, 64, 64) == [16]
         if client == "PathORAM":
-            twins = (PathORAM(self.CONFIG), ArrayPathORAM(self.CONFIG))
+            twins = (ObjectPathORAM(self.CONFIG), PathORAM(self.CONFIG))
             failing = [652]
         else:
             config = LAORAMConfig(oram=self.CONFIG, superblock_size=4)
-            twins = (LAORAMClient(config), FastLAORAMClient(config))
+            twins = (ObjectLAORAMClient(config), LAORAMClient(config))
             failing = list(range(600, 608))
 
         def run(engine, block_ids):
@@ -477,7 +476,7 @@ class TestFailurePathsUnderRecursion:
     KERNEL_LABELS = ("PathORAM",)
 
     @staticmethod
-    def build(label: str, stash_capacity=None):
+    def build(label: str, stash_capacity=None, fast=True):
         # chi=4 with a 512-byte cutoff: one recursion level of 64 blocks.
         config = build_oram_config(
             num_blocks=NUM_BLOCKS,
@@ -488,7 +487,7 @@ class TestFailurePathsUnderRecursion:
             posmap_cutoff_bytes=512,
         )
         config = dataclasses.replace(config, stash_capacity=stash_capacity)
-        return build_engine(label, config, fast=True)
+        return build_engine(label, config, fast=fast)
 
     @staticmethod
     def trace() -> np.ndarray:
@@ -515,24 +514,24 @@ class TestFailurePathsUnderRecursion:
         trace = self.trace()
         broken = trace.copy()
         broken[200] = NUM_BLOCKS
-        fast, oracle = self.build(label), self.build(label)
+        fast, oracle = self.build(label), self.build(label, fast=False)
         with pytest.raises(BlockNotFoundError):
             fast.run_trace(broken)
         with pytest.raises(BlockNotFoundError):
             ObliviousMemory.run_trace(oracle, broken)
         assert fast.statistics.logical_accesses == 200
-        assert engine_state(fast) == engine_state(oracle)
+        assert_twins_agree(oracle, fast)
         self.assert_consistent(fast)
         # The engine takes the next trace as if nothing had happened.
         assert fast.run_trace(trace) == ObliviousMemory.run_trace(oracle, trace)
-        assert engine_state(fast) == engine_state(oracle)
+        assert_twins_agree(oracle, fast)
 
     @pytest.mark.parametrize("label", KERNEL_LABELS)
     def test_raise_from_inside_a_walk_keeps_its_charges(self, label):
         # Point the top map's entry for one recursion block at the other
         # half of its tree: the walk reads (and charges) that path, misses
         # the block and raises from inside the driver's charged call.
-        fast, oracle = self.build(label), self.build(label)
+        fast, oracle = self.build(label), self.build(label, fast=False)
         for engine in (fast, oracle):
             posmap = engine.position_map
             level = posmap._levels[0]
@@ -549,11 +548,11 @@ class TestFailurePathsUnderRecursion:
         assert fast.statistics.logical_accesses == len(trace)
         # Field for field, the clock as a float: the failed walk's path read
         # is charged once on both sides.
-        assert engine_state(fast) == engine_state(oracle)
+        assert_twins_agree(oracle, fast)
         self.assert_consistent(fast)
 
-    #: The kernel, and the generic per-access loop over the array backend's
-    #: own hooks (``_fetch_path`` / ``_commit_write_back``).
+    #: The kernel over a whole trace, and the generic per-access loop: one
+    #: one-id kernel call per access on the array backend.
     DRIVERS = {
         "fused": lambda engine, trace: engine.run_trace(trace),
         "generic loop": lambda engine, trace: ObliviousMemory.run_trace(engine, trace),

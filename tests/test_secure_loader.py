@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
 from repro.datasets.kaggle import NUM_DENSE_FEATURES, SyntheticCriteoDataset
 from repro.embedding.dlrm import DLRMModel
 from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
 from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.exceptions import BlockNotFoundError, ConfigurationError
-from repro.experiments.configs import build_engine, build_oram_config
-from repro.oram.array_path_oram import ArrayPathORAM
+from repro.experiments.configs import build_oram_config
+from repro.oram.path_oram import PathORAM
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
-from repro.oram.path_oram import PathORAM
+
+from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine
 
 
 def make_store(engine_factory, num_rows=64, dim=8):
@@ -32,10 +32,10 @@ class TestSecureEmbeddingStore:
     @pytest.mark.parametrize(
         "factory",
         [
-            PathORAM,
+            ObjectPathORAM,
             InsecureMemory,
-            lambda cfg: LAORAMClient(LAORAMConfig(oram=cfg, superblock_size=4)),
-            lambda cfg: LAORAMClient(
+            lambda cfg: ObjectLAORAMClient(LAORAMConfig(oram=cfg, superblock_size=4)),
+            lambda cfg: ObjectLAORAMClient(
                 LAORAMConfig(
                     oram=cfg.with_overrides(fat_tree=True), superblock_size=8
                 )
@@ -50,39 +50,39 @@ class TestSecureEmbeddingStore:
         assert np.allclose(fetched, table.weights[ids])
 
     def test_update_then_fetch_round_trip(self):
-        store, _ = make_store(PathORAM)
+        store, _ = make_store(ObjectPathORAM)
         new_values = np.full((2, 8), 3.5, dtype=np.float32)
         store.update_rows([10, 11], new_values)
         assert np.allclose(store.fetch_rows([10, 11]), 3.5)
 
     def test_updates_survive_other_traffic(self):
-        store, _ = make_store(PathORAM)
+        store, _ = make_store(ObjectPathORAM)
         store.update_rows([7], np.full((1, 8), -1.0, dtype=np.float32))
         rng = np.random.default_rng(0)
         store.fetch_rows(rng.integers(0, 64, size=50))
         assert np.allclose(store.fetch_rows([7]), -1.0)
 
     def test_materialize_recovers_full_table(self):
-        store, table = make_store(PathORAM, num_rows=32)
+        store, table = make_store(ObjectPathORAM, num_rows=32)
         recovered = store.materialize()
         assert np.allclose(recovered.weights, table.weights)
 
     def test_laoram_batched_fetch_counts_every_access(self):
         store, _ = make_store(
-            lambda cfg: LAORAMClient(LAORAMConfig(oram=cfg, superblock_size=4))
+            lambda cfg: ObjectLAORAMClient(LAORAMConfig(oram=cfg, superblock_size=4))
         )
         store.fetch_rows(np.arange(16))
         assert store.memory.statistics.logical_accesses == 16
 
     def test_table_larger_than_oram_rejected(self):
         config = ORAMConfig(num_blocks=16, block_size_bytes=32)
-        engine = PathORAM(config)
+        engine = ObjectPathORAM(config)
         table = EmbeddingTable(32, 8, seed=0)
         with pytest.raises(ConfigurationError):
             SecureEmbeddingStore(engine, table)
 
     def test_invalid_row_ids_rejected(self):
-        store, _ = make_store(PathORAM)
+        store, _ = make_store(ObjectPathORAM)
         with pytest.raises(ConfigurationError):
             store.fetch_rows([])
         with pytest.raises(ConfigurationError):
@@ -226,7 +226,7 @@ REJECTED_LOADS = {
 }
 
 load_engines = pytest.mark.parametrize(
-    "factory", [InsecureMemory, PathORAM, ArrayPathORAM], ids=["insecure", "object", "array"]
+    "factory", [InsecureMemory, ObjectPathORAM, PathORAM], ids=["insecure", "object", "array"]
 )
 
 

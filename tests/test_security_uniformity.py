@@ -14,12 +14,12 @@ import pytest
 from repro.attacks.analysis import analyze_path_obliviousness
 from repro.attacks.observer import MemoryBusObserver
 from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
 from repro.datasets.kaggle import SyntheticKaggleTrace
 from repro.datasets.permutation import PermutationTraceGenerator
 from repro.oram.config import ORAMConfig
-from repro.oram.path_oram import PathORAM
 from repro.utils.stats import chi_square_uniformity
+
+from oracle import ObjectLAORAMClient, ObjectPathORAM
 
 NUM_BLOCKS = 256
 NUM_ACCESSES = 2048
@@ -28,7 +28,7 @@ NUM_ACCESSES = 2048
 def observed_paths_for(engine_builder, trace):
     observer = MemoryBusObserver()
     engine = engine_builder(observer)
-    if isinstance(engine, LAORAMClient):
+    if isinstance(engine, ObjectLAORAMClient):
         engine.run_trace(trace.addresses)
     else:
         engine.access_many(trace.addresses)
@@ -50,7 +50,7 @@ def permutation_trace_module():
 class TestPathUniformity:
     def test_pathoram_paths_are_uniform(self, kaggle_trace):
         config = ORAMConfig(num_blocks=NUM_BLOCKS, block_size_bytes=64, seed=0)
-        paths = observed_paths_for(lambda obs: PathORAM(config, observer=obs), kaggle_trace)
+        paths = observed_paths_for(lambda obs: ObjectPathORAM(config, observer=obs), kaggle_trace)
         result = chi_square_uniformity(paths, config.num_leaves)
         assert not result.rejects_uniformity(alpha=0.001)
 
@@ -64,7 +64,7 @@ class TestPathUniformity:
             superblock_size=superblock,
         )
         paths = observed_paths_for(
-            lambda obs: LAORAMClient(config, observer=obs), kaggle_trace
+            lambda obs: ObjectLAORAMClient(config, observer=obs), kaggle_trace
         )
         result = chi_square_uniformity(paths, config.oram.num_leaves)
         assert not result.rejects_uniformity(alpha=0.001)
@@ -75,7 +75,7 @@ class TestPathUniformity:
             superblock_size=4,
         )
         paths = observed_paths_for(
-            lambda obs: LAORAMClient(config, observer=obs), permutation_trace_module
+            lambda obs: ObjectLAORAMClient(config, observer=obs), permutation_trace_module
         )
         result = chi_square_uniformity(paths, config.oram.num_leaves)
         assert not result.rejects_uniformity(alpha=0.001)
@@ -88,7 +88,7 @@ class TestIndependenceFromAccessStream:
             superblock_size=4,
         )
         observer = MemoryBusObserver()
-        client = LAORAMClient(config, observer=observer)
+        client = ObjectLAORAMClient(config, observer=observer)
         client.run_trace(kaggle_trace.addresses)
         report = analyze_path_obliviousness(
             kaggle_trace.addresses.tolist(),
@@ -104,7 +104,7 @@ class TestIndependenceFromAccessStream:
             superblock_size=2,
         )
         observer = MemoryBusObserver()
-        client = LAORAMClient(config, observer=observer)
+        client = ObjectLAORAMClient(config, observer=observer)
         repeated = np.zeros(512, dtype=np.int64)  # always block 0
         client.run_trace(repeated)
         paths = observer.observed_paths

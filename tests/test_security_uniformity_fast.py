@@ -30,8 +30,10 @@ from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
 from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.embedding.xlmr import XLMRClassifier
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import build_oram_config
 from repro.utils.stats import chi_square_uniformity, mutual_information
+
+from oracle import build_engine
 
 NUM_ACCESSES = 4_000
 COARSE_BINS = 64

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.fast_laoram import FastLAORAMClient
 from repro.core.laoram import LAORAMClient
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.exceptions import ConfigurationError
-from repro.experiments.sharded import ShardedRunner
 from repro.memory.accounting import TrafficCounter, merge_snapshots
+
+from oracle import REFERENCE_CLASSES, ObjectLAORAMClient, ShardedRunner
 
 
 class TestMergeSnapshots:
@@ -66,7 +66,7 @@ class TestShardedRunner:
             block_size_bytes=32,
             use_fast_engine=use_fast_engine,
         )
-        engine_cls = FastLAORAMClient if use_fast_engine else LAORAMClient
+        engine_cls = LAORAMClient if use_fast_engine else ObjectLAORAMClient
         assert all(isinstance(e, engine_cls) for e in runner.engines)
         merged = runner.run_trace(trace.addresses)
         assert merged.logical_accesses == 2_000
@@ -94,7 +94,9 @@ class TestShardedRunner:
             block_size_bytes=32,
             use_fast_engine=use_fast_engine,
         )
-        engine_cls = SHARDABLE_FAMILIES["pathoram"][1 if use_fast_engine else 0]
+        engine_cls = (SHARDABLE_FAMILIES if use_fast_engine else REFERENCE_CLASSES)[
+            "pathoram"
+        ]
         assert all(type(e) is engine_cls for e in runner.engines)
         merged = runner.run_trace(trace.addresses)
         assert merged.logical_accesses == 600

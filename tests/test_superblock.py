@@ -8,6 +8,7 @@ import pytest
 from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan, num_bins
 from repro.datasets.kaggle import SyntheticKaggleTrace
+from repro.exceptions import ConfigurationError
 
 from conftest import bin_lists
 
@@ -67,13 +68,13 @@ class TestLookaheadPlan:
         assert LookaheadPlan([], [], superblock_size=4, num_leaves=16).metadata_bytes() == 0
 
     def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LookaheadPlan([], [], superblock_size=4, num_leaves=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LookaheadPlan([], [], superblock_size=0, num_leaves=16)
 
     def test_bin_leaf_count_must_match(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LookaheadPlan(np.arange(10), [1], superblock_size=4, num_leaves=8)
 
     def test_a_window_off_a_boundary_opens_with_a_short_bin(self):

@@ -20,11 +20,12 @@ from repro.exceptions import (
     IntegrityError,
     StashOverflowError,
 )
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import build_oram_config
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.engine import ArrayStorageEngine
 
+from oracle import build_engine
 from conftest import closed_form_clock, node_ids
 
 NUM_BLOCKS = 128
@@ -207,7 +208,7 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
         ops = [AccessOp.WRITE if i % 3 == 0 else AccessOp.READ for i in range(len(trace))]
         payloads = [("written", i) for i in range(len(trace))]
     fast = make_engine(label, True, recursive)
-    oracle = make_engine(label, True, recursive)
+    oracle = make_engine(label, False, recursive)
     for engine in (fast, oracle):
         engine.load_payloads({b: ("initial", b) for b in range(NUM_BLOCKS)})
 
@@ -221,6 +222,7 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
     monkeypatch.setattr(type(fast), "_run_bins", spy)
 
     got = fast.run_trace(trace, ops, payloads)
+    # The per-object reference's generic loop, one access at a time.
     want = ObliviousMemory.run_trace(oracle, trace, ops, payloads)
 
     # PathORAM ran the kernel once, whichever map the engine holds: no
@@ -229,22 +231,22 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
     assert list(got) == list(want)
     # simulated_time_s compares with ==: the clock is the closed form of
     # integer charge counts, whatever order and grouping they arrived in.
-    assert engine_state(fast) == engine_state(oracle)
+    assert_twins_agree(oracle, fast)
     assert (fast.statistics.posmap_path_reads > 0) == recursive
 
 
 #: Bucket sizes that leave well over a hundred residents in a 1024-block
-#: engine's stash: the array backend's per-access hooks (``_fetch_path`` /
-#: ``_commit_write_back``) on large and small stashes alike.
+#: engine's stash: single accesses (one-id bins on the array backend) on
+#: large and small stashes alike.
 LARGE_STASH_BUCKETS = {"PathORAM": 1, "Normal/S4": 1, "Fat/S8": 2}
 
 
 @pytest.mark.parametrize("recursive", [False, True])
 @pytest.mark.parametrize("label", LARGE_STASH_BUCKETS)
 def test_per_access_hooks_match_the_object_engine_on_a_large_stash(label, recursive):
-    # One access() / dummy_access() at a time: no fused driver, no bin
-    # kernel.  LAORAM runs under an installed plan, whose remaps park
-    # blocks in the stash until their bin comes up.
+    # One access() / dummy_access() at a time: a one-id or an empty bin on
+    # the array backend.  LAORAM runs under an installed plan, whose remaps
+    # park blocks in the stash until their bin comes up.
     rng = np.random.default_rng(23)
     trace = np.concatenate(
         [
@@ -448,16 +450,23 @@ def test_remaps_by_position_match_the_object_client_across_a_deviation(
 # ----------------------------------------------------------------------
 # One way to run a bin
 # ----------------------------------------------------------------------
-#: Everything a bin could run on besides the kernel: the per-access
-#: protocol, the engine's path hooks and the row-stash write-back planner.
-BYPASSES = (
-    "access",
-    "dummy_access",
+#: Everything a bin could run on besides the kernel: the single-access
+#: entry points, which are one-id and empty bins themselves.
+BYPASSES = ("access", "dummy_access")
+
+#: The per-access driver of the reference engine (``tests/oracle/engine.py``):
+#: the shipped engines have none of it.
+HOOKS = (
     "_read_path_into_stash",
     "_fetch_path",
     "_write_back",
     "_commit_write_back",
     "_maybe_background_evict",
+    "_serve",
+    "_stash_lookup",
+    "_update_leaf",
+    "_choose_new_leaf",
+    "_draw_leaf",
 )
 
 
@@ -485,6 +494,7 @@ def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
     monkeypatch.setattr(cls, "_run_bins", spy)
     for name in BYPASSES:
         monkeypatch.setattr(cls, name, bypassed(name))
+    assert [name for name in HOOKS if hasattr(cls, name)] == []
 
     rng = np.random.default_rng(3)
     if store == "matrix":
@@ -512,6 +522,86 @@ def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
     assert [same(got, want) for got, want in zip(served, (4, 5, 3, 0))] == [True] * 4
     assert engine.statistics.logical_accesses == 100
     assert engine.statistics.background_evictions > 0
+    assert engine.total_real_blocks() == NUM_BLOCKS
+
+
+@pytest.mark.parametrize("store", ["dict", "matrix"])
+@pytest.mark.parametrize("recursive", [False, True])
+@pytest.mark.parametrize("label", ["PathORAM", "Normal/S4"])
+def test_every_single_access_runs_the_bin_kernel(label, recursive, store, monkeypatch):
+    # access / read / write are a one-id bin at the cursor and dummy_access
+    # an empty one; none of them goes through the other, or through a
+    # per-access driver the shipped engines no longer have.  One-slot
+    # buckets and a tiny trigger, so background eviction runs inside the
+    # kernel too.
+    config = build_oram_config(
+        num_blocks=NUM_BLOCKS,
+        block_size_bytes=4 * DIM,
+        bucket_size=1,
+        seed=17,
+        recursive_posmap=recursive,
+        posmap_positions_per_block=4,
+        posmap_cutoff_bytes=64,
+    ).with_overrides(eviction_threshold=1, eviction_target=0)
+    engine = build_engine(label, config, fast=True)
+    cls = type(engine)
+    assert [name for name in HOOKS if hasattr(cls, name)] == []
+    bins_run = []
+    kernel = cls._run_bins
+
+    def spy(self, bins):
+        bins = list(bins)
+        bins_run.append(bins)
+        return kernel(self, bins)
+
+    def bypassed(name):
+        def fail(self, *args, **kwargs):
+            raise AssertionError(f"a single access ran {name}")
+
+        return fail
+
+    monkeypatch.setattr(cls, "_run_bins", spy)
+    if store == "matrix":
+        engine.load_payloads(np.zeros((NUM_BLOCKS, DIM), dtype=np.float32))
+        payload = np.full(DIM, 7.0, dtype=np.float32)
+    else:
+        engine.load_payloads({b: 0.0 for b in range(NUM_BLOCKS)})
+        payload = 7.0
+    if label != "PathORAM":
+        engine.preprocess(np.array([5, 9, 5, 77, 9, 5]))
+    calls = [
+        ("access", (5,), "dummy_access"),
+        ("read", (9,), "dummy_access"),
+        ("write", (5, payload), "dummy_access"),
+        ("dummy_access", (), "access"),
+        ("read", (5,), "dummy_access"),
+    ]
+    results = []
+    for name, args, bypass in calls:
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, bypass, bypassed(bypass))
+            results.append(getattr(engine, name)(*args))
+    assert bins_run == [
+        [(0, [5], None)],
+        [(1, [9], None)],
+        [(2, [5], None)],
+        [(3, [], None)],
+        [(3, [5], None)],
+    ]
+    assert np.array_equal(results[-1], payload)
+    # More single accesses, until the stash has crossed the trigger.
+    ids = np.random.default_rng(3).integers(0, NUM_BLOCKS, size=60).tolist()
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "dummy_access", bypassed("dummy_access"))
+        for block_id in ids:
+            engine.access(block_id)
+    assert bins_run[len(calls) :] == [
+        [(4 + index, [block_id], None)] for index, block_id in enumerate(ids)
+    ]
+    stats = engine.statistics
+    assert stats.logical_accesses == 4 + len(ids)
+    assert stats.background_evictions > 0
+    assert stats.dummy_reads > stats.background_evictions
     assert engine.total_real_blocks() == NUM_BLOCKS
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
-from repro.core.laoram import LAORAMClient
 from repro.datasets.kaggle import SyntheticCriteoDataset
 from repro.datasets.xnli import SyntheticXNLIDataset
 from repro.embedding.dlrm import DLRMModel
@@ -16,7 +15,8 @@ from repro.embedding.xlmr import XLMRClassifier
 from repro.exceptions import ConfigurationError
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
-from repro.oram.path_oram import PathORAM
+
+from oracle import ObjectLAORAMClient, ObjectPathORAM
 
 EMBED_DIM = 8
 TABLE_ROWS = 128
@@ -25,9 +25,9 @@ TABLE_ROWS = 128
 def make_store(use_laoram: bool):
     config = ORAMConfig(num_blocks=TABLE_ROWS, block_size_bytes=EMBED_DIM * 4, seed=31)
     if use_laoram:
-        engine = LAORAMClient(LAORAMConfig(oram=config, superblock_size=4))
+        engine = ObjectLAORAMClient(LAORAMConfig(oram=config, superblock_size=4))
     else:
-        engine = PathORAM(config)
+        engine = ObjectPathORAM(config)
     table = EmbeddingTable(TABLE_ROWS, EMBED_DIM, seed=2)
     return SecureEmbeddingStore(engine, table)
 

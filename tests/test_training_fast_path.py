@@ -17,9 +17,11 @@ from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.table import EmbeddingTable
 from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.embedding.xlmr import XLMRClassifier
-from repro.experiments.configs import build_engine, build_oram_config
+from repro.experiments.configs import build_oram_config
 
 from test_trace_contract import engine_state
+
+from oracle import build_engine
 
 ROWS = 512
 DIM = 8

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
-from repro.memory.block import Block
 from repro.oram.tree import (
     MAX_BUCKET_CAPACITY,
     PLACE_CHUNK,
     ArrayTreeStorage,
-    TreeStorage,
 )
 
+from oracle import Block, TreeStorage
 from conftest import node_ids
 
 

@@ -2,11 +2,8 @@
 
 import numpy as np
 
-from repro.memory.block import Block
-from repro.oram.stash import Stash
-from repro.oram.tree import TreeStorage
-from repro.utils.bits import common_level
-from repro.oram.write_back import plan_greedy_write_back
+from oracle.bits import common_level
+from oracle import Block, Stash, TreeStorage, plan_greedy_write_back
 
 
 def make_tree(depth=3, bucket=2):
