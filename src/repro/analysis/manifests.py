@@ -173,7 +173,11 @@ _PATH_REVEAL = (
     Declassifier("read_path_ids", (0,)),
     # fused_fetch(read_ids, tags, stash_map, leaf): the leaf is argument 3.
     Declassifier("fused_fetch", (3,)),
-    Declassifier("fetch", (3,)),
+    # scan_fetch(levels, slots, occ, tags, stash_map, leaf): argument 5.
+    Declassifier("scan_fetch", (5,)),
+    # The tree's read as its callers bind it (``tree.path_reader(tags)``):
+    # read_path(stash_map, leaf), the leaf is argument 1.
+    Declassifier("read_path", (1,)),
     Declassifier("observe_path", (0,)),
 )
 
@@ -206,7 +210,9 @@ _WRITE_BACK_SOURCES = ModuleSources(
 
 _POSITION_MAP_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids"}),
-    attrs=frozenset({"stash", "labels", "_top", "_entries"}),
+    attrs=frozenset(
+        {"stash", "labels", "_top", "_entries", "_top_view", "_entries_view"}
+    ),
     calls=frozenset({"_walk", "position_map.update"}),
     declassifiers=_PATH_REVEAL,
 )
@@ -229,6 +235,7 @@ def default_config() -> AnalysisConfig:
                 "ArrayStorageEngine._run_bins",
             ),
             "repro/oram/write_back.py": (
+                "scan_fetch",
                 "fused_fetch",
                 "fused_greedy_write_back",
                 "fused_shared_write_back",
@@ -257,14 +264,13 @@ def default_config() -> AnalysisConfig:
                 AllocScope("OverlayRowStore.__setitem__", "body"),
             ),
             "repro/oram/write_back.py": (
+                AllocScope("scan_fetch", "body"),
                 AllocScope("fused_fetch", "body"),
                 AllocScope("fused_greedy_write_back", "body"),
                 AllocScope("fused_shared_write_back", "body"),
             ),
             "repro/oram/tree.py": (
-                AllocScope("ArrayTreeStorage._fill_path_slots", "body"),
-                AllocScope("ArrayTreeStorage.path_nodes", "body"),
-                AllocScope("ArrayTreeStorage.read_path_raw", "body"),
+                AllocScope("ArrayTreeStorage.read_path_ids", "body"),
             ),
         },
         fused_drivers={

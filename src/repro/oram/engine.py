@@ -46,7 +46,6 @@ from repro.oram.row_store import load_rows
 from repro.oram.stash import ArrayStash
 from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage
 from repro.oram.write_back import (
-    fused_fetch,
     fused_greedy_write_back,
     fused_shared_write_back,
 )
@@ -308,16 +307,26 @@ class ArrayStorageEngine(TreeORAMEngine):
         any background eviction — and advances the cursor by one.  A write
         stores ``new_payload`` once the kernel got the block through, in a
         ``finally``, so an overflow in the eviction that follows keeps it.
-        An out-of-range id raises before the kernel runs.
+        A write to a stash hit stores it before the kernel runs: Path ORAM
+        serves a stashed block before remapping it, so a remap that raises
+        (a corrupted recursive map's walk, a plan leaf outside the tree)
+        keeps the write, as on the reference engine.  An out-of-range id
+        raises before the kernel runs.
         """
         self._check_block_id(block_id)
         first = self._trace_cursor
+        write = op is AccessOp.WRITE
+        payloads = self._payloads
+        # oblivious: allow[OBL001] client-side: when a stash hit's payload is
+        # stored; the kernel's traffic is the same either way
+        if write and block_id in self.stash.entries:
+            payloads[block_id] = new_payload
         try:
             self._run_bins(((first, [block_id], None),))
         finally:
-            if op is AccessOp.WRITE and self._trace_cursor > first:
-                self._payloads[block_id] = new_payload
-        return self._payloads.get(block_id)
+            if write and self._trace_cursor > first:
+                payloads[block_id] = new_payload
+        return payloads.get(block_id)
 
     def dummy_access(self) -> None:
         """Read and write back one path of the stream's next leaf: an empty bin."""
@@ -387,10 +396,14 @@ class ArrayStorageEngine(TreeORAMEngine):
         path of the stream's next leaf read and written back, with no
         episode counted and no stash observation.
 
-        The stream's prefetched block is bound as locals: the fallback
-        remaps and the dummy reads take their leaves from it, in the order
-        the reference engines' scalar draws come, and it is refilled with
-        one ``integers`` call of ``LEAF_DRAW_BLOCK`` leaves.  Nothing here
+        The tree's path read is bound once per call
+        (:meth:`~repro.oram.tree.ArrayTreeStorage.path_reader`: a uniform
+        tree scans its occupied buckets, a fat tree gathers), so no access
+        branches on which it is.  The stream's prefetched block is bound as
+        locals: the fallback remaps and the dummy reads take their leaves
+        from it, in the order the reference engines' scalar draws come, and
+        it is refilled with one ``integers`` call of ``LEAF_DRAW_BLOCK``
+        leaves.  Nothing here
         calls ``_draw_leaves``, which would hand out leaves the locals
         still hold.
 
@@ -432,8 +445,7 @@ class ArrayStorageEngine(TreeORAMEngine):
         node_base = self._node_base
         groups = self._level_groups
         occ = tree.occupancy_view
-        read_ids = tree.read_path_ids
-        fetch = fused_fetch
+        read_path = tree.path_reader(tags)
         write_fresh = fused_greedy_write_back
         write_shared = fused_shared_write_back
 
@@ -522,7 +534,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                     # every one a uniform independent draw (paper, Sec. VI)
                     if leaf not in read_leaves:
                         read_leaves.append(leaf)
-                        fetch(read_ids, tags, stash_map, leaf)
+                        read_path(stash_map, leaf)
                         path_reads += 1
                         if observer is not None:
                             observer.observe_path(leaf, dummy=False)
@@ -583,7 +595,7 @@ class ArrayStorageEngine(TreeORAMEngine):
                             leaf_pos = 0
                         leaf = leaf_buf[leaf_pos]
                         leaf_pos += 1
-                        fetch(read_ids, tags, stash_map, leaf)
+                        read_path(stash_map, leaf)
                         dummy_reads += 1
                         if observer is not None:
                             observer.observe_path(leaf, dummy=True)

@@ -68,7 +68,7 @@ from repro.exceptions import (
 )
 from repro.memory.accounting import TrafficCounter
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import fused_fetch, fused_greedy_write_back
+from repro.oram.write_back import fused_greedy_write_back
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
 
@@ -264,6 +264,10 @@ class PositionMap:
         )
         # Dense top map: labels of the last level's blocks (client memory).
         self._top = self._levels[-1].labels.copy() if sizes else self._entries
+        # update's and the walk's handles on the entries and the top map:
+        # memoryview items go in and out as Python ints, no numpy scalar.
+        self._entries_view = memoryview(self._entries)
+        self._top_view = memoryview(self._top)
         self._steps = self._bind_steps()
 
     @staticmethod
@@ -354,10 +358,13 @@ class PositionMap:
         Bound once per map, in the order the walk unpacks: the level number
         and its span of logical ids; the packed labels, id span and draw of
         the level below (level 1's child is the logical map, which the
-        engine draws for); the level's stash, tag array and read stream;
-        the operands of :func:`fused_fetch` / :func:`fused_greedy_write_back`
-        (the shape the trace drivers bind); the path cost both directions
-        charge.
+        engine draws for); the level's stash, labels and read stream; its
+        tree's path read bound to those labels
+        (:meth:`~repro.oram.tree.ArrayTreeStorage.path_reader`: a level's
+        tree is uniform, so it scans) and the operands of
+        :func:`fused_greedy_write_back` (the shape the trace kernel binds);
+        the path cost both directions charge.  Labels, packed and level
+        alike, are bound as memoryviews, read and written as Python ints.
         """
         levels = self._levels
         steps = []
@@ -368,13 +375,13 @@ class PositionMap:
             steps.append((
                 k,
                 self._chi**k,
-                self._values[k - 1],
+                memoryview(self._values[k - 1]),
                 self._chi ** (k - 1),
                 levels[k - 2].draw if k > 1 else None,
                 level.stash,
-                level.labels,
+                memoryview(level.labels),
                 level.read_stream,
-                tree.read_path_ids,
+                tree.path_reader(level.labels),
                 [[] for _ in range(depth + 1)],
                 tree.bucket_capacities,
                 tree.level_base,
@@ -402,15 +409,15 @@ class PositionMap:
         record_read = counter.record_posmap_path_read
         record_write = counter.record_posmap_path_write
 
-        top = self._top
+        top = self._top_view
         top_index = block_id // steps[0][1]
-        leaf = top.item(top_index)
+        leaf = top[top_index]
         fresh = self._levels[-1].draw()
         top[top_index] = fresh
 
         for (
             k, span, child_values, child_span, child_draw,
-            stash, labels, read_stream, read_path_ids,
+            stash, labels, read_stream, read_path,
             groups, caps, level_base, node_base, slots, occ, depth,
             path_buckets, path_bytes,
         ) in steps:
@@ -420,7 +427,7 @@ class PositionMap:
             # same modeled behaviour as the main engine's access(); misses
             # and hits both refresh the block's label
             if not hit:
-                fused_fetch(read_path_ids, labels, stash, leaf)
+                read_path(stash, leaf)
                 record_read(path_buckets, path_bytes)
                 if read_stream is not None:
                     read_stream.append(leaf)
@@ -434,7 +441,7 @@ class PositionMap:
             labels[block] = fresh
 
             child = block_id // child_span
-            next_leaf = child_values.item(child)
+            next_leaf = child_values[child]
             # Level 1 ends the walk: the engine draws and installs the
             # logical label itself.
             if child_draw is not None:
@@ -468,8 +475,9 @@ class PositionMap:
             raise ConfigurationError(
                 f"leaf {leaf} outside [0, {self._num_leaves})"
             )
-        old = self._walk(block_id) if self._levels else self._entries.item(block_id)
-        self._entries[block_id] = leaf
+        entries = self._entries_view
+        old = self._walk(block_id) if self._levels else entries[block_id]
+        entries[block_id] = leaf
         return old
 
     def leaf_access(self):

@@ -6,10 +6,12 @@ the root.  Byte accounting always charges full bucket capacity (real plus
 dummy slots) because the server must transfer indistinguishable buckets.
 
 :class:`ArrayTreeStorage` keeps one flat :data:`SLOT_DTYPE` slot array
-plus one :data:`OCC_DTYPE` occupancy counter per bucket, so path reads,
-write-backs and the initial bulk placement are numpy operations instead of
-per-block Python.  The per-object reference tree the tests hold it to
-(``tests/oracle/tree.py``) has the same geometry, with list buckets.
+plus one :data:`OCC_DTYPE` occupancy counter per bucket, so the initial
+bulk placement and a fat tree's path reads are numpy operations, and the
+scalar kernels (a uniform tree's path read, every write-back) index the
+same buffers without per-block objects.  The per-object reference tree
+the tests hold it to (``tests/oracle/tree.py``) has the same geometry,
+with list buckets.
 
 Width.  The array tree is the largest host structure of every array engine,
 so it is stored at the width its values need: a slot holds a block id or
@@ -22,11 +24,13 @@ caller's arithmetic wraps; vector work widens its own operands.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
+from repro.oram.write_back import fused_fetch, scan_fetch
 
 #: How a slot stores a block id; ``-1`` marks an empty (dummy) slot.
 SLOT_DTYPE = np.dtype(np.int32)
@@ -68,12 +72,18 @@ class ArrayTreeStorage:
     dummy slot) laid out level by level, node by node, plus one
     :data:`OCC_DTYPE` occupancy counter per node; slots ``0..occ-1`` of a
     node hold real blocks in insertion order, matching the list order of the
-    per-object reference tree's buckets.  Precomputed split-leaf tables
-    give a path's slot indices and bucket indices in one ``np.add`` each, so
-    a whole path read is five numpy operations instead of a per-level
-    Python walk.  Only ids are stored: a block's leaf is authoritative in
-    the position map, and the vectorized engine keeps payloads in a
-    client-side store.
+    per-object reference tree's buckets; slots past ``occ`` hold ``-1``.
+    Only ids are stored: a block's leaf is authoritative in the position
+    map, and the vectorized engine keeps payloads in a client-side store.
+
+    A tree reads a path one way, picked at construction from its bucket
+    capacities (``path_read``).  A uniform tree scans: a scalar walk down
+    :attr:`path_levels` reads each bucket's occupied prefix, which at a
+    cap-4 path's dozen blocks costs less than numpy's per-call overhead.
+    A fat tree, whose paths a LAORAM bin fills six times as full, gathers:
+    precomputed split-leaf tables give the path's slot and bucket indices
+    in one ``np.add`` each, and only a gathering tree builds them and their
+    scratch.  :meth:`path_reader` hands out whichever read the tree has.
     """
 
     def __init__(
@@ -113,13 +123,37 @@ class ArrayTreeStorage:
         # are Python ints and cost no numpy scalar per read or write.
         self._slot_view = memoryview(self._slots)
         self._occ_view = memoryview(self._occ)
-        self._path_slots = sum(caps)
-        # Split-leaf tables (see _split_shift_tables): with hi, lo =
-        # leaf >> split, leaf & lo_mask, the path's flat slot indices are
-        # slot_hi[hi] + slot_lo[lo] and its bucket indices, root first,
-        # node_hi[hi] + node_lo[lo].  A slot at level l, offset o is
-        # base_l + (leaf >> (depth - l)) * cap_l + o; the per-slot constants
-        # ride the hi table.
+        # One row per level, root first, of what a scalar walk down a path
+        # needs there: the leaf's shift to its node, the level's first
+        # bucket and first slot, and its capacity.
+        self.path_levels = tuple(
+            (depth - level, (1 << level) - 1, self._level_base[level], capacity)
+            for level, capacity in enumerate(caps)
+        )
+        # Every path has the same geometry, so its transfer cost is fixed.
+        self._path_cost = (
+            depth + 1,
+            sum(caps) * (block_size_bytes + metadata_bytes_per_block),
+        )
+        #: How :meth:`path_reader` reads a path: ``"scan"`` on a uniform
+        #: tree, ``"gather"`` on a fat one.
+        self.path_read = "scan" if len(set(caps)) == 1 else "gather"
+        if self.path_read == "gather":
+            self._build_gather()
+
+    def _build_gather(self) -> None:
+        """The split-leaf tables and path scratch only the gather reads with.
+
+        With hi, lo = leaf >> split, leaf & lo_mask, the path's flat slot
+        indices are slot_hi[hi] + slot_lo[lo] and its bucket indices, root
+        first, node_hi[hi] + node_lo[lo] (see :func:`_split_shift_tables`).
+        A slot at level l, offset o is base_l + (leaf >> (depth - l)) *
+        cap_l + o; the per-slot constants ride the hi table.  The scratch
+        arrays are reused by every path read, which allocates only its
+        compacted result.
+        """
+        depth, caps = self.depth, self.bucket_capacities
+        path_slots = sum(caps)
         split = (depth + 1) // 2
         self._split = split
         self._lo_mask = (1 << split) - 1
@@ -141,19 +175,9 @@ class ArrayTreeStorage:
         hi_table, lo_table = _split_shift_tables(depth - node_level, split, depth)
         self._node_hi = hi_table + ((1 << node_level) - 1)
         self._node_lo = lo_table
-        # Every path has the same geometry, so its transfer cost is fixed.
-        self._path_cost = (
-            depth + 1,
-            self._path_slots * (block_size_bytes + metadata_bytes_per_block),
-        )
-        # Hot-path scratch: per-path slot/gather/node work arrays reused by
-        # every single-path operation so the steady-state access loop
-        # performs no numpy allocations.  Each operation refills the scratch
-        # at entry, so a returned scratch view is valid only until the next
-        # path call on this tree.
-        self._scratch_slot_idx = np.empty(self._path_slots, dtype=np.int64)
-        self._scratch_gather = np.empty(self._path_slots, dtype=SLOT_DTYPE)
-        self._scratch_mask = np.empty(self._path_slots, dtype=bool)
+        self._scratch_slot_idx = np.empty(path_slots, dtype=np.int64)
+        self._scratch_gather = np.empty(path_slots, dtype=SLOT_DTYPE)
+        self._scratch_mask = np.empty(path_slots, dtype=bool)
         self._scratch_nodes = np.empty(depth + 1, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -194,63 +218,47 @@ class ArrayTreeStorage:
     # ------------------------------------------------------------------
     # Path operations
     # ------------------------------------------------------------------
-    def _fill_path_slots(self, leaf: int) -> np.ndarray:
-        """Fill and return the scratch array of the path's flat slot indices.
+    def path_reader(self, tags):
+        """This tree's path read, bound once: ``read(stash_map, leaf)``.
 
-        One in-place ``np.add`` of a row of each split-leaf table
-        (``slot_hi[leaf >> split] + slot_lo[leaf & lo_mask]``) into the
-        preallocated scratch, no allocation.
+        Moves every real block on the path to ``leaf`` into ``stash_map``
+        (``{id: leaf}``), each under its entry of ``tags`` (the owner's
+        label array: the position map's tag view, or a recursion level's
+        labels), root to leaf and in insertion order within a bucket.  A
+        scanning tree binds :func:`~repro.oram.write_back.scan_fetch` to
+        :attr:`path_levels`, its memoryviews and a memoryview of ``tags``;
+        a gathering tree binds :func:`~repro.oram.write_back.fused_fetch`
+        to :meth:`read_path_ids` and ``tags``.  Callers bind it once per
+        call (the trace kernel) or per map (the recursion walk), so no
+        access asks which read its tree has.
         """
+        if self.path_read == "scan":
+            return partial(
+                scan_fetch, self.path_levels, self._slot_view, self._occ_view,
+                memoryview(tags),
+            )
+        return partial(fused_fetch, self.read_path_ids, tags)
+
+    def read_path_ids(self, leaf: int) -> np.ndarray:
+        """Remove and return every real block id on the path (gathering trees).
+
+        Ids come back in root-to-leaf order with each bucket's insertion
+        order preserved, as the per-object reference tree reads a path.  One
+        ``np.add`` of a row of each split-leaf table gives the path's slot
+        indices and one its bucket indices; a gather, two blanking scatters
+        and a mask run in the preallocated scratch, and only the compacted
+        result array is allocated.
+        """
+        hi = leaf >> self._split
+        lo = leaf & self._lo_mask
         slot_idx = self._scratch_slot_idx
-        np.add(
-            self._slot_hi[leaf >> self._split],
-            self._slot_lo[leaf & self._lo_mask],
-            out=slot_idx,
-        )
-        return slot_idx
-
-    def path_nodes(self, leaf: int) -> np.ndarray:
-        """Bucket indices of the path to ``leaf`` (root first), in scratch.
-
-        Same values as :meth:`path_bucket_indices` but written into the
-        reusable node scratch by one in-place ``np.add`` of the split-leaf
-        node tables: valid only until the next path call.
-        """
-        nodes = self._scratch_nodes
-        np.add(
-            self._node_hi[leaf >> self._split],
-            self._node_lo[leaf & self._lo_mask],
-            out=nodes,
-        )
-        return nodes
-
-    def read_path_raw(self, leaf: int) -> np.ndarray:
-        """Empty the path to ``leaf`` and return the raw per-slot gather.
-
-        Returns the gather scratch (valid until the next path call): every
-        slot of the path in template order — root to leaf, each bucket's
-        insertion order preserved — with ``-1`` marking empty slots.  The
-        trace kernel consumes this directly (it filters the ``-1``
-        entries while building its stash map), so a steady-state path read
-        is five in-place numpy operations — the slot and node index adds,
-        the gather, and the two blanking scatters — and zero allocations.
-        """
-        slot_idx = self._fill_path_slots(leaf)
+        np.add(self._slot_hi[hi], self._slot_lo[lo], out=slot_idx)
         gathered = self._scratch_gather
         self._slots.take(slot_idx, out=gathered)
         self._slots[slot_idx] = -1
-        self._occ[self.path_nodes(leaf)] = 0
-        return gathered
-
-    def read_path_ids(self, leaf: int) -> np.ndarray:
-        """Remove and return every real block id on the path to ``leaf``.
-
-        Ids come back in root-to-leaf order with each bucket's insertion
-        order preserved, as the per-object reference tree reads a path.  The
-        intermediate slot-index/gather work runs in the preallocated
-        scratch; only the compacted result array is allocated.
-        """
-        gathered = self.read_path_raw(leaf)
+        nodes = self._scratch_nodes
+        np.add(self._node_hi[hi], self._node_lo[lo], out=nodes)
+        self._occ[nodes] = 0
         mask = self._scratch_mask
         np.greater_equal(gathered, 0, out=mask)
         return gathered[mask]
@@ -278,12 +286,6 @@ class ArrayTreeStorage:
         write outside ``0..255`` raises instead of wrapping.
         """
         return self._occ_view
-
-    def path_bucket_indices(self, leaf: int) -> np.ndarray:
-        """Breadth-first bucket indices of the path to ``leaf``, root first."""
-        return (
-            self._node_hi[leaf >> self._split] + self._node_lo[leaf & self._lo_mask]
-        )
 
     def remove_many(self, block_ids: np.ndarray, leaves: np.ndarray) -> None:
         """Remove each of ``block_ids`` from its bucket on the path to ``leaves[i]``.

@@ -1,4 +1,4 @@
-"""The greedy write-back kernels of the array engine.
+"""The path reads and greedy write-back kernels of the array engine.
 
 The classic PathORAM eviction rule: after a path has been read, every stash
 block whose assigned path intersects the accessed path may be written back,
@@ -8,10 +8,12 @@ actually has.  That matters for LAORAM, which can read several paths before
 writing them back, so later write-backs see buckets that earlier write-backs
 already refilled.
 
-The trace kernel (``ArrayStorageEngine._run_bins``) is the only caller,
-over the array stash's ``{id: leaf}`` dict:
+The trace kernel (``ArrayStorageEngine._run_bins``) and the recursion walk
+(``PositionMap._walk``) are the callers, over a ``{id: leaf}`` stash dict:
 
-* :func:`fused_fetch` — the path read;
+* :func:`scan_fetch` / :func:`fused_fetch` — the path read, by a scalar
+  bucket scan or a numpy gather: a tree picks one at construction and
+  hands it out bound (:meth:`~repro.oram.tree.ArrayTreeStorage.path_reader`);
 * :func:`fused_greedy_write_back` — the allocation-free write-back it runs
   on a bin's first path and on every dummy read, valid only immediately
   after the target path has been emptied by a read;
@@ -19,23 +21,55 @@ over the array stash's ``{id: leaf}`` dict:
   have occupants: the later paths of a bin that read several, which share
   refilled buckets with the earlier ones.
 
-Both write-backs are decision-identical to the per-object reference
-planner the tests hold them to (``tests/oracle/write_back.py``).
+Both reads leave the same stash, slots and occupancies; both write-backs
+are decision-identical to the per-object reference planner the tests hold
+them to (``tests/oracle/write_back.py``).
 """
 
-def fused_fetch(read_ids, tags, stash_map, leaf):
-    """Read one path into a dict stash (array engines, recursion walks).
 
-    ``read_ids`` empties the path and returns its real block ids, compacted
-    by one vectorized mask so only the real blocks a path carries are
-    touched (not every slot).  Their leaves ride the wire as block metadata:
-    one ``take`` on the owner's tag array (the position map's, or a
-    recursion level's labels), and the dict absorbs the pairs via C-level
-    ``update(zip(...))`` — marginally ahead of a per-id ``item`` loop at
-    PathORAM's ~9 real ids per path, and further ahead on fuller paths.
-    Compaction preserves
-    root-to-leaf slot order, so dict insertion order is exactly the order
-    the reference engine adds a path's blocks in.
+def scan_fetch(levels, slots, occ, tags, stash_map, leaf):
+    """Read one path into a dict stash by scanning its occupied buckets.
+
+    The uniform tree's read (every recursion level's, PathORAM's): a walk
+    from the root over ``levels`` (the tree's
+    :attr:`~repro.oram.tree.ArrayTreeStorage.path_levels`) that reads only
+    each bucket's first ``occ`` slots, through the tree's memoryviews
+    ``slots`` and ``occ`` and a memoryview of the owner's tag array
+    ``tags``, so every item is a Python int.  A block enters ``stash_map``
+    under its tag, root to leaf and in insertion order within a bucket —
+    the order :func:`fused_fetch` inserts in — and its slot is blanked
+    behind it; an occupied bucket's count is zeroed.  Slots past a bucket's
+    occupancy hold ``-1`` (the tree's invariant), so what is left is what
+    the gather leaves.  At PathORAM's ~12 blocks a path this is fewer
+    interpreter steps than the gather's fourteen numpy calls; at a fat
+    tree's ~73 it is more (``docs/performance.md``, "Which tree reads a
+    path how").
+    """
+    for shift, first_bucket, first_slot, capacity in levels:
+        node = leaf >> shift
+        bucket = first_bucket + node
+        count = occ[bucket]
+        if count:
+            start = first_slot + node * capacity
+            for slot in range(start, start + count):
+                block = slots[slot]
+                stash_map[block] = tags[block]
+                slots[slot] = -1
+            occ[bucket] = 0
+
+
+def fused_fetch(read_ids, tags, stash_map, leaf):
+    """Read one path into a dict stash by one numpy gather.
+
+    The fat tree's read: ``read_ids`` (the tree's
+    :meth:`~repro.oram.tree.ArrayTreeStorage.read_path_ids`) empties the
+    path and returns its real block ids, compacted by one vectorized mask
+    so only the real blocks a path carries are touched (not every slot).
+    Their leaves ride the wire as block metadata: one ``take`` on the
+    owner's tag array, and the dict absorbs the pairs via C-level
+    ``update(zip(...))``.  Compaction preserves root-to-leaf slot order, so
+    dict insertion order is exactly the order the reference engine adds a
+    path's blocks in.
     """
     ids = read_ids(leaf)
     stash_map.update(zip(ids.tolist(), tags.take(ids).tolist()))

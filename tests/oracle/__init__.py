@@ -23,7 +23,6 @@ from contextlib import contextmanager
 
 from repro.experiments import configs
 from repro.experiments import sharded
-from repro.oram.write_back import fused_fetch
 
 from oracle.block import Block
 from oracle.bucket import Bucket
@@ -82,13 +81,14 @@ def fetch_path(engine, leaf: int) -> None:
     """Trusted set-up: move the path to ``leaf`` into the stash, uncharged.
 
     The reference engine's ``_fetch_path`` hook, or on a shipped engine the
-    kernel's own path read followed by its capacity check.
+    tree's own path read (the scan or the gather the kernel binds) followed
+    by its capacity check.
     """
     if isinstance(engine, ObjectStorageEngine):
         engine._fetch_path(leaf)
         return
     tags = engine.position_map.leaf_access()[0]
-    fused_fetch(engine.tree.read_path_ids, tags, engine.stash.entries, leaf)
+    engine.tree.path_reader(tags)(engine.stash.entries, leaf)
     engine.stash.check_capacity()
 
 

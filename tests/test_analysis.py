@@ -353,6 +353,23 @@ def test_path_read_declassifies_where_the_setup_move_does_not(tmp_path):
     assert _scan_scratch_engine(tmp_path, read) == []
 
 
+@pytest.mark.parametrize(
+    "path_read",
+    [
+        "scan_fetch(levels, slots, occ, tags, stash_map, leaf)",
+        "fused_fetch(read_ids, tags, stash_map, leaf)",
+        # Either read as its callers bind it: tree.path_reader(tags).
+        "read_path(stash_map, leaf)",
+    ],
+)
+def test_each_path_read_shape_declassifies_its_leaf(tmp_path, path_read):
+    read = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
+        "remove_many(block_id, leaf)", path_read
+    )
+    assert read != _PLANT_SETUP_MOVE_AS_REVEAL
+    assert _scan_scratch_engine(tmp_path, read) == []
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

@@ -220,14 +220,8 @@ class TestPlacementRegressions:
         config = make_laoram_config(num_blocks=256, superblock_size=2, seed=3)
         engine = engine_cls(config)
         leaves = {engine.position_map.peek(b) for b in range(16)}
-        if isinstance(engine, LAORAMClient):
-            for leaf in leaves:
-                ids = engine.tree.read_path_ids(leaf)
-                engine.stash.extend(ids, engine.position_map.peek_many(ids))
-        else:
-            for leaf in leaves:
-                for block in engine.tree.read_path(leaf):
-                    engine.stash.add(block)
+        for leaf in leaves:
+            fetch_path(engine, leaf)
         assert len(engine.stash) > 0
         trace = np.arange(256, dtype=np.int64)
         plan = engine.preprocess(trace)

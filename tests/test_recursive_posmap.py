@@ -39,12 +39,12 @@ from repro.experiments.recursion import (
 )
 from repro.memory.accounting import TrafficCounter, merge_snapshots
 from repro.oram.path_oram import PathORAM
-from repro.oram.base import ObliviousMemory
+from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
 from repro.oram.engine import ArrayStorageEngine
 from repro.oram.position_map import DRAW_BLOCK, LABEL_BYTES, PositionMap
 from repro.utils.stats import chi_square_uniformity
-from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine
+from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine, fetch_path
 from conftest import closed_form_clock, node_ids
 from test_trace_contract import assert_twins_agree
 
@@ -550,6 +550,28 @@ class TestFailurePathsUnderRecursion:
         # is charged once on both sides.
         assert_twins_agree(oracle, fast)
         self.assert_consistent(fast)
+
+    def test_stash_hit_write_whose_remap_raises_keeps_its_payload(self):
+        # Path ORAM serves a stashed block before it remaps it, so a write
+        # to a stash hit lands even when the remap's walk raises: here the
+        # top-map entry of block 7's recursion block points at the other
+        # half of its tree, so the walk misses that block.
+        config = build_oram_config(
+            num_blocks=1 << 10, seed=5, recursive_posmap=True,
+            posmap_cutoff_bytes=64,
+        )
+        fast, oracle = (build_engine("PathORAM", config, fast=f) for f in (True, False))
+        for engine in (fast, oracle):
+            posmap = engine.position_map
+            engine.load_payloads({7: "old"})
+            fetch_path(engine, posmap.peek(7))
+            span = posmap.positions_per_block ** posmap.num_levels
+            posmap._top[7 // span] ^= posmap._levels[-1].num_leaves >> 1
+            with pytest.raises(IntegrityError):
+                engine.access(7, AccessOp.WRITE, "new")
+        assert oracle.stash.get(7).payload == "new"
+        assert fast._payloads.get(7) == "new"
+        assert_twins_agree(oracle, fast)
 
     #: The kernel over a whole trace, and the generic per-access loop: one
     #: one-id kernel call per access on the array backend.

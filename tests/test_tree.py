@@ -1,14 +1,20 @@
 """Tests for the binary-tree server storage (normal and fat)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
+from repro.experiments.configs import build_engine, build_oram_config
+from repro.datasets.zipf import ZipfTraceGenerator
 from repro.oram.tree import (
     MAX_BUCKET_CAPACITY,
     PLACE_CHUNK,
     ArrayTreeStorage,
 )
+from repro.oram.write_back import fused_fetch, scan_fetch
 
 from oracle import Block, TreeStorage
 from conftest import node_ids
@@ -267,6 +273,25 @@ class TestArrayBulkPlacement:
             self._array_tree(2, [MAX_BUCKET_CAPACITY + 1, 4, 4])
 
 
+def assert_dense_prefixes(tree):
+    """Occupied slots are each bucket's first ``occ`` slots, the rest ``-1``.
+
+    The scan reads a bucket's ``[0, occ)`` only, where the gather read every
+    slot of the path and dropped the ``-1`` ones: the two agree because of
+    this invariant.
+    """
+    slots, occ = tree.slot_array, tree.bucket_occupancies
+    for level, capacity in enumerate(tree.bucket_capacities):
+        start = tree.level_base[level]
+        level_slots = slots[start : start + (1 << level) * capacity].reshape(
+            1 << level, capacity
+        )
+        level_occ = occ[(1 << level) - 1 : (1 << (level + 1)) - 1]
+        held = np.arange(capacity) < level_occ[:, None]
+        assert (level_slots[held] >= 0).all()
+        assert (level_slots[~held] == -1).all()
+
+
 def _remove_on_path(tree, leaf, block_id):
     """One block off the first bucket holding it on the path, as ``Bucket.remove``.
 
@@ -305,20 +330,6 @@ class TestArrayBulkRemoval:
         stored = np.setdiff1d(np.arange(leaves.size), overflow)
         return trees[0], trees[1], leaves, stored
 
-    @staticmethod
-    def _assert_dense_prefixes(tree):
-        """Occupied slots are each bucket's first ``occ`` slots, ``occ`` in sync."""
-        slots, occ = tree.slot_array, tree.bucket_occupancies
-        for level, capacity in enumerate(tree.bucket_capacities):
-            start = tree.level_base[level]
-            level_slots = slots[start : start + (1 << level) * capacity].reshape(
-                1 << level, capacity
-            )
-            level_occ = occ[(1 << level) - 1 : (1 << (level + 1)) - 1]
-            assert np.array_equal(
-                level_slots >= 0, np.arange(capacity) < level_occ[:, None]
-            )
-
     def _assert_matches_scalar_loop(self, bulk, scalar, victims, leaves):
         before = bulk.real_block_count()
         bulk.remove_many(victims, leaves[victims])
@@ -327,7 +338,7 @@ class TestArrayBulkRemoval:
         assert np.array_equal(bulk.slot_array, scalar.slot_array)
         assert np.array_equal(bulk.bucket_occupancies, scalar.bucket_occupancies)
         assert bulk.real_block_count() == before - victims.size
-        self._assert_dense_prefixes(bulk)
+        assert_dense_prefixes(bulk)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -384,7 +395,7 @@ class TestArrayBulkRemoval:
             bulk.remove_many(victims, wrong_leaves)
         assert np.array_equal(bulk.slot_array, untouched.slot_array)
         assert np.array_equal(bulk.bucket_occupancies, untouched.bucket_occupancies)
-        self._assert_dense_prefixes(bulk)
+        assert_dense_prefixes(bulk)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_relocation_touches_only_the_old_and_new_paths(self, seed):
@@ -412,4 +423,156 @@ class TestArrayBulkRemoval:
         assert np.array_equal(
             tree.bucket_occupancies[~bucket_on_a_path], occ_before[~bucket_on_a_path]
         )
-        self._assert_dense_prefixes(tree)
+        assert_dense_prefixes(tree)
+
+
+#: One uniform and one fat geometry, as the engines build them.
+GEOMETRIES = {
+    "uniform": (5, [4] * 6),
+    "fat": (5, [7, 6, 5, 4, 3, 2]),
+}
+
+
+@st.composite
+def filled_paths(draw):
+    """A tree of either read, filled at random, a leaf and a non-empty stash.
+
+    The path's own buckets take drawn occupancies (empty to full); every
+    other bucket is filled from a drawn seed, so a read that strays off its
+    path shows in the slots.
+    """
+    depth = draw(st.integers(min_value=2, max_value=10))
+    if draw(st.booleans()):
+        capacities = [draw(st.integers(min_value=1, max_value=6))] * (depth + 1)
+    else:
+        capacities = draw(
+            st.lists(
+                st.integers(min_value=1, max_value=9),
+                min_size=depth + 1, max_size=depth + 1,
+            ).filter(lambda caps: len(set(caps)) > 1)
+        )
+    leaf = draw(st.integers(min_value=0, max_value=(1 << depth) - 1))
+    on_path = [draw(st.integers(min_value=0, max_value=cap)) for cap in capacities]
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    stash_size = draw(st.integers(min_value=1, max_value=8))
+    return depth, capacities, leaf, on_path, seed, stash_size
+
+
+def _filled_tree(depth, capacities, leaf, on_path, seed):
+    """A tree whose buckets hold ids ``0, 1, ...`` in their first ``occ`` slots."""
+    tree = ArrayTreeStorage(depth, capacities, 64)
+    rng = np.random.default_rng(seed)
+    next_id = 0
+    for level, capacity in enumerate(capacities):
+        held = rng.integers(0, capacity + 1, size=1 << level)
+        held[leaf >> (depth - level)] = on_path[level]
+        start = tree.level_base[level]
+        level_slots = tree.slot_array[start : start + (1 << level) * capacity]
+        mask = (np.arange(capacity) < held[:, None]).ravel()
+        level_slots[mask] = np.arange(next_id, next_id + mask.sum())
+        next_id += int(mask.sum())
+        tree.bucket_occupancies[(1 << level) - 1 : (2 << level) - 1] = held
+    return tree, next_id
+
+
+class TestPathReads:
+    """The scan and the gather: one read, two shapes, picked per tree."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(filled_paths())
+    def test_scan_and_gather_leave_the_same_state(self, case):
+        depth, capacities, leaf, on_path, seed, stash_size = case
+        trees = {}
+        for path_read in ("scan", "gather"):
+            tree, num_ids = _filled_tree(depth, capacities, leaf, on_path, seed)
+            rng = np.random.default_rng(seed + 1)
+            tags = rng.integers(0, 1 << depth, size=num_ids + stash_size).astype(np.int32)
+            stash = {
+                num_ids + i: int(tags[num_ids + i]) for i in range(stash_size)
+            }
+            # Each read on either geometry: every tree has the scan's
+            # levels, and a uniform one builds the gather's tables here.
+            if path_read == "scan":
+                scan_fetch(tree.path_levels, tree.slot_view, tree.occupancy_view,
+                           memoryview(tags), stash, leaf)
+            else:
+                if tree.path_read == "scan":
+                    tree._build_gather()
+                fused_fetch(tree.read_path_ids, tags, stash, leaf)
+            assert all(type(label) is int for label in stash.values())
+            trees[path_read] = tree, stash
+        (scan, scan_stash), (gather, gather_stash) = trees["scan"], trees["gather"]
+        assert list(scan_stash.items()) == list(gather_stash.items())
+        assert len(scan_stash) == stash_size + sum(on_path)
+        assert np.array_equal(scan.slot_array, gather.slot_array)
+        assert np.array_equal(scan.bucket_occupancies, gather.bucket_occupancies)
+        assert_dense_prefixes(scan)
+
+    def test_each_tree_picks_its_read_from_its_capacities(self):
+        assert ArrayTreeStorage(3, [4] * 4, 64).path_read == "scan"
+        assert ArrayTreeStorage(3, [5, 4, 3, 2], 64).path_read == "gather"
+        config = build_oram_config(1 << 12, seed=3, recursive_posmap=True,
+                                   posmap_cutoff_bytes=256)
+        pathoram = build_engine("PathORAM", config, fast=True)
+        assert pathoram.tree.path_read == "scan"
+        levels = pathoram.position_map._levels
+        assert levels and all(level.tree.path_read == "scan" for level in levels)
+        assert build_engine("Fat/S4", config, fast=True).tree.path_read == "gather"
+
+    def test_only_a_gathering_tree_builds_the_split_tables(self):
+        """A scanning tree holds its slots and occupancies, nothing per path."""
+        built = {}
+        # Depth 16, one slot apart: the fat tree's root holds five.
+        for path_read, capacities in (("scan", [4] * 17), ("gather", [5] + [4] * 16)):
+            tracemalloc.start()
+            try:
+                tree = ArrayTreeStorage(16, capacities, 64)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert tree.path_read == path_read
+            built[path_read] = held - tree.slot_array.nbytes - tree.bucket_occupancies.nbytes
+        # The split-leaf tables of a 69-slot path: 2 x 2^8 rows of 69
+        # eight-byte slot indices, plus the node tables and scratch.
+        assert built["scan"] < 16 << 10
+        assert built["gather"] > 256 << 10
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_slots_past_the_occupancy_hold_minus_one(self, geometry):
+        """After every way the tree is written: placement, removal, kernels."""
+        depth, capacities = GEOMETRIES[geometry]
+        rng = np.random.default_rng(7)
+        # Crowded onto a quarter of the leaves, so the placement overflows.
+        count = 3 << depth
+        leaves = rng.integers(0, 1 << (depth - 2), size=count)
+
+        tree = ArrayTreeStorage(depth, capacities, 64)
+        overflow = tree.bulk_place(leaves)
+        assert overflow.size
+        assert_dense_prefixes(tree)
+        stored = np.setdiff1d(np.arange(count), overflow)
+        victims = np.sort(rng.choice(stored, size=stored.size // 3, replace=False))
+        tree.remove_many(victims, leaves[victims])
+        assert_dense_prefixes(tree)
+        for block_id in victims[: victims.size // 2].tolist():
+            tree.try_place_id(block_id, int(leaves[block_id]))
+        assert_dense_prefixes(tree)
+        order = rng.permutation(count)
+        placed = ArrayTreeStorage(depth, capacities, 64)
+        placed.bulk_place_ordered(order, leaves[order])
+        assert_dense_prefixes(placed)
+        tags = leaves.astype(np.int32)
+        stash = {}
+        placed.path_reader(tags)(stash, int(leaves[order[0]]))
+        assert stash
+        assert_dense_prefixes(placed)
+
+    @pytest.mark.parametrize("label", ["PathORAM", "Fat/S4"])
+    def test_a_kernel_trace_keeps_the_dense_prefixes(self, label):
+        config = build_oram_config(1 << 10, seed=5)
+        engine = build_engine(label, config, fast=True)
+        engine.run_trace(ZipfTraceGenerator(1 << 10, seed=5).generate(3000).addresses)
+        assert engine.tree.path_read == ("scan" if label == "PathORAM" else "gather")
+        assert engine.total_real_blocks() == 1 << 10
+        assert_dense_prefixes(engine.tree)
