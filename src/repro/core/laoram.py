@@ -31,9 +31,10 @@ per distinct path, an in-place remap and one write-back kernel call per
 path read, and the access and path counts are flushed once on exit.  While
 a request's ids are exactly the installed plan's next addresses — a
 replayed window always, a trainer that announced the stream it issues —
-each bin takes its remap leaves by position from the table the plan
-computes once (:meth:`LookaheadClientMixin._plan_position`), instead of a
-plan lookup per id.  Initial placement relocates only the planned blocks
+each whole plan bin takes its remap leaves by position from the plan's
+per-access next-path records (:meth:`LookaheadClientMixin._follows_plan`,
+:meth:`~repro.core.superblock.LookaheadPlan.take_bin_remaps`), instead of
+a plan lookup per id.  Initial placement relocates only the planned blocks
 (one level-by-level removal from their old buckets, one per-level bulk
 placement on their new paths).
 
@@ -93,11 +94,6 @@ class LookaheadClientMixin:
             rng=rng,
             observer=observer,
         )
-        self._init_lookahead(config)
-
-    def _init_lookahead(self, config: LAORAMConfig) -> None:
-        if not isinstance(config, LAORAMConfig):
-            raise ConfigurationError("LAORAM clients require an LAORAMConfig")
         self.laoram_config = config
         # The bin paths come from the engine's one leaf stream: the array
         # backend's prefetched draws are handed out first, so both backends
@@ -127,7 +123,7 @@ class LookaheadClientMixin:
 
     @property
     def bins_by_position(self) -> int:
-        """Bins since the plan was installed that took its precomputed remaps.
+        """Bins since the plan was installed that took their remaps by position.
 
         :class:`LAORAMClient` serves a bin by position while the ids it is
         asked for are exactly the plan's next addresses.  A caller whose
@@ -199,18 +195,10 @@ class LookaheadClientMixin:
             plan = self.preprocess(chunk, start_index=offset)
             if not self.counter.logical_accesses:
                 self.apply_initial_placement(plan)
-            served.extend(self._execute_plan(plan))
+            # The window is served like any other request, from its first access.
+            self._trace_cursor = plan.start_index
+            served.extend(self._serve_request(plan.addresses))
         return served
-
-    def _execute_plan(self, plan: LookaheadPlan) -> Sequence[Optional[object]]:
-        """Serve the window ``plan`` was just built over, bin by bin.
-
-        ``run_trace`` has range-checked the window before planning it.  The
-        window is served like any other request, from the plan's first
-        access.
-        """
-        self._trace_cursor = plan.start_index
-        return self._serve_request(plan.addresses)
 
     def access_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
         """Serve reads now: ids are grouped into superblock-sized bins.
@@ -251,20 +239,18 @@ class LookaheadClientMixin:
         window arrives as its int64 array and is converted bin by bin: a
         list of the whole window held through the run left
         ``replay_laoram``'s peak RSS up to 8 MiB higher.  While the client
-        takes the request by position (:meth:`_plan_position`), every chunk
-        that is a whole plan bin carries the plan's precomputed remap
-        leaves; any other bin carries ``None`` and its ids are looked up in
-        the plan one by one, which drops that plan to lookups for good.  How
-        many bins went which way is added to the two counters once per
-        call, after the last bin.
+        takes the request by position (:meth:`_follows_plan`), every chunk
+        that is a whole plan bin carries the plan's remap leaves
+        (:meth:`LookaheadPlan.take_bin_remaps`); any other bin carries
+        ``None`` and its ids are looked up in the plan one by one, which
+        drops that plan to lookups for good.  How many bins went which way
+        is added to the two counters once per call, after the last bin.
         """
         size = self.laoram_config.superblock_size
         cursor = self._trace_cursor
         plan = self._plan
-        plan_stop = plan_bin = -1
-        if plan is not None:
-            plan_stop = plan.stop_index
-            plan_bin = self._plan_position(plan, cursor, block_ids)
+        by_plan = plan is not None and self._follows_plan(plan, cursor, block_ids)
+        plan_stop = -1 if plan is None else plan.stop_index
         bins = by_position = 0
         offset = 0
         is_list = isinstance(block_ids, list)
@@ -277,9 +263,8 @@ class LookaheadClientMixin:
             remaps = None
             # oblivious: allow[OBL001] client-side: where the new leaf comes
             # from; same traffic either way
-            if plan_bin >= 0 and (end % size == 0 or end == plan_stop):
-                remaps = plan.take_bin_remaps(plan_bin)
-                plan_bin += 1
+            if by_plan and (end % size == 0 or end == plan_stop):
+                remaps = plan.take_bin_remaps(cursor, chunk)
                 by_position += 1
             bins += 1
             yield cursor, chunk, remaps
@@ -289,16 +274,16 @@ class LookaheadClientMixin:
         self._bins_by_position += by_position
         self._bins_by_lookup += bins - by_position
 
-    def _plan_position(
+    def _follows_plan(
         self, plan: LookaheadPlan, start_index: int, block_ids: list[int] | np.ndarray
-    ) -> int:
-        """The plan bin a request at ``start_index`` opens by position, or ``-1``.
+    ) -> bool:
+        """Whether a request at ``start_index`` takes its remaps by position.
 
-        By position while the request is the plan's next addresses
-        (:meth:`LookaheadPlan.position_bin`: one array equality per call);
-        ``-1`` makes every bin look its ids up in the plan.
+        It does while the request is the plan's next addresses
+        (:meth:`LookaheadPlan.follows`: one array equality per call);
+        otherwise every bin looks its ids up in the plan.
         """
-        return plan.position_bin(start_index, block_ids)
+        return plan.follows(start_index, block_ids)
 
     @property
     def trace_cursor(self) -> int:

@@ -9,22 +9,19 @@ starts off a boundary opens with a short bin (:func:`num_bins`).
 
 When the client writes a block back it gives the block the leaf of the bin
 holding its next planned occurrence, so by the time a bin is served all of
-its blocks sit on one path.  The plan answers that two ways: per block
-(:meth:`LookaheadPlan.consume_next_leaf`, a bisect over the window grouped
-by block id) and, for a request that is exactly the plan's next addresses,
-per bin by position (:meth:`LookaheadPlan.position_bin`,
-:meth:`LookaheadPlan.take_bin_remaps`) from a :class:`BinTable` computed
-once per window.  The plan is held at its width: the table is flat arrays
-with bin offsets, and the consumption state
-(:attr:`LookaheadPlan.consumed_up_to`) becomes a dict only when it is read,
-so a window served wholly by position holds no per-access Python object.
-The per-block lookup builds its lists and dict on its first call.
+its blocks sit on one path.  The plan holds the window as the preprocessor
+ships it (Sec. IV-B): per access, where the same block occurs next and the
+leaf of that bin.  A request that is exactly the plan's next addresses
+takes each bin's remaps from those records by position
+(:meth:`LookaheadPlan.take_bin_remaps`); any other looks its blocks up one
+by one (:meth:`LookaheadPlan.consume_next_leaf`, a bisect built on its
+first call).  :attr:`LookaheadPlan.consumed_up_to` is derived when read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,29 +39,6 @@ def num_bins(num_accesses: int, superblock_size: int, start_index: int = 0) -> i
     return -(-(start_index % superblock_size + num_accesses) // superblock_size)
 
 
-def _bin_offsets(bin_of: np.ndarray, count: int) -> np.ndarray:
-    """Offsets of ``count`` bins into an array whose entries are in bin order."""
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(bin_of, minlength=count), out=offsets[1:])
-    return offsets
-
-
-class BinTable(NamedTuple):
-    """Every bin's remap leaves and what they consume, flat in bin order.
-
-    Bin ``j``'s remap leaves are ``leaves[leaf_offsets[j]:leaf_offsets[j + 1]]``
-    (int64, ``-1`` for a uniform fallback draw); the ``(block id,
-    occurrence index)`` pairs it consumes are the same slice of
-    ``consumed_ids`` and ``consumed_occ`` under ``consumed_offsets``.
-    """
-
-    leaves: np.ndarray
-    leaf_offsets: np.ndarray
-    consumed_ids: np.ndarray
-    consumed_occ: np.ndarray
-    consumed_offsets: np.ndarray
-
-
 class LookaheadPlan:
     """Future-path metadata for one window of the access trace.
 
@@ -74,13 +48,10 @@ class LookaheadPlan:
         superblock_size: ``S``; bins end on its global multiples.
         num_leaves: Number of paths the leaves are drawn from.
         start_index: Trace index of the window's first access.
-
-    For per-block lookups the plan also keeps three parallel arrays sorted
-    by ``(block id, occurrence index)``: the block id, the global trace
-    index and the bin leaf of every planned access.  Everything else it
-    holds per planned access is an array as well (the :class:`BinTable`, the
-    first occurrences trusted placement took) until a per-block lookup or a
-    reader of :attr:`consumed_up_to` asks for Python containers.
+        next: Per access, the window offset of the same block's next
+            occurrence, ``-1`` at the block's last (int64).
+        next_leaf: Per access, the leaf of the bin holding that occurrence,
+            ``-1`` at the block's last (int64).
     """
 
     def __init__(
@@ -104,57 +75,33 @@ class LookaheadPlan:
         expected_bins = num_bins(n, superblock_size, start_index)
         if self.bin_leaves.size != expected_bins:
             raise ConfigurationError(
-                f"need {expected_bins} bin leaves for {n} accesses, "
-                f"got {self.bin_leaves.size}"
+                f"need {expected_bins} bin leaves for {n} accesses, got {self.bin_leaves.size}"
             )
-        occ = start_index + np.arange(n, dtype=np.int64)
-        leaf = self.bin_leaves[occ // superblock_size - start_index // superblock_size]
-        # Group occurrences by block id with one stable sort; within a block
-        # the occurrence indices stay in increasing trace order.
+        # One stable sort groups the offsets by block id in trace order: an
+        # entry's successor is its block's next occurrence unless it opens a run.
         order = np.argsort(self.addresses, kind="stable")
-        self._sorted_ids = self.addresses[order]
-        self._sorted_occ = occ[order]
-        self._sorted_leaf = leaf[order]
-        self._uniq, self._starts = np.unique(self._sorted_ids, return_index=True)
-        self._ends = np.append(self._starts[1:], n)
-        # Python-side mirrors for the per-access lookup path
-        # (consume_next_leaf): dict + bisect runs ~10x faster than per-call
-        # searchsorted on tiny array views.  Built lazily: a plan whose every
-        # bin is served by position (take_bin_remaps()) never pays the O(n)
-        # list/dict construction.
-        self._occ_list: Optional[list[int]] = None
-        self._leaf_list: Optional[list[int]] = None
-        self._ranges: Optional[dict[int, tuple[int, int]]] = None
-        # Highest occurrence index already handed out as a reassignment;
-        # ensures every planned path is used as a reassignment at most once.
-        # Read it through consumed_up_to: what trusted placement took (the
-        # two arrays of take_first_occurrences) and the bins served by
-        # position are folded in only when somebody looks.
-        self._consumed_up_to: dict[int, int] = {}
-        self._first_taken: Optional[tuple[np.ndarray, np.ndarray]] = None
-        # By-position state: the table of plan_bin_remaps(), built on first
-        # use, and the bin whose turn it is to take the table (-1 once a
-        # lookup has consumed anything: the table's "next bin's leaf" is
-        # only right while every earlier consumption was by position).
-        self._bin_table: Optional[BinTable] = None
-        self._position_bin = 0
+        ids = self.addresses[order]
+        opens = np.ones(n, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=opens[1:])
+        self.next = np.full(n, -1, dtype=np.int64)
+        self.next[order[:-1]] = np.where(opens[1:], -1, order[1:])
+        self.next_leaf = np.where(self.next >= 0, self.bin_leaves[self._bin_of(self.next)], -1)
+        # Every planned id, ascending, with the offset of its first access.
+        starts = np.flatnonzero(opens)
+        self._first_ids, self._first_offsets = ids[starts], order[starts]
+        # Folded into the dict when read: the first occurrences placement took
+        # and the offset the bins served by position reach (-1 after a lookup).
+        self._consumed: dict[int, int] = {}
+        self._placed: Optional[slice] = None
+        self._served = 0
+        # The per-id lookup's sorted keys and their leaves, built on first use.
+        self._lookup: Optional[tuple[list[int], list[int]]] = None
 
-    def _lookup_tables(
-        self,
-    ) -> tuple[list[int], list[int], dict[int, tuple[int, int]]]:
-        """Occurrence/leaf lists and per-block ranges for bisect lookups."""
-        if self._ranges is None:
-            self._occ_list = self._sorted_occ.tolist()
-            self._leaf_list = self._sorted_leaf.tolist()
-            self._ranges = dict(
-                zip(
-                    self._uniq.tolist(),
-                    zip(self._starts.tolist(), self._ends.tolist()),
-                )
-            )
-        return self._occ_list, self._leaf_list, self._ranges
+    def _bin_of(self, offsets: np.ndarray) -> np.ndarray:
+        """Index of the bin holding each window offset."""
+        size = self.superblock_size
+        return (self.start_index + offsets) // size - self.start_index // size
 
-    # ------------------------------------------------------------------
     @property
     def num_accesses(self) -> int:
         """Total number of accesses covered by the plan."""
@@ -168,12 +115,11 @@ class LookaheadPlan:
     @property
     def max_block_id(self) -> int:
         """Largest block id planned in this window (``-1`` for an empty plan)."""
-        return int(self._uniq[-1]) if self._uniq.size else -1
+        return int(self._first_ids[-1]) if self._first_ids.size else -1
 
     def __len__(self) -> int:
         return int(self.bin_leaves.size)
 
-    # ------------------------------------------------------------------
     def consume_next_leaf(self, block_id: int, after_index: int) -> Optional[int]:
         """Path of the bin holding ``block_id``'s next unconsumed occurrence.
 
@@ -188,21 +134,25 @@ class LookaheadPlan:
         *different* future occurrences, otherwise an adversary would observe
         the same leaf several times in close succession and could link those
         accesses.  Consuming occurrences makes every reassignment an
-        independent uniform draw, exactly as in PathORAM.
+        independent uniform draw, exactly as in PathORAM.  The first call
+        ends serving by position for this plan.
         """
         consumed = self.consumed_up_to
-        self._position_bin = -1
-        occ_list, leaf_list, ranges = self._lookup_tables()
-        bounds = ranges.get(block_id)
-        if bounds is None:
+        self._served = -1
+        # Sorted keys ``block id * span + occurrence``: one run per block.
+        span = self.stop_index + 1
+        if self._lookup is None:
+            keys = np.sort(self.addresses * span + np.arange(self.start_index, self.stop_index))
+            offsets = keys % span - self.start_index
+            self._lookup = keys.tolist(), self.bin_leaves[self._bin_of(offsets)].tolist()
+        keys, leaves = self._lookup
+        base = block_id * span
+        pos = bisect_right(keys, base + max(after_index, consumed.get(block_id, -1)))
+        # The key found past the floor may open a later block's run.
+        if pos == len(keys) or keys[pos] - base >= span:
             return None
-        start, end = bounds
-        floor = max(after_index, consumed.get(block_id, -1))
-        pos = bisect_right(occ_list, floor, start, end)
-        if pos >= end:
-            return None
-        consumed[block_id] = occ_list[pos]
-        return leaf_list[pos]
+        consumed[block_id] = keys[pos] - base
+        return leaves[pos]
 
     def take_first_occurrences(self, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
         """Planned ids below ``num_blocks`` (ascending) and their first leaves.
@@ -211,143 +161,68 @@ class LookaheadPlan:
         holding its first planned access, and marks that occurrence consumed
         (``consume_next_leaf(b, -1)`` per block): otherwise the first
         in-trace reassignment could be handed the *same* leaf again, a
-        linkable repeated-leaf observation.  The ids and their first
-        occurrences are kept as they are and reach :attr:`consumed_up_to`
-        when that is read.
+        linkable repeated-leaf observation.  The taken prefix reaches
+        :attr:`consumed_up_to` when that is read.
         """
-        mask = (self._uniq >= 0) & (self._uniq < num_blocks)
-        ids = self._uniq[mask]
-        starts = self._starts[mask]
+        lo, hi = np.searchsorted(self._first_ids, (0, num_blocks)).tolist()
         # Calls differ only in the bound, so the widest covers the others.
-        if self._first_taken is None or ids.size > self._first_taken[0].size:
-            self._first_taken = ids, self._sorted_occ[starts]
-        return ids, self._sorted_leaf[starts]
+        self._placed = slice(lo, max(hi, self._placed.stop if self._placed else 0))
+        return self._first_ids[lo:hi], self.bin_leaves[self._bin_of(self._first_offsets[lo:hi])]
 
-    def plan_bin_remaps(self) -> BinTable:
-        """Every bin's remap leaves and what they consume, computed once.
+    def follows(self, start_index: int, block_ids: list[int] | np.ndarray) -> bool:
+        """Whether a request for ``block_ids`` at ``start_index`` goes by position.
 
-        When the window is executed bin by bin, the sequence of
-        ``consume_next_leaf`` calls is fully determined by the trace: each
-        bin asks once per distinct block with ``after_index`` = the bin's end,
-        so the answer is always the leaf of the block's *next* bin (or a
-        uniform fallback when there is none).  That makes the whole window
-        precomputable in a handful of array passes.
-
-        Bin ``j``'s slice of the :class:`BinTable` lists, for its distinct
-        blocks in first-occurrence order, the next bin's leaf or ``-1``
-        (fallback draw), and the ``(block id, occurrence index)`` pairs those
-        answers hand out — what the equivalent ``consume_next_leaf`` calls
-        would record.  :meth:`take_bin_remaps` serves the table.
-        """
-        if self._bin_table is None:
-            self._bin_table = self._build_bin_table()
-        return self._bin_table
-
-    def _build_bin_table(self) -> BinTable:
-        n = self.num_accesses
-        size = self.superblock_size
-        if n == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            no_bins = _bin_offsets(empty, 0)
-            return BinTable(empty, no_bins, empty, empty, no_bins)
-        sid = self._sorted_ids
-        socc = self._sorted_occ
-        bin_idx = socc // size - self.start_index // size
-        # First occurrence of each (block, bin) pair, in (block, occ) order.
-        block_boundary = np.empty(n, dtype=bool)
-        block_boundary[0] = True
-        np.not_equal(sid[1:], sid[:-1], out=block_boundary[1:])
-        bin_boundary = np.empty(n, dtype=bool)
-        bin_boundary[0] = True
-        bin_boundary[1:] = block_boundary[1:] | (bin_idx[1:] != bin_idx[:-1])
-        first = np.nonzero(bin_boundary)[0]
-        fb_block = sid[first]
-        fb_bin = bin_idx[first]
-        fb_occ = socc[first]
-        entries = first.size
-        # An entry whose successor is the same block's next bin is remapped
-        # to that bin's leaf and consumes that bin's first occurrence.
-        values = np.full(entries, -1, dtype=np.int64)
-        taken = np.full(entries, -1, dtype=np.int64)
-        if entries > 1:
-            has_next = np.nonzero(fb_block[1:] == fb_block[:-1])[0]
-            values[has_next] = self.bin_leaves[fb_bin[has_next + 1]]
-            taken[has_next] = fb_occ[has_next + 1]
-        # Bins are contiguous occurrence ranges, so sorting the entries by
-        # occurrence groups them by bin in first-occurrence order.
-        order = np.argsort(fb_occ, kind="stable")
-        consuming = order[taken[order] >= 0]
-        return BinTable(
-            leaves=values[order],
-            leaf_offsets=_bin_offsets(fb_bin, len(self)),
-            consumed_ids=fb_block[consuming],
-            consumed_occ=taken[consuming],
-            consumed_offsets=_bin_offsets(fb_bin[consuming], len(self)),
-        )
-
-    def position_bin(self, start_index: int, block_ids: list[int] | np.ndarray) -> int:
-        """The bin a call for ``block_ids`` at ``start_index`` opens by position.
-
-        That is the index of the plan bin starting at ``start_index`` when
-        it is the next one in line (every earlier bin took its remaps from
-        the table and nothing was consumed by lookup) and ``block_ids`` are
-        exactly the planned addresses from there on; ``-1`` otherwise.
+        It does while the request opens where the bins served by position
+        end (no lookup has consumed anything yet) and ``block_ids`` are
+        exactly the planned addresses from there on.
         """
         offset = start_index - self.start_index
-        size = self.superblock_size
-        if (
-            self._position_bin < 0
-            or offset < 0
-            # Bins open at the window's start and on the global boundaries.
-            or (offset and start_index % size)
-            or start_index // size - self.start_index // size != self._position_bin
-        ):
-            return -1
-        if not np.array_equal(
+        return 0 <= offset == self._served and np.array_equal(
             self.addresses[offset : offset + len(block_ids)], block_ids
-        ):
-            return -1
-        self.plan_bin_remaps()
-        return self._position_bin
+        )
 
-    def take_bin_remaps(self, bin_index: int) -> list[int]:
-        """Bin ``bin_index``'s remap leaves, by position, as a list.
+    def take_bin_remaps(self, start_index: int, block_ids: list[int]) -> list[int]:
+        """Remap leaves of the plan bin ``block_ids`` at ``start_index``.
 
-        Valid for the bin :meth:`position_bin` named and the whole bins that
-        follow it in the same call, in order.  What the bin consumes reaches
+        One leaf per distinct id, in first-occurrence order: ``next_leaf``
+        at the id's last position in the bin (``-1``: no later occurrence,
+        a uniform fallback draw).  Valid for the whole bins of a request
+        :meth:`follows` accepted, in order.  What the bin consumes reaches
         :attr:`consumed_up_to` when that is next read: replacing a few
         entries of a large dict after every bin scatters freed ints over the
         heap, which cost the kernel running between the bins 10 % at 2^20
         blocks (``docs/performance.md``, "The training step").
         """
-        self._position_bin = bin_index + 1
-        table = self._bin_table
-        offsets = table.leaf_offsets
-        return table.leaves[offsets[bin_index] : offsets[bin_index + 1]].tolist()
+        offset = start_index - self.start_index
+        self._served = offset + len(block_ids)
+        leaves = self.next_leaf[offset : self._served].tolist()
+        if len(set(block_ids)) == len(leaves):
+            return leaves
+        # A repeated id keeps its first place and takes its last position's leaf.
+        return list(dict(zip(block_ids, leaves)).values())
 
     @property
     def consumed_up_to(self) -> dict[int, int]:
         """Block id -> highest planned occurrence handed out so far.
 
-        Exact at every bin boundary, and built only when read: what trusted
-        placement took, then the pairs of the bins served by position, in
-        bin order, are folded into the dict first (idempotent, and nothing
-        else writes while bins go by position).  Once a lookup has consumed
-        anything the dict is the live state.
+        Exact at every bin boundary.  Reading it folds in what trusted
+        placement took, then, for the bins served by position, ``next`` of
+        each block's last position in a bin whose next occurrence lies in a
+        later bin.  Once a lookup has consumed anything the dict is the
+        live state.
         """
-        consumed = self._consumed_up_to
-        if self._first_taken is not None:
-            ids, occurrences = self._first_taken
-            self._first_taken = None
-            for block_id, occ in zip(ids.tolist(), occurrences.tolist()):
-                if consumed.get(block_id, -1) < occ:
-                    consumed[block_id] = occ
-        if self._position_bin > 0:
-            table = self._bin_table
-            served = table.consumed_offsets[self._position_bin]
-            consumed.update(
-                zip(table.consumed_ids[:served].tolist(), table.consumed_occ[:served].tolist())
-            )
+        consumed = self._consumed
+        if self._placed is not None:
+            # Nothing consumed of a block precedes its first occurrence.
+            taken, self._placed = self._placed, None
+            occurrences = (self.start_index + self._first_offsets[taken]).tolist()
+            placed = dict(zip(self._first_ids[taken].tolist(), occurrences))
+            self._consumed = consumed = placed | consumed
+        if self._served > 0:
+            later = self.next[: self._served]
+            crossing = self._bin_of(later) > self._bin_of(np.arange(later.size))
+            occurrences = (self.start_index + later[crossing]).tolist()
+            consumed.update(zip(self.addresses[: later.size][crossing].tolist(), occurrences))
         return consumed
 
     def metadata_bytes(self) -> int:

@@ -628,7 +628,7 @@ class ArrayStorageEngine(TreeORAMEngine):
             self._trace_cursor = cursor
             self._leaf_buf = leaf_buf
             self._leaf_buf_pos = leaf_pos
-            path_buckets, path_bytes = tree.path_cost(0)
+            path_buckets, path_bytes = tree.path_cost
             reads = path_reads + dummy_reads
             counter.add_bulk(
                 logical,

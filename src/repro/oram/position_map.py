@@ -168,7 +168,7 @@ class _RecursionLevel:
         self.num_blocks = num_blocks
         self.num_leaves = self.tree.num_leaves
         self.depth = depth
-        self.path_buckets, self.path_bytes = self.tree.path_cost(0)
+        self.path_buckets, self.path_bytes = self.tree.path_cost
         # Server-side metadata mirror: a block's (id, leaf) tag travels with
         # it on the wire, so labels of path-fetched blocks are readable
         # without an oblivious lookup.  Not client memory.

@@ -130,8 +130,9 @@ class ArrayTreeStorage:
             (depth - level, (1 << level) - 1, self._level_base[level], capacity)
             for level, capacity in enumerate(caps)
         )
-        # Every path has the same geometry, so its transfer cost is fixed.
-        self._path_cost = (
+        #: ``(num_buckets, num_bytes)`` for transferring one full path: every
+        #: path has the same geometry, so its transfer cost is fixed.
+        self.path_cost = (
             depth + 1,
             sum(caps) * (block_size_bytes + metadata_bytes_per_block),
         )
@@ -197,10 +198,6 @@ class ArrayTreeStorage:
     def stored_block_bytes(self) -> int:
         """Bytes one slot occupies on the wire (payload + metadata)."""
         return self.block_size_bytes + self.metadata_bytes_per_block
-
-    def path_cost(self, leaf: int) -> tuple[int, int]:
-        """Return ``(num_buckets, num_bytes)`` for transferring one full path."""
-        return self._path_cost
 
     @property
     def total_slots(self) -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import LAORAMConfig
+from repro.core.superblock import LookaheadPlan
 from repro.datasets.permutation import PermutationTraceGenerator
 from repro.memory.timing import PAPER_TIMING
 from repro.oram.config import ORAMConfig
@@ -50,16 +51,27 @@ def rng() -> np.random.Generator:
 
 
 def bin_lists(plan) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
-    """A plan's bin table per bin: remap leaves, and the pairs each consumes."""
-    table = plan.plan_bin_remaps()
-    leaf_cuts = table.leaf_offsets.tolist()
-    pair_cuts = table.consumed_offsets.tolist()
-    leaves = table.leaves.tolist()
-    pairs = list(zip(table.consumed_ids.tolist(), table.consumed_occ.tolist()))
-    return (
-        [leaves[lo:hi] for lo, hi in zip(leaf_cuts, leaf_cuts[1:])],
-        [pairs[lo:hi] for lo, hi in zip(pair_cuts, pair_cuts[1:])],
+    """Per bin of ``plan``: its remap leaves, and the pairs serving it consumes.
+
+    The leaves are what ``take_bin_remaps`` hands out, taken from a fresh
+    twin of the plan so that ``plan`` itself consumes nothing; the
+    ``(block id, occurrence)`` pairs are each distinct id's ``next`` at its
+    last position in the bin, where that lies in a later bin.
+    """
+    twin = LookaheadPlan(
+        plan.addresses, plan.bin_leaves, plan.superblock_size, plan.num_leaves, plan.start_index
     )
+    ids, later = plan.addresses.tolist(), plan.next.tolist()
+    size, first = plan.superblock_size, plan.start_index
+    leaves, pairs = [], []
+    lo = 0
+    while lo < len(ids):
+        hi = min(lo + size - (first + lo) % size, len(ids))
+        leaves.append(twin.take_bin_remaps(first + lo, ids[lo:hi]))
+        last = dict(zip(ids[lo:hi], range(lo, hi)))
+        pairs.append([(b, first + later[p]) for b, p in last.items() if later[p] >= hi])
+        lo = hi
+    return leaves, pairs
 
 
 def node_ids(tree):

@@ -97,7 +97,7 @@ class ObjectStorageEngine(TreeORAMEngine):
         The read is counted before the stash takes the path, so a fetch
         that overflows the stash is counted.
         """
-        num_buckets, num_bytes = self.tree.path_cost(leaf)
+        num_buckets, num_bytes = self.tree.path_cost
         self.counter.record_path_read(num_buckets, num_bytes, dummy=dummy)
         if self.observer is not None:
             self.observer.observe_path(leaf, dummy=dummy)
@@ -106,7 +106,7 @@ class ObjectStorageEngine(TreeORAMEngine):
     def _write_back(self, leaf: int) -> None:
         """Greedily write stash blocks back onto the path to ``leaf``."""
         self._commit_write_back(leaf)
-        num_buckets, num_bytes = self.tree.path_cost(leaf)
+        num_buckets, num_bytes = self.tree.path_cost
         self.counter.record_path_write(num_buckets, num_bytes)
 
     def _maybe_background_evict(self) -> None:

@@ -4,7 +4,7 @@
 windowing and bin cutter (:class:`~repro.core.laoram.LookaheadClientMixin`)
 and runs each bin as a per-object :meth:`~ObjectLAORAMClient.access_superblock`
 on :class:`~oracle.engine.ObjectPathORAM`.  Every remap is looked up in the
-plan id by id (it never takes a bin's precomputed leaves by position), and
+plan id by id (it never takes a bin's remap leaves by position), and
 a single :meth:`~ObjectLAORAMClient.access` is the per-access protocol with
 the plan's next leaf.  It is the oracle the shipped
 :class:`~repro.core.laoram.LAORAMClient` is held to.
@@ -68,17 +68,17 @@ class ObjectLAORAMClient(LookaheadClientMixin, ObjectPathORAM):
     # ------------------------------------------------------------------
     # Superblock bins
     # ------------------------------------------------------------------
-    def _plan_position(
+    def _follows_plan(
         self, plan, start_index: int, block_ids: list[int] | np.ndarray
-    ) -> int:
-        """``-1``: every bin looks its ids up in the plan.
+    ) -> bool:
+        """Never: every bin looks its ids up in the plan.
 
         The reference keeps that, because it is the oracle the shipped
         client's by-position remaps are checked against, and because its
-        bins always look up: taking the table as well would hand each
-        block the occurrence after the one the table already handed out.
+        bins always look up: taking the remaps by position as well would
+        hand each block the occurrence after the one already handed out.
         """
-        return -1
+        return False
 
     def _relocate(
         self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray

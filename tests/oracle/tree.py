@@ -40,6 +40,11 @@ class TreeStorage:
         self.bucket_capacities = tuple(int(c) for c in bucket_capacities)
         self.block_size_bytes = block_size_bytes
         self.metadata_bytes_per_block = metadata_bytes_per_block
+        #: ``(num_buckets, num_bytes)`` for transferring one full path.
+        self.path_cost = (
+            depth + 1,
+            sum(self.bucket_capacities) * self.stored_block_bytes,
+        )
         self._buckets: list[Bucket] = []
         for index in range(num_nodes(depth)):
             level = (index + 1).bit_length() - 1
@@ -74,11 +79,6 @@ class TreeStorage:
     def stored_block_bytes(self) -> int:
         """Bytes one slot occupies on the wire (payload + metadata)."""
         return self.block_size_bytes + self.metadata_bytes_per_block
-
-    def path_cost(self, leaf: int) -> tuple[int, int]:
-        """Return ``(num_buckets, num_bytes)`` for transferring one full path."""
-        slots = sum(self.bucket_capacities)
-        return self.depth + 1, slots * self.stored_block_bytes
 
     @property
     def total_slots(self) -> int:

@@ -111,7 +111,7 @@ class TestTrafficAccounting:
         counter = TrafficCounter()
         oram = ObjectPathORAM(small_config, counter=counter)
         oram.read(0)
-        _, path_bytes = oram.tree.path_cost(0)
+        _, path_bytes = oram.tree.path_cost
         assert counter.snapshot().bytes_read == path_bytes
 
     def test_simulated_time_increases(self, small_path_oram):

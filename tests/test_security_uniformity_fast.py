@@ -169,13 +169,18 @@ class TestServeNowUnderAPlan:
                 epoch.extend(plan.consumed_up_to.items())
                 return result
 
-            def take_bin_remaps(bin_index):
-                table = plan.plan_bin_remaps()
-                lo, hi = table.consumed_offsets[bin_index : bin_index + 2]
+            def take_bin_remaps(start_index, block_ids):
+                # Each distinct id's next occurrence after its last
+                # position in the bin.
+                lo = start_index - plan.start_index
+                last = dict(zip(block_ids, range(lo, lo + len(block_ids))))
+                later = plan.next[list(last.values())].tolist()
                 epoch.extend(
-                    zip(table.consumed_ids[lo:hi].tolist(), table.consumed_occ[lo:hi].tolist())
+                    (block_id, plan.start_index + occ)
+                    for block_id, occ in zip(last, later)
+                    if occ >= 0
                 )
-                return by_position(bin_index)
+                return by_position(start_index, block_ids)
 
             def consume_next_leaf(block_id, after_index):
                 leaf = lookup(block_id, after_index)

@@ -4,13 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.core.config import LAORAMConfig
+from repro.core.laoram import LAORAMClient
 from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan, num_bins
 from repro.datasets.kaggle import SyntheticKaggleTrace
 from repro.exceptions import ConfigurationError
+from repro.oram.config import ORAMConfig
 
 from conftest import bin_lists
+from oracle import ObjectLAORAMClient
+from test_trace_contract import assert_twins_agree
 
 
 def make_plan(**kwargs):
@@ -48,8 +54,8 @@ class TestLookaheadPlan:
         assert plan.consumed_up_to == {5: 5}
 
     def test_consume_does_not_affect_pure_lookup(self):
-        # The bin table is a function of the window alone: building it
-        # consumes nothing, and a lookup before it does not change it.
+        # The remaps by position are a function of the window alone:
+        # reading them consumes nothing, and a lookup does not change them.
         fresh = make_plan()
         table = bin_lists(fresh)
         assert fresh.consumed_up_to == {}
@@ -109,35 +115,137 @@ class TestLookaheadPlan:
         empty_ids, empty_leaves = empty.take_first_occurrences(10)
         assert empty_ids.size == 0 and empty_leaves.size == 0
 
-    def test_bin_table_is_what_per_bin_lookups_hand_out(self):
-        # Each bin asks once per distinct block, after the bin's last index.
-        table, lookup = make_plan(), make_plan()
-        remaps, consumed = bin_lists(table)
-        for index, (start, end) in enumerate([(0, 4), (4, 8), (8, 10)]):
-            distinct = list(dict.fromkeys(lookup.addresses[start:end].tolist()))
-            expected = [lookup.consume_next_leaf(b, end - 1) for b in distinct]
-            assert remaps[index] == [-1 if leaf is None else leaf for leaf in expected]
-            assert table.position_bin(start, table.addresses[start:]) == index
-            assert table.take_bin_remaps(index) == remaps[index]
+    def test_the_toy_windows_bins(self):
+        # Each bin hands its distinct blocks their next bin's leaf and
+        # consumes that occurrence; the property below checks this shape
+        # on random windows.
+        remaps, consumed = bin_lists(make_plan())
         assert remaps == [[6, 6, 1], [-1, -1, -1, -1], [-1]]
         assert consumed == [[(5, 5), (7, 7), (9, 8)], [], []]
-        assert table.consumed_up_to == lookup.consumed_up_to
 
-    def test_position_bin_refuses_other_ids_and_any_lookup(self):
+    def test_follows_refuses_other_ids_and_any_lookup(self):
         plan = make_plan()
-        assert plan.position_bin(4, plan.addresses[4:]) == -1  # not next in line
-        assert plan.position_bin(0, [5, 7, 5, 8]) == -1  # not the planned ids
-        assert plan.position_bin(0, plan.addresses[:4]) == 0
+        assert not plan.follows(4, plan.addresses[4:])  # not next in line
+        assert not plan.follows(0, [5, 7, 5, 8])  # not the planned ids
+        assert plan.follows(0, plan.addresses[:4])
         plan.consume_next_leaf(5, after_index=3)
-        assert plan.position_bin(0, plan.addresses) == -1
+        assert not plan.follows(0, plan.addresses)
+
+
+NUM_BLOCKS = 48
+
+
+@st.composite
+def windows(draw):
+    """A window with hot ids, its bins and when its requests leave the plan.
+
+    Returns ``(S, addresses, start_index, bin_leaves, switch, bound)``: the
+    first ``switch`` bins go by position, and ``bound`` (``None``: no
+    placement) is what trusted placement takes planned ids below.
+    """
+    size = draw(st.integers(min_value=1, max_value=8))
+    hot = draw(st.lists(st.integers(0, NUM_BLOCKS - 2), min_size=1, max_size=3))
+    block = st.one_of(st.sampled_from(hot), st.integers(0, NUM_BLOCKS - 2))
+    addresses = draw(st.lists(block, min_size=1, max_size=60))
+    start = draw(st.integers(min_value=0, max_value=3 * size))
+    count = num_bins(len(addresses), size, start)
+    leaves = draw(st.lists(st.integers(0, 15), min_size=count, max_size=count))
+    switch = draw(st.integers(min_value=0, max_value=count))
+    bound = draw(st.none() | st.integers(min_value=0, max_value=NUM_BLOCKS))
+    return size, addresses, start, leaves, switch, bound
+
+
+def bins_of(size, addresses, start):
+    """``(lo, hi)`` window offsets of each bin."""
+    lo = 0
+    while lo < len(addresses):
+        hi = min(lo + size - (start + lo) % size, len(addresses))
+        yield lo, hi
+        lo = hi
+
+
+class TestByPositionEqualsLookups:
+    """Remaps by position are what per-id lookups hand out, bin after bin."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(windows())
+    # The toy window of make_plan(), every bin by position.
+    @example((4, [5, 7, 5, 9, 2, 5, 11, 7, 9, 9], 0, [3, 6, 1], 3, None))
+    def test_remaps_and_consumption_match_at_every_bin_boundary(self, case):
+        size, addresses, start, leaves, switch, bound = case
+        position, lookup = (
+            LookaheadPlan(addresses, leaves, size, num_leaves=16, start_index=start)
+            for _ in range(2)
+        )
+        if bound is not None:
+            ids, first = position.take_first_occurrences(bound)
+            assert first.tolist() == [lookup.consume_next_leaf(b, -1) for b in ids.tolist()]
+            assert position.consumed_up_to == lookup.consumed_up_to
+        for index, (lo, hi) in enumerate(bins_of(size, addresses, start)):
+            distinct = list(dict.fromkeys(addresses[lo:hi]))
+            expected = [lookup.consume_next_leaf(b, start + hi - 1) for b in distinct]
+            if index < switch:
+                assert position.follows(start + lo, addresses[lo:])
+                got = position.take_bin_remaps(start + lo, addresses[lo:hi])
+                assert got == [-1 if leaf is None else leaf for leaf in expected]
+            else:
+                got = [position.consume_next_leaf(b, start + hi - 1) for b in distinct]
+                assert got == expected
+                assert not position.follows(start + hi, addresses[hi:])
+            assert position.consumed_up_to == lookup.consumed_up_to
+
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(windows(), st.booleans())
+    def test_the_client_serves_by_position_what_the_reference_looks_up(self, case, fat):
+        size, addresses, lead, _, switch, bound = case
+        twins = [
+            client(
+                LAORAMConfig(
+                    oram=ORAMConfig(
+                        num_blocks=NUM_BLOCKS, block_size_bytes=16, fat_tree=fat, seed=5
+                    ),
+                    superblock_size=size,
+                )
+            )
+            for client in (ObjectLAORAMClient, LAORAMClient)
+        ]
+
+        def served(*request):
+            for engine in twins:
+                engine.access_many(list(request))
+            reference, fast = twins
+            assert fast.trace_cursor == reference.trace_cursor
+            assert fast.plan.consumed_up_to == reference.plan.consumed_up_to
+            assert_twins_agree(reference, fast)
+
+        for engine in twins:
+            # ``lead`` accesses before the window put it off a boundary.
+            engine.access_many(list(range(lead)))
+            plan = engine.preprocess(addresses, start_index=lead)
+            if not lead and bound is not None:
+                engine.apply_initial_placement(plan)
+        bins = list(bins_of(size, addresses, lead))
+        for lo, hi in bins[:switch]:
+            served(*addresses[lo:hi])
+        if switch < len(bins):
+            # Leave the plan mid-window: one id it does not plan next, then
+            # the rest in requests that end off the bin boundaries.
+            served(NUM_BLOCKS - 1)
+            rest = addresses[bins[switch][0] :]
+            for lo in range(0, len(rest), size + 1):
+                served(*rest[lo : lo + size + 1])
+        assert [engine.bins_by_position for engine in twins] == [0, switch]
 
 
 class TestPlanAtItsWidth:
     #: What a window the client has placed and served by position may keep
-    #: per planned access: its arrays (addresses, the grouped lookup arrays,
-    #: the bin table, the first occurrences) read ~75 B.  A dict of the
-    #: consumed occurrences and per-bin Python lists read 200 B.
-    RETAINED_BYTES_PER_ACCESS = 100
+    #: per planned access: its records (addresses, ``next``, ``next_leaf``,
+    #: the bin leaves, each planned id and its first offset) read ~32 B.  A
+    #: second copy of the window (sorted lookup arrays, a bin table) read
+    #: ~75 B; a dict of the consumed occurrences and per-bin lists 200 B.
+    RETAINED_BYTES_PER_ACCESS = 50
 
     def test_a_served_window_holds_its_plan_as_arrays(self):
         num_accesses, num_blocks = 1 << 16, 1 << 20
@@ -147,9 +255,9 @@ class TestPlanAtItsWidth:
             base, _ = tracemalloc.get_traced_memory()
             plan = Preprocessor(4, num_leaves=1 << 18, seed=0).build_plan(trace)
             plan.take_first_occurrences(num_blocks)
-            assert plan.position_bin(0, plan.addresses) == 0
-            for index in range(len(plan)):
-                plan.take_bin_remaps(index)
+            assert plan.follows(0, plan.addresses)
+            for start in range(0, num_accesses, 4):
+                plan.take_bin_remaps(start, plan.addresses[start : start + 4].tolist())
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()

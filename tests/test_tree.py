@@ -55,14 +55,14 @@ class TestGeometry:
 
     def test_path_cost_counts_all_levels(self):
         tree = make_tree(depth=3, bucket=2, block_size=50)
-        num_buckets, num_bytes = tree.path_cost(leaf=0)
+        num_buckets, num_bytes = tree.path_cost
         assert num_buckets == 4
         assert num_bytes == 8 * 50
 
     def test_fat_path_cost_is_larger(self):
         normal = make_tree(depth=3, bucket=4)
         fat = make_tree(depth=3, capacities=[8, 7, 5, 4])
-        assert fat.path_cost(0)[1] > normal.path_cost(0)[1]
+        assert fat.path_cost[1] > normal.path_cost[1]
 
 
 class TestPathOperations:
