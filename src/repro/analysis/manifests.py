@@ -19,7 +19,7 @@ states it explicitly, per engine module:
   planning).  Every entry carries a mandatory reason, mirrored in
   ``docs/static_analysis.md``.
 
-Modules are matched by posix path *suffix* (``oram/engine.py``), so scratch
+Modules are matched by posix path *suffix* (``oram/path_oram.py``), so scratch
 copies under a temp dir are analyzed with the real manifest — that is what
 lets the regression tests plant a bug in a copy of the engine and watch the
 rule fire.
@@ -165,8 +165,8 @@ class AnalysisConfig:
 #:
 #: Trusted-setup moves are deliberately *not* listed, and appear in no hot
 #: list: ``bulk_place`` / ``bulk_place_ordered`` / ``remove_many`` on the
-#: tree and the ``_relocate`` / ``_bulk_load`` hooks run only while
-#: ``counter.logical_accesses == 0``, where nothing is observed — so they
+#: tree, called from ``PathORAM.__init__`` and ``apply_initial_placement``,
+#: run only while ``counter.logical_accesses == 0``, where nothing is observed — so they
 #: reveal nothing, and a leaf handed to one of them from a hot function
 #: stays tainted.
 _PATH_REVEAL = (
@@ -192,7 +192,7 @@ _ENGINE_SOURCES = ModuleSources(
     declassifiers=_PATH_REVEAL,
 )
 
-# The bin generator (``core/laoram.py``, shared by both clients) cuts a
+# The bin generator (``core/laoram.py``) cuts a
 # request's ``block_ids`` and compares them with the installed plan's.
 _LAORAM_SOURCES = ModuleSources(
     params=frozenset({"block_ids"}),
@@ -223,16 +223,16 @@ def default_config() -> AnalysisConfig:
     return AnalysisConfig(
         sources={
             "repro/core/laoram.py": _LAORAM_SOURCES,
-            "repro/oram/engine.py": _ENGINE_SOURCES,
+            "repro/oram/path_oram.py": _ENGINE_SOURCES,
             "repro/oram/write_back.py": _WRITE_BACK_SOURCES,
             "repro/oram/position_map.py": _POSITION_MAP_SOURCES,
         },
         obl_hot_functions={
-            "repro/core/laoram.py": ("LookaheadClientMixin._aligned_bins",),
-            "repro/oram/engine.py": (
-                "ArrayStorageEngine.access",
-                "ArrayStorageEngine.dummy_access",
-                "ArrayStorageEngine._run_bins",
+            "repro/core/laoram.py": ("LAORAMClient._aligned_bins",),
+            "repro/oram/path_oram.py": (
+                "PathORAM.access",
+                "PathORAM.dummy_access",
+                "PathORAM._run_bins",
             ),
             "repro/oram/write_back.py": (
                 "scan_fetch",
@@ -255,8 +255,8 @@ def default_config() -> AnalysisConfig:
             }
         ),
         alloc_hot_functions={
-            "repro/oram/engine.py": (
-                AllocScope("ArrayStorageEngine._run_bins", "loops"),
+            "repro/oram/path_oram.py": (
+                AllocScope("PathORAM._run_bins", "loops"),
             ),
             # The payload get/set a PathORAM trace calls once per access.
             "repro/oram/row_store.py": (
@@ -274,7 +274,7 @@ def default_config() -> AnalysisConfig:
             ),
         },
         fused_drivers={
-            "repro/oram/engine.py": ("ArrayStorageEngine._run_bins",),
+            "repro/oram/path_oram.py": ("PathORAM._run_bins",),
         },
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(

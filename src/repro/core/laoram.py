@@ -20,30 +20,23 @@ The fat-tree option lives entirely in :class:`~repro.oram.config.ORAMConfig`,
 so the same client runs both the "Normal" and "Fat" configurations of the
 evaluation.
 
-Plan management, trace windowing, the trace-level entry points and the one
-way a request becomes bins (:meth:`LookaheadClientMixin._aligned_bins`) live
-in :class:`LookaheadClientMixin`.  :class:`LAORAMClient` puts them on the
-PathORAM engine: every bin, whichever entry point it came through, runs on
-the engine's one trace kernel,
-:meth:`~repro.oram.engine.ArrayStorageEngine._run_bins` — it binds the
-stash's dict once per call, a bin is dict membership, one ``fused_fetch``
-per distinct path, an in-place remap and one write-back kernel call per
-path read, and the access and path counts are flushed once on exit.  While
-a request's ids are exactly the installed plan's next addresses — a
-replayed window always, a trainer that announced the stream it issues —
-each whole plan bin takes its remap leaves by position from the plan's
-per-access next-path records (:meth:`LookaheadClientMixin._follows_plan`,
-:meth:`~repro.core.superblock.LookaheadPlan.take_bin_remaps`), instead of
-a plan lookup per id.  Initial placement relocates only the planned blocks
-(one level-by-level removal from their old buckets, one per-level bulk
-placement on their new paths).
+:class:`LAORAMClient` is :class:`~repro.oram.path_oram.PathORAM` plus the
+plan, the trace cursor and the one way a request becomes bins
+(:meth:`LAORAMClient._aligned_bins`).  Every bin, whichever entry point it
+came through, runs on the engine's one trace kernel,
+:meth:`~repro.oram.path_oram.PathORAM._run_bins` (``docs/performance.md``,
+"LAORAM bin kernel").  While a request's ids are exactly the installed
+plan's next addresses — a replayed window always, a trainer that announced
+the stream it issues — each whole plan bin takes its remap leaves by
+position from the plan's per-access next-path records
+(:meth:`~repro.core.superblock.LookaheadPlan.take_bin_remaps`), instead of a
+plan lookup per id.  Initial placement relocates only the planned blocks.
 
-The per-object reference client the tests hold this one to
-(``tests/oracle/laoram.py``) shares the mixin and serves each bin with a
-per-object ``access_superblock``, looking every remap up in the plan; for a
-fixed seed both draw from the RNG in the same order, pick the same
-write-back victims and count bit-identical traffic (``docs/performance.md``,
-"LAORAM bin kernel").
+The per-object reference client in ``tests/oracle/laoram.py`` is written
+from the paper and shares none of this: it plans its own windows, cuts its
+own bins and looks every remap up; for a fixed seed both draw the same
+leaves in the same order, pick the same write-back victims and count
+bit-identical traffic (``docs/performance.md``, "Scheduling contract").
 """
 
 from __future__ import annotations
@@ -54,50 +47,31 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
-from repro.oram.engine import Bin
 from repro.oram.eviction import EvictionPolicy
-from repro.oram.path_oram import PathORAM
+from repro.oram.path_oram import Bin, PathORAM
 from repro.core.config import LAORAMConfig
 from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan
 
 
-class LookaheadClientMixin:
-    """Plan-driven scheduling shared by the LAORAM client and its reference.
-
-    The mixin owns the constructor, the preprocessor, the installed plan,
-    the trace cursor and every trace-level entry point (``run_trace``,
-    ``access_many``, ``write_many``) and cuts every request into bins
-    (:meth:`_aligned_bins`).  Concrete engines provide the storage backend
-    plus :meth:`_serve_request` and the :meth:`_relocate` primitive of
-    :meth:`apply_initial_placement`.
-    """
-
-    laoram_config: LAORAMConfig
+class LAORAMClient(PathORAM):
+    """Look-ahead ORAM client (the paper's contribution)."""
 
     def __init__(
         self,
         config: LAORAMConfig,
         counter: Optional[TrafficCounter] = None,
         eviction: Optional[EvictionPolicy] = None,
-        rng: Optional[np.random.Generator] = None,
         observer=None,
     ):
         if not isinstance(config, LAORAMConfig):
             raise ConfigurationError(
                 f"{type(self).__name__} requires an LAORAMConfig"
             )
-        super().__init__(
-            config.oram,
-            counter=counter,
-            eviction=eviction,
-            rng=rng,
-            observer=observer,
-        )
+        super().__init__(config.oram, counter=counter, eviction=eviction, observer=observer)
         self.laoram_config = config
-        # The bin paths come from the engine's one leaf stream: the array
-        # backend's prefetched draws are handed out first, so both backends
-        # draw the same leaves in the same order.
+        # The bin paths come from the engine's one leaf stream, prefetched
+        # draws first, so they are the leaves scalar draws would give.
         self.preprocessor = Preprocessor(
             superblock_size=config.superblock_size,
             num_leaves=config.oram.num_leaves,
@@ -125,11 +99,11 @@ class LookaheadClientMixin:
     def bins_by_position(self) -> int:
         """Bins since the plan was installed that took their remaps by position.
 
-        :class:`LAORAMClient` serves a bin by position while the ids it is
-        asked for are exactly the plan's next addresses.  A caller whose
-        announced trace has drifted from the ids it issues reads 0 here and
-        its bins under :attr:`bins_by_lookup`: remaps then cost a plan
-        lookup per id and a superblock's blocks no longer meet on one path.
+        A bin is served by position while the ids it is asked for are
+        exactly the plan's next addresses.  A caller whose announced trace
+        has drifted from the ids it issues reads 0 here and its bins under
+        :attr:`bins_by_lookup`: remaps then cost a plan lookup per id and a
+        superblock's blocks no longer meet on one path.
         """
         return self._bins_by_position
 
@@ -235,12 +209,12 @@ class LookaheadClientMixin:
     def _aligned_bins(self, block_ids: list[int] | np.ndarray) -> Iterator[Bin]:
         """Cut ``block_ids`` into consecutive bins ending on superblock boundaries.
 
-        The one way a request becomes bins, on both clients.  A replayed
-        window arrives as its int64 array and is converted bin by bin: a
-        list of the whole window held through the run left
-        ``replay_laoram``'s peak RSS up to 8 MiB higher.  While the client
-        takes the request by position (:meth:`_follows_plan`), every chunk
-        that is a whole plan bin carries the plan's remap leaves
+        The one way a request becomes bins.  A replayed window arrives as
+        its int64 array and is converted bin by bin: a list of the whole
+        window held through the run left ``replay_laoram``'s peak RSS up to
+        8 MiB higher.  While the client takes the request by position
+        (:meth:`LookaheadPlan.follows`: one array equality per call), every
+        chunk that is a whole plan bin carries the plan's remap leaves
         (:meth:`LookaheadPlan.take_bin_remaps`); any other bin carries
         ``None`` and its ids are looked up in the plan one by one, which
         drops that plan to lookups for good.  How many bins went which way
@@ -249,7 +223,7 @@ class LookaheadClientMixin:
         size = self.laoram_config.superblock_size
         cursor = self._trace_cursor
         plan = self._plan
-        by_plan = plan is not None and self._follows_plan(plan, cursor, block_ids)
+        by_plan = plan is not None and plan.follows(cursor, block_ids)
         plan_stop = -1 if plan is None else plan.stop_index
         bins = by_position = 0
         offset = 0
@@ -273,17 +247,6 @@ class LookaheadClientMixin:
         # (and dropped the plan) counts nothing.
         self._bins_by_position += by_position
         self._bins_by_lookup += bins - by_position
-
-    def _follows_plan(
-        self, plan: LookaheadPlan, start_index: int, block_ids: list[int] | np.ndarray
-    ) -> bool:
-        """Whether a request at ``start_index`` takes its remaps by position.
-
-        It does while the request is the plan's next addresses
-        (:meth:`LookaheadPlan.follows`: one array equality per call);
-        otherwise every bin looks its ids up in the plan.
-        """
-        return plan.follows(start_index, block_ids)
 
     @property
     def trace_cursor(self) -> int:
@@ -339,35 +302,20 @@ class LookaheadClientMixin:
         block_ids, leaves = plan.take_first_occurrences(self.config.num_blocks)
         old_leaves = self.position_map.peek_many(block_ids)
         self.position_map.load_many(block_ids, leaves)
-        self._relocate(block_ids, old_leaves, leaves)
+        # Which planned blocks are stashed is one ``isin`` against the
+        # stash's residents (tens to hundreds, against up to every block
+        # planned); those leave the stash, the rest leave their old buckets
+        # in one level-by-level pass, and the per-level bulk placement
+        # (which honours the buckets' current occupants and equals the
+        # scalar place-as-deep-as-possible loop) puts them on their paths.
+        stash = self.stash
+        stashed = np.isin(block_ids, np.fromiter(stash.entries, np.int64, len(stash)))
+        for block_id in block_ids[stashed].tolist():
+            stash.pop(block_id)
+        self.tree.remove_many(block_ids[~stashed], old_leaves[~stashed])
+        overflow = self.tree.bulk_place_ordered(block_ids, leaves)
+        stash.extend(overflow, self.position_map.peek_many(overflow))
 
-    # Backend-specific operations -------------------------------------
-    def _relocate(
-        self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
-    ) -> None:
-        """Detach ``block_ids`` (ascending) and place them on ``new_leaves``."""
-        raise NotImplementedError
-
-    def _serve_request(
-        self,
-        block_ids: list[int] | np.ndarray,
-        payloads: Optional[Sequence[object]] = None,
-    ) -> Sequence[Optional[object]]:
-        """Serve ``block_ids`` from the cursor, bin by :meth:`_aligned_bins` bin.
-
-        Returns the payloads read, in request order.  ``payloads`` (one per
-        id) makes the request a write; repeated ids keep the last payload.
-        A raise drops the plan.
-        """
-        raise NotImplementedError
-
-
-class LAORAMClient(LookaheadClientMixin, PathORAM):
-    """Look-ahead ORAM client (the paper's contribution)."""
-
-    # ------------------------------------------------------------------
-    # Serving a request
-    # ------------------------------------------------------------------
     def _serve_request(
         self,
         block_ids: list[int] | np.ndarray,
@@ -401,25 +349,3 @@ class LAORAMClient(LookaheadClientMixin, PathORAM):
             ids = block_ids if isinstance(block_ids, list) else block_ids.tolist()
             return list(map(store.get, ids))
         return store.gather(block_ids)
-
-    def _relocate(
-        self, block_ids: np.ndarray, old_leaves: np.ndarray, new_leaves: np.ndarray
-    ) -> None:
-        """Vectorized relocation, slot-identical to the reference client's.
-
-        Which planned blocks are stashed is one ``isin`` against the
-        stash's residents (tens to hundreds, against up to every block
-        planned); those leave the stash, the rest leave their old buckets in
-        one level-by-level pass, and the per-level bulk placement (which
-        honours the buckets' current occupants and equals the scalar
-        place-as-deep-as-possible loop) puts them on their new paths.
-        """
-        stash = self.stash
-        stashed = np.isin(
-            block_ids, np.fromiter(stash.entries, np.int64, len(stash))
-        )
-        for block_id in block_ids[stashed].tolist():
-            stash.pop(block_id)
-        self.tree.remove_many(block_ids[~stashed], old_leaves[~stashed])
-        overflow = self.tree.bulk_place_ordered(block_ids, new_leaves)
-        stash.extend(overflow, self.position_map.peek_many(overflow))

@@ -29,7 +29,7 @@ class Preprocessor:
 
     ``draw_leaves(count)`` returns the next ``count`` uniform leaves in
     ``[0, num_leaves)`` as an int64 array.  A LAORAM client passes its
-    engine's :meth:`~repro.oram.engine.TreeORAMEngine._draw_leaves`, so
+    engine's :meth:`~repro.oram.path_oram.PathORAM._draw_leaves`, so
     the bin paths come from the one stream its remaps and dummy reads draw
     from; without it the preprocessor draws from its own generator, seeded
     with ``seed``.

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.laoram import LookaheadClientMixin
 from repro.datasets.kaggle import SyntheticCriteoDataset
 from repro.datasets.xnli import SyntheticXNLIDataset
 from repro.embedding.dlrm import DLRMModel
@@ -164,10 +163,15 @@ class ObliviousEmbeddingTrainer:
 
     # ------------------------------------------------------------------
     def _maybe_install_plan(self, trace: np.ndarray) -> None:
-        """Give a lookahead client the epoch's access trace ahead of time."""
+        """Give a lookahead client the epoch's access trace ahead of time.
+
+        A lookahead client is one with a public ``preprocess``; every other
+        engine trains without a plan.
+        """
         memory = self.store.memory
-        if isinstance(memory, LookaheadClientMixin):
-            plan = memory.preprocess(trace, start_index=memory.trace_cursor)
+        preprocess = getattr(memory, "preprocess", None)
+        if preprocess is not None:
+            plan = preprocess(trace, start_index=memory.trace_cursor)
             if memory.statistics.logical_accesses == 0:
                 memory.apply_initial_placement(plan)
 

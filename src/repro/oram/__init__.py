@@ -1,14 +1,13 @@
 """ORAM substrates: PathORAM and the insecure baseline.
 
-Every tree-based scheme runs on the shared :mod:`repro.oram.engine` core:
+Every tree-based scheme runs on :class:`PathORAM`:
 :class:`ArrayTreeStorage` slot arrays plus an :class:`ArrayStash` (one
-``{id: leaf}`` dict), every access on one kernel — :class:`PathORAM` here,
-and LAORAM's client in :mod:`repro.core`.
+``{id: leaf}`` dict), every access on one kernel — PathORAM here, and
+LAORAM's client, its subclass, in :mod:`repro.core`.
 """
 
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig, FatTreePolicy
-from repro.oram.engine import ArrayStorageEngine, TreeORAMEngine
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
@@ -23,8 +22,6 @@ __all__ = [
     "FatTreePolicy",
     "EvictionPolicy",
     "InsecureMemory",
-    "TreeORAMEngine",
-    "ArrayStorageEngine",
     "PathORAM",
     "PositionMap",
     "ArrayStash",

@@ -483,7 +483,7 @@ class PositionMap:
     def leaf_access(self):
         """The trace kernel's leaf-access contract: ``(tags, update)``.
 
-        The array engines' trace kernel (``ArrayStorageEngine._run_bins``,
+        The engines' trace kernel (``PathORAM._run_bins``,
         PathORAM's traces and LAORAM's bins) binds this pair once per call
         and takes all its leaves through it, so where the map lives stays
         the map's business.  ``tags`` is a read-only view of the level-1

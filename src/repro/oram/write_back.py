@@ -8,7 +8,7 @@ actually has.  That matters for LAORAM, which can read several paths before
 writing them back, so later write-backs see buckets that earlier write-backs
 already refilled.
 
-The trace kernel (``ArrayStorageEngine._run_bins``) and the recursion walk
+The trace kernel (``PathORAM._run_bins``) and the recursion walk
 (``PositionMap._walk``) are the callers, over a ``{id: leaf}`` stash dict:
 
 * :func:`scan_fetch` / :func:`fused_fetch` — the path read, by a scalar

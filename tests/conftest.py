@@ -61,7 +61,7 @@ def bin_lists(plan) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
     twin = LookaheadPlan(
         plan.addresses, plan.bin_leaves, plan.superblock_size, plan.num_leaves, plan.start_index
     )
-    ids, later = plan.addresses.tolist(), plan.next.tolist()
+    ids, later = plan.addresses.tolist(), twin.next.tolist()
     size, first = plan.superblock_size, plan.start_index
     leaves, pairs = [], []
     lo = 0

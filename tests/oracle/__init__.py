@@ -1,16 +1,21 @@
 """The per-object reference side: the oracle the shipped engines are held to.
 
-The library ships one backend: :class:`repro.PathORAM` and
-:class:`repro.LAORAMClient` run every access on the array engine's one
-kernel.  This package keeps the per-object twins they are checked against —
-:class:`ObjectPathORAM` and :class:`ObjectLAORAMClient` over
-:class:`~oracle.block.Block` objects, list buckets
-(:class:`~oracle.tree.TreeStorage`, :class:`~oracle.bucket.Bucket`), a
-dict stash (:class:`~oracle.stash.Stash`) and the reference greedy planner
-(:func:`~oracle.write_back.plan_greedy_write_back`), one access at a time
-through the hook template of :class:`~oracle.engine.ObjectStorageEngine`.
-For a fixed seed a reference engine and the shipped one make the same
-decisions and count bit-identical traffic.
+The library ships one engine per family, :class:`repro.PathORAM` and
+:class:`repro.LAORAMClient`, both on one array kernel.  This package keeps
+their per-object twins — :class:`ObjectPathORAM` and
+:class:`ObjectLAORAMClient` over :class:`~oracle.block.Block` objects, list
+buckets (:class:`~oracle.tree.TreeStorage`, :class:`~oracle.bucket.Bucket`),
+a dict stash (:class:`~oracle.stash.Stash`), the reference greedy planner
+(:func:`~oracle.write_back.plan_greedy_write_back`) and a dict position map
+with naive recursion (:class:`~oracle.position_map.ObjectPositionMap`) —
+written from Path ORAM and the LAORAM paper, one access or one superblock
+at a time.  They share no scheduling code with the library:
+``tests/test_oracle_independence.py`` holds every ``repro`` import under
+this package to the configuration types, the RNG and bit helpers, the
+exceptions, the traffic counter and its price, the engine interface, the
+read-only row view and the builder glue below.  For a fixed seed a
+reference engine and the shipped one make the same decisions and count
+bit-identical traffic.
 
 :func:`build_engine` and :func:`ShardedRunner` are the library's builders
 with one more switch: ``fast=False`` / ``use_fast_engine=False`` puts the
@@ -26,7 +31,7 @@ from repro.experiments import sharded
 
 from oracle.block import Block
 from oracle.bucket import Bucket
-from oracle.engine import ObjectPathORAM, ObjectStorageEngine
+from oracle.engine import ObjectPathORAM
 from oracle.laoram import ObjectLAORAMClient
 from oracle.stash import Stash
 from oracle.tree import TreeStorage
@@ -40,12 +45,12 @@ __all__ = [
     "Bucket",
     "ObjectLAORAMClient",
     "ObjectPathORAM",
-    "ObjectStorageEngine",
     "REFERENCE_CLASSES",
     "ShardedRunner",
     "Stash",
     "TreeStorage",
     "build_engine",
+    "engine_state",
     "fetch_path",
     "plan_greedy_write_back",
     "reference_families",
@@ -77,14 +82,32 @@ def build_engine(label: str, oram_config, *args, fast: bool = False, **kwargs):
         return configs.build_engine(label, oram_config, *args, **kwargs)
 
 
+def engine_state(engine) -> dict:
+    """Everything a same-seed twin must reproduce, field for field.
+
+    Counters and their price, the position map, the stash in order with its
+    labels, every tree slot (breadth-first, each bucket's ids in insertion
+    order) and the client footprint; the same accessors on either engine.
+    """
+    stash = engine.stash
+    return {
+        "statistics": engine.statistics,
+        "simulated_time_s": engine.simulated_time_s,
+        "position_map": engine.position_map.as_array().tolist(),
+        "stash": [(block_id, stash.leaf_of(block_id)) for block_id in stash.block_ids],
+        "slots": engine.tree.slot_array.tolist(),
+        "client_memory_bytes": engine.client_memory_bytes(),
+    }
+
+
 def fetch_path(engine, leaf: int) -> None:
     """Trusted set-up: move the path to ``leaf`` into the stash, uncharged.
 
-    The reference engine's ``_fetch_path`` hook, or on a shipped engine the
-    tree's own path read (the scan or the gather the kernel binds) followed
-    by its capacity check.
+    The reference engine's own path fetch, or on a shipped engine the tree's
+    path read (the scan or the gather the kernel binds) followed by its
+    capacity check.
     """
-    if isinstance(engine, ObjectStorageEngine):
+    if isinstance(engine, ObjectPathORAM):
         engine._fetch_path(leaf)
         return
     tags = engine.position_map.leaf_access()[0]
@@ -94,7 +117,7 @@ def fetch_path(engine, leaf: int) -> None:
 
 def update_leaf(engine, block_id: int, leaf: int) -> None:
     """Remap a stashed block: one position-map update, then its stash label."""
-    if isinstance(engine, ObjectStorageEngine):
+    if isinstance(engine, ObjectPathORAM):
         engine._update_leaf(block_id, leaf)
         return
     engine.position_map.update(block_id, leaf)

@@ -65,6 +65,10 @@ class Stash:
                 f"stash exceeded its capacity of {self._capacity} blocks"
             )
 
+    def leaf_of(self, block_id: int) -> int:
+        """Leaf of the stashed block ``block_id`` (``KeyError`` when absent)."""
+        return self._entries[block_id].leaf
+
     def get(self, block_id: int) -> Optional[Block]:
         """Return the stashed block with ``block_id`` without removing it."""
         return self._entries.get(block_id)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.utils.bits import num_nodes
 
@@ -159,3 +161,28 @@ class TreeStorage:
         """Iterate over every real block in the tree."""
         for bucket in self._buckets:
             yield from bucket
+
+    # ------------------------------------------------------------------
+    # The shipped tree's layout, read-only
+    # ------------------------------------------------------------------
+    @property
+    def level_base(self) -> tuple[int, ...]:
+        """First slot of each level in :attr:`slot_array`."""
+        bases = [0]
+        for level, capacity in enumerate(self.bucket_capacities[:-1]):
+            bases.append(bases[-1] + (1 << level) * capacity)
+        return tuple(bases)
+
+    @property
+    def slot_array(self) -> np.ndarray:
+        """Every slot, level by level and node by node: ids in bucket order, ``-1`` after."""
+        slots = []
+        for bucket in self._buckets:
+            ids = [block.block_id for block in bucket]
+            slots += ids + [-1] * (bucket.capacity - len(ids))
+        return np.array(slots, dtype=np.int64)
+
+    @property
+    def bucket_occupancies(self) -> np.ndarray:
+        """Real blocks per bucket, breadth-first."""
+        return np.array([len(bucket) for bucket in self._buckets], dtype=np.int64)

@@ -223,7 +223,7 @@ def test_self_scan_matches_committed_baseline():
 # ----------------------------------------------------------------------
 _PLANT_SECRET_BRANCH = '''
 
-class ArrayStorageEngine:
+class PathORAM:
     def access(self, block_id):
         if block_id > 128:
             return None
@@ -234,7 +234,7 @@ class ArrayStorageEngine:
 #: ``remove_many`` is observed by nobody and reveals nothing.
 _PLANT_SETUP_MOVE_AS_REVEAL = '''
 
-class ArrayStorageEngine:
+class PathORAM:
     def access(self, block_id):
         leaf = self.position_map.update(block_id, self._draw_leaf())
         self.tree.remove_many(block_id, leaf)
@@ -257,7 +257,7 @@ def fused_fetch(read_ids, tags, stash_map, leaf):
 
 _PLANT_UNGUARDED_FLUSH = '''
 
-class ArrayStorageEngine:
+class PathORAM:
     def _run_bins(self, bins, counter):
         logical = 0
         for _bin in bins:
@@ -267,7 +267,7 @@ class ArrayStorageEngine:
 
 _PLANT_NO_FLUSH = '''
 
-class ArrayStorageEngine:
+class PathORAM:
     def _run_bins(self, bins, counter):
         logical = 0
         for _bin in bins:
@@ -277,7 +277,7 @@ class ArrayStorageEngine:
 
 
 def _scan_scratch_engine(
-    tmp_path: Path, planted: str, module: str = "engine.py"
+    tmp_path: Path, planted: str, module: str = "path_oram.py"
 ) -> list[Finding]:
     scratch = tmp_path / "repro" / "oram"
     scratch.mkdir(parents=True)
@@ -296,13 +296,13 @@ def test_unmodified_scratch_copy_is_clean(tmp_path):
 @pytest.mark.parametrize(
     "planted, rule, module",
     [
-        (_PLANT_SECRET_BRANCH, "OBL001", "engine.py"),
-        (_PLANT_SETUP_MOVE_AS_REVEAL, "OBL001", "engine.py"),
-        (_PLANT_UNSEEDED_RNG, "RNG001", "engine.py"),
+        (_PLANT_SECRET_BRANCH, "OBL001", "path_oram.py"),
+        (_PLANT_SETUP_MOVE_AS_REVEAL, "OBL001", "path_oram.py"),
+        (_PLANT_UNSEEDED_RNG, "RNG001", "path_oram.py"),
         # The fused path fetch lives beside its write-back half.
         (_PLANT_HOT_ALLOCATION, "ALLOC001", "write_back.py"),
-        (_PLANT_UNGUARDED_FLUSH, "CNT001", "engine.py"),
-        (_PLANT_NO_FLUSH, "CNT001", "engine.py"),
+        (_PLANT_UNGUARDED_FLUSH, "CNT001", "path_oram.py"),
+        (_PLANT_NO_FLUSH, "CNT001", "path_oram.py"),
     ],
 )
 def test_planted_bug_is_caught(tmp_path, planted, rule, module):
@@ -317,7 +317,7 @@ def test_planted_bug_is_caught(tmp_path, planted, rule, module):
         # The kernel renamed (or moved to another module): the three lists
         # that arm OBL, ALLOC001 and CNT001 on it name nothing.
         (
-            "engine.py",
+            "path_oram.py",
             "def _run_bins(",
             "def _run_moved_bins(",
             {"obl_hot_functions", "alloc_hot_functions", "fused_drivers"},

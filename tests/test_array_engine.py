@@ -28,9 +28,9 @@ from repro.oram.stash import ArrayStash
 from repro.oram.tree import MAX_NUM_BLOCKS
 
 from test_laoram import assert_plan_conformance
-from test_trace_contract import assert_twins_agree, engine_state
+from test_trace_contract import assert_twins_agree
 
-from oracle import ObjectLAORAMClient, build_engine, fetch_path
+from oracle import ObjectLAORAMClient, build_engine, engine_state, fetch_path
 
 
 def make_laoram_config(num_blocks=256, superblock_size=4, seed=13, **oram_kwargs):
@@ -352,7 +352,7 @@ class TestPlacementIsSlotIdentical:
             states = []
             engine.apply_initial_placement(engine.preprocess(trace.addresses))
             states.append(engine_state(engine))
-            assert states[0]["tree"] != built["tree"]
+            assert states[0]["slots"] != built["slots"]
             assert states[0]["stash"] and states[0]["stash"] != built["stash"]
             # A fresh plan before any access, as a set-up probe followed by
             # run_trace applies it (run_trace places a third time itself).

@@ -23,7 +23,6 @@ from repro.core.laoram import LAORAMClient
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.experiments import configs
 from repro.oram.path_oram import PathORAM
-from repro.oram.engine import ArrayStorageEngine
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
 
@@ -80,24 +79,16 @@ def assert_engine_consistent(engine) -> None:
     pm = engine.position_map
     assert engine.total_real_blocks() == num_blocks
     seen: list[int] = []
-    if isinstance(engine, ArrayStorageEngine):
-        for level, node, ids in node_ids(engine.tree):
-            for block_id in ids.tolist():
-                seen.append(block_id)
-                # Path-prefix invariant: a stored block's assigned path must
-                # pass through the bucket holding it.
-                assert pm.peek(block_id) >> (depth - level) == node
-        for block_id in engine.stash.block_ids:
+    for level, node, ids in node_ids(engine.tree):
+        for block_id in ids.tolist():
             seen.append(block_id)
-            # The stash's leaf mirror must agree with the position map.
-            assert engine.stash.leaf_of(block_id) == pm.peek(block_id)
-    else:
-        for block in engine.tree.iter_blocks():
-            seen.append(block.block_id)
-            assert block.leaf == pm.peek(block.block_id)
-        for block in engine.stash:
-            seen.append(block.block_id)
-            assert block.leaf == pm.peek(block.block_id)
+            # Path-prefix invariant: a stored block's assigned path must
+            # pass through the bucket holding it.
+            assert pm.peek(block_id) >> (depth - level) == node
+    for block_id in engine.stash.block_ids:
+        seen.append(block_id)
+        # The stash's leaf mirror must agree with the position map.
+        assert engine.stash.leaf_of(block_id) == pm.peek(block_id)
     assert sorted(seen) == list(range(num_blocks))
 
 

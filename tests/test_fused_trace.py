@@ -22,9 +22,9 @@ from repro.oram.path_oram import PathORAM
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
-from repro.oram.stash import ArrayStash
 
 from oracle import ObjectPathORAM
+from oracle import engine_state as _state
 
 
 NUM_BLOCKS = 700
@@ -37,21 +37,6 @@ def _config(seed: int = 7) -> ORAMConfig:
 def _trace(n: int = 1500, seed: int = 11) -> list[int]:
     rng = np.random.default_rng(seed)
     return rng.integers(0, NUM_BLOCKS, size=n).tolist()
-
-
-def _state(engine):
-    """Everything that must match between two engine instances."""
-    stash = engine.stash
-    if isinstance(stash, ArrayStash):
-        stash_rows = [(b, stash.leaf_of(b)) for b in stash.block_ids]
-    else:
-        stash_rows = [(block.block_id, block.leaf) for block in stash]
-    return (
-        engine.statistics,
-        engine.simulated_time_s,
-        engine.position_map.as_array().tolist(),
-        stash_rows,
-    )
 
 
 class TestRunTraceBitIdentity:

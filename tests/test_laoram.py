@@ -18,12 +18,11 @@ from repro.exceptions import (
 from repro.oram.path_oram import PathORAM
 from repro.oram.base import ObliviousMemory
 from repro.oram.config import ORAMConfig
-from repro.oram.engine import ArrayStorageEngine
 from repro.experiments.configs import build_oram_config
 
-from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine, fetch_path
+from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine, engine_state, fetch_path
 from conftest import bin_lists, closed_form_clock
-from test_trace_contract import assert_twins_agree, engine_state, tree_layout
+from test_trace_contract import assert_twins_agree, tree_layout
 
 
 @pytest.fixture
@@ -68,11 +67,7 @@ def assert_plan_conformance(engine, plan=None):
     stashed = engine.stash.block_ids
     assert sorted(in_tree + stashed) == list(range(num_blocks))
     assert engine.stash.capacity is None or len(stashed) <= engine.stash.capacity
-    if isinstance(engine, ArrayStorageEngine):
-        tags = {block_id: engine.stash.leaf_of(block_id) for block_id in stashed}
-    else:
-        blocks = list(engine.tree.iter_blocks()) + list(engine.stash)
-        tags = {block.block_id: block.leaf for block in blocks}
+    tags = {block_id: engine.stash.leaf_of(block_id) for block_id in stashed}
     assert all(leaves[block_id] == leaf for block_id, leaf in tags.items())
 
 
@@ -464,7 +459,8 @@ class TestOneLeafStream:
             leaves, seams = [], []
 
             def recording(addresses, start_index=0, _preprocess=engine.preprocess):
-                seams.append((engine._leaf_buf_pos, len(engine._leaf_buf)))
+                if fast:
+                    seams.append((engine._leaf_buf_pos, len(engine._leaf_buf)))
                 plan = _preprocess(addresses, start_index=start_index)
                 leaves.append(plan.bin_leaves.tolist())
                 return plan
@@ -512,10 +508,7 @@ class TestKernelFailurePaths:
             seen += block_ids
         stash = engine.stash
         for block_id in stash.block_ids:
-            if isinstance(engine, ArrayStorageEngine):
-                assert stash.leaf_of(block_id) == leaves[block_id]
-            else:
-                assert stash.get(block_id).leaf == leaves[block_id]
+            assert stash.leaf_of(block_id) == leaves[block_id]
             seen.append(block_id)
         assert sorted(seen) == list(range(num_blocks))
         assert engine.total_real_blocks() == num_blocks
@@ -830,7 +823,7 @@ class TestKernelFailurePaths:
                     plan.bin_leaves.tolist(),
                     dict(plan.consumed_up_to),
                 ),
-                stream=(engine.rng.bit_generator.state, engine._leaf_buf_pos),
+                stream=(engine.rng.bit_generator.state, getattr(engine, "_leaf_buf_pos", 0)),
             )
 
         states = []

@@ -40,7 +40,7 @@ REPO = Path(__file__).resolve().parents[1]
 #: claim through it.  An entry that gains a use, or whose name is gone,
 #: fails the guard.
 ALLOWLIST: dict[str, str] = {
-    "repro.core.laoram.LookaheadClientMixin.bins_by_position": (
+    "repro.core.laoram.LAORAMClient.bins_by_position": (
         "README.md's embedding row names it as the drift counter; "
         "tests/test_laoram.py and tests/test_trace_contract.py read it"
     ),

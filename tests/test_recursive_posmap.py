@@ -41,7 +41,6 @@ from repro.memory.accounting import TrafficCounter, merge_snapshots
 from repro.oram.path_oram import PathORAM
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig
-from repro.oram.engine import ArrayStorageEngine
 from repro.oram.position_map import DRAW_BLOCK, LABEL_BYTES, PositionMap
 from repro.utils.stats import chi_square_uniformity
 from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine, fetch_path
@@ -240,12 +239,7 @@ class TestOneWalkPerRemapAfterAnOverflow:
     def assert_stash_agrees(engine) -> None:
         posmap = engine.position_map
         for block_id in engine.stash.block_ids:
-            label = (
-                engine.stash.leaf_of(block_id)
-                if isinstance(engine, ArrayStorageEngine)
-                else engine.stash.get(block_id).leaf
-            )
-            assert label == posmap.peek(block_id)
+            assert engine.stash.leaf_of(block_id) == posmap.peek(block_id)
 
     @pytest.mark.parametrize(
         "client, serve",
@@ -438,7 +432,9 @@ class TestDrawBlockSeam:
             reference.position_map._levels, fast.position_map._levels
         ):
             assert np.array_equal(ref_level.labels, fast_level.labels)
-            assert ref_level.stash == fast_level.stash
+            assert [(b.block_id, b.leaf) for b in ref_level.stash] == list(
+                fast_level.stash.items()
+            )
 
 
 class TestAmortizationExperiment:

@@ -23,9 +23,8 @@ from repro.exceptions import (
 from repro.experiments.configs import build_oram_config
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import AccessOp, ObliviousMemory
-from repro.oram.engine import ArrayStorageEngine
 
-from oracle import build_engine
+from oracle import build_engine, engine_state
 from conftest import closed_form_clock, node_ids
 
 NUM_BLOCKS = 128
@@ -159,34 +158,11 @@ def mixed_trace() -> np.ndarray:
 
 
 def tree_layout(engine) -> dict[int, list[int]]:
-    """Breadth-first bucket index -> ids in insertion order, on either backend."""
-    tree = engine.tree
-    if isinstance(engine, ArrayStorageEngine):
-        return {
-            (1 << level) - 1 + node: ids.tolist()
-            for level, node, ids in node_ids(tree)
-        }
-    buckets = ((index, tree.bucket_by_index(index)) for index in range(tree.num_buckets))
+    """Breadth-first bucket index -> ids in insertion order."""
     return {
-        index: [block.block_id for block in bucket]
-        for index, bucket in buckets
-        if len(bucket)
+        (1 << level) - 1 + node: ids.tolist()
+        for level, node, ids in node_ids(engine.tree)
     }
-
-
-def engine_state(engine) -> dict:
-    """Everything a same-seed twin must reproduce, field for field."""
-    state = {
-        "statistics": engine.statistics,
-        "simulated_time_s": engine.simulated_time_s,
-        "position_map": engine.position_map.as_array().tolist(),
-        "stash": list(engine.stash.block_ids),
-        "tree": tree_layout(engine),
-        "client_memory_bytes": engine.client_memory_bytes(),
-    }
-    if isinstance(engine, ArrayStorageEngine):
-        state["slots"] = engine.tree.slot_array.tolist()
-    return state
 
 
 def assert_twins_agree(reference, fast) -> None:

@@ -19,9 +19,7 @@ from repro.embedding.trainer import ObliviousEmbeddingTrainer
 from repro.embedding.xlmr import XLMRClassifier
 from repro.experiments.configs import build_oram_config
 
-from test_trace_contract import engine_state
-
-from oracle import build_engine
+from oracle import build_engine, engine_state
 
 ROWS = 512
 DIM = 8
@@ -99,6 +97,13 @@ def test_fast_and_reference_training_agree(run, label, seed):
     fast, reference = run(label, seed, fast=True), run(label, seed, fast=False)
     assert all(plan is not None for plan in fast.plans + reference.plans)
     assert fast.plans[0] is not fast.plans[1]
+    # The reference store installed its own plan each epoch, the window the
+    # shipped store planned, with the same bin leaves.
+    assert reference.plans[0] is not reference.plans[1]
+    for mine, theirs in zip(reference.plans, fast.plans):
+        assert mine.start_index == theirs.start_index
+        assert np.array_equal(mine.addresses, theirs.addresses)
+        assert np.array_equal(mine.bin_leaves, theirs.bin_leaves)
     assert fast.reports == reference.reports
     assert {key: fast.state[key] for key in reference.state} == reference.state
     assert np.array_equal(fast.weights, reference.weights)
