@@ -75,7 +75,11 @@ def main() -> None:
         "\nThe two runs see identical embedding data, so the learning metrics\n"
         f"match; LAORAM reads {laoram:.3f} paths per row against PathORAM's\n"
         f"{pathoram:.3f} because the preprocessor coalesces each minibatch's\n"
-        "rows onto shared paths (1/8 is the floor for superblocks of 8)."
+        "rows onto shared paths.  A row counts twice, held and committed, and\n"
+        "only the hold reads paths, so 1/16 is the floor for superblocks of 8;\n"
+        "PathORAM too reads less than a path per fetched row: a minibatch\n"
+        "fetches a repeated row once, and the commit writes its paths back\n"
+        "before the next one (docs/performance.md, \"The training step\")."
     )
 
 

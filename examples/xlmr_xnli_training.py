@@ -71,12 +71,14 @@ def main() -> None:
     laoram = train("Fat/S8", dataset)
     print(
         f"\nEach epoch performs {NUM_SAMPLES * SEQUENCE_LENGTH * 2} token-embedding"
-        "\naccesses in minibatches of 16 sentences: one fetch, one model step"
-        "\nand one gradient write-back per batch.  With the epoch's plan"
-        f"\ninstalled LAORAM's first epoch reads {laoram[0]:.3f} paths per row"
-        f"\nagainst PathORAM's {pathoram[0]:.3f} (1/8 is the floor for superblocks"
-        "\nof 8); later epochs start where the previous plan ran out, so their"
-        "\nfirst touches of a row are not yet coalesced.  The classifier head"
+        "\naccesses in minibatches of 16 sentences: one held fetch, one model"
+        "\nstep and one commit per batch, which reads no path.  With the"
+        f"\nepoch's plan installed LAORAM's first epoch reads {laoram[0]:.3f} paths"
+        f"\nper row against PathORAM's {pathoram[0]:.3f} (1/16 is the floor for"
+        "\nsuperblocks of 8; PathORAM fetches a token repeated in a batch once,"
+        "\nand the commit writes its paths back); later epochs start where the"
+        "\nprevious plan ran out, so their first touches of a row are not yet"
+        "\ncoalesced.  The classifier head"
         "\nsteps once a batch on the batch-mean gradient, so the loss falls"
         "\nmore slowly per epoch than per-sentence steps would take it"
         "\n(docs/performance.md, \"The training step\")."

@@ -232,6 +232,7 @@ def default_config() -> AnalysisConfig:
             "repro/oram/path_oram.py": (
                 "PathORAM.access",
                 "PathORAM.dummy_access",
+                "PathORAM.commit",
                 "PathORAM._run_bins",
             ),
             "repro/oram/write_back.py": (
@@ -239,6 +240,7 @@ def default_config() -> AnalysisConfig:
                 "fused_fetch",
                 "fused_greedy_write_back",
                 "fused_shared_write_back",
+                "held_write_back",
             ),
             "repro/oram/position_map.py": (
                 "PositionMap._walk",
@@ -293,6 +295,14 @@ def default_config() -> AnalysisConfig:
                 "write-back planning is client-side and the written path is "
                 "charged at full-path cost whichever blocks are selected; "
                 "slots and occupancies touched lie on the already-revealed path",
+            ),
+            Declassification(
+                "repro/oram/write_back.py",
+                "held_write_back",
+                ("OBL001", "OBL002"),
+                "write-back planning is client-side and every held path is "
+                "charged at full-path cost whichever blocks are selected; "
+                "slots and occupancies touched lie on the already-revealed paths",
             ),
         ),
     )

@@ -154,6 +154,7 @@ class LAORAMClient(PathORAM):
                 "the lookahead pipeline replays read traces only; "
                 "serve writes through write_many"
             )
+        self._check_no_hold()
         addr = np.asarray(block_ids, dtype=np.int64)
         window = self.laoram_config.lookahead_accesses or max(addr.size, 1)
         served: list[Optional[object]] = []
@@ -177,11 +178,12 @@ class LAORAMClient(PathORAM):
     def access_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
         """Serve reads now: ids are grouped into superblock-sized bins.
 
-        This is the entry point the embedding trainer uses: each consecutive
-        group of ``superblock_size`` requested rows is served as one
-        superblock, so blocks sharing a path cost a single fetch.  Bin
-        boundaries are aligned to the global access index so they coincide
-        with the boundaries the preprocessor used when planning the trace.
+        Each consecutive group of ``superblock_size`` requested rows is
+        served as one superblock, so blocks sharing a path cost a single
+        fetch.  Bin boundaries are aligned to the global access index so
+        they coincide with the boundaries the preprocessor used when
+        planning the trace.  The embedding trainers' steps are read requests
+        of :meth:`~repro.oram.base.ObliviousMemory.hold_many`.
         """
         return self._serve_request(self._coerce_id_list(block_ids))
 
@@ -190,9 +192,8 @@ class LAORAMClient(PathORAM):
     ) -> None:
         """Serve writes now: like :meth:`access_many` but storing payloads.
 
-        Gradient write-backs of a training minibatch go through here so that
-        updated rows sharing a path cost a single fetch, mirroring the read
-        side.  Duplicate ids within the batch keep the last payload.
+        Rows sharing a path cost a single fetch, mirroring the read side.
+        Duplicate ids within the batch keep the last payload.
         """
         ids = self._coerce_id_list(block_ids)
         if len(ids) != len(payloads):
@@ -336,12 +337,7 @@ class LAORAMClient(PathORAM):
         finally:
             served = self._trace_cursor - first
             if payloads is not None and served:
-                ids, rows = block_ids[:served], payloads[:served]
-                store = self._payloads
-                if isinstance(store, dict):
-                    store.update(zip(ids, rows))
-                else:
-                    store.scatter(ids, rows)
+                self._store_rows(block_ids[:served], payloads[:served])
         if payloads is not None:
             return None
         store = self._payloads

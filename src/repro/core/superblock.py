@@ -10,12 +10,13 @@ starts off a boundary opens with a short bin (:func:`num_bins`).
 When the client writes a block back it gives the block the leaf of the bin
 holding its next planned occurrence, so by the time a bin is served all of
 its blocks sit on one path.  The plan holds the window as the preprocessor
-ships it (Sec. IV-B): per access, where the same block occurs next and the
-leaf of that bin.  A request that is exactly the plan's next addresses
-takes each bin's remaps from those records by position
-(:meth:`LookaheadPlan.take_bin_remaps`); any other looks its blocks up one
-by one (:meth:`LookaheadPlan.consume_next_leaf`, a bisect built on its
-first call).  :attr:`LookaheadPlan.consumed_up_to` is derived when read.
+ships it (Sec. IV-B): per access, where the same block occurs next, and
+per bin, the leaf each of its distinct blocks leaves it for.  A request
+that is exactly the plan's next addresses takes each bin's remaps from
+those records by position (:meth:`LookaheadPlan.take_bin_remaps`, one
+slice); any other looks its blocks up one by one
+(:meth:`LookaheadPlan.consume_next_leaf`, a bisect built on its first
+call).  :attr:`LookaheadPlan.consumed_up_to` is derived when read.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ class LookaheadPlan:
         start_index: Trace index of the window's first access.
         next: Per access, the window offset of the same block's next
             occurrence, ``-1`` at the block's last (int64).
-        next_leaf: Per access, the leaf of the bin holding that occurrence,
-            ``-1`` at the block's last (int64).
     """
 
     def __init__(
@@ -85,10 +84,33 @@ class LookaheadPlan:
         np.not_equal(ids[1:], ids[:-1], out=opens[1:])
         self.next = np.full(n, -1, dtype=np.int64)
         self.next[order[:-1]] = np.where(opens[1:], -1, order[1:])
-        self.next_leaf = np.where(self.next >= 0, self.bin_leaves[self._bin_of(self.next)], -1)
         # Every planned id, ascending, with the offset of its first access.
         starts = np.flatnonzero(opens)
         self._first_ids, self._first_offsets = ids[starts], order[starts]
+        del order, ids, opens, starts
+        # Each bin's remaps, packed per bin in the order the bin's distinct
+        # ids first occur, and where each bin's run starts.  An id's remap
+        # is the leaf of the bin holding its next occurrence after its last
+        # in the bin (``-1``: none): follow ``next`` from its first while
+        # that stays in the bin, at most ``S - 1`` steps.
+        bins = self._bin_of(np.arange(n))
+        stays = self.next >= 0
+        stays &= bins[self.next] == bins
+        first = np.ones(n, dtype=bool)
+        first[self.next[stays]] = False
+        last = np.flatnonzero(first)
+        del first
+        self._bin_heads = np.zeros(expected_bins + 1, dtype=np.int64)
+        np.cumsum(np.bincount(bins[last], minlength=expected_bins), out=self._bin_heads[1:])
+        del bins
+        moving = np.flatnonzero(stays[last])
+        while moving.size:
+            last[moving] = self.next[last[moving]]
+            moving = moving[stays[last[moving]]]
+        del stays
+        later = self.next[last]
+        del last
+        self._bin_remaps = np.where(later >= 0, self.bin_leaves[self._bin_of(later)], -1)
         # Folded into the dict when read: the first occurrences placement took
         # and the offset the bins served by position reach (-1 after a lookup).
         self._consumed: dict[int, int] = {}
@@ -184,22 +206,22 @@ class LookaheadPlan:
     def take_bin_remaps(self, start_index: int, block_ids: list[int]) -> list[int]:
         """Remap leaves of the plan bin ``block_ids`` at ``start_index``.
 
-        One leaf per distinct id, in first-occurrence order: ``next_leaf``
-        at the id's last position in the bin (``-1``: no later occurrence,
-        a uniform fallback draw).  Valid for the whole bins of a request
-        :meth:`follows` accepted, in order.  What the bin consumes reaches
-        :attr:`consumed_up_to` when that is next read: replacing a few
-        entries of a large dict after every bin scatters freed ints over the
-        heap, which cost the kernel running between the bins 10 % at 2^20
-        blocks (``docs/performance.md``, "The training step").
+        One leaf per distinct id, in first-occurrence order: the leaf of the
+        bin holding the id's next occurrence after its last position in the
+        bin (``-1``: no later occurrence, a uniform fallback draw), one
+        slice of the records built with the plan.  Valid for the whole bins
+        of a request :meth:`follows` accepted, in order.  What the bin
+        consumes reaches :attr:`consumed_up_to` when that is next read:
+        replacing a few entries of a large dict after every bin scatters
+        freed ints over the heap, which cost the kernel running between the
+        bins 10 % at 2^20 blocks (``docs/performance.md``, "The training
+        step").
         """
-        offset = start_index - self.start_index
-        self._served = offset + len(block_ids)
-        leaves = self.next_leaf[offset : self._served].tolist()
-        if len(set(block_ids)) == len(leaves):
-            return leaves
-        # A repeated id keeps its first place and takes its last position's leaf.
-        return list(dict(zip(block_ids, leaves)).values())
+        self._served = start_index - self.start_index + len(block_ids)
+        size = self.superblock_size
+        index = start_index // size - self.start_index // size
+        heads = self._bin_heads
+        return self._bin_remaps[heads.item(index) : heads.item(index + 1)].tolist()
 
     @property
     def consumed_up_to(self) -> dict[int, int]:

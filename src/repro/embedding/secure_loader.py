@@ -45,13 +45,20 @@ class SecureEmbeddingStore:
         memory.load_payloads(table.weights)
 
     # ------------------------------------------------------------------
-    def fetch_rows(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+    def fetch_rows(self, row_ids: Sequence[int] | np.ndarray, hold: bool = False) -> np.ndarray:
         """Obliviously fetch the embedding vectors for ``row_ids``.
 
-        The result is a fresh array: it never aliases the stored rows.
+        ``hold=True`` opens a training step: the engine keeps the paths it
+        read client-side (:meth:`~repro.oram.base.ObliviousMemory.hold_many`)
+        until :meth:`update_rows` commits the same ids, so the step costs
+        one request.  The result is a fresh array: it never aliases the
+        stored rows.
         """
         ids = self._validate(row_ids)
-        payloads = self.memory.access_many(ids)
+        if hold:
+            payloads = self.memory.hold_many(ids)
+        else:
+            payloads = self.memory.access_many(ids)
         # One gather: engines over a payload matrix return it ready made,
         # the others a list of rows to stack.
         return np.asarray(payloads, dtype=np.float32)
@@ -59,18 +66,34 @@ class SecureEmbeddingStore:
     def update_rows(self, row_ids: Sequence[int] | np.ndarray, values: np.ndarray) -> None:
         """Obliviously write updated embedding vectors back.
 
-        The engine receives the whole batch at once (LAORAM clients write
-        rows sharing a path back together; other engines take one write
-        access per row).  Duplicate ids within a batch keep their last
-        value, mirroring a sequential write stream.  The engine receives one
-        private, read-only copy of ``values``, so the caller may reuse its
-        array and no row the engine serves later can be written in place.
+        While the engine holds a step (``fetch_rows(..., hold=True)``) this
+        commits it (:meth:`~repro.oram.base.ObliviousMemory.commit`):
+        ``row_ids`` must be the held ids, and the commit reads no path of
+        its own but writes back the paths the step read.  Whatever this
+        rejects, the hold is closed: ids or values it cannot take release
+        it with the held rows unchanged.  Otherwise the
+        engine receives the whole batch as one write request (LAORAM
+        clients write rows sharing a path back together; other engines take
+        one write access per row).  Duplicate ids within a batch keep their
+        last value, mirroring a sequential write stream.  The engine
+        receives one private, read-only copy of ``values``, so the caller
+        may reuse its array and no row the engine serves later can be
+        written in place.
         """
-        ids = self._validate(row_ids)
-        values = read_only(np.array(values, dtype=np.float32))
-        if values.shape != (ids.size, self.dim):
-            raise ConfigurationError("values shape mismatch")
-        self.memory.write_many(ids, values)
+        memory = self.memory
+        try:
+            ids = self._validate(row_ids)
+            values = read_only(np.array(values, dtype=np.float32))
+            if values.shape != (ids.size, self.dim):
+                raise ConfigurationError("values shape mismatch")
+        except BaseException:
+            if memory.hold_open:
+                memory.release_hold()
+            raise
+        if memory.hold_open:
+            memory.commit(ids, values)
+        else:
+            memory.write_many(ids, values)
 
     def materialize(self) -> EmbeddingTable:
         """Read every row back out (test helper verifying data integrity)."""

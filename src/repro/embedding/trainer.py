@@ -3,9 +3,11 @@
 The trainers tie the whole system together: they read training samples from
 a synthetic dataset, fetch protected embedding rows through a
 :class:`~repro.embedding.secure_loader.SecureEmbeddingStore` (i.e. through an
-ORAM engine), run the model forward/backward, and write the updated rows back
-obliviously.  They also expose the per-epoch access trace, which is exactly
-what the LAORAM preprocessor consumes for its lookahead plan.
+ORAM engine), run the model forward/backward, and commit the updated rows
+with no second request: a step holds the rows it fetched until it commits
+them (:meth:`~repro.oram.base.ObliviousMemory.hold_many`).  They also
+expose the per-epoch access trace, which is exactly what the LAORAM
+preprocessor consumes for its lookahead plan.
 """
 
 from __future__ import annotations
@@ -57,22 +59,21 @@ class ObliviousEmbeddingTrainer:
     ) -> TrainingReport:
         """One epoch of DLRM training with the largest table behind the ORAM.
 
-        The protected rows of a whole minibatch are fetched in one request
-        (as the trainer GPU caches the batch's entries in its HBM), trained
-        in one model step and written back in one request, which is exactly
-        the access pattern that lets LAORAM serve a batch from a few
-        coalesced paths.
+        The protected rows of a whole minibatch are fetched and held in one
+        request (as the trainer GPU caches the batch's entries in its HBM),
+        trained in one model step and committed with no second request,
+        which is exactly the access pattern that lets LAORAM serve a batch
+        from a few coalesced paths.  The commit runs in a ``finally``: a
+        step that raises commits the fetched rows unchanged, so the bus
+        sees the same step either way.
         """
         protected_index = dataset.largest_table_index
         batches = list(dataset.batches(batch_size, max_samples))
         epoch_start = self._traffic()
         # The preprocessor sees the access stream the loop below will really
-        # generate: each minibatch fetches its protected rows and then writes
-        # them back, so every batch's ids appear twice in a row.
+        # generate: each minibatch's protected ids, once.
         self._maybe_install_plan(np.concatenate([
-            categorical[:, protected_index]
-            for _, categorical, _ in batches
-            for _ in range(2)
+            categorical[:, protected_index] for _, categorical, _ in batches
         ]))
 
         losses = []
@@ -80,10 +81,13 @@ class ObliviousEmbeddingTrainer:
         for dense, categorical, labels in batches:
             batch_ids = categorical[:, protected_index]
             small_ids = np.delete(categorical, protected_index, axis=1)
-            rows = self.store.fetch_rows(batch_ids)
-            cache = model.forward(dense, small_ids, rows)
-            grads = model.backward(cache, small_ids, labels)
-            self.apply_gradients(batch_ids, rows, grads.protected_row_grad)
+            rows = written = self.store.fetch_rows(batch_ids, hold=True)
+            try:
+                cache = model.forward(dense, small_ids, rows)
+                grads = model.backward(cache, small_ids, labels)
+                written = self.apply_gradients(batch_ids, rows, grads.protected_row_grad)
+            finally:
+                self.store.update_rows(batch_ids, written)
             losses.append(grads.losses)
             correct += int(np.count_nonzero((cache.probabilities >= 0.5) == (labels != 0)))
         return self._report(np.concatenate(losses), correct, epoch_start)
@@ -98,8 +102,8 @@ class ObliviousEmbeddingTrainer:
         """One epoch of XLM-R-style training with token embeddings behind the ORAM.
 
         As on DLRM, a minibatch is one store round trip: the token rows of
-        ``batch_size`` sentences are fetched in one request, trained in one
-        model step and written back in one request.
+        ``batch_size`` sentences are fetched and held in one request,
+        trained in one model step and committed, in a ``finally``.
         """
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
@@ -113,12 +117,9 @@ class ObliviousEmbeddingTrainer:
             for start in range(0, num_samples, batch_size)
         ]
         epoch_start = self._traffic()
-        # Each minibatch fetches its sentences' token rows and then writes
-        # them back, so every batch's ids appear twice in a row.
+        # Each minibatch's token ids, once: the step fetches and holds them.
         self._maybe_install_plan(np.concatenate([
-            dataset.tokens[batch.start : batch.stop].reshape(-1)
-            for batch in batches
-            for _ in range(2)
+            dataset.tokens[batch.start : batch.stop].reshape(-1) for batch in batches
         ]))
 
         losses = []
@@ -127,27 +128,31 @@ class ObliviousEmbeddingTrainer:
             samples = [dataset.sample(index) for index in batch]
             tokens = np.stack([sample.tokens for sample in samples])
             token_ids = tokens.reshape(-1)
-            rows = self.store.fetch_rows(token_ids)
-            result = model.train_step(
-                rows.reshape(*tokens.shape, -1),
-                np.array([sample.label for sample in samples]),
-            )
-            self.apply_gradients(token_ids, rows, result.token_grads.reshape(rows.shape))
+            rows = written = self.store.fetch_rows(token_ids, hold=True)
+            try:
+                result = model.train_step(
+                    rows.reshape(*tokens.shape, -1),
+                    np.array([sample.label for sample in samples]),
+                )
+                written = self.apply_gradients(
+                    token_ids, rows, result.token_grads.reshape(rows.shape)
+                )
+            finally:
+                self.store.update_rows(token_ids, written)
             losses.append(result.losses)
             correct += int(np.count_nonzero(result.correct))
         return self._report(np.concatenate(losses), correct, epoch_start)
 
     def apply_gradients(
         self, row_ids: np.ndarray, rows: np.ndarray, gradients: np.ndarray
-    ) -> None:
-        """One optimizer step on the fetched ``rows``, written back obliviously.
+    ) -> np.ndarray:
+        """One optimizer step on the fetched ``rows``; returns the rows to commit.
 
         A row fetched several times in one request (a hot Criteo id shared
         by samples of a minibatch, a token repeated in a sentence or shared
         by sentences of a minibatch) steps once on the sum of its
-        occurrences' gradients, and every occurrence is
-        written back with that value, so the write-back issues exactly the
-        ids the fetch did.
+        occurrences' gradients, and every occurrence carries that value, so
+        the commit names exactly the ids the fetch held.
         """
         # Sort so equal ids are adjacent; each run of equal ids is one row.
         order = np.argsort(row_ids, kind="stable")
@@ -159,7 +164,7 @@ class ObliviousEmbeddingTrainer:
         updated = self.optimizer.update(rows[first], summed)
         written = np.empty_like(updated, shape=rows.shape)
         written[order] = updated[run_start.cumsum() - 1]
-        self.store.update_rows(row_ids, written)
+        return written
 
     # ------------------------------------------------------------------
     def _maybe_install_plan(self, trace: np.ndarray) -> None:

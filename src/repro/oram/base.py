@@ -140,6 +140,77 @@ class ObliviousMemory(ABC):
         """
         self.run_trace(block_ids, AccessOp.WRITE, payloads)
 
+    #: The ids of the open hold (:meth:`hold_many` until :meth:`commit`).
+    _hold_ids: Optional[list[int]] = None
+    #: Whether :meth:`hold_many`'s read request is running.
+    _holding = False
+
+    @property
+    def hold_open(self) -> bool:
+        """Whether a :meth:`hold_many` awaits its :meth:`commit`."""
+        return self._hold_ids is not None
+
+    def hold_many(self, block_ids: Sequence[int]) -> Sequence[Optional[object]]:
+        """Serve reads of ``block_ids`` now and keep them for :meth:`commit`.
+
+        A training step's two halves: the rows it fetches are the rows it
+        writes back.  The read is one :meth:`access_many` request, which
+        the tree engines serve as they serve any read, except that they
+        write none of the paths back until the commit, which writes each
+        path back with its blocks and the step's new rows, so the step
+        costs one request.  An engine without a client-side hold, the
+        insecure baseline, serves the read and then, at the commit, a
+        :meth:`write_many`.  One hold is open at a time; a read that raises
+        opens none, and what it read goes back as a commit would write it.
+        """
+        if self._hold_ids is not None:
+            raise ConfigurationError("a hold is open: commit it before holding again")
+        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else list(block_ids)
+        self._holding = True
+        try:
+            rows = self.access_many(block_ids)
+        except BaseException:
+            self._holding = False
+            self._end_hold()
+            raise
+        self._holding = False
+        self._hold_ids = ids
+        return rows
+
+    def commit(self, block_ids: Sequence[int], payloads: Sequence[object]) -> None:
+        """Store ``payloads`` for the open hold's ids and close the hold.
+
+        ``block_ids`` must be the ids :meth:`hold_many` was given, in order;
+        duplicate ids keep the last payload.  Any other ids raise
+        ``ConfigurationError`` and close the hold all the same.
+        """
+        self.write_many(self._close_hold(block_ids), payloads)
+
+    def release_hold(self) -> None:
+        """Close the open hold and store nothing: the held rows keep their values.
+
+        For a caller that cannot produce the step's rows (a rejected
+        update); the paths the hold read are written back as a commit
+        writes them.
+        """
+        if self._hold_ids is None:
+            raise ConfigurationError("no hold is open")
+        self._hold_ids = None
+        self._end_hold()
+
+    def _end_hold(self) -> None:
+        """Write back what a hold read: nothing on an engine that writes as it reads."""
+
+    def _close_hold(self, block_ids: Sequence[int]) -> list[int]:
+        """Close the open hold; its ids, if ``block_ids`` are they, else raise."""
+        held, self._hold_ids = self._hold_ids, None
+        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else list(block_ids)
+        if held is None:
+            raise ConfigurationError("commit without an open hold")
+        if ids != held:
+            raise ConfigurationError("commit ids differ from the held ids")
+        return ids
+
     @property
     @abstractmethod
     def statistics(self) -> TrafficSnapshot:

@@ -51,14 +51,15 @@ from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage
 from repro.oram.write_back import (
     fused_greedy_write_back,
     fused_shared_write_back,
+    held_write_back,
 )
 from repro.utils.rng import make_rng
 
 #: One bin as a request is cut into them: trace index of its first access,
 #: its ids in access order, and its precomputed remap leaves (``None``: ask
 #: the plan, or the stream when there is none).  A bin with no ids is one
-#: dummy read.
-Bin = tuple[int, list[int], Optional[list[int]]]
+#: dummy read; ids ``None`` is the commit bin of a held step.
+Bin = tuple[int, Optional[list[int]], Optional[list[int]]]
 
 
 class PathORAM(ObliviousMemory):
@@ -112,6 +113,10 @@ class PathORAM(ObliviousMemory):
             metadata_bytes_per_block=config.metadata_bytes_per_block,
         )
         self.stash = ArrayStash(capacity=config.stash_capacity)
+        #: The paths a hold read and has not written back, in read order
+        #: (:meth:`~repro.oram.base.ObliviousMemory.hold_many` until
+        #: :meth:`commit`).
+        self._held_paths: list[int] = []
         self.position_map = PositionMap(
             num_blocks=config.num_blocks,
             num_leaves=config.num_leaves,
@@ -188,7 +193,11 @@ class PathORAM(ObliviousMemory):
     # Diagnostics
     # ------------------------------------------------------------------
     def total_real_blocks(self) -> int:
-        """Blocks present across tree and stash (must equal ``num_blocks``)."""
+        """Blocks present across tree and stash (must equal ``num_blocks``).
+
+        An open hold's blocks, and the rest of the paths it read, are in
+        the stash until the commit writes the paths back.
+        """
         return self.tree.real_block_count() + len(self.stash)
 
     def client_memory_bytes(self) -> int:
@@ -197,7 +206,8 @@ class PathORAM(ObliviousMemory):
         Stash entries are charged at ``block_size_bytes`` plus the id/leaf
         bookkeeping — *not* at ``stored_block_bytes``, whose
         ``metadata_bytes_per_block`` component (MACs) exists only on the
-        server wire format and is never held by the client.  The position
+        server wire format and is never held by the client.  While a hold is
+        open the stash carries every path it read.  The position
         map term covers the dense array or, under ``recursive_posmap``,
         the recursion top map and per-level stash residue.
         """
@@ -236,6 +246,11 @@ class PathORAM(ObliviousMemory):
                 f"block {block_id} outside [0, {self.config.num_blocks})"
             )
 
+    def _check_no_hold(self) -> None:
+        """Every access but :meth:`commit` waits until an open hold is committed."""
+        if self._hold_ids is not None:
+            raise ConfigurationError("a hold is open: commit it before the next access")
+
     # -- the trace kernel -----------------------------------------------
     #: The lookahead plan the kernel asks for remaps, and the trace index one
     #: past the last bin it served.  LAORAM clients keep both per instance;
@@ -263,6 +278,7 @@ class PathORAM(ObliviousMemory):
         keeps the write, as on the reference engine.  An out-of-range id
         raises before the kernel runs.
         """
+        self._check_no_hold()
         self._check_block_id(block_id)
         first = self._trace_cursor
         write = op is AccessOp.WRITE
@@ -319,6 +335,43 @@ class PathORAM(ObliviousMemory):
                     results.append(payload)
         return results
 
+    # -- a training step: hold, then commit ------------------------------
+    def commit(self, block_ids: Sequence[int], payloads: Sequence[object]) -> None:
+        """Store the held rows, then write back every path the hold read.
+
+        ``block_ids`` must be the ids the hold was opened with, in order;
+        duplicate ids keep the last payload.  The commit counts
+        ``len(block_ids)`` logical accesses and reads no path of its own:
+        it runs the commit bin (:meth:`_run_bins`), which writes the hold's
+        paths back in read order, each with its own blocks, the held ones
+        under their new leaves, and then takes the after-bin step of any
+        bin.  Ids that differ from the held ones, or a length mismatch,
+        raise ``ConfigurationError`` and store nothing, but the paths are
+        written back all the same, so nothing stays held.
+        """
+        if self._hold_ids is None:
+            raise ConfigurationError("commit without an open hold")
+        try:
+            ids = self._close_hold(block_ids)
+            if len(payloads) != len(ids):
+                raise ConfigurationError("block_ids and payloads must have equal length")
+            self._store_rows(ids, payloads)
+            self.counter.record_logical_access(len(ids))
+        finally:
+            self._end_hold()
+
+    def _end_hold(self) -> None:
+        """The commit bin: the hold's paths written back, then the after-bin step."""
+        self._run_bins(((self._trace_cursor, None, None),))
+
+    def _store_rows(self, block_ids, rows) -> None:
+        """Store ``rows`` for ``block_ids``; a repeated id keeps its last row."""
+        store = self._payloads
+        if isinstance(store, dict):
+            store.update(zip(block_ids, rows))
+        else:
+            store.scatter(block_ids, rows)
+
     def _run_bins(self, bins: Iterable[Bin]) -> None:
         """Serve ``bins`` in order: the one place an access of any kind runs.
 
@@ -346,6 +399,18 @@ class PathORAM(ObliviousMemory):
         path of the stream's next leaf read and written back, with no
         episode counted and no stash observation.
 
+        While :meth:`~repro.oram.base.ObliviousMemory.hold_many`'s read
+        request runs, a bin stops after its updates: its read paths join
+        ``self._held_paths`` and its blocks, the path's others with them,
+        stay in the stash, with no write-back, no eviction and no stash
+        observation.  A later bin of the step finds them there as stash
+        hits.  The commit bin (``block_ids`` ``None``, run by
+        :meth:`commit`, or by a hold that raised) writes those paths back in
+        read order (``held_write_back``), so each held block goes back with
+        the path it came from, as Path ORAM places it, and then ends as a
+        counted bin: the eviction check and the stash observation.  No
+        other kernel call starts while a hold is open.
+
         The tree's path read is bound once per call
         (:meth:`~repro.oram.tree.ArrayTreeStorage.path_reader`: a uniform
         tree scans its occupied buckets, a fat tree gathers), so no access
@@ -371,6 +436,7 @@ class PathORAM(ObliviousMemory):
         its lookups would no longer be the reference client's — so later
         remaps draw uniformly.
         """
+        self._check_no_hold()
         num_blocks = self.config.num_blocks
         num_leaves = self._num_leaves
         depth = self._depth
@@ -400,6 +466,8 @@ class PathORAM(ObliviousMemory):
         write_shared = fused_shared_write_back
 
         stash_map = stash.entries
+        held_paths = self._held_paths
+        holding = self._holding
 
         # Deferred counts, flushed in the finally below.
         logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
@@ -409,135 +477,157 @@ class PathORAM(ObliviousMemory):
 
         try:
             for start_index, block_ids, bin_remaps in bins:
-                count = len(block_ids)
-                # oblivious: allow[ALLOC001] one distinct-id list per bin of
-                # several ids; a one-id bin is its own
-                needed = block_ids if count == 1 else list(dict.fromkeys(block_ids))
-                for block_id in needed:
-                    # oblivious: allow[OBL001] bounds check against the public
-                    # num_blocks; invalid ids abort the run loudly
-                    if block_id < 0 or block_id >= num_blocks:
-                        raise BlockNotFoundError(
-                            f"block {block_id} outside [0, {num_blocks})"
-                        )
-                logical += count
-
-                # Decide every distinct block's next leaf, in the bin's order:
-                # its next planned occurrence, else the stream's next leaf.
-                # Plan leaves are range-checked (the dense update is the
-                # bare array write) so a plan built for a different tree
-                # fails here, before any update, as the per-object client does.
-                end_index = start_index + count - 1
-                remaps = []
-                missing = []
-                stashed = []
-                for position, block_id in enumerate(needed):
-                    # oblivious: allow[OBL001] where the new leaf comes
-                    # from is client-side: no traffic either way
-                    if bin_remaps is not None:
-                        leaf = bin_remaps[position]
-                        # oblivious: allow[OBL001] no future occurrence
-                        # planned: the uniform fallback draw, client-side
-                        if leaf < 0:
-                            leaf = None
-                    elif consume_next_leaf is not None:
-                        leaf = consume_next_leaf(block_id, end_index)
-                    else:
-                        leaf = None
-                    # No planned occurrence, or no plan: the stream's next leaf.
-                    if leaf is None:
-                        if leaf_pos == len(leaf_buf):
-                            leaf_buf = rng_integers(
-                                0, num_leaves, size=draw_block
-                            ).tolist()
-                            leaf_pos = 0
-                        leaf = leaf_buf[leaf_pos]
-                        leaf_pos += 1
-                    elif not 0 <= leaf < num_leaves:
-                        raise ConfigurationError(
-                            f"planned leaf {leaf} outside [0, {num_leaves})"
-                        )
-                    remaps.append(leaf)
-                    # oblivious: allow[OBL001] fused replay of the bin's
-                    # stash-hit fast path — hits counted the same
-                    if block_id in stash_map:
-                        stashed.append(position)
-                    else:
-                        missing.append(position)
-                hits += len(stashed)
-
-                # Path ORAM's order per missing block: its update returns the
-                # path it sits on, fetched unless an earlier block of the bin
-                # read it already (which brought the block in under its old
-                # label).  A fetched block takes its tag, the new label; a
-                # raise leaves every block updated and stashed, or untouched.
-                # The bin's lists hold positions, not (id, leaf) pairs: a
-                # tuple per id fragmented the heap (+1.6 MiB peak RSS on the
-                # suite's replay_laoram).
-                read_leaves = []
-                for position in missing:
-                    block_id = needed[position]
-                    new_leaf = remaps[position]
-                    leaf = update(block_id, new_leaf)
-                    # oblivious: allow[OBL001] a bin fetches each distinct path
-                    # its missing blocks sit on: the protocol's observable,
-                    # every one a uniform independent draw (paper, Sec. VI)
-                    if leaf not in read_leaves:
-                        read_leaves.append(leaf)
-                        read_path(stash_map, leaf)
-                        path_reads += 1
-                        if observer is not None:
-                            observer.observe_path(leaf, dummy=False)
-                        # oblivious: allow[OBL001] stash-capacity check:
-                        # overflow is PathORAM's stated failure event and
-                        # aborts the run
-                        if capacity is not None and len(stash_map) > capacity:
-                            raise StashOverflowError(
-                                f"stash exceeded its capacity of {capacity} blocks"
-                            )
-                    # oblivious: allow[OBL001] integrity check; aborts the run
-                    if block_id not in stash_map:
-                        raise BlockNotFoundError(
-                            f"block {block_id} missing from both stash "
-                            "and its path"
-                        )
-                    stash_map[block_id] = new_leaf
-                # The stash hits' updates follow the fetch, as their walks do
-                # on the per-object client.
-                for position in stashed:
-                    block_id = needed[position]
-                    new_leaf = remaps[position]
-                    update(block_id, new_leaf)
-                    stash_map[block_id] = new_leaf
-
-                # Path by path: the first was emptied by its fetch (the
-                # bin's later fetches only empty more buckets); a later one
-                # finds the buckets it shares with an earlier one refilled.
-                write_back = write_fresh
-                # oblivious: allow[OBL002] one write-back per path fetched
-                # above: the same revealed count
-                for leaf in read_leaves:
-                    write_back(
-                        stash_map, groups, caps, level_base, node_base,
-                        slots, occ, depth, leaf,
+                # oblivious: allow[OBL001] the commit bin closes a held step:
+                # one per step, which is public
+                if block_ids is None:
+                    # The commit bin: the hold's paths go back in read order,
+                    # each with its own blocks, then the bin ends as any
+                    # counted bin does.
+                    held_write_back(
+                        stash_map, caps, level_base, node_base, slots, occ,
+                        depth, held_paths,
                     )
-                    write_back = write_shared
-                    path_writes += 1
+                    path_writes += len(held_paths)
+                    held_paths.clear()
+                    dummy = False
+                else:
+                    count = len(block_ids)
+                    dummy = not count
+                    # oblivious: allow[ALLOC001] one distinct-id list per bin of
+                    # several ids; a one-id bin is its own
+                    needed = block_ids if count == 1 else list(dict.fromkeys(block_ids))
+                    for block_id in needed:
+                        # oblivious: allow[OBL001] bounds check against the public
+                        # num_blocks; invalid ids abort the run loudly
+                        if block_id < 0 or block_id >= num_blocks:
+                            raise BlockNotFoundError(
+                                f"block {block_id} outside [0, {num_blocks})"
+                            )
+                    logical += count
 
-                cursor = end_index + 1
+                    # Decide every distinct block's next leaf, in the bin's order:
+                    # its next planned occurrence, else the stream's next leaf.
+                    # Plan leaves are range-checked (the dense update is the
+                    # bare array write) so a plan built for a different tree
+                    # fails here, before any update, as the per-object client does.
+                    end_index = start_index + count - 1
+                    remaps = []
+                    missing = []
+                    stashed = []
+                    for position, block_id in enumerate(needed):
+                        # oblivious: allow[OBL001] where the new leaf comes
+                        # from is client-side: no traffic either way
+                        if bin_remaps is not None:
+                            leaf = bin_remaps[position]
+                            # oblivious: allow[OBL001] no future occurrence
+                            # planned: the uniform fallback draw, client-side
+                            if leaf < 0:
+                                leaf = None
+                        elif consume_next_leaf is not None:
+                            leaf = consume_next_leaf(block_id, end_index)
+                        else:
+                            leaf = None
+                        # No planned occurrence, or no plan: the stream's next leaf.
+                        if leaf is None:
+                            if leaf_pos == len(leaf_buf):
+                                leaf_buf = rng_integers(
+                                    0, num_leaves, size=draw_block
+                                ).tolist()
+                                leaf_pos = 0
+                            leaf = leaf_buf[leaf_pos]
+                            leaf_pos += 1
+                        elif not 0 <= leaf < num_leaves:
+                            raise ConfigurationError(
+                                f"planned leaf {leaf} outside [0, {num_leaves})"
+                            )
+                        remaps.append(leaf)
+                        # oblivious: allow[OBL001] fused replay of the bin's
+                        # stash-hit fast path — hits counted the same
+                        if block_id in stash_map:
+                            stashed.append(position)
+                        else:
+                            missing.append(position)
+                    hits += len(stashed)
+
+                    # Path ORAM's order per missing block: its update returns the
+                    # path it sits on, fetched unless an earlier block of the bin
+                    # read it already (which brought the block in under its old
+                    # label).  A fetched block takes its tag, the new label; a
+                    # raise leaves every block updated and stashed, or untouched.
+                    # The bin's lists hold positions, not (id, leaf) pairs: a
+                    # tuple per id fragmented the heap (+1.6 MiB peak RSS on the
+                    # suite's replay_laoram).
+                    read_leaves = []
+                    for position in missing:
+                        block_id = needed[position]
+                        new_leaf = remaps[position]
+                        leaf = update(block_id, new_leaf)
+                        # oblivious: allow[OBL001] a bin fetches each distinct path
+                        # its missing blocks sit on: the protocol's observable,
+                        # every one a uniform independent draw (paper, Sec. VI)
+                        if leaf not in read_leaves:
+                            read_leaves.append(leaf)
+                            read_path(stash_map, leaf)
+                            path_reads += 1
+                            if observer is not None:
+                                observer.observe_path(leaf, dummy=False)
+                            # oblivious: allow[OBL001] stash-capacity check:
+                            # overflow is PathORAM's stated failure event and
+                            # aborts the run
+                            if capacity is not None and len(stash_map) > capacity:
+                                raise StashOverflowError(
+                                    f"stash exceeded its capacity of {capacity} blocks"
+                                )
+                        # oblivious: allow[OBL001] integrity check; aborts the run
+                        if block_id not in stash_map:
+                            raise BlockNotFoundError(
+                                f"block {block_id} missing from both stash "
+                                "and its path"
+                            )
+                        stash_map[block_id] = new_leaf
+                    # The stash hits' updates follow the fetch, as their walks do
+                    # on the per-object client.
+                    for position in stashed:
+                        block_id = needed[position]
+                        new_leaf = remaps[position]
+                        update(block_id, new_leaf)
+                        stash_map[block_id] = new_leaf
+
+                    # A hold leaves the bin's paths, and with them its blocks,
+                    # in the stash for the commit bin to write back.
+                    if holding:
+                        held_paths.extend(read_leaves)
+                        cursor = end_index + 1
+                        continue
+
+                    # Path by path: the first was emptied by its fetch (the
+                    # bin's later fetches only empty more buckets); a later one
+                    # finds the buckets it shares with an earlier one refilled.
+                    write_back = write_fresh
+                    # oblivious: allow[OBL002] one write-back per path fetched
+                    # above: the same revealed count
+                    for leaf in read_leaves:
+                        write_back(
+                            stash_map, groups, caps, level_base, node_base,
+                            slots, occ, depth, leaf,
+                        )
+                        write_back = write_shared
+                        path_writes += 1
+
+                    cursor = end_index + 1
                 occupancy = len(stash_map)
                 # An empty bin has passed through the above untouched: it is
                 # one turn of the eviction loop, counting no episode and
                 # observing no stash, as the reference's dummy_access.
                 # oblivious: allow[OBL001] fused replay of the documented
                 # occupancy-triggered background eviction policy
-                if not count or should_trigger(occupancy):
-                    if count:
+                if dummy or should_trigger(occupancy):
+                    if not dummy:
                         episodes += 1
                     dummies = 0
                     # oblivious: allow[OBL002] episode length tracks occupancy
                     # by design — same documented policy as the trigger
-                    while should_continue(occupancy, dummies) if count else not dummies:
+                    while not dummies if dummy else should_continue(occupancy, dummies):
                         if leaf_pos == len(leaf_buf):
                             leaf_buf = rng_integers(
                                 0, num_leaves, size=draw_block
@@ -562,7 +652,7 @@ class PathORAM(ObliviousMemory):
                         path_writes += 1
                         dummies += 1
                         occupancy = len(stash_map)
-                    if not count:
+                    if dummy:
                         continue
 
                 # oblivious: allow[OBL001] client-side metrics (stash peak

@@ -19,12 +19,16 @@ The trace kernel (``PathORAM._run_bins``) and the recursion walk
   after the target path has been emptied by a read;
 * :func:`fused_shared_write_back` — the same over a path that may already
   have occupants: the later paths of a bin that read several, which share
-  refilled buckets with the earlier ones.
+  refilled buckets with the earlier ones;
+* :func:`held_write_back` — a held training step's read paths at its
+  commit, filled as one subtree, level by level.
 
 Both reads leave the same stash, slots and occupancies; both write-backs
 are decision-identical to the per-object reference planner the tests hold
 them to (``tests/oracle/write_back.py``).
 """
+
+from bisect import bisect_left
 
 
 def scan_fetch(levels, slots, occ, tags, stash_map, leaf):
@@ -207,3 +211,80 @@ def fused_shared_write_back(
                 del stash_map[victim]
             occ[bucket] = occupancy + take
         level -= 1
+
+
+
+def held_write_back(stash_map, caps, level_base, node_base, slots, occ, depth, leaves):
+    """Write a held step's read paths back at its commit, as one subtree.
+
+    The paths ``leaves`` were read by one hold and none was written back,
+    so together they span a subtree whose buckets are all empty.  Written
+    one path after another, the first path's write-back would fill the
+    shared top buckets with blocks that belong deeper on a later path, and
+    the blocks left over would wait in the stash.  So the subtree is filled
+    level by level, deepest first, and every block goes as deep as its leaf
+    allows anywhere in the subtree.
+
+    Each stash entry joins at its deepest bucket in the subtree: the node on
+    its leaf's path at the longest prefix its leaf shares with a held leaf
+    (one of the two neighbours of its leaf in sorted order).  Then, from
+    the leaf level up to the root, each subtree node with candidates, in
+    ascending node order, takes its pool: what its children left over (left
+    child first) followed by the entries that join there, in stash order.
+    It fills its free slots by popping from the pool's end, in ascending
+    slot order, and passes the rest up to its parent.  What the root
+    leaves stays in the stash, whose order is unchanged.
+    ``tests/oracle/write_back.py`` states the same rule per bucket.
+    """
+    if not leaves:
+        return
+    paths = sorted(set(leaves))
+    last = len(paths) - 1
+    joining: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
+    for block_id, leaf in stash_map.items():
+        index = bisect_left(paths, leaf)
+        bits = (leaf ^ paths[index if index <= last else last]).bit_length()
+        if index:
+            below = (leaf ^ paths[index - 1]).bit_length()
+            if below < bits:
+                bits = below
+        nodes = joining[depth - bits]
+        node = leaf >> bits
+        group = nodes.get(node)
+        if group is None:
+            nodes[node] = [block_id]
+        else:
+            group.append(block_id)
+    carried: dict[int, list[int]] = {}
+    for level in range(depth, -1, -1):
+        joined = joining[level]
+        if not joined and not carried:
+            continue
+        cap = caps[level]
+        rising: dict[int, list[int]] = {}
+        for node in sorted(joined.keys() | carried.keys()):
+            pool = carried.get(node)
+            if pool is None:
+                pool = joined[node]
+            elif node in joined:
+                pool.extend(joined[node])
+            bucket = node_base[level] + node
+            used = occ[bucket]
+            take = cap - used
+            if take > len(pool):
+                take = len(pool)
+            if take > 0:
+                slot = level_base[level] + node * cap + used
+                for offset in range(take):
+                    victim = pool.pop()
+                    slots[slot + offset] = victim
+                    del stash_map[victim]
+                occ[bucket] = used + take
+            if pool and level:
+                parent = node >> 1
+                group = rising.get(parent)
+                if group is None:
+                    rising[parent] = pool
+                else:
+                    group.extend(pool)
+        carried = rising

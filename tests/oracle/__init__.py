@@ -35,7 +35,7 @@ from oracle.engine import ObjectPathORAM
 from oracle.laoram import ObjectLAORAMClient
 from oracle.stash import Stash
 from oracle.tree import TreeStorage
-from oracle.write_back import plan_greedy_write_back
+from oracle.write_back import plan_greedy_write_back, plan_subtree_write_back
 
 #: family -> reference class, the counterpart of ``configs.ENGINE_CLASSES``.
 REFERENCE_CLASSES = {"pathoram": ObjectPathORAM, "laoram": ObjectLAORAMClient}
@@ -53,6 +53,7 @@ __all__ = [
     "engine_state",
     "fetch_path",
     "plan_greedy_write_back",
+    "plan_subtree_write_back",
     "reference_families",
     "update_leaf",
 ]
@@ -86,8 +87,9 @@ def engine_state(engine) -> dict:
     """Everything a same-seed twin must reproduce, field for field.
 
     Counters and their price, the position map, the stash in order with its
-    labels, every tree slot (breadth-first, each bucket's ids in insertion
-    order) and the client footprint; the same accessors on either engine.
+    labels, the paths an open hold read, every tree slot (breadth-first,
+    each bucket's ids in insertion order) and the client footprint; the
+    same accessors on either engine.
     """
     stash = engine.stash
     return {
@@ -95,6 +97,7 @@ def engine_state(engine) -> dict:
         "simulated_time_s": engine.simulated_time_s,
         "position_map": engine.position_map.as_array().tolist(),
         "stash": [(block_id, stash.leaf_of(block_id)) for block_id in stash.block_ids],
+        "held_paths": list(engine._held_paths),
         "slots": engine.tree.slot_array.tolist(),
         "client_memory_bytes": engine.client_memory_bytes(),
     }

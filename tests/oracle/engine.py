@@ -8,8 +8,14 @@ map (which returns the old leaf), read that path into the stash unless the
 block is already there, serve, write the path back greedily
 (:func:`~oracle.write_back.plan_greedy_write_back`), then run background
 eviction — dummy reads of fresh leaves — while the stash is over its
-trigger.  Every leaf is one scalar draw from ``make_rng(config.seed)``, in
-the order the protocol needs it; the position map
+trigger.  A training step holds its paths:
+:meth:`ObjectPathORAM.hold_many` serves each read as above but writes no
+path back and runs no eviction, and :meth:`ObjectPathORAM.commit` stores
+the new payloads and writes the held paths back together, filling the
+subtree they span level by level, deepest first
+(:func:`~oracle.write_back.plan_subtree_write_back`), then evicts and
+observes the stash as an access does.  Every leaf is one scalar draw from
+``make_rng(config.seed)``, in the order the protocol needs it; the position map
 (:class:`~oracle.position_map.ObjectPositionMap`) is dicts.  Nothing here
 comes from the library's engine: for a fixed seed the shipped engine must
 make the same decisions and count the same traffic.
@@ -22,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import BlockNotFoundError
+from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.timing import PAPER_TIMING
 from repro.oram.base import AccessOp, ObliviousMemory
@@ -34,7 +40,7 @@ from oracle.block import Block
 from oracle.position_map import ObjectPositionMap
 from oracle.stash import Stash
 from oracle.tree import TreeStorage
-from oracle.write_back import plan_greedy_write_back
+from oracle.write_back import plan_greedy_write_back, plan_subtree_write_back
 
 
 class Eviction:
@@ -80,6 +86,10 @@ class ObjectPathORAM(ObliviousMemory):
             metadata_bytes_per_block=config.metadata_bytes_per_block,
         )
         self.stash = Stash(capacity=config.stash_capacity)
+        #: The paths a training step read and has not written back, in the
+        #: order it read them; the ids that step asked for.
+        self._held_paths: list[int] = []
+        self._hold_ids: Optional[list[int]] = None
         self.position_map = ObjectPositionMap(config, self.rng, self.counter)
         #: Trace index one past the last access served.
         self._trace_cursor = 0
@@ -100,6 +110,11 @@ class ObjectPathORAM(ObliviousMemory):
         new_payload: Optional[object] = None,
     ) -> Optional[object]:
         """Perform one oblivious access to ``block_id`` (PathORAM sequence)."""
+        self._refuse_while_held()
+        return self._access(block_id, op, new_payload)
+
+    def _access(self, block_id: int, op: AccessOp, new_payload, hold: bool = False):
+        """One access; ``hold`` leaves its path for the commit to write back."""
         self._check_block_id(block_id)
         self.counter.record_logical_access()
 
@@ -115,7 +130,10 @@ class ObjectPathORAM(ObliviousMemory):
                     f"block {block_id} missing from both stash and its path"
                 )
             payload = self._serve(block, op, new_payload)
-            self._write_back(leaf)
+            if hold:
+                self._held_paths.append(leaf)
+            else:
+                self._write_back(leaf)
         else:
             # A stashed block is served first, then remapped.
             self.counter.record_stash_hit()
@@ -124,12 +142,15 @@ class ObjectPathORAM(ObliviousMemory):
 
         # Served: the cursor passes the access before any eviction.
         self._trace_cursor += 1
+        if hold:
+            return payload
         self._maybe_background_evict()
         self.counter.observe_stash(len(self.stash))
         return payload
 
     def dummy_access(self) -> None:
         """Read and write back the path of a fresh leaf, touching no block."""
+        self._refuse_while_held()
         leaf = self._draw_leaf()
         self._read_path_into_stash(leaf, dummy=True)
         self._write_back(leaf)
@@ -184,6 +205,68 @@ class ObjectPathORAM(ObliviousMemory):
         while self.eviction.should_continue(len(self.stash), dummy_reads):
             self.dummy_access()
             dummy_reads += 1
+
+    # ------------------------------------------------------------------
+    # A training step: hold, then commit
+    # ------------------------------------------------------------------
+    def hold_many(self, block_ids) -> list:
+        """Read ``block_ids`` now and write their paths back at :meth:`commit`.
+
+        A raise writes back the paths read so far and opens no hold.
+        """
+        self._refuse_while_held()
+        ids = [int(block_id) for block_id in block_ids]
+        try:
+            rows = self._hold_request(ids)
+        except BaseException:
+            self._end_hold()
+            raise
+        self._hold_ids = ids
+        return rows
+
+    def _hold_request(self, ids: list[int]) -> list:
+        """Path ORAM serves the step one held access at a time."""
+        return [self._access(block_id, AccessOp.READ, None, hold=True) for block_id in ids]
+
+    def commit(self, block_ids, payloads) -> None:
+        """Give the held blocks their new payloads and write the held paths back.
+
+        Only the ids the hold was opened with, in order, are accepted; the
+        last payload of a repeated id wins.  The commit counts one logical
+        access per id and reads no path.  Whatever it rejects, every held
+        path is written back.
+        """
+        hold_ids, self._hold_ids = self._hold_ids, None
+        if hold_ids is None:
+            raise ConfigurationError("commit without an open hold")
+        try:
+            ids = [int(block_id) for block_id in block_ids]
+            if ids != hold_ids:
+                raise ConfigurationError("commit ids differ from the held ids")
+            if len(payloads) != len(ids):
+                raise ConfigurationError("block_ids and payloads must have equal length")
+            for block_id, payload in zip(ids, payloads):
+                self.stash.get(block_id).payload = payload
+            self.counter.record_logical_access(len(ids))
+        finally:
+            self._end_hold()
+
+    def _end_hold(self) -> None:
+        """The held paths written back as one subtree, then the access's epilogue.
+
+        Each path read counts one path write.
+        """
+        paths, self._held_paths = self._held_paths, []
+        for index, blocks in plan_subtree_write_back(self.tree, self.stash, paths).items():
+            self.tree.bucket_by_index(index).extend(blocks)
+        for _ in paths:
+            self.counter.record_path_write(*self.tree.path_cost)
+        self._maybe_background_evict()
+        self.counter.observe_stash(len(self.stash))
+
+    def _refuse_while_held(self) -> None:
+        if self._hold_ids is not None:
+            raise ConfigurationError("a hold is open: commit it before the next access")
 
     def _check_block_id(self, block_id: int) -> None:
         if not 0 <= block_id < self.config.num_blocks:

@@ -10,7 +10,9 @@ window or a request that starts off a boundary opens with a short bin and
 a request ends its last bin where it ends.  The client serves one bin at a
 time (:meth:`ObjectLAORAMClient.access_superblock`): every distinct block's
 remap is looked up in the plan first, then each distinct path is read once,
-then each read path is written back.  Trusted placement moves the planned
+then each read path is written back.  A held training step serves its bins
+the same way but stops each before its write-backs: the commit writes every
+held path back in read order.  Trusted placement moves the planned
 blocks to their first bin's path in ascending id order.
 
 A plan handed in through :meth:`~ObjectLAORAMClient.set_plan` is read as
@@ -219,6 +221,7 @@ class ObjectLAORAMClient(ObjectPathORAM):
 
         A raise past the id check drops the plan.
         """
+        self._refuse_while_held()
         self._check_block_id(block_id)
         try:
             return super().access(block_id, op, new_payload)
@@ -232,6 +235,7 @@ class ObjectLAORAMClient(ObjectPathORAM):
         A window is range-checked before it is planned; the first window of
         an engine that served nothing is placed before it is served.
         """
+        self._refuse_while_held()
         if ops is not None or payloads is not None:
             raise ConfigurationError(
                 "the lookahead pipeline replays read traces only; serve writes through write_many"
@@ -273,8 +277,13 @@ class ObjectLAORAMClient(ObjectPathORAM):
         yield from bins
         self._bins_by_lookup += len(bins)
 
-    def _serve_request(self, block_ids: list, payloads=None) -> list:
+    def _hold_request(self, ids: list[int]) -> list:
+        """A held step is served in superblock bins, as any request."""
+        return self._serve_request(ids, hold=True)
+
+    def _serve_request(self, block_ids: list, payloads=None, hold: bool = False) -> list:
         """One :meth:`access_superblock` per bin; a raise drops the plan."""
+        self._refuse_while_held()
         first = self._trace_cursor
         served: list = []
         try:
@@ -283,20 +292,21 @@ class ObjectLAORAMClient(ObjectPathORAM):
                 if payloads is not None:
                     offset = start - first
                     updates = dict(zip(ids, payloads[offset : offset + len(ids)]))
-                served.extend(self.access_superblock(ids, updates))
+                served.extend(self.access_superblock(ids, updates, hold))
         except BaseException:
             self._plan = None
             raise
         return served
 
     def access_superblock(
-        self, block_ids: list[int], new_payloads: Optional[dict] = None
+        self, block_ids: list[int], new_payloads: Optional[dict] = None, hold: bool = False
     ) -> list:
         """Serve one bin, the next at the cursor; returns its payloads in order.
 
         Blocks already in the stash cost nothing, and blocks sharing a path
         are fetched together.  ``new_payloads`` makes the matching accesses
-        writes.
+        writes.  ``hold`` leaves the bin's paths to the commit: no
+        write-back, no eviction, no stash observation.
         """
         needed = list(dict.fromkeys(block_ids))
         for block_id in needed:
@@ -337,12 +347,16 @@ class ObjectLAORAMClient(ObjectPathORAM):
         for block_id in hits:
             self._update_leaf(block_id, remaps[block_id])
 
+        self._trace_cursor = end_index + 1
+        if hold:
+            self._held_paths.extend(read_leaves)
+            return payloads
+
         # Path by path: a later write-back finds the buckets it shares with
         # an earlier one already refilled.
         for leaf in read_leaves:
             self._write_back(leaf)
 
-        self._trace_cursor = end_index + 1
         self._maybe_background_evict()
         self.counter.observe_stash(len(self.stash))
         return payloads

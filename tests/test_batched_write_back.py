@@ -22,19 +22,37 @@ Each bin (any length, any id multiset) goes straight to the kernel on the
 fast client and through ``access_superblock`` on the reference; adversarial
 layouts come from trusted placement, which puts chosen blocks on chosen paths
 on both backends alike.
+
+A held training step (``hold_many`` then ``commit``) writes all its read
+paths back at once, filling the subtree they span level by level
+(``held_write_back``; the reference is ``plan_subtree_write_back``).  The
+same driver holds it to the same checks, and to the fill's own guarantee:
+a block the commit leaves in the stash finds every bucket of the subtree
+on its path full.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import LAORAMConfig
 from repro.core.laoram import LAORAMClient
 from repro.core.superblock import LookaheadPlan
 from repro.oram.config import ORAMConfig
+from repro.oram.tree import ArrayTreeStorage
+from repro.oram.write_back import held_write_back
 
 from test_trace_contract import assert_twins_agree
 
-from oracle import ObjectLAORAMClient, build_engine, update_leaf
+from oracle import (
+    Block,
+    ObjectLAORAMClient,
+    Stash,
+    TreeStorage,
+    build_engine,
+    plan_subtree_write_back,
+    update_leaf,
+)
 
 NUM_BLOCKS = 512
 NUM_ROUNDS = 30
@@ -208,3 +226,104 @@ class TestBatchedAccessInvariants:
         expected[7] = "c"
         assert got == expected
         assert_invariants(engine)
+
+
+def assert_subtree_filled(engine, leaves) -> None:
+    """No block left in the stash fits a held path's bucket on its own path."""
+    tree = engine.tree
+    depth = tree.depth
+    subtree = {(level, leaf >> (depth - level)) for leaf in leaves for level in range(depth + 1)}
+    for block_id in engine.stash.block_ids:
+        leaf = engine.stash.leaf_of(block_id)
+        for level in range(depth + 1):
+            node = leaf >> (depth - level)
+            if (level, node) in subtree:
+                assert tree._level_occ(level)[node] == tree.bucket_capacities[level]
+
+
+class TestHeldStepDifferential:
+    """Held steps: kernel == per-object client after every commit."""
+
+    @pytest.mark.parametrize("fat_tree", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_random_held_steps_stay_identical(self, seed, fat_tree):
+        reference, fast = make_twins(seed, fat_tree)
+        for round_index in range(NUM_ROUNDS):
+            for engine in (reference, fast):
+                rng = np.random.default_rng((seed, round_index))
+                resident = list(engine.stash.block_ids)
+                take = int(rng.integers(0, len(resident) + 1))
+                new_leaves = rng.integers(0, engine.config.num_leaves, size=take)
+                for block_id, leaf in zip(resident[:take], new_leaves.tolist()):
+                    update_leaf(engine, int(block_id), int(leaf))
+                ids = rng.integers(0, NUM_BLOCKS, size=int(rng.integers(1, 129)))
+                rows = engine.hold_many(ids)
+                leaves = list(engine._held_paths)
+                engine.commit(ids, [("step", round_index)] * len(rows))
+            assert_twins_agree(reference, fast)
+            assert_invariants(fast)
+            assert_subtree_filled(fast, leaves)
+        assert fast.statistics.path_reads > 4 * NUM_ROUNDS
+        assert fast.statistics.path_writes == fast.statistics.path_reads
+
+    def test_a_block_read_on_a_later_path_goes_back_below_the_shared_buckets(self):
+        # Twenty blocks on each of four neighbouring leaves, one asked for
+        # per leaf.  Written back path after path, the first path would
+        # fill the buckets the four share with its own blocks and those of
+        # the later paths, and strand what the shared buckets cannot hold;
+        # the subtree fill places every block's own leaf bucket first.
+        reference, fast = make_twins(11)
+        groups = {leaf: list(range(64 + 20 * leaf, 84 + 20 * leaf)) for leaf in range(4)}
+        place((reference, fast), groups)
+        for engine in (reference, fast):
+            ids = [groups[leaf][0] for leaf in range(4)]
+            engine.hold_many(ids)
+            assert engine.statistics.path_reads == 4
+            engine.commit(ids, ["row"] * 4)
+        assert_twins_agree(reference, fast)
+        assert_invariants(fast)
+        assert_subtree_filled(fast, range(4))
+        read = make_twins(11)[1]
+        place((read,), groups)
+        serve_bin(read, [groups[leaf][0] for leaf in range(4)])
+        assert len(fast.stash) < len(read.stash)
+
+
+@st.composite
+def subtree_fills(draw):
+    """A tree, the leaves a hold read, and a stash of up to 600 entries,
+    about half of them under a held leaf at a random depth."""
+    depth = draw(st.integers(2, 12))
+    fat = draw(st.booleans())
+    caps = [max(2, depth + 2 - level) if fat else 4 for level in range(depth + 1)]
+    held = draw(st.lists(st.integers(0, (1 << depth) - 1), min_size=1, max_size=64))
+    return depth, caps, held, draw(st.integers(0, 600)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subtree_fills())
+def test_the_kernels_subtree_fill_is_the_references(case):
+    depth, caps, held, size, seed = case
+    rng = np.random.default_rng(seed)
+    leaves = rng.integers(0, 1 << depth, size=size)
+    near = np.asarray(held)[rng.integers(0, len(held), size=size)]
+    low = rng.integers(0, depth + 1, size=size)
+    under = (near >> low << low) | (leaves & ((1 << low) - 1))
+    leaves = np.where(rng.random(size) < 0.5, under, leaves)
+    ids = rng.permutation(10 * size + 1)[:size]
+    stash_map = dict(zip(ids.tolist(), leaves.tolist()))
+    stash = Stash()
+    stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in stash_map.items())
+    shipped = ArrayTreeStorage(depth, caps, block_size_bytes=8)
+    reference = TreeStorage(depth, caps, block_size_bytes=8)
+
+    held_write_back(
+        stash_map, shipped.bucket_capacities, shipped.level_base,
+        [(1 << level) - 1 for level in range(depth + 1)],
+        shipped.slot_view, shipped.occupancy_view, depth, held,
+    )
+    for index, blocks in plan_subtree_write_back(reference, stash, held).items():
+        reference.bucket_by_index(index).extend(blocks)
+    assert list(stash_map) == stash.block_ids
+    assert shipped.slot_array.tolist() == reference.slot_array.tolist()
+    assert np.array_equal(shipped.bucket_occupancies, reference.bucket_occupancies)

@@ -14,10 +14,12 @@ ranges (powers of two divide evenly) and uniformity is tested there.
 Independence is checked as mutual information between 8-bin coarsened
 addresses and paths, the same statistic ``analyze_path_obliviousness`` uses.
 
-The last class puts the same adversary on the trainer's path: minibatches
-served now (``access_many`` / ``write_many``) under an installed plan whose
-remap leaves are taken by position, two epochs in a row, plus the
-linkability checks the plan's consumption state exists for.
+The last classes put the same adversary on the trainer's path: minibatches
+held and committed (``hold_many`` / ``commit``) under an installed plan
+whose remap leaves are taken by position, two epochs in a row, plus the
+linkability checks the plan's consumption state exists for; and the step's
+two halves on the bus: a hold shows what a read request shows, a commit
+shows nothing.
 """
 
 import numpy as np
@@ -195,9 +197,10 @@ class TestServeNowUnderAPlan:
 
         engine.preprocess = recording_preprocess
 
-        # The leaf every requested block is remapped to, after each request.
+        # Per step, the ids held and committed, and the leaf every one of
+        # them is mapped to after each half.
         issued, remapped = [], []
-        for verb in ("access_many", "write_many"):
+        for verb in ("hold_many", "commit"):
             def logged(ids, *args, _call=getattr(engine, verb)):
                 result = _call(ids, *args)
                 issued.append(np.array(ids))
@@ -222,7 +225,8 @@ class TestServeNowUnderAPlan:
         }
 
     def test_every_bin_took_its_remaps_by_position(self, training_run):
-        accesses = 2 * 96 * 32
+        # One held request per step: every row is read once an epoch.
+        accesses = 96 * 32
         assert training_run["bins"] == [(accesses // training_run["size"], 0)] * 2
         assert len(training_run["paths"]) >= 500
 
@@ -232,7 +236,8 @@ class TestServeNowUnderAPlan:
         assert not result.rejects_uniformity(alpha=ALPHA)
 
     def test_paths_independent_of_addresses(self, training_run):
-        trace = np.concatenate(training_run["issued"])
+        # The held requests are the ones that read paths.
+        trace = np.concatenate(training_run["issued"][::2])
         paths = training_run["paths"]
         length = min(len(trace), paths.size)
         info = mutual_information(
@@ -249,14 +254,97 @@ class TestServeNowUnderAPlan:
             assert len(epoch) > 1000
             assert len(set(epoch)) == len(epoch)
 
-    def test_a_fetch_and_its_write_back_remap_to_different_leaves(self, training_run):
-        # Two uniform draws over the leaves coincide once in num_leaves;
-        # the same occurrence handed to both would coincide every time.
+    def test_a_step_remaps_once_and_consecutive_steps_to_different_leaves(
+        self, training_run
+    ):
+        # A commit names the held ids and remaps nothing: the leaf a block
+        # was handed when held is the one it is committed under.
         issued, remapped = training_run["issued"], training_run["remapped"]
+        for hold in range(0, len(issued), 2):
+            assert np.array_equal(issued[hold], issued[hold + 1])
+            assert np.array_equal(remapped[hold], remapped[hold + 1])
+        # A block two consecutive steps hold is remapped by each: two
+        # uniform draws over the leaves coincide once in num_leaves, the
+        # same occurrence handed to both would coincide every time.
         pairs = same = 0
-        for fetch in range(0, len(issued), 2):
-            assert np.array_equal(issued[fetch], issued[fetch + 1])
-            pairs += issued[fetch].size
-            same += int(np.count_nonzero(remapped[fetch] == remapped[fetch + 1]))
-        assert pairs == 2 * 96 * 32
+        holds = issued[::2]
+        leaves = remapped[::2]
+        for step in range(1, len(holds)):
+            later = dict(zip(holds[step].tolist(), leaves[step].tolist()))
+            for block_id, leaf in zip(holds[step - 1].tolist(), leaves[step - 1].tolist()):
+                if block_id in later:
+                    pairs += 1
+                    same += leaf == later[block_id]
+        assert pairs > 1000
         assert same <= 5 * pairs / training_run["num_leaves"] + 2
+
+
+class TestAHeldStepOnTheBus:
+    """A step's two halves as the adversary sees them, for two id sets of one size.
+
+    From the same engine state a one-bin hold reads exactly the paths a read
+    request reads: the same remaps drawn, the same blocks missing.  Over
+    several bins the two part in one way only: the hold writes no path back
+    until its commit, so a block an earlier path of the same step brought
+    into the stash is still there, a stash hit, where the read request had
+    written it back and reads its path again.  So a held step's reads are
+    the read request's reads with those left out, in the same order.  Each
+    one is one leaf per distinct missing path, the stream the chi-square
+    and MI cases above test over trained epochs.  A commit reads no path,
+    whatever the step, and writes back one path per path the hold read.
+    """
+
+    NUM_BLOCKS = 1 << 12
+    STEP = 64
+
+    @pytest.mark.parametrize(
+        "label, planned",
+        [("PathORAM", False), ("Fat/S8", False), ("Fat/S8", True), ("Normal/S4", True)],
+    )
+    def test_a_hold_shows_a_read_and_a_commit_shows_no_read(self, label, planned):
+        size = int(label.partition("/S")[2] or 1)
+        rng = np.random.default_rng(5)
+        warm = rng.integers(0, self.NUM_BLOCKS, size=4 * self.STEP)
+        config = build_oram_config(num_blocks=self.NUM_BLOCKS, block_size_bytes=8, seed=9)
+        rows = np.zeros((self.NUM_BLOCKS, 2), dtype=np.float32)
+
+        def twins(ids):
+            """Two engines in one state, with ``ids`` planned next under a plan."""
+            engines = [
+                build_engine(label, config, fast=True, observer=MemoryBusObserver())
+                for _ in range(2)
+            ]
+            for engine in engines:
+                engine.load_payloads(rows)
+                engine.access_many(warm)
+                if planned:
+                    engine.preprocess(ids, start_index=engine.trace_cursor)
+            return engines
+
+        def is_subsequence(part, whole):
+            rest = iter(whole)
+            return all(leaf in rest for leaf in part)
+
+        # One bin: distinct ids, then (but on PathORAM's one-id bin) repeats.
+        bins = [rng.choice(self.NUM_BLOCKS, size=size, replace=False)]
+        bins.append(rng.integers(0, 2, size=size) if size > 1 else bins[0] + 1)
+        # Two multi-bin steps of one size: distinct ids, and Zipf-like repeats.
+        steps = [
+            rng.choice(self.NUM_BLOCKS, size=self.STEP, replace=False),
+            rng.integers(0, self.NUM_BLOCKS // 8, size=self.STEP),
+        ]
+        for ids in bins + steps:
+            held, read = twins(ids)
+            fetched = held.hold_many(ids)
+            read.access_many(ids)
+            bus, other = held.observer, read.observer
+            assert not any(bus.observed_dummy_flags) and not any(other.observed_dummy_flags)
+            if ids.size == size:
+                assert bus.observed_paths == other.observed_paths
+            else:
+                assert is_subsequence(bus.observed_paths, other.observed_paths)
+            seen = len(bus.observed_paths)
+            held.commit(ids, np.asarray(fetched) + 1.0)
+            assert len(bus.observed_paths) == seen
+            assert held.statistics.path_writes == held.statistics.path_reads == seen
+            assert held.total_real_blocks() == self.NUM_BLOCKS

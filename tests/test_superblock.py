@@ -241,8 +241,9 @@ class TestByPositionEqualsLookups:
 
 class TestPlanAtItsWidth:
     #: What a window the client has placed and served by position may keep
-    #: per planned access: its records (addresses, ``next``, ``next_leaf``,
-    #: the bin leaves, each planned id and its first offset) read ~32 B.  A
+    #: per planned access: its records (addresses, ``next``, the packed bin
+    #: remaps, the bin leaves, each planned id and its first offset) read
+    #: ~32 B.  A
     #: second copy of the window (sorted lookup arrays, a bin table) read
     #: ~75 B; a dict of the consumed occurrences and per-bin lists 200 B.
     RETAINED_BYTES_PER_ACCESS = 50

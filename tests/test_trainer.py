@@ -42,9 +42,9 @@ def make_dlrm(dataset):
 
 
 def record_issued_ids(memory):
-    """Log the ids of every ``access_many`` / ``write_many`` call on ``memory``."""
+    """Log the ids of every request ``memory`` is given, whichever verb."""
     issued = []
-    for verb in ("access_many", "write_many"):
+    for verb in ("access_many", "write_many", "hold_many", "commit"):
         def logged(ids, *args, _call=getattr(memory, verb), _verb=verb):
             issued.append((_verb, np.array(ids)))
             return _call(ids, *args)
@@ -60,10 +60,12 @@ class TestApplyGradients:
         trainer = ObliviousEmbeddingTrainer(store, SparseSGD(learning_rate=0.1))
         ids = np.array([5, 9, 5])
         gradients = np.arange(3 * EMBED_DIM, dtype=np.float32).reshape(3, EMBED_DIM) / 10
-        rows = store.fetch_rows(ids)
+        rows = store.fetch_rows(ids, hold=True)
         issued = record_issued_ids(store.memory)
-        trainer.apply_gradients(ids, rows, gradients)
-        assert [(verb, sent.tolist()) for verb, sent in issued] == [("write_many", [5, 9, 5])]
+        written = trainer.apply_gradients(ids, rows, gradients)
+        assert issued == []
+        store.update_rows(ids, written)
+        assert [(verb, sent.tolist()) for verb, sent in issued] == [("commit", [5, 9, 5])]
 
         trained = store.fetch_rows(np.array([5, 9]))
         expected = plain.weights[[5, 9]] - 0.1 * np.stack(
@@ -89,7 +91,7 @@ class TestApplyGradients:
         issued = record_issued_ids(store.memory)
         trainer.train_xlmr_epoch(model, dataset)
         assert [(verb, sent.tolist()) for verb, sent in issued] == [
-            (verb, [7, 3, 7, 7, 9, 7, 11, 7]) for verb in ("access_many", "write_many")
+            (verb, [7, 3, 7, 7, 9, 7, 11, 7]) for verb in ("hold_many", "commit")
         ]
         after = store.fetch_rows(ids)
         pushes = np.array([3 * grads[0] + 2 * grads[1], grads[0], grads[1], grads[1]])
@@ -138,7 +140,7 @@ class TestDLRMTraining:
         assert report.embedding_accesses == 2 * num_samples
         assert np.isfinite(report.mean_loss)
         assert 0.0 <= report.accuracy <= 1.0
-        sizes = [sent.size for verb, sent in issued if verb == "access_many"]
+        sizes = [sent.size for verb, sent in issued if verb == "hold_many"]
         full, ragged = divmod(num_samples, batch_size)
         assert sizes == [batch_size] * full + [ragged] * bool(ragged)
 
@@ -160,10 +162,10 @@ class TestDLRMTraining:
             make_dlrm(dataset), dataset, batch_size=8
         )
         assert len(planned) == 1
-        assert [verb for verb, _ in issued] == ["access_many", "write_many"] * 5
-        assert np.array_equal(planned[0], np.concatenate([sent for _, sent in issued]))
+        assert [verb for verb, _ in issued] == ["hold_many", "commit"] * 5
+        reads = np.concatenate([sent for verb, sent in issued if verb == "hold_many"])
+        assert np.array_equal(planned[0], reads)
         column = dataset.categorical[:, dataset.largest_table_index]
-        reads = np.concatenate([sent for verb, sent in issued if verb == "access_many"])
         assert np.array_equal(reads, column)
 
     @pytest.mark.parametrize("seed", [0, 4, 10, 11])
@@ -276,16 +278,16 @@ class TestXLMRTraining:
         assert report.embedding_accesses == 2 * 4 * num_samples
         assert np.isfinite(report.mean_loss)
         assert 0.0 <= report.accuracy <= 1.0
-        # One fetch and one write-back per minibatch, and the preprocessor
-        # was told exactly that stream.
+        # One held fetch and its commit per minibatch, and the preprocessor
+        # was told exactly the fetches.
         full, ragged = divmod(num_samples, batch_size)
         batches = full + bool(ragged)
-        assert [verb for verb, _ in issued] == ["access_many", "write_many"] * batches
-        sizes = [sent.size for verb, sent in issued if verb == "access_many"]
+        assert [verb for verb, _ in issued] == ["hold_many", "commit"] * batches
+        sizes = [sent.size for verb, sent in issued if verb == "hold_many"]
         assert sizes == [4 * batch_size] * full + [4 * ragged] * bool(ragged)
+        reads = np.concatenate([sent for verb, sent in issued if verb == "hold_many"])
         assert len(planned) == 1
-        assert np.array_equal(planned[0], np.concatenate([sent for _, sent in issued]))
-        reads = np.concatenate([sent for verb, sent in issued if verb == "access_many"])
+        assert np.array_equal(planned[0], reads)
         assert np.array_equal(reads, dataset.tokens[:num_samples].reshape(-1))
 
     def test_invalid_batching_is_rejected(self):
