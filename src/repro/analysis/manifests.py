@@ -184,7 +184,7 @@ _PATH_REVEAL = (
 # The bin kernel takes its ids bin by bin (``bins`` yields ``block_ids``
 # lists) and binds the stash's dict itself.
 _ENGINE_SOURCES = ModuleSources(
-    params=frozenset({"bins", "block_id", "block_ids", "stash_map", "groups"}),
+    params=frozenset({"bins", "block_id", "block_ids", "stash_map"}),
     attrs=frozenset({"entries", "stash"}),
     # leaf_access() hands out the tag view and the update accessor: both
     # are secret, and so is every old leaf ``update`` returns.
@@ -235,13 +235,7 @@ def default_config() -> AnalysisConfig:
                 "PathORAM.commit",
                 "PathORAM._run_bins",
             ),
-            "repro/oram/write_back.py": (
-                "scan_fetch",
-                "fused_fetch",
-                "fused_greedy_write_back",
-                "fused_shared_write_back",
-                "held_write_back",
-            ),
+            "repro/oram/write_back.py": ("scan_fetch", "fused_fetch"),
             "repro/oram/position_map.py": (
                 "PositionMap._walk",
                 "PositionMap.update",
@@ -268,8 +262,6 @@ def default_config() -> AnalysisConfig:
             "repro/oram/write_back.py": (
                 AllocScope("scan_fetch", "body"),
                 AllocScope("fused_fetch", "body"),
-                AllocScope("fused_greedy_write_back", "body"),
-                AllocScope("fused_shared_write_back", "body"),
             ),
             "repro/oram/tree.py": (
                 AllocScope("ArrayTreeStorage.read_path_ids", "body"),
@@ -280,29 +272,17 @@ def default_config() -> AnalysisConfig:
         },
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(
+            # The write-back kernels are C (oram/_write_back.c), outside the
+            # scan; their one Python entry point is the loader that builds
+            # them, and this entry is where the reveal they make is stated.
             Declassification(
-                "repro/oram/write_back.py",
-                "fused_greedy_write_back",
+                "repro/oram/native.py",
+                "load",
                 ("OBL001", "OBL002"),
-                "write-back planning is client-side and the written path is "
-                "charged at full-path cost whichever blocks are selected; "
-                "slot indices written derive from the already-revealed leaf",
-            ),
-            Declassification(
-                "repro/oram/write_back.py",
-                "fused_shared_write_back",
-                ("OBL001", "OBL002"),
-                "write-back planning is client-side and the written path is "
-                "charged at full-path cost whichever blocks are selected; "
-                "slots and occupancies touched lie on the already-revealed path",
-            ),
-            Declassification(
-                "repro/oram/write_back.py",
-                "held_write_back",
-                ("OBL001", "OBL002"),
-                "write-back planning is client-side and every held path is "
-                "charged at full-path cost whichever blocks are selected; "
-                "slots and occupancies touched lie on the already-revealed paths",
+                "the write-back kernels it loads plan client-side and every "
+                "path they write is charged at full-path cost whichever blocks "
+                "are selected; they touch only the slots and occupancies of the "
+                "already-revealed path or held paths, and the stash dict",
             ),
         ),
     )

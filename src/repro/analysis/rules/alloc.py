@@ -10,7 +10,7 @@ of when the tracemalloc bound flakes.
 Two granularities, per manifest entry:
 
 * ``"body"`` — per-access leaf helpers (``scan_fetch``,
-  ``fused_greedy_write_back``): the whole body is steady state.
+  ``fused_fetch``): the whole body is steady state.
 * ``"loops"`` — the trace kernel (``_run_bins``): setup before the
   access loop may allocate freely; code lexically inside a loop may not.
 

@@ -48,11 +48,7 @@ from repro.oram.position_map import PositionMap
 from repro.oram.row_store import load_rows
 from repro.oram.stash import ArrayStash
 from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage
-from repro.oram.write_back import (
-    fused_greedy_write_back,
-    fused_shared_write_back,
-    held_write_back,
-)
+from repro.oram.write_back import held_write_back, write_back
 from repro.utils.rng import make_rng
 
 #: One bin as a request is cut into them: trace index of its first access,
@@ -140,10 +136,8 @@ class PathORAM(ObliviousMemory):
         #: ``block_id -> payload``: a dict, or the row store of a loaded matrix.
         self._payloads = {}
         # What the write-back kernels take besides the tree's arrays: the
-        # first bucket index of each level, and the per-level grouping
-        # scratch they leave empty on return.
+        # first bucket index of each level.
         self._node_base = [(1 << level) - 1 for level in range(self._depth + 1)]
-        self._level_groups: list[list[int]] = [[] for _ in range(self._depth + 1)]
         # Trusted set-up: every block onto its initial path, in chunked
         # vectorized passes over the map's own four-byte labels; overflow
         # goes to the stash in ascending id order.
@@ -388,10 +382,10 @@ class PathORAM(ObliviousMemory):
         already, so each distinct path is read once in first-encounter
         order; the stash hits' updates follow, free of traffic but for
         their walks.  Each path read is written back, path by path.  A path
-        its own fetch just emptied — a bin's first, every dummy read's —
-        takes ``fused_greedy_write_back``; a later path of the bin finds the
-        buckets it shares with an earlier one refilled and takes the
-        occupancy-aware ``fused_shared_write_back``.  Background eviction
+        its own fetch just emptied — a bin's first, every dummy read's — and
+        a later path of the bin, which finds the buckets it shares with an
+        earlier one refilled, take the one occupancy-aware ``write_back``
+        (C, ``oram/_write_back.c``).  Background eviction
         runs inline.  A one-id bin (every PathORAM access, every single
         ``access``) is its own distinct-id list, with no deduplication pass.
         An empty bin (``dummy_access``) decides, reads and counts nothing
@@ -459,11 +453,8 @@ class PathORAM(ObliviousMemory):
         caps = tree.bucket_capacities
         level_base = tree.level_base
         node_base = self._node_base
-        groups = self._level_groups
         occ = tree.occupancy_view
         read_path = tree.path_reader(tags)
-        write_fresh = fused_greedy_write_back
-        write_shared = fused_shared_write_back
 
         stash_map = stash.entries
         held_paths = self._held_paths
@@ -603,15 +594,13 @@ class PathORAM(ObliviousMemory):
                     # Path by path: the first was emptied by its fetch (the
                     # bin's later fetches only empty more buckets); a later one
                     # finds the buckets it shares with an earlier one refilled.
-                    write_back = write_fresh
                     # oblivious: allow[OBL002] one write-back per path fetched
                     # above: the same revealed count
                     for leaf in read_leaves:
                         write_back(
-                            stash_map, groups, caps, level_base, node_base,
-                            slots, occ, depth, leaf,
+                            stash_map, caps, level_base, node_base, slots, occ,
+                            depth, leaf,
                         )
-                        write_back = write_shared
                         path_writes += 1
 
                     cursor = end_index + 1
@@ -645,9 +634,9 @@ class PathORAM(ObliviousMemory):
                             raise StashOverflowError(
                                 f"stash exceeded its capacity of {capacity} blocks"
                             )
-                        write_fresh(
-                            stash_map, groups, caps, level_base, node_base,
-                            slots, occ, depth, leaf,
+                        write_back(
+                            stash_map, caps, level_base, node_base, slots, occ,
+                            depth, leaf,
                         )
                         path_writes += 1
                         dummies += 1

@@ -68,7 +68,7 @@ from repro.exceptions import (
 )
 from repro.memory.accounting import TrafficCounter
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import fused_greedy_write_back
+from repro.oram.write_back import write_back
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
 
@@ -361,8 +361,8 @@ class PositionMap:
         engine draws for); the level's stash, labels and read stream; its
         tree's path read bound to those labels
         (:meth:`~repro.oram.tree.ArrayTreeStorage.path_reader`: a level's
-        tree is uniform, so it scans) and the operands of
-        :func:`fused_greedy_write_back` (the shape the trace kernel binds);
+        tree is uniform, so it scans) and the operands of the C
+        ``write_back`` (the shape the trace kernel binds);
         the path cost both directions charge.  Labels, packed and level
         alike, are bound as memoryviews, read and written as Python ints.
         """
@@ -382,7 +382,6 @@ class PositionMap:
                 memoryview(level.labels),
                 level.read_stream,
                 tree.path_reader(level.labels),
-                [[] for _ in range(depth + 1)],
                 tree.bucket_capacities,
                 tree.level_base,
                 [(1 << node_level) - 1 for node_level in range(depth + 1)],
@@ -418,7 +417,7 @@ class PositionMap:
         for (
             k, span, child_values, child_span, child_draw,
             stash, labels, read_stream, read_path,
-            groups, caps, level_base, node_base, slots, occ, depth,
+            caps, level_base, node_base, slots, occ, depth,
             path_buckets, path_bytes,
         ) in steps:
             block = block_id // span
@@ -450,9 +449,8 @@ class PositionMap:
             # oblivious: allow[OBL001] write-back only follows a real path
             # read (stash hits moved no data), mirroring the main engine
             if not hit:
-                fused_greedy_write_back(
-                    stash, groups, caps, level_base, node_base, slots, occ,
-                    depth, leaf,
+                write_back(
+                    stash, caps, level_base, node_base, slots, occ, depth, leaf
                 )
                 record_write(path_buckets, path_bytes)
             leaf = next_leaf

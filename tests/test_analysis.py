@@ -212,9 +212,16 @@ def test_self_scan_matches_committed_baseline():
         if "repro/oram/" in f.path.replace("\\", "/")
     ]
     assert oram == []
-    # Both sanction mechanisms are actually exercised by production code.
+    # Inline allows are exercised by production code.  The write-back
+    # planning the declassifications sanctioned is C now, outside the scan:
+    # the allowlist's one entry states its reveal on the loader, and no
+    # Python function is declassified.
     assert result.suppressed
-    assert result.declassified
+    assert [(entry.module_suffix, entry.qualname)
+            for entry in default_config().declassifications] == [
+        ("repro/oram/native.py", "load")
+    ]
+    assert result.declassified == []
     assert all(supp.reason for _, supp in result.suppressed)
 
 
@@ -322,13 +329,20 @@ def test_planted_bug_is_caught(tmp_path, planted, rule, module):
             "def _run_moved_bins(",
             {"obl_hot_functions", "alloc_hot_functions", "fused_drivers"},
         ),
-        # A declassified write-back kernel renamed: its allowlist entry and
-        # both hot lists go stale.
+        # A path read renamed: both hot lists go stale.
         (
             "write_back.py",
-            "def fused_shared_write_back(",
-            "def shared_write_back(",
-            {"obl_hot_functions", "alloc_hot_functions", "declassifications"},
+            "def scan_fetch(",
+            "def bucket_scan_fetch(",
+            {"obl_hot_functions", "alloc_hot_functions"},
+        ),
+        # The native kernels' loader renamed: the allowlist entry that
+        # states their reveal goes stale.
+        (
+            "native.py",
+            "def load(",
+            "def load_kernels(",
+            {"declassifications"},
         ),
     ],
 )

@@ -41,7 +41,8 @@ GLUE = {"__init__.py": {"repro.experiments.configs", "repro.experiments.sharded"
 
 #: Where the library's scheduling lives: the engine and its kernel, the LAORAM
 #: client and its bin cutter, the plan, the preprocessor, the position map
-#: with its recursion walk, the write-back kernels, the tree and the stash.
+#: with its recursion walk, the write-back kernels and their loader, the tree
+#: and the stash.
 FORBIDDEN = (
     "repro.oram.path_oram",
     "repro.oram.engine",
@@ -50,6 +51,7 @@ FORBIDDEN = (
     "repro.core.preprocessor",
     "repro.oram.position_map",
     "repro.oram.write_back",
+    "repro.oram.native",
     "repro.oram.tree",
     "repro.oram.stash",
 )
