@@ -20,14 +20,10 @@ from typing import Sequence
 from repro.datasets.zipf import ZipfTraceGenerator
 from repro.experiments import report
 from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure7 import SUBFIGURES, run_figure7
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.figure9 import run_figure9
-from repro.experiments.memory_neutral import run_memory_neutral
+from repro.experiments.matrix import SUBFIGURES, ReplayMatrix
 from repro.experiments.scale import get_scale
 from repro.experiments.sharded import SHARDABLE_FAMILIES, ShardedRunner
 from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
 from repro.serving import AsyncShardedService, run_zipf_workload
 
 
@@ -207,30 +203,28 @@ def run_command(args: argparse.Namespace) -> str:
             f"  hot band fraction: {result.hot_band_fraction:.2f}\n"
             f"  table coverage: {result.coverage_fraction:.4f}"
         )
-    if args.command == "figure7":
-        return report.render_figure7(run_figure7(args.subfigure, get_scale(args.scale)))
-    if args.command == "figure8":
-        return report.render_figure8(run_figure8(get_scale(args.scale)))
-    if args.command == "figure9":
-        return report.render_figure9(run_figure9(get_scale(args.scale)))
     if args.command == "table1":
         return report.render_table1(run_table1())
-    if args.command == "table2":
-        return report.render_table2(run_table2(get_scale(args.scale)))
-    if args.command == "memory-neutral":
-        return report.render_memory_neutral(run_memory_neutral(get_scale(args.scale)))
-    if args.command == "all":
-        scale = get_scale(args.scale)
-        sections = [
+    renderers = {
+        "figure7": lambda matrix: report.render_figure7(matrix, args.subfigure),
+        "figure8": report.render_figure8,
+        "figure9": report.render_figure9,
+        "table2": report.render_table2,
+        "memory-neutral": report.render_memory_neutral,
+        "all": lambda matrix: "\n\n".join([
             report.render_table1(run_table1()),
-            report.render_figure7(run_figure7("7e", scale)),
-            report.render_figure8(run_figure8(scale)),
-            report.render_figure9(run_figure9(scale)),
-            report.render_table2(run_table2(scale)),
-            report.render_memory_neutral(run_memory_neutral(scale)),
-        ]
-        return "\n\n".join(sections)
-    raise ValueError(f"unknown command {args.command!r}")
+            report.render_figure7(matrix, "7e"),
+            report.render_figure8(matrix),
+            report.render_figure9(matrix),
+            report.render_table2(matrix),
+            report.render_memory_neutral(matrix),
+        ]),
+    }
+    if args.command not in renderers:
+        raise ValueError(f"unknown command {args.command!r}")
+    # Each command's sections are projections of one replay matrix, so a
+    # replay two sections share is made once.
+    return renderers[args.command](ReplayMatrix(get_scale(args.scale)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -5,13 +5,12 @@ from repro.experiments.configs import (
     build_engine,
     build_oram_config,
 )
-from repro.experiments.metrics import ExperimentResult
+from repro.experiments.matrix import Cell, ExperimentResult, ReplayMatrix
 from repro.experiments.recursion import (
     RecursionAmortizationRow,
     render_recursion_table,
     run_recursion_amortization,
 )
-from repro.experiments.runner import compare_configurations, run_configuration
 from repro.experiments.scale import ExperimentScale
 from repro.experiments.sharded import ShardedRunner, ShardResult
 
@@ -24,8 +23,8 @@ __all__ = [
     "RecursionAmortizationRow",
     "run_recursion_amortization",
     "render_recursion_table",
-    "run_configuration",
-    "compare_configurations",
+    "Cell",
+    "ReplayMatrix",
     "ShardedRunner",
     "ShardResult",
 ]

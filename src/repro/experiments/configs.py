@@ -40,10 +40,6 @@ PAPER_CONFIG_LABELS: tuple[str, ...] = (
     "Fat/S8",
 )
 
-#: Additional engines available to the harness beyond the paper's main sweep.
-EXTRA_CONFIG_LABELS: tuple[str, ...] = ("Insecure",)
-
-
 def build_oram_config(
     num_blocks: int,
     block_size_bytes: int = 128,

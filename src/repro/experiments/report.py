@@ -1,15 +1,15 @@
-"""Plain-text rendering of experiment results (the harness's 'figures')."""
+"""Plain-text rendering of experiment results (the harness's 'figures').
+
+Each figure and table renders a projection of a :class:`ReplayMatrix`.
+"""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.figure7 import Figure7Result
-from repro.experiments.figure8 import Figure8Result
-from repro.experiments.figure9 import Figure9Result
-from repro.experiments.memory_neutral import MemoryNeutralResult
+from repro.experiments.matrix import FIGURE9_SUBFIGURE, ReplayMatrix
 from repro.experiments.table1 import Table1Row
-from repro.experiments.table2 import Table2Result
+from repro.utils.units import format_bytes
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -27,73 +27,71 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_figure7(result: Figure7Result) -> str:
+def render_figure7(matrix: ReplayMatrix, subfigure: str = "7e") -> str:
     """Speedup table for one Figure 7 sub-figure."""
-    rows = [
-        [label, f"{speedup:.2f}x"]
-        for label, speedup in result.speedups.items()
-    ]
+    rows = [[label, f"{speedup:.2f}x"] for label, speedup in matrix.figure7(subfigure).items()]
+    dataset, num_blocks = matrix.workload(subfigure)
     title = (
-        f"Figure {result.subfigure}: speedups over PathORAM "
-        f"({result.dataset}, {result.num_blocks} blocks, {result.num_accesses} accesses)"
+        f"Figure {subfigure}: speedups over PathORAM "
+        f"({dataset}, {num_blocks} blocks, {matrix.scale.num_accesses} accesses)"
     )
     return title + "\n" + format_table(["configuration", "speedup"], rows)
 
 
-def render_figure8(result: Figure8Result) -> str:
+def render_figure8(matrix: ReplayMatrix) -> str:
     """Final stash occupancy for every Figure 8 configuration."""
     rows = [
-        [label, str(result.final_occupancy[label])]
-        for label in result.histories
+        [label, str(history[-1] if history else 0)]
+        for label, history in matrix.figure8().items()
     ]
-    title = f"Figure 8: stash occupancy after {result.num_accesses} accesses (no eviction)"
+    title = f"Figure 8: stash occupancy after {matrix.scale.num_accesses} accesses (no eviction)"
     return title + "\n" + format_table(["configuration", "final stash blocks"], rows)
 
 
-def render_figure9(result: Figure9Result) -> str:
+def render_figure9(matrix: ReplayMatrix) -> str:
     """Traffic reduction table (measured vs theoretical bound)."""
     rows = [
-        [label, f"{result.reductions[label]:.2f}x", f"{result.theoretical_bounds[label]:.2f}x"]
-        for label in result.reductions
+        [label, f"{reduction:.2f}x", f"{bound:.2f}x"]
+        for label, (reduction, bound) in matrix.figure9().items()
     ]
-    title = f"Figure 9: traffic reduction vs PathORAM ({result.dataset})"
+    title = f"Figure 9: traffic reduction vs PathORAM ({matrix.workload(FIGURE9_SUBFIGURE)[0]})"
     return title + "\n" + format_table(["configuration", "measured", "upper bound"], rows)
 
 
 def render_table1(rows: Sequence[Table1Row]) -> str:
     """Memory-requirement table."""
-    body = []
-    for row in rows:
-        cells = row.formatted()
-        body.append(
-            [cells["workload"], cells["insecure"], cells["pathoram"], cells["laoram"], cells["fat"]]
-        )
+    body = [
+        [row.workload]
+        + [
+            format_bytes(size)
+            for size in (row.insecure_bytes, row.pathoram_bytes, row.laoram_bytes, row.fat_bytes)
+        ]
+        for row in rows
+    ]
     title = "Table I: embedding table memory requirement"
     return title + "\n" + format_table(
         ["workload", "Insecure", "PathORAM", "LAORAM", "Fat"], body
     )
 
 
-def render_table2(result: Table2Result) -> str:
+def render_table2(matrix: ReplayMatrix) -> str:
     """Dummy-reads-per-access table."""
-    datasets = list(next(iter(result.dummy_reads.values())).keys())
+    table = matrix.table2()
     body = [
-        [config] + [f"{result.dummy_reads[config][dataset]:.3f}" for dataset in datasets]
-        for config in result.dummy_reads
+        [config] + [f"{value:.3f}" for value in row.values()] for config, row in table.items()
     ]
     title = "Table II: average dummy reads per data access"
-    return title + "\n" + format_table(["configuration"] + datasets, body)
+    return title + "\n" + format_table(["configuration", *next(iter(table.values()))], body)
 
 
-def render_memory_neutral(result: MemoryNeutralResult) -> str:
+def render_memory_neutral(matrix: ReplayMatrix) -> str:
     """Summary of the memory-neutral comparison."""
-    lines = [
-        "Memory-neutral comparison (Section VIII-C)",
-        f"  normal tree bucket {result.normal_bucket_size}: "
-        f"{result.normal_memory_bytes} bytes, {result.normal_dummy_reads} dummy reads",
-        f"  fat tree {result.fat_root_bucket_size}->{result.fat_leaf_bucket_size}: "
-        f"{result.fat_memory_bytes} bytes, {result.fat_dummy_reads} dummy reads",
-        f"  fat tree memory saving: {result.fat_memory_saving_fraction:.1%}",
-        f"  dummy read reduction:   {result.dummy_read_reduction_fraction:.1%}",
+    trees = matrix.memory_neutral()
+    (normal_bytes, normal_dummy), (fat_bytes, fat_dummy) = trees.values()
+    lines = ["Memory-neutral comparison (Section VIII-C)"] + [
+        f"  {tree}: {memory} bytes, {dummy} dummy reads" for tree, (memory, dummy) in trees.items()
     ]
+    reduction = 1.0 - fat_dummy / normal_dummy if normal_dummy else 0.0
+    lines.append(f"  fat tree memory saving: {1.0 - fat_bytes / normal_bytes:.1%}")
+    lines.append(f"  dummy read reduction:   {reduction:.1%}")
     return "\n".join(lines)

@@ -1,7 +1,8 @@
 """Experiment scale presets.
 
-The figure and table harness runs every configuration on its engine
-(``run_configuration``), which replays 2^20-2^23 blocks (see the recursion sweep in
+The figure and table harness replays every configuration on its engine
+(:class:`~repro.experiments.matrix.ReplayMatrix`), and the engines replay
+2^20-2^23 blocks (see the recursion sweep in
 ``docs/recursive_position_map.md``).  The presets stop well short of the
 paper's embedding tables (8M-16M entries, up to 24 GB of tree) so that a
 whole figure sweep takes seconds: the relative behaviour the paper reports —
@@ -27,15 +28,12 @@ class ExperimentScale:
         num_blocks: Embedding rows in the protected table.
         num_accesses: Length of the access trace driven through each engine.
         block_size_bytes: Row payload size.
-        secondary_num_blocks: Table size used for the "16M" variants (the
-            paper evaluates two permutation/Gaussian table sizes).
     """
 
     name: str
     num_blocks: int
     num_accesses: int
     block_size_bytes: int = 128
-    secondary_num_blocks: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_blocks < 2:
@@ -47,8 +45,9 @@ class ExperimentScale:
 
     @property
     def secondary_blocks(self) -> int:
-        """Size of the larger table variant (defaults to twice the base size)."""
-        return self.secondary_num_blocks or self.num_blocks * 2
+        """Table size of the "16M" variants: the paper evaluates the
+        permutation and Gaussian streams at two sizes, here twice the base."""
+        return self.num_blocks * 2
 
 
 #: Fast preset used by the test suite.

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.datasets.kaggle import KAGGLE_LARGEST_TABLE_ROWS
 from repro.datasets.xnli import XLMR_VOCABULARY_SIZE
 from repro.oram.config import ORAMConfig
-from repro.utils.units import format_bytes
 
 #: The four table configurations of Table I: name -> (rows, row bytes).
 TABLE1_WORKLOADS: dict[str, tuple[int, int]] = {
@@ -45,16 +44,6 @@ class Table1Row:
     def fat_overhead_vs_normal(self) -> float:
         """Extra memory the fat tree uses compared to the normal LAORAM tree."""
         return self.fat_bytes / self.laoram_bytes
-
-    def formatted(self) -> dict[str, str]:
-        """Human-readable cell values."""
-        return {
-            "workload": self.workload,
-            "insecure": format_bytes(self.insecure_bytes),
-            "pathoram": format_bytes(self.pathoram_bytes),
-            "laoram": format_bytes(self.laoram_bytes),
-            "fat": format_bytes(self.fat_bytes),
-        }
 
 
 def run_table1(

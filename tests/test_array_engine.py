@@ -30,7 +30,13 @@ from repro.oram.tree import MAX_NUM_BLOCKS
 from test_laoram import assert_plan_conformance
 from test_trace_contract import assert_twins_agree
 
-from oracle import ObjectLAORAMClient, build_engine, engine_state, fetch_path
+from oracle import (
+    ObjectLAORAMClient,
+    build_engine,
+    engine_state,
+    fetch_path,
+    reference_families,
+)
 
 
 def make_laoram_config(num_blocks=256, superblock_size=4, seed=13, **oram_kwargs):
@@ -395,25 +401,21 @@ class TestHarnessIntegration:
 
     @pytest.mark.parametrize("label", PAPER_CONFIG_LABELS)
     def test_experiment_result_equal_on_both_backends(self, label):
-        """What lets the figure runners use the array engines: the whole
-        record (snapshot, simulated time, stash history), not the counters."""
+        """What lets the replay matrix use the array engines: its cell
+        runner's whole record (snapshot, simulated time, stash history), not
+        the counters."""
         from repro.datasets.base import AccessTrace
-        from repro.experiments.runner import run_engine_on_trace
+        from repro.experiments.matrix import Cell, replay
 
         oram = ORAMConfig(num_blocks=128, block_size_bytes=32, seed=5)
         rng = np.random.default_rng(12)
         addresses = rng.integers(0, 128, size=1_000).astype(np.int64)
         trace = AccessTrace("unit", 128, addresses)
-        reference, fast = (
-            run_engine_on_trace(
-                build_engine(label, oram, fast=fast),
-                trace,
-                label,
-                record_stash_history=True,
-            )
-            for fast in (False, True)
-        )
-        assert fast == reference
+        cell = Cell(label, "unit", 1_000, 12, oram, record_stash_history=True)
+        with reference_families():
+            reference = replay(cell, trace)
+        assert replay(cell, trace) == reference
+        assert len(reference.stash_history) > 0
 
 
 class TestTreeAtItsWidth:

@@ -4,7 +4,7 @@ A LAORAM bin fetches every distinct path its missing blocks sit on and then
 writes those paths back one after another, so a later write-back finds the
 buckets it shares with an earlier one already refilled.  On the fast client
 that is the bin kernel's write-back
-(``fused_shared_write_back`` on the stash's dict); the reference
+(the C ``write_back`` of ``oram/_write_back.c``, on the stash's dict); the reference
 is ``LAORAMClient.access_superblock``, one occupancy-aware
 ``plan_greedy_write_back`` per path over ``Block`` objects.  These tests
 hammer the pair with bins the access protocols seldom produce — batch sizes

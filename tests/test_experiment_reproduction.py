@@ -12,16 +12,16 @@ from repro.attacks.observer import MemoryBusObserver
 from repro.core.config import LAORAMConfig
 from repro.core.laoram import LAORAMClient
 from repro.datasets.registry import make_trace
-from repro.experiments.configs import build_oram_config
+from repro.experiments.configs import build_engine, build_oram_config
 from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure7 import SUBFIGURES, run_figure7
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.figure9 import run_figure9, theoretical_traffic_bound
-from repro.experiments.memory_neutral import run_memory_neutral
-from repro.experiments.runner import run_configuration
+from repro.experiments.matrix import (
+    SUBFIGURES,
+    Cell,
+    ReplayMatrix,
+    theoretical_traffic_bound,
+)
 from repro.experiments.scale import ExperimentScale, TINY
 from repro.experiments.table1 import TABLE1_WORKLOADS, run_table1
-from repro.experiments.table2 import run_table2
 from repro.oram.eviction import EvictionPolicy
 from repro.utils.stats import chi_square_uniformity
 from repro.utils.units import GiB
@@ -43,29 +43,29 @@ class TestFigure7:
         assert set(SUBFIGURES) == {"7a", "7b", "7c", "7d", "7e", "7f"}
 
     def test_kaggle_laoram_beats_pathoram(self):
-        result = run_figure7("7e", _FAST, seed=2)
-        assert result.speedups["PathORAM"] == pytest.approx(1.0)
-        assert result.speedups["Normal/S4"] > 1.5
-        assert result.best_speedup > 2.0
+        speedups = ReplayMatrix(_FAST).figure7("7e", seed=2)
+        assert speedups["PathORAM"] == pytest.approx(1.0)
+        assert speedups["Normal/S4"] > 1.5
+        assert max(speedups.values()) > 2.0
 
     def test_xnli_shows_largest_speedups(self):
-        kaggle = run_figure7("7e", _FAST, seed=3)
-        xnli = run_figure7("7f", _FAST, seed=3)
-        assert xnli.best_speedup >= kaggle.best_speedup * 0.8
+        kaggle = ReplayMatrix(_FAST).figure7("7e", seed=3)
+        xnli = ReplayMatrix(_FAST).figure7("7f", seed=3)
+        assert max(xnli.values()) >= max(kaggle.values()) * 0.8
 
     def test_permutation_speedups_are_modest(self):
         """The worst-case dataset gains less than the ML workloads (Fig. 7a vs 7e)."""
-        permutation = run_figure7("7a", _FAST, seed=4)
-        kaggle = run_figure7("7e", _FAST, seed=4)
-        assert permutation.speedups["Normal/S8"] <= kaggle.speedups["Normal/S8"] * 1.2
+        permutation = ReplayMatrix(_FAST).figure7("7a", seed=4)
+        kaggle = ReplayMatrix(_FAST).figure7("7e", seed=4)
+        assert permutation["Normal/S8"] <= kaggle["Normal/S8"] * 1.2
 
     @pytest.mark.parametrize("subfigure", sorted(SUBFIGURES))
     def test_shape_once_the_stash_fills(self, subfigure):
         ml_workload = subfigure in ("7e", "7f")
-        result = run_figure7(subfigure, _BENCH if ml_workload else _BENCH_SMALL, seed=1)
-        speedups = result.speedups
+        scale = _BENCH if ml_workload else _BENCH_SMALL
+        speedups = ReplayMatrix(scale).figure7(subfigure, seed=1)
         assert speedups["PathORAM"] == pytest.approx(1.0)
-        assert result.best_speedup > (2.5 if ml_workload else 1.2)
+        assert max(speedups.values()) > (2.5 if ml_workload else 1.2)
         if ml_workload:
             assert speedups["Fat/S8"] > speedups["Fat/S2"]
         if subfigure in ("7a", "7b"):
@@ -76,39 +76,42 @@ class TestFigure7:
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            run_figure7("7z", TINY)
+            ReplayMatrix(TINY).figure7("7z")
 
 
 class TestFigure8:
     def test_normal_tree_stash_grows_faster_than_fat(self):
-        result = run_figure8(_FAST, seed=5)
-        assert result.final_occupancy["Normal-4"] > result.final_occupancy["Fat-4"]
-        assert result.final_occupancy["Normal-8"] > result.final_occupancy["Fat-8"]
+        histories = ReplayMatrix(_FAST).figure8(seed=5)
+        assert histories["Normal-4"][-1] > histories["Fat-4"][-1]
+        assert histories["Normal-8"][-1] > histories["Fat-8"][-1]
 
     def test_normal_tree_stash_keeps_growing(self):
         """Visible only once the tree is under pressure (2^12 blocks)."""
-        history = run_figure8(_BENCH, seed=2).histories["Normal-4"]
+        history = ReplayMatrix(_BENCH).figure8(seed=2)["Normal-4"]
         assert history[-1] >= history[len(history) // 4]
 
     def test_histories_are_recorded_per_access(self):
-        result = run_figure8(ExperimentScale(name="t", num_blocks=256, num_accesses=512))
-        for history in result.histories.values():
+        scale = ExperimentScale(name="t", num_blocks=256, num_accesses=512)
+        histories = ReplayMatrix(scale).figure8()
+        for history in histories.values():
             assert len(history) > 0
 
 
 class TestFigure9:
     def test_normal_s2_reaches_its_theoretical_bound(self):
         """Paper: Normal/S2's measured reduction matches the bound of 2x."""
-        result = run_figure9(_FAST, seed=6)
-        assert result.reductions["Normal/S2"] == pytest.approx(2.0, rel=0.15)
+        reduction, bound = ReplayMatrix(_FAST).figure9(seed=6)["Normal/S2"]
+        assert bound == 2.0
+        assert reduction == pytest.approx(2.0, rel=0.15)
 
     def test_reductions_respect_bounds(self):
-        result = run_figure9(_FAST, seed=6)
-        for label in result.reductions:
-            assert result.within_bound(label, tolerance=1.10)
-        assert result.reductions["Normal/S4"] > result.reductions["Normal/S2"]
+        figure9 = ReplayMatrix(_FAST).figure9(seed=6)
+        for reduction, bound in figure9.values():
+            assert reduction <= bound * 1.10
+        reductions = {label: reduction for label, (reduction, _) in figure9.items()}
+        assert reductions["Normal/S4"] > reductions["Normal/S2"]
         # The fat tree's paths carry ~50% more bytes.
-        assert result.reductions["Fat/S2"] < result.reductions["Normal/S2"]
+        assert reductions["Fat/S2"] < reductions["Normal/S2"]
 
     def test_theoretical_bounds(self):
         assert theoretical_traffic_bound("Normal/S4") == pytest.approx(4.0)
@@ -151,46 +154,44 @@ class TestTable1:
 
 class TestTable2:
     def test_fat_tree_reduces_dummy_reads_on_permutation(self):
-        result = run_table2(_FAST, seed=7)
-        normal = result.value("Normal/S8", "permutation")
-        fat = result.value("Fat/S8", "permutation")
+        table = ReplayMatrix(_FAST).table2(seed=7)
+        normal = table["Normal/S8"]["permutation"]
+        fat = table["Fat/S8"]["permutation"]
         assert fat <= normal
 
     def test_ml_workloads_have_fewer_dummy_reads_than_permutation(self):
-        result = run_table2(_FAST, seed=7)
+        table = ReplayMatrix(_FAST).table2(seed=7)
         for config in ("Normal/S8", "Fat/S8"):
-            assert result.value(config, "xnli") <= result.value(config, "permutation")
+            assert table[config]["xnli"] <= table[config]["permutation"]
 
     def test_fat_never_needs_more_dummy_reads_than_normal(self):
         """At 2^11 blocks, where the normal tree does issue dummy reads."""
-        result = run_table2(_BENCH_SMALL, seed=4)
-        assert result.value("Normal/S8", "permutation") > 0.0
+        table = ReplayMatrix(_BENCH_SMALL).table2(seed=4)
+        assert table["Normal/S8"]["permutation"] > 0.0
         for superblock in (4, 8):
             for dataset in ("permutation", "gaussian", "kaggle", "xnli"):
-                assert result.value(f"Fat/S{superblock}", dataset) <= result.value(
-                    f"Normal/S{superblock}", dataset
-                )
+                fat = table[f"Fat/S{superblock}"][dataset]
+                assert fat <= table[f"Normal/S{superblock}"][dataset]
         # Larger superblocks put more pressure on the stash.
-        assert result.value("Normal/S8", "permutation") >= result.value(
-            "Normal/S4", "permutation"
-        )
+        assert table["Normal/S8"]["permutation"] >= table["Normal/S4"]["permutation"]
 
     def test_all_cells_are_present(self):
-        result = run_table2(_FAST, seed=7)
-        for config in ("Fat/S8", "Fat/S4", "Normal/S8", "Normal/S4"):
-            for dataset in ("permutation", "gaussian", "kaggle", "xnli"):
-                assert result.value(config, dataset) >= 0.0
+        table = ReplayMatrix(_FAST).table2(seed=7)
+        assert list(table) == ["Fat/S8", "Fat/S4", "Normal/S8", "Normal/S4"]
+        for row in table.values():
+            assert list(row) == ["permutation", "gaussian", "kaggle", "xnli"]
+            assert all(value >= 0.0 for value in row.values())
 
 
 class TestMemoryNeutral:
     def test_fat_tree_uses_less_memory_than_enlarged_normal_tree(self):
-        result = run_memory_neutral(_FAST, seed=8)
-        assert result.fat_memory_bytes < result.normal_memory_bytes
-        assert 0.05 < result.fat_memory_saving_fraction < 0.35
+        (normal_bytes, _), (fat_bytes, _) = ReplayMatrix(_FAST).memory_neutral(seed=8).values()
+        assert fat_bytes < normal_bytes
+        assert 0.05 < 1.0 - fat_bytes / normal_bytes < 0.35
 
     def test_fat_tree_does_not_need_more_dummy_reads(self):
-        result = run_memory_neutral(_FAST, seed=8)
-        assert result.fat_dummy_reads <= result.normal_dummy_reads
+        (_, normal_dummy), (_, fat_dummy) = ReplayMatrix(_FAST).memory_neutral(seed=8).values()
+        assert fat_dummy <= normal_dummy
 
 
 class TestAblations:
@@ -208,14 +209,19 @@ class TestAblations:
     def trace(self, dataset, seed):
         return make_trace(dataset, self.scale.num_blocks, self.scale.num_accesses, seed=seed)
 
+    def record(self, label, dataset, seed, oram=None, **cell):
+        oram = oram if oram is not None else self.oram_config(seed)
+        return ReplayMatrix().record(
+            Cell(label, dataset, self.scale.num_accesses, seed, oram, **cell)
+        )
+
     def test_eviction_threshold_trades_dummy_reads_for_stash(self):
         """Section VIII-E fixes 500/50; this is the trade-off those numbers buy."""
-        trace = self.trace("permutation", 8)
         snapshots = [
-            run_configuration(
+            self.record(
                 "Normal/S8",
-                trace,
-                self.oram_config(8),
+                "permutation",
+                8,
                 eviction=EvictionPolicy(
                     trigger_threshold=threshold, drain_target=max(5, threshold // 10)
                 ),
@@ -227,10 +233,9 @@ class TestAblations:
 
     def test_fat_tree_growth_schedules(self):
         """Section V: extra slots near the root buy stash headroom at bounded cost."""
-        trace = self.trace("permutation", 11)
         base = self.oram_config(11)
         uniform, linear, increment = (
-            run_configuration(label, trace, config, eviction=EvictionPolicy.disabled())
+            self.record(label, "permutation", 11, config, eviction=EvictionPolicy.disabled())
             for label, config in (
                 ("Normal/S8", base),
                 ("Fat/S8", base.with_overrides(fat_tree_growth="linear")),
@@ -248,7 +253,7 @@ class TestAblations:
     def test_more_lookahead_never_hurts(self):
         """Section IV-B: the window must hold a block's next occurrence."""
         trace = self.trace("xnli", 9)
-        baseline = run_configuration("PathORAM", trace, self.oram_config(9))
+        baseline = self.record("PathORAM", "xnli", 9)
         speedups = {}
         for window in (64, 512, None):  # None = the whole trace
             # build_engine has no window argument: the one hand-built client.
@@ -269,17 +274,17 @@ class TestAblations:
         trace = self.trace("kaggle", 7)
         oram_config = self.oram_config(7)
         fold = 5  # 2048 leaves -> 64 cells, so 256 observed paths still fill them
-        results = {}
+        times = {}
         for size in (1, 2, 4, 8, 16):
             observer = MemoryBusObserver()
             label = "PathORAM" if size == 1 else f"{tree}/S{size}"
-            results[size] = run_configuration(
-                label, trace, oram_config, seed=7 + size, observer=observer
-            )
+            engine = build_engine(label, oram_config, seed=7 + size, observer=observer)
+            engine.run_trace(trace.addresses)
+            times[size] = engine.simulated_time_s
             uniformity = chi_square_uniformity(
                 np.asarray(observer.observed_paths) >> fold, oram_config.num_leaves >> fold
             )
             assert not uniformity.rejects_uniformity(alpha=0.001), label
-        speedups = {size: result.speedup_over(results[1]) for size, result in results.items()}
+        speedups = {size: times[1] / time_s for size, time_s in times.items()}
         assert speedups[4] > speedups[2] > 1.0
         assert speedups[16] / speedups[8] < speedups[4] / speedups[2]

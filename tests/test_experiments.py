@@ -1,23 +1,24 @@
-"""Tests for the experiment harness (configs, runner, scales, metrics)."""
+"""Tests for the experiment harness (configs, replay matrix, scales, metrics)."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
+from repro.cli import build_parser, run_command
 from repro.datasets.registry import make_trace
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import (
-    EXTRA_CONFIG_LABELS,
     PAPER_CONFIG_LABELS,
     build_engine,
     build_oram_config,
     parse_label,
 )
-from repro.experiments.metrics import ExperimentResult
-from repro.experiments.runner import compare_configurations, run_configuration
-from repro.experiments.scale import TINY, get_scale
+from repro.experiments.matrix import Cell, ExperimentResult, ReplayMatrix
+from repro.experiments.scale import TINY, ExperimentScale, get_scale
 from repro.memory.accounting import TrafficSnapshot
 from repro.core.laoram import LAORAMClient
+from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 
@@ -61,33 +62,30 @@ class TestLabels:
 
     def test_every_known_label_builds(self):
         config = build_oram_config(num_blocks=64, block_size_bytes=32)
-        for label in PAPER_CONFIG_LABELS + EXTRA_CONFIG_LABELS:
+        for label in PAPER_CONFIG_LABELS + ("Insecure",):
             assert build_engine(label, config) is not None
 
 
-class TestRunner:
-    def test_run_configuration_counts_all_accesses(self):
-        trace = make_trace("kaggle", 256, 512, seed=1)
-        config = build_oram_config(num_blocks=256, block_size_bytes=64)
-        result = run_configuration("Normal/S4", trace, config, seed=2)
+class TestReplayMatrix:
+    def test_a_cell_counts_all_accesses(self):
+        config = build_oram_config(num_blocks=256, block_size_bytes=64, seed=2)
+        result = ReplayMatrix().record(Cell("Normal/S4", "kaggle", 512, 1, config))
         assert result.num_accesses == 512
         assert result.snapshot.logical_accesses == 512
         assert result.simulated_time_s > 0
 
     def test_stash_history_recording(self):
-        trace = make_trace("permutation", 256, 256, seed=1)
         config = build_oram_config(num_blocks=256, block_size_bytes=64)
-        result = run_configuration(
-            "Normal/S4", trace, config, record_stash_history=True
+        result = ReplayMatrix().record(
+            Cell("Normal/S4", "permutation", 256, 1, config, record_stash_history=True)
         )
         assert len(result.stash_history) > 0
 
-    def test_compare_configurations_covers_all_labels(self):
-        trace = make_trace("gaussian", 256, 384, seed=3)
-        config = build_oram_config(num_blocks=256, block_size_bytes=64)
-        results = compare_configurations(("PathORAM", "Fat/S4"), trace, config)
-        assert set(results) == {"PathORAM", "Fat/S4"}
-        assert all(isinstance(r, ExperimentResult) for r in results.values())
+    def test_figure7_covers_all_labels(self):
+        scale = ExperimentScale(name="t", num_blocks=256, num_accesses=384)
+        speedups = ReplayMatrix(scale).figure7("7c", seed=3)
+        assert tuple(speedups) == PAPER_CONFIG_LABELS
+        assert all(isinstance(s, float) for s in speedups.values())
 
 
 class TestMetrics:
@@ -126,3 +124,79 @@ class TestMetrics:
     def test_dummy_reads_per_access(self):
         result = self.make_result(1.0, 100, accesses=100)
         assert result.dummy_reads_per_access == pytest.approx(0.1)
+
+
+def _count_replays(monkeypatch) -> tuple[list, list]:
+    """Wrap the matrix's cell runner and trace builder; returns their calls."""
+    from repro.experiments import matrix
+
+    replays, traces = [], []
+    run, build = matrix.replay, matrix.make_trace
+    monkeypatch.setattr(
+        matrix, "replay", lambda cell, trace: replays.append(cell) or run(cell, trace)
+    )
+    monkeypatch.setattr(matrix, "make_trace", lambda *key: traces.append(key) or build(*key))
+    return replays, traces
+
+
+class TestCellKey:
+    """A cell names its replay completely: the matrix replays it once, and
+    a cell one key field apart is a replay of its own."""
+
+    BASE = Cell(
+        "Normal/S4",
+        "permutation",
+        512,
+        1,
+        build_oram_config(num_blocks=256, block_size_bytes=64, seed=2),
+        EvictionPolicy(trigger_threshold=20, drain_target=5),
+    )
+
+    def test_the_record_is_a_fresh_replay_of_the_cell(self):
+        cell = replace(self.BASE, record_stash_history=True)
+        record = ReplayMatrix().record(cell)
+        engine = build_engine(cell.label, cell.oram, eviction=cell.eviction)
+        engine.counter.record_stash_history = True
+        engine.run_trace(make_trace("permutation", 256, 512, seed=1).addresses)
+        assert record == ExperimentResult(
+            label="Normal/S4",
+            dataset="permutation",
+            num_accesses=512,
+            snapshot=engine.statistics,
+            simulated_time_s=engine.simulated_time_s,
+            server_memory_bytes=engine.server_memory_bytes,
+            stash_history=tuple(engine.counter.stash_history),
+        )
+        assert record.snapshot.dummy_reads > 0 and len(record.stash_history) > 0
+
+    def test_one_field_apart_is_another_replay(self, monkeypatch):
+        replays, traces = _count_replays(monkeypatch)
+        base = self.BASE
+        cells = [
+            base,
+            replace(base, eviction=EvictionPolicy.disabled()),
+            replace(base, record_stash_history=True),
+            replace(base, oram=base.oram.with_overrides(bucket_size=5)),
+            replace(base, oram=base.oram.with_overrides(seed=3)),
+            replace(base, trace_seed=2),
+        ]
+        matrix = ReplayMatrix()
+        records = [matrix.record(cell) for cell in cells]
+        assert [matrix.record(cell) for cell in reversed(cells)] == records[::-1]
+        assert replays == cells
+        # Only the trace seed asks for a second trace.
+        assert traces == [("permutation", 256, 512, 1), ("permutation", 256, 512, 2)]
+        # Where a field changes what the engine does, the record shows it.
+        assert records[1].snapshot.dummy_reads == 0 < records[0].snapshot.dummy_reads
+        assert records[2].stash_history and not records[0].stash_history
+        assert records[3].server_memory_bytes > records[0].server_memory_bytes
+
+
+class TestProjections:
+    def test_cli_all_replays_each_cell_once(self, monkeypatch):
+        replays, _ = _count_replays(monkeypatch)
+        run_command(build_parser().parse_args(["all", "--scale", "tiny"]))
+        # Fig. 7e 7, Fig. 8 4, Table II 16, memory-neutral 2; Fig. 9 reads
+        # Fig. 7e's cells.
+        assert len(replays) == 29
+        assert len(set(replays)) == 29

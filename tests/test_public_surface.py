@@ -1,10 +1,11 @@
 """Every public name under ``src/repro`` has a caller outside its own tests.
 
 The guard parses ``src/repro/**/*.py`` once and collects every public
-module-level function and class, and every public method and property of a
-module-level class.  It then tokenizes the program's own callers once: each
-file under ``src/repro`` except the ``__init__`` re-exports, the benchmark
-suite and the examples.  A name is used when a token outside its own
+module-level function, class and constant (a plain or annotated assignment
+to a name), and every public method and property of a module-level class.
+It then tokenizes the program's own callers once: each file under
+``src/repro`` except the ``__init__`` re-exports, the benchmark suite and
+the examples.  A name is used when a token outside its own
 definition names it:
 
 * a NAME token, including one inside an f-string;
@@ -50,12 +51,6 @@ ALLOWLIST: dict[str, str] = {
     ),
     "repro.experiments.figure2.Figure2Result.looks_random_with_hot_band": (
         "tests/test_experiment_reproduction.py checks Figure 2's claim through it"
-    ),
-    "repro.experiments.figure7.Figure7Result.best_speedup": (
-        "tests/test_experiment_reproduction.py checks Figure 7's speedups through it"
-    ),
-    "repro.experiments.figure9.Figure9Result.within_bound": (
-        "tests/test_experiment_reproduction.py checks Figure 9's bounds through it"
     ),
     "repro.experiments.recursion.render_recursion_table": (
         "docs/recursive_position_map.md runs it for the recursion table"
@@ -111,7 +106,7 @@ def _is_registered_rule(node: ast.ClassDef) -> bool:
 
 
 def _span(node: ast.AST) -> tuple[int, int]:
-    first = min([node.lineno] + [deco.lineno for deco in node.decorator_list])
+    first = min([node.lineno] + [deco.lineno for deco in getattr(node, "decorator_list", ())])
     return first, node.end_lineno
 
 
@@ -136,6 +131,11 @@ def public_definitions(src: Path) -> dict[str, tuple[str, Path, list[tuple[int, 
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, functions) and _public(node.name):
                 add(f"{module}.{node.name}", node.name, path, node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and _public(target.id):
+                        add(f"{module}.{target.id}", target.id, path, node)
             elif isinstance(node, ast.ClassDef) and not _is_registered_rule(node):
                 if _public(node.name):
                     add(f"{module}.{node.name}", node.name, path, node)
@@ -370,3 +370,24 @@ def test_a_use_only_in_tests_keeps_nothing(tmp_path):
         },
     )
     assert scan(tmp_path, {}) == (["repro.lib.helper"], [])
+
+
+def test_a_module_constant_is_a_name_like_any_other(tmp_path):
+    # A public constant nothing reads is reported; one a function reads,
+    # or a private one, is not.  Its own assignment is no use of it.
+    _plant(
+        tmp_path,
+        {
+            "src/repro/lib.py": (
+                "#: Read by ``reader`` below.\n"
+                "USED: tuple[str, ...] = ('a',)\n"
+                "DEAD = ('b',) + ('c',)\n"
+                "_PRIVATE = 1\n"
+                "\n\n"
+                "def reader():\n"
+                "    return USED\n"
+            ),
+            "examples/run.py": "from repro.lib import reader\nreader()\n",
+        },
+    )
+    assert scan(tmp_path, {}) == (["repro.lib.DEAD"], [])

@@ -4,13 +4,9 @@ import pytest
 
 from repro.cli import build_parser, main, run_command
 from repro.experiments import report
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.figure9 import run_figure9
-from repro.experiments.memory_neutral import run_memory_neutral
+from repro.experiments.matrix import ReplayMatrix
 from repro.experiments.scale import ExperimentScale
 from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
 
 _FAST = ExperimentScale(name="cli-test", num_blocks=256, num_accesses=512)
 
@@ -23,17 +19,17 @@ class TestFormatting:
         assert all(len(line) == len(lines[0]) for line in lines[1:])
 
     def test_render_figure7(self):
-        text = report.render_figure7(run_figure7("7e", _FAST))
+        text = report.render_figure7(ReplayMatrix(_FAST), "7e")
         assert "PathORAM" in text
         assert "Fat/S8" in text
         assert "x" in text
 
     def test_render_figure8(self):
-        text = report.render_figure8(run_figure8(_FAST))
+        text = report.render_figure8(ReplayMatrix(_FAST))
         assert "Normal-4" in text
 
     def test_render_figure9(self):
-        text = report.render_figure9(run_figure9(_FAST))
+        text = report.render_figure9(ReplayMatrix(_FAST))
         assert "upper bound" in text
 
     def test_render_table1(self):
@@ -42,11 +38,11 @@ class TestFormatting:
         assert "GiB" in text
 
     def test_render_table2(self):
-        text = report.render_table2(run_table2(_FAST))
+        text = report.render_table2(ReplayMatrix(_FAST))
         assert "permutation" in text
 
     def test_render_memory_neutral(self):
-        text = report.render_memory_neutral(run_memory_neutral(_FAST))
+        text = report.render_memory_neutral(ReplayMatrix(_FAST))
         assert "memory saving" in text
 
 
