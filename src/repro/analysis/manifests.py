@@ -170,14 +170,9 @@ class AnalysisConfig:
 #: reveal nothing, and a leaf handed to one of them from a hot function
 #: stays tainted.
 _PATH_REVEAL = (
-    Declassifier("read_path_ids", (0,)),
-    # fused_fetch(read_ids, tags, stash_map, leaf): the leaf is argument 3.
-    Declassifier("fused_fetch", (3,)),
-    # scan_fetch(levels, slots, occ, tags, stash_map, leaf): argument 5.
-    Declassifier("scan_fetch", (5,)),
-    # The tree's read as its callers bind it (``tree.path_reader(tags)``):
-    # read_path(stash_map, leaf), the leaf is argument 1.
-    Declassifier("read_path", (1,)),
+    # fetch(stash, caps, level_base, node_base, slots, occ, depth, tags,
+    # leaf), the C path read: the leaf is argument 8.
+    Declassifier("fetch", (8,)),
     Declassifier("observe_path", (0,)),
 )
 
@@ -201,13 +196,6 @@ _LAORAM_SOURCES = ModuleSources(
     declassifiers=_PATH_REVEAL,
 )
 
-_WRITE_BACK_SOURCES = ModuleSources(
-    params=frozenset({"stash", "stash_map", "tags"}),
-    attrs=frozenset({"entries"}),
-    calls=frozenset(),
-    declassifiers=(),
-)
-
 _POSITION_MAP_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids"}),
     attrs=frozenset(
@@ -224,7 +212,6 @@ def default_config() -> AnalysisConfig:
         sources={
             "repro/core/laoram.py": _LAORAM_SOURCES,
             "repro/oram/path_oram.py": _ENGINE_SOURCES,
-            "repro/oram/write_back.py": _WRITE_BACK_SOURCES,
             "repro/oram/position_map.py": _POSITION_MAP_SOURCES,
         },
         obl_hot_functions={
@@ -235,7 +222,6 @@ def default_config() -> AnalysisConfig:
                 "PathORAM.commit",
                 "PathORAM._run_bins",
             ),
-            "repro/oram/write_back.py": ("scan_fetch", "fused_fetch"),
             "repro/oram/position_map.py": (
                 "PositionMap._walk",
                 "PositionMap.update",
@@ -259,30 +245,25 @@ def default_config() -> AnalysisConfig:
                 AllocScope("OverlayRowStore.get", "body"),
                 AllocScope("OverlayRowStore.__setitem__", "body"),
             ),
-            "repro/oram/write_back.py": (
-                AllocScope("scan_fetch", "body"),
-                AllocScope("fused_fetch", "body"),
-            ),
-            "repro/oram/tree.py": (
-                AllocScope("ArrayTreeStorage.read_path_ids", "body"),
-            ),
         },
         fused_drivers={
             "repro/oram/path_oram.py": ("PathORAM._run_bins",),
         },
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(
-            # The write-back kernels are C (oram/_write_back.c), outside the
-            # scan; their one Python entry point is the loader that builds
-            # them, and this entry is where the reveal they make is stated.
+            # The path read and the write-backs are C (oram/_write_back.c),
+            # outside the scan; their one Python entry point is the loader
+            # that builds them, and this entry is where the reveal they make
+            # is stated.
             Declassification(
                 "repro/oram/native.py",
                 "load",
                 ("OBL001", "OBL002"),
-                "the write-back kernels it loads plan client-side and every "
-                "path they write is charged at full-path cost whichever blocks "
-                "are selected; they touch only the slots and occupancies of the "
-                "already-revealed path or held paths, and the stash dict",
+                "the kernels it loads read a whole path whatever it holds, and "
+                "the write-backs plan client-side and every path they write is "
+                "charged at full-path cost whichever blocks are selected; they "
+                "touch only the slots and occupancies of the already-revealed "
+                "path or held paths, and the stash dict",
             ),
         ),
     )

@@ -9,8 +9,8 @@ of when the tracemalloc bound flakes.
 
 Two granularities, per manifest entry:
 
-* ``"body"`` — per-access leaf helpers (``scan_fetch``,
-  ``fused_fetch``): the whole body is steady state.
+* ``"body"`` — per-access leaf helpers (``OverlayRowStore.get`` and
+  ``__setitem__``): the whole body is steady state.
 * ``"loops"`` — the trace kernel (``_run_bins``): setup before the
   access loop may allocate freely; code lexically inside a loop may not.
 
@@ -19,9 +19,8 @@ constructor calls (``np.zeros``/``empty``/``concatenate``/...), builtin
 container constructors (``list``/``dict``/``set``/``tuple``/``sorted``),
 non-empty list/set/dict display literals, and tuple-growing augmented
 assignments.  Amortized allocations that are part of the measured design
-(the RNG refill's ``tolist``, compacted path-read results) are not in the
-banned set; anything else needs an inline
-``# oblivious: allow[ALLOC001] reason``.
+(the RNG refill's ``tolist``) are not in the banned set; anything else
+needs an inline ``# oblivious: allow[ALLOC001] reason``.
 """
 
 from __future__ import annotations

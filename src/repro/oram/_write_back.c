@@ -1,29 +1,35 @@
 /*
- * The greedy write-back of the array engine, over the engine's own objects.
+ * The path read and the greedy write-backs of the array engine, over the
+ * engine's own objects.
  *
- * Path ORAM's eviction rule (Stefanov et al., CCS'13), occupancy aware:
- * after a path has been read, every stash block whose leaf shares a level
- * with the path may go back onto it, as deep as that prefix allows, into
- * the free slots each bucket actually has.  LAORAM reads several paths
- * before writing them back, so a later write-back finds buckets an earlier
- * one refilled; a held training step writes its read paths back at its
- * commit as one subtree.
+ * Path ORAM (Stefanov et al., CCS'13) reads a path into the stash and
+ * writes it back by the eviction rule, occupancy aware: every stash block
+ * whose leaf shares a level with the path may go back onto it, as deep as
+ * that prefix allows, into the free slots each bucket actually has.
+ * LAORAM reads several paths before writing them back, so a later
+ * write-back finds buckets an earlier one refilled; a held training step
+ * writes its read paths back at its commit as one subtree.
  *
- * Both functions take the engine's objects as they are:
+ * Every function takes the engine's objects as they are:
  *
- *   stash       the {id: leaf} dict, iterated in insertion order; every id
- *               placed is deleted from it, and the order of the rest is kept;
+ *   stash       the {id: leaf} dict, iterated in insertion order; the fetch
+ *               inserts into it, and every id a write-back places is
+ *               deleted from it, and the order of the rest is kept;
  *   caps, level_base, node_base
  *               per level, the bucket capacity, the first slot of the level
  *               and its first bucket index (sequences of depth + 1 ints);
  *   slots, occ  the tree's slot buffer (int32, -1 empty) and occupancy
  *               buffer (uint8), written in place;
  *   depth       the tree's depth (leaves are [0, 2**depth));
- *   leaf        the path written back, or leaves, the paths a hold read.
+ *   tags        the fetch's labels (int32): a fetched id enters the stash
+ *               under tags[id];
+ *   leaf        the path read or written back, or leaves, the paths a hold
+ *               read.
  *
- * Every decision is the per-object reference planner's
+ * Every write-back decision is the per-object reference planner's
  * (tests/oracle/write_back.py): entries grouped by the level they can reach
- * in stash order, a LIFO pool per bucket, slots filled in ascending order.
+ * in stash order, a LIFO pool per bucket, slots filled in ascending order;
+ * the fetch reads as the reference tree does (tests/oracle/tree.py).
  * Every operand is checked before the first write, so a call either
  * raises TypeError / ValueError and leaves the stash and the tree as they
  * were, or writes only slots and occupancies of the path (or subtree) it
@@ -154,10 +160,11 @@ done:
     return result;
 }
 
-/* A writable, contiguous buffer of `itemsize`-byte items of a `codes` type. */
+/* A contiguous buffer of `itemsize`-byte items of a `codes` type, writable
+ * if `must_write`. */
 static int
-writable(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize, const char *codes,
-         const char *what)
+buffer_of(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize, const char *codes,
+          int must_write, const char *what)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0) {
         PyErr_Format(PyExc_TypeError, "%s must be a contiguous buffer, not %.100s", what,
@@ -168,7 +175,7 @@ writable(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize, const char *codes,
     if (*format == '@' || *format == '=') {
         format++;
     }
-    if (view->readonly) {
+    if (must_write && view->readonly) {
         PyErr_Format(PyExc_TypeError, "%s is read-only", what);
     }
     else if (view->itemsize != itemsize || strlen(format) != 1
@@ -209,10 +216,10 @@ parse_tree(PyObject *const *args, Tree *tree, Py_buffer *slots, Py_buffer *occ)
         return -1;
     }
     tree->depth = (int)depth;
-    if (writable(args[4], slots, 4, "il", "slots") < 0) {
+    if (buffer_of(args[4], slots, 4, "il", 1, "slots") < 0) {
         return -1;
     }
-    if (writable(args[5], occ, 1, "B", "occ") < 0) {
+    if (buffer_of(args[5], occ, 1, "B", 1, "occ") < 0) {
         PyBuffer_Release(slots);
         return -1;
     }
@@ -561,7 +568,94 @@ fail:
     return NULL;
 }
 
+PyDoc_STRVAR(fetch_doc,
+"fetch(stash, caps, level_base, node_base, slots, occ, depth, tags, leaf)\n"
+"--\n\n"
+"Read the path to ``leaf`` into the stash.\n\n"
+"From the root down, each bucket's occupied slots enter the stash in slot\n"
+"order, each id under ``tags[id]`` (the owner's labels, the metadata a\n"
+"block carries on the wire); the slots are blanked and the occupancies\n"
+"zeroed.  Every occupancy and every id read is checked first.");
+
+static PyObject *
+fetch(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 9) {
+        PyErr_Format(PyExc_TypeError, "fetch takes 9 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Tree tree;
+    Py_buffer slots, occ, tags;
+    if (parse_tree(args, &tree, &slots, &occ) < 0) {
+        return NULL;
+    }
+    if (buffer_of(args[7], &tags, 4, "il", 0, "tags") < 0) {
+        release(&slots, &occ);
+        return NULL;
+    }
+    int depth = tree.depth;
+    const int32_t *labels = tags.buf;
+    Py_ssize_t num_tags = tags.len / 4;
+    long long leaf;
+    if (bounded(args[8], 0, 1LL << depth, "leaf", &leaf) < 0 || check_path(&tree, leaf) < 0) {
+        goto fail;
+    }
+    /* Every occupancy and id is checked before the first write.  The
+     * inserts check each id again: a stash key's comparison could run
+     * Python code that writes the buffers, so only what is read is used. */
+    long long used[MAX_DEPTH + 1];
+    for (int pass = 0; pass < 2; pass++) {
+        for (int level = 0; level <= depth; level++) {
+            long long node = leaf >> (depth - level);
+            long long bucket = tree.node_base[level] + node;
+            long long first = tree.level_base[level] + node * tree.caps[level];
+            if (pass == 0) {
+                used[level] = tree.occ[bucket];
+                if (used[level] > tree.caps[level]) {
+                    PyErr_Format(PyExc_ValueError,
+                                 "bucket %lld holds %lld blocks, its capacity is %lld", bucket,
+                                 used[level], tree.caps[level]);
+                    goto fail;
+                }
+            }
+            for (long long slot = first; slot < first + used[level]; slot++) {
+                int32_t id = tree.slots[slot];
+                if (id < 0 || id >= num_tags) {
+                    PyErr_Format(PyExc_ValueError,
+                                 "slot %lld holds id %d, outside the %zd tags", slot, (int)id,
+                                 num_tags);
+                    goto fail;
+                }
+                if (pass == 0) {
+                    continue;
+                }
+                PyObject *key = PyLong_FromLong(id);
+                PyObject *value = key ? PyLong_FromLong(labels[id]) : NULL;
+                int failed = value == NULL || PyDict_SetItem(args[0], key, value) < 0;
+                Py_XDECREF(key);
+                Py_XDECREF(value);
+                if (failed) {
+                    goto fail;
+                }
+                tree.slots[slot] = -1;
+            }
+            if (pass == 1 && used[level]) {
+                tree.occ[bucket] = 0;
+            }
+        }
+    }
+    PyBuffer_Release(&tags);
+    release(&slots, &occ);
+    Py_RETURN_NONE;
+fail:
+    PyBuffer_Release(&tags);
+    release(&slots, &occ);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
+    {"fetch", (PyCFunction)(void (*)(void))fetch, METH_FASTCALL, fetch_doc},
     {"write_back", (PyCFunction)(void (*)(void))write_back, METH_FASTCALL, write_back_doc},
     {"held_write_back", (PyCFunction)(void (*)(void))held_write_back, METH_FASTCALL,
      held_write_back_doc},
@@ -571,7 +665,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT,
     "_write_back",
-    "The greedy write-back kernels of the array engine (see repro.oram.write_back).",
+    "The path read and greedy write-back kernels of the array engine (see "
+    "repro.oram.write_back).",
     -1,
     methods,
     NULL,

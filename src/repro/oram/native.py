@@ -1,7 +1,7 @@
-"""Build and load the C write-back kernels (``_write_back.c``).
+"""Build and load the C path-read and write-back kernels (``_write_back.c``).
 
-The array engine's write-back is one small C extension over the engine's
-own objects (see :mod:`repro.oram.write_back`).  It is built the first time
+The array engine's path read and write-backs are one small C extension
+over the engine's own objects (see :mod:`repro.oram.write_back`).  It is built the first time
 it is imported, with the compiler, flags and include directory of the
 running interpreter (:mod:`sysconfig`), into the ``__pycache__`` directory
 beside its source, under a name keyed by the source's hash and the
@@ -72,13 +72,13 @@ def _build_command(compiler, include_dir) -> list[str]:
         link[0] = compiler
     if shutil.which(link[0]) is None:
         raise ImportError(
-            f"the write-back kernels are C and no C compiler was found: {link[0]!r} "
+            f"the kernels are C and no C compiler was found: {link[0]!r} "
             "is not on PATH (install the compiler this Python was built with)"
         )
     include = Path(include_dir or sysconfig.get_paths()["include"])
     if not (include / "Python.h").exists():
         raise ImportError(
-            f"the write-back kernels are C and Python.h is not in {include} "
+            f"the kernels are C and Python.h is not in {include} "
             "(install this Python's development headers)"
         )
     flags = shlex.split(sysconfig.get_config_var("CFLAGS") or "")
@@ -101,7 +101,7 @@ def _build(command: list[str], directory: Path, target: Path) -> None:
         )
         if done.returncode:
             raise ImportError(
-                f"building the write-back kernels failed ({shlex.join(command)}):\n"
+                f"building the kernels failed ({shlex.join(command)}):\n"
                 f"{done.stderr.strip()}"
             )
         os.replace(partial, target)

@@ -48,7 +48,7 @@ from repro.oram.position_map import PositionMap
 from repro.oram.row_store import load_rows
 from repro.oram.stash import ArrayStash
 from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage
-from repro.oram.write_back import held_write_back, write_back
+from repro.oram.write_back import fetch, held_write_back, write_back
 from repro.utils.rng import make_rng
 
 #: One bin as a request is cut into them: trace index of its first access,
@@ -405,10 +405,9 @@ class PathORAM(ObliviousMemory):
         counted bin: the eviction check and the stash observation.  No
         other kernel call starts while a hold is open.
 
-        The tree's path read is bound once per call
-        (:meth:`~repro.oram.tree.ArrayTreeStorage.path_reader`: a uniform
-        tree scans its occupied buckets, a fat tree gathers), so no access
-        branches on which it is.  The stream's prefetched block is bound as
+        Every path is read by the C ``fetch`` over the operands the
+        write-backs take, plus the map's tags: each fetched block enters
+        the stash under its label.  The stream's prefetched block is bound as
         locals: the fallback remaps and the dummy reads take their leaves
         from it, in the order the reference engines' scalar draws come, and
         it is refilled with one ``integers`` call of ``LEAF_DRAW_BLOCK``
@@ -454,7 +453,6 @@ class PathORAM(ObliviousMemory):
         level_base = tree.level_base
         node_base = self._node_base
         occ = tree.occupancy_view
-        read_path = tree.path_reader(tags)
 
         stash_map = stash.entries
         held_paths = self._held_paths
@@ -558,7 +556,10 @@ class PathORAM(ObliviousMemory):
                         # every one a uniform independent draw (paper, Sec. VI)
                         if leaf not in read_leaves:
                             read_leaves.append(leaf)
-                            read_path(stash_map, leaf)
+                            fetch(
+                                stash_map, caps, level_base, node_base, slots,
+                                occ, depth, tags, leaf,
+                            )
                             path_reads += 1
                             if observer is not None:
                                 observer.observe_path(leaf, dummy=False)
@@ -624,7 +625,10 @@ class PathORAM(ObliviousMemory):
                             leaf_pos = 0
                         leaf = leaf_buf[leaf_pos]
                         leaf_pos += 1
-                        read_path(stash_map, leaf)
+                        fetch(
+                            stash_map, caps, level_base, node_base, slots, occ,
+                            depth, tags, leaf,
+                        )
                         dummy_reads += 1
                         if observer is not None:
                             observer.observe_path(leaf, dummy=True)

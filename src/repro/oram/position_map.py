@@ -68,7 +68,7 @@ from repro.exceptions import (
 )
 from repro.memory.accounting import TrafficCounter
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import write_back
+from repro.oram.write_back import fetch, write_back
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
 
@@ -358,12 +358,10 @@ class PositionMap:
         Bound once per map, in the order the walk unpacks: the level number
         and its span of logical ids; the packed labels, id span and draw of
         the level below (level 1's child is the logical map, which the
-        engine draws for); the level's stash, labels and read stream; its
-        tree's path read bound to those labels
-        (:meth:`~repro.oram.tree.ArrayTreeStorage.path_reader`: a level's
-        tree is uniform, so it scans) and the operands of the C
-        ``write_back`` (the shape the trace kernel binds);
-        the path cost both directions charge.  Labels, packed and level
+        engine draws for); the level's stash, labels and read stream; the
+        operands of the C ``fetch`` and ``write_back`` (the shape the trace
+        kernel binds; the fetch tags a block with the level's labels); the
+        path cost both directions charge.  Labels, packed and level
         alike, are bound as memoryviews, read and written as Python ints.
         """
         levels = self._levels
@@ -381,7 +379,6 @@ class PositionMap:
                 level.stash,
                 memoryview(level.labels),
                 level.read_stream,
-                tree.path_reader(level.labels),
                 tree.bucket_capacities,
                 tree.level_base,
                 [(1 << node_level) - 1 for node_level in range(depth + 1)],
@@ -416,7 +413,7 @@ class PositionMap:
 
         for (
             k, span, child_values, child_span, child_draw,
-            stash, labels, read_stream, read_path,
+            stash, labels, read_stream,
             caps, level_base, node_base, slots, occ, depth,
             path_buckets, path_bytes,
         ) in steps:
@@ -426,7 +423,10 @@ class PositionMap:
             # same modeled behaviour as the main engine's access(); misses
             # and hits both refresh the block's label
             if not hit:
-                read_path(stash, leaf)
+                fetch(
+                    stash, caps, level_base, node_base, slots, occ, depth,
+                    labels, leaf,
+                )
                 record_read(path_buckets, path_bytes)
                 if read_stream is not None:
                     read_stream.append(leaf)

@@ -7,30 +7,28 @@ dummy slots) because the server must transfer indistinguishable buckets.
 
 :class:`ArrayTreeStorage` keeps one flat :data:`SLOT_DTYPE` slot array
 plus one :data:`OCC_DTYPE` occupancy counter per bucket, so the initial
-bulk placement and a fat tree's path reads are numpy operations, and the
-scalar kernels (a uniform tree's path read, every write-back) index the
-same buffers without per-block objects.  The per-object reference tree
+bulk placement is numpy operations, and the C kernels (the path read and
+every write-back, :mod:`repro.oram.write_back`) index the same buffers
+without per-block objects.  The per-object reference tree
 the tests hold it to (``tests/oracle/tree.py``) has the same geometry,
 with list buckets.
 
 Width.  The array tree is the largest host structure of every array engine,
 so it is stored at the width its values need: a slot holds a block id or
 ``-1`` in four bytes, an occupancy counts at most :data:`MAX_BUCKET_CAPACITY`
-blocks in one byte.  The scalar kernels read and write the buffers through
+blocks in one byte.  The kernels read and write the buffers through
 memoryviews (:attr:`ArrayTreeStorage.slot_view`,
-:attr:`ArrayTreeStorage.occupancy_view`), which hand out Python ints, so no
-caller's arithmetic wraps; vector work widens its own operands.
+:attr:`ArrayTreeStorage.occupancy_view`), which also hand out Python ints,
+so no Python caller's arithmetic wraps; vector work widens its own operands.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import BlockNotFoundError, ConfigurationError
-from repro.oram.write_back import fused_fetch, scan_fetch
 
 #: How a slot stores a block id; ``-1`` marks an empty (dummy) slot.
 SLOT_DTYPE = np.dtype(np.int32)
@@ -45,26 +43,6 @@ MAX_BUCKET_CAPACITY = int(np.iinfo(OCC_DTYPE).max)
 PLACE_CHUNK = 1 << 16
 
 
-def _split_shift_tables(shifts: np.ndarray, split: int, depth: int):
-    """``leaf >> shifts`` as ``hi_table[leaf >> split] + lo_table[leaf & mask]``.
-
-    With ``leaf = hi * 2^split + lo`` and ``lo < 2^split``, a shift
-    ``s <= split`` gives ``hi * 2^(split - s) + (lo >> s)`` and a larger one
-    gives ``hi >> (s - split)`` (``lo`` contributes nothing), so one table
-    row per half reproduces every shifted value exactly.
-    """
-    hi = np.arange(1 << (depth - split), dtype=np.int64)[:, None]
-    lo = np.arange(1 << split, dtype=np.int64)[:, None]
-    near = shifts <= split
-    hi_table = np.where(
-        near,
-        hi << np.where(near, split - shifts, 0),
-        hi >> np.where(near, 0, shifts - split),
-    )
-    lo_table = np.where(near, lo >> np.where(near, shifts, 0), 0)
-    return hi_table, lo_table
-
-
 class ArrayTreeStorage:
     """Array-backed complete binary tree of buckets.
 
@@ -75,15 +53,9 @@ class ArrayTreeStorage:
     per-object reference tree's buckets; slots past ``occ`` hold ``-1``.
     Only ids are stored: a block's leaf is authoritative in the position
     map, and the vectorized engine keeps payloads in a client-side store.
-
-    A tree reads a path one way, picked at construction from its bucket
-    capacities (``path_read``).  A uniform tree scans: a scalar walk down
-    :attr:`path_levels` reads each bucket's occupied prefix, which at a
-    cap-4 path's dozen blocks costs less than numpy's per-call overhead.
-    A fat tree, whose paths a LAORAM bin fills six times as full, gathers:
-    precomputed split-leaf tables give the path's slot and bucket indices
-    in one ``np.add`` each, and only a gathering tree builds them and their
-    scratch.  :meth:`path_reader` hands out whichever read the tree has.
+    Every tree, uniform or fat, reads a path with the one C
+    :func:`~repro.oram.write_back.fetch` over its buffers and holds no
+    per-path tables.
     """
 
     def __init__(
@@ -119,67 +91,16 @@ class ArrayTreeStorage:
         self._level_base = tuple(bases[:-1])
         self._slots = np.full(bases[-1], -1, dtype=SLOT_DTYPE)
         self._occ = np.zeros((1 << (depth + 1)) - 1, dtype=OCC_DTYPE)
-        # The scalar kernels' handles on the same buffers: memoryview items
-        # are Python ints and cost no numpy scalar per read or write.
+        # The kernels' handles on the same buffers: memoryview items are
+        # Python ints and cost no numpy scalar per read or write.
         self._slot_view = memoryview(self._slots)
         self._occ_view = memoryview(self._occ)
-        # One row per level, root first, of what a scalar walk down a path
-        # needs there: the leaf's shift to its node, the level's first
-        # bucket and first slot, and its capacity.
-        self.path_levels = tuple(
-            (depth - level, (1 << level) - 1, self._level_base[level], capacity)
-            for level, capacity in enumerate(caps)
-        )
         #: ``(num_buckets, num_bytes)`` for transferring one full path: every
         #: path has the same geometry, so its transfer cost is fixed.
         self.path_cost = (
             depth + 1,
             sum(caps) * (block_size_bytes + metadata_bytes_per_block),
         )
-        #: How :meth:`path_reader` reads a path: ``"scan"`` on a uniform
-        #: tree, ``"gather"`` on a fat one.
-        self.path_read = "scan" if len(set(caps)) == 1 else "gather"
-        if self.path_read == "gather":
-            self._build_gather()
-
-    def _build_gather(self) -> None:
-        """The split-leaf tables and path scratch only the gather reads with.
-
-        With hi, lo = leaf >> split, leaf & lo_mask, the path's flat slot
-        indices are slot_hi[hi] + slot_lo[lo] and its bucket indices, root
-        first, node_hi[hi] + node_lo[lo] (see :func:`_split_shift_tables`).
-        A slot at level l, offset o is base_l + (leaf >> (depth - l)) *
-        cap_l + o; the per-slot constants ride the hi table.  The scratch
-        arrays are reused by every path read, which allocates only its
-        compacted result.
-        """
-        depth, caps = self.depth, self.bucket_capacities
-        path_slots = sum(caps)
-        split = (depth + 1) // 2
-        self._split = split
-        self._lo_mask = (1 << split) - 1
-        # Template level of each of a path's slots (root first).
-        slot_level = np.asarray(
-            [level for level, capacity in enumerate(caps) for _ in range(capacity)],
-            dtype=np.int64,
-        )
-        slot_cap = np.asarray(caps, dtype=np.int64)[slot_level]
-        slot_const = np.asarray(
-            [self._level_base[level] + offset
-             for level, capacity in enumerate(caps) for offset in range(capacity)],
-            dtype=np.int64,
-        )
-        hi_table, lo_table = _split_shift_tables(depth - slot_level, split, depth)
-        self._slot_hi = hi_table * slot_cap + slot_const
-        self._slot_lo = lo_table * slot_cap
-        node_level = np.arange(depth + 1, dtype=np.int64)
-        hi_table, lo_table = _split_shift_tables(depth - node_level, split, depth)
-        self._node_hi = hi_table + ((1 << node_level) - 1)
-        self._node_lo = lo_table
-        self._scratch_slot_idx = np.empty(path_slots, dtype=np.int64)
-        self._scratch_gather = np.empty(path_slots, dtype=SLOT_DTYPE)
-        self._scratch_mask = np.empty(path_slots, dtype=bool)
-        self._scratch_nodes = np.empty(depth + 1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -215,51 +136,6 @@ class ArrayTreeStorage:
     # ------------------------------------------------------------------
     # Path operations
     # ------------------------------------------------------------------
-    def path_reader(self, tags):
-        """This tree's path read, bound once: ``read(stash_map, leaf)``.
-
-        Moves every real block on the path to ``leaf`` into ``stash_map``
-        (``{id: leaf}``), each under its entry of ``tags`` (the owner's
-        label array: the position map's tag view, or a recursion level's
-        labels), root to leaf and in insertion order within a bucket.  A
-        scanning tree binds :func:`~repro.oram.write_back.scan_fetch` to
-        :attr:`path_levels`, its memoryviews and a memoryview of ``tags``;
-        a gathering tree binds :func:`~repro.oram.write_back.fused_fetch`
-        to :meth:`read_path_ids` and ``tags``.  Callers bind it once per
-        call (the trace kernel) or per map (the recursion walk), so no
-        access asks which read its tree has.
-        """
-        if self.path_read == "scan":
-            return partial(
-                scan_fetch, self.path_levels, self._slot_view, self._occ_view,
-                memoryview(tags),
-            )
-        return partial(fused_fetch, self.read_path_ids, tags)
-
-    def read_path_ids(self, leaf: int) -> np.ndarray:
-        """Remove and return every real block id on the path (gathering trees).
-
-        Ids come back in root-to-leaf order with each bucket's insertion
-        order preserved, as the per-object reference tree reads a path.  One
-        ``np.add`` of a row of each split-leaf table gives the path's slot
-        indices and one its bucket indices; a gather, two blanking scatters
-        and a mask run in the preallocated scratch, and only the compacted
-        result array is allocated.
-        """
-        hi = leaf >> self._split
-        lo = leaf & self._lo_mask
-        slot_idx = self._scratch_slot_idx
-        np.add(self._slot_hi[hi], self._slot_lo[lo], out=slot_idx)
-        gathered = self._scratch_gather
-        self._slots.take(slot_idx, out=gathered)
-        self._slots[slot_idx] = -1
-        nodes = self._scratch_nodes
-        np.add(self._node_hi[hi], self._node_lo[lo], out=nodes)
-        self._occ[nodes] = 0
-        mask = self._scratch_mask
-        np.greater_equal(gathered, 0, out=mask)
-        return gathered[mask]
-
     @property
     def level_base(self) -> tuple[int, ...]:
         """Flat-slot start offset of each level's region."""
@@ -270,14 +146,13 @@ class ArrayTreeStorage:
         """Per-bucket occupancy counters, breadth-first (no copy).
 
         Updated together with :attr:`slot_array`, keeping slots and
-        counters in sync; the scalar kernels go through
-        :attr:`occupancy_view`.
+        counters in sync; the kernels go through :attr:`occupancy_view`.
         """
         return self._occ
 
     @property
     def occupancy_view(self) -> memoryview:
-        """:attr:`bucket_occupancies` as a memoryview, for the scalar kernels.
+        """:attr:`bucket_occupancies` as a memoryview, for the kernels.
 
         Items read as Python ints (never a wrapping ``uint8`` scalar), and a
         write outside ``0..255`` raises instead of wrapping.
@@ -351,7 +226,7 @@ class ArrayTreeStorage:
 
     @property
     def slot_view(self) -> memoryview:
-        """:attr:`slot_array` as a memoryview, for the write-back kernels.
+        """:attr:`slot_array` as a memoryview, for the kernels.
 
         Same buffer, same rules; items read and write as Python ints.
         """

@@ -106,15 +106,28 @@ def engine_state(engine) -> dict:
 def fetch_path(engine, leaf: int) -> None:
     """Trusted set-up: move the path to ``leaf`` into the stash, uncharged.
 
-    The reference engine's own path fetch, or on a shipped engine the tree's
-    path read (the scan or the gather the kernel binds) followed by its
-    capacity check.
+    The reference engine's own path fetch, or on a shipped engine the
+    reference tree's read (``TreeStorage.read_path``: root to leaf, each
+    bucket's blocks in insertion order) over its slot and occupancy arrays,
+    each block under its tag, followed by its capacity check.  The shipped
+    C ``fetch`` is held to this read in ``tests/test_tree.py``; the oracle
+    imports no library kernel.
     """
     if isinstance(engine, ObjectPathORAM):
         engine._fetch_path(leaf)
         return
+    tree = engine.tree
+    slots, occupancies = tree.slot_array, tree.bucket_occupancies
     tags = engine.position_map.leaf_access()[0]
-    engine.tree.path_reader(tags)(engine.stash.entries, leaf)
+    for level, capacity in enumerate(tree.bucket_capacities):
+        node = leaf >> (tree.depth - level)
+        bucket = (1 << level) - 1 + node
+        start = tree.level_base[level] + node * capacity
+        stop = start + int(occupancies[bucket])
+        for block in slots[start:stop].tolist():
+            engine.stash.entries[block] = int(tags[block])
+        slots[start:stop] = -1
+        occupancies[bucket] = 0
     engine.stash.check_capacity()
 
 

@@ -5,9 +5,9 @@ path to ``leaf`` of a tree with leaf level ``depth`` has index::
 
     (2**level - 1) + (leaf >> (depth - level))
 
-The shipped array tree computes whole paths at once from split-leaf tables
-(:class:`~repro.oram.tree.ArrayTreeStorage`); these are the scalar forms
-the reference tree and its greedy planner walk with.
+The shipped kernels walk an array tree's paths in C
+(``src/repro/oram/_write_back.c``); these are the scalar forms the
+reference tree and its greedy planner walk with.
 """
 
 from __future__ import annotations

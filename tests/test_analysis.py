@@ -237,7 +237,7 @@ class PathORAM:
         return block_id
 '''
 
-#: ``read_path_ids`` is a path read and reveals its leaf; the trusted-setup
+#: ``fetch`` is a path read and reveals its leaf; the trusted-setup
 #: ``remove_many`` is observed by nobody and reveals nothing.
 _PLANT_SETUP_MOVE_AS_REVEAL = '''
 
@@ -257,9 +257,10 @@ scratch_rng = np.random.default_rng()
 
 _PLANT_HOT_ALLOCATION = '''
 
-def fused_fetch(read_ids, tags, stash_map, leaf):
-    rows = [key for key in stash_map]
-    return rows
+class OverlayRowStore:
+    def get(self, block_id):
+        rows = [key for key in self._index]
+        return rows
 '''
 
 _PLANT_UNGUARDED_FLUSH = '''
@@ -306,8 +307,8 @@ def test_unmodified_scratch_copy_is_clean(tmp_path):
         (_PLANT_SECRET_BRANCH, "OBL001", "path_oram.py"),
         (_PLANT_SETUP_MOVE_AS_REVEAL, "OBL001", "path_oram.py"),
         (_PLANT_UNSEEDED_RNG, "RNG001", "path_oram.py"),
-        # The fused path fetch lives beside its write-back half.
-        (_PLANT_HOT_ALLOCATION, "ALLOC001", "write_back.py"),
+        # The payload read a PathORAM trace calls once per access.
+        (_PLANT_HOT_ALLOCATION, "ALLOC001", "row_store.py"),
         (_PLANT_UNGUARDED_FLUSH, "CNT001", "path_oram.py"),
         (_PLANT_NO_FLUSH, "CNT001", "path_oram.py"),
     ],
@@ -329,12 +330,12 @@ def test_planted_bug_is_caught(tmp_path, planted, rule, module):
             "def _run_moved_bins(",
             {"obl_hot_functions", "alloc_hot_functions", "fused_drivers"},
         ),
-        # A path read renamed: both hot lists go stale.
+        # A per-access helper renamed: its allocation scope goes stale.
         (
-            "write_back.py",
-            "def scan_fetch(",
-            "def bucket_scan_fetch(",
-            {"obl_hot_functions", "alloc_hot_functions"},
+            "row_store.py",
+            "def get(",
+            "def get_row(",
+            {"alloc_hot_functions"},
         ),
         # The native kernels' loader renamed: the allowlist entry that
         # states their reveal goes stale.
@@ -361,27 +362,31 @@ def test_stale_manifest_entry_is_caught(tmp_path, module, old, new, tables):
 
 def test_path_read_declassifies_where_the_setup_move_does_not(tmp_path):
     read = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
-        "remove_many(block_id, leaf)", "read_path_ids(leaf)"
+        "self.tree.remove_many(block_id, leaf)",
+        "fetch(stash_map, caps, level_base, node_base, slots, occ, depth, tags, leaf)",
     )
     assert read != _PLANT_SETUP_MOVE_AS_REVEAL
     assert _scan_scratch_engine(tmp_path, read) == []
 
 
 @pytest.mark.parametrize(
-    "path_read",
+    "call, revealed",
     [
-        "scan_fetch(levels, slots, occ, tags, stash_map, leaf)",
-        "fused_fetch(read_ids, tags, stash_map, leaf)",
-        # Either read as its callers bind it: tree.path_reader(tags).
-        "read_path(stash_map, leaf)",
+        # The call the trace kernel and the recursion walk make.
+        ("fetch(stash_map, caps, level_base, node_base, slots, occ, depth, tags, leaf)",
+         True),
+        # The leaf is the fetch's ninth argument, not any argument.
+        ("fetch(leaf, caps, level_base, node_base, slots, occ, depth, tags, block_id)",
+         False),
     ],
 )
-def test_each_path_read_shape_declassifies_its_leaf(tmp_path, path_read):
+def test_the_fetch_declassifies_its_leaf_argument(tmp_path, call, revealed):
     read = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
-        "remove_many(block_id, leaf)", path_read
+        "self.tree.remove_many(block_id, leaf)", call
     )
     assert read != _PLANT_SETUP_MOVE_AS_REVEAL
-    assert _scan_scratch_engine(tmp_path, read) == []
+    findings = _scan_scratch_engine(tmp_path, read)
+    assert {f.rule for f in findings} == (set() if revealed else {"OBL001"})
 
 
 # ----------------------------------------------------------------------

@@ -114,7 +114,7 @@ class TestCrossFamilyEquivalence:
     @pytest.mark.parametrize("label", FAMILY_LABELS)
     def test_fat_tree_snapshots_bit_identical(self, label):
         # The fat tree's per-level capacities exercise the variable-capacity
-        # slot arithmetic (split-leaf templates, bulk placement, the
+        # slot arithmetic (bulk placement, the path read and the
         # write-back kernels) that the uniform-tree cases cannot.
         trace = make_trace("zipf", 17)
         reference = run_engine(label, 17, trace, fast=False, fat_tree=True)

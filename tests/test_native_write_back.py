@@ -1,15 +1,18 @@
-"""The C write-back kernels: the planner's decisions, their guards, their loader.
+"""The C kernels: the planner's decisions, their guards, their loader.
 
-``repro.oram.write_back.write_back`` and ``held_write_back`` are C
-(``src/repro/oram/_write_back.c``).  Here they are held, call by call, to
-the per-object reference planner (``tests/oracle/write_back.py``) on a
-fresh path and on a path whose shared buckets an earlier write-back
-refilled; every operand they could write out of bounds with is rejected
-before the first write; a steady-state call allocates nothing that grows
-with the stash; and the loader builds them from source or fails loudly.
+``repro.oram.write_back.fetch``, ``write_back`` and ``held_write_back`` are
+C (``src/repro/oram/_write_back.c``).  Here the write-backs are held, call
+by call, to the per-object reference planner (``tests/oracle/write_back.py``)
+on a fresh path and on a path whose shared buckets an earlier write-back
+refilled (the fetch is held to the reference tree's read in
+``tests/test_tree.py``); every operand any of them could read or write out
+of bounds with is rejected before the first write; a steady-state call
+allocates nothing that grows with the stash, and a fetch nothing but the
+entries it inserts; and the loader builds them from source or fails loudly.
 """
 
 import shutil
+import sys
 import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.oram import native
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import held_write_back, write_back
+from repro.oram.write_back import fetch, held_write_back, write_back
 
 from oracle import Block, Stash, TreeStorage, plan_greedy_write_back
 
@@ -29,10 +32,11 @@ def node_bases(depth: int) -> tuple[int, ...]:
     return tuple((1 << level) - 1 for level in range(depth + 1))
 
 
-def kernel_args(tree: ArrayTreeStorage, stash_map: dict, leaf):
+def kernel_args(tree: ArrayTreeStorage, stash_map: dict, leaf, *tags):
+    """A kernel's operands; the fetch's ``tags`` go before its leaf."""
     return (
         stash_map, tree.bucket_capacities, tree.level_base, node_bases(tree.depth),
-        tree.slot_view, tree.occupancy_view, tree.depth, leaf,
+        tree.slot_view, tree.occupancy_view, tree.depth, *tags, leaf,
     )
 
 
@@ -101,33 +105,49 @@ def test_the_kernels_path_write_back_is_the_references(case):
 # ----------------------------------------------------------------------
 DEPTH = 3
 CAPS = (4, 4, 4, 4)
+#: The fetch's labels: one per id the tree below holds, and more.
+TAGS = np.full(16, 5, dtype=np.int32)
 
 
-def fresh():
-    """A stash that fills part of the path to leaf 5, and its tree."""
+def fresh(kernel=None):
+    """A stash that fills part of the path to leaf 5, and its tree.
+
+    The fetch's tree holds blocks 6 to 9 on that path, in that slot order
+    in its leaf bucket; a write-back's is empty.
+    """
     tree = ArrayTreeStorage(DEPTH, CAPS, block_size_bytes=8)
+    if kernel is fetch:
+        write_back(*kernel_args(tree, {block: 5 for block in range(9, 5, -1)}, 5))
+        first = tree.level_base[DEPTH] + 5 * CAPS[DEPTH]
+        assert tree.slot_array[first : first + 4].tolist() == [6, 7, 8, 9]
     return {block: 5 for block in range(6)}, tree
 
 
 def call(kernel, **override):
-    stash_map, tree = fresh()
+    stash_map, tree = fresh(kernel)
+    names = ["stash", "caps", "level_base", "node_base", "slots", "occ", "depth", "leaf"]
+    tags = (TAGS,) if kernel is fetch else ()
+    if kernel is fetch:
+        names.insert(-1, "tags")
     args = dict(zip(
-        ("stash", "caps", "level_base", "node_base", "slots", "occ", "depth", "leaf"),
-        kernel_args(tree, stash_map, [5] if kernel is held_write_back else 5),
+        names, kernel_args(tree, stash_map, [5] if kernel is held_write_back else 5, *tags),
     ))
     args.update(override)
-    before = dict(args["stash"]) if isinstance(args["stash"], dict) else None
+    before = list(args["stash"].items()) if isinstance(args["stash"], dict) else None
+    slots, occupancies = tree.slot_array.copy(), tree.bucket_occupancies.copy()
     with pytest.raises((TypeError, ValueError)) as raised:
         kernel(*args.values())
-    # Nothing was written or placed.
-    assert tree.real_block_count() == 0
-    assert not tree.bucket_occupancies.any()
+    # Nothing was read, written or placed.
+    assert tree.slot_array.tobytes() == slots.tobytes()
+    assert tree.bucket_occupancies.tobytes() == occupancies.tobytes()
     if before is not None:
-        assert args["stash"] == before
+        assert list(args["stash"].items()) == before
     return raised
 
 
-KERNELS = pytest.mark.parametrize("kernel", [write_back, held_write_back])
+KERNELS = pytest.mark.parametrize("kernel", [fetch, write_back, held_write_back])
+#: The checks of stash entries: only a write-back reads them.
+WRITE_BACKS = pytest.mark.parametrize("kernel", [write_back, held_write_back])
 
 
 @KERNELS
@@ -150,7 +170,7 @@ def test_a_leaf_that_is_not_an_int_is_rejected(kernel, leaf):
     assert call(kernel, leaf=[leaf] if held else leaf).type is TypeError
 
 
-@KERNELS
+@WRITE_BACKS
 @pytest.mark.parametrize("value", [-1, 1 << DEPTH])
 def test_a_stash_leaf_outside_the_tree_is_rejected(kernel, value):
     stash_map = {block: 5 for block in range(6)}
@@ -158,7 +178,7 @@ def test_a_stash_leaf_outside_the_tree_is_rejected(kernel, value):
     assert call(kernel, stash=stash_map).type is ValueError
 
 
-@KERNELS
+@WRITE_BACKS
 @pytest.mark.parametrize("entry", [(6, 5.0), (6, np.int64(5)), (6, True), (6.0, 5), ("6", 5)])
 def test_a_stash_entry_that_is_not_an_int_is_rejected(kernel, entry):
     stash_map = {block: 5 for block in range(6)}
@@ -166,7 +186,7 @@ def test_a_stash_entry_that_is_not_an_int_is_rejected(kernel, entry):
     assert call(kernel, stash=stash_map).type is TypeError
 
 
-@KERNELS
+@WRITE_BACKS
 @pytest.mark.parametrize("block", [-1, 1 << 31])
 def test_a_stash_id_no_slot_can_hold_is_rejected(kernel, block):
     stash_map = {b: 5 for b in range(6)}
@@ -177,7 +197,7 @@ def test_a_stash_id_no_slot_can_hold_is_rejected(kernel, block):
 @KERNELS
 @pytest.mark.parametrize("buffer", ["slots", "occ"])
 def test_a_read_only_buffer_is_rejected(kernel, buffer):
-    _, tree = fresh()
+    _, tree = fresh(kernel)
     view = tree.slot_view if buffer == "slots" else tree.occupancy_view
     assert call(kernel, **{buffer: view.toreadonly()}).type is TypeError
 
@@ -224,7 +244,7 @@ def test_a_buffer_too_short_for_the_path_is_rejected(kernel, buffer, size):
 @KERNELS
 @pytest.mark.parametrize("base", ["level_base", "node_base"])
 def test_a_base_that_points_past_the_buffer_is_rejected(kernel, base):
-    _, tree = fresh()
+    _, tree = fresh(kernel)
     bases = list(tree.level_base if base == "level_base" else node_bases(DEPTH))
     bases[DEPTH] += 100
     assert call(kernel, **{base: bases}).type is ValueError
@@ -251,9 +271,50 @@ def test_a_depth_past_62_is_rejected(kernel, depth):
 
 @KERNELS
 def test_the_wrong_argument_count_is_rejected(kernel):
-    stash_map, tree = fresh()
+    stash_map, tree = fresh(kernel)
+    tags = (TAGS,) if kernel is fetch else ()
     with pytest.raises(TypeError):
-        kernel(*kernel_args(tree, stash_map, 5)[:-1])
+        kernel(*kernel_args(tree, stash_map, 5, *tags)[:-1])
+
+
+# ----------------------------------------------------------------------
+# The fetch's own operands: its tags and the ids the path holds
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "tags", [TAGS.astype(np.int64), TAGS.astype(np.int16), TAGS.astype(np.float32)]
+)
+def test_tags_of_the_wrong_item_size_are_rejected(tags):
+    assert call(fetch, tags=tags).type is ValueError
+
+
+@pytest.mark.parametrize("tags", [list(TAGS), None, memoryview(np.tile(TAGS, 2))[::2]])
+def test_tags_that_are_not_a_contiguous_buffer_are_rejected(tags):
+    assert call(fetch, tags=tags).type is TypeError
+
+
+def test_a_slot_id_past_the_tags_is_rejected():
+    """The path holds ids 6 to 9, read in that order; eight tags label 0 to 7.
+
+    Ids 6 and 7 come first and are good: the check of 8 must come before
+    any of them is read in.
+    """
+    assert call(fetch, tags=TAGS[:8]).type is ValueError
+
+
+@pytest.mark.parametrize("damage", ["negative id", "occupancy past capacity"])
+def test_a_damaged_path_is_rejected(damage):
+    """The last occupied slot read holds no id, or an occupancy passes its bucket's."""
+    stash_map, tree = fresh(fetch)
+    if damage == "negative id":
+        tree.slot_array[tree.level_base[DEPTH] + 5 * CAPS[DEPTH] + 3] = -1
+    else:
+        tree.bucket_occupancies[(1 << DEPTH) - 1 + 5] = CAPS[DEPTH] + 1
+    slots, occupancies = tree.slot_array.tobytes(), tree.bucket_occupancies.tobytes()
+    with pytest.raises(ValueError):
+        fetch(*kernel_args(tree, stash_map, 5, TAGS))
+    assert stash_map == {block: 5 for block in range(6)}
+    assert tree.slot_array.tobytes() == slots
+    assert tree.bucket_occupancies.tobytes() == occupancies
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +353,42 @@ def test_a_steady_state_write_back_allocates_nothing_that_grows_with_the_stash()
             tracemalloc.stop()
         assert tree.real_block_count() and fill[1].real_block_count()
     assert peaks == [0, 0, 0]
+
+
+def traced(work) -> tuple[int, int]:
+    """The traced memory ``work()`` leaves and its peak, from zero."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        work()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_steady_state_fetch_allocates_only_the_entries_it_inserts():
+    """Two new ints per block read, into a stash with room: nothing else.
+
+    The path's 20 ids and their labels lie past the small-int cache, so
+    each entry the fetch inserts is a new key and a new value, and the
+    stash has room for them; the kernel keeps no scratch, so what is
+    traced is exactly those ints, and nothing is freed on the way.
+    """
+    depth, caps = 12, [4] * 13
+    tree = ArrayTreeStorage(depth, caps, block_size_bytes=8)
+    write_back(*kernel_args(tree, {1000 + i: 7 for i in range(20)}, 7))
+    tags = np.full(3000, 4000, dtype=np.int32)
+    stash_map = {2000 + i: 7 for i in range(22)}
+    # The first export of the tags' buffer: the path to leaf 4000 is empty.
+    fetch(*kernel_args(tree, stash_map, 4000, tags))
+    args = kernel_args(tree, stash_map, 7, tags)
+    size = sys.getsizeof(stash_map)
+    current, peak = traced(lambda: fetch(*args))
+    assert len(stash_map) == 42 and tree.real_block_count() == 0
+    assert sys.getsizeof(stash_map) == size
+    kept = [None]
+    one_int = traced(lambda: kept.__setitem__(0, len(stash_map) * 1000))[0]
+    assert peak == current == 2 * 20 * one_int
 
 
 # ----------------------------------------------------------------------

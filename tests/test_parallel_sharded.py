@@ -222,13 +222,14 @@ def test_hard_killed_worker_is_detected_and_torn_down():
 
 
 def test_an_out_of_step_reply_raises_typed_and_tears_down():
-    # A reply planted ahead of the worker's own answer to "state": it
-    # answers another command, and must not be taken for this one (an
-    # ``assert`` that ``python -O`` strips used to be the only check).
+    # A request queued ahead of "state": the worker answers it first, in
+    # the order its one request queue hands them over, and that reply must
+    # not be taken for the answer to "state" (an ``assert`` that
+    # ``python -O`` strips used to be the only check).
     planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="pathoram", seed=0)
     executor = ProcessShardExecutor(planner, num_workers=2)
     executor.start()
-    executor._responses[0].put(("posmap", {0: np.zeros(1, dtype=np.int64)}))
+    executor._requests[0].put(("posmap",))
     with pytest.raises(ShardExecutionError) as excinfo:
         executor.refresh_states()
     message = str(excinfo.value)

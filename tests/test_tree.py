@@ -14,7 +14,7 @@ from repro.oram.tree import (
     PLACE_CHUNK,
     ArrayTreeStorage,
 )
-from repro.oram.write_back import fused_fetch, scan_fetch
+from repro.oram.write_back import fetch
 
 from oracle import Block, TreeStorage
 from conftest import node_ids
@@ -276,9 +276,8 @@ class TestArrayBulkPlacement:
 def assert_dense_prefixes(tree):
     """Occupied slots are each bucket's first ``occ`` slots, the rest ``-1``.
 
-    The scan reads a bucket's ``[0, occ)`` only, where the gather read every
-    slot of the path and dropped the ``-1`` ones: the two agree because of
-    this invariant.
+    The fetch reads a bucket's ``[0, occ)`` only, so a block stored past
+    its bucket's occupancy would be lost to it.
     """
     slots, occ = tree.slot_array, tree.bucket_occupancies
     for level, capacity in enumerate(tree.bucket_capacities):
@@ -435,7 +434,7 @@ GEOMETRIES = {
 
 @st.composite
 def filled_paths(draw):
-    """A tree of either read, filled at random, a leaf and a non-empty stash.
+    """A uniform or fat tree, filled at random, a leaf and a non-empty stash.
 
     The path's own buckets take drawn occupancies (empty to full); every
     other bucket is filled from a drawn seed, so a read that strays off its
@@ -475,68 +474,68 @@ def _filled_tree(depth, capacities, leaf, on_path, seed):
     return tree, next_id
 
 
-class TestPathReads:
-    """The scan and the gather: one read, two shapes, picked per tree."""
+def _reference_tree(tree):
+    """The per-object reference tree holding ``tree``'s buckets, id for id."""
+    reference = TreeStorage(tree.depth, tree.bucket_capacities, 64)
+    for level, node, ids in node_ids(tree):
+        reference.bucket_by_index((1 << level) - 1 + node).extend(
+            Block(block_id=block_id, leaf=0) for block_id in ids.tolist()
+        )
+    return reference
 
-    @settings(max_examples=60, deadline=None,
+
+def native_fetch(tree, stash, tags, leaf):
+    """The C fetch over ``tree``'s operands, as the kernel binds them."""
+    node_base = [(1 << level) - 1 for level in range(tree.depth + 1)]
+    fetch(stash, tree.bucket_capacities, tree.level_base, node_base,
+          tree.slot_view, tree.occupancy_view, tree.depth, tags, leaf)
+
+
+class TestPathReads:
+    """One native read for every tree, uniform or fat."""
+
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(filled_paths())
-    def test_scan_and_gather_leave_the_same_state(self, case):
+    @pytest.mark.parametrize("view", [np.asarray, memoryview])
+    def test_the_fetch_reads_as_the_reference_tree(self, view, case):
+        """Stash order and labels, slots and occupancies: the reference's.
+
+        The tags go in as the trace kernel passes them (the map's read-only
+        array) and as the recursion walk does (a memoryview of a level's
+        labels).
+        """
         depth, capacities, leaf, on_path, seed, stash_size = case
-        trees = {}
-        for path_read in ("scan", "gather"):
-            tree, num_ids = _filled_tree(depth, capacities, leaf, on_path, seed)
-            rng = np.random.default_rng(seed + 1)
-            tags = rng.integers(0, 1 << depth, size=num_ids + stash_size).astype(np.int32)
-            stash = {
-                num_ids + i: int(tags[num_ids + i]) for i in range(stash_size)
-            }
-            # Each read on either geometry: every tree has the scan's
-            # levels, and a uniform one builds the gather's tables here.
-            if path_read == "scan":
-                scan_fetch(tree.path_levels, tree.slot_view, tree.occupancy_view,
-                           memoryview(tags), stash, leaf)
-            else:
-                if tree.path_read == "scan":
-                    tree._build_gather()
-                fused_fetch(tree.read_path_ids, tags, stash, leaf)
-            assert all(type(label) is int for label in stash.values())
-            trees[path_read] = tree, stash
-        (scan, scan_stash), (gather, gather_stash) = trees["scan"], trees["gather"]
-        assert list(scan_stash.items()) == list(gather_stash.items())
-        assert len(scan_stash) == stash_size + sum(on_path)
-        assert np.array_equal(scan.slot_array, gather.slot_array)
-        assert np.array_equal(scan.bucket_occupancies, gather.bucket_occupancies)
-        assert_dense_prefixes(scan)
+        tree, num_ids = _filled_tree(depth, capacities, leaf, on_path, seed)
+        reference = _reference_tree(tree)
+        rng = np.random.default_rng(seed + 1)
+        tags = rng.integers(0, 1 << depth, size=num_ids + stash_size).astype(np.int32)
+        tags.flags.writeable = False
+        stash = {num_ids + i: int(tags[num_ids + i]) for i in range(stash_size)}
+        expected = dict(stash)
+        for block in reference.read_path(leaf):
+            expected[block.block_id] = int(tags[block.block_id])
 
-    def test_each_tree_picks_its_read_from_its_capacities(self):
-        assert ArrayTreeStorage(3, [4] * 4, 64).path_read == "scan"
-        assert ArrayTreeStorage(3, [5, 4, 3, 2], 64).path_read == "gather"
-        config = build_oram_config(1 << 12, seed=3, recursive_posmap=True,
-                                   posmap_cutoff_bytes=256)
-        pathoram = build_engine("PathORAM", config, fast=True)
-        assert pathoram.tree.path_read == "scan"
-        levels = pathoram.position_map._levels
-        assert levels and all(level.tree.path_read == "scan" for level in levels)
-        assert build_engine("Fat/S4", config, fast=True).tree.path_read == "gather"
+        native_fetch(tree, stash, view(tags), leaf)
+        assert list(stash.items()) == list(expected.items())
+        assert all(type(label) is int for label in stash.values())
+        assert len(stash) == stash_size + sum(on_path)
+        assert tree.slot_array.tolist() == reference.slot_array.tolist()
+        assert np.array_equal(tree.bucket_occupancies, reference.bucket_occupancies)
+        assert_dense_prefixes(tree)
 
-    def test_only_a_gathering_tree_builds_the_split_tables(self):
-        """A scanning tree holds its slots and occupancies, nothing per path."""
-        built = {}
-        # Depth 16, one slot apart: the fat tree's root holds five.
-        for path_read, capacities in (("scan", [4] * 17), ("gather", [5] + [4] * 16)):
-            tracemalloc.start()
-            try:
-                tree = ArrayTreeStorage(16, capacities, 64)
-                held, _ = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert tree.path_read == path_read
-            built[path_read] = held - tree.slot_array.nbytes - tree.bucket_occupancies.nbytes
-        # The split-leaf tables of a 69-slot path: 2 x 2^8 rows of 69
-        # eight-byte slot indices, plus the node tables and scratch.
-        assert built["scan"] < 16 << 10
-        assert built["gather"] > 256 << 10
+    @pytest.mark.parametrize(
+        "capacities", [[4] * 17, [5] + [4] * 16], ids=["uniform", "fat"]
+    )
+    def test_no_tree_holds_per_path_tables(self, capacities):
+        """A depth-16 tree holds its slots and occupancies, nothing per path."""
+        tracemalloc.start()
+        try:
+            tree = ArrayTreeStorage(16, capacities, 64)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - tree.slot_array.nbytes - tree.bucket_occupancies.nbytes < 16 << 10
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_slots_past_the_occupancy_hold_minus_one(self, geometry):
@@ -564,7 +563,7 @@ class TestPathReads:
         assert_dense_prefixes(placed)
         tags = leaves.astype(np.int32)
         stash = {}
-        placed.path_reader(tags)(stash, int(leaves[order[0]]))
+        native_fetch(placed, stash, tags, int(leaves[order[0]]))
         assert stash
         assert_dense_prefixes(placed)
 
@@ -573,6 +572,5 @@ class TestPathReads:
         config = build_oram_config(1 << 10, seed=5)
         engine = build_engine(label, config, fast=True)
         engine.run_trace(ZipfTraceGenerator(1 << 10, seed=5).generate(3000).addresses)
-        assert engine.tree.path_read == ("scan" if label == "PathORAM" else "gather")
         assert engine.total_real_blocks() == 1 << 10
         assert_dense_prefixes(engine.tree)
