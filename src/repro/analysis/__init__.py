@@ -7,8 +7,8 @@ and performance contracts at the source level:
   indices in engine hot paths (intraprocedural taint walk from per-module
   source manifests).
 * RNG001 — all randomness flows through :mod:`repro.utils.rng`.
-* ALLOC001 — the trace kernel's loop allocates only where an allow says so.
-* CNT001 — the trace kernel flushes deferred counters on all exit paths.
+* ALLOC001 — the per-access payload helpers allocate only where an allow says so.
+* CNT001 — the request kernel's binder flushes deferred counters on all exit paths.
 * MAN001 — every manifest entry names a function of its module.
 
 Run with ``python -m repro.analysis [paths] --baseline

@@ -176,23 +176,14 @@ _PATH_REVEAL = (
     Declassifier("observe_path", (0,)),
 )
 
-# The bin kernel takes its ids bin by bin (``bins`` yields ``block_ids``
-# lists) and binds the stash's dict itself.
+# The engine's Python entry points take ids; the bin loop that decides on
+# them is C (``serve``, outside the scan; see ``native.py::load`` below).
 _ENGINE_SOURCES = ModuleSources(
-    params=frozenset({"bins", "block_id", "block_ids", "stash_map"}),
+    params=frozenset({"block_id", "block_ids"}),
     attrs=frozenset({"entries", "stash"}),
     # leaf_access() hands out the tag view and the update accessor: both
     # are secret, and so is every old leaf ``update`` returns.
     calls=frozenset({"position_map.update", "position_map.leaf_access"}),
-    declassifiers=_PATH_REVEAL,
-)
-
-# The bin generator (``core/laoram.py``) cuts a
-# request's ``block_ids`` and compares them with the installed plan's.
-_LAORAM_SOURCES = ModuleSources(
-    params=frozenset({"block_ids"}),
-    attrs=frozenset({"entries", "stash"}),
-    calls=frozenset({"position_map.leaf_access"}),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -210,17 +201,14 @@ def default_config() -> AnalysisConfig:
     """The manifest for this repository (see docs/static_analysis.md)."""
     return AnalysisConfig(
         sources={
-            "repro/core/laoram.py": _LAORAM_SOURCES,
             "repro/oram/path_oram.py": _ENGINE_SOURCES,
             "repro/oram/position_map.py": _POSITION_MAP_SOURCES,
         },
         obl_hot_functions={
-            "repro/core/laoram.py": ("LAORAMClient._aligned_bins",),
             "repro/oram/path_oram.py": (
                 "PathORAM.access",
                 "PathORAM.dummy_access",
                 "PathORAM.commit",
-                "PathORAM._run_bins",
             ),
             "repro/oram/position_map.py": (
                 "PositionMap._walk",
@@ -237,24 +225,23 @@ def default_config() -> AnalysisConfig:
             }
         ),
         alloc_hot_functions={
-            "repro/oram/path_oram.py": (
-                AllocScope("PathORAM._run_bins", "loops"),
-            ),
             # The payload get/set a PathORAM trace calls once per access.
             "repro/oram/row_store.py": (
                 AllocScope("OverlayRowStore.get", "body"),
                 AllocScope("OverlayRowStore.__setitem__", "body"),
             ),
         },
+        # The binder folds the counts the C kernel left in its state buffer.
         fused_drivers={
             "repro/oram/path_oram.py": ("PathORAM._run_bins",),
         },
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(
-            # The path read and the write-backs are C (oram/_write_back.c),
-            # outside the scan; their one Python entry point is the loader
-            # that builds them, and this entry is where the reveal they make
-            # is stated.
+            # The bin loop, the path read and the write-backs are C
+            # (oram/_write_back.c), outside the scan; their one Python entry
+            # point is the loader that builds them, and this entry is where
+            # the reveal they make is stated (docs/static_analysis.md,
+            # "Leakage ledger").
             Declassification(
                 "repro/oram/native.py",
                 "load",
@@ -263,7 +250,11 @@ def default_config() -> AnalysisConfig:
                 "the write-backs plan client-side and every path they write is "
                 "charged at full-path cost whichever blocks are selected; they "
                 "touch only the slots and occupancies of the already-revealed "
-                "path or held paths, and the stash dict",
+                "path or held paths, and the stash dict.  The bin loop's "
+                "counts depend on the ids in three places, each a uniform leaf "
+                "per event but a count the observer sees: a stash hit reads no "
+                "path, a bin reads one path per distinct missing path, and an "
+                "eviction episode runs until the stash drains",
             ),
         ),
     )

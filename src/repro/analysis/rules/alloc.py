@@ -11,8 +11,10 @@ Two granularities, per manifest entry:
 
 * ``"body"`` — per-access leaf helpers (``OverlayRowStore.get`` and
   ``__setitem__``): the whole body is steady state.
-* ``"loops"`` — the trace kernel (``_run_bins``): setup before the
-  access loop may allocate freely; code lexically inside a loop may not.
+* ``"loops"`` — a Python trace driver: setup before the access loop may
+  allocate freely; code lexically inside a loop may not.  The engine has
+  none left (its bin loop is C, ``oram/_write_back.c``); the fixtures
+  keep the granularity tested.
 
 Flagged constructs: comprehensions and generator expressions, numpy
 constructor calls (``np.zeros``/``empty``/``concatenate``/...), builtin

@@ -1,6 +1,6 @@
 """Quantifying what an observer learned: leakage and obliviousness analysis.
 
-Two complementary analyses back the paper's security argument (Section VI):
+Three analyses back the paper's security argument (Section VI):
 
 * **Address leakage** — against the insecure baseline the adversary's
   observations carry (almost) all of the information in the true access
@@ -10,6 +10,11 @@ Two complementary analyses back the paper's security argument (Section VI):
   leaf labels which must be (a) uniform over the leaves and (b) essentially
   independent of the accessed blocks.  The chi-square test checks (a), and
   mutual information between true addresses and observed paths checks (b).
+* **Event counts** — neither check above looks at *how many* paths a
+  request reads.  :func:`count_distinguisher` does: from the transcript
+  alone, per request, the real and the dummy path reads
+  (:func:`reads_per_request`), and the advantage of the best threshold
+  test on them at telling two chosen traces apart.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.attacks.observer import MemoryBusObserver
+from repro.exceptions import ConfigurationError
 from repro.utils.stats import (
     ChiSquareResult,
     chi_square_uniformity,
@@ -110,4 +117,64 @@ def analyze_path_obliviousness(
         uniformity=uniformity,
         mutual_information_bits=info,
         num_observations=int(paths.size),
+    )
+
+
+def reads_per_request(
+    observer: MemoryBusObserver, marks: Sequence[int]
+) -> list[tuple[int, int]]:
+    """``(real, dummy)`` path reads of each request, off the transcript alone.
+
+    ``marks`` are the transcript's lengths at the request boundaries —
+    ``len(observer.observed_paths)`` before the first request and after
+    each — which the adversary sees as the requests' arrival on the bus.
+    """
+    flags = observer.observed_dummy_flags
+    counts = []
+    for lo, hi in zip(marks, marks[1:]):
+        dummies = sum(flags[lo:hi])
+        counts.append((hi - lo - dummies, dummies))
+    return counts
+
+
+@dataclass(frozen=True)
+class CountAdvantage:
+    """How well a request's path-read counts tell two traces apart.
+
+    Each field is the advantage of the best threshold test on one count —
+    ``max_t |P_a(count <= t) - P_b(count <= t)|`` over the requests of each
+    trace, the two samples' Kolmogorov-Smirnov distance: 0 for counts that
+    do not depend on the trace, 1 for counts that never overlap.
+    """
+
+    real: float
+    dummy: float
+
+
+def _threshold_advantage(a: np.ndarray, b: np.ndarray) -> float:
+    a, b = np.sort(a), np.sort(b)
+    points = np.union1d(a, b)
+    below_a = np.searchsorted(a, points, side="right") / a.size
+    below_b = np.searchsorted(b, points, side="right") / b.size
+    return float(np.max(np.abs(below_a - below_b)))
+
+
+def count_distinguisher(
+    counts_a: Sequence[tuple[int, int]], counts_b: Sequence[tuple[int, int]]
+) -> CountAdvantage:
+    """The count distinguisher on two traces' per-request ``(real, dummy)`` reads.
+
+    The adversary chose the two traces and watched the bus while each was
+    served (:func:`reads_per_request`); it guesses which one ran from how
+    many real, or dummy, paths a request read.  Every leaf it saw may be
+    uniform and independent and this still succeeds: a stash hit reads no
+    path, a bin reads one path per distinct missing path, and an eviction
+    episode runs until the stash drains, so the counts follow the ids.
+    """
+    if not counts_a or not counts_b:
+        raise ConfigurationError("both traces need at least one request")
+    a, b = np.asarray(counts_a, dtype=np.int64), np.asarray(counts_b, dtype=np.int64)
+    return CountAdvantage(
+        real=_threshold_advantage(a[:, 0], b[:, 0]),
+        dummy=_threshold_advantage(a[:, 1], b[:, 1]),
     )

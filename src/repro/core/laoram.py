@@ -21,14 +21,14 @@ so the same client runs both the "Normal" and "Fat" configurations of the
 evaluation.
 
 :class:`LAORAMClient` is :class:`~repro.oram.path_oram.PathORAM` plus the
-plan, the trace cursor and the one way a request becomes bins
-(:meth:`LAORAMClient._aligned_bins`).  Every bin, whichever entry point it
-came through, runs on the engine's one trace kernel,
+plan and the trace cursor.  Every request, whichever entry point it came
+through, runs on the engine's one request kernel, bound by
 :meth:`~repro.oram.path_oram.PathORAM._run_bins` (``docs/performance.md``,
-"LAORAM bin kernel").  While a request's ids are exactly the installed
-plan's next addresses — a replayed window always, a trainer that announced
-the stream it issues — each whole plan bin takes its remap leaves by
-position from the plan's per-access next-path records
+"LAORAM bin kernel"), which cuts it into bins on global multiples of ``S``.
+While a request's ids are exactly the installed plan's next addresses — a
+replayed window always, a trainer that announced the stream it issues —
+its whole plan bins take their remap leaves by position from the plan's
+per-access next-path records
 (:meth:`~repro.core.superblock.LookaheadPlan.take_bin_remaps`), instead of a
 plan lookup per id.  Initial placement relocates only the planned blocks.
 
@@ -41,17 +41,18 @@ bit-identical traffic (``docs/performance.md``, "Scheduling contract").
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
+from repro.oram.base import as_block_ids
 from repro.oram.eviction import EvictionPolicy
-from repro.oram.path_oram import Bin, PathORAM
+from repro.oram.path_oram import PathORAM
 from repro.core.config import LAORAMConfig
 from repro.core.preprocessor import Preprocessor
-from repro.core.superblock import LookaheadPlan
+from repro.core.superblock import LookaheadPlan, num_bins
 
 
 class LAORAMClient(PathORAM):
@@ -155,7 +156,7 @@ class LAORAMClient(PathORAM):
                 "serve writes through write_many"
             )
         self._check_no_hold()
-        addr = np.asarray(block_ids, dtype=np.int64)
+        addr = as_block_ids(block_ids)
         window = self.laoram_config.lookahead_accesses or max(addr.size, 1)
         served: list[Optional[object]] = []
         for offset in range(0, addr.size, window):
@@ -185,7 +186,7 @@ class LAORAMClient(PathORAM):
         planning the trace.  The embedding trainers' steps are read requests
         of :meth:`~repro.oram.base.ObliviousMemory.hold_many`.
         """
-        return self._serve_request(self._coerce_id_list(block_ids))
+        return self._serve_request(as_block_ids(block_ids))
 
     def write_many(
         self, block_ids: Sequence[int], payloads: Sequence[object]
@@ -195,59 +196,10 @@ class LAORAMClient(PathORAM):
         Rows sharing a path cost a single fetch, mirroring the read side.
         Duplicate ids within the batch keep the last payload.
         """
-        ids = self._coerce_id_list(block_ids)
-        if len(ids) != len(payloads):
+        ids = as_block_ids(block_ids)
+        if ids.size != len(payloads):
             raise ConfigurationError("block_ids and payloads must have equal length")
         self._serve_request(ids, payloads)
-
-    @staticmethod
-    def _coerce_id_list(block_ids: Sequence[int]) -> list[int]:
-        """Plain-int id list; bulk ``tolist`` for arrays, no per-element int()."""
-        if isinstance(block_ids, np.ndarray):
-            return block_ids.tolist()
-        return [int(block_id) for block_id in block_ids]
-
-    def _aligned_bins(self, block_ids: list[int] | np.ndarray) -> Iterator[Bin]:
-        """Cut ``block_ids`` into consecutive bins ending on superblock boundaries.
-
-        The one way a request becomes bins.  A replayed window arrives as
-        its int64 array and is converted bin by bin: a list of the whole
-        window held through the run left ``replay_laoram``'s peak RSS up to
-        8 MiB higher.  While the client takes the request by position
-        (:meth:`LookaheadPlan.follows`: one array equality per call), every
-        chunk that is a whole plan bin carries the plan's remap leaves
-        (:meth:`LookaheadPlan.take_bin_remaps`); any other bin carries
-        ``None`` and its ids are looked up in the plan one by one, which
-        drops that plan to lookups for good.  How many bins went which way
-        is added to the two counters once per call, after the last bin.
-        """
-        size = self.laoram_config.superblock_size
-        cursor = self._trace_cursor
-        plan = self._plan
-        by_plan = plan is not None and plan.follows(cursor, block_ids)
-        plan_stop = -1 if plan is None else plan.stop_index
-        bins = by_position = 0
-        offset = 0
-        is_list = isinstance(block_ids, list)
-        while offset < len(block_ids):
-            chunk = block_ids[offset : offset + size - cursor % size]
-            if not is_list:
-                chunk = chunk.tolist()
-            offset += len(chunk)
-            end = cursor + len(chunk)
-            remaps = None
-            # oblivious: allow[OBL001] client-side: where the new leaf comes
-            # from; same traffic either way
-            if by_plan and (end % size == 0 or end == plan_stop):
-                remaps = plan.take_bin_remaps(cursor, chunk)
-                by_position += 1
-            bins += 1
-            yield cursor, chunk, remaps
-            cursor = end
-        # Reached once the last bin has been served: a call that raised
-        # (and dropped the plan) counts nothing.
-        self._bins_by_position += by_position
-        self._bins_by_lookup += bins - by_position
 
     @property
     def trace_cursor(self) -> int:
@@ -319,10 +271,20 @@ class LAORAMClient(PathORAM):
 
     def _serve_request(
         self,
-        block_ids: list[int] | np.ndarray,
+        block_ids: np.ndarray,
         payloads: Optional[Sequence[object]] = None,
     ) -> Sequence[Optional[object]]:
-        """Run the request's bins on the kernel, then touch the store once.
+        """Run the request on the kernel, then touch the store once.
+
+        The kernel cuts ``block_ids`` into bins ending on global multiples
+        of ``S``.  While the client takes the request by position
+        (:meth:`LookaheadPlan.follows`: one array equality), its whole plan
+        bins carry the plan's remap leaves, one slice of its records
+        (:meth:`LookaheadPlan.take_bin_remaps`); a trailing part bin, and
+        every bin of any other request, is looked up in the plan id by id,
+        which drops that plan to lookups for good.  How many bins went which
+        way is added to the two counters once the request was served: a
+        request that raised (and dropped the plan) counts nothing.
 
         A read is one gather taken after every bin has found its blocks in
         the stash: a fresh ``(len(block_ids), dim)`` matrix over a loaded
@@ -331,17 +293,25 @@ class LAORAMClient(PathORAM):
         one scatter, in a ``finally``: a raise keeps the writes of the bins
         served before it.
         """
+        self._check_no_hold()
+        size = self.laoram_config.superblock_size
         first = self._trace_cursor
+        plan = self._plan
+        remaps, by_position = None, 0
+        if plan is not None and plan.follows(first, block_ids):
+            remaps, by_position = plan.take_bin_remaps(first, block_ids)
         try:
-            self._run_bins(self._aligned_bins(block_ids))
+            if block_ids.size:
+                self._run_bins(block_ids, size, remaps, by_position)
         finally:
             served = self._trace_cursor - first
             if payloads is not None and served:
-                self._store_rows(block_ids[:served], payloads[:served])
+                self._store_rows(block_ids[:served].tolist(), payloads[:served])
+        self._bins_by_position += by_position
+        self._bins_by_lookup += num_bins(block_ids.size, size, first) - by_position
         if payloads is not None:
             return None
         store = self._payloads
         if isinstance(store, dict):
-            ids = block_ids if isinstance(block_ids, list) else block_ids.tolist()
-            return list(map(store.get, ids))
+            return list(map(store.get, block_ids.tolist()))
         return store.gather(block_ids)

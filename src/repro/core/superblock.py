@@ -14,7 +14,7 @@ ships it (Sec. IV-B): per access, where the same block occurs next, and
 per bin, the leaf each of its distinct blocks leaves it for.  A request
 that is exactly the plan's next addresses takes each bin's remaps from
 those records by position (:meth:`LookaheadPlan.take_bin_remaps`, one
-slice); any other looks its blocks up one by one
+slice for all of its whole bins); any other looks its blocks up one by one
 (:meth:`LookaheadPlan.consume_next_leaf`, a bisect built on its first
 call).  :attr:`LookaheadPlan.consumed_up_to` is derived when read.
 """
@@ -203,25 +203,35 @@ class LookaheadPlan:
             self.addresses[offset : offset + len(block_ids)], block_ids
         )
 
-    def take_bin_remaps(self, start_index: int, block_ids: list[int]) -> list[int]:
-        """Remap leaves of the plan bin ``block_ids`` at ``start_index``.
+    def take_bin_remaps(
+        self, start_index: int, block_ids: list[int] | np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Remap leaves of the whole plan bins a request at ``start_index`` spans.
 
-        One leaf per distinct id, in first-occurrence order: the leaf of the
-        bin holding the id's next occurrence after its last position in the
-        bin (``-1``: no later occurrence, a uniform fallback draw), one
-        slice of the records built with the plan.  Valid for the whole bins
-        of a request :meth:`follows` accepted, in order.  What the bin
-        consumes reaches :attr:`consumed_up_to` when that is next read:
-        replacing a few entries of a large dict after every bin scatters
-        freed ints over the heap, which cost the kernel running between the
-        bins 10 % at 2^20 blocks (``docs/performance.md``, "The training
-        step").
+        The bins from ``start_index`` to the last one the request for
+        ``block_ids`` completes, ending on a global multiple of ``S`` or at
+        the window's end; a trailing part bin is left to lookups.  Returns
+        their remaps packed in one int64 view of the records built with the
+        plan — per bin, one leaf per distinct id in first-occurrence order:
+        the leaf of the bin holding the id's next occurrence after its last
+        position in the bin (``-1``: no later occurrence, a uniform fallback
+        draw) — and the number of bins.  Valid for a request :meth:`follows`
+        accepted.  What the bins consume reaches :attr:`consumed_up_to` when
+        that is next read: replacing a few entries of a large dict after
+        every bin scatters freed ints over the heap, which cost the kernel
+        running between the bins 10 % at 2^20 blocks
+        (``docs/performance.md``, "The training step").
         """
-        self._served = start_index - self.start_index + len(block_ids)
         size = self.superblock_size
+        end = start_index + len(block_ids)
+        if end != self.stop_index:
+            end -= end % size
+        count = num_bins(end - start_index, size, start_index) if end > start_index else 0
+        if count:
+            self._served = end - self.start_index
         index = start_index // size - self.start_index // size
         heads = self._bin_heads
-        return self._bin_remaps[heads.item(index) : heads.item(index + 1)].tolist()
+        return self._bin_remaps[heads.item(index) : heads.item(index + count)], count
 
     @property
     def consumed_up_to(self) -> dict[int, int]:

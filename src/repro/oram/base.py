@@ -12,6 +12,26 @@ from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficSnapshot
 
 
+def as_block_ids(block_ids) -> np.ndarray:
+    """``block_ids`` as a one-dimensional int64 array, rejecting non-integers.
+
+    An integer array or a sequence of ints (Python's bools among them)
+    passes; anything else — a float, even a whole one, ``None`` — raises
+    :class:`~repro.exceptions.ConfigurationError`, where an ``int64`` cast
+    would silently truncate it (``[1.5, 2.0]`` would serve blocks 1 and 2).
+    Ranges are the engine's to check.
+    """
+    array = np.asarray(block_ids)
+    if array.dtype.kind not in "biu" and array.size:
+        raise ConfigurationError(
+            f"block ids must be integers, got dtype {array.dtype} "
+            "(non-integer ids would be silently truncated)"
+        )
+    if array.ndim != 1:
+        raise ConfigurationError(f"block ids must be one-dimensional, got shape {array.shape}")
+    return np.ascontiguousarray(array, dtype=np.int64)
+
+
 class AccessOp(enum.Enum):
     """Kind of logical access issued by the application."""
 
@@ -162,10 +182,11 @@ class ObliviousMemory(ABC):
         insecure baseline, serves the read and then, at the commit, a
         :meth:`write_many`.  One hold is open at a time; a read that raises
         opens none, and what it read goes back as a commit would write it.
+        A non-integer id raises before the hold opens.
         """
         if self._hold_ids is not None:
             raise ConfigurationError("a hold is open: commit it before holding again")
-        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else list(block_ids)
+        ids = as_block_ids(block_ids).tolist()
         self._holding = True
         try:
             rows = self.access_many(block_ids)

@@ -17,6 +17,12 @@ from repro.exceptions import ConfigurationError
 class EvictionPolicy:
     """Threshold-triggered background eviction.
 
+    After a bin whose stash holds more than ``trigger_threshold`` blocks,
+    an episode of dummy reads runs while the stash holds more than
+    ``drain_target`` and fewer than ``max_dummy_reads_per_episode`` reads
+    were issued; a disabled policy never starts one.  The request kernel
+    (``serve`` in ``oram/_write_back.c``) runs the loop on these fields.
+
     Attributes:
         enabled: Whether background eviction runs at all (Fig. 8 disables it
             to expose raw stash growth).
@@ -40,18 +46,6 @@ class EvictionPolicy:
             raise ConfigurationError("drain_target must not exceed trigger_threshold")
         if self.max_dummy_reads_per_episode < 1:
             raise ConfigurationError("max_dummy_reads_per_episode must be >= 1")
-
-    def should_trigger(self, stash_occupancy: int) -> bool:
-        """Whether eviction should start at the given stash occupancy."""
-        return self.enabled and stash_occupancy > self.trigger_threshold
-
-    def should_continue(self, stash_occupancy: int, dummy_reads_so_far: int) -> bool:
-        """Whether an in-progress eviction episode should issue another dummy read."""
-        if not self.enabled:
-            return False
-        if dummy_reads_so_far >= self.max_dummy_reads_per_episode:
-            return False
-        return stash_occupancy > self.drain_target
 
     @classmethod
     def disabled(cls) -> "EvictionPolicy":

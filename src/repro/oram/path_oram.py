@@ -8,7 +8,8 @@ path-prefix rule allows (greedy, occupancy aware), and, when the stash
 exceeds the background-eviction threshold, read and write back random
 paths until it drains.
 
-:class:`PathORAM` runs that sequence on one kernel, :meth:`PathORAM._run_bins`,
+:class:`PathORAM` runs that sequence on one C kernel, ``serve``
+(``oram/_write_back.c``), bound per request by :meth:`PathORAM._run_bins`,
 over :class:`~repro.oram.tree.ArrayTreeStorage` slot arrays and an
 :class:`~repro.oram.stash.ArrayStash` (one ``{id: leaf}`` dict), with
 payloads in a client-side store.  The kernel serves bins: LAORAM's
@@ -29,33 +30,26 @@ engine's one ledger: ``simulated_time_s`` is their price
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import (
-    BlockNotFoundError,
-    ConfigurationError,
-    StashOverflowError,
-)
+from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.timing import PAPER_TIMING
-from repro.oram.base import AccessOp, ObliviousMemory
+from repro.oram.base import AccessOp, ObliviousMemory, as_block_ids
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
 from repro.oram.row_store import load_rows
 from repro.oram.stash import ArrayStash
 from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage
-from repro.oram.write_back import fetch, held_write_back, write_back
+from repro.oram.write_back import serve
 from repro.utils.rng import make_rng
 
-#: One bin as a request is cut into them: trace index of its first access,
-#: its ids in access order, and its precomputed remap leaves (``None``: ask
-#: the plan, or the stream when there is none).  A bin with no ids is one
-#: dummy read; ids ``None`` is the commit bin of a held step.
-Bin = tuple[int, Optional[list[int]], Optional[list[int]]]
+#: The request of one dummy read: a bin with no ids.
+DUMMY_READ = np.empty(0, dtype=np.int64)
+DUMMY_READ.flags.writeable = False
 
 
 class PathORAM(ObliviousMemory):
@@ -70,8 +64,8 @@ class PathORAM(ObliviousMemory):
     serve the payloads of what it got through.
     """
 
-    #: Leaf draws per refill of the kernel's prefetched block: one
-    #: ``integers`` call hands out this many leaves of the stream, in the
+    #: Leaf draws per refill of the kernel's prefetched block (``_leaf_buf``):
+    #: one ``integers`` call hands out this many leaves of the stream, in the
     #: order scalar draws would come (see :meth:`_draw_leaves`).
     LEAF_DRAW_BLOCK = 512
 
@@ -126,9 +120,10 @@ class PathORAM(ObliviousMemory):
             counter=self.counter,
             seed=config.seed,
         )
-        # Leaf draws prefetched but not handed out yet (see _draw_leaves).
-        self._leaf_buf: list[int] = []
-        self._leaf_buf_pos = 0
+        # The prefetched block of leaf draws and how many of it were handed
+        # out (see _draw_leaves); the kernel refills it in place.
+        self._leaf_buf = np.empty(self.LEAF_DRAW_BLOCK, dtype=np.int64)
+        self._leaf_buf_pos = self.LEAF_DRAW_BLOCK
         # Hot-path caches: ``ORAMConfig.depth``/``num_leaves`` are derived
         # properties recomputed on every read (geometry is immutable).
         self._depth = config.depth
@@ -226,13 +221,13 @@ class PathORAM(ObliviousMemory):
         """
         pos = self._leaf_buf_pos
         buffered = self._leaf_buf[pos : pos + count]
-        self._leaf_buf_pos = pos + len(buffered)
+        self._leaf_buf_pos = pos + buffered.size
         rest = self.rng.integers(
-            0, self._num_leaves, size=count - len(buffered), dtype=np.int64
+            0, self._num_leaves, size=count - buffered.size, dtype=np.int64
         )
-        if not buffered:
+        if not buffered.size:
             return rest
-        return np.concatenate([np.asarray(buffered, dtype=np.int64), rest])
+        return np.concatenate([buffered, rest])
 
     def _check_block_id(self, block_id: int) -> None:
         if not 0 <= block_id < self.config.num_blocks:
@@ -245,7 +240,7 @@ class PathORAM(ObliviousMemory):
         if self._hold_ids is not None:
             raise ConfigurationError("a hold is open: commit it before the next access")
 
-    # -- the trace kernel -----------------------------------------------
+    # -- the request kernel ---------------------------------------------
     #: The lookahead plan the kernel asks for remaps, and the trace index one
     #: past the last bin it served.  LAORAM clients keep both per instance;
     #: PathORAM has no plan and starts its cursor at 0 on every trace.
@@ -269,10 +264,12 @@ class PathORAM(ObliviousMemory):
         A write to a stash hit stores it before the kernel runs: Path ORAM
         serves a stashed block before remapping it, so a remap that raises
         (a corrupted recursive map's walk, a plan leaf outside the tree)
-        keeps the write, as on the reference engine.  An out-of-range id
-        raises before the kernel runs.
+        keeps the write, as on the reference engine.  A non-integer or
+        out-of-range id raises before the kernel runs.
         """
         self._check_no_hold()
+        if type(block_id) is not int:
+            block_id = as_block_ids([block_id]).item()
         self._check_block_id(block_id)
         first = self._trace_cursor
         write = op is AccessOp.WRITE
@@ -282,7 +279,7 @@ class PathORAM(ObliviousMemory):
         if write and block_id in self.stash.entries:
             payloads[block_id] = new_payload
         try:
-            self._run_bins(((first, [block_id], None),))
+            self._run_bins(np.array([block_id], dtype=np.int64))
         finally:
             if write and self._trace_cursor > first:
                 payloads[block_id] = new_payload
@@ -290,7 +287,7 @@ class PathORAM(ObliviousMemory):
 
     def dummy_access(self) -> None:
         """Read and write back one path of the stream's next leaf: an empty bin."""
-        self._run_bins(((self._trace_cursor, [], None),))
+        self._run_bins(DUMMY_READ)
 
     def run_trace(
         self,
@@ -298,24 +295,25 @@ class PathORAM(ObliviousMemory):
         ops=None,
         payloads: Optional[Sequence[object]] = None,
     ) -> list[Optional[object]]:
-        """PathORAM on the bin kernel (see :meth:`ObliviousMemory.run_trace`).
+        """PathORAM on the request kernel (see :meth:`ObliviousMemory.run_trace`).
 
         PathORAM is the superblock of size one: each access is a one-id
         bin with no plan, so its remap is the stream's next leaf.  The
         kernel moves blocks and counts; the payloads of the accesses it got
         through are served after it, in order, so a read sees every write
         before it.  That runs in a ``finally``: a raise keeps the writes of
-        the accesses served before it, as the generic loop does.
+        the accesses served before it, as the generic loop does.  A
+        non-integer id rejects the trace before any access.
         """
-        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else block_ids
-        op_seq, payload_seq = self._normalize_trace_args(len(ids), ops, payloads)
+        ids = as_block_ids(block_ids)
+        op_seq, payload_seq = self._normalize_trace_args(ids.size, ops, payloads)
+        self._check_no_hold()
         self._trace_cursor = 0
         try:
-            self._run_bins(
-                (index, [block_id], None) for index, block_id in enumerate(ids)
-            )
+            if ids.size:
+                self._run_bins(ids)
         finally:
-            served = islice(ids, self._trace_cursor)
+            served = ids[: self._trace_cursor].tolist()
             store = self._payloads
             if op_seq is None:
                 results = list(map(store.get, served))
@@ -336,7 +334,7 @@ class PathORAM(ObliviousMemory):
         ``block_ids`` must be the ids the hold was opened with, in order;
         duplicate ids keep the last payload.  The commit counts
         ``len(block_ids)`` logical accesses and reads no path of its own:
-        it runs the commit bin (:meth:`_run_bins`), which writes the hold's
+        it runs the commit bin (:meth:`_run_bins` with no ids), which writes the hold's
         paths back in read order, each with its own blocks, the held ones
         under their new leaves, and then takes the after-bin step of any
         bin.  Ids that differ from the held ones, or a length mismatch,
@@ -356,7 +354,7 @@ class PathORAM(ObliviousMemory):
 
     def _end_hold(self) -> None:
         """The commit bin: the hold's paths written back, then the after-bin step."""
-        self._run_bins(((self._trace_cursor, None, None),))
+        self._run_bins(None)
 
     def _store_rows(self, block_ids, rows) -> None:
         """Store ``rows`` for ``block_ids``; a repeated id keeps its last row."""
@@ -366,301 +364,111 @@ class PathORAM(ObliviousMemory):
         else:
             store.scatter(block_ids, rows)
 
-    def _run_bins(self, bins: Iterable[Bin]) -> None:
-        """Serve ``bins`` in order: the one place an access of any kind runs.
+    def _run_bins(
+        self,
+        block_ids: Optional[np.ndarray],
+        size: int = 1,
+        remaps: Optional[np.ndarray] = None,
+        by_position: int = 0,
+    ) -> None:
+        """Serve one request on the C kernel: the one place an access of any kind runs.
 
-        Mirrors the per-object reference client's ``access_superblock``
-        (``tests/oracle/laoram.py``) decision for decision on the stash's
-        dict (id -> leaf, insertion ordered as the reference stash is, so
-        every write-back tie-break is the same), and on a one-id bin the
-        reference engine's per-access ``access``.  Every
-        distinct block's new leaf is decided first, in the bin's order — the
-        bin's precomputed leaf, else what the plan hands out, else (``-1``
-        or no plan) the next leaf of the engine's one stream.  Then, in Path
-        ORAM's order, each missing block's ``update`` installs it and
-        returns the path the block sits on, fetched unless the bin read it
-        already, so each distinct path is read once in first-encounter
-        order; the stash hits' updates follow, free of traffic but for
-        their walks.  Each path read is written back, path by path.  A path
-        its own fetch just emptied — a bin's first, every dummy read's — and
-        a later path of the bin, which finds the buckets it shares with an
-        earlier one refilled, take the one occupancy-aware ``write_back``
-        (C, ``oram/_write_back.c``).  Background eviction
-        runs inline.  A one-id bin (every PathORAM access, every single
-        ``access``) is its own distinct-id list, with no deduplication pass.
-        An empty bin (``dummy_access``) decides, reads and counts nothing
-        on its way to the eviction loop and runs that loop's body once: a
-        path of the stream's next leaf read and written back, with no
-        episode counted and no stash observation.
+        ``block_ids`` is the request (int64): it is cut into bins that end
+        on global multiples of ``size`` from the cursor (``size`` 1: one-id
+        bins); :data:`DUMMY_READ`, with no ids, is one empty bin and
+        ``None`` the commit bin of a held step.  The first ``by_position``
+        bins take their remap leaves from ``remaps``, the plan's packed
+        records for them.  This binder does three things: it binds the
+        tree's operands, the map's tags and update, the plan's lookup, the
+        leaf stream and the hold once for the request; it hands ``serve``
+        (``oram/_write_back.c``) the ids and remaps as buffers; and it folds
+        the counts the kernel left in its int64 ``state`` into the counter
+        with one ``add_bulk`` in a ``finally``.
+
+        The kernel mirrors the per-object reference client's
+        ``access_superblock`` (``tests/oracle/laoram.py``) decision for
+        decision on the stash's dict (id -> leaf, insertion ordered as the
+        reference stash is, so every write-back tie-break is the same), and
+        on a one-id bin the reference engine's per-access ``access``.  Per
+        bin: every distinct block's new leaf, in the bin's order (the plan's
+        record, else the plan's ``consume_next_leaf``, else, ``-1`` or no
+        plan, the stream's next leaf); in Path ORAM's order, each missing
+        block's update, which returns the path the block sits on, fetched
+        unless the bin read it already, so each distinct path is read once
+        in first-encounter order; the stash hits' updates, free of traffic
+        but for their walks; each path read written back, path by path; the
+        occupancy-triggered eviction; the stash peak and history.  The dense
+        map is swapped in place; a recursive map's ``update`` is called
+        back, so its walk stays Python.  An empty bin reads and counts
+        nothing on its way to the eviction loop and runs that loop's body
+        once: a path of the stream's next leaf read and written back, with
+        no episode counted and no stash observation.  The stream's
+        prefetched block (``_leaf_buf``) gives the fallback remaps and the
+        dummy reads their leaves, in the order the reference engines' scalar
+        draws come, and is refilled in place with one ``integers`` call of
+        ``LEAF_DRAW_BLOCK`` leaves.
 
         While :meth:`~repro.oram.base.ObliviousMemory.hold_many`'s read
         request runs, a bin stops after its updates: its read paths join
         ``self._held_paths`` and its blocks, the path's others with them,
         stay in the stash, with no write-back, no eviction and no stash
         observation.  A later bin of the step finds them there as stash
-        hits.  The commit bin (``block_ids`` ``None``, run by
-        :meth:`commit`, or by a hold that raised) writes those paths back in
-        read order (``held_write_back``), so each held block goes back with
-        the path it came from, as Path ORAM places it, and then ends as a
-        counted bin: the eviction check and the stash observation.  No
-        other kernel call starts while a hold is open.
+        hits.  The commit bin (run by :meth:`commit`, or by a hold that
+        raised) writes those paths back in read order (``held_write_back``),
+        so each held block goes back with the path it came from, and then
+        ends as a counted bin: the eviction check and the stash observation.
+        No other kernel call starts while a hold is open.
 
-        Every path is read by the C ``fetch`` over the operands the
-        write-backs take, plus the map's tags: each fetched block enters
-        the stash under its label.  The stream's prefetched block is bound as
-        locals: the fallback remaps and the dummy reads take their leaves
-        from it, in the order the reference engines' scalar draws come, and
-        it is refilled with one ``integers`` call of ``LEAF_DRAW_BLOCK``
-        leaves.  Nothing here
-        calls ``_draw_leaves``, which would hand out leaves the locals
-        still hold.
-
-        Access and path counts accumulate in locals; a bin is counted once
-        its ids passed the range check, so a rejected id is no access.  One
-        ``finally`` stores the cursor and the leaf buffer and folds the
-        counts into the counter with one ``add_bulk`` — one tree has one
-        path geometry, so buckets and bytes are the path counts multiplied
-        out — so a raise mid-window leaves the engine
-        consistent and able to serve the next call: the capacity check runs
-        after a path's blocks entered the stash, under the map's labels, and
-        a block not yet updated still sits where the map says, so an
-        overflow loses nothing.  A raise also drops the plan — the plan counts the whole of
-        the bin's precomputed remaps as handed out when only some were, and
-        its lookups would no longer be the reference client's — so later
-        remaps draw uniformly.
+        A bin is counted once its ids passed the range check, so a
+        rejected id is no access.  The kernel keeps ``state`` current, so a
+        raise mid-request leaves the cursor, the leaf buffer's position and
+        the counts of what was served stored, and the engine consistent and
+        able to serve the next call: the capacity check runs after a path's
+        blocks entered the stash, under the map's labels, and a block not
+        yet updated still sits where the map says, so an overflow loses
+        nothing.  A raise also drops the plan — the plan counts the whole of
+        the request's records as handed out when only some were, and its
+        lookups would no longer be the reference client's — so later remaps
+        draw uniformly.
         """
         self._check_no_hold()
-        num_blocks = self.config.num_blocks
-        num_leaves = self._num_leaves
-        depth = self._depth
-        tree = self.tree
-        stash = self.stash
         counter = self.counter
-        observer = self.observer
-        capacity = stash.capacity
-        should_trigger = self.eviction.should_trigger
-        should_continue = self.eviction.should_continue
+        tree = self.tree
         plan = self._plan
-        consume_next_leaf = None if plan is None else plan.consume_next_leaf
-        rng_integers = self.rng.integers
-        draw_block = self.LEAF_DRAW_BLOCK
-        leaf_buf = self._leaf_buf
-        leaf_pos = self._leaf_buf_pos
-
+        eviction = self.eviction
+        capacity = self.stash.capacity
         tags, update = self.position_map.leaf_access()
-        slots = tree.slot_view
-        caps = tree.bucket_capacities
-        level_base = tree.level_base
-        node_base = self._node_base
-        occ = tree.occupancy_view
-
-        stash_map = stash.entries
-        held_paths = self._held_paths
-        holding = self._holding
-
-        # Deferred counts, flushed in the finally below.
-        logical = path_reads = path_writes = dummy_reads = episodes = hits = 0
-        stash_peak = counter.stash_peak
-        history = counter.stash_history if counter.record_stash_history else None
-        cursor = self._trace_cursor
-
+        state = np.array(
+            [self._trace_cursor, self._leaf_buf_pos, counter.stash_peak, 0, 0, 0, 0, 0, 0],
+            dtype=np.int64,
+        )
         try:
-            for start_index, block_ids, bin_remaps in bins:
-                # oblivious: allow[OBL001] the commit bin closes a held step:
-                # one per step, which is public
-                if block_ids is None:
-                    # The commit bin: the hold's paths go back in read order,
-                    # each with its own blocks, then the bin ends as any
-                    # counted bin does.
-                    held_write_back(
-                        stash_map, caps, level_base, node_base, slots, occ,
-                        depth, held_paths,
-                    )
-                    path_writes += len(held_paths)
-                    held_paths.clear()
-                    dummy = False
-                else:
-                    count = len(block_ids)
-                    dummy = not count
-                    # oblivious: allow[ALLOC001] one distinct-id list per bin of
-                    # several ids; a one-id bin is its own
-                    needed = block_ids if count == 1 else list(dict.fromkeys(block_ids))
-                    for block_id in needed:
-                        # oblivious: allow[OBL001] bounds check against the public
-                        # num_blocks; invalid ids abort the run loudly
-                        if block_id < 0 or block_id >= num_blocks:
-                            raise BlockNotFoundError(
-                                f"block {block_id} outside [0, {num_blocks})"
-                            )
-                    logical += count
-
-                    # Decide every distinct block's next leaf, in the bin's order:
-                    # its next planned occurrence, else the stream's next leaf.
-                    # Plan leaves are range-checked (the dense update is the
-                    # bare array write) so a plan built for a different tree
-                    # fails here, before any update, as the per-object client does.
-                    end_index = start_index + count - 1
-                    remaps = []
-                    missing = []
-                    stashed = []
-                    for position, block_id in enumerate(needed):
-                        # oblivious: allow[OBL001] where the new leaf comes
-                        # from is client-side: no traffic either way
-                        if bin_remaps is not None:
-                            leaf = bin_remaps[position]
-                            # oblivious: allow[OBL001] no future occurrence
-                            # planned: the uniform fallback draw, client-side
-                            if leaf < 0:
-                                leaf = None
-                        elif consume_next_leaf is not None:
-                            leaf = consume_next_leaf(block_id, end_index)
-                        else:
-                            leaf = None
-                        # No planned occurrence, or no plan: the stream's next leaf.
-                        if leaf is None:
-                            if leaf_pos == len(leaf_buf):
-                                leaf_buf = rng_integers(
-                                    0, num_leaves, size=draw_block
-                                ).tolist()
-                                leaf_pos = 0
-                            leaf = leaf_buf[leaf_pos]
-                            leaf_pos += 1
-                        elif not 0 <= leaf < num_leaves:
-                            raise ConfigurationError(
-                                f"planned leaf {leaf} outside [0, {num_leaves})"
-                            )
-                        remaps.append(leaf)
-                        # oblivious: allow[OBL001] fused replay of the bin's
-                        # stash-hit fast path — hits counted the same
-                        if block_id in stash_map:
-                            stashed.append(position)
-                        else:
-                            missing.append(position)
-                    hits += len(stashed)
-
-                    # Path ORAM's order per missing block: its update returns the
-                    # path it sits on, fetched unless an earlier block of the bin
-                    # read it already (which brought the block in under its old
-                    # label).  A fetched block takes its tag, the new label; a
-                    # raise leaves every block updated and stashed, or untouched.
-                    # The bin's lists hold positions, not (id, leaf) pairs: a
-                    # tuple per id fragmented the heap (+1.6 MiB peak RSS on the
-                    # suite's replay_laoram).
-                    read_leaves = []
-                    for position in missing:
-                        block_id = needed[position]
-                        new_leaf = remaps[position]
-                        leaf = update(block_id, new_leaf)
-                        # oblivious: allow[OBL001] a bin fetches each distinct path
-                        # its missing blocks sit on: the protocol's observable,
-                        # every one a uniform independent draw (paper, Sec. VI)
-                        if leaf not in read_leaves:
-                            read_leaves.append(leaf)
-                            fetch(
-                                stash_map, caps, level_base, node_base, slots,
-                                occ, depth, tags, leaf,
-                            )
-                            path_reads += 1
-                            if observer is not None:
-                                observer.observe_path(leaf, dummy=False)
-                            # oblivious: allow[OBL001] stash-capacity check:
-                            # overflow is PathORAM's stated failure event and
-                            # aborts the run
-                            if capacity is not None and len(stash_map) > capacity:
-                                raise StashOverflowError(
-                                    f"stash exceeded its capacity of {capacity} blocks"
-                                )
-                        # oblivious: allow[OBL001] integrity check; aborts the run
-                        if block_id not in stash_map:
-                            raise BlockNotFoundError(
-                                f"block {block_id} missing from both stash "
-                                "and its path"
-                            )
-                        stash_map[block_id] = new_leaf
-                    # The stash hits' updates follow the fetch, as their walks do
-                    # on the per-object client.
-                    for position in stashed:
-                        block_id = needed[position]
-                        new_leaf = remaps[position]
-                        update(block_id, new_leaf)
-                        stash_map[block_id] = new_leaf
-
-                    # A hold leaves the bin's paths, and with them its blocks,
-                    # in the stash for the commit bin to write back.
-                    if holding:
-                        held_paths.extend(read_leaves)
-                        cursor = end_index + 1
-                        continue
-
-                    # Path by path: the first was emptied by its fetch (the
-                    # bin's later fetches only empty more buckets); a later one
-                    # finds the buckets it shares with an earlier one refilled.
-                    # oblivious: allow[OBL002] one write-back per path fetched
-                    # above: the same revealed count
-                    for leaf in read_leaves:
-                        write_back(
-                            stash_map, caps, level_base, node_base, slots, occ,
-                            depth, leaf,
-                        )
-                        path_writes += 1
-
-                    cursor = end_index + 1
-                occupancy = len(stash_map)
-                # An empty bin has passed through the above untouched: it is
-                # one turn of the eviction loop, counting no episode and
-                # observing no stash, as the reference's dummy_access.
-                # oblivious: allow[OBL001] fused replay of the documented
-                # occupancy-triggered background eviction policy
-                if dummy or should_trigger(occupancy):
-                    if not dummy:
-                        episodes += 1
-                    dummies = 0
-                    # oblivious: allow[OBL002] episode length tracks occupancy
-                    # by design — same documented policy as the trigger
-                    while not dummies if dummy else should_continue(occupancy, dummies):
-                        if leaf_pos == len(leaf_buf):
-                            leaf_buf = rng_integers(
-                                0, num_leaves, size=draw_block
-                            ).tolist()
-                            leaf_pos = 0
-                        leaf = leaf_buf[leaf_pos]
-                        leaf_pos += 1
-                        fetch(
-                            stash_map, caps, level_base, node_base, slots, occ,
-                            depth, tags, leaf,
-                        )
-                        dummy_reads += 1
-                        if observer is not None:
-                            observer.observe_path(leaf, dummy=True)
-                        # oblivious: allow[OBL001] stash-capacity check:
-                        # overflow aborts the run loudly
-                        if capacity is not None and len(stash_map) > capacity:
-                            raise StashOverflowError(
-                                f"stash exceeded its capacity of {capacity} blocks"
-                            )
-                        write_back(
-                            stash_map, caps, level_base, node_base, slots, occ,
-                            depth, leaf,
-                        )
-                        path_writes += 1
-                        dummies += 1
-                        occupancy = len(stash_map)
-                    if dummy:
-                        continue
-
-                # oblivious: allow[OBL001] client-side metrics (stash peak
-                # tracking); no server traffic
-                if occupancy > stash_peak:
-                    stash_peak = occupancy
-                if history is not None:
-                    history.append(occupancy)
+            serve(
+                self.stash.entries, tree.bucket_capacities, tree.level_base,
+                self._node_base, tree.slot_view, tree.occupancy_view, self._depth,
+                tags, update, block_ids, size, remaps, by_position,
+                None if plan is None else plan.consume_next_leaf,
+                self.rng.integers, self._leaf_buf,
+                (
+                    self.config.num_blocks, self._num_leaves,
+                    -1 if capacity is None else capacity, int(eviction.enabled),
+                    eviction.trigger_threshold, eviction.drain_target,
+                    eviction.max_dummy_reads_per_episode,
+                ),
+                self._held_paths, self._holding, self.observer,
+                counter.stash_history if counter.record_stash_history else None,
+                state,
+            )
         except BaseException:
             self._plan = None
             raise
         finally:
-            self._trace_cursor = cursor
-            self._leaf_buf = leaf_buf
-            self._leaf_buf_pos = leaf_pos
+            (
+                self._trace_cursor, self._leaf_buf_pos, stash_peak, logical,
+                path_reads, path_writes, dummy_reads, episodes, hits,
+            ) = state.tolist()
+            # One tree has one path geometry: buckets and bytes are the path
+            # counts multiplied out.
             path_buckets, path_bytes = tree.path_cost
             reads = path_reads + dummy_reads
             counter.add_bulk(

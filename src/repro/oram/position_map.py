@@ -109,23 +109,6 @@ def _as_int_array(values, label: str) -> np.ndarray:
     )
 
 
-def _swap(entries: np.ndarray):
-    """The dense map's update: swap one entry, return the old label.
-
-    Through a memoryview of the entries, so labels go in and out as Python
-    ints, with no numpy scalar per remap.
-    """
-    view = memoryview(entries)
-    get, put = view.__getitem__, view.__setitem__
-
-    def swap(block_id: int, leaf: int) -> int:
-        old = get(block_id)
-        put(block_id, leaf)
-        return old
-
-    return swap
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A view of ``array`` that refuses writes (tags handed to drivers)."""
     view = array.view()
@@ -189,7 +172,7 @@ class PositionMap:
 
     The protocol's lookup-and-remap is :meth:`update`; ``peek`` / ``load``
     (and their ``_many`` forms) are the charge-free metadata and
-    trusted-setup channel; the trace kernel binds :meth:`leaf_access` once
+    trusted-setup channel; the request kernel binds :meth:`leaf_access` once
     per call.  ``cutoff_bytes`` is the client-memory budget of the map:
     ``None`` keeps the whole array client-side (GPU HBM in the paper), where
     lookups are invisible to the adversary and free; a budget the array
@@ -259,9 +242,7 @@ class PositionMap:
         self._values = values or [initial.astype(LABEL_DTYPE)]
         self._entries = self._values[0]
         self._tags = _read_only(self._entries)
-        self._leaf_access = (
-            self._tags, self.update if sizes else _swap(self._entries)
-        )
+        self._leaf_access = (self._tags, self.update if sizes else self._entries)
         # Dense top map: labels of the last level's blocks (client memory).
         self._top = self._levels[-1].labels.copy() if sizes else self._entries
         # update's and the walk's handles on the entries and the top map:
@@ -479,23 +460,22 @@ class PositionMap:
         return old
 
     def leaf_access(self):
-        """The trace kernel's leaf-access contract: ``(tags, update)``.
+        """The request kernel's leaf-access contract: ``(tags, update)``.
 
-        The engines' trace kernel (``PathORAM._run_bins``,
-        PathORAM's traces and LAORAM's bins) binds this pair once per call
-        and takes all its leaves through it, so where the map lives stays
-        the map's business.  ``tags`` is a read-only view of the level-1
-        entries for the metadata channel — the label every block carries on
-        the wire, the array :meth:`peek_many` indexes, for blocks that just
-        came off a path.  ``update(block_id, leaf) -> old_leaf`` is the
-        protocol's one access per remap: :meth:`update` itself under
-        recursion (one walk per update, in Path ORAM's order), or, with no
-        recursion level, an unchecked swap through a memoryview of the
-        entries (free, Python ints in and out).  Dense callers pass ids
-        they range-checked and leaves drawn from ``integers(0,
-        num_leaves)`` or a range-checked plan.  Both are stable for the
-        map's lifetime, and trusted setup reads its labels off ``tags``
-        without a widened copy.
+        The engines' request kernel (``serve``, bound by
+        ``PathORAM._run_bins``) takes this pair once per request and all its
+        leaves through it, so where the map lives stays the map's business.
+        ``tags`` is a read-only view of the level-1 entries for the metadata
+        channel — the label every block carries on the wire, the array
+        :meth:`peek_many` indexes, for blocks that just came off a path.
+        ``update`` is the protocol's one access per remap: with no recursion
+        level, the entries ``tags`` views themselves, writable, which the
+        kernel swaps in place (free; it passes ids it range-checked and
+        leaves drawn from ``integers(0, num_leaves)`` or a range-checked
+        plan); under recursion :meth:`update` itself, called back (one walk
+        per update, in Path ORAM's order).  Both are stable for the map's
+        lifetime, and trusted setup reads its labels off ``tags`` without a
+        widened copy.
         """
         return self._leaf_access
 

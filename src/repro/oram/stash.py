@@ -29,7 +29,7 @@ class ArrayStash:
     The vectorized engine stores payloads in a client-side store, so the
     stash holds exactly what the write-back needs: per resident block its
     id and assigned leaf, as Python ints (xor / ``bit_length`` stay
-    small-int) in insertion order.  The trace kernel and the write-back
+    small-int) in insertion order.  The request kernel and the write-back
     kernels run on the dict itself (:attr:`entries`); the methods below are
     the same operations for everything that moves one block at a time.
 

@@ -67,7 +67,7 @@ def bin_lists(plan) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
     lo = 0
     while lo < len(ids):
         hi = min(lo + size - (first + lo) % size, len(ids))
-        leaves.append(twin.take_bin_remaps(first + lo, ids[lo:hi]))
+        leaves.append(twin.take_bin_remaps(first + lo, ids[lo:hi])[0].tolist())
         last = dict(zip(ids[lo:hi], range(lo, hi)))
         pairs.append([(b, first + later[p]) for b, p in last.items() if later[p] >= hi])
         lo = hi

@@ -44,21 +44,19 @@ from oracle.write_back import plan_greedy_write_back, plan_subtree_write_back
 
 
 class Eviction:
-    """The paper's background eviction: above ``threshold``, drain to ``target``."""
+    """The paper's background eviction: above the trigger, drain to the target.
 
-    #: Dummy reads one episode may issue before it gives up.
-    MAX_DUMMY_READS = 10_000
+    The fields are named as the library's ``EvictionPolicy`` names them, so
+    a test may hand either to a reference engine; the rule itself is
+    :meth:`ObjectPathORAM._maybe_background_evict`'s.
+    """
 
     def __init__(self, config: ORAMConfig):
         self.enabled = config.background_eviction
-        self.threshold = config.eviction_threshold
-        self.target = config.eviction_target
-
-    def should_trigger(self, occupancy: int) -> bool:
-        return self.enabled and occupancy > self.threshold
-
-    def should_continue(self, occupancy: int, dummy_reads: int) -> bool:
-        return self.enabled and dummy_reads < self.MAX_DUMMY_READS and occupancy > self.target
+        self.trigger_threshold = config.eviction_threshold
+        self.drain_target = config.eviction_target
+        #: Dummy reads one episode may issue before it gives up.
+        self.max_dummy_reads_per_episode = 10_000
 
 
 class ObjectPathORAM(ObliviousMemory):
@@ -198,11 +196,15 @@ class ObjectPathORAM(ObliviousMemory):
 
     def _maybe_background_evict(self) -> None:
         """Dummy reads, one path each, while the stash is above the trigger."""
-        if not self.eviction.should_trigger(len(self.stash)):
+        policy = self.eviction
+        if not (policy.enabled and len(self.stash) > policy.trigger_threshold):
             return
         self.counter.record_background_eviction()
         dummy_reads = 0
-        while self.eviction.should_continue(len(self.stash), dummy_reads):
+        while (
+            dummy_reads < policy.max_dummy_reads_per_episode
+            and len(self.stash) > policy.drain_target
+        ):
             self.dummy_access()
             dummy_reads += 1
 

@@ -62,6 +62,10 @@ def plan_subtree_write_back(
     deepest bucket in the subtree it is, in stash order; it takes its free
     slots' worth from the pool's end, and the rest goes on to its parent.
     """
+    if not leaves:
+        # A held step whose blocks were all stash hits read no path: an
+        # empty subtree takes nothing.
+        return {}
     depth = tree.depth
     subtree = {
         (level, leaf >> (depth - level)) for leaf in leaves for level in range(depth + 1)

@@ -322,13 +322,20 @@ def test_planted_bug_is_caught(tmp_path, planted, rule, module):
 @pytest.mark.parametrize(
     "module, old, new, tables",
     [
-        # The kernel renamed (or moved to another module): the three lists
-        # that arm OBL, ALLOC001 and CNT001 on it name nothing.
+        # The kernel's binder renamed (or moved to another module): the
+        # list that arms CNT001 on its counter flush names nothing.
         (
             "path_oram.py",
             "def _run_bins(",
             "def _run_moved_bins(",
-            {"obl_hot_functions", "alloc_hot_functions", "fused_drivers"},
+            {"fused_drivers"},
+        ),
+        # An entry point renamed: the OBL rules stop looking at it.
+        (
+            "path_oram.py",
+            "def dummy_access(",
+            "def dummy_read(",
+            {"obl_hot_functions"},
         ),
         # A per-access helper renamed: its allocation scope goes stale.
         (

@@ -1,19 +1,24 @@
 """Tests for the adversarial observers and leakage analysis."""
 
+import numpy as np
 import pytest
 
 from repro.attacks.analysis import (
+    CountAdvantage,
     analyze_address_leakage,
     analyze_path_obliviousness,
+    count_distinguisher,
+    reads_per_request,
     recover_access_histogram,
 )
 from repro.attacks.observer import CuriousOSObserver, MemoryBusObserver
 from repro.exceptions import ConfigurationError
+from repro.experiments.configs import build_oram_config
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
 from repro.utils.rng import make_rng
 
-from oracle import ObjectPathORAM
+from oracle import ObjectPathORAM, build_engine
 
 
 class TestObservers:
@@ -94,3 +99,77 @@ class TestLeakageAnalysis:
         report = analyze_address_leakage([1, 2, 3], [])
         assert report.mutual_information_bits == 0.0
         assert report.top1_recovery_rate == 0.0
+
+
+class TestCountDistinguisher:
+    """Counting a request's path reads tells two chosen traces apart.
+
+    The traces are equal in length: each request is 128 distinct ids, or
+    one id 128 times.  Every leaf the bus shows is uniform either way; the
+    count is not.  A PathORAM trace reads one path per access except on a
+    stash hit, which a crowded tree (one-slot buckets) makes frequent for
+    distinct ids and rare for a repeated one; a LAORAM bin reads one path
+    per distinct missing path; a held step reads nothing for an id it
+    already read.  The shipped engine's transcript is the reference
+    engine's, bit for bit, so the advantage measured here is the protocol's.
+    """
+
+    NUM_BLOCKS = 256
+    REQUEST = 128
+    REQUESTS = 24
+
+    def transcripts(self, label, recursive, verb, repeated):
+        config = build_oram_config(
+            num_blocks=self.NUM_BLOCKS, bucket_size=1, seed=5 + repeated,
+            recursive_posmap=recursive, posmap_positions_per_block=4,
+            posmap_cutoff_bytes=64,
+        )
+        counts = []
+        for fast in (False, True):
+            engine = build_engine(label, config, observer=MemoryBusObserver(), fast=fast)
+            rng = np.random.default_rng(repeated)
+            marks = [0]
+            for _ in range(self.REQUESTS):
+                if repeated:
+                    ids = [int(rng.integers(self.NUM_BLOCKS))] * self.REQUEST
+                else:
+                    ids = rng.choice(self.NUM_BLOCKS, self.REQUEST, replace=False).tolist()
+                if verb == "hold_many":
+                    engine.hold_many(ids)
+                    engine.commit(ids, [0.0] * len(ids))
+                else:
+                    getattr(engine, verb)(ids)
+                marks.append(len(engine.observer.observed_paths))
+            counts.append((
+                reads_per_request(engine.observer, marks),
+                engine.observer.observed_paths,
+                engine.observer.observed_dummy_flags,
+            ))
+        assert counts[1] == counts[0]
+        return counts[1][0]
+
+    @pytest.mark.parametrize("verb", ["run_trace", "access_many", "hold_many"])
+    @pytest.mark.parametrize("recursive", [False, True], ids=["dense", "recursive"])
+    @pytest.mark.parametrize("label", ["PathORAM", "Fat/S4"])
+    def test_distinct_ids_and_one_repeated_id_are_told_apart(self, label, recursive, verb):
+        distinct = self.transcripts(label, recursive, verb, repeated=False)
+        repeated = self.transcripts(label, recursive, verb, repeated=True)
+        assert len(distinct) == len(repeated) == self.REQUESTS
+        advantage = count_distinguisher(distinct, repeated)
+        assert advantage.real >= 0.9
+        # Nothing above drains the stash: the dummy reads tell nothing.
+        assert advantage.dummy == 0.0
+
+    def test_equal_counts_give_no_advantage(self):
+        counts = [(3, 1), (4, 0), (3, 0)]
+        assert count_distinguisher(counts, counts) == CountAdvantage(real=0.0, dummy=0.0)
+        assert count_distinguisher([(1, 0)], [(2, 5)]).real == 1.0
+        assert count_distinguisher([(1, 0)], [(2, 5)]).dummy == 1.0
+        with pytest.raises(ConfigurationError):
+            count_distinguisher([], counts)
+
+    def test_reads_per_request_splits_real_from_dummy(self):
+        observer = MemoryBusObserver()
+        for leaf, dummy in [(1, False), (2, True), (3, False), (4, False), (5, True)]:
+            observer.observe_path(leaf, dummy=dummy)
+        assert reads_per_request(observer, [0, 2, 2, 5]) == [(1, 1), (0, 0), (2, 1)]

@@ -73,7 +73,8 @@ def serve_bin(engine, block_ids) -> None:
     """One bin of ``block_ids`` at the trace cursor."""
     ids = [int(b) for b in block_ids]
     if isinstance(engine, LAORAMClient):
-        engine._run_bins([(engine.trace_cursor, ids, None)])
+        # A bin size that puts the next boundary right after the request.
+        engine._run_bins(np.array(ids), size=engine.trace_cursor + len(ids))
     else:
         engine.access_superblock(ids)
 

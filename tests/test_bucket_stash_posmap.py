@@ -140,9 +140,11 @@ class TestPositionMap:
         old = pmap.peek(3)
         assert pmap.update(3, 5) == old
         assert pmap.peek(3) == 5
-        # The kernel's dense update is the same swap.
-        update = pmap.leaf_access()[1]
-        assert update(3, 6) == 5
+        # The kernel's dense update is the same swap, in place on the
+        # entries the tags view.
+        tags, entries = pmap.leaf_access()
+        assert entries[3] == 5 and np.shares_memory(tags, entries)
+        entries[3] = 6
         assert pmap.peek(3) == 6
 
     def test_peek_many_vectorised(self):

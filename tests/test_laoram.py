@@ -331,8 +331,48 @@ class TestPlanAlignment:
         assert shifted <= 0.24
         assert shifted <= 1.02 * aligned
 
+    @staticmethod
+    def served_bins(engine, request, monkeypatch) -> list:
+        """Serve ``request`` and return its bins as ``(start, ids, remaps)``.
+
+        The reference client lists its own cut.  The array client hands the
+        request to its C kernel in one call, which cuts it on global
+        multiples of its ``size`` from the cursor, the first ``by_position``
+        bins taking their slices of the packed ``remaps`` in order: the
+        bins are read off that call (the kernel's cut is held to the
+        reference's by the twin differentials).
+        """
+        if not isinstance(engine, LAORAMClient):
+            bins = list(engine._aligned_bins(request))
+            engine.access_many(request)
+            return bins
+        calls = []
+        kernel = LAORAMClient._run_bins
+
+        def spy(self, block_ids, size=1, remaps=None, by_position=0):
+            calls.append((self.trace_cursor, block_ids.tolist(), size, remaps, by_position))
+            return kernel(self, block_ids, size, remaps, by_position)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LAORAMClient, "_run_bins", spy)
+            engine.access_many(request)
+        (start, ids, size, remaps, by_position), = calls
+        packed = [] if remaps is None else remaps.tolist()
+        bins, offset = [], 0
+        while offset < len(ids):
+            end = min(offset + size - (start + offset) % size, len(ids))
+            chunk = ids[offset:end]
+            leaves = None
+            if len(bins) < by_position:
+                distinct = len(dict.fromkeys(chunk))
+                leaves, packed = packed[:distinct], packed[distinct:]
+            bins.append((start + offset, chunk, leaves))
+            offset = end
+        assert packed == []
+        return bins
+
     @pytest.mark.parametrize("client", CLIENTS)
-    def test_window_bins_follow_the_global_boundaries(self, client, config):
+    def test_window_bins_follow_the_global_boundaries(self, client, config, monkeypatch):
         engine = client(config)
         engine.access_many([1, 2, 3, 4, 5, 6])
         window = np.arange(20, 31)
@@ -343,7 +383,7 @@ class TestPlanAlignment:
         # S=4 from index 6: a short first bin up to 8, then 8..12, 12..16,
         # and a ragged last bin 16..17 — the plan's bins, which only the
         # array client takes by position.
-        bins = list(engine._aligned_bins(window))
+        bins = self.served_bins(engine, window, monkeypatch)
         assert [(start, ids) for start, ids, _ in bins] == [
             (6, [20, 21]), (8, [22, 23, 24, 25]), (12, [26, 27, 28, 29]), (16, [30]),
         ]
@@ -352,11 +392,11 @@ class TestPlanAlignment:
         assert engine.bins_by_position == 4 * by_position
 
     @pytest.mark.parametrize("client", CLIENTS)
-    def test_a_bin_ends_where_the_next_one_starts(self, client, config):
+    def test_a_bin_ends_where_the_next_one_starts(self, client, config, monkeypatch):
         engine = client(config)
         engine.access_many([1, 2, 3])
         request = [9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 12, 13]
-        bins = list(engine._aligned_bins(request))
+        bins = self.served_bins(engine, request, monkeypatch)
         # The bins tile the request from the cursor: each opens where the
         # one before it closed, and together they hold every id in order.
         assert bins[0][0] == 3
@@ -365,18 +405,19 @@ class TestPlanAlignment:
         last_start, last_ids, _ = bins[-1]
         assert last_start + len(last_ids) == 3 + len(request)
         assert [b for _, ids, _ in bins for b in ids] == request
-        engine.access_many(request)
         assert engine.trace_cursor == 3 + len(request)
 
     @pytest.mark.parametrize("client", CLIENTS)
-    def test_a_bin_counts_accesses_not_unique_blocks(self, client, config):
+    def test_a_bin_counts_accesses_not_unique_blocks(self, client, config, monkeypatch):
         engine = client(config)
         engine.access_many([5, 5, 5, 5, 9, 9, 9])
-        bins = list(engine._aligned_bins([9, 9, 9]))
-        assert [(start, ids) for start, ids, _ in bins] == [(7, [9]), (8, [9, 9])]
         # Seven accesses and the cursor moves seven, whatever the repeats.
         assert engine.statistics.logical_accesses == 7
         assert engine.trace_cursor == 7
+        bins = self.served_bins(engine, [9, 9, 9], monkeypatch)
+        assert [(start, ids) for start, ids, _ in bins] == [(7, [9]), (8, [9, 9])]
+        assert engine.statistics.logical_accesses == 10
+        assert engine.trace_cursor == 10
 
     @pytest.mark.parametrize("client", CLIENTS)
     def test_remaps_follow_the_bins_distinct_ids_in_first_occurrence_order(

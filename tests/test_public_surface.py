@@ -84,6 +84,11 @@ ALLOWLIST: dict[str, str] = {
         "tests/test_engine_equivalence.py and tests/test_laoram.py check stash "
         "tags against the position map"
     ),
+    "repro.oram.write_back.held_write_back": (
+        "the commit bin runs its C body inside serve; tests/test_native_write_back.py "
+        "and tests/test_batched_write_back.py hold the subtree fill to the "
+        "reference planner through it"
+    ),
 }
 
 #: A Sphinx cross-reference in a docstring; group 1 is the referenced name.

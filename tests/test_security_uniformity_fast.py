@@ -172,17 +172,24 @@ class TestServeNowUnderAPlan:
                 return result
 
             def take_bin_remaps(start_index, block_ids):
-                # Each distinct id's next occurrence after its last
-                # position in the bin.
+                # Per bin taken, each distinct id's next occurrence after
+                # its last position in the bin.
+                remaps, bins = by_position(start_index, block_ids)
+                size = plan.superblock_size
                 lo = start_index - plan.start_index
-                last = dict(zip(block_ids, range(lo, lo + len(block_ids))))
-                later = plan.next[list(last.values())].tolist()
-                epoch.extend(
-                    (block_id, plan.start_index + occ)
-                    for block_id, occ in zip(last, later)
-                    if occ >= 0
-                )
-                return by_position(start_index, block_ids)
+                ids = list(block_ids)
+                offset = 0
+                for _ in range(bins):
+                    end = min(offset + size - (start_index + offset) % size, len(ids))
+                    last = dict(zip(ids[offset:end], range(lo + offset, lo + end)))
+                    later = plan.next[list(last.values())].tolist()
+                    epoch.extend(
+                        (block_id, plan.start_index + occ)
+                        for block_id, occ in zip(last, later)
+                        if occ >= 0
+                    )
+                    offset = end
+                return remaps, bins
 
             def consume_next_leaf(block_id, after_index):
                 leaf = lookup(block_id, after_index)

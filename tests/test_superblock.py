@@ -186,8 +186,9 @@ class TestByPositionEqualsLookups:
             expected = [lookup.consume_next_leaf(b, start + hi - 1) for b in distinct]
             if index < switch:
                 assert position.follows(start + lo, addresses[lo:])
-                got = position.take_bin_remaps(start + lo, addresses[lo:hi])
-                assert got == [-1 if leaf is None else leaf for leaf in expected]
+                got, bins = position.take_bin_remaps(start + lo, addresses[lo:hi])
+                assert bins == 1
+                assert got.tolist() == [-1 if leaf is None else leaf for leaf in expected]
             else:
                 got = [position.consume_next_leaf(b, start + hi - 1) for b in distinct]
                 assert got == expected

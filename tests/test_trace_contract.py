@@ -191,9 +191,9 @@ def test_fast_run_trace_equals_the_generic_loop(label, recursive, writes, monkey
     calls = []
     kernel = type(fast)._run_bins
 
-    def spy(self, bins):
+    def spy(self, block_ids, *args):
         calls.append(type(self.position_map).__name__)
-        return kernel(self, bins)
+        return kernel(self, block_ids, *args)
 
     monkeypatch.setattr(type(fast), "_run_bins", spy)
 
@@ -456,10 +456,9 @@ def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
     calls = []
     kernel = cls._run_bins
 
-    def spy(self, bins):
-        bins = list(bins)
-        calls.append(sum(len(block_ids) for _, block_ids, _ in bins))
-        return kernel(self, bins)
+    def spy(self, block_ids, *args):
+        calls.append(len(block_ids))
+        return kernel(self, block_ids, *args)
 
     def bypassed(name):
         def fail(self, *args, **kwargs):
@@ -525,10 +524,11 @@ def test_every_single_access_runs_the_bin_kernel(label, recursive, store, monkey
     bins_run = []
     kernel = cls._run_bins
 
-    def spy(self, bins):
-        bins = list(bins)
-        bins_run.append(bins)
-        return kernel(self, bins)
+    def spy(self, block_ids, *args):
+        # One request: the cursor it starts at, its ids and the rest of
+        # the call (the bin size, no plan remaps).
+        bins_run.append([(self._trace_cursor, block_ids.tolist(), *args)])
+        return kernel(self, block_ids, *args)
 
     def bypassed(name):
         def fail(self, *args, **kwargs):
@@ -558,11 +558,11 @@ def test_every_single_access_runs_the_bin_kernel(label, recursive, store, monkey
             patch.setattr(cls, bypass, bypassed(bypass))
             results.append(getattr(engine, name)(*args))
     assert bins_run == [
-        [(0, [5], None)],
-        [(1, [9], None)],
-        [(2, [5], None)],
-        [(3, [], None)],
-        [(3, [5], None)],
+        [(0, [5])],
+        [(1, [9])],
+        [(2, [5])],
+        [(3, [])],
+        [(3, [5])],
     ]
     assert np.array_equal(results[-1], payload)
     # More single accesses, until the stash has crossed the trigger.
@@ -572,7 +572,7 @@ def test_every_single_access_runs_the_bin_kernel(label, recursive, store, monkey
         for block_id in ids:
             engine.access(block_id)
     assert bins_run[len(calls) :] == [
-        [(4 + index, [block_id], None)] for index, block_id in enumerate(ids)
+        [(4 + index, [block_id])] for index, block_id in enumerate(ids)
     ]
     stats = engine.statistics
     assert stats.logical_accesses == 4 + len(ids)
