@@ -6,6 +6,7 @@ Examples::
     laoram-repro figure7 --subfigure 7e --scale small
     laoram-repro table2 --scale tiny
     laoram-repro all --scale tiny
+    laoram-repro recursion --scale tiny
     laoram-repro sharded --num-blocks 65536 --num-shards 8 --num-workers 4
     laoram-repro serve --num-workers 2 --requests 500 --arrival bursty
 """
@@ -18,6 +19,7 @@ import sys
 from typing import Sequence
 
 from repro.datasets.zipf import ZipfTraceGenerator
+from repro.exceptions import ConfigurationError
 from repro.experiments import report
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.matrix import SUBFIGURES, ReplayMatrix
@@ -69,6 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     everything = subparsers.add_parser("all", help="run every experiment")
     _add_scale_argument(everything)
+
+    recursion = subparsers.add_parser(
+        "recursion", help="recursive position map against the dense one"
+    )
+    _add_scale_argument(recursion)
 
     def _add_sharding_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--num-blocks", type=int, default=1 << 14)
@@ -211,6 +218,7 @@ def run_command(args: argparse.Namespace) -> str:
         "figure9": report.render_figure9,
         "table2": report.render_table2,
         "memory-neutral": report.render_memory_neutral,
+        "recursion": report.render_recursion,
         "all": lambda matrix: "\n\n".join([
             report.render_table1(run_table1()),
             report.render_figure7(matrix, "7e"),
@@ -231,7 +239,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    print(run_command(args))
+    try:
+        print(run_command(args))
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     return 0
 
 

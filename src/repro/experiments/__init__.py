@@ -6,11 +6,6 @@ from repro.experiments.configs import (
     build_oram_config,
 )
 from repro.experiments.matrix import Cell, ExperimentResult, ReplayMatrix
-from repro.experiments.recursion import (
-    RecursionAmortizationRow,
-    render_recursion_table,
-    run_recursion_amortization,
-)
 from repro.experiments.scale import ExperimentScale
 from repro.experiments.sharded import ShardedRunner, ShardResult
 
@@ -20,9 +15,6 @@ __all__ = [
     "build_oram_config",
     "ExperimentResult",
     "ExperimentScale",
-    "RecursionAmortizationRow",
-    "run_recursion_amortization",
-    "render_recursion_table",
     "Cell",
     "ReplayMatrix",
     "ShardedRunner",

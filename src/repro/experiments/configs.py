@@ -91,11 +91,8 @@ def build_engine(
     eviction: Optional[EvictionPolicy] = None,
     counter: Optional[TrafficCounter] = None,
     observer=None,
-    seed: Optional[int] = None,
     fast: bool = False,
     recursive_posmap: Optional[bool] = None,
-    posmap_positions_per_block: Optional[int] = None,
-    posmap_cutoff_bytes: Optional[int] = None,
 ) -> ObliviousMemory:
     """Instantiate the engine named by ``label`` on the given tree geometry.
 
@@ -105,23 +102,14 @@ def build_engine(
 
     ``recursive_posmap=True`` (or the flag already set on ``oram_config``)
     stores the position map in recursion ORAMs instead of a trusted dense
-    array; ``posmap_positions_per_block`` / ``posmap_cutoff_bytes`` tune the
-    recursion geometry.  ``None`` leaves the corresponding ``oram_config``
-    field untouched.
+    array; ``None`` leaves ``oram_config``'s flag untouched.
     """
     parsed = parse_label(label)
-    config = oram_config if seed is None else oram_config.with_overrides(seed=seed)
-    posmap_overrides = {
-        name: value
-        for name, value in (
-            ("recursive_posmap", recursive_posmap),
-            ("posmap_positions_per_block", posmap_positions_per_block),
-            ("posmap_cutoff_bytes", posmap_cutoff_bytes),
-        )
-        if value is not None
-    }
-    if posmap_overrides:
-        config = config.with_overrides(**posmap_overrides)
+    config = (
+        oram_config
+        if recursive_posmap is None
+        else oram_config.with_overrides(recursive_posmap=recursive_posmap)
+    )
     family = parsed["family"]
     if family == "insecure":
         return InsecureMemory(config, counter=counter, observer=observer)

@@ -1,6 +1,7 @@
 """One replay matrix under every figure and table of the evaluation.
 
-The paper's evaluation (Fig. 7-9, Table II, Sec. VIII-C) is one grid of
+The paper's evaluation (Fig. 7-9, Table II, Sec. VIII-C) and the recursion
+table of the position map LAORAM inherits from Path ORAM are one grid of
 replays, each a configuration run over a workload.  A :class:`Cell` names
 one replay completely, every seed included; :class:`ReplayMatrix` replays a
 cell the first time it is asked for it, returns the stored record after
@@ -10,15 +11,16 @@ Each figure and table is a projection: a method that names its cells under
 its own seed rule and reduces their records to the numbers its renderer in
 :mod:`repro.experiments.report` prints.  Fig. 7 and Fig. 9 seed each label
 ``seed + offset``, Table II ``seed + 10 * config + dataset`` over trace seed
-``seed + dataset``, Fig. 8 ``seed + offset`` and the memory-neutral
-comparison ``seed`` and ``seed + 1``; so Fig. 9 reads Fig. 7e's seven cells
-and replays none of its own.
+``seed + dataset``, Fig. 8 ``seed + offset``, the memory-neutral
+comparison ``seed`` and ``seed + 1``, and the recursion table both cells of
+row ``r`` ``seed + r`` over Zipf trace seed ``seed``; so Fig. 9 reads Fig.
+7e's seven cells and replays none of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional
 
 from repro.datasets.base import AccessTrace
 from repro.datasets.registry import make_trace
@@ -28,6 +30,7 @@ from repro.experiments.scale import SMALL, ExperimentScale
 from repro.memory.accounting import TrafficSnapshot
 from repro.oram.config import ORAMConfig
 from repro.oram.eviction import EvictionPolicy
+from repro.oram.position_map import LABEL_BYTES, PositionMap
 
 #: Workloads of Figure 7's six sub-figures: (dataset, table selector).
 SUBFIGURES: dict[str, tuple[str, str]] = {
@@ -54,6 +57,23 @@ FIGURE9_SUBFIGURE = "7e"
 TABLE2_CONFIGS: tuple[str, ...] = ("Fat/S8", "Fat/S4", "Normal/S8", "Normal/S4")
 TABLE2_DATASETS: tuple[str, ...] = ("permutation", "gaussian", "kaggle", "xnli")
 
+#: Rows of the recursion table.
+RECURSION_CONFIGS: tuple[str, ...] = ("PathORAM", "Normal/S4")
+
+
+class RecursionRow(NamedTuple):
+    """One row of the recursion table: the map's geometry, then what the
+    recursive cell measured against the dense one."""
+
+    levels: int
+    label_bytes: int
+    block_bytes: int
+    top_map_bytes: int
+    walks_per_access: float
+    posmap_traffic_share: float
+    client_memory_reduction: float
+    bit_identical: bool
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -65,6 +85,7 @@ class ExperimentResult:
     snapshot: TrafficSnapshot
     simulated_time_s: float
     server_memory_bytes: int
+    client_memory_bytes: int
     stash_history: tuple[int, ...] = ()
 
     @property
@@ -130,6 +151,7 @@ def replay(cell: Cell, trace: AccessTrace) -> ExperimentResult:
         snapshot=engine.statistics,
         simulated_time_s=engine.simulated_time_s,
         server_memory_bytes=engine.server_memory_bytes,
+        client_memory_bytes=engine.client_memory_bytes(),
         stash_history=tuple(engine.counter.stash_history),
     )
 
@@ -282,3 +304,55 @@ class ReplayMatrix:
             name: (record.server_memory_bytes, record.snapshot.dummy_reads)
             for name, record in records.items()
         }
+
+    def _recursion_cells(self, seed: int) -> dict[str, tuple[Cell, Cell]]:
+        """``{label: (dense, recursive)}``: two cells apart only in
+        ``recursive_posmap``, under a budget of the 64 KiB default or half
+        the dense map, whichever is smaller, so every scale builds a level."""
+        cutoff = min(ORAMConfig.posmap_cutoff_bytes, self.scale.num_blocks * LABEL_BYTES // 2)
+        return {
+            label: tuple(
+                self._cell(
+                    label, "zipf", seed, seed=seed + offset,
+                    recursive_posmap=recursive, posmap_cutoff_bytes=cutoff,
+                )
+                for recursive in (False, True)
+            )
+            for offset, label in enumerate(RECURSION_CONFIGS)
+        }
+
+    def recursion(self, seed: int = 0) -> dict[str, RecursionRow]:
+        """The recursive position map against the dense one, per configuration.
+
+        The recursion (Path ORAM, CCS'13) moves the map into ORAMs and
+        charges a walk per remap; it must change where the map lives, never
+        what the engine does, so every counter but the ``posmap_*`` ones
+        agrees between the two cells (``bit_identical``).  PathORAM pays one
+        walk per access; LAORAM remaps a block once per bin, however often
+        the bin reads it, and pays fewer.
+        """
+        rows = {}
+        for label, (dense_cell, recursive_cell) in self._recursion_cells(seed).items():
+            dense, recursive = self.record(dense_cell), self.record(recursive_cell)
+            oram = recursive_cell.oram
+            sizes = PositionMap.level_sizes(
+                oram.num_blocks, oram.posmap_positions_per_block, oram.posmap_cutoff_bytes
+            )
+            snapshot = recursive.snapshot
+            rows[label] = RecursionRow(
+                levels=len(sizes),
+                label_bytes=LABEL_BYTES,
+                block_bytes=oram.posmap_positions_per_block * LABEL_BYTES
+                + oram.metadata_bytes_per_block,
+                top_map_bytes=sizes[-1] * LABEL_BYTES,
+                walks_per_access=snapshot.posmap_path_reads / recursive.num_accesses,
+                posmap_traffic_share=snapshot.posmap_total_bytes / snapshot.total_bytes,
+                client_memory_reduction=dense.client_memory_bytes
+                / recursive.client_memory_bytes,
+                bit_identical=all(
+                    getattr(dense.snapshot, field.name) == getattr(snapshot, field.name)
+                    for field in fields(TrafficSnapshot)
+                    if not field.name.startswith("posmap_")
+                ),
+            )
+        return rows

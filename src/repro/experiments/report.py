@@ -58,6 +58,32 @@ def render_figure9(matrix: ReplayMatrix) -> str:
     return title + "\n" + format_table(["configuration", "measured", "upper bound"], rows)
 
 
+def render_recursion(matrix: ReplayMatrix) -> str:
+    """Recursive position map against the dense one, per configuration."""
+    body = [
+        [
+            label,
+            *(str(n) for n in (row.levels, row.label_bytes, row.block_bytes, row.top_map_bytes)),
+            f"{row.walks_per_access:.3f}",
+            f"{row.posmap_traffic_share:.1%}",
+            f"{row.client_memory_reduction:.1f}x",
+            "yes" if row.bit_identical else "NO",
+        ]
+        for label, row in matrix.recursion().items()
+    ]
+    title = (
+        f"Recursive position map: walks per access "
+        f"(zipf, {matrix.scale.num_blocks} blocks, {matrix.scale.num_accesses} accesses)"
+    )
+    return title + "\n" + format_table(
+        [
+            "configuration", "levels", "label B", "block B", "top map B", "walks/access",
+            "posmap/main traffic", "client-mem reduction", "bit-identical",
+        ],
+        body,
+    )
+
+
 def render_table1(rows: Sequence[Table1Row]) -> str:
     """Memory-requirement table."""
     body = [

@@ -1,15 +1,16 @@
 """Experiment scale presets.
 
 The figure and table harness replays every configuration on its engine
-(:class:`~repro.experiments.matrix.ReplayMatrix`), and the engines replay
-2^20-2^23 blocks (see the recursion sweep in
-``docs/recursive_position_map.md``).  The presets stop well short of the
-paper's embedding tables (8M-16M entries, up to 24 GB of tree) so that a
-whole figure sweep takes seconds: the relative behaviour the paper reports —
-who wins, where the superblock-size sweet spot sits, how much the fat tree
-helps — is governed by bucket occupancy and superblock size rather than by
-the absolute tree height, so reduced scales preserve the shape of the
-results.  Table I (pure arithmetic) always uses the paper's full sizes.
+(:class:`~repro.experiments.matrix.ReplayMatrix`).  The presets stop well
+short of the paper's embedding tables (8M-16M entries, up to 24 GB of tree)
+so that a whole figure sweep takes seconds: the relative behaviour the paper
+reports — who wins, where the superblock-size sweet spot sits, how much the
+fat tree helps — is governed by bucket occupancy and superblock size rather
+than by the absolute tree height, so reduced scales preserve the shape of
+the results.  Table I (pure arithmetic) always uses the paper's full sizes.
+A scale is not bound to the presets: ``ExperimentScale("2^20", 1 << 20,
+20_000, block_size_bytes=64)`` replays the recursion table at the
+production position-map geometry (``docs/recursive_position_map.md``).
 """
 
 from __future__ import annotations

@@ -295,7 +295,8 @@ class ShardExecutor:
         return dict(self._states)
 
     def position_maps(self) -> list[np.ndarray]:
-        """Copy of every shard's current position map, in shard order."""
+        """Copy of every shard's current position map, in shard order: each
+        unit's :meth:`ShardHost.posmap` reply."""
         maps = self._ask_every("posmap")
         return [maps[s] for s in range(self.planner.num_shards)]
 

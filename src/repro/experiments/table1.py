@@ -46,18 +46,13 @@ class Table1Row:
         return self.fat_bytes / self.laoram_bytes
 
 
-def run_table1(
-    workloads: dict[str, tuple[int, int]] | None = None,
-    bucket_size: int = 4,
-) -> list[Table1Row]:
-    """Compute every row of Table I."""
-    workloads = workloads if workloads is not None else TABLE1_WORKLOADS
+def run_table1() -> list[Table1Row]:
+    """Compute every row of Table I (bucket size 4, the paper's)."""
     rows = []
-    for name, (num_rows, row_bytes) in workloads.items():
+    for name, (num_rows, row_bytes) in TABLE1_WORKLOADS.items():
         base = ORAMConfig(
             num_blocks=num_rows,
             block_size_bytes=row_bytes,
-            bucket_size=bucket_size,
             metadata_bytes_per_block=0,
         )
         # Table I's fat-tree column corresponds to the per-level-increment

@@ -278,7 +278,9 @@ class TestAblations:
         for size in (1, 2, 4, 8, 16):
             observer = MemoryBusObserver()
             label = "PathORAM" if size == 1 else f"{tree}/S{size}"
-            engine = build_engine(label, oram_config, seed=7 + size, observer=observer)
+            engine = build_engine(
+                label, oram_config.with_overrides(seed=7 + size), observer=observer
+            )
             engine.run_trace(trace.addresses)
             times[size] = engine.simulated_time_s
             uniformity = chi_square_uniformity(

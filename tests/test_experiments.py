@@ -21,6 +21,7 @@ from repro.core.laoram import LAORAMClient
 from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
+from repro.oram.position_map import PositionMap
 
 
 class TestScale:
@@ -109,6 +110,7 @@ class TestMetrics:
             snapshot=snapshot,
             simulated_time_s=time_s,
             server_memory_bytes=0,
+            client_memory_bytes=0,
         )
 
     def test_speedup_over(self):
@@ -165,6 +167,7 @@ class TestCellKey:
             snapshot=engine.statistics,
             simulated_time_s=engine.simulated_time_s,
             server_memory_bytes=engine.server_memory_bytes,
+            client_memory_bytes=engine.client_memory_bytes(),
             stash_history=tuple(engine.counter.stash_history),
         )
         assert record.snapshot.dummy_reads > 0 and len(record.stash_history) > 0
@@ -200,3 +203,37 @@ class TestProjections:
         # Fig. 7e's cells.
         assert len(replays) == 29
         assert len(set(replays)) == 29
+
+    def test_cli_recursion_replays_four_cells_once(self, monkeypatch):
+        replays, traces = _count_replays(monkeypatch)
+        run_command(build_parser().parse_args(["recursion", "--scale", "tiny"]))
+        # Two rows of two cells, all over one Zipf trace.
+        assert len(replays) == len(set(replays)) == 4
+        assert traces == [("zipf", TINY.num_blocks, TINY.num_accesses, 0)]
+        # A repeated ask of one matrix replays nothing.
+        matrix = ReplayMatrix(TINY)
+        first = matrix.recursion()
+        del replays[:]
+        assert matrix.recursion() == first and replays == []
+
+    @pytest.mark.parametrize("scale", ["tiny", "small", "medium", "large"])
+    def test_every_preset_builds_a_recursion_level(self, scale):
+        cells = ReplayMatrix(get_scale(scale))._recursion_cells(0)
+        for dense, recursive in cells.values():
+            assert replace(dense, oram=dense.oram.with_overrides(recursive_posmap=True)) == recursive
+            posmap = build_engine(recursive.label, recursive.oram).position_map
+            assert posmap.num_levels >= 1
+            assert posmap.num_levels == len(PositionMap.level_sizes(
+                recursive.oram.num_blocks, recursive.oram.posmap_positions_per_block,
+                recursive.oram.posmap_cutoff_bytes,
+            ))
+
+    @pytest.mark.parametrize("num_blocks, sizes", [(1 << 20, [16384]), (1 << 23, [131072, 2048])])
+    def test_paper_scale_cells_take_the_production_geometry(self, num_blocks, sizes):
+        matrix = ReplayMatrix(ExperimentScale("paper", num_blocks, 1))
+        for _, recursive in matrix._recursion_cells(0).values():
+            oram = recursive.oram
+            assert oram.posmap_cutoff_bytes == 1 << 16
+            assert PositionMap.level_sizes(
+                num_blocks, oram.posmap_positions_per_block, oram.posmap_cutoff_bytes
+            ) == sizes

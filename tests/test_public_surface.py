@@ -52,12 +52,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.experiments.figure2.Figure2Result.looks_random_with_hot_band": (
         "tests/test_experiment_reproduction.py checks Figure 2's claim through it"
     ),
-    "repro.experiments.recursion.render_recursion_table": (
-        "docs/recursive_position_map.md runs it for the recursion table"
-    ),
-    "repro.experiments.recursion.run_recursion_amortization": (
-        "docs/recursive_position_map.md runs it for the recursion table"
-    ),
     "repro.experiments.table1.Table1Row.fat_overhead_vs_normal": (
         "tests/test_experiment_reproduction.py checks Table I's fat-tree overhead"
     ),
@@ -79,6 +73,14 @@ ALLOWLIST: dict[str, str] = {
     "repro.oram.base.ObliviousMemory.read": (
         "tests/test_path_oram.py and tests/test_memory_models.py read payloads "
         "back through it"
+    ),
+    "repro.oram.position_map.PositionMap.geometry": (
+        "docs/recursive_position_map.md documents each level's shape through it; "
+        "tests/test_recursive_posmap.py checks it against the levels built"
+    ),
+    "repro.oram.position_map.PositionMap.num_levels": (
+        "tests/test_recursive_posmap.py, tests/test_hold_commit.py and "
+        "tests/test_experiments.py read the levels a map built through it"
     ),
     "repro.oram.stash.ArrayStash.leaf_of": (
         "tests/test_engine_equivalence.py and tests/test_laoram.py check stash "

@@ -33,10 +33,9 @@ from repro.exceptions import (
     StashOverflowError,
 )
 from repro.experiments.configs import build_oram_config
-from repro.experiments.recursion import (
-    run_recursion_amortization,
-    render_recursion_table,
-)
+from repro.experiments.matrix import ReplayMatrix
+from repro.experiments.report import render_recursion
+from repro.experiments.scale import TINY
 from repro.memory.accounting import TrafficCounter, merge_snapshots
 from repro.oram.path_oram import PathORAM
 from repro.oram.base import AccessOp, ObliviousMemory
@@ -438,26 +437,30 @@ class TestDrawBlockSeam:
 
 
 class TestAmortizationExperiment:
-    """The importable harness behind the committed full-scale sweep."""
+    """The replay matrix's recursion table, the projection behind ``cli recursion``."""
 
     def test_reduced_scale_table(self):
-        rows = run_recursion_amortization(
-            num_blocks_list=(1 << 12,), num_accesses=1500,
-            cutoff_bytes=1 << 10,
-        )
-        assert {row.family for row in rows} == {"laoram", "pathoram"}
-        by_family = {row.family: row for row in rows}
-        assert all(row.bit_identical for row in rows)
-        assert all(row.num_levels >= 1 for row in rows)
+        matrix = ReplayMatrix(TINY)
+        rows = matrix.recursion()
+        assert set(rows) == {"PathORAM", "Normal/S4"}
+        assert all(row.bit_identical for row in rows.values())
+        assert all(row.levels >= 1 for row in rows.values())
         # PathORAM pays one walk per access; LAORAM's superblock bins
         # amortize repeated accesses onto one walk.
-        assert by_family["pathoram"].walks_per_access == pytest.approx(1.0)
-        assert (
-            by_family["laoram"].walks_per_access
-            < by_family["pathoram"].walks_per_access
-        )
-        table = render_recursion_table(rows)
-        assert "walks/access" in table and "laoram" in table
+        assert rows["PathORAM"].walks_per_access == pytest.approx(1.0)
+        assert rows["Normal/S4"].walks_per_access < rows["PathORAM"].walks_per_access
+        # The geometry columns are the map the recursive cell builds.
+        for label, (_, cell) in matrix._recursion_cells(0).items():
+            pmap = build_engine(label, cell.oram, fast=True).position_map
+            (level,) = pmap.geometry()
+            assert (rows[label].levels, rows[label].top_map_bytes) == (
+                pmap.num_levels, pmap.top_map_bytes
+            )
+            assert (rows[label].label_bytes, rows[label].block_bytes) == (
+                level["label_bytes"], level["block_bytes"]
+            )
+        table = render_recursion(matrix)
+        assert "walks/access" in table and "Normal/S4" in table
 
 
 class TestFailurePathsUnderRecursion:

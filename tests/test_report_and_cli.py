@@ -64,6 +64,20 @@ class TestCLI:
         assert main(["figure7", "--subfigure", "7e", "--scale", "tiny"]) == 0
         assert "speedups over PathORAM" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["figure2", "--accesses", "0"], "num_accesses must be >= 1"),
+        (["sharded", "--num-blocks", "4", "--num-shards", "8", "--num-accesses", "10"],
+         "4 blocks cannot fill 8 shards"),
+        (["serve", "--requests", "0"], "num_requests must be >= 1"),
+    ])
+    def test_a_bad_argument_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "laoram-repro: error: " in err and message in err
+        assert "Traceback" not in err
+
     def test_run_command_rejects_unknown(self):
         parser = build_parser()
         args = parser.parse_args(["table1"])

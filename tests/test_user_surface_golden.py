@@ -28,6 +28,7 @@ GOLDEN = REPO_ROOT / "tests" / "golden"
 #: golden file stem -> arguments after ``python``.
 SURFACES = {
     "cli_all_tiny": ["-m", "repro.cli", "all", "--scale", "tiny"],
+    "cli_recursion_tiny": ["-m", "repro.cli", "recursion", "--scale", "tiny"],
     "quickstart": ["examples/quickstart.py"],
     "attack_demo": ["examples/attack_demo.py"],
     "fat_tree_stash_study": ["examples/fat_tree_stash_study.py"],
