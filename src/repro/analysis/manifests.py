@@ -161,7 +161,9 @@ class AnalysisConfig:
 #: Path reads reveal the leaf they fetch: after any of these calls, the
 #: leaf argument is public by protocol (the adversary just watched the
 #: path transfer).  Positions index the *positional* argument carrying the
-#: leaf at each call shape used in the engine core.
+#: leaf at each call shape used in the engine core.  The path reads
+#: themselves, the main tree's and every recursion level's, are C (see
+#: ``native.py::load`` below); the observer's is the one Python reveal.
 #:
 #: Trusted-setup moves are deliberately *not* listed, and appear in no hot
 #: list: ``bulk_place`` / ``bulk_place_ordered`` / ``remove_many`` on the
@@ -169,12 +171,7 @@ class AnalysisConfig:
 #: run only while ``counter.logical_accesses == 0``, where nothing is observed — so they
 #: reveal nothing, and a leaf handed to one of them from a hot function
 #: stays tainted.
-_PATH_REVEAL = (
-    # fetch(stash, caps, level_base, node_base, slots, occ, depth, tags,
-    # leaf), the C path read: the leaf is argument 8.
-    Declassifier("fetch", (8,)),
-    Declassifier("observe_path", (0,)),
-)
+_PATH_REVEAL = (Declassifier("observe_path", (0,)),)
 
 # The engine's Python entry points take ids; the bin loop that decides on
 # them is C (``serve``, outside the scan; see ``native.py::load`` below).
@@ -189,10 +186,8 @@ _ENGINE_SOURCES = ModuleSources(
 
 _POSITION_MAP_SOURCES = ModuleSources(
     params=frozenset({"block_id", "block_ids"}),
-    attrs=frozenset(
-        {"stash", "labels", "_top", "_entries", "_top_view", "_entries_view"}
-    ),
-    calls=frozenset({"_walk", "position_map.update"}),
+    attrs=frozenset({"stash", "labels", "_top", "_entries"}),
+    calls=frozenset({"position_map.update"}),
     declassifiers=_PATH_REVEAL,
 )
 
@@ -210,10 +205,7 @@ def default_config() -> AnalysisConfig:
                 "PathORAM.dummy_access",
                 "PathORAM.commit",
             ),
-            "repro/oram/position_map.py": (
-                "PositionMap._walk",
-                "PositionMap.update",
-            ),
+            "repro/oram/position_map.py": ("PositionMap.update",),
         },
         # The tree's arrays under every name they are bound by: the numpy
         # arrays and the memoryviews the scalar kernels index them through.
@@ -237,11 +229,11 @@ def default_config() -> AnalysisConfig:
         },
         rng_allowed_modules=("repro/utils/rng.py",),
         declassifications=(
-            # The bin loop, the path read and the write-backs are C
-            # (oram/_write_back.c), outside the scan; their one Python entry
-            # point is the loader that builds them, and this entry is where
-            # the reveal they make is stated (docs/static_analysis.md,
-            # "Leakage ledger").
+            # The bin loop, the recursion walk, the path read and the
+            # write-backs are C (oram/_write_back.c), outside the scan; their
+            # one Python entry point is the loader that builds them, and this
+            # entry is where the reveal they make is stated
+            # (docs/static_analysis.md, "Leakage ledger").
             Declassification(
                 "repro/oram/native.py",
                 "load",
@@ -254,7 +246,9 @@ def default_config() -> AnalysisConfig:
                 "counts depend on the ids in three places, each a uniform leaf "
                 "per event but a count the observer sees: a stash hit reads no "
                 "path, a bin reads one path per distinct missing path, and an "
-                "eviction episode runs until the stash drains",
+                "eviction episode runs until the stash drains.  A recursion "
+                "level's walk reads no path for a block in its stash, the same "
+                "stash-hit rule",
             ),
         ),
     )

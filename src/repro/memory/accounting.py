@@ -131,21 +131,26 @@ class TrafficCounter:
         """Register ``count`` accesses served from the stash without a read."""
         self.stash_hits += count
 
-    def record_posmap_path_read(self, num_buckets: int, num_bytes: int) -> None:
-        """Register one recursion-level path read of the position map.
+    def record_posmap_path_read(
+        self, num_buckets: int, num_bytes: int, count: int = 1
+    ) -> None:
+        """Register ``count`` recursion-level path reads of the position map.
 
-        Recursion traffic is its own category, recorded by the walk itself
-        on every entry point: the kernel only counts main-tree paths.
+        Recursion traffic is its own category, charged by the map for its
+        walks (``PositionMap.charge_walks``): the kernel's own counts are
+        main-tree paths only.
         """
-        self.posmap_path_reads += 1
-        self.posmap_buckets_read += num_buckets
-        self.posmap_bytes_read += num_bytes
+        self.posmap_path_reads += count
+        self.posmap_buckets_read += count * num_buckets
+        self.posmap_bytes_read += count * num_bytes
 
-    def record_posmap_path_write(self, num_buckets: int, num_bytes: int) -> None:
-        """Register one recursion-level path write-back of the position map."""
-        self.posmap_path_writes += 1
-        self.posmap_buckets_written += num_buckets
-        self.posmap_bytes_written += num_bytes
+    def record_posmap_path_write(
+        self, num_buckets: int, num_bytes: int, count: int = 1
+    ) -> None:
+        """Register ``count`` recursion-level path write-backs of the position map."""
+        self.posmap_path_writes += count
+        self.posmap_buckets_written += count * num_buckets
+        self.posmap_bytes_written += count * num_bytes
 
     def record_background_eviction(self) -> None:
         """Register one background-eviction episode (may contain many dummy reads)."""

@@ -1,6 +1,6 @@
 /*
- * The array engine's request kernel: the bin loop, the path read and the
- * greedy write-backs, over the engine's own objects.
+ * The array engine's request kernel: the bin loop, the recursion walk, the
+ * path read and the greedy write-backs, over the engine's own objects.
  *
  * Path ORAM (Stefanov et al., CCS'13) reads a path into the stash and
  * writes it back by the eviction rule, occupancy aware: every stash block
@@ -8,11 +8,11 @@
  * that prefix allows, into the free slots each bucket actually has.
  * LAORAM reads several paths before writing them back, so a later
  * write-back finds buckets an earlier one refilled; a held training step
- * writes its read paths back at its commit as one subtree.  `serve` runs a
- * whole request on these: its bins, the commit bin of a held step, or one
- * dummy read.
- *
- * Every function takes the engine's objects as they are:
+ * writes its read paths back at its commit as one subtree; a recursive
+ * position map's levels are small Path ORAMs on the same read and
+ * write-back.  `serve` runs a whole request (its bins, the commit bin of a
+ * held step, or one dummy read), walking a recursive map for every remap;
+ * `walk` is one access to a recursive map.  Every tree is given as held:
  *
  *   stash       the {id: leaf} dict, iterated in insertion order; the fetch
  *               inserts into it, and every id a write-back places is
@@ -23,24 +23,23 @@
  *   slots, occ  the tree's slot buffer (int32, -1 empty) and occupancy
  *               buffer (uint8), written in place;
  *   depth       the tree's depth (leaves are [0, 2**depth));
- *   tags        the fetch's labels (int32): a fetched id enters the stash
- *               under tags[id];
- *   leaf        the path read or written back, or leaves, the paths a hold
- *               read.
+ *   labels      the fetch's labels (int32): a fetched id enters the stash
+ *               under labels[id] (the map's entries, or a level's labels).
  *
  * Every write-back decision is the per-object reference planner's
  * (tests/oracle/write_back.py): entries grouped by the level they can reach
  * in stash order, a LIFO pool per bucket, slots filled in ascending order;
- * the fetch reads as the reference tree does (tests/oracle/tree.py), and
+ * the fetch reads as the reference tree does (tests/oracle/tree.py),
  * `serve` decides what the reference client's per-bin access decides
- * (tests/oracle/laoram.py).  Every operand is checked before the first
- * write, so a call either raises TypeError / ValueError and leaves the
- * stash and the tree as they were, or writes only slots and occupancies of
- * the path (or subtree) it was given.  Stash ids and leaves must be exact
- * ints: deleting one then runs no Python code, so nothing can re-enter the
- * kernel or change the dict while it holds the GIL and one module-level
- * scratch buffer.  `serve` calls back into Python (the plan, the leaf
- * stream, a recursive map's update, the observer); it holds no borrowed
+ * (tests/oracle/laoram.py) and the walk what the reference map's does
+ * (tests/oracle/position_map.py).  Every operand is checked before the
+ * first write, so a call either raises TypeError / ValueError and leaves
+ * the stashes and the trees as they were, or writes only slots and
+ * occupancies of the paths (or subtree) it reads and writes back.  Stash
+ * ids and leaves must be exact ints: deleting one then runs no Python code,
+ * so nothing can re-enter the kernel or change the dict while it holds the
+ * GIL and one module-level scratch buffer.  `serve` calls back into Python
+ * (the plan, the leaf streams, the observer); it holds no borrowed
  * reference and no scratch pointer across those calls, and a callback that
  * starts a second `serve` on its thread gets a RuntimeError.
  */
@@ -200,13 +199,6 @@ buffer_of(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize, const char *codes
     return -1;
 }
 
-static void
-release(Py_buffer *slots, Py_buffer *occ)
-{
-    PyBuffer_Release(slots);
-    PyBuffer_Release(occ);
-}
-
 /* The operands every call shares: args[0], args[1..6]. */
 static int
 parse_tree(PyObject *const *args, Tree *tree, Py_buffer *slots, Py_buffer *occ)
@@ -310,7 +302,11 @@ place(PyObject *stash, const Tree *tree, int level, long long node, Item *pool,
     return 0;
 }
 
-/* The greedy write-back onto the path to `leaf`, a path check_path passed. */
+/* The greedy write-back onto the path to `leaf`, a path check_path passed:
+ * every entry joins the pool at the deepest level its leaf shares with the
+ * path, in stash order; from the leaf level up, each bucket takes its free
+ * slots' worth off the pool's end, behind its occupants, and the rest
+ * rises. */
 static int
 write_back_path(PyObject *stash, Tree *tree, long long leaf)
 {
@@ -368,41 +364,6 @@ write_back_path(PyObject *stash, Tree *tree, long long leaf)
     return 0;
 }
 
-PyDoc_STRVAR(write_back_doc,
-"write_back(stash, caps, level_base, node_base, slots, occ, depth, leaf)\n"
-"--\n\n"
-"Greedy write-back from the stash onto the path to ``leaf``.\n\n"
-"Every entry joins the pool at the deepest level its leaf shares with the\n"
-"path, in stash order; from the leaf level up, each bucket takes its free\n"
-"slots' worth off the pool's end, behind its occupants, and the rest rises.\n"
-"Placed ids leave the stash.  On a path its own read just emptied this is\n"
-"the plain greedy rule; on a path whose shared buckets an earlier\n"
-"write-back refilled, it fills only what is free.");
-
-static PyObject *
-write_back(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 8) {
-        PyErr_Format(PyExc_TypeError, "write_back takes 8 arguments, got %zd", nargs);
-        return NULL;
-    }
-    Tree tree;
-    Py_buffer slots, occ;
-    if (parse_tree(args, &tree, &slots, &occ) < 0) {
-        return NULL;
-    }
-    long long leaf;
-    int failed = bounded(args[7], 0, 1LL << tree.depth, "leaf", &leaf) < 0
-                 || check_path(&tree, leaf) < 0
-                 || write_back_path(args[0], &tree, leaf) < 0;
-    release(&slots, &occ);
-    if (failed) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
 static int
 held_order(const void *a, const void *b)
 {
@@ -423,7 +384,12 @@ ascending(const void *a, const void *b)
     return x < y ? -1 : (x > y);
 }
 
-/* The subtree write-back of the paths to the leaves `held` lists. */
+/* The subtree write-back of the paths to the leaves `held` lists: each
+ * entry joins at the node of its leaf's path at the longest prefix it
+ * shares with a held leaf; from the leaf level up, each node with
+ * candidates, in ascending order, pools what its children left (left child
+ * first), then its own entries in stash order, fills its free slots off the
+ * pool's end and passes the rest up.  What the root leaves stays. */
 static int
 write_back_held(PyObject *stash, Tree *tree, PyObject *held)
 {
@@ -558,42 +524,9 @@ fail:
     return -1;
 }
 
-PyDoc_STRVAR(held_write_back_doc,
-"held_write_back(stash, caps, level_base, node_base, slots, occ, depth, leaves)\n"
-"--\n\n"
-"Write a held step's read paths back at its commit, as one subtree.\n\n"
-"Each entry joins at its deepest bucket in the subtree the paths to\n"
-"``leaves`` span: the node on its leaf's path at the longest prefix its\n"
-"leaf shares with a held leaf.  From the leaf level up to the root, each\n"
-"subtree node with candidates, in ascending node order, pools what its\n"
-"children left (left child first) and then the entries that join there,\n"
-"in stash order; it fills its free slots off the pool's end and passes\n"
-"the rest to its parent.  What the root leaves stays in the stash.");
-
-static PyObject *
-held_write_back(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 8) {
-        PyErr_Format(PyExc_TypeError, "held_write_back takes 8 arguments, got %zd", nargs);
-        return NULL;
-    }
-    Tree tree;
-    Py_buffer slots, occ;
-    if (parse_tree(args, &tree, &slots, &occ) < 0) {
-        return NULL;
-    }
-    int failed = write_back_held(args[0], &tree, args[7]) < 0;
-    release(&slots, &occ);
-    if (failed) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
 /* Read the path to `leaf`, a path check_path passed, into the stash. */
 static int
-fetch_path(PyObject *stash, Tree *tree, const int32_t *labels, Py_ssize_t num_tags,
+fetch_path(PyObject *stash, Tree *tree, const int32_t *labels, Py_ssize_t num_labels,
            long long leaf)
 {
     int depth = tree->depth;
@@ -617,10 +550,10 @@ fetch_path(PyObject *stash, Tree *tree, const int32_t *labels, Py_ssize_t num_ta
             }
             for (long long slot = first; slot < first + used[level]; slot++) {
                 int32_t id = tree->slots[slot];
-                if (id < 0 || id >= num_tags) {
+                if (id < 0 || id >= num_labels) {
                     PyErr_Format(PyExc_ValueError,
-                                 "slot %lld holds id %d, outside the %zd tags", slot, (int)id,
-                                 num_tags);
+                                 "slot %lld holds id %d, outside the %zd labels", slot,
+                                 (int)id, num_labels);
                     return -1;
                 }
                 if (pass == 0) {
@@ -644,42 +577,349 @@ fetch_path(PyObject *stash, Tree *tree, const int32_t *labels, Py_ssize_t num_ta
     return 0;
 }
 
-PyDoc_STRVAR(fetch_doc,
-"fetch(stash, caps, level_base, node_base, slots, occ, depth, tags, leaf)\n"
+/* An error of repro's own hierarchy (repro.exceptions.<name>). */
+static void
+raise_repro(const char *name, const char *format, ...)
+{
+    PyObject *module = PyImport_ImportModule("repro.exceptions");
+    PyObject *type = module ? PyObject_GetAttrString(module, name) : NULL;
+    Py_XDECREF(module);
+    if (type == NULL) {
+        return;
+    }
+    va_list vargs;
+    va_start(vargs, format);
+    PyErr_FormatV(type, format, vargs);
+    va_end(vargs);
+    Py_DECREF(type);
+}
+
+/* A stream of uniform leaves: a prefetched int64 block, the position of its
+ * next leaf, and the generator's `integers` that refills it. */
+typedef struct {
+    PyObject *integers;
+    int64_t *buf;
+    Py_ssize_t len;
+    int64_t *pos;
+    long long num_leaves;
+} Stream;
+
+/* The stream's next leaf: the prefetched block first, refilled with one
+ * `integers(0, num_leaves, size=len)` call when it runs out. */
+static int
+draw(Stream *s, long long *leaf)
+{
+    if (*s->pos == s->len) {
+        PyObject *args = Py_BuildValue("(iL)", 0, s->num_leaves);
+        PyObject *kwargs = Py_BuildValue("{s:n}", "size", s->len);
+        PyObject *block = args && kwargs ? PyObject_Call(s->integers, args, kwargs) : NULL;
+        Py_XDECREF(args);
+        Py_XDECREF(kwargs);
+        if (block == NULL) {
+            return -1;
+        }
+        Py_buffer view;
+        int failed = buffer_of(block, &view, 8, INT64_CODES, 0, "the drawn leaves");
+        if (!failed) {
+            if (view.len / 8 != s->len) {
+                PyErr_Format(PyExc_ValueError, "integers drew %zd leaves, asked for %zd",
+                             view.len / 8, s->len);
+                failed = 1;
+            }
+            else {
+                memcpy(s->buf, view.buf, (size_t)view.len);
+            }
+            PyBuffer_Release(&view);
+        }
+        Py_DECREF(block);
+        if (failed) {
+            return -1;
+        }
+        *s->pos = 0;
+    }
+    long long value = s->buf[*s->pos];
+    if (value < 0 || value >= s->num_leaves) {
+        PyErr_Format(PyExc_ValueError, "drawn leaf %lld outside [0, %lld)", value,
+                     s->num_leaves);
+        return -1;
+    }
+    (*s->pos)++;
+    *leaf = value;
+    return 0;
+}
+
+/* A leaf stream's operands: its `integers`, its writable int64 block and
+ * the position in [0, len] its caller keeps. */
+static int
+parse_stream(PyObject *integers, PyObject *block, Py_buffer *view, int64_t *pos,
+             long long num_leaves, Stream *s)
+{
+    if (!PyCallable_Check(integers)) {
+        PyErr_SetString(PyExc_TypeError, "integers must be callable");
+        return -1;
+    }
+    if (buffer_of(block, view, 8, INT64_CODES, 1, "the leaf block") < 0) {
+        return -1;
+    }
+    *s = (Stream){integers, view->buf, view->len / 8, pos, num_leaves};
+    if (s->len < 1 || *pos < 0 || *pos > s->len) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a leaf block must be non-empty, its position inside it");
+        return -1;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* walk: one access to a recursive position map                        */
+/* ------------------------------------------------------------------ */
+
+/* Levels of a map over at most 2**31 blocks, two labels or more a block. */
+#define MAX_LEVELS 31
+/* Per level, in the walk's int64 state: the position in its leaf block,
+ * then the path reads and write-backs not charged yet. */
+enum { LEVEL_DRAWN, LEVEL_READS, LEVEL_WRITES, LEVEL_FIELDS };
+
+/* One recursion level: a tree of label blocks, its stash, its blocks'
+ * labels (a block read off a path enters the stash under its label), its
+ * parent, the array its blocks are looked up in (the packed labels of the
+ * level above, or the top map), and the stream of its fresh labels. */
+typedef struct {
+    PyObject *stash;
+    Tree tree;
+    Py_buffer views[5]; /* slots, occ, labels, parent, leaf block */
+    int32_t *labels, *parent;
+    Py_ssize_t num_labels, num_parent;
+    Stream stream;
+    PyObject *read_stream; /* NULL: the leaves read are not recorded */
+    int64_t *state;
+} Level;
+
+typedef struct {
+    Py_buffer entries_view, state;
+    int32_t *entries; /* the logical labels, level 1's payload */
+    Py_ssize_t num_entries;
+    long long chi;
+    Py_ssize_t count, parsed;
+    Level *levels; /* level 1 first */
+} Walk;
+
+static void
+release_walk(Walk *w)
+{
+    for (Py_ssize_t i = 0; i < w->parsed; i++) {
+        for (int v = 0; v < 5; v++) {
+            PyBuffer_Release(&w->levels[i].views[v]);
+        }
+    }
+    PyMem_Free(w->levels);
+    PyBuffer_Release(&w->entries_view);
+    PyBuffer_Release(&w->state);
+}
+
+/* (stash, caps, level_base, node_base, slots, occ, depth, labels, parent,
+ *  integers, leaf_block, read_stream); counted as parsed before its first
+ * buffer is taken, so release_walk releases what it took. */
+static int
+parse_level(PyObject *obj, Walk *w, Level *level, int64_t *state)
+{
+    if (!PyTuple_CheckExact(obj) || PyTuple_GET_SIZE(obj) != 12) {
+        PyErr_SetString(PyExc_TypeError, "a recursion level must be a tuple of 12 operands");
+        return -1;
+    }
+    PyObject **args = PySequence_Fast_ITEMS(obj);
+    Py_buffer *views = level->views;
+    w->parsed++;
+    if (parse_tree(args, &level->tree, &views[0], &views[1]) < 0
+        || buffer_of(args[7], &views[2], 4, "il", 1, "labels") < 0
+        || buffer_of(args[8], &views[3], 4, "il", 1, "parent") < 0) {
+        return -1;
+    }
+    int depth = level->tree.depth;
+    level->stash = args[0];
+    level->labels = views[2].buf;
+    level->num_labels = views[2].len / 4;
+    level->parent = views[3].buf;
+    level->num_parent = views[3].len / 4;
+    level->state = state;
+    if (parse_stream(args[9], args[10], &views[4], &state[LEVEL_DRAWN], 1LL << depth,
+                     &level->stream) < 0
+        || check_path(&level->tree, (1LL << depth) - 1) < 0) {
+        return -1;
+    }
+    if (args[11] != Py_None && !PyList_CheckExact(args[11])) {
+        PyErr_SetString(PyExc_TypeError, "read_stream must be a list or None");
+        return -1;
+    }
+    level->read_stream = args[11] == Py_None ? NULL : args[11];
+    return 0;
+}
+
+/* (entries, chi, state, levels), level 1 first, no level for a dense map;
+ * on a raise the caller still calls release_walk. */
+static int
+parse_walk(PyObject *obj, Walk *w)
+{
+    memset(w, 0, sizeof(*w));
+    if (!PyTuple_CheckExact(obj) || PyTuple_GET_SIZE(obj) != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "the walk must be a tuple (entries, chi, state, levels)");
+        return -1;
+    }
+    PyObject **args = PySequence_Fast_ITEMS(obj);
+    if (!PyTuple_CheckExact(args[3]) || PyTuple_GET_SIZE(args[3]) > MAX_LEVELS) {
+        PyErr_Format(PyExc_TypeError, "levels must be a tuple of at most %d levels",
+                     MAX_LEVELS);
+        return -1;
+    }
+    w->count = PyTuple_GET_SIZE(args[3]);
+    if (buffer_of(args[0], &w->entries_view, 4, "il", 1, "entries") < 0
+        || bounded(args[1], 2, LLONG_MAX, "chi", &w->chi) < 0
+        || buffer_of(args[2], &w->state, 8, INT64_CODES, 1, "the walk's state") < 0) {
+        return -1;
+    }
+    w->entries = w->entries_view.buf;
+    w->num_entries = w->entries_view.len / 4;
+    if (w->state.len / 8 != LEVEL_FIELDS * w->count) {
+        PyErr_Format(PyExc_ValueError, "the walk's state has %zd fields, need %zd",
+                     w->state.len / 8, LEVEL_FIELDS * w->count);
+        return -1;
+    }
+    w->levels = PyMem_Calloc((size_t)w->count, sizeof(Level));
+    if (w->levels == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    PyObject **levels = PySequence_Fast_ITEMS(args[3]);
+    for (Py_ssize_t i = 0; i < w->count; i++) {
+        if (parse_level(levels[i], w, &w->levels[i],
+                        (int64_t *)w->state.buf + LEVEL_FIELDS * i) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Level k's step of a walk (Stefanov et al., CCS'13, Sec. 4): its block
+ * `block` takes a fresh label in its parent, is read with its path under
+ * the label it had unless it is stashed, takes the fresh label in the stash
+ * and in `labels`, and a path read is written back. */
+static int
+walk_step(Level *level, Py_ssize_t k, long long block, PyObject *key)
+{
+    long long read = level->parent[block], fresh;
+    if (draw(&level->stream, &fresh) < 0) {
+        return -1;
+    }
+    level->parent[block] = (int32_t)fresh;
+    int hit = PyDict_Contains(level->stash, key);
+    if (hit < 0) {
+        return -1;
+    }
+    if (!hit) {
+        if (read < 0 || read >= level->stream.num_leaves) {
+            PyErr_Format(PyExc_ValueError, "recursion level %zd leaf %lld outside [0, %lld)",
+                         k, read, level->stream.num_leaves);
+            return -1;
+        }
+        if (fetch_path(level->stash, &level->tree, level->labels, level->num_labels, read)
+            < 0) {
+            return -1;
+        }
+        level->state[LEVEL_READS]++;
+        if (level->read_stream != NULL) {
+            PyObject *value = PyLong_FromLongLong(read);
+            int failed = value == NULL || PyList_Append(level->read_stream, value) < 0;
+            Py_XDECREF(value);
+            if (failed) {
+                return -1;
+            }
+        }
+        int present = PyDict_Contains(level->stash, key);
+        if (present <= 0) {
+            if (present == 0) {
+                raise_repro("IntegrityError",
+                            "recursion level %zd block %lld missing from both stash and "
+                            "path %lld", k, block, read);
+            }
+            return -1;
+        }
+    }
+    PyObject *value = PyLong_FromLongLong(fresh);
+    int failed = value == NULL || PyDict_SetItem(level->stash, key, value) < 0;
+    Py_XDECREF(value);
+    if (failed) {
+        return -1;
+    }
+    level->labels[block] = (int32_t)fresh;
+    if (!hit) {
+        if (write_back_path(level->stash, &level->tree, read) < 0) {
+            return -1;
+        }
+        level->state[LEVEL_WRITES]++;
+    }
+    return 0;
+}
+
+/* The map's update: `leaf` in for `block_id`, the leaf it replaces out.
+ * The levels' steps come first, from the top level down; every index is
+ * checked before the first write. */
+static int
+update_map(Walk *w, long long block_id, long long leaf, long long *old)
+{
+    /* block[k]: the level-k block holding block_id's label (k = 0: the id). */
+    long long block[MAX_LEVELS + 1];
+    block[0] = block_id;
+    for (Py_ssize_t k = 1; k <= w->count; k++) {
+        Level *level = &w->levels[k - 1];
+        block[k] = block[k - 1] / w->chi;
+        if (block[k] >= level->num_labels || block[k] >= level->num_parent) {
+            PyErr_Format(PyExc_ValueError, "block %lld is past recursion level %zd",
+                         block_id, k);
+            return -1;
+        }
+    }
+    for (Py_ssize_t k = w->count; k >= 1; k--) {
+        PyObject *key = PyLong_FromLongLong(block[k]);
+        int failed = key == NULL || walk_step(&w->levels[k - 1], k, block[k], key) < 0;
+        Py_XDECREF(key);
+        if (failed) {
+            return -1;
+        }
+    }
+    *old = w->entries[block_id];
+    w->entries[block_id] = (int32_t)leaf;
+    return 0;
+}
+
+PyDoc_STRVAR(walk_doc,
+"walk(walk, block_id, leaf)\n"
 "--\n\n"
-"Read the path to ``leaf`` into the stash.\n\n"
-"From the root down, each bucket's occupied slots enter the stash in slot\n"
-"order, each id under ``tags[id]`` (the owner's labels, the metadata a\n"
-"block carries on the wire); the slots are blanked and the occupancies\n"
-"zeroed.  Every occupancy and every id read is checked first.");
+"One access to a position map: ``leaf`` in as ``block_id``'s label, the\n"
+"label it replaces out.  ``walk`` is ``(entries, chi, state, levels)``: the\n"
+"int32 logical labels, swapped last, the labels a block packs, an int64\n"
+"``state`` of three fields a level (the position in its leaf block, its\n"
+"path reads and write-backs) and the recursion levels (none: a dense map),\n"
+"level 1 first, each ``(stash, caps, level_base, node_base, slots, occ,\n"
+"depth, labels, parent, integers, leaf_block, read_stream)``, walked from\n"
+"the top level down.");
 
 static PyObject *
-fetch(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+walk(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 9) {
-        PyErr_Format(PyExc_TypeError, "fetch takes 9 arguments, got %zd", nargs);
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "walk takes 3 arguments, got %zd", nargs);
         return NULL;
     }
-    Tree tree;
-    Py_buffer slots, occ, tags;
-    if (parse_tree(args, &tree, &slots, &occ) < 0) {
-        return NULL;
-    }
-    if (buffer_of(args[7], &tags, 4, "il", 0, "tags") < 0) {
-        release(&slots, &occ);
-        return NULL;
-    }
-    long long leaf;
-    int failed = bounded(args[8], 0, 1LL << tree.depth, "leaf", &leaf) < 0
-                 || check_path(&tree, leaf) < 0
-                 || fetch_path(args[0], &tree, tags.buf, tags.len / 4, leaf) < 0;
-    PyBuffer_Release(&tags);
-    release(&slots, &occ);
-    if (failed) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
+    Walk w;
+    long long block_id, leaf, old;
+    int failed = parse_walk(args[0], &w) < 0
+                 || bounded(args[1], 0, w.num_entries, "block_id", &block_id) < 0
+                 || bounded(args[2], 0, (long long)INT32_MAX + 1, "leaf", &leaf) < 0
+                 || update_map(&w, block_id, leaf, &old) < 0;
+    release_walk(&w);
+    return failed ? NULL : PyLong_FromLongLong(old);
 }
 
 /* ------------------------------------------------------------------ */
@@ -710,14 +950,9 @@ static _Thread_local int serving = 0;
 typedef struct {
     PyObject *stash;
     Tree tree;
-    const int32_t *tags;
-    Py_ssize_t num_tags;
-    int32_t *map; /* the dense map, swapped in place; NULL: call `update` */
-    PyObject *update;
+    Walk map; /* the logical labels, and a recursive map's levels */
     PyObject *lookup; /* the plan's consume_next_leaf; NULL: no plan */
-    PyObject *integers;
-    int64_t *leaf_buf;
-    Py_ssize_t leaf_len;
+    Stream leaves;
     long long num_blocks, num_leaves, capacity;
     long long evict, trigger, drain, max_dummies;
     PyObject *held;
@@ -736,75 +971,6 @@ typedef struct {
     long long *read;
     char *hit;
 } Work;
-
-/* An error of repro's own hierarchy (repro.exceptions.<name>). */
-static void
-raise_repro(const char *name, const char *format, ...)
-{
-    PyObject *module = PyImport_ImportModule("repro.exceptions");
-    PyObject *type = module ? PyObject_GetAttrString(module, name) : NULL;
-    Py_XDECREF(module);
-    if (type == NULL) {
-        return;
-    }
-    va_list vargs;
-    va_start(vargs, format);
-    PyErr_FormatV(type, format, vargs);
-    va_end(vargs);
-    Py_DECREF(type);
-}
-
-/* The stream's next leaf: the prefetched block first, refilled with one
- * `integers(0, num_leaves, size=len(leaf_buf))` call when it runs out. */
-static int
-draw(Request *r, long long *leaf)
-{
-    if (r->state[LEAF_POS] == r->leaf_len) {
-        PyObject *args[3] = {NULL, NULL, NULL};
-        PyObject *kwnames = Py_BuildValue("(s)", "size");
-        args[0] = PyLong_FromLong(0);
-        args[1] = PyLong_FromLongLong(r->num_leaves);
-        args[2] = PyLong_FromSsize_t(r->leaf_len);
-        PyObject *block = NULL;
-        if (kwnames && args[0] && args[1] && args[2]) {
-            block = PyObject_Vectorcall(r->integers, args, 2, kwnames);
-        }
-        Py_XDECREF(kwnames);
-        for (int i = 0; i < 3; i++) {
-            Py_XDECREF(args[i]);
-        }
-        if (block == NULL) {
-            return -1;
-        }
-        Py_buffer view;
-        int failed = buffer_of(block, &view, 8, INT64_CODES, 0, "the drawn leaves");
-        if (!failed) {
-            if (view.len / 8 != r->leaf_len) {
-                PyErr_Format(PyExc_ValueError, "integers drew %zd leaves, asked for %zd",
-                             view.len / 8, r->leaf_len);
-                failed = 1;
-            }
-            else {
-                memcpy(r->leaf_buf, view.buf, (size_t)view.len);
-            }
-            PyBuffer_Release(&view);
-        }
-        Py_DECREF(block);
-        if (failed) {
-            return -1;
-        }
-        r->state[LEAF_POS] = 0;
-    }
-    long long value = r->leaf_buf[r->state[LEAF_POS]];
-    if (value < 0 || value >= r->num_leaves) {
-        PyErr_Format(PyExc_ValueError, "drawn leaf %lld outside [0, %lld)", value,
-                     r->num_leaves);
-        return -1;
-    }
-    r->state[LEAF_POS]++;
-    *leaf = value;
-    return 0;
-}
 
 /* observer.observe_path(leaf, dummy=dummy) */
 static int
@@ -846,31 +1012,11 @@ check_capacity(Request *r)
 
 /* The map's update: the block's new leaf in, the leaf it sat on out. */
 static int
-remap(Request *r, PyObject *key, long long id, long long leaf, long long *old)
+remap(Request *r, long long id, long long leaf, long long *old)
 {
     long long value;
-    if (r->map != NULL) {
-        value = r->map[id];
-        r->map[id] = (int32_t)leaf;
-    }
-    else {
-        PyObject *args[2] = {key, PyLong_FromLongLong(leaf)};
-        if (args[1] == NULL) {
-            return -1;
-        }
-        PyObject *result = PyObject_Vectorcall(r->update, args, 2, NULL);
-        Py_DECREF(args[1]);
-        if (result == NULL) {
-            return -1;
-        }
-        int overflow = 0;
-        value = PyLong_Check(result) ? PyLong_AsLongLongAndOverflow(result, &overflow) : -1;
-        if (!PyLong_Check(result) || overflow) {
-            PyErr_Format(PyExc_ValueError, "update returned %R, not a leaf", result);
-            Py_DECREF(result);
-            return -1;
-        }
-        Py_DECREF(result);
+    if (update_map(&r->map, id, leaf, &value) < 0) {
+        return -1;
     }
     if (value < 0 || value >= r->num_leaves) {
         PyErr_Format(PyExc_ValueError, "block %lld sat on leaf %lld, outside [0, %lld)", id,
@@ -896,8 +1042,8 @@ after_bin(Request *r, int dummy)
         while (dummy ? dummies == 0
                      : r->evict && dummies < r->max_dummies && occupancy > r->drain) {
             long long leaf;
-            if (draw(r, &leaf) < 0
-                || fetch_path(r->stash, &r->tree, r->tags, r->num_tags, leaf) < 0) {
+            if (draw(&r->leaves, &leaf) < 0
+                || fetch_path(r->stash, &r->tree, r->map.entries, r->map.num_entries, leaf) < 0) {
                 return -1;
             }
             r->state[DUMMY_READS]++;
@@ -1006,7 +1152,7 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
             Py_DECREF(found);
         }
         if (!planned) {
-            if (draw(r, &leaf) < 0) {
+            if (draw(&r->leaves, &leaf) < 0) {
                 goto done;
             }
         }
@@ -1035,7 +1181,7 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
                 continue;
             }
             long long old;
-            if (remap(r, w->keys[p], w->ids[p], w->leaves[p], &old) < 0) {
+            if (remap(r, w->ids[p], w->leaves[p], &old) < 0) {
                 goto done;
             }
             if (!pass) {
@@ -1045,7 +1191,7 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
                 }
                 if (j == num_read) {
                     w->read[num_read++] = old;
-                    if (fetch_path(r->stash, &r->tree, r->tags, r->num_tags, old) < 0) {
+                    if (fetch_path(r->stash, &r->tree, r->map.entries, r->map.num_entries, old) < 0) {
                         goto done;
                     }
                     r->state[PATH_READS]++;
@@ -1120,8 +1266,8 @@ serve_commit(Request *r)
 }
 
 PyDoc_STRVAR(serve_doc,
-"serve(stash, caps, level_base, node_base, slots, occ, depth, tags, update,\n"
-"      ids, size, remaps, by_position, lookup, integers, leaf_buf, limits,\n"
+"serve(stash, caps, level_base, node_base, slots, occ, depth, update, ids,\n"
+"      size, remaps, by_position, lookup, integers, leaf_buf, limits,\n"
 "      held_paths, holding, observer, history, state)\n"
 "--\n\n"
 "Serve one request: the bins of ``ids``, the commit bin, or a dummy read.\n\n"
@@ -1137,8 +1283,8 @@ PyDoc_STRVAR(serve_doc,
 "update, its path fetched unless the bin read it already; the hits'\n"
 "updates; the write-backs, path by path, or, while ``holding``, the paths\n"
 "appended to ``held_paths``; the occupancy-triggered eviction; the stash\n"
-"peak and ``history``.  ``update`` is the dense map's int32 entries,\n"
-"swapped in place, or a callable ``update(id, leaf) -> old_leaf``.\n"
+"peak and ``history``.  ``update`` is the map's walk (see ``walk``); a\n"
+"fetched id enters the stash under its entry.\n"
 "``limits`` is ``(num_blocks, num_leaves, capacity (-1: none), evict,\n"
 "trigger, drain, max_dummies)``.  ``state`` (int64) holds the cursor, the\n"
 "leaf buffer's position and the stash peak, then the logical accesses,\n"
@@ -1148,15 +1294,14 @@ PyDoc_STRVAR(serve_doc,
 static PyObject *
 serve_request(PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 22) {
-        PyErr_Format(PyExc_TypeError, "serve takes 22 arguments, got %zd", nargs);
+    if (nargs != 21) {
+        PyErr_Format(PyExc_TypeError, "serve takes 21 arguments, got %zd", nargs);
         return NULL;
     }
+    /* Zeroed: a buffer never taken releases as nothing. */
     Request r;
     memset(&r, 0, sizeof(r));
-    Py_buffer slots, occ, tags, map, ids, remaps, leaf_buf, state;
-    int have_map = 0, have_ids = 0, have_remaps = 0, have_leaf_buf = 0, have_state = 0;
-    int have_tags = 0;
+    Py_buffer slots = {0}, occ = {0}, ids = {0}, remaps = {0}, leaf_buf = {0}, state = {0};
     Work w;
     memset(&w, 0, sizeof(w));
     void *work = NULL;
@@ -1165,22 +1310,19 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     r.stash = args[0];
-    if (buffer_of(args[7], &tags, 4, "il", 0, "tags") < 0) {
+    if (parse_walk(args[7], &r.map) < 0) {
         goto done;
     }
-    have_tags = 1;
-    r.tags = tags.buf;
-    r.num_tags = tags.len / 4;
 
     /* limits: num_blocks, num_leaves, capacity, evict, trigger, drain,
      * max_dummies. */
-    PyObject *limits = args[16];
+    PyObject *limits = args[15];
     if (!PyTuple_Check(limits) || PyTuple_GET_SIZE(limits) != 7) {
         PyErr_SetString(PyExc_TypeError, "limits must be a tuple of 7 ints");
         goto done;
     }
-    if (bounded(PyTuple_GET_ITEM(limits, 0), 1, (long long)r.num_tags + 1, "num_blocks",
-                &r.num_blocks) < 0
+    if (bounded(PyTuple_GET_ITEM(limits, 0), 1, (long long)r.map.num_entries + 1,
+                "num_blocks", &r.num_blocks) < 0
         || bounded(PyTuple_GET_ITEM(limits, 1), 1, (1LL << r.tree.depth) + 1, "num_leaves",
                    &r.num_leaves) < 0
         || bounded(PyTuple_GET_ITEM(limits, 2), -1, LLONG_MAX, "capacity", &r.capacity) < 0
@@ -1193,41 +1335,23 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
 
-    if (PyCallable_Check(args[8])) {
-        r.update = args[8];
-    }
-    else {
-        if (buffer_of(args[8], &map, 4, "il", 1, "update") < 0) {
-            goto done;
-        }
-        have_map = 1;
-        if (map.len / 4 < r.num_blocks || map.buf != tags.buf) {
-            PyErr_SetString(PyExc_ValueError,
-                            "update must be the entries tags views, one per block");
-            goto done;
-        }
-        r.map = map.buf;
-    }
-
     Py_ssize_t n = 0;
-    if (args[9] != Py_None) {
-        if (buffer_of(args[9], &ids, 8, INT64_CODES, 0, "ids") < 0) {
+    if (args[8] != Py_None) {
+        if (buffer_of(args[8], &ids, 8, INT64_CODES, 0, "ids") < 0) {
             goto done;
         }
-        have_ids = 1;
         n = ids.len / 8;
     }
     long long size, by_position;
-    if (bounded(args[10], 1, LLONG_MAX, "size", &size) < 0
-        || bounded(args[12], 0, LLONG_MAX, "by_position", &by_position) < 0) {
+    if (bounded(args[9], 1, LLONG_MAX, "size", &size) < 0
+        || bounded(args[11], 0, LLONG_MAX, "by_position", &by_position) < 0) {
         goto done;
     }
     const int64_t *next_remap = NULL, *remaps_end = NULL;
-    if (args[11] != Py_None) {
-        if (buffer_of(args[11], &remaps, 8, INT64_CODES, 0, "remaps") < 0) {
+    if (args[10] != Py_None) {
+        if (buffer_of(args[10], &remaps, 8, INT64_CODES, 0, "remaps") < 0) {
             goto done;
         }
-        have_remaps = 1;
         next_remap = remaps.buf;
         remaps_end = next_remap + remaps.len / 8;
     }
@@ -1235,55 +1359,41 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "bins by position need the plan's remaps");
         goto done;
     }
-    if (args[13] != Py_None && !PyCallable_Check(args[13])) {
+    if (args[12] != Py_None && !PyCallable_Check(args[12])) {
         PyErr_SetString(PyExc_TypeError, "lookup must be callable or None");
         goto done;
     }
-    r.lookup = args[13] == Py_None ? NULL : args[13];
-    if (!PyCallable_Check(args[14])) {
-        PyErr_SetString(PyExc_TypeError, "integers must be callable");
-        goto done;
-    }
-    r.integers = args[14];
-    if (buffer_of(args[15], &leaf_buf, 8, INT64_CODES, 1, "leaf_buf") < 0) {
-        goto done;
-    }
-    have_leaf_buf = 1;
-    r.leaf_buf = leaf_buf.buf;
-    r.leaf_len = leaf_buf.len / 8;
-    if (!PyList_CheckExact(args[17])) {
+    r.lookup = args[12] == Py_None ? NULL : args[12];
+    if (!PyList_CheckExact(args[16])) {
         PyErr_SetString(PyExc_TypeError, "held_paths must be a list");
         goto done;
     }
-    r.held = args[17];
-    r.holding = PyObject_IsTrue(args[18]);
+    r.held = args[16];
+    r.holding = PyObject_IsTrue(args[17]);
     if (r.holding < 0) {
         goto done;
     }
-    r.observer = args[19] == Py_None ? NULL : args[19];
-    if (args[20] != Py_None && !PyList_CheckExact(args[20])) {
+    r.observer = args[18] == Py_None ? NULL : args[18];
+    if (args[19] != Py_None && !PyList_CheckExact(args[19])) {
         PyErr_SetString(PyExc_TypeError, "history must be a list or None");
         goto done;
     }
-    r.history = args[20] == Py_None ? NULL : args[20];
-    if (buffer_of(args[21], &state, 8, INT64_CODES, 1, "state") < 0) {
+    r.history = args[19] == Py_None ? NULL : args[19];
+    if (buffer_of(args[20], &state, 8, INT64_CODES, 1, "state") < 0) {
         goto done;
     }
-    have_state = 1;
     r.state = state.buf;
-    if (state.len / 8 != STATE_FIELDS) {
-        PyErr_Format(PyExc_ValueError, "state has %zd fields, need %d", state.len / 8,
+    if (state.len / 8 != STATE_FIELDS || r.state[CURSOR] < 0) {
+        PyErr_Format(PyExc_ValueError, "state needs %d fields and a cursor >= 0",
                      STATE_FIELDS);
         goto done;
     }
-    if (r.leaf_len < 1 || r.state[LEAF_POS] < 0 || r.state[LEAF_POS] > r.leaf_len
-        || r.state[CURSOR] < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "state needs a cursor >= 0 and a position in a non-empty leaf_buf");
+    if (parse_stream(args[13], args[14], &leaf_buf, &r.state[LEAF_POS], r.num_leaves,
+                     &r.leaves) < 0) {
         goto done;
     }
 
-    if (!have_ids) {
+    if (args[8] == Py_None) {
         if (serve_commit(&r) < 0) {
             goto done;
         }
@@ -1325,25 +1435,11 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
     Py_INCREF(result);
 done:
     PyMem_Free(work);
-    if (have_state) {
-        PyBuffer_Release(&state);
+    release_walk(&r.map);
+    Py_buffer *views[] = {&state, &leaf_buf, &remaps, &ids, &occ, &slots};
+    for (size_t i = 0; i < sizeof(views) / sizeof(views[0]); i++) {
+        PyBuffer_Release(views[i]);
     }
-    if (have_leaf_buf) {
-        PyBuffer_Release(&leaf_buf);
-    }
-    if (have_remaps) {
-        PyBuffer_Release(&remaps);
-    }
-    if (have_ids) {
-        PyBuffer_Release(&ids);
-    }
-    if (have_map) {
-        PyBuffer_Release(&map);
-    }
-    if (have_tags) {
-        PyBuffer_Release(&tags);
-    }
-    release(&slots, &occ);
     return result;
 }
 
@@ -1363,10 +1459,7 @@ serve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef methods[] = {
     {"serve", (PyCFunction)(void (*)(void))serve, METH_FASTCALL, serve_doc},
-    {"fetch", (PyCFunction)(void (*)(void))fetch, METH_FASTCALL, fetch_doc},
-    {"write_back", (PyCFunction)(void (*)(void))write_back, METH_FASTCALL, write_back_doc},
-    {"held_write_back", (PyCFunction)(void (*)(void))held_write_back, METH_FASTCALL,
-     held_write_back_doc},
+    {"walk", (PyCFunction)(void (*)(void))walk, METH_FASTCALL, walk_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,7 +1,8 @@
-"""Build and load the C path-read and write-back kernels (``_write_back.c``).
+"""Build and load the C request kernel and recursion walk (``_write_back.c``).
 
-The array engine's path read and write-backs are one small C extension
-over the engine's own objects (see :mod:`repro.oram.write_back`).  It is built the first time
+The array engine's bin loop, recursion walk, path read and write-backs are
+one small C extension over the engine's own objects (see
+:mod:`repro.oram.write_back`).  It is built the first time
 it is imported, with the compiler, flags and include directory of the
 running interpreter (:mod:`sysconfig`), into the ``__pycache__`` directory
 beside its source, under a name keyed by the source's hash and the

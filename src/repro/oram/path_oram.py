@@ -379,11 +379,11 @@ class PathORAM(ObliviousMemory):
         ``None`` the commit bin of a held step.  The first ``by_position``
         bins take their remap leaves from ``remaps``, the plan's packed
         records for them.  This binder does three things: it binds the
-        tree's operands, the map's tags and update, the plan's lookup, the
+        tree's operands, the map's update, the plan's lookup, the
         leaf stream and the hold once for the request; it hands ``serve``
         (``oram/_write_back.c``) the ids and remaps as buffers; and it folds
-        the counts the kernel left in its int64 ``state`` into the counter
-        with one ``add_bulk`` in a ``finally``.
+        the counts the kernel and the map's walks left into the counter in
+        a ``finally`` (``add_bulk``, ``charge_walks``).
 
         The kernel mirrors the per-object reference client's
         ``access_superblock`` (``tests/oracle/laoram.py``) decision for
@@ -398,10 +398,10 @@ class PathORAM(ObliviousMemory):
         in first-encounter order; the stash hits' updates, free of traffic
         but for their walks; each path read written back, path by path; the
         occupancy-triggered eviction; the stash peak and history.  The dense
-        map is swapped in place; a recursive map's ``update`` is called
-        back, so its walk stays Python.  An empty bin reads and counts
-        nothing on its way to the eviction loop and runs that loop's body
-        once: a path of the stream's next leaf read and written back, with
+        map is swapped in place; a recursive map's levels are walked in the
+        kernel first, with no call back into Python.  An empty bin reads
+        and counts nothing on its way to the eviction loop and runs that
+        loop's body once: a path of the stream's next leaf read and written back, with
         no episode counted and no stash observation.  The stream's
         prefetched block (``_leaf_buf``) gives the fallback remaps and the
         dummy reads their leaves, in the order the reference engines' scalar
@@ -414,7 +414,7 @@ class PathORAM(ObliviousMemory):
         stay in the stash, with no write-back, no eviction and no stash
         observation.  A later bin of the step finds them there as stash
         hits.  The commit bin (run by :meth:`commit`, or by a hold that
-        raised) writes those paths back in read order (``held_write_back``),
+        raised) writes those paths back in read order, as one subtree,
         so each held block goes back with the path it came from, and then
         ends as a counted bin: the eviction check and the stash observation.
         No other kernel call starts while a hold is open.
@@ -437,7 +437,7 @@ class PathORAM(ObliviousMemory):
         plan = self._plan
         eviction = self.eviction
         capacity = self.stash.capacity
-        tags, update = self.position_map.leaf_access()
+        update = self.position_map.leaf_access()[1]
         state = np.array(
             [self._trace_cursor, self._leaf_buf_pos, counter.stash_peak, 0, 0, 0, 0, 0, 0],
             dtype=np.int64,
@@ -446,7 +446,7 @@ class PathORAM(ObliviousMemory):
             serve(
                 self.stash.entries, tree.bucket_capacities, tree.level_base,
                 self._node_base, tree.slot_view, tree.occupancy_view, self._depth,
-                tags, update, block_ids, size, remaps, by_position,
+                update, block_ids, size, remaps, by_position,
                 None if plan is None else plan.consume_next_leaf,
                 self.rng.integers, self._leaf_buf,
                 (
@@ -467,6 +467,7 @@ class PathORAM(ObliviousMemory):
                 self._trace_cursor, self._leaf_buf_pos, stash_peak, logical,
                 path_reads, path_writes, dummy_reads, episodes, hits,
             ) = state.tolist()
+            self.position_map.charge_walks()
             # One tree has one path geometry: buckets and bytes are the path
             # counts multiplied out.
             path_buckets, path_bytes = tree.path_cost

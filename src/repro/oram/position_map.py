@@ -33,7 +33,9 @@ a dict stash, and the classic read-remap-greedy-write-back access (no
 background eviction — the greedy write-back after every miss keeps the
 per-level stash at the usual O(log m) residue).
 
-Traffic.  Every recursion path read/write is charged to the owning
+Traffic.  The walk is C (``write_back.walk``, which the request kernel
+``serve`` also runs for every remap), on the main tree's path read and
+write-back.  Every recursion path read/write is charged to the owning
 engine's :class:`~repro.memory.accounting.TrafficCounter` under the
 dedicated ``posmap_*`` category — paths, buckets and bytes, all the
 engine's clock prices — keeping the main-tree counters directly comparable
@@ -61,14 +63,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import (
-    BlockNotFoundError,
-    ConfigurationError,
-    IntegrityError,
-)
+from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import fetch, write_back
+from repro.oram.write_back import walk
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
 
@@ -80,12 +78,6 @@ LABEL_BYTES = LABEL_DTYPE.itemsize
 MAX_NUM_LEAVES = int(np.iinfo(LABEL_DTYPE).max) + 1
 #: Fresh recursion labels drawn per vectorized RNG call, per level.
 DRAW_BLOCK = 512
-
-
-def _label_draws(rng: np.random.Generator, num_leaves: int):
-    """Endless uniform labels from ``rng``, :data:`DRAW_BLOCK` to a call."""
-    while True:
-        yield from rng.integers(0, num_leaves, size=DRAW_BLOCK).tolist()
 
 
 def _as_int_array(values, label: str) -> np.ndarray:
@@ -109,13 +101,6 @@ def _as_int_array(values, label: str) -> np.ndarray:
     )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A view of ``array`` that refuses writes (tags handed to drivers)."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
 class _RecursionLevel:
     """One tree-ORAM level of the recursion (client + server state)."""
 
@@ -123,11 +108,10 @@ class _RecursionLevel:
         "tree",
         "stash",
         "labels",
-        "draw",
+        "rng",
+        "leaf_block",
         "num_leaves",
         "num_blocks",
-        "path_buckets",
-        "path_bytes",
         "depth",
         "read_stream",
     )
@@ -151,7 +135,6 @@ class _RecursionLevel:
         self.num_blocks = num_blocks
         self.num_leaves = self.tree.num_leaves
         self.depth = depth
-        self.path_buckets, self.path_bytes = self.tree.path_cost
         # Server-side metadata mirror: a block's (id, leaf) tag travels with
         # it on the wire, so labels of path-fetched blocks are readable
         # without an oblivious lookup.  Not client memory.
@@ -161,8 +144,10 @@ class _RecursionLevel:
         self.stash = {
             int(block): int(labels[block]) for block in overflow.tolist()
         }
-        #: The next fresh label of one of this level's blocks.
-        self.draw = _label_draws(rng, self.num_leaves).__next__
+        #: Fresh labels of this level's blocks: a block of :data:`DRAW_BLOCK`
+        #: refilled by ``rng.integers(0, num_leaves, size=DRAW_BLOCK)``.
+        self.rng = rng
+        self.leaf_block = np.empty(DRAW_BLOCK, dtype=np.int64)
         #: Leaves of the paths read, when the map records its streams.
         self.read_stream: Optional[list[int]] = [] if record_stream else None
 
@@ -241,15 +226,16 @@ class PositionMap:
             values.append(packed)
         self._values = values or [initial.astype(LABEL_DTYPE)]
         self._entries = self._values[0]
-        self._tags = _read_only(self._entries)
-        self._leaf_access = (self._tags, self.update if sizes else self._entries)
         # Dense top map: labels of the last level's blocks (client memory).
         self._top = self._levels[-1].labels.copy() if sizes else self._entries
-        # update's and the walk's handles on the entries and the top map:
-        # memoryview items go in and out as Python ints, no numpy scalar.
-        self._entries_view = memoryview(self._entries)
-        self._top_view = memoryview(self._top)
-        self._steps = self._bind_steps()
+        # The walks' int64 state, a row per level: the position in its leaf
+        # block, then the path reads and write-backs not charged yet (see
+        # charge_walks).
+        self._walk_state = np.zeros((len(sizes), 3), dtype=np.int64)
+        self._walk_state[:, 0] = DRAW_BLOCK
+        tags = self._entries.view()
+        tags.flags.writeable = False
+        self._leaf_access = (tags, self._bind_walk())
 
     @staticmethod
     def level_sizes(
@@ -288,11 +274,6 @@ class PositionMap:
         return self._num_leaves
 
     @property
-    def num_levels(self) -> int:
-        """Number of recursion tree levels (0 = the dense client-held map)."""
-        return len(self._levels)
-
-    @property
     def positions_per_block(self) -> int:
         """Labels packed per recursion block (χ)."""
         return self._chi
@@ -301,21 +282,6 @@ class PositionMap:
     def top_map_bytes(self) -> int:
         """Bytes of the dense map the client holds (the whole map if dense)."""
         return int(self._top.nbytes)
-
-    def geometry(self) -> list[dict[str, int]]:
-        """Per-level shape summary (docs, experiments, diagnostics)."""
-        return [
-            {
-                "level": index + 1,
-                "blocks": level.num_blocks,
-                "tree_depth": level.depth,
-                "label_bytes": LABEL_BYTES,
-                "block_bytes": level.tree.stored_block_bytes,
-                "path_bytes": level.path_bytes,
-                "stash_blocks": len(level.stash),
-            }
-            for index, level in enumerate(self._levels)
-        ]
 
     def client_memory_bytes(self) -> int:
         """Honest client footprint: the top map and the level stashes.
@@ -333,109 +299,43 @@ class PositionMap:
     # ------------------------------------------------------------------
     # The recursion walk
     # ------------------------------------------------------------------
-    def _bind_steps(self) -> list[tuple]:
-        """What :meth:`_walk` touches at each level, top level first.
+    def _bind_walk(self) -> tuple:
+        """The C walk's operands, bound once: ``(entries, chi, state, levels)``.
 
-        Bound once per map, in the order the walk unpacks: the level number
-        and its span of logical ids; the packed labels, id span and draw of
-        the level below (level 1's child is the logical map, which the
-        engine draws for); the level's stash, labels and read stream; the
-        operands of the C ``fetch`` and ``write_back`` (the shape the trace
-        kernel binds; the fetch tags a block with the level's labels); the
-        path cost both directions charge.  Labels, packed and level
-        alike, are bound as memoryviews, read and written as Python ints.
+        The entries are swapped last; a dense map's walk has no level.
+        Level 1 first, each level is its tree's operands (the shape
+        ``serve`` binds the main tree in), its block labels (a block read
+        off a path enters the level's stash under them), its parent (the
+        array its blocks' labels are looked up in and refreshed: the packed
+        labels of the level above, ``_values[k]``, or the top map), its
+        generator's ``integers`` and leaf block, and its read stream.
         """
-        levels = self._levels
-        steps = []
-        for k in range(len(levels), 0, -1):
-            level = levels[k - 1]
-            tree = level.tree
-            depth = level.depth
-            steps.append((
-                k,
-                self._chi**k,
-                memoryview(self._values[k - 1]),
-                self._chi ** (k - 1),
-                levels[k - 2].draw if k > 1 else None,
-                level.stash,
-                memoryview(level.labels),
+        parents = self._values[1:] + [self._top]
+        levels = tuple(
+            (
+                level.stash, level.tree.bucket_capacities, level.tree.level_base,
+                tuple((1 << node_level) - 1 for node_level in range(level.depth + 1)),
+                level.tree.slot_view, level.tree.occupancy_view, level.depth,
+                level.labels, parent, level.rng.integers, level.leaf_block,
                 level.read_stream,
-                tree.bucket_capacities,
-                tree.level_base,
-                [(1 << node_level) - 1 for node_level in range(depth + 1)],
-                tree.slot_view,
-                tree.occupancy_view,
-                depth,
-                level.path_buckets,
-                level.path_bytes,
-            ))
-        return steps
+            )
+            for level, parent in zip(self._levels, parents)
+        )
+        return (self._entries, self._chi, self._walk_state, levels)
 
-    def _walk(self, block_id: int) -> int:
-        """One charged top-down recursion access; returns the old entry.
+    def charge_walks(self) -> None:
+        """Charge the walks' path reads and write-backs, and zero them.
 
-        At each level the block holding ``block_id``'s entry is fetched
-        (path read unless it is a stash hit), remapped to the fresh label
-        its parent already installed, has the child's label read and
-        refreshed, and is greedily written back.  The level-1 child entry
-        — ``block_id``'s main-tree leaf — is returned *without* refreshing
-        it: the engine owns that draw, and :meth:`update` installs it.
+        The C walk counts them per level in the walk state, current when it
+        raises; the kernel's binder calls this after every request.
         """
-        steps = self._steps
-        counter = self.counter
-        record_read = counter.record_posmap_path_read
-        record_write = counter.record_posmap_path_write
-
-        top = self._top_view
-        top_index = block_id // steps[0][1]
-        leaf = top[top_index]
-        fresh = self._levels[-1].draw()
-        top[top_index] = fresh
-
-        for (
-            k, span, child_values, child_span, child_draw,
-            stash, labels, read_stream,
-            caps, level_base, node_base, slots, occ, depth,
-            path_buckets, path_bytes,
-        ) in steps:
-            block = block_id // span
-            hit = block in stash
-            # oblivious: allow[OBL001] client-side stash-hit fast path, the
-            # same modeled behaviour as the main engine's access(); misses
-            # and hits both refresh the block's label
-            if not hit:
-                fetch(
-                    stash, caps, level_base, node_base, slots, occ, depth,
-                    labels, leaf,
-                )
-                record_read(path_buckets, path_bytes)
-                if read_stream is not None:
-                    read_stream.append(leaf)
-                # oblivious: allow[OBL001] integrity check; aborts loudly
-                if block not in stash:
-                    raise IntegrityError(
-                        f"recursion level {k} block {block} missing from "
-                        f"both stash and path {leaf}"
-                    )
-            stash[block] = fresh
-            labels[block] = fresh
-
-            child = block_id // child_span
-            next_leaf = child_values[child]
-            # Level 1 ends the walk: the engine draws and installs the
-            # logical label itself.
-            if child_draw is not None:
-                fresh = child_draw()
-                child_values[child] = fresh
-            # oblivious: allow[OBL001] write-back only follows a real path
-            # read (stash hits moved no data), mirroring the main engine
-            if not hit:
-                write_back(
-                    stash, caps, level_base, node_base, slots, occ, depth, leaf
-                )
-                record_write(path_buckets, path_bytes)
-            leaf = next_leaf
-        return leaf
+        if not self._levels:
+            return
+        counts = self._walk_state[:, 1:]
+        for level, (reads, writes) in zip(self._levels, counts.tolist()):
+            self.counter.record_posmap_path_read(*level.tree.path_cost, count=reads)
+            self.counter.record_posmap_path_write(*level.tree.path_cost, count=writes)
+        counts[:] = 0
 
     # ------------------------------------------------------------------
     # Charged interface
@@ -447,35 +347,36 @@ class PositionMap:
         before it reads the block's path, and this one access reads the old
         label and installs the new one.  Under recursion that is one charged
         walk per update, a stash-hit block's remap as much as a fetched
-        block's; on the dense map a swap of the entry, free.
+        block's; on the dense map a swap of the entry, free.  Both are the
+        C ``walk``.  A level block missing from both its stash and its path
+        raises :exc:`~repro.exceptions.IntegrityError`, with the walk's
+        reads so far charged.
         """
         self._check(block_id)
         if not 0 <= leaf < self._num_leaves:
             raise ConfigurationError(
                 f"leaf {leaf} outside [0, {self._num_leaves})"
             )
-        entries = self._entries_view
-        old = self._walk(block_id) if self._levels else entries[block_id]
-        entries[block_id] = leaf
-        return old
+        try:
+            return walk(self._leaf_access[1], block_id, leaf)
+        finally:
+            self.charge_walks()
 
     def leaf_access(self):
-        """The request kernel's leaf-access contract: ``(tags, update)``.
+        """The map's leaf-access contract: ``(tags, update)``.
 
-        The engines' request kernel (``serve``, bound by
-        ``PathORAM._run_bins``) takes this pair once per request and all its
-        leaves through it, so where the map lives stays the map's business.
-        ``tags`` is a read-only view of the level-1 entries for the metadata
-        channel — the label every block carries on the wire, the array
-        :meth:`peek_many` indexes, for blocks that just came off a path.
-        ``update`` is the protocol's one access per remap: with no recursion
-        level, the entries ``tags`` views themselves, writable, which the
-        kernel swaps in place (free; it passes ids it range-checked and
-        leaves drawn from ``integers(0, num_leaves)`` or a range-checked
-        plan); under recursion :meth:`update` itself, called back (one walk
-        per update, in Path ORAM's order).  Both are stable for the map's
-        lifetime, and trusted setup reads its labels off ``tags`` without a
-        widened copy.
+        ``update`` is the protocol's one access per remap, the walk's
+        operands (:meth:`_bind_walk`): the engines' request kernel
+        (``serve``, bound by ``PathORAM._run_bins``) takes it once per
+        request and walks it in C for every remap, one walk per update in
+        Path ORAM's order, then the swap of the entry (the whole update of
+        a dense map, free), so where the map lives stays the map's business;
+        the caller then calls :meth:`charge_walks`.  A block read off the
+        main tree's path enters the stash under its entry.  ``tags`` is a
+        read-only view of the same entries for the metadata channel — the
+        label every block carries on the wire, the array :meth:`peek_many`
+        indexes — from which trusted setup reads its labels without a
+        widened copy.  Both are stable for the map's lifetime.
         """
         return self._leaf_access
 

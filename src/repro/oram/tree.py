@@ -7,9 +7,9 @@ dummy slots) because the server must transfer indistinguishable buckets.
 
 :class:`ArrayTreeStorage` keeps one flat :data:`SLOT_DTYPE` slot array
 plus one :data:`OCC_DTYPE` occupancy counter per bucket, so the initial
-bulk placement is numpy operations, and the C kernels (the path read and
-every write-back, :mod:`repro.oram.write_back`) index the same buffers
-without per-block objects.  The per-object reference tree
+bulk placement is numpy operations, and the C request kernel and recursion
+walk (:mod:`repro.oram.write_back`: their path read and every write-back)
+index the same buffers without per-block objects.  The per-object reference tree
 the tests hold it to (``tests/oracle/tree.py``) has the same geometry,
 with list buckets.
 
@@ -53,8 +53,8 @@ class ArrayTreeStorage:
     per-object reference tree's buckets; slots past ``occ`` hold ``-1``.
     Only ids are stored: a block's leaf is authoritative in the position
     map, and the vectorized engine keeps payloads in a client-side store.
-    Every tree, uniform or fat, reads a path with the one C
-    :func:`~repro.oram.write_back.fetch` over its buffers and holds no
+    Every tree, uniform or fat, main tree or recursion level, reads a path
+    with the kernel's one C path read over its buffers and holds no
     per-path tables.
     """
 

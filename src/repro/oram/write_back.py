@@ -1,4 +1,4 @@
-"""The request kernel, path read and greedy write-backs of the array engine.
+"""The request kernel of the array engine: the bin loop and the recursion walk.
 
 The classic PathORAM eviction rule: after a path has been read, every stash
 block whose assigned path intersects the accessed path may be written back,
@@ -8,42 +8,40 @@ actually has.  That matters for LAORAM, which can read several paths before
 writing them back, so later write-backs see buckets that earlier write-backs
 already refilled.
 
-Each function takes a ``{id: leaf}`` stash dict and one tree's operands (its
-capacities, the first slot and first bucket of each level, its
-``slot_view`` / ``occupancy_view`` buffers and its depth):
+Two C entry points (``_write_back.c``, built and loaded by
+:mod:`repro.oram.native`), each over ``{id: leaf}`` stash dicts and trees'
+operands (capacities, the first slot and first bucket of each level, the
+``slot_view`` / ``occupancy_view`` buffers and the depth):
 
-* ``serve(stash_map, caps, level_base, node_base, slots, occ, depth, tags,
+* ``serve(stash_map, caps, level_base, node_base, slots, occ, depth,
   update, ids, size, ...)`` — one request of the engine
   (``PathORAM._run_bins`` is its binder): the bins of a run of ids, the
   commit bin of a held step, or one dummy read, each decided as the
-  reference client decides it, on the three functions below;
-* ``fetch(stash_map, caps, level_base, node_base, slots, occ, depth, tags,
-  leaf)`` — the path read, on every tree: root to leaf, each bucket's
-  occupied slots enter the stash in slot order, each id under its entry of
-  ``tags`` (the owner's labels: the position map's tag view, or a recursion
-  level's labels), and the path is left empty;
-* ``write_back(stash_map, caps, level_base, node_base, slots, occ, depth,
-  leaf)`` — the greedy write-back of one path: a bin's first path and
-  every dummy read, which their own fetch just emptied, and a bin's later
-  paths, which find the buckets they share with an earlier one refilled
-  (one function: the occupancy read that kept the Python form in two,
-  ``docs/performance.md``, "One write-back or two", costs nothing in C);
-* ``held_write_back(..., depth, leaves)`` — a held training step's read
-  paths at its commit, filled as one subtree, level by level.
+  reference client decides it.  ``update`` is the map's walk operands:
+  a recursive map's levels, walked for every remap, then the entry
+  swapped in place (all of a dense map's update);
+* ``walk(operands, block_id, leaf) -> old_leaf`` — one access to a
+  position map (``PositionMap.update`` is its caller): top down, the block
+  of each level holding the label takes a fresh label in its parent, is
+  read with its path unless it is stashed, and the path is written back;
+  then the entry is swapped.
 
-The recursion walk (``PositionMap._walk``) calls ``fetch`` and
-``write_back`` on its level trees.  All four are C (``_write_back.c``,
-built and loaded by :mod:`repro.oram.native`): they walk the stash dict in
-insertion order, write the tree's buffers, and insert the ids they read or
-delete the ids they place.  The fetch reads as the per-object reference tree does
-(``tests/oracle/tree.py``); both write-backs are decision-identical to the
-per-object reference planner (``tests/oracle/write_back.py``).
+Inside them, one path read and two write-backs serve every tree, the main
+tree and every recursion level: the read goes root to leaf, each bucket's
+occupied slots entering the stash in slot order, each id under the owner's
+labels (the position map's entries, or a level's labels); the greedy
+write-back of one path serves a bin's first path and every dummy read,
+which their own read just emptied, and a bin's later paths, which find the
+buckets they share with an earlier one refilled (``docs/performance.md``,
+"One write-back or two"); the commit bin fills a held step's read paths as
+one subtree, level by level.  The read is the per-object reference tree's
+(``tests/oracle/tree.py``), both write-backs are decision-identical to the
+reference planner (``tests/oracle/write_back.py``) and the walk to the
+reference map (``tests/oracle/position_map.py``).
 """
 
 from repro.oram.native import load
 
 _kernels = load()
 serve = _kernels.serve
-fetch = _kernels.fetch
-write_back = _kernels.write_back
-held_write_back = _kernels.held_write_back
+walk = _kernels.walk

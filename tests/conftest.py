@@ -90,6 +90,39 @@ def node_ids(tree):
                 yield level, node, slots[first : first + held]
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the request drew past its planted leaves")
+
+
+def dense_walk(entries) -> tuple:
+    """The walk operands of a dense map over ``entries``: no level."""
+    return (entries, 2, np.zeros((0, 3), dtype=np.int64), ())
+
+
+def tree_request(tree, stash_map, ids, entries, *, leaves=(0,), held=(), holding=False):
+    """``serve``'s operands, by name, for one request on a bare array tree.
+
+    ``ids`` is the request: int64 ids in one-id bins, an empty one a dummy
+    read, ``None`` the commit bin of the paths ``held``.  ``entries`` is the
+    dense map (int32, writable; one entry per block), which also labels the
+    blocks a read brings in.  ``leaves`` is the leaf block, drawn from its
+    start: a dummy read's path, a bin's new leaves; a draw past it raises.
+    No plan, no stash capacity, no eviction, no observer.
+    """
+    return dict(
+        stash=stash_map, caps=tree.bucket_capacities, level_base=tree.level_base,
+        node_base=tuple((1 << level) - 1 for level in range(tree.depth + 1)),
+        slots=tree.slot_view, occ=tree.occupancy_view, depth=tree.depth,
+        update=dense_walk(entries),
+        ids=None if ids is None else np.asarray(ids, dtype=np.int64),
+        size=1, remaps=None, by_position=0, lookup=None, integers=_no_draw,
+        leaf_buf=np.array(leaves, dtype=np.int64),
+        limits=(len(entries), 1 << tree.depth, -1, 0, 0, 0, 0),
+        held_paths=list(held), holding=holding, observer=None, history=None,
+        state=np.zeros(9, dtype=np.int64),
+    )
+
+
 def closed_form_clock(engine) -> float:
     """Simulated seconds as ``TrafficSnapshot`` and tree geometry spell them.
 

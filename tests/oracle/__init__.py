@@ -88,19 +88,34 @@ def engine_state(engine) -> dict:
 
     Counters and their price, the position map, the stash in order with its
     labels, the paths an open hold read, every tree slot (breadth-first,
-    each bucket's ids in insertion order) and the client footprint; the
-    same accessors on either engine.
+    each bucket's ids in insertion order), every recursion level's slots,
+    stash in order and block labels, and the client footprint; the same
+    accessors on either engine.
     """
-    stash = engine.stash
     return {
         "statistics": engine.statistics,
         "simulated_time_s": engine.simulated_time_s,
         "position_map": engine.position_map.as_array().tolist(),
-        "stash": [(block_id, stash.leaf_of(block_id)) for block_id in stash.block_ids],
+        "stash": _stash_entries(engine.stash),
         "held_paths": list(engine._held_paths),
         "slots": engine.tree.slot_array.tolist(),
+        "levels": [
+            {
+                "slots": level.tree.slot_array.tolist(),
+                "stash": _stash_entries(level.stash),
+                "labels": level.labels.tolist(),
+            }
+            for level in engine.position_map._levels
+        ],
         "client_memory_bytes": engine.client_memory_bytes(),
     }
+
+
+def _stash_entries(stash) -> list[tuple[int, int]]:
+    """A stash's (id, leaf) pairs in insertion order: a level's dict or a stash."""
+    if isinstance(stash, dict):
+        return list(stash.items())
+    return [(block_id, stash.leaf_of(block_id)) for block_id in stash.block_ids]
 
 
 def fetch_path(engine, leaf: int) -> None:
@@ -110,8 +125,8 @@ def fetch_path(engine, leaf: int) -> None:
     reference tree's read (``TreeStorage.read_path``: root to leaf, each
     bucket's blocks in insertion order) over its slot and occupancy arrays,
     each block under its tag, followed by its capacity check.  The shipped
-    C ``fetch`` is held to this read in ``tests/test_tree.py``; the oracle
-    imports no library kernel.
+    kernel's C path read is held to this read in ``tests/test_tree.py``; the
+    oracle imports no library kernel.
     """
     if isinstance(engine, ObjectPathORAM):
         engine._fetch_path(leaf)

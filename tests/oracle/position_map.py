@@ -171,10 +171,6 @@ class ObjectPositionMap:
 
     # -- shape and footprint --------------------------------------------
     @property
-    def num_levels(self) -> int:
-        return len(self._levels)
-
-    @property
     def positions_per_block(self) -> int:
         return self._chi
 

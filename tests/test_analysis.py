@@ -237,7 +237,7 @@ class PathORAM:
         return block_id
 '''
 
-#: ``fetch`` is a path read and reveals its leaf; the trusted-setup
+#: An observed path read reveals its leaf; the trusted-setup
 #: ``remove_many`` is observed by nobody and reveals nothing.
 _PLANT_SETUP_MOVE_AS_REVEAL = '''
 
@@ -370,7 +370,7 @@ def test_stale_manifest_entry_is_caught(tmp_path, module, old, new, tables):
 def test_path_read_declassifies_where_the_setup_move_does_not(tmp_path):
     read = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
         "self.tree.remove_many(block_id, leaf)",
-        "fetch(stash_map, caps, level_base, node_base, slots, occ, depth, tags, leaf)",
+        "self.observer.observe_path(leaf, dummy=False)",
     )
     assert read != _PLANT_SETUP_MOVE_AS_REVEAL
     assert _scan_scratch_engine(tmp_path, read) == []
@@ -379,15 +379,13 @@ def test_path_read_declassifies_where_the_setup_move_does_not(tmp_path):
 @pytest.mark.parametrize(
     "call, revealed",
     [
-        # The call the trace kernel and the recursion walk make.
-        ("fetch(stash_map, caps, level_base, node_base, slots, occ, depth, tags, leaf)",
-         True),
-        # The leaf is the fetch's ninth argument, not any argument.
-        ("fetch(leaf, caps, level_base, node_base, slots, occ, depth, tags, block_id)",
-         False),
+        # The observer's view of a path read.
+        ("self.observer.observe_path(leaf, dummy=False)", True),
+        # The leaf is the observation's first argument, not any argument.
+        ("self.observer.observe_path(block_id, leaf)", False),
     ],
 )
-def test_the_fetch_declassifies_its_leaf_argument(tmp_path, call, revealed):
+def test_the_observed_path_declassifies_its_leaf_argument(tmp_path, call, revealed):
     read = _PLANT_SETUP_MOVE_AS_REVEAL.replace(
         "self.tree.remove_many(block_id, leaf)", call
     )

@@ -3,10 +3,10 @@
 A LAORAM bin fetches every distinct path its missing blocks sit on and then
 writes those paths back one after another, so a later write-back finds the
 buckets it shares with an earlier one already refilled.  On the fast client
-that is the bin kernel's write-back
-(the C ``write_back`` of ``oram/_write_back.c``, on the stash's dict); the reference
-is ``LAORAMClient.access_superblock``, one occupancy-aware
-``plan_greedy_write_back`` per path over ``Block`` objects.  These tests
+that is the request kernel's write-back (``serve`` of ``oram/_write_back.c``,
+on the stash's dict); the reference is ``LAORAMClient.access_superblock``,
+one occupancy-aware ``plan_greedy_write_back`` per path over ``Block``
+objects.  These tests
 hammer the pair with bins the access protocols seldom produce — batch sizes
 from 1 to 64, duplicate leaves in one bin, paths that share only the root,
 paths that share everything but the leaf bucket, shared buckets already
@@ -25,7 +25,7 @@ on both backends alike.
 
 A held training step (``hold_many`` then ``commit``) writes all its read
 paths back at once, filling the subtree they span level by level
-(``held_write_back``; the reference is ``plan_subtree_write_back``).  The
+(the kernel's commit bin; the reference is ``plan_subtree_write_back``).  The
 same driver holds it to the same checks, and to the fill's own guarantee:
 a block the commit leaves in the stash finds every bucket of the subtree
 on its path full.
@@ -40,9 +40,10 @@ from repro.core.laoram import LAORAMClient
 from repro.core.superblock import LookaheadPlan
 from repro.oram.config import ORAMConfig
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import held_write_back
+from repro.oram.write_back import serve
 
 from test_trace_contract import assert_twins_agree
+from conftest import tree_request
 
 from oracle import (
     Block,
@@ -318,11 +319,8 @@ def test_the_kernels_subtree_fill_is_the_references(case):
     shipped = ArrayTreeStorage(depth, caps, block_size_bytes=8)
     reference = TreeStorage(depth, caps, block_size_bytes=8)
 
-    held_write_back(
-        stash_map, shipped.bucket_capacities, shipped.level_base,
-        [(1 << level) - 1 for level in range(depth + 1)],
-        shipped.slot_view, shipped.occupancy_view, depth, held,
-    )
+    labels = np.zeros(1, dtype=np.int32)
+    serve(*tree_request(shipped, stash_map, None, labels, held=held).values())
     for index, blocks in plan_subtree_write_back(reference, stash, held).items():
         reference.bucket_by_index(index).extend(blocks)
     assert list(stash_map) == stash.block_ids

@@ -142,7 +142,7 @@ class TestPositionMap:
         assert pmap.peek(3) == 5
         # The kernel's dense update is the same swap, in place on the
         # entries the tags view.
-        tags, entries = pmap.leaf_access()
+        tags, (entries, *_) = pmap.leaf_access()
         assert entries[3] == 5 and np.shares_memory(tags, entries)
         entries[3] = 6
         assert pmap.peek(3) == 6
@@ -199,7 +199,7 @@ class TestPositionMap:
         pmap = PositionMap(
             5000, num_leaves, np.random.default_rng(0), cutoff_bytes=cutoff
         )
-        assert pmap.num_levels == (0 if cutoff is None else 2)
+        assert len(pmap._levels) == (0 if cutoff is None else 2)
         assert pmap._entries.dtype == pmap._top.dtype == LABEL_DTYPE
         assert all(values.dtype == LABEL_DTYPE for values in pmap._values)
         assert all(level.labels.dtype == LABEL_DTYPE for level in pmap._levels)

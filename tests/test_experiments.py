@@ -222,11 +222,12 @@ class TestProjections:
         for dense, recursive in cells.values():
             assert replace(dense, oram=dense.oram.with_overrides(recursive_posmap=True)) == recursive
             posmap = build_engine(recursive.label, recursive.oram).position_map
-            assert posmap.num_levels >= 1
-            assert posmap.num_levels == len(PositionMap.level_sizes(
+            sizes = PositionMap.level_sizes(
                 recursive.oram.num_blocks, recursive.oram.posmap_positions_per_block,
                 recursive.oram.posmap_cutoff_bytes,
-            ))
+            )
+            assert len(sizes) >= 1
+            assert [level.num_blocks for level in posmap._levels] == sizes
 
     @pytest.mark.parametrize("num_blocks, sizes", [(1 << 20, [16384]), (1 << 23, [131072, 2048])])
     def test_paper_scale_cells_take_the_production_geometry(self, num_blocks, sizes):

@@ -65,7 +65,7 @@ def stash_bytes(engine) -> int:
 @pytest.mark.parametrize("label", LABELS)
 def test_an_open_hold_conserves_every_block_and_charges_the_client(label, recursive, fast):
     engine = make_engine(label, fast, recursive)
-    assert (engine.position_map.num_levels > 0) == recursive
+    assert bool(engine.position_map._levels) == recursive
     per_block = engine.config.block_size_bytes + engine.STASH_ENTRY_OVERHEAD_BYTES
     for ids in steps():
         before = len(engine.stash)

@@ -1,14 +1,21 @@
-"""The C kernels: the planner's decisions, their guards, their loader.
+"""The C kernels through ``serve``: the planner's decisions, their guards, their loader.
 
-``repro.oram.write_back.fetch``, ``write_back`` and ``held_write_back`` are
-C (``src/repro/oram/_write_back.c``).  Here the write-backs are held, call
-by call, to the per-object reference planner (``tests/oracle/write_back.py``)
-on a fresh path and on a path whose shared buckets an earlier write-back
-refilled (the fetch is held to the reference tree's read in
-``tests/test_tree.py``); every operand any of them could read or write out
-of bounds with is rejected before the first write; a steady-state call
-allocates nothing that grows with the stash, and a fetch nothing but the
-entries it inserts; and the loader builds them from source or fails loudly.
+``repro.oram.write_back`` exports two C entry points
+(``src/repro/oram/_write_back.c``): ``serve``, one request, and ``walk``,
+one access to a recursive position map.  The path read and both
+write-backs run inside them, so here they run through ``serve`` on a bare
+tree (``conftest.tree_request``): a dummy read whose leaf block holds a
+chosen leaf fetches that path and writes it back, the commit bin writes
+the held paths back as one subtree, and a held one-id bin reads the path
+its block sits on and writes nothing back.  The write-backs are held,
+request by request, to the per-object reference planner
+(``tests/oracle/write_back.py``) on a fresh path and on a path whose shared
+buckets an earlier write-back refilled (the read is held to the reference
+tree's in ``tests/test_tree.py``); every operand any of them could read or
+write out of bounds with, the walk's included, is rejected before the
+first write; a steady-state write-back allocates nothing that grows with
+the stash, and a read nothing that grows with its path but the entries it
+inserts; and the loader builds them from source or fails loudly.
 """
 
 import shutil
@@ -22,22 +29,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.oram import native
+from repro.oram.position_map import PositionMap
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import fetch, held_write_back, write_back
+from repro.oram.write_back import serve, walk
 
 from oracle import Block, Stash, TreeStorage, plan_greedy_write_back
+from conftest import dense_walk, tree_request
+
+#: A map for requests that read no labels: dummy reads and commit bins.
+NO_LABELS = np.zeros(1, dtype=np.int32)
 
 
-def node_bases(depth: int) -> tuple[int, ...]:
-    return tuple((1 << level) - 1 for level in range(depth + 1))
+def dummy_read(tree, stash_map, leaf) -> dict:
+    """A dummy read of the path to ``leaf``: fetched, then written back."""
+    return tree_request(tree, stash_map, [], NO_LABELS.copy(), leaves=[leaf])
 
 
-def kernel_args(tree: ArrayTreeStorage, stash_map: dict, leaf, *tags):
-    """A kernel's operands; the fetch's ``tags`` go before its leaf."""
-    return (
-        stash_map, tree.bucket_capacities, tree.level_base, node_bases(tree.depth),
-        tree.slot_view, tree.occupancy_view, tree.depth, *tags, leaf,
-    )
+def commit_bin(tree, stash_map, leaves) -> dict:
+    """The commit bin of the paths to ``leaves``: one subtree fill."""
+    return tree_request(tree, stash_map, None, NO_LABELS.copy(), held=leaves)
 
 
 def stash_near(rng, depth: int, leaf: int, ids: np.ndarray) -> dict[int, int]:
@@ -48,11 +58,6 @@ def stash_near(rng, depth: int, leaf: int, ids: np.ndarray) -> dict[int, int]:
     under = (leaf >> low << low) | (leaves & ((1 << low) - 1))
     leaves = np.where(rng.random(size) < 0.5, under, leaves)
     return dict(zip(ids.tolist(), leaves.tolist()))
-
-
-def write_both(shipped, reference, stash_map, stash, leaf) -> None:
-    write_back(*kernel_args(shipped, stash_map, leaf))
-    reference.write_path(leaf, plan_greedy_write_back(reference, stash, leaf))
 
 
 def assert_same(shipped, reference, stash_map, stash) -> None:
@@ -79,7 +84,9 @@ def path_write_backs(draw):
 @settings(max_examples=80, deadline=None)
 @given(path_write_backs())
 def test_the_kernels_path_write_back_is_the_references(case):
-    """A fresh path, then a second path whose shared buckets the first refilled."""
+    """A dummy read of a fresh path, then a write-back onto a second path
+    whose shared buckets the first refilled: a LAORAM bin's later path, or a
+    commit bin of one path."""
     depth, caps, first, second, (size, more), seed = case
     rng = np.random.default_rng(seed)
     ids = rng.permutation(10 * (size + more) + 2)[: size + more]
@@ -89,14 +96,17 @@ def test_the_kernels_path_write_back_is_the_references(case):
     shipped = ArrayTreeStorage(depth, caps, block_size_bytes=8)
     reference = TreeStorage(depth, caps, block_size_bytes=8)
 
-    write_both(shipped, reference, stash_map, stash, first)
+    serve(*dummy_read(shipped, stash_map, first).values())
+    stash.extend(reference.read_path(first))
+    reference.write_path(first, plan_greedy_write_back(reference, stash, first))
     assert_same(shipped, reference, stash_map, stash)
 
     # The second path's own blocks join the stash, as its read left them.
     arriving = stash_near(rng, depth, second, ids[size:])
     stash_map.update(arriving)
     stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in arriving.items())
-    write_both(shipped, reference, stash_map, stash, second)
+    serve(*commit_bin(shipped, stash_map, [second]).values())
+    reference.write_path(second, plan_greedy_write_back(reference, stash, second))
     assert_same(shipped, reference, stash_map, stash)
 
 
@@ -105,19 +115,41 @@ def test_the_kernels_path_write_back_is_the_references(case):
 # ----------------------------------------------------------------------
 DEPTH = 3
 CAPS = (4, 4, 4, 4)
-#: The fetch's labels: one per id the tree below holds, and more.
-TAGS = np.full(16, 5, dtype=np.int32)
+#: The held bin's map: every block sits on leaf 5.
+ENTRIES = np.full(16, 5, dtype=np.int32)
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def held_bin(tree, stash_map, leaf) -> dict:
+    """A held one-id bin of block 6, which sits on leaf 5; its new leaf is ``leaf``."""
+    return tree_request(tree, stash_map, [6], ENTRIES.copy(), leaves=[leaf], holding=True)
+
+
+REQUESTS = {
+    "held bin": held_bin,
+    "dummy read": dummy_read,
+    "commit bin": lambda tree, stash_map, leaf: commit_bin(tree, stash_map, [leaf]),
+}
+
+
+def leaf_operand(kernel, leaf) -> dict:
+    """The operand that carries ``leaf``: the held paths, or the leaf block."""
+    if kernel == "commit bin":
+        return dict(held_paths=[5, leaf])
+    if isinstance(leaf, int):
+        leaf = min(leaf, INT64_MAX)
+    return dict(leaf_buf=np.array([leaf]))
 
 
 def fresh(kernel=None):
     """A stash that fills part of the path to leaf 5, and its tree.
 
-    The fetch's tree holds blocks 6 to 9 on that path, in that slot order
+    The held bin's tree holds blocks 6 to 9 on that path, in that slot order
     in its leaf bucket; a write-back's is empty.
     """
     tree = ArrayTreeStorage(DEPTH, CAPS, block_size_bytes=8)
-    if kernel is fetch:
-        write_back(*kernel_args(tree, {block: 5 for block in range(9, 5, -1)}, 5))
+    if kernel == "held bin":
+        serve(*dummy_read(tree, {block: 5 for block in range(9, 5, -1)}, 5).values())
         first = tree.level_base[DEPTH] + 5 * CAPS[DEPTH]
         assert tree.slot_array[first : first + 4].tolist() == [6, 7, 8, 9]
     return {block: 5 for block in range(6)}, tree
@@ -125,18 +157,12 @@ def fresh(kernel=None):
 
 def call(kernel, **override):
     stash_map, tree = fresh(kernel)
-    names = ["stash", "caps", "level_base", "node_base", "slots", "occ", "depth", "leaf"]
-    tags = (TAGS,) if kernel is fetch else ()
-    if kernel is fetch:
-        names.insert(-1, "tags")
-    args = dict(zip(
-        names, kernel_args(tree, stash_map, [5] if kernel is held_write_back else 5, *tags),
-    ))
+    args = REQUESTS[kernel](tree, stash_map, 5)
     args.update(override)
     before = list(args["stash"].items()) if isinstance(args["stash"], dict) else None
     slots, occupancies = tree.slot_array.copy(), tree.bucket_occupancies.copy()
     with pytest.raises((TypeError, ValueError)) as raised:
-        kernel(*args.values())
+        serve(*args.values())
     # Nothing was read, written or placed.
     assert tree.slot_array.tobytes() == slots.tobytes()
     assert tree.bucket_occupancies.tobytes() == occupancies.tobytes()
@@ -145,9 +171,9 @@ def call(kernel, **override):
     return raised
 
 
-KERNELS = pytest.mark.parametrize("kernel", [fetch, write_back, held_write_back])
+KERNELS = pytest.mark.parametrize("kernel", list(REQUESTS))
 #: The checks of stash entries: only a write-back reads them.
-WRITE_BACKS = pytest.mark.parametrize("kernel", [write_back, held_write_back])
+WRITE_BACKS = pytest.mark.parametrize("kernel", ["dummy read", "commit bin"])
 
 
 @KERNELS
@@ -159,15 +185,15 @@ def test_a_stash_that_is_not_a_dict_is_rejected(kernel, stash):
 @KERNELS
 @pytest.mark.parametrize("leaf", [-1, 1 << DEPTH, 1 << 70])
 def test_a_leaf_outside_the_tree_is_rejected(kernel, leaf):
-    held = kernel is held_write_back
-    assert call(kernel, leaf=[5, leaf] if held else leaf).type is ValueError
+    assert call(kernel, **leaf_operand(kernel, leaf)).type is ValueError
 
 
 @KERNELS
 @pytest.mark.parametrize("leaf", [5.0, "5", None])
 def test_a_leaf_that_is_not_an_int_is_rejected(kernel, leaf):
-    held = kernel is held_write_back
-    assert call(kernel, leaf=[leaf] if held else leaf).type is TypeError
+    # A held leaf is a Python object; a leaf block must be int64 items.
+    error = TypeError if kernel == "commit bin" else ValueError
+    assert call(kernel, **leaf_operand(kernel, leaf)).type is error
 
 
 @WRITE_BACKS
@@ -245,7 +271,8 @@ def test_a_buffer_too_short_for_the_path_is_rejected(kernel, buffer, size):
 @pytest.mark.parametrize("base", ["level_base", "node_base"])
 def test_a_base_that_points_past_the_buffer_is_rejected(kernel, base):
     _, tree = fresh(kernel)
-    bases = list(tree.level_base if base == "level_base" else node_bases(DEPTH))
+    node_base = [(1 << level) - 1 for level in range(DEPTH + 1)]
+    bases = list(tree.level_base if base == "level_base" else node_base)
     bases[DEPTH] += 100
     assert call(kernel, **{base: bases}).type is ValueError
 
@@ -272,60 +299,160 @@ def test_a_depth_past_62_is_rejected(kernel, depth):
 @KERNELS
 def test_the_wrong_argument_count_is_rejected(kernel):
     stash_map, tree = fresh(kernel)
-    tags = (TAGS,) if kernel is fetch else ()
     with pytest.raises(TypeError):
-        kernel(*kernel_args(tree, stash_map, 5, *tags)[:-1])
+        serve(*list(REQUESTS[kernel](tree, stash_map, 5).values())[:-1])
 
 
 # ----------------------------------------------------------------------
-# The fetch's own operands: its tags and the ids the path holds
+# The read's own operands: the map's entries, which label what it reads,
+# and the ids the path holds
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "tags", [TAGS.astype(np.int64), TAGS.astype(np.int16), TAGS.astype(np.float32)]
+    "entries", [ENTRIES.astype(np.int64), ENTRIES.astype(np.int16), ENTRIES.astype(np.float32)]
 )
-def test_tags_of_the_wrong_item_size_are_rejected(tags):
-    assert call(fetch, tags=tags).type is ValueError
+def test_entries_of_the_wrong_item_size_are_rejected(entries):
+    assert call("held bin", update=dense_walk(entries)).type is ValueError
 
 
-@pytest.mark.parametrize("tags", [list(TAGS), None, memoryview(np.tile(TAGS, 2))[::2]])
-def test_tags_that_are_not_a_contiguous_buffer_are_rejected(tags):
-    assert call(fetch, tags=tags).type is TypeError
+@pytest.mark.parametrize(
+    "entries",
+    [list(ENTRIES), None, memoryview(np.tile(ENTRIES, 2))[::2], memoryview(ENTRIES).toreadonly()],
+)
+def test_entries_that_are_not_a_writable_contiguous_buffer_are_rejected(entries):
+    assert call("held bin", update=dense_walk(entries)).type is TypeError
 
 
-def test_a_slot_id_past_the_tags_is_rejected():
-    """The path holds ids 6 to 9, read in that order; eight tags label 0 to 7.
+def test_a_slot_id_past_the_entries_is_rejected():
+    """The path holds ids 6 to 9, read in that order; eight entries label 0 to 7.
 
     Ids 6 and 7 come first and are good: the check of 8 must come before
     any of them is read in.
     """
-    assert call(fetch, tags=TAGS[:8]).type is ValueError
+    update = dense_walk(ENTRIES[:8].copy())
+    assert call("held bin", update=update, limits=(8, 8, -1, 0, 0, 0, 0)).type is ValueError
 
 
 @pytest.mark.parametrize("damage", ["negative id", "occupancy past capacity"])
 def test_a_damaged_path_is_rejected(damage):
     """The last occupied slot read holds no id, or an occupancy passes its bucket's."""
-    stash_map, tree = fresh(fetch)
+    stash_map, tree = fresh("held bin")
     if damage == "negative id":
         tree.slot_array[tree.level_base[DEPTH] + 5 * CAPS[DEPTH] + 3] = -1
     else:
         tree.bucket_occupancies[(1 << DEPTH) - 1 + 5] = CAPS[DEPTH] + 1
     slots, occupancies = tree.slot_array.tobytes(), tree.bucket_occupancies.tobytes()
     with pytest.raises(ValueError):
-        fetch(*kernel_args(tree, stash_map, 5, TAGS))
+        serve(*held_bin(tree, stash_map, 5).values())
     assert stash_map == {block: 5 for block in range(6)}
     assert tree.slot_array.tobytes() == slots
     assert tree.bucket_occupancies.tobytes() == occupancies
 
 
 # ----------------------------------------------------------------------
+# The walk's operands
+# ----------------------------------------------------------------------
+def recursive_map() -> PositionMap:
+    """256 blocks, four labels a block: two levels, of 64 and 16 blocks."""
+    return PositionMap(
+        256, 128, np.random.default_rng(3), positions_per_block=4, cutoff_bytes=64, seed=3
+    )
+
+
+def map_state(pmap: PositionMap) -> list:
+    """Every level's stash, slots, occupancies and labels, the packed labels
+    (the logical ones first), the top map and the walk state."""
+    levels = [
+        (list(level.stash.items()), level.tree.slot_array.tobytes(),
+         level.tree.bucket_occupancies.tobytes(), level.labels.tobytes())
+        for level in pmap._levels
+    ]
+    payloads = [values.tobytes() for values in pmap._values]
+    return [levels, payloads, pmap._top.tobytes(), pmap._walk_state.tobytes()]
+
+
+def with_level(operands, index: int, position: int, value) -> tuple:
+    """The walk ``operands`` with operand ``position`` of level ``index + 1``
+    replaced by ``value``."""
+    entries, chi, state, levels = operands
+    level = list(levels[index])
+    level[position] = value
+    levels = levels[:index] + (tuple(level),) + levels[index + 1 :]
+    return entries, chi, state, levels
+
+
+#: Walk operands and arguments no walk may start on, and the error each
+#: raises.  Level 1 is levels[0], level 2 (the top one) levels[1].
+BAD_WALKS = {
+    "a list": (lambda ops: list(ops), 7, 3, TypeError),
+    "three operands": (lambda ops: ops[:3], 7, 3, TypeError),
+    "levels in a list": (lambda ops: ops[:3] + (list(ops[3]),), 7, 3, TypeError),
+    "read-only entries": (lambda ops: (memoryview(ops[0]).toreadonly(),) + ops[1:], 7, 3,
+                          TypeError),
+    "int64 entries": (lambda ops: (ops[0].astype(np.int64),) + ops[1:], 7, 3, ValueError),
+    "one label a block": (lambda ops: (ops[0], 1) + ops[2:], 7, 3, ValueError),
+    "a short state": (lambda ops: ops[:2] + (np.zeros(5, dtype=np.int64),) + ops[3:], 7, 3,
+                      ValueError),
+    "a level list": (lambda ops: ops[:3] + (ops[3][:1] + (list(ops[3][1]),),), 7, 3,
+                     TypeError),
+    "a level stash list": (lambda ops: with_level(ops, 1, 0, []), 7, 3, TypeError),
+    "read-only labels": (lambda ops: with_level(ops, 0, 7, memoryview(ops[3][0][7]).toreadonly()),
+                         7, 3, TypeError),
+    "an int64 parent": (lambda ops: with_level(ops, 0, 8, ops[3][0][8].astype(np.int64)), 7, 3,
+                        ValueError),
+    "a short parent": (lambda ops: with_level(ops, 0, 8, ops[3][0][8][:1].copy()), 7, 3,
+                       ValueError),
+    "a short top map": (lambda ops: with_level(ops, 1, 8, ops[3][1][8][:0].copy()), 7, 3,
+                        ValueError),
+    "short labels": (lambda ops: with_level(ops, 0, 7, ops[3][0][7][:1].copy()), 200, 3,
+                     ValueError),
+    "integers not callable": (lambda ops: with_level(ops, 1, 9, 3), 7, 3, TypeError),
+    "an empty leaf block": (lambda ops: with_level(ops, 0, 10, np.empty(0, dtype=np.int64)),
+                            7, 3, ValueError),
+    "a tuple read stream": (lambda ops: with_level(ops, 0, 11, ()), 7, 3, TypeError),
+    "a negative id": (lambda ops: ops, -1, 3, ValueError),
+    "an id past the map": (lambda ops: ops, 1 << 20, 3, ValueError),
+    "a float id": (lambda ops: ops, 1.5, 3, TypeError),
+    "a negative leaf": (lambda ops: ops, 7, -1, ValueError),
+    "a leaf no label holds": (lambda ops: ops, 7, 1 << 31, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WALKS))
+def test_a_walk_is_refused_before_its_first_write(case):
+    change, block_id, leaf, error = BAD_WALKS[case]
+    pmap = recursive_map()
+    operands = pmap.leaf_access()[1]
+    before = map_state(pmap)
+    with pytest.raises(error):
+        walk(change(operands), block_id, leaf)
+    assert map_state(pmap) == before
+    # The map's own operands walk: the old label out, the new one in.
+    old = pmap.peek(7)
+    assert walk(operands, 7, 3) == old and pmap.peek(7) == 3
+
+
+# ----------------------------------------------------------------------
 # Allocation
 # ----------------------------------------------------------------------
+def as_views(args: dict) -> tuple:
+    """``args``' values, every array a memoryview: exporting a view
+    allocates nothing, where a numpy array's first export allocates its
+    format; and a tuple, which a call unpacks without a copy."""
+
+    def view(value):
+        if isinstance(value, tuple):
+            return tuple(map(view, value))
+        return memoryview(value) if isinstance(value, np.ndarray) else value
+
+    return view(tuple(args.values()))
+
+
 def test_a_steady_state_write_back_allocates_nothing_that_grows_with_the_stash():
     """Stashes of 10, 300 and 3,000 entries after a warm-up: the same traced peak.
 
     The kernel groups and pools the stash in one module-level scratch
     buffer that only grows; once a call of the largest size has grown it,
-    a write-back allocates nothing at all.
+    a dummy read of an empty path and a commit bin allocate nothing at all.
     """
     depth, caps = 12, [4] * 13
     rng = np.random.default_rng(3)
@@ -335,19 +462,19 @@ def test_a_steady_state_write_back_allocates_nothing_that_grows_with_the_stash()
         return stash_near(rng, depth, 7, ids), ArrayTreeStorage(depth, caps, block_size_bytes=8)
 
     stash_map, tree = case(3000)
-    write_back(*kernel_args(tree, stash_map, 7))
-    held_write_back(*kernel_args(tree, stash_map, [7, 9, 4000]))
+    serve(*dummy_read(tree, stash_map, 7).values())
+    serve(*commit_bin(tree, stash_map, [7, 9, 4000]).values())
     peaks = []
     for size in (10, 300, 3000):
         stash_map, tree = case(size)
         fill = case(size)
-        args = kernel_args(tree, stash_map, 7)
-        held_args = kernel_args(fill[1], fill[0], [7, 9, 4000])
+        args = as_views(dummy_read(tree, stash_map, 7))
+        held_args = as_views(commit_bin(fill[1], fill[0], [7, 9, 4000]))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            write_back(*args)
-            held_write_back(*held_args)
+            serve(*args)
+            serve(*held_args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -366,29 +493,36 @@ def traced(work) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def test_a_steady_state_fetch_allocates_only_the_entries_it_inserts():
-    """Two new ints per block read, into a stash with room: nothing else.
+def test_a_steady_state_read_allocates_only_the_entries_it_inserts():
+    """Paths of 10 and 20 blocks: the longer read keeps two ints more a block.
 
-    The path's 20 ids and their labels lie past the small-int cache, so
-    each entry the fetch inserts is a new key and a new value, and the
-    stash has room for them; the kernel keeps no scratch, so what is
-    traced is exactly those ints, and nothing is freed on the way.
+    The path's ids and their labels lie past the small-int cache, so each
+    entry the read inserts is a new key and a new value, and the stash has
+    room for them; what else the held bin allocates (its bookkeeping, the
+    held path) is the same for both paths, and nothing that grows with the
+    path is freed on the way.  Block 1000, the one the bin asks for, sits
+    on leaf 7 and takes leaf 7 again: small ints, no allocation.
     """
     depth, caps = 12, [4] * 13
-    tree = ArrayTreeStorage(depth, caps, block_size_bytes=8)
-    write_back(*kernel_args(tree, {1000 + i: 7 for i in range(20)}, 7))
-    tags = np.full(3000, 4000, dtype=np.int32)
-    stash_map = {2000 + i: 7 for i in range(22)}
-    # The first export of the tags' buffer: the path to leaf 4000 is empty.
-    fetch(*kernel_args(tree, stash_map, 4000, tags))
-    args = kernel_args(tree, stash_map, 7, tags)
-    size = sys.getsizeof(stash_map)
-    current, peak = traced(lambda: fetch(*args))
-    assert len(stash_map) == 42 and tree.real_block_count() == 0
-    assert sys.getsizeof(stash_map) == size
     kept = [None]
-    one_int = traced(lambda: kept.__setitem__(0, len(stash_map) * 1000))[0]
-    assert peak == current == 2 * 20 * one_int
+    one_int = traced(lambda: kept.__setitem__(0, len(caps) * 1000))[0]
+    kept = {}
+    for blocks in (10, 20):
+        tree = ArrayTreeStorage(depth, caps, block_size_bytes=8)
+        serve(*dummy_read(tree, {1000 + i: 7 for i in range(blocks)}, 7).values())
+        tags = np.full(3000, 4000, dtype=np.int32)
+        tags[1000] = 7
+        stash_map = {2000 + i: 7 for i in range(22)}
+        request = tree_request(tree, stash_map, [1000], tags, leaves=[7], holding=True)
+        args = as_views(request)
+        size = sys.getsizeof(stash_map)
+        kept[blocks] = traced(lambda: serve(*args))
+        assert len(stash_map) == 22 + blocks and tree.real_block_count() == 0
+        assert sys.getsizeof(stash_map) == size
+        assert request["held_paths"] == [7]
+    (current, peak), (longer, longer_peak) = kept[10], kept[20]
+    assert longer - current == 2 * 10 * one_int
+    assert longer_peak - longer == peak - current
 
 
 # ----------------------------------------------------------------------
@@ -400,9 +534,9 @@ def test_the_loader_builds_into_an_empty_cache_and_loads_the_build(tmp_path):
     assert [path.name for path in built] == [module.__file__.rsplit("/", 1)[1]]
     # A fresh build's scratch is empty: a first call with nothing to place.
     stash_map, tree = {}, ArrayTreeStorage(2, [1, 1, 1], block_size_bytes=8)
-    assert module.held_write_back(*kernel_args(tree, stash_map, [])) is None
+    assert module.serve(*commit_bin(tree, stash_map, []).values()) is None
     stash_map = {0: 0}
-    module.write_back(*kernel_args(tree, stash_map, 0))
+    module.serve(*dummy_read(tree, stash_map, 0).values())
     assert stash_map == {} and tree.slot_array.tolist()[-4] == 0
     # A second load finds the build.
     assert native.load(cache_dir=tmp_path, compiler="/nonexistent/cc").__file__ == module.__file__
@@ -415,7 +549,7 @@ def test_an_unwritable_cache_builds_in_a_temporary_directory(tmp_path):
     built = Path(module.__file__)
     try:
         assert not built.is_relative_to(tmp_path) and built.exists()
-        assert callable(module.held_write_back)
+        assert callable(module.walk)
     finally:
         shutil.rmtree(built.parent)
 

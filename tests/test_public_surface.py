@@ -74,22 +74,9 @@ ALLOWLIST: dict[str, str] = {
         "tests/test_path_oram.py and tests/test_memory_models.py read payloads "
         "back through it"
     ),
-    "repro.oram.position_map.PositionMap.geometry": (
-        "docs/recursive_position_map.md documents each level's shape through it; "
-        "tests/test_recursive_posmap.py checks it against the levels built"
-    ),
-    "repro.oram.position_map.PositionMap.num_levels": (
-        "tests/test_recursive_posmap.py, tests/test_hold_commit.py and "
-        "tests/test_experiments.py read the levels a map built through it"
-    ),
     "repro.oram.stash.ArrayStash.leaf_of": (
         "tests/test_engine_equivalence.py and tests/test_laoram.py check stash "
         "tags against the position map"
-    ),
-    "repro.oram.write_back.held_write_back": (
-        "the commit bin runs its C body inside serve; tests/test_native_write_back.py "
-        "and tests/test_batched_write_back.py hold the subtree fill to the "
-        "reference planner through it"
     ),
 }
 
@@ -224,7 +211,7 @@ def test_every_public_name_has_a_use():
         + ", ".join(unused)
     )
     assert not stale, "allowlist entries that have a use or no longer exist: " + ", ".join(stale)
-    assert len(ALLOWLIST) <= 15
+    assert len(ALLOWLIST) <= 10
     assert elapsed < 1.0
 
 

@@ -193,7 +193,7 @@ class TestChargingModel:
         counter = TrafficCounter()
         pmap = make_map(num_blocks=64, num_leaves=32, cutoff=1 << 16,
                         counter=counter)
-        assert pmap.num_levels == 0
+        assert pmap._levels == [] == PositionMap.level_sizes(64, 16, 1 << 16)
         pmap.update(1, pmap.peek(1))
         assert counter.snapshot().posmap_total_bytes == 0
 
@@ -291,7 +291,7 @@ class TestHonestAccounting:
     def test_recursive_footprint_beats_dense(self):
         dense = PositionMap(4096, 2048, np.random.default_rng(5))
         recursive = make_map()
-        assert recursive.num_levels >= 2
+        assert len(recursive._levels) >= 2
         assert recursive.client_memory_bytes() < dense.client_memory_bytes() / 4
 
     def test_footprint_components(self):
@@ -308,22 +308,21 @@ class TestHonestAccounting:
         pmap.update(0, 1)
         assert pmap.client_memory_bytes() == expected()
 
-    def test_geometry_reports_every_level(self):
+    def test_every_level_tree_is_sized_at_the_label_width(self):
         pmap = make_map()
-        geometry = pmap.geometry()
-        assert len(geometry) == pmap.num_levels
-        assert geometry[0]["blocks"] == -(-4096 // 16)
-        assert all(entry["path_bytes"] > 0 for entry in geometry)
+        levels = pmap._levels
+        assert levels[0].num_blocks == -(-4096 // 16)
+        assert all(level.tree.path_cost[1] > 0 for level in levels)
         assert pmap.server_memory_bytes() > 0
         # Bytes at the label width: a block is chi labels plus its metadata,
         # a path is (depth + 1) buckets of four of them.
-        for entry in geometry:
-            assert entry["label_bytes"] == LABEL_BYTES
-            assert entry["block_bytes"] == 16 * LABEL_BYTES + 16
-            assert entry["path_bytes"] == (
-                (entry["tree_depth"] + 1) * 4 * entry["block_bytes"]
+        for level in levels:
+            assert level.labels.itemsize == LABEL_BYTES
+            assert level.tree.stored_block_bytes == 16 * LABEL_BYTES + 16
+            assert level.tree.path_cost[1] == (
+                (level.depth + 1) * 4 * level.tree.stored_block_bytes
             )
-        assert pmap.top_map_bytes == geometry[-1]["blocks"] * LABEL_BYTES
+        assert pmap.top_map_bytes == levels[-1].num_blocks * LABEL_BYTES
 
     @pytest.mark.parametrize(
         "num_blocks,expected",
@@ -341,7 +340,7 @@ class TestHonestAccounting:
 
     def test_constructor_builds_the_sizes_it_reports(self):
         pmap = make_map()
-        assert [entry["blocks"] for entry in pmap.geometry()] == (
+        assert [level.num_blocks for level in pmap._levels] == (
             PositionMap.level_sizes(4096, 16, 512)
         ) == [256, 16]
 
@@ -424,7 +423,7 @@ class TestDrawBlockSeam:
             for fast in (False, True)
         )
         # More path reads than levels x DRAW_BLOCK: every level refilled.
-        levels = reference.position_map.num_levels
+        levels = len(reference.position_map._levels)
         assert reference.statistics.posmap_path_reads > levels * DRAW_BLOCK
         assert_twins_agree(reference, fast)
         for ref_level, fast_level in zip(
@@ -452,12 +451,12 @@ class TestAmortizationExperiment:
         # The geometry columns are the map the recursive cell builds.
         for label, (_, cell) in matrix._recursion_cells(0).items():
             pmap = build_engine(label, cell.oram, fast=True).position_map
-            (level,) = pmap.geometry()
+            (level,) = pmap._levels
             assert (rows[label].levels, rows[label].top_map_bytes) == (
-                pmap.num_levels, pmap.top_map_bytes
+                len(pmap._levels), pmap.top_map_bytes
             )
             assert (rows[label].label_bytes, rows[label].block_bytes) == (
-                level["label_bytes"], level["block_bytes"]
+                level.labels.itemsize, level.tree.stored_block_bytes
             )
         table = render_recursion(matrix)
         assert "walks/access" in table and "Normal/S4" in table
@@ -466,10 +465,11 @@ class TestAmortizationExperiment:
 class TestFailurePathsUnderRecursion:
     """A raise mid-trace leaves a recursive fast engine consistent.
 
-    The bin kernel defers its counts in locals while the recursion walks
-    count into the engine's ``counter`` directly, so every exit — the
-    kernel's own raises and a raise from inside a walk — must flush without
-    losing or repeating a count.
+    The kernel keeps its counts in its state buffer and the recursion walks
+    theirs in the map's walk state, both folded into the engine's
+    ``counter`` after the request, so every exit — the kernel's own raises
+    and a raise from inside a walk — must flush without losing or repeating
+    a count.
     """
 
     KERNEL_LABELS = ("PathORAM",)
@@ -564,7 +564,7 @@ class TestFailurePathsUnderRecursion:
             posmap = engine.position_map
             engine.load_payloads({7: "old"})
             fetch_path(engine, posmap.peek(7))
-            span = posmap.positions_per_block ** posmap.num_levels
+            span = posmap.positions_per_block ** len(posmap._levels)
             posmap._top[7 // span] ^= posmap._levels[-1].num_leaves >> 1
             with pytest.raises(IntegrityError):
                 engine.access(7, AccessOp.WRITE, "new")

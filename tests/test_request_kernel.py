@@ -276,13 +276,13 @@ class TestKernelGuards:
     def operands(engine, **changes):
         """``serve``'s arguments for a one-id request on ``engine``."""
         tree = engine.tree
-        tags, update = engine.position_map.leaf_access()
+        update = engine.position_map.leaf_access()[1]
         policy = engine.eviction
         args = dict(
             stash=engine.stash.entries, caps=tree.bucket_capacities,
             level_base=tree.level_base, node_base=engine._node_base,
             slots=tree.slot_view, occ=tree.occupancy_view, depth=engine._depth,
-            tags=tags, update=update, ids=np.array([5], dtype=np.int64), size=1,
+            update=update, ids=np.array([5], dtype=np.int64), size=1,
             remaps=None, by_position=0, lookup=None, integers=engine.rng.integers,
             leaf_buf=engine._leaf_buf,
             limits=(64, engine.config.num_leaves, -1, int(policy.enabled),
@@ -306,7 +306,8 @@ class TestKernelGuards:
             (dict(leaf_buf=np.empty(0, dtype=np.int64)), ValueError),
             (dict(limits=(64, 10**9, -1, 1, 5, 2, 10)), ValueError),
             (dict(limits=(10**6, 2, -1, 1, 5, 2, 10)), ValueError),
-            (dict(update=np.zeros(64, dtype=np.int32)), ValueError),
+            (dict(update=(np.zeros(8, dtype=np.int32), 2, np.zeros((0, 3), dtype=np.int64), ())),
+             ValueError),
             (dict(lookup=3), TypeError),
             (dict(held_paths=()), TypeError),
             (dict(history=()), TypeError),

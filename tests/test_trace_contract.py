@@ -644,14 +644,14 @@ def test_the_clock_is_the_closed_form_of_the_counters(label, recursive):
         # A raise from inside a walk: the top map sends the walk for one
         # last-level block down the other half of its tree, where it reads
         # (and charges) a path, misses the block and raises inside the
-        # driver's get_leaf.
+        # kernel's walk.
         for engine in twins:
             posmap = engine.position_map
             level = posmap._levels[-1]
             below_root = level.tree.slot_array[level.tree.bucket_capacities[0] :]
             victim = int(below_root[below_root >= 0][0])
             posmap._top[victim] ^= level.num_leaves >> 1
-            span = posmap.positions_per_block ** posmap.num_levels
+            span = posmap.positions_per_block ** len(posmap._levels)
             target = next(
                 b for b in range(victim * span, (victim + 1) * span)
                 if b not in engine.stash

@@ -14,10 +14,10 @@ from repro.oram.tree import (
     PLACE_CHUNK,
     ArrayTreeStorage,
 )
-from repro.oram.write_back import fetch
+from repro.oram.write_back import serve
 
 from oracle import Block, TreeStorage
-from conftest import node_ids
+from conftest import node_ids, tree_request
 
 
 def make_tree(depth=3, bucket=2, block_size=64, metadata=0, capacities=None):
@@ -484,11 +484,14 @@ def _reference_tree(tree):
     return reference
 
 
-def native_fetch(tree, stash, tags, leaf):
-    """The C fetch over ``tree``'s operands, as the kernel binds them."""
-    node_base = [(1 << level) - 1 for level in range(tree.depth + 1)]
-    fetch(stash, tree.bucket_capacities, tree.level_base, node_base,
-          tree.slot_view, tree.occupancy_view, tree.depth, tags, leaf)
+def native_read(tree, stash, entries, block_id):
+    """The C path read over ``tree``'s operands: a held one-id bin of
+    ``block_id``, which reads the path ``entries[block_id]`` names and
+    writes nothing back; the block takes that leaf again."""
+    leaf = int(entries[block_id])
+    request = tree_request(tree, stash, [block_id], entries, leaves=[leaf], holding=True)
+    serve(*request.values())
+    assert request["held_paths"] == [leaf]
 
 
 class TestPathReads:
@@ -501,22 +504,28 @@ class TestPathReads:
     def test_the_fetch_reads_as_the_reference_tree(self, view, case):
         """Stash order and labels, slots and occupancies: the reference's.
 
-        The tags go in as the trace kernel passes them (the map's read-only
-        array) and as the recursion walk does (a memoryview of a level's
-        labels).
+        The map's entries, which label what the read brings in, go in as an
+        array or as a memoryview of it.  The bin asks for the first block on the
+        path, or, on an empty path, for a block that sits nowhere: the read
+        lands, then the bin raises.
         """
         depth, capacities, leaf, on_path, seed, stash_size = case
         tree, num_ids = _filled_tree(depth, capacities, leaf, on_path, seed)
         reference = _reference_tree(tree)
         rng = np.random.default_rng(seed + 1)
-        tags = rng.integers(0, 1 << depth, size=num_ids + stash_size).astype(np.int32)
-        tags.flags.writeable = False
-        stash = {num_ids + i: int(tags[num_ids + i]) for i in range(stash_size)}
+        entries = rng.integers(0, 1 << depth, size=num_ids + stash_size + 1).astype(np.int32)
+        stash = {num_ids + i: int(entries[num_ids + i]) for i in range(stash_size)}
+        read = [block.block_id for block in reference.read_path(leaf)]
+        block_id = read[0] if read else num_ids + stash_size
+        entries[block_id] = leaf
         expected = dict(stash)
-        for block in reference.read_path(leaf):
-            expected[block.block_id] = int(tags[block.block_id])
+        expected.update((block, int(entries[block])) for block in read)
 
-        native_fetch(tree, stash, view(tags), leaf)
+        if read:
+            native_read(tree, stash, view(entries), block_id)
+        else:
+            with pytest.raises(BlockNotFoundError):
+                native_read(tree, stash, view(entries), block_id)
         assert list(stash.items()) == list(expected.items())
         assert all(type(label) is int for label in stash.values())
         assert len(stash) == stash_size + sum(on_path)
@@ -561,9 +570,8 @@ class TestPathReads:
         placed = ArrayTreeStorage(depth, capacities, 64)
         placed.bulk_place_ordered(order, leaves[order])
         assert_dense_prefixes(placed)
-        tags = leaves.astype(np.int32)
         stash = {}
-        native_fetch(placed, stash, tags, int(leaves[order[0]]))
+        native_read(placed, stash, leaves.astype(np.int32), int(order[0]))
         assert stash
         assert_dense_prefixes(placed)
 
