@@ -17,12 +17,13 @@
  *   stash       the {id: leaf} dict, iterated in insertion order; the fetch
  *               inserts into it, and every id a write-back places is
  *               deleted from it, and the order of the rest is kept;
- *   caps, level_base, node_base
- *               per level, the bucket capacity, the first slot of the level
- *               and its first bucket index (sequences of depth + 1 ints);
+ *   caps, level_base
+ *               per level, the bucket capacity and the first slot of the
+ *               level (sequences of depth + 1 ints);
  *   slots, occ  the tree's slot buffer (int32, -1 empty) and occupancy
  *               buffer (uint8), written in place;
- *   depth       the tree's depth (leaves are [0, 2**depth));
+ *   depth       the tree's depth (leaves are [0, 2**depth)); level l's
+ *               buckets are 2**l - 1 onwards, heap order;
  *   labels      the fetch's labels (int32): a fetched id enters the stash
  *               under labels[id] (the map's entries, or a level's labels).
  *
@@ -199,7 +200,7 @@ buffer_of(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize, const char *codes
     return -1;
 }
 
-/* The operands every call shares: args[0], args[1..6]. */
+/* The operands every call shares: args[0], args[1..5]. */
 static int
 parse_tree(PyObject *const *args, Tree *tree, Py_buffer *slots, Py_buffer *occ)
 {
@@ -211,17 +212,19 @@ parse_tree(PyObject *const *args, Tree *tree, Py_buffer *slots, Py_buffer *occ)
         return -1;
     }
     long long depth;
-    if (bounded(args[6], 0, MAX_DEPTH + 1, "depth", &depth) < 0
+    if (bounded(args[5], 0, MAX_DEPTH + 1, "depth", &depth) < 0
         || per_level(args[1], (int)depth, MAX_CAPACITY + 1, "caps", tree->caps) < 0
-        || per_level(args[2], (int)depth, PY_SSIZE_T_MAX, "level_base", tree->level_base) < 0
-        || per_level(args[3], (int)depth, PY_SSIZE_T_MAX, "node_base", tree->node_base) < 0) {
+        || per_level(args[2], (int)depth, PY_SSIZE_T_MAX, "level_base", tree->level_base) < 0) {
         return -1;
     }
     tree->depth = (int)depth;
-    if (buffer_of(args[4], slots, 4, "il", 1, "slots") < 0) {
+    for (int level = 0; level <= depth; level++) {
+        tree->node_base[level] = (1LL << level) - 1;
+    }
+    if (buffer_of(args[3], slots, 4, "il", 1, "slots") < 0) {
         return -1;
     }
-    if (buffer_of(args[5], occ, 1, "B", 1, "occ") < 0) {
+    if (buffer_of(args[4], occ, 1, "B", 1, "occ") < 0) {
         PyBuffer_Release(slots);
         return -1;
     }
@@ -717,22 +720,22 @@ release_walk(Walk *w)
     PyBuffer_Release(&w->state);
 }
 
-/* (stash, caps, level_base, node_base, slots, occ, depth, labels, parent,
- *  integers, leaf_block, read_stream); counted as parsed before its first
- * buffer is taken, so release_walk releases what it took. */
+/* (stash, caps, level_base, slots, occ, depth, labels, parent, integers,
+ *  leaf_block, read_stream); counted as parsed before its first buffer is
+ * taken, so release_walk releases what it took. */
 static int
 parse_level(PyObject *obj, Walk *w, Level *level, int64_t *state)
 {
-    if (!PyTuple_CheckExact(obj) || PyTuple_GET_SIZE(obj) != 12) {
-        PyErr_SetString(PyExc_TypeError, "a recursion level must be a tuple of 12 operands");
+    if (!PyTuple_CheckExact(obj) || PyTuple_GET_SIZE(obj) != 11) {
+        PyErr_SetString(PyExc_TypeError, "a recursion level must be a tuple of 11 operands");
         return -1;
     }
     PyObject **args = PySequence_Fast_ITEMS(obj);
     Py_buffer *views = level->views;
     w->parsed++;
     if (parse_tree(args, &level->tree, &views[0], &views[1]) < 0
-        || buffer_of(args[7], &views[2], 4, "il", 1, "labels") < 0
-        || buffer_of(args[8], &views[3], 4, "il", 1, "parent") < 0) {
+        || buffer_of(args[6], &views[2], 4, "il", 1, "labels") < 0
+        || buffer_of(args[7], &views[3], 4, "il", 1, "parent") < 0) {
         return -1;
     }
     int depth = level->tree.depth;
@@ -742,16 +745,16 @@ parse_level(PyObject *obj, Walk *w, Level *level, int64_t *state)
     level->parent = views[3].buf;
     level->num_parent = views[3].len / 4;
     level->state = state;
-    if (parse_stream(args[9], args[10], &views[4], &state[LEVEL_DRAWN], 1LL << depth,
+    if (parse_stream(args[8], args[9], &views[4], &state[LEVEL_DRAWN], 1LL << depth,
                      &level->stream) < 0
         || check_path(&level->tree, (1LL << depth) - 1) < 0) {
         return -1;
     }
-    if (args[11] != Py_None && !PyList_CheckExact(args[11])) {
+    if (args[10] != Py_None && !PyList_CheckExact(args[10])) {
         PyErr_SetString(PyExc_TypeError, "read_stream must be a list or None");
         return -1;
     }
-    level->read_stream = args[11] == Py_None ? NULL : args[11];
+    level->read_stream = args[10] == Py_None ? NULL : args[10];
     return 0;
 }
 
@@ -802,26 +805,18 @@ parse_walk(PyObject *obj, Walk *w)
 
 /* Level k's step of a walk (Stefanov et al., CCS'13, Sec. 4): its block
  * `block` takes a fresh label in its parent, is read with its path under
- * the label it had unless it is stashed, takes the fresh label in the stash
- * and in `labels`, and a path read is written back. */
+ * the label `read` it had unless it is stashed (`hit`), takes the fresh
+ * label in the stash and in `labels`, and a path read is written back. */
 static int
-walk_step(Level *level, Py_ssize_t k, long long block, PyObject *key)
+walk_step(Level *level, Py_ssize_t k, long long block, PyObject *key, int hit,
+          long long read)
 {
-    long long read = level->parent[block], fresh;
+    long long fresh;
     if (draw(&level->stream, &fresh) < 0) {
         return -1;
     }
     level->parent[block] = (int32_t)fresh;
-    int hit = PyDict_Contains(level->stash, key);
-    if (hit < 0) {
-        return -1;
-    }
     if (!hit) {
-        if (read < 0 || read >= level->stream.num_leaves) {
-            PyErr_Format(PyExc_ValueError, "recursion level %zd leaf %lld outside [0, %lld)",
-                         k, read, level->stream.num_leaves);
-            return -1;
-        }
         if (fetch_path(level->stash, &level->tree, level->labels, level->num_labels, read)
             < 0) {
             return -1;
@@ -861,35 +856,58 @@ walk_step(Level *level, Py_ssize_t k, long long block, PyObject *key)
     return 0;
 }
 
-/* The map's update: `leaf` in for `block_id`, the leaf it replaces out.
- * The levels' steps come first, from the top level down; every index is
- * checked before the first write. */
+/* The map's update: `leaf` in for `block_id`, the leaf it replaces out,
+ * which must lie in [0, leaves).  The levels' steps come first, from the
+ * top level down; every block, every leaf a step reads and the leaf out
+ * are checked before the first write. */
 static int
-update_map(Walk *w, long long block_id, long long leaf, long long *old)
+update_map(Walk *w, long long block_id, long long leaf, long long leaves, long long *old)
 {
-    /* block[k]: the level-k block holding block_id's label (k = 0: the id). */
-    long long block[MAX_LEVELS + 1];
+    /* Per level k (k = 0: the id): the block holding block_id's label, its
+     * key, whether it is stashed, and the label its path is read under. */
+    long long block[MAX_LEVELS + 1], read[MAX_LEVELS + 1];
+    PyObject *keys[MAX_LEVELS + 1] = {NULL};
+    int hit[MAX_LEVELS + 1];
+    int result = -1;
     block[0] = block_id;
+    *old = w->entries[block_id];
+    if (*old < 0 || *old >= leaves) {
+        PyErr_Format(PyExc_ValueError, "block %lld sat on leaf %lld, outside [0, %lld)",
+                     block_id, *old, leaves);
+        return -1;
+    }
     for (Py_ssize_t k = 1; k <= w->count; k++) {
         Level *level = &w->levels[k - 1];
         block[k] = block[k - 1] / w->chi;
         if (block[k] >= level->num_labels || block[k] >= level->num_parent) {
             PyErr_Format(PyExc_ValueError, "block %lld is past recursion level %zd",
                          block_id, k);
-            return -1;
+            goto done;
+        }
+        keys[k] = PyLong_FromLongLong(block[k]);
+        hit[k] = keys[k] ? PyDict_Contains(level->stash, keys[k]) : -1;
+        if (hit[k] < 0) {
+            goto done;
+        }
+        read[k] = level->parent[block[k]];
+        if (!hit[k] && (read[k] < 0 || read[k] >= level->stream.num_leaves)) {
+            PyErr_Format(PyExc_ValueError, "recursion level %zd leaf %lld outside [0, %lld)",
+                         k, read[k], level->stream.num_leaves);
+            goto done;
         }
     }
     for (Py_ssize_t k = w->count; k >= 1; k--) {
-        PyObject *key = PyLong_FromLongLong(block[k]);
-        int failed = key == NULL || walk_step(&w->levels[k - 1], k, block[k], key) < 0;
-        Py_XDECREF(key);
-        if (failed) {
-            return -1;
+        if (walk_step(&w->levels[k - 1], k, block[k], keys[k], hit[k], read[k]) < 0) {
+            goto done;
         }
     }
-    *old = w->entries[block_id];
     w->entries[block_id] = (int32_t)leaf;
-    return 0;
+    result = 0;
+done:
+    for (Py_ssize_t k = 1; k <= w->count; k++) {
+        Py_XDECREF(keys[k]);
+    }
+    return result;
 }
 
 PyDoc_STRVAR(walk_doc,
@@ -900,9 +918,9 @@ PyDoc_STRVAR(walk_doc,
 "int32 logical labels, swapped last, the labels a block packs, an int64\n"
 "``state`` of three fields a level (the position in its leaf block, its\n"
 "path reads and write-backs) and the recursion levels (none: a dense map),\n"
-"level 1 first, each ``(stash, caps, level_base, node_base, slots, occ,\n"
-"depth, labels, parent, integers, leaf_block, read_stream)``, walked from\n"
-"the top level down.");
+"level 1 first, each ``(stash, caps, level_base, slots, occ, depth,\n"
+"labels, parent, integers, leaf_block, read_stream)``, walked from the top\n"
+"level down.");
 
 static PyObject *
 walk(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -917,7 +935,7 @@ walk(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     int failed = parse_walk(args[0], &w) < 0
                  || bounded(args[1], 0, w.num_entries, "block_id", &block_id) < 0
                  || bounded(args[2], 0, (long long)INT32_MAX + 1, "leaf", &leaf) < 0
-                 || update_map(&w, block_id, leaf, &old) < 0;
+                 || update_map(&w, block_id, leaf, (long long)INT32_MAX + 1, &old) < 0;
     release_walk(&w);
     return failed ? NULL : PyLong_FromLongLong(old);
 }
@@ -1007,23 +1025,6 @@ check_capacity(Request *r)
                     r->capacity);
         return -1;
     }
-    return 0;
-}
-
-/* The map's update: the block's new leaf in, the leaf it sat on out. */
-static int
-remap(Request *r, long long id, long long leaf, long long *old)
-{
-    long long value;
-    if (update_map(&r->map, id, leaf, &value) < 0) {
-        return -1;
-    }
-    if (value < 0 || value >= r->num_leaves) {
-        PyErr_Format(PyExc_ValueError, "block %lld sat on leaf %lld, outside [0, %lld)", id,
-                     value, r->num_leaves);
-        return -1;
-    }
-    *old = value;
     return 0;
 }
 
@@ -1181,7 +1182,7 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
                 continue;
             }
             long long old;
-            if (remap(r, w->ids[p], w->leaves[p], &old) < 0) {
+            if (update_map(&r->map, w->ids[p], w->leaves[p], r->num_leaves, &old) < 0) {
                 goto done;
             }
             if (!pass) {
@@ -1266,9 +1267,9 @@ serve_commit(Request *r)
 }
 
 PyDoc_STRVAR(serve_doc,
-"serve(stash, caps, level_base, node_base, slots, occ, depth, update, ids,\n"
-"      size, remaps, by_position, lookup, integers, leaf_buf, limits,\n"
-"      held_paths, holding, observer, history, state)\n"
+"serve(stash, caps, level_base, slots, occ, depth, update, ids, size,\n"
+"      remaps, by_position, lookup, integers, leaf_buf, limits, held_paths,\n"
+"      holding, observer, history, state)\n"
 "--\n\n"
 "Serve one request: the bins of ``ids``, the commit bin, or a dummy read.\n\n"
 "``ids`` (int64) is cut into bins that end on multiples of ``size``,\n"
@@ -1294,8 +1295,8 @@ PyDoc_STRVAR(serve_doc,
 static PyObject *
 serve_request(PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 21) {
-        PyErr_Format(PyExc_TypeError, "serve takes 21 arguments, got %zd", nargs);
+    if (nargs != 20) {
+        PyErr_Format(PyExc_TypeError, "serve takes 20 arguments, got %zd", nargs);
         return NULL;
     }
     /* Zeroed: a buffer never taken releases as nothing. */
@@ -1310,13 +1311,13 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     r.stash = args[0];
-    if (parse_walk(args[7], &r.map) < 0) {
+    if (parse_walk(args[6], &r.map) < 0) {
         goto done;
     }
 
     /* limits: num_blocks, num_leaves, capacity, evict, trigger, drain,
      * max_dummies. */
-    PyObject *limits = args[15];
+    PyObject *limits = args[14];
     if (!PyTuple_Check(limits) || PyTuple_GET_SIZE(limits) != 7) {
         PyErr_SetString(PyExc_TypeError, "limits must be a tuple of 7 ints");
         goto done;
@@ -1336,20 +1337,20 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
     }
 
     Py_ssize_t n = 0;
-    if (args[8] != Py_None) {
-        if (buffer_of(args[8], &ids, 8, INT64_CODES, 0, "ids") < 0) {
+    if (args[7] != Py_None) {
+        if (buffer_of(args[7], &ids, 8, INT64_CODES, 0, "ids") < 0) {
             goto done;
         }
         n = ids.len / 8;
     }
     long long size, by_position;
-    if (bounded(args[9], 1, LLONG_MAX, "size", &size) < 0
-        || bounded(args[11], 0, LLONG_MAX, "by_position", &by_position) < 0) {
+    if (bounded(args[8], 1, LLONG_MAX, "size", &size) < 0
+        || bounded(args[10], 0, LLONG_MAX, "by_position", &by_position) < 0) {
         goto done;
     }
     const int64_t *next_remap = NULL, *remaps_end = NULL;
-    if (args[10] != Py_None) {
-        if (buffer_of(args[10], &remaps, 8, INT64_CODES, 0, "remaps") < 0) {
+    if (args[9] != Py_None) {
+        if (buffer_of(args[9], &remaps, 8, INT64_CODES, 0, "remaps") < 0) {
             goto done;
         }
         next_remap = remaps.buf;
@@ -1359,27 +1360,27 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "bins by position need the plan's remaps");
         goto done;
     }
-    if (args[12] != Py_None && !PyCallable_Check(args[12])) {
+    if (args[11] != Py_None && !PyCallable_Check(args[11])) {
         PyErr_SetString(PyExc_TypeError, "lookup must be callable or None");
         goto done;
     }
-    r.lookup = args[12] == Py_None ? NULL : args[12];
-    if (!PyList_CheckExact(args[16])) {
+    r.lookup = args[11] == Py_None ? NULL : args[11];
+    if (!PyList_CheckExact(args[15])) {
         PyErr_SetString(PyExc_TypeError, "held_paths must be a list");
         goto done;
     }
-    r.held = args[16];
-    r.holding = PyObject_IsTrue(args[17]);
+    r.held = args[15];
+    r.holding = PyObject_IsTrue(args[16]);
     if (r.holding < 0) {
         goto done;
     }
-    r.observer = args[18] == Py_None ? NULL : args[18];
-    if (args[19] != Py_None && !PyList_CheckExact(args[19])) {
+    r.observer = args[17] == Py_None ? NULL : args[17];
+    if (args[18] != Py_None && !PyList_CheckExact(args[18])) {
         PyErr_SetString(PyExc_TypeError, "history must be a list or None");
         goto done;
     }
-    r.history = args[19] == Py_None ? NULL : args[19];
-    if (buffer_of(args[20], &state, 8, INT64_CODES, 1, "state") < 0) {
+    r.history = args[18] == Py_None ? NULL : args[18];
+    if (buffer_of(args[19], &state, 8, INT64_CODES, 1, "state") < 0) {
         goto done;
     }
     r.state = state.buf;
@@ -1388,12 +1389,12 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
                      STATE_FIELDS);
         goto done;
     }
-    if (parse_stream(args[13], args[14], &leaf_buf, &r.state[LEAF_POS], r.num_leaves,
+    if (parse_stream(args[12], args[13], &leaf_buf, &r.state[LEAF_POS], r.num_leaves,
                      &r.leaves) < 0) {
         goto done;
     }
 
-    if (args[8] == Py_None) {
+    if (args[7] == Py_None) {
         if (serve_commit(&r) < 0) {
             goto done;
         }

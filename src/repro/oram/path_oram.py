@@ -130,9 +130,6 @@ class PathORAM(ObliviousMemory):
         self._num_leaves = config.num_leaves
         #: ``block_id -> payload``: a dict, or the row store of a loaded matrix.
         self._payloads = {}
-        # What the write-back kernels take besides the tree's arrays: the
-        # first bucket index of each level.
-        self._node_base = [(1 << level) - 1 for level in range(self._depth + 1)]
         # Trusted set-up: every block onto its initial path, in chunked
         # vectorized passes over the map's own four-byte labels; overflow
         # goes to the stash in ascending id order.
@@ -445,7 +442,7 @@ class PathORAM(ObliviousMemory):
         try:
             serve(
                 self.stash.entries, tree.bucket_capacities, tree.level_base,
-                self._node_base, tree.slot_view, tree.occupancy_view, self._depth,
+                tree.slot_view, tree.occupancy_view, self._depth,
                 update, block_ids, size, remaps, by_position,
                 None if plan is None else plan.consume_next_leaf,
                 self.rng.integers, self._leaf_buf,

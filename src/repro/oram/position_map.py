@@ -314,7 +314,6 @@ class PositionMap:
         levels = tuple(
             (
                 level.stash, level.tree.bucket_capacities, level.tree.level_base,
-                tuple((1 << node_level) - 1 for node_level in range(level.depth + 1)),
                 level.tree.slot_view, level.tree.occupancy_view, level.depth,
                 level.labels, parent, level.rng.integers, level.leaf_block,
                 level.read_stream,

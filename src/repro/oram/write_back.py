@@ -10,11 +10,12 @@ already refilled.
 
 Two C entry points (``_write_back.c``, built and loaded by
 :mod:`repro.oram.native`), each over ``{id: leaf}`` stash dicts and trees'
-operands (capacities, the first slot and first bucket of each level, the
-``slot_view`` / ``occupancy_view`` buffers and the depth):
+operands (capacities and the first slot of each level, the ``slot_view``
+/ ``occupancy_view`` buffers and the depth, which places each level's
+buckets):
 
-* ``serve(stash_map, caps, level_base, node_base, slots, occ, depth,
-  update, ids, size, ...)`` — one request of the engine
+* ``serve(stash_map, caps, level_base, slots, occ, depth, update, ids,
+  size, ...)`` — one request of the engine
   (``PathORAM._run_bins`` is its binder): the bins of a run of ids, the
   commit bin of a held step, or one dummy read, each decided as the
   reference client decides it.  ``update`` is the map's walk operands:

@@ -111,7 +111,6 @@ def tree_request(tree, stash_map, ids, entries, *, leaves=(0,), held=(), holding
     """
     return dict(
         stash=stash_map, caps=tree.bucket_capacities, level_base=tree.level_base,
-        node_base=tuple((1 << level) - 1 for level in range(tree.depth + 1)),
         slots=tree.slot_view, occ=tree.occupancy_view, depth=tree.depth,
         update=dense_walk(entries),
         ids=None if ids is None else np.asarray(ids, dtype=np.int64),

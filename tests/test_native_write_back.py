@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.oram import native
 from repro.oram.position_map import PositionMap
@@ -84,9 +84,9 @@ def path_write_backs(draw):
 @settings(max_examples=80, deadline=None)
 @given(path_write_backs())
 def test_the_kernels_path_write_back_is_the_references(case):
-    """A dummy read of a fresh path, then a write-back onto a second path
-    whose shared buckets the first refilled: a LAORAM bin's later path, or a
-    commit bin of one path."""
+    """A dummy read of a fresh path; a commit bin of one path onto a second
+    path whose shared buckets the first refilled; then a LAORAM bin's two
+    paths, the later one written back onto buckets the earlier refilled."""
     depth, caps, first, second, (size, more), seed = case
     rng = np.random.default_rng(seed)
     ids = rng.permutation(10 * (size + more) + 2)[: size + more]
@@ -107,6 +107,29 @@ def test_the_kernels_path_write_back_is_the_references(case):
     stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in arriving.items())
     serve(*commit_bin(shipped, stash_map, [second]).values())
     reference.write_path(second, plan_greedy_write_back(reference, stash, second))
+    assert_same(shipped, reference, stash_map, stash)
+
+    # A bin of two ids, one on each path: both paths read, then written back
+    # path by path, the second onto the buckets the first refilled.
+    on_first = [block.block_id for block in reference.peek_path(first)]
+    on_second = [block.block_id for block in reference.peek_path(second)]
+    assume(on_first and set(on_second) - {on_first[-1]})
+    pair = on_first[-1], [b for b in on_second if b != on_first[-1]][-1]
+    entries = np.zeros(ids.size * 10 + 2, dtype=np.int32)
+    for block in reference.peek_path(first) + reference.peek_path(second):
+        entries[block.block_id] = block.leaf
+    entries[list(pair)] = first, second
+    new_leaves = rng.integers(0, 1 << depth, size=2).tolist()
+    args = tree_request(shipped, stash_map, list(pair), entries, leaves=new_leaves)
+    args["size"] = 2
+    serve(*args.values())
+    paths = list(dict.fromkeys([first, second]))
+    for leaf in paths:
+        stash.extend(reference.read_path(leaf))
+    for block, leaf in zip(pair, new_leaves):
+        stash.get(block).leaf = leaf
+    for leaf in paths:
+        reference.write_path(leaf, plan_greedy_write_back(reference, stash, leaf))
     assert_same(shipped, reference, stash_map, stash)
 
 
@@ -268,17 +291,15 @@ def test_a_buffer_too_short_for_the_path_is_rejected(kernel, buffer, size):
 
 
 @KERNELS
-@pytest.mark.parametrize("base", ["level_base", "node_base"])
-def test_a_base_that_points_past_the_buffer_is_rejected(kernel, base):
+def test_a_base_that_points_past_the_buffer_is_rejected(kernel):
     _, tree = fresh(kernel)
-    node_base = [(1 << level) - 1 for level in range(DEPTH + 1)]
-    bases = list(tree.level_base if base == "level_base" else node_base)
+    bases = list(tree.level_base)
     bases[DEPTH] += 100
-    assert call(kernel, **{base: bases}).type is ValueError
+    assert call(kernel, level_base=bases).type is ValueError
 
 
 @KERNELS
-@pytest.mark.parametrize("name", ["caps", "level_base", "node_base"])
+@pytest.mark.parametrize("name", ["caps", "level_base"])
 @pytest.mark.parametrize("length", [DEPTH, DEPTH + 2])
 def test_a_per_level_sequence_of_the_wrong_length_is_rejected(kernel, name, length):
     assert call(kernel, **{name: [0] * length}).type is ValueError
@@ -330,6 +351,16 @@ def test_a_slot_id_past_the_entries_is_rejected():
     """
     update = dense_walk(ENTRIES[:8].copy())
     assert call("held bin", update=update, limits=(8, 8, -1, 0, 0, 0, 0)).type is ValueError
+
+
+@pytest.mark.parametrize("label", [-1, 1 << DEPTH])
+def test_a_label_outside_the_tree_is_rejected(label):
+    """Block 6's entry, the path the held bin would read: checked before the
+    entry is swapped and before the read."""
+    entries = ENTRIES.copy()
+    entries[6] = label
+    assert call("held bin", update=dense_walk(entries)).type is ValueError
+    assert entries.tolist() == [5] * 6 + [label] + [5] * 9
 
 
 @pytest.mark.parametrize("damage", ["negative id", "occupancy past capacity"])
@@ -395,20 +426,20 @@ BAD_WALKS = {
     "a level list": (lambda ops: ops[:3] + (ops[3][:1] + (list(ops[3][1]),),), 7, 3,
                      TypeError),
     "a level stash list": (lambda ops: with_level(ops, 1, 0, []), 7, 3, TypeError),
-    "read-only labels": (lambda ops: with_level(ops, 0, 7, memoryview(ops[3][0][7]).toreadonly()),
+    "read-only labels": (lambda ops: with_level(ops, 0, 6, memoryview(ops[3][0][6]).toreadonly()),
                          7, 3, TypeError),
-    "an int64 parent": (lambda ops: with_level(ops, 0, 8, ops[3][0][8].astype(np.int64)), 7, 3,
+    "an int64 parent": (lambda ops: with_level(ops, 0, 7, ops[3][0][7].astype(np.int64)), 7, 3,
                         ValueError),
-    "a short parent": (lambda ops: with_level(ops, 0, 8, ops[3][0][8][:1].copy()), 7, 3,
+    "a short parent": (lambda ops: with_level(ops, 0, 7, ops[3][0][7][:1].copy()), 7, 3,
                        ValueError),
-    "a short top map": (lambda ops: with_level(ops, 1, 8, ops[3][1][8][:0].copy()), 7, 3,
+    "a short top map": (lambda ops: with_level(ops, 1, 7, ops[3][1][7][:0].copy()), 7, 3,
                         ValueError),
-    "short labels": (lambda ops: with_level(ops, 0, 7, ops[3][0][7][:1].copy()), 200, 3,
+    "short labels": (lambda ops: with_level(ops, 0, 6, ops[3][0][6][:1].copy()), 200, 3,
                      ValueError),
-    "integers not callable": (lambda ops: with_level(ops, 1, 9, 3), 7, 3, TypeError),
-    "an empty leaf block": (lambda ops: with_level(ops, 0, 10, np.empty(0, dtype=np.int64)),
+    "integers not callable": (lambda ops: with_level(ops, 1, 8, 3), 7, 3, TypeError),
+    "an empty leaf block": (lambda ops: with_level(ops, 0, 9, np.empty(0, dtype=np.int64)),
                             7, 3, ValueError),
-    "a tuple read stream": (lambda ops: with_level(ops, 0, 11, ()), 7, 3, TypeError),
+    "a tuple read stream": (lambda ops: with_level(ops, 0, 10, ()), 7, 3, TypeError),
     "a negative id": (lambda ops: ops, -1, 3, ValueError),
     "an id past the map": (lambda ops: ops, 1 << 20, 3, ValueError),
     "a float id": (lambda ops: ops, 1.5, 3, TypeError),
@@ -429,6 +460,35 @@ def test_a_walk_is_refused_before_its_first_write(case):
     # The map's own operands walk: the old label out, the new one in.
     old = pmap.peek(7)
     assert walk(operands, 7, 3) == old and pmap.peek(7) == 3
+
+
+#: Labels a walk of block 7 would read a path under, planted in the map's
+#: own arrays: (the array, the index of block 7's label in it, the label).
+#: Block 7 is block 1 of level 1, whose labels level 2 packs, and block 0
+#: of level 2, whose labels the top map holds; neither is stashed.
+BAD_LABELS = {
+    "a logical label below zero": lambda pmap: (pmap._entries, 7, -1),
+    "a level 1 label past its tree": lambda pmap: (pmap._values[1], 1,
+                                                   1 << pmap._levels[0].depth),
+    "a top-map label past the top tree": lambda pmap: (pmap._top, 0,
+                                                       1 << pmap._levels[1].depth),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LABELS))
+def test_a_label_outside_its_tree_is_refused_before_the_first_write(case):
+    pmap = recursive_map()
+    assert [len(level.stash) for level in pmap._levels] == [0, 0]
+    array, index, label = BAD_LABELS[case](pmap)
+    good = int(array[index])
+    array[index] = label
+    before = map_state(pmap)
+    with pytest.raises(ValueError, match="outside"):
+        pmap.update(7, 3)
+    assert map_state(pmap) == before
+    array[index] = good
+    old = pmap.peek(7)
+    assert pmap.update(7, 3) == old and pmap.peek(7) == 3
 
 
 # ----------------------------------------------------------------------
@@ -494,19 +554,21 @@ def traced(work) -> tuple[int, int]:
 
 
 def test_a_steady_state_read_allocates_only_the_entries_it_inserts():
-    """Paths of 10 and 20 blocks: the longer read keeps two ints more a block.
+    """Paths of 10 and 20 blocks: the held bin keeps its entries and its held path.
 
     The path's ids and their labels lie past the small-int cache, so each
     entry the read inserts is a new key and a new value, and the stash has
-    room for them; what else the held bin allocates (its bookkeeping, the
-    held path) is the same for both paths, and nothing that grows with the
-    path is freed on the way.  Block 1000, the one the bin asks for, sits
-    on leaf 7 and takes leaf 7 again: small ints, no allocation.
+    room for them; block 1000, the one the bin asks for, sits on leaf 7 and
+    takes leaf 7 again, so its value is a small int both times.  What the
+    request keeps beyond those is the held path's append to an empty list;
+    what it frees (its bookkeeping) does not grow with the path.
     """
     depth, caps = 12, [4] * 13
     kept = [None]
     one_int = traced(lambda: kept.__setitem__(0, len(caps) * 1000))[0]
-    kept = {}
+    held = []
+    append_bytes = traced(lambda: held.append(7))[0]
+    transient = {}
     for blocks in (10, 20):
         tree = ArrayTreeStorage(depth, caps, block_size_bytes=8)
         serve(*dummy_read(tree, {1000 + i: 7 for i in range(blocks)}, 7).values())
@@ -516,13 +578,13 @@ def test_a_steady_state_read_allocates_only_the_entries_it_inserts():
         request = tree_request(tree, stash_map, [1000], tags, leaves=[7], holding=True)
         args = as_views(request)
         size = sys.getsizeof(stash_map)
-        kept[blocks] = traced(lambda: serve(*args))
+        current, peak = traced(lambda: serve(*args))
         assert len(stash_map) == 22 + blocks and tree.real_block_count() == 0
         assert sys.getsizeof(stash_map) == size
         assert request["held_paths"] == [7]
-    (current, peak), (longer, longer_peak) = kept[10], kept[20]
-    assert longer - current == 2 * 10 * one_int
-    assert longer_peak - longer == peak - current
+        assert current == (2 * blocks - 1) * one_int + append_bytes
+        transient[blocks] = peak - current
+    assert transient[10] == transient[20]
 
 
 # ----------------------------------------------------------------------

@@ -280,8 +280,7 @@ class TestKernelGuards:
         policy = engine.eviction
         args = dict(
             stash=engine.stash.entries, caps=tree.bucket_capacities,
-            level_base=tree.level_base, node_base=engine._node_base,
-            slots=tree.slot_view, occ=tree.occupancy_view, depth=engine._depth,
+            level_base=tree.level_base, slots=tree.slot_view, occ=tree.occupancy_view, depth=engine._depth,
             update=update, ids=np.array([5], dtype=np.int64), size=1,
             remaps=None, by_position=0, lookup=None, integers=engine.rng.integers,
             leaf_buf=engine._leaf_buf,
