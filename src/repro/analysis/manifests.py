@@ -6,7 +6,7 @@ states it explicitly, per engine module:
 
 * :class:`ModuleSources` — the taint *sources* of one module: parameter
   names that carry secrets (request block ids), attribute suffixes whose
-  values are secret (position-map leaf arrays, the stash's dict), calls
+  values are secret (position-map leaf arrays, the stash's table), calls
   whose results are secret (position-map lookups, stash lookups), and the
   *declassifier* calls after which a leaf argument is public (the protocol
   has just read that path, so the adversary saw it).
@@ -242,7 +242,7 @@ def default_config() -> AnalysisConfig:
                 "the write-backs plan client-side and every path they write is "
                 "charged at full-path cost whichever blocks are selected; they "
                 "touch only the slots and occupancies of the already-revealed "
-                "path or held paths, and the stash dict.  The bin loop's "
+                "path or held paths, and the stash table.  The bin loop's "
                 "counts depend on the ids in three places, each a uniform leaf "
                 "per event but a count the observer sees: a stash hit reads no "
                 "path, a bin reads one path per distinct missing path, and an "

@@ -4,7 +4,7 @@ A deliberately simple forward dataflow over one function body:
 
 * **Sources** come from the module manifest
   (:class:`~repro.analysis.manifests.ModuleSources`): secret parameters,
-  secret attribute suffixes (position-map leaf arrays, the stash's dict)
+  secret attribute suffixes (position-map leaf arrays, the stash's table)
   and secret-returning calls (position-map lookups).  Each source yields a
   label (``param:block_id``, ``call:position_map.leaf_access``, ...) and
   labels propagate through assignments, arithmetic, subscripts, calls and

@@ -1,8 +1,8 @@
 """ORAM substrates: PathORAM and the insecure baseline.
 
 Every tree-based scheme runs on :class:`PathORAM`:
-:class:`ArrayTreeStorage` slot arrays plus an :class:`ArrayStash` (one
-``{id: leaf}`` dict), every access on one kernel — PathORAM here, and
+:class:`ArrayTreeStorage` slot arrays plus an :class:`ArrayStash` (one C
+``id -> leaf`` table), every access on one kernel — PathORAM here, and
 LAORAM's client, its subclass, in :mod:`repro.core`.
 """
 

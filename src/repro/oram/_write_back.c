@@ -1,6 +1,7 @@
 /*
  * The array engine's request kernel: the bin loop, the recursion walk, the
- * path read and the greedy write-backs, over the engine's own objects.
+ * path read and the greedy write-backs, over the engine's own objects, and
+ * the stash they all work on.
  *
  * Path ORAM (Stefanov et al., CCS'13) reads a path into the stash and
  * writes it back by the eviction rule, occupancy aware: every stash block
@@ -14,9 +15,9 @@
  * held step, or one dummy read), walking a recursive map for every remap;
  * `walk` is one access to a recursive map.  Every tree is given as held:
  *
- *   stash       the {id: leaf} dict, iterated in insertion order; the fetch
- *               inserts into it, and every id a write-back places is
- *               deleted from it, and the order of the rest is kept;
+ *   stash       a Stash (below): the fetch appends to it, a write-back scans
+ *               its order array and deletes every entry it places by
+ *               position, and the order of the rest is kept;
  *   caps, level_base
  *               per level, the bucket capacity and the first slot of the
  *               level (sequences of depth + 1 ints);
@@ -36,13 +37,12 @@
  * (tests/oracle/position_map.py).  Every operand is checked before the
  * first write, so a call either raises TypeError / ValueError and leaves
  * the stashes and the trees as they were, or writes only slots and
- * occupancies of the paths (or subtree) it reads and writes back.  Stash
- * ids and leaves must be exact ints: deleting one then runs no Python code,
- * so nothing can re-enter the kernel or change the dict while it holds the
- * GIL and one module-level scratch buffer.  `serve` calls back into Python
- * (the plan, the leaf streams, the observer); it holds no borrowed
- * reference and no scratch pointer across those calls, and a callback that
- * starts a second `serve` on its thread gets a RuntimeError.
+ * occupancies of the paths (or subtree) it reads and writes back.  The
+ * stash holds C ints, validated when they are inserted, so no stash touch
+ * boxes an int or runs Python code.  `serve` calls back into Python (the
+ * plan, the leaf streams, the observer); it holds no stash position and no
+ * scratch pointer across those calls, and a callback that starts a second
+ * `serve` on its thread gets a RuntimeError.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -60,16 +60,16 @@
 /* The struct format codes of an 8-byte signed item (numpy's int64). */
 #define INT64_CODES "lq"
 
+/* A stash entry in a write-back: its position in the order array, and the
+ * bit length of (leaf ^ path), so it reaches depth - bits. */
 typedef struct {
-    PyObject *key; /* borrowed from the stash until the entry is placed */
-    int32_t id;
-    int32_t bits; /* (leaf ^ path) bit length: the entry reaches depth - bits */
+    int32_t pos;
+    int32_t bits;
 } Item;
 
 typedef struct {
     Item item;
     long long node; /* the entry's deepest node in the subtree, at its level */
-    Py_ssize_t order; /* stash position: the tie-break within a node */
 } HeldItem;
 
 typedef struct {
@@ -88,6 +88,195 @@ typedef struct {
     Py_ssize_t num_buckets;
     int depth;
 } Tree;
+
+/* ------------------------------------------------------------------ */
+/* Stash: an insertion-ordered id -> leaf table                         */
+/* ------------------------------------------------------------------ */
+
+/* One entry of the order array; id -1 is a tombstone. */
+typedef struct {
+    int64_t leaf;
+    int32_t id;
+} Entry;
+
+/* One slot of the index; id -1 is empty. */
+typedef struct {
+    int32_t id;
+    int32_t pos; /* the entry's position in the order array */
+} Slot;
+
+/* Every stash: ids in [0, 2**31) to leaves >= 0, iterated in insertion
+ * order.  An open-addressing index (linear probing, deletion by backward
+ * shift, at most half full) maps an id to its position in the order array;
+ * a deletion leaves a tombstone there, and the tombstones are compacted out
+ * once they outnumber the live entries, the order of the rest kept.  Both
+ * arrays grow with the residents and never shrink, so a steady state
+ * allocates nothing. */
+typedef struct {
+    PyObject_HEAD
+    Entry *entries;
+    Py_ssize_t used; /* entries written, tombstones included */
+    Py_ssize_t live;
+    Py_ssize_t room; /* entries allocated */
+    Slot *index;
+    Py_ssize_t slots; /* a power of two */
+    int shift; /* 64 - log2(slots): the hash keeps the product's top bits */
+} Stash;
+
+static PyTypeObject StashType;
+
+#define STASH_MIN_SIZE 8
+/* Positions are int32. */
+#define STASH_MAX_ENTRIES ((Py_ssize_t)INT32_MAX)
+
+/* Where `id`'s probe starts: the top bits of a Fibonacci hash. */
+static inline Py_ssize_t
+home(const Stash *s, int32_t id)
+{
+    return (Py_ssize_t)(((uint64_t)(uint32_t)id * 0x9E3779B97F4A7C15ULL) >> s->shift);
+}
+
+/* The index slot holding `id` (>= 0), or the empty slot its probe ends on. */
+static Py_ssize_t
+probe(const Stash *s, int32_t id)
+{
+    Py_ssize_t i = home(s, id);
+    while (s->index[i].id != id && s->index[i].id >= 0) {
+        i = (i + 1) & (s->slots - 1);
+    }
+    return i;
+}
+
+/* The position of `id`'s entry, or -1. */
+static Py_ssize_t
+find(const Stash *s, long long id)
+{
+    if (id < 0 || id > INT32_MAX) {
+        return -1;
+    }
+    const Slot *slot = &s->index[probe(s, (int32_t)id)];
+    return slot->id == id ? slot->pos : -1;
+}
+
+/* An index of `slots` slots over the live entries. */
+static int
+reindex(Stash *s, Py_ssize_t slots)
+{
+    Slot *index = PyMem_Malloc((size_t)slots * sizeof(Slot));
+    if (index == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(index, 0xff, (size_t)slots * sizeof(Slot));
+    PyMem_Free(s->index);
+    s->index = index;
+    s->slots = slots;
+    s->shift = 64;
+    while (slots > 1) {
+        s->shift--;
+        slots >>= 1;
+    }
+    for (Py_ssize_t pos = 0; pos < s->used; pos++) {
+        int32_t id = s->entries[pos].id;
+        if (id >= 0) {
+            s->index[probe(s, id)] = (Slot){id, (int32_t)pos};
+        }
+    }
+    return 0;
+}
+
+/* Room for `extra` more entries: in the order array, and in the index at
+ * most half full.  The only step of an insertion that can fail. */
+static int
+make_room(Stash *s, Py_ssize_t extra)
+{
+    if (extra > STASH_MAX_ENTRIES - s->used) {
+        PyErr_SetString(PyExc_MemoryError, "a stash holds at most 2**31 - 1 entries");
+        return -1;
+    }
+    if (s->used + extra > s->room) {
+        Py_ssize_t room = s->room < STASH_MIN_SIZE ? STASH_MIN_SIZE : s->room;
+        while (room < s->used + extra) {
+            room = room > STASH_MAX_ENTRIES / 2 ? STASH_MAX_ENTRIES : 2 * room;
+        }
+        Entry *entries = PyMem_Realloc(s->entries, (size_t)room * sizeof(Entry));
+        if (entries == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        s->entries = entries;
+        s->room = room;
+    }
+    if (2 * (s->live + extra) > s->slots) {
+        Py_ssize_t slots = s->slots;
+        while (2 * (s->live + extra) > slots) {
+            slots *= 2;
+        }
+        return reindex(s, slots);
+    }
+    return 0;
+}
+
+/* `id` (>= 0) to `leaf`, after make_room: in place when present, else at
+ * the end. */
+static void
+put(Stash *s, int32_t id, int64_t leaf)
+{
+    Slot *slot = &s->index[probe(s, id)];
+    if (slot->id == id) {
+        s->entries[slot->pos].leaf = leaf;
+        return;
+    }
+    s->entries[s->used] = (Entry){leaf, id};
+    *slot = (Slot){id, (int32_t)s->used};
+    s->used++;
+    s->live++;
+}
+
+/* Delete the entry at `pos`, leaving a tombstone: every other position
+ * holds, so a write-back deletes what it places while its items point into
+ * the order array. */
+static void
+delete_at(Stash *s, Py_ssize_t pos)
+{
+    Py_ssize_t hole = probe(s, s->entries[pos].id), mask = s->slots - 1;
+    s->entries[pos].id = -1;
+    s->live--;
+    /* Backward shift: a later slot of the run moves into the hole unless
+     * its home lies cyclically in (hole, next]. */
+    for (Py_ssize_t next = (hole + 1) & mask; s->index[next].id >= 0; next = (next + 1) & mask) {
+        Py_ssize_t start = home(s, s->index[next].id);
+        int stays = hole < next ? (start > hole && start <= next)
+                                : (start > hole || start <= next);
+        if (!stays) {
+            s->index[hole] = s->index[next];
+            hole = next;
+        }
+    }
+    s->index[hole].id = -1;
+}
+
+/* Compact the tombstones out once they outnumber the live entries. */
+static void
+settle(Stash *s)
+{
+    if (s->used - s->live <= s->live) {
+        return;
+    }
+    Py_ssize_t to = 0;
+    for (Py_ssize_t from = 0; from < s->used; from++) {
+        Entry entry = s->entries[from];
+        if (entry.id < 0) {
+            continue;
+        }
+        if (to != from) {
+            s->entries[to] = entry;
+            s->index[probe(s, entry.id)].pos = (int32_t)to;
+        }
+        to++;
+    }
+    s->used = to;
+}
 
 /* One scratch buffer for every write-back, grown geometrically and never
  * shrunk: a steady-state call allocates nothing. */
@@ -204,10 +393,8 @@ buffer_of(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize, const char *codes
 static int
 parse_tree(PyObject *const *args, Tree *tree, Py_buffer *slots, Py_buffer *occ)
 {
-    /* Exact: a subclass's own bookkeeping (an OrderedDict's links) would
-     * not see the deletions. */
-    if (!PyDict_CheckExact(args[0])) {
-        PyErr_Format(PyExc_TypeError, "stash must be a dict, not %.100s",
+    if (Py_TYPE(args[0]) != &StashType) {
+        PyErr_Format(PyExc_TypeError, "stash must be a Stash, not %.100s",
                      Py_TYPE(args[0])->tp_name);
         return -1;
     }
@@ -258,36 +445,10 @@ check_path(const Tree *tree, long long leaf)
     return 0;
 }
 
-/* One stash entry: an exact int id that fits a slot, an exact int leaf. */
-static int
-stash_entry(PyObject *key, PyObject *value, int depth, Item *item, long long *leaf)
-{
-    if (!PyLong_CheckExact(key) || !PyLong_CheckExact(value)) {
-        PyErr_Format(PyExc_TypeError, "stash entries must be int: int, not %.100s: %.100s",
-                     Py_TYPE(key)->tp_name, Py_TYPE(value)->tp_name);
-        return -1;
-    }
-    int overflow;
-    long long id = PyLong_AsLongLongAndOverflow(key, &overflow);
-    if (overflow || id < 0 || id > INT32_MAX) {
-        PyErr_Format(PyExc_ValueError, "stash id %R outside [0, 2**31)", key);
-        return -1;
-    }
-    *leaf = PyLong_AsLongLongAndOverflow(value, &overflow);
-    if (overflow || *leaf < 0 || *leaf >= (1LL << depth)) {
-        PyErr_Format(PyExc_ValueError, "stash leaf %R of id %R outside [0, 2**%d)", value,
-                     key, depth);
-        return -1;
-    }
-    item->key = key;
-    item->id = (int32_t)id;
-    return 0;
-}
-
 /* Pop `take` items off the pool's end into the bucket's free slots, in
  * ascending slot order, and delete them from the stash. */
-static int
-place(PyObject *stash, const Tree *tree, int level, long long node, Item *pool,
+static void
+place(Stash *stash, const Tree *tree, int level, long long node, const Item *pool,
       Py_ssize_t *top, long long take)
 {
     long long cap = tree->caps[level];
@@ -295,14 +456,20 @@ place(PyObject *stash, const Tree *tree, int level, long long node, Item *pool,
     long long used = tree->occ[bucket];
     int32_t *slot = tree->slots + tree->level_base[level] + node * cap + used;
     for (long long offset = 0; offset < take; offset++) {
-        Item *victim = &pool[--*top];
-        slot[offset] = victim->id;
-        if (PyDict_DelItem(stash, victim->key) < 0) {
-            return -1;
-        }
+        int32_t pos = pool[--*top].pos;
+        slot[offset] = stash->entries[pos].id;
+        delete_at(stash, pos);
     }
     tree->occ[bucket] = (uint8_t)(used + take);
-    return 0;
+}
+
+/* A resident's leaf outside the tree: inserted for another tree. */
+static int
+foreign_leaf(const Stash *stash, Py_ssize_t pos, int depth)
+{
+    PyErr_Format(PyExc_ValueError, "stash leaf %lld of id %d outside [0, 2**%d)",
+                 (long long)stash->entries[pos].leaf, (int)stash->entries[pos].id, depth);
+    return -1;
 }
 
 /* The greedy write-back onto the path to `leaf`, a path check_path passed:
@@ -311,10 +478,10 @@ place(PyObject *stash, const Tree *tree, int level, long long node, Item *pool,
  * slots' worth off the pool's end, behind its occupants, and the rest
  * rises. */
 static int
-write_back_path(PyObject *stash, Tree *tree, long long leaf)
+write_back_path(Stash *stash, Tree *tree, long long leaf)
 {
     int depth = tree->depth;
-    Py_ssize_t n = PyDict_GET_SIZE(stash);
+    Py_ssize_t n = stash->live;
     if (n == 0) {
         return 0;
     }
@@ -327,23 +494,24 @@ write_back_path(PyObject *stash, Tree *tree, long long leaf)
     Item *grouped = items + n;
     Item *pool = grouped + n;
     Py_ssize_t start[MAX_DEPTH + 2] = {0};
-    Py_ssize_t pos = 0, i = 0;
-    PyObject *key, *value;
-    while (PyDict_Next(stash, &pos, &key, &value)) {
-        long long resident;
-        if (stash_entry(key, value, depth, &items[i], &resident) < 0) {
-            return -1;
+    const Entry *entries = stash->entries;
+    for (Py_ssize_t pos = 0, i = 0; i < n; pos++) {
+        if (entries[pos].id < 0) {
+            continue;
         }
-        items[i].bits = bit_length((unsigned long long)(resident ^ leaf));
-        start[items[i].bits + 1]++;
-        i++;
+        int bits = bit_length((unsigned long long)(entries[pos].leaf ^ leaf));
+        if (bits > depth) {
+            return foreign_leaf(stash, pos, depth);
+        }
+        items[i++] = (Item){(int32_t)pos, bits};
+        start[bits + 1]++;
     }
     for (int bits = 1; bits <= depth + 1; bits++) {
         start[bits] += start[bits - 1];
     }
     Py_ssize_t fill[MAX_DEPTH + 1];
     memcpy(fill, start, sizeof(fill));
-    for (i = 0; i < n; i++) {
+    for (Py_ssize_t i = 0; i < n; i++) {
         grouped[fill[items[i].bits]++] = items[i];
     }
     Py_ssize_t top = 0;
@@ -360,10 +528,11 @@ write_back_path(PyObject *stash, Tree *tree, long long leaf)
         if (take > top) {
             take = top;
         }
-        if (take > 0 && place(stash, tree, level, node, pool, &top, take) < 0) {
-            return -1;
+        if (take > 0) {
+            place(stash, tree, level, node, pool, &top, take);
         }
     }
+    settle(stash);
     return 0;
 }
 
@@ -377,7 +546,7 @@ held_order(const void *a, const void *b)
     if (x->node != y->node) {
         return x->node < y->node ? -1 : 1;
     }
-    return x->order < y->order ? -1 : (x->order > y->order);
+    return x->item.pos < y->item.pos ? -1 : (x->item.pos > y->item.pos);
 }
 
 static int
@@ -394,7 +563,7 @@ ascending(const void *a, const void *b)
  * first), then its own entries in stash order, fills its free slots off the
  * pool's end and passes the rest up.  What the root leaves stays. */
 static int
-write_back_held(PyObject *stash, Tree *tree, PyObject *held)
+write_back_held(Stash *stash, Tree *tree, PyObject *held)
 {
     int depth = tree->depth;
     PyObject *leaves = PySequence_Fast(held, "leaves must be a sequence");
@@ -402,7 +571,7 @@ write_back_held(PyObject *stash, Tree *tree, PyObject *held)
         return -1;
     }
     Py_ssize_t num_paths = PySequence_Fast_GET_SIZE(leaves);
-    Py_ssize_t n = PyDict_GET_SIZE(stash);
+    Py_ssize_t n = stash->live;
     /* The held leaves, then the entries, two pools and two carried lists. */
     size_t paths_bytes = ((size_t)num_paths * sizeof(long long) + 15) & ~(size_t)15;
     char *base = reserve(paths_bytes + (size_t)n * (sizeof(HeldItem) + 2 * sizeof(Item)
@@ -434,12 +603,13 @@ write_back_held(PyObject *stash, Tree *tree, PyObject *held)
     if (check_path(tree, paths[last]) < 0) {
         goto fail;
     }
-    Py_ssize_t pos = 0, i = 0;
-    PyObject *key, *value;
-    while (PyDict_Next(stash, &pos, &key, &value)) {
-        HeldItem *entry = &entries[i];
-        long long leaf;
-        if (stash_entry(key, value, depth, &entry->item, &leaf) < 0) {
+    for (Py_ssize_t pos = 0, i = 0; i < n; pos++) {
+        if (stash->entries[pos].id < 0) {
+            continue;
+        }
+        long long leaf = stash->entries[pos].leaf;
+        if (leaf >> depth) {
+            foreign_leaf(stash, pos, depth);
             goto fail;
         }
         /* bisect_left: the first held leaf >= leaf, and the one before it. */
@@ -460,9 +630,7 @@ write_back_held(PyObject *stash, Tree *tree, PyObject *held)
                 bits = below;
             }
         }
-        entry->item.bits = bits;
-        entry->node = leaf >> bits;
-        entry->order = i++;
+        entries[i++] = (HeldItem){{(int32_t)pos, bits}, leaf >> bits};
     }
     /* Deepest level first, nodes ascending, stash order within a node. */
     qsort(entries, (size_t)n, sizeof(HeldItem), held_order);
@@ -504,8 +672,8 @@ write_back_held(PyObject *stash, Tree *tree, PyObject *held)
             if (take > top - first) {
                 take = top - first;
             }
-            if (take > 0 && place(stash, tree, level, node, pool, &top, take) < 0) {
-                goto fail;
+            if (take > 0) {
+                place(stash, tree, level, node, pool, &top, take);
             }
             if (top > first && level) {
                 /* Siblings come one after the other, so a right child's
@@ -520,6 +688,7 @@ write_back_held(PyObject *stash, Tree *tree, PyObject *held)
         }
         side = !side;
     }
+    settle(stash);
     Py_DECREF(leaves);
     return 0;
 fail:
@@ -527,55 +696,56 @@ fail:
     return -1;
 }
 
-/* Read the path to `leaf`, a path check_path passed, into the stash. */
+/* Read the path to `leaf`, a path check_path passed, into the stash: each
+ * id under its label, which must be a leaf of the tree. */
 static int
-fetch_path(PyObject *stash, Tree *tree, const int32_t *labels, Py_ssize_t num_labels,
+fetch_path(Stash *stash, Tree *tree, const int32_t *labels, Py_ssize_t num_labels,
            long long leaf)
 {
     int depth = tree->depth;
-    /* Every occupancy and id is checked before the first write.  The
-     * inserts check each id again: a stash key's comparison could run
-     * Python code that writes the buffers, so only what is read is used. */
+    /* Every occupancy, id and label is checked, and the stash's room made,
+     * before the first write. */
     long long used[MAX_DEPTH + 1];
-    for (int pass = 0; pass < 2; pass++) {
-        for (int level = 0; level <= depth; level++) {
-            long long node = leaf >> (depth - level);
-            long long bucket = tree->node_base[level] + node;
-            long long first = tree->level_base[level] + node * tree->caps[level];
-            if (pass == 0) {
-                used[level] = tree->occ[bucket];
-                if (used[level] > tree->caps[level]) {
-                    PyErr_Format(PyExc_ValueError,
-                                 "bucket %lld holds %lld blocks, its capacity is %lld", bucket,
-                                 used[level], tree->caps[level]);
-                    return -1;
-                }
+    Py_ssize_t arriving = 0;
+    for (int level = 0; level <= depth; level++) {
+        long long node = leaf >> (depth - level);
+        long long bucket = tree->node_base[level] + node;
+        long long first = tree->level_base[level] + node * tree->caps[level];
+        used[level] = tree->occ[bucket];
+        if (used[level] > tree->caps[level]) {
+            PyErr_Format(PyExc_ValueError, "bucket %lld holds %lld blocks, its capacity is %lld",
+                         bucket, used[level], tree->caps[level]);
+            return -1;
+        }
+        for (long long slot = first; slot < first + used[level]; slot++) {
+            int32_t id = tree->slots[slot];
+            if (id < 0 || id >= num_labels) {
+                PyErr_Format(PyExc_ValueError, "slot %lld holds id %d, outside the %zd labels",
+                             slot, (int)id, num_labels);
+                return -1;
             }
-            for (long long slot = first; slot < first + used[level]; slot++) {
-                int32_t id = tree->slots[slot];
-                if (id < 0 || id >= num_labels) {
-                    PyErr_Format(PyExc_ValueError,
-                                 "slot %lld holds id %d, outside the %zd labels", slot,
-                                 (int)id, num_labels);
-                    return -1;
-                }
-                if (pass == 0) {
-                    continue;
-                }
-                PyObject *key = PyLong_FromLong(id);
-                PyObject *value = key ? PyLong_FromLong(labels[id]) : NULL;
-                int failed = value == NULL || PyDict_SetItem(stash, key, value) < 0;
-                Py_XDECREF(key);
-                Py_XDECREF(value);
-                if (failed) {
-                    return -1;
-                }
-                tree->slots[slot] = -1;
-            }
-            if (pass == 1 && used[level]) {
-                tree->occ[bucket] = 0;
+            if (labels[id] < 0 || (long long)labels[id] >> depth) {
+                PyErr_Format(PyExc_ValueError, "id %d is labelled %d, outside [0, 2**%d)",
+                             (int)id, (int)labels[id], depth);
+                return -1;
             }
         }
+        arriving += (Py_ssize_t)used[level];
+    }
+    if (make_room(stash, arriving) < 0) {
+        return -1;
+    }
+    for (int level = 0; level <= depth; level++) {
+        if (used[level] == 0) {
+            continue;
+        }
+        long long node = leaf >> (depth - level);
+        int32_t *slot = tree->slots + tree->level_base[level] + node * tree->caps[level];
+        for (long long offset = 0; offset < used[level]; offset++) {
+            put(stash, slot[offset], labels[slot[offset]]);
+            slot[offset] = -1;
+        }
+        tree->occ[tree->node_base[level] + node] = 0;
     }
     return 0;
 }
@@ -688,7 +858,7 @@ enum { LEVEL_DRAWN, LEVEL_READS, LEVEL_WRITES, LEVEL_FIELDS };
  * parent, the array its blocks are looked up in (the packed labels of the
  * level above, or the top map), and the stream of its fresh labels. */
 typedef struct {
-    PyObject *stash;
+    Stash *stash;
     Tree tree;
     Py_buffer views[5]; /* slots, occ, labels, parent, leaf block */
     int32_t *labels, *parent;
@@ -739,7 +909,7 @@ parse_level(PyObject *obj, Walk *w, Level *level, int64_t *state)
         return -1;
     }
     int depth = level->tree.depth;
-    level->stash = args[0];
+    level->stash = (Stash *)args[0];
     level->labels = views[2].buf;
     level->num_labels = views[2].len / 4;
     level->parent = views[3].buf;
@@ -788,6 +958,9 @@ parse_walk(PyObject *obj, Walk *w)
                      w->state.len / 8, LEVEL_FIELDS * w->count);
         return -1;
     }
+    if (w->count == 0) {
+        return 0;
+    }
     w->levels = PyMem_Calloc((size_t)w->count, sizeof(Level));
     if (w->levels == NULL) {
         PyErr_NoMemory();
@@ -808,8 +981,7 @@ parse_walk(PyObject *obj, Walk *w)
  * the label `read` it had unless it is stashed (`hit`), takes the fresh
  * label in the stash and in `labels`, and a path read is written back. */
 static int
-walk_step(Level *level, Py_ssize_t k, long long block, PyObject *key, int hit,
-          long long read)
+walk_step(Level *level, Py_ssize_t k, long long block, int hit, long long read)
 {
     long long fresh;
     if (draw(&level->stream, &fresh) < 0) {
@@ -830,22 +1002,15 @@ walk_step(Level *level, Py_ssize_t k, long long block, PyObject *key, int hit,
                 return -1;
             }
         }
-        int present = PyDict_Contains(level->stash, key);
-        if (present <= 0) {
-            if (present == 0) {
-                raise_repro("IntegrityError",
-                            "recursion level %zd block %lld missing from both stash and "
-                            "path %lld", k, block, read);
-            }
-            return -1;
-        }
     }
-    PyObject *value = PyLong_FromLongLong(fresh);
-    int failed = value == NULL || PyDict_SetItem(level->stash, key, value) < 0;
-    Py_XDECREF(value);
-    if (failed) {
+    Py_ssize_t pos = find(level->stash, block);
+    if (pos < 0) {
+        raise_repro("IntegrityError",
+                    "recursion level %zd block %lld missing from both stash and path %lld", k,
+                    block, read);
         return -1;
     }
+    level->stash->entries[pos].leaf = fresh;
     level->labels[block] = (int32_t)fresh;
     if (!hit) {
         if (write_back_path(level->stash, &level->tree, read) < 0) {
@@ -863,12 +1028,10 @@ walk_step(Level *level, Py_ssize_t k, long long block, PyObject *key, int hit,
 static int
 update_map(Walk *w, long long block_id, long long leaf, long long leaves, long long *old)
 {
-    /* Per level k (k = 0: the id): the block holding block_id's label, its
-     * key, whether it is stashed, and the label its path is read under. */
+    /* Per level k (k = 0: the id): the block holding block_id's label,
+     * whether it is stashed, and the label its path is read under. */
     long long block[MAX_LEVELS + 1], read[MAX_LEVELS + 1];
-    PyObject *keys[MAX_LEVELS + 1] = {NULL};
     int hit[MAX_LEVELS + 1];
-    int result = -1;
     block[0] = block_id;
     *old = w->entries[block_id];
     if (*old < 0 || *old >= leaves) {
@@ -879,35 +1042,27 @@ update_map(Walk *w, long long block_id, long long leaf, long long leaves, long l
     for (Py_ssize_t k = 1; k <= w->count; k++) {
         Level *level = &w->levels[k - 1];
         block[k] = block[k - 1] / w->chi;
-        if (block[k] >= level->num_labels || block[k] >= level->num_parent) {
+        if (block[k] >= level->num_labels || block[k] >= level->num_parent
+            || block[k] > INT32_MAX) {
             PyErr_Format(PyExc_ValueError, "block %lld is past recursion level %zd",
                          block_id, k);
-            goto done;
+            return -1;
         }
-        keys[k] = PyLong_FromLongLong(block[k]);
-        hit[k] = keys[k] ? PyDict_Contains(level->stash, keys[k]) : -1;
-        if (hit[k] < 0) {
-            goto done;
-        }
+        hit[k] = find(level->stash, block[k]) >= 0;
         read[k] = level->parent[block[k]];
         if (!hit[k] && (read[k] < 0 || read[k] >= level->stream.num_leaves)) {
             PyErr_Format(PyExc_ValueError, "recursion level %zd leaf %lld outside [0, %lld)",
                          k, read[k], level->stream.num_leaves);
-            goto done;
+            return -1;
         }
     }
     for (Py_ssize_t k = w->count; k >= 1; k--) {
-        if (walk_step(&w->levels[k - 1], k, block[k], keys[k], hit[k], read[k]) < 0) {
-            goto done;
+        if (walk_step(&w->levels[k - 1], k, block[k], hit[k], read[k]) < 0) {
+            return -1;
         }
     }
     w->entries[block_id] = (int32_t)leaf;
-    result = 0;
-done:
-    for (Py_ssize_t k = 1; k <= w->count; k++) {
-        Py_XDECREF(keys[k]);
-    }
-    return result;
+    return 0;
 }
 
 PyDoc_STRVAR(walk_doc,
@@ -966,7 +1121,7 @@ enum {
 static _Thread_local int serving = 0;
 
 typedef struct {
-    PyObject *stash;
+    Stash *stash;
     Tree tree;
     Walk map; /* the logical labels, and a recursive map's levels */
     PyObject *lookup; /* the plan's consume_next_leaf; NULL: no plan */
@@ -981,14 +1136,18 @@ typedef struct {
 } Request;
 
 /* One bin's distinct ids, in first-occurrence order, and what the bin
- * decides for each; one allocation per request, sized for its largest bin. */
+ * decides for each; sized for the request's largest bin, on the stack up
+ * to WORK_ON_STACK ids. */
+#define WORK_ON_STACK 64
 typedef struct {
-    PyObject **keys;
     long long *ids;
     long long *leaves;
     long long *read;
     char *hit;
 } Work;
+
+/* The observer's method name and keyword, made once at module init. */
+static PyObject *observe_name = NULL, *observe_kwnames = NULL;
 
 /* observer.observe_path(leaf, dummy=dummy) */
 static int
@@ -997,17 +1156,13 @@ observe(Request *r, long long leaf, int dummy)
     if (r->observer == NULL) {
         return 0;
     }
-    PyObject *name = PyUnicode_FromString("observe_path");
-    PyObject *kwnames = Py_BuildValue("(s)", "dummy");
     PyObject *value = PyLong_FromLongLong(leaf);
-    PyObject *result = NULL;
-    if (name && kwnames && value) {
-        PyObject *args[3] = {r->observer, value, dummy ? Py_True : Py_False};
-        result = PyObject_VectorcallMethod(name, args, 2, kwnames);
+    if (value == NULL) {
+        return -1;
     }
-    Py_XDECREF(name);
-    Py_XDECREF(kwnames);
-    Py_XDECREF(value);
+    PyObject *args[3] = {r->observer, value, dummy ? Py_True : Py_False};
+    PyObject *result = PyObject_VectorcallMethod(observe_name, args, 2, observe_kwnames);
+    Py_DECREF(value);
     if (result == NULL) {
         return -1;
     }
@@ -1020,7 +1175,7 @@ observe(Request *r, long long leaf, int dummy)
 static int
 check_capacity(Request *r)
 {
-    if (r->capacity >= 0 && PyDict_GET_SIZE(r->stash) > r->capacity) {
+    if (r->capacity >= 0 && r->stash->live > r->capacity) {
         raise_repro("StashOverflowError", "stash exceeded its capacity of %lld blocks",
                     r->capacity);
         return -1;
@@ -1034,7 +1189,7 @@ check_capacity(Request *r)
 static int
 after_bin(Request *r, int dummy)
 {
-    Py_ssize_t occupancy = PyDict_GET_SIZE(r->stash);
+    Py_ssize_t occupancy = r->stash->live;
     if (dummy || (r->evict && occupancy > r->trigger)) {
         if (!dummy) {
             r->state[EPISODES]++;
@@ -1054,7 +1209,7 @@ after_bin(Request *r, int dummy)
             }
             r->state[PATH_WRITES]++;
             dummies++;
-            occupancy = PyDict_GET_SIZE(r->stash);
+            occupancy = r->stash->live;
         }
         if (dummy) {
             return 0;
@@ -1099,14 +1254,6 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
     }
     r->state[LOGICAL] += count;
     long long end_index = start + count - 1;
-    Py_ssize_t made = 0;
-    int result = -1;
-    for (; made < k; made++) {
-        w->keys[made] = PyLong_FromLongLong(w->ids[made]);
-        if (w->keys[made] == NULL) {
-            goto done;
-        }
-    }
 
     /* Every distinct block's new leaf, in the bin's order: by position,
      * else the plan's next occurrence, else the stream's next leaf. */
@@ -1118,20 +1265,19 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
             if (*remaps == remaps_end) {
                 PyErr_Format(PyExc_ValueError, "the plan's remaps end before bin %lld ends",
                              end_index);
-                goto done;
+                return -1;
             }
             leaf = *(*remaps)++;
             planned = leaf >= 0;
         }
         else if (r->lookup != NULL) {
-            PyObject *args[2] = {w->keys[p], PyLong_FromLongLong(end_index)};
-            if (args[1] == NULL) {
-                goto done;
-            }
-            PyObject *found = PyObject_Vectorcall(r->lookup, args, 2, NULL);
-            Py_DECREF(args[1]);
+            PyObject *args[2] = {PyLong_FromLongLong(w->ids[p]), PyLong_FromLongLong(end_index)};
+            PyObject *found = args[0] && args[1] ? PyObject_Vectorcall(r->lookup, args, 2, NULL)
+                                                 : NULL;
+            Py_XDECREF(args[0]);
+            Py_XDECREF(args[1]);
             if (found == NULL) {
-                goto done;
+                return -1;
             }
             if (found != Py_None) {
                 int overflow = 0;
@@ -1146,7 +1292,7 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
                                     found, r->num_leaves);
                     }
                     Py_DECREF(found);
-                    goto done;
+                    return -1;
                 }
                 planned = 1;
             }
@@ -1154,27 +1300,25 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
         }
         if (!planned) {
             if (draw(&r->leaves, &leaf) < 0) {
-                goto done;
+                return -1;
             }
         }
         else if (leaf < 0 || leaf >= r->num_leaves) {
             raise_repro("ConfigurationError", "planned leaf %lld outside [0, %lld)", leaf,
                         r->num_leaves);
-            goto done;
+            return -1;
         }
         w->leaves[p] = leaf;
-        int hit = PyDict_Contains(r->stash, w->keys[p]);
-        if (hit < 0) {
-            goto done;
-        }
-        w->hit[p] = (char)hit;
-        hits += hit;
+        w->hit[p] = find(r->stash, w->ids[p]) >= 0;
+        hits += w->hit[p];
     }
     r->state[HITS] += hits;
 
     /* Path ORAM's order per missing block: its update returns the path it
      * sits on, fetched unless an earlier block of the bin read it already;
-     * then the stash hits' updates. */
+     * then the stash hits' updates.  Each block then takes its new leaf in
+     * the stash, where it must be (a callback may have changed the stash
+     * since the split). */
     Py_ssize_t num_read = 0;
     for (int pass = 0; pass < 2; pass++) {
         for (Py_ssize_t p = 0; p < k; p++) {
@@ -1183,7 +1327,7 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
             }
             long long old;
             if (update_map(&r->map, w->ids[p], w->leaves[p], r->num_leaves, &old) < 0) {
-                goto done;
+                return -1;
             }
             if (!pass) {
                 Py_ssize_t j = 0;
@@ -1193,29 +1337,21 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
                 if (j == num_read) {
                     w->read[num_read++] = old;
                     if (fetch_path(r->stash, &r->tree, r->map.entries, r->map.num_entries, old) < 0) {
-                        goto done;
+                        return -1;
                     }
                     r->state[PATH_READS]++;
                     if (observe(r, old, 0) < 0 || check_capacity(r) < 0) {
-                        goto done;
+                        return -1;
                     }
                 }
-                int present = PyDict_Contains(r->stash, w->keys[p]);
-                if (present <= 0) {
-                    if (present == 0) {
-                        raise_repro("BlockNotFoundError",
-                                    "block %lld missing from both stash and its path",
-                                    w->ids[p]);
-                    }
-                    goto done;
-                }
             }
-            PyObject *value = PyLong_FromLongLong(w->leaves[p]);
-            int failed = value == NULL || PyDict_SetItem(r->stash, w->keys[p], value) < 0;
-            Py_XDECREF(value);
-            if (failed) {
-                goto done;
+            Py_ssize_t pos = find(r->stash, w->ids[p]);
+            if (pos < 0) {
+                raise_repro("BlockNotFoundError", "block %lld missing from both stash and its path",
+                            w->ids[p]);
+                return -1;
             }
+            r->stash->entries[pos].leaf = w->leaves[p];
         }
     }
 
@@ -1227,28 +1363,22 @@ serve_bin(Request *r, Work *w, const int64_t *ids, Py_ssize_t count, long long s
             int failed = value == NULL || PyList_Append(r->held, value) < 0;
             Py_XDECREF(value);
             if (failed) {
-                goto done;
+                return -1;
             }
         }
         r->state[CURSOR] = end_index + 1;
-        result = 0;
-        goto done;
+        return 0;
     }
     /* Path by path: the first was emptied by its fetch; a later one finds
      * the buckets it shares with an earlier one refilled. */
     for (Py_ssize_t j = 0; j < num_read; j++) {
         if (write_back_path(r->stash, &r->tree, w->read[j]) < 0) {
-            goto done;
+            return -1;
         }
         r->state[PATH_WRITES]++;
     }
     r->state[CURSOR] = end_index + 1;
-    result = after_bin(r, 0);
-done:
-    for (Py_ssize_t p = 0; p < made; p++) {
-        Py_DECREF(w->keys[p]);
-    }
-    return result;
+    return after_bin(r, 0);
 }
 
 /* The commit bin: the hold's paths back in read order as one subtree, then
@@ -1304,13 +1434,13 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
     memset(&r, 0, sizeof(r));
     Py_buffer slots = {0}, occ = {0}, ids = {0}, remaps = {0}, leaf_buf = {0}, state = {0};
     Work w;
-    memset(&w, 0, sizeof(w));
-    void *work = NULL;
+    long long local[4 * WORK_ON_STACK];
+    long long *work = local;
     PyObject *result = NULL;
     if (parse_tree(args, &r.tree, &slots, &occ) < 0) {
         return NULL;
     }
-    r.stash = args[0];
+    r.stash = (Stash *)args[0];
     if (parse_walk(args[6], &r.map) < 0) {
         goto done;
     }
@@ -1322,8 +1452,10 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "limits must be a tuple of 7 ints");
         goto done;
     }
-    if (bounded(PyTuple_GET_ITEM(limits, 0), 1, (long long)r.map.num_entries + 1,
-                "num_blocks", &r.num_blocks) < 0
+    /* A block id must fit a slot and the map. */
+    long long most_blocks = r.map.num_entries < INT32_MAX ? r.map.num_entries : INT32_MAX;
+    if (bounded(PyTuple_GET_ITEM(limits, 0), 1, most_blocks + 1, "num_blocks",
+                &r.num_blocks) < 0
         || bounded(PyTuple_GET_ITEM(limits, 1), 1, (1LL << r.tree.depth) + 1, "num_leaves",
                    &r.num_leaves) < 0
         || bounded(PyTuple_GET_ITEM(limits, 2), -1, LLONG_MAX, "capacity", &r.capacity) < 0
@@ -1406,13 +1538,14 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
     }
     else {
         Py_ssize_t most = size < n ? (Py_ssize_t)size : n;
-        work = PyMem_Malloc((size_t)most * (sizeof(PyObject *) + 3 * sizeof(long long) + 1));
-        if (work == NULL) {
-            PyErr_NoMemory();
-            goto done;
+        if (most > WORK_ON_STACK) {
+            work = PyMem_Malloc((size_t)most * 4 * sizeof(long long));
+            if (work == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
         }
-        w.keys = work;
-        w.ids = (long long *)(w.keys + most);
+        w.ids = work;
         w.leaves = w.ids + most;
         w.read = w.leaves + most;
         w.hit = (char *)(w.read + most);
@@ -1435,7 +1568,9 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
     result = Py_None;
     Py_INCREF(result);
 done:
-    PyMem_Free(work);
+    if (work != local) {
+        PyMem_Free(work);
+    }
     release_walk(&r.map);
     Py_buffer *views[] = {&state, &leaf_buf, &remaps, &ids, &occ, &slots};
     for (size_t i = 0; i < sizeof(views) / sizeof(views[0]); i++) {
@@ -1457,6 +1592,298 @@ serve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     serving = 0;
     return result;
 }
+
+/* ------------------------------------------------------------------ */
+/* Stash: the mapping protocol                                         */
+/* ------------------------------------------------------------------ */
+
+/* An int in [lo, hi] to insert: an int (no bool) or an integer with
+ * __index__. */
+static int
+inserted(PyObject *obj, long long hi, const char *what, long long *out)
+{
+    if (PyBool_Check(obj) || !PyIndex_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "a stash %s must be an int, not %.100s", what,
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    PyObject *index = PyNumber_Index(obj);
+    if (index == NULL) {
+        return -1;
+    }
+    int overflow;
+    long long value = PyLong_AsLongLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (value == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (overflow || value < 0 || value > hi) {
+        PyErr_Format(PyExc_ValueError, "stash %s %R outside [0, %lld]", what, obj, hi);
+        return -1;
+    }
+    *out = value;
+    return 0;
+}
+
+/* The position of the key's entry, -1 when the stash has none (a key that
+ * is no int is in no stash), -2 on an error. */
+static Py_ssize_t
+lookup(Stash *s, PyObject *key)
+{
+    if (PyBool_Check(key) || !PyIndex_Check(key)) {
+        return -1;
+    }
+    PyObject *index = PyNumber_Index(key);
+    if (index == NULL) {
+        return -2;
+    }
+    int overflow;
+    long long id = PyLong_AsLongLongAndOverflow(index, &overflow);
+    Py_DECREF(index);
+    if (id == -1 && PyErr_Occurred()) {
+        return -2;
+    }
+    return overflow ? -1 : find(s, id);
+}
+
+static PyObject *
+stash_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    if (PyTuple_GET_SIZE(args) || (kwargs != NULL && PyObject_Length(kwargs))) {
+        PyErr_SetString(PyExc_TypeError, "Stash() takes no arguments");
+        return NULL;
+    }
+    Stash *s = (Stash *)type->tp_alloc(type, 0);
+    if (s != NULL && reindex(s, STASH_MIN_SIZE) < 0) {
+        Py_CLEAR(s);
+    }
+    return (PyObject *)s;
+}
+
+static void
+stash_dealloc(Stash *s)
+{
+    PyMem_Free(s->entries);
+    PyMem_Free(s->index);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+static Py_ssize_t
+stash_len(Stash *s)
+{
+    return s->live;
+}
+
+static int
+stash_contains(Stash *s, PyObject *key)
+{
+    Py_ssize_t pos = lookup(s, key);
+    return pos == -2 ? -1 : pos >= 0;
+}
+
+static PyObject *
+stash_getitem(Stash *s, PyObject *key)
+{
+    Py_ssize_t pos = lookup(s, key);
+    if (pos == -1) {
+        PyErr_SetObject(PyExc_KeyError, key);
+    }
+    return pos < 0 ? NULL : PyLong_FromLongLong(s->entries[pos].leaf);
+}
+
+static int
+stash_setitem(Stash *s, PyObject *key, PyObject *value)
+{
+    if (value == NULL) {
+        Py_ssize_t pos = lookup(s, key);
+        if (pos == -1) {
+            PyErr_SetObject(PyExc_KeyError, key);
+        }
+        if (pos < 0) {
+            return -1;
+        }
+        delete_at(s, pos);
+        settle(s);
+        return 0;
+    }
+    long long id, leaf;
+    if (inserted(key, INT32_MAX, "id", &id) < 0 || inserted(value, INT64_MAX, "leaf", &leaf) < 0
+        || make_room(s, 1) < 0) {
+        return -1;
+    }
+    put(s, (int32_t)id, leaf);
+    return 0;
+}
+
+static PyObject *
+stash_items(Stash *s, PyObject *unused)
+{
+    (void)unused;
+    PyObject *items = PyList_New(s->live);
+    for (Py_ssize_t pos = 0, i = 0; items != NULL && i < s->live; pos++) {
+        if (s->entries[pos].id < 0) {
+            continue;
+        }
+        PyObject *item = Py_BuildValue("(iL)", (int)s->entries[pos].id,
+                                       (long long)s->entries[pos].leaf);
+        if (item == NULL) {
+            Py_CLEAR(items);
+            break;
+        }
+        PyList_SET_ITEM(items, i++, item);
+    }
+    return items;
+}
+
+/* Iteration runs over a snapshot of the ids, in order. */
+static PyObject *
+stash_iter(Stash *s)
+{
+    PyObject *ids = PyList_New(s->live);
+    for (Py_ssize_t pos = 0, i = 0; ids != NULL && i < s->live; pos++) {
+        if (s->entries[pos].id < 0) {
+            continue;
+        }
+        PyObject *id = PyLong_FromLong(s->entries[pos].id);
+        if (id == NULL) {
+            Py_CLEAR(ids);
+            break;
+        }
+        PyList_SET_ITEM(ids, i++, id);
+    }
+    if (ids == NULL) {
+        return NULL;
+    }
+    PyObject *iterator = PyObject_GetIter(ids);
+    Py_DECREF(ids);
+    return iterator;
+}
+
+static PyObject *
+stash_pop(Stash *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 2) {
+        PyErr_Format(PyExc_TypeError, "pop takes 1 or 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_ssize_t pos = lookup(s, args[0]);
+    if (pos == -2) {
+        return NULL;
+    }
+    if (pos == -1) {
+        if (nargs == 1) {
+            PyErr_SetObject(PyExc_KeyError, args[0]);
+            return NULL;
+        }
+        Py_INCREF(args[1]);
+        return args[1];
+    }
+    PyObject *leaf = PyLong_FromLongLong(s->entries[pos].leaf);
+    if (leaf != NULL) {
+        delete_at(s, pos);
+        settle(s);
+    }
+    return leaf;
+}
+
+static PyObject *
+stash_extend(Stash *s, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "extend takes 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_buffer ids, leaves;
+    if (buffer_of(args[0], &ids, 8, INT64_CODES, 0, "ids") < 0) {
+        return NULL;
+    }
+    if (buffer_of(args[1], &leaves, 8, INT64_CODES, 0, "leaves") < 0) {
+        PyBuffer_Release(&ids);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    Py_ssize_t n = ids.len / 8;
+    const int64_t *id = ids.buf, *leaf = leaves.buf;
+    if (leaves.len / 8 != n) {
+        PyErr_Format(PyExc_ValueError, "%zd ids and %zd leaves", n, leaves.len / 8);
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (id[i] < 0 || id[i] > INT32_MAX || leaf[i] < 0) {
+            PyErr_Format(PyExc_ValueError, "entry %zd: id %lld outside [0, 2**31) or leaf %lld "
+                         "below 0", i, (long long)id[i], (long long)leaf[i]);
+            goto done;
+        }
+    }
+    if (make_room(s, n) < 0) {
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        put(s, (int32_t)id[i], leaf[i]);
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    PyBuffer_Release(&ids);
+    PyBuffer_Release(&leaves);
+    return result;
+}
+
+static PyObject *
+stash_sizeof(Stash *s, PyObject *unused)
+{
+    (void)unused;
+    return PyLong_FromSsize_t((Py_ssize_t)sizeof(Stash) + s->room * (Py_ssize_t)sizeof(Entry)
+                              + s->slots * (Py_ssize_t)sizeof(Slot));
+}
+
+static PyMethodDef stash_methods[] = {
+    {"items", (PyCFunction)stash_items, METH_NOARGS,
+     "items()\n--\n\nThe (id, leaf) pairs, in insertion order."},
+    {"pop", (PyCFunction)(void (*)(void))stash_pop, METH_FASTCALL,
+     "pop(id[, default])\n--\n\nRemove ``id`` and return its leaf; ``default`` (else\n"
+     "KeyError) when absent."},
+    {"__sizeof__", (PyCFunction)stash_sizeof, METH_NOARGS,
+     "__sizeof__()\n--\n\nBytes of the table: its order array and index."},
+    {"extend", (PyCFunction)(void (*)(void))stash_extend, METH_FASTCALL,
+     "extend(ids, leaves)\n--\n\nAssign each int64 leaf to its int64 id, in order: all\n"
+     "checked before the first."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods stash_as_sequence = {
+    .sq_contains = (objobjproc)stash_contains,
+};
+
+static PyMappingMethods stash_as_mapping = {
+    .mp_length = (lenfunc)stash_len,
+    .mp_subscript = (binaryfunc)stash_getitem,
+    .mp_ass_subscript = (objobjargproc)stash_setitem,
+};
+
+PyDoc_STRVAR(stash_doc,
+"Stash()\n"
+"--\n\n"
+"A stash: block ids in [0, 2**31) to leaves >= 0, in insertion order, as a\n"
+"dict keeps it.  Assigning to a present id updates its leaf in place;\n"
+"deleting an id and assigning it again moves it to the end; iteration\n"
+"(over a snapshot of the ids) and ``items()`` follow insertion order.  Both\n"
+"are checked when inserted, and a rejected insertion changes nothing.\n"
+"The kernels work on it directly.");
+
+static PyTypeObject StashType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.oram.write_back.Stash",
+    .tp_basicsize = sizeof(Stash),
+    .tp_dealloc = (destructor)stash_dealloc,
+    .tp_as_sequence = &stash_as_sequence,
+    .tp_as_mapping = &stash_as_mapping,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = stash_doc,
+    .tp_iter = (getiterfunc)stash_iter,
+    .tp_methods = stash_methods,
+    .tp_new = stash_new,
+};
 
 static PyMethodDef methods[] = {
     {"serve", (PyCFunction)(void (*)(void))serve, METH_FASTCALL, serve_doc},
@@ -1480,5 +1907,14 @@ static struct PyModuleDef module_def = {
 PyMODINIT_FUNC
 PyInit__write_back(void)
 {
-    return PyModule_Create(&module_def);
+    observe_name = PyUnicode_InternFromString("observe_path");
+    observe_kwnames = Py_BuildValue("(s)", "dummy");
+    if (observe_name == NULL || observe_kwnames == NULL || PyType_Ready(&StashType) < 0) {
+        return NULL;
+    }
+    PyObject *module = PyModule_Create(&module_def);
+    if (module != NULL && PyModule_AddObjectRef(module, "Stash", (PyObject *)&StashType) < 0) {
+        Py_CLEAR(module);
+    }
+    return module;
 }

@@ -11,7 +11,7 @@ paths until it drains.
 :class:`PathORAM` runs that sequence on one C kernel, ``serve``
 (``oram/_write_back.c``), bound per request by :meth:`PathORAM._run_bins`,
 over :class:`~repro.oram.tree.ArrayTreeStorage` slot arrays and an
-:class:`~repro.oram.stash.ArrayStash` (one ``{id: leaf}`` dict), with
+:class:`~repro.oram.stash.ArrayStash` (one C ``id -> leaf`` table), with
 payloads in a client-side store.  The kernel serves bins: LAORAM's
 superblock bins (:class:`~repro.core.laoram.LAORAMClient` subclasses this
 engine); every PathORAM access, of a trace or a single :meth:`~PathORAM.access`,
@@ -71,7 +71,7 @@ class PathORAM(ObliviousMemory):
 
     #: Client-side bookkeeping per stashed block, as the paper's client
     #: would hold it: the (id, leaf) pair the stash tracks alongside the
-    #: payload, 8 bytes each (a modelled size, not that of the Python dict
+    #: payload, 8 bytes each (a modelled size, not that of the table's
     #: entry standing in for it).
     STASH_ENTRY_OVERHEAD_BYTES = 16
 
@@ -384,7 +384,7 @@ class PathORAM(ObliviousMemory):
 
         The kernel mirrors the per-object reference client's
         ``access_superblock`` (``tests/oracle/laoram.py``) decision for
-        decision on the stash's dict (id -> leaf, insertion ordered as the
+        decision on the stash's table (id -> leaf, insertion ordered as the
         reference stash is, so every write-back tie-break is the same), and
         on a one-id bin the reference engine's per-access ``access``.  Per
         bin: every distinct block's new leaf, in the bin's order (the plan's

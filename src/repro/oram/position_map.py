@@ -29,9 +29,10 @@ top map held in client memory.
 
 Each recursion level is a real PathORAM instance in miniature: an
 :class:`~repro.oram.tree.ArrayTreeStorage` with uniform bucket capacity,
-a dict stash, and the classic read-remap-greedy-write-back access (no
-background eviction — the greedy write-back after every miss keeps the
-per-level stash at the usual O(log m) residue).
+a :class:`~repro.oram.write_back.Stash`, and the classic
+read-remap-greedy-write-back access (no background eviction — the greedy
+write-back after every miss keeps the per-level stash at the usual
+O(log m) residue).
 
 Traffic.  The walk is C (``write_back.walk``, which the request kernel
 ``serve`` also runs for every remap), on the main tree's path read and
@@ -66,7 +67,7 @@ import numpy as np
 from repro.exceptions import BlockNotFoundError, ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import walk
+from repro.oram.write_back import Stash, walk
 from repro.utils.bits import required_depth
 from repro.utils.rng import spawn_rngs
 
@@ -141,9 +142,8 @@ class _RecursionLevel:
         labels = rng.integers(0, self.num_leaves, size=num_blocks, dtype=np.int64)
         overflow = self.tree.bulk_place(labels)
         self.labels = labels.astype(LABEL_DTYPE)
-        self.stash = {
-            int(block): int(labels[block]) for block in overflow.tolist()
-        }
+        self.stash = Stash()
+        self.stash.extend(overflow, labels[overflow])
         #: Fresh labels of this level's blocks: a block of :data:`DRAW_BLOCK`
         #: refilled by ``rng.integers(0, num_leaves, size=DRAW_BLOCK)``.
         self.rng = rng

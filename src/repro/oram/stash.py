@@ -1,9 +1,10 @@
 """Client-side stash: trusted temporary storage for blocks awaiting eviction.
 
-:class:`ArrayStash` is one insertion-ordered dict mapping ids to assigned
-leaves (payloads live in the engine's store).  Removal plus re-insertion
-moves an id to the end and iteration follows insertion order — the ordering
-the greedy write-back uses for tie-breaking, and the order the per-object
+:class:`ArrayStash` is one insertion-ordered table mapping ids to assigned
+leaves (payloads live in the engine's store), a
+:class:`~repro.oram.write_back.Stash`.  Removal plus re-insertion moves an
+id to the end and iteration follows insertion order — the ordering the
+greedy write-back uses for tie-breaking, and the order the per-object
 reference stash the tests hold it to (``tests/oracle/stash.py``) keeps, so
 both pick identical eviction victims.
 
@@ -21,17 +22,17 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, StashOverflowError
+from repro.oram.write_back import Stash
 
 
 class ArrayStash:
-    """Stash of the array engines: one ``{block_id: leaf}`` dict.
+    """Stash of the array engines: one :class:`~repro.oram.write_back.Stash`.
 
     The vectorized engine stores payloads in a client-side store, so the
     stash holds exactly what the write-back needs: per resident block its
-    id and assigned leaf, as Python ints (xor / ``bit_length`` stay
-    small-int) in insertion order.  The request kernel and the write-back
-    kernels run on the dict itself (:attr:`entries`); the methods below are
-    the same operations for everything that moves one block at a time.
+    id and assigned leaf, as C ints in insertion order.  The request kernel
+    works on the table itself (:attr:`entries`); the methods below are the
+    same operations for everything that moves one block at a time.
 
     Overflow follows the module's one rule, as do the kernel's inline
     checks: an insertion lands before :class:`StashOverflowError` is raised.
@@ -41,7 +42,7 @@ class ArrayStash:
         if capacity is not None and capacity < 1:
             raise ConfigurationError("stash capacity must be >= 1 when set")
         self._capacity = capacity
-        self._entries: dict[int, int] = {}
+        self._entries = Stash()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -58,8 +59,8 @@ class ArrayStash:
         return self._capacity
 
     @property
-    def entries(self) -> dict[int, int]:
-        """The live ``{block_id: leaf}`` dict (no copy), for the kernel.
+    def entries(self) -> Stash:
+        """The live ``id -> leaf`` table (no copy), for the kernel.
 
         The same object for the stash's lifetime.  Code that inserts
         into it directly makes its own capacity check.
@@ -70,6 +71,10 @@ class ArrayStash:
     def block_ids(self) -> list[int]:
         """Identifiers of every stashed block, in insertion order."""
         return list(self._entries)
+
+    def items(self) -> list[tuple[int, int]]:
+        """Every ``(block_id, leaf)`` pair, in insertion order."""
+        return self._entries.items()
 
     def leaf_of(self, block_id: int) -> int:
         """Assigned leaf of a stashed block; ``KeyError`` when absent."""
@@ -85,12 +90,14 @@ class ArrayStash:
     def add(self, block_id: int, leaf: int) -> None:
         """Insert one id/leaf pair at the end (a block lives in the tree or
         in the stash, never both: the id is not already present)."""
-        self._entries[int(block_id)] = int(leaf)
+        self._entries[block_id] = leaf
         self.check_capacity()
 
     def extend(self, block_ids: np.ndarray, leaves: np.ndarray) -> None:
         """Append several id/leaf pairs (callers guarantee they are absent)."""
-        self._entries.update(zip(block_ids.tolist(), leaves.tolist()))
+        self._entries.extend(
+            np.asarray(block_ids, dtype=np.int64), np.asarray(leaves, dtype=np.int64)
+        )
         self.check_capacity()
 
     def pop(self, block_id: int) -> bool:

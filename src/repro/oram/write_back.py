@@ -1,4 +1,4 @@
-"""The request kernel of the array engine: the bin loop and the recursion walk.
+"""The request kernel of the array engine, and the stash it works on.
 
 The classic PathORAM eviction rule: after a path has been read, every stash
 block whose assigned path intersects the accessed path may be written back,
@@ -9,12 +9,12 @@ writing them back, so later write-backs see buckets that earlier write-backs
 already refilled.
 
 Two C entry points (``_write_back.c``, built and loaded by
-:mod:`repro.oram.native`), each over ``{id: leaf}`` stash dicts and trees'
+:mod:`repro.oram.native`), each over :class:`Stash` tables and trees'
 operands (capacities and the first slot of each level, the ``slot_view``
 / ``occupancy_view`` buffers and the depth, which places each level's
 buckets):
 
-* ``serve(stash_map, caps, level_base, slots, occ, depth, update, ids,
+* ``serve(stash, caps, level_base, slots, occ, depth, update, ids,
   size, ...)`` — one request of the engine
   (``PathORAM._run_bins`` is its binder): the bins of a run of ids, the
   commit bin of a held step, or one dummy read, each decided as the
@@ -39,6 +39,15 @@ one subtree, level by level.  The read is the per-object reference tree's
 (``tests/oracle/tree.py``), both write-backs are decision-identical to the
 reference planner (``tests/oracle/write_back.py``) and the walk to the
 reference map (``tests/oracle/position_map.py``).
+
+:class:`Stash` is every tree's stash, the main tree's
+(:attr:`ArrayStash.entries <repro.oram.stash.ArrayStash.entries>`) and each
+recursion level's: an insertion-ordered ``id -> leaf`` table the kernels
+own, with ids and leaves as C ints, so the read appends to it and the
+write-backs scan and delete from it without running Python code.  It keeps
+a dict's order rules (an assignment to a present id keeps its position,
+a deleted and re-inserted id moves to the end), the ones the write-back's
+tie-breaks follow.
 """
 
 from repro.oram.native import load
@@ -46,3 +55,4 @@ from repro.oram.native import load
 _kernels = load()
 serve = _kernels.serve
 walk = _kernels.walk
+Stash = _kernels.Stash

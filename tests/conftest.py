@@ -10,6 +10,7 @@ from repro.core.superblock import LookaheadPlan
 from repro.datasets.permutation import PermutationTraceGenerator
 from repro.memory.timing import PAPER_TIMING
 from repro.oram.config import ORAMConfig
+from repro.oram.write_back import Stash
 
 from oracle import ObjectLAORAMClient, ObjectPathORAM
 
@@ -99,7 +100,17 @@ def dense_walk(entries) -> tuple:
     return (entries, 2, np.zeros((0, 3), dtype=np.int64), ())
 
 
-def tree_request(tree, stash_map, ids, entries, *, leaves=(0,), held=(), holding=False):
+def stash_of(mapping, into=None):
+    """``mapping``'s ``id -> leaf`` pairs, in order, assigned in ``into``
+    (a new :class:`~repro.oram.write_back.Stash` by default)."""
+    stash = Stash() if into is None else into
+    stash.extend(
+        np.array(list(mapping), dtype=np.int64), np.array(list(mapping.values()), dtype=np.int64)
+    )
+    return stash
+
+
+def tree_request(tree, stash, ids, entries, *, leaves=(0,), held=(), holding=False):
     """``serve``'s operands, by name, for one request on a bare array tree.
 
     ``ids`` is the request: int64 ids in one-id bins, an empty one a dummy
@@ -110,7 +121,7 @@ def tree_request(tree, stash_map, ids, entries, *, leaves=(0,), held=(), holding
     No plan, no stash capacity, no eviction, no observer.
     """
     return dict(
-        stash=stash_map, caps=tree.bucket_capacities, level_base=tree.level_base,
+        stash=stash, caps=tree.bucket_capacities, level_base=tree.level_base,
         slots=tree.slot_view, occ=tree.occupancy_view, depth=tree.depth,
         update=dense_walk(entries),
         ids=None if ids is None else np.asarray(ids, dtype=np.int64),

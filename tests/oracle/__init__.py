@@ -90,32 +90,26 @@ def engine_state(engine) -> dict:
     labels, the paths an open hold read, every tree slot (breadth-first,
     each bucket's ids in insertion order), every recursion level's slots,
     stash in order and block labels, and the client footprint; the same
-    accessors on either engine.
+    accessors on either engine, every stash read as its ``(id, leaf)``
+    pairs in order through its ``items()``.
     """
     return {
         "statistics": engine.statistics,
         "simulated_time_s": engine.simulated_time_s,
         "position_map": engine.position_map.as_array().tolist(),
-        "stash": _stash_entries(engine.stash),
+        "stash": list(engine.stash.items()),
         "held_paths": list(engine._held_paths),
         "slots": engine.tree.slot_array.tolist(),
         "levels": [
             {
                 "slots": level.tree.slot_array.tolist(),
-                "stash": _stash_entries(level.stash),
+                "stash": list(level.stash.items()),
                 "labels": level.labels.tolist(),
             }
             for level in engine.position_map._levels
         ],
         "client_memory_bytes": engine.client_memory_bytes(),
     }
-
-
-def _stash_entries(stash) -> list[tuple[int, int]]:
-    """A stash's (id, leaf) pairs in insertion order: a level's dict or a stash."""
-    if isinstance(stash, dict):
-        return list(stash.items())
-    return [(block_id, stash.leaf_of(block_id)) for block_id in stash.block_ids]
 
 
 def fetch_path(engine, leaf: int) -> None:

@@ -229,6 +229,14 @@ class ObjectLAORAMClient(ObjectPathORAM):
             self._plan = None
             raise
 
+    def dummy_access(self) -> None:
+        """One dummy read; a raise drops the plan, as any request's does."""
+        try:
+            super().dummy_access()
+        except BaseException:
+            self._plan = None
+            raise
+
     def run_trace(self, block_ids, ops=None, payloads=None) -> list:
         """Plan the trace window by window and serve each window.
 

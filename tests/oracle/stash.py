@@ -65,6 +65,10 @@ class Stash:
                 f"stash exceeded its capacity of {self._capacity} blocks"
             )
 
+    def items(self) -> list[tuple[int, int]]:
+        """Every ``(block_id, leaf)`` pair, in insertion order."""
+        return [(block_id, block.leaf) for block_id, block in self._entries.items()]
+
     def leaf_of(self, block_id: int) -> int:
         """Leaf of the stashed block ``block_id`` (``KeyError`` when absent)."""
         return self._entries[block_id].leaf

@@ -1,6 +1,6 @@
 """Tests for the array-backed engines: invariants, equivalence, regressions.
 
-Covers the vectorized ``PathORAM`` / ``LAORAMClient`` stack (dict stash,
+Covers the vectorized ``PathORAM`` / ``LAORAMClient`` stack (C-table stash,
 slot-array tree, plan-array execution), its decision-for-decision
 equivalence with the per-object reference engines (``tests/oracle/``),
 and regression tests for the plan-consumption and stash-iteration bugs
@@ -61,7 +61,7 @@ class TestArrayStash:
         stash = self.filled()
         assert len(stash) == 3
         assert stash.block_ids == list(stash) == [5, 9, 2]
-        assert stash.entries == {5: 1, 9: 3, 2: 7}
+        assert stash.items() == stash.entries.items() == [(5, 1), (9, 3), (2, 7)]
         assert 9 in stash and 4 not in stash
         assert stash.leaf_of(9) == 3
         with pytest.raises(KeyError):
@@ -86,10 +86,10 @@ class TestArrayStash:
         assert stash.leaf_of(9) == 4
 
     def test_entries_are_python_ints(self):
-        # The write-back kernels xor leaves and take ``bit_length``.
+        # numpy ints go in; the table holds C ints and hands out Python ints.
         stash = self.filled()
         stash.add(np.int64(11), np.int64(4))
-        for block_id, leaf in stash.entries.items():
+        for block_id, leaf in stash.items():
             assert type(block_id) is int and type(leaf) is int
 
     def test_capacity_overflow_keeps_what_it_was_given(self):

@@ -4,7 +4,7 @@ A LAORAM bin fetches every distinct path its missing blocks sit on and then
 writes those paths back one after another, so a later write-back finds the
 buckets it shares with an earlier one already refilled.  On the fast client
 that is the request kernel's write-back (``serve`` of ``oram/_write_back.c``,
-on the stash's dict); the reference is ``LAORAMClient.access_superblock``,
+on the stash's C table); the reference is ``LAORAMClient.access_superblock``,
 one occupancy-aware ``plan_greedy_write_back`` per path over ``Block``
 objects.  These tests
 hammer the pair with bins the access protocols seldom produce — batch sizes
@@ -43,7 +43,7 @@ from repro.oram.tree import ArrayTreeStorage
 from repro.oram.write_back import serve
 
 from test_trace_contract import assert_twins_agree
-from conftest import tree_request
+from conftest import stash_of, tree_request
 
 from oracle import (
     Block,
@@ -313,16 +313,16 @@ def test_the_kernels_subtree_fill_is_the_references(case):
     under = (near >> low << low) | (leaves & ((1 << low) - 1))
     leaves = np.where(rng.random(size) < 0.5, under, leaves)
     ids = rng.permutation(10 * size + 1)[:size]
-    stash_map = dict(zip(ids.tolist(), leaves.tolist()))
+    table = stash_of(dict(zip(ids.tolist(), leaves.tolist())))
     stash = Stash()
-    stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in stash_map.items())
+    stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in table.items())
     shipped = ArrayTreeStorage(depth, caps, block_size_bytes=8)
     reference = TreeStorage(depth, caps, block_size_bytes=8)
 
     labels = np.zeros(1, dtype=np.int32)
-    serve(*tree_request(shipped, stash_map, None, labels, held=held).values())
+    serve(*tree_request(shipped, table, None, labels, held=held).values())
     for index, blocks in plan_subtree_write_back(reference, stash, held).items():
         reference.bucket_by_index(index).extend(blocks)
-    assert list(stash_map) == stash.block_ids
+    assert table.items() == stash.items()
     assert shipped.slot_array.tolist() == reference.slot_array.tolist()
     assert np.array_equal(shipped.bucket_occupancies, reference.bucket_occupancies)

@@ -13,13 +13,13 @@ request by request, to the per-object reference planner
 buckets an earlier write-back refilled (the read is held to the reference
 tree's in ``tests/test_tree.py``); every operand any of them could read or
 write out of bounds with, the walk's included, is rejected before the
-first write; a steady-state write-back allocates nothing that grows with
-the stash, and a read nothing that grows with its path but the entries it
-inserts; and the loader builds them from source or fails loudly.
+first write; a steady-state request allocates nothing, whatever the size
+of its stash; and the loader builds them from source or fails loudly.
+The stash itself, a :class:`~repro.oram.write_back.Stash`, checks its ids
+and leaves when they are inserted (``tests/test_stash.py``).
 """
 
 import shutil
-import sys
 import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
@@ -31,23 +31,24 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.oram import native
 from repro.oram.position_map import PositionMap
 from repro.oram.tree import ArrayTreeStorage
-from repro.oram.write_back import serve, walk
+from repro.oram.write_back import Stash, serve, walk
 
-from oracle import Block, Stash, TreeStorage, plan_greedy_write_back
-from conftest import dense_walk, tree_request
+from oracle import Block, TreeStorage, plan_greedy_write_back
+from oracle import Stash as ReferenceStash
+from conftest import dense_walk, stash_of, tree_request
 
 #: A map for requests that read no labels: dummy reads and commit bins.
 NO_LABELS = np.zeros(1, dtype=np.int32)
 
 
-def dummy_read(tree, stash_map, leaf) -> dict:
+def dummy_read(tree, stash, leaf) -> dict:
     """A dummy read of the path to ``leaf``: fetched, then written back."""
-    return tree_request(tree, stash_map, [], NO_LABELS.copy(), leaves=[leaf])
+    return tree_request(tree, stash, [], NO_LABELS.copy(), leaves=[leaf])
 
 
-def commit_bin(tree, stash_map, leaves) -> dict:
+def commit_bin(tree, stash, leaves) -> dict:
     """The commit bin of the paths to ``leaves``: one subtree fill."""
-    return tree_request(tree, stash_map, None, NO_LABELS.copy(), held=leaves)
+    return tree_request(tree, stash, None, NO_LABELS.copy(), held=leaves)
 
 
 def stash_near(rng, depth: int, leaf: int, ids: np.ndarray) -> dict[int, int]:
@@ -60,9 +61,8 @@ def stash_near(rng, depth: int, leaf: int, ids: np.ndarray) -> dict[int, int]:
     return dict(zip(ids.tolist(), leaves.tolist()))
 
 
-def assert_same(shipped, reference, stash_map, stash) -> None:
-    assert list(stash_map) == stash.block_ids
-    assert list(stash_map.values()) == [block.leaf for block in stash]
+def assert_same(shipped, reference, table, stash) -> None:
+    assert table.items() == stash.items()
     assert shipped.slot_array.tolist() == reference.slot_array.tolist()
     assert np.array_equal(shipped.bucket_occupancies, reference.bucket_occupancies)
 
@@ -90,24 +90,25 @@ def test_the_kernels_path_write_back_is_the_references(case):
     depth, caps, first, second, (size, more), seed = case
     rng = np.random.default_rng(seed)
     ids = rng.permutation(10 * (size + more) + 2)[: size + more]
-    stash_map = stash_near(rng, depth, first, ids[:size])
-    stash = Stash()
-    stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in stash_map.items())
+    resident = stash_near(rng, depth, first, ids[:size])
+    table = stash_of(resident)
+    stash = ReferenceStash()
+    stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in resident.items())
     shipped = ArrayTreeStorage(depth, caps, block_size_bytes=8)
     reference = TreeStorage(depth, caps, block_size_bytes=8)
 
-    serve(*dummy_read(shipped, stash_map, first).values())
+    serve(*dummy_read(shipped, table, first).values())
     stash.extend(reference.read_path(first))
     reference.write_path(first, plan_greedy_write_back(reference, stash, first))
-    assert_same(shipped, reference, stash_map, stash)
+    assert_same(shipped, reference, table, stash)
 
     # The second path's own blocks join the stash, as its read left them.
     arriving = stash_near(rng, depth, second, ids[size:])
-    stash_map.update(arriving)
+    stash_of(arriving, into=table)
     stash.extend(Block(block_id=b, leaf=leaf) for b, leaf in arriving.items())
-    serve(*commit_bin(shipped, stash_map, [second]).values())
+    serve(*commit_bin(shipped, table, [second]).values())
     reference.write_path(second, plan_greedy_write_back(reference, stash, second))
-    assert_same(shipped, reference, stash_map, stash)
+    assert_same(shipped, reference, table, stash)
 
     # A bin of two ids, one on each path: both paths read, then written back
     # path by path, the second onto the buckets the first refilled.
@@ -120,7 +121,7 @@ def test_the_kernels_path_write_back_is_the_references(case):
         entries[block.block_id] = block.leaf
     entries[list(pair)] = first, second
     new_leaves = rng.integers(0, 1 << depth, size=2).tolist()
-    args = tree_request(shipped, stash_map, list(pair), entries, leaves=new_leaves)
+    args = tree_request(shipped, table, list(pair), entries, leaves=new_leaves)
     args["size"] = 2
     serve(*args.values())
     paths = list(dict.fromkeys([first, second]))
@@ -130,7 +131,7 @@ def test_the_kernels_path_write_back_is_the_references(case):
         stash.get(block).leaf = leaf
     for leaf in paths:
         reference.write_path(leaf, plan_greedy_write_back(reference, stash, leaf))
-    assert_same(shipped, reference, stash_map, stash)
+    assert_same(shipped, reference, table, stash)
 
 
 # ----------------------------------------------------------------------
@@ -143,15 +144,15 @@ ENTRIES = np.full(16, 5, dtype=np.int32)
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def held_bin(tree, stash_map, leaf) -> dict:
+def held_bin(tree, stash, leaf) -> dict:
     """A held one-id bin of block 6, which sits on leaf 5; its new leaf is ``leaf``."""
-    return tree_request(tree, stash_map, [6], ENTRIES.copy(), leaves=[leaf], holding=True)
+    return tree_request(tree, stash, [6], ENTRIES.copy(), leaves=[leaf], holding=True)
 
 
 REQUESTS = {
     "held bin": held_bin,
     "dummy read": dummy_read,
-    "commit bin": lambda tree, stash_map, leaf: commit_bin(tree, stash_map, [leaf]),
+    "commit bin": lambda tree, stash, leaf: commit_bin(tree, stash, [leaf]),
 }
 
 
@@ -172,17 +173,17 @@ def fresh(kernel=None):
     """
     tree = ArrayTreeStorage(DEPTH, CAPS, block_size_bytes=8)
     if kernel == "held bin":
-        serve(*dummy_read(tree, {block: 5 for block in range(9, 5, -1)}, 5).values())
+        serve(*dummy_read(tree, stash_of({block: 5 for block in range(9, 5, -1)}), 5).values())
         first = tree.level_base[DEPTH] + 5 * CAPS[DEPTH]
         assert tree.slot_array[first : first + 4].tolist() == [6, 7, 8, 9]
-    return {block: 5 for block in range(6)}, tree
+    return stash_of({block: 5 for block in range(6)}), tree
 
 
 def call(kernel, **override):
-    stash_map, tree = fresh(kernel)
-    args = REQUESTS[kernel](tree, stash_map, 5)
+    stash, tree = fresh(kernel)
+    args = REQUESTS[kernel](tree, stash, 5)
     args.update(override)
-    before = list(args["stash"].items()) if isinstance(args["stash"], dict) else None
+    before = args["stash"].items() if isinstance(args["stash"], Stash) else None
     slots, occupancies = tree.slot_array.copy(), tree.bucket_occupancies.copy()
     with pytest.raises((TypeError, ValueError)) as raised:
         serve(*args.values())
@@ -190,18 +191,18 @@ def call(kernel, **override):
     assert tree.slot_array.tobytes() == slots.tobytes()
     assert tree.bucket_occupancies.tobytes() == occupancies.tobytes()
     if before is not None:
-        assert list(args["stash"].items()) == before
+        assert args["stash"].items() == before
     return raised
 
 
 KERNELS = pytest.mark.parametrize("kernel", list(REQUESTS))
-#: The checks of stash entries: only a write-back reads them.
+#: The check of stash leaves against the tree: only a write-back reads them.
 WRITE_BACKS = pytest.mark.parametrize("kernel", ["dummy read", "commit bin"])
 
 
 @KERNELS
-@pytest.mark.parametrize("stash", [[(0, 5)], OrderedDict([(0, 5)])])
-def test_a_stash_that_is_not_a_dict_is_rejected(kernel, stash):
+@pytest.mark.parametrize("stash", [[(0, 5)], {0: 5}, OrderedDict([(0, 5)])])
+def test_a_stash_that_is_not_a_Stash_is_rejected(kernel, stash):
     assert call(kernel, stash=stash).type is TypeError
 
 
@@ -220,27 +221,13 @@ def test_a_leaf_that_is_not_an_int_is_rejected(kernel, leaf):
 
 
 @WRITE_BACKS
-@pytest.mark.parametrize("value", [-1, 1 << DEPTH])
+@pytest.mark.parametrize("value", [1 << DEPTH, 1 << 62])
 def test_a_stash_leaf_outside_the_tree_is_rejected(kernel, value):
-    stash_map = {block: 5 for block in range(6)}
-    stash_map[6] = value
-    assert call(kernel, stash=stash_map).type is ValueError
-
-
-@WRITE_BACKS
-@pytest.mark.parametrize("entry", [(6, 5.0), (6, np.int64(5)), (6, True), (6.0, 5), ("6", 5)])
-def test_a_stash_entry_that_is_not_an_int_is_rejected(kernel, entry):
-    stash_map = {block: 5 for block in range(6)}
-    stash_map[entry[0]] = entry[1]
-    assert call(kernel, stash=stash_map).type is TypeError
-
-
-@WRITE_BACKS
-@pytest.mark.parametrize("block", [-1, 1 << 31])
-def test_a_stash_id_no_slot_can_hold_is_rejected(kernel, block):
-    stash_map = {b: 5 for b in range(6)}
-    stash_map[block] = 5
-    assert call(kernel, stash=stash_map).type is ValueError
+    """A leaf the stash holds for a deeper tree: every resident is checked
+    before the first placement."""
+    stash = stash_of({block: 5 for block in range(6)})
+    stash[6] = value
+    assert call(kernel, stash=stash).type is ValueError
 
 
 @KERNELS
@@ -319,9 +306,9 @@ def test_a_depth_past_62_is_rejected(kernel, depth):
 
 @KERNELS
 def test_the_wrong_argument_count_is_rejected(kernel):
-    stash_map, tree = fresh(kernel)
+    stash, tree = fresh(kernel)
     with pytest.raises(TypeError):
-        serve(*list(REQUESTS[kernel](tree, stash_map, 5).values())[:-1])
+        serve(*list(REQUESTS[kernel](tree, stash, 5).values())[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -366,15 +353,15 @@ def test_a_label_outside_the_tree_is_rejected(label):
 @pytest.mark.parametrize("damage", ["negative id", "occupancy past capacity"])
 def test_a_damaged_path_is_rejected(damage):
     """The last occupied slot read holds no id, or an occupancy passes its bucket's."""
-    stash_map, tree = fresh("held bin")
+    stash, tree = fresh("held bin")
     if damage == "negative id":
         tree.slot_array[tree.level_base[DEPTH] + 5 * CAPS[DEPTH] + 3] = -1
     else:
         tree.bucket_occupancies[(1 << DEPTH) - 1 + 5] = CAPS[DEPTH] + 1
     slots, occupancies = tree.slot_array.tobytes(), tree.bucket_occupancies.tobytes()
     with pytest.raises(ValueError):
-        serve(*held_bin(tree, stash_map, 5).values())
-    assert stash_map == {block: 5 for block in range(6)}
+        serve(*held_bin(tree, stash, 5).values())
+    assert stash.items() == [(block, 5) for block in range(6)]
     assert tree.slot_array.tobytes() == slots
     assert tree.bucket_occupancies.tobytes() == occupancies
 
@@ -393,7 +380,7 @@ def map_state(pmap: PositionMap) -> list:
     """Every level's stash, slots, occupancies and labels, the packed labels
     (the logical ones first), the top map and the walk state."""
     levels = [
-        (list(level.stash.items()), level.tree.slot_array.tobytes(),
+        (level.stash.items(), level.tree.slot_array.tobytes(),
          level.tree.bucket_occupancies.tobytes(), level.labels.tobytes())
         for level in pmap._levels
     ]
@@ -507,84 +494,68 @@ def as_views(args: dict) -> tuple:
     return view(tuple(args.values()))
 
 
-def test_a_steady_state_write_back_allocates_nothing_that_grows_with_the_stash():
-    """Stashes of 10, 300 and 3,000 entries after a warm-up: the same traced peak.
-
-    The kernel groups and pools the stash in one module-level scratch
-    buffer that only grows; once a call of the largest size has grown it,
-    a dummy read of an empty path and a commit bin allocate nothing at all.
-    """
-    depth, caps = 12, [4] * 13
-    rng = np.random.default_rng(3)
-
-    def case(size):
-        ids = rng.permutation(4 * size)[:size]
-        return stash_near(rng, depth, 7, ids), ArrayTreeStorage(depth, caps, block_size_bytes=8)
-
-    stash_map, tree = case(3000)
-    serve(*dummy_read(tree, stash_map, 7).values())
-    serve(*commit_bin(tree, stash_map, [7, 9, 4000]).values())
-    peaks = []
-    for size in (10, 300, 3000):
-        stash_map, tree = case(size)
-        fill = case(size)
-        args = as_views(dummy_read(tree, stash_map, 7))
-        held_args = as_views(commit_bin(fill[1], fill[0], [7, 9, 4000]))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            serve(*args)
-            serve(*held_args)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert tree.real_block_count() and fill[1].real_block_count()
-    assert peaks == [0, 0, 0]
-
-
-def traced(work) -> tuple[int, int]:
-    """The traced memory ``work()`` leaves and its peak, from zero."""
+def traced(work) -> int:
+    """The traced peak of ``work()``, from zero."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         work()
-        return tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_a_steady_state_read_allocates_only_the_entries_it_inserts():
-    """Paths of 10 and 20 blocks: the held bin keeps its entries and its held path.
+@pytest.mark.parametrize("residents", [10, 300, 3000])
+def test_a_steady_state_request_allocates_nothing(residents):
+    """After a warm-up: a one-id bin's fetch and write-back, a dummy read and
+    a held step's commit allocate 0 traced bytes, whatever the stash holds.
 
-    The path's ids and their labels lie past the small-int cache, so each
-    entry the read inserts is a new key and a new value, and the stash has
-    room for them; block 1000, the one the bin asks for, sits on leaf 7 and
-    takes leaf 7 again, so its value is a small int both times.  What the
-    request keeps beyond those is the held path's append to an empty list;
-    what it frees (its bookkeeping) does not grow with the path.
+    The stash is a C table that grows with its residents and never shrinks,
+    the write-backs work in one module-level scratch buffer that only grows,
+    and a bin of up to 64 ids keeps its work on the stack, so once the
+    warm-up has grown them a request allocates nothing: no boxed id or
+    leaf, no key, no entry.  The residents' leaves share only the root with
+    path 7; block ``residents`` sits on path 7 with eleven others and takes
+    leaf 7 again, so every request reads and writes back the same path.
     """
     depth, caps = 12, [4] * 13
-    kept = [None]
-    one_int = traced(lambda: kept.__setitem__(0, len(caps) * 1000))[0]
-    held = []
-    append_bytes = traced(lambda: held.append(7))[0]
-    transient = {}
-    for blocks in (10, 20):
-        tree = ArrayTreeStorage(depth, caps, block_size_bytes=8)
-        serve(*dummy_read(tree, {1000 + i: 7 for i in range(blocks)}, 7).values())
-        tags = np.full(3000, 4000, dtype=np.int32)
-        tags[1000] = 7
-        stash_map = {2000 + i: 7 for i in range(22)}
-        request = tree_request(tree, stash_map, [1000], tags, leaves=[7], holding=True)
-        args = as_views(request)
-        size = sys.getsizeof(stash_map)
-        current, peak = traced(lambda: serve(*args))
-        assert len(stash_map) == 22 + blocks and tree.real_block_count() == 0
-        assert sys.getsizeof(stash_map) == size
-        assert request["held_paths"] == [7]
-        assert current == (2 * blocks - 1) * one_int + append_bytes
-        transient[blocks] = peak - current
-    assert transient[10] == transient[20]
+    rng = np.random.default_rng(residents)
+    tags = np.full(residents + 12, 7, dtype=np.int32)
+    tags[:residents] = rng.integers(1 << (depth - 1), 1 << depth, size=residents)
+    tree = ArrayTreeStorage(depth, caps, block_size_bytes=8)
+    stash = stash_of(dict(enumerate(tags.tolist())))
+    block = [residents]
+    states = []
+
+    def request(ids, **kwargs):
+        args = tree_request(tree, stash, ids, tags, leaves=[7], **kwargs)
+        states.append(args["state"])
+        return args, as_views(args)
+
+    _, bin_args = request(block)
+    _, dummy_args = request([])
+    hold, hold_args = request(block, holding=True)
+    commit = tree_request(tree, stash, None, tags)
+    commit["held_paths"] = hold["held_paths"]
+    states.append(commit["state"])
+    commit_args = as_views(commit)
+
+    def run(args, trace=False):
+        for state in states:
+            state[:] = 0
+        return traced(lambda: serve(*args)) if trace else serve(*args)
+
+    for _ in range(3):
+        for args in (bin_args, dummy_args, hold_args, commit_args):
+            run(args)
+    peaks = [run(bin_args, trace=True), run(dummy_args, trace=True)]
+    run(hold_args)
+    assert hold["held_paths"] == [7]
+    peaks.append(run(commit_args, trace=True))
+    assert peaks == [0, 0, 0]
+    assert hold["held_paths"] == []
+    assert len(stash) + tree.real_block_count() == residents + 12
+    assert residents - 4 <= len(stash) <= residents
 
 
 # ----------------------------------------------------------------------
@@ -595,11 +566,11 @@ def test_the_loader_builds_into_an_empty_cache_and_loads_the_build(tmp_path):
     built = list(tmp_path.iterdir())
     assert [path.name for path in built] == [module.__file__.rsplit("/", 1)[1]]
     # A fresh build's scratch is empty: a first call with nothing to place.
-    stash_map, tree = {}, ArrayTreeStorage(2, [1, 1, 1], block_size_bytes=8)
-    assert module.serve(*commit_bin(tree, stash_map, []).values()) is None
-    stash_map = {0: 0}
-    module.serve(*dummy_read(tree, stash_map, 0).values())
-    assert stash_map == {} and tree.slot_array.tolist()[-4] == 0
+    stash, tree = module.Stash(), ArrayTreeStorage(2, [1, 1, 1], block_size_bytes=8)
+    assert module.serve(*commit_bin(tree, stash, []).values()) is None
+    stash[0] = 0
+    module.serve(*dummy_read(tree, stash, 0).values())
+    assert len(stash) == 0 and tree.slot_array.tolist()[-4] == 0
     # A second load finds the build.
     assert native.load(cache_dir=tmp_path, compiler="/nonexistent/cc").__file__ == module.__file__
 

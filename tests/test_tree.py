@@ -14,10 +14,10 @@ from repro.oram.tree import (
     PLACE_CHUNK,
     ArrayTreeStorage,
 )
-from repro.oram.write_back import serve
+from repro.oram.write_back import Stash, serve
 
 from oracle import Block, TreeStorage
-from conftest import node_ids, tree_request
+from conftest import node_ids, stash_of, tree_request
 
 
 def make_tree(depth=3, bucket=2, block_size=64, metadata=0, capacities=None):
@@ -514,11 +514,11 @@ class TestPathReads:
         reference = _reference_tree(tree)
         rng = np.random.default_rng(seed + 1)
         entries = rng.integers(0, 1 << depth, size=num_ids + stash_size + 1).astype(np.int32)
-        stash = {num_ids + i: int(entries[num_ids + i]) for i in range(stash_size)}
+        expected = {num_ids + i: int(entries[num_ids + i]) for i in range(stash_size)}
+        stash = stash_of(expected)
         read = [block.block_id for block in reference.read_path(leaf)]
         block_id = read[0] if read else num_ids + stash_size
         entries[block_id] = leaf
-        expected = dict(stash)
         expected.update((block, int(entries[block])) for block in read)
 
         if read:
@@ -526,8 +526,7 @@ class TestPathReads:
         else:
             with pytest.raises(BlockNotFoundError):
                 native_read(tree, stash, view(entries), block_id)
-        assert list(stash.items()) == list(expected.items())
-        assert all(type(label) is int for label in stash.values())
+        assert stash.items() == list(expected.items())
         assert len(stash) == stash_size + sum(on_path)
         assert tree.slot_array.tolist() == reference.slot_array.tolist()
         assert np.array_equal(tree.bucket_occupancies, reference.bucket_occupancies)
@@ -570,7 +569,7 @@ class TestPathReads:
         placed = ArrayTreeStorage(depth, capacities, 64)
         placed.bulk_place_ordered(order, leaves[order])
         assert_dense_prefixes(placed)
-        stash = {}
+        stash = Stash()
         native_read(placed, stash, leaves.astype(np.int32), int(order[0]))
         assert stash
         assert_dense_prefixes(placed)
