@@ -874,7 +874,7 @@ typedef struct {
     Py_ssize_t num_entries;
     long long chi;
     Py_ssize_t count, parsed;
-    Level *levels; /* level 1 first */
+    Level *levels; /* level 1 first: the caller's array of MAX_LEVELS */
 } Walk;
 
 static void
@@ -885,7 +885,6 @@ release_walk(Walk *w)
             PyBuffer_Release(&w->levels[i].views[v]);
         }
     }
-    PyMem_Free(w->levels);
     PyBuffer_Release(&w->entries_view);
     PyBuffer_Release(&w->state);
 }
@@ -902,6 +901,7 @@ parse_level(PyObject *obj, Walk *w, Level *level, int64_t *state)
     }
     PyObject **args = PySequence_Fast_ITEMS(obj);
     Py_buffer *views = level->views;
+    memset(views, 0, sizeof(level->views));
     w->parsed++;
     if (parse_tree(args, &level->tree, &views[0], &views[1]) < 0
         || buffer_of(args[6], &views[2], 4, "il", 1, "labels") < 0
@@ -928,12 +928,14 @@ parse_level(PyObject *obj, Walk *w, Level *level, int64_t *state)
     return 0;
 }
 
-/* (entries, chi, state, levels), level 1 first, no level for a dense map;
- * on a raise the caller still calls release_walk. */
+/* (entries, chi, state, levels), level 1 first, no level for a dense map,
+ * parsed into the caller's `levels` (MAX_LEVELS of them, on its stack, so a
+ * walk allocates nothing); on a raise the caller still calls release_walk. */
 static int
-parse_walk(PyObject *obj, Walk *w)
+parse_walk(PyObject *obj, Walk *w, Level *levels)
 {
     memset(w, 0, sizeof(*w));
+    w->levels = levels;
     if (!PyTuple_CheckExact(obj) || PyTuple_GET_SIZE(obj) != 4) {
         PyErr_SetString(PyExc_TypeError,
                         "the walk must be a tuple (entries, chi, state, levels)");
@@ -958,17 +960,9 @@ parse_walk(PyObject *obj, Walk *w)
                      w->state.len / 8, LEVEL_FIELDS * w->count);
         return -1;
     }
-    if (w->count == 0) {
-        return 0;
-    }
-    w->levels = PyMem_Calloc((size_t)w->count, sizeof(Level));
-    if (w->levels == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    PyObject **levels = PySequence_Fast_ITEMS(args[3]);
+    PyObject **items = PySequence_Fast_ITEMS(args[3]);
     for (Py_ssize_t i = 0; i < w->count; i++) {
-        if (parse_level(levels[i], w, &w->levels[i],
+        if (parse_level(items[i], w, &levels[i],
                         (int64_t *)w->state.buf + LEVEL_FIELDS * i) < 0) {
             return -1;
         }
@@ -1086,8 +1080,9 @@ walk(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     Walk w;
+    Level levels[MAX_LEVELS];
     long long block_id, leaf, old;
-    int failed = parse_walk(args[0], &w) < 0
+    int failed = parse_walk(args[0], &w, levels) < 0
                  || bounded(args[1], 0, w.num_entries, "block_id", &block_id) < 0
                  || bounded(args[2], 0, (long long)INT32_MAX + 1, "leaf", &leaf) < 0
                  || update_map(&w, block_id, leaf, (long long)INT32_MAX + 1, &old) < 0;
@@ -1432,6 +1427,7 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
     /* Zeroed: a buffer never taken releases as nothing. */
     Request r;
     memset(&r, 0, sizeof(r));
+    Level levels[MAX_LEVELS];
     Py_buffer slots = {0}, occ = {0}, ids = {0}, remaps = {0}, leaf_buf = {0}, state = {0};
     Work w;
     long long local[4 * WORK_ON_STACK];
@@ -1441,7 +1437,7 @@ serve_request(PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     r.stash = (Stash *)args[0];
-    if (parse_walk(args[6], &r.map) < 0) {
+    if (parse_walk(args[6], &r.map, levels) < 0) {
         goto done;
     }
 
@@ -1597,32 +1593,45 @@ serve(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 /* Stash: the mapping protocol                                         */
 /* ------------------------------------------------------------------ */
 
-/* An int in [lo, hi] to insert: an int (no bool) or an integer with
- * __index__. */
+/* What a key converts to: an int (no bool) or an integer with __index__,
+ * as a long long. */
+enum { KEY_INT, KEY_NOT_INT, KEY_OVERFLOW, KEY_ERROR };
+
 static int
-inserted(PyObject *obj, long long hi, const char *what, long long *out)
+as_key(PyObject *obj, long long *out)
 {
     if (PyBool_Check(obj) || !PyIndex_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "a stash %s must be an int, not %.100s", what,
-                     Py_TYPE(obj)->tp_name);
-        return -1;
+        return KEY_NOT_INT;
     }
     PyObject *index = PyNumber_Index(obj);
     if (index == NULL) {
-        return -1;
+        return KEY_ERROR;
     }
     int overflow;
-    long long value = PyLong_AsLongLongAndOverflow(index, &overflow);
+    *out = PyLong_AsLongLongAndOverflow(index, &overflow);
     Py_DECREF(index);
-    if (value == -1 && PyErr_Occurred()) {
-        return -1;
+    if (*out == -1 && PyErr_Occurred()) {
+        return KEY_ERROR;
     }
-    if (overflow || value < 0 || value > hi) {
+    return overflow ? KEY_OVERFLOW : KEY_INT;
+}
+
+/* An int in [0, hi] to insert. */
+static int
+inserted(PyObject *obj, long long hi, const char *what, long long *out)
+{
+    int key = as_key(obj, out);
+    if (key == KEY_INT && *out >= 0 && *out <= hi) {
+        return 0;
+    }
+    if (key == KEY_NOT_INT) {
+        PyErr_Format(PyExc_TypeError, "a stash %s must be an int, not %.100s", what,
+                     Py_TYPE(obj)->tp_name);
+    }
+    else if (key != KEY_ERROR) {
         PyErr_Format(PyExc_ValueError, "stash %s %R outside [0, %lld]", what, obj, hi);
-        return -1;
     }
-    *out = value;
-    return 0;
+    return -1;
 }
 
 /* The position of the key's entry, -1 when the stash has none (a key that
@@ -1630,20 +1639,15 @@ inserted(PyObject *obj, long long hi, const char *what, long long *out)
 static Py_ssize_t
 lookup(Stash *s, PyObject *key)
 {
-    if (PyBool_Check(key) || !PyIndex_Check(key)) {
+    long long id;
+    switch (as_key(key, &id)) {
+    case KEY_INT:
+        return find(s, id);
+    case KEY_ERROR:
+        return -2;
+    default:
         return -1;
     }
-    PyObject *index = PyNumber_Index(key);
-    if (index == NULL) {
-        return -2;
-    }
-    int overflow;
-    long long id = PyLong_AsLongLongAndOverflow(index, &overflow);
-    Py_DECREF(index);
-    if (id == -1 && PyErr_Occurred()) {
-        return -2;
-    }
-    return overflow ? -1 : find(s, id);
 }
 
 static PyObject *
@@ -1829,22 +1833,12 @@ done:
     return result;
 }
 
-static PyObject *
-stash_sizeof(Stash *s, PyObject *unused)
-{
-    (void)unused;
-    return PyLong_FromSsize_t((Py_ssize_t)sizeof(Stash) + s->room * (Py_ssize_t)sizeof(Entry)
-                              + s->slots * (Py_ssize_t)sizeof(Slot));
-}
-
 static PyMethodDef stash_methods[] = {
     {"items", (PyCFunction)stash_items, METH_NOARGS,
      "items()\n--\n\nThe (id, leaf) pairs, in insertion order."},
     {"pop", (PyCFunction)(void (*)(void))stash_pop, METH_FASTCALL,
      "pop(id[, default])\n--\n\nRemove ``id`` and return its leaf; ``default`` (else\n"
      "KeyError) when absent."},
-    {"__sizeof__", (PyCFunction)stash_sizeof, METH_NOARGS,
-     "__sizeof__()\n--\n\nBytes of the table: its order array and index."},
     {"extend", (PyCFunction)(void (*)(void))stash_extend, METH_FASTCALL,
      "extend(ids, leaves)\n--\n\nAssign each int64 leaf to its int64 id, in order: all\n"
      "checked before the first."},

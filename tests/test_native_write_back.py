@@ -505,8 +505,40 @@ def traced(work) -> int:
         tracemalloc.stop()
 
 
+def test_a_steady_state_write_back_allocates_nothing_that_grows_with_the_stash():
+    """Stashes of 10, 300 and 3,000 entries after a warm-up: the same traced peak.
+
+    The kernel groups and pools the stash in one module-level scratch
+    buffer that only grows; once a call of the largest size has grown it,
+    a dummy read of an empty path, which places many of the residents near
+    path 7, and a commit bin of three held paths allocate nothing at all,
+    each on a fresh stash and tree of its size.
+    """
+    depth, caps = 12, [4] * 13
+    rng = np.random.default_rng(3)
+
+    def case(size):
+        ids = rng.permutation(4 * size)[:size]
+        stash = stash_of(stash_near(rng, depth, 7, ids))
+        return stash, ArrayTreeStorage(depth, caps, block_size_bytes=8)
+
+    stash, tree = case(3000)
+    serve(*dummy_read(tree, stash, 7).values())
+    serve(*commit_bin(tree, stash, [7, 9, 4000]).values())
+    peaks = []
+    for size in (10, 300, 3000):
+        stash, tree = case(size)
+        fill = case(size)
+        args = as_views(dummy_read(tree, stash, 7))
+        held_args = as_views(commit_bin(fill[1], fill[0], [7, 9, 4000]))
+        peaks.append(traced(lambda: (serve(*args), serve(*held_args))))
+        assert tree.real_block_count() and fill[1].real_block_count()
+    assert peaks == [0, 0, 0]
+
+
+@pytest.mark.parametrize("recursive", [False, True], ids=["dense map", "recursive map"])
 @pytest.mark.parametrize("residents", [10, 300, 3000])
-def test_a_steady_state_request_allocates_nothing(residents):
+def test_a_steady_state_request_allocates_nothing(residents, recursive):
     """After a warm-up: a one-id bin's fetch and write-back, a dummy read and
     a held step's commit allocate 0 traced bytes, whatever the stash holds.
 
@@ -516,7 +548,11 @@ def test_a_steady_state_request_allocates_nothing(residents):
     warm-up has grown them a request allocates nothing: no boxed id or
     leaf, no key, no entry.  The residents' leaves share only the root with
     path 7; block ``residents`` sits on path 7 with eleven others and takes
-    leaf 7 again, so every request reads and writes back the same path.
+    leaf 7 again, so every request reads and writes back the same path.  On
+    a recursive map the bin's remap walks every level, whose stashes are
+    tables too and whose operands the kernel parses onto its stack; each
+    traced call starts the levels' leaf streams where the warm-up left
+    them, so none refills its leaf block.
     """
     depth, caps = 12, [4] * 13
     rng = np.random.default_rng(residents)
@@ -526,36 +562,54 @@ def test_a_steady_state_request_allocates_nothing(residents):
     stash = stash_of(dict(enumerate(tags.tolist())))
     block = [residents]
     states = []
+    walk_state = np.zeros((0, 3), dtype=np.int64)
+    if recursive:
+        pmap = PositionMap(
+            len(tags), 1 << depth, rng, positions_per_block=4, cutoff_bytes=64, seed=residents
+        )
+        pmap.load_many(np.arange(len(tags)), tags)
+        assert pmap._levels
+        walk_state = pmap._walk_state
 
     def request(ids, **kwargs):
         args = tree_request(tree, stash, ids, tags, leaves=[7], **kwargs)
+        if recursive:
+            args["update"] = pmap.leaf_access()[1]
         states.append(args["state"])
-        return args, as_views(args)
+        return args
 
-    _, bin_args = request(block)
-    _, dummy_args = request([])
-    hold, hold_args = request(block, holding=True)
-    commit = tree_request(tree, stash, None, tags)
+    bin_args = as_views(request(block))
+    dummy_args = as_views(request([]))
+    hold = request(block, holding=True)
+    hold_args = as_views(hold)
+    commit = request(None)
     commit["held_paths"] = hold["held_paths"]
-    states.append(commit["state"])
     commit_args = as_views(commit)
 
-    def run(args, trace=False):
+    def run(args, settled=None, trace=False):
         for state in states:
             state[:] = 0
+        if settled is not None:
+            walk_state[:] = settled
         return traced(lambda: serve(*args)) if trace else serve(*args)
 
     for _ in range(3):
         for args in (bin_args, dummy_args, hold_args, commit_args):
             run(args)
-    peaks = [run(bin_args, trace=True), run(dummy_args, trace=True)]
-    run(hold_args)
+    settled = walk_state.copy()
+    peaks = [run(bin_args, settled, trace=True)]
+    # The bin's remap read a path of every level.
+    assert (walk_state[:, 1] > settled[:, 1]).all()
+    peaks.append(run(dummy_args, settled, trace=True))
+    run(hold_args, settled)
     assert hold["held_paths"] == [7]
-    peaks.append(run(commit_args, trace=True))
+    peaks.append(run(commit_args, settled, trace=True))
     assert peaks == [0, 0, 0]
     assert hold["held_paths"] == []
     assert len(stash) + tree.real_block_count() == residents + 12
     assert residents - 4 <= len(stash) <= residents
+    if recursive:
+        assert pmap.peek(residents) == 7
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ are inserted, and a rejected insertion, one id or a whole extend, changes
 nothing: the kernels trust what the table holds.
 """
 
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,19 +149,28 @@ def test_order_survives_compaction_at_5000():
 
 
 def test_the_table_is_sized_by_its_residents():
-    """A churn at a constant 100 residents keeps the table at its size, and
-    that size is a few dozen bytes a resident, whatever the ids."""
-    stash = Stash()
-    stash.extend(*pairs(np.arange(100) * 10_000_019, np.zeros(100)))
-    for step in range(20_000):
-        del stash[next(iter(stash))]
-        stash[step] = step
-    size = sys.getsizeof(stash)
-    for step in range(20_000, 40_000):
-        del stash[next(iter(stash))]
-        stash[step] = step
-    assert sys.getsizeof(stash) == size
-    assert len(stash) == 100 and size < 100 * 64
+    """A churn at a constant 100 residents: the table settles at a few dozen
+    bytes a resident, whatever the ids, and then allocates nothing more."""
+    ids, leaves = pairs(np.arange(100) * 10_000_019, np.zeros(100))
+
+    def churn(steps):
+        for step in steps:
+            del stash[next(iter(stash))]
+            stash[step] = step
+
+    tracemalloc.start()
+    try:
+        stash = Stash()
+        stash.extend(ids, leaves)
+        churn(range(20_000))
+        settled = tracemalloc.get_traced_memory()[0]
+        tracemalloc.clear_traces()
+        churn(range(20_000, 40_000))
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown == 0
+    assert len(stash) == 100 and settled < 100 * 64
 
 
 def test_a_mapping_of_its_own_is_not_a_dict():
