@@ -12,7 +12,7 @@ Run with ``python examples/fat_tree_stash_study.py``.
 
 from __future__ import annotations
 
-from repro import EvictionPolicy, LAORAMClient, LAORAMConfig, ORAMConfig
+from repro import LAORAMClient, LAORAMConfig, ORAMConfig
 from repro.datasets import PermutationTraceGenerator
 from repro.memory import TrafficCounter
 
@@ -21,17 +21,19 @@ NUM_ACCESSES = 6_000
 SUPERBLOCK = 8
 
 
-def run(label: str, fat: bool, eviction: EvictionPolicy) -> tuple[list[int], float]:
+def run(label: str, fat: bool, background_eviction: bool) -> tuple[list[int], float]:
     counter = TrafficCounter(record_stash_history=True)
     client = LAORAMClient(
         LAORAMConfig(
+            # The paper's eviction: above 500 stash blocks, drain to 50.
             oram=ORAMConfig(
-                num_blocks=NUM_ROWS, block_size_bytes=128, fat_tree=fat, seed=4
+                num_blocks=NUM_ROWS, block_size_bytes=128, fat_tree=fat, seed=4,
+                eviction_threshold=500, eviction_target=50,
+                background_eviction=background_eviction,
             ),
             superblock_size=SUPERBLOCK,
         ),
         counter=counter,
-        eviction=eviction,
     )
     trace = PermutationTraceGenerator(NUM_ROWS, seed=5).generate(NUM_ACCESSES)
     client.run_trace(trace.addresses)
@@ -67,7 +69,7 @@ def main() -> None:
     )
     histories = {}
     for label, fat in (("normal", False), ("fat 8-to-4", True)):
-        history, _ = run(label, fat, EvictionPolicy.disabled())
+        history, _ = run(label, fat, background_eviction=False)
         histories[label] = history
         print(f"  {label:<12} final stash = {history[-1]:>5} blocks")
     print()
@@ -76,7 +78,7 @@ def main() -> None:
     print("\nWith background eviction (trigger 500 / drain 50), the stash stays")
     print("bounded and the cost shows up as dummy reads instead:\n")
     for label, fat in (("normal", False), ("fat 8-to-4", True)):
-        _, dummy_rate = run(label, fat, EvictionPolicy.paper_default())
+        _, dummy_rate = run(label, fat, background_eviction=True)
         print(f"  {label:<12} dummy reads per access = {dummy_rate:.3f}")
     print(
         "\nThe fat tree absorbs superblock write-backs near the root, so it both"

@@ -36,7 +36,6 @@ from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import FatTreePolicy, ORAMConfig
-from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 
@@ -48,7 +47,6 @@ __all__ = [
     "ObliviousMemory",
     "ORAMConfig",
     "FatTreePolicy",
-    "EvictionPolicy",
     "PathORAM",
     "InsecureMemory",
     "LAORAMConfig",

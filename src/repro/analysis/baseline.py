@@ -8,8 +8,7 @@ findings that no longer occur) are reported so the file can be re-tightened
 with ``--write-baseline``.
 
 The committed baseline for this repo is ``.analysis-baseline.json`` and is
-empty by policy for ``src/repro/oram/``: every engine finding must be
-fixed, inline-suppressed with a reason, or declassified in the manifest.
+empty by policy: every finding is fixed or inline-suppressed with a reason.
 """
 
 from __future__ import annotations

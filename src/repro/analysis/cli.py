@@ -17,7 +17,6 @@ from repro.analysis.baseline import (
     split_against_baseline,
 )
 from repro.analysis.core import AnalysisError, analyze_paths
-from repro.analysis.manifests import default_config
 from repro.analysis.reporters import REPORTERS
 
 DEFAULT_PATHS = ("src/repro", "benchmarks")
@@ -27,8 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Obliviousness and hot-path invariant linter for the ORAM "
-            "engine (see docs/static_analysis.md)."
+            "Source-level linter: randomness through repro.utils.rng and "
+            "well-formed suppressions (see docs/static_analysis.md)."
         ),
     )
     parser.add_argument(
@@ -56,27 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    parser.add_argument(
-        "--rules",
-        metavar="IDS",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--show-declassified",
-        action="store_true",
-        help="also list declassified and inline-suppressed findings",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    config = default_config()
-    if args.rules:
-        config.rules = tuple(r.strip() for r in args.rules.split(",") if r.strip())
 
     paths = args.paths or [p for p in DEFAULT_PATHS if os.path.exists(p)]
     if not paths:
@@ -87,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         baseline_path = DEFAULT_BASELINE
 
     try:
-        result = analyze_paths(paths, config)
+        result = analyze_paths(paths)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -110,13 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     new, matched, stale = split_against_baseline(result.findings, baseline)
-    REPORTERS[args.format](
-        result,
-        sys.stdout,
-        new,
-        matched,
-        show_declassified=args.show_declassified,
-    )
+    REPORTERS[args.format](result, sys.stdout, new, matched)
     if stale:
         print(
             f"note: {len(stale)} stale baseline entr"

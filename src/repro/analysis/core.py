@@ -1,21 +1,18 @@
-"""Core of the obliviousness & hot-path invariant linter.
+"""Core of the source-level linter.
 
 The framework is deliberately small and stdlib-only (``ast`` + ``re``):
 
-* :class:`Finding` — one diagnostic, anchored to a file/line/column and
-  carrying the secret labels that produced it (for the taint rules).
-* :class:`SourceModule` — a parsed file: source text, AST, inline
-  suppressions (``# oblivious: allow[RULE123] reason``) and qualname map.
+* :class:`Finding` — one diagnostic, anchored to a file/line/column.
+* :class:`SourceModule` — a parsed file: source text, AST and inline
+  suppressions (``# oblivious: allow[RULE123] reason``).
 * :class:`Rule` / :func:`register_rule` — the rule registry.  Rules yield
-  raw findings; the driver applies manifest declassifications and inline
-  suppressions centrally, so every rule gets both mechanisms for free.
+  raw findings; the driver applies inline suppressions centrally, so every
+  rule gets them for free.
 * :func:`analyze_paths` / :func:`analyze_module` — the drivers.
 
-The analyzer is a *tripwire*, not a verifier: it forces every
-secret-adjacent branch, stray RNG construction and hot-path allocation to
-either be fixed or carry a human-written reason at the site (inline
-suppression) or in the manifest (declassification allowlist).  See
-``docs/static_analysis.md`` for the threat-model mapping of each rule.
+The analyzer is a *tripwire*, not a verifier: it forces every stray RNG
+construction to either be fixed or carry a human-written reason at the
+site.  See ``docs/static_analysis.md`` for what each rule guards.
 """
 
 from __future__ import annotations
@@ -46,10 +43,8 @@ class Finding:
     col: int
     message: str
     #: Qualified name of the enclosing function/class scope, "" at module
-    #: level.  Used by declassification-allowlist matching.
+    #: level.
     qualname: str = ""
-    #: Secret source labels that reached the sink (taint rules only).
-    secrets: tuple[str, ...] = ()
 
     def key(self) -> tuple[str, str, str]:
         """Baseline identity: stable across pure line-number drift."""
@@ -96,12 +91,11 @@ def _parse_suppressions(module: SourceModule) -> None:
     """Populate the line -> suppression map.
 
     A trailing suppression applies to its own line.  A run of comment-only
-    suppression lines applies to the first following non-comment line, so a
-    multi-rule stack above one statement works:
+    suppression lines applies to the first following non-comment line, so
+    allows for several rules can stack above one statement:
 
-        # oblivious: allow[OBL001] reason one
-        # oblivious: allow[OBL002] reason two
-        for row in stash_rows: ...
+        # oblivious: allow[RNG001] reason
+        import random
     """
     pending: list[Suppression] = []
     for lineno, raw in enumerate(module.lines, start=1):
@@ -163,14 +157,12 @@ class Rule:
 
     Subclasses set ``rule_id``/``title`` and implement :meth:`check`,
     yielding :class:`Finding` objects with ``rule == self.rule_id``.
-    ``config`` is the :class:`~repro.analysis.manifests.AnalysisConfig`
-    manifest bundle.
     """
 
     rule_id: str = ""
     title: str = ""
 
-    def check(self, module: SourceModule, config) -> Iterator[Finding]:
+    def check(self, module: SourceModule) -> Iterator[Finding]:
         raise NotImplementedError
 
 
@@ -232,25 +224,21 @@ class AnalysisResult:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[tuple[Finding, Suppression]] = field(default_factory=list)
-    declassified: list[tuple[Finding, str]] = field(default_factory=list)
     files_scanned: int = 0
 
     def extend(self, other: "AnalysisResult") -> None:
         self.findings.extend(other.findings)
         self.suppressed.extend(other.suppressed)
-        self.declassified.extend(other.declassified)
         self.files_scanned += other.files_scanned
 
 
-def analyze_module(module: SourceModule, config) -> AnalysisResult:
-    """Run every (selected) rule over one parsed module."""
+def analyze_module(module: SourceModule) -> AnalysisResult:
+    """Run every rule over one parsed module."""
     result = AnalysisResult(files_scanned=1)
     rules = all_rules()
-    selected = config.rules if config.rules is not None else sorted(rules)
     seen: set[tuple[str, str, int, int, str]] = set()
-    for rule_id in selected:
-        rule = rules[rule_id]
-        for finding in rule.check(module, config):
+    for rule_id in sorted(rules):
+        for finding in rules[rule_id].check(module):
             dedupe = (
                 finding.rule, finding.path, finding.line, finding.col,
                 finding.message,
@@ -258,12 +246,6 @@ def analyze_module(module: SourceModule, config) -> AnalysisResult:
             if dedupe in seen:
                 continue
             seen.add(dedupe)
-            reason = config.declassification_reason(
-                module.path, finding.qualname, finding.rule
-            )
-            if reason is not None:
-                result.declassified.append((finding, reason))
-                continue
             supp = module.suppression_for(finding.line, finding.rule)
             if supp is not None:
                 result.suppressed.append((finding, supp))
@@ -306,15 +288,14 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
 
 def analyze_paths(
     paths: Iterable[str],
-    config,
     on_file: Optional[Callable[[str], None]] = None,
 ) -> AnalysisResult:
-    """Analyze every ``.py`` file under ``paths`` with ``config``."""
+    """Analyze every ``.py`` file under ``paths``."""
     total = AnalysisResult()
     for path in iter_python_files(paths):
         if on_file is not None:
             on_file(path)
         module = parse_module(path)
-        total.extend(analyze_module(module, config))
+        total.extend(analyze_module(module))
     total.findings.sort(key=Finding.sort_key)
     return total

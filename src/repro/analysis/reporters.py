@@ -18,8 +18,6 @@ def _finding_dict(finding: Finding) -> dict:
     }
     if finding.qualname:
         out["qualname"] = finding.qualname
-    if finding.secrets:
-        out["secrets"] = list(finding.secrets)
     return out
 
 
@@ -28,30 +26,17 @@ def report_text(
     stream: IO[str],
     new_findings: list[Finding],
     baselined: list[Finding],
-    show_declassified: bool = False,
 ) -> None:
     for finding in new_findings:
         stream.write(
             f"{finding.path}:{finding.line}:{finding.col + 1}: "
             f"{finding.rule} {finding.message}\n"
         )
-    if show_declassified:
-        for finding, reason in result.declassified:
-            stream.write(
-                f"{finding.path}:{finding.line}: {finding.rule} declassified "
-                f"({finding.qualname or '<module>'}): {reason}\n"
-            )
-        for finding, supp in result.suppressed:
-            stream.write(
-                f"{finding.path}:{finding.line}: {finding.rule} suppressed "
-                f"inline (line {supp.comment_line}): {supp.reason}\n"
-            )
     summary = (
         f"{result.files_scanned} files scanned, "
         f"{len(new_findings)} new finding(s), "
         f"{len(baselined)} baselined, "
-        f"{len(result.suppressed)} suppressed inline, "
-        f"{len(result.declassified)} declassified"
+        f"{len(result.suppressed)} suppressed inline"
     )
     stream.write(summary + "\n")
 
@@ -61,7 +46,6 @@ def report_json(
     stream: IO[str],
     new_findings: list[Finding],
     baselined: list[Finding],
-    show_declassified: bool = False,
 ) -> None:
     payload = {
         "files_scanned": result.files_scanned,
@@ -72,13 +56,6 @@ def report_json(
             for f, s in result.suppressed
         ],
     }
-    if show_declassified:
-        payload["declassified"] = [
-            {**_finding_dict(f), "reason": reason}
-            for f, reason in result.declassified
-        ]
-    else:
-        payload["declassified_count"] = len(result.declassified)
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")
 

@@ -6,7 +6,7 @@ fully determines the generator stream.  A direct
 ``np.random.default_rng()`` / legacy ``np.random.*`` call or a stdlib
 ``random`` import anywhere else creates a stream the seed plumbing cannot
 see, silently voiding those guarantees — so construction is only allowed
-inside the manifest's ``rng_allowed_modules`` (``repro/utils/rng.py``).
+inside :data:`ALLOWED_MODULES` (``repro/utils/rng.py``).
 
 Type annotations (``np.random.Generator``) are fine: the rule flags calls
 and imports, not references.
@@ -15,7 +15,7 @@ and imports, not references.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.analysis.core import (
     Finding,
@@ -24,9 +24,25 @@ from repro.analysis.core import (
     build_qualnames,
     register_rule,
 )
-from repro.analysis.taint import dotted_name
+
+#: Path suffixes where direct RNG construction is allowed.  Matched by posix
+#: suffix, so a copy of the tree under a temporary directory is analyzed
+#: the same way as the tree itself.
+ALLOWED_MODULES = ("repro/utils/rng.py",)
 
 _NUMPY_PREFIXES = ("np.random.", "numpy.random.")
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Dotted name of a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def _enclosing_qualname(
@@ -53,8 +69,8 @@ class DirectRngRule(Rule):
     rule_id = "RNG001"
     title = "direct RNG construction outside repro.utils.rng"
 
-    def check(self, module: SourceModule, config) -> Iterator[Finding]:
-        if config.rng_allowed(module.path):
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        if module.path.replace("\\", "/").endswith(ALLOWED_MODULES):
             return
         qualnames = build_qualnames(module.tree)
         parents = _parent_map(module.tree)

@@ -48,7 +48,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import as_block_ids
-from repro.oram.eviction import EvictionPolicy
 from repro.oram.path_oram import PathORAM
 from repro.core.config import LAORAMConfig
 from repro.core.preprocessor import Preprocessor
@@ -62,14 +61,13 @@ class LAORAMClient(PathORAM):
         self,
         config: LAORAMConfig,
         counter: Optional[TrafficCounter] = None,
-        eviction: Optional[EvictionPolicy] = None,
         observer=None,
     ):
         if not isinstance(config, LAORAMConfig):
             raise ConfigurationError(
                 f"{type(self).__name__} requires an LAORAMConfig"
             )
-        super().__init__(config.oram, counter=counter, eviction=eviction, observer=observer)
+        super().__init__(config.oram, counter=counter, observer=observer)
         self.laoram_config = config
         # The bin paths come from the engine's one leaf stream, prefetched
         # draws first, so they are the leaves scalar draws would give.

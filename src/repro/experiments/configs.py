@@ -17,7 +17,6 @@ from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import ObliviousMemory
 from repro.oram.config import ORAMConfig
-from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 
@@ -88,7 +87,6 @@ def parse_label(label: str) -> dict:
 def build_engine(
     label: str,
     oram_config: ORAMConfig,
-    eviction: Optional[EvictionPolicy] = None,
     counter: Optional[TrafficCounter] = None,
     observer=None,
     fast: bool = False,
@@ -115,13 +113,9 @@ def build_engine(
         return InsecureMemory(config, counter=counter, observer=observer)
     engine_cls = ENGINE_CLASSES[family]
     if family == "pathoram":
-        return engine_cls(
-            config, counter=counter, eviction=eviction, observer=observer
-        )
+        return engine_cls(config, counter=counter, observer=observer)
     laoram_config = LAORAMConfig(
         oram=config.with_overrides(fat_tree=parsed["fat_tree"]),
         superblock_size=parsed["superblock_size"],
     )
-    return engine_cls(
-        laoram_config, counter=counter, eviction=eviction, observer=observer
-    )
+    return engine_cls(laoram_config, counter=counter, observer=observer)

@@ -29,7 +29,6 @@ from repro.experiments.configs import PAPER_CONFIG_LABELS, build_engine, parse_l
 from repro.experiments.scale import SMALL, ExperimentScale
 from repro.memory.accounting import TrafficSnapshot
 from repro.oram.config import ORAMConfig
-from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import LABEL_BYTES, PositionMap
 
 #: Workloads of Figure 7's six sub-figures: (dataset, table selector).
@@ -121,7 +120,7 @@ class Cell:
     """One replay: ``label``'s engine on ``oram`` over one trace.
 
     ``oram`` carries the table size, the engine seed, the bucket sizes and
-    the background-eviction flag.  The trace is ``dataset``'s generator at
+    the background-eviction settings.  The trace is ``dataset``'s generator at
     that table size, ``num_accesses`` long, seeded with ``trace_seed``.
     """
 
@@ -130,7 +129,6 @@ class Cell:
     num_accesses: int
     trace_seed: int
     oram: ORAMConfig
-    eviction: Optional[EvictionPolicy] = None
     record_stash_history: bool = False
 
 
@@ -141,7 +139,7 @@ def replay(cell: Cell, trace: AccessTrace) -> ExperimentResult:
     bins) and PathORAM runs its bin kernel, as every caller of the engine
     verb does.
     """
-    engine = build_engine(cell.label, cell.oram, eviction=cell.eviction)
+    engine = build_engine(cell.label, cell.oram)
     engine.counter.record_stash_history = cell.record_stash_history
     engine.run_trace(trace.addresses)
     return ExperimentResult(
@@ -190,7 +188,7 @@ class ReplayMatrix:
 
     def _cell(
         self, label: str, dataset: str, trace_seed: int, num_blocks: Optional[int] = None,
-        eviction: Optional[EvictionPolicy] = None, record_stash_history: bool = False, **oram,
+        record_stash_history: bool = False, **oram,
     ) -> Cell:
         """A cell at this matrix's scale; ``oram`` overrides the default
         tree geometry and engine seed."""
@@ -200,8 +198,7 @@ class ReplayMatrix:
             **oram,
         )
         return Cell(
-            label, dataset, self.scale.num_accesses, trace_seed, config, eviction,
-            record_stash_history,
+            label, dataset, self.scale.num_accesses, trace_seed, config, record_stash_history,
         )
 
     def workload(self, subfigure: str) -> tuple[str, int]:
@@ -254,8 +251,7 @@ class ReplayMatrix:
         return {
             row: self.record(self._cell(
                 label, "permutation", seed,
-                eviction=EvictionPolicy.disabled(), record_stash_history=True,
-                fat_tree=fat_root is not None, root_bucket_size=fat_root,
+                record_stash_history=True, fat_tree=fat_root is not None, root_bucket_size=fat_root,
                 background_eviction=False, seed=seed + offset,
             )).stash_history
             for offset, (row, (label, fat_root)) in enumerate(FIGURE8_CONFIGS.items())
@@ -268,11 +264,10 @@ class ReplayMatrix:
         above 500 stash blocks (drained to 50); the fat tree cuts them about
         3x, and Kaggle and XNLI incur far fewer than the permutation stream.
         """
-        eviction = EvictionPolicy.paper_default()
         return {
             label: {
                 dataset: self.record(self._cell(
-                    label, dataset, seed + d, eviction=eviction, seed=seed + 10 * c + d
+                    label, dataset, seed + d, seed=seed + 10 * c + d
                 )).dummy_reads_per_access
                 for d, dataset in enumerate(TABLE2_DATASETS)
             }
@@ -288,12 +283,12 @@ class ReplayMatrix:
         The eviction threshold is 100 (drained to 10), not the paper's 500:
         the reduced-scale trees build proportionally less stash pressure.
         """
-        eviction = EvictionPolicy(enabled=True, trigger_threshold=100, drain_target=10)
+        eviction = dict(eviction_threshold=100, eviction_target=10)
         normal = self._cell(
-            "Normal/S8", "permutation", seed, eviction=eviction, bucket_size=6, seed=seed
+            "Normal/S8", "permutation", seed, bucket_size=6, seed=seed, **eviction
         )
         fat = self._cell(
-            "Fat/S8", "permutation", seed, eviction=eviction,
+            "Fat/S8", "permutation", seed, **eviction,
             bucket_size=5, fat_tree=True, root_bucket_size=9, seed=seed + 1,
         )
         records = {

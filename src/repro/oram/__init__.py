@@ -8,7 +8,6 @@ LAORAM's client, its subclass, in :mod:`repro.core`.
 
 from repro.oram.base import AccessOp, ObliviousMemory
 from repro.oram.config import ORAMConfig, FatTreePolicy
-from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import PositionMap
@@ -20,7 +19,6 @@ __all__ = [
     "ObliviousMemory",
     "ORAMConfig",
     "FatTreePolicy",
-    "EvictionPolicy",
     "InsecureMemory",
     "PathORAM",
     "PositionMap",

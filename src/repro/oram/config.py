@@ -124,6 +124,10 @@ class ORAMConfig:
             raise ConfigurationError("block_size_bytes must be >= 1")
         if self.bucket_size < 1:
             raise ConfigurationError("bucket_size must be >= 1")
+        if self.eviction_threshold < 1:
+            raise ConfigurationError("eviction_threshold must be >= 1")
+        if self.eviction_target < 0:
+            raise ConfigurationError("eviction_target must be >= 0")
         if self.eviction_target > self.eviction_threshold:
             raise ConfigurationError(
                 "eviction_target must not exceed eviction_threshold"

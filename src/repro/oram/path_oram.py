@@ -39,7 +39,6 @@ from repro.memory.accounting import TrafficCounter, TrafficSnapshot
 from repro.memory.timing import PAPER_TIMING
 from repro.oram.base import AccessOp, ObliviousMemory, as_block_ids
 from repro.oram.config import ORAMConfig
-from repro.oram.eviction import EvictionPolicy
 from repro.oram.position_map import PositionMap
 from repro.oram.row_store import load_rows
 from repro.oram.stash import ArrayStash
@@ -50,6 +49,10 @@ from repro.utils.rng import make_rng
 #: The request of one dummy read: a bin with no ids.
 DUMMY_READ = np.empty(0, dtype=np.int64)
 DUMMY_READ.flags.writeable = False
+
+#: Dummy reads one background-eviction episode may issue before it gives
+#: up: a safety valve for a tree too full to take the stash's blocks.
+MAX_DUMMY_READS_PER_EPISODE = 10_000
 
 
 class PathORAM(ObliviousMemory):
@@ -79,7 +82,6 @@ class PathORAM(ObliviousMemory):
         self,
         config: ORAMConfig,
         counter: Optional[TrafficCounter] = None,
-        eviction: Optional[EvictionPolicy] = None,
         observer=None,
     ):
         if config.num_blocks > MAX_NUM_BLOCKS:
@@ -90,11 +92,6 @@ class PathORAM(ObliviousMemory):
         self.config = config
         self.counter = counter if counter is not None else TrafficCounter()
         self.rng = make_rng(config.seed)
-        self.eviction = eviction if eviction is not None else EvictionPolicy(
-            enabled=config.background_eviction,
-            trigger_threshold=config.eviction_threshold,
-            drain_target=config.eviction_target,
-        )
         self.observer = observer
         self.tree = ArrayTreeStorage(
             depth=config.depth,
@@ -271,8 +268,6 @@ class PathORAM(ObliviousMemory):
         first = self._trace_cursor
         write = op is AccessOp.WRITE
         payloads = self._payloads
-        # oblivious: allow[OBL001] client-side: when a stash hit's payload is
-        # stored; the kernel's traffic is the same either way
         if write and block_id in self.stash.entries:
             payloads[block_id] = new_payload
         try:
@@ -432,7 +427,7 @@ class PathORAM(ObliviousMemory):
         counter = self.counter
         tree = self.tree
         plan = self._plan
-        eviction = self.eviction
+        config = self.config
         capacity = self.stash.capacity
         update = self.position_map.leaf_access()[1]
         state = np.array(
@@ -447,10 +442,10 @@ class PathORAM(ObliviousMemory):
                 None if plan is None else plan.consume_next_leaf,
                 self.rng.integers, self._leaf_buf,
                 (
-                    self.config.num_blocks, self._num_leaves,
-                    -1 if capacity is None else capacity, int(eviction.enabled),
-                    eviction.trigger_threshold, eviction.drain_target,
-                    eviction.max_dummy_reads_per_episode,
+                    config.num_blocks, self._num_leaves,
+                    -1 if capacity is None else capacity, int(config.background_eviction),
+                    config.eviction_threshold, config.eviction_target,
+                    MAX_DUMMY_READS_PER_EPISODE,
                 ),
                 self._held_paths, self._holding, self.observer,
                 counter.stash_history if counter.record_stash_history else None,

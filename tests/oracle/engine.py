@@ -43,20 +43,8 @@ from oracle.tree import TreeStorage
 from oracle.write_back import plan_greedy_write_back, plan_subtree_write_back
 
 
-class Eviction:
-    """The paper's background eviction: above the trigger, drain to the target.
-
-    The fields are named as the library's ``EvictionPolicy`` names them, so
-    a test may hand either to a reference engine; the rule itself is
-    :meth:`ObjectPathORAM._maybe_background_evict`'s.
-    """
-
-    def __init__(self, config: ORAMConfig):
-        self.enabled = config.background_eviction
-        self.trigger_threshold = config.eviction_threshold
-        self.drain_target = config.eviction_target
-        #: Dummy reads one episode may issue before it gives up.
-        self.max_dummy_reads_per_episode = 10_000
+#: Dummy reads one background-eviction episode may issue before it gives up.
+MAX_DUMMY_READS_PER_EPISODE = 10_000
 
 
 class ObjectPathORAM(ObliviousMemory):
@@ -69,13 +57,11 @@ class ObjectPathORAM(ObliviousMemory):
         self,
         config: ORAMConfig,
         counter: Optional[TrafficCounter] = None,
-        eviction=None,
         observer=None,
     ):
         self.config = config
         self.counter = counter if counter is not None else TrafficCounter()
         self.rng = make_rng(config.seed)
-        self.eviction = eviction if eviction is not None else Eviction(config)
         self.observer = observer
         self.tree = TreeStorage(
             depth=config.depth,
@@ -196,14 +182,14 @@ class ObjectPathORAM(ObliviousMemory):
 
     def _maybe_background_evict(self) -> None:
         """Dummy reads, one path each, while the stash is above the trigger."""
-        policy = self.eviction
-        if not (policy.enabled and len(self.stash) > policy.trigger_threshold):
+        config = self.config
+        if not (config.background_eviction and len(self.stash) > config.eviction_threshold):
             return
         self.counter.record_background_eviction()
         dummy_reads = 0
         while (
-            dummy_reads < policy.max_dummy_reads_per_episode
-            and len(self.stash) > policy.drain_target
+            dummy_reads < MAX_DUMMY_READS_PER_EPISODE
+            and len(self.stash) > config.eviction_target
         ):
             self.dummy_access()
             dummy_reads += 1

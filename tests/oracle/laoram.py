@@ -87,10 +87,10 @@ class PlanWindow:
 class ObjectLAORAMClient(ObjectPathORAM):
     """Look-ahead ORAM client, per-object: the reference."""
 
-    def __init__(self, config: LAORAMConfig, counter=None, eviction=None, observer=None):
+    def __init__(self, config: LAORAMConfig, counter=None, observer=None):
         if not isinstance(config, LAORAMConfig):
             raise ConfigurationError(f"{type(self).__name__} requires an LAORAMConfig")
-        super().__init__(config.oram, counter=counter, eviction=eviction, observer=observer)
+        super().__init__(config.oram, counter=counter, observer=observer)
         self.laoram_config = config
         self._plan: Optional[PlanWindow] = None
         self._plan_source = None

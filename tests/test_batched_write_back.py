@@ -4,8 +4,9 @@ A LAORAM bin fetches every distinct path its missing blocks sit on and then
 writes those paths back one after another, so a later write-back finds the
 buckets it shares with an earlier one already refilled.  On the fast client
 that is the request kernel's write-back (``serve`` of ``oram/_write_back.c``,
-on the stash's C table); the reference is ``LAORAMClient.access_superblock``,
-one occupancy-aware ``plan_greedy_write_back`` per path over ``Block``
+on the stash's C table); the reference is
+``ObjectLAORAMClient.access_superblock`` (``tests/oracle/laoram.py``), one
+occupancy-aware ``plan_greedy_write_back`` per path over ``Block``
 objects.  These tests
 hammer the pair with bins the access protocols seldom produce — batch sizes
 from 1 to 64, duplicate leaves in one bin, paths that share only the root,

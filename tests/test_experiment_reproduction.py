@@ -22,7 +22,6 @@ from repro.experiments.matrix import (
 )
 from repro.experiments.scale import ExperimentScale, TINY
 from repro.experiments.table1 import TABLE1_WORKLOADS, run_table1
-from repro.oram.eviction import EvictionPolicy
 from repro.utils.stats import chi_square_uniformity
 from repro.utils.units import GiB
 
@@ -222,8 +221,8 @@ class TestAblations:
                 "Normal/S8",
                 "permutation",
                 8,
-                eviction=EvictionPolicy(
-                    trigger_threshold=threshold, drain_target=max(5, threshold // 10)
+                self.oram_config(8).with_overrides(
+                    eviction_threshold=threshold, eviction_target=max(5, threshold // 10)
                 ),
             ).snapshot
             for threshold in (50, 150, 400)
@@ -233,9 +232,9 @@ class TestAblations:
 
     def test_fat_tree_growth_schedules(self):
         """Section V: extra slots near the root buy stash headroom at bounded cost."""
-        base = self.oram_config(11)
+        base = self.oram_config(11).with_overrides(background_eviction=False)
         uniform, linear, increment = (
-            self.record(label, "permutation", 11, config, eviction=EvictionPolicy.disabled())
+            self.record(label, "permutation", 11, config)
             for label, config in (
                 ("Normal/S8", base),
                 ("Fat/S8", base.with_overrides(fat_tree_growth="linear")),

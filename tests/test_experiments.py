@@ -18,7 +18,6 @@ from repro.experiments.matrix import Cell, ExperimentResult, ReplayMatrix
 from repro.experiments.scale import TINY, ExperimentScale, get_scale
 from repro.memory.accounting import TrafficSnapshot
 from repro.core.laoram import LAORAMClient
-from repro.oram.eviction import EvictionPolicy
 from repro.oram.insecure import InsecureMemory
 from repro.oram.path_oram import PathORAM
 from repro.oram.position_map import PositionMap
@@ -150,14 +149,15 @@ class TestCellKey:
         "permutation",
         512,
         1,
-        build_oram_config(num_blocks=256, block_size_bytes=64, seed=2),
-        EvictionPolicy(trigger_threshold=20, drain_target=5),
+        build_oram_config(num_blocks=256, block_size_bytes=64, seed=2).with_overrides(
+            eviction_threshold=20, eviction_target=5
+        ),
     )
 
     def test_the_record_is_a_fresh_replay_of_the_cell(self):
         cell = replace(self.BASE, record_stash_history=True)
         record = ReplayMatrix().record(cell)
-        engine = build_engine(cell.label, cell.oram, eviction=cell.eviction)
+        engine = build_engine(cell.label, cell.oram)
         engine.counter.record_stash_history = True
         engine.run_trace(make_trace("permutation", 256, 512, seed=1).addresses)
         assert record == ExperimentResult(
@@ -177,7 +177,7 @@ class TestCellKey:
         base = self.BASE
         cells = [
             base,
-            replace(base, eviction=EvictionPolicy.disabled()),
+            replace(base, oram=base.oram.with_overrides(background_eviction=False)),
             replace(base, record_stash_history=True),
             replace(base, oram=base.oram.with_overrides(bucket_size=5)),
             replace(base, oram=base.oram.with_overrides(seed=3)),

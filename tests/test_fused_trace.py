@@ -8,7 +8,9 @@ Two contracts of the fused hot path (PR 8):
   under aggressive background eviction, write ops and numpy-array inputs;
 * the steady-state fused loop performs no per-access numpy allocations:
   ``tracemalloc`` growth over a long trace is bounded by the results list
-  plus the block-buffered RNG refills.
+  plus the block-buffered RNG refills, and the row store's per-access get
+  and set hold no more at their peak than the bare row view or row copy
+  they are made of.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 from repro.oram.path_oram import PathORAM
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
-from repro.oram.eviction import EvictionPolicy
+from repro.oram.row_store import OverlayRowStore
 
 from oracle import ObjectPathORAM
 from oracle import engine_state as _state
@@ -61,12 +63,12 @@ class TestRunTraceBitIdentity:
         assert _state(fused) == _state(reference)
 
     def test_aggressive_background_eviction(self):
-        eviction = EvictionPolicy(trigger_threshold=2, drain_target=1)
+        config = _config().with_overrides(eviction_threshold=2, eviction_target=1)
         trace = _trace()
-        fused = PathORAM(_config(), eviction=eviction)
+        fused = PathORAM(config)
         fused_results = fused.run_trace(trace)
         for cls in (PathORAM, ObjectPathORAM):
-            loop = cls(_config(), eviction=eviction)
+            loop = cls(config)
             assert fused_results == [loop.access(b) for b in trace]
             assert _state(fused) == _state(loop)
         assert fused.statistics.background_evictions > 0
@@ -122,6 +124,18 @@ class TestRunTraceBitIdentity:
         via_trace = PathORAM(_config())
         assert via_many.access_many(trace) == via_trace.run_trace(trace)
         assert _state(via_many) == _state(via_trace)
+
+
+def _peak(call) -> int:
+    """The fewest bytes one ``call()`` held at once, over five calls after a warm one."""
+    call()
+    peaks = []
+    for _ in range(5):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    return min(peaks)
 
 
 class TestZeroAllocationSteadyState:
@@ -183,3 +197,39 @@ class TestZeroAllocationSteadyState:
         assert after_writes - before <= 2 * results_bytes + 64 * 1024
         assert write_peak - before <= 2 * results_bytes + 256 * 1024
         assert after - after_writes <= 64 * 1024
+
+    @pytest.mark.parametrize(
+        "block_id", [3, 5, NUM_BLOCKS + 10], ids=["base-row", "overlay-row", "past-the-base"]
+    )
+    def test_a_row_store_get_holds_only_the_row_view(self, block_id):
+        """A get is the bare view of the row it returns: no per-call temporary."""
+        store = OverlayRowStore(np.zeros((NUM_BLOCKS, 8), dtype=np.float32), NUM_BLOCKS + 20)
+        store[5] = np.ones(8, dtype=np.float32)
+        slot = store._slot_of[block_id]
+        rows, index = (store._base, block_id) if slot < 0 else (store._rows, slot)
+        tracemalloc.start()
+        try:
+            got = _peak(lambda: store.get(block_id))
+            bare = _peak(lambda: rows[index])
+        finally:
+            tracemalloc.stop()
+        assert got <= bare, f"get held {got} B at its peak, the bare row view {bare} B"
+
+    @pytest.mark.parametrize("first_write", [False, True], ids=["rewrite", "first-write"])
+    def test_a_row_store_set_holds_only_the_row_copy(self, first_write):
+        """A set is the bare copy of the row into its overlay row: no per-call temporary."""
+        store = OverlayRowStore(np.zeros((NUM_BLOCKS, 8), dtype=np.float32), NUM_BLOCKS)
+        row = np.full(8, 2.0, dtype=np.float32)
+        store[5] = row
+        # Fresh ids, one a call, stay well inside the overlay's first rows.
+        fresh = iter(range(10, 20))
+        tracemalloc.start()
+        try:
+            if first_write:
+                got = _peak(lambda: store.__setitem__(next(fresh), row))
+            else:
+                got = _peak(lambda: store.__setitem__(5, row))
+            bare = _peak(lambda: store._overlay.__setitem__(1, row))
+        finally:
+            tracemalloc.stop()
+        assert got <= bare, f"a set held {got} B at its peak, the bare row copy {bare} B"

@@ -130,6 +130,34 @@ def test_a_read_after_commit_returns_the_committed_rows(label, recursive, fast):
     assert engine.statistics.logical_accesses == 2 * ids.size + 4
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_a_step_of_stash_hits_reads_no_path_and_its_commit_ends_the_bin(label):
+    # A step whose every id waits in the stash reads no path, and its commit
+    # writes none back; it still ends the step as a bin: the eviction check
+    # and the stash observation, as on the reference.
+    # One-slot buckets leave blocks in the stash between steps.
+    config = build_oram_config(NUM_BLOCKS, block_size_bytes=4 * DIM, bucket_size=1, seed=3)
+    states = []
+    for fast in (True, False):
+        engine = build_engine(label, config, fast=fast)
+        engine.load_payloads(ROWS)
+        engine.counter.record_stash_history = True
+        for ids in steps(count=20):
+            engine.commit(ids, engine.hold_many(ids))
+            if len(engine.stash):
+                break
+        ids = sorted(engine.stash.block_ids)[:4]
+        assert ids
+        reads = engine.statistics.path_reads
+        rows = engine.hold_many(ids)
+        assert engine.statistics.path_reads == reads and not engine._held_paths
+        observed = len(engine.counter.stash_history)
+        engine.commit(ids, rows)
+        assert len(engine.counter.stash_history) == observed + 1
+        states.append(engine_state(engine))
+    assert states[0] == states[1]
+
+
 @pytest.mark.parametrize("label", LABELS + ["Insecure"])
 @pytest.mark.parametrize("fast", [True, False], ids=["shipped", "reference"])
 def test_a_commit_of_other_ids_raises_and_holds_nothing_back(label, fast):

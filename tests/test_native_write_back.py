@@ -350,14 +350,20 @@ def test_a_label_outside_the_tree_is_rejected(label):
     assert entries.tolist() == [5] * 6 + [label] + [5] * 9
 
 
-@pytest.mark.parametrize("damage", ["negative id", "occupancy past capacity"])
+@pytest.mark.parametrize(
+    "damage", ["negative id", "occupancy past capacity", "occupancy past a filled slot"]
+)
 def test_a_damaged_path_is_rejected(damage):
-    """The last occupied slot read holds no id, or an occupancy passes its bucket's."""
+    """The last occupied slot read holds no id, or an occupancy passes its
+    bucket's: past an empty slot, or past one holding a good id, which only
+    the occupancy check refuses."""
     stash, tree = fresh("held bin")
     if damage == "negative id":
         tree.slot_array[tree.level_base[DEPTH] + 5 * CAPS[DEPTH] + 3] = -1
     else:
         tree.bucket_occupancies[(1 << DEPTH) - 1 + 5] = CAPS[DEPTH] + 1
+        if damage == "occupancy past a filled slot":
+            tree.slot_array[tree.level_base[DEPTH] + 6 * CAPS[DEPTH]] = 10
     slots, occupancies = tree.slot_array.tobytes(), tree.bucket_occupancies.tobytes()
     with pytest.raises(ValueError):
         serve(*held_bin(tree, stash, 5).values())

@@ -7,7 +7,6 @@ from repro.exceptions import BlockNotFoundError
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
-from repro.oram.eviction import EvictionPolicy
 
 from oracle import ObjectPathORAM
 
@@ -135,15 +134,14 @@ class TestBackgroundEviction:
             eviction_target=5,
             seed=3,
         )
-        policy = EvictionPolicy(trigger_threshold=20, drain_target=5)
-        oram = ObjectPathORAM(config, eviction=policy)
+        oram = ObjectPathORAM(config)
         rng = np.random.default_rng(0)
         for block in rng.integers(0, 256, size=400):
             oram.read(int(block))
         assert len(oram.stash) <= 20 or oram.statistics.dummy_reads > 0
 
     def test_disabled_eviction_never_issues_dummies(self, small_config):
-        oram = ObjectPathORAM(small_config, eviction=EvictionPolicy.disabled())
+        oram = ObjectPathORAM(small_config.with_overrides(background_eviction=False))
         rng = np.random.default_rng(0)
         for block in rng.integers(0, 256, size=300):
             oram.read(int(block))

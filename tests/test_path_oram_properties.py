@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.oram.base import AccessOp
 from repro.oram.config import ORAMConfig
-from repro.oram.eviction import EvictionPolicy
 
 from oracle import ObjectPathORAM
 
@@ -70,8 +69,10 @@ class TestPathORAMProperties:
         """Every (real or dummy) path read is followed by exactly one write-back."""
         num_blocks, accesses = case
         oram = ObjectPathORAM(
-            ORAMConfig(num_blocks=num_blocks, block_size_bytes=16, seed=4),
-            eviction=EvictionPolicy(trigger_threshold=16, drain_target=4),
+            ORAMConfig(
+                num_blocks=num_blocks, block_size_bytes=16, seed=4,
+                eviction_threshold=16, eviction_target=4,
+            ),
         )
         oram.access_many(accesses)
         snap = oram.statistics

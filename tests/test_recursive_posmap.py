@@ -165,6 +165,21 @@ class TestChargingModel:
         assert pmap.update(17, 6) == 5
         assert counter.posmap_path_reads == reads + misses
 
+    def test_an_update_to_the_label_it_has_is_a_walk_too(self):
+        # What a walk reads does not depend on the new label: one that
+        # leaves the block where it is walks as any other.
+        counter = TrafficCounter()
+        pmap = make_map(counter=counter)
+        chi = pmap.positions_per_block
+        misses = sum(
+            17 // chi**k not in level.stash
+            for k, level in enumerate(pmap._levels, start=1)
+        )
+        assert misses > 0
+        label = pmap.peek(17)
+        assert pmap.update(17, label) == label == pmap.peek(17)
+        assert counter.posmap_path_reads == counter.posmap_path_writes == misses
+
     def test_every_update_is_charged(self):
         counter = TrafficCounter()
         pmap = make_map(counter=counter)

@@ -27,6 +27,7 @@ from repro.exceptions import (
 )
 from repro.experiments.configs import build_oram_config
 from repro.oram.base import AccessOp
+from repro.oram.path_oram import MAX_DUMMY_READS_PER_EPISODE
 from repro.oram.write_back import serve
 
 from oracle import build_engine, engine_state
@@ -277,16 +278,16 @@ class TestKernelGuards:
         """``serve``'s arguments for a one-id request on ``engine``."""
         tree = engine.tree
         update = engine.position_map.leaf_access()[1]
-        policy = engine.eviction
+        config = engine.config
         args = dict(
             stash=engine.stash.entries, caps=tree.bucket_capacities,
             level_base=tree.level_base, slots=tree.slot_view, occ=tree.occupancy_view, depth=engine._depth,
             update=update, ids=np.array([5], dtype=np.int64), size=1,
             remaps=None, by_position=0, lookup=None, integers=engine.rng.integers,
             leaf_buf=engine._leaf_buf,
-            limits=(64, engine.config.num_leaves, -1, int(policy.enabled),
-                    policy.trigger_threshold, policy.drain_target,
-                    policy.max_dummy_reads_per_episode),
+            limits=(64, config.num_leaves, -1, int(config.background_eviction),
+                    config.eviction_threshold, config.eviction_target,
+                    MAX_DUMMY_READS_PER_EPISODE),
             held_paths=engine._held_paths, holding=False, observer=None, history=None,
             state=np.array([0, engine._leaf_buf_pos, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64),
         )

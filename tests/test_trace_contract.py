@@ -51,7 +51,7 @@ ENGINES = [("Insecure", False, False)] + [
 ]
 
 
-def make_engine(label: str, fast: bool, recursive: bool):
+def make_engine(label: str, fast: bool, recursive: bool, **overrides):
     # chi=4 with a 64-byte cutoff puts two recursion levels under 128 blocks.
     config = build_oram_config(
         num_blocks=NUM_BLOCKS,
@@ -60,7 +60,7 @@ def make_engine(label: str, fast: bool, recursive: bool):
         recursive_posmap=recursive,
         posmap_positions_per_block=4,
         posmap_cutoff_bytes=64,
-    )
+    ).with_overrides(**overrides)
     return build_engine(label, config, fast=fast)
 
 
@@ -451,7 +451,9 @@ HOOKS = (
 def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
     recursive, store, monkeypatch
 ):
-    engine = make_engine("Fat/S4", True, recursive)
+    # A tiny eviction trigger, so background eviction runs inside the
+    # kernel too.
+    engine = make_engine("Fat/S4", True, recursive, eviction_threshold=2, eviction_target=1)
     cls = type(engine)
     calls = []
     kernel = cls._run_bins
@@ -479,12 +481,6 @@ def test_every_fast_lookahead_entry_point_runs_the_bin_kernel(
         engine.load_payloads({b: 0.0 for b in range(NUM_BLOCKS)})
         payload = float
     same = lambda got, value: np.array_equal(got, payload(value))  # noqa: E731
-    # A tiny eviction trigger, so background eviction runs inside the
-    # kernel too.
-    engine.eviction = dataclasses.replace(
-        engine.eviction, enabled=True, trigger_threshold=2, drain_target=1
-    )
-
     trace = rng.integers(0, NUM_BLOCKS, size=90)
     engine.run_trace(trace)
     assert calls == [90]
