@@ -49,6 +49,7 @@ from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficCounter
 from repro.oram.base import as_block_ids
 from repro.oram.path_oram import PathORAM
+from repro.oram.row_store import store_rows
 from repro.core.config import LAORAMConfig
 from repro.core.preprocessor import Preprocessor
 from repro.core.superblock import LookaheadPlan, num_bins
@@ -304,7 +305,7 @@ class LAORAMClient(PathORAM):
         finally:
             served = self._trace_cursor - first
             if payloads is not None and served:
-                self._store_rows(block_ids[:served].tolist(), payloads[:served])
+                store_rows(self._payloads, block_ids[:served], payloads[:served])
         self._bins_by_position += by_position
         self._bins_by_lookup += num_bins(block_ids.size, size, first) - by_position
         if payloads is not None:

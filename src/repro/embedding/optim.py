@@ -6,7 +6,11 @@ trainer moves through the ORAM.
 
 One ``update`` call is one step per row: it reads every row as fetched, so
 the caller sums the gradients of a row that occurs several times in a
-request and passes it once (``ObliviousEmbeddingTrainer.apply_gradients``).
+request and passes it once (``ObliviousEmbeddingTrainer.apply_gradients``,
+whose sum is C: ``repro.oram.write_back.group_sum``).  The step itself stays
+numpy: ``rows - learning_rate * gradients`` rounds the product and then the
+difference, where a C loop could be contracted into one fused multiply-add
+and train a different table.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.embedding.secure_loader import SecureEmbeddingStore
 from repro.embedding.xlmr import XLMRClassifier
 from repro.exceptions import ConfigurationError
 from repro.memory.accounting import TrafficSnapshot
+from repro.oram.write_back import group_sum
 
 
 @dataclass(frozen=True)
@@ -152,19 +153,40 @@ class ObliviousEmbeddingTrainer:
         by samples of a minibatch, a token repeated in a sentence or shared
         by sentences of a minibatch) steps once on the sum of its
         occurrences' gradients, and every occurrence carries that value, so
-        the commit names exactly the ids the fetch held.
+        the commit names exactly the ids the fetch held.  ``row_ids`` is
+        one-dimensional and ``rows`` and ``gradients`` are ``(len(row_ids),
+        dim)``, else ``ConfigurationError``; the gradients are summed as
+        float32.
+
+        One stable argsort groups the step: equal ids are adjacent in
+        ``order``, each run starts where the sorted id changes, its first
+        entry is the row that steps, and ``inverse`` maps every occurrence
+        to its run.  ``write_back.group_sum`` sums each run's gradients in
+        ``numpy.add.reduceat``'s order, bit for bit, reading them through
+        ``order`` where a gather would copy them first.
         """
-        # Sort so equal ids are adjacent; each run of equal ids is one row.
-        order = np.argsort(row_ids, kind="stable")
-        sorted_ids = row_ids[order]
-        run_start = np.ones(sorted_ids.size, dtype=bool)
+        ids = np.asarray(row_ids)
+        rows = np.asarray(rows)
+        gradients = np.ascontiguousarray(gradients, dtype=np.float32)
+        if (
+            ids.ndim != 1 or rows.ndim != 2
+            or rows.shape != gradients.shape or len(rows) != ids.size
+        ):
+            raise ConfigurationError(
+                f"apply_gradients takes 1-D ids and (len(ids), dim) rows and gradients, "
+                f"got ids {ids.shape}, rows {rows.shape} and gradients {gradients.shape}"
+            )
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        run_start = np.empty(ids.size, dtype=bool)
+        run_start[:1] = True
         np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=run_start[1:])
-        first = order[run_start]
-        summed = np.add.reduceat(gradients[order], np.flatnonzero(run_start), axis=0)
-        updated = self.optimizer.update(rows[first], summed)
-        written = np.empty_like(updated, shape=rows.shape)
-        written[order] = updated[run_start.cumsum() - 1]
-        return written
+        starts = np.flatnonzero(run_start)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(run_start) - 1
+        summed = np.empty((starts.size, gradients.shape[1]), dtype=np.float32)
+        group_sum(gradients, order, starts, summed)
+        return self.optimizer.update(rows[order[starts]], summed)[inverse]
 
     # ------------------------------------------------------------------
     def _maybe_install_plan(self, trace: np.ndarray) -> None:

@@ -1,7 +1,8 @@
 /*
  * The array engine's request kernel: the bin loop, the recursion walk, the
  * path read and the greedy write-backs, over the engine's own objects, and
- * the stash they all work on.
+ * the stash they all work on; and the trainer's gradient sum (`group_sum`,
+ * at the end: numpy's reduceat arithmetic over rows read in place).
  *
  * Path ORAM (Stefanov et al., CCS'13) reads a path into the stash and
  * writes it back by the eviction rule, occupancy aware: every stash block
@@ -1879,9 +1880,193 @@ static PyTypeObject StashType = {
     .tp_new = stash_new,
 };
 
+/* ------------------------------------------------------------------ */
+/* group_sum: a training step's gradients, one sum per distinct row     */
+/* ------------------------------------------------------------------ */
+
+/* Columns summed at a time: every accumulator is a stack array this wide. */
+#define SUM_COLUMNS 64
+/* numpy's pairwise block: up to this many rows, eight accumulators. */
+#define PAIRWISE_BLOCK 128
+
+/* sum[c], for c < width, becomes numpy's float32 pairwise sum of column c
+ * over the n rows grad + rows[i] * dim, operation for operation (numpy's
+ * `pairwise_sum` on a strided column): under 8 rows one running sum from
+ * -0.0; up to PAIRWISE_BLOCK rows eight accumulators, accumulator k taking
+ * rows k, k + 8, ... up to the last multiple of 8, folded as
+ * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+ * rows added in order; above that the first n / 2 rows (less n / 2 mod 8)
+ * and the others summed apart, then added. */
+static void
+pairwise_sum(const float *grad, Py_ssize_t dim, const int64_t *rows, Py_ssize_t n,
+             Py_ssize_t width, float *sum)
+{
+    Py_ssize_t i = 0;
+    if (n < 8) {
+        for (Py_ssize_t c = 0; c < width; c++) {
+            sum[c] = -0.0f;
+        }
+    }
+    else if (n <= PAIRWISE_BLOCK) {
+        float r[8][SUM_COLUMNS];
+        for (int k = 0; k < 8; k++) {
+            memcpy(r[k], grad + rows[k] * dim, (size_t)width * sizeof(float));
+        }
+        for (i = 8; i < n - n % 8; i += 8) {
+            for (int k = 0; k < 8; k++) {
+                const float *row = grad + rows[i + k] * dim;
+                for (Py_ssize_t c = 0; c < width; c++) {
+                    r[k][c] += row[c];
+                }
+            }
+        }
+        for (Py_ssize_t c = 0; c < width; c++) {
+            sum[c] = ((r[0][c] + r[1][c]) + (r[2][c] + r[3][c]))
+                     + ((r[4][c] + r[5][c]) + (r[6][c] + r[7][c]));
+        }
+    }
+    else {
+        Py_ssize_t half = n / 2;
+        half -= half % 8;
+        float left[SUM_COLUMNS];
+        pairwise_sum(grad, dim, rows, half, width, left);
+        pairwise_sum(grad, dim, rows + half, n - half, width, sum);
+        for (Py_ssize_t c = 0; c < width; c++) {
+            sum[c] = left[c] + sum[c];
+        }
+        return;
+    }
+    for (; i < n; i++) {
+        const float *row = grad + rows[i] * dim;
+        for (Py_ssize_t c = 0; c < width; c++) {
+            sum[c] += row[c];
+        }
+    }
+}
+
+/* Whether two buffers share no byte. */
+static int
+disjoint(const Py_buffer *a, const Py_buffer *b)
+{
+    uintptr_t x = (uintptr_t)a->buf, y = (uintptr_t)b->buf;
+    return x + (uintptr_t)a->len <= y || y + (uintptr_t)b->len <= x;
+}
+
+PyDoc_STRVAR(group_sum_doc,
+"group_sum(gradients, order, starts, out)\n"
+"--\n\n"
+"Sum a training step's gradients per distinct row, reading the rows in\n"
+"place.  ``gradients`` is (n, dim) float32; ``order`` (int64, n entries in\n"
+"[0, n)) lists its rows with equal ids adjacent (a stable argsort of the\n"
+"ids) and ``starts`` (int64) where each run of them begins: 0 first,\n"
+"strictly increasing, below n.  Row r of ``out`` ((len(starts), dim)\n"
+"float32, sharing no byte with the other operands) becomes\n"
+"``numpy.add.reduceat(gradients[order], starts, axis=0)[r]`` bit for bit:\n"
+"the run's first row, plus numpy's pairwise sum of the rest when there is\n"
+"a rest.  Every operand is checked before ``out`` is written.");
+
+static PyObject *
+group_sum(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    static const struct {
+        Py_ssize_t itemsize;
+        const char *codes;
+        int must_write, ndim;
+        const char *what;
+    } spec[4] = {
+        {4, "f", 0, 2, "gradients"},
+        {8, INT64_CODES, 0, 1, "order"},
+        {8, INT64_CODES, 0, 1, "starts"},
+        {4, "f", 1, 2, "out"},
+    };
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "group_sum takes 4 arguments, got %zd", nargs);
+        return NULL;
+    }
+    Py_buffer view[4];
+    int held = 0;
+    PyObject *result = NULL;
+    for (; held < 4; held++) {
+        if (buffer_of(args[held], &view[held], spec[held].itemsize, spec[held].codes,
+                      spec[held].must_write, spec[held].what) < 0) {
+            goto done;
+        }
+        if (view[held].ndim != spec[held].ndim) {
+            PyErr_Format(PyExc_ValueError, "%s has %d dimensions, need %d", spec[held].what,
+                         view[held].ndim, spec[held].ndim);
+            PyBuffer_Release(&view[held]);
+            goto done;
+        }
+    }
+    Py_ssize_t n = view[0].shape[0], dim = view[0].shape[1], runs = view[2].shape[0];
+    const float *grad = view[0].buf;
+    const int64_t *order = view[1].buf, *starts = view[2].buf;
+    float *out = view[3].buf;
+    if (view[1].shape[0] != n) {
+        PyErr_Format(PyExc_ValueError, "order has %zd entries for %zd gradient rows",
+                     view[1].shape[0], n);
+        goto done;
+    }
+    if (view[3].shape[0] != runs || view[3].shape[1] != dim) {
+        PyErr_Format(PyExc_ValueError, "out is (%zd, %zd), need (%zd, %zd)",
+                     view[3].shape[0], view[3].shape[1], runs, dim);
+        goto done;
+    }
+    for (int k = 0; k < 3; k++) {
+        if (!disjoint(&view[3], &view[k])) {
+            PyErr_Format(PyExc_ValueError, "out overlaps %s", spec[k].what);
+            goto done;
+        }
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (order[i] < 0 || order[i] >= n) {
+            PyErr_Format(PyExc_ValueError, "order[%zd] = %lld outside [0, %zd)", i,
+                         (long long)order[i], n);
+            goto done;
+        }
+    }
+    if (runs == 0 ? n != 0 : (starts[0] != 0 || starts[runs - 1] >= n)) {
+        PyErr_Format(PyExc_ValueError,
+                     "starts must begin at 0 and end below %zd (it has %zd runs)", n, runs);
+        goto done;
+    }
+    for (Py_ssize_t r = 1; r < runs; r++) {
+        if (starts[r] <= starts[r - 1]) {
+            PyErr_Format(PyExc_ValueError, "starts[%zd] = %lld does not increase", r,
+                         (long long)starts[r]);
+            goto done;
+        }
+    }
+    for (Py_ssize_t r = 0; r < runs; r++) {
+        Py_ssize_t begin = starts[r], end = r + 1 < runs ? starts[r + 1] : n;
+        const float *first = grad + order[begin] * dim;
+        float *sum = out + r * dim;
+        if (end - begin == 1) {
+            memcpy(sum, first, (size_t)dim * sizeof(float));
+            continue;
+        }
+        for (Py_ssize_t c0 = 0; c0 < dim; c0 += SUM_COLUMNS) {
+            Py_ssize_t width = dim - c0 < SUM_COLUMNS ? dim - c0 : SUM_COLUMNS;
+            pairwise_sum(grad + c0, dim, order + begin + 1, end - begin - 1, width, sum + c0);
+            for (Py_ssize_t c = c0; c < c0 + width; c++) {
+                sum[c] = first[c] + sum[c];
+            }
+        }
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    while (held--) {
+        PyBuffer_Release(&view[held]);
+    }
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"serve", (PyCFunction)(void (*)(void))serve, METH_FASTCALL, serve_doc},
     {"walk", (PyCFunction)(void (*)(void))walk, METH_FASTCALL, walk_doc},
+    {"group_sum", (PyCFunction)(void (*)(void))group_sum, METH_FASTCALL, group_sum_doc},
     {NULL, NULL, 0, NULL},
 };
 

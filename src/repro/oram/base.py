@@ -160,8 +160,9 @@ class ObliviousMemory(ABC):
         """
         self.run_trace(block_ids, AccessOp.WRITE, payloads)
 
-    #: The ids of the open hold (:meth:`hold_many` until :meth:`commit`).
-    _hold_ids: Optional[list[int]] = None
+    #: The ids of the open hold, a private int64 array (:meth:`hold_many`
+    #: until :meth:`commit`).
+    _hold_ids: Optional[np.ndarray] = None
     #: Whether :meth:`hold_many`'s read request is running.
     _holding = False
 
@@ -178,18 +179,18 @@ class ObliviousMemory(ABC):
         the tree engines serve as they serve any read, except that they
         write none of the paths back until the commit, which writes each
         path back with its blocks and the step's new rows, so the step
-        costs one request.  An engine without a client-side hold, the
-        insecure baseline, serves the read and then, at the commit, a
-        :meth:`write_many`.  One hold is open at a time; a read that raises
-        opens none, and what it read goes back as a commit would write it.
-        A non-integer id raises before the hold opens.
+        costs one request.  The insecure baseline, with no tree, reads
+        each distinct id once and, at the commit, writes each once.  One
+        hold is open at a time; a read that raises opens none, and what it
+        read goes back as a commit would write it.  A non-integer id raises
+        before the hold opens.
         """
         if self._hold_ids is not None:
             raise ConfigurationError("a hold is open: commit it before holding again")
-        ids = as_block_ids(block_ids).tolist()
+        ids = np.array(as_block_ids(block_ids))
         self._holding = True
         try:
-            rows = self.access_many(block_ids)
+            rows = self._hold_request(ids)
         except BaseException:
             self._holding = False
             self._end_hold()
@@ -198,6 +199,11 @@ class ObliviousMemory(ABC):
         self._hold_ids = ids
         return rows
 
+    def _hold_request(self, ids: np.ndarray) -> Sequence[Optional[object]]:
+        """The read of :meth:`hold_many`: one :meth:`access_many` request."""
+        return self.access_many(ids)
+
+    @abstractmethod
     def commit(self, block_ids: Sequence[int], payloads: Sequence[object]) -> None:
         """Store ``payloads`` for the open hold's ids and close the hold.
 
@@ -205,7 +211,6 @@ class ObliviousMemory(ABC):
         duplicate ids keep the last payload.  Any other ids raise
         ``ConfigurationError`` and close the hold all the same.
         """
-        self.write_many(self._close_hold(block_ids), payloads)
 
     def release_hold(self) -> None:
         """Close the open hold and store nothing: the held rows keep their values.
@@ -222,15 +227,14 @@ class ObliviousMemory(ABC):
     def _end_hold(self) -> None:
         """Write back what a hold read: nothing on an engine that writes as it reads."""
 
-    def _close_hold(self, block_ids: Sequence[int]) -> list[int]:
-        """Close the open hold; its ids, if ``block_ids`` are they, else raise."""
+    def _close_hold(self, block_ids: Sequence[int]) -> np.ndarray:
+        """Close the open hold; its int64 ids, if ``block_ids`` are they, else raise."""
         held, self._hold_ids = self._hold_ids, None
-        ids = block_ids.tolist() if isinstance(block_ids, np.ndarray) else list(block_ids)
         if held is None:
             raise ConfigurationError("commit without an open hold")
-        if ids != held:
+        if not np.array_equal(as_block_ids(block_ids), held):
             raise ConfigurationError("commit ids differ from the held ids")
-        return ids
+        return held
 
     @property
     @abstractmethod

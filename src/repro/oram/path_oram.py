@@ -40,7 +40,7 @@ from repro.memory.timing import PAPER_TIMING
 from repro.oram.base import AccessOp, ObliviousMemory, as_block_ids
 from repro.oram.config import ORAMConfig
 from repro.oram.position_map import PositionMap
-from repro.oram.row_store import load_rows
+from repro.oram.row_store import load_rows, store_rows
 from repro.oram.stash import ArrayStash
 from repro.oram.tree import MAX_NUM_BLOCKS, ArrayTreeStorage
 from repro.oram.write_back import serve
@@ -339,7 +339,7 @@ class PathORAM(ObliviousMemory):
             ids = self._close_hold(block_ids)
             if len(payloads) != len(ids):
                 raise ConfigurationError("block_ids and payloads must have equal length")
-            self._store_rows(ids, payloads)
+            store_rows(self._payloads, ids, payloads)
             self.counter.record_logical_access(len(ids))
         finally:
             self._end_hold()
@@ -347,14 +347,6 @@ class PathORAM(ObliviousMemory):
     def _end_hold(self) -> None:
         """The commit bin: the hold's paths written back, then the after-bin step."""
         self._run_bins(None)
-
-    def _store_rows(self, block_ids, rows) -> None:
-        """Store ``rows`` for ``block_ids``; a repeated id keeps its last row."""
-        store = self._payloads
-        if isinstance(store, dict):
-            store.update(zip(block_ids, rows))
-        else:
-            store.scatter(block_ids, rows)
 
     def _run_bins(
         self,

@@ -109,6 +109,18 @@ class OverlayRowStore:
         self._rows = read_only(overlay)
 
 
+def store_rows(store, block_ids: np.ndarray, rows) -> None:
+    """Store ``rows`` for the int64 ``block_ids``; a repeated id keeps its last row.
+
+    A mapping store keys its rows by Python ``int``; a row store takes the
+    ids as they are.
+    """
+    if isinstance(store, dict):
+        store.update(zip(block_ids.tolist(), rows))
+    else:
+        store.scatter(block_ids, rows)
+
+
 def load_rows(store, payloads, num_blocks: int):
     """The payload store after a trusted-setup load of ``payloads`` into ``store``.
 

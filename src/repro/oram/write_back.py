@@ -1,4 +1,5 @@
-"""The request kernel of the array engine, and the stash it works on.
+"""The request kernel of the array engine, the stash it works on, and the
+trainer's gradient sum.
 
 The classic PathORAM eviction rule: after a path has been read, every stash
 block whose assigned path intersects the accessed path may be written back,
@@ -8,7 +9,7 @@ actually has.  That matters for LAORAM, which can read several paths before
 writing them back, so later write-backs see buckets that earlier write-backs
 already refilled.
 
-Two C entry points (``_write_back.c``, built and loaded by
+Two C entry points of the engine (``_write_back.c``, built and loaded by
 :mod:`repro.oram.native`), each over :class:`Stash` tables and trees'
 operands (capacities and the first slot of each level, the ``slot_view``
 / ``occupancy_view`` buffers and the depth, which places each level's
@@ -48,6 +49,17 @@ write-backs scan and delete from it without running Python code.  It keeps
 a dict's order rules (an assignment to a present id keeps its position,
 a deleted and re-inserted id moves to the end), the ones the write-back's
 tie-breaks follow.
+
+``group_sum(gradients, order, starts, out)`` is the third entry point, and
+the one the engine does not call: a training step's gradient sum
+(``ObliviousEmbeddingTrainer.apply_gradients`` is its caller).  The step
+groups its ids once, with a stable argsort (``order``) and the offset where
+each run of equal ids starts (``starts``); the kernel writes each run's sum
+into ``out``, reading the gradient rows through ``order`` rather than from a
+gathered copy.  Each sum is ``numpy.add.reduceat(gradients[order], starts,
+axis=0)``'s bit for bit: the run's first row plus numpy's pairwise sum of
+the rest, so the trained table is the one numpy's grouping trains.  It
+shares the module's one build and loader.
 """
 
 from repro.oram.native import load
@@ -55,4 +67,5 @@ from repro.oram.native import load
 _kernels = load()
 serve = _kernels.serve
 walk = _kernels.walk
+group_sum = _kernels.group_sum
 Stash = _kernels.Stash

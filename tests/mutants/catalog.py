@@ -6,8 +6,8 @@ steering the traffic), CNT001 (the request's counts folded on every exit
 path) and ALLOC001 (no per-call temporary in the row store's get and set)
 were analyzer rules; each went once every mutant of its bug was killed
 here.  The C mutants follow the rows of ``docs/static_analysis.md``,
-"Outside the scan": the request kernel, the walk, the write-backs and the
-path read.
+"Outside the scan": the request kernel, the walk, the write-backs, the
+path read and the gradient sum.
 
 Run them with ``python -m tests.mutants`` (see ``tests/mutants/__init__.py``).
 """
@@ -343,6 +343,36 @@ C_MUTANTS = (
             "tests/test_tree.py::TestPathReads::test_slots_past_the_occupancy_hold_minus_one[fat]",
         ),
         guards="the path read: the slots it empties are blanked (fetch_path)",
+    ),
+    # -- the gradient sum -----------------------------------------------------
+    Mutant(
+        name="group-sum-adds-in-sequence",
+        path=_KERNEL,
+        search="    if (n < 8) {\n",
+        replace="    if (1) {\n",
+        kills=(
+            "tests/test_group_sum.py::test_a_run_of_each_length_sums_as_reduceat[9]",
+            "tests/test_group_sum.py::test_a_run_of_each_length_sums_as_reduceat[300]",
+            "tests/test_trainer.py::TestTheStepIsTheReferenceStep::test_an_epoch_trains_the_reference_rows_and_losses[Fat/S8-xlmr]",
+        ),
+        guards="the gradient sum: numpy's pairwise order over a run's rows (pairwise_sum)",
+    ),
+    Mutant(
+        name="group-sum-folds-the-first-row-in",
+        path=_KERNEL,
+        search=(
+            "            pairwise_sum(grad + c0, dim, order + begin + 1, end - begin - 1, width, sum + c0);\n"
+            "            for (Py_ssize_t c = c0; c < c0 + width; c++) {\n"
+            "                sum[c] = first[c] + sum[c];\n"
+            "            }\n"
+        ),
+        replace="            pairwise_sum(grad + c0, dim, order + begin, end - begin, width, sum + c0);\n",
+        kills=(
+            "tests/test_group_sum.py::test_a_run_of_each_length_sums_as_reduceat[7]",
+            "tests/test_group_sum.py::test_a_run_of_each_length_sums_as_reduceat[129]",
+            "tests/test_trainer.py::TestTheStepIsTheReferenceStep::test_an_epoch_trains_the_reference_rows_and_losses[PathORAM-xlmr]",
+        ),
+        guards="the gradient sum: a run's first row added to the pairwise sum of the rest (group_sum)",
     ),
 )
 

@@ -130,6 +130,21 @@ def test_a_read_after_commit_returns_the_committed_rows(label, recursive, fast):
     assert engine.statistics.logical_accesses == 2 * ids.size + 4
 
 
+@pytest.mark.parametrize("label", ["PathORAM", "Fat/S8", "Insecure"])
+def test_a_mapping_store_keys_its_rows_by_python_int(label):
+    # The hold keeps its ids as an int64 array; a store of payload objects
+    # (no matrix loaded) still gets Python ints, from the commit and from a
+    # LAORAM write request alike.
+    config = build_oram_config(NUM_BLOCKS, block_size_bytes=4 * DIM, seed=3)
+    engine = build_engine(label, config, fast=True)
+    ids = np.array([5, 9, 5])
+    engine.hold_many(ids)
+    engine.commit(ids, ["a", "b", "c"])
+    engine.write_many(np.array([7, 9]), ["d", "e"])
+    assert {type(block_id) for block_id in engine._payloads} == {int}
+    assert engine.access_many([5, 9, 7]) == ["c", "e", "d"]
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_a_step_of_stash_hits_reads_no_path_and_its_commit_ends_the_bin(label):
     # A step whose every id waits in the stash reads no path, and its commit

@@ -1,8 +1,9 @@
 """The C kernels through ``serve``: the planner's decisions, their guards, their loader.
 
-``repro.oram.write_back`` exports two C entry points
+``repro.oram.write_back`` exports two C entry points of the engine
 (``src/repro/oram/_write_back.c``): ``serve``, one request, and ``walk``,
-one access to a recursive position map.  The path read and both
+one access to a recursive position map (its third, the trainer's
+``group_sum``, is ``tests/test_group_sum.py``'s).  The path read and both
 write-backs run inside them, so here they run through ``serve`` on a bare
 tree (``conftest.tree_request``): a dummy read whose leaf block holds a
 chosen leaf fetches that path and writes it back, the commit bin writes

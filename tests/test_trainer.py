@@ -16,7 +16,10 @@ from repro.exceptions import ConfigurationError
 from repro.oram.config import ORAMConfig
 from repro.oram.insecure import InsecureMemory
 
-from oracle import ObjectLAORAMClient, ObjectPathORAM
+from repro.experiments.configs import build_oram_config
+
+from oracle import ObjectLAORAMClient, ObjectPathORAM, build_engine
+from oracle.trainer import reference_apply_gradients
 
 EMBED_DIM = 8
 TABLE_ROWS = 128
@@ -96,6 +99,39 @@ class TestApplyGradients:
         after = store.fetch_rows(ids)
         pushes = np.array([3 * grads[0] + 2 * grads[1], grads[0], grads[1], grads[1]])
         assert np.allclose(after, before - 0.1 * pushes, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "ids, rows, gradients",
+        [
+            # A gradient row past the ids would be dropped.
+            ((3,), (3, EMBED_DIM), (4, EMBED_DIM)),
+            # A row past the ids would be committed uninitialised.
+            ((2,), (3, EMBED_DIM), (3, EMBED_DIM)),
+            ((3,), (3, EMBED_DIM), (3, EMBED_DIM + 1)),
+            ((3, 1), (3, EMBED_DIM), (3, EMBED_DIM)),
+            ((3,), (3,), (3,)),
+        ],
+        ids=["a gradient too many", "a row too many", "wider gradients", "2-D ids", "1-D rows"],
+    )
+    def test_operands_of_other_shapes_are_rejected(self, ids, rows, gradients):
+        trainer = ObliviousEmbeddingTrainer(make_store(use_laoram=False))
+        with pytest.raises(ConfigurationError):
+            trainer.apply_gradients(
+                np.zeros(ids, dtype=np.int64), np.ones(rows, np.float32),
+                np.ones(gradients, np.float32),
+            )
+
+    def test_float64_gradients_are_summed_as_float32(self):
+        trainer = ObliviousEmbeddingTrainer(make_store(use_laoram=False))
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 6, size=40)
+        rows = rng.standard_normal((40, EMBED_DIM)).astype(np.float32)
+        gradients = rng.standard_normal((40, EMBED_DIM))
+        written = trainer.apply_gradients(ids, rows, gradients)
+        assert written.dtype == np.float32
+        assert np.array_equal(
+            written, trainer.apply_gradients(ids, rows, gradients.astype(np.float32))
+        )
 
 
 class TestDLRMTraining:
@@ -229,6 +265,57 @@ class TestTrainingReport:
         model = make_dlrm(dataset)
         reports = [trainer.train_dlrm_epoch(model, dataset, batch_size=8) for _ in range(2)]
         assert [report.embedding_accesses for report in reports] == [40, 40]
+
+
+class TestTheStepIsTheReferenceStep:
+    """The shipped gradient step against the numpy body it replaced
+    (``tests/oracle/trainer.py``), over whole epochs: trained rows and
+    per-sample losses bit-equal."""
+
+    class ReferenceTrainer(ObliviousEmbeddingTrainer):
+        def apply_gradients(self, row_ids, rows, gradients):
+            return reference_apply_gradients(self.optimizer, row_ids, rows, gradients)
+
+    def train(self, trainer_class, label, workload):
+        rows, dim = 512, (72 if workload == "xlmr" else 8)
+        engine = build_engine(
+            label, build_oram_config(rows, block_size_bytes=4 * dim, seed=5), fast=True
+        )
+        store = SecureEmbeddingStore(engine, EmbeddingTable(rows, dim, seed=5))
+        trainer = trainer_class(store)
+        losses = []
+        if workload == "xlmr":
+            # 16 sentences of 32 Zipf tokens a step: runs of 1 to 132 rows,
+            # summed over a full and a partial block of 64 columns.
+            dataset = SyntheticXNLIDataset(
+                48, vocabulary_size=rows, sequence_length=32, exponent=1.2, seed=5
+            )
+            model = XLMRClassifier(dim, seed=5)
+            step = model.train_step
+            model.train_step = lambda *args: self.logged(losses, step(*args))
+            trainer.train_xlmr_epoch(model, dataset)
+        else:
+            dataset = SyntheticCriteoDataset(256, largest_table_rows=rows, seed=5)
+            protected = dataset.largest_table_index
+            small = tuple(s for i, s in enumerate(dataset.table_sizes) if i != protected)
+            model = DLRMModel(13, small, embedding_dim=dim, seed=5)
+            backward = model.backward
+            model.backward = lambda *args: self.logged(losses, backward(*args))
+            trainer.train_dlrm_epoch(model, dataset, batch_size=32)
+        return store.materialize().weights, np.concatenate(losses)
+
+    @staticmethod
+    def logged(losses, result):
+        losses.append(np.array(result.losses))
+        return result
+
+    @pytest.mark.parametrize("workload", ["xlmr", "dlrm"])
+    @pytest.mark.parametrize("label", ["Fat/S8", "PathORAM"])
+    def test_an_epoch_trains_the_reference_rows_and_losses(self, label, workload):
+        shipped = self.train(ObliviousEmbeddingTrainer, label, workload)
+        reference = self.train(self.ReferenceTrainer, label, workload)
+        for mine, theirs in zip(shipped, reference):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
 class TestXLMRTraining:
