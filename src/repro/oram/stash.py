@@ -87,12 +87,6 @@ class ArrayStash:
                 f"stash exceeded its capacity of {self._capacity} blocks"
             )
 
-    def add(self, block_id: int, leaf: int) -> None:
-        """Insert one id/leaf pair at the end (a block lives in the tree or
-        in the stash, never both: the id is not already present)."""
-        self._entries[block_id] = leaf
-        self.check_capacity()
-
     def extend(self, block_ids: np.ndarray, leaves: np.ndarray) -> None:
         """Append several id/leaf pairs (callers guarantee they are absent)."""
         self._entries.extend(

@@ -287,6 +287,23 @@ C_MUTANTS = (
         guards="the write-backs: a bucket fills its free slots in ascending order (place)",
     ),
     Mutant(
+        name="path-write-back-leaves-a-slot-free",
+        path=_KERNEL,
+        search=(
+            "        long long take = tree->caps[level] - tree->occ[tree->node_base[level] + node];\n"
+            "        if (take > top) {"
+        ),
+        replace=(
+            "        long long take = tree->caps[level] - tree->occ[tree->node_base[level] + node] - 1;\n"
+            "        if (take > top) {"
+        ),
+        kills=(
+            "tests/test_native_write_back.py::test_a_write_back_fills_each_bucket_to_its_capacity[uniform]",
+            "tests/test_native_write_back.py::test_a_write_back_fills_each_bucket_to_its_capacity[fat]",
+        ),
+        guards="the write-backs: a bucket takes every free slot (write_back_path)",
+    ),
+    Mutant(
         name="held-write-back-ignores-the-lower-neighbour",
         path=_KERNEL,
         search="            if (below < bits) {\n                bits = below;",

@@ -48,13 +48,14 @@ def make_laoram_config(num_blocks=256, superblock_size=4, seed=13, **oram_kwargs
     )
 
 
+def put(stash, block_ids, leaves):
+    stash.extend(np.asarray(block_ids, dtype=np.int64), np.asarray(leaves, dtype=np.int64))
+
+
 class TestArrayStash:
     def filled(self, **kwargs):
         stash = ArrayStash(**kwargs)
-        stash.extend(
-            np.asarray([5, 9, 2], dtype=np.int64),
-            np.asarray([1, 3, 7], dtype=np.int64),
-        )
+        put(stash, [5, 9, 2], [1, 3, 7])
         return stash
 
     def test_insertion_order_and_membership(self):
@@ -71,7 +72,7 @@ class TestArrayStash:
         # The dense id -> row index used to wrap: ``row_of[-1]`` answered
         # for the last block.
         stash = ArrayStash()
-        stash.add(63, 5)
+        put(stash, [63], [5])
         assert -1 not in stash
         assert not stash.pop(-1)
         with pytest.raises(KeyError):
@@ -81,27 +82,24 @@ class TestArrayStash:
         stash = self.filled()
         assert stash.pop(9)
         assert not stash.pop(9)
-        stash.add(9, 4)
+        put(stash, [9], [4])
         assert stash.block_ids == [5, 2, 9]
         assert stash.leaf_of(9) == 4
 
     def test_entries_are_python_ints(self):
         # numpy ints go in; the table holds C ints and hands out Python ints.
         stash = self.filled()
-        stash.add(np.int64(11), np.int64(4))
+        put(stash, [11], [4])
         for block_id, leaf in stash.items():
             assert type(block_id) is int and type(leaf) is int
 
     def test_capacity_overflow_keeps_what_it_was_given(self):
         stash = ArrayStash(capacity=2)
-        stash.add(1, 0)
-        stash.add(2, 1)
+        put(stash, [1, 2], [0, 1])
         with pytest.raises(StashOverflowError):
-            stash.add(3, 2)
+            put(stash, [3], [2])
         with pytest.raises(StashOverflowError):
-            stash.extend(
-                np.asarray([4], dtype=np.int64), np.asarray([0], dtype=np.int64)
-            )
+            put(stash, [4], [0])
         # Nothing handed to an over-full stash is dropped.
         assert stash.block_ids == [1, 2, 3, 4]
         with pytest.raises(ConfigurationError):

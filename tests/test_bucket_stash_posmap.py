@@ -86,7 +86,7 @@ class TestStash:
         # order, exactly as on the array stash.
         stash, twin = Stash(capacity=2), ArrayStash(capacity=2)
         stash.add(Block(7, 1))
-        twin.add(7, 1)
+        twin.extend(np.array([7]), np.array([1]))
         with pytest.raises(StashOverflowError):
             stash.extend(Block(block_id, 3) for block_id in (4, 0, 9))
         with pytest.raises(StashOverflowError):

@@ -12,7 +12,9 @@ its block sits on and writes nothing back.  The write-backs are held,
 request by request, to the per-object reference planner
 (``tests/oracle/write_back.py``) on a fresh path and on a path whose shared
 buckets an earlier write-back refilled (the read is held to the reference
-tree's in ``tests/test_tree.py``); every operand any of them could read or
+tree's in ``tests/test_tree.py``), and on one path to a layout written out
+by hand, which a capacity off by one fails without a stalled eviction;
+every operand any of them could read or
 write out of bounds with, the walk's included, is rejected before the
 first write; a steady-state request allocates nothing, whatever the size
 of its stash; and the loader builds them from source or fails loudly.
@@ -133,6 +135,44 @@ def test_the_kernels_path_write_back_is_the_references(case):
     for leaf in paths:
         reference.write_path(leaf, plan_greedy_write_back(reference, stash, leaf))
     assert_same(shipped, reference, table, stash)
+
+
+#: Per tree: the bucket capacities, root first, then the slots of the path
+#: to leaf 5 after the dummy read below, root first, and what stays stashed.
+FILLED_PATHS = {
+    "uniform": (
+        (4, 4, 4, 4),
+        [[19, 18, 5, 4], [9, 8, 7, 6], [17, 16, 11, 10], [15, 14, 13, 12]],
+        [0, 1, 2, 3],
+    ),
+    "fat": (
+        (5, 4, 3, 2),
+        [[19, 18, 8, 7, 6], [12, 11, 10, 9], [17, 16, 13], [15, 14]],
+        [0, 1, 2, 3, 4, 5],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(FILLED_PATHS))
+def test_a_write_back_fills_each_bucket_to_its_capacity(shape):
+    """One dummy read of the path to leaf 5 with 20 stashed blocks: 0-15 on
+    leaf 5, 16-17 on leaf 4 (the path's down to level 2) and 18-19 on leaf 0
+    (its root only).  From the leaf up, each bucket fills to its capacity
+    with the last of what reaches it, in stash order; no bin, no eviction."""
+    caps, layout, stays = FILLED_PATHS[shape]
+    depth = len(caps) - 1
+    leaves = [5] * 16 + [4] * 2 + [0] * 2
+    table = stash_of(dict(enumerate(leaves)))
+    tree = ArrayTreeStorage(depth, caps, block_size_bytes=8)
+    serve(*dummy_read(tree, table, 5).values())
+
+    nodes = [5 >> (depth - level) for level in range(depth + 1)]
+    occupancies = tree.bucket_occupancies
+    assert [occupancies[(1 << level) - 1 + node] for level, node in enumerate(nodes)] == list(caps)
+    assert occupancies.sum() == sum(caps)
+    first = [tree.level_base[level] + node * caps[level] for level, node in enumerate(nodes)]
+    assert [tree.slot_array[f : f + cap].tolist() for f, cap in zip(first, caps)] == layout
+    assert table.items() == [(block, leaves[block]) for block in stays]
 
 
 # ----------------------------------------------------------------------

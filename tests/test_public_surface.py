@@ -13,10 +13,8 @@ definition names it:
   the documented contract of another name is defined through it.
 
 A plain word in a comment or a string is not a use.  A name nothing uses
-fails here unless ``ALLOWLIST`` names its reader.  Out of scope by rule:
-dunder methods, the ``visit_*`` methods of ``ast.NodeVisitor`` subclasses
-(``generic_visit`` dispatches to them by string) and ``@register_rule``
-classes (the registry instantiates them).
+fails here unless ``ALLOWLIST`` names its reader.  Only dunder methods are
+out of scope.
 
 The match is by bare name, so a common name (``write``, ``check``) counts
 as used as soon as anything uses a name spelt the same: the guard finds the
@@ -84,21 +82,6 @@ ALLOWLIST: dict[str, str] = {
 _CROSS_REFERENCE = re.compile(r":(?:meth|attr|func|class|data|exc|obj):`~?(?:[\w.]*\.)?(\w+)`")
 
 
-def _is_visitor(node: ast.ClassDef) -> bool:
-    return any(
-        (isinstance(base, ast.Name) and base.id == "NodeVisitor")
-        or (isinstance(base, ast.Attribute) and base.attr == "NodeVisitor")
-        for base in node.bases
-    )
-
-
-def _is_registered_rule(node: ast.ClassDef) -> bool:
-    return any(
-        isinstance(deco, ast.Name) and deco.id == "register_rule"
-        for deco in node.decorator_list
-    )
-
-
 def _span(node: ast.AST) -> tuple[int, int]:
     first = min([node.lineno] + [deco.lineno for deco in getattr(node, "decorator_list", ())])
     return first, node.end_lineno
@@ -130,16 +113,12 @@ def public_definitions(src: Path) -> dict[str, tuple[str, Path, list[tuple[int, 
                 for target in targets:
                     if isinstance(target, ast.Name) and _public(target.id):
                         add(f"{module}.{target.id}", target.id, path, node)
-            elif isinstance(node, ast.ClassDef) and not _is_registered_rule(node):
+            elif isinstance(node, ast.ClassDef):
                 if _public(node.name):
                     add(f"{module}.{node.name}", node.name, path, node)
-                visitor = _is_visitor(node)
                 for item in node.body:
-                    if not isinstance(item, functions) or not _public(item.name):
-                        continue
-                    if visitor and item.name.startswith("visit_"):
-                        continue
-                    add(f"{module}.{node.name}.{item.name}", item.name, path, item)
+                    if isinstance(item, functions) and _public(item.name):
+                        add(f"{module}.{node.name}.{item.name}", item.name, path, item)
     return found
 
 
@@ -249,9 +228,6 @@ def _plant(root: Path, files: dict[str, str]) -> None:
 
 
 LIBRARY = '''\
-import ast
-
-
 def dead():
     """Not :func:`dead` itself, nor ``documented`` in words."""
     return dead()
@@ -270,17 +246,6 @@ def shown():
     return 1
 
 
-class Walker(ast.NodeVisitor):
-    def visit_Name(self, node):
-        pass
-
-
-@register_rule
-class Rule:
-    def describe(self):
-        return ""
-
-
 class Tool:
     @property
     def size(self):
@@ -291,7 +256,7 @@ class Tool:
         pass
 
     def _helper(self):
-        return Walker
+        return 0
 '''
 
 
@@ -317,29 +282,6 @@ def test_the_scan_reports_dead_names_and_stale_entries_only(tmp_path):
     # names the getter, which is not a use either.
     assert unused == ["repro.lib.Tool.size", "repro.lib.dead"]
     assert stale == ["repro.lib.gone"]
-
-
-def test_the_exemptions_are_no_wider_than_their_rules(tmp_path):
-    # ``visit_*`` is exempt on NodeVisitor subclasses only, and only the
-    # ``register_rule`` decorator exempts a class.
-    _plant(
-        tmp_path,
-        {
-            "src/repro/lib.py": (
-                "class Plain:\n"
-                "    def visit_Name(self, node):\n"
-                "        pass\n"
-                "\n\n"
-                "@dataclass\n"
-                "class Record:\n"
-                "    pass\n"
-            ),
-        },
-    )
-    assert scan(tmp_path, {}) == (
-        ["repro.lib.Plain", "repro.lib.Plain.visit_Name", "repro.lib.Record"],
-        [],
-    )
 
 
 @pytest.mark.parametrize("caller", ["src/repro/cli.py", "benchmarks/run.py", "examples/run.py"])
