@@ -1,19 +1,19 @@
-"""Shard execution: one host object, called in-process or behind a queue.
+"""Shard execution: one host object, called in-process or behind a pipe.
 
 A :class:`ShardHost` holds the engines of the shards one execution unit
 owns and answers four commands about them.  :class:`ShardExecutor` calls
 one host per shard directly in this process; :class:`ProcessShardExecutor`
-puts the same object behind a request/response queue pair in each of
-``num_workers`` worker processes, shard ``s`` owned by worker
-``s % num_workers``.  Shards are independent and each is executed
+puts the same object behind one duplex pipe in each of ``num_workers``
+worker processes, shard ``s`` owned by worker ``s % num_workers``.  Shards are independent and each is executed
 sequentially by exactly one host, so grouping cannot change results: any
 worker count from 1 to ``num_shards``, and the in-process backend, run the
 *same* per-shard computation on engines built from the same picklable
 :class:`~repro.experiments.sharded.planner.ShardEngineSpec` recipes.
 
 Everything the parent learns about a shard is the reply to a command
-(pickled over the worker's response queue; engines allocate ordinary
-private numpy arrays):
+(pickled over the worker's pipe, one ``send`` and one blocking ``recv`` a
+side per command, no thread in between; engines allocate ordinary private
+numpy arrays):
 
 =====================  ======================================================
 parent -> worker        worker -> parent
@@ -30,7 +30,11 @@ any command failing     ``("error", shard, type, message, traceback)``
 A worker that reports an error or dies without reporting one surfaces in
 the parent as :class:`~repro.exceptions.ShardExecutionError` and tears the
 executor down; :meth:`ProcessShardExecutor.close` is idempotent so ``with``
-blocks and error paths can both call it.
+blocks and error paths can both call it.  A death is the pipe's end of
+file: each end is open in exactly one process (the parent closes the
+worker's end once it has started, and a worker closes every parent end it
+inherited), so a worker's exit fails the parent's ``send`` or ``recv`` at
+once, and the parent's exit ends each worker's ``recv`` and the worker.
 
 Workers pin numpy/BLAS to one thread each (``OMP_NUM_THREADS=1`` and
 friends) before touching numpy, so library-internal threading does not fight
@@ -41,9 +45,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue
 import time
 import traceback
+from multiprocessing.connection import Connection
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
@@ -135,27 +139,34 @@ class ShardHost:
 
 def _shard_worker(
     shard_specs: dict[int, ShardEngineSpec],
-    requests: "mp.Queue",
-    responses: "mp.Queue",
+    conn: Connection,
+    parent_ends: Sequence[Connection],
 ) -> None:
-    """Worker main loop: a :class:`ShardHost` behind its queue pair.
+    """Worker main loop: a :class:`ShardHost` behind its end of a pipe.
 
-    Runs in a child process.  Any exception while building the engines or
-    handling a command is reported as an ``("error", ...)`` message and
-    terminates the worker.
+    Runs in a child process.  ``parent_ends`` are the parent's ends of this
+    worker's pipe and of the earlier workers', which a forked child holds
+    copies of: closing them leaves the parent the only holder, so its exit
+    reads here as end of file and the worker exits with it.  Any exception
+    while building the engines or handling a command is reported as an
+    ``("error", ...)`` message and terminates the worker.
     """
+    for end in parent_ends:
+        end.close()
     _pin_worker_threads()
     host = ShardHost()
     try:
         host.build(shard_specs)
-        responses.put(("ready", host.state()))
+        conn.send(("ready", host.state()))
         while True:
-            op, *args = requests.get()
+            op, *args = conn.recv()
             if op == "stop":
                 break
-            responses.put((op, getattr(host, op)(*args)))
+            conn.send((op, getattr(host, op)(*args)))
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        pass  # the parent is gone: nobody to report to
     except Exception as exc:  # reported to the parent, then the worker dies
-        responses.put(
+        conn.send(
             (
                 "error",
                 host.current_shard,
@@ -302,7 +313,7 @@ class ShardExecutor:
 
 
 class ProcessShardExecutor(ShardExecutor):
-    """The worker-process backend: each host behind a queue pair.
+    """The worker-process backend: each host behind one duplex pipe.
 
     Spawns the workers, ships them their engine specs, routes commands, and
     converts worker-side failures into
@@ -324,8 +335,8 @@ class ProcessShardExecutor(ShardExecutor):
             start_method = "fork"
         self._ctx = mp.get_context(start_method)
         self._procs: list = []
-        self._requests: list = []
-        self._responses: list = []
+        #: The parent's end of each worker's pipe, by worker.
+        self._conns: list[Connection] = []
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -338,18 +349,17 @@ class ProcessShardExecutor(ShardExecutor):
         if self._procs:
             return
         for worker_id in range(self.num_workers):
-            req: "mp.Queue" = self._ctx.Queue()
-            resp: "mp.Queue" = self._ctx.Queue()
+            conn, child_end = self._ctx.Pipe()
+            self._conns.append(conn)
             proc = self._ctx.Process(
                 target=_shard_worker,
-                args=(self._specs_of(worker_id), req, resp),
+                args=(self._specs_of(worker_id), child_end, list(self._conns)),
                 daemon=True,
                 name=f"repro-shard-w{worker_id}",
             )
             proc.start()
+            child_end.close()
             self._procs.append(proc)
-            self._requests.append(req)
-            self._responses.append(resp)
         for worker_id in range(self.num_workers):
             self._states.update(self._recv(worker_id, "ready"))
 
@@ -358,24 +368,21 @@ class ProcessShardExecutor(ShardExecutor):
         if self._closed:
             return
         self._closed = True
-        for worker_id, proc in enumerate(self._procs):
-            if proc.is_alive():
-                try:
-                    self._requests[worker_id].put(("stop",))
-                except (ValueError, OSError):
-                    pass
+        for conn in self._conns:
+            try:
+                conn.send(("stop",))
+            except OSError:  # that worker is gone already
+                pass
         deadline = time.monotonic() + timeout
         for proc in self._procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for q in self._requests + self._responses:
-            q.cancel_join_thread()
-            q.close()
+        for conn in self._conns:
+            conn.close()
         self._procs = []
-        self._requests = []
-        self._responses = []
+        self._conns = []
 
     def __del__(self):  # best-effort; explicit close() is the supported path
         try:
@@ -391,55 +398,54 @@ class ProcessShardExecutor(ShardExecutor):
         self.close(timeout=1.0)
         raise error
 
-    def _recv(self, worker_id: int, op: str, poll_s: float = 0.1):
+    def _died(self, worker_id: int, proc) -> NoReturn:
+        """``worker_id``'s pipe reads as closed: ``proc`` exited without reporting."""
+        proc.join(timeout=1.0)
+        self._fail(
+            ShardExecutionError(
+                min(self.shards_of(worker_id), default=-1),
+                message=(
+                    f"worker {worker_id} died without reporting "
+                    f"(exit code {proc.exitcode})"
+                ),
+            )
+        )
+
+    def _recv(self, worker_id: int, op: str):
         """``worker_id``'s reply to ``op``; converts death/errors to raises.
 
-        Blocks until a message arrives, polling worker liveness so a worker
-        that died without reporting (``SIGKILL``, interpreter abort) raises
-        a :class:`ShardExecutionError` instead of hanging forever.
+        Blocks until a message or the pipe's end of file arrives: a worker
+        that died without reporting (``SIGKILL``, interpreter abort) closed
+        the pipe's only other end.
         """
-        response_queue = self._responses[worker_id]
-        proc = self._procs[worker_id]
-        while True:
-            try:
-                message = response_queue.get(timeout=poll_s)
-            except queue.Empty:
-                if proc.is_alive():
-                    continue
-                try:  # a final message may have raced with the death
-                    message = response_queue.get_nowait()
-                except queue.Empty:
-                    self._fail(
-                        ShardExecutionError(
-                            min(self.shards_of(worker_id), default=-1),
-                            message=(
-                                f"worker {worker_id} died without reporting "
-                                f"(exit code {proc.exitcode})"
-                            ),
-                        )
-                    )
-            if message[0] == "error":
-                _tag, shard_id, type_name, detail, worker_tb = message
-                self._fail(
-                    ShardExecutionError(shard_id, type_name, detail, worker_tb)
+        conn, proc = self._conns[worker_id], self._procs[worker_id]
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            self._died(worker_id, proc)
+        if message[0] == "error":
+            _tag, shard_id, type_name, detail, worker_tb = message
+            self._fail(ShardExecutionError(shard_id, type_name, detail, worker_tb))
+        tag, reply = message
+        if tag != op:
+            self._fail(
+                ShardExecutionError(
+                    min(self.shards_of(worker_id), default=-1),
+                    message=(
+                        f"worker {worker_id} answered '{tag}' to '{op}': "
+                        "replies out of step with requests"
+                    ),
                 )
-            tag, reply = message
-            if tag != op:
-                self._fail(
-                    ShardExecutionError(
-                        min(self.shards_of(worker_id), default=-1),
-                        message=(
-                            f"worker {worker_id} answered '{tag}' to '{op}': "
-                            "replies out of step with requests"
-                        ),
-                    )
-                )
-            return reply
+            )
+        return reply
 
     def _ask(self, op: str, args_by_unit: dict[int, tuple]) -> dict[int, object]:
         self.start()
         for unit, args in args_by_unit.items():
-            self._requests[unit].put((op, *args))
+            try:
+                self._conns[unit].send((op, *args))
+            except OSError:
+                self._died(unit, self._procs[unit])
         return {unit: self._recv(unit, op) for unit in args_by_unit}
 
     @property

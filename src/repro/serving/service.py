@@ -68,6 +68,16 @@ def summarize_latencies(
     )
 
 
+class _Pending:
+    """One request in flight: its future and the units still serving it."""
+
+    __slots__ = ("future", "units")
+
+    def __init__(self, future: asyncio.Future, units: int):
+        self.future = future
+        self.units = units
+
+
 class AsyncShardedService:
     """Coalescing asyncio front-end for sharded oblivious lookups.
 
@@ -137,7 +147,8 @@ class AsyncShardedService:
         The ids are split by shard, grouped by backend unit, and each group
         queued to that unit's dispatcher, where it coalesces with whatever
         other requests are in flight.  Completes when every shard touched by
-        the request has served its part.
+        the request has served its part: one future per request, resolved
+        by the dispatcher that serves its last part.
         """
         if not self._started:
             await self.start()
@@ -149,13 +160,11 @@ class AsyncShardedService:
         for shard_id, local_ids in routed.items():
             unit = self.runner.executor.worker_of(shard_id)
             by_unit.setdefault(unit, {})[shard_id] = local_ids
-        futures = []
-        loop = asyncio.get_running_loop()
-        for unit, unit_routed in by_unit.items():
-            future: asyncio.Future = loop.create_future()
-            self._queues[unit].put_nowait((unit_routed, future))
-            futures.append(future)
-        await asyncio.gather(*futures)
+        if by_unit:  # an empty request touches no unit and is done now
+            pending = _Pending(asyncio.get_running_loop().create_future(), len(by_unit))
+            for unit, unit_routed in by_unit.items():
+                self._queues[unit].put_nowait((unit_routed, pending))
+            await pending.future
         latency = time.perf_counter() - start
         self._latencies_s.append(latency)
         return latency
@@ -173,7 +182,7 @@ class AsyncShardedService:
                 entries.append(entry)
                 total += sum(len(ids) for ids in entry[0].values())
             merged: dict[int, list[int]] = {}
-            for unit_routed, _future in entries:
+            for unit_routed, _pending in entries:
                 for shard_id, local_ids in unit_routed.items():
                     merged.setdefault(shard_id, []).extend(local_ids)
             try:
@@ -190,16 +199,18 @@ class AsyncShardedService:
                 self._failure = exc
                 while not q.empty():
                     entries.append(q.get_nowait())
-                for _routed, future in entries:
-                    if not future.done():
-                        future.set_exception(exc)
+                for _routed, pending in entries:
+                    if not pending.future.done():
+                        pending.future.set_exception(exc)
                 for _ in entries:
                     q.task_done()
                 return
             self._batch_sizes.append(total)
-            for _routed, future in entries:
-                if not future.done():
-                    future.set_result(None)
+            for _routed, pending in entries:
+                pending.units -= 1
+                # A cancelled submit's future is done already.
+                if pending.units == 0 and not pending.future.done():
+                    pending.future.set_result(None)
             for _ in entries:
                 q.task_done()
 

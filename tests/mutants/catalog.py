@@ -1,5 +1,6 @@
 """The committed mutants: each a bug the analyzer's deleted rules were written
-for, or a decision of the C kernel, and the deterministic tests that kill it.
+for, a decision of the C kernel or a rule of the shard transport, and the
+deterministic tests that kill it.
 
 ``guards`` names what a mutant stands for.  OBL001 / OBL002 (a secret
 steering the traffic), CNT001 (the request's counts folded on every exit
@@ -174,6 +175,17 @@ PYTHON_MUTANTS = (
             "tests/test_fused_trace.py::TestZeroAllocationSteadyState::test_a_row_store_set_holds_only_the_row_copy[first-write]",
         ),
         guards="ALLOC001 in OverlayRowStore.__setitem__ (a numpy constructor)",
+    ),
+    # -- the shard transport: a worker's death is its pipe's end of file ----
+    Mutant(
+        name="parent-keeps-the-workers-pipe-end",
+        path="experiments/sharded/executor.py",
+        search="            proc.start()\n            child_end.close()\n",
+        replace="            proc.start()\n",
+        kills=(
+            "tests/test_parallel_sharded.py::test_a_worker_that_dies_while_building_reads_as_dead_not_hung",
+        ),
+        guards="ProcessShardExecutor.start (each pipe end open in one process only)",
     ),
 )
 

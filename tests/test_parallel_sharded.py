@@ -13,11 +13,18 @@ so ``/dev/shm`` holds nothing of ours at any point, a killed worker included.
 from __future__ import annotations
 
 import os
+import select
 import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import LAORAMClient, PathORAM
 from repro.exceptions import ConfigurationError, ShardExecutionError
 from repro.experiments.sharded import ProcessShardExecutor, ShardPlanner
@@ -221,15 +228,144 @@ def test_hard_killed_worker_is_detected_and_torn_down():
         executor.refresh_states()
 
 
+#: Each command of the protocol, as the parent issues it.
+COMMANDS = {
+    "run": lambda executor, planner: executor.run_local_traces(
+        planner.split_trace(_trace(0))
+    ),
+    "access": lambda executor, planner: executor.access_on_worker(0, {0: [1, 2, 3]}),
+    "state": lambda executor, planner: executor.refresh_states(),
+    "posmap": lambda executor, planner: executor.position_maps(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_to_a_dead_worker_raises_typed_and_tears_down(command):
+    # The worker is reaped before the command, so its end of the pipe is
+    # gone when the parent sends: a send on a broken pipe is a death too.
+    planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="pathoram", seed=0)
+    executor = ProcessShardExecutor(planner, num_workers=2)
+    executor.start()
+    dead, survivor = executor._procs
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(timeout=5.0)
+    with pytest.raises(ShardExecutionError) as excinfo:
+        COMMANDS[command](executor, planner)
+    assert "worker 0 died without reporting (exit code -9)" in str(excinfo.value)
+    assert executor._procs == [] and not survivor.is_alive()
+    executor.close()  # idempotent
+    with pytest.raises(ShardExecutionError, match="executor is closed"):
+        COMMANDS[command](executor, planner)
+
+
+class _Deadline(BaseException):
+    """Raised by SIGALRM; no handler in the executor catches it."""
+
+
+def test_a_worker_that_dies_while_building_reads_as_dead_not_hung(monkeypatch):
+    # The parent closes its copy of the worker's end of the pipe as soon as
+    # the worker has started; held open, the worker's death would never
+    # read as end of file, and start() would wait for "ready" forever.
+    monkeypatch.setattr(
+        ShardHost, "build", lambda host, specs: os.kill(os.getpid(), signal.SIGKILL)
+    )
+    planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="pathoram", seed=0)
+    executor = ProcessShardExecutor(planner, num_workers=1)
+
+    def deadline(signum, frame):
+        raise _Deadline
+
+    previous = signal.signal(signal.SIGALRM, deadline)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ShardExecutionError, match="died without reporting"):
+            executor.start()
+    except _Deadline:
+        pytest.fail("start() still waited for a dead worker after 10 s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert executor._procs == []
+
+
+def test_the_transport_starts_no_thread_and_close_closes_every_connection():
+    threads = threading.active_count()
+    planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="pathoram", seed=0)
+    executor = ProcessShardExecutor(planner, num_workers=2)
+    executor.start()
+    for worker_id in range(2):
+        routed = {shard: [1, 2, 3] for shard in executor.shards_of(worker_id)}
+        assert executor.access_on_worker(worker_id, routed) == 3 * len(routed)
+    assert threading.active_count() == threads
+    conns = list(executor._conns)
+    assert len(conns) == 2 and not any(conn.closed for conn in conns)
+    executor.close()
+    assert all(conn.closed for conn in conns)
+    assert threading.active_count() == threads
+
+
+_ORPHANING_PARENT = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from repro.experiments.sharded import ProcessShardExecutor, ShardPlanner
+executor = ProcessShardExecutor(ShardPlanner(64, 2, family="pathoram", seed=0), num_workers=2)
+executor.start()
+print(*(proc.pid for proc in executor._procs), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_orphaned_workers_exit_when_their_parent_is_killed():
+    # Each worker holds copies of the parent's pipe ends from the fork (its
+    # own, and the earlier workers'); it closes them, so the parent's death
+    # ends its recv() and it exits instead of serving nobody.
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHANING_PARENT, str(Path(repro.__file__).parents[1])],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    workers: list[int] = []
+    try:
+        ready, _, _ = select.select([parent.stdout], [], [], 30.0)
+        assert ready, "the parent did not start its workers within 30 s"
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == 2 and all(_running(pid) for pid in workers)
+        parent.kill()
+        parent.wait(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        parent.kill()
+        parent.wait(timeout=5.0)
+        parent.stdout.close()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
 def test_an_out_of_step_reply_raises_typed_and_tears_down():
     # A request queued ahead of "state": the worker answers it first, in
-    # the order its one request queue hands them over, and that reply must
+    # the order its one pipe hands them over, and that reply must
     # not be taken for the answer to "state" (an ``assert`` that
     # ``python -O`` strips used to be the only check).
     planner = ShardPlanner(NUM_BLOCKS, NUM_SHARDS, family="pathoram", seed=0)
     executor = ProcessShardExecutor(planner, num_workers=2)
     executor.start()
-    executor._requests[0].put(("posmap",))
+    executor._conns[0].send(("posmap",))
     with pytest.raises(ShardExecutionError) as excinfo:
         executor.refresh_states()
     message = str(excinfo.value)

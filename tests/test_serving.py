@@ -6,6 +6,7 @@ import asyncio
 import os
 import selectors
 import signal
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,6 +105,54 @@ def test_backend_failure_propagates_to_submitters():
                 # The failure is sticky: later submissions fail fast.
                 with pytest.raises(RuntimeError, match="backend down"):
                     await service.submit([4])
+
+    asyncio.run(main())
+
+
+def test_a_cancelled_request_does_not_stop_its_dispatcher():
+    # The submit is cancelled while its batch executes, so the dispatcher
+    # finds the request's future done when the batch completes: it must go
+    # on serving, or later submits and close() would wait forever.
+    async def main():
+        with _runner() as runner:
+            engine = runner.engines[0]
+            serve, entered, release = engine.access_many, threading.Event(), threading.Event()
+
+            def held(ids):
+                entered.set()
+                release.wait(10.0)
+                return serve(ids)
+
+            engine.access_many = held
+            service = AsyncShardedService(runner)
+            await service.start()
+            task = asyncio.create_task(service.submit([0, 3]))
+            await asyncio.to_thread(entered.wait, 10.0)
+            task.cancel()
+            release.set()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            await asyncio.wait_for(service.submit([6]), timeout=10.0)
+            await asyncio.wait_for(service.close(), timeout=10.0)
+            runner.executor.refresh_states()
+            assert runner.merged_snapshot().logical_accesses == 3
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("num_workers", [None, 2])
+def test_an_empty_request_completes_at_once(num_workers):
+    # An empty request touches no unit, so no dispatcher would ever resolve
+    # a future for it: it completes without one, and is still counted.
+    async def main():
+        with _runner(num_workers) as runner:
+            async with AsyncShardedService(runner) as service:
+                latency = await asyncio.wait_for(service.submit([]), timeout=10.0)
+                await service.submit([5, 6])
+            runner.executor.refresh_states()
+            assert runner.merged_snapshot().logical_accesses == 2
+        assert latency >= 0.0
+        assert service.latency_summary().count == 2
 
     asyncio.run(main())
 
